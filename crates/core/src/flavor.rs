@@ -1,7 +1,7 @@
 //! Flavor: the configuration space of the shared register machinery.
 
 /// What a process does on recovery, beyond restoring its replica state
-/// from the `written` record.
+/// from the newer of its `written` and `writing` records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryPolicy {
     /// Restore volatile state only (crash-stop baseline and ablations).
@@ -38,6 +38,7 @@ pub struct Flavor {
     pub write_query_round: bool,
     /// The writer logs the `writing` record before propagating (Fig. 4
     /// line 12) — the second causal log that buys persistent atomicity.
+    /// The record also serves as the writer's own replica record.
     pub write_pre_log: bool,
     /// Fold the stable recovery counter into new sequence numbers (Fig. 5
     /// line 11).
@@ -71,7 +72,10 @@ pub struct Flavor {
 
 impl Flavor {
     /// Paper Fig. 4: persistent atomicity, 2 causal logs per write, 1 per
-    /// read.
+    /// read. A write spends `n` durable records — the coordinator's
+    /// `writing` pre-log plus one `written` record at each *other*
+    /// replica; the pre-log doubles as the coordinator's own replica
+    /// record.
     pub const fn persistent() -> Flavor {
         Flavor {
             name: "persistent",

@@ -144,7 +144,8 @@ pub struct RegisterAutomaton {
     rec: u64,
     /// Writer-local next sequence number (regular flavor only).
     next_wsn: Seq,
-    /// The `writing` record to re-finish on recovery (persistent flavor).
+    /// The `writing` record a recovered automaton re-finishes before
+    /// serving (persistent flavor); `None` on a fresh boot.
     writing: Option<WritingRecord>,
     op: Option<(OpId, OpPhase)>,
     recovery: Option<RecoveryPhase>,
@@ -203,12 +204,24 @@ impl RegisterAutomaton {
         incarnation: u64,
         stable: &dyn StableSnapshot,
     ) -> Self {
-        // Fig. 4 lines 41–42 / Fig. 5 lines 17–18: restore the replica.
-        let replica = match stable.get(KEY_WRITTEN) {
-            Some(bytes) => match WrittenRecord::decode(&bytes) {
-                Ok(rec) => Replica::restored(me, flavor.replica_logs, &rec),
-                Err(_) => Replica::new(me, flavor.replica_logs),
-            },
+        let written = stable
+            .get(KEY_WRITTEN)
+            .and_then(|b| WrittenRecord::decode(&b).ok());
+        let writing = stable
+            .get(KEY_WRITING)
+            .and_then(|b| WritingRecord::decode(&b).ok());
+        // Fig. 4 lines 41–42 / Fig. 5 lines 17–18: restore the replica —
+        // from the newer of `written` and `writing`, because a write this
+        // node coordinated is durable here under its pre-log alone. A torn
+        // `writing` tail decodes to nothing and leaves `written` in charge:
+        // that write's propagation never started.
+        let held = written
+            .map(|r| (r.ts, r.value))
+            .into_iter()
+            .chain(writing.iter().map(|r| (r.ts, r.value.clone())))
+            .max_by_key(|(ts, _)| *ts);
+        let replica = match held {
+            Some((ts, value)) => Replica::restored(me, flavor.replica_logs, ts, value),
             None => Replica::new(me, flavor.replica_logs),
         }
         .with_lease(replica_lease(&flavor));
@@ -217,9 +230,6 @@ impl RegisterAutomaton {
             .and_then(|b| RecoveredRecord::decode(&b).ok())
             .map(|r| r.count)
             .unwrap_or(0);
-        let writing = stable
-            .get(KEY_WRITING)
-            .and_then(|b| WritingRecord::decode(&b).ok());
         let next_wsn = replica.timestamp().seq + 1;
         RegisterAutomaton {
             me,
@@ -301,19 +311,8 @@ impl RegisterAutomaton {
                     };
                     self.replica.initial_store(&mut gen, out);
                 }
-                if self.flavor.write_pre_log {
-                    let token = self.next_token();
-                    let record = WritingRecord {
-                        ts: Timestamp::new(0, self.me),
-                        value: Value::bottom(),
-                    };
-                    self.writing = Some(record.clone());
-                    out.push(Action::Store {
-                        token,
-                        key: KEY_WRITING.to_string(),
-                        bytes: record.encode(),
-                    });
-                }
+                // No initial `writing` record: recovery reads an absent
+                // slot as "no write to finish", which is all `(0, ⊥)` said.
                 if self.flavor.rec_in_timestamp {
                     let token = self.next_token();
                     let record = RecoveredRecord { count: 0 };
@@ -561,21 +560,28 @@ impl RegisterAutomaton {
         out: &mut Vec<Action>,
     ) {
         // Fig. 4 line 11: sn := sn + 1 — Fig. 5 line 11: sn := sn + rec + 1.
+        // The own replica's tag joins the maximum: the quorum need not
+        // include this node, and after an abandoned write the replica may
+        // be ahead of it. The `writing` slot doubles as this node's replica
+        // record, so a new pre-log must never carry a tag below one the
+        // replica has already attested.
         let rec_component = if self.flavor.rec_in_timestamp {
             self.rec
         } else {
             0
         };
-        let ts = Timestamp::new(max_seq + rec_component + 1, self.me);
+        let base = max_seq.max(self.replica.timestamp().seq);
+        let ts = Timestamp::new(base + rec_component + 1, self.me);
         if self.flavor.write_pre_log {
             // Fig. 4 line 12: the pre-log — the first causal log of a
-            // persistent write. The propagation round waits for it.
+            // persistent write. The propagation round waits for it, and
+            // the replica role tracks it as this node's store of `ts`.
             let token = self.next_token();
             let record = WritingRecord {
                 ts,
                 value: value.clone(),
             };
-            self.writing = Some(record.clone());
+            self.replica.pre_log_issued(token, ts);
             out.push(Action::Store {
                 token,
                 key: KEY_WRITING.to_string(),
@@ -889,33 +895,33 @@ impl RegisterAutomaton {
     }
 
     fn on_store_done(&mut self, token: StoreToken, out: &mut Vec<Action>) {
+        match self.op.take() {
+            Some((
+                op,
+                OpPhase::WritePreLog {
+                    ts,
+                    value,
+                    token: t,
+                },
+            )) if t == token => {
+                // Pre-log durable: this node now stably holds `(ts, value)`,
+                // so its replica adopts the pair as durable and will answer
+                // the self-addressed `Write` below without a `written` store.
+                self.replica.on_pre_log_done(token, &value, out);
+                self.invalidate_lease_if_older_than(ts);
+                // The second round may begin.
+                self.start_propagate(op, ts, value, out);
+                return;
+            }
+            other => self.op = other,
+        }
         if self.replica.on_store_done(token, out) {
             return;
         }
         if let Some(RecoveryPhase::StoreRec { token: t }) = &self.recovery {
             if *t == token {
                 self.recovery_store_done(out);
-                return;
             }
-        }
-        let mut prelogged: Option<(OpId, Timestamp, Value)> = None;
-        if let Some((
-            op,
-            OpPhase::WritePreLog {
-                ts,
-                value,
-                token: t,
-            },
-        )) = &self.op
-        {
-            if *t == token {
-                prelogged = Some((*op, *ts, value.clone()));
-            }
-        }
-        if let Some((op, ts, value)) = prelogged {
-            self.op = None;
-            // Pre-log durable: the second round may begin.
-            self.start_propagate(op, ts, value, out);
         }
     }
 
@@ -1134,12 +1140,16 @@ mod tests {
         let mut out = Vec::new();
         a.on_input(Input::Start, &mut out);
         assert!(a.is_ready());
-        // Initial written + writing records.
-        let stores = out
+        // The initial `written` record only: an absent `writing` slot
+        // already says "no write to finish".
+        let keys: Vec<&str> = out
             .iter()
-            .filter(|a| matches!(a, Action::Store { .. }))
-            .count();
-        assert_eq!(stores, 2);
+            .filter_map(|a| match a {
+                Action::Store { key, .. } => Some(key.as_str()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(keys, [KEY_WRITTEN]);
     }
 
     #[test]
@@ -1285,22 +1295,7 @@ mod tests {
 
     #[test]
     fn persistent_recovery_rebroadcasts_writing_record() {
-        let mut stable = std::collections::HashMap::new();
-        let writing = WritingRecord {
-            ts: Timestamp::new(7, ProcessId(0)),
-            value: Value::from_u32(42),
-        };
-        stable.insert("writing".to_string(), writing.encode());
-        let mut a = RegisterAutomaton::recovered(
-            ProcessId(0),
-            3,
-            Flavor::persistent(),
-            Micros(1_000),
-            1,
-            &stable,
-        );
-        let mut out = Vec::new();
-        a.on_input(Input::Start, &mut out);
+        let (mut a, out) = recover_persistent(&snapshot(None, Some((7, 0, 42))));
         assert!(!a.is_ready());
         let sends = sends_of(&out);
         assert_eq!(sends.len(), 3);
@@ -1333,6 +1328,230 @@ mod tests {
             &mut out2,
         );
         assert!(a.is_ready());
+    }
+
+    // ---------------------------------------------------------------
+    // The pre-log doubles as the coordinator's replica record
+    // ---------------------------------------------------------------
+
+    fn stores_in(out: &[Action]) -> usize {
+        out.iter()
+            .filter(|a| matches!(a, Action::Store { .. }))
+            .count()
+    }
+
+    fn write_acks_of(out: &[Action]) -> usize {
+        sends_of(out)
+            .iter()
+            .filter(|m| matches!(m, Message::WriteAck { .. }))
+            .count()
+    }
+
+    /// Invokes `Write(value)` at `a` and answers its query round from p1
+    /// and p2 with `seqs`; returns the pre-log's token and decoded record.
+    fn write_up_to_pre_log(
+        a: &mut RegisterAutomaton,
+        value: u32,
+        seqs: [Seq; 2],
+    ) -> (StoreToken, WritingRecord) {
+        let mut out = Vec::new();
+        a.on_input(
+            Input::Invoke {
+                op: OpId::new(ProcessId(0), 0),
+                operation: Op::Write(Value::from_u32(value)),
+            },
+            &mut out,
+        );
+        let req = sends_of(&out)[0].request_id();
+        out.clear();
+        for (pid, seq) in [(1, seqs[0]), (2, seqs[1])] {
+            a.on_input(
+                Input::Message {
+                    from: ProcessId(pid),
+                    msg: Message::SnAck { req, seq },
+                },
+                &mut out,
+            );
+        }
+        assert!(sends_of(&out).is_empty(), "propagation waits for the log");
+        let [Action::Store { token, key, bytes }] = out.as_slice() else {
+            panic!("expected exactly the pre-log store, got {out:?}")
+        };
+        assert_eq!(key, KEY_WRITING);
+        (*token, WritingRecord::decode(bytes).unwrap())
+    }
+
+    #[test]
+    fn self_write_after_pre_log_acks_without_a_store() {
+        let mut a = fresh(Flavor::persistent());
+        let (token, record) = write_up_to_pre_log(&mut a, 9, [4, 6]);
+        assert_eq!(record.ts, Timestamp::new(7, ProcessId(0)));
+        let mut out = Vec::new();
+        a.on_input(Input::StoreDone(token), &mut out);
+        // The pre-log is the replica's record of the tag.
+        assert_eq!(a.replica_timestamp(), record.ts);
+        assert_eq!(a.replica_value().as_u32(), Some(9));
+        let writes: Vec<&Message> = sends_of(&out);
+        assert_eq!(writes.len(), 3, "propagation round broadcast: {out:?}");
+        let own = (*writes[0]).clone();
+        assert!(matches!(own, Message::Write { ts, .. } if ts == record.ts));
+        assert_eq!(stores_in(&out), 0);
+        // The self-addressed Write finds the tag durable: ack, no store.
+        out.clear();
+        a.on_input(
+            Input::Message {
+                from: ProcessId(0),
+                msg: own,
+            },
+            &mut out,
+        );
+        assert_eq!(write_acks_of(&out), 1, "{out:?}");
+        assert_eq!(stores_in(&out), 0, "redundant store: {out:?}");
+    }
+
+    #[test]
+    fn self_write_before_pre_log_completes_is_parked() {
+        let mut a = fresh(Flavor::persistent());
+        let (token, record) = write_up_to_pre_log(&mut a, 9, [4, 6]);
+        // A Write carrying the pre-logged tag reaches the own replica while
+        // the pre-log is still in flight: neither acked nor stored again.
+        let mut out = Vec::new();
+        a.on_input(
+            Input::Message {
+                from: ProcessId(0),
+                msg: Message::Write {
+                    req: RequestId::new(ProcessId(0), 99),
+                    ts: record.ts,
+                    value: record.value.clone(),
+                },
+            },
+            &mut out,
+        );
+        assert!(out.is_empty(), "early ack or second store: {out:?}");
+        // The pre-log completing releases the parked ack and starts the
+        // propagation round.
+        a.on_input(Input::StoreDone(token), &mut out);
+        assert_eq!(write_acks_of(&out), 1);
+        assert_eq!(sends_of(&out).len(), 1 + 3);
+        assert_eq!(stores_in(&out), 0);
+    }
+
+    fn snapshot(
+        written: Option<(Seq, u16, u32)>,
+        writing: Option<(Seq, u16, u32)>,
+    ) -> std::collections::HashMap<String, bytes::Bytes> {
+        let mut stable = std::collections::HashMap::new();
+        if let Some((seq, pid, v)) = written {
+            let record = WrittenRecord {
+                ts: Timestamp::new(seq, ProcessId(pid)),
+                value: Value::from_u32(v),
+            };
+            stable.insert(KEY_WRITTEN.to_string(), record.encode());
+        }
+        if let Some((seq, pid, v)) = writing {
+            let record = WritingRecord {
+                ts: Timestamp::new(seq, ProcessId(pid)),
+                value: Value::from_u32(v),
+            };
+            stable.insert(KEY_WRITING.to_string(), record.encode());
+        }
+        stable
+    }
+
+    fn recover_persistent(
+        stable: &std::collections::HashMap<String, bytes::Bytes>,
+    ) -> (RegisterAutomaton, Vec<Action>) {
+        let mut a = RegisterAutomaton::recovered(
+            ProcessId(0),
+            3,
+            Flavor::persistent(),
+            Micros(1_000),
+            1,
+            stable,
+        );
+        let mut out = Vec::new();
+        a.on_input(Input::Start, &mut out);
+        (a, out)
+    }
+
+    #[test]
+    fn recovery_attests_a_newer_writing_record_and_refinishes_it() {
+        // The node coordinated [7,0] and crashed: only its pre-log holds
+        // the tag, `written` is still at an older adoption.
+        let stable = snapshot(Some((3, 1, 30)), Some((7, 0, 42)));
+        let (mut a, out) = recover_persistent(&stable);
+        assert_eq!(a.replica_timestamp(), Timestamp::new(7, ProcessId(0)));
+        assert_eq!(a.replica_value().as_u32(), Some(42));
+        assert!(!a.is_ready(), "the write is re-finished before serving");
+        let own = (*sends_of(&out)[0]).clone();
+        assert!(matches!(own, Message::Write { ts, .. } if ts.seq == 7));
+        // The restored tag is attested durable to readers …
+        let mut out = Vec::new();
+        a.on_input(
+            Input::Message {
+                from: ProcessId(1),
+                msg: Message::Read {
+                    req: RequestId::new(ProcessId(1), 5),
+                },
+            },
+            &mut out,
+        );
+        assert!(matches!(
+            sends_of(&out)[0],
+            Message::ReadAck { ts, durable: true, .. } if ts.seq == 7
+        ));
+        // … and the re-finish round's self-addressed Write needs no store.
+        out.clear();
+        a.on_input(
+            Input::Message {
+                from: ProcessId(0),
+                msg: own,
+            },
+            &mut out,
+        );
+        assert_eq!(write_acks_of(&out), 1);
+        assert_eq!(stores_in(&out), 0, "{out:?}");
+    }
+
+    #[test]
+    fn recovery_keeps_written_when_it_is_newer_or_writing_is_torn() {
+        let stable = snapshot(Some((9, 1, 90)), Some((7, 0, 42)));
+        let (a, _) = recover_persistent(&stable);
+        assert_eq!(a.replica_timestamp(), Timestamp::new(9, ProcessId(1)));
+        // A torn `writing` tail: that write's propagation never started,
+        // so there is nothing to attest and nothing to finish.
+        let mut stable = snapshot(Some((3, 1, 30)), None);
+        stable.insert(
+            KEY_WRITING.to_string(),
+            bytes::Bytes::from_static(b"\x01torn"),
+        );
+        let (a, out) = recover_persistent(&stable);
+        assert_eq!(a.replica_timestamp(), Timestamp::new(3, ProcessId(1)));
+        assert!(a.is_ready());
+        assert!(sends_of(&out).is_empty());
+    }
+
+    #[test]
+    fn new_tag_exceeds_the_own_replica_after_an_abandoned_write() {
+        // An abandoned write left [5,0] in `writing` — attested by this
+        // replica, seen by no one in the next query quorum.
+        let stable = snapshot(None, Some((5, 0, 50)));
+        let (mut a, out) = recover_persistent(&stable);
+        let req = sends_of(&out)[0].request_id();
+        for pid in [1, 2] {
+            a.on_input(
+                Input::Message {
+                    from: ProcessId(pid),
+                    msg: Message::WriteAck { req },
+                },
+                &mut Vec::new(),
+            );
+        }
+        assert!(a.is_ready());
+        // The quorum answers from behind; the next pre-log overwrites the
+        // `writing` slot and so must still carry a higher tag.
+        let (_, record) = write_up_to_pre_log(&mut a, 60, [2, 3]);
+        assert_eq!(record.ts, Timestamp::new(6, ProcessId(0)));
     }
 
     #[test]

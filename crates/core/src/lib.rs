@@ -106,8 +106,9 @@ register_front!(
     ///
     /// Atomicity survives crashes entirely: to every observer the register
     /// behaves as if no process ever failed. Costs the optimal 2 causal
-    /// logs per write (the writer's `writing` pre-log, then the replicas'
-    /// `written` logs in parallel) and 1 per read (the write-back round's
+    /// logs per write (the writer's `writing` pre-log — which is also its
+    /// own replica record — then the other replicas' `written` logs in
+    /// parallel) and 1 per read (the write-back round's
     /// replica logs — skipped, hence free, when the read is not concurrent
     /// with a write). On recovery a process finishes its interrupted write
     /// before serving again (Fig. 4 lines 40–47).

@@ -17,6 +17,18 @@
 //! none of which is actually durable — exactly the forgotten-value anomaly
 //! the log exists to prevent.
 //!
+//! "Durably stored" means covered by the node's `written` record **or**
+//! by its `writing` record. A persistent coordinator's pre-log (Fig. 4
+//! line 12) already puts `(ts, v)` on this node's disk before the
+//! propagation round starts, and recovery restores the replica from
+//! `max(written, writing)`, so logging the same pair again under `written`
+//! would buy no durability: the pre-log's store token is tracked here like
+//! any adoption store ([`Replica::pre_log_issued`] /
+//! [`Replica::on_pre_log_done`]), and the coordinator's self-addressed
+//! `Write` finds its tag durable and is acknowledged without a store. A
+//! persistent write therefore costs `n` durable records, not `n + 1`,
+//! while its causal-log depth stays 2.
+//!
 //! # The lease-fence discipline
 //!
 //! Under a leasing flavor ([`Flavor::with_lease`](crate::Flavor::with_lease))
@@ -53,8 +65,8 @@ use rmem_types::{
 struct Waiter {
     to: ProcessId,
     req: RequestId,
-    /// Durability condition: ack only once the stable `written` record
-    /// covers this tag (`None` = already satisfied when parked).
+    /// Durability condition: ack only once a stable record covers this
+    /// tag (`None` = already satisfied when parked).
     need: Option<Timestamp>,
     /// Lease condition: ack only once this many grants have expired
     /// (`0` = no lease fence).
@@ -73,10 +85,11 @@ pub struct Replica {
     logging: bool,
     /// Tag-lease term granted on durable read acks (0 = no leasing).
     lease_micros: u64,
-    /// Highest tag known durable in the `written` slot.
+    /// Highest tag known durable on this node: covered by the `written`
+    /// slot or, for a tag this node coordinated, by the `writing` slot.
     durable_ts: Timestamp,
-    /// Stores in flight: token → the tag that becomes durable when it
-    /// completes.
+    /// Stores in flight (adoption stores and the coordinator's pre-log):
+    /// token → the tag that becomes durable when it completes.
     pending_stores: HashMap<StoreToken, Timestamp>,
     /// Acks parked until a covering tag is durable and/or the lease
     /// fence opens.
@@ -120,13 +133,14 @@ impl Replica {
         self
     }
 
-    /// A replica restored from its `written` record (recovery, Fig. 4
-    /// lines 41–42).
-    pub fn restored(me: ProcessId, logging: bool, record: &WrittenRecord) -> Self {
+    /// A replica restored from the newest tag/value its stable records
+    /// hold (recovery, Fig. 4 lines 41–42): the `written` record or, when
+    /// this node coordinated a newer write, its `writing` pre-log.
+    pub fn restored(me: ProcessId, logging: bool, ts: Timestamp, value: Value) -> Self {
         Replica {
-            ts: record.ts,
-            value: record.value.clone(),
-            durable_ts: record.ts,
+            ts,
+            value,
+            durable_ts: ts,
             ..Replica::new(me, logging)
         }
     }
@@ -216,7 +230,8 @@ impl Replica {
             Message::Read { req } => {
                 // Fig. 4 lines 28–30, plus the durability attestation the
                 // reader's fast path gates on: the reported tag is durable
-                // when the stable `written` record covers it. A
+                // when a stable record (`written`, or this node's own
+                // `writing` pre-log) covers it. A
                 // non-logging replica's volatile state is as stable as its
                 // (crash-stop) model gets, so it always attests. A tag
                 // still fenced behind outstanding lease grants is reported
@@ -297,6 +312,28 @@ impl Replica {
             }
             _ => false,
         }
+    }
+
+    /// Tracks the coordinator's `writing` pre-log of `ts` as a store in
+    /// flight: once it completes, this node durably holds `ts` without a
+    /// `written` record of its own (see the module docs). Until then a
+    /// `Write` it covers is parked like any other, never acknowledged
+    /// early.
+    pub fn pre_log_issued(&mut self, token: StoreToken, ts: Timestamp) {
+        self.pending_stores.insert(token, ts);
+    }
+
+    /// The pre-log tracked under `token` completed: adopts its value if
+    /// the tag is still the newest seen, then proceeds as for any store
+    /// completion — the tag is durable and the acks it covers release.
+    pub fn on_pre_log_done(&mut self, token: StoreToken, value: &Value, out: &mut Vec<Action>) {
+        if let Some(&ts) = self.pending_stores.get(&token) {
+            if ts > self.ts {
+                self.ts = ts;
+                self.value = value.clone();
+            }
+        }
+        self.on_store_done(token, out);
     }
 
     /// Handles a store completion. Returns `true` if the token belonged to
@@ -609,12 +646,72 @@ mod tests {
     }
 
     #[test]
+    fn completed_pre_log_covers_the_self_write() {
+        let mut r = Replica::new(ProcessId(0), true);
+        let (mut gen, _) = token_gen();
+        let mut out = Vec::new();
+        let ts = Timestamp::new(4, ProcessId(0));
+        r.pre_log_issued(StoreToken(77), ts);
+        assert_eq!(r.timestamp().seq, 0, "adoption waits for the log");
+        r.on_pre_log_done(StoreToken(77), &Value::from_u32(7), &mut out);
+        assert!(out.is_empty());
+        assert_eq!(r.timestamp(), ts);
+        assert_eq!(r.value().as_u32(), Some(7));
+        // The coordinator's own Write: durable under `writing` → ack, and
+        // no second record under `written`.
+        r.on_message(ProcessId(0), &write_msg(4, 0, 7, 1), &mut gen, &mut out);
+        assert!(matches!(
+            out.as_slice(),
+            [Action::Send {
+                msg: Message::WriteAck { .. },
+                ..
+            }]
+        ));
+        // Readers see the tag attested.
+        out.clear();
+        let req = RequestId::new(ProcessId(1), 5);
+        r.on_message(ProcessId(1), &Message::Read { req }, &mut gen, &mut out);
+        assert!(read_ack_of(&out).0);
+    }
+
+    #[test]
+    fn write_covered_by_an_in_flight_pre_log_is_parked_not_acked() {
+        let mut r = Replica::new(ProcessId(0), true);
+        let (mut gen, _) = token_gen();
+        let mut out = Vec::new();
+        r.pre_log_issued(StoreToken(77), Timestamp::new(4, ProcessId(0)));
+        // The tag itself, and an older tag from another writer: both ride
+        // the pre-log instead of issuing a store, and neither is acked
+        // before it completes.
+        r.on_message(ProcessId(0), &write_msg(4, 0, 7, 1), &mut gen, &mut out);
+        r.on_message(ProcessId(2), &write_msg(3, 2, 9, 2), &mut gen, &mut out);
+        assert!(out.is_empty(), "early ack or duplicate store: {out:?}");
+        let req = RequestId::new(ProcessId(1), 5);
+        r.on_message(ProcessId(1), &Message::Read { req }, &mut gen, &mut out);
+        assert!(!read_ack_of(&out).0, "volatile until the log lands");
+        out.clear();
+        r.on_pre_log_done(StoreToken(77), &Value::from_u32(7), &mut out);
+        assert_eq!(out.len(), 2, "both parked acks release: {out:?}");
+        // A newer tag adopted meanwhile keeps the volatile state; the
+        // pre-logged one is merely durable below it.
+        let mut r = Replica::new(ProcessId(0), true);
+        r.pre_log_issued(StoreToken(1), Timestamp::new(4, ProcessId(0)));
+        out.clear();
+        r.on_message(ProcessId(2), &write_msg(6, 2, 9, 3), &mut gen, &mut out);
+        assert!(matches!(out.as_slice(), [Action::Store { .. }]));
+        r.on_pre_log_done(StoreToken(1), &Value::from_u32(7), &mut out);
+        assert_eq!(r.timestamp(), Timestamp::new(6, ProcessId(2)));
+        assert_eq!(r.value().as_u32(), Some(9));
+    }
+
+    #[test]
     fn restored_replica_resumes_from_record() {
-        let rec = WrittenRecord {
-            ts: Timestamp::new(9, ProcessId(3)),
-            value: Value::from_u32(4),
-        };
-        let r = Replica::restored(ProcessId(1), true, &rec);
+        let r = Replica::restored(
+            ProcessId(1),
+            true,
+            Timestamp::new(9, ProcessId(3)),
+            Value::from_u32(4),
+        );
         assert_eq!(r.timestamp(), Timestamp::new(9, ProcessId(3)));
         assert_eq!(r.value().as_u32(), Some(4));
     }
@@ -828,11 +925,13 @@ mod tests {
     #[test]
     fn boot_hold_fences_every_write_for_one_hold_term() {
         let (mut gen, _) = token_gen();
-        let rec = WrittenRecord {
-            ts: Timestamp::new(3, ProcessId(0)),
-            value: Value::from_u32(7),
-        };
-        let mut r = Replica::restored(ProcessId(1), true, &rec).with_lease(LEASE);
+        let mut r = Replica::restored(
+            ProcessId(1),
+            true,
+            Timestamp::new(3, ProcessId(0)),
+            Value::from_u32(7),
+        )
+        .with_lease(LEASE);
         let mut out = Vec::new();
         r.boot_hold(&mut gen, &mut out);
         let Some(Action::SetTimer { token: horizon, .. }) = out.first().cloned() else {

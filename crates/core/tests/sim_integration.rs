@@ -2,11 +2,14 @@
 //! simulator, with histories certified by the atomicity checkers and
 //! causal-log counts checked against the paper's bounds.
 
-use rmem_consistency::{check_linearizable, check_persistent, check_transient};
+use rmem_consistency::{
+    check_linearizable, check_per_register, check_persistent, check_transient, Criterion,
+};
 use rmem_core::{CrashStop, Persistent, Regular, Transient};
 use rmem_sim::workload::ClosedLoop;
-use rmem_sim::{ClusterConfig, PlannedEvent, Schedule, Simulation};
-use rmem_types::{AutomatonFactory, Op, OpKind, ProcessId, Value};
+use rmem_sim::{ClusterConfig, DiskConfig, NetConfig, PlannedEvent, Schedule, Simulation};
+use rmem_storage::FaultPlan;
+use rmem_types::{AutomatonFactory, Micros, Op, OpKind, ProcessId, Value};
 
 fn p(i: u16) -> ProcessId {
     ProcessId(i)
@@ -398,4 +401,131 @@ fn latency_composition_matches_paper_model() {
     );
     // The paper's headline: the transient→persistent gap is another λ.
     assert!(pe > tr && tr > cs);
+}
+
+/// How the coordinator of the swept write dies.
+#[derive(Debug, Clone, Copy)]
+enum CoordinatorFault {
+    /// Crash this long after the write's invocation.
+    CrashAfter(u64),
+    /// The write's pre-log is refused by the disk — a torn `writing` tail:
+    /// the slot keeps its previous record and the process halts.
+    TornPreLog,
+}
+
+/// One run of the coordinator-crash sweep (see the test below). p0 writes
+/// 1, p1 writes 2, then p0 writes 3 and dies as `fault` says; it recovers,
+/// two reads look, p0 writes 4 over whatever the interrupted write left
+/// behind, and finally the whole cluster crashes and recovers — p0's copy
+/// of 4 is in its `writing` slot alone — before a last read.
+fn coordinator_crash_run(n: usize, seed: u64, fault: CoordinatorFault) {
+    let ctx = format!("n={n} seed={seed} {fault:?}");
+    const W3_AT: u64 = 10_000;
+    let mut schedule = Schedule::new()
+        .at(1_000, PlannedEvent::Invoke(p(0), Op::Write(v(1))))
+        .at(5_000, PlannedEvent::Invoke(p(1), Op::Write(v(2))))
+        .at(W3_AT, PlannedEvent::Invoke(p(0), Op::Write(v(3))))
+        .at(14_000, PlannedEvent::Recover(p(0)))
+        .at(20_000, PlannedEvent::Invoke(p(1), Op::Read))
+        .at(24_000, PlannedEvent::Invoke(p(2), Op::Read))
+        .at(28_000, PlannedEvent::Invoke(p(0), Op::Write(v(4))))
+        .at(50_000, PlannedEvent::Invoke(p(2), Op::Read));
+    for pid in ProcessId::all(n) {
+        schedule = schedule
+            .at(40_000, PlannedEvent::Crash(pid))
+            .at(42_000, PlannedEvent::Recover(pid));
+    }
+    if let CoordinatorFault::CrashAfter(offset) = fault {
+        schedule = schedule.at(W3_AT + offset, PlannedEvent::Crash(p(0)));
+    }
+    // Seeded jitter on every hop and every store: the same offset lands
+    // on different protocol steps under different seeds.
+    let config = ClusterConfig::new(n)
+        .with_net(NetConfig {
+            jitter: Micros(40),
+            ..NetConfig::default()
+        })
+        .with_disk(DiskConfig {
+            jitter: Micros(60),
+            ..DiskConfig::default()
+        });
+    let mut sim = Simulation::new(config, Persistent::factory(), seed).with_schedule(schedule);
+    if let CoordinatorFault::TornPreLog = fault {
+        // p0's stores: boot `written`, W(1)'s pre-log, the adoption of
+        // p1's W(2), then W(3)'s pre-log.
+        sim = sim.with_store_faults(p(0), FaultPlan::fail_at(vec![4]));
+    }
+    let report = sim.run();
+
+    let history = report.trace.to_history();
+    for (reg, verdict) in check_per_register(&history, Criterion::Persistent) {
+        verdict
+            .unwrap_or_else(|e| panic!("{ctx}: {reg:?} not persistent atomic: {e}\n{history:#?}"));
+    }
+    let reads: Vec<u32> = report
+        .trace
+        .operations()
+        .iter()
+        .filter(|o| o.kind == OpKind::Read)
+        .map(|o| {
+            let result = o
+                .result
+                .as_ref()
+                .unwrap_or_else(|| panic!("{ctx}: read stuck"));
+            result.read_value().unwrap().as_u32().unwrap()
+        })
+        .collect();
+    // Recovery finishes the interrupted write iff its pre-log landed, and
+    // does so before p0 serves again: both early reads agree.
+    assert!(
+        reads[..2] == [2, 2] || reads[..2] == [3, 3],
+        "{ctx}: {reads:?}"
+    );
+    let pre_log_landed = reads[0] == 3;
+    if let CoordinatorFault::TornPreLog = fault {
+        assert!(!pre_log_landed, "{ctx}: a torn pre-log resurfaced");
+        assert_eq!(
+            report.trace.crashes,
+            1 + n as u64,
+            "{ctx}: the fault never fired"
+        );
+    }
+    // W(4) completed; its majority includes p0 only through `writing`.
+    assert_eq!(
+        reads[2], 4,
+        "{ctx}: completed write lost by the total crash"
+    );
+    assert_eq!(report.trace.max_causal_logs(OpKind::Write), 2, "{ctx}");
+    // Every write whose pre-log landed cost exactly n durable records —
+    // the pre-log plus n-1 replica records, however many times recovery
+    // re-propagated it — on top of the n boot records.
+    let landed_writes = 3 + u64::from(pre_log_landed);
+    assert_eq!(
+        report.trace.stores_applied,
+        n as u64 * (1 + landed_writes),
+        "{ctx}: stores per persistent write must be n"
+    );
+}
+
+/// Crashes the coordinator of a persistent write at every step between
+/// issuing its pre-log and assembling its quorum — pre-log in flight
+/// (lost), pre-log durable but nothing sent, propagation partly
+/// delivered, acks in flight — plus the torn-tail case, on 3 and 5 nodes.
+/// Every run must certify persistent atomicity, never lose the later
+/// completed write to a total crash, keep the write's causal-log depth at
+/// 2 and spend exactly n durable records per write. Deterministic: a
+/// failure names its `(n, seed, fault)`.
+#[test]
+fn coordinator_crash_sweep_between_pre_log_and_quorum() {
+    for n in [3, 5] {
+        for seed in 0..4 {
+            // Query round ≈ 200µs, pre-log ≈ +200µs, propagation and the
+            // replica logs ≈ +400µs: 0..1.1ms in 25µs steps brackets the
+            // whole write on either side.
+            for offset in (0..=1_100).step_by(25) {
+                coordinator_crash_run(n, seed, CoordinatorFault::CrashAfter(offset));
+            }
+            coordinator_crash_run(n, seed, CoordinatorFault::TornPreLog);
+        }
+    }
 }

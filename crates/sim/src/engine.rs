@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rmem_storage::{MemStorage, SnapshotView, StableStorage};
+use rmem_storage::{FaultPlan, FaultyStorage, MemStorage, SnapshotView, StableStorage};
 use rmem_types::{Action, AutomatonFactory, Input, Micros, Op, OpId, ProcessId};
 
 use crate::config::ClusterConfig;
@@ -18,7 +18,9 @@ use crate::workload::{ClosedLoop, PlannedEvent, Schedule};
 /// and its stable storage (owned by the engine — survives crashes).
 struct ProcSlot {
     automaton: Option<Box<dyn rmem_types::Automaton>>,
-    storage: MemStorage,
+    /// Pass-through unless the run planted store faults at this process
+    /// ([`Simulation::with_store_faults`]).
+    storage: FaultyStorage<MemStorage>,
     /// Bumped at every crash; store completions and timers from older
     /// incarnations are discarded.
     incarnation: u32,
@@ -117,7 +119,7 @@ impl Simulation {
         let procs = (0..n)
             .map(|_| ProcSlot {
                 automaton: None,
-                storage: MemStorage::new(),
+                storage: FaultyStorage::new(MemStorage::new(), FaultPlan::None),
                 incarnation: 0,
                 pending: std::collections::BTreeMap::new(),
                 next_op_counter: 0,
@@ -149,6 +151,16 @@ impl Simulation {
     /// invocations, partitions).
     pub fn with_schedule(mut self, schedule: Schedule) -> Self {
         self.schedule.extend(schedule.entries().iter().cloned());
+        self
+    }
+
+    /// Plants store failures at `pid`: a store the plan fails leaves the
+    /// slot's previous record in place and crashes the process on the
+    /// spot — a torn log tail, and what the real runner does when its
+    /// disk refuses a record (halt rather than acknowledge). Positions
+    /// count every store the process completes, boot records included.
+    pub fn with_store_faults(mut self, pid: ProcessId, plan: FaultPlan) -> Self {
+        self.procs[pid.index()].storage = FaultyStorage::new(MemStorage::new(), plan);
         self
     }
 
@@ -198,7 +210,7 @@ impl Simulation {
 
     /// Read-only view of a process's stable storage (inspect after `run`).
     pub fn storage(&self, pid: ProcessId) -> &MemStorage {
-        &self.procs[pid.index()].storage
+        self.procs[pid.index()].storage.get_ref()
     }
 
     /// Runs the simulation to quiescence or its limits, returning the
@@ -356,9 +368,11 @@ impl Simulation {
                 if slot.incarnation != incarnation {
                     return; // the store was in flight when the process crashed: lost
                 }
-                slot.storage
-                    .store(&key, bytes)
-                    .expect("MemStorage store cannot fail");
+                if slot.storage.store(&key, bytes).is_err() {
+                    // Only a planted fault fails a `MemStorage` store.
+                    self.crash(pid);
+                    return;
+                }
                 self.trace.stores_applied += 1;
                 if slot.pending.is_empty() {
                     self.trace.background_stores += 1;
@@ -403,19 +417,7 @@ impl Simulation {
                 self.trace.record_invoke(self.now, op, operation.clone());
                 self.feed(pid, Input::Invoke { op, operation }, 0, Some(op));
             }
-            EventKind::Crash { pid } => {
-                let slot = &mut self.procs[pid.index()];
-                if slot.automaton.is_none() {
-                    return;
-                }
-                slot.automaton = None;
-                slot.incarnation += 1;
-                slot.pending.clear(); // the ops are lost; their records stay pending
-                slot.recovering_since = None;
-                self.deferred_acks.retain(|(p, _), _| *p != pid);
-                self.trace.record_crash(self.now, pid);
-                self.loop_op_lost(pid);
-            }
+            EventKind::Crash { pid } => self.crash(pid),
             EventKind::Recover { pid } => {
                 if self.procs[pid.index()].automaton.is_some() {
                     return;
@@ -437,6 +439,22 @@ impl Simulation {
                 self.net.set_link(from, to, blocked);
             }
         }
+    }
+
+    /// Crashes `pid`: its automaton and in-flight operations are lost,
+    /// its stable storage stays. A no-op if it is already down.
+    fn crash(&mut self, pid: ProcessId) {
+        let slot = &mut self.procs[pid.index()];
+        if slot.automaton.is_none() {
+            return;
+        }
+        slot.automaton = None;
+        slot.incarnation += 1;
+        slot.pending.clear(); // the ops are lost; their records stay pending
+        slot.recovering_since = None;
+        self.deferred_acks.retain(|(p, _), _| *p != pid);
+        self.trace.record_crash(self.now, pid);
+        self.loop_op_lost(pid);
     }
 
     /// Delivers `input` to `pid`'s automaton and executes the resulting

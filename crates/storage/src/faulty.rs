@@ -119,6 +119,11 @@ impl<S: StableStorage> FaultyStorage<S> {
         self.injected
     }
 
+    /// The inner storage (what actually landed).
+    pub fn get_ref(&self) -> &S {
+        &self.inner
+    }
+
     /// Unwraps the inner storage.
     pub fn into_inner(self) -> S {
         self.inner

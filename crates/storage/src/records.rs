@@ -4,9 +4,15 @@
 //!
 //! | slot | written by | meaning |
 //! |---|---|---|
-//! | `writing` | persistent writer, Fig. 4 line 12 | the tag/value about to be propagated, so a recovering writer can finish the write |
-//! | `written` | every replica, Fig. 4 line 24 | the replica's current adopted tag/value |
+//! | `writing` | persistent writer, Fig. 4 line 12 | the tag/value about to be propagated, so a recovering writer can finish the write — **and** the writer's own replica record of that tag: its replica role attests the tag durable from this record and never logs it again under `written` |
+//! | `written` | every replica, Fig. 4 line 24 | the newest tag/value the replica adopted from a propagation round (a node's own writes live in `writing` only) |
 //! | `recovered` | transient recovery, Fig. 5 line 21 | how many times this process has recovered (folded into new sequence numbers, Fig. 5 line 11) |
+//!
+//! A recovering process therefore restores its replica from the newer of
+//! `written` and `writing`. No initial `writing` record is stored at
+//! first boot: an absent (or torn, undecodable) slot means "no write to
+//! finish". Successive `writing` records of one process carry strictly
+//! increasing tags.
 //!
 //! Records use the same binary primitives as the wire codec, prefixed with
 //! a version byte so the on-disk format can evolve.
@@ -44,7 +50,8 @@ fn finish(buf: &[u8]) -> Result<(), DecodeError> {
 }
 
 /// `store(writing, sn, v)` — the persistent writer's pre-propagation log
-/// (Fig. 4 line 12). The tag's pid component is the writer itself.
+/// (Fig. 4 line 12), doubling as the writer's replica record of the tag.
+/// The tag's pid component is the writer itself.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WritingRecord {
     /// The tag the writer chose for this write.
@@ -80,7 +87,8 @@ impl WritingRecord {
 }
 
 /// `store(written, sn, pid, v)` — a replica's adopted tag/value (Fig. 4
-/// line 24; also written by `Initialize`, line 4).
+/// line 24; also written by `Initialize`, line 4). Not rewritten for a
+/// tag the node itself pre-logged under `writing`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WrittenRecord {
     /// The adopted tag (`[sn, pid]` in the pseudocode).

@@ -18,8 +18,9 @@ fn v(x: u32) -> Value {
     Value::from_u32(x)
 }
 
-/// After a persistent write completes, a majority's `written` records
-/// hold the value; the writer's `writing` record holds it too.
+/// After a persistent write completes, every node durably holds the
+/// value exactly once: the replicas under `written`, the writer under its
+/// `writing` pre-log alone (its `written` record is never rewritten).
 #[test]
 fn stable_records_after_a_persistent_write() {
     let mut sim = Simulation::new(ClusterConfig::new(3), Persistent::factory(), 1)
@@ -27,19 +28,16 @@ fn stable_records_after_a_persistent_write() {
     let report = sim.run();
     assert!(report.trace.operations()[0].is_completed());
 
-    let mut holders = 0;
-    for pid in ProcessId::all(3) {
-        let storage = sim.storage(pid);
-        if let Some(bytes) = storage.retrieve("written").unwrap() {
-            let rec = WrittenRecord::decode(&bytes).unwrap();
-            if rec.value.as_u32() == Some(7) {
-                holders += 1;
-            }
-        }
-    }
-    assert!(
-        holders >= 2,
-        "a majority must hold the written record, got {holders}"
+    let written_value = |pid: ProcessId| {
+        let bytes = sim.storage(pid).retrieve("written").unwrap()?;
+        WrittenRecord::decode(&bytes).unwrap().value.as_u32()
+    };
+    assert_eq!(written_value(p(1)), Some(7));
+    assert_eq!(written_value(p(2)), Some(7));
+    assert_eq!(
+        written_value(p(0)),
+        None,
+        "the writer's pre-log is its replica record; no second store"
     );
 
     let writing = sim
@@ -50,6 +48,8 @@ fn stable_records_after_a_persistent_write() {
     let rec = WritingRecord::decode(&writing).unwrap();
     assert_eq!(rec.value.as_u32(), Some(7));
     assert_eq!(rec.ts.pid, p(0));
+    // n stores for the write, on top of the n initial `written` records.
+    assert_eq!(report.trace.stores_applied, 3 + 3);
 }
 
 /// The transient recovery bumps and stores the `recovered` counter once
