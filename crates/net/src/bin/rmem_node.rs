@@ -30,7 +30,6 @@
 use std::net::SocketAddr;
 use std::sync::Arc;
 
-use crossbeam::channel::unbounded;
 use rmem_core::{CrashStop, Persistent, Regular, SharedMemory, Transient};
 use rmem_net::{ControlServer, ProcessRunner, TcpTransport, Transport, UdpTransport};
 use rmem_storage::FileStorage;
@@ -123,20 +122,20 @@ fn main() {
     let storage = FileStorage::open(&args.dir)
         .unwrap_or_else(|e| usage(&format!("cannot open storage dir: {e}")));
 
-    let (tx, rx) = unbounded();
+    let (inbox, queue) = ProcessRunner::queue();
     let transport: Arc<dyn Transport> = match args.transport.as_str() {
         "udp" => Arc::new(
-            UdpTransport::bind(me, args.peers.clone(), tx)
+            UdpTransport::bind(me, args.peers.clone(), inbox)
                 .unwrap_or_else(|e| usage(&format!("transport: {e}"))),
         ),
         "tcp" => Arc::new(
-            TcpTransport::bind(me, args.peers.clone(), tx)
+            TcpTransport::bind(me, args.peers.clone(), inbox)
                 .unwrap_or_else(|e| usage(&format!("transport: {e}"))),
         ),
         other => usage(&format!("unknown transport {other:?}")),
     };
 
-    let runner = ProcessRunner::start(factory.as_ref(), Box::new(storage), transport, rx);
+    let runner = ProcessRunner::start(factory.as_ref(), Box::new(storage), transport, queue);
 
     let control_addr = args.control.unwrap_or_else(|| {
         let mut a = args.peers[args.id as usize];

@@ -1,19 +1,18 @@
-//! In-memory transport over crossbeam channels — the fastest way to run a
-//! real-threaded cluster in tests and examples (no sockets, same runner
-//! code paths).
+//! In-memory transport: a send is a push onto the receiving node's inbox
+//! sink — the fastest way to run a real-threaded cluster in tests and
+//! examples (no sockets, same runner code paths).
 
-use crossbeam::channel::Sender;
 use parking_lot::RwLock;
 use rmem_types::{Message, ProcessId};
 use std::sync::Arc;
 
 use crate::error::NetError;
-use crate::transport::{Inbound, Transport};
+use crate::transport::{Inbound, InboxSink, Transport};
 
-/// Shared switchboard: one inbox sender per process.
+/// Shared switchboard: one inbox sink per process.
 #[derive(Debug, Default)]
 pub struct Switchboard {
-    inboxes: RwLock<Vec<Option<Sender<Inbound>>>>,
+    inboxes: RwLock<Vec<Option<Arc<dyn InboxSink>>>>,
 }
 
 impl Switchboard {
@@ -25,8 +24,8 @@ impl Switchboard {
     }
 
     /// Registers the inbox of `pid`.
-    pub fn register(&self, pid: ProcessId, tx: Sender<Inbound>) {
-        self.inboxes.write()[pid.index()] = Some(tx);
+    pub fn register(&self, pid: ProcessId, inbox: impl InboxSink) {
+        self.inboxes.write()[pid.index()] = Some(Arc::new(inbox));
     }
 
     /// Unregisters the inbox of `pid` (its messages now vanish — exactly a
@@ -46,7 +45,7 @@ pub struct ChannelTransport {
 
 impl ChannelTransport {
     /// Creates the endpoint for `me`, registering `inbox` on the board.
-    pub fn new(me: ProcessId, n: usize, board: Arc<Switchboard>, inbox: Sender<Inbound>) -> Self {
+    pub fn new(me: ProcessId, n: usize, board: Arc<Switchboard>, inbox: impl InboxSink) -> Self {
         board.register(me, inbox);
         ChannelTransport { me, n, board }
     }
@@ -75,9 +74,9 @@ impl Transport for ChannelTransport {
             return Err(NetError::UnknownPeer { pid: to });
         }
         let inboxes = self.board.inboxes.read();
-        if let Some(Some(tx)) = inboxes.get(to.index()) {
-            // A full or disconnected inbox is packet loss.
-            let _ = tx.try_send(Inbound {
+        if let Some(Some(inbox)) = inboxes.get(to.index()) {
+            // A disconnected inbox is packet loss.
+            inbox.deliver(Inbound {
                 from: self.me,
                 msg: msg.clone(),
                 trace,

@@ -4,7 +4,6 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use crossbeam::channel::unbounded;
 use parking_lot::Mutex;
 use rmem_obs::{FlightRecorder, MetricsSnapshot, ObsHandle};
 use rmem_storage::{
@@ -330,20 +329,20 @@ impl LocalCluster {
 
     fn boot(&mut self, pid: ProcessId) -> Result<(), NetError> {
         let n = self.nodes.len();
-        let (tx, rx) = unbounded();
+        let (inbox, queue) = ProcessRunner::queue();
         let transport: Arc<dyn Transport> = match &self.kind {
             TransportKind::Channel(board) => {
-                Arc::new(ChannelTransport::new(pid, n, board.clone(), tx))
+                Arc::new(ChannelTransport::new(pid, n, board.clone(), inbox))
             }
-            TransportKind::Udp(peers) => Arc::new(UdpTransport::bind(pid, peers.clone(), tx)?),
-            TransportKind::Tcp(peers) => Arc::new(TcpTransport::bind(pid, peers.clone(), tx)?),
+            TransportKind::Udp(peers) => Arc::new(UdpTransport::bind(pid, peers.clone(), inbox)?),
+            TransportKind::Tcp(peers) => Arc::new(TcpTransport::bind(pid, peers.clone(), inbox)?),
         };
         let storage = self.disks[pid.index()].open(&self.counters[pid.index()]);
         let runner = ProcessRunner::start_with_obs(
             self.factory.as_ref(),
             storage,
             transport,
-            rx,
+            queue,
             self.obs[pid.index()].clone(),
         );
         self.nodes[pid.index()] = Some(runner);

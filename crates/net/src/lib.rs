@@ -12,9 +12,10 @@
 //!   paper's setup), [`TcpTransport`] (persistent length-prefixed framed
 //!   connections, reconnect on demand), and [`ChannelTransport`]
 //!   (in-memory, for fast tests).
-//! * [`ProcessRunner`] — hosts one automaton: an event loop consuming
-//!   network messages, client invocations, timer expiries and completed
-//!   commits. Stable stores run on a per-node **syncer thread** that
+//! * [`ProcessRunner`] — hosts one automaton: an event loop over the
+//!   node's one event queue (network messages, client invocations,
+//!   completed commits — every producer's send wakes it) and a timer
+//!   heap. Stable stores run on a per-node **syncer thread** that
 //!   group-commits whatever queued while the previous fsync ran; the
 //!   loop is never blocked on the disk, yet nothing is acknowledged
 //!   before the fsync covering it returns (**ack-after-durable** — the
@@ -59,7 +60,7 @@ pub use control::{handle_command, send_command, ControlServer};
 pub use error::{ClientError, NetError};
 pub use faults::{FaultEvent, FaultSchedule};
 pub use pipeline::{AnyCompletion, Claimed, InFlightTable, PipelinedClient, Routed, Ticket};
-pub use runner::{Client, ProcessRunner, TraceCtx};
+pub use runner::{Client, ProcessRunner, RunnerInbox, RunnerQueue, TraceCtx};
 pub use tcp::TcpTransport;
-pub use transport::{Inbound, Transport};
+pub use transport::{Inbound, InboxSink, Transport};
 pub use udp::UdpTransport;

@@ -34,11 +34,14 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use rmem_types::{LeaseGrant, Op, OpResult, ProcessId, RegisterId, RejectReason, TraceId, Value};
 
 use crate::error::ClientError;
-use crate::runner::{Client, Completion, RunnerEvent, TraceCtx};
+use crate::runner::{Client, Completion, EventTx, RunnerEvent, TraceCtx};
 
 /// How long a follower waits on the condvar before re-checking for a
-/// missing drainer (belt-and-braces against a lost wakeup; the notify
-/// on every leader hand-off is the fast path).
+/// missing drainer. Belt and braces only: whoever routes a completion
+/// notifies, and so does every leader hand-off. (It once papered over a
+/// lost wake-up — `poll` took a sleeping waiter's completion off the
+/// channel and returned without a notify, so a follower slept this slice
+/// out, and a leader, asleep on the channel itself, four of them.)
 const DRAIN_SLICE: Duration = Duration::from_millis(25);
 
 /// A completion settled by [`wait_any`](PipelinedClient::wait_any): the
@@ -327,11 +330,11 @@ impl InFlightTable {
     }
 }
 
-/// One submission target: a runner's control channel plus the identity
-/// and frame ceiling the old blocking `Client` carried.
+/// One submission target: a runner's event queue plus the identity and
+/// frame ceiling the old blocking `Client` carried.
 #[derive(Clone)]
 pub(crate) struct Target {
-    pub(crate) tx: Sender<RunnerEvent>,
+    pub(crate) tx: EventTx,
     pub(crate) me: ProcessId,
     pub(crate) max_payload: Option<usize>,
 }
@@ -440,13 +443,13 @@ impl Pipeline {
         ticket: Ticket,
         trace: Option<TraceId>,
     ) -> Result<Ticket, ClientError> {
-        let sent = self.targets[target].tx.send(RunnerEvent::Invoke {
+        let sent = self.targets[target].tx.post(RunnerEvent::Invoke {
             operation,
             reply: self.done_tx.clone(),
             token: ticket.token(),
             trace,
         });
-        if sent.is_err() {
+        if !sent {
             // The runner is gone; nothing will ever complete this slot.
             self.cancel(ticket);
             return Err(ClientError::ProcessDown);
@@ -454,10 +457,22 @@ impl Pipeline {
         Ok(ticket)
     }
 
-    /// Routes everything already sitting in the completion channel.
+    /// Routes everything already sitting in the completion channel —
+    /// unless a leader is asleep on it: the channel has one reader at a
+    /// time, because no notify can reach a leader whose completion someone
+    /// else took. What gets routed may be another waiter's, so whoever
+    /// routed anything notifies.
     fn drain_ready(&self, reactor: &mut Reactor) {
-        while let Ok((token, result, rounds, lease)) = self.done_rx.try_recv() {
+        if reactor.draining {
+            return;
+        }
+        let mut routed = false;
+        for (token, result, rounds, lease) in self.done_rx.try_iter() {
             reactor.table.route(token, result, rounds, lease);
+            routed = true;
+        }
+        if routed {
+            self.wake.notify_all();
         }
     }
 
@@ -874,6 +889,61 @@ mod tests {
             Routed::Late
         );
         assert_eq!(table.late_acks(), 4);
+    }
+
+    /// The lost wake-up `DRAIN_SLICE` used to paper over: a leader asleep
+    /// on the channel, a follower asleep on the condvar, and a third
+    /// thread that polls the moment both their completions land. It used
+    /// to take them off the channel and tell no one; now both waiters
+    /// must return at once — not after the follower's 25 ms slice or the
+    /// leader's 100 ms one.
+    #[test]
+    fn a_poller_cannot_strand_the_waiters_whose_completions_landed() {
+        let pipe = Arc::new(Pipeline::new(Vec::new()));
+        let begin = || {
+            let mut g = pipe.inner.lock().unwrap();
+            g.table.begin(0, RegisterId(0), None)
+        };
+        let waiter = |ticket: Ticket| {
+            let pipe = pipe.clone();
+            std::thread::spawn(move || {
+                pipe.wait(ticket, Duration::from_secs(5), None)
+                    .expect("completes");
+                Instant::now()
+            })
+        };
+        let (mut leader_wakes, mut follower_wakes) = (Vec::new(), Vec::new());
+        for round in 0..21u32 {
+            let (own, for_leader, for_follower) = (begin(), begin(), begin());
+            let leader = waiter(for_leader);
+            while !pipe.inner.lock().unwrap().draining {
+                std::thread::yield_now();
+            }
+            let follower = waiter(for_follower);
+            // Only steers the follower onto the condvar before the
+            // completions land; the bounds below hold either way.
+            std::thread::sleep(Duration::from_millis(2));
+            let sent = Instant::now();
+            for ticket in [for_leader, for_follower] {
+                pipe.done_tx
+                    .send((ticket.token(), done(round), 1, None))
+                    .unwrap();
+            }
+            assert!(pipe.poll(own, None).is_none(), "nothing completes `own`");
+            leader_wakes.push(leader.join().unwrap().duration_since(sent));
+            follower_wakes.push(follower.join().unwrap().duration_since(sent));
+            pipe.cancel(own);
+        }
+        assert_eq!(pipe.in_flight(), 0);
+        assert_eq!(pipe.late_acks(), 0);
+        for (who, mut wakes) in [("leader", leader_wakes), ("follower", follower_wakes)] {
+            wakes.sort();
+            let median = wakes[wakes.len() / 2];
+            assert!(
+                median < DRAIN_SLICE / 5,
+                "the {who} slept {median:?} on a completion that had already landed"
+            );
+        }
     }
 
     #[test]

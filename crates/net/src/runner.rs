@@ -1,10 +1,15 @@
 //! Hosting one automaton on real threads, sockets, timers and disk.
 //!
+//! Every node has **one event queue**: its transport, its syncer and its
+//! clients all push [`RunnerEvent`]s onto it, and the event loop blocks
+//! on that queue alone (until the next timer is due), so whoever has
+//! work for the node wakes it by sending — nothing is polled.
+//!
 //! Durability runs on its own pipeline: the event loop forwards
 //! [`Action::Store`] to the node's [`syncer`](crate::syncer) thread and
 //! keeps serving network messages, timers and other registers'
 //! operations while the fsync is in flight; the syncer group-commits
-//! whatever queued and posts `StoreDone` back through the loop only
+//! whatever queued and posts the group's tokens back onto the queue only
 //! after the covering fsync returned (*ack-after-durable*, the real form
 //! of the paper's §V-A invariant). A log failure halts the node — the
 //! crash-recovery model's prescription for a process that can no longer
@@ -13,23 +18,23 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use rmem_obs::{pack_wire_aux, EventKind, FlightEvent, FlightRecorder, ObsHandle};
 use rmem_storage::records::KEY_WRITTEN;
-use rmem_storage::{SnapshotView, StableStorage};
+use rmem_storage::{SnapshotView, StableStorage, StorageError};
 use rmem_types::{
-    Action, Automaton, AutomatonFactory, Input, Op, OpId, OpResult, ProcessId, RegisterId,
-    RejectReason, RequestId, TimerToken, TraceId,
+    Action, Automaton, AutomatonFactory, Input, Message, Op, OpId, OpResult, ProcessId, RegisterId,
+    RejectReason, RequestId, StoreToken, TimerToken, TraceId,
 };
 use std::sync::Arc;
 
 use crate::error::ClientError;
 use crate::pipeline::{Pipeline, PipelinedClient, Target};
-use crate::syncer::{StoreOutcome, StoreRequest, Syncer};
-use crate::transport::{Inbound, Transport};
+use crate::syncer::{StoreRequest, Syncer};
+use crate::transport::{Inbound, InboxSink, Transport};
 
 /// Infrastructure slot counting process boots. Not one of the algorithm's
 /// logs: it exists so a recovered incarnation gets a fresh request-nonce
@@ -48,7 +53,23 @@ pub const HALT_DUMP_EVENTS: usize = 64;
 /// [`crate::pipeline::InFlightTable`]).
 pub(crate) type Completion = (u64, OpResult, u32, Option<rmem_types::LeaseGrant>);
 
+/// How many queued events the loop handles before it looks at the timer
+/// heap again. A handled event costs a few microseconds, so a retransmit
+/// that comes due behind a flood fires about a millisecond late at
+/// worst, while a burst still pays one heap check per batch, not per
+/// event.
+const DRAIN_BATCH: usize = 256;
+
+/// Everything that can wake a node's event loop. All of it travels on
+/// the node's one queue, in arrival order.
 pub(crate) enum RunnerEvent {
+    /// A protocol message, from the transport or from this node itself.
+    Net(Inbound),
+    /// One group commit returned: these stores are durable.
+    StoresDurable(Vec<StoreToken>),
+    /// The log failed; the node must halt (crash-recovery semantics).
+    StoreFailed(StorageError),
+    /// A client operation.
     Invoke {
         operation: Op,
         reply: Sender<Completion>,
@@ -56,6 +77,46 @@ pub(crate) enum RunnerEvent {
         trace: Option<TraceId>,
     },
     Shutdown,
+}
+
+/// A queued event with its enqueue time — taken only while the node's
+/// metrics are enabled (it feeds `runner.wake_micros`).
+type Queued = (Option<Instant>, RunnerEvent);
+
+/// The producing side of a node's event queue; cheap to clone.
+#[derive(Debug, Clone)]
+pub(crate) struct EventTx {
+    tx: Sender<Queued>,
+    stamp: Arc<AtomicBool>,
+}
+
+impl EventTx {
+    /// Enqueues `event` — which is also what wakes the loop. `false`
+    /// means the loop is gone.
+    pub(crate) fn post(&self, event: RunnerEvent) -> bool {
+        let at = self.stamp.load(Ordering::Relaxed).then(Instant::now);
+        self.tx.send((at, event)).is_ok()
+    }
+}
+
+/// The [`InboxSink`] a node's transport is built with: what arrives goes
+/// straight onto the node's event queue. From [`ProcessRunner::queue`].
+#[derive(Debug)]
+pub struct RunnerInbox(EventTx);
+
+impl InboxSink for RunnerInbox {
+    fn deliver(&self, inbound: Inbound) -> bool {
+        self.0.post(RunnerEvent::Net(inbound))
+    }
+}
+
+/// A node's event queue, made before the node exists so that its
+/// transport can be built first. From [`ProcessRunner::queue`]; consumed
+/// by [`ProcessRunner::start`].
+#[derive(Debug)]
+pub struct RunnerQueue {
+    pub(crate) tx: EventTx,
+    pub(crate) rx: Receiver<Queued>,
 }
 
 /// Stamps a flight event with a trace op id when one is known.
@@ -471,7 +532,7 @@ impl Client {
 /// event-loop thread and a syncer thread owning the stable storage.
 pub struct ProcessRunner {
     me: ProcessId,
-    tx: Sender<RunnerEvent>,
+    tx: EventTx,
     handle: Option<std::thread::JoinHandle<Box<dyn StableStorage>>>,
     transport: Arc<dyn Transport>,
     store_failures: Arc<AtomicU64>,
@@ -487,19 +548,32 @@ impl std::fmt::Debug for ProcessRunner {
 }
 
 impl ProcessRunner {
+    /// A fresh event queue and the inbox feeding it: build the node's
+    /// transport with the inbox, then hand the queue to
+    /// [`start`](Self::start).
+    pub fn queue() -> (RunnerInbox, RunnerQueue) {
+        let (tx, rx) = unbounded();
+        let tx = EventTx {
+            tx,
+            stamp: Arc::new(AtomicBool::new(false)),
+        };
+        (RunnerInbox(tx.clone()), RunnerQueue { tx, rx })
+    }
+
     /// Starts a process: decides fresh-boot vs recovery from the
     /// `_boot_count` slot in `storage`, builds the automaton accordingly
     /// and spins up the event loop.
     ///
-    /// `inbox` must be the receiver side of the channel the transport
-    /// pushes into.
+    /// `queue` must come from the same [`queue`](Self::queue) call as the
+    /// inbox `transport` was built with, or the node never hears its
+    /// peers.
     pub fn start(
         factory: &dyn AutomatonFactory,
         storage: Box<dyn StableStorage>,
         transport: Arc<dyn Transport>,
-        inbox: Receiver<Inbound>,
+        queue: RunnerQueue,
     ) -> Self {
-        Self::start_with_obs(factory, storage, transport, inbox, ObsHandle::new())
+        Self::start_with_obs(factory, storage, transport, queue, ObsHandle::new())
     }
 
     /// As [`start`](Self::start), with an explicit observability handle —
@@ -510,7 +584,7 @@ impl ProcessRunner {
         factory: &dyn AutomatonFactory,
         mut storage: Box<dyn StableStorage>,
         transport: Arc<dyn Transport>,
-        inbox: Receiver<Inbound>,
+        queue: RunnerQueue,
         obs: ObsHandle,
     ) -> Self {
         let me = transport.local();
@@ -536,7 +610,8 @@ impl ProcessRunner {
             bytes::Bytes::from((boot_count + 1).to_be_bytes().to_vec()),
         );
 
-        let (tx, rx) = unbounded::<RunnerEvent>();
+        let tx = queue.tx.clone();
+        tx.stamp.store(obs.metrics.is_enabled(), Ordering::Relaxed);
         let loop_transport = transport.clone();
         let store_failures = Arc::new(AtomicU64::new(0));
         let loop_failures = store_failures.clone();
@@ -548,8 +623,7 @@ impl ProcessRunner {
                     automaton,
                     storage,
                     loop_transport,
-                    rx,
-                    inbox,
+                    queue,
                     me,
                     boot_count,
                     loop_failures,
@@ -624,7 +698,7 @@ impl ProcessRunner {
     /// what was already stored). Returns the storage so a later incarnation
     /// can recover from it.
     pub fn stop(mut self) -> Box<dyn StableStorage> {
-        let _ = self.tx.send(RunnerEvent::Shutdown);
+        self.tx.post(RunnerEvent::Shutdown);
         self.transport.shutdown();
         let handle = self.handle.take().expect("stop called once");
         handle.join().expect("process loop panicked")
@@ -634,7 +708,7 @@ impl ProcessRunner {
 impl Drop for ProcessRunner {
     fn drop(&mut self) {
         if let Some(handle) = self.handle.take() {
-            let _ = self.tx.send(RunnerEvent::Shutdown);
+            self.tx.post(RunnerEvent::Shutdown);
             self.transport.shutdown();
             let _ = handle.join();
         }
@@ -652,6 +726,7 @@ struct LoopMetrics {
     timer_fires: Arc<rmem_obs::Counter>,
     trace_evictions: Arc<rmem_obs::Counter>,
     op_micros: Arc<rmem_obs::Histogram>,
+    wake_micros: Arc<rmem_obs::Histogram>,
 }
 
 impl LoopMetrics {
@@ -666,109 +741,82 @@ impl LoopMetrics {
             timer_fires: obs.metrics.counter("runner.timer_fires"),
             trace_evictions: obs.metrics.counter("runner.trace_evictions"),
             op_micros: obs.metrics.histogram("runner.op_micros"),
+            wake_micros: obs.metrics.histogram("runner.wake_micros"),
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_loop(
-    mut automaton: Box<dyn Automaton>,
-    storage: Box<dyn StableStorage>,
-    transport: Arc<dyn Transport>,
-    control: Receiver<RunnerEvent>,
-    inbox: Receiver<Inbound>,
+/// The `durable` attestation an ack carries: it matters for the read
+/// fast path, so it rides along in the flight events.
+fn ack_durable(msg: &Message) -> bool {
+    match msg {
+        Message::ReadAck { durable, .. } => *durable,
+        _ => true,
+    }
+}
+
+/// The event loop's state: the automaton and everything the runtime
+/// keeps on its behalf.
+struct Node {
     me: ProcessId,
-    boot_count: u64,
-    store_failures: Arc<AtomicU64>,
-    obs: ObsHandle,
-) -> Box<dyn StableStorage> {
-    let mut timers: BinaryHeap<Reverse<(Instant, u64)>> = BinaryHeap::new();
-    let mut timer_tokens: std::collections::HashMap<u64, TimerToken> =
-        std::collections::HashMap::new();
-    let mut timer_seq = 0u64;
-    let mut pending = OpTable::default();
-    let mut op_counter = boot_count << 32;
+    automaton: Box<dyn Automaton>,
+    transport: Arc<dyn Transport>,
+    /// The durability pipeline: stores leave the loop through the
+    /// syncer's queue and come back as `StoresDurable` only after their
+    /// group's fsync, so an fsync in flight on one register never stalls
+    /// another register's round.
+    syncer: Syncer,
+    /// This node's own queue: where messages it addresses to itself go.
+    own: EventTx,
+    timers: BinaryHeap<Reverse<(Instant, u64)>>,
+    timer_tokens: HashMap<u64, TimerToken>,
+    timer_seq: u64,
+    pending: OpTable,
+    op_counter: u64,
     // Trace plumbing: which client op each in-flight replica request and
     // each queued store belongs to (both maps are drained as requests are
     // acked and stores commit; ReqTraces additionally evicts by age).
-    let mut req_traces = ReqTraces::new(4096);
-    let mut token_traces: HashMap<u64, TraceId> = HashMap::new();
-    let mx = LoopMetrics::resolve(&obs);
-    let flight = obs.flight.clone();
+    req_traces: ReqTraces,
+    token_traces: HashMap<u64, TraceId>,
+    mx: LoopMetrics,
+    obs: ObsHandle,
+}
 
-    // The durability pipeline: stores leave the loop through the syncer's
-    // queue and come back as StoreDone only after their group's fsync.
-    let (store_done_tx, store_done_rx) = unbounded::<StoreOutcome>();
-    let syncer = Syncer::spawn_with_obs(me, storage, store_done_tx, store_failures, obs.clone());
-
-    // Process one input and the actions it triggers. Stores are
-    // asynchronous (paper's automaton contract): they are queued for the
-    // syncer and the loop moves on — the matching StoreDone re-enters
-    // through `store_done_rx` after the covering fsync returns, so an
-    // fsync in flight on one register never stalls another register's
-    // round.
-    let step = |automaton: &mut Box<dyn Automaton>,
-                syncer: &Syncer,
-                timers: &mut BinaryHeap<Reverse<(Instant, u64)>>,
-                timer_tokens: &mut std::collections::HashMap<u64, TimerToken>,
-                timer_seq: &mut u64,
-                pending: &mut OpTable,
-                req_traces: &mut ReqTraces,
-                token_traces: &mut HashMap<u64, TraceId>,
-                ctx_trace: Option<TraceId>,
-                input: Input| {
+impl Node {
+    /// Processes one input and the actions it triggers. Stores are
+    /// asynchronous (paper's automaton contract): they are queued for the
+    /// syncer and the loop moves on.
+    fn step(&mut self, ctx_trace: Option<TraceId>, input: Input) {
         let mut actions = Vec::new();
-        automaton.on_input(input, &mut actions);
+        self.automaton.on_input(input, &mut actions);
         for action in actions {
             match action {
-                Action::Send { to, msg } => {
-                    mx.msgs_out.inc();
-                    let req = msg.request_id();
-                    // Requests belong to the operation in flight on the
-                    // register (robust across retransmits from timers);
-                    // acks to the request that asked for them.
-                    let trace = if msg.is_request() {
-                        let trace = pending.trace_of(req.reg);
-                        flight.record(stamp(
-                            FlightEvent::new(EventKind::RoundSent)
-                                .with_register(req.reg.0)
-                                .with_aux(pack_wire_aux(to.0, req.nonce, false)),
-                            trace,
-                        ));
-                        trace
-                    } else {
-                        let trace = req_traces.get(&req);
-                        let durable = match &msg {
-                            rmem_types::Message::ReadAck { durable, .. } => *durable,
-                            _ => true,
-                        };
-                        flight.record(stamp(
-                            FlightEvent::new(EventKind::AckSent)
-                                .with_register(req.reg.0)
-                                .with_aux(pack_wire_aux(to.0, req.nonce, durable)),
-                            trace,
-                        ));
-                        trace
-                    };
-                    // Fair-lossy: a failed send is a lost message.
-                    let _ = transport.send_traced(to, &msg, trace);
-                }
+                Action::Send { to, msg } => self.send(to, msg),
                 Action::Store { token, key, bytes } => {
-                    mx.stores_queued.inc();
-                    flight.record(stamp(
+                    self.mx.stores_queued.inc();
+                    self.obs.flight.record(stamp(
                         FlightEvent::new(EventKind::StoreQueued).with_aux(token.0),
                         ctx_trace,
                     ));
                     if let Some(trace) = ctx_trace {
-                        token_traces.insert(token.0, trace);
+                        self.token_traces.insert(token.0, trace);
                     }
-                    syncer.submit(StoreRequest { token, key, bytes });
+                    if !self.syncer.submit(StoreRequest { token, key, bytes }) {
+                        // The syncer is gone. If it failed, its verdict is
+                        // ahead of this one on the queue; if it died
+                        // without one, this halts the node all the same.
+                        self.own.post(RunnerEvent::StoreFailed(StorageError::io(
+                            "syncer",
+                            std::io::Error::other("syncer exited without a verdict"),
+                        )));
+                    }
                 }
                 Action::SetTimer { token, after } => {
-                    let seq = *timer_seq;
-                    *timer_seq += 1;
-                    timer_tokens.insert(seq, token);
-                    timers.push(Reverse((Instant::now() + Duration::from(after), seq)));
+                    let seq = self.timer_seq;
+                    self.timer_seq += 1;
+                    self.timer_tokens.insert(seq, token);
+                    self.timers
+                        .push(Reverse((Instant::now() + Duration::from(after), seq)));
                 }
                 Action::Complete {
                     op,
@@ -776,14 +824,16 @@ fn run_loop(
                     rounds,
                     lease,
                 } => {
-                    if let Some((reply, token, started, trace)) = pending.complete(op) {
-                        mx.ops_completed.inc();
-                        if obs.metrics.is_enabled() {
-                            mx.op_micros.record(started.elapsed().as_micros() as u64);
+                    if let Some((reply, token, started, trace)) = self.pending.complete(op) {
+                        self.mx.ops_completed.inc();
+                        if self.obs.metrics.is_enabled() {
+                            self.mx
+                                .op_micros
+                                .record(started.elapsed().as_micros() as u64);
                         }
                         let ev =
                             FlightEvent::new(EventKind::OpComplete).with_aux(u64::from(rounds));
-                        flight.record(match trace {
+                        self.obs.flight.record(match trace {
                             Some(t) => ev.with_op(t.client, t.op),
                             None => ev.with_op(op.pid.0, op.counter),
                         });
@@ -792,122 +842,179 @@ fn run_loop(
                 }
             }
         }
-    };
+    }
 
-    step(
-        &mut automaton,
-        &syncer,
-        &mut timers,
-        &mut timer_tokens,
-        &mut timer_seq,
-        &mut pending,
-        &mut req_traces,
-        &mut token_traces,
-        None,
-        Input::Start,
-    );
+    fn send(&mut self, to: ProcessId, msg: Message) {
+        self.mx.msgs_out.inc();
+        let req = msg.request_id();
+        // Requests belong to the operation in flight on the register
+        // (robust across retransmits from timers); acks to the request
+        // that asked for them.
+        let (kind, trace, durable) = if msg.is_request() {
+            (EventKind::RoundSent, self.pending.trace_of(req.reg), false)
+        } else {
+            (
+                EventKind::AckSent,
+                self.req_traces.get(&req),
+                ack_durable(&msg),
+            )
+        };
+        self.obs.flight.record(stamp(
+            FlightEvent::new(kind)
+                .with_register(req.reg.0)
+                .with_aux(pack_wire_aux(to.0, req.nonce, durable)),
+            trace,
+        ));
+        if to == self.me {
+            // To our own replica: straight onto our queue, behind what is
+            // already there — no codec, no socket, no receiver thread.
+            let from = self.me;
+            self.own
+                .post(RunnerEvent::Net(Inbound { from, msg, trace }));
+        } else {
+            // Fair-lossy: a failed send is a lost message.
+            let _ = self.transport.send_traced(to, &msg, trace);
+        }
+    }
 
-    loop {
-        // Fire due timers first.
+    fn fire_due_timers(&mut self) {
         let now = Instant::now();
-        while let Some(Reverse((deadline, seq))) = timers.peek().copied() {
+        while let Some(Reverse((deadline, seq))) = self.timers.peek().copied() {
             if deadline > now {
                 break;
             }
-            timers.pop();
-            if let Some(token) = timer_tokens.remove(&seq) {
-                mx.timer_fires.inc();
-                step(
-                    &mut automaton,
-                    &syncer,
-                    &mut timers,
-                    &mut timer_tokens,
-                    &mut timer_seq,
-                    &mut pending,
-                    &mut req_traces,
-                    &mut token_traces,
-                    None,
-                    Input::Timer(token),
-                );
+            self.timers.pop();
+            if let Some(token) = self.timer_tokens.remove(&seq) {
+                self.mx.timer_fires.inc();
+                self.step(None, Input::Timer(token));
             }
         }
-        let patience = timers
+    }
+
+    fn on_net(&mut self, Inbound { from, msg, trace }: Inbound) {
+        self.mx.msgs_in.inc();
+        let req = msg.request_id();
+        let (kind, durable) = if msg.is_request() {
+            if let Some(trace) = trace {
+                // Remember the op so the ack (possibly sent later, from
+                // the durability pipeline) carries it too.
+                if self.req_traces.insert(req, trace) {
+                    self.mx.trace_evictions.inc();
+                }
+            }
+            (EventKind::ReqRecv, false)
+        } else {
+            // An ack round-trip closing.
+            (EventKind::AckRecv, ack_durable(&msg))
+        };
+        self.obs.flight.record(stamp(
+            FlightEvent::new(kind)
+                .with_register(req.reg.0)
+                .with_aux(pack_wire_aux(from.0, req.nonce, durable)),
+            trace,
+        ));
+        self.step(trace, Input::Message { from, msg });
+    }
+
+    fn on_store_durable(&mut self, token: StoreToken) {
+        self.mx.stores_durable.inc();
+        let trace = self.token_traces.remove(&token.0);
+        self.obs.flight.record(stamp(
+            FlightEvent::new(EventKind::StoreDurable).with_aux(token.0),
+            trace,
+        ));
+        self.step(trace, Input::StoreDone(token));
+    }
+
+    fn on_invoke(
+        &mut self,
+        operation: Op,
+        reply: Sender<Completion>,
+        token: u64,
+        trace: Option<TraceId>,
+    ) {
+        let reg = operation.register();
+        if self.pending.is_busy(reg) {
+            let _ = reply.send((token, OpResult::Rejected(RejectReason::Busy), 0, None));
+            return;
+        }
+        let op = OpId::new(self.me, self.op_counter);
+        self.op_counter += 1;
+        self.mx.ops_started.inc();
+        let ev = FlightEvent::new(EventKind::OpStart).with_register(reg.0);
+        self.obs.flight.record(match trace {
+            Some(t) => ev.with_op(t.client, t.op),
+            None => ev.with_op(op.pid.0, op.counter),
+        });
+        self.pending.admit(op, reg, reply, token, trace);
+        self.step(trace, Input::Invoke { op, operation });
+    }
+}
+
+#[allow(clippy::too_many_arguments)]
+fn run_loop(
+    automaton: Box<dyn Automaton>,
+    storage: Box<dyn StableStorage>,
+    transport: Arc<dyn Transport>,
+    queue: RunnerQueue,
+    me: ProcessId,
+    boot_count: u64,
+    store_failures: Arc<AtomicU64>,
+    obs: ObsHandle,
+) -> Box<dyn StableStorage> {
+    let RunnerQueue { tx: own, rx } = queue;
+    let mut node = Node {
+        me,
+        automaton,
+        transport,
+        syncer: Syncer::spawn_with_obs(me, storage, own.clone(), store_failures, obs.clone()),
+        own,
+        timers: BinaryHeap::new(),
+        timer_tokens: HashMap::new(),
+        timer_seq: 0,
+        pending: OpTable::default(),
+        op_counter: boot_count << 32,
+        req_traces: ReqTraces::new(4096),
+        token_traces: HashMap::new(),
+        mx: LoopMetrics::resolve(&obs),
+        obs,
+    };
+    node.step(None, Input::Start);
+
+    'run: loop {
+        node.fire_due_timers();
+        let patience = node
+            .timers
             .peek()
             .map(|Reverse((deadline, _))| deadline.saturating_duration_since(Instant::now()))
             .unwrap_or(Duration::from_millis(100));
 
-        // Drain the network first (bounded batch), then completed
-        // commits, then the control channel, then sleep until the next
-        // timer.
-        crossbeam::channel::select! {
-            recv(inbox) -> net => if let Ok(Inbound { from, msg, trace }) = net {
-                // (An Err means the transport is gone; the control channel
-                // decides shutdown.)
-                mx.msgs_in.inc();
-                let req = msg.request_id();
-                if msg.is_request() {
-                    flight.record(stamp(
-                        FlightEvent::new(EventKind::ReqRecv)
-                            .with_register(req.reg.0)
-                            .with_aux(pack_wire_aux(from.0, req.nonce, false)),
-                        trace,
-                    ));
-                    if let Some(trace) = trace {
-                        // Remember the op so the ack (possibly sent later,
-                        // from the durability pipeline) carries it too.
-                        if req_traces.insert(req, trace) {
-                            mx.trace_evictions.inc();
-                        }
+        // The loop's one blocking point: sleep until the next timer is
+        // due or until anyone — transport, syncer, a client, this node
+        // itself — queues an event; the sender's `send` is the wake-up.
+        // Then handle what is queued, in arrival order, and go back to
+        // the timers after a bounded batch.
+        let first = match rx.recv_timeout(patience) {
+            Ok(queued) => queued,
+            Err(RecvTimeoutError::Timeout) => continue,
+            // Unreachable while `node.own` lives; never spin on it.
+            Err(RecvTimeoutError::Disconnected) => break,
+        };
+        for (queued_at, event) in std::iter::once(first)
+            .chain(rx.try_iter())
+            .take(DRAIN_BATCH)
+        {
+            if let Some(at) = queued_at {
+                node.mx.wake_micros.record(at.elapsed().as_micros() as u64);
+            }
+            match event {
+                RunnerEvent::Net(inbound) => node.on_net(inbound),
+                RunnerEvent::StoresDurable(tokens) => {
+                    for token in tokens {
+                        node.on_store_durable(token);
                     }
-                } else {
-                    // An ack round-trip closing: the `durable` attestation
-                    // matters for the read fast path, so it rides along.
-                    let durable = match &msg {
-                        rmem_types::Message::ReadAck { durable, .. } => *durable,
-                        _ => true,
-                    };
-                    flight.record(stamp(
-                        FlightEvent::new(EventKind::AckRecv)
-                            .with_register(req.reg.0)
-                            .with_aux(pack_wire_aux(from.0, req.nonce, durable)),
-                        trace,
-                    ));
                 }
-                step(
-                    &mut automaton,
-                    &syncer,
-                    &mut timers,
-                    &mut timer_tokens,
-                    &mut timer_seq,
-                    &mut pending,
-                    &mut req_traces,
-                    &mut token_traces,
-                    trace,
-                    Input::Message { from, msg },
-                );
-            },
-            recv(store_done_rx) -> done => match done {
-                Ok(StoreOutcome::Done(token)) => {
-                    mx.stores_durable.inc();
-                    let trace = token_traces.remove(&token.0);
-                    flight.record(stamp(
-                        FlightEvent::new(EventKind::StoreDurable).with_aux(token.0),
-                        trace,
-                    ));
-                    step(
-                        &mut automaton,
-                        &syncer,
-                        &mut timers,
-                        &mut timer_tokens,
-                        &mut timer_seq,
-                        &mut pending,
-                        &mut req_traces,
-                        &mut token_traces,
-                        trace,
-                        Input::StoreDone(token),
-                    );
-                }
-                Ok(StoreOutcome::Failed(e)) => {
+                RunnerEvent::StoreFailed(e) => {
                     // The log failed: per the crash-recovery model the
                     // process crashes rather than run ahead of its stable
                     // storage. Halt cleanly — in-flight operations see
@@ -915,74 +1022,36 @@ fn run_loop(
                     // leave a postmortem: the structured Halt event plus
                     // the tail of the flight recorder.
                     let reason = format!("stable storage failed: {e}");
-                    flight.halt(&reason);
+                    node.obs.flight.halt(&reason);
                     eprintln!(
                         "rmem[{me}]: {reason}; halting the node\n\
                          rmem[{me}]: last events before the halt:\n{}",
-                        flight.dump_timeline(HALT_DUMP_EVENTS)
+                        node.obs.flight.dump_timeline(HALT_DUMP_EVENTS)
                     );
-                    break;
+                    break 'run;
                 }
-                Err(_) => {
-                    // Syncer gone without a verdict: same terminal state,
-                    // same postmortem.
-                    let reason = "syncer exited without a verdict".to_string();
-                    flight.halt(&reason);
-                    eprintln!(
-                        "rmem[{me}]: {reason}; halting the node\n\
-                         rmem[{me}]: last events before the halt:\n{}",
-                        flight.dump_timeline(HALT_DUMP_EVENTS)
-                    );
-                    break;
-                }
-            },
-            recv(control) -> ctl => match ctl {
-                Ok(RunnerEvent::Invoke { operation, reply, token, trace }) => {
-                    let reg = operation.register();
-                    if pending.is_busy(reg) {
-                        let _ =
-                            reply.send((token, OpResult::Rejected(RejectReason::Busy), 0, None));
-                    } else {
-                        let op = OpId::new(me, op_counter);
-                        op_counter += 1;
-                        mx.ops_started.inc();
-                        let ev = FlightEvent::new(EventKind::OpStart).with_register(reg.0);
-                        flight.record(match trace {
-                            Some(t) => ev.with_op(t.client, t.op),
-                            None => ev.with_op(op.pid.0, op.counter),
-                        });
-                        pending.admit(op, reg, reply, token, trace);
-                        step(
-                            &mut automaton,
-                            &syncer,
-                            &mut timers,
-                            &mut timer_tokens,
-                            &mut timer_seq,
-                            &mut pending,
-                            &mut req_traces,
-                            &mut token_traces,
-                            trace,
-                            Input::Invoke { op, operation },
-                        );
-                    }
-                }
-                Ok(RunnerEvent::Shutdown) | Err(_) => break,
-            },
-            default(patience) => {}
+                RunnerEvent::Invoke {
+                    operation,
+                    reply,
+                    token,
+                    trace,
+                } => node.on_invoke(operation, reply, token, trace),
+                RunnerEvent::Shutdown => break 'run,
+            }
         }
     }
     // Every exit path lands here. Fail what will never complete: first
-    // the admitted in-flight operations, then invocations still queued
-    // on the control channel (or racing in as the loop exits) — without
-    // this, a pipelined waiter would burn its full patience window on an
-    // operation whose emulation is gone.
-    while let Ok(ev) = control.try_recv() {
-        if let RunnerEvent::Invoke { reply, token, .. } = ev {
+    // the invocations still queued (or racing in as the loop exits), then
+    // the admitted in-flight operations — without this, a pipelined
+    // waiter would burn its full patience window on an operation whose
+    // emulation is gone.
+    for (_, event) in rx.try_iter() {
+        if let RunnerEvent::Invoke { reply, token, .. } = event {
             let _ = reply.send((token, OpResult::Rejected(RejectReason::Shutdown), 0, None));
         }
     }
-    pending.drain_shutdown();
-    syncer.stop()
+    node.pending.drain_shutdown();
+    node.syncer.stop()
 }
 
 #[cfg(test)]
@@ -993,14 +1062,19 @@ mod tests {
     use rmem_storage::MemStorage;
     use rmem_types::Value;
 
-    fn spin_cluster(n: usize) -> Vec<ProcessRunner> {
+    fn spin_cluster(n: usize, factory: Arc<dyn AutomatonFactory>) -> Vec<ProcessRunner> {
         let board = Switchboard::new(n);
-        let factory = Transient::factory();
         (0..n as u16)
             .map(|i| {
-                let (tx, rx) = unbounded();
-                let transport = Arc::new(ChannelTransport::new(ProcessId(i), n, board.clone(), tx));
-                ProcessRunner::start(factory.as_ref(), Box::new(MemStorage::new()), transport, rx)
+                let (inbox, queue) = ProcessRunner::queue();
+                let transport =
+                    Arc::new(ChannelTransport::new(ProcessId(i), n, board.clone(), inbox));
+                ProcessRunner::start(
+                    factory.as_ref(),
+                    Box::new(MemStorage::new()),
+                    transport,
+                    queue,
+                )
             })
             .collect()
     }
@@ -1024,7 +1098,7 @@ mod tests {
 
     #[test]
     fn write_then_read_through_real_threads() {
-        let runners = spin_cluster(3);
+        let runners = spin_cluster(3, Transient::factory());
         runners[0]
             .client()
             .write(Value::from_u32(7))
@@ -1038,7 +1112,7 @@ mod tests {
 
     #[test]
     fn second_invocation_while_busy_is_rejected() {
-        let runners = spin_cluster(3);
+        let runners = spin_cluster(3, Transient::factory());
         let client = runners[0].client();
         // Saturate: issue a write from another thread and race a read.
         // (Raciness is fine: either the read waits its turn via the
@@ -1064,16 +1138,7 @@ mod tests {
 
     #[test]
     fn distinct_registers_run_concurrently_through_one_runner() {
-        use rmem_core::SharedMemory;
-        let board = Switchboard::new(3);
-        let factory = SharedMemory::factory(Transient::flavor());
-        let runners: Vec<_> = (0..3u16)
-            .map(|i| {
-                let (tx, rx) = unbounded();
-                let transport = Arc::new(ChannelTransport::new(ProcessId(i), 3, board.clone(), tx));
-                ProcessRunner::start(factory.as_ref(), Box::new(MemStorage::new()), transport, rx)
-            })
-            .collect();
+        let runners = spin_cluster(3, rmem_core::SharedMemory::factory(Transient::flavor()));
         let client = runners[0].client();
         // Many threads, one register each: every operation must succeed —
         // Busy would mean the runner still serializes across registers.
@@ -1095,9 +1160,181 @@ mod tests {
         }
     }
 
+    /// A scripted automaton for the queue-discipline tests: logs every
+    /// input with its time, arms one 2 ms timer at start, takes 2 µs per
+    /// message, completes an invocation at once.
+    struct Scripted(Arc<parking_lot::Mutex<Vec<(Instant, &'static str)>>>);
+
+    impl Automaton for Scripted {
+        fn on_input(&mut self, input: Input, out: &mut Vec<Action>) {
+            let at = Instant::now();
+            let what = match input {
+                Input::Start => {
+                    out.push(Action::SetTimer {
+                        token: TimerToken(0),
+                        after: rmem_types::Micros(2_000),
+                    });
+                    "start"
+                }
+                Input::Message { .. } => {
+                    while at.elapsed() < Duration::from_micros(2) {}
+                    "msg"
+                }
+                Input::Timer(_) => "timer",
+                Input::Invoke { op, .. } => {
+                    out.push(Action::Complete {
+                        op,
+                        result: OpResult::Written,
+                        rounds: 0,
+                        lease: None,
+                    });
+                    "invoke"
+                }
+                _ => "other",
+            };
+            self.0.lock().push((at, what));
+        }
+
+        fn algorithm(&self) -> &'static str {
+            "scripted"
+        }
+    }
+
+    impl AutomatonFactory for Scripted {
+        fn fresh(&self, _me: ProcessId, _n: usize) -> Box<dyn Automaton> {
+            Box::new(Scripted(self.0.clone()))
+        }
+
+        fn recover(
+            &self,
+            me: ProcessId,
+            n: usize,
+            _incarnation: u64,
+            _stable: &dyn rmem_types::StableSnapshot,
+        ) -> Box<dyn Automaton> {
+            self.fresh(me, n)
+        }
+
+        fn algorithm(&self) -> &'static str {
+            "scripted"
+        }
+    }
+
+    fn invoke(reply: &Sender<Completion>, token: u64) -> RunnerEvent {
+        RunnerEvent::Invoke {
+            operation: Op::ReadAt(RegisterId(token as u16)),
+            reply: reply.clone(),
+            token,
+            trace: None,
+        }
+    }
+
+    #[test]
+    fn the_queue_is_fifo_and_a_flood_cannot_starve_a_timer() {
+        const FLOOD: usize = 10_000;
+        let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let (inbox, queue) = ProcessRunner::queue();
+        // Queued before the loop exists, so the order is exact: the
+        // flood, then the invocation.
+        for nonce in 0..FLOOD as u64 {
+            let req = RequestId::new(ProcessId(1), nonce);
+            inbox.deliver(Inbound {
+                from: ProcessId(1),
+                msg: Message::SnReq { req },
+                trace: None,
+            });
+        }
+        let (reply, done) = unbounded();
+        queue.tx.post(invoke(&reply, 7));
+        let transport = Arc::new(ChannelTransport::new(
+            ProcessId(0),
+            1,
+            Switchboard::new(1),
+            inbox,
+        ));
+        let runner = ProcessRunner::start(
+            &Scripted(log.clone()),
+            Box::new(MemStorage::new()),
+            transport,
+            queue,
+        );
+        let (token, result, ..) = done.recv_timeout(Duration::from_secs(10)).expect("reply");
+        assert_eq!((token, result), (7, OpResult::Written));
+        runner.stop();
+
+        let log = log.lock();
+        assert_eq!(log[0].1, "start");
+        assert_eq!(log.last().unwrap().1, "invoke", "admitted behind the flood");
+        assert_eq!(log.iter().filter(|(_, what)| *what == "msg").count(), FLOOD);
+        // The timer came due 2 ms in — mid-flood, which takes ≥ 20 ms —
+        // and must have fired within one batch of that moment, not after
+        // the queue ran dry.
+        let due = log[0].0 + Duration::from_millis(2);
+        let msgs_before = |t: Instant| {
+            log.iter()
+                .filter(|(at, what)| *what == "msg" && *at < t)
+                .count()
+        };
+        let fired = log
+            .iter()
+            .find(|(_, what)| *what == "timer")
+            .expect("fired")
+            .0;
+        assert!(fired >= due, "a timer never fires early");
+        // (The runner arms the timer a moment after the automaton logged
+        // its start; 200 µs covers that and a preemption in between.)
+        let slack = Duration::from_micros(200);
+        assert!(
+            msgs_before(fired) <= msgs_before(due + slack) + DRAIN_BATCH,
+            "timer due after {} messages fired after {}",
+            msgs_before(due),
+            msgs_before(fired)
+        );
+        assert!(msgs_before(fired) < FLOOD, "the flood starved the timer");
+    }
+
+    #[test]
+    fn shutdown_behind_a_backlog_answers_every_queued_invoke() {
+        let (inbox, queue) = ProcessRunner::queue();
+        let (reply, done) = unbounded();
+        // 100 reads that can never finish (the two peers do not exist),
+        // the shutdown behind them, and 50 more invocations behind that.
+        for token in 0..100 {
+            queue.tx.post(invoke(&reply, token));
+        }
+        queue.tx.post(RunnerEvent::Shutdown);
+        for token in 100..150 {
+            queue.tx.post(invoke(&reply, token));
+        }
+        let transport = Arc::new(ChannelTransport::new(
+            ProcessId(0),
+            3,
+            Switchboard::new(3),
+            inbox,
+        ));
+        let runner = ProcessRunner::start(
+            rmem_core::SharedMemory::factory(Transient::flavor()).as_ref(),
+            Box::new(MemStorage::new()),
+            transport,
+            queue,
+        );
+        let mut tokens: Vec<u64> = (0..150)
+            .map(|_| {
+                let (token, result, ..) = done
+                    .recv_timeout(Duration::from_secs(5))
+                    .expect("every queued invocation is answered");
+                assert_eq!(result, OpResult::Rejected(RejectReason::Shutdown));
+                token
+            })
+            .collect();
+        tokens.sort_unstable();
+        assert_eq!(tokens, (0..150).collect::<Vec<_>>());
+        runner.stop();
+    }
+
     #[test]
     fn storage_comes_back_from_stop() {
-        let runners = spin_cluster(3);
+        let runners = spin_cluster(3, Transient::factory());
         runners[0].client().write(Value::from_u32(5)).unwrap();
         let mut storages: Vec<_> = runners.into_iter().map(|r| r.stop()).collect();
         // At least a majority logged the value.

@@ -6,10 +6,10 @@
 //! queued* into one batch, stages each record
 //! ([`StableStorage::begin_store`]), commits the batch with a single
 //! [`flush`](StableStorage::flush), and only then posts one
-//! [`StoreOutcome::Done`] per request back to the event loop — which
-//! forwards it to the automaton as `Input::StoreDone`. The ack-after-
-//! durable invariant is structural: a `Done` cannot exist before the
-//! flush covering it returned.
+//! [`RunnerEvent::StoresDurable`] naming the whole group onto the node's
+//! event queue — the loop forwards each token to the automaton as
+//! `Input::StoreDone`. The ack-after-durable invariant is structural: a
+//! token cannot be posted before the flush covering it returned.
 //!
 //! Group commit falls out of the queue: while one fsync is in flight,
 //! every store that arrives waits in the channel and joins the *next*
@@ -18,7 +18,7 @@
 //!
 //! A failed stage or flush is terminal: per the crash-recovery model a
 //! process whose log fails must crash rather than run ahead of its stable
-//! storage. The syncer reports [`StoreOutcome::Failed`] (after bumping
+//! storage. The syncer posts [`RunnerEvent::StoreFailed`] (after bumping
 //! the shared failure counter) and stops; the runner halts the node.
 //!
 //! [`Action::Store`]: rmem_types::Action::Store
@@ -30,8 +30,10 @@ use std::time::Instant;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use rmem_obs::{EventKind, FlightEvent, ObsHandle};
-use rmem_storage::{StableStorage, StorageError};
+use rmem_storage::StableStorage;
 use rmem_types::StoreToken;
+
+use crate::runner::{EventTx, RunnerEvent};
 
 /// One store the event loop wants made durable.
 #[derive(Debug)]
@@ -39,15 +41,6 @@ pub(crate) struct StoreRequest {
     pub token: StoreToken,
     pub key: String,
     pub bytes: bytes::Bytes,
-}
-
-/// What the syncer posts back to the event loop.
-#[derive(Debug)]
-pub(crate) enum StoreOutcome {
-    /// The fsync covering this store returned: safe to acknowledge.
-    Done(StoreToken),
-    /// The log failed; the node must halt (crash-recovery semantics).
-    Failed(StorageError),
 }
 
 /// Handle the runner keeps: the request queue plus the join handle that
@@ -58,15 +51,16 @@ pub(crate) struct Syncer {
 }
 
 impl Syncer {
-    /// Spawns the syncer thread for one node. `outcomes` is how commit
-    /// results re-enter the event loop; `failures` is the shared
+    /// Spawns the syncer thread for one node. `outcomes` is the node's
+    /// event queue, where commit results re-enter the loop; `failures` is
+    /// the shared
     /// `store_failures` counter; `obs` is the node's observability
     /// handle (group commits show up in the flight recorder and the
     /// `syncer.*` metrics).
     pub(crate) fn spawn_with_obs(
         me: rmem_types::ProcessId,
         storage: Box<dyn StableStorage>,
-        outcomes: Sender<StoreOutcome>,
+        outcomes: EventTx,
         failures: Arc<AtomicU64>,
         obs: ObsHandle,
     ) -> Self {
@@ -81,10 +75,11 @@ impl Syncer {
         }
     }
 
-    /// Enqueues a store. A send failure means the syncer already halted
-    /// on a log failure; the caller will observe the `Failed` outcome.
-    pub(crate) fn submit(&self, req: StoreRequest) {
-        let _ = self.tx.send(req);
+    /// Enqueues a store. `false` means the syncer thread is gone: either
+    /// it halted on a log failure (its `StoreFailed` is already on the
+    /// node's queue) or it died without a verdict.
+    pub(crate) fn submit(&self, req: StoreRequest) -> bool {
+        self.tx.send(req).is_ok()
     }
 
     /// Stops the thread and returns the storage (the "disk" the next
@@ -102,7 +97,7 @@ impl Syncer {
 fn run(
     mut storage: Box<dyn StableStorage>,
     rx: Receiver<StoreRequest>,
-    outcomes: Sender<StoreOutcome>,
+    outcomes: EventTx,
     failures: Arc<AtomicU64>,
     obs: ObsHandle,
 ) -> Box<dyn StableStorage> {
@@ -139,9 +134,7 @@ fn run(
                 }
                 obs.flight
                     .record(FlightEvent::new(EventKind::GroupCommit).with_aux(staged.len() as u64));
-                for token in staged {
-                    let _ = outcomes.send(StoreOutcome::Done(token));
-                }
+                outcomes.post(RunnerEvent::StoresDurable(staged));
             }
             Some(e) => {
                 // A store the log could not make durable: per the model
@@ -151,7 +144,7 @@ fn run(
                 // tolerate), but no ack can have raced ahead.
                 failures.fetch_add(1, Ordering::Relaxed);
                 store_failures.inc();
-                let _ = outcomes.send(StoreOutcome::Failed(e));
+                outcomes.post(RunnerEvent::StoreFailed(e));
                 break;
             }
         }
@@ -162,11 +155,34 @@ fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::ProcessRunner;
     use bytes::Bytes;
     use parking_lot::Mutex;
-    use rmem_storage::{FaultPlan, FaultyStorage, MemStorage, StoreTicket};
+    use rmem_storage::{FaultPlan, FaultyStorage, MemStorage, StorageError, StoreTicket};
     use rmem_types::ProcessId;
     use std::time::Duration;
+
+    /// A syncer over `storage`, and a closure that waits for the next
+    /// thing it posts: one group commit's durable tokens, or the failure.
+    fn spawn(
+        storage: impl StableStorage + 'static,
+        failures: Arc<AtomicU64>,
+    ) -> (Syncer, impl Fn() -> Result<Vec<StoreToken>, StorageError>) {
+        let (_inbox, queue) = ProcessRunner::queue();
+        let syncer = Syncer::spawn_with_obs(
+            ProcessId(0),
+            Box::new(storage),
+            queue.tx.clone(),
+            failures,
+            ObsHandle::new(),
+        );
+        let next = move || match queue.rx.recv_timeout(Duration::from_secs(5)) {
+            Ok((_, RunnerEvent::StoresDurable(tokens))) => Ok(tokens),
+            Ok((_, RunnerEvent::StoreFailed(e))) => Err(e),
+            _ => panic!("the syncer posts only commit outcomes"),
+        };
+        (syncer, next)
+    }
 
     /// A storage probe that records the call sequence, so tests can
     /// assert every `Done` was preceded by the flush covering it.
@@ -225,35 +241,24 @@ mod tests {
     fn done_only_after_the_covering_flush() {
         let probe = Probe::default();
         let committed = probe.committed.clone();
-        let (out_tx, out_rx) = unbounded();
-        let syncer = Syncer::spawn_with_obs(
-            ProcessId(0),
-            Box::new(probe),
-            out_tx,
-            Arc::new(AtomicU64::new(0)),
-            ObsHandle::new(),
-        );
+        let (syncer, next) = spawn(probe, Arc::new(AtomicU64::new(0)));
         for t in 0..10u64 {
             syncer.submit(req(t));
         }
-        for _ in 0..10 {
-            match out_rx
-                .recv_timeout(Duration::from_secs(5))
-                .expect("outcome")
-            {
-                StoreOutcome::Done(token) => {
-                    // The commit covering this store must already have
-                    // happened: its key is in the committed set.
-                    assert!(
-                        committed
-                            .lock()
-                            .iter()
-                            .any(|k| k == &format!("k{}", token.0)),
-                        "ack for k{} preceded its commit",
-                        token.0
-                    );
-                }
-                StoreOutcome::Failed(e) => panic!("unexpected failure: {e}"),
+        let mut done = 0;
+        while done < 10 {
+            for token in next().expect("no failure injected") {
+                // The commit covering this store must already have
+                // happened: its key is in the committed set.
+                assert!(
+                    committed
+                        .lock()
+                        .iter()
+                        .any(|k| k == &format!("k{}", token.0)),
+                    "ack for k{} preceded its commit",
+                    token.0
+                );
+                done += 1;
             }
         }
         syncer.stop();
@@ -266,29 +271,16 @@ mod tests {
             ..Probe::default()
         };
         let log = probe.log.clone();
-        let (out_tx, out_rx) = unbounded();
-        let syncer = Syncer::spawn_with_obs(
-            ProcessId(0),
-            Box::new(probe),
-            out_tx,
-            Arc::new(AtomicU64::new(0)),
-            ObsHandle::new(),
-        );
+        let (syncer, next) = spawn(probe, Arc::new(AtomicU64::new(0)));
         // First store starts a slow commit; the rest pile up behind it.
         syncer.submit(req(0));
         std::thread::sleep(Duration::from_millis(10));
         for t in 1..8u64 {
             syncer.submit(req(t));
         }
-        let mut done = 0;
-        while done < 8 {
-            match out_rx
-                .recv_timeout(Duration::from_secs(5))
-                .expect("outcome")
-            {
-                StoreOutcome::Done(_) => done += 1,
-                StoreOutcome::Failed(e) => panic!("unexpected failure: {e}"),
-            }
+        let mut groups = Vec::new();
+        while groups.iter().sum::<usize>() < 8 {
+            groups.push(next().expect("no failure injected").len());
         }
         syncer.stop();
         let flushes: Vec<usize> = log
@@ -297,6 +289,7 @@ mod tests {
             .filter_map(|l| l.strip_prefix("flush:").and_then(|n| n.parse().ok()))
             .collect();
         assert_eq!(flushes.iter().sum::<usize>(), 8, "every store committed");
+        assert_eq!(groups, flushes, "one event per group commit");
         assert!(
             flushes.len() < 8,
             "stores queued behind a slow fsync must share commits, got {flushes:?}"
@@ -310,26 +303,15 @@ mod tests {
     #[test]
     fn a_log_failure_reports_failed_and_stops() {
         let failures = Arc::new(AtomicU64::new(0));
-        let (out_tx, out_rx) = unbounded();
         let storage = FaultyStorage::new(MemStorage::new(), FaultPlan::fail_at(vec![2]));
-        let syncer = Syncer::spawn_with_obs(
-            ProcessId(0),
-            Box::new(storage),
-            out_tx,
-            failures.clone(),
-            ObsHandle::new(),
-        );
+        let (syncer, next) = spawn(storage, failures.clone());
         syncer.submit(req(0));
         // Let the first commit complete so the failing store is its own
         // group (deterministic position 2).
-        match out_rx.recv_timeout(Duration::from_secs(5)).expect("first") {
-            StoreOutcome::Done(t) => assert_eq!(t, StoreToken(0)),
-            StoreOutcome::Failed(e) => panic!("first store must succeed: {e}"),
-        }
+        assert_eq!(next().expect("first store"), vec![StoreToken(0)]);
         syncer.submit(req(1));
-        match out_rx.recv_timeout(Duration::from_secs(5)).expect("second") {
-            StoreOutcome::Failed(_) => {}
-            StoreOutcome::Done(t) => panic!("store {t:?} must not be acked after a log failure"),
+        if let Ok(tokens) = next() {
+            panic!("stores {tokens:?} must not be acked after a log failure");
         }
         assert_eq!(failures.load(Ordering::Relaxed), 1);
         // The syncer stopped: the storage comes back even though requests

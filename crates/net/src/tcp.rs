@@ -14,12 +14,11 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use crossbeam::channel::Sender;
 use parking_lot::Mutex;
 use rmem_types::{codec, Message, ProcessId};
 
 use crate::error::NetError;
-use crate::transport::{Inbound, Transport};
+use crate::transport::{Inbound, InboxSink, Transport};
 
 /// Maximum frame body accepted (1 MiB — far above any register payload in
 /// the experiments).
@@ -57,8 +56,9 @@ impl TcpTransport {
     pub fn bind(
         me: ProcessId,
         peers: Vec<SocketAddr>,
-        inbox: Sender<Inbound>,
+        inbox: impl InboxSink,
     ) -> Result<Self, NetError> {
+        let inbox: Arc<dyn InboxSink> = Arc::new(inbox);
         let addr = peers[me.index()];
         let listener = TcpListener::bind(addr).map_err(|e| NetError::Bind {
             addr: addr.to_string(),
@@ -124,7 +124,7 @@ impl TcpTransport {
                                         return;
                                     }
                                     if let Ok((msg, trace)) = codec::decode_message_traced(&body) {
-                                        if inbox.send(Inbound { from, msg, trace }).is_err() {
+                                        if !inbox.deliver(Inbound { from, msg, trace }) {
                                             return;
                                         }
                                     }

@@ -16,15 +16,30 @@ pub struct Inbound {
     pub trace: Option<TraceId>,
 }
 
+/// Where a transport's receiving side hands over what arrived. The
+/// runner's own [`RunnerInbox`](crate::RunnerInbox) puts it on the node's
+/// event queue; a plain channel sender serves probes and tests that want
+/// the raw stream.
+pub trait InboxSink: std::fmt::Debug + Send + Sync + 'static {
+    /// Hands over one received message. `false` means the consuming side
+    /// is gone, so a receiver thread can stop.
+    fn deliver(&self, inbound: Inbound) -> bool;
+}
+
+impl InboxSink for crossbeam::channel::Sender<Inbound> {
+    fn deliver(&self, inbound: Inbound) -> bool {
+        self.send(inbound).is_ok()
+    }
+}
+
 /// Datagram delivery between the cluster's processes with **fair-lossy**
 /// semantics (§II): `send` may silently fail to deliver (packet loss,
 /// closed peer, transient I/O error) — the automata retransmit until
 /// acknowledged, which is exactly what makes fair-lossy channels
 /// sufficient.
 ///
-/// Received messages are pushed into the channel the transport was
-/// constructed with (each implementation runs its own receiver thread);
-/// the [`ProcessRunner`](crate::ProcessRunner) drains that channel.
+/// Received messages are handed to the [`InboxSink`] the transport was
+/// constructed with (each implementation runs its own receiver thread).
 pub trait Transport: Send + Sync + 'static {
     /// This endpoint's process id.
     fn local(&self) -> ProcessId;

@@ -5,11 +5,10 @@ use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use crossbeam::channel::Sender;
 use rmem_types::{codec, Message, ProcessId};
 
 use crate::error::NetError;
-use crate::transport::{Inbound, Transport};
+use crate::transport::{Inbound, InboxSink, Transport};
 
 /// Maximum encoded message size accepted (UDP payload ceiling, minus
 /// header room — the same constraint the paper discusses for Fig. 6
@@ -48,7 +47,7 @@ impl UdpTransport {
     pub fn bind(
         me: ProcessId,
         peers: Vec<SocketAddr>,
-        inbox: Sender<Inbound>,
+        inbox: impl InboxSink,
     ) -> Result<Self, NetError> {
         let addr = peers[me.index()];
         let socket = UdpSocket::bind(addr).map_err(|e| NetError::Bind {
@@ -77,7 +76,7 @@ impl UdpTransport {
                         Ok((len, _)) if len >= 2 => {
                             let from = ProcessId(u16::from_be_bytes([buf[0], buf[1]]));
                             if let Ok((msg, trace)) = codec::decode_message_traced(&buf[2..len]) {
-                                if inbox.send(Inbound { from, msg, trace }).is_err() {
+                                if !inbox.deliver(Inbound { from, msg, trace }) {
                                     break; // runner gone
                                 }
                             }

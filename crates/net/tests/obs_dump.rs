@@ -9,7 +9,6 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::unbounded;
 use rmem_core::{SharedMemory, Transient};
 use rmem_net::channel::{ChannelTransport, Switchboard};
 use rmem_net::{LocalCluster, ProcessRunner};
@@ -24,13 +23,13 @@ use rmem_types::{ProcessId, RegisterId, Value};
 fn halt_dump_contains_the_guilty_ops_timeline() {
     let board = Switchboard::new(1);
     let factory = SharedMemory::factory(Transient::flavor());
-    let (tx, rx) = unbounded();
-    let transport = Arc::new(ChannelTransport::new(ProcessId(0), 1, board, tx));
+    let (inbox, queue) = ProcessRunner::queue();
+    let transport = Arc::new(ChannelTransport::new(ProcessId(0), 1, board, inbox));
     let storage: Box<dyn StableStorage> = Box::new(FaultyStorage::new(
         MemStorage::new(),
         FaultPlan::fail_at(vec![4]),
     ));
-    let runner = ProcessRunner::start(factory.as_ref(), storage, transport, rx);
+    let runner = ProcessRunner::start(factory.as_ref(), storage, transport, queue);
     let client = runner.client().with_timeout(Duration::from_secs(2));
 
     // Write until the injected failure bites. Completed writes were

@@ -14,7 +14,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::unbounded;
 use rmem_core::{SharedMemory, Transient};
 use rmem_net::{ChannelTransport, DiskMode, LocalCluster};
 use rmem_net::{ClientError, ProcessRunner};
@@ -31,8 +30,8 @@ fn slow_fsync_on_one_register_does_not_stall_another() {
     let factory = SharedMemory::factory(Transient::flavor());
     let runners: Vec<ProcessRunner> = (0..3u16)
         .map(|i| {
-            let (tx, rx) = unbounded();
-            let transport = Arc::new(ChannelTransport::new(ProcessId(i), 3, board.clone(), tx));
+            let (inbox, queue) = ProcessRunner::queue();
+            let transport = Arc::new(ChannelTransport::new(ProcessId(i), 3, board.clone(), inbox));
             let storage: Box<dyn StableStorage> = if i == 0 {
                 Box::new(
                     FaultyStorage::new(MemStorage::new(), FaultPlan::None).with_commit_delay(delay),
@@ -40,7 +39,7 @@ fn slow_fsync_on_one_register_does_not_stall_another() {
             } else {
                 Box::new(MemStorage::new())
             };
-            ProcessRunner::start(factory.as_ref(), storage, transport, rx)
+            ProcessRunner::start(factory.as_ref(), storage, transport, queue)
         })
         .collect();
 
@@ -94,8 +93,8 @@ fn log_failure_halts_the_node_cleanly() {
     let shared_disk = rmem_net::cluster::SharedStorage::new();
     let runners: Vec<ProcessRunner> = (0..3u16)
         .map(|i| {
-            let (tx, rx) = unbounded();
-            let transport = Arc::new(ChannelTransport::new(ProcessId(i), 3, board.clone(), tx));
+            let (inbox, queue) = ProcessRunner::queue();
+            let transport = Arc::new(ChannelTransport::new(ProcessId(i), 3, board.clone(), inbox));
             let storage: Box<dyn StableStorage> = if i == 0 {
                 // Node 0's disk dies on its 3rd store.
                 Box::new(FaultyStorage::new(
@@ -105,7 +104,7 @@ fn log_failure_halts_the_node_cleanly() {
             } else {
                 Box::new(MemStorage::new())
             };
-            ProcessRunner::start(factory.as_ref(), storage, transport, rx)
+            ProcessRunner::start(factory.as_ref(), storage, transport, queue)
         })
         .collect();
 

@@ -143,9 +143,10 @@ pub enum Input {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Action {
     /// Send `msg` to `to` over the fair-lossy network. Sending to oneself
-    /// is allowed and goes through the network like any other send (the
-    /// paper's processes answer their own broadcasts through their
-    /// listener thread, §V-A).
+    /// is allowed and is delivered like any other message, as a later
+    /// input (the paper's processes answer their own broadcasts through
+    /// their listener thread, §V-A; the socket runtime loops such a
+    /// message back on the node's own event queue).
     Send {
         /// Destination process.
         to: ProcessId,
