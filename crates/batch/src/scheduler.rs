@@ -175,14 +175,6 @@ impl BatchedKv {
         }
     }
 
-    /// Whether `key` currently sits behind the migration write barrier
-    /// (its source shard is splitting): such operations bypass the
-    /// batching table and go through the epoch-aware `KvClient` paths,
-    /// which run the barrier / old-home-then-new-home protocol per key.
-    fn is_barriered(&self, map: &ShardMap, key: &str) -> bool {
-        map.is_migrating() && map.is_split_source(map.old_shard_of(key))
-    }
-
     /// The wrapped client.
     pub fn kv(&self) -> &KvClient {
         &self.shared.kv
@@ -240,7 +232,7 @@ impl BatchedKv {
         self.shared.kv.sync_map()?;
         let map = self.shared.kv.shard_map();
         self.roll_epoch(&map);
-        if self.is_barriered(&map, key) {
+        if map.is_barriered(key) {
             // Splitting shard: the write barrier is per key — run it on
             // the epoch-aware single-op path instead of a shared bundle.
             self.shared.logical_ops.inc();
@@ -287,7 +279,7 @@ impl BatchedKv {
         self.shared.kv.sync_map()?;
         let map = self.shared.kv.shard_map();
         self.roll_epoch(&map);
-        if self.is_barriered(&map, key) {
+        if map.is_barriered(key) {
             // Splitting shard: reads need the old-home-then-new-home
             // fallback, which is per key — bypass the shared bundle.
             self.shared.logical_ops.inc();
@@ -357,7 +349,7 @@ impl BatchedKv {
         let mut get_groups: std::collections::BTreeMap<RegisterId, Vec<QueuedGet>> =
             std::collections::BTreeMap::new();
         for get in gets {
-            if self.is_barriered(&map, &get.key) {
+            if map.is_barriered(&get.key) {
                 // The epoch moved between enqueue and flush: serve the
                 // now-barriered key through the per-key migration path.
                 let reply = self.shared.kv.get(&get.key);
@@ -376,21 +368,13 @@ impl BatchedKv {
             self.shared.logical_ops.add(group.len() as u64 - 1);
             for get in group {
                 let reply = match &outcome {
-                    Ok(payload) => {
-                        let value = codec::value_for_key(payload, &get.key);
-                        if value.is_none()
-                            && !payload.is_bottom()
-                            && codec::payload_epoch(payload) != Some(map.stamp())
-                        {
-                            // Key absent under a foreign stamp: our map
-                            // may be stale (a split moved the key). The
-                            // per-key path refreshes and re-routes —
-                            // mirroring `KvClient::get`'s classification.
-                            self.shared.kv.get(&get.key)
-                        } else {
-                            Ok(value)
-                        }
-                    }
+                    // Key absent under a foreign stamp: our map may be
+                    // stale (a split moved the key). The per-key path
+                    // refreshes and re-routes.
+                    Ok(payload) => match map.read_answer(payload, &get.key) {
+                        Some(value) => Ok(value),
+                        None => self.shared.kv.get(&get.key),
+                    },
                     Err(e) => Err(e.clone()),
                 };
                 let _ = get.done.send(reply);
@@ -399,7 +383,7 @@ impl BatchedKv {
         let mut put_groups: std::collections::BTreeMap<RegisterId, Vec<QueuedPut>> =
             std::collections::BTreeMap::new();
         for put in puts {
-            if self.is_barriered(&map, &put.key) {
+            if map.is_barriered(&put.key) {
                 let reply = self.shared.kv.put(&put.key, put.value.clone());
                 self.shared.logical_ops.inc();
                 self.shared.register_ops.inc();
@@ -430,7 +414,7 @@ impl BatchedKv {
     /// entries landing on one shard coalesce (last write per key wins,
     /// in input order) into composite payloads, chunked by the policy's
     /// `max_batch` and the transport frame budget; per-node groups run
-    /// concurrently, as in [`KvClient::multi_put`].
+    /// concurrently, one thread per home node.
     ///
     /// # Errors
     ///
@@ -452,7 +436,7 @@ impl BatchedKv {
         let mut barriered: Vec<(&str, Bytes)> = Vec::new();
         for (key, value) in entries {
             let key = key.as_ref();
-            if self.is_barriered(&map, key) {
+            if map.is_barriered(key) {
                 barriered.push((key, value.clone()));
                 continue;
             }
@@ -522,7 +506,7 @@ impl BatchedKv {
             std::collections::BTreeMap::new();
         let mut barriered: Vec<usize> = Vec::new();
         for (i, key) in keys.iter().enumerate() {
-            if self.is_barriered(&map, key.as_ref()) {
+            if map.is_barriered(key.as_ref()) {
                 barriered.push(i);
                 continue;
             }
@@ -538,16 +522,11 @@ impl BatchedKv {
                 .into_iter()
                 .map(|i| {
                     let key = keys[i].as_ref();
-                    let value = codec::value_for_key(&payload, key);
-                    if value.is_none()
-                        && !payload.is_bottom()
-                        && codec::payload_epoch(&payload) != Some(map.stamp())
-                    {
-                        // Absent under a foreign stamp: possibly a moved
-                        // key behind a stale map — re-route per key.
-                        self.shared.kv.get(key).map(|v| (i, v))
-                    } else {
-                        Ok((i, value))
+                    // Absent under a foreign stamp: possibly a moved key
+                    // behind a stale map — re-route per key.
+                    match map.read_answer(&payload, key) {
+                        Some(value) => Ok((i, value)),
+                        None => self.shared.kv.get(key).map(|v| (i, v)),
                     }
                 })
                 .collect()
@@ -591,7 +570,8 @@ impl BatchedKv {
 
     /// Runs `work` for every register group, with groups sharing a home
     /// node serialized on one thread and distinct nodes' groups running
-    /// concurrently (the same pipelining shape as `KvClient`).
+    /// concurrently (a blocking round per group — unlike `KvClient`'s
+    /// multi-key driver, which pipelines every shard from one thread).
     fn per_node<V: Send, T: Send>(
         &self,
         per_reg: std::collections::BTreeMap<u16, V>,
@@ -674,7 +654,7 @@ impl BatchedKv {
 
     /// Splits coalesced entries into chunks, each fitting `max_batch` and
     /// the transport frame budget. An entry that alone exceeds the budget
-    /// ships alone — `raw_write` then refuses it fast with the exact
+    /// ships alone — `raw_write_guarded` then refuses it fast with the exact
     /// numbers, and only its own waiters see the error.
     fn chunks<'a>(&self, entries: &'a [CoalescedPut]) -> impl Iterator<Item = &'a [CoalescedPut]> {
         let budget = self.shared.kv.max_value_len();

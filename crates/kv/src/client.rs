@@ -28,6 +28,22 @@
 //! registers, which is what makes the copy lossless. Readers during
 //! migration fall back *old-home-then-new-home*: an unsealed old home is
 //! authoritative, a sealed one forwards to the new routing.
+//!
+//! # Multi-key calls
+//!
+//! `multi_get`/`multi_put` run on the calling thread through **one
+//! pipelined driver**: per-register FIFO queues, at most one operation in
+//! flight per register (the paper's §III-A well-formedness rule, per
+//! register), every register's head in flight at once through an
+//! event-driven fan. Whatever the pipeline cannot settle — a node error,
+//! a `Busy` collision, a stale epoch stamp — goes to the blocking
+//! `get`/`put` path, the one general slow path; a register whose
+//! operation fell back is *closed* for the rest of the call, so same-key
+//! inputs keep their input order. Two kinds of input never enter the
+//! pipeline: a key behind the migration barrier (the blocking path owns
+//! the barrier and the old-home-then-new-home read; every other key of a
+//! mid-split batch stays pipelined) and every entry of an exactly-once
+//! client (each settles through the journaled `put`, in input order).
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::Ordering;
@@ -35,6 +51,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
+use rmem_net::pipeline::Settled;
 use rmem_net::{Client, ClientError, PipelinedClient, Ticket, TraceCtx};
 use rmem_obs::{
     Counter, EventKind, FlightEvent, FlightRecorder, Histogram, MetricsSnapshot, ObsHandle,
@@ -118,11 +135,17 @@ impl ClientObs {
     fn op_clock(&self) -> Option<Instant> {
         self.handle.metrics.is_enabled().then(Instant::now)
     }
+
+    /// Records the time since `started` (an [`op_clock`](Self::op_clock)
+    /// reading) into latency histogram `hist`.
+    fn lap(started: Option<Instant>, hist: &Histogram) {
+        if let Some(started) = started {
+            hist.record(started.elapsed().as_micros() as u64);
+        }
+    }
 }
 
-/// Bookkeeping for one op of a pipelined multi-key batch, kept in a twin
-/// vector alongside its [`Ticket`] (so the ticket slice feeds `wait_any`
-/// directly).
+/// Bookkeeping for one in-flight op of a multi-key call.
 struct InFlightOp {
     /// Index into the caller's input slice.
     idx: usize,
@@ -144,6 +167,45 @@ struct InFlightOp {
     /// when the client's lease cache is armed): a grant riding this
     /// op's completion expires `grant.micros` after *this* moment.
     sent: Option<Instant>,
+}
+
+/// The inputs of a multi-key call — a `multi_get`'s keys with its answer
+/// slots (one per key), or a `multi_put`'s entries. Its methods are all
+/// the two kinds differ in: how one op is submitted, how one completion
+/// is read, and which blocking call settles what the pipeline could not.
+/// [`Flight`], the shared driver, never asks which kind it is driving.
+enum Batch<'a, K> {
+    Gets(&'a [K], &'a mut [Option<Option<Bytes>>]),
+    Puts(&'a [(K, Bytes)]),
+}
+
+/// One multi-key call in flight: the pipelined driver behind
+/// [`KvClient::multi_get`] and [`KvClient::multi_put`] (see the
+/// [module docs](self#multi-key-calls)) — one thread, one event-driven
+/// [`PipelinedClient`] fan, no per-node threads.
+struct Flight<'a> {
+    kv: &'a KvClient,
+    fan: PipelinedClient,
+    /// The map the batch was routed under (checked before every send).
+    map: ShardMap,
+    /// Per-register FIFOs of input indices not yet submitted: the runner
+    /// admits ONE op per register at a time (§III-A per-register
+    /// sequentiality), so the pipeline keeps at most one in-flight op per
+    /// register and refills from its queue — queueing client-side instead
+    /// of eating self-inflicted `Busy` rejections. Duplicate keys keep
+    /// their input order (same register → same queue).
+    queues: BTreeMap<RegisterId, VecDeque<usize>>,
+    /// The in-flight ops: tickets, with their bookkeeping in a twin
+    /// vector (so the ticket slice feeds `wait_any` directly).
+    tickets: Vec<Ticket>,
+    pending: Vec<InFlightOp>,
+    /// What the pipeline does not settle, for the blocking path: input
+    /// indices with the invocations they already recorded, in the order
+    /// they will run.
+    fallback: Vec<(usize, Option<rmem_types::OpId>)>,
+    /// The call's first failure: a terminal refusal at submission (a
+    /// client-side `TooLarge`), else the first blocking-path error.
+    first_err: Option<KvError>,
 }
 
 /// Snapshot of a client's per-operation quorum-round statistics.
@@ -359,9 +421,10 @@ impl std::error::Error for KvError {}
 /// its home node is down or unresponsive — any node can serve any
 /// register.
 /// [`multi_get`](KvClient::multi_get)/[`multi_put`](KvClient::multi_put)
-/// run the per-node batches **concurrently** — operations on different
+/// share one pipelined driver that keeps every shard's operation in
+/// flight **at once, from the calling thread** — operations on different
 /// shards touch different registers and are independent by locality, so
-/// the only serialization kept is the per-node operation order.
+/// the only serialization kept is the per-register input order.
 ///
 /// Reads and writes inherit the register emulation's guarantees: with a
 /// majority of nodes up, every operation terminates, and per-key histories
@@ -866,8 +929,9 @@ impl KvClient {
     ///
     /// Nodes the shared [`HealthMemory`] marks as recently failed are
     /// tried *last* (never skipped), and a timeout/down outcome marks the
-    /// node — so across the concurrent threads of a multi-key batch, a
-    /// wedged node costs one patience window, not one per key. A node
+    /// node — the multi-key driver consults the same marks before every
+    /// submission, so a wedged node costs a batch (and every clone's
+    /// later operations) one patience window, not one per key. A node
     /// whose mark has decayed must first serve one **probe** operation
     /// before rejoining full rotation: exactly one caller wins the probe
     /// (and routes its operation through the node, first), everyone else
@@ -1112,30 +1176,11 @@ impl KvClient {
     /// payload's epoch stamp is the caller's responsibility
     /// ([`ShardMap::stamp`]).
     ///
-    /// # Errors
-    ///
-    /// As for [`put`](Self::put).
-    pub fn raw_write(&self, reg: RegisterId, payload: Value, label: &str) -> Result<(), KvError> {
-        self.sync_map()?;
-        let inv = self.rec_invoke(Op::WriteAt(reg, payload.clone()));
-        match self.reg_write(reg, payload, label) {
-            Ok(()) => {
-                self.rec_outcome(inv, Ok(OpResult::Written));
-                Ok(())
-            }
-            Err(e) => {
-                self.rec_outcome(inv, Err(&e));
-                Err(e)
-            }
-        }
-    }
-
-    /// As [`raw_write`](Self::raw_write), but epoch-guarded: the write
-    /// aborts — `Ok(false)`, nothing issued, nothing landed — as soon as
-    /// the shard map's epoch moves past `epoch`, so a bundle formed under
-    /// one epoch can never surface behind another epoch's migration seal.
-    /// The batching layer re-routes an aborted bundle's entries through
-    /// the per-key path.
+    /// Epoch-guarded: the write aborts — `Ok(false)`, nothing issued,
+    /// nothing landed — as soon as the shard map's epoch moves past
+    /// `epoch`, so a bundle formed under one epoch can never surface
+    /// behind another epoch's migration seal. The batching layer
+    /// re-routes an aborted bundle's entries through the per-key path.
     ///
     /// # Errors
     ///
@@ -1169,7 +1214,7 @@ impl KvClient {
     /// One failover-protected register **read** returning the raw payload
     /// (⊥, a single entry, a bundle, or a migration seal), recorded as
     /// one operation. The building block of the batching layer; see
-    /// [`raw_write`](Self::raw_write).
+    /// [`raw_write_guarded`](Self::raw_write_guarded).
     ///
     /// # Errors
     ///
@@ -1270,28 +1315,17 @@ impl KvClient {
     /// frame, [`KvError::Barrier`] if a migration barrier never cleared,
     /// [`KvError::Register`] if the register operation fails.
     pub fn put(&self, key: &str, value: impl Into<Bytes>) -> Result<(), KvError> {
-        if self.intents.is_some() {
-            // Exactly-once client: journal the intent durably, write under
-            // a client-assigned op tag, tombstone on ack. (The journal
-            // layer brackets the latency clock itself.)
-            let clock = self.obs.op_clock();
-            let outcome = self.put_exactly_once(key, value.into());
-            if let Some(started) = clock {
-                self.obs
-                    .put_micros
-                    .record(started.elapsed().as_micros() as u64);
-            }
-            return outcome;
-        }
         self.put_settled(key, value.into(), &mut None)
     }
 
     /// The blocking put path with an externally-owned invocation slot:
-    /// brackets the wall-clock latency histogram around
-    /// [`put_inner`](Self::put_inner). The pipelined multi-key driver
-    /// routes a submission that errored (node down, `Busy`, epoch moved)
-    /// through here so the operation keeps its already-recorded
-    /// invocation.
+    /// brackets the wall-clock latency histogram around the engine. The
+    /// pipelined multi-key driver routes a submission that errored (node
+    /// down, `Busy`, epoch moved) through here so the operation keeps its
+    /// already-recorded invocation. An exactly-once client never
+    /// pipelines, so its slot is always empty: it journals the intent
+    /// durably, writes under a client-assigned op tag and tombstones on
+    /// ack.
     fn put_settled(
         &self,
         key: &str,
@@ -1299,12 +1333,12 @@ impl KvClient {
         inv: &mut Option<rmem_types::OpId>,
     ) -> Result<(), KvError> {
         let clock = self.obs.op_clock();
-        let outcome = self.put_inner(key, value, None, inv);
-        if let Some(started) = clock {
-            self.obs
-                .put_micros
-                .record(started.elapsed().as_micros() as u64);
-        }
+        let outcome = if self.intents.is_some() {
+            self.put_exactly_once(key, value)
+        } else {
+            self.put_inner(key, value, None, inv)
+        };
+        ClientObs::lap(clock, &self.obs.put_micros);
         outcome
     }
 
@@ -1330,11 +1364,8 @@ impl KvClient {
         // stays inside the operation's interval.
         for _ in 0..MAP_RETRIES {
             let map = self.shard_map();
-            if map.is_migrating() {
-                let old_shard = map.old_shard_of(key);
-                if map.is_split_source(old_shard) && !self.barrier_wait(key, old_shard, &map)? {
-                    continue; // the map advanced mid-wait; re-route
-                }
+            if map.is_barriered(key) && !self.barrier_wait(key, map.old_shard_of(key), &map)? {
+                continue; // the map advanced mid-wait; re-route
             }
             let reg = map.register_for(key);
             let payload = match tag {
@@ -1414,11 +1445,7 @@ impl KvClient {
         self.sync_map()?;
         let clock = self.obs.op_clock();
         let outcome = self.get_inner(key, inv);
-        if let Some(started) = clock {
-            self.obs
-                .get_micros
-                .record(started.elapsed().as_micros() as u64);
-        }
+        ClientObs::lap(clock, &self.obs.get_micros);
         match &outcome {
             Ok((payload, _)) => {
                 self.rec_outcome(inv.take(), Ok(OpResult::ReadValue(payload.clone())));
@@ -1438,11 +1465,8 @@ impl KvClient {
         let mut last = Value::bottom();
         for _ in 0..MAP_RETRIES {
             let map = self.shard_map();
-            if map.is_migrating() {
-                let old_shard = map.old_shard_of(key);
-                if map.is_split_source(old_shard) {
-                    return self.get_during_split(key, &map, old_shard, inv);
-                }
+            if map.is_barriered(key) {
+                return self.get_during_split(key, &map, map.old_shard_of(key), inv);
             }
             let reg = map.register_for(key);
             if let Some(payload) = self.lease_hit(reg, &map) {
@@ -1459,16 +1483,12 @@ impl KvClient {
                 *inv = self.rec_invoke(Op::ReadAt(reg));
             }
             let payload = self.reg_read_leasing(reg, key, &map)?;
-            if payload.is_bottom() {
-                return Ok((payload, None));
+            if let Some(value) = map.read_answer(&payload, key) {
+                return Ok((payload, value));
             }
-            if let Some(value) = codec::value_for_key(&payload, key) {
-                return Ok((payload, Some(value)));
-            }
-            // Key absent: under the expected stamp that is a plain miss
-            // (collision displacement); under a foreign stamp our map may
-            // be stale — refresh and re-route.
-            if codec::payload_epoch(&payload) == Some(map.stamp()) || !self.refresh_map()? {
+            // Key absent under a foreign stamp — our map may be stale:
+            // refresh and re-route.
+            if !self.refresh_map()? {
                 return Ok((payload, None));
             }
             last = payload;
@@ -1679,69 +1699,20 @@ impl KvClient {
 
     // -- Multi-key operations ----------------------------------------------
 
-    /// Groups the operation indices by serving node, preserving input
-    /// order within each group.
-    fn group_by_node(&self, regs: impl Iterator<Item = RegisterId>) -> BTreeMap<usize, Vec<usize>> {
-        let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (i, reg) in regs.enumerate() {
-            groups
-                .entry(reg.0 as usize % self.nodes.len())
-                .or_default()
-                .push(i);
-        }
-        groups
-    }
-
-    /// The pipelined submit's health gate for a key's home node. The
-    /// pipeline has no failover rotation — a key's op goes to its home or
-    /// to the blocking fallback — so the gate maps to a three-way choice:
-    /// `Some(false)` submit normally, `Some(true)` submit *as the node's
-    /// owed probe* (this caller won [`HealthMemory::try_begin_probe`]),
-    /// `None` route through the blocking path, whose failover tries the
-    /// suspect node last instead of burning the pipeline's patience on
-    /// it.
-    fn gate_for_pipeline(&self, node: usize) -> Option<bool> {
-        match self.health.gate(node) {
-            NodeGate::Fresh => Some(false),
-            NodeGate::Suspect => None,
-            NodeGate::NeedsProbe => self.health.try_begin_probe(node).then_some(true),
-        }
-    }
-
-    /// Builds the per-register FIFO queues of a multi-key batch: the
-    /// runner admits ONE op per register at a time (§III-A per-register
-    /// sequentiality), so the pipeline keeps at most one in-flight op per
-    /// register and refills from its queue — queueing client-side instead
-    /// of eating self-inflicted `Busy` rejections. Duplicate keys keep
-    /// their input order (same register → same queue).
-    fn register_queues<'k>(
-        &self,
-        map: &ShardMap,
-        keys: impl Iterator<Item = &'k str>,
-    ) -> BTreeMap<RegisterId, VecDeque<usize>> {
-        let mut queues: BTreeMap<RegisterId, VecDeque<usize>> = BTreeMap::new();
-        for (i, key) in keys.enumerate() {
-            queues
-                .entry(map.register_for(key))
-                .or_default()
-                .push_back(i);
-        }
-        queues
-    }
-
-    /// Reads many keys, pipelined: every shard's read is submitted from
-    /// this one thread through the event-driven
-    /// [`PipelinedClient`](rmem_net::PipelinedClient) fan and settles as
-    /// its completion arrives — no per-node threads. Results align with
-    /// the input order.
+    /// Reads many keys through the pipelined multi-key driver (see the
+    /// [module docs](self#multi-key-calls)): every shard's read is in
+    /// flight at once, submitted from this one thread, and settles as
+    /// its completion arrives. Results align with the input order.
     ///
-    /// An op the pipeline cannot settle cleanly (node down, timeout,
-    /// `Busy` collision with another client, a payload under a foreign
-    /// epoch stamp) falls back to the blocking [`get`](Self::get) path —
+    /// A key under a live lease is answered before anything is sent. A
+    /// key behind the migration barrier ([`ShardMap::is_barriered`]) goes
+    /// straight to the blocking [`get`](Self::get) path, which owns the
+    /// old-home-then-new-home protocol; the rest of a mid-split batch
+    /// stays pipelined. An op the pipeline cannot settle cleanly (node
+    /// down, timeout, `Busy` collision with another client, a payload
+    /// under a foreign epoch stamp) falls back to that same path —
     /// carrying its already-recorded invocation — where the full
-    /// failover/backoff/refresh machinery applies. A batch issued while
-    /// a split is migrating takes the thread-per-node path wholesale: the
-    /// barrier protocol is the blocking path's job.
+    /// failover/backoff/refresh machinery applies.
     ///
     /// Failover state is shared through the [`HealthMemory`]: the first
     /// key to time out on a wedged node marks it, and the batch's other
@@ -1752,60 +1723,224 @@ impl KvClient {
     ///
     /// Returns the first failing key's [`KvError`]; other keys still
     /// ran to completion.
-    pub fn multi_get<K: AsRef<str> + Sync>(
-        &self,
-        keys: &[K],
-    ) -> Result<Vec<Option<Bytes>>, KvError> {
+    pub fn multi_get<K: AsRef<str>>(&self, keys: &[K]) -> Result<Vec<Option<Bytes>>, KvError> {
         if keys.is_empty() {
             return Ok(Vec::new());
         }
         self.sync_map()?;
-        let map = self.shard_map();
-        if map.is_migrating() {
-            return self.multi_get_threaded(keys);
-        }
-        let mut results: Vec<Option<Option<Bytes>>> = vec![None; keys.len()];
-        // Live leases answer before anything is submitted: those keys
-        // never enter the pipeline at all (zero datagrams).
-        let mut queues: BTreeMap<RegisterId, VecDeque<usize>> = BTreeMap::new();
+        let mut flight = Flight::new(self);
+        let mut results = vec![None; keys.len()];
+        let map = flight.map;
         for (i, key) in keys.iter().enumerate() {
-            let reg = map.register_for(key.as_ref());
-            if let Some(payload) = self.lease_hit(reg, &map) {
+            let key = key.as_ref();
+            let reg = map.register_for(key);
+            if map.is_barriered(key) {
+                flight.fallback.push((i, None));
+            } else if let Some(payload) = self.lease_hit(reg, &map) {
+                // Live leases answer before anything is submitted: those
+                // keys never enter the pipeline at all (zero datagrams).
                 let inv = self.rec_invoke(Op::ReadAt(reg));
-                let value = codec::value_for_key(&payload, key.as_ref());
+                results[i] = Some(codec::value_for_key(&payload, key));
                 self.rec_outcome(inv, Ok(OpResult::ReadValue(payload)));
-                results[i] = Some(value);
             } else {
-                queues.entry(reg).or_default().push_back(i);
+                flight.queues.entry(reg).or_default().push_back(i);
             }
         }
-        let fan = PipelinedClient::fan(&self.nodes);
-        let mut fallback: Vec<(usize, Option<rmem_types::OpId>)> = Vec::new();
-        let mut tickets: Vec<Ticket> = Vec::new();
-        let mut pending: Vec<InFlightOp> = Vec::new();
+        flight.run(&mut Batch::Gets(keys, &mut results))?;
+        Ok(results
+            .into_iter()
+            .map(|slot| slot.expect("every index answered"))
+            .collect())
+    }
 
-        // One submission. The map-equality check right before the send is
-        // the pipelined analogue of the guarded write's per-attempt epoch
-        // check: the effect lands within one event-loop dispatch of a
-        // passing check, so a stale-routed op cannot surface long after a
-        // split moved the key (stale → blocking path, which re-syncs).
-        let try_submit = |idx: usize,
-                          reg: RegisterId|
-         -> Result<(Ticket, InFlightOp), Option<rmem_types::OpId>> {
-            if self.shard_map() != map {
-                return Err(None);
+    /// Writes many entries through the same driver as
+    /// [`multi_get`](KvClient::multi_get). When no recorder is attached
+    /// the payload is encoded **zero-copy**, straight into the op slot's
+    /// reusable scratch buffer.
+    ///
+    /// A key behind the migration barrier goes straight to the blocking
+    /// [`put`](Self::put) path, which waits the barrier out; the rest of
+    /// a mid-split batch stays pipelined. An exactly-once client's
+    /// entries all settle through the journaled `put`, in input order:
+    /// the intent journal's durable fsync per op is a per-write barrier
+    /// the pipeline has nothing to overlap with. Both routes run one op
+    /// at a time on the calling thread, so N such entries cost N
+    /// blocking puts back to back (no benchmark workload issues either
+    /// kind of batch; the cost is unmeasured).
+    ///
+    /// # Errors
+    ///
+    /// Returns the first failing key's [`KvError`]; other keys still
+    /// ran to completion.
+    pub fn multi_put<K: AsRef<str>>(&self, entries: &[(K, Bytes)]) -> Result<(), KvError> {
+        if entries.is_empty() {
+            return Ok(());
+        }
+        self.sync_map()?;
+        let mut flight = Flight::new(self);
+        for (i, (key, _)) in entries.iter().enumerate() {
+            let key = key.as_ref();
+            if self.intents.is_some() || flight.map.is_barriered(key) {
+                flight.fallback.push((i, None));
+            } else {
+                let reg = flight.map.register_for(key);
+                flight.queues.entry(reg).or_default().push_back(i);
             }
-            let node = reg.0 as usize % self.nodes.len();
-            let Some(probe) = self.gate_for_pipeline(node) else {
-                return Err(None);
+        }
+        flight.run(&mut Batch::Puts(entries))
+    }
+}
+
+impl<K: AsRef<str>> Batch<'_, K> {
+    fn key(&self, idx: usize) -> &str {
+        match self {
+            Batch::Gets(keys, _) => keys[idx].as_ref(),
+            Batch::Puts(entries) => entries[idx].0.as_ref(),
+        }
+    }
+
+    /// Submits input `idx` to `reg` at `node`: the invocation recorded
+    /// for it (when a recorder is attached) and its ticket, or why
+    /// nothing was sent.
+    fn submit(
+        &self,
+        flight: &Flight<'_>,
+        idx: usize,
+        reg: RegisterId,
+        node: usize,
+    ) -> (Option<rmem_types::OpId>, Result<Ticket, ClientError>) {
+        let (kv, fan) = (flight.kv, &flight.fan);
+        let Batch::Puts(entries) = self else {
+            return (kv.rec_invoke(Op::ReadAt(reg)), fan.submit_read(node, reg));
+        };
+        let (key, value, stamp) = (self.key(idx), &entries[idx].1, flight.map.stamp());
+        // The cached value for this register is about to go stale —
+        // revoke before the write leaves.
+        kv.lease_revoke(reg);
+        if kv.recorder.is_some() {
+            // Recorded run: the invocation needs the encoded payload, so
+            // encode once and send the same value.
+            let payload = codec::encode_entry(key, value, stamp);
+            let inv = kv.rec_invoke(Op::WriteAt(reg, payload.clone()));
+            (inv, fan.submit_write(node, reg, payload))
+        } else {
+            let fill = |buf: &mut _| codec::encode_entry_into(buf, key, value, stamp);
+            (None, fan.submit_write_with(node, reg, fill))
+        }
+    }
+
+    /// Reads the completion of in-flight op `done`: times it, counts its
+    /// rounds and replies to its invocation. `false` when the completion
+    /// cannot settle the op, which then takes the blocking path.
+    fn complete(&mut self, flight: &Flight<'_>, done: &InFlightOp, completion: Settled) -> bool {
+        let kv = flight.kv;
+        match (self, completion) {
+            (Batch::Gets(keys, results), (OpResult::ReadValue(payload), rounds, lease)) => {
+                ClientObs::lap(done.started, &kv.obs.get_micros);
+                kv.record_read(rounds);
+                if let (Some(grant), Some(t0)) = (lease, done.sent) {
+                    kv.lease_fill(done.reg, grant, payload.clone(), &flight.map, t0);
+                }
+                // Absent under a foreign stamp — the map may be stale;
+                // the blocking path refreshes and re-routes.
+                let key = keys[done.idx].as_ref();
+                let Some(value) = flight.map.read_answer(&payload, key) else {
+                    return false;
+                };
+                kv.rec_outcome(done.inv, Ok(OpResult::ReadValue(payload)));
+                results[done.idx] = Some(value);
+                true
+            }
+            (Batch::Puts(_), (OpResult::Written, rounds, _)) => {
+                ClientObs::lap(done.started, &kv.obs.put_micros);
+                kv.record_write(rounds);
+                kv.rec_outcome(done.inv, Ok(OpResult::Written));
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Settles input `idx` through the blocking path, under the
+    /// invocation `inv` it already recorded.
+    fn settle_blocking(
+        &mut self,
+        kv: &KvClient,
+        idx: usize,
+        mut inv: Option<rmem_types::OpId>,
+    ) -> Result<(), KvError> {
+        match self {
+            Batch::Gets(keys, results) => {
+                results[idx] = Some(kv.get_settled(keys[idx].as_ref(), &mut inv)?);
+                Ok(())
+            }
+            Batch::Puts(entries) => {
+                let (key, value) = &entries[idx];
+                kv.put_settled(key.as_ref(), value.clone(), &mut inv)
+            }
+        }
+    }
+}
+
+impl<'a> Flight<'a> {
+    /// An empty flight over `kv`'s current shard map.
+    fn new(kv: &'a KvClient) -> Self {
+        Flight {
+            kv,
+            fan: PipelinedClient::fan(&kv.nodes),
+            map: kv.shard_map(),
+            queues: BTreeMap::new(),
+            tickets: Vec::new(),
+            pending: Vec::new(),
+            fallback: Vec::new(),
+            first_err: None,
+        }
+    }
+
+    /// Sends input `idx` (and its recorded invocation) to the fallback
+    /// list and closes `reg` for the rest of the call: whatever is still
+    /// queued on it drains into the list *behind* `idx`. A later op of
+    /// the register submitted now could land before the earlier op's
+    /// blocking retry — closing is what keeps same-register inputs in
+    /// input order across a fallback.
+    fn close(&mut self, reg: RegisterId, idx: usize, inv: Option<rmem_types::OpId>) {
+        self.fallback.push((idx, inv));
+        if let Some(queue) = self.queues.get_mut(&reg) {
+            self.fallback.extend(queue.drain(..).map(|i| (i, None)));
+        }
+    }
+
+    /// Submits the next queued op of `reg`, if any. The map-equality
+    /// check right before the send is the pipelined analogue of the
+    /// guarded write's per-attempt epoch check: the effect lands within
+    /// one event-loop dispatch of a passing check, so a stale-routed op
+    /// cannot surface long after a split moved the key (stale → blocking
+    /// path, which re-syncs).
+    fn refill<K: AsRef<str>>(&mut self, batch: &Batch<'_, K>, reg: RegisterId) {
+        let kv = self.kv;
+        let node = reg.0 as usize % kv.nodes.len();
+        while let Some(idx) = self.queues.get_mut(&reg).and_then(VecDeque::pop_front) {
+            if kv.shard_map() != self.map {
+                return self.close(reg, idx, None);
+            }
+            // The pipeline has no failover rotation — an op goes to its
+            // home or to the blocking path — so the health gate is a
+            // three-way choice: submit normally, submit *as the node's
+            // owed probe* (this caller won it), or leave a suspect node
+            // to the blocking path, whose failover tries it last instead
+            // of burning the pipeline's patience on it.
+            let probe = match kv.health.gate(node) {
+                NodeGate::Fresh => false,
+                NodeGate::NeedsProbe if kv.health.try_begin_probe(node) => true,
+                _ => return self.close(reg, idx, None),
             };
-            let started = self.obs.op_clock();
-            let inv = self.rec_invoke(Op::ReadAt(reg));
-            let sent = self.leases.is_some().then(Instant::now);
-            match fan.submit_read(node, reg) {
-                Ok(ticket) => Ok((
-                    ticket,
-                    InFlightOp {
+            let started = kv.obs.op_clock();
+            let sent = kv.leases.is_some().then(Instant::now);
+            let (inv, submitted) = batch.submit(self, idx, reg, node);
+            match submitted {
+                Ok(ticket) => {
+                    self.tickets.push(ticket);
+                    self.pending.push(InFlightOp {
                         idx,
                         reg,
                         node,
@@ -1813,377 +1948,117 @@ impl KvClient {
                         probe,
                         started,
                         sent,
-                    },
-                )),
+                    });
+                    return;
+                }
+                Err(ClientError::TooLarge { size, limit }) => {
+                    // Client-side refusal, terminal: the value fits no
+                    // node's frame, so neither retry nor fallback can
+                    // help — and a won probe never exercised the node.
+                    // The register's next op takes its turn.
+                    if probe {
+                        kv.health.reopen_probe(node);
+                    }
+                    let key = batch.key(idx).to_string();
+                    let e = KvError::TooLarge { key, size, limit };
+                    kv.rec_outcome(inv, Err(&e));
+                    self.first_err.get_or_insert(e);
+                }
                 Err(_) => {
-                    // The only read submit error is `ProcessDown` (the
+                    // The only other submit error is `ProcessDown` (the
                     // node's event loop is gone): mark and settle
                     // blocking, like any other node failure.
-                    self.obs.retries.inc();
-                    self.health.mark(node);
-                    Err(inv)
+                    kv.obs.retries.inc();
+                    kv.health.mark(node);
+                    return self.close(reg, idx, inv);
                 }
+            }
+        }
+    }
+
+    /// Settles the completion of in-flight op `pos`: a clean one is read
+    /// and its register refilled; anything else (node error, `Busy`, a
+    /// completion that cannot answer the op) sends the op to the
+    /// fallback list and closes its register.
+    fn settle<K: AsRef<str>>(
+        &mut self,
+        batch: &mut Batch<'_, K>,
+        pos: usize,
+        outcome: Result<Settled, ClientError>,
+    ) {
+        let kv = self.kv;
+        self.tickets.swap_remove(pos);
+        let done = self.pending.swap_remove(pos);
+        let settled = match outcome {
+            Ok(completion) => {
+                kv.health.clear(done.node);
+                batch.complete(self, &done, completion)
+            }
+            Err(e) => {
+                kv.obs.retries.inc();
+                if matches!(e, ClientError::TimedOut | ClientError::ProcessDown) {
+                    kv.health.mark(done.node);
+                } else if done.probe {
+                    // Inconclusive probe (`Busy`): the node still owes
+                    // one.
+                    kv.health.reopen_probe(done.node);
+                }
+                false
             }
         };
-        for (&reg, queue) in queues.iter_mut() {
-            if let Some(idx) = queue.pop_front() {
-                match try_submit(idx, reg) {
-                    Ok((t, p)) => {
-                        tickets.push(t);
-                        pending.push(p);
-                    }
-                    Err(inv) => fallback.push((idx, inv)),
-                }
-            }
+        if settled {
+            self.refill(batch, done.reg);
+        } else {
+            self.close(done.reg, done.idx, done.inv);
         }
-        let metered = self.obs.handle.metrics.is_enabled();
-        while !pending.is_empty() {
-            if metered {
-                self.obs.inflight.set(pending.len() as u64);
-                self.obs.pipeline_depth.record(pending.len() as u64);
-            }
-            let Some((pos, outcome)) = fan.wait_any(&tickets) else {
-                // The patience window passed with nothing settling:
-                // abandon the whole flight (late acks are counted, never
-                // misdelivered) and settle blocking.
-                for (ticket, p) in tickets.drain(..).zip(pending.drain(..)) {
-                    fan.cancel(ticket);
-                    self.obs.retries.inc();
-                    self.health.mark(p.node);
-                    fallback.push((p.idx, p.inv));
-                }
-                break;
-            };
-            tickets.swap_remove(pos);
-            let done = pending.swap_remove(pos);
-            match outcome {
-                Ok((OpResult::ReadValue(payload), rounds, lease)) => {
-                    self.record_read(rounds);
-                    self.health.clear(done.node);
-                    if let Some(started) = done.started {
-                        self.obs
-                            .get_micros
-                            .record(started.elapsed().as_micros() as u64);
-                    }
-                    if let (Some(grant), Some(t0)) = (lease, done.sent) {
-                        self.lease_fill(done.reg, grant, payload.clone(), &map, t0);
-                    }
-                    if payload.is_bottom() {
-                        self.rec_outcome(done.inv, Ok(OpResult::ReadValue(payload)));
-                        results[done.idx] = Some(None);
-                    } else if let Some(value) =
-                        codec::value_for_key(&payload, keys[done.idx].as_ref())
-                    {
-                        self.rec_outcome(done.inv, Ok(OpResult::ReadValue(payload)));
-                        results[done.idx] = Some(Some(value));
-                    } else if codec::payload_epoch(&payload) == Some(map.stamp()) {
-                        // Key absent under the expected stamp: a plain
-                        // miss (collision displacement).
-                        self.rec_outcome(done.inv, Ok(OpResult::ReadValue(payload)));
-                        results[done.idx] = Some(None);
-                    } else {
-                        // Foreign stamp — the map may be stale; the
-                        // blocking path refreshes and re-routes.
-                        fallback.push((done.idx, done.inv));
-                    }
-                }
-                Ok(_) => fallback.push((done.idx, done.inv)),
-                Err(e) => {
-                    self.obs.retries.inc();
-                    if matches!(e, ClientError::TimedOut | ClientError::ProcessDown) {
-                        self.health.mark(done.node);
-                    } else if done.probe {
-                        // Inconclusive probe (`Busy`): the node still
-                        // owes one.
-                        self.health.reopen_probe(done.node);
-                    }
-                    fallback.push((done.idx, done.inv));
-                }
-            }
-            if let Some(idx) = queues.get_mut(&done.reg).and_then(VecDeque::pop_front) {
-                match try_submit(idx, done.reg) {
-                    Ok((t, p)) => {
-                        tickets.push(t);
-                        pending.push(p);
-                    }
-                    Err(inv) => fallback.push((idx, inv)),
-                }
-            }
-        }
-        if metered {
-            self.obs.inflight.set(0);
-        }
-        // Whatever never settled in the pipeline — plus queue remainders
-        // whose head went to fallback before they were submitted —
-        // settles through the blocking path.
-        for queue in queues.values_mut() {
-            fallback.extend(queue.drain(..).map(|idx| (idx, None)));
-        }
-        let mut first_err: Option<KvError> = None;
-        for (idx, mut inv) in fallback {
-            match self.get_settled(keys[idx].as_ref(), &mut inv) {
-                Ok(value) => results[idx] = Some(value),
-                Err(e) => first_err = first_err.or(Some(e)),
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        Ok(results
-            .into_iter()
-            .map(|slot| slot.expect("every index answered"))
-            .collect())
     }
 
-    /// The thread-per-node batch read: each node's keys run sequentially
-    /// in that node's thread, nodes concurrently. Used when a split is
-    /// migrating (the blocking path owns the barrier/fallback protocol).
-    fn multi_get_threaded<K: AsRef<str> + Sync>(
-        &self,
-        keys: &[K],
-    ) -> Result<Vec<Option<Bytes>>, KvError> {
-        type BatchResult = Result<Vec<(usize, Option<Bytes>)>, KvError>;
-        let map = self.shard_map();
-        let groups = self.group_by_node(keys.iter().map(|k| map.register_for(k.as_ref())));
-        let mut results: Vec<Option<Option<Bytes>>> = vec![None; keys.len()];
-        let outcomes: Vec<BatchResult> = std::thread::scope(|scope| {
-            let handles: Vec<_> = groups
-                .values()
-                .map(|indices| {
-                    scope.spawn(move || {
-                        indices
-                            .iter()
-                            .map(|&i| self.get(keys[i].as_ref()).map(|v| (i, v)))
-                            .collect()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("kv batch thread panicked"))
-                .collect()
-        });
-        for outcome in outcomes {
-            for (i, value) in outcome? {
-                results[i] = Some(value);
-            }
-        }
-        Ok(results
-            .into_iter()
-            .map(|slot| slot.expect("every index answered"))
-            .collect())
-    }
-
-    /// Writes many entries, pipelined (see
-    /// [`multi_get`](KvClient::multi_get) for the driver's shape). When
-    /// no recorder is attached the payload is encoded **zero-copy**,
-    /// straight into the op slot's reusable scratch buffer. Exactly-once
-    /// clients take the thread-per-node path: the intent journal's
-    /// durable fsync per op is a per-write barrier the pipeline has
-    /// nothing to overlap with.
+    /// Drives `batch` to the end.
     ///
     /// # Errors
     ///
-    /// Returns the first failing key's [`KvError`]; other keys still
-    /// ran to completion.
-    pub fn multi_put<K: AsRef<str> + Sync>(&self, entries: &[(K, Bytes)]) -> Result<(), KvError> {
-        if entries.is_empty() {
-            return Ok(());
+    /// The first terminal refusal, else the first blocking-path failure;
+    /// every op still ran to completion.
+    fn run<K: AsRef<str>>(mut self, batch: &mut Batch<'_, K>) -> Result<(), KvError> {
+        let kv = self.kv;
+        let regs: Vec<RegisterId> = self.queues.keys().copied().collect();
+        for reg in regs {
+            self.refill(batch, reg);
         }
-        if self.intents.is_some() {
-            return self.multi_put_threaded(entries);
-        }
-        self.sync_map()?;
-        let map = self.shard_map();
-        if map.is_migrating() {
-            return self.multi_put_threaded(entries);
-        }
-        let mut queues = self.register_queues(&map, entries.iter().map(|(k, _)| k.as_ref()));
-        let fan = PipelinedClient::fan(&self.nodes);
-        let mut first_err: Option<KvError> = None;
-        let mut fallback: Vec<(usize, Option<rmem_types::OpId>)> = Vec::new();
-        let mut tickets: Vec<Ticket> = Vec::new();
-        let mut pending: Vec<InFlightOp> = Vec::new();
-
-        // One submission (see `multi_get` on the pre-send map check). A
-        // client-side `TooLarge` refusal is terminal — no node's frame
-        // fits the value, so neither retry nor fallback can help.
-        let mut try_submit =
-            |idx: usize,
-             reg: RegisterId|
-             -> Result<(Ticket, InFlightOp), Option<Option<rmem_types::OpId>>> {
-                if self.shard_map() != map {
-                    return Err(Some(None));
-                }
-                let node = reg.0 as usize % self.nodes.len();
-                let Some(probe) = self.gate_for_pipeline(node) else {
-                    return Err(Some(None));
-                };
-                let (key, value) = &entries[idx];
-                let key = key.as_ref();
-                let started = self.obs.op_clock();
-                // The cached value for this register is about to go
-                // stale — revoke before the write leaves.
-                self.lease_revoke(reg);
-                let (inv, submitted) = if self.recorder.is_some() {
-                    // Recorded run: the invocation needs the encoded payload,
-                    // so encode once and send the same value.
-                    let payload = codec::encode_entry(key, value, map.stamp());
-                    let inv = self.rec_invoke(Op::WriteAt(reg, payload.clone()));
-                    (inv, fan.submit_write(node, reg, payload))
-                } else {
-                    (
-                        None,
-                        fan.submit_write_with(node, reg, |buf| {
-                            codec::encode_entry_into(buf, key, value, map.stamp())
-                        }),
-                    )
-                };
-                match submitted {
-                    Ok(ticket) => Ok((
-                        ticket,
-                        InFlightOp {
-                            idx,
-                            reg,
-                            node,
-                            inv,
-                            probe,
-                            started,
-                            sent: None,
-                        },
-                    )),
-                    Err(ClientError::TooLarge { size, limit }) => {
-                        // Client-side refusal: the value fits no node's
-                        // frame, so neither retry nor fallback can help —
-                        // and a won probe never exercised the node.
-                        if probe {
-                            self.health.reopen_probe(node);
-                        }
-                        let e = KvError::TooLarge {
-                            key: key.to_string(),
-                            size,
-                            limit,
-                        };
-                        self.rec_outcome(inv, Err(&e));
-                        first_err = first_err.take().or(Some(e));
-                        Err(None)
-                    }
-                    Err(_) => {
-                        self.obs.retries.inc();
-                        self.health.mark(node);
-                        Err(Some(inv))
-                    }
-                }
-            };
-        for (&reg, queue) in queues.iter_mut() {
-            if let Some(idx) = queue.pop_front() {
-                match try_submit(idx, reg) {
-                    Ok((t, p)) => {
-                        tickets.push(t);
-                        pending.push(p);
-                    }
-                    Err(Some(inv)) => fallback.push((idx, inv)),
-                    Err(None) => {} // terminal refusal, already recorded
-                }
-            }
-        }
-        let metered = self.obs.handle.metrics.is_enabled();
-        while !pending.is_empty() {
+        let metered = kv.obs.handle.metrics.is_enabled();
+        while !self.pending.is_empty() {
             if metered {
-                self.obs.inflight.set(pending.len() as u64);
-                self.obs.pipeline_depth.record(pending.len() as u64);
+                kv.obs.inflight.set(self.pending.len() as u64);
+                kv.obs.pipeline_depth.record(self.pending.len() as u64);
             }
-            let Some((pos, outcome)) = fan.wait_any(&tickets) else {
-                for (ticket, p) in tickets.drain(..).zip(pending.drain(..)) {
-                    fan.cancel(ticket);
-                    self.obs.retries.inc();
-                    self.health.mark(p.node);
-                    fallback.push((p.idx, p.inv));
+            let Some((pos, outcome)) = self.fan.wait_any(&self.tickets) else {
+                // The patience window passed with nothing settling:
+                // abandon the whole flight (late acks are counted, never
+                // misdelivered) and settle blocking.
+                let tickets = std::mem::take(&mut self.tickets);
+                for (ticket, p) in tickets.into_iter().zip(std::mem::take(&mut self.pending)) {
+                    self.fan.cancel(ticket);
+                    kv.obs.retries.inc();
+                    kv.health.mark(p.node);
+                    self.close(p.reg, p.idx, p.inv);
                 }
                 break;
             };
-            tickets.swap_remove(pos);
-            let done = pending.swap_remove(pos);
-            match outcome {
-                Ok((OpResult::Written, rounds, _)) => {
-                    self.record_write(rounds);
-                    self.health.clear(done.node);
-                    if let Some(started) = done.started {
-                        self.obs
-                            .put_micros
-                            .record(started.elapsed().as_micros() as u64);
-                    }
-                    self.rec_outcome(done.inv, Ok(OpResult::Written));
-                }
-                Ok(_) => fallback.push((done.idx, done.inv)),
-                Err(e) => {
-                    self.obs.retries.inc();
-                    if matches!(e, ClientError::TimedOut | ClientError::ProcessDown) {
-                        self.health.mark(done.node);
-                    } else if done.probe {
-                        self.health.reopen_probe(done.node);
-                    }
-                    fallback.push((done.idx, done.inv));
-                }
-            }
-            if let Some(idx) = queues.get_mut(&done.reg).and_then(VecDeque::pop_front) {
-                match try_submit(idx, done.reg) {
-                    Ok((t, p)) => {
-                        tickets.push(t);
-                        pending.push(p);
-                    }
-                    Err(Some(inv)) => fallback.push((idx, inv)),
-                    Err(None) => {}
-                }
-            }
+            self.settle(batch, pos, outcome);
         }
         if metered {
-            self.obs.inflight.set(0);
+            kv.obs.inflight.set(0);
         }
-        for queue in queues.values_mut() {
-            fallback.extend(queue.drain(..).map(|idx| (idx, None)));
-        }
-        for (idx, mut inv) in fallback {
-            let (key, value) = &entries[idx];
-            if let Err(e) = self.put_settled(key.as_ref(), value.clone(), &mut inv) {
-                first_err = first_err.take().or(Some(e));
+        // Every queue is empty by now — each popped op either settled
+        // (and refilled its register) or closed it — so the fallback
+        // list is all that is left: the blocking path settles it in
+        // order, each op under the invocation it already recorded.
+        for (idx, inv) in self.fallback {
+            if let Err(e) = batch.settle_blocking(kv, idx, inv) {
+                self.first_err.get_or_insert(e);
             }
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// The thread-per-node batch write (see
-    /// [`multi_get_threaded`](Self::multi_get_threaded)): used mid-split
-    /// and by exactly-once clients.
-    fn multi_put_threaded<K: AsRef<str> + Sync>(
-        &self,
-        entries: &[(K, Bytes)],
-    ) -> Result<(), KvError> {
-        self.sync_map()?;
-        let map = self.shard_map();
-        let groups = self.group_by_node(entries.iter().map(|(k, _)| map.register_for(k.as_ref())));
-        let outcomes: Vec<Result<(), KvError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = groups
-                .values()
-                .map(|indices| {
-                    scope.spawn(move || {
-                        for &i in indices {
-                            let (key, value) = &entries[i];
-                            self.put(key.as_ref(), value.clone())?;
-                        }
-                        Ok(())
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("kv batch thread panicked"))
-                .collect()
-        });
-        outcomes.into_iter().collect()
+        self.first_err.map_or(Ok(()), Err)
     }
 }
 
@@ -2480,6 +2355,43 @@ mod tests {
         cluster.shutdown();
     }
 
+    /// The driver's queue policy, scripted: of two writes to one key, the
+    /// first comes back `Busy` (another client held the register). The
+    /// second must NOT be pipelined ahead of the first's blocking retry —
+    /// it would land first and the batch would finish with the earlier
+    /// value.
+    #[test]
+    fn a_fallen_back_op_closes_its_register_so_duplicates_keep_input_order() {
+        let (mut cluster, kv) = cluster_client(4);
+        kv.sync_map().unwrap();
+        let entries = [
+            ("k", Bytes::from_static(b"v1")),
+            ("k", Bytes::from_static(b"v2")),
+        ];
+        let mut batch = Batch::Puts(&entries);
+        let mut flight = Flight::new(&kv);
+        let reg = flight.map.register_for("k");
+        flight.queues.insert(reg, VecDeque::from([0, 1]));
+        flight.refill(&batch, reg);
+        assert_eq!(flight.pending.len(), 1, "one op in flight per register");
+        // Let the real completion arrive, then script `Busy` in its place.
+        let (pos, _) = flight
+            .fan
+            .wait_any(&flight.tickets)
+            .expect("the write completes");
+        flight.settle(&mut batch, pos, Err(ClientError::Busy));
+        assert!(
+            flight.pending.is_empty(),
+            "a closed register must not submit its next op"
+        );
+        let order: Vec<usize> = flight.fallback.iter().map(|&(idx, _)| idx).collect();
+        assert_eq!(order, [0, 1], "the queue drains behind the fallen-back op");
+        flight.run(&mut batch).unwrap();
+        assert_eq!(kv.get("k").unwrap().as_deref(), Some(b"v2".as_ref()));
+        assert_eq!(kv.stats().retries, 1, "the scripted Busy is counted");
+        cluster.shutdown();
+    }
+
     // -- Epochs and live splits -------------------------------------------
 
     #[test]
@@ -2581,7 +2493,7 @@ mod tests {
         // migrating anything.
         let current = kv.shard_map();
         let migrating = current.split_to(8);
-        kv.raw_write(CONFIG_REGISTER, migrating.encode(), "shard-map")
+        kv.reg_write(CONFIG_REGISTER, migrating.encode(), "shard-map")
             .unwrap();
         // A second client discovers the stranded split and finishes it.
         let rescuer = KvClient::new(cluster.clients(), ShardRouter::new(4)).unwrap();

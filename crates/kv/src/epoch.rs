@@ -149,6 +149,32 @@ impl ShardMap {
         self.is_migrating() && self.split_sources().contains(&shard)
     }
 
+    /// Whether `key` currently sits behind the migration barrier (its
+    /// source shard is splitting): its operations take the per-key
+    /// blocking path, which runs the write barrier and the
+    /// old-home-then-new-home read protocol. Always `false` on a
+    /// committed map.
+    pub fn is_barriered(&self, key: &str) -> bool {
+        self.is_migrating() && self.is_split_source(self.old_shard_of(key))
+    }
+
+    /// How `payload`, read from `key`'s register under this map, answers
+    /// a read of `key`: `Some(Some(value))` on a hit; `Some(None)` for ⊥
+    /// and for a key absent under this map's own stamp (a plain miss —
+    /// collision displacement); `None` when the key is absent under a
+    /// *foreign* stamp — this map may be stale (a split moved the key),
+    /// so the caller refreshes and re-routes instead of answering.
+    pub fn read_answer(&self, payload: &Value, key: &str) -> Option<Option<bytes::Bytes>> {
+        if payload.is_bottom() {
+            return Some(None);
+        }
+        match crate::codec::value_for_key(payload, key) {
+            Some(value) => Some(Some(value)),
+            None if crate::codec::payload_epoch(payload) == Some(self.stamp()) => Some(None),
+            None => None,
+        }
+    }
+
     /// Whether `payload` proves that previous-epoch shard `source` has
     /// been sealed into **this** map's epoch — the authority check of
     /// the migration sites (barrier release, reader forwarding, resume
@@ -321,6 +347,44 @@ mod tests {
         let rewrite = codec::encode_entry(stayer, &bytes::Bytes::from_static(b"v"), 0);
         assert!(map.seals_source(&rewrite, map.shard_of(stayer)));
         assert!(!map.seals_source(&Value::bottom(), source));
+    }
+
+    #[test]
+    fn only_keys_of_splitting_shards_are_barriered() {
+        let keys = crate::ShardRouter::new(4).covering_keys("b-");
+        assert!(keys.iter().all(|k| !ShardMap::genesis(4).is_barriered(k)));
+        // 4 → 6 splits shards 0 and 1 only; 2 and 3 keep their keys.
+        let map = ShardMap::genesis(4).split_to(6);
+        for key in &keys {
+            assert_eq!(
+                map.is_barriered(key),
+                map.split_sources().contains(&map.old_shard_of(key)),
+                "{key}"
+            );
+            if !map.is_barriered(key) {
+                assert_eq!(map.old_shard_of(key), map.shard_of(key), "{key} stays");
+            }
+        }
+        assert_eq!(keys.iter().filter(|k| map.is_barriered(k)).count(), 2);
+        assert!(keys.iter().all(|k| !map.committed().is_barriered(k)));
+    }
+
+    #[test]
+    fn read_answers_classify_hit_miss_and_stale() {
+        use crate::codec;
+        let map = ShardMap::genesis(4).split_to(8).committed(); // stamp 1
+        let value = bytes::Bytes::from_static(b"v");
+        let own = codec::encode_entry("k", &value, map.stamp());
+        assert_eq!(map.read_answer(&own, "k"), Some(Some(value.clone())));
+        assert_eq!(map.read_answer(&Value::bottom(), "k"), Some(None));
+        // Another tenant under our own stamp: displaced, a plain miss.
+        assert_eq!(map.read_answer(&own, "other"), Some(None));
+        // A hit is a hit whatever the stamp; absence under a foreign
+        // stamp is not an answer.
+        let foreign = codec::encode_entry("k", &value, 0);
+        assert_eq!(map.read_answer(&foreign, "k"), Some(Some(value)));
+        assert_eq!(map.read_answer(&foreign, "other"), None);
+        assert_eq!(map.read_answer(&codec::encode_seal(9), "k"), None);
     }
 
     #[test]

@@ -5,10 +5,12 @@
 //! timeout detects it) costs every key homed on it a full patience window
 //! before failing over, even within one `multi_get`. [`HealthMemory`] is
 //! the shared fix: a per-node "recently failed" mark with decay. The first
-//! operation to time out on a node marks it; every subsequent operation —
-//! including the concurrent per-shard threads of a multi-key batch — tries
-//! the marked node *last* instead of first, so a wedged node costs one
-//! timeout per batch rather than one per key.
+//! operation to time out on a node marks it; every subsequent operation
+//! tries the marked node *last* instead of first — and the one-thread
+//! multi-key driver, which has no rotation, checks the mark before every
+//! submission and sends the node's remaining keys down the blocking path
+//! — so a wedged node costs one timeout per batch rather than one per
+//! key.
 //!
 //! # Probe gating
 //!

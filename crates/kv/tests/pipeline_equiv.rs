@@ -202,3 +202,52 @@ fn quiescent_twin_has_identical_round_counts() {
          pipelined and blocking engines"
     );
 }
+
+/// Same-key duplicates in one depth-8 batch (the pipelined engine past
+/// depth 1; its reads below stay single-key): the pipeline queues them
+/// on their register and runs them in input order, so the last input
+/// wins — with exactly the blocking twin's op stats (every entry is its
+/// own write; nothing is coalesced or retried).
+#[test]
+fn duplicate_keys_in_a_batch_keep_input_order_with_blocking_stats() {
+    let mut outcomes = Vec::new();
+    for drive in [Drive::PipelinedDepth1, Drive::Blocking] {
+        let recorder = OpRecorder::new();
+        let (mut cluster, kv) = cluster_kv(&recorder);
+        let keys = kv.router().covering_keys("dup-");
+        // Eight entries over three keys, duplicates interleaved.
+        let batch: Vec<(&str, bytes::Bytes)> = [0, 1, 0, 2, 1, 0, 2, 0]
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| (keys[k].as_str(), bytes::Bytes::from(vec![k as u8, i as u8])))
+            .collect();
+        match drive {
+            Drive::PipelinedDepth1 => kv.multi_put(&batch).expect("the batch must complete"),
+            Drive::Blocking => batch
+                .iter()
+                .for_each(|(key, value)| kv.put(key, value.clone()).expect("put must complete")),
+        }
+        std::thread::sleep(Duration::from_millis(5));
+        for (k, last_input) in [(0u8, 7u8), (1, 4), (2, 6)] {
+            assert_eq!(
+                do_get(&kv, drive, &keys[k as usize]).as_deref(),
+                Some([k, last_input].as_ref()),
+                "{drive:?}: the last input for key {k} must win"
+            );
+        }
+        certify_per_key_epoch_path(
+            &recorder.history(),
+            keys.iter().map(String::as_str),
+            &[SHARDS],
+            Criterion::Transient,
+        )
+        .unwrap_or_else(|e| panic!("{drive:?}: duplicate batch failed certification: {e}"));
+        outcomes.push(kv.stats());
+        cluster.shutdown();
+    }
+    assert_eq!(outcomes[0].writes, 8);
+    assert_eq!(
+        outcomes[0], outcomes[1],
+        "a batch with duplicates must cost what its blocking twin costs"
+    );
+}

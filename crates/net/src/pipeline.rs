@@ -763,19 +763,9 @@ impl PipelinedClient {
     ///
     /// If the ticket was already claimed or cancelled.
     pub fn poll(&self, ticket: Ticket) -> Option<Result<(OpResult, u32), ClientError>> {
-        self.poll_leased(ticket)
+        self.pipe
+            .poll(ticket, self.trace.as_deref())
             .map(|r| r.map(|(result, rounds, _)| (result, rounds)))
-    }
-
-    /// As [`poll`](Self::poll), additionally surfacing the tag-lease
-    /// grant a leasing flavor's fast path may have minted for this op
-    /// (`None` for non-leasing flavors and non-minting completions).
-    ///
-    /// # Panics
-    ///
-    /// If the ticket was already claimed or cancelled.
-    pub fn poll_leased(&self, ticket: Ticket) -> Option<Result<Settled, ClientError>> {
-        self.pipe.poll(ticket, self.trace.as_deref())
     }
 
     /// Blocks until the ticket completes or the patience window passes
@@ -816,11 +806,6 @@ impl PipelinedClient {
     /// returns, none of the listed tickets occupies a slot.
     pub fn wait_all(&self, tickets: &[Ticket]) -> Vec<Result<(OpResult, u32), ClientError>> {
         tickets.iter().map(|&t| self.wait(t)).collect()
-    }
-
-    /// As [`wait_all`](Self::wait_all), surfacing lease grants.
-    pub fn wait_all_leased(&self, tickets: &[Ticket]) -> Vec<Result<Settled, ClientError>> {
-        tickets.iter().map(|&t| self.wait_leased(t)).collect()
     }
 
     /// Abandons an in-flight op: its slot and scratch buffer are

@@ -1,5 +1,6 @@
-//! ASCII timeline rendering of traces — the paper's run diagrams
-//! (Figs. 1–3) regenerated from actual executions.
+//! ASCII rendering of traces: one-line operation summaries
+//! ([`describe_op`]) and timelines — the paper's run diagrams (Figs. 1–3)
+//! regenerated from actual executions.
 //!
 //! One lane per process; operations are drawn as `[label...]` intervals,
 //! crashes as `✗`, recoveries as `↻`. Pending operations (cut off by a
@@ -13,7 +14,44 @@
 
 use rmem_types::{OpKind, ProcessId};
 
-use crate::trace::Trace;
+use crate::trace::{OpRecord, Trace};
+
+/// Renders one operation record as a compact human-readable line (what
+/// the runnable examples print per operation).
+pub fn describe_op(record: &OpRecord) -> String {
+    let outcome = match (&record.result, record.kind) {
+        (Some(r), OpKind::Read) => match r.read_value() {
+            Some(v) => format!("→ {v}"),
+            None => "rejected".to_string(),
+        },
+        (Some(_), OpKind::Write) => "→ OK".to_string(),
+        (None, _) => "… lost to a crash".to_string(),
+    };
+    let latency = record
+        .latency()
+        .map(|l| format!(" [{l}]"))
+        .unwrap_or_default();
+    let reg = record.operation.register();
+    let target = if reg == rmem_types::RegisterId::ZERO {
+        String::new()
+    } else {
+        format!("{reg}, ")
+    };
+    format!(
+        "t={:>6}µs  {}  {}({}{}) {}{}",
+        record.invoked_at.as_micros(),
+        record.op.pid,
+        record.kind,
+        target,
+        record
+            .operation
+            .write_value()
+            .map(|v| v.to_string())
+            .unwrap_or_default(),
+        outcome,
+        latency,
+    )
+}
 
 /// Renders the trace as one timeline lane per process, `width` characters
 /// wide (excluding the lane prefix).
@@ -138,6 +176,24 @@ mod tests {
         assert!(art.contains("R→1"));
         // Three lines: axis + two lanes.
         assert_eq!(art.lines().count(), 3);
+    }
+
+    #[test]
+    fn describe_op_formats_reads_and_writes() {
+        use crate::{ClusterConfig, PlannedEvent, Schedule, Simulation};
+        let mut sim = Simulation::new(ClusterConfig::new(3), rmem_core::Persistent::factory(), 1)
+            .with_schedule(
+                Schedule::new()
+                    .at(
+                        1_000,
+                        PlannedEvent::Invoke(ProcessId(0), Op::Write(Value::from_u32(1))),
+                    )
+                    .at(10_000, PlannedEvent::Invoke(ProcessId(1), Op::Read)),
+            );
+        let report = sim.run();
+        let lines: Vec<String> = report.trace.operations().iter().map(describe_op).collect();
+        assert!(lines[0].contains("W(1) → OK"), "{}", lines[0]);
+        assert!(lines[1].contains("R() → 1"), "{}", lines[1]);
     }
 
     #[test]

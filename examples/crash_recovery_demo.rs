@@ -40,7 +40,7 @@ fn main() {
             Simulation::new(ClusterConfig::new(3), factory, 7).with_schedule(scenarios::fig1());
         let report = sim.run();
         for op in report.trace.operations() {
-            println!("  {}", rmem_examples::describe_op(op));
+            println!("  {}", rmem_sim::render::describe_op(op));
         }
         println!(
             "{}",

@@ -36,7 +36,7 @@ fn main() {
 
     println!("operations:");
     for op in report.trace.operations() {
-        println!("  {}", rmem_examples::describe_op(op));
+        println!("  {}", rmem_sim::render::describe_op(op));
     }
     println!();
     println!(

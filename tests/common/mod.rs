@@ -1,11 +1,10 @@
-//! Shared helpers for the cross-crate integration tests in the
-//! repository-root `tests/` directory.
+//! Shared helpers for the cross-crate integration tests in this
+//! directory (each test binary compiles its own copy and uses a subset).
 
-#![forbid(unsafe_code)]
+#![allow(dead_code)]
 
 use std::sync::Arc;
 
-use rmem_consistency::History;
 use rmem_sim::{ClusterConfig, Schedule, SimReport, Simulation};
 use rmem_types::AutomatonFactory;
 
@@ -20,16 +19,6 @@ pub fn run_scheduled(
     Simulation::new(ClusterConfig::new(n), factory, seed)
         .with_schedule(schedule)
         .run()
-}
-
-/// Runs and returns just the recorded history.
-pub fn history_of(
-    n: usize,
-    factory: Arc<dyn AutomatonFactory>,
-    schedule: Schedule,
-    seed: u64,
-) -> History {
-    run_scheduled(n, factory, schedule, seed).trace.to_history()
 }
 
 /// Read values (as `u32`s, `None` for ⊥) of completed reads, in

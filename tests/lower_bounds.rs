@@ -6,10 +6,12 @@
 
 use std::sync::Arc;
 
+mod common;
+use common::{read_values, run_scheduled};
+
 use rmem_bench::scenarios;
 use rmem_consistency::{check_persistent, check_transient};
 use rmem_core::{ablation, FlavorFactory, Persistent, Transient, DEFAULT_RETRANSMIT};
-use rmem_integration_tests::{read_values, run_scheduled};
 
 fn ablated(flavor: rmem_core::Flavor) -> Arc<FlavorFactory> {
     Arc::new(FlavorFactory::new(flavor, DEFAULT_RETRANSMIT))

@@ -4,11 +4,13 @@
 //! operations").
 
 use rmem_core::{Persistent, Regular, Transient};
-use rmem_integration_tests::{read_values, run_scheduled};
 use rmem_sim::{ClusterConfig, PlannedEvent, Schedule, Simulation};
 use rmem_storage::records::{RecoveredRecord, WritingRecord, WrittenRecord};
 use rmem_storage::StableStorage;
 use rmem_types::{Op, OpKind, ProcessId, Value};
+
+mod common;
+use common::{read_values, run_scheduled};
 
 fn p(i: u16) -> ProcessId {
     ProcessId(i)

@@ -6,8 +6,10 @@
 use rmem_bench::scenarios;
 use rmem_consistency::{check_persistent, check_transient};
 use rmem_core::{Persistent, Transient};
-use rmem_integration_tests::{read_values, run_scheduled};
 use rmem_types::OpKind;
+
+mod common;
+use common::{read_values, run_scheduled};
 
 /// Fig. 1 (left): under the transient algorithm the two reads during
 /// W(v3) return v1 then v2 — the overlapping-write anomaly. Transient

@@ -5,9 +5,11 @@
 
 use rmem_consistency::{check_persistent, check_transient};
 use rmem_core::{Persistent, SharedMemory, Transient};
-use rmem_integration_tests::run_scheduled;
 use rmem_sim::{PlannedEvent, Schedule};
 use rmem_types::{Op, OpKind, ProcessId, RegisterId, Value};
+
+mod common;
+use common::run_scheduled;
 
 fn p(i: u16) -> ProcessId {
     ProcessId(i)

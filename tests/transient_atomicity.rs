@@ -4,10 +4,12 @@
 
 use rmem_consistency::{check_persistent, check_transient};
 use rmem_core::{CrashStop, Transient};
-use rmem_integration_tests::{read_values, run_scheduled};
 use rmem_sim::workload::ClosedLoop;
 use rmem_sim::{ClusterConfig, NetConfig, PlannedEvent, Schedule, Simulation};
 use rmem_types::{Op, ProcessId, Value};
+
+mod common;
+use common::{read_values, run_scheduled};
 
 fn p(i: u16) -> ProcessId {
     ProcessId(i)
