@@ -1,7 +1,7 @@
 //! Runs the `kv_throughput` scenario: sharded-store throughput for the
 //! persistent, transient and regular register flavors under uniform and
 //! Zipf-skewed key popularity, unbatched vs per-shard batched
-//! (`rmem-batch`'s coalescing model), plus the read-heavy fast-path
+//! (the model of `KvClient::multi_*`'s coalescing), plus the read-heavy fast-path
 //! section (confirmed-timestamp reads vs the legacy two-round path).
 //!
 //! ```text

@@ -12,10 +12,10 @@
 //! key) skips the query round entirely.
 //!
 //! The **mode** column compares the unbatched path (every store operation
-//! is its own two-round register operation) against `rmem-batch`-style
-//! per-shard batching (each client's stream grouped into rounds of 8,
-//! coalesced per shard: one `Read` round serves the round's gets on a
-//! shard, one write round carries its coalesced puts). Both modes report
+//! is its own two-round register operation) against the simulator's
+//! model of `KvClient::multi_*` (each client's stream grouped into calls
+//! of 8, coalesced per shard: one `Read` round serves the call's gets on
+//! a shard, one write round carries its coalesced puts). Both modes report
 //! **logical** (store-level) throughput over the same workload, so the
 //! batched gain is real amortization, not bookkeeping.
 //!
@@ -41,7 +41,7 @@ use rmem_types::{Micros, OpKind};
 
 use crate::table::Table;
 
-/// Round size of the batched mode (the `FlushPolicy::max_batch` analogue).
+/// Round size of the batched mode: inputs per modelled `multi_*` call.
 pub const BATCH_ROUND: usize = 8;
 
 /// Write fraction of the mixed (default) section.

@@ -27,6 +27,7 @@ use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rmem_consistency::linearize::MAX_OPS;
 use rmem_consistency::Criterion;
 use rmem_core::{Persistent, SharedMemory};
 use rmem_net::{FaultEvent, FaultSchedule, LocalCluster};
@@ -55,8 +56,9 @@ pub struct ChaosConfig {
     pub shard_path: Vec<u16>,
     /// Steady exactly-once writer threads.
     pub writers: u16,
-    /// Minimum puts per steady writer (they keep writing until the fault
-    /// schedule has drained, so traffic spans the whole horizon).
+    /// Puts per steady writer before it may stop (it keeps writing until
+    /// the fault schedule has drained) — capped by the pacer: a writer
+    /// stops once its share of the checker's per-key op limit is spent.
     pub ops_per_writer: usize,
     /// Crash-injected exactly-once clients; crasher `i` dies at write
     /// phase `i mod 3` (pre-send / mid-round / post-quorum).
@@ -139,6 +141,51 @@ impl std::error::Error for ChaosFailure {}
 
 /// Tag namespace offset separating crasher clients from steady writers.
 const CRASHER_BASE: u16 = 1_000;
+
+/// One traffic client's allowance: how many puts it may still issue per
+/// key, and how long it rests between two. The linearizability checker
+/// takes at most [`MAX_OPS`] operations per key, so the run's traffic is
+/// sized by that count — spread over the fault horizon — and not by how
+/// many operations fit the wall clock.
+struct Pacer {
+    left: Vec<usize>,
+    pause: Duration,
+}
+
+impl Pacer {
+    /// The allowance of each of `cfg`'s traffic clients over `keys` keys.
+    /// Outside the traffic a key's history also holds its preload, per
+    /// crasher the orphaned put plus its resolution (one read, one
+    /// re-issue), and per split the migrator's read and verify (twice, if
+    /// a straggler forces a redo); a third of the remainder is kept back
+    /// for resolving puts that failed ambiguously (a read and a re-issue
+    /// each).
+    fn new(cfg: &ChaosConfig, keys: usize) -> Self {
+        let crashers = usize::from(cfg.crashers);
+        let reserved = 1 + 3 * crashers + 4 * (cfg.shard_path.len() - 1);
+        let clients = usize::from(cfg.writers) + crashers;
+        let per_key = MAX_OPS.saturating_sub(reserved) * 2 / 3 / clients.max(1);
+        assert!(per_key > 0, "no room under the checker's op limit: {cfg:?}");
+        let ops = u32::try_from(per_key * keys).expect("the op budget is small");
+        Pacer {
+            left: vec![per_key; keys],
+            pause: cfg.horizon / ops,
+        }
+    }
+
+    /// Rests, then draws the key of the next put: uniform over the keys
+    /// with allowance left, `None` once the allowance is spent.
+    fn next_key(&mut self, rng: &mut StdRng) -> Option<usize> {
+        let open: Vec<usize> = (0..self.left.len()).filter(|&k| self.left[k] > 0).collect();
+        if open.is_empty() {
+            return None;
+        }
+        std::thread::sleep(self.pause.mul_f64(rng.gen_range(0.5..1.5)));
+        let key = open[rng.gen_range(0..open.len())];
+        self.left[key] -= 1;
+        Some(key)
+    }
+}
 
 fn lower_phase(phase: WritePhase) -> CrashPoint {
     match phase {
@@ -237,7 +284,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, Box<ChaosFailure>> {
 
     std::thread::scope(|scope| {
         // Steady exactly-once writers: keep traffic flowing for the whole
-        // fault horizon, at least `ops_per_writer` puts each.
+        // fault horizon, `ops_per_writer` puts each or their allowance.
         for w in 0..cfg.writers {
             let id = w + 1;
             let client = base
@@ -248,11 +295,14 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, Box<ChaosFailure>> {
             let ambiguous = &ambiguous;
             let faults_done = &faults_done;
             let mut rng = StdRng::seed_from_u64(cfg.seed * 131 + u64::from(id));
+            let mut pacer = Pacer::new(cfg, keys.len());
             scope.spawn(move || {
                 let mut counter = 0u64;
                 while counter < cfg.ops_per_writer as u64 || !faults_done.load(Ordering::Relaxed) {
+                    let Some(key) = pacer.next_key(&mut rng).map(|k| &keys[k]) else {
+                        break;
+                    };
                     counter += 1;
-                    let key = &keys[rng.gen_range(0..keys.len())];
                     let value = (u64::from(id) << 32 | counter).to_be_bytes().to_vec();
                     match client.put(key, value) {
                         Ok(()) => {
@@ -265,7 +315,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, Box<ChaosFailure>> {
                             ambiguous.fetch_add(1, Ordering::Relaxed);
                         }
                     }
-                    std::thread::sleep(Duration::from_micros(rng.gen_range(200..1_500)));
                 }
             });
         }
@@ -287,11 +336,14 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, Box<ChaosFailure>> {
             let faults_done = &faults_done;
             let crashed_ops = &crashed_ops;
             let mut rng = StdRng::seed_from_u64(cfg.seed * 733 + u64::from(id));
+            let mut pacer = Pacer::new(cfg, keys.len());
             scope.spawn(move || {
                 let mut counter = 0u64;
                 while !flag.load(Ordering::Relaxed) && !faults_done.load(Ordering::Relaxed) {
+                    let Some(key) = pacer.next_key(&mut rng).map(|k| &keys[k]) else {
+                        break;
+                    };
                     counter += 1;
-                    let key = &keys[rng.gen_range(0..keys.len())];
                     let value = (u64::from(id) << 32 | counter).to_be_bytes().to_vec();
                     match client.put(key, value) {
                         Ok(()) => {
@@ -301,7 +353,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, Box<ChaosFailure>> {
                             ambiguous.fetch_add(1, Ordering::Relaxed);
                         }
                     }
-                    std::thread::sleep(Duration::from_micros(rng.gen_range(200..1_500)));
                 }
                 let key = &keys[rng.gen_range(0..keys.len())];
                 let value = (u64::from(id) << 32 | 0xDEAD).to_be_bytes().to_vec();

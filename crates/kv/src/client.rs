@@ -32,20 +32,28 @@
 //! # Multi-key calls
 //!
 //! `multi_get`/`multi_put` run on the calling thread through **one
-//! pipelined driver**: per-register FIFO queues, at most one operation in
-//! flight per register (the paper's §III-A well-formedness rule, per
-//! register), every register's head in flight at once through an
-//! event-driven fan. Whatever the pipeline cannot settle — a node error,
-//! a `Busy` collision, a stale epoch stamp — goes to the blocking
-//! `get`/`put` path, the one general slow path; a register whose
-//! operation fell back is *closed* for the rest of the call, so same-key
-//! inputs keep their input order. Two kinds of input never enter the
-//! pipeline: a key behind the migration barrier (the blocking path owns
-//! the barrier and the old-home-then-new-home read; every other key of a
-//! mid-split batch stays pipelined) and every entry of an exactly-once
-//! client (each settles through the journaled `put`, in input order).
+//! pipelined driver**. The policy, named once: *a multi-key call costs
+//! one register operation per (register, chunk), not one per input.* A
+//! call's gets on one register are answered from **one** read round; its
+//! puts on one register land as **one** composite write (a bundle, see
+//! [`crate::codec`]; last write per key wins, in input order), cut into
+//! chunks only where a bundle would outgrow the transport frame
+//! ([`KvClient::max_value_len`]) or the bundle's entry count. A chunk of
+//! one entry is the plain single-entry write. Chunks of one register run
+//! one at a time in input order (the paper's §III-A well-formedness rule,
+//! per register); every register's next chunk is in flight at once
+//! through an event-driven fan. Whatever the pipeline cannot settle — a
+//! node error, a `Busy` collision, a stale epoch stamp — goes to the
+//! blocking `get`/`put` path, the one general slow path, key by key; a
+//! register whose chunk fell back is *closed* for the rest of the call,
+//! so its inputs keep their input order. Two kinds of input never enter
+//! the pipeline, and so never coalesce: a key behind the migration
+//! barrier (the blocking path owns the barrier and the
+//! old-home-then-new-home read; every other key of a mid-split batch
+//! stays pipelined) and every entry of an exactly-once client (each
+//! settles through the journaled `put`, in input order).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -99,6 +107,7 @@ struct ClientObs {
     lease_evictions: Arc<Counter>,
     inflight: Arc<rmem_obs::Gauge>,
     pipeline_depth: Arc<Histogram>,
+    bundle_size: Arc<Histogram>,
     get_micros: Arc<Histogram>,
     put_micros: Arc<Histogram>,
 }
@@ -123,6 +132,7 @@ impl ClientObs {
             lease_evictions: m.counter("kv.lease_evictions"),
             inflight: m.gauge("kv.inflight"),
             pipeline_depth: m.histogram("kv.pipeline_depth"),
+            bundle_size: m.histogram("kv.bundle_size"),
             get_micros: m.histogram("kv.get_micros"),
             put_micros: m.histogram("kv.put_micros"),
             handle,
@@ -145,13 +155,11 @@ impl ClientObs {
     }
 }
 
-/// Bookkeeping for one in-flight op of a multi-key call.
+/// Bookkeeping for one in-flight chunk of a multi-key call.
 struct InFlightOp {
-    /// Index into the caller's input slice.
-    idx: usize,
-    /// The register the op was routed to — its completion refills the
-    /// next op from this register's queue.
-    reg: RegisterId,
+    /// Index into [`Flight::cuts`]: the chunk this register operation
+    /// carries. Its completion submits the register's next chunk.
+    chunk: usize,
     /// The serving node (fan target order == `KvClient::nodes` order).
     node: usize,
     /// The recorded invocation: handed to the blocking path on fallback
@@ -171,8 +179,9 @@ struct InFlightOp {
 
 /// The inputs of a multi-key call — a `multi_get`'s keys with its answer
 /// slots (one per key), or a `multi_put`'s entries. Its methods are all
-/// the two kinds differ in: how one op is submitted, how one completion
-/// is read, and which blocking call settles what the pipeline could not.
+/// the two kinds differ in: where one register's inputs are cut into
+/// chunks, how one chunk is submitted, how its completion is read, and
+/// which blocking call settles an input the pipeline could not.
 /// [`Flight`], the shared driver, never asks which kind it is driving.
 enum Batch<'a, K> {
     Gets(&'a [K], &'a mut [Option<Option<Bytes>>]),
@@ -188,14 +197,19 @@ struct Flight<'a> {
     fan: PipelinedClient,
     /// The map the batch was routed under (checked before every send).
     map: ShardMap,
-    /// Per-register FIFOs of input indices not yet submitted: the runner
+    /// The pipelined inputs as `(register, input index)`. [`run`]
+    /// (Self::run) sorts them, so one register's inputs are contiguous
+    /// and in input order.
+    routed: Vec<(RegisterId, usize)>,
+    /// Chunk `c` — one register operation — carries the inputs
+    /// `routed[cuts[c]..cuts[c + 1]]`, all of one register. The runner
     /// admits ONE op per register at a time (§III-A per-register
-    /// sequentiality), so the pipeline keeps at most one in-flight op per
-    /// register and refills from its queue — queueing client-side instead
-    /// of eating self-inflicted `Busy` rejections. Duplicate keys keep
-    /// their input order (same register → same queue).
-    queues: BTreeMap<RegisterId, VecDeque<usize>>,
-    /// The in-flight ops: tickets, with their bookkeeping in a twin
+    /// sequentiality), so a register's chunks run one after the other:
+    /// chunk `c + 1` is submitted when `c` completes, if it is on the
+    /// same register — queueing client-side instead of eating
+    /// self-inflicted `Busy` rejections.
+    cuts: Vec<usize>,
+    /// The in-flight chunks: tickets, with their bookkeeping in a twin
     /// vector (so the ticket slice feeds `wait_any` directly).
     tickets: Vec<Ticket>,
     pending: Vec<InFlightOp>,
@@ -203,6 +217,9 @@ struct Flight<'a> {
     /// indices with the invocations they already recorded, in the order
     /// they will run.
     fallback: Vec<(usize, Option<rmem_types::OpId>)>,
+    /// A coalesced op failed ambiguously: [`drain`](Self::drain) records
+    /// that as this process's crash (see [`fail`](Self::fail)).
+    crashed: bool,
     /// The call's first failure: a terminal refusal at submission (a
     /// client-side `TooLarge`), else the first blocking-path error.
     first_err: Option<KvError>,
@@ -677,7 +694,7 @@ impl KvClient {
     }
 
     /// The metrics registry shared by this client family (for layers
-    /// stacked on top — e.g. the batching scheduler — to register their
+    /// stacked on top — e.g. the bench's trace report — to register their
     /// own instruments into the same snapshot).
     pub fn metrics_registry(&self) -> &rmem_obs::Registry {
         &self.obs.handle.metrics
@@ -816,11 +833,6 @@ impl KvClient {
     /// derivation, not raw register addressing.
     pub fn router(&self) -> ShardRouter {
         ShardRouter::new(self.shard_map().shards)
-    }
-
-    /// Number of node handles.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
     }
 
     /// The largest *register value* this client can write, if any node's
@@ -1169,52 +1181,10 @@ impl KvClient {
         }
     }
 
-    /// One failover-protected register **write** of an already-encoded
-    /// payload (single entry or bundle), recorded as one operation. The
-    /// building block of the batching layer (`rmem-batch`); `label` names
-    /// the operation in errors (a key, or a `"batch:<shard>"` tag). The
-    /// payload's epoch stamp is the caller's responsibility
-    /// ([`ShardMap::stamp`]).
-    ///
-    /// Epoch-guarded: the write aborts — `Ok(false)`, nothing issued,
-    /// nothing landed — as soon as the shard map's epoch moves past
-    /// `epoch`, so a bundle formed under one epoch can never surface
-    /// behind another epoch's migration seal. The batching layer
-    /// re-routes an aborted bundle's entries through the per-key path.
-    ///
-    /// # Errors
-    ///
-    /// As for [`put`](Self::put).
-    pub fn raw_write_guarded(
-        &self,
-        reg: RegisterId,
-        payload: Value,
-        label: &str,
-        epoch: u64,
-    ) -> Result<bool, KvError> {
-        self.sync_map()?;
-        let inv = self.rec_invoke(Op::WriteAt(reg, payload.clone()));
-        match self.reg_write_guarded(reg, payload, label, epoch) {
-            Ok(true) => {
-                self.rec_outcome(inv, Ok(OpResult::Written));
-                Ok(true)
-            }
-            Ok(false) => {
-                // Never issued: a rejected invocation for the recorder.
-                self.rec_outcome(inv, Ok(OpResult::Rejected(rmem_types::RejectReason::Busy)));
-                Ok(false)
-            }
-            Err(e) => {
-                self.rec_outcome(inv, Err(&e));
-                Err(e)
-            }
-        }
-    }
-
     /// One failover-protected register **read** returning the raw payload
     /// (⊥, a single entry, a bundle, or a migration seal), recorded as
-    /// one operation. The building block of the batching layer; see
-    /// [`raw_write_guarded`](Self::raw_write_guarded).
+    /// one operation; `label` names the operation in errors. The
+    /// migration driver's handoff evidence, and how tests inspect a cell.
     ///
     /// # Errors
     ///
@@ -1700,22 +1670,24 @@ impl KvClient {
     // -- Multi-key operations ----------------------------------------------
 
     /// Reads many keys through the pipelined multi-key driver (see the
-    /// [module docs](self#multi-key-calls)): every shard's read is in
-    /// flight at once, submitted from this one thread, and settles as
-    /// its completion arrives. Results align with the input order.
+    /// [module docs](self#multi-key-calls)): the keys of one register
+    /// share **one** read round, every register's read is in flight at
+    /// once, submitted from this one thread, and settles as its
+    /// completion arrives. Results align with the input order.
     ///
     /// A key under a live lease is answered before anything is sent. A
     /// key behind the migration barrier ([`ShardMap::is_barriered`]) goes
     /// straight to the blocking [`get`](Self::get) path, which owns the
     /// old-home-then-new-home protocol; the rest of a mid-split batch
-    /// stays pipelined. An op the pipeline cannot settle cleanly (node
-    /// down, timeout, `Busy` collision with another client, a payload
-    /// under a foreign epoch stamp) falls back to that same path —
-    /// carrying its already-recorded invocation — where the full
-    /// failover/backoff/refresh machinery applies.
+    /// stays pipelined. A read the pipeline cannot settle cleanly (node
+    /// down, timeout, `Busy` collision with another client) sends its
+    /// keys to that same path — a lone key carrying the already-recorded
+    /// invocation — where the full failover/backoff/refresh machinery
+    /// applies; a key the round's payload cannot answer (absent under a
+    /// foreign epoch stamp) falls back alone.
     ///
     /// Failover state is shared through the [`HealthMemory`]: the first
-    /// key to time out on a wedged node marks it, and the batch's other
+    /// read to time out on a wedged node marks it, and the batch's other
     /// keys then try that node last — one patience window per batch,
     /// not one per key.
     ///
@@ -1743,7 +1715,7 @@ impl KvClient {
                 results[i] = Some(codec::value_for_key(&payload, key));
                 self.rec_outcome(inv, Ok(OpResult::ReadValue(payload)));
             } else {
-                flight.queues.entry(reg).or_default().push_back(i);
+                flight.routed.push((reg, i));
             }
         }
         flight.run(&mut Batch::Gets(keys, &mut results))?;
@@ -1754,9 +1726,15 @@ impl KvClient {
     }
 
     /// Writes many entries through the same driver as
-    /// [`multi_get`](KvClient::multi_get). When no recorder is attached
-    /// the payload is encoded **zero-copy**, straight into the op slot's
-    /// reusable scratch buffer.
+    /// [`multi_get`](KvClient::multi_get): the entries of one register
+    /// land as **one** composite write per chunk (last write per key
+    /// wins, in input order — so two colliding keys of one call both
+    /// resolve afterwards, where two `put`s would displace each other,
+    /// as they still do when their chunk falls back to per-key puts).
+    /// A lone entry is the plain single-entry write; when no recorder is
+    /// attached it is encoded **zero-copy**, straight into the op slot's
+    /// reusable scratch buffer. An entry over the transport frame fails
+    /// alone with [`KvError::TooLarge`] and supersedes nothing.
     ///
     /// A key behind the migration barrier goes straight to the blocking
     /// [`put`](Self::put) path, which waits the barrier out; the rest of
@@ -1783,8 +1761,7 @@ impl KvClient {
             if self.intents.is_some() || flight.map.is_barriered(key) {
                 flight.fallback.push((i, None));
             } else {
-                let reg = flight.map.register_for(key);
-                flight.queues.entry(reg).or_default().push_back(i);
+                flight.routed.push((flight.map.register_for(key), i));
             }
         }
         flight.run(&mut Batch::Puts(entries))
@@ -1799,65 +1776,130 @@ impl<K: AsRef<str>> Batch<'_, K> {
         }
     }
 
-    /// Submits input `idx` to `reg` at `node`: the invocation recorded
-    /// for it (when a recorder is attached) and its ticket, or why
-    /// nothing was sent.
+    /// Sorts `routed` by register (then input index) and cuts it into
+    /// chunks, one register operation each; returns the cut positions
+    /// ([`Flight::cuts`]). A register's gets are one chunk. Its puts
+    /// first lose every entry a later one of the same key supersedes,
+    /// then share a bundle until the next would push it past `budget`
+    /// (the largest register value the transport carries) or the
+    /// bundle's entry count — an entry that alone exceeds the budget
+    /// ships alone, and is refused at submission with the exact numbers
+    /// (so it supersedes nothing: the key keeps its last sendable value).
+    fn cut(&self, routed: &mut Vec<(RegisterId, usize)>, budget: Option<usize>) -> Vec<usize> {
+        routed.sort_unstable();
+        // Sized as a bundle entry: an upper bound for every chunk (a
+        // lone entry encodes as the smaller plain form).
+        let cost = |i: usize| match self {
+            Batch::Gets(..) => 0,
+            Batch::Puts(entries) => {
+                codec::BUNDLE_ENTRY_OVERHEAD + entries[i].0.as_ref().len() + entries[i].1.len()
+            }
+        };
+        let fits = |size: usize| budget.is_none_or(|b| size <= b);
+        if let Batch::Puts(entries) = self {
+            if routed.windows(2).any(|w| w[0].0 == w[1].0) {
+                let sendable = |i: usize| fits(codec::BUNDLE_OVERHEAD + cost(i));
+                let mut last = HashMap::new();
+                for &(_, i) in routed.iter().filter(|&&(_, i)| sendable(i)) {
+                    last.insert(entries[i].0.as_ref(), i);
+                }
+                routed.retain(|&(_, i)| !sendable(i) || last[entries[i].0.as_ref()] == i);
+            }
+        }
+        let mut cuts = Vec::new();
+        let (mut size, mut count) = (0, 0);
+        for (pos, &(reg, i)) in routed.iter().enumerate() {
+            let joins = matches!(self, Batch::Gets(..))
+                || (count < codec::MAX_BUNDLE_ENTRIES && fits(size + cost(i)));
+            if !(count > 0 && routed[pos - 1].0 == reg && joins) {
+                cuts.push(pos);
+                (size, count) = (codec::BUNDLE_OVERHEAD, 0);
+            }
+            size += cost(i);
+            count += 1;
+        }
+        cuts.push(routed.len());
+        cuts
+    }
+
+    /// Submits chunk `inputs` at `node` as one register operation: the
+    /// invocation recorded for it (when a recorder is attached) and its
+    /// ticket, or why nothing was sent.
     fn submit(
         &self,
         flight: &Flight<'_>,
-        idx: usize,
-        reg: RegisterId,
+        inputs: &[(RegisterId, usize)],
         node: usize,
     ) -> (Option<rmem_types::OpId>, Result<Ticket, ClientError>) {
-        let (kv, fan) = (flight.kv, &flight.fan);
+        let (kv, fan, reg) = (flight.kv, &flight.fan, inputs[0].0);
         let Batch::Puts(entries) = self else {
             return (kv.rec_invoke(Op::ReadAt(reg)), fan.submit_read(node, reg));
         };
-        let (key, value, stamp) = (self.key(idx), &entries[idx].1, flight.map.stamp());
+        let stamp = flight.map.stamp();
         // The cached value for this register is about to go stale —
         // revoke before the write leaves.
         kv.lease_revoke(reg);
-        if kv.recorder.is_some() {
-            // Recorded run: the invocation needs the encoded payload, so
-            // encode once and send the same value.
-            let payload = codec::encode_entry(key, value, stamp);
-            let inv = kv.rec_invoke(Op::WriteAt(reg, payload.clone()));
-            (inv, fan.submit_write(node, reg, payload))
-        } else {
-            let fill = |buf: &mut _| codec::encode_entry_into(buf, key, value, stamp);
-            (None, fan.submit_write_with(node, reg, fill))
+        if kv.obs.handle.metrics.is_enabled() {
+            kv.obs.bundle_size.record(inputs.len() as u64);
         }
+        if let ([(_, idx)], None) = (inputs, &kv.recorder) {
+            let (key, value) = (entries[*idx].0.as_ref(), &entries[*idx].1);
+            let fill = |buf: &mut _| codec::encode_entry_into(buf, key, value, stamp);
+            return (None, fan.submit_write_with(node, reg, fill));
+        }
+        // A bundle, or a recorded run (the invocation needs the encoded
+        // payload): encode once and send the same value.
+        let refs: Vec<(&str, Bytes)> = inputs
+            .iter()
+            .map(|&(_, i)| (entries[i].0.as_ref(), entries[i].1.clone()))
+            .collect();
+        let payload = codec::encode_entries(&refs, stamp);
+        let inv = kv.rec_invoke(Op::WriteAt(reg, payload.clone()));
+        (inv, fan.submit_write(node, reg, payload))
     }
 
-    /// Reads the completion of in-flight op `done`: times it, counts its
-    /// rounds and replies to its invocation. `false` when the completion
-    /// cannot settle the op, which then takes the blocking path.
-    fn complete(&mut self, flight: &Flight<'_>, done: &InFlightOp, completion: Settled) -> bool {
+    /// Reads the completion of in-flight chunk `done` (`inputs`): times
+    /// it, counts its rounds and replies to its invocation. Returns the
+    /// inputs the completion settled the op for but could not answer,
+    /// which take the blocking path alone — or `None` when it did not
+    /// settle the op and a lone input takes it along.
+    fn complete(
+        &mut self,
+        flight: &Flight<'_>,
+        done: &InFlightOp,
+        inputs: &[(RegisterId, usize)],
+        completion: Settled,
+    ) -> Option<Vec<usize>> {
         let kv = flight.kv;
         match (self, completion) {
             (Batch::Gets(keys, results), (OpResult::ReadValue(payload), rounds, lease)) => {
                 ClientObs::lap(done.started, &kv.obs.get_micros);
                 kv.record_read(rounds);
                 if let (Some(grant), Some(t0)) = (lease, done.sent) {
-                    kv.lease_fill(done.reg, grant, payload.clone(), &flight.map, t0);
+                    kv.lease_fill(inputs[0].0, grant, payload.clone(), &flight.map, t0);
                 }
-                // Absent under a foreign stamp — the map may be stale;
-                // the blocking path refreshes and re-routes.
-                let key = keys[done.idx].as_ref();
-                let Some(value) = flight.map.read_answer(&payload, key) else {
-                    return false;
-                };
+                // A key absent under a foreign stamp — the map may be
+                // stale; the blocking path refreshes and re-routes.
+                let mut unanswered = Vec::new();
+                for &(_, i) in inputs {
+                    match flight.map.read_answer(&payload, keys[i].as_ref()) {
+                        Some(value) => results[i] = Some(value),
+                        None => unanswered.push(i),
+                    }
+                }
+                if inputs.len() == 1 && !unanswered.is_empty() {
+                    return None; // its blocking get completes this op
+                }
                 kv.rec_outcome(done.inv, Ok(OpResult::ReadValue(payload)));
-                results[done.idx] = Some(value);
-                true
+                Some(unanswered)
             }
             (Batch::Puts(_), (OpResult::Written, rounds, _)) => {
                 ClientObs::lap(done.started, &kv.obs.put_micros);
                 kv.record_write(rounds);
                 kv.rec_outcome(done.inv, Ok(OpResult::Written));
-                true
+                Some(Vec::new())
             }
-            _ => false,
+            _ => None,
         }
     }
 
@@ -1889,39 +1931,71 @@ impl<'a> Flight<'a> {
             kv,
             fan: PipelinedClient::fan(&kv.nodes),
             map: kv.shard_map(),
-            queues: BTreeMap::new(),
+            routed: Vec::new(),
+            cuts: Vec::new(),
             tickets: Vec::new(),
             pending: Vec::new(),
             fallback: Vec::new(),
+            crashed: false,
             first_err: None,
         }
     }
 
-    /// Sends input `idx` (and its recorded invocation) to the fallback
-    /// list and closes `reg` for the rest of the call: whatever is still
-    /// queued on it drains into the list *behind* `idx`. A later op of
-    /// the register submitted now could land before the earlier op's
-    /// blocking retry — closing is what keeps same-register inputs in
-    /// input order across a fallback.
-    fn close(&mut self, reg: RegisterId, idx: usize, inv: Option<rmem_types::OpId>) {
-        self.fallback.push((idx, inv));
-        if let Some(queue) = self.queues.get_mut(&reg) {
-            self.fallback.extend(queue.drain(..).map(|i| (i, None)));
-        }
+    /// The inputs chunk `chunk` carries.
+    fn inputs(&self, chunk: usize) -> &[(RegisterId, usize)] {
+        &self.routed[self.cuts[chunk]..self.cuts[chunk + 1]]
     }
 
-    /// Submits the next queued op of `reg`, if any. The map-equality
-    /// check right before the send is the pipelined analogue of the
-    /// guarded write's per-attempt epoch check: the effect lands within
-    /// one event-loop dispatch of a passing check, so a stale-routed op
-    /// cannot surface long after a split moved the key (stale → blocking
-    /// path, which re-syncs).
-    fn refill<K: AsRef<str>>(&mut self, batch: &Batch<'_, K>, reg: RegisterId) {
+    /// The register chunk `chunk` operates on, `None` past the last.
+    fn reg_of(&self, chunk: usize) -> Option<RegisterId> {
+        let start = *self.cuts.get(chunk)?;
+        self.routed.get(start).map(|&(reg, _)| reg)
+    }
+
+    /// Closes chunk `chunk`'s register for the rest of the call: the
+    /// chunk's inputs go to the fallback list — the first under the
+    /// invocation `inv`, if the chunk still carries one — and the
+    /// register's later chunks follow *behind* them. A later chunk
+    /// submitted now could land before the earlier one's blocking retry
+    /// — closing is what keeps same-register inputs in input order
+    /// across a fallback.
+    fn close(&mut self, chunk: usize, mut inv: Option<rmem_types::OpId>) {
+        let start = self.cuts[chunk];
+        let reg = self.routed[start].0;
+        let rest = self.routed[start..].iter().take_while(|&&(r, _)| r == reg);
+        self.fallback.extend(rest.map(|&(_, i)| (i, inv.take())));
+    }
+
+    /// [`close`](Self::close) after node error `source` on the operation
+    /// `inv` recorded for `chunk`. A lone input's blocking retry *is*
+    /// that operation and completes it; a coalesced one is no single
+    /// input's, so every input records its own blocking op and the
+    /// operation is answered itself — refused, or left pending for the
+    /// crash idiom [`drain`](Self::drain) records when it is ambiguous.
+    fn fail(&mut self, chunk: usize, mut inv: Option<rmem_types::OpId>, source: ClientError) {
+        if self.inputs(chunk).len() > 1 {
+            if source == ClientError::Busy {
+                let key = "bundle".to_string();
+                let e = KvError::Register { key, source };
+                self.kv.rec_outcome(inv.take(), Err(&e));
+            }
+            self.crashed |= inv.take().is_some();
+        }
+        self.close(chunk, inv)
+    }
+
+    /// Submits chunk `chunk`. The map-equality check right before the
+    /// send is the pipelined analogue of the guarded write's per-attempt
+    /// epoch check: the effect lands within one event-loop dispatch of a
+    /// passing check, so a stale-routed op cannot surface long after a
+    /// split moved the key (stale → blocking path, which re-syncs).
+    fn submit<K: AsRef<str>>(&mut self, batch: &Batch<'_, K>, mut chunk: usize) {
         let kv = self.kv;
+        let reg = self.reg_of(chunk).expect("a chunk to submit");
         let node = reg.0 as usize % kv.nodes.len();
-        while let Some(idx) = self.queues.get_mut(&reg).and_then(VecDeque::pop_front) {
+        loop {
             if kv.shard_map() != self.map {
-                return self.close(reg, idx, None);
+                return self.close(chunk, None);
             }
             // The pipeline has no failover rotation — an op goes to its
             // home or to the blocking path — so the health gate is a
@@ -1932,17 +2006,16 @@ impl<'a> Flight<'a> {
             let probe = match kv.health.gate(node) {
                 NodeGate::Fresh => false,
                 NodeGate::NeedsProbe if kv.health.try_begin_probe(node) => true,
-                _ => return self.close(reg, idx, None),
+                _ => return self.close(chunk, None),
             };
             let started = kv.obs.op_clock();
             let sent = kv.leases.is_some().then(Instant::now);
-            let (inv, submitted) = batch.submit(self, idx, reg, node);
+            let (inv, submitted) = batch.submit(self, self.inputs(chunk), node);
             match submitted {
                 Ok(ticket) => {
                     self.tickets.push(ticket);
                     self.pending.push(InFlightOp {
-                        idx,
-                        reg,
+                        chunk,
                         node,
                         inv,
                         probe,
@@ -1955,31 +2028,37 @@ impl<'a> Flight<'a> {
                     // Client-side refusal, terminal: the value fits no
                     // node's frame, so neither retry nor fallback can
                     // help — and a won probe never exercised the node.
-                    // The register's next op takes its turn.
+                    // Only a lone entry can be refused (`cut` keeps
+                    // bundles inside the frame); the register's next
+                    // chunk takes its turn.
                     if probe {
                         kv.health.reopen_probe(node);
                     }
-                    let key = batch.key(idx).to_string();
+                    let key = batch.key(self.inputs(chunk)[0].1).to_string();
                     let e = KvError::TooLarge { key, size, limit };
                     kv.rec_outcome(inv, Err(&e));
                     self.first_err.get_or_insert(e);
+                    chunk += 1;
+                    if self.reg_of(chunk) != Some(reg) {
+                        return;
+                    }
                 }
-                Err(_) => {
+                Err(e) => {
                     // The only other submit error is `ProcessDown` (the
                     // node's event loop is gone): mark and settle
                     // blocking, like any other node failure.
                     kv.obs.retries.inc();
                     kv.health.mark(node);
-                    return self.close(reg, idx, inv);
+                    return self.fail(chunk, inv, e);
                 }
             }
         }
     }
 
     /// Settles the completion of in-flight op `pos`: a clean one is read
-    /// and its register refilled; anything else (node error, `Busy`, a
-    /// completion that cannot answer the op) sends the op to the
-    /// fallback list and closes its register.
+    /// and its register's next chunk submitted; anything else (node
+    /// error, `Busy`, a completion that cannot answer the op) sends the
+    /// chunk to the fallback list and closes its register.
     fn settle<K: AsRef<str>>(
         &mut self,
         batch: &mut Batch<'_, K>,
@@ -1989,10 +2068,10 @@ impl<'a> Flight<'a> {
         let kv = self.kv;
         self.tickets.swap_remove(pos);
         let done = self.pending.swap_remove(pos);
-        let settled = match outcome {
+        let unanswered = match outcome {
             Ok(completion) => {
                 kv.health.clear(done.node);
-                batch.complete(self, &done, completion)
+                batch.complete(self, &done, self.inputs(done.chunk), completion)
             }
             Err(e) => {
                 kv.obs.retries.inc();
@@ -2003,13 +2082,16 @@ impl<'a> Flight<'a> {
                     // one.
                     kv.health.reopen_probe(done.node);
                 }
-                false
+                return self.fail(done.chunk, done.inv, e);
             }
         };
-        if settled {
-            self.refill(batch, done.reg);
-        } else {
-            self.close(done.reg, done.idx, done.inv);
+        let Some(unanswered) = unanswered else {
+            return self.close(done.chunk, done.inv);
+        };
+        self.fallback
+            .extend(unanswered.into_iter().map(|i| (i, None)));
+        if self.reg_of(done.chunk + 1) == self.reg_of(done.chunk) {
+            self.submit(batch, done.chunk + 1);
         }
     }
 
@@ -2020,11 +2102,25 @@ impl<'a> Flight<'a> {
     /// The first terminal refusal, else the first blocking-path failure;
     /// every op still ran to completion.
     fn run<K: AsRef<str>>(mut self, batch: &mut Batch<'_, K>) -> Result<(), KvError> {
-        let kv = self.kv;
-        let regs: Vec<RegisterId> = self.queues.keys().copied().collect();
-        for reg in regs {
-            self.refill(batch, reg);
+        self.launch(batch);
+        self.drain(batch)
+    }
+
+    /// Cuts the routed inputs into chunks and submits every register's
+    /// first; the later ones follow as their predecessors complete.
+    fn launch<K: AsRef<str>>(&mut self, batch: &Batch<'_, K>) {
+        self.cuts = batch.cut(&mut self.routed, self.kv.max_value_len());
+        for chunk in 0..self.cuts.len() - 1 {
+            if chunk == 0 || self.reg_of(chunk) != self.reg_of(chunk - 1) {
+                self.submit(batch, chunk);
+            }
         }
+    }
+
+    /// Settles completions until nothing is in flight, then the fallback
+    /// list through the blocking path.
+    fn drain<K: AsRef<str>>(mut self, batch: &mut Batch<'_, K>) -> Result<(), KvError> {
+        let kv = self.kv;
         let metered = kv.obs.handle.metrics.is_enabled();
         while !self.pending.is_empty() {
             if metered {
@@ -2040,7 +2136,7 @@ impl<'a> Flight<'a> {
                     self.fan.cancel(ticket);
                     kv.obs.retries.inc();
                     kv.health.mark(p.node);
-                    self.close(p.reg, p.idx, p.inv);
+                    self.fail(p.chunk, p.inv, ClientError::TimedOut);
                 }
                 break;
             };
@@ -2049,11 +2145,18 @@ impl<'a> Flight<'a> {
         if metered {
             kv.obs.inflight.set(0);
         }
-        // Every queue is empty by now — each popped op either settled
-        // (and refilled its register) or closed it — so the fallback
-        // list is all that is left: the blocking path settles it in
-        // order, each op under the invocation it already recorded.
+        // Every chunk either settled (and handed its register on) or
+        // closed it, so the fallback list is all that is left: the
+        // blocking path settles it in order, each op under the
+        // invocation it already recorded. A coalesced op pending for
+        // good is this process's crash, recordable only now that nothing
+        // else of it is in flight — and a crash loses the carried
+        // invocations too: every input then records a fresh one.
+        if let (true, Some((recorder, pid))) = (self.crashed, &kv.recorder) {
+            recorder.abandon(*pid);
+        }
         for (idx, inv) in self.fallback {
+            let inv = inv.filter(|_| !self.crashed);
             if let Err(e) = batch.settle_blocking(kv, idx, inv) {
                 self.first_err.get_or_insert(e);
             }
@@ -2072,6 +2175,13 @@ mod tests {
         let cluster = LocalCluster::channel(3, SharedMemory::factory(Transient::flavor())).unwrap();
         let client = KvClient::new(cluster.clients(), ShardRouter::new(shards)).unwrap();
         (cluster, client)
+    }
+
+    /// A write returns on a majority. The one-round read fast path — and
+    /// with it a lease grant — needs the read's whole quorum to agree, so
+    /// a test that asserts either first lets the last replica catch up.
+    fn settle() {
+        std::thread::sleep(std::time::Duration::from_millis(20));
     }
 
     #[test]
@@ -2218,6 +2328,7 @@ mod tests {
         let (mut cluster, kv) = cluster_client(8);
         assert_eq!(kv.stats(), KvOpStats::default());
         kv.put("s", b"1".to_vec()).unwrap();
+        settle();
         // Quiescent key: the fast path answers the read in one round.
         assert_eq!(kv.get("s").unwrap().as_deref(), Some(b"1".as_ref()));
         let stats = kv.stats();
@@ -2355,24 +2466,80 @@ mod tests {
         cluster.shutdown();
     }
 
-    /// The driver's queue policy, scripted: of two writes to one key, the
-    /// first comes back `Busy` (another client held the register). The
-    /// second must NOT be pipelined ahead of the first's blocking retry —
-    /// it would land first and the batch would finish with the earlier
-    /// value.
+    /// Where a call's inputs are cut into register operations: one chunk
+    /// per register for gets; for puts, superseded same-key entries drop
+    /// out first, then a register's entries share a bundle up to the frame
+    /// budget, and an entry over any budget ships alone.
     #[test]
-    fn a_fallen_back_op_closes_its_register_so_duplicates_keep_input_order() {
-        let (mut cluster, kv) = cluster_client(4);
+    fn cut_coalesces_per_register_within_the_frame_budget() {
+        let (a, b) = (RegisterId(1), RegisterId(2));
+        let keys = ["k0", "k1", "k2", "k1", "k4"];
+        let entries: Vec<(&str, Bytes)> = keys
+            .iter()
+            .zip([10, 10, 10, 10, 500])
+            .map(|(&k, len)| (k, Bytes::from(vec![0u8; len])))
+            .collect();
+        let routed = vec![(b, 0), (a, 1), (a, 2), (a, 3), (a, 4)];
+
+        let mut gets = routed.clone();
+        let cuts = Batch::Gets(&keys, &mut []).cut(&mut gets, Some(0));
+        assert_eq!(gets, [(a, 1), (a, 2), (a, 3), (a, 4), (b, 0)]);
+        assert_eq!(
+            cuts,
+            [0, 4, 5],
+            "one read per register, whatever the budget"
+        );
+
+        let puts = Batch::Puts(&entries);
+        let mut unbounded = routed.clone();
+        assert_eq!(puts.cut(&mut unbounded, None), [0, 3, 4]);
+        assert_eq!(
+            unbounded,
+            [(a, 2), (a, 3), (a, 4), (b, 0)],
+            "input 1 is superseded by input 3 (same key, later)"
+        );
+        // Room for two 10-byte entries per bundle, not three; the 500-byte
+        // entry fits no bundle and ships alone.
+        let entry = codec::BUNDLE_ENTRY_OVERHEAD + 2 + 10;
+        let mut tight = routed.clone();
+        let budget = codec::BUNDLE_OVERHEAD + 2 * entry;
+        assert_eq!(puts.cut(&mut tight, Some(budget)), [0, 2, 3, 4]);
+        // An entry no frame carries supersedes nothing: it still ships
+        // (to be refused), and its key keeps the earlier, sendable value.
+        let twice = [("k", entries[0].1.clone()), ("k", entries[4].1.clone())];
+        let mut both = vec![(a, 0), (a, 1)];
+        assert_eq!(Batch::Puts(&twice).cut(&mut both, Some(budget)), [0, 1, 2]);
+        assert_eq!(both, [(a, 0), (a, 1)]);
+        let mut tiny = routed;
+        assert_eq!(puts.cut(&mut tiny, Some(1)), [0, 1, 2, 3, 4, 5]);
+        assert_eq!(Batch::Puts(&entries).cut(&mut Vec::new(), None), [0]);
+    }
+
+    /// The driver's closed-register rule, scripted over two chunks of
+    /// one register: the first comes back `Busy` (another client held the
+    /// register). The second must NOT be submitted ahead of the first's
+    /// blocking retry — it would land first and the call would finish
+    /// with an earlier chunk owning the cell.
+    #[test]
+    fn a_fallen_back_chunk_closes_its_register_so_later_chunks_keep_input_order() {
+        let dir = std::env::temp_dir().join(format!("rmem-kv-chunks-{}", std::process::id()));
+        let mut cluster =
+            LocalCluster::udp(3, SharedMemory::factory(Transient::flavor()), &dir).unwrap();
+        let recorder = OpRecorder::new();
+        let kv = KvClient::new(cluster.clients(), ShardRouter::new(1))
+            .unwrap()
+            .with_recorder(recorder.clone());
         kv.sync_map().unwrap();
-        let entries = [
-            ("k", Bytes::from_static(b"v1")),
-            ("k", Bytes::from_static(b"v2")),
-        ];
+        // Any two 30 KB entries fit a 64 KB datagram, three do not.
+        let entries: Vec<(String, Bytes)> = (0..3u8)
+            .map(|i| (format!("big{i}"), Bytes::from(vec![i; 30_000])))
+            .collect();
         let mut batch = Batch::Puts(&entries);
         let mut flight = Flight::new(&kv);
-        let reg = flight.map.register_for("k");
-        flight.queues.insert(reg, VecDeque::from([0, 1]));
-        flight.refill(&batch, reg);
+        let reg = flight.map.register_for("big0");
+        flight.routed = (0..3).map(|i| (reg, i)).collect();
+        flight.launch(&batch);
+        assert_eq!(flight.cuts, [0, 2, 3]);
         assert_eq!(flight.pending.len(), 1, "one op in flight per register");
         // Let the real completion arrive, then script `Busy` in its place.
         let (pos, _) = flight
@@ -2382,13 +2549,83 @@ mod tests {
         flight.settle(&mut batch, pos, Err(ClientError::Busy));
         assert!(
             flight.pending.is_empty(),
-            "a closed register must not submit its next op"
+            "a closed register must not submit its next chunk"
         );
         let order: Vec<usize> = flight.fallback.iter().map(|&(idx, _)| idx).collect();
-        assert_eq!(order, [0, 1], "the queue drains behind the fallen-back op");
-        flight.run(&mut batch).unwrap();
-        assert_eq!(kv.get("k").unwrap().as_deref(), Some(b"v2".as_ref()));
+        assert_eq!(order, [0, 1, 2], "both chunks demote, in input order");
+        flight.drain(&mut batch).unwrap();
+        // The refused bundle is no input's operation: it is answered as
+        // refused itself, and each input recorded its own write.
+        let replies: Vec<OpResult> = recorder
+            .history()
+            .restrict_to_register(reg)
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                rmem_consistency::Event::Reply { result, .. } => Some(result.clone()),
+                _ => None,
+            })
+            .collect();
+        let refused = OpResult::Rejected(rmem_types::RejectReason::Busy);
+        let written = OpResult::Written;
+        assert_eq!(
+            replies,
+            [refused, written.clone(), written.clone(), written]
+        );
+        assert_eq!(
+            kv.get("big2").unwrap().as_deref(),
+            Some([2u8; 30_000].as_ref()),
+            "the last input owns the cell"
+        );
         assert_eq!(kv.stats().retries, 1, "the scripted Busy is counted");
+        cluster.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A coalesced read that fails ambiguously is recorded as a crash of
+    /// the client's history process, after the flight has drained. The
+    /// crash loses what the process had pending — a lone key's carried
+    /// invocation included — so every retry records a fresh operation
+    /// and each register's history stays well-formed.
+    #[test]
+    fn an_ambiguous_coalesced_op_is_a_crash_that_loses_carried_invocations() {
+        let recorder = OpRecorder::new();
+        let (mut cluster, kv) = cluster_client(4);
+        let kv = kv.with_recorder(recorder.clone());
+        let covering = kv.router().covering_keys("a-");
+        for key in &covering {
+            kv.put(key, b"v".to_vec()).unwrap();
+        }
+        // One key alone on its register, another twice on its own.
+        let keys = [&covering[0], &covering[1], &covering[1]];
+        let mut results = vec![None; keys.len()];
+        let mut batch = Batch::Gets(&keys, &mut results);
+        let mut flight = Flight::new(&kv);
+        flight.routed = (0..3)
+            .map(|i| (flight.map.register_for(keys[i]), i))
+            .collect();
+        flight.launch(&batch);
+        assert_eq!(flight.pending.len(), 2);
+        // Let each real completion arrive, then script a timeout instead.
+        while !flight.pending.is_empty() {
+            let (pos, _) = flight.fan.wait_any(&flight.tickets).expect("completes");
+            flight.settle(&mut batch, pos, Err(ClientError::TimedOut));
+        }
+        assert!(flight.crashed);
+        let carried = flight.fallback.iter().filter(|(_, inv)| inv.is_some());
+        assert_eq!(carried.count(), 1, "the lone key took its invocation along");
+        flight.drain(&mut batch).unwrap();
+        assert_eq!(results, vec![Some(Some(Bytes::from_static(b"v"))); 3]);
+
+        let history = recorder.history();
+        assert_eq!(history.crash_count(), 1);
+        assert_eq!(history.pending_ops().len(), 2, "both timed-out reads");
+        for reg in history.registers() {
+            let per_reg = history.restrict_to_register(reg);
+            per_reg
+                .well_formed()
+                .unwrap_or_else(|e| panic!("{reg:?}: {e}"));
+        }
         cluster.shutdown();
     }
 
@@ -2595,6 +2832,7 @@ mod tests {
     fn hot_key_reads_are_served_by_the_lease_cache() {
         let (mut cluster, kv) = leased_cluster_client(2_000_000, 8);
         kv.put("hot", b"v1".to_vec()).unwrap();
+        settle();
         // The first read pays its quorum round and harvests the grant…
         assert_eq!(kv.get("hot").unwrap().as_deref(), Some(b"v1".as_ref()));
         // …the rest are zero-round, zero-datagram hits.
@@ -2614,6 +2852,7 @@ mod tests {
     fn own_write_revokes_the_lease_and_the_next_read_is_fresh() {
         let (mut cluster, kv) = leased_cluster_client(500_000, 8);
         kv.put("k", b"v1".to_vec()).unwrap();
+        settle();
         assert_eq!(kv.get("k").unwrap().as_deref(), Some(b"v1".as_ref()));
         assert_eq!(kv.get("k").unwrap().as_deref(), Some(b"v1".as_ref()));
         assert!(kv.stats().lease_hits >= 1);
@@ -2633,6 +2872,7 @@ mod tests {
         for key in keys {
             kv.put(key, key.as_bytes().to_vec()).unwrap();
         }
+        settle();
         // First batch fills the cache through the pipeline…
         let first = kv.multi_get(&keys).unwrap();
         // …second batch answers entirely from leases.
@@ -2670,6 +2910,7 @@ mod tests {
         let (mut cluster, kv) = leased_cluster_client(100_000, 4);
         kv.put("x", b"1".to_vec()).unwrap();
         kv.put("y", b"2".to_vec()).unwrap();
+        settle();
         let _ = kv.get("x").unwrap();
         let _ = kv.get("y").unwrap();
         let before = kv.stats();

@@ -20,16 +20,16 @@
 //!
 //! # Bundles
 //!
-//! The batching layer (`rmem-batch`) coalesces the puts of a multi-key
-//! operation that land on one shard into a **single register write**. When
-//! those puts carry more than one distinct key, the payload is a *bundle*:
+//! A multi-key call (`KvClient::multi_put`) coalesces its puts that land
+//! on one shard into a **single register write**. When those puts carry
+//! more than one distinct key, the payload is a *bundle*:
 //!
 //! ```text
 //! [0xFFFF][epoch: u8][count: u16][ (key length: u16, key, value length: u32, value) × count ]
 //! ```
 //!
-//! A bundle never straddles epochs — it has exactly one stamp, and the
-//! batching engine flushes its queues whenever the epoch moves.
+//! A bundle never straddles epochs — it has exactly one stamp, the
+//! routing map's, and is not sent once the cached map has moved on.
 //!
 //! # Seals
 //!
@@ -95,20 +95,13 @@ pub const MAX_BUNDLE_ENTRIES: usize = u16::MAX as usize;
 /// (marker + client + seq).
 pub const OP_TAG_OVERHEAD: usize = 12;
 
-/// Encoded bytes a single entry costs beyond its key and value bytes in
-/// the worst case: the key length prefix + the epoch stamp + the
-/// [op-id frame](self#op-id-frames) every exactly-once write carries.
-/// Untagged legacy entries cost [`OP_TAG_OVERHEAD`] less. Pinned by a
-/// test against [`encode_entry_tagged`].
-pub const ENTRY_OVERHEAD: usize = 3 + OP_TAG_OVERHEAD;
-
 /// Encoded bytes a bundle costs beyond its entries in the worst case
 /// (marker + epoch stamp + count + the optional
 /// [op-id frame](self#op-id-frames)).
 ///
-/// Exposed with [`BUNDLE_ENTRY_OVERHEAD`] so batching layers can size
-/// payloads against a transport frame budget without re-deriving the
-/// wire format; pinned by a test against [`encode_entries`].
+/// Exposed with [`BUNDLE_ENTRY_OVERHEAD`] so the multi-key driver can
+/// size payloads against a transport frame budget without re-deriving
+/// the wire format; pinned by a test against [`encode_entries`].
 pub const BUNDLE_OVERHEAD: usize = 5 + OP_TAG_OVERHEAD;
 
 /// Encoded bytes each bundle entry costs beyond its key and value bytes
@@ -295,8 +288,8 @@ pub fn seal_epoch(payload: &Value) -> Option<u64> {
 
 /// Encodes a batch of entries into one register payload: a single entry
 /// for one key, a [bundle](self#bundles) for several, all under one epoch
-/// stamp. Keys must be distinct — the batching layer coalesces same-key
-/// puts (last wins) before encoding.
+/// stamp. Keys must be distinct — the multi-key driver coalesces
+/// same-key puts (last wins) before encoding.
 ///
 /// # Panics
 ///
@@ -540,13 +533,15 @@ mod tests {
             tag_payload(OpTag::new(3, 9), &bundle).bytes().len(),
             BUNDLE_OVERHEAD + entry_bytes
         );
-        let single = encode_entry("key", &Bytes::from(b"val".to_vec()), 0);
-        assert_eq!(
-            single.bytes().len(),
-            ENTRY_OVERHEAD - OP_TAG_OVERHEAD + 3 + 3
-        );
-        let tagged = encode_entry_tagged("key", &Bytes::from(b"val".to_vec()), 0, OpTag::new(1, 2));
-        assert_eq!(tagged.bytes().len(), ENTRY_OVERHEAD + 3 + 3);
+        // A lone entry's wire size, plain and tagged: key length prefix +
+        // epoch stamp (+ op-id frame). Both stay inside the one-entry
+        // bundle estimate the multi-key driver cuts chunks by.
+        let value = Bytes::from(b"val".to_vec());
+        let plain = encode_entry("key", &value, 0).bytes().len();
+        let tagged = encode_entry_tagged("key", &value, 0, OpTag::new(1, 2));
+        assert_eq!(plain, 3 + 3 + 3);
+        assert_eq!(tagged.bytes().len(), plain + OP_TAG_OVERHEAD);
+        assert!(tagged.bytes().len() <= BUNDLE_OVERHEAD + BUNDLE_ENTRY_OVERHEAD + 3 + 3);
     }
 
     #[test]

@@ -72,13 +72,14 @@ pub struct KvWorkloadSpec {
     /// — required for the single-writer `Regular` flavor, optional
     /// elsewhere.
     pub single_writer: bool,
-    /// Multi-op round size, modelling `rmem-batch`'s per-shard batching:
+    /// Multi-op round size, modelling a `KvClient::multi_*` call's
+    /// per-register coalescing:
     /// `1` issues every store operation as its own register operation
     /// (the unbatched baseline); `k > 1` groups each client's stream into
     /// rounds of `k` and coalesces each round per shard — the round's
     /// gets on one shard become a single `ReadAt`, its puts one `WriteAt`
     /// of the coalesced payload (last write per key wins, exactly the
-    /// engine's semantics). [`KvRun::logical_ops`] /
+    /// client's semantics). [`KvRun::logical_ops`] /
     /// [`KvRun::register_ops`] report the amortization.
     pub batch: usize,
     /// Scripted crashes: `(at µs, process, down-for µs)`.

@@ -86,9 +86,9 @@ fn workload_operations_all_terminate() {
     }
 }
 
-/// Batched runs (per-shard coalesced rounds, the `rmem-batch` model) stay
-/// certified per key — the per-key checker is the correctness oracle of
-/// the batching subsystem — including through a crash.
+/// Batched runs (per-shard coalesced rounds, the `KvClient::multi_*`
+/// model) stay certified per key — the per-key checker is the
+/// correctness oracle of coalescing — including through a crash.
 #[test]
 fn batched_store_run_is_certified_atomic_per_key() {
     let spec = KvWorkloadSpec {

@@ -12,13 +12,11 @@
 //! * [`consistency`] — persistent/transient atomicity checkers;
 //! * [`sim`] — the deterministic discrete-event simulator;
 //! * [`net`] — the real socket/thread runtime;
-//! * [`kv`] — the sharded key-value store layered over the shared memory;
-//! * [`batch`] — the per-shard quorum batching engine over the store.
+//! * [`kv`] — the sharded key-value store layered over the shared memory.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use rmem_batch as batch;
 pub use rmem_consistency as consistency;
 pub use rmem_core as core;
 pub use rmem_kv as kv;
