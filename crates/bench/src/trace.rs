@@ -48,7 +48,8 @@ pub const TRACE_WRITE_FRACTION: f64 = 0.5;
 pub const TRACE_WORKERS: u64 = 2;
 
 /// Flight-recorder ring capacity used on every node and on the client
-/// family: 2^17 slots × 48 bytes = 6 MiB per ring. Stitching needs every
+/// family: 2^17 slots × 48 bytes = 6 MiB per ring (6.4 MiB with its
+/// spill slots). Stitching needs every
 /// event of the measured window still in its ring, so the rings are
 /// sized to the op budget below with an order of magnitude of headroom.
 pub const TRACE_RING_CAPACITY: usize = 1 << 17;

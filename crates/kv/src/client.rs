@@ -29,31 +29,54 @@
 //! migration fall back *old-home-then-new-home*: an unsealed old home is
 //! authoritative, a sealed one forwards to the new routing.
 //!
-//! # Multi-key calls
+//! # Operations
 //!
-//! `multi_get`/`multi_put` run on the calling thread through **one
-//! pipelined driver**. The policy, named once: *a multi-key call costs
-//! one register operation per (register, chunk), not one per input.* A
-//! call's gets on one register are answered from **one** read round; its
-//! puts on one register land as **one** composite write (a bundle, see
-//! [`crate::codec`]; last write per key wins, in input order), cut into
-//! chunks only where a bundle would outgrow the transport frame
-//! ([`KvClient::max_value_len`]) or the bundle's entry count. A chunk of
-//! one entry is the plain single-entry write. Chunks of one register run
-//! one at a time in input order (the paper's §III-A well-formedness rule,
-//! per register); every register's next chunk is in flight at once
-//! through an event-driven fan. Whatever the pipeline cannot settle — a
-//! node error, a `Busy` collision, a stale epoch stamp — goes to the
-//! blocking `get`/`put` path, the one general slow path, key by key; a
-//! register whose chunk fell back is *closed* for the rest of the call,
-//! so its inputs keep their input order. Two kinds of input never enter
-//! the pipeline, and so never coalesce: a key behind the migration
-//! barrier (the blocking path owns the barrier and the
-//! old-home-then-new-home read; every other key of a mid-split batch
-//! stays pipelined) and every entry of an exactly-once client (each
-//! settles through the journaled `put`, in input order).
+//! Every register operation this client performs — a `get`, a `put`, the
+//! chunks of a `multi_get`/`multi_put`, a shard-map read, a migration
+//! copy — is driven by **one event loop on the calling thread**
+//! ([`KvClient::get`] is `multi_get` of one key). Its rules, stated once:
+//!
+//! * **One operation per (register, chunk), one in flight per register.**
+//!   A call's gets on one register are answered from one read round; its
+//!   puts land as one composite write (a bundle, see [`crate::codec`];
+//!   last write per key wins, in input order), cut into chunks only where
+//!   a bundle would outgrow the transport frame
+//!   ([`KvClient::max_value_len`]) or the bundle's entry count. A
+//!   register's chunks run one at a time in input order (the paper's
+//!   §III-A well-formedness rule, per register); every register's current
+//!   chunk is in flight at once.
+//! * **Failover keeps the invocation.** Every node serves every register.
+//!   A chunk tries its register's home node first and the others after it
+//!   — nodes the shared [`HealthMemory`] holds suspect last, a node owing
+//!   a probe first for the one operation that wins it — and a retry at
+//!   the next node is the *same* operation: same payload, same recorded
+//!   invocation, still the register's one chunk in flight.
+//! * **Deadlines, not sleeps.** A `Busy` rejection (another client racing
+//!   the register through that node) re-arms the chunk on the same node
+//!   after a jittered backoff; a barriered put polls for its seal on an
+//!   escalating one. Both are deadlines of the one loop, so the call's
+//!   other registers keep completing meanwhile.
+//! * **A moved map starts the next wave.** A write is checked against the
+//!   shared shard map right before every send (so it cannot land long
+//!   after a split moved its key); a read notices a foreign epoch stamp
+//!   in its answer. Either way the affected inputs are routed and cut
+//!   afresh under the new map in the call's next wave, at most
+//!   `MAP_RETRIES` times; the last wave writes unguarded.
+//! * **One crash record.** An operation whose every node failed, at least
+//!   one of them after the request left, may or may not have taken
+//!   effect: its invocation stays pending, whatever else its register had
+//!   queued is not issued, and the call records the model's
+//!   crash/recovery idiom **once**, after its last wave has drained and
+//!   nothing of this process is in flight. An operation no node accepted
+//!   is recorded as refused.
+//!
+//! A key behind the migration barrier is a chunk of its own, sequenced
+//! under its *old* home: a put polls it for the seal and then writes the
+//! new home; a get reads it and, when it is sealed without the key, the
+//! new home. An exactly-once client's put is journal → one tagged input →
+//! tombstone, and its `multi_put` a loop of those.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -64,7 +87,7 @@ use rmem_net::{Client, ClientError, PipelinedClient, Ticket, TraceCtx};
 use rmem_obs::{
     Counter, EventKind, FlightEvent, FlightRecorder, Histogram, MetricsSnapshot, ObsHandle,
 };
-use rmem_types::{LeaseGrant, Op, OpResult, ProcessId, RegisterId, Value};
+use rmem_types::{LeaseGrant, Op, OpId, OpResult, ProcessId, RegisterId, RejectReason, Value};
 
 use rmem_storage::StorageError;
 use rmem_types::OpTag;
@@ -77,10 +100,18 @@ use crate::lease::{LeaseCache, Lookup};
 use crate::recorder::OpRecorder;
 use crate::router::ShardRouter;
 
-/// How many times an operation re-routes after a shard-map refresh,
-/// barrier re-route or epoch-guarded abort before giving up on chasing
-/// epochs.
+/// How many times a call re-routes its inputs under a moved shard map
+/// before it stops chasing epochs.
 const MAP_RETRIES: usize = 6;
+
+/// How many `Busy` rejections (another client racing the register
+/// through the same node) an operation retries on one node before it
+/// fails over to the next.
+const BUSY_RETRIES: u32 = 32;
+
+/// The recorded answer to an invocation nothing of which took effect (the
+/// checkers ignore refused operations).
+const REFUSED: OpResult = OpResult::Rejected(RejectReason::Busy);
 
 /// Shared per-client observability (all clones update one set): the
 /// `rmem-obs` registry with every hot-path handle pre-resolved, plus the
@@ -155,73 +186,119 @@ impl ClientObs {
     }
 }
 
-/// Bookkeeping for one in-flight chunk of a multi-key call.
-struct InFlightOp {
-    /// Index into [`Flight::cuts`]: the chunk this register operation
-    /// carries. Its completion submits the register's next chunk.
+/// One chunk of a call being driven: the register operation it currently
+/// has in flight at some node, or is parked on until a deadline.
+struct Active {
+    /// Index into [`Flight::cuts`]. When the chunk ends, its register's
+    /// next chunk starts.
     chunk: usize,
-    /// The serving node (fan target order == `KvClient::nodes` order).
-    node: usize,
-    /// The recorded invocation: handed to the blocking path on fallback
-    /// so a retried op never opens a second recorded operation.
-    inv: Option<rmem_types::OpId>,
-    /// Whether this op is the node's owed health probe (won via
-    /// [`HealthMemory::try_begin_probe`]): an inconclusive outcome hands
-    /// the debt back.
+    /// The nodes in the order this operation tries them
+    /// ([`KvClient::rotation`]; empty until its first submission) and the
+    /// position of the current attempt.
+    order: Vec<usize>,
+    at: usize,
+    /// Whether `order[0]` is that node's owed health probe, won by this
+    /// operation: an inconclusive attempt hands the debt back.
     probe: bool,
-    /// Latency clock opened at submission (when metrics are on).
+    /// `Busy` rejections at the current node so far.
+    busy: u32,
+    /// The recorded invocation. It stays with the operation from node to
+    /// node: a retry never opens a second recorded operation.
+    inv: Option<OpId>,
+    /// Whether an attempt left this client and ended without an answer
+    /// (timeout, node death): the operation may have taken effect.
+    ambiguous: bool,
+    /// The latest node failure — the call's error if the rotation runs
+    /// out.
+    last_err: Option<ClientError>,
+    /// Behind the migration barrier: a put's seal polls so far.
+    polls: u32,
+    /// Behind the migration barrier: the old home is done with — sealed
+    /// (put) or forwarding (get) — and the operation addresses the new.
+    forward: bool,
+    /// Latency clock opened when the chunk started (when metrics are on).
     started: Option<Instant>,
-    /// Submission instant for the lease-horizon anchor (only stamped
-    /// when the client's lease cache is armed): a grant riding this
-    /// op's completion expires `grant.micros` after *this* moment.
+    /// Submission instant of the current attempt, for the lease-horizon
+    /// anchor (only stamped when the client's lease cache is armed): a
+    /// grant riding its completion expires `grant.micros` after *this*
+    /// moment, never after an earlier failed node's.
     sent: Option<Instant>,
 }
 
-/// The inputs of a multi-key call — a `multi_get`'s keys with its answer
-/// slots (one per key), or a `multi_put`'s entries. Its methods are all
-/// the two kinds differ in: where one register's inputs are cut into
-/// chunks, how one chunk is submitted, how its completion is read, and
-/// which blocking call settles an input the pipeline could not.
-/// [`Flight`], the shared driver, never asks which kind it is driving.
+/// The answer to one `get`: the payload that answered it (the resolver's
+/// evidence) and the key's value in it.
+type Answer = (Value, Option<Bytes>);
+
+/// The inputs of a call — a `multi_get`'s keys with its answer slots (one
+/// per key), a `multi_put`'s entries (under the op tag of an exactly-once
+/// put, which is a call of one entry), or one raw register operation of
+/// the config/migration traffic. Its methods are all the kinds differ in:
+/// where one register's inputs are cut into chunks, how one chunk is
+/// submitted and how its completion is read. [`Flight`], the shared
+/// driver, asks which kind it is driving only to know whether sends are
+/// guarded by the shard map.
 enum Batch<'a, K> {
-    Gets(&'a [K], &'a mut [Option<Option<Bytes>>]),
-    Puts(&'a [(K, Bytes)]),
+    Gets(&'a [K], &'a mut [Option<Answer>]),
+    Puts(&'a [(K, Bytes)], Option<OpTag>),
+    Raw {
+        reg: RegisterId,
+        /// Names the operation in errors.
+        label: &'a str,
+        /// The payload of a write; `None` reads.
+        write: Option<Value>,
+        /// Whether the operation is recorded (see [`KvClient::raw_read`]).
+        recorded: bool,
+        /// Where to leave the payload read (⊥ for a write) and the rounds
+        /// the operation took.
+        done: &'a mut Option<(Value, u32)>,
+    },
 }
 
-/// One multi-key call in flight: the pipelined driver behind
-/// [`KvClient::multi_get`] and [`KvClient::multi_put`] (see the
-/// [module docs](self#multi-key-calls)) — one thread, one event-driven
-/// [`PipelinedClient`] fan, no per-node threads.
+/// What a completion leaves of its chunk.
+enum Next {
+    /// The chunk has ended.
+    End(Result<(), KvError>),
+    /// Its next register operation goes out now.
+    Step,
+    /// Its next register operation goes out after this long.
+    Park(Duration),
+}
+
+/// One call in flight: the driver behind every register operation of
+/// [`KvClient`] (see the [module docs](self#operations)) — one thread,
+/// the client family's one event-driven [`PipelinedClient`] fan.
 struct Flight<'a> {
     kv: &'a KvClient,
-    fan: PipelinedClient,
-    /// The map the batch was routed under (checked before every send).
+    /// The map the current wave was routed under (checked before every
+    /// guarded send) and its split sources.
     map: ShardMap,
-    /// The pipelined inputs as `(register, input index)`. [`run`]
-    /// (Self::run) sorts them, so one register's inputs are contiguous
-    /// and in input order.
+    sources: BTreeSet<u16>,
+    /// Whether sends are checked against the shared map: the puts of
+    /// every wave but the last.
+    guarded: bool,
+    /// The wave's inputs as `(register, input index)`, sorted, so one
+    /// register's inputs are contiguous and in input order.
     routed: Vec<(RegisterId, usize)>,
-    /// Chunk `c` — one register operation — carries the inputs
-    /// `routed[cuts[c]..cuts[c + 1]]`, all of one register. The runner
-    /// admits ONE op per register at a time (§III-A per-register
-    /// sequentiality), so a register's chunks run one after the other:
-    /// chunk `c + 1` is submitted when `c` completes, if it is on the
-    /// same register — queueing client-side instead of eating
+    /// Chunk `c` — one register operation, or behind the barrier one
+    /// key's few — carries the inputs `routed[cuts[c]..cuts[c + 1]]`, all
+    /// of one register. The runner admits ONE op per register at a time
+    /// (§III-A per-register sequentiality), so a register's chunks run
+    /// one after the other: chunk `c + 1` starts when `c` ends, if it is
+    /// on the same register — queueing client-side instead of eating
     /// self-inflicted `Busy` rejections.
     cuts: Vec<usize>,
-    /// The in-flight chunks: tickets, with their bookkeeping in a twin
-    /// vector (so the ticket slice feeds `wait_any` directly).
+    /// The chunks with an operation in flight: tickets, with their
+    /// bookkeeping in a twin vector (so the ticket slice feeds `wait_any`
+    /// directly).
     tickets: Vec<Ticket>,
-    pending: Vec<InFlightOp>,
-    /// What the pipeline does not settle, for the blocking path: input
-    /// indices with the invocations they already recorded, in the order
-    /// they will run.
-    fallback: Vec<(usize, Option<rmem_types::OpId>)>,
-    /// A coalesced op failed ambiguously: [`drain`](Self::drain) records
-    /// that as this process's crash (see [`fail`](Self::fail)).
-    crashed: bool,
-    /// The call's first failure: a terminal refusal at submission (a
-    /// client-side `TooLarge`), else the first blocking-path error.
+    pending: Vec<Active>,
+    /// The chunks waiting out a deadline (`Busy` backoff, seal poll).
+    parked: Vec<(Instant, Active)>,
+    /// Inputs for the next wave: the map moved under them.
+    next: Vec<usize>,
+    /// Some operation ended pending: [`run`](Self::run) records the crash.
+    ambiguous: bool,
+    /// The call's first failure.
     first_err: Option<KvError>,
 }
 
@@ -256,7 +333,8 @@ pub struct KvOpStats {
     /// Failed node attempts that made an operation retry — `Busy`
     /// re-tries on one node plus failover hops to the next.
     pub retries: u64,
-    /// Total microseconds slept in retry backoff (see `kv.backoff_micros`).
+    /// Total microseconds operations waited out in `Busy` backoff (see
+    /// `kv.backoff_micros`).
     pub backoff_micros: u64,
     /// Reads served from the client's tag-lease cache with **zero**
     /// datagrams (counted into `reads` with 0 rounds). Always 0 unless
@@ -290,26 +368,6 @@ impl KvOpStats {
             return 0.0;
         }
         self.fast_reads as f64 / self.reads as f64
-    }
-
-    /// Fraction of reads served locally by a live tag lease (0 rounds,
-    /// 0 datagrams). With leases on over a Zipf-hot read-mostly
-    /// workload this dominates, which is what pushes
-    /// [`mean_read_rounds`](Self::mean_read_rounds) below 1.0.
-    pub fn lease_hit_fraction(&self) -> f64 {
-        if self.reads == 0 {
-            return 0.0;
-        }
-        self.lease_hits as f64 / self.reads as f64
-    }
-
-    /// Mean seal polls per barrier wait (how long barriered writers
-    /// actually stalled; 0.0 if nothing ever waited).
-    pub fn mean_barrier_polls(&self) -> f64 {
-        if self.barrier_waits == 0 {
-            return 0.0;
-        }
-        self.barrier_polls as f64 / self.barrier_waits as f64
     }
 }
 
@@ -437,11 +495,11 @@ impl std::error::Error for KvError {}
 /// spreads across the cluster) and fails over to the remaining nodes when
 /// its home node is down or unresponsive — any node can serve any
 /// register.
-/// [`multi_get`](KvClient::multi_get)/[`multi_put`](KvClient::multi_put)
-/// share one pipelined driver that keeps every shard's operation in
-/// flight **at once, from the calling thread** — operations on different
-/// shards touch different registers and are independent by locality, so
-/// the only serialization kept is the per-register input order.
+/// Every call runs through one driver that keeps every shard's operation
+/// in flight **at once, from the calling thread** — operations on
+/// different shards touch different registers and are independent by
+/// locality, so the only serialization kept is the per-register input
+/// order (see the [module docs](self#operations)).
 ///
 /// Reads and writes inherit the register emulation's guarantees: with a
 /// majority of nodes up, every operation terminates, and per-key histories
@@ -450,6 +508,9 @@ impl std::error::Error for KvError {}
 #[derive(Debug, Clone)]
 pub struct KvClient {
     nodes: Vec<Client>,
+    /// The family's one reactor over `nodes` (clones share it; rebuilt
+    /// whenever the node handles are).
+    fan: Arc<PipelinedClient>,
     map: Arc<Mutex<ShardMap>>,
     /// Whether this client family has read the config register at least
     /// once — until then the cache is only the constructor's guess, and
@@ -457,7 +518,6 @@ pub struct KvClient {
     /// client's already-committed split (reads self-heal via stamp
     /// mismatches; writes are blind). The first operation syncs.
     synced: Arc<std::sync::atomic::AtomicBool>,
-    busy_retries: u32,
     barrier_polls: u32,
     health: Arc<HealthMemory>,
     obs: Arc<ClientObs>,
@@ -499,10 +559,10 @@ impl KvClient {
         }
         let health = Arc::new(HealthMemory::new(nodes.len(), Duration::from_secs(5)));
         Ok(KvClient {
+            fan: Arc::new(PipelinedClient::fan(&nodes)),
             nodes,
             map: Arc::new(Mutex::new(ShardMap::genesis(router.shards()))),
             synced: Arc::new(std::sync::atomic::AtomicBool::new(false)),
-            busy_retries: 32,
             barrier_polls: 512,
             health,
             obs: Arc::new(ClientObs::new(ObsHandle::new())),
@@ -534,18 +594,16 @@ impl KvClient {
         self.trace = flight
             .is_enabled()
             .then(|| Arc::new(TraceCtx::new(flight.clone())));
-        self.nodes = self
-            .nodes
-            .into_iter()
-            .map(|n| n.with_trace(self.trace.clone()))
-            .collect();
-        self
+        let trace = self.trace.clone();
+        self.rewire(|n| n.with_trace(trace.clone()))
     }
 
-    /// The family id this client's operations are traced under (the
-    /// `pid` of its ring in a stitch), if tracing is on.
-    pub fn trace_client_id(&self) -> Option<u16> {
-        self.trace.as_ref().map(|t| t.client_id())
+    /// Reconfigures every node handle and rebuilds the fan over them (it
+    /// inherits their patience and trace context).
+    fn rewire(mut self, node: impl Fn(Client) -> Client) -> Self {
+        self.nodes = self.nodes.into_iter().map(node).collect();
+        self.fan = Arc::new(PipelinedClient::fan(&self.nodes));
+        self
     }
 
     /// This family's client-side events as a stitcher input: combine with
@@ -585,32 +643,21 @@ impl KvClient {
         self
     }
 
-    /// Replaces the number of retries on `Busy` rejections (another client
-    /// racing an operation through the same node; default 32).
-    pub fn with_busy_retries(mut self, busy_retries: u32) -> Self {
-        self.busy_retries = busy_retries;
-        self
-    }
-
     /// Replaces the bounded-wait cap of the migration write barrier
-    /// (default 512 seal polls with escalating backoff): a barriered
+    /// (default 512 seal polls on escalating deadlines): a barriered
     /// write that exhausts the cap fails with [`KvError::Barrier`]
-    /// instead of blocking forever.
+    /// instead of waiting forever.
     pub fn with_barrier_polls(mut self, barrier_polls: u32) -> Self {
         assert!(barrier_polls > 0, "the barrier needs at least one poll");
         self.barrier_polls = barrier_polls;
         self
     }
 
-    /// Replaces each node handle's patience window (default 10 s): how
-    /// long one node may sit on an operation before failover moves on.
-    pub fn with_op_timeout(mut self, timeout: Duration) -> Self {
-        self.nodes = self
-            .nodes
-            .into_iter()
-            .map(|n| n.with_timeout(timeout))
-            .collect();
-        self
+    /// Replaces the patience window (default 10 s): how long a call waits
+    /// with nothing settling before the operations it has in flight fail
+    /// over to their next nodes.
+    pub fn with_op_timeout(self, timeout: Duration) -> Self {
+        self.rewire(|n| n.with_timeout(timeout))
     }
 
     /// Replaces the cluster-health mark cooldown (default 5 s): how long a
@@ -791,13 +838,14 @@ impl KvClient {
         }
     }
 
-    /// Bounded exponential backoff with jitter before retry `attempt`
-    /// (1-based): base 50 µs doubling to a 2 ms ceiling, the actual sleep
-    /// drawn uniformly from `[cap/2, cap]`. The jitter is what prevents
-    /// livelock under contention — two clients Busy-bouncing on one
-    /// register with deterministic sleeps would stay phase-locked and
-    /// collide on every retry.
-    fn backoff(&self, attempt: u32) {
+    /// How long an operation waits before `Busy` retry `attempt`
+    /// (1-based): bounded exponential backoff with jitter — base 50 µs
+    /// doubling to a 2 ms ceiling, the actual wait drawn uniformly from
+    /// `[cap/2, cap]`. The jitter is what prevents livelock under
+    /// contention — two clients Busy-bouncing on one register with
+    /// deterministic waits would stay phase-locked and collide on every
+    /// retry.
+    fn busy_delay(&self, attempt: u32) -> Duration {
         use rand::{Rng, SeedableRng};
         // Each thread jitters from its own stream (seeded off a global
         // counter): contending threads decorrelate instead of sharing a
@@ -812,9 +860,9 @@ impl KvClient {
                 ));
         }
         let cap = (50u64 << attempt.min(6).saturating_sub(1)).min(2_000);
-        let sleep = JITTER.with(|rng| rng.borrow_mut().gen_range(cap / 2..=cap));
-        self.obs.backoff_micros.add(sleep);
-        std::thread::sleep(Duration::from_micros(sleep));
+        let wait = JITTER.with(|rng| rng.borrow_mut().gen_range(cap / 2..=cap));
+        self.obs.backoff_micros.add(wait);
+        Duration::from_micros(wait)
     }
 
     /// The current cached shard map (shared with clones).
@@ -886,7 +934,8 @@ impl KvClient {
     /// read.
     pub fn refresh_map(&self) -> Result<bool, KvError> {
         self.obs.map_refreshes.inc();
-        let payload = self.reg_read(CONFIG_REGISTER, "shard-map")?;
+        let (payload, rounds) = self.raw(CONFIG_REGISTER, None, "shard-map", false)?;
+        self.record_read(rounds);
         self.synced.store(true, Ordering::Relaxed);
         let Some(published) = ShardMap::decode(&payload) else {
             return Ok(false);
@@ -920,9 +969,7 @@ impl KvClient {
         if self.synced.load(Ordering::Relaxed) {
             return Ok(());
         }
-        let (payload, _) = self.with_failover("shard-map", CONFIG_REGISTER, |node| {
-            node.read_at_counted(CONFIG_REGISTER)
-        })?;
+        let (payload, _) = self.raw(CONFIG_REGISTER, None, "shard-map", false)?;
         if let Some(published) = ShardMap::decode(&payload) {
             self.adopt(&published);
         }
@@ -930,346 +977,120 @@ impl KvClient {
         Ok(())
     }
 
-    /// Runs one register operation for `label`, preferring the register's
-    /// home node but failing over to the other nodes when it is
-    /// unreachable: every node can serve every register, so as long as a
-    /// majority is up the operation terminates through *some* handle.
-    /// `Busy` rejections (another client racing this node) retry with
-    /// backoff on the same node first, then fail over like any other
-    /// unavailability — register operations are idempotent, so a retry
-    /// after an ambiguous timeout is safe.
-    ///
-    /// Nodes the shared [`HealthMemory`] marks as recently failed are
-    /// tried *last* (never skipped), and a timeout/down outcome marks the
-    /// node — the multi-key driver consults the same marks before every
-    /// submission, so a wedged node costs a batch (and every clone's
-    /// later operations) one patience window, not one per key. A node
-    /// whose mark has decayed must first serve one **probe** operation
-    /// before rejoining full rotation: exactly one caller wins the probe
-    /// (and routes its operation through the node, first), everyone else
-    /// keeps trying it last until the probe clears it.
-    /// [`ClientError::TooLarge`] short-circuits without marking: the value
-    /// cannot fit *any* node's frame, so failing over would only repeat
-    /// the refusal.
-    fn with_failover<T>(
-        &self,
-        key: &str,
-        reg: RegisterId,
-        op: impl FnMut(&Client) -> Result<T, ClientError>,
-    ) -> Result<T, KvError> {
-        self.with_failover_abortable(key, reg, op, None)
-            .map(|v| v.expect("unabortable failover cannot abort"))
-    }
-
-    /// [`with_failover`](Self::with_failover) with an abort guard checked
-    /// before every node attempt; `Ok(None)` means the guard fired and
-    /// the operation was **not** issued to any further node.
-    ///
-    /// The epoch-aware write path uses this to keep a write from landing
-    /// *late*: a node attempt's effect lands within moments of its start,
-    /// so checking "did the shard map move?" right before each attempt
-    /// bounds how stale a landed write can be — without it, a write
-    /// stalled behind a dead node's patience window could surface on a
-    /// source register long after the shard was sealed.
-    fn with_failover_abortable<T>(
-        &self,
-        key: &str,
-        reg: RegisterId,
-        mut op: impl FnMut(&Client) -> Result<T, ClientError>,
-        abort: Option<&dyn Fn() -> bool>,
-    ) -> Result<Option<T>, KvError> {
-        let home = reg.0 as usize % self.nodes.len();
-        let rotation = (0..self.nodes.len()).map(|o| (home + o) % self.nodes.len());
-        let mut fresh = Vec::new();
-        let mut suspect = Vec::new();
-        let mut probing: Option<usize> = None;
-        for i in rotation {
+    /// The order in which an operation on `reg` tries the nodes. Every
+    /// node can serve every register, so as long as a majority is up the
+    /// operation terminates through *some* handle: the register's home
+    /// node first and the others after it — except that nodes the shared
+    /// [`HealthMemory`] marks as recently failed go *last* (never
+    /// skipped), so a wedged node costs a call (and every clone's later
+    /// operations) one patience window, not one per key. A node whose
+    /// mark has decayed must first serve one **probe** operation before
+    /// rejoining full rotation: exactly one caller wins the probe (the
+    /// returned flag) and routes its operation through that node, first;
+    /// everyone else keeps trying it last until the probe clears it.
+    fn rotation(&self, reg: RegisterId) -> (Vec<usize>, bool) {
+        let n = self.nodes.len();
+        let home = reg.0 as usize % n;
+        let (mut order, mut suspect, mut probe) = (Vec::with_capacity(n), Vec::new(), false);
+        for i in (0..n).map(|o| (home + o) % n) {
             match self.health.gate(i) {
-                NodeGate::Fresh => fresh.push(i),
-                NodeGate::Suspect => suspect.push(i),
-                NodeGate::NeedsProbe => {
-                    if probing.is_none() && self.health.try_begin_probe(i) {
-                        // The probe winner's operation *is* the probe: the
-                        // node goes first so this operation definitely
-                        // exercises it (success clears, failure re-marks).
-                        probing = Some(i);
-                    } else {
-                        suspect.push(i);
-                    }
+                NodeGate::Fresh => order.push(i),
+                // The probe winner's operation *is* the probe: the node
+                // goes first so this operation definitely exercises it
+                // (success clears, failure re-marks).
+                NodeGate::NeedsProbe if !probe && self.health.try_begin_probe(i) => {
+                    probe = true;
+                    order.insert(0, i);
                 }
+                _ => suspect.push(i),
             }
         }
-        let order = probing.into_iter().chain(fresh).chain(suspect);
-        let mut last_err = None;
-        for i in order {
-            let node = &self.nodes[i];
-            let mut attempts = 0;
-            loop {
-                // Checked before *every* attempt, busy retries included: a
-                // Busy storm (e.g. barrier pollers hammering a splitting
-                // register) must not delay an issue past the guard — the
-                // guarded write's contract is that its effect lands within
-                // one clean attempt of a passing check.
-                if abort.is_some_and(|guard| guard()) {
-                    return Ok(None);
-                }
-                match op(node) {
-                    Err(ClientError::Busy) if attempts < self.busy_retries => {
-                        attempts += 1;
-                        self.obs.retries.inc();
-                        self.backoff(attempts);
-                    }
-                    Err(ClientError::TooLarge { size, limit }) => {
-                        if probing == Some(i) {
-                            // The probe never reached the node (client-side
-                            // refusal): hand the debt back.
-                            self.health.reopen_probe(i);
-                        }
-                        return Err(KvError::TooLarge {
-                            key: key.to_string(),
-                            size,
-                            limit,
-                        });
-                    }
-                    // This node is gone, wedged, or permanently saturated
-                    // (Busy retries exhausted); the next one serves the
-                    // same register.
-                    Err(source) => {
-                        self.obs.retries.inc();
-                        if matches!(source, ClientError::TimedOut | ClientError::ProcessDown) {
-                            self.health.mark(i);
-                        } else if probing == Some(i) {
-                            // Inconclusive probe (e.g. Busy exhaustion):
-                            // the node still owes one.
-                            self.health.reopen_probe(i);
-                        }
-                        last_err = Some(source);
-                        break;
-                    }
-                    Ok(v) => {
-                        self.health.clear(i);
-                        return Ok(Some(v));
-                    }
-                }
-            }
-        }
-        Err(KvError::Register {
-            key: key.to_string(),
-            source: last_err.expect("at least one node was tried"),
-        })
+        order.extend(suspect);
+        (order, probe)
     }
 
-    /// Records a store-operation invocation (one per `put`/`get`, however
-    /// many register rounds serve it).
-    fn rec_invoke(&self, op: Op) -> Option<rmem_types::OpId> {
+    /// Records a store-operation invocation (one per chunk, however many
+    /// node attempts and register rounds serve it).
+    fn rec_invoke(&self, op: Op) -> Option<OpId> {
         self.recorder.as_ref().map(|(r, pid)| r.invoke(*pid, op))
     }
 
-    /// Records an outcome against the pending invocation `inv`: replies
-    /// for definite outcomes, the crash/recovery idiom for ambiguous
-    /// ones.
-    pub(crate) fn rec_outcome(
-        &self,
-        inv: Option<rmem_types::OpId>,
-        outcome: Result<OpResult, &KvError>,
-    ) {
-        let Some((recorder, pid)) = &self.recorder else {
-            return;
-        };
-        let Some(inv) = inv else {
-            return;
-        };
-        match outcome {
-            Ok(result) => recorder.reply(inv, result),
-            // Refused before/without taking effect: the checkers ignore
-            // rejected invocations.
-            Err(KvError::TooLarge { .. })
-            | Err(KvError::Register {
-                source: ClientError::Busy,
-                ..
-            }) => recorder.reply(inv, OpResult::Rejected(rmem_types::RejectReason::Busy)),
-            // Ambiguous (may or may not have applied): leave the op
-            // pending and record the model's crash/recovery idiom.
-            Err(_) => recorder.abandon(*pid),
+    /// Records the definite answer to the pending invocation `inv`.
+    fn rec_reply(&self, inv: Option<OpId>, result: OpResult) {
+        if let (Some((recorder, _)), Some(inv)) = (&self.recorder, inv) {
+            recorder.reply(inv, result);
         }
     }
 
-    /// One failover-protected register read. **Unrecorded** — recording
-    /// happens at the store-operation level (see [`rec_invoke`]), so
-    /// infrastructure reads (barrier polls, map refreshes) and the
-    /// several rounds of one logical `get` never masquerade as distinct
-    /// store operations.
+    /// Drives `batch` to its end through a [`Flight`] of its own.
+    fn fly<K: AsRef<str>>(&self, batch: &mut Batch<'_, K>) -> Result<(), KvError> {
+        self.sync_map()?;
+        Flight::new(self).run(batch)
+    }
+
+    /// One raw register operation on `reg` — a write of `write`, else a
+    /// read — through the driver: unrouted, unguarded, and recorded only
+    /// on request. Returns the payload read (⊥ for a write) and the
+    /// quorum rounds the operation took.
     ///
-    /// [`rec_invoke`]: KvClient::rec_invoke
-    fn reg_read(&self, reg: RegisterId, label: &str) -> Result<Value, KvError> {
-        let (payload, rounds) = self.with_failover(label, reg, |node| node.read_at_counted(reg))?;
-        self.record_read(rounds);
-        Ok(payload)
-    }
-
-    /// [`reg_read`](Self::reg_read) that additionally harvests a lease
-    /// grant into the cache when one rides the read's completion. `t0`
-    /// is stamped inside the per-attempt closure, so the horizon anchors
-    /// at the *successful* attempt's submission instant — never at an
-    /// earlier failed node's.
-    fn reg_read_leasing(
-        &self,
-        reg: RegisterId,
-        label: &str,
-        map: &ShardMap,
-    ) -> Result<Value, KvError> {
-        if self.leases.is_none() {
-            return self.reg_read(reg, label);
-        }
-        let (payload, rounds, grant, t0) = self.with_failover(label, reg, |node| {
-            let t0 = Instant::now();
-            node.read_at_leased(reg).map(|(v, r, g)| (v, r, g, t0))
-        })?;
-        self.record_read(rounds);
-        // With no grant, whatever lease the cache holds for this
-        // register is not refreshable — the quorum stopped attesting
-        // it. Leave it to expire on its own horizon (still safe: the
-        // fence outlives it), no forced revocation.
-        if let Some(grant) = grant {
-            self.lease_fill(reg, grant, payload.clone(), map, t0);
-        }
-        Ok(payload)
-    }
-
-    /// One failover-protected register write. **Unrecorded** (see
-    /// [`reg_read`](KvClient::reg_read)); notably the migration *data*
-    /// writes — the copy to the new home and the seal of the old one —
-    /// must never be recorded: at the store level they relocate a value
-    /// rather than write one, and recording them would let a buggy
+    /// The config/migration traffic is **unrecorded**: recording happens
+    /// at the store-operation level, so map refreshes never masquerade as
+    /// store operations — and notably the migration *data* writes (the
+    /// copy to the new home and the seal of the old one) must never be
+    /// recorded: at the store level they relocate a value rather than
+    /// write one, and recording them would let a buggy
     /// (non-tag-monotonic) copy read as a legitimate write, hiding
     /// exactly the lost updates the cross-epoch certifier exists to
     /// catch.
+    fn raw(
+        &self,
+        reg: RegisterId,
+        write: Option<Value>,
+        label: &str,
+        recorded: bool,
+    ) -> Result<(Value, u32), KvError> {
+        let mut done = None;
+        let mut batch: Batch<'_, &str> = Batch::Raw {
+            reg,
+            label,
+            write,
+            recorded,
+            done: &mut done,
+        };
+        Flight::new(self).run(&mut batch)?;
+        Ok(done.expect("a raw flight that did not fail completed"))
+    }
+
+    /// One unrecorded register write (see [`raw`](Self::raw)).
     fn reg_write(&self, reg: RegisterId, payload: Value, label: &str) -> Result<(), KvError> {
-        self.lease_revoke(reg);
-        let rounds = self.with_failover(label, reg, |node| {
-            node.write_at_counted(reg, payload.clone())
-        })?;
+        let (_, rounds) = self.raw(reg, Some(payload), label, false)?;
         self.record_write(rounds);
         Ok(())
     }
 
-    /// One register write that aborts — returns `Ok(false)`, nothing
-    /// issued to any further node — as soon as the shard map's epoch
-    /// moves past `epoch`. The epoch-aware `put` uses this so a write
-    /// stalled in failover cannot land on a source register long after
-    /// the shard was sealed.
-    fn reg_write_guarded(
-        &self,
-        reg: RegisterId,
-        payload: Value,
-        label: &str,
-        epoch: u64,
-    ) -> Result<bool, KvError> {
-        self.lease_revoke(reg);
-        let guard = || self.shard_map().epoch != epoch;
-        match self.with_failover_abortable(
-            label,
-            reg,
-            |node| node.write_at_counted(reg, payload.clone()),
-            Some(&guard),
-        )? {
-            Some(rounds) => {
-                self.record_write(rounds);
-                Ok(true)
-            }
-            None => Ok(false),
-        }
-    }
-
-    /// One failover-protected register **read** returning the raw payload
-    /// (⊥, a single entry, a bundle, or a migration seal), recorded as
-    /// one operation; `label` names the operation in errors. The
-    /// migration driver's handoff evidence, and how tests inspect a cell.
+    /// One register **read** returning the raw payload (⊥, a single
+    /// entry, a bundle, or a migration seal), recorded as one operation;
+    /// `label` names the operation in errors. The migration driver's
+    /// handoff evidence, and how tests inspect a cell.
     ///
     /// # Errors
     ///
     /// As for [`get`](Self::get).
     pub fn raw_read(&self, reg: RegisterId, label: &str) -> Result<Value, KvError> {
         self.sync_map()?;
-        let inv = self.rec_invoke(Op::ReadAt(reg));
-        match self.reg_read(reg, label) {
-            Ok(payload) => {
-                self.rec_outcome(inv, Ok(OpResult::ReadValue(payload.clone())));
-                Ok(payload)
-            }
-            Err(e) => {
-                self.rec_outcome(inv, Err(&e));
-                Err(e)
-            }
-        }
+        let (payload, rounds) = self.raw(reg, None, label, true)?;
+        self.record_read(rounds);
+        Ok(payload)
     }
 
-    /// Waits for `old_shard`'s migration seal (bounded): the write
-    /// barrier of a key owned by a splitting shard. Returns `Ok(true)`
-    /// when the seal was observed under `map`'s epoch, `Ok(false)` when
-    /// the shard map advanced past `map` mid-wait (the caller should
-    /// re-route).
-    fn barrier_wait(&self, key: &str, old_shard: u16, map: &ShardMap) -> Result<bool, KvError> {
-        let reg = data_register(old_shard);
-        let mut waited = false;
-        for poll in 0..self.barrier_polls {
-            // The shared cache moves the moment any clone observes a
-            // newer map (e.g. the migration driver committing): always
-            // re-route rather than poll for a seal that may already be
-            // superseded.
-            if self.shard_map() != *map {
-                return Ok(false);
-            }
-            self.obs.barrier_polls.inc();
-            let payload = self.reg_read(reg, key)?;
-            if map.seals_source(&payload, old_shard) {
-                if waited {
-                    // How long the writer actually stalled, in seal polls.
-                    self.obs.handle.flight.record(
-                        FlightEvent::new(EventKind::BarrierWait)
-                            .with_register(reg.0)
-                            .with_epoch(map.epoch as u32)
-                            .with_aux(u64::from(poll)),
-                    );
-                }
-                self.obs.handle.flight.record(
-                    FlightEvent::new(EventKind::SealObserved)
-                        .with_register(reg.0)
-                        .with_epoch(map.epoch as u32),
-                );
-                return Ok(true);
-            }
-            if !waited {
-                waited = true;
-                self.obs.barrier_waits.inc();
-            }
-            // Escalating backoff, capped: the migrator seals a shard in a
-            // handful of register rounds, so the common case is one short
-            // sleep. Every eighth poll re-reads the authoritative map in
-            // case this client is the only one still watching.
-            if poll % 8 == 7 {
-                let _ = self.refresh_map()?;
-            }
-            let backoff = (100u64 << poll.min(5)).min(2_000);
-            std::thread::sleep(Duration::from_micros(backoff));
-        }
-        // Exhausted without a seal: the stall itself is worth a trace.
-        self.obs.handle.flight.record(
-            FlightEvent::new(EventKind::BarrierWait)
-                .with_register(reg.0)
-                .with_epoch(map.epoch as u32)
-                .with_aux(u64::from(self.barrier_polls)),
-        );
-        Err(KvError::Barrier {
-            key: key.to_string(),
-            shard: old_shard,
-        })
-    }
-
-    /// Stores `value` under `key`, blocking until the write is durable at
-    /// a majority. During a live split of the key's source shard, the
-    /// write first waits on the migration **write barrier** (see the
-    /// module docs; bounded by [`with_barrier_polls`]).
+    /// Stores `value` under `key`, returning once the write is durable at
+    /// a majority: a call of one entry through the driver (see the
+    /// [module docs](self#operations)) — [`multi_put`](Self::multi_put)
+    /// of `[(key, value)]`. During a live split of the key's source
+    /// shard, the write first waits on the migration **write barrier**
+    /// (bounded by [`with_barrier_polls`]). An exactly-once client
+    /// journals the intent durably first, writes under a client-assigned
+    /// op tag and tombstones on ack.
     ///
     /// The encoded entry (`3 + key + value` bytes plus protocol framing)
     /// must fit the cluster's transport frame: UDP transports cap
@@ -1283,220 +1104,51 @@ impl KvClient {
     ///
     /// Returns [`KvError::TooLarge`] for an entry over the transport
     /// frame, [`KvError::Barrier`] if a migration barrier never cleared,
-    /// [`KvError::Register`] if the register operation fails.
+    /// [`KvError::Register`] if every node failed the register operation.
     pub fn put(&self, key: &str, value: impl Into<Bytes>) -> Result<(), KvError> {
-        self.put_settled(key, value.into(), &mut None)
-    }
-
-    /// The blocking put path with an externally-owned invocation slot:
-    /// brackets the wall-clock latency histogram around the engine. The
-    /// pipelined multi-key driver routes a submission that errored (node
-    /// down, `Busy`, epoch moved) through here so the operation keeps its
-    /// already-recorded invocation. An exactly-once client never
-    /// pipelines, so its slot is always empty: it journals the intent
-    /// durably, writes under a client-assigned op tag and tombstones on
-    /// ack.
-    fn put_settled(
-        &self,
-        key: &str,
-        value: Bytes,
-        inv: &mut Option<rmem_types::OpId>,
-    ) -> Result<(), KvError> {
-        let clock = self.obs.op_clock();
-        let outcome = if self.intents.is_some() {
-            self.put_exactly_once(key, value)
+        if self.intents.is_some() {
+            self.put_exactly_once(key, value.into())
         } else {
-            self.put_inner(key, value, None, inv)
-        };
-        ClientObs::lap(clock, &self.obs.put_micros);
-        outcome
+            self.put_inner(key, value.into(), None)
+        }
     }
 
-    /// [`put`](Self::put)'s engine (split out so the wall-clock latency
-    /// histogram brackets the whole operation, retries included). With
-    /// `Some(tag)` every landed payload carries the op-id frame — retries
-    /// across epoch re-routes re-encode under the *same* tag, which is
-    /// what lets the exactly-once certifier collapse them into one
-    /// logical write. The invocation slot is caller-owned so the
-    /// pipelined driver can hand over an operation it already invoked
-    /// (and part-attempted) without opening a second recorded op.
+    /// A call of the one entry `key → value`. With `Some(tag)` every
+    /// payload it lands carries the op-id frame — retries across nodes
+    /// and epoch re-routes re-encode under the *same* tag, which is what
+    /// lets the exactly-once certifier collapse them into one logical
+    /// write.
     pub(crate) fn put_inner(
         &self,
         key: &str,
         value: Bytes,
         tag: Option<OpTag>,
-        inv: &mut Option<rmem_types::OpId>,
     ) -> Result<(), KvError> {
-        self.sync_map()?;
-        // Recorded as ONE store operation however many rounds serve it:
-        // the invocation opens just before the first write attempt, the
-        // reply lands after the last — so an epoch-repair re-write (below)
-        // stays inside the operation's interval.
-        for _ in 0..MAP_RETRIES {
-            let map = self.shard_map();
-            if map.is_barriered(key) && !self.barrier_wait(key, map.old_shard_of(key), &map)? {
-                continue; // the map advanced mid-wait; re-route
-            }
-            let reg = map.register_for(key);
-            let payload = match tag {
-                Some(tag) => codec::encode_entry_tagged(key, &value, map.stamp(), tag),
-                None => codec::encode_entry(key, &value, map.stamp()),
-            };
-            if inv.is_none() {
-                *inv = self.rec_invoke(Op::WriteAt(reg, payload.clone()));
-            }
-            // The guard makes this all-or-nothing: either the write
-            // landed under `map`'s epoch (within one clean attempt of a
-            // passing epoch check — it cannot surface late behind a
-            // seal), or nothing was issued and we re-route under the
-            // fresh map. Exactly one landing either way: a re-write
-            // after a successful landing would let pre-seal observers
-            // and post-seal observers bracket another client's write,
-            // which no single store operation can explain.
-            match self.reg_write_guarded(reg, payload, key, map.epoch) {
-                Ok(true) => {
-                    self.rec_outcome(inv.take(), Ok(OpResult::Written));
-                    return Ok(());
-                }
-                Ok(false) => continue, // epoch moved before landing; re-route
-                Err(e) => {
-                    self.rec_outcome(inv.take(), Err(&e));
-                    return Err(e);
-                }
-            }
-        }
-        // Epochs kept moving for every retry (pathological churn): stop
-        // chasing and write unguarded under the freshest map we have.
-        let map = self.shard_map();
-        let payload = match tag {
-            Some(tag) => codec::encode_entry_tagged(key, &value, map.stamp(), tag),
-            None => codec::encode_entry(key, &value, map.stamp()),
-        };
-        let reg = map.register_for(key);
-        if inv.is_none() {
-            *inv = self.rec_invoke(Op::WriteAt(reg, payload.clone()));
-        }
-        match self.reg_write(reg, payload, key) {
-            Ok(()) => {
-                self.rec_outcome(inv.take(), Ok(OpResult::Written));
-                Ok(())
-            }
-            Err(e) => {
-                self.rec_outcome(inv.take(), Err(&e));
-                Err(e)
-            }
-        }
+        self.fly(&mut Batch::Puts(&[(key, value)], tag))
     }
 
     /// Reads the value stored under `key` (`None` if absent — never
-    /// written, or displaced by a shard-colliding key). During a live
-    /// split of the key's source shard the read falls back
-    /// **old-home-then-new-home**; a payload whose epoch stamp does not
-    /// match the cached map triggers a map refresh and a re-routed retry.
+    /// written, or displaced by a shard-colliding key): a call of one key
+    /// through the driver — [`multi_get`](Self::multi_get) of `[key]`.
+    /// During a live split of the key's source shard the read goes
+    /// **old-home-then-new-home**; an answer whose epoch stamp does not
+    /// match the cached map triggers a map refresh and a re-routed wave.
     ///
     /// # Errors
     ///
-    /// Returns [`KvError::Register`] if a register operation fails.
+    /// Returns [`KvError::Register`] if every node failed a register
+    /// operation.
     pub fn get(&self, key: &str) -> Result<Option<Bytes>, KvError> {
-        self.get_settled(key, &mut None)
+        self.get_inner(key).map(|(_, value)| value)
     }
 
-    /// The blocking get path with an externally-owned invocation slot
-    /// (see [`put_settled`](Self::put_settled) for why the pipelined
-    /// driver needs one): records ONE store operation — the invocation
-    /// opens before the first data read, the reply carries the payload
-    /// that actually answered (fallback hops and refresh-retries
-    /// included).
-    fn get_settled(
-        &self,
-        key: &str,
-        inv: &mut Option<rmem_types::OpId>,
-    ) -> Result<Option<Bytes>, KvError> {
-        self.sync_map()?;
-        let clock = self.obs.op_clock();
-        let outcome = self.get_inner(key, inv);
-        ClientObs::lap(clock, &self.obs.get_micros);
-        match &outcome {
-            Ok((payload, _)) => {
-                self.rec_outcome(inv.take(), Ok(OpResult::ReadValue(payload.clone())));
-            }
-            Err(e) => self.rec_outcome(inv.take(), Err(e)),
-        }
-        outcome.map(|(_, value)| value)
-    }
-
-    /// [`get`](Self::get)'s engine: returns the answering payload (for
-    /// the recorder) alongside the extracted value.
-    pub(crate) fn get_inner(
-        &self,
-        key: &str,
-        inv: &mut Option<rmem_types::OpId>,
-    ) -> Result<(Value, Option<Bytes>), KvError> {
-        let mut last = Value::bottom();
-        for _ in 0..MAP_RETRIES {
-            let map = self.shard_map();
-            if map.is_barriered(key) {
-                return self.get_during_split(key, &map, map.old_shard_of(key), inv);
-            }
-            let reg = map.register_for(key);
-            if let Some(payload) = self.lease_hit(reg, &map) {
-                // A live lease answers locally: zero datagrams. The
-                // read is still a recorded store operation — the lease
-                // fence is exactly what makes it certifiable.
-                if inv.is_none() {
-                    *inv = self.rec_invoke(Op::ReadAt(reg));
-                }
-                let value = codec::value_for_key(&payload, key);
-                return Ok((payload, value));
-            }
-            if inv.is_none() {
-                *inv = self.rec_invoke(Op::ReadAt(reg));
-            }
-            let payload = self.reg_read_leasing(reg, key, &map)?;
-            if let Some(value) = map.read_answer(&payload, key) {
-                return Ok((payload, value));
-            }
-            // Key absent under a foreign stamp — our map may be stale:
-            // refresh and re-route.
-            if !self.refresh_map()? {
-                return Ok((payload, None));
-            }
-            last = payload;
-        }
-        Ok((last, None))
-    }
-
-    /// The migration read path for a key whose source shard is splitting:
-    /// the unsealed old home is authoritative (writers are barriered);
-    /// a sealed old home forwards to the new routing.
-    fn get_during_split(
-        &self,
-        key: &str,
-        map: &ShardMap,
-        old_shard: u16,
-        inv: &mut Option<rmem_types::OpId>,
-    ) -> Result<(Value, Option<Bytes>), KvError> {
-        let old_reg = data_register(old_shard);
-        if inv.is_none() {
-            *inv = self.rec_invoke(Op::ReadAt(old_reg));
-        }
-        let payload = self.reg_read(old_reg, key)?;
-        if map.seals_source(&payload, old_shard) {
-            // Sealed (or already rewritten post-seal): the new routing is
-            // live for this shard.
-            if let Some(value) = codec::value_for_key(&payload, key) {
-                return Ok((payload, Some(value)));
-            }
-            let new_reg = map.register_for(key);
-            if new_reg == old_reg {
-                return Ok((payload, None));
-            }
-            let forwarded = self.reg_read(new_reg, key)?;
-            let value = codec::value_for_key(&forwarded, key);
-            return Ok((forwarded, value));
-        }
-        let value = codec::value_for_key(&payload, key);
-        Ok((payload, value))
+    /// [`get`](Self::get) with the answering payload, the resolver's
+    /// evidence.
+    pub(crate) fn get_inner(&self, key: &str) -> Result<Answer, KvError> {
+        let mut slot = [None];
+        self.fly(&mut Batch::Gets(&[key], &mut slot))?;
+        let [answer] = slot;
+        Ok(answer.expect("a call that did not fail answered its key"))
     }
 
     // -- Live shard splits -----------------------------------------------
@@ -1669,110 +1321,91 @@ impl KvClient {
 
     // -- Multi-key operations ----------------------------------------------
 
-    /// Reads many keys through the pipelined multi-key driver (see the
-    /// [module docs](self#multi-key-calls)): the keys of one register
-    /// share **one** read round, every register's read is in flight at
-    /// once, submitted from this one thread, and settles as its
-    /// completion arrives. Results align with the input order.
+    /// Reads many keys in one call through the driver (see the
+    /// [module docs](self#operations)): the keys of one register share
+    /// **one** read round, every register's read is in flight at once,
+    /// submitted from this one thread, and settles as its completion
+    /// arrives. Results align with the input order.
     ///
     /// A key under a live lease is answered before anything is sent. A
-    /// key behind the migration barrier ([`ShardMap::is_barriered`]) goes
-    /// straight to the blocking [`get`](Self::get) path, which owns the
-    /// old-home-then-new-home protocol; the rest of a mid-split batch
-    /// stays pipelined. A read the pipeline cannot settle cleanly (node
-    /// down, timeout, `Busy` collision with another client) sends its
-    /// keys to that same path — a lone key carrying the already-recorded
-    /// invocation — where the full failover/backoff/refresh machinery
-    /// applies; a key the round's payload cannot answer (absent under a
-    /// foreign epoch stamp) falls back alone.
+    /// key behind the migration barrier ([`ShardMap::is_barriered`]) is a
+    /// read of its own, old home then new home. A read whose node fails
+    /// (down, timeout, `Busy` past its retries) moves to the register's
+    /// next node as the same operation; a key the round's payload cannot
+    /// answer (absent under a foreign epoch stamp) is read again under
+    /// the refreshed map.
     ///
     /// Failover state is shared through the [`HealthMemory`]: the first
-    /// read to time out on a wedged node marks it, and the batch's other
-    /// keys then try that node last — one patience window per batch,
-    /// not one per key.
+    /// read to time out on a wedged node marks it, and the other reads
+    /// then try that node last — one patience window per call, not one
+    /// per key.
     ///
     /// # Errors
     ///
-    /// Returns the first failing key's [`KvError`]; other keys still
+    /// Returns the first failing register's [`KvError`]; other keys still
     /// ran to completion.
     pub fn multi_get<K: AsRef<str>>(&self, keys: &[K]) -> Result<Vec<Option<Bytes>>, KvError> {
-        if keys.is_empty() {
-            return Ok(Vec::new());
+        let mut answers = vec![None; keys.len()];
+        if !keys.is_empty() {
+            self.fly(&mut Batch::Gets(keys, &mut answers))?;
         }
-        self.sync_map()?;
-        let mut flight = Flight::new(self);
-        let mut results = vec![None; keys.len()];
-        let map = flight.map;
-        for (i, key) in keys.iter().enumerate() {
-            let key = key.as_ref();
-            let reg = map.register_for(key);
-            if map.is_barriered(key) {
-                flight.fallback.push((i, None));
-            } else if let Some(payload) = self.lease_hit(reg, &map) {
-                // Live leases answer before anything is submitted: those
-                // keys never enter the pipeline at all (zero datagrams).
-                let inv = self.rec_invoke(Op::ReadAt(reg));
-                results[i] = Some(codec::value_for_key(&payload, key));
-                self.rec_outcome(inv, Ok(OpResult::ReadValue(payload)));
-            } else {
-                flight.routed.push((reg, i));
-            }
-        }
-        flight.run(&mut Batch::Gets(keys, &mut results))?;
-        Ok(results
+        Ok(answers
             .into_iter()
-            .map(|slot| slot.expect("every index answered"))
+            .map(|slot| slot.expect("a call that did not fail answered every key").1)
             .collect())
     }
 
-    /// Writes many entries through the same driver as
+    /// Writes many entries in one call through the same driver as
     /// [`multi_get`](KvClient::multi_get): the entries of one register
     /// land as **one** composite write per chunk (last write per key
     /// wins, in input order — so two colliding keys of one call both
-    /// resolve afterwards, where two `put`s would displace each other,
-    /// as they still do when their chunk falls back to per-key puts).
+    /// resolve afterwards, where two `put`s would displace each other).
     /// A lone entry is the plain single-entry write; when no recorder is
     /// attached it is encoded **zero-copy**, straight into the op slot's
     /// reusable scratch buffer. An entry over the transport frame fails
     /// alone with [`KvError::TooLarge`] and supersedes nothing.
     ///
-    /// A key behind the migration barrier goes straight to the blocking
-    /// [`put`](Self::put) path, which waits the barrier out; the rest of
-    /// a mid-split batch stays pipelined. An exactly-once client's
-    /// entries all settle through the journaled `put`, in input order:
-    /// the intent journal's durable fsync per op is a per-write barrier
-    /// the pipeline has nothing to overlap with. Both routes run one op
-    /// at a time on the calling thread, so N such entries cost N
-    /// blocking puts back to back (no benchmark workload issues either
-    /// kind of batch; the cost is unmeasured).
+    /// A key behind the migration barrier is a write of its own, which
+    /// polls for its shard's seal on deadlines of the same loop: the rest
+    /// of a mid-split call completes meanwhile. An exactly-once client's
+    /// entries are journaled `put`s, in input order: the intent journal's
+    /// durable fsync per op is a per-write barrier the pipeline has
+    /// nothing to overlap with.
     ///
     /// # Errors
     ///
-    /// Returns the first failing key's [`KvError`]; other keys still
-    /// ran to completion.
+    /// Returns the first failing register's [`KvError`]; other entries
+    /// still ran to completion.
     pub fn multi_put<K: AsRef<str>>(&self, entries: &[(K, Bytes)]) -> Result<(), KvError> {
-        if entries.is_empty() {
-            return Ok(());
+        if self.intents.is_none() {
+            return match entries {
+                [] => Ok(()),
+                _ => self.fly(&mut Batch::Puts(entries, None)),
+            };
         }
-        self.sync_map()?;
-        let mut flight = Flight::new(self);
-        for (i, (key, _)) in entries.iter().enumerate() {
-            let key = key.as_ref();
-            if self.intents.is_some() || flight.map.is_barriered(key) {
-                flight.fallback.push((i, None));
-            } else {
-                flight.routed.push((flight.map.register_for(key), i));
-            }
+        let mut first = Ok(());
+        for (key, value) in entries {
+            first = first.and(self.put(key.as_ref(), value.clone()));
         }
-        flight.run(&mut Batch::Puts(entries))
+        first
     }
 }
 
 impl<K: AsRef<str>> Batch<'_, K> {
+    fn len(&self) -> usize {
+        match self {
+            Batch::Gets(keys, _) => keys.len(),
+            Batch::Puts(entries, _) => entries.len(),
+            Batch::Raw { .. } => 1,
+        }
+    }
+
+    /// Input `idx`'s key, or what names a raw operation in errors.
     fn key(&self, idx: usize) -> &str {
         match self {
             Batch::Gets(keys, _) => keys[idx].as_ref(),
-            Batch::Puts(entries) => entries[idx].0.as_ref(),
+            Batch::Puts(entries, _) => entries[idx].0.as_ref(),
+            Batch::Raw { label, .. } => label,
         }
     }
 
@@ -1785,18 +1418,25 @@ impl<K: AsRef<str>> Batch<'_, K> {
     /// bundle's entry count — an entry that alone exceeds the budget
     /// ships alone, and is refused at submission with the exact numbers
     /// (so it supersedes nothing: the key keeps its last sendable value).
-    fn cut(&self, routed: &mut Vec<(RegisterId, usize)>, budget: Option<usize>) -> Vec<usize> {
+    /// On a register `lone` names (one behind the migration barrier)
+    /// every input is a chunk of its own.
+    fn cut(
+        &self,
+        routed: &mut Vec<(RegisterId, usize)>,
+        budget: Option<usize>,
+        lone: impl Fn(RegisterId) -> bool,
+    ) -> Vec<usize> {
         routed.sort_unstable();
         // Sized as a bundle entry: an upper bound for every chunk (a
         // lone entry encodes as the smaller plain form).
         let cost = |i: usize| match self {
-            Batch::Gets(..) => 0,
-            Batch::Puts(entries) => {
+            Batch::Puts(entries, _) => {
                 codec::BUNDLE_ENTRY_OVERHEAD + entries[i].0.as_ref().len() + entries[i].1.len()
             }
+            _ => 0,
         };
         let fits = |size: usize| budget.is_none_or(|b| size <= b);
-        if let Batch::Puts(entries) = self {
+        if let Batch::Puts(entries, _) = self {
             if routed.windows(2).any(|w| w[0].0 == w[1].0) {
                 let sendable = |i: usize| fits(codec::BUNDLE_OVERHEAD + cost(i));
                 let mut last = HashMap::new();
@@ -1809,8 +1449,9 @@ impl<K: AsRef<str>> Batch<'_, K> {
         let mut cuts = Vec::new();
         let (mut size, mut count) = (0, 0);
         for (pos, &(reg, i)) in routed.iter().enumerate() {
-            let joins = matches!(self, Batch::Gets(..))
-                || (count < codec::MAX_BUNDLE_ENTRIES && fits(size + cost(i)));
+            let joins = !lone(reg)
+                && (matches!(self, Batch::Gets(..))
+                    || (count < codec::MAX_BUNDLE_ENTRIES && fits(size + cost(i))));
             if !(count > 0 && routed[pos - 1].0 == reg && joins) {
                 cuts.push(pos);
                 (size, count) = (codec::BUNDLE_OVERHEAD, 0);
@@ -1822,121 +1463,216 @@ impl<K: AsRef<str>> Batch<'_, K> {
         cuts
     }
 
-    /// Submits chunk `inputs` at `node` as one register operation: the
-    /// invocation recorded for it (when a recorder is attached) and its
-    /// ticket, or why nothing was sent.
+    /// Submits `op`'s current register operation at `node`, recording its
+    /// invocation first if the chunk has none yet (a retry is the same
+    /// operation); its ticket, or why nothing was sent.
     fn submit(
         &self,
         flight: &Flight<'_>,
-        inputs: &[(RegisterId, usize)],
+        op: &mut Active,
         node: usize,
-    ) -> (Option<rmem_types::OpId>, Result<Ticket, ClientError>) {
-        let (kv, fan, reg) = (flight.kv, &flight.fan, inputs[0].0);
-        let Batch::Puts(entries) = self else {
-            return (kv.rec_invoke(Op::ReadAt(reg)), fan.submit_read(node, reg));
+    ) -> Result<Ticket, ClientError> {
+        let (kv, fan, map) = (flight.kv, &flight.kv.fan, &flight.map);
+        let inputs = flight.inputs(op.chunk);
+        let (home, idx) = inputs[0];
+        // Behind the barrier the chunk is one key's: its old home first,
+        // its new home once `forward` says so.
+        let reg = match op.forward {
+            true => map.register_for(self.key(idx)),
+            false => home,
         };
-        let stamp = flight.map.stamp();
+        let read = |op: &mut Active, recorded: bool| {
+            if recorded && op.inv.is_none() {
+                op.inv = kv.rec_invoke(Op::ReadAt(reg));
+            }
+            fan.submit_read(node, reg)
+        };
+        let (entries, tag) = match self {
+            Batch::Gets(..) => return read(op, true),
+            Batch::Raw {
+                write: None,
+                recorded,
+                ..
+            } => return read(op, *recorded),
+            // A barriered put polls its old home for the seal: an
+            // infrastructure read, unrecorded.
+            Batch::Puts(..) if flight.barriered(home) && !op.forward => return read(op, false),
+            Batch::Raw {
+                write: Some(payload),
+                ..
+            } => {
+                kv.lease_revoke(reg);
+                return fan.submit_write(node, reg, payload.clone());
+            }
+            Batch::Puts(entries, tag) => (entries, tag),
+        };
         // The cached value for this register is about to go stale —
         // revoke before the write leaves.
         kv.lease_revoke(reg);
-        if kv.obs.handle.metrics.is_enabled() {
-            kv.obs.bundle_size.record(inputs.len() as u64);
+        let payload = match (inputs, tag) {
+            ([(_, idx)], None) if kv.recorder.is_none() => {
+                let (key, value) = (entries[*idx].0.as_ref(), &entries[*idx].1);
+                let fill = |buf: &mut _| codec::encode_entry_into(buf, key, value, map.stamp());
+                return fan.submit_write_with(node, reg, fill);
+            }
+            ([(_, idx)], Some(tag)) => {
+                let (key, value) = &entries[*idx];
+                codec::encode_entry_tagged(key.as_ref(), value, map.stamp(), *tag)
+            }
+            // A bundle, or a recorded run (the invocation needs the
+            // encoded payload): encode once and send the same value.
+            _ => {
+                let refs: Vec<(&str, Bytes)> = inputs
+                    .iter()
+                    .map(|&(_, i)| (entries[i].0.as_ref(), entries[i].1.clone()))
+                    .collect();
+                codec::encode_entries(&refs, map.stamp())
+            }
+        };
+        if op.inv.is_none() {
+            op.inv = kv.rec_invoke(Op::WriteAt(reg, payload.clone()));
         }
-        if let ([(_, idx)], None) = (inputs, &kv.recorder) {
-            let (key, value) = (entries[*idx].0.as_ref(), &entries[*idx].1);
-            let fill = |buf: &mut _| codec::encode_entry_into(buf, key, value, stamp);
-            return (None, fan.submit_write_with(node, reg, fill));
-        }
-        // A bundle, or a recorded run (the invocation needs the encoded
-        // payload): encode once and send the same value.
-        let refs: Vec<(&str, Bytes)> = inputs
-            .iter()
-            .map(|&(_, i)| (entries[i].0.as_ref(), entries[i].1.clone()))
-            .collect();
-        let payload = codec::encode_entries(&refs, stamp);
-        let inv = kv.rec_invoke(Op::WriteAt(reg, payload.clone()));
-        (inv, fan.submit_write(node, reg, payload))
+        fan.submit_write(node, reg, payload)
     }
 
-    /// Reads the completion of in-flight chunk `done` (`inputs`): times
-    /// it, counts its rounds and replies to its invocation. Returns the
-    /// inputs the completion settled the op for but could not answer,
-    /// which take the blocking path alone — or `None` when it did not
-    /// settle the op and a lone input takes it along.
-    fn complete(
-        &mut self,
-        flight: &Flight<'_>,
-        done: &InFlightOp,
-        inputs: &[(RegisterId, usize)],
-        completion: Settled,
-    ) -> Option<Vec<usize>> {
+    /// Reads the completion of `op`'s register operation: counts its
+    /// rounds and says what is left of the chunk — which it answers,
+    /// times and replies to when this ends it.
+    fn complete(&mut self, flight: &mut Flight<'_>, op: &mut Active, done: Settled) -> Next {
         let kv = flight.kv;
-        match (self, completion) {
-            (Batch::Gets(keys, results), (OpResult::ReadValue(payload), rounds, lease)) => {
-                ClientObs::lap(done.started, &kv.obs.get_micros);
+        let (home, idx) = flight.inputs(op.chunk)[0];
+        match (&mut *self, done) {
+            (Batch::Raw { done, .. }, (result, rounds, _)) => {
+                let payload = match result {
+                    OpResult::ReadValue(payload) => payload,
+                    _ => Value::bottom(),
+                };
+                kv.rec_reply(op.inv.take(), OpResult::ReadValue(payload.clone()));
+                **done = Some((payload, rounds));
+            }
+            (Batch::Gets(keys, answers), (OpResult::ReadValue(payload), rounds, lease)) => {
                 kv.record_read(rounds);
-                if let (Some(grant), Some(t0)) = (lease, done.sent) {
-                    kv.lease_fill(inputs[0].0, grant, payload.clone(), &flight.map, t0);
+                if flight.barriered(home) {
+                    // The unsealed old home is authoritative (writers are
+                    // barriered); a sealed one (or one rewritten
+                    // post-seal) without the key forwards to the new
+                    // routing.
+                    let key = keys[idx].as_ref();
+                    let value = codec::value_for_key(&payload, key);
+                    if !op.forward
+                        && value.is_none()
+                        && flight.map.register_for(key) != home
+                        && flight.map.seals_source(&payload, home.0 - 1)
+                    {
+                        op.forward = true;
+                        return Next::Step;
+                    }
+                    answers[idx] = Some((payload.clone(), value));
+                } else {
+                    // With no grant, whatever lease the cache holds for
+                    // this register is not refreshable — the quorum
+                    // stopped attesting it. It expires on its own horizon
+                    // (still safe: the fence outlives it).
+                    if let (Some(grant), Some(t0)) = (lease, op.sent) {
+                        kv.lease_fill(home, grant, payload.clone(), &flight.map, t0);
+                    }
+                    let mut stale = Vec::new();
+                    for &(_, i) in flight.inputs(op.chunk) {
+                        let key = keys[i].as_ref();
+                        let answer = flight.map.read_answer(&payload, key);
+                        // A key absent under a foreign stamp — the map
+                        // may be stale: the next wave reads it again, and
+                        // absence is its answer if there is none.
+                        if answer.is_none() {
+                            stale.push(i);
+                        }
+                        answers[i] = Some((payload.clone(), answer.flatten()));
+                    }
+                    flight.next.extend(stale);
                 }
-                // A key absent under a foreign stamp — the map may be
-                // stale; the blocking path refreshes and re-routes.
-                let mut unanswered = Vec::new();
-                for &(_, i) in inputs {
-                    match flight.map.read_answer(&payload, keys[i].as_ref()) {
-                        Some(value) => results[i] = Some(value),
-                        None => unanswered.push(i),
+                ClientObs::lap(op.started, &kv.obs.get_micros);
+                kv.rec_reply(op.inv.take(), OpResult::ReadValue(payload));
+            }
+            // A barriered put's seal poll.
+            (Batch::Puts(entries, _), (OpResult::ReadValue(payload), rounds, _)) => {
+                kv.record_read(rounds);
+                kv.obs.barrier_polls.inc();
+                let flights = &kv.obs.handle.flight;
+                let event = |kind| {
+                    FlightEvent::new(kind)
+                        .with_register(home.0)
+                        .with_epoch(flight.map.epoch as u32)
+                };
+                if flight.map.seals_source(&payload, home.0 - 1) {
+                    if op.polls > 0 {
+                        // How long the writer actually stalled, in polls.
+                        flights.record(event(EventKind::BarrierWait).with_aux(op.polls.into()));
+                    }
+                    flights.record(event(EventKind::SealObserved));
+                    op.forward = true;
+                    return Next::Step;
+                }
+                if op.polls == 0 {
+                    kv.obs.barrier_waits.inc();
+                }
+                op.polls += 1;
+                if op.polls >= kv.barrier_polls {
+                    // Exhausted without a seal: the stall is worth a trace.
+                    flights.record(event(EventKind::BarrierWait).with_aux(op.polls.into()));
+                    let key = entries[idx].0.as_ref().to_string();
+                    return Next::End(Err(KvError::Barrier {
+                        key,
+                        shard: home.0 - 1,
+                    }));
+                }
+                // Every eighth poll re-reads the authoritative map in
+                // case this client is the only one still watching (the
+                // next send then finds the map moved and re-routes).
+                if op.polls.is_multiple_of(8) {
+                    if let Err(e) = kv.refresh_map() {
+                        return Next::End(Err(e));
                     }
                 }
-                if inputs.len() == 1 && !unanswered.is_empty() {
-                    return None; // its blocking get completes this op
-                }
-                kv.rec_outcome(done.inv, Ok(OpResult::ReadValue(payload)));
-                Some(unanswered)
+                // Escalating, capped: the migrator seals a shard in a
+                // handful of register rounds, so the common case is one
+                // short wait.
+                let wait = (100u64 << (op.polls - 1).min(5)).min(2_000);
+                return Next::Park(Duration::from_micros(wait));
             }
-            (Batch::Puts(_), (OpResult::Written, rounds, _)) => {
-                ClientObs::lap(done.started, &kv.obs.put_micros);
+            (Batch::Puts(..), (OpResult::Written, rounds, _)) => {
                 kv.record_write(rounds);
-                kv.rec_outcome(done.inv, Ok(OpResult::Written));
-                Some(Vec::new())
+                ClientObs::lap(op.started, &kv.obs.put_micros);
+                kv.rec_reply(op.inv.take(), OpResult::Written);
             }
-            _ => None,
-        }
-    }
-
-    /// Settles input `idx` through the blocking path, under the
-    /// invocation `inv` it already recorded.
-    fn settle_blocking(
-        &mut self,
-        kv: &KvClient,
-        idx: usize,
-        mut inv: Option<rmem_types::OpId>,
-    ) -> Result<(), KvError> {
-        match self {
-            Batch::Gets(keys, results) => {
-                results[idx] = Some(kv.get_settled(keys[idx].as_ref(), &mut inv)?);
-                Ok(())
-            }
-            Batch::Puts(entries) => {
-                let (key, value) = &entries[idx];
-                kv.put_settled(key.as_ref(), value.clone(), &mut inv)
+            // A completion of the wrong kind cannot happen; treat the
+            // node as down.
+            _ => {
+                return Next::End(Err(flight.node_error(
+                    self,
+                    op.chunk,
+                    ClientError::ProcessDown,
+                )))
             }
         }
+        Next::End(Ok(()))
     }
 }
 
 impl<'a> Flight<'a> {
-    /// An empty flight over `kv`'s current shard map.
+    /// An idle flight over `kv`.
     fn new(kv: &'a KvClient) -> Self {
         Flight {
             kv,
-            fan: PipelinedClient::fan(&kv.nodes),
             map: kv.shard_map(),
+            sources: BTreeSet::new(),
+            guarded: false,
             routed: Vec::new(),
             cuts: Vec::new(),
             tickets: Vec::new(),
             pending: Vec::new(),
-            fallback: Vec::new(),
-            crashed: false,
+            parked: Vec::new(),
+            next: Vec::new(),
+            ambiguous: false,
             first_err: None,
         }
     }
@@ -1946,222 +1682,355 @@ impl<'a> Flight<'a> {
         &self.routed[self.cuts[chunk]..self.cuts[chunk + 1]]
     }
 
-    /// The register chunk `chunk` operates on, `None` past the last.
+    /// The register chunk `chunk` is sequenced under, `None` past the
+    /// last.
     fn reg_of(&self, chunk: usize) -> Option<RegisterId> {
         let start = *self.cuts.get(chunk)?;
         self.routed.get(start).map(|&(reg, _)| reg)
     }
 
-    /// Closes chunk `chunk`'s register for the rest of the call: the
-    /// chunk's inputs go to the fallback list — the first under the
-    /// invocation `inv`, if the chunk still carries one — and the
-    /// register's later chunks follow *behind* them. A later chunk
-    /// submitted now could land before the earlier one's blocking retry
-    /// — closing is what keeps same-register inputs in input order
-    /// across a fallback.
-    fn close(&mut self, chunk: usize, mut inv: Option<rmem_types::OpId>) {
-        let start = self.cuts[chunk];
-        let reg = self.routed[start].0;
-        let rest = self.routed[start..].iter().take_while(|&&(r, _)| r == reg);
-        self.fallback.extend(rest.map(|&(_, i)| (i, inv.take())));
+    /// Whether `reg` is the old home of a splitting shard, whose keys sit
+    /// behind the migration barrier.
+    fn barriered(&self, reg: RegisterId) -> bool {
+        let shard = reg.0.checked_sub(1);
+        shard.is_some_and(|s| self.sources.contains(&s))
     }
 
-    /// [`close`](Self::close) after node error `source` on the operation
-    /// `inv` recorded for `chunk`. A lone input's blocking retry *is*
-    /// that operation and completes it; a coalesced one is no single
-    /// input's, so every input records its own blocking op and the
-    /// operation is answered itself — refused, or left pending for the
-    /// crash idiom [`drain`](Self::drain) records when it is ambiguous.
-    fn fail(&mut self, chunk: usize, mut inv: Option<rmem_types::OpId>, source: ClientError) {
-        if self.inputs(chunk).len() > 1 {
-            if source == ClientError::Busy {
-                let key = "bundle".to_string();
-                let e = KvError::Register { key, source };
-                self.kv.rec_outcome(inv.take(), Err(&e));
-            }
-            self.crashed |= inv.take().is_some();
-        }
-        self.close(chunk, inv)
+    /// `source` as the error of chunk `chunk`, named after its first key.
+    fn node_error<K: AsRef<str>>(
+        &self,
+        batch: &Batch<'_, K>,
+        chunk: usize,
+        source: ClientError,
+    ) -> KvError {
+        let key = batch.key(self.inputs(chunk)[0].1).to_string();
+        KvError::Register { key, source }
     }
 
-    /// Submits chunk `chunk`. The map-equality check right before the
-    /// send is the pipelined analogue of the guarded write's per-attempt
-    /// epoch check: the effect lands within one event-loop dispatch of a
-    /// passing check, so a stale-routed op cannot surface long after a
-    /// split moved the key (stale → blocking path, which re-syncs).
-    fn submit<K: AsRef<str>>(&mut self, batch: &Batch<'_, K>, mut chunk: usize) {
+    /// Drives `batch` to its end, in waves: what a wave could not settle
+    /// under its map is routed and cut afresh under the next one's.
+    ///
+    /// # Errors
+    ///
+    /// The call's first failure; every other input still ran to its end.
+    fn run<K: AsRef<str>>(mut self, batch: &mut Batch<'_, K>) -> Result<(), KvError> {
         let kv = self.kv;
-        let reg = self.reg_of(chunk).expect("a chunk to submit");
-        let node = reg.0 as usize % kv.nodes.len();
-        loop {
-            if kv.shard_map() != self.map {
-                return self.close(chunk, None);
+        let puts = matches!(batch, Batch::Puts(..));
+        let mut todo: Vec<usize> = (0..batch.len()).collect();
+        for wave in 0..=MAP_RETRIES {
+            // Epochs kept moving for every wave (pathological churn): the
+            // last one stops chasing and writes unguarded under the
+            // freshest map there is.
+            self.guarded = puts && wave < MAP_RETRIES;
+            self.launch(batch, &todo);
+            self.drain(batch);
+            todo = std::mem::take(&mut self.next);
+            if todo.is_empty() {
+                break;
             }
-            // The pipeline has no failover rotation — an op goes to its
-            // home or to the blocking path — so the health gate is a
-            // three-way choice: submit normally, submit *as the node's
-            // owed probe* (this caller won it), or leave a suspect node
-            // to the blocking path, whose failover tries it last instead
-            // of burning the pipeline's patience on it.
-            let probe = match kv.health.gate(node) {
-                NodeGate::Fresh => false,
-                NodeGate::NeedsProbe if kv.health.try_begin_probe(node) => true,
-                _ => return self.close(chunk, None),
+            // Puts come back because the map moved under them. Gets come
+            // back unanswered under a foreign stamp: this client's map
+            // may be stale — and if it is not, absence was the answer.
+            if !puts {
+                match kv.refresh_map() {
+                    Ok(true) => {}
+                    Ok(false) => break,
+                    Err(e) => {
+                        self.first_err.get_or_insert(e);
+                        break;
+                    }
+                }
+            }
+        }
+        // An operation left pending is this process's crash, recorded
+        // once and only now that nothing else of it is in flight (a crash
+        // recorded mid-flight would turn every other pending reply of
+        // this process into a reply after its crash).
+        if let (true, Some((recorder, pid))) = (self.ambiguous, &kv.recorder) {
+            recorder.abandon(*pid);
+        }
+        self.first_err.map_or(Ok(()), Err)
+    }
+
+    /// Starts a wave over the inputs `todo`: routes them under the
+    /// current map — a get under a live lease is answered on the spot,
+    /// zero datagrams — cuts them into chunks and starts every register's
+    /// first; the later ones follow as their predecessors end.
+    fn launch<K: AsRef<str>>(&mut self, batch: &mut Batch<'_, K>, todo: &[usize]) {
+        let kv = self.kv;
+        self.map = kv.shard_map();
+        self.sources = self.map.split_sources();
+        self.routed.clear();
+        for &i in todo {
+            let reg = match batch {
+                Batch::Raw { reg, .. } => *reg,
+                _ if self.sources.is_empty() => self.map.register_for(batch.key(i)),
+                // Behind the barrier a key is sequenced under its old
+                // home, which every operation on it touches first.
+                _ => match self.map.old_shard_of(batch.key(i)) {
+                    old if self.sources.contains(&old) => data_register(old),
+                    _ => self.map.register_for(batch.key(i)),
+                },
             };
-            let started = kv.obs.op_clock();
-            let sent = kv.leases.is_some().then(Instant::now);
-            let (inv, submitted) = batch.submit(self, self.inputs(chunk), node);
-            match submitted {
+            if let Batch::Gets(keys, answers) = batch {
+                if let Some(payload) = kv.lease_hit(reg, &self.map) {
+                    // Still a recorded store operation — the lease fence
+                    // is exactly what makes it certifiable.
+                    let inv = kv.rec_invoke(Op::ReadAt(reg));
+                    kv.rec_reply(inv, OpResult::ReadValue(payload.clone()));
+                    let value = codec::value_for_key(&payload, keys[i].as_ref());
+                    answers[i] = Some((payload, value));
+                    continue;
+                }
+            }
+            self.routed.push((reg, i));
+        }
+        let mut routed = std::mem::take(&mut self.routed);
+        self.cuts = batch.cut(&mut routed, kv.max_value_len(), |reg| self.barriered(reg));
+        self.routed = routed;
+        for chunk in 0..self.cuts.len() - 1 {
+            if chunk == 0 || self.reg_of(chunk) != self.reg_of(chunk - 1) {
+                self.start(batch, chunk);
+            }
+        }
+    }
+
+    /// Starts chunk `chunk`: its register's turn has come.
+    fn start<K: AsRef<str>>(&mut self, batch: &mut Batch<'_, K>, chunk: usize) {
+        let obs = &self.kv.obs;
+        if matches!(batch, Batch::Puts(..)) && obs.handle.metrics.is_enabled() {
+            obs.bundle_size.record(self.inputs(chunk).len() as u64);
+        }
+        let op = Active {
+            chunk,
+            order: Vec::new(),
+            at: 0,
+            probe: false,
+            busy: 0,
+            inv: None,
+            ambiguous: false,
+            last_err: None,
+            polls: 0,
+            forward: false,
+            started: obs.op_clock(),
+            sent: None,
+        };
+        self.submit(batch, op);
+    }
+
+    /// Sends `op`'s current register operation to the node its rotation
+    /// stands at, moving on past nodes that are gone; with the rotation
+    /// spent, the chunk ends in its last node failure.
+    fn submit<K: AsRef<str>>(&mut self, batch: &mut Batch<'_, K>, mut op: Active) {
+        let kv = self.kv;
+        loop {
+            // Checked before *every* send, `Busy` retries and seal polls
+            // included: a send's effect lands within moments of it, so
+            // the check bounds how stale a landed write can be — without
+            // it, a write stalled behind a dead node's patience window
+            // could surface on a source register long after the shard
+            // was sealed.
+            if self.guarded && kv.shard_map() != self.map {
+                return self.reroute(batch, op);
+            }
+            if op.order.is_empty() {
+                let home = self.inputs(op.chunk)[0].0;
+                (op.order, op.probe) = kv.rotation(home);
+            }
+            let Some(&node) = op.order.get(op.at) else {
+                let source = op.last_err.clone().expect("at least one node was tried");
+                let e = self.node_error(batch, op.chunk, source);
+                return self.end(batch, op, Err(e));
+            };
+            op.sent = kv.leases.is_some().then(Instant::now);
+            match batch.submit(self, &mut op, node) {
                 Ok(ticket) => {
                     self.tickets.push(ticket);
-                    self.pending.push(InFlightOp {
-                        chunk,
-                        node,
-                        inv,
-                        probe,
-                        started,
-                        sent,
-                    });
+                    self.pending.push(op);
                     return;
                 }
                 Err(ClientError::TooLarge { size, limit }) => {
                     // Client-side refusal, terminal: the value fits no
-                    // node's frame, so neither retry nor fallback can
-                    // help — and a won probe never exercised the node.
-                    // Only a lone entry can be refused (`cut` keeps
-                    // bundles inside the frame); the register's next
-                    // chunk takes its turn.
-                    if probe {
-                        kv.health.reopen_probe(node);
-                    }
-                    let key = batch.key(self.inputs(chunk)[0].1).to_string();
-                    let e = KvError::TooLarge { key, size, limit };
-                    kv.rec_outcome(inv, Err(&e));
-                    self.first_err.get_or_insert(e);
-                    chunk += 1;
-                    if self.reg_of(chunk) != Some(reg) {
-                        return;
-                    }
+                    // node's frame, so no other node can help — and a won
+                    // probe never exercised the node. Only a lone entry
+                    // can be refused (`cut` keeps bundles inside the
+                    // frame).
+                    self.release_probe(&mut op);
+                    let key = batch.key(self.inputs(op.chunk)[0].1).to_string();
+                    return self.end(batch, op, Err(KvError::TooLarge { key, size, limit }));
                 }
+                // The only other submit error is `ProcessDown` (the
+                // node's event loop is gone): nothing left this client.
                 Err(e) => {
-                    // The only other submit error is `ProcessDown` (the
-                    // node's event loop is gone): mark and settle
-                    // blocking, like any other node failure.
-                    kv.obs.retries.inc();
                     kv.health.mark(node);
-                    return self.fail(chunk, inv, e);
+                    self.next_node(&mut op, e);
                 }
             }
         }
     }
 
-    /// Settles the completion of in-flight op `pos`: a clean one is read
-    /// and its register's next chunk submitted; anything else (node
-    /// error, `Busy`, a completion that cannot answer the op) sends the
-    /// chunk to the fallback list and closes its register.
+    /// Hands back a won probe that `op`'s current attempt did not
+    /// conclusively exercise: the node owes one again.
+    fn release_probe(&self, op: &mut Active) {
+        if std::mem::take(&mut op.probe) {
+            self.kv.health.reopen_probe(op.order[0]);
+        }
+    }
+
+    /// Moves `op` past its current node, which failed it with `e`.
+    fn next_node(&self, op: &mut Active, e: ClientError) {
+        self.kv.obs.retries.inc();
+        op.last_err = Some(e);
+        op.at += 1;
+        op.busy = 0;
+        op.probe = false;
+    }
+
+    /// The attempt of `op` at its current node failed with `e`: a `Busy`
+    /// node is retried after a backoff deadline; any other failure — and
+    /// a node that stays `Busy` — moves the same operation to the next
+    /// node of its rotation.
+    fn node_failed<K: AsRef<str>>(
+        &mut self,
+        batch: &mut Batch<'_, K>,
+        mut op: Active,
+        e: ClientError,
+    ) {
+        let kv = self.kv;
+        let node = op.order[op.at];
+        match e {
+            ClientError::Busy if op.busy < BUSY_RETRIES => {
+                op.busy += 1;
+                kv.obs.retries.inc();
+                let due = Instant::now() + kv.busy_delay(op.busy);
+                return self.parked.push((due, op));
+            }
+            ClientError::TimedOut | ClientError::ProcessDown => {
+                kv.health.mark(node);
+                op.ambiguous = true;
+            }
+            // Inconclusive probe (`Busy` exhaustion): the node still owes
+            // one.
+            _ => self.release_probe(&mut op),
+        }
+        self.next_node(&mut op, e);
+        self.submit(batch, op);
+    }
+
+    /// The map moved before a send of `op`'s chunk: its inputs — and the
+    /// register's later chunks behind them, in input order — are the next
+    /// wave's, unless an earlier attempt may already have landed the
+    /// operation under this map, which then ends it.
+    fn reroute<K: AsRef<str>>(&mut self, batch: &mut Batch<'_, K>, mut op: Active) {
+        self.release_probe(&mut op);
+        if let (true, Some(source)) = (op.ambiguous, op.last_err.clone()) {
+            let e = self.node_error(batch, op.chunk, source);
+            return self.end(batch, op, Err(e));
+        }
+        // Nothing of the operation took effect.
+        self.kv.rec_reply(op.inv.take(), REFUSED);
+        let rest = &self.routed[self.cuts[op.chunk]..];
+        let reg = rest[0].0;
+        let rest = rest.iter().take_while(|&&(r, _)| r == reg);
+        self.next.extend(rest.map(|&(_, i)| i));
+    }
+
+    /// Chunk `op.chunk` has ended: records a failure and gives the
+    /// register's next chunk its turn — unless the operation is left
+    /// pending, which nothing more of this process may follow on its
+    /// register.
+    fn end<K: AsRef<str>>(
+        &mut self,
+        batch: &mut Batch<'_, K>,
+        op: Active,
+        outcome: Result<(), KvError>,
+    ) {
+        let reg = self.reg_of(op.chunk);
+        let mut next = op.chunk + 1;
+        if let Err(e) = outcome {
+            if op.ambiguous {
+                self.ambiguous = true;
+                while self.reg_of(next) == reg {
+                    next += 1;
+                }
+            } else {
+                self.kv.rec_reply(op.inv, REFUSED);
+            }
+            self.first_err.get_or_insert(e);
+        }
+        if self.reg_of(next) == reg {
+            self.start(batch, next);
+        }
+    }
+
+    /// Settles the completion of in-flight operation `pos`.
     fn settle<K: AsRef<str>>(
         &mut self,
         batch: &mut Batch<'_, K>,
         pos: usize,
         outcome: Result<Settled, ClientError>,
     ) {
-        let kv = self.kv;
         self.tickets.swap_remove(pos);
-        let done = self.pending.swap_remove(pos);
-        let unanswered = match outcome {
-            Ok(completion) => {
-                kv.health.clear(done.node);
-                batch.complete(self, &done, self.inputs(done.chunk), completion)
-            }
-            Err(e) => {
-                kv.obs.retries.inc();
-                if matches!(e, ClientError::TimedOut | ClientError::ProcessDown) {
-                    kv.health.mark(done.node);
-                } else if done.probe {
-                    // Inconclusive probe (`Busy`): the node still owes
-                    // one.
-                    kv.health.reopen_probe(done.node);
-                }
-                return self.fail(done.chunk, done.inv, e);
-            }
+        let mut op = self.pending.swap_remove(pos);
+        let done = match outcome {
+            Ok(done) => done,
+            Err(e) => return self.node_failed(batch, op, e),
         };
-        let Some(unanswered) = unanswered else {
-            return self.close(done.chunk, done.inv);
-        };
-        self.fallback
-            .extend(unanswered.into_iter().map(|i| (i, None)));
-        if self.reg_of(done.chunk + 1) == self.reg_of(done.chunk) {
-            self.submit(batch, done.chunk + 1);
+        self.kv.health.clear(op.order[op.at]);
+        let next = batch.complete(self, &mut op, done);
+        if let Next::End(outcome) = next {
+            return self.end(batch, op, outcome);
+        }
+        // The chunk's next register operation is a new one: a fresh
+        // rotation, and nothing of it has been attempted yet.
+        (op.at, op.busy, op.probe, op.ambiguous) = (0, 0, false, false);
+        op.order.clear();
+        match next {
+            Next::Park(wait) => self.parked.push((Instant::now() + wait, op)),
+            _ => self.submit(batch, op),
         }
     }
 
-    /// Drives `batch` to the end.
-    ///
-    /// # Errors
-    ///
-    /// The first terminal refusal, else the first blocking-path failure;
-    /// every op still ran to completion.
-    fn run<K: AsRef<str>>(mut self, batch: &mut Batch<'_, K>) -> Result<(), KvError> {
-        self.launch(batch);
-        self.drain(batch)
-    }
-
-    /// Cuts the routed inputs into chunks and submits every register's
-    /// first; the later ones follow as their predecessors complete.
-    fn launch<K: AsRef<str>>(&mut self, batch: &Batch<'_, K>) {
-        self.cuts = batch.cut(&mut self.routed, self.kv.max_value_len());
-        for chunk in 0..self.cuts.len() - 1 {
-            if chunk == 0 || self.reg_of(chunk) != self.reg_of(chunk - 1) {
-                self.submit(batch, chunk);
-            }
-        }
-    }
-
-    /// Settles completions until nothing is in flight, then the fallback
-    /// list through the blocking path.
-    fn drain<K: AsRef<str>>(mut self, batch: &mut Batch<'_, K>) -> Result<(), KvError> {
+    /// Serves completions and deadlines until the wave has nothing in
+    /// flight and nothing parked.
+    fn drain<K: AsRef<str>>(&mut self, batch: &mut Batch<'_, K>) {
         let kv = self.kv;
         let metered = kv.obs.handle.metrics.is_enabled();
-        while !self.pending.is_empty() {
-            if metered {
-                kv.obs.inflight.set(self.pending.len() as u64);
-                kv.obs.pipeline_depth.record(self.pending.len() as u64);
-            }
-            let Some((pos, outcome)) = self.fan.wait_any(&self.tickets) else {
-                // The patience window passed with nothing settling:
-                // abandon the whole flight (late acks are counted, never
-                // misdelivered) and settle blocking.
-                let tickets = std::mem::take(&mut self.tickets);
-                for (ticket, p) in tickets.into_iter().zip(std::mem::take(&mut self.pending)) {
-                    self.fan.cancel(ticket);
-                    kv.obs.retries.inc();
-                    kv.health.mark(p.node);
-                    self.fail(p.chunk, p.inv, ClientError::TimedOut);
+        while !(self.pending.is_empty() && self.parked.is_empty()) {
+            let due = self.parked.iter().map(|&(due, _)| due).min();
+            if let Some((pos, outcome)) = kv.fan.wait_any(&self.tickets, due) {
+                // One depth sample per completion: what was in flight
+                // while it was awaited.
+                if metered {
+                    kv.obs.inflight.set(self.pending.len() as u64);
+                    kv.obs.pipeline_depth.record(self.pending.len() as u64);
                 }
-                break;
-            };
-            self.settle(batch, pos, outcome);
+                self.settle(batch, pos, outcome);
+                continue;
+            }
+            let now = Instant::now();
+            if due.is_some_and(|due| due <= now) {
+                let (ripe, parked) = std::mem::take(&mut self.parked)
+                    .into_iter()
+                    .partition(|&(due, _)| due <= now);
+                self.parked = parked;
+                for (_, op) in ripe {
+                    self.submit(batch, op);
+                }
+            } else {
+                // The patience window passed with nothing settling:
+                // every operation in flight has timed out on its node
+                // (late acks are counted, never misdelivered).
+                let tickets = std::mem::take(&mut self.tickets);
+                for (ticket, op) in tickets.into_iter().zip(std::mem::take(&mut self.pending)) {
+                    kv.fan.cancel(ticket);
+                    self.node_failed(batch, op, ClientError::TimedOut);
+                }
+            }
         }
         if metered {
             kv.obs.inflight.set(0);
         }
-        // Every chunk either settled (and handed its register on) or
-        // closed it, so the fallback list is all that is left: the
-        // blocking path settles it in order, each op under the
-        // invocation it already recorded. A coalesced op pending for
-        // good is this process's crash, recordable only now that nothing
-        // else of it is in flight — and a crash loses the carried
-        // invocations too: every input then records a fresh one.
-        if let (true, Some((recorder, pid))) = (self.crashed, &kv.recorder) {
-            recorder.abandon(*pid);
-        }
-        for (idx, inv) in self.fallback {
-            let inv = inv.filter(|_| !self.crashed);
-            if let Err(e) = batch.settle_blocking(kv, idx, inv) {
-                self.first_err.get_or_insert(e);
-            }
-        }
-        self.first_err.map_or(Ok(()), Err)
     }
 }
 
@@ -2383,7 +2252,6 @@ mod tests {
         let (mut cluster, kv) = cluster_client(8);
         let kv = kv
             .with_health_cooldown(std::time::Duration::from_millis(40))
-            .with_busy_retries(0)
             // Shrink patience so the dead node costs milliseconds, not 10s.
             .with_op_timeout(std::time::Duration::from_millis(300));
         let keys = kv.router().covering_keys("f-");
@@ -2482,7 +2350,8 @@ mod tests {
         let routed = vec![(b, 0), (a, 1), (a, 2), (a, 3), (a, 4)];
 
         let mut gets = routed.clone();
-        let cuts = Batch::Gets(&keys, &mut []).cut(&mut gets, Some(0));
+        let open = |_| false;
+        let cuts = Batch::Gets(&keys, &mut []).cut(&mut gets, Some(0), open);
         assert_eq!(gets, [(a, 1), (a, 2), (a, 3), (a, 4), (b, 0)]);
         assert_eq!(
             cuts,
@@ -2490,9 +2359,9 @@ mod tests {
             "one read per register, whatever the budget"
         );
 
-        let puts = Batch::Puts(&entries);
+        let puts = Batch::Puts(&entries, None);
         let mut unbounded = routed.clone();
-        assert_eq!(puts.cut(&mut unbounded, None), [0, 3, 4]);
+        assert_eq!(puts.cut(&mut unbounded, None, open), [0, 3, 4]);
         assert_eq!(
             unbounded,
             [(a, 2), (a, 3), (a, 4), (b, 0)],
@@ -2503,25 +2372,41 @@ mod tests {
         let entry = codec::BUNDLE_ENTRY_OVERHEAD + 2 + 10;
         let mut tight = routed.clone();
         let budget = codec::BUNDLE_OVERHEAD + 2 * entry;
-        assert_eq!(puts.cut(&mut tight, Some(budget)), [0, 2, 3, 4]);
+        assert_eq!(puts.cut(&mut tight, Some(budget), open), [0, 2, 3, 4]);
         // An entry no frame carries supersedes nothing: it still ships
         // (to be refused), and its key keeps the earlier, sendable value.
         let twice = [("k", entries[0].1.clone()), ("k", entries[4].1.clone())];
         let mut both = vec![(a, 0), (a, 1)];
-        assert_eq!(Batch::Puts(&twice).cut(&mut both, Some(budget)), [0, 1, 2]);
+        let twice = Batch::Puts(&twice, None);
+        assert_eq!(twice.cut(&mut both, Some(budget), open), [0, 1, 2]);
         assert_eq!(both, [(a, 0), (a, 1)]);
+        // Behind the migration barrier every input is a chunk of its own.
+        let mut barriered = routed.clone();
+        let cuts = puts.cut(&mut barriered, None, |reg| reg == a);
+        assert_eq!(cuts, [0, 1, 2, 3, 4]);
         let mut tiny = routed;
-        assert_eq!(puts.cut(&mut tiny, Some(1)), [0, 1, 2, 3, 4, 5]);
-        assert_eq!(Batch::Puts(&entries).cut(&mut Vec::new(), None), [0]);
+        assert_eq!(puts.cut(&mut tiny, Some(1), open), [0, 1, 2, 3, 4, 5]);
+        assert_eq!(puts.cut(&mut Vec::new(), None, open), [0]);
     }
 
-    /// The driver's closed-register rule, scripted over two chunks of
-    /// one register: the first comes back `Busy` (another client held the
-    /// register). The second must NOT be submitted ahead of the first's
-    /// blocking retry — it would land first and the call would finish
-    /// with an earlier chunk owning the cell.
+    /// Every reply recorded on `reg`, in order.
+    fn replies_on(recorder: &OpRecorder, reg: RegisterId) -> Vec<OpResult> {
+        let history = recorder.history().restrict_to_register(reg);
+        let replies = history.events().iter().filter_map(|e| match e {
+            rmem_consistency::Event::Reply { result, .. } => Some(result.clone()),
+            _ => None,
+        });
+        replies.collect()
+    }
+
+    /// `Busy` is a deadline, not a second engine — scripted over two
+    /// chunks of one register: the first comes back `Busy` (another
+    /// client held the register). The **same** chunk is re-armed on the
+    /// same node behind a backoff deadline, and the second is NOT
+    /// submitted meanwhile — it would land first and the call would
+    /// finish with an earlier chunk owning the cell.
     #[test]
-    fn a_fallen_back_chunk_closes_its_register_so_later_chunks_keep_input_order() {
+    fn a_busy_chunk_is_rearmed_on_its_node_and_keeps_its_register() {
         let dir = std::env::temp_dir().join(format!("rmem-kv-chunks-{}", std::process::id()));
         let mut cluster =
             LocalCluster::udp(3, SharedMemory::factory(Transient::flavor()), &dir).unwrap();
@@ -2534,61 +2419,53 @@ mod tests {
         let entries: Vec<(String, Bytes)> = (0..3u8)
             .map(|i| (format!("big{i}"), Bytes::from(vec![i; 30_000])))
             .collect();
-        let mut batch = Batch::Puts(&entries);
+        let mut batch = Batch::Puts(&entries, None);
         let mut flight = Flight::new(&kv);
-        let reg = flight.map.register_for("big0");
-        flight.routed = (0..3).map(|i| (reg, i)).collect();
-        flight.launch(&batch);
+        flight.launch(&mut batch, &[0, 1, 2]);
         assert_eq!(flight.cuts, [0, 2, 3]);
         assert_eq!(flight.pending.len(), 1, "one op in flight per register");
+        let node = flight.pending[0].order[0];
         // Let the real completion arrive, then script `Busy` in its place.
-        let (pos, _) = flight
+        let (pos, _) = kv
             .fan
-            .wait_any(&flight.tickets)
+            .wait_any(&flight.tickets, None)
             .expect("the write completes");
+        let scripted = Instant::now();
         flight.settle(&mut batch, pos, Err(ClientError::Busy));
         assert!(
             flight.pending.is_empty(),
-            "a closed register must not submit its next chunk"
+            "neither the chunk nor its register's next is submitted before the deadline"
         );
-        let order: Vec<usize> = flight.fallback.iter().map(|&(idx, _)| idx).collect();
-        assert_eq!(order, [0, 1, 2], "both chunks demote, in input order");
-        flight.drain(&mut batch).unwrap();
-        // The refused bundle is no input's operation: it is answered as
-        // refused itself, and each input recorded its own write.
-        let replies: Vec<OpResult> = recorder
-            .history()
-            .restrict_to_register(reg)
-            .events()
-            .iter()
-            .filter_map(|e| match e {
-                rmem_consistency::Event::Reply { result, .. } => Some(result.clone()),
-                _ => None,
-            })
-            .collect();
-        let refused = OpResult::Rejected(rmem_types::RejectReason::Busy);
+        let [(due, op)] = &flight.parked[..] else {
+            panic!("the refused chunk must be parked");
+        };
+        assert!(*due > scripted, "behind a backoff deadline");
+        assert_eq!((op.chunk, op.order[op.at], op.busy), (0, node, 1));
+        assert!(op.inv.is_some(), "under the invocation it already carries");
+        flight.drain(&mut batch);
+        assert!(flight.first_err.is_none() && flight.next.is_empty());
+        // One recorded operation per chunk: the retry was the same one.
+        let reg = kv.shard_map().register_for("big0");
         let written = OpResult::Written;
-        assert_eq!(
-            replies,
-            [refused, written.clone(), written.clone(), written]
-        );
+        assert_eq!(replies_on(&recorder, reg), [written.clone(), written]);
         assert_eq!(
             kv.get("big2").unwrap().as_deref(),
             Some([2u8; 30_000].as_ref()),
             "the last input owns the cell"
         );
-        assert_eq!(kv.stats().retries, 1, "the scripted Busy is counted");
+        let stats = kv.stats();
+        assert_eq!(stats.retries, 1, "the scripted Busy is counted");
+        assert!(stats.backoff_micros > 0);
         cluster.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A coalesced read that fails ambiguously is recorded as a crash of
-    /// the client's history process, after the flight has drained. The
-    /// crash loses what the process had pending — a lone key's carried
-    /// invocation included — so every retry records a fresh operation
-    /// and each register's history stays well-formed.
+    /// Failover keeps the invocation: a coalesced read (and a lone one)
+    /// scripted to time out on its home node is resubmitted at the next
+    /// node as the same recorded operation — no crash, no second
+    /// invocation, every key answered.
     #[test]
-    fn an_ambiguous_coalesced_op_is_a_crash_that_loses_carried_invocations() {
+    fn a_timed_out_coalesced_read_fails_over_under_the_same_invocation() {
         let recorder = OpRecorder::new();
         let (mut cluster, kv) = cluster_client(4);
         let kv = kv.with_recorder(recorder.clone());
@@ -2596,36 +2473,50 @@ mod tests {
         for key in &covering {
             kv.put(key, b"v".to_vec()).unwrap();
         }
+        let recorded_before = recorder.history().events().len();
         // One key alone on its register, another twice on its own.
         let keys = [&covering[0], &covering[1], &covering[1]];
-        let mut results = vec![None; keys.len()];
-        let mut batch = Batch::Gets(&keys, &mut results);
+        let mut answers = vec![None; keys.len()];
+        let mut batch = Batch::Gets(&keys, &mut answers);
         let mut flight = Flight::new(&kv);
-        flight.routed = (0..3)
-            .map(|i| (flight.map.register_for(keys[i]), i))
-            .collect();
-        flight.launch(&batch);
+        flight.launch(&mut batch, &[0, 1, 2]);
         assert_eq!(flight.pending.len(), 2);
-        // Let each real completion arrive, then script a timeout instead.
-        while !flight.pending.is_empty() {
-            let (pos, _) = flight.fan.wait_any(&flight.tickets).expect("completes");
+        // Let each first attempt's real completion arrive, then script a
+        // timeout in its place.
+        while let Some(pos) = flight.pending.iter().position(|op| op.at == 0) {
+            let home = flight.pending[pos].order[0];
+            let (_, real) = kv
+                .fan
+                .wait_any(&flight.tickets[pos..=pos], None)
+                .expect("completes");
+            real.expect("the home node is up");
             flight.settle(&mut batch, pos, Err(ClientError::TimedOut));
+            let moved = flight.pending.last().expect("resubmitted at once");
+            assert_eq!(moved.at, 1);
+            assert_ne!(moved.order[1], home, "at the next node");
+            assert!(moved.inv.is_some() && moved.ambiguous);
+            assert!(kv.health().is_suspect(home), "the timeout marks the node");
         }
-        assert!(flight.crashed);
-        let carried = flight.fallback.iter().filter(|(_, inv)| inv.is_some());
-        assert_eq!(carried.count(), 1, "the lone key took its invocation along");
-        flight.drain(&mut batch).unwrap();
-        assert_eq!(results, vec![Some(Some(Bytes::from_static(b"v"))); 3]);
+        flight.drain(&mut batch);
+        assert!(flight.first_err.is_none() && !flight.ambiguous);
+        let values: Vec<_> = answers.into_iter().map(|a| a.unwrap().1).collect();
+        assert_eq!(values, vec![Some(Bytes::from_static(b"v")); 3]);
 
         let history = recorder.history();
-        assert_eq!(history.crash_count(), 1);
-        assert_eq!(history.pending_ops().len(), 2, "both timed-out reads");
+        assert_eq!(history.crash_count(), 0);
+        assert!(history.pending_ops().is_empty());
+        assert_eq!(
+            history.events().len() - recorded_before,
+            4,
+            "one invocation and one reply per chunk"
+        );
         for reg in history.registers() {
             let per_reg = history.restrict_to_register(reg);
             per_reg
                 .well_formed()
                 .unwrap_or_else(|e| panic!("{reg:?}: {e}"));
         }
+        assert_eq!(kv.stats().retries, 2);
         cluster.shutdown();
     }
 

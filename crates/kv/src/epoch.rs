@@ -150,10 +150,9 @@ impl ShardMap {
     }
 
     /// Whether `key` currently sits behind the migration barrier (its
-    /// source shard is splitting): its operations take the per-key
-    /// blocking path, which runs the write barrier and the
-    /// old-home-then-new-home read protocol. Always `false` on a
-    /// committed map.
+    /// source shard is splitting): its operations are chunks of their
+    /// own, which run the write barrier and the old-home-then-new-home
+    /// read protocol. Always `false` on a committed map.
     pub fn is_barriered(&self, key: &str) -> bool {
         self.is_migrating() && self.is_split_source(self.old_shard_of(key))
     }

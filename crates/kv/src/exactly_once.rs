@@ -14,6 +14,13 @@
 //! 3. after a crash, [`KvClient::resolve`] settles each journaled op to a
 //!    definite verdict by re-reading the key's quorum state.
 //!
+//! The write itself is an ordinary call of one tagged entry through the
+//! client's one driver (see [`crate::client`]): every node retry and
+//! every re-route under a moved shard map re-encodes under the *same*
+//! tag, and a write that ends ambiguously (every node failed, or the map
+//! moved after an attempt was lost) simply stays `Sent` in the journal —
+//! step 3 is its recovery, whether or not the client crashed.
+//!
 //! **The resolve invariant: a resolved-`NotLanded` op may never later
 //! become visible, and retrying a `Landed` op is a no-op.** The first
 //! half is discharged *in the journal*, not at the registers: `NotLanded`
@@ -160,7 +167,7 @@ impl KvClient {
                 state: IntentState::Sent,
             })
             .map_err(journal_err)?;
-        let outcome = self.put_inner(key, value, Some(tag), &mut None);
+        let outcome = self.put_inner(key, value, Some(tag));
         match &outcome {
             Ok(()) => ctx.lock().acknowledge(tag).map_err(journal_err)?,
             // Refused before anything was sent: settle the op now rather
@@ -238,7 +245,7 @@ impl KvClient {
             }
             intent
         };
-        let outcome = self.put_inner(&intent.key, intent.value, Some(tag), &mut None);
+        let outcome = self.put_inner(&intent.key, intent.value, Some(tag));
         if outcome.is_ok() {
             ctx.lock().acknowledge(tag).map_err(journal_err)?;
         }
@@ -286,12 +293,14 @@ impl KvClient {
         // `Sent`: the write is anywhere between "never reached a node"
         // and "landed long ago" — and the register layer may *still* be
         // driving it, so NotLanded is out of reach. Make Landed true.
-        let payload = self.resolve_read(&intent.key)?;
+        // One recorded read of the key's quorum state (epoch-aware,
+        // split-aware): the payload that answered is the evidence.
+        let (payload, _) = self.get_inner(&intent.key)?;
         if codec::payload_op_tag(&payload) != Some(tag) && payload.is_bottom() {
             // Nothing landed yet (at read time). Completing the op
             // ourselves under the same tag makes the verdict definitive;
             // if the original landing races us, both carry one effect.
-            self.put_inner(&intent.key, intent.value, Some(tag), &mut None)?;
+            self.put_inner(&intent.key, intent.value, Some(tag))?;
         }
         // A foreign value (or our own tag) means the register moved past
         // ⊥: either our write landed (possibly since overwritten) or it
@@ -318,21 +327,6 @@ impl KvClient {
             .into_iter()
             .map(|intent| self.resolve(intent.tag).map(|r| (intent.tag, r)))
             .collect()
-    }
-
-    /// One recorded, failover-protected read of `key`'s quorum state
-    /// returning the raw answering payload (epoch-aware, split-aware).
-    fn resolve_read(&self, key: &str) -> Result<rmem_types::Value, KvError> {
-        self.sync_map()?;
-        let mut inv = None;
-        let outcome = self.get_inner(key, &mut inv);
-        match &outcome {
-            Ok((payload, _)) => {
-                self.rec_outcome(inv, Ok(rmem_types::OpResult::ReadValue(payload.clone())))
-            }
-            Err(e) => self.rec_outcome(inv, Err(e)),
-        }
-        outcome.map(|(payload, _)| payload)
     }
 
     /// Fault injection for the chaos matrix: a `put` that "crashes" at
@@ -386,10 +380,10 @@ impl KvClient {
             CrashPoint::MidRound => {
                 let key = key.to_string();
                 std::thread::spawn(move || {
-                    let _ = orphan.put_inner(&key, value, Some(tag), &mut None);
+                    let _ = orphan.put_inner(&key, value, Some(tag));
                 });
             }
-            CrashPoint::PostQuorum => orphan.put_inner(key, value, Some(tag), &mut None)?,
+            CrashPoint::PostQuorum => orphan.put_inner(key, value, Some(tag))?,
         }
         Ok(tag)
     }

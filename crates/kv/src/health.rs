@@ -6,11 +6,10 @@
 //! before failing over, even within one `multi_get`. [`HealthMemory`] is
 //! the shared fix: a per-node "recently failed" mark with decay. The first
 //! operation to time out on a node marks it; every subsequent operation
-//! tries the marked node *last* instead of first — and the one-thread
-//! multi-key driver, which has no rotation, checks the mark before every
-//! submission and sends the node's remaining keys down the blocking path
-//! — so a wedged node costs one timeout per batch rather than one per
-//! key.
+//! tries the marked node *last* instead of first — so a wedged node costs
+//! one timeout per call rather than one per key. The gate has one
+//! consumer: the node rotation every register operation of the client's
+//! one driver is given before its first send (`KvClient::rotation`).
 //!
 //! # Probe gating
 //!

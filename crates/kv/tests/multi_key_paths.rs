@@ -6,10 +6,13 @@
 //! cut only by the transport frame.
 //!
 //! **The two irregular routes**, which never coalesce: a batch issued
-//! while a split is migrating (barriered keys settle through the blocking
-//! path, every other key stays pipelined) and a batch on an exactly-once
-//! client (every entry settles through the journaled `put`, in input
-//! order).
+//! while a split is migrating (a barriered key is a chunk of its own in
+//! the same loop, polling for its seal on deadlines while every other key
+//! completes) and a batch on an exactly-once client (every entry is a
+//! journaled `put`, in input order).
+//!
+//! **The ambiguous end**: a call every node fails records one crash,
+//! after nothing of it is in flight.
 
 use std::time::{Duration, Instant};
 
@@ -22,7 +25,7 @@ use rmem_kv::{
 };
 use rmem_net::LocalCluster;
 use rmem_storage::{IntentJournal, MemStorage};
-use rmem_types::OpTag;
+use rmem_types::{OpTag, ProcessId};
 
 const OLD_SHARDS: u16 = 4;
 /// 4 → 6 splits shards 0 and 1 only: shards 2 and 3 keep their keys, so
@@ -149,16 +152,12 @@ fn batches_survive_a_node_death() {
             "key d{i} must survive the node death"
         );
     }
-    // Chunks homed on the dead node demote to per-key puts, which displace
-    // each other on a shared register: the call completes, and each
-    // register ends up holding inputs of this call.
+    // A chunk homed on the dead node fails over as the same composite
+    // write, so every key of the call resolves afterwards.
     kv.multi_put(&numbered("d", 24, 100)).unwrap();
     let got = kv.multi_get(&keys_of(&batch)).unwrap();
-    assert!(got.iter().any(Option::is_some));
     for (i, value) in got.iter().enumerate() {
-        if let Some(value) = value {
-            assert_eq!(value.as_ref(), [i as u8 + 100], "key d{i}");
-        }
+        assert_eq!(value.as_deref(), Some([i as u8 + 100].as_ref()), "key d{i}");
     }
     cluster.shutdown();
 }
@@ -279,7 +278,7 @@ fn coalesced_batches_survive_a_live_split_and_certify_across_epochs() {
 }
 
 #[test]
-fn a_mid_split_batch_pipelines_every_key_not_behind_the_barrier() {
+fn a_mid_split_batch_completes_its_open_keys_while_the_barriered_ones_wait() {
     let recorder = OpRecorder::new();
     let (mut cluster, kv) = cluster_kv(&recorder);
     let keys = ShardRouter::new(OLD_SHARDS).covering_keys("m-");
@@ -298,29 +297,39 @@ fn a_mid_split_batch_pipelines_every_key_not_behind_the_barrier() {
         "4 → 6 leaves two covering keys outside the barrier"
     );
 
-    // Reads: the barriered keys take old-home-then-new-home on the
-    // blocking path, the other two ride the pipeline — one depth sample
-    // per pipelined op.
+    // Reads: every key rides the one loop — the barriered ones read
+    // their unsealed old home, which answers — one depth sample per op.
     let before = depth_samples(&kv);
     let got = kv.multi_get(&keys).unwrap();
     for (i, value) in got.iter().enumerate() {
         assert_eq!(value.as_deref(), Some([0, i as u8].as_ref()), "{}", keys[i]);
     }
-    assert_eq!(depth_samples(&kv) - before, open);
+    assert_eq!(depth_samples(&kv) - before, keys.len() as u64);
 
-    // Writes: the barriered entries park on the write barrier until a
-    // rescuer seals their shards; the other two were pipelined already.
-    let before = depth_samples(&kv);
+    // Writes: the barriered entries poll for their seal on deadlines of
+    // the same loop until a rescuer seals their shards; the other two
+    // complete meanwhile.
+    let (before, written) = (depth_samples(&kv), kv.stats().writes);
     let rescuer = kv.recorded_clone();
     let batch = entries(&keys, 1);
     std::thread::scope(|scope| {
         let writer = scope.spawn(|| kv.multi_put(&batch));
         let deadline = Instant::now() + Duration::from_secs(10);
-        while kv.stats().barrier_waits == 0 {
+        while kv.stats().barrier_waits == 0 || kv.stats().writes - written < open {
             assert!(Instant::now() < deadline, "no write reached the barrier");
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert_eq!(depth_samples(&kv) - before, open);
+        assert!(!writer.is_finished(), "the barriered entries are waiting");
+        for (i, key) in keys.iter().enumerate() {
+            if !migrating.is_barriered(key) {
+                let value = rescuer.get(key).unwrap();
+                assert_eq!(value.as_deref(), Some([1, i as u8].as_ref()), "{key}");
+            }
+        }
+        assert!(
+            depth_samples(&kv) - before > open,
+            "the seal polls are operations of the same loop"
+        );
         assert!(rescuer.finish_split().unwrap());
         writer
             .join()
@@ -357,7 +366,9 @@ fn an_exactly_once_batch_settles_through_the_journal_in_input_order() {
 
     kv.multi_put(&batch).unwrap();
 
-    assert_eq!(depth_samples(&kv), 0, "journaled writes never pipeline");
+    let depth = kv.metrics().histogram("kv.pipeline_depth");
+    assert!(depth.count >= batch.len() as u64);
+    assert_eq!(depth.sum, depth.count, "journaled writes go one at a time");
     assert!(kv.pending_intents().is_empty(), "acked ops are tombstoned");
     for (i, key) in keys.iter().enumerate() {
         // Tags are allocated as entries settle: input order, so key `i`
@@ -376,5 +387,66 @@ fn an_exactly_once_batch_settles_through_the_journal_in_input_order() {
     let report = check_store_exactly_once(&recorder.history()).expect("no duplicate application");
     assert_eq!(report.logical_ops, batch.len() as u64);
     assert_eq!(report.retries, 0);
+    cluster.shutdown();
+}
+
+/// Defect (a) of PRs 14–15: with a majority dead every node attempt of
+/// every chunk ends `ProcessDown` or `TimedOut`, so the call fails
+/// ambiguously — and must say so once, after its last operation has
+/// settled, whatever the number of registers and coalesced inputs.
+#[test]
+fn a_call_every_node_fails_records_one_crash() {
+    let recorder = OpRecorder::new();
+    let cluster = LocalCluster::channel(3, SharedMemory::factory(Transient::flavor()));
+    let mut cluster = cluster.unwrap();
+    let router = ShardRouter::new(8);
+    let kv = KvClient::new(cluster.clients(), router)
+        .unwrap()
+        .with_op_timeout(Duration::from_millis(200))
+        .with_recorder(recorder.clone());
+    let keys = router.covering_keys("c-");
+    let k: Vec<&str> = keys.iter().map(String::as_str).collect();
+    let value = |v: u8| Bytes::from(vec![v]);
+    kv.multi_put(&entries(&keys, 0)).unwrap();
+    cluster.kill(ProcessId(1));
+    cluster.kill(ProcessId(2));
+    let failed = |outcome: Result<(), KvError>, crashes: usize, pending: usize| {
+        assert!(
+            matches!(outcome, Err(KvError::Register { .. })),
+            "{outcome:?}"
+        );
+        let history = recorder.history();
+        assert_eq!(history.crash_count(), crashes);
+        assert_eq!(history.pending_ops().len(), pending, "one per chunk");
+        for reg in history.registers() {
+            let per_reg = history.restrict_to_register(reg);
+            per_reg
+                .well_formed()
+                .unwrap_or_else(|e| panic!("{reg:?}: {e}"));
+        }
+    };
+
+    // Two registers, one of them with two inputs: writes, then reads.
+    let puts = [(k[0], value(1)), (k[1], value(2)), (k[1], value(3))];
+    failed(kv.multi_put(&puts), 1, 2);
+    failed(kv.multi_get(&[k[2], k[3], k[3]]).map(drop), 2, 4);
+    // Behind the writes the surviving node still holds, the reads are
+    // refused (`Busy`), not lost: nothing pending, no crash.
+    failed(kv.multi_get(&[k[0], k[1], k[1]]).map(drop), 2, 4);
+    certify_per_key_epoch_path(
+        &recorder.history(),
+        k.iter().copied(),
+        &[8],
+        Criterion::Transient,
+    )
+    .unwrap_or_else(|e| panic!("the failed calls left an uncertifiable history: {e}"));
+
+    // A composite write of two keys fails the same way.
+    let twin = (0..)
+        .map(|n| format!("twin-{n}"))
+        .find(|key| router.register_for(key) == router.register_for(k[5]))
+        .unwrap();
+    let puts = [(k[4], value(4)), (k[5], value(5)), (&twin, value(6))];
+    failed(kv.multi_put(&puts), 3, 6);
     cluster.shutdown();
 }

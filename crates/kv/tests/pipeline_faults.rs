@@ -6,9 +6,9 @@
 //! 1. **abandonment** — a cancelled in-flight op's slot and scratch
 //!    buffer are reclaimed immediately, its eventual ack is counted
 //!    late and never delivered to the slot's next tenant;
-//! 2. **dead-node fallback** — a batch whose home node is down still
-//!    completes through the blocking failover path, firing
-//!    `kv.retries`, and the recorded history certifies;
+//! 2. **dead-node failover** — a batch whose home node is down still
+//!    completes at the registers' next nodes, firing `kv.retries`, and
+//!    the recorded history certifies;
 //! 3. **kill/recover mid-pipeline** — seeded [`FaultSchedule`] crash
 //!    windows under concurrent batched traffic: no wedged waiter, no
 //!    barrier deadlock, every surviving history certifies per key.
@@ -86,10 +86,10 @@ fn cancelled_op_reclaims_slot_and_drops_late_ack() {
     cluster.shutdown();
 }
 
-/// A batch whose home node is dead still completes: the pipelined
-/// driver falls back to the blocking failover path, `kv.retries` fires,
-/// the health memory steers later submissions away, and the recorded
-/// history certifies.
+/// A batch whose home node is dead still completes: the driver moves
+/// each affected operation to its register's next node, `kv.retries`
+/// fires, the health memory steers later submissions away, and the
+/// recorded history certifies.
 #[test]
 fn dead_node_mid_pipeline_falls_back_and_fires_retries() {
     let mut cluster = LocalCluster::channel(3, SharedMemory::factory(Transient::flavor())).unwrap();
@@ -126,7 +126,7 @@ fn dead_node_mid_pipeline_falls_back_and_fires_retries() {
         "the dead node must have cost at least one retry"
     );
 
-    // Writes through the same outage: the fallback path again.
+    // Writes through the same outage: failover again.
     let rewrite: Vec<(&str, bytes::Bytes)> = keys
         .iter()
         .enumerate()

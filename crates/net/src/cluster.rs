@@ -239,8 +239,8 @@ impl LocalCluster {
     /// [`udp_with_disk_obs`](LocalCluster::udp_with_disk_obs) with an
     /// explicit flight-recorder ring capacity per node (rounded up to a
     /// power of two; each slot costs
-    /// [`FlightRecorder::SLOT_BYTES`] = 48 bytes, so a 2^18-slot tracing
-    /// ring is 12 MiB per node). The default 4096-slot ring keeps only a
+    /// [`FlightRecorder::SLOT_BYTES`] = 48 bytes plus a sixteenth for the
+    /// spill ring, so a 2^18-slot tracing ring is 12.75 MiB per node). The default 4096-slot ring keeps only a
     /// postmortem tail; stitched tracing over a long benchmark run needs
     /// rings deep enough to hold every event of the window being stitched.
     ///

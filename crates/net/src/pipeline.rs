@@ -559,15 +559,18 @@ impl Pipeline {
 
     /// Blocks until *some* ticket in `tickets` completes, returning its
     /// index and settled result (the others stay in flight). `None` if
-    /// `timeout` passes first — unlike [`wait`](Self::wait) nothing is
-    /// cancelled; the caller decides what to abandon.
+    /// `timeout` passes or `until` arrives first — unlike
+    /// [`wait`](Self::wait) nothing is cancelled; the caller decides what
+    /// to abandon.
     pub(crate) fn wait_any(
         &self,
         tickets: &[Ticket],
         timeout: Duration,
+        until: Option<Instant>,
         trace: Option<&TraceCtx>,
     ) -> Option<AnyCompletion> {
-        let deadline = Instant::now() + timeout;
+        let patience = Instant::now() + timeout;
+        let deadline = until.map_or(patience, |until| until.min(patience));
         let mut g = self.inner.lock().expect("pipeline lock");
         loop {
             self.drain_ready(&mut g);
@@ -794,11 +797,13 @@ impl PipelinedClient {
 
     /// Blocks until *some* listed ticket completes, returning its index
     /// in `tickets` and its settled result; the others stay in flight.
-    /// `None` if the patience window passes first — nothing is cancelled
-    /// then, the caller decides what to abandon.
-    pub fn wait_any(&self, tickets: &[Ticket]) -> Option<AnyCompletion> {
+    /// `None` if the patience window passes first, or the caller's own
+    /// deadline `until` arrives (a timer of its event loop: `tickets` may
+    /// then be empty) — nothing is cancelled then, the caller decides
+    /// what to abandon.
+    pub fn wait_any(&self, tickets: &[Ticket], until: Option<Instant>) -> Option<AnyCompletion> {
         self.pipe
-            .wait_any(tickets, self.timeout, self.trace.as_deref())
+            .wait_any(tickets, self.timeout, until, self.trace.as_deref())
     }
 
     /// Settles every listed ticket (in order), waiting where necessary:

@@ -5,11 +5,18 @@
 //!
 //! ## Lock-freedom without `unsafe`
 //!
-//! Writers claim a slot with one `fetch_add` on the head ticket and
-//! publish through a per-slot sequence word (a seqlock made of plain
-//! atomics, so the crate stays `forbid(unsafe_code)`):
+//! Writers take a ticket with one `fetch_add` on the head and publish
+//! through a per-slot sequence word (a seqlock made of plain atomics, so
+//! the crate stays `forbid(unsafe_code)`):
 //!
-//! 1. `seq ← 2·ticket + 1` (odd: write in progress),
+//! 1. `seq ← 2·ticket + 1` (odd: write in progress) by compare-exchange
+//!    from an even, older sequence, so a slot has one writer at a time
+//!    and its sequence never moves backwards: a writer that finds its
+//!    slot newer than its ticket was lapped while descheduled and skips
+//!    its store; one that finds it mid-write (an *older* writer was
+//!    descheduled between steps 1 and 3 for a whole lap) writes to its
+//!    ticket's slot of a small **spill ring** instead, under the same
+//!    rule,
 //! 2. the five payload words are stored relaxed,
 //! 3. `seq ← 2·ticket + 2` (even: published; encodes the ticket, so a
 //!    slot overwritten by a later lap is detectable).
@@ -299,6 +306,9 @@ pub struct FlightRecorder {
     origin: Instant,
     head: AtomicU64,
     slots: Box<[Slot]>,
+    /// Where an event goes whose ring slot a stalled writer holds: one
+    /// sixteenth of the ring, indexed by ticket like it.
+    spill: Box<[Slot]>,
     halt: Mutex<Option<String>>,
 }
 
@@ -324,9 +334,9 @@ impl FlightRecorder {
 
     /// Memory cost per ring slot in bytes: six `AtomicU64`s (one sequence
     /// word + five payload words). A capacity-`c` ring costs
-    /// `c × 48` bytes (capacity rounds up to a power of two), e.g. the
-    /// default 4096-slot ring is 192 KiB and a trace-bench 2^18 ring is
-    /// 12 MiB.
+    /// `c × 48` bytes (capacity rounds up to a power of two) plus a
+    /// sixteenth of that for its spill ring, e.g. the default 4096-slot
+    /// ring is 204 KiB and a trace-bench 2^18 ring is 12.75 MiB.
     pub const SLOT_BYTES: usize = (SLOT_WORDS + 1) * 8;
 
     /// A recorder holding the last `capacity` events (rounded up to a
@@ -339,6 +349,7 @@ impl FlightRecorder {
             origin: Instant::now(),
             head: AtomicU64::new(0),
             slots: (0..cap).map(|_| Slot::empty()).collect(),
+            spill: (0..(cap / 16).max(1)).map(|_| Slot::empty()).collect(),
             halt: Mutex::new(None),
         }
     }
@@ -376,31 +387,60 @@ impl FlightRecorder {
     }
 
     /// Records `ev`, stamping it with the current monotonic offset.
-    /// Lock-free: one ticket `fetch_add` plus the slot's seqlock stores.
+    /// Lock-free: one ticket `fetch_add`, the slot's claim and its
+    /// seqlock stores.
     #[inline]
     pub fn record(&self, ev: FlightEvent) {
         if !self.enabled {
             return;
         }
         let at = self.origin.elapsed().as_micros() as u64;
-        let mask = self.slots.len() as u64 - 1;
-        let ticket = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(ticket & mask) as usize];
-        // Odd sequence: write in progress. The RMW with AcqRel keeps the
-        // payload stores below from being hoisted above it.
-        slot.seq.swap(2 * ticket + 1, Ordering::AcqRel);
         let packed = ev.kind as u64 | (ev.register as u64) << 16 | (ev.epoch as u64) << 32;
         let (op_pid, op_ctr) = match ev.op {
             Some((pid, c)) => (pid as u64, c),
             None => (NO_OP, 0),
         };
-        slot.words[0].store(at, Ordering::Relaxed);
-        slot.words[1].store(packed, Ordering::Relaxed);
-        slot.words[2].store(op_pid, Ordering::Relaxed);
-        slot.words[3].store(op_ctr, Ordering::Relaxed);
-        slot.words[4].store(ev.aux, Ordering::Relaxed);
-        // Even sequence encoding the ticket: published.
-        slot.seq.store(2 * ticket + 2, Ordering::Release);
+        let ticket = self.head.fetch_add(1, Ordering::Relaxed);
+        // Odd sequence: write in progress. A slot is claimed only from a
+        // published (even) sequence older than this ticket's; the RMW
+        // with AcqRel keeps the payload stores below from being hoisted
+        // above the claim.
+        let claim = |seq: u64| (seq & 1 == 0 && seq <= 2 * ticket).then_some(2 * ticket + 1);
+        for slot in self.homes(ticket) {
+            match slot
+                .seq
+                .fetch_update(Ordering::AcqRel, Ordering::Relaxed, claim)
+            {
+                Ok(_) => {
+                    slot.words[0].store(at, Ordering::Relaxed);
+                    slot.words[1].store(packed, Ordering::Relaxed);
+                    slot.words[2].store(op_pid, Ordering::Relaxed);
+                    slot.words[3].store(op_ctr, Ordering::Relaxed);
+                    slot.words[4].store(ev.aux, Ordering::Relaxed);
+                    // Even sequence encoding the ticket: published.
+                    return slot.seq.store(2 * ticket + 2, Ordering::Release);
+                }
+                // A newer event is published here: this thread sat on its
+                // ticket while the ring lapped it. Storing now would stamp
+                // the older sequence over the newer event; the event is a
+                // full lap old and `dropped` (recorded − capacity) already
+                // counts it.
+                Err(seq) if seq & 1 == 0 => return,
+                // Another writer is mid-way through the slot — descheduled
+                // there, if it is a lap behind. Two writers' payload words
+                // must never share a published sequence, so this event
+                // goes to its spill slot (and is lost if that is taken
+                // too).
+                Err(_) => {}
+            }
+        }
+    }
+
+    /// Where `ticket`'s event may live: its ring slot, else its spill
+    /// slot.
+    fn homes(&self, ticket: u64) -> [&Slot; 2] {
+        let at = |slots: &'_ [Slot]| (ticket & (slots.len() as u64 - 1)) as usize;
+        [&self.slots[at(&self.slots)], &self.spill[at(&self.spill)]]
     }
 
     /// Marks the node halted: stores the human-readable reason and
@@ -421,20 +461,22 @@ impl FlightRecorder {
     pub fn dump(&self) -> Vec<FlightEvent> {
         let head = self.head.load(Ordering::Acquire);
         let cap = self.slots.len() as u64;
-        let mask = cap - 1;
         let mut out = Vec::with_capacity(head.min(cap) as usize);
         for ticket in head.saturating_sub(cap)..head {
-            let slot = &self.slots[(ticket & mask) as usize];
             let expect = 2 * ticket + 2;
-            if slot.seq.load(Ordering::Acquire) != expect {
-                continue; // in progress, or overwritten by a later lap
-            }
-            let words: [u64; SLOT_WORDS] =
-                std::array::from_fn(|i| slot.words[i].load(Ordering::Relaxed));
-            fence(Ordering::Acquire);
-            if slot.seq.load(Ordering::Relaxed) != expect {
-                continue; // overwritten while we copied: discard
-            }
+            let copy = |slot: &Slot| {
+                if slot.seq.load(Ordering::Acquire) != expect {
+                    return None; // in progress, or overwritten by a later lap
+                }
+                let words: [u64; SLOT_WORDS] =
+                    std::array::from_fn(|i| slot.words[i].load(Ordering::Relaxed));
+                fence(Ordering::Acquire);
+                // Overwritten while we copied: discard.
+                (slot.seq.load(Ordering::Relaxed) == expect).then_some(words)
+            };
+            let Some(words) = self.homes(ticket).into_iter().find_map(copy) else {
+                continue;
+            };
             let Some(kind) = EventKind::from_u8((words[1] & 0xff) as u8) else {
                 continue;
             };
