@@ -9,10 +9,15 @@
 fn main() {
     let (_, table) = rmem_bench::recovery_table();
     println!("{}", table.to_text());
-    println!("expected composition (δ=100µs, λ=200µs):");
+    println!("expected composition (δ=100µs, λ=200µs, ≈5µs serialization per send):");
     println!("  persistent ≈ one propagation round-trip (2δ), plus replica logs (λ) if the");
     println!("               interrupted write had not been adopted yet (Fig. 4 lines 43–46);");
     println!("  transient  ≈ one local log (λ) for the rec counter (Fig. 5 lines 19–21);");
+    println!("  catch-up   = a read query round (2δ) beside either, so an up-to-date process");
+    println!("               recovers in 2δ / max(λ, 2δ) — the second broadcast's serialization");
+    println!("               is all it adds — and one that missed a write pays one adoption log");
+    println!("               on top (2δ + λ); with the fast path off there is no catch-up and");
+    println!("               the rows read the figures' 2δ and λ whatever the process missed;");
     println!("  regular    ≈ λ + a majority query round (2δ);");
     println!("  crash-stop = 0 — it restores nothing, which is exactly why it forgets.");
     if std::env::args().any(|a| a == "--csv") {

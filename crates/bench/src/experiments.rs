@@ -279,6 +279,9 @@ pub struct RecoveryRow {
     pub busy_crash_us: f64,
     /// Mean duration when the crash hit an idle process.
     pub idle_crash_us: f64,
+    /// Mean duration when a write completed on the surviving majority
+    /// while the (idle) process was down: it recovers one write behind.
+    pub stale_us: f64,
 }
 
 /// **Extension experiment**: the cost of each algorithm's recovery
@@ -287,52 +290,79 @@ pub struct RecoveryRow {
 /// logs if the interrupted write was not yet adopted); transient recovery
 /// is one log (the `rec` counter, ≈ λ); the crash-stop baseline recovers
 /// in zero time because it restores nothing — and loses everything.
+///
+/// The fast-path flavors also catch up: a read query round (2δ) run
+/// *beside* the figure's procedure, so an up-to-date process recovers in
+/// max(λ, 2δ) (transient) or 2δ (persistent) — what the figure alone
+/// costs, give or take the second broadcast's serialization — and a stale
+/// one pays one adoption log on top (2δ + λ). The `fast path off` rows
+/// are the figures verbatim: λ and 2δ whatever the process missed.
 pub fn recovery_table() -> (Vec<RecoveryRow>, Table) {
+    use rmem_core::Flavor;
+
+    #[derive(Clone, Copy)]
+    enum Crash {
+        MidWrite,
+        Idle,
+        IdleMissingAWrite,
+    }
+    let legacy = |flavor: Flavor, name: &'static str| Flavor {
+        name,
+        ..flavor.with_read_fast_path(false)
+    };
     let mut rows = Vec::new();
     let mut table = Table::new(
         "Recovery cost [µs]: Recover event → process ready (extension experiment)",
-        &["algorithm", "after mid-write crash", "after idle crash"],
+        &[
+            "algorithm",
+            "after mid-write crash",
+            "after idle crash",
+            "one write behind",
+        ],
     );
-    for algo in [
-        AlgoChoice::Persistent,
-        AlgoChoice::Transient,
-        AlgoChoice::CrashStop,
-        AlgoChoice::Regular,
+    for flavor in [
+        Flavor::persistent(),
+        Flavor::transient(),
+        legacy(Flavor::persistent(), "persistent, fast path off"),
+        legacy(Flavor::transient(), "transient, fast path off"),
+        Flavor::crash_stop(),
+        Flavor::regular(),
     ] {
-        let measure = |busy: bool, seed: u64| -> f64 {
-            let mut schedule = Schedule::new().at(
-                1_000,
-                PlannedEvent::Invoke(ProcessId(0), Op::Write(Value::from_u32(1))),
-            );
-            if busy {
-                schedule = schedule
-                    .at(
-                        10_000,
-                        PlannedEvent::Invoke(ProcessId(0), Op::Write(Value::from_u32(2))),
-                    )
-                    .at(10_500, PlannedEvent::Crash(ProcessId(0)));
-            } else {
-                schedule = schedule.at(10_500, PlannedEvent::Crash(ProcessId(0)));
-            }
+        let measure = |crash: Crash, seed: u64| -> f64 {
+            let write = |pid: u16, v: u32| {
+                PlannedEvent::Invoke(ProcessId(pid), Op::Write(Value::from_u32(v)))
+            };
+            let mut schedule = Schedule::new().at(1_000, write(0, 1));
+            schedule = match crash {
+                Crash::MidWrite => schedule.at(10_000, write(0, 2)),
+                Crash::Idle => schedule,
+                Crash::IdleMissingAWrite => schedule.at(12_000, write(1, 2)),
+            };
             schedule = schedule
+                .at(10_500, PlannedEvent::Crash(ProcessId(0)))
                 .at(20_000, PlannedEvent::Recover(ProcessId(0)))
                 .at(40_000, PlannedEvent::Invoke(ProcessId(0), Op::Read));
-            let mut sim = Simulation::new(ClusterConfig::new(5), algo.factory(), seed)
-                .with_schedule(schedule);
+            let factory = Arc::new(FlavorFactory::new(flavor, rmem_core::DEFAULT_RETRANSMIT));
+            let mut sim =
+                Simulation::new(ClusterConfig::new(5), factory, seed).with_schedule(schedule);
             let report = sim.run();
             let d = &report.trace.recovery_durations;
-            assert_eq!(d.len(), 1, "{}: one recovery expected", algo.name());
+            assert_eq!(d.len(), 1, "{}: one recovery expected", flavor.name);
             d[0] as f64
         };
-        let busy = measure(true, 0x5EC);
-        let idle = measure(false, 0x1D7E);
-        let name = algo.factory().flavor().name;
-        rows.push(RecoveryRow {
-            algo: name,
-            busy_crash_us: busy,
-            idle_crash_us: idle,
-        });
-        table.row(&[name.to_string(), format!("{busy:.0}"), format!("{idle:.0}")]);
+        let row = RecoveryRow {
+            algo: flavor.name,
+            busy_crash_us: measure(Crash::MidWrite, 0x5EC),
+            idle_crash_us: measure(Crash::Idle, 0x1D7E),
+            stale_us: measure(Crash::IdleMissingAWrite, 0x57A1E),
+        };
+        table.row(&[
+            row.algo.to_string(),
+            format!("{:.0}", row.busy_crash_us),
+            format!("{:.0}", row.idle_crash_us),
+            format!("{:.0}", row.stale_us),
+        ]);
+        rows.push(row);
     }
     (rows, table)
 }
@@ -635,11 +665,30 @@ mod tests {
     fn recovery_table_matches_flavor_procedures() {
         let (rows, _) = recovery_table();
         let by_name = |n: &str| rows.iter().find(|r| r.algo == n).unwrap();
-        assert_eq!(by_name("crash-stop").idle_crash_us, 0.0);
-        // Transient ≈ λ; persistent ≈ 2δ (+serialization); regular ≈ λ+2δ.
-        assert!((150.0..260.0).contains(&by_name("transient").idle_crash_us));
-        assert!((180.0..280.0).contains(&by_name("persistent").idle_crash_us));
-        assert!((350.0..500.0).contains(&by_name("regular").idle_crash_us));
+        let (crash_stop, regular) = (by_name("crash-stop"), by_name("regular"));
+        assert_eq!(crash_stop.idle_crash_us, 0.0);
+        assert_eq!(crash_stop.stale_us, 0.0);
+        // The figures alone (fast path off): transient = λ, persistent ≈
+        // 2δ (+serialization) — and they never ask what they missed.
+        let legacy_t = by_name("transient, fast path off");
+        let legacy_p = by_name("persistent, fast path off");
+        assert_eq!(legacy_t.idle_crash_us, 200.0);
+        assert!((200.0..230.0).contains(&legacy_p.idle_crash_us));
+        assert_eq!(legacy_t.stale_us, legacy_t.idle_crash_us);
+        assert_eq!(legacy_p.stale_us, legacy_p.idle_crash_us);
+        // With the catch-up beside them an up-to-date process recovers
+        // about as fast — max(λ, 2δ) and 2δ; the second broadcast's
+        // serialization is the difference —
+        let (transient, persistent) = (by_name("transient"), by_name("persistent"));
+        assert!((200.0..230.0).contains(&transient.idle_crash_us));
+        assert!((200.0..260.0).contains(&persistent.idle_crash_us));
+        assert!(persistent.idle_crash_us - legacy_p.idle_crash_us <= 30.0);
+        // — and one that missed a write logs its adoption on top: 2δ + λ.
+        assert!((400.0..440.0).contains(&transient.stale_us));
+        assert!((400.0..460.0).contains(&persistent.stale_us));
+        // Regular ≈ λ+2δ, no fast path to catch up for.
+        assert!((350.0..500.0).contains(&regular.idle_crash_us));
+        assert_eq!(regular.stale_us, regular.idle_crash_us);
     }
 
     #[test]

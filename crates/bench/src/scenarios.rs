@@ -51,10 +51,16 @@ pub fn fig1() -> Schedule {
         // query round); p1 adopts v2. Crashing at 10.30 ms kills the
         // writer's own in-flight adoption, so only p1 holds v2.
         .at(10_300, PlannedEvent::Crash(p(0)))
+        // Contain the recovery too. The recovered writer re-learns the
+        // register from a majority before it serves (the catch-up), and
+        // it must not learn v2: while it is down, reopen p0→p2 (the
+        // upcoming reads need to hear p0 anyway — v2 is dead at the
+        // writer, nothing re-propagates it) and shut p1→p0 across the
+        // recovery, so the catch-up quorum is {p0, p2}, both at v1.
+        .at(12_000, PlannedEvent::Unblock(p(0), p(2)))
+        .at(12_000, PlannedEvent::Block(p(1), p(0)))
         .at(13_000, PlannedEvent::Recover(p(0)))
-        // Reopen p0→p2 so the upcoming reads can hear p0 (v2 is dead at
-        // the writer, nothing re-propagates it).
-        .at(13_500, PlannedEvent::Unblock(p(0), p(2)))
+        .at(13_500, PlannedEvent::Unblock(p(1), p(0)))
         // W(v3): its query round runs 20.00–20.21 ms; the blocks planted
         // at 20.15 ms let the in-flight SN acks through but stop the
         // propagation round, so v3 exists only at p0 and W(v3) stays

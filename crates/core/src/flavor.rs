@@ -2,6 +2,12 @@
 
 /// What a process does on recovery, beyond restoring its replica state
 /// from the newer of its `written` and `writing` records.
+///
+/// This is the paper's part of recovery: what the process owes its *own*
+/// past. It is not all of it — a flavor with
+/// [`read_fast_path`](Flavor::read_fast_path) on also catches up on what
+/// the majority did meanwhile, beside whichever policy is chosen here and
+/// before the process serves; see that field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryPolicy {
     /// Restore volatile state only (crash-stop baseline and ablations).
@@ -55,6 +61,26 @@ pub struct Flavor {
     /// or report a volatile tag — fall back to the unmodified two-round
     /// path. Inert when [`read_write_back`](Flavor::read_write_back) is
     /// already `false`.
+    ///
+    /// Unanimity is fragile under crash-recovery: the paper's recovery
+    /// (Fig. 4 lines 40–47, Fig. 5 lines 16–22) restores a process from
+    /// its own log and never asks what it missed, so one recovered, stale
+    /// replica disagrees in every quorum it joins and the cluster is back
+    /// on two-round reads until write-backs repair it register by
+    /// register. The fast path therefore comes with a **recovery
+    /// catch-up**: beside its [`RecoveryPolicy`] phase, a recovering
+    /// process runs one read query round (the ordinary `Read` message)
+    /// and, if the quorum's best tag is not durable on its disk yet, its
+    /// replica adopts the pair as it would a delayed `Write`; the process
+    /// turns ready — and starts what was invoked meanwhile — only once
+    /// that is durable. So a recovered replica serves its first operation
+    /// on a register only after durably holding every write to it that
+    /// completed before its recovery began. One round per register; one
+    /// log only when it was behind; no extra message type, no separate
+    /// switch. With this field `false` there is no unanimity to restore
+    /// and recovery is exactly the figures'. (A register first created
+    /// while the process was down catches up when something first names
+    /// it, not when the restart ends: the process cannot know it exists.)
     pub read_fast_path: bool,
     /// Tag-lease duration in microseconds (0 = leasing disabled, the
     /// default for every published flavor). When non-zero — and the

@@ -4,6 +4,24 @@
 //! flags select which logs and rounds exist, mirroring how the paper
 //! derives Fig. 5 from Fig. 4 "with a few minor changes". The code
 //! comments cite pseudocode line numbers from the paper throughout.
+//!
+//! # Recovery catch-up
+//!
+//! The paper's recovery procedures (Fig. 4 lines 40–47, Fig. 5 lines
+//! 16–22) restore a process from *its own* log and never ask what it
+//! missed while down. That is all atomicity needs, but it leaves the
+//! recovered replica the odd one out in every read quorum it joins, and
+//! the confirmed-timestamp fast path ([`Flavor::read_fast_path`]) wants
+//! quorums unanimous. So a flavor with the fast path on runs one more
+//! step, overlapped with the paper's own (`RecoveryPhase`) and
+//! finished before the process serves: a read query round (Fig. 4 lines
+//! 32–35, the ordinary `Read` message) and, if the quorum's best tag is
+//! not durable here yet, its adoption by the own replica exactly as a
+//! delayed `Write` would have been adopted (`CatchUp`). A majority
+//! read sees every write that completed before recovery began, so a
+//! recovered process serves its first operation only after durably
+//! holding all of them. With the fast path off the step does not exist
+//! and recovery is the figures', verbatim.
 
 use std::collections::VecDeque;
 
@@ -80,7 +98,10 @@ enum OpPhase {
     },
 }
 
-/// The recovery procedure's phase (between `Start` and readiness).
+/// The phase of the paper's recovery procedure, as the flavor's
+/// [`RecoveryPolicy`] selects it (Fig. 4 lines 40–47, Fig. 5 lines
+/// 16–22). `None` once it is through — which is not readiness yet if the
+/// [`CatchUp`] running beside it is still out.
 #[derive(Debug)]
 enum RecoveryPhase {
     /// Waiting for the `recovered` counter store (Fig. 5 lines 19–21).
@@ -99,6 +120,25 @@ enum RecoveryPhase {
         max_seq: Seq,
         timer: TimerToken,
     },
+}
+
+/// The recovery catch-up (see the module docs): started with the
+/// flavor's [`RecoveryPhase`] — right after the replica is restored,
+/// Fig. 4 line 42 / Fig. 5 line 18 — and run beside it; readiness waits
+/// for both.
+#[derive(Debug)]
+enum CatchUp {
+    /// Collecting a majority's tagged values, as a read's first round
+    /// does (Fig. 4 lines 32–35).
+    Query {
+        call: QuorumCall,
+        best_ts: Timestamp,
+        best_value: Value,
+        timer: TimerToken,
+    },
+    /// The own replica adopted the quorum's best tag; waiting for the
+    /// store that makes it durable here (Fig. 4 line 24).
+    Store { ts: Timestamp },
 }
 
 /// Which path constructed the automaton (drives `Start` handling).
@@ -131,6 +171,16 @@ fn replica_lease(flavor: &Flavor) -> u64 {
     }
 }
 
+/// The token source handed to the replica role: draws from the
+/// automaton's one counter, so store and timer tokens never collide.
+fn token_gen(counter: &mut u64) -> impl FnMut() -> u64 + '_ {
+    move || {
+        let t = *counter;
+        *counter += 1;
+        t
+    }
+}
+
 /// The register automaton (see [`crate`] docs for the family table).
 pub struct RegisterAutomaton {
     me: ProcessId,
@@ -149,6 +199,7 @@ pub struct RegisterAutomaton {
     writing: Option<WritingRecord>,
     op: Option<(OpId, OpPhase)>,
     recovery: Option<RecoveryPhase>,
+    catch_up: Option<CatchUp>,
     /// Live tag lease (leasing flavors only).
     lease: Option<Lease>,
     ready: bool,
@@ -184,6 +235,7 @@ impl RegisterAutomaton {
             writing: None,
             op: None,
             recovery: None,
+            catch_up: None,
             lease: None,
             ready: false,
             queued: VecDeque::new(),
@@ -244,6 +296,7 @@ impl RegisterAutomaton {
             writing,
             op: None,
             recovery: None,
+            catch_up: None,
             lease: None,
             ready: false,
             queued: VecDeque::new(),
@@ -302,15 +355,8 @@ impl RegisterAutomaton {
             StartMode::Fresh => {
                 // Fig. 4 lines 1–5 / Fig. 5 lines 1–5: initial records.
                 // Not ack-gated; the automaton is immediately ready.
-                {
-                    let counter = &mut self.token_counter;
-                    let mut gen = move || {
-                        let t = *counter;
-                        *counter += 1;
-                        t
-                    };
-                    self.replica.initial_store(&mut gen, out);
-                }
+                self.replica
+                    .initial_store(&mut token_gen(&mut self.token_counter), out);
                 // No initial `writing` record: recovery reads an absent
                 // slot as "no write to finish", which is all `(0, ⊥)` said.
                 if self.flavor.rec_in_timestamp {
@@ -328,15 +374,8 @@ impl RegisterAutomaton {
                 // A recovered leasing replica cannot know which grants its
                 // previous incarnation issued: fence every write ack for
                 // one full hold term before trusting quiescence.
-                {
-                    let counter = &mut self.token_counter;
-                    let mut gen = move || {
-                        let t = *counter;
-                        *counter += 1;
-                        t
-                    };
-                    self.replica.boot_hold(&mut gen, out);
-                }
+                self.replica
+                    .boot_hold(&mut token_gen(&mut self.token_counter), out);
                 self.start_recovery(out)
             }
         }
@@ -344,38 +383,31 @@ impl RegisterAutomaton {
 
     fn start_recovery(&mut self, out: &mut Vec<Action>) {
         match self.flavor.recovery {
-            RecoveryPolicy::Nothing => {
-                self.ready = true;
-            }
+            RecoveryPolicy::Nothing => {}
             RecoveryPolicy::FinishWrite => {
                 // Fig. 4 lines 43–46: re-run the propagation round for the
                 // logged writing record (harmless if that write in fact
-                // completed — older tags are rejected everywhere).
-                match self.writing.clone() {
-                    Some(rec) => {
-                        let req = self.next_req();
-                        let call = QuorumCall::new(req, self.majority);
-                        self.broadcast(
-                            &Message::Write {
-                                req,
-                                ts: rec.ts,
-                                value: rec.value.clone(),
-                            },
-                            out,
-                        );
-                        let timer = self.arm_timer(out);
-                        self.recovery = Some(RecoveryPhase::FinishWrite {
+                // completed — older tags are rejected everywhere). No
+                // record: crashed before Initialize finished, nothing to
+                // re-finish.
+                if let Some(rec) = self.writing.clone() {
+                    let req = self.next_req();
+                    let call = QuorumCall::new(req, self.majority);
+                    self.broadcast(
+                        &Message::Write {
+                            req,
                             ts: rec.ts,
-                            value: rec.value,
-                            call,
-                            timer,
-                        });
-                    }
-                    None => {
-                        // Crashed before Initialize finished: nothing to
-                        // re-finish.
-                        self.ready = true;
-                    }
+                            value: rec.value.clone(),
+                        },
+                        out,
+                    );
+                    let timer = self.arm_timer(out);
+                    self.recovery = Some(RecoveryPhase::FinishWrite {
+                        ts: rec.ts,
+                        value: rec.value,
+                        call,
+                        timer,
+                    });
                 }
             }
             RecoveryPolicy::RecCounter | RecoveryPolicy::RecCounterAndQuery => {
@@ -392,6 +424,22 @@ impl RegisterAutomaton {
                 self.recovery = Some(RecoveryPhase::StoreRec { token });
             }
         }
+        // Beside what the figure prescribes, the catch-up (module docs):
+        // it exists to keep read quorums unanimous, so it exists exactly
+        // when the fast path does.
+        if self.flavor.read_fast_path {
+            let req = self.next_req();
+            let call = QuorumCall::new(req, self.majority);
+            self.broadcast(&Message::Read { req }, out);
+            let timer = self.arm_timer(out);
+            self.catch_up = Some(CatchUp::Query {
+                call,
+                best_ts: Timestamp::new(0, self.me),
+                best_value: Value::bottom(),
+                timer,
+            });
+        }
+        self.serve_if_recovered(out);
     }
 
     fn recovery_store_done(&mut self, out: &mut Vec<Action>) {
@@ -410,10 +458,33 @@ impl RegisterAutomaton {
         }
     }
 
+    /// The flavor's own recovery procedure is through.
     fn finish_recovery(&mut self, out: &mut Vec<Action>) {
         self.recovery = None;
-        self.ready = true;
-        self.drain_queue(out);
+        self.serve_if_recovered(out);
+    }
+
+    /// The catch-up quorum answered with `(ts, value)` as its best pair:
+    /// the own replica adopts it as it would a delayed `Write`, and the
+    /// catch-up is through once the tag is durable here.
+    fn catch_up_to(&mut self, ts: Timestamp, value: &Value, out: &mut Vec<Action>) {
+        // A quorum that has seen no write has nothing to teach: initial
+        // tags differ in their pid half only, and ⊥ is ⊥.
+        let durable = ts.seq == 0
+            || self
+                .replica
+                .adopt(ts, value, &mut token_gen(&mut self.token_counter), out);
+        self.catch_up = (!durable).then_some(CatchUp::Store { ts });
+        self.serve_if_recovered(out);
+    }
+
+    /// Turns ready once both the flavor's procedure and the catch-up are
+    /// through, and starts what was invoked meanwhile.
+    fn serve_if_recovered(&mut self, out: &mut Vec<Action>) {
+        if self.recovery.is_none() && self.catch_up.is_none() {
+            self.ready = true;
+            self.drain_queue(out);
+        }
     }
 
     fn drain_queue(&mut self, out: &mut Vec<Action>) {
@@ -597,19 +668,14 @@ impl RegisterAutomaton {
 
     fn on_message(&mut self, from: ProcessId, msg: Message, out: &mut Vec<Action>) {
         // Replica role first: requests are fully handled there.
+        if self
+            .replica
+            .on_message(from, &msg, &mut token_gen(&mut self.token_counter), out)
         {
-            let counter = &mut self.token_counter;
-            let mut gen = move || {
-                let t = *counter;
-                *counter += 1;
-                t
-            };
-            if self.replica.on_message(from, &msg, &mut gen, out) {
-                // Any locally adopted newer tag kills the lease on the
-                // spot: the leased value is provably no longer freshest.
-                self.invalidate_lease_if_older_than(self.replica.timestamp());
-                return;
-            }
+            // Any locally adopted newer tag kills the lease on the
+            // spot: the leased value is provably no longer freshest.
+            self.invalidate_lease_if_older_than(self.replica.timestamp());
+            return;
         }
 
         // Acks: route to the recovery phase or the running operation.
@@ -770,6 +836,29 @@ impl RegisterAutomaton {
         grant: u32,
         out: &mut Vec<Action>,
     ) {
+        // Recovery catch-up round: Fig. 4 line 35, nothing else — no
+        // fast-path or lease bookkeeping, the quorum is only asked what
+        // it holds.
+        if let Some(CatchUp::Query {
+            call,
+            best_ts,
+            best_value,
+            ..
+        }) = &mut self.catch_up
+        {
+            if call.matches(req) {
+                if ts > *best_ts {
+                    *best_ts = ts;
+                    *best_value = value;
+                }
+                if call.record(from) {
+                    let (ts, value) = (*best_ts, std::mem::take(best_value));
+                    self.catch_up_to(ts, &value, out);
+                }
+                return;
+            }
+        }
+
         let mut reached: Option<(OpId, Timestamp, Value, bool, bool, Option<TimerToken>)> = None;
         if let Some((
             op,
@@ -916,6 +1005,12 @@ impl RegisterAutomaton {
             other => self.op = other,
         }
         if self.replica.on_store_done(token, out) {
+            if let Some(CatchUp::Store { ts }) = self.catch_up {
+                if self.replica.holds_durably(ts) {
+                    self.catch_up = None;
+                    self.serve_if_recovered(out);
+                }
+            }
             return;
         }
         if let Some(RecoveryPhase::StoreRec { token: t }) = &self.recovery {
@@ -942,16 +1037,11 @@ impl RegisterAutomaton {
             }
         }
         // The replica role's grant-fence horizon.
+        if self
+            .replica
+            .on_timer(token, &mut token_gen(&mut self.token_counter), out)
         {
-            let counter = &mut self.token_counter;
-            let mut gen = move || {
-                let t = *counter;
-                *counter += 1;
-                t
-            };
-            if self.replica.on_timer(token, &mut gen, out) {
-                return;
-            }
+            return;
         }
         // Retransmit whatever round is still waiting for acks, then
         // re-arm. Stale timers (from completed rounds) match nothing and
@@ -975,6 +1065,14 @@ impl RegisterAutomaton {
                 }
                 _ => None,
             });
+            let from_catch_up = match &self.catch_up {
+                Some(CatchUp::Query { call, timer, .. }) if *timer == token => {
+                    Some(Message::Read {
+                        req: call.request_id(),
+                    })
+                }
+                _ => None,
+            };
             let from_op = self.op.as_ref().and_then(|(_, phase)| match phase {
                 OpPhase::WriteQuery { call, timer, .. } if *timer == token => {
                     Some(Message::SnReq {
@@ -1006,7 +1104,7 @@ impl RegisterAutomaton {
                 }),
                 _ => None,
             });
-            from_recovery.or(from_op)
+            from_recovery.or(from_catch_up).or(from_op)
         };
 
         let Some(msg) = resend else { return };
@@ -1022,6 +1120,12 @@ impl RegisterAutomaton {
                     return;
                 }
                 _ => {}
+            }
+        }
+        if let Some(CatchUp::Query { timer, .. }) = &mut self.catch_up {
+            if *timer == token {
+                *timer = new_timer;
+                return;
             }
         }
         if let Some((_, phase)) = &mut self.op {
@@ -1133,6 +1237,64 @@ mod tests {
             .collect()
     }
 
+    /// The request id of the `Read` round broadcast in `out` — a
+    /// recovering automaton's catch-up.
+    fn read_req(out: &[Action]) -> RequestId {
+        sends_of(out)
+            .iter()
+            .find_map(|m| match m {
+                Message::Read { req } => Some(*req),
+                _ => None,
+            })
+            .expect("a Read broadcast")
+    }
+
+    /// A durable `ReadAck` of round `req` reporting `[seq, pid]` (⊥ for
+    /// `seq` 0, else `v`).
+    fn read_ack(seq: Seq, pid: u16, v: u32, req: RequestId) -> Message {
+        Message::ReadAck {
+            req,
+            ts: Timestamp::new(seq, ProcessId(pid)),
+            value: if seq == 0 {
+                Value::bottom()
+            } else {
+                Value::from_u32(v)
+            },
+            durable: true,
+            grant: 0,
+        }
+    }
+
+    /// Answers the read round `req` with `(from, seq, pid, v)` acks.
+    fn read_acks_from(
+        a: &mut RegisterAutomaton,
+        req: RequestId,
+        acks: [(u16, Seq, u16, u32); 2],
+        out: &mut Vec<Action>,
+    ) {
+        for (from, seq, pid, v) in acks {
+            a.on_input(
+                Input::Message {
+                    from: ProcessId(from),
+                    msg: read_ack(seq, pid, v, req),
+                },
+                out,
+            );
+        }
+    }
+
+    /// Answers the read round `req` from p1 and p2, both reporting
+    /// `[seq, p1]` / `v`.
+    fn read_acks(
+        a: &mut RegisterAutomaton,
+        req: RequestId,
+        seq: Seq,
+        v: u32,
+        out: &mut Vec<Action>,
+    ) {
+        read_acks_from(a, req, [(1, seq, 1, v), (2, seq, 1, v)], out);
+    }
+
     #[test]
     fn fresh_boot_initialises_and_is_ready() {
         let mut a = RegisterAutomaton::fresh(ProcessId(0), 3, Flavor::persistent(), Micros(1_000));
@@ -1228,7 +1390,7 @@ mod tests {
     #[test]
     fn invocation_during_recovery_is_queued() {
         // A recovered transient automaton is not ready until its rec
-        // counter is durable.
+        // counter is durable and its catch-up round has answered.
         let mut a = RegisterAutomaton::recovered(
             ProcessId(0),
             3,
@@ -1247,6 +1409,7 @@ mod tests {
                 _ => None,
             })
             .expect("recovery must store the rec counter");
+        let catch_up = read_req(&out);
         out.clear();
         a.on_input(
             Input::Invoke {
@@ -1256,8 +1419,12 @@ mod tests {
             &mut out,
         );
         assert!(out.is_empty(), "queued, not started: {out:?}");
-        // Completing the store makes it ready and starts the queued read.
+        // The store alone is half of it: the catch-up is still asking.
         a.on_input(Input::StoreDone(store_token), &mut out);
+        assert!(!a.is_ready());
+        assert!(out.is_empty(), "still queued: {out:?}");
+        // The quorum's answer makes it ready and starts the queued read.
+        read_acks(&mut a, catch_up, 0, 0, &mut out);
         assert!(a.is_ready());
         assert!(
             out.iter().any(|x| matches!(
@@ -1297,16 +1464,19 @@ mod tests {
     fn persistent_recovery_rebroadcasts_writing_record() {
         let (mut a, out) = recover_persistent(&snapshot(None, Some((7, 0, 42))));
         assert!(!a.is_ready());
+        // The re-propagation first, then the catch-up's Read round.
         let sends = sends_of(&out);
-        assert_eq!(sends.len(), 3);
-        for m in sends {
+        assert_eq!(sends.len(), 3 + 3);
+        for m in &sends[..3] {
             let Message::Write { ts, value, .. } = m else {
                 panic!("expected W, got {m}")
             };
             assert_eq!(*ts, Timestamp::new(7, ProcessId(0)));
             assert_eq!(value.as_u32(), Some(42));
         }
-        // Majority of acks completes recovery.
+        assert!(sends[3..].iter().all(|m| matches!(m, Message::Read { .. })));
+        let catch_up = read_req(&out);
+        // A majority of acks completes the figure's part of recovery …
         let req = match &out[0] {
             Action::Send { msg, .. } => msg.request_id(),
             _ => panic!(),
@@ -1327,7 +1497,11 @@ mod tests {
             },
             &mut out2,
         );
+        assert!(!a.is_ready());
+        // … and a quorum that knows nothing newer completes the rest.
+        read_acks(&mut a, catch_up, 6, 36, &mut out2);
         assert!(a.is_ready());
+        assert_eq!(stores_in(&out2), 0);
     }
 
     // ---------------------------------------------------------------
@@ -1525,10 +1699,15 @@ mod tests {
             KEY_WRITING.to_string(),
             bytes::Bytes::from_static(b"\x01torn"),
         );
-        let (a, out) = recover_persistent(&stable);
+        let (mut a, mut out) = recover_persistent(&stable);
         assert_eq!(a.replica_timestamp(), Timestamp::new(3, ProcessId(1)));
+        // Only the catch-up stands between this recovery and readiness.
+        let sends = sends_of(&out);
+        assert!(sends.iter().all(|m| matches!(m, Message::Read { .. })));
+        let catch_up = read_req(&out);
+        read_acks(&mut a, catch_up, 3, 30, &mut out);
         assert!(a.is_ready());
-        assert!(sends_of(&out).is_empty());
+        assert_eq!(stores_in(&out), 0);
     }
 
     #[test]
@@ -1547,11 +1726,257 @@ mod tests {
                 &mut Vec::new(),
             );
         }
+        // The catch-up quorum answers from behind too and teaches nothing.
+        read_acks(&mut a, read_req(&out), 3, 30, &mut Vec::new());
         assert!(a.is_ready());
+        assert_eq!(a.replica_timestamp(), Timestamp::new(5, ProcessId(0)));
         // The quorum answers from behind; the next pre-log overwrites the
         // `writing` slot and so must still carry a higher tag.
         let (_, record) = write_up_to_pre_log(&mut a, 60, [2, 3]);
         assert_eq!(record.ts, Timestamp::new(6, ProcessId(0)));
+    }
+
+    // ---------------------------------------------------------------
+    // Recovery catch-up
+    // ---------------------------------------------------------------
+
+    #[test]
+    fn stale_recovered_replica_adopts_the_quorums_best_pair_with_one_store() {
+        // Down while [9,2] was written over its [3,1].
+        for flavor in [Flavor::persistent(), Flavor::transient()] {
+            let stable = snapshot(Some((3, 1, 30)), None);
+            let mut a =
+                RegisterAutomaton::recovered(ProcessId(0), 3, flavor, Micros(1_000), 1, &stable);
+            let mut out = Vec::new();
+            a.on_input(Input::Start, &mut out);
+            // One Read broadcast: the same request to all three.
+            let reads: Vec<RequestId> = sends_of(&out)
+                .iter()
+                .filter_map(|m| match m {
+                    Message::Read { req } => Some(*req),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(reads.len(), 3, "{}: {out:?}", flavor.name);
+            let req = reads[0];
+            assert!(reads.iter().all(|r| *r == req));
+            // The flavor's own phase, if any, finishes meanwhile.
+            for action in out.clone() {
+                if let Action::Store { token, .. } = action {
+                    a.on_input(Input::StoreDone(token), &mut Vec::new());
+                }
+            }
+            out.clear();
+            // Its own ack counts toward the majority; p2's carries news.
+            for (from, msg) in [(0, read_ack(3, 1, 30, req)), (2, read_ack(9, 2, 90, req))] {
+                assert!(out.is_empty());
+                a.on_input(
+                    Input::Message {
+                        from: ProcessId(from),
+                        msg,
+                    },
+                    &mut out,
+                );
+            }
+            let [Action::Store { token, key, bytes }] = out.as_slice() else {
+                panic!("expected exactly the adoption store, got {out:?}")
+            };
+            assert_eq!(key, KEY_WRITTEN);
+            let record = WrittenRecord::decode(bytes).unwrap();
+            assert_eq!(record.ts, Timestamp::new(9, ProcessId(2)));
+            assert_eq!(record.value.as_u32(), Some(90));
+            assert_eq!(a.replica_timestamp(), record.ts);
+            let token = *token;
+            // Not ready until the pair is durable here: an invocation
+            // queues, a late ack of the finished round changes nothing.
+            out.clear();
+            assert!(!a.is_ready());
+            a.on_input(
+                Input::Invoke {
+                    op: OpId::new(ProcessId(0), 0),
+                    operation: Op::Read,
+                },
+                &mut out,
+            );
+            a.on_input(
+                Input::Message {
+                    from: ProcessId(1),
+                    msg: read_ack(9, 2, 90, req),
+                },
+                &mut out,
+            );
+            assert!(out.is_empty(), "{out:?}");
+            a.on_input(Input::StoreDone(token), &mut out);
+            assert!(a.is_ready());
+            assert_ne!(read_req(&out), req, "the queued read starts its own round");
+            // From here on the replica attests the tag durable.
+            out.clear();
+            a.on_input(
+                Input::Message {
+                    from: ProcessId(1),
+                    msg: Message::Read {
+                        req: RequestId::new(ProcessId(1), 5),
+                    },
+                },
+                &mut out,
+            );
+            assert!(matches!(
+                sends_of(&out)[0],
+                Message::ReadAck { ts, durable: true, .. } if ts.seq == 9
+            ));
+        }
+    }
+
+    #[test]
+    fn up_to_date_recovered_replica_is_ready_after_the_round_with_no_store() {
+        let stable = snapshot(Some((9, 2, 90)), None);
+        let (mut a, mut out) = recover_persistent(&stable);
+        let req = read_req(&out);
+        out.clear();
+        // One peer is behind, the other level: nothing to learn.
+        for (from, msg) in [(1, read_ack(3, 1, 30, req)), (2, read_ack(9, 2, 90, req))] {
+            assert!(!a.is_ready());
+            a.on_input(
+                Input::Message {
+                    from: ProcessId(from),
+                    msg,
+                },
+                &mut out,
+            );
+        }
+        assert!(a.is_ready());
+        assert!(out.is_empty(), "{out:?}");
+    }
+
+    #[test]
+    fn catch_up_waits_for_an_adoption_store_already_in_flight() {
+        let stable = snapshot(Some((3, 1, 30)), None);
+        let (mut a, mut out) = recover_persistent(&stable);
+        let req = read_req(&out);
+        out.clear();
+        // A peer's Write lands mid-recovery: adopted, its store in flight.
+        a.on_input(
+            Input::Message {
+                from: ProcessId(2),
+                msg: Message::Write {
+                    req: RequestId::new(ProcessId(2), 8),
+                    ts: Timestamp::new(9, ProcessId(2)),
+                    value: Value::from_u32(90),
+                },
+            },
+            &mut out,
+        );
+        let [Action::Store { token, .. }] = out.as_slice() else {
+            panic!("expected the adoption store, got {out:?}")
+        };
+        let token = *token;
+        out.clear();
+        // The quorum reports the tag the replica already holds, volatile:
+        // no second store, but no readiness either until the first lands.
+        read_acks_from(&mut a, req, [(1, 9, 2, 90), (2, 9, 2, 90)], &mut out);
+        assert!(out.is_empty(), "{out:?}");
+        assert!(!a.is_ready());
+        a.on_input(Input::StoreDone(token), &mut out);
+        assert!(a.is_ready());
+        assert_eq!(write_acks_of(&out), 1, "the peer's parked ack releases");
+    }
+
+    #[test]
+    fn recovery_without_the_fast_path_is_the_figures_verbatim() {
+        // Fig. 5 lines 19–21: the rec counter, nothing else.
+        let mut a = RegisterAutomaton::recovered(
+            ProcessId(0),
+            3,
+            Flavor::transient().with_read_fast_path(false),
+            Micros(1_000),
+            1,
+            &snapshot(Some((3, 1, 30)), None),
+        );
+        let mut out = Vec::new();
+        a.on_input(Input::Start, &mut out);
+        let rec_store = Action::Store {
+            token: StoreToken(0),
+            key: KEY_RECOVERED.to_string(),
+            bytes: RecoveredRecord { count: 1 }.encode(),
+        };
+        assert_eq!(out, [rec_store]);
+        a.on_input(Input::StoreDone(StoreToken(0)), &mut out);
+        assert!(a.is_ready());
+
+        // Fig. 4 lines 43–46: the re-propagation round, nothing else.
+        let mut a = RegisterAutomaton::recovered(
+            ProcessId(0),
+            3,
+            Flavor::persistent().with_read_fast_path(false),
+            Micros(1_000),
+            1,
+            &snapshot(Some((3, 1, 30)), Some((7, 0, 42))),
+        );
+        let mut out = Vec::new();
+        a.on_input(Input::Start, &mut out);
+        let req = RequestId::new(ProcessId(0), 2 << 32);
+        let write = Message::Write {
+            req,
+            ts: Timestamp::new(7, ProcessId(0)),
+            value: Value::from_u32(42),
+        };
+        let mut expected: Vec<Action> = Action::broadcast(3, &write).collect();
+        expected.push(Action::SetTimer {
+            token: TimerToken(0),
+            after: Micros(1_000),
+        });
+        assert_eq!(out, expected);
+        for pid in [1, 2] {
+            a.on_input(
+                Input::Message {
+                    from: ProcessId(pid),
+                    msg: Message::WriteAck { req },
+                },
+                &mut out,
+            );
+        }
+        assert!(a.is_ready());
+        // And a crash-stop process still recovers in no time at all.
+        let mut a = RegisterAutomaton::recovered(
+            ProcessId(0),
+            3,
+            Flavor::crash_stop(),
+            Micros(1_000),
+            1,
+            &EmptySnapshot,
+        );
+        let mut out = Vec::new();
+        a.on_input(Input::Start, &mut out);
+        assert!(a.is_ready() && out.is_empty());
+    }
+
+    #[test]
+    fn catch_up_round_retransmits_on_its_timer() {
+        let (mut a, out) = recover_persistent(&snapshot(Some((3, 1, 30)), None));
+        let req = read_req(&out);
+        let [Action::SetTimer { token: timer, .. }] = out[3..] else {
+            panic!("expected the round's timer after its broadcast: {out:?}")
+        };
+        let mut out = Vec::new();
+        a.on_input(Input::Timer(timer), &mut out);
+        let resent = sends_of(&out);
+        assert_eq!(resent.len(), 3);
+        assert!(resent
+            .iter()
+            .all(|m| matches!(m, Message::Read { req: r } if *r == req)));
+        let [.., Action::SetTimer { token: rearmed, .. }] = out[..] else {
+            panic!("expected a fresh timer: {out:?}")
+        };
+        assert_ne!(rearmed, timer);
+        // The old timer is stale now; the new one dies with the round.
+        out.clear();
+        a.on_input(Input::Timer(timer), &mut out);
+        assert!(out.is_empty());
+        read_acks(&mut a, req, 3, 30, &mut out);
+        assert!(a.is_ready());
+        out.clear();
+        a.on_input(Input::Timer(rearmed), &mut out);
+        assert!(out.is_empty(), "{out:?}");
     }
 
     #[test]
@@ -1583,8 +2008,9 @@ mod tests {
         let Some(Action::Store { token, .. }) = out2.first().cloned() else {
             panic!()
         };
-        out2.clear();
+        let catch_up = read_req(&out2);
         rec_a.on_input(Input::StoreDone(token), &mut out2);
+        read_acks(&mut rec_a, catch_up, 0, 0, &mut out2);
         out2.clear();
         rec_a.on_input(
             Input::Invoke {

@@ -26,7 +26,10 @@
 //! replier in the read quorum reported the same tag and attested it
 //! durable — then a majority stably holds the tag and no later quorum
 //! can miss it; any disagreement or volatile tag falls back to the full
-//! two-round read.
+//! two-round read. To keep quorums unanimous across crashes, a fast-path
+//! flavor's recovery also re-learns the register from a majority before
+//! the process serves (the recovery catch-up, [`generic`] module docs);
+//! with the fast path off, recovery is the figures' verbatim.
 //!
 //! All registers share one quorum-and-replica machinery
 //! ([`generic::RegisterAutomaton`]), configured by a [`Flavor`] — exactly

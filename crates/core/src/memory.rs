@@ -189,7 +189,10 @@ impl SharedMemoryAutomaton {
                 // volatile-only state before it; crash-safe construction
                 // (recovery procedure against an empty snapshot) covers
                 // the transient algorithm's rec counter and keeps nonce
-                // ranges disjoint.
+                // ranges disjoint. It may also have been created and
+                // written while this node was down: the recovery path's
+                // catch-up re-learns it from a majority now that
+                // something has named it.
                 Some(inc) => RegisterAutomaton::recovered(
                     self.me,
                     self.n,
@@ -541,7 +544,7 @@ mod tests {
         );
         let mut out = Vec::new();
         mem.on_input(Input::Start, &mut out);
-        // Transient recovery stores its rec counter before readiness.
+        // Transient recovery stores its rec counter before readiness …
         assert!(!mem.is_ready());
         let token = out
             .iter()
@@ -550,8 +553,125 @@ mod tests {
                 _ => None,
             })
             .expect("rec-counter store");
+        let catch_up = catch_up_req(&out);
+        assert_eq!(catch_up.reg, r(1));
         out.clear();
         mem.on_input(Input::StoreDone(token), &mut out);
+        // … and re-learns the register from a majority.
+        assert!(!mem.is_ready());
+        read_acks(&mut mem, catch_up, record.ts, &mut out);
         assert!(mem.is_ready());
+    }
+
+    /// The `Read` round a recovering register broadcast in `out`.
+    fn catch_up_req(out: &[Action]) -> rmem_types::RequestId {
+        out.iter()
+            .find_map(|a| match a {
+                Action::Send {
+                    msg: Message::Read { req },
+                    ..
+                } => Some(*req),
+                _ => None,
+            })
+            .expect("a catch-up Read broadcast")
+    }
+
+    /// Answers the read round `req` from p1 and p2 with `ts` durable.
+    fn read_acks(
+        mem: &mut SharedMemoryAutomaton,
+        req: rmem_types::RequestId,
+        ts: rmem_types::Timestamp,
+        out: &mut Vec<Action>,
+    ) {
+        for pid in [1, 2] {
+            mem.on_input(
+                Input::Message {
+                    from: p(pid),
+                    msg: Message::ReadAck {
+                        req,
+                        ts,
+                        value: Value::from_u32(44),
+                        durable: true,
+                        grant: 0,
+                    },
+                },
+                out,
+            );
+        }
+    }
+
+    /// The decision the catch-up left open, pinned: a register first seen
+    /// *after* a recovery — created while this node was down, or brand
+    /// new — is built by the recovery path and so runs the catch-up like
+    /// any other. The node cannot know it missed the register until
+    /// something names it; from then on it is repaired, not left to
+    /// whichever read happens to write back.
+    #[test]
+    fn a_register_first_seen_after_recovery_catches_up_too() {
+        let mut mem = SharedMemoryAutomaton::recovered(
+            p(0),
+            3,
+            Flavor::persistent(),
+            Micros(1_000),
+            1,
+            &rmem_types::EmptySnapshot,
+        );
+        let mut out = Vec::new();
+        mem.on_input(Input::Start, &mut out);
+        assert!(mem.is_ready() && out.is_empty(), "no registers yet");
+        // A peer's read query names register 7 for the first time.
+        let peer_req = rmem_types::RequestId::for_register(p(1), 5, r(7));
+        mem.on_input(
+            Input::Message {
+                from: p(1),
+                msg: Message::Read { req: peer_req },
+            },
+            &mut out,
+        );
+        assert_eq!(mem.register_count(), 1);
+        assert!(!mem.is_ready());
+        // The replica role answers the peer at once, with what it has …
+        assert!(out.iter().any(|a| matches!(
+            a,
+            Action::Send { to, msg: Message::ReadAck { req, ts, .. } }
+                if *to == p(1) && *req == peer_req && ts.seq == 0
+        )));
+        // … and the register asks a majority what it missed.
+        let catch_up = catch_up_req(&out);
+        assert_eq!(catch_up.reg, r(7));
+        out.clear();
+        read_acks(
+            &mut mem,
+            catch_up,
+            rmem_types::Timestamp::new(4, p(2)),
+            &mut out,
+        );
+        let [Action::Store { token, key, .. }] = out.as_slice() else {
+            panic!("expected exactly the adoption store, got {out:?}")
+        };
+        assert_eq!(key, "written@r7");
+        assert!(!mem.is_ready());
+        mem.on_input(Input::StoreDone(*token), &mut Vec::new());
+        assert!(mem.is_ready());
+
+        // A fresh boot has nothing to catch up on, lazily or otherwise.
+        let mut mem = SharedMemoryAutomaton::fresh(p(0), 3, Flavor::persistent(), Micros(1_000));
+        let mut out = Vec::new();
+        mem.on_input(Input::Start, &mut out);
+        mem.on_input(
+            Input::Message {
+                from: p(1),
+                msg: Message::Read { req: peer_req },
+            },
+            &mut out,
+        );
+        assert!(mem.is_ready());
+        assert!(!out.iter().any(|a| matches!(
+            a,
+            Action::Send {
+                msg: Message::Read { .. },
+                ..
+            }
+        )));
     }
 }

@@ -238,8 +238,7 @@ impl Replica {
                 // non-durable even when stored: returning it through the
                 // fast path while an older lease may serve would invert
                 // the read order.
-                let durable =
-                    (!self.logging || self.ts <= self.durable_ts) && !self.lease_fenced(self.ts);
+                let durable = self.holds_durably(self.ts) && !self.lease_fenced(self.ts);
                 let grant = if durable && self.lease_micros > 0 {
                     self.issue_grant(next_token, out)
                 } else {
@@ -259,10 +258,7 @@ impl Replica {
             }
             Message::Write { req, ts, value } => {
                 // Fig. 4 lines 21–27.
-                if *ts > self.ts {
-                    self.ts = *ts;
-                    self.value = value.clone();
-                }
+                let durability_ok = self.adopt(*ts, value, next_token, out);
                 // The lease fence: a write newer than the minimum granted
                 // tag may not be acknowledged until every grant issued so
                 // far has expired (writes at or below the minimum granted
@@ -273,34 +269,12 @@ impl Replica {
                 } else {
                     0
                 };
-                let durability_ok = !self.logging || *ts <= self.durable_ts;
                 if durability_ok && barrier <= self.grants_expired {
                     out.push(Action::Send {
                         to: from,
                         msg: Message::WriteAck { req: *req },
                     });
                     return true;
-                }
-                // Need durability first. Issue a store for the *current*
-                // volatile state if none in flight covers it; park the ack.
-                if !durability_ok {
-                    let covered_by_pending = self
-                        .pending_stores
-                        .values()
-                        .any(|pending| *pending >= self.ts);
-                    if !covered_by_pending {
-                        let token = StoreToken(next_token());
-                        let record = WrittenRecord {
-                            ts: self.ts,
-                            value: self.value.clone(),
-                        };
-                        self.pending_stores.insert(token, self.ts);
-                        out.push(Action::Store {
-                            token,
-                            key: KEY_WRITTEN.to_string(),
-                            bytes: record.encode(),
-                        });
-                    }
                 }
                 self.waiters.push(Waiter {
                     to: from,
@@ -312,6 +286,54 @@ impl Replica {
             }
             _ => false,
         }
+    }
+
+    /// Whether a stable record on this node covers `ts` (always, for a
+    /// non-logging replica: volatile is as stable as its model gets).
+    pub fn holds_durably(&self, ts: Timestamp) -> bool {
+        !self.logging || ts <= self.durable_ts
+    }
+
+    /// Adopts `(ts, value)` if it is newer than what the replica holds
+    /// (Fig. 4 lines 22–23) and, unless `ts` is durable here already,
+    /// sees to it that a store covering the held tag is in flight (line
+    /// 24). Returns whether `ts` is durable now. This is the `Write`
+    /// handler minus its acknowledgement — all the recovery catch-up
+    /// needs, since the lease fence withholds acks, never adoptions.
+    pub fn adopt(
+        &mut self,
+        ts: Timestamp,
+        value: &Value,
+        next_token: &mut impl FnMut() -> u64,
+        out: &mut Vec<Action>,
+    ) -> bool {
+        if ts > self.ts {
+            self.ts = ts;
+            self.value = value.clone();
+        }
+        if self.holds_durably(ts) {
+            return true;
+        }
+        // Issue a store for the *current* volatile state if none in
+        // flight covers it.
+        let covered_by_pending = self
+            .pending_stores
+            .values()
+            .any(|pending| *pending >= self.ts);
+        if !covered_by_pending {
+            let token = StoreToken(next_token());
+            let record = WrittenRecord {
+                ts: self.ts,
+                value: self.value.clone(),
+            };
+            self.pending_stores.insert(token, self.ts);
+            out.push(Action::Store {
+                token,
+                key: KEY_WRITTEN.to_string(),
+                bytes: record.encode(),
+            });
+        }
+        false
     }
 
     /// Tracks the coordinator's `writing` pre-log of `ts` as a store in

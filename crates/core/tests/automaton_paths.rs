@@ -679,3 +679,188 @@ fn retransmission_reuses_the_request_id() {
     a.on_input(Input::Timer(TimerToken(999_999)), &mut out);
     assert!(out.is_empty());
 }
+
+// -------------------------------------------------------------------
+// Recovery catch-up, played by hand from both sides
+// -------------------------------------------------------------------
+
+/// The `Read` round a recovering automaton broadcast in `out`.
+fn catch_up_req(out: &[Action]) -> RequestId {
+    sends(out)
+        .iter()
+        .find_map(|m| match m {
+            Message::Read { req } => Some(*req),
+            _ => None,
+        })
+        .expect("a catch-up Read broadcast")
+}
+
+fn read_ack(req: RequestId, seq: u64, v: u32) -> Message {
+    Message::ReadAck {
+        req,
+        ts: Timestamp::new(seq, p(1)),
+        value: Value::from_u32(v),
+        durable: true,
+        grant: 0,
+    }
+}
+
+/// Feeds `msg` to `a` as coming from each of `from`.
+fn deliver(a: &mut RegisterAutomaton, from: &[u16], msg: &Message, out: &mut Vec<Action>) {
+    for pid in from {
+        a.on_input(
+            Input::Message {
+                from: p(*pid),
+                msg: msg.clone(),
+            },
+            out,
+        );
+    }
+}
+
+/// Completes every store `out` asked for and returns how many that was.
+fn complete_stores(a: &mut RegisterAutomaton, out: &mut Vec<Action>) -> usize {
+    let tokens: Vec<_> = out
+        .iter()
+        .filter_map(|x| match x {
+            Action::Store { token, .. } => Some(*token),
+            _ => None,
+        })
+        .collect();
+    out.clear();
+    for token in &tokens {
+        a.on_input(Input::StoreDone(*token), out);
+    }
+    tokens.len()
+}
+
+/// A process whose stable records are absent (it crashed before logging
+/// anything) or torn (every slot undecodable) restores the initial state
+/// — and still re-learns the register from the majority that has moved
+/// on, before it serves the read that was waiting.
+#[test]
+fn torn_or_absent_records_still_recover_and_catch_up() {
+    struct Torn;
+    impl rmem_types::StableSnapshot for Torn {
+        fn get(&self, _key: &str) -> Option<bytes::Bytes> {
+            Some(bytes::Bytes::from_static(b"\x01torn"))
+        }
+    }
+    let snapshots: [&dyn rmem_types::StableSnapshot; 2] = [&EmptySnapshot, &Torn];
+    for flavor in [Flavor::persistent(), Flavor::transient()] {
+        for stable in snapshots {
+            let mut a = RegisterAutomaton::recovered(p(0), 3, flavor, Micros(1_000), 1, stable);
+            let mut out = Vec::new();
+            a.on_input(Input::Start, &mut out);
+            assert_eq!(a.replica_timestamp().seq, 0, "{}", flavor.name);
+            let req = catch_up_req(&out);
+            // The flavor's own phase (the rec counter, if any) completes.
+            complete_stores(&mut a, &mut out);
+            assert!(!a.is_ready());
+            a.on_input(
+                Input::Invoke {
+                    op: OpId::new(p(0), 0),
+                    operation: Op::Read,
+                },
+                &mut out,
+            );
+            assert!(out.is_empty(), "queued: {out:?}");
+            // The majority is at [6,1] / 60.
+            deliver(&mut a, &[1, 2], &read_ack(req, 6, 60), &mut out);
+            assert_eq!(a.replica_value().as_u32(), Some(60));
+            assert!(!a.is_ready(), "adopted, not yet durable");
+            assert_eq!(complete_stores(&mut a, &mut out), 1, "{}", flavor.name);
+            assert!(a.is_ready());
+            // The queued read runs now and — the whole point — finds its
+            // quorum unanimous: one round, no write-back.
+            let read = catch_up_req(&out);
+            assert_ne!(read, req);
+            out.clear();
+            deliver(&mut a, &[1, 2], &read_ack(read, 6, 60), &mut out);
+            assert_eq!(
+                completion(&out).and_then(|r| r.read_value()?.as_u32()),
+                Some(60)
+            );
+            assert!(sends(&out).is_empty(), "no write-back: {out:?}");
+        }
+    }
+}
+
+/// A quorum that has never seen a write has nothing to teach, whatever
+/// the pid halves of its initial tags: no store, ready after the round.
+#[test]
+fn catch_up_from_a_never_written_quorum_stores_nothing() {
+    let mut a = RegisterAutomaton::recovered(
+        p(0),
+        3,
+        Flavor::persistent(),
+        Micros(1_000),
+        1,
+        &EmptySnapshot,
+    );
+    let mut out = Vec::new();
+    a.on_input(Input::Start, &mut out);
+    let req = catch_up_req(&out);
+    out.clear();
+    for pid in [1, 2] {
+        let bottom = Message::ReadAck {
+            req,
+            ts: Timestamp::new(0, p(pid)),
+            value: Value::bottom(),
+            durable: true,
+            grant: 0,
+        };
+        deliver(&mut a, &[pid], &bottom, &mut out);
+    }
+    assert!(a.is_ready());
+    assert!(out.is_empty(), "{out:?}");
+}
+
+/// Under a leasing flavor a recovered replica boot-holds: for one hold
+/// term it withholds every write ack and attests nothing durable. The
+/// catch-up asks for no ack, so it does not wait the hold out — an idle
+/// restart is ready after the round, a stale one after its one store —
+/// while the fence keeps doing its job for everyone else's writes.
+#[test]
+fn catch_up_does_not_wait_out_the_lease_boot_hold() {
+    let leased = Flavor::persistent().with_lease(2_000);
+    let mut stable = std::collections::HashMap::new();
+    let held = rmem_storage::records::WrittenRecord {
+        ts: Timestamp::new(4, p(1)),
+        value: Value::from_u32(40),
+    };
+    stable.insert("written".to_string(), held.encode());
+    for (quorum_seq, stores) in [(4, 0), (6, 1)] {
+        let mut a = RegisterAutomaton::recovered(p(0), 3, leased, Micros(1_000), 1, &stable);
+        let mut out = Vec::new();
+        a.on_input(Input::Start, &mut out);
+        // The boot hold's timer, then the catch-up's broadcast and timer.
+        let Some(Action::SetTimer { token: hold, after }) = out.first().cloned() else {
+            panic!("expected the boot hold first: {out:?}")
+        };
+        assert_eq!(after, Micros(2_500));
+        let req = catch_up_req(&out);
+        out.clear();
+        deliver(
+            &mut a,
+            &[1, 2],
+            &read_ack(req, quorum_seq, 10 * quorum_seq as u32),
+            &mut out,
+        );
+        assert_eq!(complete_stores(&mut a, &mut out), stores);
+        assert!(a.is_ready(), "quorum at {quorum_seq}: held up by the fence");
+        // The hold is still on: a peer's newer write is adopted, logged —
+        // and acknowledged only once the hold timer fires.
+        out.clear();
+        let write = Message::Write {
+            req: RequestId::new(p(1), 77),
+            ts: Timestamp::new(9, p(1)),
+            value: Value::from_u32(90),
+        };
+        deliver(&mut a, &[1], &write, &mut out);
+        assert_eq!(complete_stores(&mut a, &mut out), 1);
+        assert!(sends(&out).is_empty(), "fenced ack escaped: {out:?}");
+        a.on_input(Input::Timer(hold), &mut out);
+        assert!(matches!(sends(&out)[..], [Message::WriteAck { .. }]));
+    }
+}

@@ -5,11 +5,16 @@
 use rmem_consistency::{
     check_linearizable, check_per_register, check_persistent, check_transient, Criterion,
 };
-use rmem_core::{CrashStop, Persistent, Regular, Transient};
+use rmem_core::{CrashStop, Flavor, Persistent, RegisterAutomaton, Regular, Transient};
 use rmem_sim::workload::ClosedLoop;
 use rmem_sim::{ClusterConfig, DiskConfig, NetConfig, PlannedEvent, Schedule, Simulation};
 use rmem_storage::FaultPlan;
-use rmem_types::{AutomatonFactory, Micros, Op, OpKind, ProcessId, Value};
+use rmem_types::{
+    Action, Automaton, AutomatonFactory, Input, Message, Micros, Op, OpKind, ProcessId,
+    StableSnapshot, Timestamp, Value,
+};
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, Mutex};
 
 fn p(i: u16) -> ProcessId {
     ProcessId(i)
@@ -526,6 +531,274 @@ fn coordinator_crash_sweep_between_pre_log_and_quorum() {
                 coordinator_crash_run(n, seed, CoordinatorFault::CrashAfter(offset));
             }
             coordinator_crash_run(n, seed, CoordinatorFault::TornPreLog);
+        }
+    }
+}
+
+// -------------------------------------------------------------------
+// Recovery catch-up under the simulator
+// -------------------------------------------------------------------
+
+/// What the catch-up sweep needs to see and the trace does not record.
+#[derive(Default)]
+struct WatchLog {
+    /// The tag every propagated value travelled under (values are unique
+    /// per write in the sweep).
+    tags: HashMap<u32, Timestamp>,
+    /// `(process, incarnation)` → its replica's tag at the moment that
+    /// recovered incarnation turned ready.
+    ready: HashMap<(ProcessId, u64), Timestamp>,
+    /// Recovered incarnations that issued a `written` store (an adoption)
+    /// before turning ready.
+    adopting: HashSet<(ProcessId, u64)>,
+}
+
+/// A register automaton reporting into a shared [`WatchLog`].
+struct Watched {
+    inner: RegisterAutomaton,
+    /// `(process, incarnation)` of a recovered incarnation not yet ready.
+    recovering: Option<(ProcessId, u64)>,
+    log: Arc<Mutex<WatchLog>>,
+}
+
+impl Automaton for Watched {
+    fn on_input(&mut self, input: Input, out: &mut Vec<Action>) {
+        let first = out.len();
+        self.inner.on_input(input, out);
+        let mut log = self.log.lock().unwrap();
+        for action in &out[first..] {
+            match action {
+                Action::Send {
+                    msg: Message::Write { ts, value, .. },
+                    ..
+                } => {
+                    log.tags.insert(value.as_u32().unwrap(), *ts);
+                }
+                Action::Store { key, .. } if key == "written" => {
+                    log.adopting.extend(self.recovering);
+                }
+                _ => {}
+            }
+        }
+        if self.inner.is_ready() {
+            if let Some(who) = self.recovering.take() {
+                log.ready.insert(who, self.inner.replica_timestamp());
+            }
+        }
+    }
+
+    fn is_ready(&self) -> bool {
+        self.inner.is_ready()
+    }
+
+    fn algorithm(&self) -> &'static str {
+        self.inner.algorithm()
+    }
+}
+
+struct WatchedFactory {
+    flavor: Flavor,
+    log: Arc<Mutex<WatchLog>>,
+}
+
+impl AutomatonFactory for WatchedFactory {
+    fn fresh(&self, me: ProcessId, n: usize) -> Box<dyn Automaton> {
+        Box::new(Watched {
+            inner: RegisterAutomaton::fresh(me, n, self.flavor, rmem_core::DEFAULT_RETRANSMIT),
+            recovering: None,
+            log: self.log.clone(),
+        })
+    }
+
+    fn recover(
+        &self,
+        me: ProcessId,
+        n: usize,
+        incarnation: u64,
+        stable: &dyn StableSnapshot,
+    ) -> Box<dyn Automaton> {
+        let retransmit = rmem_core::DEFAULT_RETRANSMIT;
+        Box::new(Watched {
+            inner: RegisterAutomaton::recovered(
+                me,
+                n,
+                self.flavor,
+                retransmit,
+                incarnation,
+                stable,
+            ),
+            recovering: Some((me, incarnation)),
+            log: self.log.clone(),
+        })
+    }
+
+    fn algorithm(&self) -> &'static str {
+        self.flavor.name
+    }
+}
+
+/// Who dies while p0 catches up.
+#[derive(Debug, Clone, Copy)]
+enum CatchUpFault {
+    /// p0 itself, again, this long into its recovery.
+    Recovering(u64),
+    /// Its peer p1, this long into p0's recovery.
+    Peer(u64),
+}
+
+/// What one run of the catch-up sweep saw of p0's first recovery.
+struct CatchUpRun {
+    turned_ready: bool,
+    adoption_issued: bool,
+}
+
+/// One run of the catch-up sweep (see the test below). p1 writes 1; p0
+/// crashes idle; p1 writes 2 and p2 writes 3 without it; p0 recovers and
+/// `fault` strikes; whoever died recovers again; p1, p2 and p0 read, p0
+/// writes 4, p2 reads. Writes never overlap, so tag order is value order.
+fn catch_up_run(n: usize, seed: u64, flavor: Flavor, fault: CatchUpFault) -> CatchUpRun {
+    let ctx = format!("{} n={n} seed={seed} {fault:?}", flavor.name);
+    const RECOVER_AT: u64 = 12_000;
+    const AGAIN_AT: u64 = 16_000;
+    // Who dies, when, and which incarnation of it recovers at `AGAIN_AT`
+    // (p0 has crashed twice by then, a peer once).
+    let (casualty, offset, again) = match fault {
+        CatchUpFault::Recovering(offset) => (p(0), offset, 2),
+        CatchUpFault::Peer(offset) => (p(1), offset, 1),
+    };
+    let schedule = Schedule::new()
+        .at(1_000, PlannedEvent::Invoke(p(1), Op::Write(v(1))))
+        .at(3_000, PlannedEvent::Crash(p(0)))
+        .at(5_000, PlannedEvent::Invoke(p(1), Op::Write(v(2))))
+        .at(8_000, PlannedEvent::Invoke(p(2), Op::Write(v(3))))
+        .at(RECOVER_AT, PlannedEvent::Recover(p(0)))
+        .at(RECOVER_AT + offset, PlannedEvent::Crash(casualty))
+        .at(AGAIN_AT, PlannedEvent::Recover(casualty))
+        .at(20_000, PlannedEvent::Invoke(p(1), Op::Read))
+        .at(22_000, PlannedEvent::Invoke(p(2), Op::Read))
+        .at(24_000, PlannedEvent::Invoke(p(0), Op::Read))
+        .at(26_000, PlannedEvent::Invoke(p(0), Op::Write(v(4))))
+        .at(30_000, PlannedEvent::Invoke(p(2), Op::Read));
+    // Seeded jitter on every hop and every store: the same offset lands
+    // on different steps of the recovery under different seeds.
+    let config = ClusterConfig::new(n)
+        .with_net(NetConfig {
+            jitter: Micros(40),
+            ..NetConfig::default()
+        })
+        .with_disk(DiskConfig {
+            jitter: Micros(60),
+            ..DiskConfig::default()
+        });
+    let log = Arc::new(Mutex::new(WatchLog::default()));
+    let factory = Arc::new(WatchedFactory {
+        flavor,
+        log: log.clone(),
+    });
+    let report = Simulation::new(config, factory, seed)
+        .with_schedule(schedule)
+        .run();
+    assert!(report.quiescent, "{ctx}: a recovery never finished");
+
+    let criterion = if flavor == Flavor::persistent() {
+        Criterion::Persistent
+    } else {
+        Criterion::Transient
+    };
+    let history = report.trace.to_history();
+    for (reg, verdict) in check_per_register(&history, criterion) {
+        verdict.unwrap_or_else(|e| panic!("{ctx}: {reg:?} not {criterion:?} atomic: {e}"));
+    }
+    let ops = report.trace.operations();
+    let reads: Vec<_> = ops.iter().filter(|o| o.kind == OpKind::Read).collect();
+    let values: Vec<u32> = reads
+        .iter()
+        .map(|o| {
+            let result = o
+                .result
+                .as_ref()
+                .unwrap_or_else(|| panic!("{ctx}: read stuck"));
+            result.read_value().unwrap().as_u32().unwrap()
+        })
+        .collect();
+    assert_eq!(values, [3, 3, 3, 4], "{ctx}");
+    // What the catch-up is for: everyone recovered level, so every read
+    // — p0's own included — finds its quorum unanimous.
+    for read in &reads {
+        assert_eq!(read.rounds, 1, "{ctx}: {:?} paid the write-back", read.op);
+    }
+
+    // The invariant, from the trace: a recovered incarnation turns ready
+    // holding at least the tag of every write that had completed before
+    // its Recover event.
+    let log = log.lock().unwrap();
+    let recoveries = [(p(0), 1, RECOVER_AT), (casualty, again, AGAIN_AT)];
+    for (pid, incarnation, recovered_at) in recoveries {
+        let Some(held) = log.ready.get(&(pid, incarnation)) else {
+            // Only p0's first recovery may be cut short.
+            assert!(
+                matches!(fault, CatchUpFault::Recovering(_)) && incarnation == 1,
+                "{ctx}: {pid} incarnation {incarnation} never turned ready"
+            );
+            continue;
+        };
+        let completed_before = ops.iter().filter(|o| {
+            o.kind == OpKind::Write
+                && o.completed_at
+                    .is_some_and(|at| at.as_micros() < recovered_at)
+        });
+        for write in completed_before {
+            let Op::Write(value) = &write.operation else {
+                unreachable!()
+            };
+            let tag = log.tags[&value.as_u32().unwrap()];
+            assert!(
+                *held >= tag,
+                "{ctx}: {pid} incarnation {incarnation} turned ready at {held}, \
+                 behind completed write {tag}"
+            );
+        }
+    }
+    CatchUpRun {
+        turned_ready: log.ready.contains_key(&(p(0), 1)),
+        adoption_issued: log.adopting.contains(&(p(0), 1)),
+    }
+}
+
+/// Crashes the **recovering** node at every 25 µs offset across its
+/// catch-up — before the round, mid-round, between the adoption store
+/// being issued and durable, just after ready — and, separately, a
+/// **peer** at the same offsets, on 3 and 5 nodes, under both
+/// crash-recovery flavors. Every run certifies its criterion, serves
+/// every later read in one round, and satisfies the catch-up's invariant
+/// (see [`catch_up_run`]). Deterministic: a failure names its
+/// `(flavor, n, seed, fault)`.
+#[test]
+fn catch_up_crash_sweep_across_the_recovery() {
+    for flavor in [Flavor::persistent(), Flavor::transient()] {
+        for n in [3, 5] {
+            let (mut cut_short, mut cut_mid_adoption, mut completed) = (0, 0, 0);
+            for seed in 0..4 {
+                // Read round ≈ 200–280 µs, adoption store ≈ +200–260 µs:
+                // 0..700 µs in 25 µs steps brackets the recovery on
+                // either side.
+                for offset in (0..=700).step_by(25) {
+                    let run = catch_up_run(n, seed, flavor, CatchUpFault::Recovering(offset));
+                    match (run.turned_ready, run.adoption_issued) {
+                        (true, _) => completed += 1,
+                        (false, true) => cut_mid_adoption += 1,
+                        (false, false) => cut_short += 1,
+                    }
+                    let run = catch_up_run(n, seed, flavor, CatchUpFault::Peer(offset));
+                    assert!(run.turned_ready && run.adoption_issued);
+                }
+            }
+            // The sweep reached every stage it claims to.
+            assert!(
+                cut_short > 0 && cut_mid_adoption > 0 && completed > 0,
+                "{} n={n}: {cut_short} / {cut_mid_adoption} / {completed}",
+                flavor.name
+            );
         }
     }
 }

@@ -626,6 +626,7 @@ impl ProcessRunner {
                     queue,
                     me,
                     boot_count,
+                    has_history,
                     loop_failures,
                     loop_obs,
                 )
@@ -727,6 +728,7 @@ struct LoopMetrics {
     trace_evictions: Arc<rmem_obs::Counter>,
     op_micros: Arc<rmem_obs::Histogram>,
     wake_micros: Arc<rmem_obs::Histogram>,
+    recovery_micros: Arc<rmem_obs::Histogram>,
 }
 
 impl LoopMetrics {
@@ -742,6 +744,7 @@ impl LoopMetrics {
             trace_evictions: obs.metrics.counter("runner.trace_evictions"),
             op_micros: obs.metrics.histogram("runner.op_micros"),
             wake_micros: obs.metrics.histogram("runner.wake_micros"),
+            recovery_micros: obs.metrics.histogram("runner.recovery_micros"),
         }
     }
 }
@@ -773,6 +776,10 @@ struct Node {
     timer_seq: u64,
     pending: OpTable,
     op_counter: u64,
+    /// When this recovered incarnation was handed `Start`, until its
+    /// automaton first reports ready (feeds `runner.recovery_micros`,
+    /// one sample per incarnation; `None` on a fresh boot).
+    recovering_since: Option<Instant>,
     // Trace plumbing: which client op each in-flight replica request and
     // each queued store belongs to (both maps are drained as requests are
     // acked and stores commit; ReqTraces additionally evicts by age).
@@ -840,6 +847,14 @@ impl Node {
                         let _ = reply.send((token, result, rounds, lease));
                     }
                 }
+            }
+        }
+        if let Some(since) = self.recovering_since {
+            if self.automaton.is_ready() {
+                self.mx
+                    .recovery_micros
+                    .record(since.elapsed().as_micros() as u64);
+                self.recovering_since = None;
             }
         }
     }
@@ -959,6 +974,7 @@ fn run_loop(
     queue: RunnerQueue,
     me: ProcessId,
     boot_count: u64,
+    recovered: bool,
     store_failures: Arc<AtomicU64>,
     obs: ObsHandle,
 ) -> Box<dyn StableStorage> {
@@ -974,6 +990,7 @@ fn run_loop(
         timer_seq: 0,
         pending: OpTable::default(),
         op_counter: boot_count << 32,
+        recovering_since: recovered.then(Instant::now),
         req_traces: ReqTraces::new(4096),
         token_traces: HashMap::new(),
         mx: LoopMetrics::resolve(&obs),

@@ -154,6 +154,10 @@ impl Transport for UdpTransport {
     fn shutdown(&self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(h) = self.receiver.lock().take() {
+            // Wake the receiver out of `recv_from` with a runt datagram
+            // (it drops those) instead of sleeping out its read timeout;
+            // should the datagram be lost, the timeout still ends it.
+            let _ = self.socket.send_to(&[], self.peers[self.me.index()]);
             let _ = h.join();
         }
     }
@@ -202,6 +206,30 @@ mod tests {
         assert_eq!(got.msg, msg);
         t0.shutdown();
         t1.shutdown();
+    }
+
+    #[test]
+    fn shutdown_of_an_idle_endpoint_does_not_wait_out_the_read_timeout() {
+        let base = free_ports(1);
+        let peers = UdpTransport::loopback_peers(1, base);
+        let (tx, rx) = unbounded();
+        let t = UdpTransport::bind(ProcessId(0), peers, tx).unwrap();
+        // A delivered message proves the receiver is up and on its way
+        // back into a blocking `recv_from` with nothing left to read.
+        let msg = Message::SnReq {
+            req: RequestId::new(ProcessId(0), 1),
+        };
+        t.send(ProcessId(0), &msg).unwrap();
+        rx.recv_timeout(std::time::Duration::from_secs(2))
+            .expect("delivery");
+        let started = std::time::Instant::now();
+        t.shutdown();
+        let took = started.elapsed();
+        assert!(
+            took < std::time::Duration::from_millis(10),
+            "shutdown took {took:?}: the receiver slept out its 50 ms read timeout"
+        );
+        t.shutdown(); // idempotent
     }
 
     #[test]
