@@ -1,7 +1,7 @@
 //! Runs the `kv_throughput` scenario: sharded-store throughput for the
 //! persistent, transient and regular register flavors under uniform and
-//! Zipf-skewed key popularity, unbatched vs per-shard batched
-//! (the model of `KvClient::multi_*`'s coalescing), plus the read-heavy fast-path
+//! Zipf-skewed key popularity, `get`/`put` vs `multi_*` calls of 8 — real
+//! `KvClient`s, hosted in the simulator — plus the read-heavy fast-path
 //! section (confirmed-timestamp reads vs the legacy two-round path).
 //!
 //! ```text
@@ -48,9 +48,9 @@
 //! `--lease` runs the tag-lease section — the read-mostly Zipf(0.99)
 //! workload with leases on vs off at otherwise identical settings, every
 //! run certified per key — asserts the zero-round gates (full size: the
-//! leased twin's mean read rounds ≤ 0.30 and ≥ 1.5× the off twin's
-//! ops/s; the smoke run is fence-window dominated and holds looser
-//! guards), re-asserts the ≤3% priced instrumentation gate with leases
+//! leased twin's mean read rounds ≤ 0.09 and ≥ 3.9× the off twin's
+//! ops/s; the smoke run holds slightly looser guards), re-asserts the
+//! ≤3% priced instrumentation gate with leases
 //! armed on both sides, and rides its rows into `--json`;
 //! `--pipeline-depth N` runs the pipeline depth sweep on the real
 //! runtime — one client thread keeping up to N operations in flight
@@ -146,10 +146,11 @@ fn main() {
     if fastpath {
         // The fast-path headline: read-heavy Zipf, fast vs legacy at
         // otherwise identical settings. Asserted here so the CI smoke run
-        // cannot let the win rot silently. The full-size workload clears
-        // 1.3× on every cell; the smoke workload is a quarter the size,
-        // so its guard is slightly looser.
-        let threshold = if smoke { 1.25 } else { 1.3 };
+        // cannot let the win rot silently. Pinned at 0.9 × the worst cell
+        // over eight seeds of the hosted grid (`probe_thresholds_across_seeds`:
+        // full size ≥ 1.31×; the smoke workload, under half the size and
+        // mostly cold start, ≥ 1.15×).
+        let threshold = if smoke { 1.03 } else { 1.17 };
         for flavor in ["persistent", "transient"] {
             for mode in ["unbatched", "batched"] {
                 let pick = |fast: bool| {
@@ -188,12 +189,11 @@ fn main() {
     if lease {
         let (lease_rows, lease_table) = rmem_bench::kv::kv_lease_section(smoke);
         println!("{}", lease_table.to_text());
-        // The zero-round acceptance gates. The full-size run holds the
-        // headline numbers; the smoke run is a fifth the length, so its
-        // single put's fence window and the cold-start grant-earning
-        // reads cover a far larger share of it — its guard is looser
-        // while still proving both effects.
-        let (mean_cap, speedup_floor) = if smoke { (0.5, 1.2) } else { (0.30, 1.5) };
+        // The zero-round acceptance gates, pinned from eight seeds of the
+        // hosted twins (`probe_thresholds_across_seeds`: mean read rounds
+        // ≤ 0.080 full size, ≤ 0.085 smoke; speed-up ≥ 4.42× / ≥ 5.21×)
+        // at worst / 0.9 and 0.9 × worst.
+        let (mean_cap, speedup_floor) = if smoke { (0.10, 4.5) } else { (0.09, 3.9) };
         for flavor in ["persistent", "transient"] {
             let pick = |lease_on: bool| {
                 lease_rows

@@ -15,7 +15,7 @@
 //!
 //! Every backend's row is gated on a **certified witness run**: a
 //! bounded, recorded run of the same shape on the same backend must pass
-//! [`rmem_kv::certify_per_key_epochs`] (identity transition — no
+//! [`rmem_kv::certify_per_key_epoch_path`] (a one-epoch path — no
 //! migration here, the oracle is per-key atomicity) before any number is
 //! reported. The split between the witness and the measured run is the
 //! same volume-bounding the reshard scenario uses: the decision-procedure
@@ -28,7 +28,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rmem_consistency::Criterion;
 use rmem_core::{SharedMemory, Transient};
-use rmem_kv::{certify_per_key_epochs, EpochTransition, KvClient, OpRecorder, ShardRouter};
+use rmem_kv::{certify_per_key_epoch_path, KvClient, OpRecorder, ShardRouter};
 use rmem_net::{DiskMode, LocalCluster};
 use rmem_sim::KeyDistribution;
 
@@ -266,14 +266,10 @@ fn certified_witness(backend: &'static str) -> bool {
             });
         }
     });
-    let transition = EpochTransition {
-        old_shards: DISK_SHARDS,
-        new_shards: DISK_SHARDS,
-    };
-    certify_per_key_epochs(
+    certify_per_key_epoch_path(
         &recorder.history(),
         keys.iter().map(String::as_str),
-        &transition,
+        &[DISK_SHARDS],
         Criterion::Transient,
     )
     .unwrap_or_else(|e| panic!("{backend}: the disk witness run must certify per key: {e}"));

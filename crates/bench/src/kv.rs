@@ -2,22 +2,26 @@
 //! key-popularity shape, batching mode and read fast path, measured on
 //! the simulated testbed.
 //!
-//! Each cell runs the same closed-loop store workload (`rmem-kv`'s
-//! generator) against a shared memory of one flavor, in deterministic
-//! virtual time, and reports completed operations per virtual second plus
-//! latency percentiles and **per-read quorum-round counts**. Because
-//! virtual time eliminates measurement noise, differences between rows
-//! are purely algorithmic: the persistent flavor pays 2 causal logs per
-//! put, the transient flavor 1, and the regular flavor (single writer per
-//! key) skips the query round entirely.
+//! Each cell runs the same closed-loop store workload — five **real
+//! `KvClient`s**, hosted in the simulator (`rmem_kv::host`) — against a
+//! shared memory of one flavor, in deterministic virtual time, and reports
+//! completed operations per virtual second plus latency percentiles and
+//! **per-read quorum-round counts**. Because virtual time eliminates
+//! measurement noise, differences between rows are purely algorithmic:
+//! the persistent flavor pays 2 causal logs per put, the transient flavor
+//! 1, and the regular flavor (single writer per key) skips the query
+//! round entirely.
 //!
 //! The **mode** column compares the unbatched path (every store operation
-//! is its own two-round register operation) against the simulator's
-//! model of `KvClient::multi_*` (each client's stream grouped into calls
-//! of 8, coalesced per shard: one `Read` round serves the call's gets on
-//! a shard, one write round carries its coalesced puts). Both modes report
-//! **logical** (store-level) throughput over the same workload, so the
-//! batched gain is real amortization, not bookkeeping.
+//! a `get` or `put` of its own) against `multi_*` calls of 8 (each
+//! client's stream grouped into rounds of 8: the round's gets are one
+//! `multi_get`, its puts one `multi_put` — one read round per touched
+//! register, one composite write per register chunk, all in flight at
+//! once). Both modes report **logical** (store-level) throughput over the
+//! same workload, so the batched gain is real amortization, not
+//! bookkeeping — and, since the client is the real one, it includes what
+//! contention costs it: `retries/op` counts the `Busy` rejections and
+//! failover hops each store operation paid.
 //!
 //! The **fast** column is the read fast path (confirmed timestamps): the
 //! read-heavy Zipf section runs every cell twice — fast path on vs the
@@ -33,16 +37,61 @@
 //! atomicity, is its criterion.
 
 use rmem_consistency::Criterion;
+use std::time::Duration;
+
+use bytes::Bytes;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use rmem_core::{Flavor, SharedMemory};
-use rmem_kv::history::certify_per_key;
-use rmem_kv::workload::{generate, KeyDist, KvWorkloadSpec};
-use rmem_sim::{ClusterConfig, LatencyStats, Simulation};
-use rmem_types::{Micros, OpKind};
+use rmem_kv::{certify_per_key_epoch_path, run_hosted, KvClient, OpRecorder, Script, ShardRouter};
+use rmem_sim::{ClusterConfig, KeyDistribution, LatencyStats, Simulation};
+use rmem_types::OpKind;
 
 use crate::table::Table;
 
-/// Round size of the batched mode: inputs per modelled `multi_*` call.
+/// Round size of the batched mode: store operations per round of
+/// `multi_*` calls.
 pub const BATCH_ROUND: usize = 8;
+
+/// Clients (and simulated nodes) of every cell.
+const CLIENTS: usize = 5;
+
+/// Leases a leased cell's clients keep resident (more than its
+/// [`LEASE_SHARDS`] registers: nothing is evicted).
+const LEASE_CACHE: usize = 16;
+
+/// Key-popularity shape of a cell.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum KeyDist {
+    /// Every key equally likely.
+    Uniform,
+    /// Zipf-skewed with this exponent (YCSB-style skew at ≈ 0.99).
+    Zipf(f64),
+}
+
+impl KeyDist {
+    fn distribution(self, n: usize) -> KeyDistribution {
+        match self {
+            KeyDist::Uniform => KeyDistribution::uniform(n),
+            KeyDist::Zipf(s) => KeyDistribution::zipf(n, s),
+        }
+    }
+
+    /// Short label for reports.
+    pub fn label(self) -> String {
+        match self {
+            KeyDist::Uniform => "uniform".to_string(),
+            KeyDist::Zipf(s) => format!("zipf({s})"),
+        }
+    }
+}
+
+/// One store operation of a client's stream: a put of this value under
+/// key `keys[index]`, or a get of it.
+enum StoreOp {
+    Put(usize, Bytes),
+    Get(usize),
+}
 
 /// Write fraction of the mixed (default) section.
 pub const MIXED_WRITE_FRACTION: f64 = 0.5;
@@ -82,8 +131,7 @@ pub const LEASE_SECTION_MICROS: u64 = 1_200;
 /// zero-round read actually accelerates.
 pub const LEASE_THINK_MICROS: u64 = 0;
 
-/// Closed-loop think time of the main grid (the workload generator's
-/// default, restated here so grid cells can say it explicitly).
+/// Closed-loop think time of the main grid, in virtual µs.
 pub const GRID_THINK_MICROS: u64 = 200;
 
 /// Which flavors the scenario compares.
@@ -125,6 +173,9 @@ pub struct KvThroughputRow {
     pub read_rounds_mean: f64,
     /// 99th-percentile quorum rounds per register read.
     pub read_rounds_p99: u32,
+    /// `Busy` re-tries and failover hops per store operation
+    /// (`kv.retries`): what contention cost the clients.
+    pub retries_per_op: f64,
     /// Get-latency statistics (µs, per register round).
     pub get_latency: Option<LatencyStats>,
     /// Put-latency statistics (µs, per register round).
@@ -153,7 +204,38 @@ struct Cell {
     full_ops: usize,
 }
 
-fn run_cell(cell: &Cell, smoke: bool) -> KvThroughputRow {
+/// Draws every client's stream of store operations for `cell`: Zipf or
+/// uniform keys, unique `(client, counter)`-tagged values (what gives the
+/// atomicity checkers discriminating power), and under single-writer
+/// ownership foreign puts folded onto an owned key of similar rank.
+fn streams(cell: &Cell, keys: usize, ops_per_client: usize, seed: u64) -> Vec<Vec<StoreOp>> {
+    let dist = cell.dist.distribution(keys);
+    let mut rng = StdRng::seed_from_u64(1234 + seed);
+    let stream = |client: usize| {
+        let owned: Vec<usize> = (0..keys).filter(|i| i % CLIENTS == client).collect();
+        let mut counter = 0u64;
+        let ops = (0..ops_per_client).map(|_| {
+            let key = dist.sample(&mut rng);
+            if !rng.gen_bool(cell.write_fraction) {
+                return StoreOp::Get(key);
+            }
+            let key = match cell.single_writer {
+                true => owned[key % owned.len()],
+                false => key,
+            };
+            let mut value = vec![0u8; 64];
+            value[..8].copy_from_slice(&((client as u64) << 32 | counter).to_be_bytes());
+            counter += 1;
+            StoreOp::Put(key, Bytes::from(value))
+        });
+        ops.collect()
+    };
+    (0..CLIENTS).map(stream).collect()
+}
+
+/// Runs one cell. `seed` moves the workload's draws and the simulator's
+/// (the shipped grid is seed 0; the threshold probe sweeps it).
+fn run_cell(cell: &Cell, smoke: bool, seed: u64) -> KvThroughputRow {
     let ops_per_client = if smoke { 24 } else { cell.full_ops };
     let flavor = cell
         .flavor
@@ -166,73 +248,71 @@ fn run_cell(cell: &Cell, smoke: bool) -> KvThroughputRow {
         // Leases ride on the fast path; `with_lease` on a non-fast-path
         // cell is inert by construction (`Flavor::leases` gates on it).
         .with_lease(cell.lease_micros);
-    let spec = KvWorkloadSpec {
-        shards: cell.shards,
-        clients: 5,
-        ops_per_client,
-        write_fraction: cell.write_fraction,
-        distribution: cell.dist,
-        value_len: 64,
-        single_writer: cell.single_writer,
-        batch: cell.batch,
-        seed: 1234,
-        think: Micros(cell.think_micros),
-        ..KvWorkloadSpec::default()
-    };
-    let run = generate(&spec);
-    let mut sim = Simulation::new(
-        ClusterConfig::new(spec.clients),
-        SharedMemory::factory(flavor),
-        99,
-    )
-    .with_schedule(run.schedule.clone());
-    for lp in &run.loops {
-        sim.add_closed_loop(lp.clone());
-    }
-    let report = sim.run();
-
-    if let Some(criterion) = cell.criterion {
-        certify_per_key(&report.trace.to_history(), &run.key_map, criterion).unwrap_or_else(|e| {
-            panic!(
-                "{} / {} / batch={} / fastpath={}: run failed certification: {e}",
-                flavor.name,
-                cell.dist.label(),
-                cell.batch,
-                cell.fastpath,
-            )
-        });
-    }
-
-    let completed_registers = report
-        .trace
-        .operations()
-        .iter()
-        .filter(|o| o.is_completed())
-        .count();
-    // Crash-free closed loops must drain completely; only then does
-    // "completed logical ops" equal the generated count.
-    assert_eq!(
-        completed_registers,
-        run.register_ops,
-        "{} / {} / batch={}: a crash-free run left work behind",
+    let name = format!(
+        "{} / {} / batch={} / fastpath={}",
         flavor.name,
         cell.dist.label(),
         cell.batch,
+        cell.fastpath
     );
+    let router = ShardRouter::new(cell.shards);
+    let keys = router.covering_keys("key-");
+    let streams = streams(cell, keys.len(), ops_per_client, seed);
+    let recorder = OpRecorder::new();
+    let think = Duration::from_micros(cell.think_micros);
+    let sim = Simulation::new(
+        ClusterConfig::new(CLIENTS),
+        SharedMemory::factory(flavor),
+        99 + seed,
+    );
+    let mut clients = Vec::new();
+    let report = run_hosted(sim, 99 + seed, |world| {
+        for _ in 0..CLIENTS {
+            let kv = KvClient::over(world.clone(), router).with_recorder(recorder.clone());
+            clients.push(match flavor.leases() {
+                true => kv.with_lease_cache(LEASE_CACHE),
+                false => kv,
+            });
+        }
+        let script = |(kv, stream): (&KvClient, Vec<StoreOp>)| {
+            let (kv, world, keys, name) = (kv.clone(), world.clone(), &keys, &name);
+            Box::new(move || {
+                // A round's gets are one call, its puts another; a round
+                // of one is a `get` or a `put`.
+                for round in stream.chunks(cell.batch) {
+                    let (mut gets, mut puts) = (Vec::new(), Vec::new());
+                    for op in round {
+                        match op {
+                            StoreOp::Get(k) => gets.push(keys[*k].as_str()),
+                            StoreOp::Put(k, v) => puts.push((keys[*k].as_str(), v.clone())),
+                        }
+                    }
+                    let got = kv.multi_get(&gets).map(|_| ());
+                    let outcome = got.and_then(|()| kv.multi_put(&puts));
+                    outcome.unwrap_or_else(|e| panic!("{name}: a crash-free call failed: {e}"));
+                    world.wait_any(&[], world.now() + think);
+                }
+            }) as Script
+        };
+        clients.iter().zip(streams).map(script).collect()
+    });
+
+    if let Some(criterion) = cell.criterion {
+        let names = keys.iter().map(String::as_str);
+        certify_per_key_epoch_path(&recorder.history(), names, &[cell.shards], criterion)
+            .unwrap_or_else(|e| panic!("{name}: run failed certification: {e}"));
+    }
+
+    let stats: Vec<_> = clients.iter().map(KvClient::stats).collect();
+    let sum = |f: fn(&rmem_kv::KvOpStats) -> u64| stats.iter().map(f).sum::<u64>();
+    let logical_ops = CLIENTS * ops_per_client;
+    let trace = &report.trace;
+    // A lease hit never reaches the simulator: a read of zero rounds.
+    let hits = std::iter::repeat_n(0, sum(|s| s.lease_hits) as usize);
+    let rounds = trace.rounds(OpKind::Read).into_iter().map(u64::from);
     // Round counts are just another sample; the shared stats helper
-    // supplies the same mean/nearest-rank-p99 the latency columns use.
-    let rounds = LatencyStats::from_sample(
-        report
-            .trace
-            .rounds(OpKind::Read)
-            .into_iter()
-            .map(u64::from)
-            .collect(),
-    );
-    let (rounds_mean, rounds_p99) = rounds
-        .as_ref()
-        .map(|s| (s.mean, s.p99 as u32))
-        .unwrap_or((0.0, 0));
+    // supplies the same nearest-rank-p99 the latency columns use.
+    let rounds = LatencyStats::from_sample(rounds.chain(hits).collect());
     let virtual_secs = report.final_time.as_micros() as f64 / 1e6;
     KvThroughputRow {
         flavor: cell.flavor.name,
@@ -245,14 +325,19 @@ fn run_cell(cell: &Cell, smoke: bool) -> KvThroughputRow {
         write_fraction: cell.write_fraction,
         fastpath: flavor.read_fast_path,
         lease: flavor.leases(),
-        completed: run.logical_ops,
-        register_ops: run.register_ops,
+        completed: logical_ops,
+        register_ops: trace
+            .operations()
+            .iter()
+            .filter(|o| o.is_completed())
+            .count(),
         virtual_secs,
-        ops_per_sec: run.logical_ops as f64 / virtual_secs,
-        read_rounds_mean: rounds_mean,
-        read_rounds_p99: rounds_p99,
-        get_latency: LatencyStats::from_sample(report.trace.latencies(OpKind::Read)),
-        put_latency: LatencyStats::from_sample(report.trace.latencies(OpKind::Write)),
+        ops_per_sec: logical_ops as f64 / virtual_secs,
+        read_rounds_mean: sum(|s| s.read_rounds) as f64 / sum(|s| s.reads).max(1) as f64,
+        read_rounds_p99: rounds.map_or(0, |s| s.p99 as u32),
+        retries_per_op: sum(|s| s.retries) as f64 / logical_ops as f64,
+        get_latency: LatencyStats::from_sample(trace.latencies(OpKind::Read)),
+        put_latency: LatencyStats::from_sample(trace.latencies(OpKind::Write)),
     }
 }
 
@@ -267,12 +352,28 @@ fn run_cell(cell: &Cell, smoke: bool) -> KvThroughputRow {
 /// # Panics
 ///
 /// Panics if an atomic flavor's run fails its per-key certification, or
-/// if a crash-free run fails to complete every scheduled operation —
-/// either would make the throughput numbers meaningless.
+/// if a call of a crash-free run fails — either would make the throughput
+/// numbers meaningless.
 pub fn kv_throughput_with_mode(
     smoke: bool,
     fastpath_default: bool,
 ) -> (Vec<KvThroughputRow>, Table) {
+    let cells = grid_cells(fastpath_default);
+    let rows: Vec<KvThroughputRow> = cells.iter().map(|c| run_cell(c, smoke, 0)).collect();
+    let table = build_table(
+        "kv_throughput — sharded store, 5 real clients hosted in the \
+         simulator, 16 shards; wf = put fraction, fast = read fast path, \
+         lease = tag leases; ops/s is store-level work over the same \
+         workload per mode; time = virtual: latencies are simulated µs, \
+         not wall clock (wall-clock percentiles come from the --obs \
+         scenario)",
+        &rows,
+    );
+    (rows, table)
+}
+
+/// The cells of [`kv_throughput_with_mode`].
+fn grid_cells(fastpath_default: bool) -> Vec<Cell> {
     let mut cells = Vec::new();
     for (flavor, criterion, single_writer) in flavors() {
         for dist in [KeyDist::Uniform, KeyDist::Zipf(0.99)] {
@@ -332,16 +433,7 @@ pub fn kv_throughput_with_mode(
         });
     }
 
-    let rows: Vec<KvThroughputRow> = cells.iter().map(|c| run_cell(c, smoke)).collect();
-    let table = build_table(
-        "kv_throughput — sharded store, 5 clients, 16 shards; wf = put \
-         fraction, fast = read fast path, lease = tag leases; ops/s is \
-         store-level work over the same workload per mode; time = virtual: \
-         latencies are simulated µs, not wall clock (wall-clock \
-         percentiles come from the --obs scenario)",
-        &rows,
-    );
-    (rows, table)
+    cells
 }
 
 /// Renders rows in the scenario's shared column layout.
@@ -362,6 +454,7 @@ fn build_table(title: &str, rows: &[KvThroughputRow]) -> Table {
             "ops/s",
             "rd rounds",
             "rd p99",
+            "retries/op",
             "get p50µs",
             "put p50µs",
         ],
@@ -381,6 +474,7 @@ fn build_table(title: &str, rows: &[KvThroughputRow]) -> Table {
             format!("{:.0}", r.ops_per_sec),
             format!("{:.2}", r.read_rounds_mean),
             r.read_rounds_p99.to_string(),
+            format!("{:.2}", r.retries_per_op),
             r.get_latency
                 .as_ref()
                 .map(|s| s.p50.to_string())
@@ -404,6 +498,20 @@ fn build_table(title: &str, rows: &[KvThroughputRow]) -> Table {
 /// fence. Every leased run is certified per key exactly like every other
 /// cell.
 pub fn kv_lease_section(smoke: bool) -> (Vec<KvThroughputRow>, Table) {
+    let cells = lease_cells();
+    let rows: Vec<KvThroughputRow> = cells.iter().map(|c| run_cell(c, smoke, 0)).collect();
+    let table = build_table(
+        "kv_throughput --lease — read-mostly Zipf(0.99) with tag leases \
+         on vs off; leased reads answer from the client-held grant with \
+         zero quorum rounds (rd rounds < 1), puts pay the lease fence; \
+         every run certified per key",
+        &rows,
+    );
+    (rows, table)
+}
+
+/// The cells of [`kv_lease_section`].
+fn lease_cells() -> Vec<Cell> {
     let mut cells = Vec::new();
     for (flavor, criterion, single_writer) in flavors() {
         if !flavor.read_fast_path {
@@ -425,15 +533,7 @@ pub fn kv_lease_section(smoke: bool) -> (Vec<KvThroughputRow>, Table) {
             });
         }
     }
-    let rows: Vec<KvThroughputRow> = cells.iter().map(|c| run_cell(c, smoke)).collect();
-    let table = build_table(
-        "kv_throughput --lease — read-mostly Zipf(0.99) with tag leases \
-         on vs off; leased reads answer from the client-held grant with \
-         zero quorum rounds (rd rounds < 1), puts pay the lease fence; \
-         every run certified per key",
-        &rows,
-    );
-    (rows, table)
+    cells
 }
 
 /// [`kv_throughput_with_mode`] with the shipping fast-path defaults.
@@ -497,10 +597,10 @@ pub fn rows_to_json(rows: &[KvThroughputRow]) -> String {
         }
         out.push_str(&format!(
             "  {{\"flavor\": \"{}\", \"distribution\": \"{}\", \"mode\": \"{}\", \
-             \"time\": \"virtual\", \
+             \"time\": \"virtual\", \"client\": \"real KvClient, hosted in rmem-sim\", \
              \"write_fraction\": {:.2}, \"fastpath\": {}, \"lease\": {}, \"logical_ops\": {}, \
              \"register_ops\": {}, \"virtual_secs\": {:.6}, \"ops_per_sec\": {:.1}, \
-             \"read_rounds_mean\": {:.4}, \"read_rounds_p99\": {}, \
+             \"read_rounds_mean\": {:.4}, \"read_rounds_p99\": {}, \"retries_per_op\": {:.3}, \
              \"get_p50_us\": {}, \"put_p50_us\": {}}}",
             r.flavor,
             r.distribution,
@@ -514,6 +614,7 @@ pub fn rows_to_json(rows: &[KvThroughputRow]) -> String {
             r.ops_per_sec,
             r.read_rounds_mean,
             r.read_rounds_p99,
+            r.retries_per_op,
             r.get_latency
                 .as_ref()
                 .map(|s| s.p50.to_string())
@@ -639,11 +740,10 @@ mod tests {
                     false,
                 );
                 let speedup = fast.ops_per_sec / legacy.ops_per_sec;
-                // The full-size workload clears 1.3× on every cell (the
-                // bin asserts that); the smoke grid used here is a
-                // quarter the size, so the guard is slightly looser.
+                // 0.9 × the worst smoke cell over eight seeds (the bin
+                // asserts the full-size 1.17×).
                 assert!(
-                    speedup >= 1.25,
+                    speedup >= 1.03,
                     "{flavor}/{mode}: fast path must win on read-heavy zipf, got {speedup:.2}×"
                 );
                 assert!(
@@ -681,7 +781,7 @@ mod tests {
     /// horizon and write fraction around the shipped operating point and
     /// prints mean read rounds and the on/off throughput ratio for both
     /// flavors at both sizes. The shipped constants sit where full-size
-    /// clears the acceptance gates (mean ≤ 0.30, ≥ 1.5×) with margin:
+    /// clears the acceptance gates (mean ≤ 0.09, ≥ 3.9×) with margin:
     /// pushing the horizon up lengthens every put's fence freeze; pushing
     /// the write fraction up multiplies the freezes.
     #[test]
@@ -707,8 +807,8 @@ mod tests {
                         full_ops: LEASE_FULL_OPS,
                     };
                     for smoke in [true, false] {
-                        let on = run_cell(&mk(true), smoke);
-                        let off = run_cell(&mk(false), smoke);
+                        let on = run_cell(&mk(true), smoke, 0);
+                        let off = run_cell(&mk(false), smoke, 0);
                         println!(
                             "{} L={lease_micros} wf={wf} smoke={smoke}: mean {:.3} (off {:.3}),                              ops/s {:.0} vs {:.0} = {:.2}x",
                             flavor.name,
@@ -719,6 +819,62 @@ mod tests {
                             on.ops_per_sec / off.ops_per_sec,
                         );
                     }
+                }
+            }
+        }
+    }
+
+    /// Hand-run probe behind every numeric threshold this module and the
+    /// bin assert: the headline ratios of both sections, at both sizes,
+    /// over eight seeds (workload draws and simulator). Thresholds are
+    /// pinned at 0.9 × the worst reading (a cap at the worst / 0.9);
+    /// CHANGES.md records the readings.
+    #[test]
+    #[ignore = "threshold probe, run by hand"]
+    fn probe_thresholds_across_seeds() {
+        let ops = |rows: &[KvThroughputRow], pick: &dyn Fn(&KvThroughputRow) -> bool| {
+            let row = rows.iter().find(|r| pick(r)).expect("cell");
+            (row.ops_per_sec, row.read_rounds_mean)
+        };
+        for smoke in [true, false] {
+            for seed in 0..8 {
+                let cells = grid_cells(true);
+                let rows: Vec<_> = cells.iter().map(|c| run_cell(c, smoke, seed)).collect();
+                let lease = lease_cells();
+                let lease: Vec<_> = lease.iter().map(|c| run_cell(c, smoke, seed)).collect();
+                for flavor in ["persistent", "transient"] {
+                    let zipf = |r: &KvThroughputRow, mode: &str, wf: f64| {
+                        r.flavor == flavor
+                            && r.distribution == "zipf(0.99)"
+                            && r.mode.starts_with(mode)
+                            && (r.write_fraction - wf).abs() < 1e-9
+                    };
+                    let mixed = |mode| ops(&rows, &|r| zipf(r, mode, MIXED_WRITE_FRACTION)).0;
+                    print!(
+                        "smoke={smoke} seed={seed} {flavor}: batched/unbatched {:.2}x;",
+                        mixed("batched") / mixed("unbatched")
+                    );
+                    for mode in ["unbatched", "batched"] {
+                        let heavy = |fast| {
+                            let wf = READ_HEAVY_WRITE_FRACTION;
+                            ops(&rows, &|r| zipf(r, mode, wf) && r.fastpath == fast)
+                        };
+                        let (fast, legacy) = (heavy(true), heavy(false));
+                        print!(
+                            " fast/legacy {mode} {:.2}x ({:.2} vs {:.2} rounds);",
+                            fast.0 / legacy.0,
+                            fast.1,
+                            legacy.1
+                        );
+                    }
+                    let twin = |on| ops(&lease, &|r| r.flavor == flavor && r.lease == on);
+                    let (on, off) = (twin(true), twin(false));
+                    println!(
+                        " lease on/off {:.2}x ({:.3} vs {:.2} rounds)",
+                        on.0 / off.0,
+                        on.1,
+                        off.1
+                    );
                 }
             }
         }
@@ -736,22 +892,21 @@ mod tests {
                     .unwrap_or_else(|| panic!("missing {flavor}/lease={lease}"))
             };
             let (on, off) = (pick(true), pick(false));
-            // The full-size acceptance gates (mean read rounds ≤ 0.30,
-            // ≥ 1.5× the off twin) are asserted by the bin and recorded
-            // in BENCH_kv.json. The smoke run here is a fifth the
-            // length, so its single put's fence window and the 20
-            // cold-start grant-earning reads cover a far larger share
-            // of the run — the smoke guard is correspondingly looser
-            // while still proving both effects end to end.
+            // The full-size acceptance gates (mean read rounds ≤ 0.09,
+            // ≥ 3.9× the off twin) are asserted by the bin and recorded
+            // in BENCH_kv.json. The smoke run here is half the length, so
+            // the cold-start grant-earning reads cover a larger share of
+            // it; its guards come from the same eight-seed probe.
             assert!(
-                on.read_rounds_mean <= 0.5,
-                "{flavor}: leased mean read rounds must be ≤ 0.5, got {:.3}",
+                on.read_rounds_mean <= 0.10,
+                "{flavor}: leased mean read rounds must be ≤ 0.10, got {:.3}",
                 on.read_rounds_mean
             );
             let speedup = on.ops_per_sec / off.ops_per_sec;
             assert!(
-                speedup >= 1.2,
-                "{flavor}: leases must clear 1.2× the lease-off twin even at                  smoke size, got {speedup:.2}×"
+                speedup >= 4.5,
+                "{flavor}: leases must clear 4.5× the lease-off twin even at \
+                 smoke size, got {speedup:.2}×"
             );
             assert!(
                 off.read_rounds_mean >= 1.0,

@@ -18,7 +18,7 @@
 //! The scenario runs **two** live splits: a full-speed unrecorded run for
 //! the throughput numbers, and a bounded recorded run — same cluster
 //! shape, same traffic mix — that must pass
-//! [`rmem_kv::certify_per_key_epochs`] before anything is reported (a
+//! [`rmem_kv::certify_per_key_epoch_path`] before anything is reported (a
 //! throughput number for a migration protocol that breaks atomicity would
 //! be meaningless). The split is because the decision-procedure checker
 //! caps a register's history at 128 operations: a full-speed Zipf run
@@ -34,7 +34,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rmem_consistency::Criterion;
 use rmem_core::{SharedMemory, Transient};
-use rmem_kv::{certify_per_key_epochs, EpochTransition, KvClient, OpRecorder, ShardRouter};
+use rmem_kv::{certify_per_key_epoch_path, KvClient, OpRecorder, ShardRouter};
 use rmem_net::LocalCluster;
 use rmem_sim::KeyDistribution;
 
@@ -260,14 +260,10 @@ fn certified_witness_split() -> bool {
             assert_eq!(report.epoch, 1);
         });
     });
-    let transition = EpochTransition {
-        old_shards: FROM_SHARDS,
-        new_shards: TO_SHARDS,
-    };
-    certify_per_key_epochs(
+    certify_per_key_epoch_path(
         &recorder.history(),
         keys.iter().map(String::as_str),
-        &transition,
+        &[FROM_SHARDS, TO_SHARDS],
         Criterion::Transient,
     )
     .expect("the resharding witness run must certify per key across epochs");

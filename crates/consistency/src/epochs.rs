@@ -21,7 +21,7 @@
 //!
 //! The caller is responsible for the *decode* step (stripping migration
 //! infrastructure, e.g. seal markers, and mapping store payloads to raw
-//! values) — `rmem_kv::certify_per_key_epochs` does that for store runs.
+//! values) — `rmem_kv::certify_per_key_epoch_path` does that for store runs.
 
 use std::collections::BTreeMap;
 

@@ -34,7 +34,11 @@
 //! Every register operation this client performs — a `get`, a `put`, the
 //! chunks of a `multi_get`/`multi_put`, a shard-map read, a migration
 //! copy — is driven by **one event loop on the calling thread**
-//! ([`KvClient::get`] is `multi_get` of one key). Its rules, stated once:
+//! ([`KvClient::get`] is `multi_get` of one key). The loop's world is the
+//! seam ([`World`]): it submits, waits, reads the time and draws its
+//! jitter there and nowhere else, so the same loop runs on the real
+//! runtime and inside a seeded simulation ([`crate::host`]). Its rules,
+//! stated once:
 //!
 //! * **One operation per (register, chunk), one in flight per register.**
 //!   A call's gets on one register are answered from one read round; its
@@ -79,11 +83,11 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::Bytes;
 use rmem_net::pipeline::Settled;
-use rmem_net::{Client, ClientError, PipelinedClient, Ticket, TraceCtx};
+use rmem_net::{Client, ClientError, Ticket, TraceCtx};
 use rmem_obs::{
     Counter, EventKind, FlightEvent, FlightRecorder, Histogram, MetricsSnapshot, ObsHandle,
 };
@@ -99,6 +103,7 @@ use crate::health::{HealthMemory, NodeGate};
 use crate::lease::{LeaseCache, Lookup};
 use crate::recorder::OpRecorder;
 use crate::router::ShardRouter;
+use crate::seam::{Wire, World};
 
 /// How many times a call re-routes its inputs under a moved shard map
 /// before it stops chasing epochs.
@@ -170,18 +175,18 @@ impl ClientObs {
         }
     }
 
-    /// `Instant::now` for latency histograms, skipped when observability
-    /// is disabled (the bench baseline).
+    /// The time, for latency histograms; skipped when observability is
+    /// disabled (the bench baseline).
     #[inline]
-    fn op_clock(&self) -> Option<Instant> {
-        self.handle.metrics.is_enabled().then(Instant::now)
+    fn op_clock(&self, world: &dyn World) -> Option<Duration> {
+        self.handle.metrics.is_enabled().then(|| world.now())
     }
 
     /// Records the time since `started` (an [`op_clock`](Self::op_clock)
     /// reading) into latency histogram `hist`.
-    fn lap(started: Option<Instant>, hist: &Histogram) {
+    fn lap(started: Option<Duration>, world: &dyn World, hist: &Histogram) {
         if let Some(started) = started {
-            hist.record(started.elapsed().as_micros() as u64);
+            hist.record((world.now() - started).as_micros() as u64);
         }
     }
 }
@@ -217,12 +222,12 @@ struct Active {
     /// (put) or forwarding (get) — and the operation addresses the new.
     forward: bool,
     /// Latency clock opened when the chunk started (when metrics are on).
-    started: Option<Instant>,
+    started: Option<Duration>,
     /// Submission instant of the current attempt, for the lease-horizon
     /// anchor (only stamped when the client's lease cache is armed): a
     /// grant riding its completion expires `grant.micros` after *this*
     /// moment, never after an earlier failed node's.
-    sent: Option<Instant>,
+    sent: Option<Duration>,
 }
 
 /// The answer to one `get`: the payload that answered it (the resolver's
@@ -266,7 +271,7 @@ enum Next {
 
 /// One call in flight: the driver behind every register operation of
 /// [`KvClient`] (see the [module docs](self#operations)) — one thread,
-/// the client family's one event-driven [`PipelinedClient`] fan.
+/// over the client family's one [`World`].
 struct Flight<'a> {
     kv: &'a KvClient,
     /// The map the current wave was routed under (checked before every
@@ -293,7 +298,7 @@ struct Flight<'a> {
     tickets: Vec<Ticket>,
     pending: Vec<Active>,
     /// The chunks waiting out a deadline (`Busy` backoff, seal poll).
-    parked: Vec<(Instant, Active)>,
+    parked: Vec<(Duration, Active)>,
     /// Inputs for the next wave: the map moved under them.
     next: Vec<usize>,
     /// Some operation ended pending: [`run`](Self::run) records the crash.
@@ -504,13 +509,20 @@ impl std::error::Error for KvError {}
 /// Reads and writes inherit the register emulation's guarantees: with a
 /// majority of nodes up, every operation terminates, and per-key histories
 /// satisfy the configured flavor's atomicity criterion — across epochs,
-/// certified by [`certify_per_key_epochs`](crate::certify_per_key_epochs).
+/// certified by
+/// [`certify_per_key_epoch_path`](crate::certify_per_key_epoch_path).
 #[derive(Debug, Clone)]
 pub struct KvClient {
+    /// The real runtime's node handles, which carry the trace context;
+    /// empty for a client over a world of its caller's
+    /// ([`over`](KvClient::over)).
     nodes: Vec<Client>,
-    /// The family's one reactor over `nodes` (clones share it; rebuilt
-    /// whenever the node handles are).
-    fan: Arc<PipelinedClient>,
+    /// Everything the driver asks of the outside (clones share it; over
+    /// `nodes`, rebuilt whenever they are).
+    world: Arc<dyn World>,
+    /// How long a call waits with nothing settling before what it has in
+    /// flight fails over.
+    patience: Duration,
     map: Arc<Mutex<ShardMap>>,
     /// Whether this client family has read the config register at least
     /// once — until then the cache is only the constructor's guess, and
@@ -540,6 +552,13 @@ pub struct KvClient {
     leases: Option<Arc<LeaseCache>>,
 }
 
+/// A health memory for `world`'s nodes, aging its marks on `world`'s clock.
+fn health_over(world: &Arc<dyn World>, cooldown: Duration) -> Arc<HealthMemory> {
+    let clock = world.clone();
+    let health = HealthMemory::new(world.nodes(), cooldown, move || clock.now());
+    Arc::new(health)
+}
+
 impl KvClient {
     /// A client over `nodes` (e.g. `LocalCluster::clients()`) with the
     /// given bootstrap router: `router.shards()` becomes the genesis
@@ -557,21 +576,30 @@ impl KvClient {
         if nodes.is_empty() {
             return Err(KvError::NoNodes);
         }
-        let health = Arc::new(HealthMemory::new(nodes.len(), Duration::from_secs(5)));
-        Ok(KvClient {
-            fan: Arc::new(PipelinedClient::fan(&nodes)),
-            nodes,
+        let mut kv = KvClient::over(Arc::new(Wire::new(&nodes)), router);
+        kv.nodes = nodes;
+        Ok(kv.rewire_trace())
+    }
+
+    /// A client over `world` — every effect of every operation goes
+    /// through it (see [`crate::seam`]). [`new`](KvClient::new) is this
+    /// over the real runtime; [`crate::host`] hands out worlds that run
+    /// the client inside a seeded simulation.
+    pub fn over(world: Arc<dyn World>, router: ShardRouter) -> Self {
+        KvClient {
+            nodes: Vec::new(),
             map: Arc::new(Mutex::new(ShardMap::genesis(router.shards()))),
             synced: Arc::new(std::sync::atomic::AtomicBool::new(false)),
             barrier_polls: 512,
-            health,
+            health: health_over(&world, Duration::from_secs(5)),
+            world,
+            patience: Duration::from_secs(10),
             obs: Arc::new(ClientObs::new(ObsHandle::new())),
             trace: None,
             recorder: None,
             intents: None,
             leases: None,
         }
-        .rewire_trace())
     }
 
     /// Replaces the client family's observability handle (shared with
@@ -586,23 +614,24 @@ impl KvClient {
     }
 
     /// (Re)derives the trace context from the current observability
-    /// handle and attaches it to every node handle: enabled handle →
-    /// traced family recording into the handle's flight ring; disabled →
-    /// untraced (zero wire or ring overhead).
+    /// handle, attaches it to every node handle and rebuilds the world
+    /// over them: enabled handle → traced family recording into the
+    /// handle's flight ring; disabled → untraced (zero wire or ring
+    /// overhead). Tracing is the wire's: a client with no node handles
+    /// keeps its world.
     fn rewire_trace(mut self) -> Self {
+        if self.nodes.is_empty() {
+            return self;
+        }
         let flight = &self.obs.handle.flight;
         self.trace = flight
             .is_enabled()
             .then(|| Arc::new(TraceCtx::new(flight.clone())));
-        let trace = self.trace.clone();
-        self.rewire(|n| n.with_trace(trace.clone()))
-    }
-
-    /// Reconfigures every node handle and rebuilds the fan over them (it
-    /// inherits their patience and trace context).
-    fn rewire(mut self, node: impl Fn(Client) -> Client) -> Self {
-        self.nodes = self.nodes.into_iter().map(node).collect();
-        self.fan = Arc::new(PipelinedClient::fan(&self.nodes));
+        let trace = &self.trace;
+        self.nodes = (self.nodes.into_iter())
+            .map(|n| n.with_trace(trace.clone()))
+            .collect();
+        self.world = Arc::new(Wire::new(&self.nodes));
         self
     }
 
@@ -655,16 +684,18 @@ impl KvClient {
 
     /// Replaces the patience window (default 10 s): how long a call waits
     /// with nothing settling before the operations it has in flight fail
-    /// over to their next nodes.
-    pub fn with_op_timeout(self, timeout: Duration) -> Self {
-        self.rewire(|n| n.with_timeout(timeout))
+    /// over to their next nodes — on the world's clock, so virtual
+    /// patience for a hosted client.
+    pub fn with_op_timeout(mut self, timeout: Duration) -> Self {
+        self.patience = timeout;
+        self
     }
 
     /// Replaces the cluster-health mark cooldown (default 5 s): how long a
     /// node that timed out is deprioritized before failover tries it first
     /// again. Resets the marks.
     pub fn with_health_cooldown(mut self, cooldown: Duration) -> Self {
-        self.health = Arc::new(HealthMemory::new(self.nodes.len(), cooldown));
+        self.health = health_over(&self.world, cooldown);
         self
     }
 
@@ -775,7 +806,7 @@ impl KvClient {
         if map.is_migrating() {
             return None;
         }
-        match cache.lookup(reg, map.stamp(), Instant::now()) {
+        match cache.lookup(reg, map.stamp(), self.world.now()) {
             Lookup::Hit(payload) => {
                 self.obs.lease_hits.inc();
                 self.record_read(0);
@@ -809,7 +840,7 @@ impl KvClient {
         grant: LeaseGrant,
         payload: Value,
         map: &ShardMap,
-        t0: Instant,
+        t0: Duration,
     ) {
         let Some(cache) = self.leases.as_deref() else {
             return;
@@ -846,21 +877,8 @@ impl KvClient {
     /// deterministic waits would stay phase-locked and collide on every
     /// retry.
     fn busy_delay(&self, attempt: u32) -> Duration {
-        use rand::{Rng, SeedableRng};
-        // Each thread jitters from its own stream (seeded off a global
-        // counter): contending threads decorrelate instead of sharing a
-        // sequence.
-        static NEXT_SEED: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-        thread_local! {
-            static JITTER: std::cell::RefCell<rand::rngs::StdRng> =
-                std::cell::RefCell::new(rand::rngs::StdRng::seed_from_u64(
-                    NEXT_SEED
-                        .fetch_add(1, Ordering::Relaxed)
-                        .wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                ));
-        }
         let cap = (50u64 << attempt.min(6).saturating_sub(1)).min(2_000);
-        let wait = JITTER.with(|rng| rng.borrow_mut().gen_range(cap / 2..=cap));
+        let wait = self.world.jitter(cap / 2, cap);
         self.obs.backoff_micros.add(wait);
         Duration::from_micros(wait)
     }
@@ -884,11 +902,9 @@ impl KvClient {
     }
 
     /// The largest *register value* this client can write, if any node's
-    /// transport is bounded (the minimum across nodes — a value must fit
-    /// every replica's frame, not just the contacted node's, because the
-    /// protocol forwards it to all of them).
+    /// transport is bounded.
     pub fn max_value_len(&self) -> Option<usize> {
-        self.nodes.iter().filter_map(Client::max_value_len).min()
+        self.world.max_value_len()
     }
 
     /// Adopts `new` into the shared cache if it advances the current map
@@ -989,7 +1005,7 @@ impl KvClient {
     /// returned flag) and routes its operation through that node, first;
     /// everyone else keeps trying it last until the probe clears it.
     fn rotation(&self, reg: RegisterId) -> (Vec<usize>, bool) {
-        let n = self.nodes.len();
+        let n = self.world.nodes();
         let home = reg.0 as usize % n;
         let (mut order, mut suspect, mut probe) = (Vec::with_capacity(n), Vec::new(), false);
         for i in (0..n).map(|o| (home + o) % n) {
@@ -1472,7 +1488,7 @@ impl<K: AsRef<str>> Batch<'_, K> {
         op: &mut Active,
         node: usize,
     ) -> Result<Ticket, ClientError> {
-        let (kv, fan, map) = (flight.kv, &flight.kv.fan, &flight.map);
+        let (kv, world, map) = (flight.kv, &flight.kv.world, &flight.map);
         let inputs = flight.inputs(op.chunk);
         let (home, idx) = inputs[0];
         // Behind the barrier the chunk is one key's: its old home first,
@@ -1485,7 +1501,7 @@ impl<K: AsRef<str>> Batch<'_, K> {
             if recorded && op.inv.is_none() {
                 op.inv = kv.rec_invoke(Op::ReadAt(reg));
             }
-            fan.submit_read(node, reg)
+            world.submit(node, Op::ReadAt(reg))
         };
         let (entries, tag) = match self {
             Batch::Gets(..) => return read(op, true),
@@ -1502,7 +1518,7 @@ impl<K: AsRef<str>> Batch<'_, K> {
                 ..
             } => {
                 kv.lease_revoke(reg);
-                return fan.submit_write(node, reg, payload.clone());
+                return world.submit(node, Op::WriteAt(reg, payload.clone()));
             }
             Batch::Puts(entries, tag) => (entries, tag),
         };
@@ -1512,8 +1528,8 @@ impl<K: AsRef<str>> Batch<'_, K> {
         let payload = match (inputs, tag) {
             ([(_, idx)], None) if kv.recorder.is_none() => {
                 let (key, value) = (entries[*idx].0.as_ref(), &entries[*idx].1);
-                let fill = |buf: &mut _| codec::encode_entry_into(buf, key, value, map.stamp());
-                return fan.submit_write_with(node, reg, fill);
+                let mut fill = |buf: &mut _| codec::encode_entry_into(buf, key, value, map.stamp());
+                return world.submit_write_with(node, reg, &mut fill);
             }
             ([(_, idx)], Some(tag)) => {
                 let (key, value) = &entries[*idx];
@@ -1532,7 +1548,7 @@ impl<K: AsRef<str>> Batch<'_, K> {
         if op.inv.is_none() {
             op.inv = kv.rec_invoke(Op::WriteAt(reg, payload.clone()));
         }
-        fan.submit_write(node, reg, payload)
+        world.submit(node, Op::WriteAt(reg, payload))
     }
 
     /// Reads the completion of `op`'s register operation: counts its
@@ -1590,7 +1606,7 @@ impl<K: AsRef<str>> Batch<'_, K> {
                     }
                     flight.next.extend(stale);
                 }
-                ClientObs::lap(op.started, &kv.obs.get_micros);
+                ClientObs::lap(op.started, &*kv.world, &kv.obs.get_micros);
                 kv.rec_reply(op.inv.take(), OpResult::ReadValue(payload));
             }
             // A barriered put's seal poll.
@@ -1641,7 +1657,7 @@ impl<K: AsRef<str>> Batch<'_, K> {
             }
             (Batch::Puts(..), (OpResult::Written, rounds, _)) => {
                 kv.record_write(rounds);
-                ClientObs::lap(op.started, &kv.obs.put_micros);
+                ClientObs::lap(op.started, &*kv.world, &kv.obs.put_micros);
                 kv.rec_reply(op.inv.take(), OpResult::Written);
             }
             // A completion of the wrong kind cannot happen; treat the
@@ -1812,7 +1828,7 @@ impl<'a> Flight<'a> {
             last_err: None,
             polls: 0,
             forward: false,
-            started: obs.op_clock(),
+            started: obs.op_clock(&*self.kv.world),
             sent: None,
         };
         self.submit(batch, op);
@@ -1842,7 +1858,7 @@ impl<'a> Flight<'a> {
                 let e = self.node_error(batch, op.chunk, source);
                 return self.end(batch, op, Err(e));
             };
-            op.sent = kv.leases.is_some().then(Instant::now);
+            op.sent = kv.leases.is_some().then(|| kv.world.now());
             match batch.submit(self, &mut op, node) {
                 Ok(ticket) => {
                     self.tickets.push(ticket);
@@ -1902,7 +1918,7 @@ impl<'a> Flight<'a> {
             ClientError::Busy if op.busy < BUSY_RETRIES => {
                 op.busy += 1;
                 kv.obs.retries.inc();
-                let due = Instant::now() + kv.busy_delay(op.busy);
+                let due = kv.world.now() + kv.busy_delay(op.busy);
                 return self.parked.push((due, op));
             }
             ClientError::TimedOut | ClientError::ProcessDown => {
@@ -1986,7 +2002,7 @@ impl<'a> Flight<'a> {
         (op.at, op.busy, op.probe, op.ambiguous) = (0, 0, false, false);
         op.order.clear();
         match next {
-            Next::Park(wait) => self.parked.push((Instant::now() + wait, op)),
+            Next::Park(wait) => self.parked.push((self.kv.world.now() + wait, op)),
             _ => self.submit(batch, op),
         }
     }
@@ -1994,11 +2010,13 @@ impl<'a> Flight<'a> {
     /// Serves completions and deadlines until the wave has nothing in
     /// flight and nothing parked.
     fn drain<K: AsRef<str>>(&mut self, batch: &mut Batch<'_, K>) {
-        let kv = self.kv;
+        let (kv, world) = (self.kv, &*self.kv.world);
         let metered = kv.obs.handle.metrics.is_enabled();
         while !(self.pending.is_empty() && self.parked.is_empty()) {
             let due = self.parked.iter().map(|&(due, _)| due).min();
-            if let Some((pos, outcome)) = kv.fan.wait_any(&self.tickets, due) {
+            let patience = world.now() + kv.patience;
+            let until = due.map_or(patience, |due| due.min(patience));
+            if let Some((pos, outcome)) = world.wait_any(&self.tickets, until) {
                 // One depth sample per completion: what was in flight
                 // while it was awaited.
                 if metered {
@@ -2008,7 +2026,7 @@ impl<'a> Flight<'a> {
                 self.settle(batch, pos, outcome);
                 continue;
             }
-            let now = Instant::now();
+            let now = world.now();
             if due.is_some_and(|due| due <= now) {
                 let (ripe, parked) = std::mem::take(&mut self.parked)
                     .into_iter()
@@ -2023,7 +2041,7 @@ impl<'a> Flight<'a> {
                 // (late acks are counted, never misdelivered).
                 let tickets = std::mem::take(&mut self.tickets);
                 for (ticket, op) in tickets.into_iter().zip(std::mem::take(&mut self.pending)) {
-                    kv.fan.cancel(ticket);
+                    world.cancel(ticket);
                     self.node_failed(batch, op, ClientError::TimedOut);
                 }
             }
@@ -2426,11 +2444,12 @@ mod tests {
         assert_eq!(flight.pending.len(), 1, "one op in flight per register");
         let node = flight.pending[0].order[0];
         // Let the real completion arrive, then script `Busy` in its place.
+        let soon = kv.world.now() + Duration::from_secs(10);
         let (pos, _) = kv
-            .fan
-            .wait_any(&flight.tickets, None)
+            .world
+            .wait_any(&flight.tickets, soon)
             .expect("the write completes");
-        let scripted = Instant::now();
+        let scripted = kv.world.now();
         flight.settle(&mut batch, pos, Err(ClientError::Busy));
         assert!(
             flight.pending.is_empty(),
@@ -2485,9 +2504,10 @@ mod tests {
         // timeout in its place.
         while let Some(pos) = flight.pending.iter().position(|op| op.at == 0) {
             let home = flight.pending[pos].order[0];
+            let soon = kv.world.now() + Duration::from_secs(10);
             let (_, real) = kv
-                .fan
-                .wait_any(&flight.tickets[pos..=pos], None)
+                .world
+                .wait_any(&flight.tickets[pos..=pos], soon)
                 .expect("completes");
             real.expect("the home node is up");
             flight.settle(&mut batch, pos, Err(ClientError::TimedOut));

@@ -26,7 +26,7 @@
 //! tolerate operations landing on any node; only tail latency changes.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// What the failover rotation should do with a node right now.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,11 +50,12 @@ const PROBE_IN_FLIGHT: u8 = 2;
 ///
 /// Clones of a `KvClient` share one `HealthMemory` through an `Arc`; all
 /// operations, from any thread, read and write the same marks.
-#[derive(Debug)]
 pub struct HealthMemory {
-    /// Construction instant; marks are stored as micros since this base,
-    /// offset by 1 so that 0 means "never failed".
-    base: Instant,
+    /// The clock marks age on — the client's
+    /// ([`World::now`](crate::World::now)), so a hosted client's marks
+    /// decay in virtual time. Marks are stored as its micros, offset by 1
+    /// so that 0 means "never failed".
+    clock: Box<dyn Fn() -> Duration + Send + Sync>,
     cooldown: Duration,
     marks: Vec<AtomicU64>,
     /// Per-node probe state (`PROBE_*`).
@@ -65,11 +66,25 @@ pub struct HealthMemory {
     probes_total: AtomicU64,
 }
 
+impl std::fmt::Debug for HealthMemory {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("HealthMemory")
+            .field("cooldown", &self.cooldown)
+            .field("marks_total", &self.marks_total())
+            .finish_non_exhaustive()
+    }
+}
+
 impl HealthMemory {
-    /// Fresh memory for `nodes` nodes with the given mark cooldown.
-    pub fn new(nodes: usize, cooldown: Duration) -> Self {
+    /// Fresh memory for `nodes` nodes with the given mark cooldown, aging
+    /// its marks on `clock` (any monotone time since a fixed origin).
+    pub fn new(
+        nodes: usize,
+        cooldown: Duration,
+        clock: impl Fn() -> Duration + Send + Sync + 'static,
+    ) -> Self {
         HealthMemory {
-            base: Instant::now(),
+            clock: Box::new(clock),
             cooldown,
             marks: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
             probe: (0..nodes).map(|_| AtomicU8::new(PROBE_NONE)).collect(),
@@ -79,7 +94,7 @@ impl HealthMemory {
     }
 
     fn now_micros(&self) -> u64 {
-        self.base.elapsed().as_micros() as u64
+        (self.clock)().as_micros() as u64
     }
 
     /// Records a failure (timeout / down) of `node`. The node re-owes a
@@ -181,10 +196,23 @@ impl HealthMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
+    /// A memory on a clock the test advances by hand (milliseconds).
+    fn memory(nodes: usize, cooldown_ms: u64) -> (HealthMemory, impl Fn(u64)) {
+        let now = Arc::new(AtomicU64::new(0));
+        let clock = now.clone();
+        let h = HealthMemory::new(nodes, Duration::from_millis(cooldown_ms), move || {
+            Duration::from_millis(clock.load(Ordering::Relaxed))
+        });
+        (h, move |ms| {
+            now.fetch_add(ms, Ordering::Relaxed);
+        })
+    }
 
     #[test]
     fn marks_decay_and_clear() {
-        let h = HealthMemory::new(3, Duration::from_millis(20));
+        let (h, sleep) = memory(3, 20);
         assert!(h.suspects().is_empty());
         h.mark(1);
         assert!(h.is_suspect(1));
@@ -193,28 +221,28 @@ mod tests {
         h.clear(1);
         assert!(!h.is_suspect(1));
         h.mark(2);
-        std::thread::sleep(Duration::from_millis(25));
+        sleep(25);
         assert!(!h.is_suspect(2), "marks must decay after the cooldown");
     }
 
     #[test]
     fn remarking_refreshes_the_window() {
-        let h = HealthMemory::new(1, Duration::from_millis(30));
+        let (h, sleep) = memory(1, 30);
         h.mark(0);
-        std::thread::sleep(Duration::from_millis(20));
+        sleep(20);
         h.mark(0);
-        std::thread::sleep(Duration::from_millis(15));
+        sleep(15);
         // 35ms after the first mark but only 15ms after the second.
         assert!(h.is_suspect(0));
     }
 
     #[test]
     fn decayed_mark_owes_exactly_one_probe() {
-        let h = HealthMemory::new(2, Duration::from_millis(5));
+        let (h, sleep) = memory(2, 5);
         h.mark(0);
         assert_eq!(h.gate(0), NodeGate::Suspect);
         assert_eq!(h.gate(1), NodeGate::Fresh);
-        std::thread::sleep(Duration::from_millis(8));
+        sleep(8);
         // Cooldown decayed: the node is no longer suspect but owes a
         // probe before full rotation.
         assert!(!h.is_suspect(0));
@@ -232,15 +260,15 @@ mod tests {
 
     #[test]
     fn failed_probe_remarks_and_reowes() {
-        let h = HealthMemory::new(1, Duration::from_millis(5));
+        let (h, sleep) = memory(1, 5);
         h.mark(0);
-        std::thread::sleep(Duration::from_millis(8));
+        sleep(8);
         assert!(h.try_begin_probe(0));
         // The probe operation failed: back to suspect, owing a new probe
         // after the next decay.
         h.mark(0);
         assert_eq!(h.gate(0), NodeGate::Suspect);
-        std::thread::sleep(Duration::from_millis(8));
+        sleep(8);
         assert_eq!(h.gate(0), NodeGate::NeedsProbe);
         assert!(h.try_begin_probe(0));
         assert_eq!(h.marks_total(), 2);

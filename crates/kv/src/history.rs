@@ -1,83 +1,41 @@
 //! Per-key atomicity certification of store runs.
 //!
 //! The register emulation's checkers certify histories per *register*
-//! (linearizability is local). The store adds one indirection — keys route
-//! to registers — so certification has two steps:
+//! (linearizability is local). The store adds two indirections — keys
+//! route to registers, and a live split moves a key from one register to
+//! another — so [`certify_per_key_epoch_path`], the one certifier, works
+//! in three steps:
 //!
 //! 1. **Decode**: rewrite a register-level history of encoded entries
 //!    (`[key][value]` payloads, see [`crate::codec`]) into one whose
 //!    values are the raw store values, verifying along the way that every
-//!    payload in a register belongs to the key the [`KeyMap`] assigns it
-//!    (a foreign key would mean a shard collision — the certificate would
-//!    be about the cell, not the key).
-//! 2. **Check**: run [`rmem_consistency::check_per_register`] on the
-//!    decoded history and relabel each register's verdict with its key.
+//!    payload in a register belongs to the key routed there under some
+//!    shard count on the path (a foreign key would mean a shard collision
+//!    — the certificate would be about the cell, not the key), and
+//!    dropping the config-register and seal traffic.
+//! 2. **Stitch**: relabel every home a key had along the path onto its
+//!    final one, so its operations form one logical history.
+//! 3. **Check**: run [`rmem_consistency::check_per_register_epochs`] on
+//!    that and relabel each register's verdict with its key.
 //!
 //! The result is checker output that *names keys*: "key `user:7` is
 //! persistent-atomic", or a [`KeyViolation`] naming the key that is not.
+//! Registers are the epoch layer's (data shard `i` at register `i + 1`,
+//! register 0 the shard map): histories come from an
+//! [`OpRecorder`](crate::OpRecorder), on the real runtime and in hosted
+//! simulation alike. A run without splits is the path `&[shards]`.
 
 use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use rmem_consistency::{
-    check_per_register, check_per_register_epochs, Criterion, DuplicateApplication, Event,
-    ExactlyOnceReport, History, Verdict, Violation,
+    check_per_register_epochs, Criterion, DuplicateApplication, Event, ExactlyOnceReport, History,
+    Verdict, Violation,
 };
 use rmem_types::{Op, OpResult, OpTag, RegisterId, Value};
 
 use crate::codec;
 use crate::epoch::{data_register, CONFIG_REGISTER};
-use crate::router::ShardRouter;
-
-/// The key ↔ register mapping of one run: which keys the workload uses and
-/// which register each routes to.
-#[derive(Debug, Clone)]
-pub struct KeyMap {
-    by_register: BTreeMap<RegisterId, Vec<String>>,
-}
-
-impl KeyMap {
-    /// Builds the mapping for `keys` under `router`.
-    pub fn new<'a>(router: &ShardRouter, keys: impl IntoIterator<Item = &'a str>) -> Self {
-        let mut by_register: BTreeMap<RegisterId, Vec<String>> = BTreeMap::new();
-        for key in keys {
-            let reg = router.register_for(key);
-            let keys = by_register.entry(reg).or_default();
-            if !keys.iter().any(|k| k == key) {
-                keys.push(key.to_string());
-            }
-        }
-        KeyMap { by_register }
-    }
-
-    /// The keys hosted by `reg` (empty if none).
-    pub fn keys_of(&self, reg: RegisterId) -> &[String] {
-        self.by_register.get(&reg).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Registers that host more than one key — hash collisions, where a
-    /// per-register certificate cannot be read as a per-key one.
-    pub fn collisions(&self) -> Vec<(RegisterId, &[String])> {
-        self.by_register
-            .iter()
-            .filter(|(_, keys)| keys.len() > 1)
-            .map(|(reg, keys)| (*reg, keys.as_slice()))
-            .collect()
-    }
-
-    /// Whether every register hosts at most one key.
-    pub fn is_injective(&self) -> bool {
-        self.by_register.values().all(|keys| keys.len() <= 1)
-    }
-
-    /// Iterates `(register, key)` pairs of the injective part.
-    pub fn pairs(&self) -> impl Iterator<Item = (RegisterId, &str)> {
-        self.by_register
-            .iter()
-            .filter(|(_, keys)| keys.len() == 1)
-            .map(|(reg, keys)| (*reg, keys[0].as_str()))
-    }
-}
 
 /// Why a store run could not be certified per key.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -179,131 +137,6 @@ pub struct KvCertificate {
     pub per_key: BTreeMap<String, Verdict>,
 }
 
-/// Rewrites a register-level store history into raw-value form: every
-/// written/read payload `[key][value]` becomes just `value`, validated
-/// against the key `map` assigns the register. Reads of ⊥ stay ⊥.
-///
-/// # Errors
-///
-/// Returns [`KvCertError`] on collisions, unmapped registers, or payloads
-/// that do not belong (see the variants).
-pub fn decode_history(history: &History, map: &KeyMap) -> Result<History, KvCertError> {
-    // Reject collisions up front: the per-key reading needs injectivity.
-    if let Some((register, keys)) = map.collisions().into_iter().next() {
-        return Err(KvCertError::ShardCollision {
-            register,
-            keys: keys.to_vec(),
-        });
-    }
-    for register in history.registers() {
-        if map.keys_of(register).is_empty() {
-            return Err(KvCertError::UnmappedRegister { register });
-        }
-    }
-
-    let decode = |register: RegisterId, payload: &Value| -> Result<Value, KvCertError> {
-        if payload.is_bottom() {
-            // A read of a never-written register: ⊥ is ⊥ at the store
-            // level too.
-            return Ok(Value::bottom());
-        }
-        let expected = &map.keys_of(register)[0];
-        // Batched writes may carry bundles. Under an injective key map a
-        // certifiable bundle holds exactly one entry — the register's own
-        // key (batching coalesces same-key puts; a second *key* in the
-        // payload would mean a shard collision, which injectivity already
-        // rules out) — so bundle decoding degrades to entry decoding and
-        // the per-register criterion keeps reading as the per-key one.
-        match codec::decode_entries(payload) {
-            Some(entries) => {
-                if let Some((found, _)) = entries.iter().find(|(found, _)| found != expected) {
-                    return Err(KvCertError::ForeignEntry {
-                        register,
-                        expected: expected.clone(),
-                        found: found.clone(),
-                    });
-                }
-                // All entries carry the expected key; distinctness of
-                // bundle keys means there is exactly one.
-                Ok(Value::new(entries[0].1.to_vec()))
-            }
-            None => Err(KvCertError::MalformedEntry { register }),
-        }
-    };
-
-    // Invocations carry the register; remember it per op so replies can be
-    // decoded against the right key.
-    let mut register_of_op = std::collections::HashMap::new();
-    let mut out = History::new();
-    for event in history.events() {
-        match event {
-            Event::Invoke { op, operation } => {
-                let register = operation.register();
-                register_of_op.insert(*op, register);
-                let operation = match operation {
-                    Op::WriteAt(_, payload) | Op::Write(payload) => {
-                        Op::WriteAt(register, decode(register, payload)?)
-                    }
-                    Op::ReadAt(_) | Op::Read => Op::ReadAt(register),
-                };
-                out.push(Event::Invoke { op: *op, operation });
-            }
-            Event::Reply { op, result } => {
-                let result = match result {
-                    OpResult::ReadValue(payload) => {
-                        let register = register_of_op
-                            .get(op)
-                            .copied()
-                            .ok_or(KvCertError::StrayReply { op: *op })?;
-                        OpResult::ReadValue(decode(register, payload)?)
-                    }
-                    other => other.clone(),
-                };
-                out.push(Event::Reply { op: *op, result });
-            }
-            Event::Crash { pid } => out.push(Event::Crash { pid: *pid }),
-            Event::Recover { pid } => out.push(Event::Recover { pid: *pid }),
-        }
-    }
-    Ok(out)
-}
-
-/// Certifies a store run per key: decodes the history, checks every
-/// register's restriction under `criterion`, and names each verdict with
-/// its key.
-///
-/// # Errors
-///
-/// Returns `Err(Ok(KvCertError))`-style layered errors flattened into one
-/// enum: [`CertifyError::Setup`] when the history cannot be decoded (the
-/// run is not a clean store run), [`CertifyError::Violation`] when a key's
-/// history fails the criterion.
-pub fn certify_per_key(
-    history: &History,
-    map: &KeyMap,
-    criterion: Criterion,
-) -> Result<KvCertificate, CertifyError> {
-    check_store_exactly_once(history).map_err(CertifyError::DuplicateWrite)?;
-    let decoded = decode_history(history, map).map_err(CertifyError::Setup)?;
-    let mut per_key = BTreeMap::new();
-    for (register, outcome) in check_per_register(&decoded, criterion) {
-        let key = map.keys_of(register)[0].clone();
-        match outcome {
-            Ok(verdict) => {
-                per_key.insert(key, verdict);
-            }
-            Err(violation) => {
-                return Err(CertifyError::Violation(KeyViolation {
-                    key,
-                    register,
-                    violation,
-                }));
-            }
-        }
-    }
-    Ok(KvCertificate { per_key })
-}
-
 /// The logical identity and effect of one store write, for the
 /// exactly-once criterion: the payload's op tag plus its decoded entries
 /// (the epoch stamp is deliberately excluded — a recovery may re-issue a
@@ -321,7 +154,7 @@ fn store_effect(op: &Op) -> Option<(OpTag, Vec<(String, Bytes)>)> {
 /// deliveries) collapse into one logical write. Untagged legacy writes
 /// are exempt.
 ///
-/// Both certifiers run this automatically; it is exposed for callers
+/// The certifier runs this automatically; it is exposed for callers
 /// that want the [`ExactlyOnceReport`] (retry counts) of a passing run.
 ///
 /// # Errors
@@ -331,34 +164,6 @@ pub fn check_store_exactly_once(
     history: &History,
 ) -> Result<ExactlyOnceReport, DuplicateApplication<OpTag>> {
     rmem_consistency::check_exactly_once(history, store_effect)
-}
-
-/// One live split, as the cross-epoch certifier sees it: the shard
-/// counts on either side of the epoch bump.
-///
-/// Routing is re-derived from the counts (linear hashing is a pure
-/// function), and registers use the **epoch layer's numbering** — data
-/// shard `i` at register `i + 1`, register 0 reserved for the shard map —
-/// because cross-epoch histories come from real-runtime recorders
-/// ([`crate::recorder::OpRecorder`]), not the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EpochTransition {
-    /// Shard count before the split.
-    pub old_shards: u16,
-    /// Shard count after the split.
-    pub new_shards: u16,
-}
-
-impl EpochTransition {
-    /// The epoch-layer register hosting `key` before the split.
-    pub fn old_register(&self, key: &str) -> RegisterId {
-        register_under(key, self.old_shards)
-    }
-
-    /// The epoch-layer register hosting `key` after the split.
-    pub fn new_register(&self, key: &str) -> RegisterId {
-        register_under(key, self.new_shards)
-    }
 }
 
 /// The epoch-layer register hosting `key` under a `shards`-wide routing.
@@ -379,47 +184,19 @@ enum OpFate {
     Skip,
 }
 
-/// Certifies a store run **across a live shard split**: every key's
-/// pre-split (old home) and post-split (new home) register operations are
-/// stitched into one logical history — via
-/// [`rmem_consistency::check_per_register_epochs`] — and checked under
-/// `criterion`, named per key.
+/// Certifies a store run per key, across a whole **chain of live
+/// splits** (e.g. the chaos matrix's 4 → 8 → 16): each key's operations
+/// at every home along the path are stitched into one logical history
+/// and checked under `criterion`. A run without splits is the
+/// one-element path `&[shards]`.
 ///
-/// The key universe must be injective under *both* epochs (one key per
-/// shard on each side; linear hashing preserves injectivity across a
-/// split, so covering keys of the old router qualify). Config-register
-/// operations (shard-map reads and publishes) are ignored; seal markers
-/// and reads that observed only a seal are migration infrastructure and
-/// are excluded from the per-key histories — a migration bug cannot hide
-/// behind that exclusion, because the migrator's own old-home read and
-/// the values later served at the new home remain in the history, and a
-/// non-tag-monotonic handoff (lost update, resurrected value, forgotten
-/// value) fails the stitched check.
-///
-/// # Errors
-///
-/// As [`certify_per_key`]: [`CertifyError::Setup`] when the run is not a
-/// clean cross-epoch store run, [`CertifyError::Violation`] when a key's
-/// stitched history fails the criterion.
-pub fn certify_per_key_epochs<'a>(
-    history: &History,
-    keys: impl IntoIterator<Item = &'a str>,
-    transition: &EpochTransition,
-    criterion: Criterion,
-) -> Result<KvCertificate, CertifyError> {
-    certify_per_key_epoch_path(
-        history,
-        keys,
-        &[transition.old_shards, transition.new_shards],
-        criterion,
-    )
-}
-
-/// Certifies a store run across a whole **chain of live splits** (e.g.
-/// the chaos matrix's 4 → 8 → 16): each key's operations at every home
-/// along the path are stitched into one logical history and checked
-/// under `criterion`. [`certify_per_key_epochs`] is the two-epoch
-/// special case.
+/// Config-register operations (shard-map reads and publishes) are
+/// ignored; seal markers and reads that observed only a seal are
+/// migration infrastructure and are excluded from the per-key histories
+/// — a migration bug cannot hide behind that exclusion, because the
+/// migrator's own old-home read and the values later served at the new
+/// home remain in the history, and a non-tag-monotonic handoff (lost
+/// update, resurrected value, forgotten value) fails the stitched check.
 ///
 /// `shard_path` lists the shard counts in epoch order. The key universe
 /// must be injective under *every* count on the path (covering keys of
@@ -436,9 +213,10 @@ pub fn certify_per_key_epochs<'a>(
 ///
 /// # Errors
 ///
-/// As [`certify_per_key`], plus [`CertifyError::DuplicateWrite`] when
-/// the run violates the exactly-once criterion
-/// ([`check_store_exactly_once`]).
+/// [`CertifyError::Setup`] when the run is not a clean store run over
+/// that path, [`CertifyError::Violation`] when a key's stitched history
+/// fails the criterion, [`CertifyError::DuplicateWrite`] when the run
+/// violates the exactly-once criterion ([`check_store_exactly_once`]).
 ///
 /// # Panics
 ///
@@ -663,7 +441,7 @@ pub fn certify_per_key_epoch_path<'a>(
     Ok(KvCertificate { per_key })
 }
 
-/// Failure modes of [`certify_per_key`].
+/// Failure modes of [`certify_per_key_epoch_path`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CertifyError {
     /// The run is not a certifiable store run (collision, foreign
@@ -691,43 +469,45 @@ impl std::error::Error for CertifyError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::router::ShardRouter;
     use bytes::Bytes;
     use rmem_types::ProcessId;
 
     fn payload(key: &str, v: &[u8]) -> Value {
-        codec::encode_entry(key, &Bytes::copy_from_slice(v), 0)
+        stamped(key, v, 0)
     }
 
-    fn injective_map(shards: u16) -> (ShardRouter, Vec<String>, KeyMap) {
-        let router = ShardRouter::new(shards);
-        let keys = router.covering_keys("k-");
-        let map = KeyMap::new(&router, keys.iter().map(String::as_str));
-        (router, keys, map)
+    fn stamped(key: &str, v: &[u8], epoch: u8) -> Value {
+        codec::encode_entry(key, &Bytes::copy_from_slice(v), epoch)
     }
 
-    #[test]
-    fn key_map_reports_collisions() {
-        let router = ShardRouter::new(1);
-        let map = KeyMap::new(&router, ["a", "b"]);
-        assert!(!map.is_injective());
-        assert_eq!(map.collisions().len(), 1);
-        let (_, keys, map) = injective_map(8);
-        assert!(map.is_injective());
-        assert_eq!(map.pairs().count(), keys.len());
+    /// One key per shard of a `shards`-wide store.
+    fn covering(shards: u16) -> Vec<String> {
+        ShardRouter::new(shards).covering_keys("k-")
+    }
+
+    /// Certifies `h` as a run without splits.
+    fn certify(
+        h: &History,
+        keys: &[String],
+        shards: u16,
+        criterion: Criterion,
+    ) -> Result<KvCertificate, CertifyError> {
+        certify_per_key_epoch_path(h, keys.iter().map(String::as_str), &[shards], criterion)
     }
 
     #[test]
     fn sequential_store_run_certifies_per_key() {
-        let (router, keys, map) = injective_map(4);
+        let keys = covering(4);
         let mut h = History::new();
         for (i, key) in keys.iter().enumerate() {
-            let reg = router.register_for(key);
+            let reg = register_under(key, 4);
             let w = h.invoke(ProcessId(0), Op::WriteAt(reg, payload(key, &[i as u8])));
             h.reply(w, OpResult::Written);
             let r = h.invoke(ProcessId(1), Op::ReadAt(reg));
             h.reply(r, OpResult::ReadValue(payload(key, &[i as u8])));
         }
-        let cert = certify_per_key(&h, &map, Criterion::Persistent).unwrap();
+        let cert = certify(&h, &keys, 4, Criterion::Persistent).unwrap();
         assert_eq!(cert.per_key.len(), keys.len());
         for key in &keys {
             assert!(
@@ -739,9 +519,9 @@ mod tests {
 
     #[test]
     fn stale_read_is_reported_against_its_key() {
-        let (router, keys, map) = injective_map(2);
+        let keys = covering(2);
         let key = &keys[0];
-        let reg = router.register_for(key);
+        let reg = register_under(key, 2);
         let mut h = History::new();
         let w1 = h.invoke(ProcessId(0), Op::WriteAt(reg, payload(key, b"1")));
         h.reply(w1, OpResult::Written);
@@ -751,7 +531,7 @@ mod tests {
         // not atomic.
         let r = h.invoke(ProcessId(1), Op::ReadAt(reg));
         h.reply(r, OpResult::ReadValue(payload(key, b"1")));
-        match certify_per_key(&h, &map, Criterion::Persistent) {
+        match certify(&h, &keys, 2, Criterion::Persistent) {
             Err(CertifyError::Violation(v)) => {
                 assert_eq!(&v.key, key, "violation must name the key");
                 assert_eq!(v.register, reg);
@@ -762,33 +542,38 @@ mod tests {
 
     #[test]
     fn collisions_refuse_certification() {
-        let router = ShardRouter::new(1);
-        let map = KeyMap::new(&router, ["a", "b"]);
-        let h = History::new();
-        assert!(matches!(
-            certify_per_key(&h, &map, Criterion::Transient),
-            Err(CertifyError::Setup(KvCertError::ShardCollision { .. }))
-        ));
+        // Two keys of one shard: the per-register certificate could not be
+        // read as a per-key one.
+        let keys = ["a".to_string(), "b".to_string()];
+        match certify(&History::new(), &keys, 1, Criterion::Transient) {
+            Err(CertifyError::Setup(KvCertError::ShardCollision { register, keys })) => {
+                assert_eq!(register, data_register(0));
+                assert_eq!(keys, ["a", "b"]);
+            }
+            other => panic!("expected a collision, got {other:?}"),
+        }
+        // One key per shard never collides.
+        certify(&History::new(), &covering(8), 8, Criterion::Transient).unwrap();
     }
 
     #[test]
     fn foreign_payload_is_detected() {
-        let (router, keys, map) = injective_map(2);
-        let reg = router.register_for(&keys[0]);
+        let keys = covering(2);
+        let reg = register_under(&keys[0], 2);
         let mut h = History::new();
         // A payload written under the *other* key's name into this
         // register.
         let w = h.invoke(ProcessId(0), Op::WriteAt(reg, payload(&keys[1], b"x")));
         h.reply(w, OpResult::Written);
         assert!(matches!(
-            certify_per_key(&h, &map, Criterion::Persistent),
+            certify(&h, &keys, 2, Criterion::Persistent),
             Err(CertifyError::Setup(KvCertError::ForeignEntry { .. }))
         ));
     }
 
     #[test]
     fn unmapped_register_is_detected() {
-        let (_, _, map) = injective_map(2);
+        let keys = covering(2);
         let mut h = History::new();
         let w = h.invoke(
             ProcessId(0),
@@ -796,14 +581,14 @@ mod tests {
         );
         h.reply(w, OpResult::Written);
         assert!(matches!(
-            certify_per_key(&h, &map, Criterion::Persistent),
+            certify(&h, &keys, 2, Criterion::Persistent),
             Err(CertifyError::Setup(KvCertError::UnmappedRegister { .. }))
         ));
     }
 
     #[test]
     fn stray_reply_is_an_error_not_a_panic() {
-        let (_, _, map) = injective_map(2);
+        let keys = covering(2);
         let mut h = History::new();
         // A reply with no invocation: malformed, but must come back as an
         // error the caller can handle.
@@ -812,45 +597,41 @@ mod tests {
             result: OpResult::ReadValue(payload("k", b"x")),
         });
         assert!(matches!(
-            certify_per_key(&h, &map, Criterion::Persistent),
+            certify(&h, &keys, 2, Criterion::Persistent),
             Err(CertifyError::Setup(KvCertError::StrayReply { .. }))
         ));
     }
 
     // -- Cross-epoch certification ----------------------------------------
 
-    /// A key universe injective under both sides of a split, with the
-    /// moved/stayed partition derived from the real routing.
-    fn transition_fixture() -> (EpochTransition, Vec<String>, String, String) {
-        let t = EpochTransition {
-            old_shards: 4,
-            new_shards: 8,
-        };
+    const SPLIT: [u16; 2] = [4, 8];
+
+    /// A key universe injective under both sides of a split, with a key
+    /// the real routing moves and one it keeps.
+    fn split_fixture() -> (Vec<String>, String, String) {
         let keys = ShardRouter::new(4).covering_keys("e-");
-        let moved = keys
-            .iter()
-            .find(|k| t.old_register(k) != t.new_register(k))
-            .expect("a 4→8 split moves some covering key")
-            .clone();
-        let stayed = keys
-            .iter()
-            .find(|k| t.old_register(k) == t.new_register(k))
-            .expect("a 4→8 split keeps some covering key")
-            .clone();
-        (t, keys, moved, stayed)
+        let moves = |k: &&String| register_under(k, 4) != register_under(k, 8);
+        let moved = keys.iter().find(moves).expect("a 4→8 split moves a key");
+        let stayed = keys.iter().find(|k| !moves(k)).expect("and keeps one");
+        (keys.clone(), moved.clone(), stayed.clone())
     }
 
-    fn stamped(key: &str, v: &[u8], epoch: u8) -> Value {
-        codec::encode_entry(key, &Bytes::copy_from_slice(v), epoch)
+    fn certify_split(
+        h: &History,
+        keys: &[String],
+        criterion: Criterion,
+    ) -> Result<KvCertificate, CertifyError> {
+        certify_per_key_epoch_path(h, keys.iter().map(String::as_str), &SPLIT, criterion)
     }
 
     #[test]
     fn clean_split_run_certifies_across_epochs() {
-        let (t, keys, moved, stayed) = transition_fixture();
+        let (keys, moved, stayed) = split_fixture();
+        let (old_home, new_home) = (register_under(&moved, 4), register_under(&moved, 8));
         let mut h = History::new();
         // Epoch 0: both keys written and read at their old homes.
         for (i, key) in [&moved, &stayed].into_iter().enumerate() {
-            let reg = t.old_register(key);
+            let reg = register_under(key, 4);
             let w = h.invoke(ProcessId(0), Op::WriteAt(reg, stamped(key, &[i as u8], 0)));
             h.reply(w, OpResult::Written);
             let r = h.invoke(ProcessId(1), Op::ReadAt(reg));
@@ -859,57 +640,47 @@ mod tests {
         // The migrator reads the moved key's old home (recorded), copies
         // it (unrecorded), seals; a lagging reader observes the seal
         // marker (excluded), then the new home serves the value.
-        let m = h.invoke(ProcessId(2), Op::ReadAt(t.old_register(&moved)));
+        let m = h.invoke(ProcessId(2), Op::ReadAt(old_home));
         h.reply(m, OpResult::ReadValue(stamped(&moved, &[0], 0)));
-        let lag = h.invoke(ProcessId(1), Op::ReadAt(t.old_register(&moved)));
+        let lag = h.invoke(ProcessId(1), Op::ReadAt(old_home));
         h.reply(lag, OpResult::ReadValue(codec::encode_seal(1)));
-        let r = h.invoke(ProcessId(1), Op::ReadAt(t.new_register(&moved)));
+        let r = h.invoke(ProcessId(1), Op::ReadAt(new_home));
         h.reply(r, OpResult::ReadValue(stamped(&moved, &[0], 1)));
         // Epoch 1 write + read at the new home.
         let w = h.invoke(
             ProcessId(0),
-            Op::WriteAt(t.new_register(&moved), stamped(&moved, b"n", 1)),
+            Op::WriteAt(new_home, stamped(&moved, b"n", 1)),
         );
         h.reply(w, OpResult::Written);
-        let r = h.invoke(ProcessId(1), Op::ReadAt(t.new_register(&moved)));
+        let r = h.invoke(ProcessId(1), Op::ReadAt(new_home));
         h.reply(r, OpResult::ReadValue(stamped(&moved, b"n", 1)));
 
-        let cert = certify_per_key_epochs(
-            &h,
-            keys.iter().map(String::as_str),
-            &t,
-            Criterion::Persistent,
-        )
-        .expect("a clean split run must certify");
+        let cert = certify_split(&h, &keys, Criterion::Persistent)
+            .expect("a clean split run must certify");
         assert!(cert.per_key.contains_key(&moved));
         assert!(cert.per_key.contains_key(&stayed));
     }
 
     #[test]
     fn lost_update_across_split_is_a_named_violation() {
-        let (t, keys, moved, _) = transition_fixture();
+        let (keys, moved, _) = split_fixture();
         let mut h = History::new();
         // Two completed writes at the old home…
         for v in [b"1", b"2"] {
             let w = h.invoke(
                 ProcessId(0),
-                Op::WriteAt(t.old_register(&moved), stamped(&moved, v, 0)),
+                Op::WriteAt(register_under(&moved, 4), stamped(&moved, v, 0)),
             );
             h.reply(w, OpResult::Written);
         }
         // …but the new home serves the superseded one: the handoff was
         // not tag-monotonic.
-        let r = h.invoke(ProcessId(1), Op::ReadAt(t.new_register(&moved)));
+        let r = h.invoke(ProcessId(1), Op::ReadAt(register_under(&moved, 8)));
         h.reply(r, OpResult::ReadValue(stamped(&moved, b"1", 1)));
-        match certify_per_key_epochs(
-            &h,
-            keys.iter().map(String::as_str),
-            &t,
-            Criterion::Transient,
-        ) {
+        match certify_split(&h, &keys, Criterion::Transient) {
             Err(CertifyError::Violation(v)) => {
                 assert_eq!(v.key, moved, "the violation must name the moved key");
-                assert_eq!(v.register, t.new_register(&moved));
+                assert_eq!(v.register, register_under(&moved, 8));
             }
             other => panic!("expected a named violation, got {other:?}"),
         }
@@ -917,30 +688,25 @@ mod tests {
 
     #[test]
     fn forgotten_value_across_split_fails() {
-        let (t, keys, moved, _) = transition_fixture();
+        let (keys, moved, _) = split_fixture();
         let mut h = History::new();
         let w = h.invoke(
             ProcessId(0),
-            Op::WriteAt(t.old_register(&moved), stamped(&moved, b"v", 0)),
+            Op::WriteAt(register_under(&moved, 4), stamped(&moved, b"v", 0)),
         );
         h.reply(w, OpResult::Written);
         // The new home serves ⊥ although the write completed pre-split.
-        let r = h.invoke(ProcessId(1), Op::ReadAt(t.new_register(&moved)));
+        let r = h.invoke(ProcessId(1), Op::ReadAt(register_under(&moved, 8)));
         h.reply(r, OpResult::ReadValue(Value::bottom()));
         assert!(matches!(
-            certify_per_key_epochs(
-                &h,
-                keys.iter().map(String::as_str),
-                &t,
-                Criterion::Persistent
-            ),
+            certify_split(&h, &keys, Criterion::Persistent),
             Err(CertifyError::Violation(_))
         ));
     }
 
     #[test]
     fn config_register_traffic_is_ignored() {
-        let (t, keys, _, stayed) = transition_fixture();
+        let (keys, _, stayed) = split_fixture();
         let mut h = History::new();
         // Shard-map publishes and reads share the recorded history.
         let w = h.invoke(
@@ -955,16 +721,11 @@ mod tests {
         );
         let w = h.invoke(
             ProcessId(0),
-            Op::WriteAt(t.old_register(&stayed), stamped(&stayed, b"v", 0)),
+            Op::WriteAt(register_under(&stayed, 4), stamped(&stayed, b"v", 0)),
         );
         h.reply(w, OpResult::Written);
-        let cert = certify_per_key_epochs(
-            &h,
-            keys.iter().map(String::as_str),
-            &t,
-            Criterion::Persistent,
-        )
-        .expect("config traffic must not disturb certification");
+        let cert = certify_split(&h, &keys, Criterion::Persistent)
+            .expect("config traffic must not disturb certification");
         assert!(cert.per_key.contains_key(&stayed));
     }
 
@@ -973,13 +734,8 @@ mod tests {
         // A universe injective under the old epoch but colliding in the
         // new one cannot happen with linear hashing; force the reverse: 2
         // keys on one *old* shard.
-        let t = EpochTransition {
-            old_shards: 1,
-            new_shards: 2,
-        };
-        let h = History::new();
         assert!(matches!(
-            certify_per_key_epochs(&h, ["a", "b"], &t, Criterion::Persistent),
+            certify_per_key_epoch_path(&History::new(), ["a", "b"], &[1, 2], Criterion::Persistent),
             Err(CertifyError::Setup(KvCertError::ShardCollision { .. }))
         ));
     }
@@ -1032,9 +788,9 @@ mod tests {
 
     #[test]
     fn exactly_once_retries_collapse_but_forks_fail() {
-        let (router, keys, map) = injective_map(2);
+        let keys = covering(2);
         let key = &keys[0];
-        let reg = router.register_for(key);
+        let reg = register_under(key, 2);
         let tag = OpTag::new(5, 0);
         let tagged = |v: &[u8]| codec::encode_entry_tagged(key, &Bytes::copy_from_slice(v), 0, tag);
 
@@ -1047,32 +803,29 @@ mod tests {
         h.reply(w2, OpResult::Written);
         let r = h.invoke(ProcessId(1), Op::ReadAt(reg));
         h.reply(r, OpResult::ReadValue(tagged(b"v")));
-        certify_per_key(&h, &map, Criterion::Persistent).expect("same-effect retry is benign");
+        certify(&h, &keys, 2, Criterion::Persistent).expect("same-effect retry is benign");
         let report = check_store_exactly_once(&h).unwrap();
         assert_eq!(report.tagged_writes, 2);
         assert_eq!(report.logical_ops, 1);
         assert_eq!(report.retries, 1);
 
         // A retry that forked the value is a duplicate application even
-        // though each individual history would be atomic.
+        // though each individual history would be atomic — on a path of
+        // one epoch as of two.
         let mut forked = History::new();
         let w1 = forked.invoke(ProcessId(0), Op::WriteAt(reg, tagged(b"a")));
         forked.reply(w1, OpResult::Written);
         let w2 = forked.invoke(ProcessId(0), Op::WriteAt(reg, tagged(b"b")));
         forked.reply(w2, OpResult::Written);
-        match certify_per_key(&forked, &map, Criterion::Persistent) {
+        match certify(&forked, &keys, 2, Criterion::Persistent) {
             Err(CertifyError::DuplicateWrite(d)) => assert_eq!(d.tag, tag),
             other => panic!("expected a duplicate application, got {other:?}"),
         }
-        // The epoch certifier applies the same criterion.
         assert!(matches!(
-            certify_per_key_epochs(
+            certify_per_key_epoch_path(
                 &forked,
                 keys.iter().map(String::as_str),
-                &EpochTransition {
-                    old_shards: 2,
-                    new_shards: 4
-                },
+                &[2, 4],
                 Criterion::Persistent
             ),
             Err(CertifyError::DuplicateWrite(_))
@@ -1081,9 +834,9 @@ mod tests {
 
     #[test]
     fn crash_events_survive_decoding() {
-        let (router, keys, map) = injective_map(2);
+        let keys = covering(2);
         let key = &keys[0];
-        let reg = router.register_for(key);
+        let reg = register_under(key, 2);
         let mut h = History::new();
         let w = h.invoke(ProcessId(0), Op::WriteAt(reg, payload(key, b"1")));
         h.reply(w, OpResult::Written);
@@ -1091,7 +844,7 @@ mod tests {
         h.recover(ProcessId(0));
         let r = h.invoke(ProcessId(0), Op::ReadAt(reg));
         h.reply(r, OpResult::ReadValue(payload(key, b"1")));
-        let cert = certify_per_key(&h, &map, Criterion::Persistent).unwrap();
+        let cert = certify(&h, &keys, 2, Criterion::Persistent).unwrap();
         assert!(cert.per_key.contains_key(key));
     }
 }

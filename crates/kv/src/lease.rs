@@ -29,19 +29,20 @@
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::Duration;
 
 use rmem_types::{RegisterId, Timestamp, Value};
 
 /// One cached leased read: the payload a future hit returns, the tag
 /// that bounds which fills may replace it, the shard-map stamp it must
-/// be served under, and the wall-clock horizon.
+/// be served under, and the horizon on the client's clock
+/// ([`World::now`](crate::World::now)).
 #[derive(Debug, Clone)]
 struct LeaseEntry {
     payload: Value,
     ts: Timestamp,
     stamp: u8,
-    expires_at: Instant,
+    expires_at: Duration,
     /// Monotone use counter for LRU eviction (bumped on hit and fill).
     used: u64,
 }
@@ -91,7 +92,7 @@ impl LeaseCache {
     /// Looks up a live lease for `reg` under shard-map stamp `stamp`.
     /// An entry whose horizon passed — or that was filled under another
     /// stamp — is removed and reported as [`Lookup::Expired`].
-    pub(crate) fn lookup(&self, reg: RegisterId, stamp: u8, now: Instant) -> Lookup {
+    pub(crate) fn lookup(&self, reg: RegisterId, stamp: u8, now: Duration) -> Lookup {
         let mut inner = self.inner.lock().expect("lease cache lock");
         inner.tick += 1;
         let tick = inner.tick;
@@ -116,7 +117,7 @@ impl LeaseCache {
         ts: Timestamp,
         payload: Value,
         stamp: u8,
-        expires_at: Instant,
+        expires_at: Duration,
     ) -> usize {
         let mut inner = self.inner.lock().expect("lease cache lock");
         inner.tick += 1;
@@ -180,7 +181,6 @@ impl LeaseCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     fn val(b: u8) -> Value {
         Value::from(vec![b])
@@ -196,7 +196,7 @@ mod tests {
     #[test]
     fn hit_requires_stamp_match_and_live_horizon() {
         let cache = LeaseCache::new(4);
-        let now = Instant::now();
+        let now = Duration::from_secs(1);
         let horizon = now + Duration::from_secs(60);
         cache.fill(RegisterId(1), ts(3), val(7), 42, horizon);
         assert!(matches!(
@@ -221,7 +221,7 @@ mod tests {
     #[test]
     fn fill_never_moves_a_tag_backwards() {
         let cache = LeaseCache::new(4);
-        let now = Instant::now();
+        let now = Duration::from_secs(1);
         let horizon = now + Duration::from_secs(60);
         cache.fill(RegisterId(1), ts(5), val(5), 1, horizon);
         // A racing older grant must not clobber the newer payload.
@@ -241,7 +241,7 @@ mod tests {
     #[test]
     fn capacity_is_bounded_and_evicts_the_coldest() {
         let cache = LeaseCache::new(2);
-        let now = Instant::now();
+        let now = Duration::from_secs(1);
         let horizon = now + Duration::from_secs(60);
         cache.fill(RegisterId(1), ts(1), val(1), 0, horizon);
         cache.fill(RegisterId(2), ts(1), val(2), 0, horizon);
@@ -263,7 +263,7 @@ mod tests {
     #[test]
     fn invalidate_and_clear_drop_leases() {
         let cache = LeaseCache::new(4);
-        let horizon = Instant::now() + Duration::from_secs(60);
+        let horizon = Duration::from_secs(60);
         cache.fill(RegisterId(1), ts(1), val(1), 0, horizon);
         cache.fill(RegisterId(2), ts(1), val(2), 0, horizon);
         assert!(cache.invalidate(RegisterId(1)));

@@ -12,48 +12,69 @@
 //!   split-source shards' keys ([`router`]).
 //! * [`epoch`] — the epoch-stamped shard map, stored **in the store
 //!   itself** (register 0 as a config register); [`KvClient::grow`]
-//!   runs live shard splits under a write barrier, certified across
-//!   epochs by [`certify_per_key_epochs`].
+//!   runs live shard splits under a write barrier.
 //! * [`codec`] — register payloads tag values with their key and a
 //!   one-byte epoch stamp, so shard collisions degrade to explicit
 //!   misses and stale clients learn when to re-read the shard map.
-//! * [`KvClient`] — `get`/`put`/`multi_get`/`multi_put` over a real
-//!   cluster (`rmem-net`), pipelining independent per-shard operations
-//!   across nodes concurrently ([`client`]).
-//! * [`workload`] — simulated closed-loop store clients with uniform or
-//!   Zipf key popularity and scripted crash/recovery, for `rmem-sim`.
-//! * [`history`] — per-**key** atomicity certification: decode a run's
-//!   register-level history, check each register's restriction
+//! * [`KvClient`] — `get`/`put`/`multi_get`/`multi_put` over a cluster,
+//!   one driver keeping every shard's operation in flight at once from
+//!   the calling thread ([`client`]).
+//! * [`seam`] — everything that driver asks of the outside (submit, wait,
+//!   cancel, the time, a jitter draw), as the one trait [`World`]. The
+//!   real runtime (`rmem-net`) is one implementation,
+//!   [`KvClient::new`]; [`host`] is the other: [`run_hosted`] runs the
+//!   same clients, unmodified, inside a seeded `rmem-sim` run — virtual
+//!   time, scripted crashes, and a history that is a function of the
+//!   seed.
+//! * [`history`] — per-**key** atomicity certification: decode a recorded
+//!   register-level history ([`OpRecorder`]), stitch each key's homes
+//!   across live splits, check each register's restriction
 //!   (linearizability locality), and name every verdict with its key.
 //!
 //! Every store guarantee is inherited, not re-proved: a key's operations
-//! are exactly its register's operations, so the paper's per-register
+//! are exactly its registers' operations, so the paper's per-register
 //! criteria (persistent/transient atomicity) lift to per-key criteria
-//! word for word — which [`history::certify_per_key`] checks on real
-//! traces.
+//! word for word — which [`certify_per_key_epoch_path`] checks on
+//! recorded runs, real and simulated.
 //!
 //! # Example: a simulated, certified store run
+//!
+//! Two real clients on three simulated nodes, one of which crashes under
+//! them and recovers:
 //!
 //! ```
 //! use rmem_consistency::Criterion;
 //! use rmem_core::{Persistent, SharedMemory};
-//! use rmem_kv::workload::{generate, KvWorkloadSpec};
-//! use rmem_kv::history::certify_per_key;
-//! use rmem_sim::{ClusterConfig, Simulation};
+//! use rmem_kv::{certify_per_key_epoch_path, run_hosted, KvClient, OpRecorder, Script, ShardRouter};
+//! use rmem_sim::{ClusterConfig, PlannedEvent, Schedule, Simulation};
+//! use rmem_types::ProcessId;
 //!
-//! let run = generate(&KvWorkloadSpec { ops_per_client: 6, ..KvWorkloadSpec::default() });
-//! let mut sim = Simulation::new(
-//!     ClusterConfig::new(3),
-//!     SharedMemory::factory(Persistent::flavor()),
-//!     7,
-//! ).with_schedule(run.schedule.clone());
-//! for lp in &run.loops {
-//!     sim.add_closed_loop(lp.clone());
-//! }
-//! let report = sim.run();
-//! let cert = certify_per_key(&report.trace.to_history(), &run.key_map, Criterion::Persistent)
+//! let router = ShardRouter::new(4);
+//! let keys = router.covering_keys("key-");
+//! let recorder = OpRecorder::new();
+//! let schedule = Schedule::new()
+//!     .at(1_500, PlannedEvent::Crash(ProcessId(1)))
+//!     .at(4_000, PlannedEvent::Recover(ProcessId(1)));
+//! let memory = SharedMemory::factory(Persistent::flavor());
+//! let sim = Simulation::new(ClusterConfig::new(3), memory, 7).with_schedule(schedule);
+//! let report = run_hosted(sim, 7, |world| {
+//!     let client = |c: u8| {
+//!         let kv = KvClient::over(world.clone(), router).with_recorder(recorder.clone());
+//!         let keys = &keys;
+//!         Box::new(move || {
+//!             for (i, key) in keys.iter().enumerate() {
+//!                 kv.put(key, vec![c, i as u8]).expect("a minority crash fails no call");
+//!                 assert!(kv.get(key).expect("nor a read").is_some());
+//!             }
+//!         }) as Script
+//!     };
+//!     vec![client(0), client(1)]
+//! });
+//! assert_eq!(report.trace.crashes, 1);
+//! let names = keys.iter().map(String::as_str);
+//! let cert = certify_per_key_epoch_path(&recorder.history(), names, &[4], Criterion::Persistent)
 //!     .expect("the persistent store must be atomic per key");
-//! assert!(!cert.per_key.is_empty());
+//! assert_eq!(cert.per_key.len(), 4);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -66,10 +87,11 @@ pub mod epoch;
 pub mod exactly_once;
 pub mod health;
 pub mod history;
+pub mod host;
 mod lease;
 pub mod recorder;
 pub mod router;
-pub mod workload;
+pub mod seam;
 
 pub use chaos::{run_chaos, ChaosConfig, ChaosFailure, ChaosReport};
 pub use client::{GrowReport, HealthStats, KvClient, KvError, KvOpStats};
@@ -77,8 +99,9 @@ pub use epoch::{data_register, ShardMap, CONFIG_REGISTER};
 pub use exactly_once::{CrashPoint, Resolution};
 pub use health::{HealthMemory, NodeGate};
 pub use history::{
-    certify_per_key, certify_per_key_epoch_path, certify_per_key_epochs, check_store_exactly_once,
-    CertifyError, EpochTransition, KeyMap, KeyViolation, KvCertificate,
+    certify_per_key_epoch_path, check_store_exactly_once, CertifyError, KeyViolation, KvCertificate,
 };
+pub use host::{run_hosted, Script};
 pub use recorder::OpRecorder;
 pub use router::ShardRouter;
+pub use seam::World;

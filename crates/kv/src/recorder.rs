@@ -1,13 +1,15 @@
-//! Recording real-runtime store traffic as a checkable [`History`].
+//! Recording store traffic as a checkable [`History`].
 //!
-//! The simulator records histories natively; real-thread runs
-//! (`rmem-net`) do not. An [`OpRecorder`] closes that gap for the store
-//! layer: attach one to a [`KvClient`](crate::KvClient) and every register
+//! The simulator records register-level histories natively; real-thread
+//! runs (`rmem-net`) do not, and neither knows what a *store* operation
+//! is. An [`OpRecorder`] records at the client, on either runtime (real,
+//! or hosted in the simulator — [`crate::host`]): attach one to a
+//! [`KvClient`](crate::KvClient) and every register
 //! operation the client performs — data traffic, shard-map reads, barrier
 //! polls, migration copies and seals — is recorded as an
-//! invocation/reply pair, ready for the per-key certifiers (including the
-//! cross-epoch [`certify_per_key_epochs`](crate::certify_per_key_epochs),
-//! for which the migrator's own operations are part of the story).
+//! invocation/reply pair, ready for the per-key certifier
+//! ([`certify_per_key_epoch_path`](crate::certify_per_key_epoch_path), for
+//! which the migrator's own operations are part of the story).
 //!
 //! Each recording client must be its own history *process* (the model
 //! keeps processes sequential per register): [`OpRecorder::assign_pid`]

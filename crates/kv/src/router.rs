@@ -3,7 +3,7 @@
 //!
 //! Determinism is the load-bearing property: every client, every process,
 //! every incarnation after a crash, and every future run must route a key
-//! to the same [`RegisterId`] — within one epoch, no shard map is ever
+//! to the same shard — within one epoch, no shard map is ever
 //! exchanged over the network, the function *is* the map. The router
 //! therefore hashes with a fixed, platform-independent FNV-1a (not
 //! `std`'s `DefaultHasher`, whose output is unspecified across releases
@@ -19,8 +19,6 @@
 //! shards, everything else stays put. That is what lets the epoch layer
 //! ([`crate::epoch`]) migrate a handful of registers under a write
 //! barrier instead of reshuffling the whole store.
-
-use rmem_types::RegisterId;
 
 /// Stable 64-bit FNV-1a over the key bytes.
 ///
@@ -96,7 +94,8 @@ pub fn split_sources(old: u16, new: u16) -> std::collections::BTreeSet<u16> {
     sources
 }
 
-/// Routes keys to shards (= registers of a `SharedMemoryAutomaton`).
+/// Routes keys to shards (shard `i` lives at register `i + 1`, see
+/// [`crate::epoch::ShardMap::register_for`]).
 ///
 /// # Example
 ///
@@ -104,10 +103,10 @@ pub fn split_sources(old: u16, new: u16) -> std::collections::BTreeSet<u16> {
 /// use rmem_kv::ShardRouter;
 ///
 /// let router = ShardRouter::new(8);
-/// let reg = router.register_for("user:42");
+/// let shard = router.shard_of("user:42");
 /// // Same key, same shard — here, on every node, after every restart.
-/// assert_eq!(router.register_for("user:42"), reg);
-/// assert!(reg.0 < 8);
+/// assert_eq!(router.shard_of("user:42"), shard);
+/// assert!(shard < 8);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardRouter {
@@ -134,15 +133,6 @@ impl ShardRouter {
     /// addressing, see [`shard_at`]).
     pub fn shard_of(&self, key: &str) -> u16 {
         shard_at(stable_hash(key), self.shards)
-    }
-
-    /// The register hosting `key`'s shard.
-    ///
-    /// This is the *simulation* numbering (register = shard index). The
-    /// epoch layer offsets data registers by one to reserve register 0
-    /// for the shard map — see [`crate::epoch::ShardMap::register_for`].
-    pub fn register_for(&self, key: &str) -> RegisterId {
-        RegisterId(self.shard_of(key))
     }
 
     /// Deterministically derives one key per shard from the naming scheme
@@ -182,7 +172,7 @@ mod tests {
         let a = ShardRouter::new(16);
         let b = ShardRouter::new(16);
         for key in ["a", "user:1", "ключ", "🔑", ""] {
-            assert_eq!(a.register_for(key), b.register_for(key));
+            assert_eq!(a.shard_of(key), b.shard_of(key));
         }
     }
 

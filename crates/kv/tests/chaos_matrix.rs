@@ -9,13 +9,14 @@
 //! few seeds via `rmem-bench --chaos`); the full ≥ 12-seed sweep is the
 //! release-mode acceptance run.
 
-use std::collections::BTreeSet;
-
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use rmem_consistency::Criterion;
 use rmem_core::{Persistent, SharedMemory};
-use rmem_kv::history::certify_per_key;
-use rmem_kv::workload::{generate, KeyDist, KvWorkloadSpec};
-use rmem_kv::{run_chaos, ChaosConfig, ChaosReport, Resolution};
+use rmem_kv::{
+    certify_per_key_epoch_path, run_chaos, run_hosted, ChaosConfig, ChaosReport, KvClient,
+    OpRecorder, Resolution, Script, ShardRouter,
+};
 use rmem_sim::{ChaosPlan, ClusterConfig, MatrixSpec, Simulation};
 
 fn run_seed(seed: u64) -> ChaosReport {
@@ -89,24 +90,15 @@ fn sweep_chaos_matrix() {
 
 /// The sim-scale arm of the matrix: the same seeded plan generator
 /// drives the discrete-event simulator at 100 processes — far past what
-/// real threads afford — and the runs stay certified per key.
+/// real threads afford — under 100 **real clients**, hosted
+/// (`rmem_kv::host`): routing, map sync, `Busy` backoff and failover are
+/// the shipped code, in virtual time, from a seed. Every call completes
+/// and the runs stay certified per key.
 #[test]
 fn des_scale_hundred_processes_certified() {
+    const SHARDS: u16 = 16;
     for seed in [3u64, 17] {
         let processes = 100usize;
-        let spec = KvWorkloadSpec {
-            shards: 16,
-            clients: processes,
-            ops_per_client: 2,
-            write_fraction: 0.6,
-            // Uniform, not Zipf: certification cost grows with the number
-            // of concurrent ops piled on one register, and 100 clients on
-            // a Zipf-hot register push the checker's search past reason.
-            distribution: KeyDist::Uniform,
-            seed,
-            ..KvWorkloadSpec::default()
-        };
-        let kv_run = generate(&spec);
         let plan = ChaosPlan::generate(&MatrixSpec {
             seed,
             processes,
@@ -116,31 +108,46 @@ fn des_scale_hundred_processes_certified() {
             horizon: rmem_types::Micros(40_000),
             ..MatrixSpec::default()
         });
-        // Merge the plan's crash/recover windows into the workload's own
-        // schedule: combined faults at a scale only virtual time affords.
-        let mut schedule = kv_run.schedule.clone();
-        let mut crashed = BTreeSet::new();
-        for (at, event) in plan.schedule().entries() {
-            schedule = schedule.at(at.as_micros(), event.clone());
-            if let rmem_sim::PlannedEvent::Crash(pid) = event {
-                crashed.insert(*pid);
-            }
-        }
-        assert!(crashed.len() >= 6, "the plan must crash a spread of nodes");
-        let mut sim = Simulation::new(
+        let router = ShardRouter::new(SHARDS);
+        let keys = router.covering_keys("key-");
+        let recorder = OpRecorder::new();
+        let sim = Simulation::new(
             ClusterConfig::new(processes),
             SharedMemory::factory(Persistent::flavor()),
             seed,
         )
-        .with_schedule(schedule);
-        for lp in &kv_run.loops {
-            sim.add_closed_loop(lp.clone());
-        }
-        let report = sim.run();
-        assert!(report.quiescent, "seed {seed}: the run must drain");
+        .with_schedule(plan.schedule());
+        let report = run_hosted(sim, seed, |world| {
+            let client = |c: usize| {
+                let kv = KvClient::over(world.clone(), router).with_recorder(recorder.clone());
+                let keys = &keys;
+                Box::new(move || {
+                    let mut rng = StdRng::seed_from_u64(seed * 1_000 + c as u64);
+                    for op in 0..2u64 {
+                        // Uniform, not Zipf: certification cost grows with
+                        // the number of concurrent ops piled on one
+                        // register, and 100 clients on a Zipf-hot register
+                        // push the checker's search past reason.
+                        let key = &keys[rng.gen_range(0..keys.len())];
+                        let outcome = match rng.gen_bool(0.6) {
+                            true => kv.put(key, ((c as u64) << 32 | op).to_be_bytes().to_vec()),
+                            false => kv.get(key).map(|_| ()),
+                        };
+                        // The plan is majority-safe: every call fails over
+                        // to a live node and completes.
+                        outcome.unwrap_or_else(|e| panic!("seed {seed}, client {c}: {e}"));
+                    }
+                }) as Script
+            };
+            (0..processes).map(client).collect()
+        });
         assert!(report.trace.crashes >= 6, "the windows must have fired");
-        let h = report.trace.to_history();
-        certify_per_key(&h, &kv_run.key_map, Criterion::Persistent)
-            .unwrap_or_else(|e| panic!("seed {seed}: 100-process run failed certification: {e}"));
+        certify_per_key_epoch_path(
+            &recorder.history(),
+            keys.iter().map(String::as_str),
+            &[SHARDS],
+            Criterion::Persistent,
+        )
+        .unwrap_or_else(|e| panic!("seed {seed}: 100-process run failed certification: {e}"));
     }
 }

@@ -444,7 +444,7 @@ fn a_call_every_node_fails_records_one_crash() {
     // A composite write of two keys fails the same way.
     let twin = (0..)
         .map(|n| format!("twin-{n}"))
-        .find(|key| router.register_for(key) == router.register_for(k[5]))
+        .find(|key| router.shard_of(key) == router.shard_of(k[5]))
         .unwrap();
     let puts = [(k[4], value(4)), (k[5], value(5)), (&twin, value(6))];
     failed(kv.multi_put(&puts), 3, 6);

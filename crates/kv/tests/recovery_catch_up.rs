@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use rmem_consistency::Criterion;
 use rmem_core::{Persistent, SharedMemory, Transient};
-use rmem_kv::{certify_per_key_epoch_path, KvClient, OpRecorder, ShardRouter};
+use rmem_kv::{certify_per_key_epoch_path, KvClient, OpRecorder, ShardMap, ShardRouter};
 use rmem_net::{DiskMode, LocalCluster};
 use rmem_types::ProcessId;
 
@@ -54,7 +54,7 @@ fn stale_restart_reads_back_fast(mut cluster: LocalCluster, criterion: Criterion
 
     cluster.restart(VICTIM).unwrap();
     // Its own read queues behind that register's catch-up …
-    let probe = router.register_for(&keys[0]);
+    let probe = ShardMap::genesis(SHARDS).register_for(&keys[0]);
     cluster.client(VICTIM).read_at(probe).expect("served");
     // … and the runner's one sample per incarnation says when the last
     // register turned ready (the restart is this node's only recovery).

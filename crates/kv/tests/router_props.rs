@@ -5,9 +5,8 @@
 
 use proptest::prelude::*;
 use rmem_consistency::Criterion;
-use rmem_kv::history::{certify_per_key, KeyMap};
 use rmem_kv::router::split_sources;
-use rmem_kv::{codec, ShardMap, ShardRouter};
+use rmem_kv::{certify_per_key_epoch_path, codec, ShardMap, ShardRouter};
 use rmem_types::{Op, OpResult, ProcessId};
 
 fn arb_key() -> impl Strategy<Value = String> {
@@ -29,8 +28,8 @@ proptest! {
         let after_restart = ShardRouter::new(shards);
         for key in &keys {
             prop_assert_eq!(
-                before_restart.register_for(key),
-                after_restart.register_for(key),
+                before_restart.shard_of(key),
+                after_restart.shard_of(key),
                 "key {:?} moved across restarts", key
             );
         }
@@ -158,14 +157,13 @@ proptest! {
     ) {
         let router = ShardRouter::new(shards);
         let keys = router.covering_keys("key-");
-        let map = KeyMap::new(&router, keys.iter().map(String::as_str));
-        prop_assert!(map.is_injective());
+        let map = ShardMap::genesis(shards);
 
         let mut h = rmem_consistency::History::new();
         let mut latest: Vec<Option<u32>> = vec![None; keys.len()];
         for (pid, is_write, key_index, v) in steps {
             let key = &keys[key_index % keys.len()];
-            let reg = router.register_for(key);
+            let reg = map.register_for(key);
             let latest = &mut latest[key_index % keys.len()];
             if is_write {
                 let payload = codec::encode_entry(key, &bytes::Bytes::from(v.to_be_bytes().to_vec()), 0);
@@ -184,9 +182,10 @@ proptest! {
             }
         }
 
-        let persistent = certify_per_key(&h, &map, Criterion::Persistent);
+        let names = || keys.iter().map(String::as_str);
+        let persistent = certify_per_key_epoch_path(&h, names(), &[shards], Criterion::Persistent);
         prop_assert!(persistent.is_ok(), "persistent: {:?}", persistent.err());
-        let transient = certify_per_key(&h, &map, Criterion::Transient);
+        let transient = certify_per_key_epoch_path(&h, names(), &[shards], Criterion::Transient);
         prop_assert!(transient.is_ok(), "transient: {:?}", transient.err());
     }
 }

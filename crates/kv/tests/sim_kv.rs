@@ -1,135 +1,723 @@
-//! End-to-end: simulated store runs — skewed traffic, crashes and
-//! recoveries — certified atomic per key.
+//! End to end in virtual time: **real** store clients hosted in the
+//! simulator (`rmem_kv::host`) — skewed traffic, `multi_*` calls, node
+//! crashes and recoveries, a live split — certified atomic per key from
+//! the history the clients' own recorder kept. Everything here is a
+//! function of its seed: a failure names the seed and replays.
 
-use rmem_consistency::Criterion;
-use rmem_core::{Persistent, SharedMemory, Transient};
-use rmem_kv::history::certify_per_key;
-use rmem_kv::workload::{generate, KeyDist, KvWorkloadSpec};
-use rmem_sim::{ClusterConfig, SimReport, Simulation};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
-fn run(
-    spec: &KvWorkloadSpec,
-    flavor: rmem_core::Flavor,
-    seed: u64,
-) -> (SimReport, rmem_kv::KeyMap) {
-    let kv_run = generate(spec);
-    let mut sim = Simulation::new(
-        ClusterConfig::new(spec.clients),
+use bytes::Bytes;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use rmem_consistency::{check_freshness, Criterion, Event, FreshnessKind, FreshnessOp, History};
+use rmem_core::{Flavor, Persistent, SharedMemory, Transient};
+use rmem_kv::{
+    certify_per_key_epoch_path, check_store_exactly_once, run_hosted, KvClient, KvError, KvOpStats,
+    OpRecorder, Resolution, Script, ShardRouter, World,
+};
+use rmem_sim::{ClusterConfig, KeyDistribution, PlannedEvent, Schedule, SimReport, Simulation};
+use rmem_storage::{IntentJournal, MemStorage};
+use rmem_types::{Op, OpKind, OpResult, ProcessId};
+
+const NODES: usize = 3;
+
+/// Sleeps `micros` of virtual time: a wait on no ticket.
+fn pause(world: &dyn World, micros: u64) {
+    world.wait_any(&[], world.now() + Duration::from_micros(micros));
+}
+
+/// `at` µs: crash `node`; `down` µs later: recover it.
+fn outage(at: u64, node: u16, down: u64) -> Schedule {
+    Schedule::new()
+        .at(at, PlannedEvent::Crash(ProcessId(node)))
+        .at(at + down, PlannedEvent::Recover(ProcessId(node)))
+}
+
+fn sim(flavor: Flavor, seed: u64, schedule: Schedule) -> Simulation {
+    Simulation::new(
+        ClusterConfig::new(NODES),
         SharedMemory::factory(flavor),
         seed,
     )
-    .with_schedule(kv_run.schedule.clone());
-    for lp in &kv_run.loops {
-        sim.add_closed_loop(lp.clone());
-    }
-    (sim.run(), kv_run.key_map)
+    .with_schedule(schedule)
 }
 
-/// The acceptance run: ≥ 8 shards, ≥ 3 clients, a crash and a recovery
-/// mid-traffic, certified atomic per key by the checker.
-#[test]
-fn crashy_store_run_is_certified_atomic_per_key() {
-    let spec = KvWorkloadSpec {
-        shards: 8,
-        clients: 3,
-        ops_per_client: 25,
-        write_fraction: 0.5,
-        distribution: KeyDist::Zipf(0.99),
-        crashes: vec![(8_000, 1, 4_000)],
-        ..KvWorkloadSpec::default()
-    };
-    let (report, key_map) = run(&spec, Persistent::flavor(), 11);
-    assert!(report.trace.crashes >= 1, "the crash must have happened");
-    assert!(
-        report.trace.recoveries >= 1,
-        "the recovery must have happened"
-    );
-    let h = report.trace.to_history();
-    let cert = certify_per_key(&h, &key_map, Criterion::Persistent)
-        .expect("persistent store run must certify per key");
-    assert!(!cert.per_key.is_empty(), "traffic must have touched keys");
+/// A value no other write of the run carries: what gives the atomicity
+/// checkers discriminating power.
+fn unique(client: u64, counter: u64) -> Bytes {
+    Bytes::from(((client + 1) << 32 | counter).to_be_bytes().to_vec())
 }
 
-/// The transient flavor certifies under its own (weaker) criterion.
-#[test]
-fn transient_store_run_is_certified_transient_per_key() {
-    let spec = KvWorkloadSpec {
-        shards: 8,
-        ..KvWorkloadSpec::default()
-    };
-    let (report, key_map) = run(&spec, Transient::flavor(), 5);
-    let h = report.trace.to_history();
-    certify_per_key(&h, &key_map, Criterion::Transient)
-        .expect("transient store run must certify per key");
+fn certify(history: &History, keys: &[String], path: &[u16], criterion: Criterion, what: &str) {
+    let names = keys.iter().map(String::as_str);
+    let cert = certify_per_key_epoch_path(history, names, path, criterion)
+        .unwrap_or_else(|e| panic!("{what}: certification failed: {e}"));
+    assert!(!cert.per_key.is_empty(), "{what}: traffic must touch keys");
 }
 
-/// Uniform and Zipf workloads both complete all their operations under a
-/// crash-free run (closed loops terminate).
-#[test]
-fn workload_operations_all_terminate() {
-    for dist in [KeyDist::Uniform, KeyDist::Zipf(0.99)] {
-        let spec = KvWorkloadSpec {
-            shards: 12,
-            clients: 4,
-            ops_per_client: 15,
-            distribution: dist,
-            ..KvWorkloadSpec::default()
-        };
-        let (report, _) = run(&spec, Persistent::flavor(), 3);
-        let completed = report
-            .trace
-            .operations()
-            .iter()
-            .filter(|o| o.is_completed())
-            .count();
-        assert_eq!(completed, 4 * 15, "{dist:?}: all operations must complete");
-    }
+/// A hosted traffic run: `clients` independent client families on
+/// [`NODES`] simulated nodes, each making `calls` calls of `batch` store
+/// operations (half puts; `batch` 1 is `get`/`put`, more is `multi_get` +
+/// `multi_put`) over one key per shard, 200 µs of think time apart.
+struct Load {
+    flavor: Flavor,
+    seed: u64,
+    clients: u64,
+    shards: u16,
+    calls: usize,
+    batch: usize,
+    zipf: f64,
+    schedule: Schedule,
 }
 
-/// Batched runs (per-shard coalesced rounds, the `KvClient::multi_*`
-/// model) stay certified per key — the per-key checker is the
-/// correctness oracle of coalescing — including through a crash.
-#[test]
-fn batched_store_run_is_certified_atomic_per_key() {
-    let spec = KvWorkloadSpec {
-        shards: 8,
-        clients: 3,
-        ops_per_client: 32,
-        batch: 8,
-        distribution: KeyDist::Zipf(0.99),
-        crashes: vec![(8_000, 1, 4_000)],
-        ..KvWorkloadSpec::default()
-    };
-    let kv_run = generate(&spec);
-    assert!(
-        kv_run.register_ops < kv_run.logical_ops,
-        "the batched run must actually coalesce"
-    );
-    let (report, key_map) = run(&spec, Persistent::flavor(), 11);
-    let h = report.trace.to_history();
-    let cert = certify_per_key(&h, &key_map, Criterion::Persistent)
-        .expect("batched persistent store run must certify per key");
-    assert!(!cert.per_key.is_empty());
+struct Run {
+    report: SimReport,
+    history: History,
+    stats: Vec<KvOpStats>,
+    keys: Vec<String>,
 }
 
-/// Several seeds, several crash points: the certificate holds across the
-/// space (a cheap randomized sweep on top of the scripted acceptance run).
-#[test]
-fn certification_holds_across_seeds_and_crash_points() {
-    for (seed, crash_at) in [(1u64, 5_000u64), (2, 9_000), (3, 14_000)] {
-        let spec = KvWorkloadSpec {
-            shards: 8,
-            clients: 3,
-            ops_per_client: 12,
-            distribution: KeyDist::Zipf(0.8),
-            crashes: vec![(crash_at, (seed % 3) as u16, 3_000)],
+impl Load {
+    fn new(flavor: Flavor, seed: u64) -> Load {
+        Load {
+            flavor,
             seed,
-            ..KvWorkloadSpec::default()
-        };
-        let (report, key_map) = run(&spec, Persistent::flavor(), seed);
-        let h = report.trace.to_history();
-        certify_per_key(&h, &key_map, Criterion::Persistent).unwrap_or_else(|e| {
-            panic!("seed {seed}, crash at {crash_at}: {e}");
+            clients: 5,
+            shards: 8,
+            calls: 24,
+            batch: 1,
+            zipf: 0.99,
+            schedule: Schedule::new(),
+        }
+    }
+
+    fn run(&self) -> Run {
+        let router = ShardRouter::new(self.shards);
+        let keys = router.covering_keys("key-");
+        let recorder = OpRecorder::new();
+        let mut families = Vec::new();
+        let sim = sim(self.flavor, self.seed, self.schedule.clone());
+        let report = run_hosted(sim, self.seed, |world| {
+            for _ in 0..self.clients {
+                let kv = KvClient::over(world.clone(), router);
+                families.push(kv.with_recorder(recorder.clone()));
+            }
+            let script = |(client, kv): (u64, &KvClient)| {
+                let (kv, world, keys) = (kv.clone(), world.clone(), &keys);
+                Box::new(move || self.traffic(&kv, &*world, keys, client)) as Script
+            };
+            (0..).zip(&families).map(script).collect()
         });
+        Run {
+            report,
+            history: recorder.history(),
+            stats: families.iter().map(KvClient::stats).collect(),
+            keys,
+        }
+    }
+
+    fn traffic(&self, kv: &KvClient, world: &dyn World, keys: &[String], client: u64) {
+        let mut rng = StdRng::seed_from_u64(self.seed * 31 + client);
+        let dist = KeyDistribution::zipf(keys.len(), self.zipf);
+        let mut counter = 0;
+        for _ in 0..self.calls {
+            let (mut gets, mut puts) = (Vec::new(), Vec::new());
+            for _ in 0..self.batch {
+                let key = keys[dist.sample(&mut rng)].as_str();
+                if rng.gen_bool(0.5) {
+                    counter += 1;
+                    puts.push((key, unique(client, counter)));
+                } else {
+                    gets.push(key);
+                }
+            }
+            let outcome = match (self.batch, &gets[..], &puts[..]) {
+                (1, [key], _) => kv.get(key).map(|_| ()),
+                (1, _, [(key, value)]) => kv.put(key, value.clone()),
+                _ => (kv.multi_get(&gets).map(|_| ())).and_then(|()| kv.multi_put(&puts)),
+            };
+            // A minority outage never fails a call: it fails over.
+            outcome.unwrap_or_else(|e| panic!("seed {}, client {client}: {e}", self.seed));
+            pause(world, 200);
+        }
+    }
+}
+
+/// How many store operations `history` records as answered.
+fn answered(history: &History) -> usize {
+    let definite = |e: &&Event| matches!(e, Event::Reply { result, .. } if result.is_completed());
+    history.events().iter().filter(definite).count()
+}
+
+/// The acceptance runs: ≥ 8 shards, 5 clients, `get`/`put` and `multi_*`
+/// calls, crash-free and with a node crashing and recovering mid-traffic
+/// at several points — certified atomic per key, each flavor under its own
+/// criterion.
+#[test]
+fn store_runs_certify_per_key_with_and_without_a_crash() {
+    for (flavor, criterion) in [
+        (Persistent::flavor(), Criterion::Persistent),
+        (Transient::flavor(), Criterion::Transient),
+    ] {
+        for (seed, crash) in [
+            (5, None),
+            (11, Some((8_000, 1, 4_000))),
+            (1, Some((5_000, 1, 3_000))),
+            (2, Some((9_000, 2, 3_000))),
+            (3, Some((14_000, 0, 3_000))),
+        ] {
+            for (batch, calls) in [(1, 24), (8, 4)] {
+                let what = format!("{} seed {seed} crash {crash:?} batch {batch}", flavor.name);
+                let run = Load {
+                    batch,
+                    calls,
+                    schedule: crash
+                        .map_or_else(Schedule::new, |(at, node, down)| outage(at, node, down)),
+                    ..Load::new(flavor, seed)
+                }
+                .run();
+                if crash.is_some() {
+                    assert_eq!(run.report.trace.crashes, 1, "{what}: the crash happened");
+                    assert_eq!(run.report.trace.recoveries, 1, "{what}: and the recovery");
+                }
+                certify(&run.history, &run.keys, &[8], criterion, &what);
+                if batch == 1 {
+                    assert_eq!(answered(&run.history), 5 * 24, "{what}: one op per call");
+                }
+                assert!(run.history.pending_ops().is_empty(), "{what}");
+                assert_eq!(
+                    run.history.crash_count(),
+                    0,
+                    "{what}: failover, no crash record"
+                );
+            }
+        }
+    }
+}
+
+/// Uniform and Zipf traffic both complete every call of a crash-free run
+/// (the `Busy` rejections of clients racing a register are retried, never
+/// surfaced), and the retries are counted.
+#[test]
+fn every_call_of_a_crash_free_run_completes() {
+    for zipf in [0.0, 0.99] {
+        let run = Load {
+            clients: 4,
+            shards: 12,
+            calls: 15,
+            zipf,
+            ..Load::new(Persistent::flavor(), 3)
+        }
+        .run();
+        assert_eq!(answered(&run.history), 4 * 15, "zipf {zipf}");
+        // Four map syncs beside the sixty operations — and nothing else.
+        let served = run.report.trace.operations();
+        assert_eq!(served.iter().filter(|o| o.is_completed()).count(), 64);
+        let retries: u64 = run.stats.iter().map(|s| s.retries).sum();
+        assert_eq!(
+            retries, run.report.trace.invokes_dropped,
+            "all of them `Busy`"
+        );
+    }
+}
+
+/// What `multi_*` costs, read off the simulator's own trace: a call is one
+/// register operation per register it touches — its keys on one register
+/// share one read round, its entries one composite write — however many
+/// inputs it has. Sixteen inputs over four registers, written and read
+/// back: 4 + 4 register operations, and the map sync.
+#[test]
+fn a_multi_key_call_is_one_register_operation_per_register() {
+    let router = ShardRouter::new(4);
+    let keys: Vec<String> = (0..16).map(|i| format!("k-{i}")).collect();
+    let registers: std::collections::BTreeSet<u16> =
+        keys.iter().map(|k| router.shard_of(k) + 1).collect();
+    assert_eq!(registers.len(), 4, "sixteen keys cover four shards");
+    let entries: Vec<(&str, Bytes)> = (0..)
+        .zip(&keys)
+        .map(|(i, k)| (&**k, unique(0, i)))
+        .collect();
+    let report = run_hosted(sim(Transient::flavor(), 9, Schedule::new()), 9, |world| {
+        let kv = KvClient::over(world, router);
+        let (keys, entries) = (&keys, &entries);
+        vec![Box::new(move || {
+            kv.multi_put(entries).unwrap();
+            let got = kv.multi_get(keys).unwrap();
+            let wrote = entries.iter().map(|(_, v)| Some(v.clone()));
+            assert_eq!(got, wrote.collect::<Vec<_>>());
+            let stats = kv.stats();
+            assert_eq!((stats.writes, stats.reads, stats.retries), (4, 4, 0));
+        }) as Script]
+    });
+    let served = report.trace.operations();
+    assert!(served.iter().all(|o| o.is_completed()));
+    let on = |kind: OpKind| {
+        let of_kind = served.iter().filter(move |o| o.kind == kind);
+        of_kind
+            .map(|o| o.operation.register().0)
+            .collect::<Vec<_>>()
+    };
+    let data: Vec<u16> = registers.into_iter().collect();
+    assert_eq!(on(OpKind::Write), data, "one composite write per register");
+    assert_eq!(on(OpKind::Read)[0], 0, "the map sync");
+    assert_eq!(on(OpKind::Read)[1..], data, "one read round per register");
+    assert_eq!(served.len(), 9);
+    let rounds = report.trace.rounds(OpKind::Read);
+    assert_eq!(rounds, [1; 5], "each a single round on the fast path");
+}
+
+/// Seed-reproducible: the same seed twice gives the same recorded history
+/// event for event, the same simulator counters and the same client
+/// statistics — with five clients, `multi_*` calls and a node crash in the
+/// run; another seed gives another run. A scheduling leak (two hosted
+/// threads racing, a wall-clock read, an unseeded draw) shows here as a
+/// flake long before it shows as a wrong verdict, so CI loops this test.
+#[test]
+fn a_hosted_run_is_a_function_of_its_seed() {
+    let run = |seed| {
+        let run = Load {
+            batch: 4,
+            calls: 6,
+            schedule: outage(4_000, 1, 3_000),
+            ..Load::new(Persistent::flavor(), seed)
+        }
+        .run();
+        assert_eq!(run.report.trace.crashes, 1);
+        certify(
+            &run.history,
+            &run.keys,
+            &[8],
+            Criterion::Persistent,
+            "determinism",
+        );
+        (
+            run.history,
+            run.report.events_processed,
+            run.report.final_time,
+            run.stats,
+        )
+    };
+    let (first, again, other) = (run(42), run(42), run(43));
+    assert_eq!(first.1, again.1, "events processed");
+    assert_eq!(first.2, again.2, "final time");
+    assert_eq!(first.3, again.3, "client statistics");
+    assert!(
+        first.3.iter().any(|s| s.retries > 0),
+        "contention is part of it"
+    );
+    assert!(first.0 == again.0, "the recorded histories differ");
+    assert!(
+        first.0 != other.0 && first.1 != other.1,
+        "another seed, another run"
+    );
+}
+
+/// A live 4 → 8 `grow` under traffic and a minority crash, hosted: three
+/// clones of one client family (they share the grower's map cache — see
+/// ROADMAP defect (f) for why not independent families) run Zipf `get`/
+/// `put` traffic while the operator's clone preloads, then splits;
+/// one node is down for a window overlapping the split. Certified across
+/// epochs, the split committed, every barrier wait bounded.
+fn grow_under_traffic(seed: u64) -> KvOpStats {
+    let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9));
+    let victim = rng.gen_range(0..NODES as u16);
+    let kill_at = rng.gen_range(5_000..35_000);
+    let down_for = rng.gen_range(5_000..20_000);
+    let grow_at = rng.gen_range(10_000..25_000);
+    let keys = ShardRouter::new(4).covering_keys("rk-");
+    let recorder = OpRecorder::new();
+    let mut family = None;
+    let sim = sim(Transient::flavor(), seed, outage(kill_at, victim, down_for));
+    run_hosted(sim, seed, |world| {
+        let kv = KvClient::over(world.clone(), ShardRouter::new(4))
+            .with_barrier_polls(4_096)
+            .with_recorder(recorder.clone());
+        let family = family.insert(kv);
+        let keys = &keys;
+        let operator = {
+            let (kv, world) = (family.recorded_clone(), world.clone());
+            Box::new(move || {
+                for (i, key) in keys.iter().enumerate() {
+                    kv.put(key, vec![0, i as u8]).unwrap();
+                }
+                pause(&*world, grow_at);
+                let report = kv.grow(8).unwrap();
+                assert_eq!((report.epoch, report.to_shards), (1, 8), "seed {seed}");
+            }) as Script
+        };
+        let traffic = |t: u64| {
+            let (kv, world) = (family.recorded_clone(), world.clone());
+            let mut rng = StdRng::seed_from_u64(seed * 31 + t);
+            Box::new(move || {
+                let dist = KeyDistribution::zipf(keys.len(), 0.99);
+                pause(&*world, 3_000);
+                for counter in 0..50 {
+                    let key = &keys[dist.sample(&mut rng)];
+                    let outcome = match rng.gen_bool(0.5) {
+                        true => kv.put(key, unique(t, counter)),
+                        false => kv.get(key).map(|_| ()),
+                    };
+                    // The bounded-wait assertion: a barrier that never
+                    // cleared would surface here — as would anything else;
+                    // a minority outage fails no call.
+                    if let Err(e) = outcome {
+                        let stuck = matches!(e, KvError::Barrier { .. });
+                        panic!("seed {seed}: {e} (barrier deadlock: {stuck})");
+                    }
+                    pause(&*world, rng.gen_range(0..300));
+                }
+            }) as Script
+        };
+        std::iter::once(operator)
+            .chain((0..3).map(traffic))
+            .collect()
+    });
+    let family = family.expect("set up");
+    let map = family.shard_map();
+    assert!(!map.is_migrating(), "seed {seed}: the split must commit");
+    assert_eq!((map.shards, map.epoch), (8, 1), "seed {seed}");
+    let what = format!("grow seed {seed}");
+    certify(
+        &recorder.history(),
+        &keys,
+        &[4, 8],
+        Criterion::Transient,
+        &what,
+    );
+    family.stats()
+}
+
+#[test]
+fn a_live_split_under_hosted_traffic_and_a_crash_certifies_across_epochs() {
+    let (mut waits, mut polls) = (0, 0);
+    for seed in 1..=16 {
+        let stats = grow_under_traffic(seed);
+        waits += stats.barrier_waits;
+        polls += stats.barrier_polls;
+    }
+    // Bounded wait, quantified: barriered writers clear in a handful of
+    // polls, nowhere near the failure cap (which no run above hit).
+    assert!(waits > 0, "some writer must have met the barrier");
+    let mean = polls as f64 / waits as f64;
+    assert!(
+        mean < 64.0,
+        "barriered writers poll a few times, got {mean:.1}"
+    );
+}
+
+/// ROADMAP defect (f), as the host's first sweep over **independently
+/// constructed** families found it: three traffic families and a grower
+/// that share no map cache. A family that only ever *wrote* a moved key
+/// since the split committed never reads a foreign stamp, keeps writing
+/// the key's old home over the seal, and its acknowledged puts are lost to
+/// everyone else. Asserts the correct behaviour; un-ignore with the fix
+/// (and see `reshard_races` for the four-call real-runtime case).
+#[test]
+#[ignore = "ROADMAP defect (f)"]
+fn independent_families_certify_across_another_familys_split() {
+    // Of the first eight seeds, 2 and 7 lose an update on `key-1`.
+    (1..=8).for_each(independent_families);
+}
+
+fn independent_families(seed: u64) {
+    let keys = ShardRouter::new(4).covering_keys("key-");
+    let recorder = OpRecorder::new();
+    run_hosted(
+        sim(Transient::flavor(), seed, Schedule::new()),
+        seed,
+        |world| {
+            let family = || {
+                KvClient::over(world.clone(), ShardRouter::new(4)).with_recorder(recorder.clone())
+            };
+            let keys = &keys;
+            let grower = {
+                let (kv, world) = (family(), world.clone());
+                Box::new(move || {
+                    pause(&*world, 4_000);
+                    kv.grow(8).unwrap();
+                }) as Script
+            };
+            let traffic = |t: u64| {
+                let (kv, world) = (family(), world.clone());
+                let mut rng = StdRng::seed_from_u64(seed * 31 + t);
+                Box::new(move || {
+                    let dist = KeyDistribution::zipf(keys.len(), 0.99);
+                    for counter in 0..30 {
+                        let key = &keys[dist.sample(&mut rng)];
+                        match rng.gen_bool(0.5) {
+                            true => kv.put(key, unique(t, counter)).unwrap(),
+                            false => drop(kv.get(key).unwrap()),
+                        }
+                        pause(&*world, rng.gen_range(0..300));
+                    }
+                }) as Script
+            };
+            std::iter::once(grower).chain((0..3).map(traffic)).collect()
+        },
+    );
+    let what = format!("independent families, seed {seed}");
+    certify(
+        &recorder.history(),
+        &keys,
+        &[4, 8],
+        Criterion::Transient,
+        &what,
+    );
+}
+
+/// A node crash in the middle of a `multi_put` fails the operations it
+/// held over to the next node **under the invocations they already
+/// carry**: the recorded history shows one invocation and one reply per
+/// register, no crash record, nothing pending — while the simulator's
+/// trace shows the two attempts the dead node took with it.
+#[test]
+fn a_node_crash_mid_multi_put_fails_over_under_the_same_invocation() {
+    let router = ShardRouter::new(4);
+    let keys = router.covering_keys("fo-");
+    let recorder = OpRecorder::new();
+    // The call goes out at 5 000 µs; a persistent write takes ≈ 800.
+    let schedule = outage(5_100, 1, 4_000);
+    let mut family = None;
+    let report = run_hosted(sim(Persistent::flavor(), 6, schedule), 6, |world| {
+        let kv = KvClient::over(world.clone(), router).with_recorder(recorder.clone());
+        let (kv, keys) = (family.insert(kv).clone(), &keys);
+        vec![Box::new(move || {
+            kv.sync_map().unwrap();
+            pause(&*world, 5_000 - world.now().as_micros() as u64);
+            let entries: Vec<(&str, Bytes)> = (0..)
+                .zip(keys)
+                .map(|(i, k)| (k.as_str(), unique(0, i)))
+                .collect();
+            kv.multi_put(&entries).unwrap();
+            // Registers 1 and 4 are homed on the node that died.
+            assert_eq!(kv.health_stats().marks, 2);
+        }) as Script]
+    });
+    let history = recorder.history();
+    assert_eq!(history.crash_count(), 0, "a failover is not a crash");
+    assert!(history.pending_ops().is_empty());
+    assert_eq!(
+        history.events().len(),
+        8,
+        "one invocation, one reply per register"
+    );
+    assert_eq!(answered(&history), 4);
+    assert_eq!(family.expect("set up").stats().retries, 2);
+    let writes = report
+        .trace
+        .operations()
+        .iter()
+        .filter(|o| o.kind == OpKind::Write);
+    let (done, lost): (Vec<_>, Vec<_>) = writes.partition(|o| o.is_completed());
+    assert_eq!(
+        (done.len(), lost.len()),
+        (4, 2),
+        "two attempts died with node 1"
+    );
+    assert!(lost.iter().all(|o| o.op.pid == ProcessId(1)));
+    certify(&history, &keys, &[4], Criterion::Persistent, "failover");
+}
+
+/// With the read fast path off the figures run verbatim: every read the
+/// clients make pays its write-back round — two rounds, every time — and
+/// the run certifies all the same.
+#[test]
+fn without_the_fast_path_every_read_is_two_rounds() {
+    let flavor = Persistent::flavor().with_read_fast_path(false);
+    let run = Load::new(flavor, 8).run();
+    certify(
+        &run.history,
+        &run.keys,
+        &[8],
+        Criterion::Persistent,
+        "legacy reads",
+    );
+    let rounds = run.report.trace.rounds(OpKind::Read);
+    assert!(
+        rounds.len() > 40 && rounds.iter().all(|&r| r == 2),
+        "{rounds:?}"
+    );
+    for stats in &run.stats {
+        assert_eq!(stats.read_rounds, 2 * stats.reads);
+        assert_eq!(stats.fast_reads, 0);
+    }
+}
+
+/// Tag leases, hosted: a writer installing monotone versions races two
+/// reader families serving hot keys from their lease caches — zero
+/// datagrams, so the reads most able to go stale. Every run certifies per
+/// key, and every leased read (the family's `lease_hits` moved across the
+/// `get`) is policed by the freshness oracle on the one virtual clock: **a
+/// leased read never returns a value older than any value returned after
+/// a completed write** — as `rmem-consistency`'s `lease_races` polices the
+/// register-level lease.
+#[test]
+fn leased_reads_of_hosted_clients_are_never_stale() {
+    const LEASE_MICROS: u64 = 1_500;
+    let version =
+        |bytes: Option<&[u8]>| bytes.map_or(0, |b| u64::from_be_bytes(b.try_into().unwrap()));
+    let (mut leased, mut quorum) = (0, 0);
+    for seed in 1..=12u64 {
+        let keys = ShardRouter::new(4).covering_keys("lk-");
+        let recorder = OpRecorder::new();
+        // (key index, op) from every client, on the run's one clock.
+        let log = Mutex::new(Vec::<(usize, FreshnessOp)>::new());
+        let flavor = Persistent::flavor().with_lease(LEASE_MICROS);
+        run_hosted(sim(flavor, seed, Schedule::new()), seed, |world| {
+            let client = || {
+                KvClient::over(world.clone(), ShardRouter::new(4)).with_recorder(recorder.clone())
+            };
+            let (keys, log) = (&keys, &log);
+            let now = |world: &Arc<dyn World>| world.now().as_micros() as u64;
+            let writer = {
+                let (kv, world) = (client(), world.clone());
+                let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9));
+                Box::new(move || {
+                    let dist = KeyDistribution::zipf(keys.len(), 0.99);
+                    let mut versions = vec![0u64; keys.len()];
+                    for _ in 0..24 {
+                        let k = dist.sample(&mut rng);
+                        versions[k] += 1;
+                        let invoked_at = now(&world);
+                        kv.put(&keys[k], versions[k].to_be_bytes().to_vec())
+                            .unwrap();
+                        let kind = FreshnessKind::Write {
+                            version: versions[k],
+                        };
+                        let op = FreshnessOp {
+                            invoked_at,
+                            completed_at: now(&world),
+                            kind,
+                        };
+                        log.lock().unwrap().push((k, op));
+                        pause(&*world, rng.gen_range(0..150));
+                    }
+                }) as Script
+            };
+            let reader = |family: u64| {
+                let (kv, world) = (client().with_lease_cache(8), world.clone());
+                let mut rng = StdRng::seed_from_u64(seed * 31 + family);
+                Box::new(move || {
+                    let dist = KeyDistribution::zipf(keys.len(), 0.99);
+                    for _ in 0..60 {
+                        let k = dist.sample(&mut rng);
+                        let hits = kv.stats().lease_hits;
+                        let invoked_at = now(&world);
+                        let got = kv.get(&keys[k]).unwrap();
+                        let kind = FreshnessKind::Read {
+                            version: version(got.as_deref()),
+                            leased: kv.stats().lease_hits > hits,
+                        };
+                        let op = FreshnessOp {
+                            invoked_at,
+                            completed_at: now(&world),
+                            kind,
+                        };
+                        log.lock().unwrap().push((k, op));
+                        pause(&*world, rng.gen_range(0..150));
+                    }
+                }) as Script
+            };
+            std::iter::once(writer).chain((0..2).map(reader)).collect()
+        });
+        let what = format!("leases seed {seed}");
+        certify(
+            &recorder.history(),
+            &keys,
+            &[4],
+            Criterion::Persistent,
+            &what,
+        );
+        let log = log.into_inner().unwrap();
+        for (k, key) in keys.iter().enumerate() {
+            let of_key = log.iter().filter(|(logged, _)| *logged == k);
+            let ops: Vec<FreshnessOp> = of_key.map(|&(_, op)| op).collect();
+            let report = check_freshness(&ops)
+                .unwrap_or_else(|violation| panic!("seed {seed}, key {key}: {violation}"));
+            leased += report.leased_reads;
+        }
+        let unleased = |(_, op): &&(usize, FreshnessOp)| {
+            matches!(op.kind, FreshnessKind::Read { leased: false, .. })
+        };
+        quorum += log.iter().filter(unleased).count();
+    }
+    assert!(
+        leased > 0,
+        "the sweep must serve reads from leases ({quorum} quorum reads)"
+    );
+    assert!(
+        quorum > 0,
+        "cold starts and expiries keep some reads on the quorum path"
+    );
+}
+
+/// Detectable recovery, hosted: an exactly-once client's `put` loses its
+/// home node — and for a while the majority — somewhere in its rounds
+/// (the crash instant sweeps the whole write). Whatever the call returned,
+/// `resolve_all` afterwards settles every journaled operation to a
+/// definite verdict, the key then reads a definite value, and the history
+/// passes the exactly-once criterion and certifies.
+#[test]
+fn an_exactly_once_put_whose_nodes_die_mid_round_resolves() {
+    let router = ShardRouter::new(4);
+    let keys = router.covering_keys("eo-");
+    // The put goes out at 2 000 µs; a persistent write takes ≈ 800.
+    for crash_at in (2_000..3_000).step_by(50) {
+        let seed = crash_at;
+        let recorder = OpRecorder::new();
+        let (key, other) = (&keys[0], &keys[1]); // register 1: homed on node 1
+        let schedule = Schedule::new()
+            .at(crash_at, PlannedEvent::Crash(ProcessId(1)))
+            .at(crash_at, PlannedEvent::Crash(ProcessId(2)))
+            .at(crash_at + 6_000, PlannedEvent::Recover(ProcessId(1)))
+            .at(crash_at + 6_000, PlannedEvent::Recover(ProcessId(2)));
+        run_hosted(sim(Persistent::flavor(), seed, schedule), seed, |world| {
+            let journal = IntentJournal::with_storage(Box::new(MemStorage::new())).unwrap();
+            let kv = KvClient::over(world.clone(), router)
+                .with_op_timeout(Duration::from_millis(2))
+                .with_recorder(recorder.clone())
+                .with_exactly_once(7, journal);
+            vec![Box::new(move || {
+                kv.put(other, b"before".to_vec()).unwrap();
+                pause(&*world, 2_000 - world.now().as_micros() as u64);
+                let outcome = kv.put(key, b"v".to_vec());
+                // Acknowledged ⇒ tombstoned; anything else stays journaled.
+                assert_eq!(outcome.is_ok(), kv.pending_intents().is_empty());
+                // The client "restarts" once the cluster is whole again.
+                pause(&*world, 10_000);
+                for (tag, verdict) in kv.resolve_all().unwrap() {
+                    assert_eq!(verdict, Resolution::Landed { tag }, "a sent op lands");
+                }
+                assert!(kv.pending_intents().is_empty(), "crash at {crash_at}");
+                assert_eq!(kv.get(key).unwrap().as_deref(), Some(b"v".as_ref()));
+            }) as Script]
+        });
+        let history = recorder.history();
+        let report = check_store_exactly_once(&history)
+            .unwrap_or_else(|e| panic!("crash at {crash_at}: {e}"));
+        assert!(report.logical_ops >= 2, "both puts are tagged");
+        let what = format!("exactly-once, crash at {crash_at}");
+        certify(&history, &keys, &[4], Criterion::Persistent, &what);
+        let wrote = |e: &Event| {
+            matches!(
+                e,
+                Event::Invoke {
+                    operation: Op::WriteAt(..),
+                    ..
+                }
+            )
+        };
+        let writes = history.events().iter().filter(|e| wrote(e)).count();
+        let acked = |e: &Event| {
+            matches!(
+                e,
+                Event::Reply {
+                    result: OpResult::Written,
+                    ..
+                }
+            )
+        };
+        assert!(writes >= history.events().iter().filter(|e| acked(e)).count());
     }
 }

@@ -21,7 +21,7 @@
 //!   `reserve` reclaims the backing allocation once the wire has dropped
 //!   its handle, so steady-state submission does not allocate.
 //!
-//! [`PipelinedClient`] is the public face: `submit*`/`poll`/`wait*` over
+//! [`PipelinedClient`] is the public face: `submit*`/`wait*` over
 //! one node (via [`Client::pipelined`](crate::Client::pipelined)) or a
 //! whole cluster (via [`PipelinedClient::fan`]). The blocking `Client`
 //! API is exactly the depth-1 shim: `invoke = submit + wait`.
@@ -501,6 +501,7 @@ impl Pipeline {
 
     /// Claims the ticket's result without blocking; `None` while the
     /// completion is still in flight.
+    #[cfg(test)]
     pub(crate) fn poll(
         &self,
         ticket: Ticket,
@@ -635,7 +636,7 @@ impl Pipeline {
 }
 
 /// A pipelined handle over one node or a whole cluster: `submit` returns
-/// a [`Ticket`] immediately, `poll`/`wait`/`wait_any`/`wait_all` settle
+/// a [`Ticket`] immediately, `wait`/`wait_any`/`wait_all` settle
 /// them in any order — one thread can keep an arbitrary pipeline depth
 /// in flight.
 ///
@@ -757,18 +758,6 @@ impl PipelinedClient {
     ) -> Result<Ticket, ClientError> {
         self.pipe
             .submit_write_with(node, reg, self.trace.as_deref(), fill)
-    }
-
-    /// Claims the ticket's result if its completion arrived; `None`
-    /// while still in flight. Never blocks.
-    ///
-    /// # Panics
-    ///
-    /// If the ticket was already claimed or cancelled.
-    pub fn poll(&self, ticket: Ticket) -> Option<Result<(OpResult, u32), ClientError>> {
-        self.pipe
-            .poll(ticket, self.trace.as_deref())
-            .map(|r| r.map(|(result, rounds, _)| (result, rounds)))
     }
 
     /// Blocks until the ticket completes or the patience window passes

@@ -407,16 +407,9 @@ impl Client {
     }
 
     fn invoke(&self, operation: Op) -> Result<(OpResult, u32), ClientError> {
-        self.invoke_leased(operation)
-            .map(|(result, rounds, _)| (result, rounds))
-    }
-
-    fn invoke_leased(
-        &self,
-        operation: Op,
-    ) -> Result<(OpResult, u32, Option<rmem_types::LeaseGrant>), ClientError> {
         let ticket = self.pipe.submit(0, operation, self.trace.as_deref())?;
-        self.pipe.wait(ticket, self.timeout, self.trace.as_deref())
+        let settled = self.pipe.wait(ticket, self.timeout, self.trace.as_deref());
+        settled.map(|(result, rounds, _)| (result, rounds))
     }
 
     /// Writes `value` to the emulated register, blocking until the write
@@ -485,28 +478,6 @@ impl Client {
     ) -> Result<(rmem_types::Value, u32), ClientError> {
         match self.invoke(Op::ReadAt(reg))? {
             (OpResult::ReadValue(v), rounds) => Ok((v, rounds)),
-            _ => Err(ClientError::ProcessDown),
-        }
-    }
-
-    /// As [`read_at_counted`](Self::read_at_counted), additionally
-    /// surfacing the tag-lease grant a leasing flavor's fast path may
-    /// have minted: `rounds` can then be 0 (the emulation served the
-    /// read from a live coordinator lease, no datagrams at all), and a
-    /// `Some` grant tells the caller it may cache the returned value
-    /// under the granted tag until the lease expires (see
-    /// [`LeaseGrant`](rmem_types::LeaseGrant) for the clock contract).
-    /// Non-leasing flavors always report `None`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`write`](Self::write).
-    pub fn read_at_leased(
-        &self,
-        reg: rmem_types::RegisterId,
-    ) -> Result<(rmem_types::Value, u32, Option<rmem_types::LeaseGrant>), ClientError> {
-        match self.invoke_leased(Op::ReadAt(reg))? {
-            (OpResult::ReadValue(v), rounds, lease) => Ok((v, rounds, lease)),
             _ => Err(ClientError::ProcessDown),
         }
     }

@@ -5,7 +5,9 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rmem_storage::{FaultPlan, FaultyStorage, MemStorage, SnapshotView, StableStorage};
-use rmem_types::{Action, AutomatonFactory, Input, Micros, Op, OpId, ProcessId};
+use rmem_types::{
+    Action, AutomatonFactory, Input, LeaseGrant, Micros, Op, OpId, OpResult, ProcessId,
+};
 
 use crate::config::ClusterConfig;
 use crate::event::{EventKind, EventQueue};
@@ -60,6 +62,24 @@ struct LoopState {
     in_flight: bool,
 }
 
+/// What [`Simulation::invoke`] answered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Invoked {
+    /// The operation is in flight under this id; its end arrives through
+    /// [`Simulation::take_completions`].
+    Accepted(OpId),
+    /// The process already serves an operation on that register (§III-A
+    /// sequentiality, per register).
+    Busy,
+    /// The process is crashed.
+    Down,
+}
+
+/// How an operation invoked through [`Simulation::invoke`] ended: its
+/// result, quorum rounds and tag-lease grant — or `None`, lost to its
+/// process's crash.
+pub type PortCompletion = (OpId, Option<(OpResult, u32, Option<LeaseGrant>)>);
+
 /// Outcome summary of a run.
 #[derive(Debug)]
 pub struct SimReport {
@@ -86,6 +106,14 @@ pub struct SimReport {
 /// [`add_closed_loop`](Simulation::add_closed_loop)) and call
 /// [`run`](Simulation::run). The same seed and workload always produce the
 /// identical run.
+///
+/// `run` is [`start`](Simulation::start), [`step`](Simulation::step) until
+/// nothing is left, [`finish`](Simulation::finish). A host that drives the
+/// run itself — code that invokes operations as it goes instead of listing
+/// them up front — calls the three directly and talks to the processes
+/// through the **port** between steps: [`invoke`](Simulation::invoke),
+/// [`take_completions`](Simulation::take_completions),
+/// [`wake_at`](Simulation::wake_at).
 pub struct Simulation {
     config: ClusterConfig,
     factory: Arc<dyn AutomatonFactory>,
@@ -109,6 +137,13 @@ pub struct Simulation {
     /// sender-side serialization model, `NetConfig::serialize_per_msg`).
     sends_this_event: u32,
     ran: bool,
+    /// The last event left every process idle with only timers queued.
+    quiescent: bool,
+    hit_limit: bool,
+    /// In-flight operations invoked through the port, and the ends of
+    /// those not yet handed back.
+    ported: std::collections::BTreeSet<OpId>,
+    completions: Vec<PortCompletion>,
 }
 
 impl Simulation {
@@ -144,6 +179,10 @@ impl Simulation {
             deferred_acks: std::collections::HashMap::new(),
             sends_this_event: 0,
             ran: false,
+            quiescent: false,
+            hit_limit: false,
+            ported: std::collections::BTreeSet::new(),
+            completions: Vec::new(),
         }
     }
 
@@ -220,10 +259,20 @@ impl Simulation {
     ///
     /// Panics if called twice.
     pub fn run(&mut self) -> SimReport {
+        self.start();
+        while self.step() {}
+        self.finish()
+    }
+
+    /// Plants the scripted schedule and boots every process.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the simulation was already started.
+    pub fn start(&mut self) {
         assert!(!self.ran, "Simulation::run may only be called once");
         self.ran = true;
 
-        // Plant the scripted schedule.
         let schedule = std::mem::take(&mut self.schedule);
         for (at, ev) in schedule {
             let kind = match ev {
@@ -251,7 +300,6 @@ impl Simulation {
             self.queue.push(at, kind);
         }
 
-        // Boot every process.
         for pid in ProcessId::all(self.config.n) {
             let automaton = self.factory.fresh(pid, self.config.n);
             self.procs[pid.index()].automaton = Some(automaton);
@@ -259,37 +307,101 @@ impl Simulation {
         for pid in ProcessId::all(self.config.n) {
             self.feed(pid, Input::Start, 0, None);
         }
+    }
 
-        let mut quiescent = false;
-        let mut hit_limit = false;
-        while let Some(ev) = self.queue.pop() {
-            if ev.at > self.config.max_time || self.events_processed >= self.config.max_events {
-                hit_limit = true;
-                break;
-            }
-            debug_assert!(ev.at >= self.now, "event queue delivered out of order");
-            self.now = ev.at;
-            self.events_processed += 1;
-            self.sends_this_event = 0;
-            self.dispatch(ev.kind);
-
-            if self.queue.len() < 256 && self.is_idle() && self.queue_only_timers() {
-                quiescent = true;
-                break;
-            }
+    /// Processes the next event. `false` once nothing is left to do: the
+    /// queue is drained, the last event left the run quiescent (every
+    /// process idle, only timers queued), or a limit was hit.
+    pub fn step(&mut self) -> bool {
+        if self.quiescent || self.hit_limit {
+            return false;
         }
-        if !hit_limit && self.queue.is_empty() {
-            quiescent = true;
+        let Some(ev) = self.queue.pop() else {
+            return false;
+        };
+        if ev.at > self.config.max_time || self.events_processed >= self.config.max_events {
+            self.hit_limit = true;
+            return false;
         }
+        debug_assert!(ev.at >= self.now, "event queue delivered out of order");
+        self.now = ev.at;
+        self.events_processed += 1;
+        self.sends_this_event = 0;
+        self.dispatch(ev.kind);
+        self.quiescent = self.queue.len() < 256 && self.is_idle() && self.queue_only_timers();
+        true
+    }
 
+    /// The report of the run so far (the trace moves into it).
+    pub fn finish(&mut self) -> SimReport {
         SimReport {
             trace: std::mem::take(&mut self.trace),
             final_time: self.now,
             events_processed: self.events_processed,
             messages_dropped: self.net.dropped,
             messages_duplicated: self.net.duplicated,
-            quiescent,
+            quiescent: self.quiescent || (!self.hit_limit && self.queue.is_empty()),
         }
+    }
+
+    /// The current virtual time.
+    pub fn now(&self) -> VirtualTime {
+        self.now
+    }
+
+    /// How many processes the cluster has.
+    pub fn processes(&self) -> usize {
+        self.config.n
+    }
+
+    /// Invokes `operation` at `pid` now, between two steps — what a real
+    /// client does to a node's runner. An accepted operation's end is
+    /// handed back by [`take_completions`](Self::take_completions).
+    pub fn invoke(&mut self, pid: ProcessId, operation: Op) -> Invoked {
+        let op = self.fresh_op_id(pid);
+        self.quiescent = false;
+        self.sends_this_event = 0;
+        self.admit(pid, op, operation, true)
+    }
+
+    /// The ends of operations invoked through [`invoke`](Self::invoke)
+    /// since the last call, in the order they happened.
+    pub fn take_completions(&mut self) -> Vec<PortCompletion> {
+        std::mem::take(&mut self.completions)
+    }
+
+    /// Keeps the run alive until virtual time `at`: a later
+    /// [`step`](Self::step) brings the clock there even if no process has
+    /// anything to do.
+    pub fn wake_at(&mut self, at: VirtualTime) {
+        self.quiescent = false;
+        self.queue.push(at.max(self.now), EventKind::Wake);
+    }
+
+    /// Hands invocation `op` to `pid`'s automaton unless the process is
+    /// down or its register busy.
+    fn admit(&mut self, pid: ProcessId, op: OpId, operation: Op, ported: bool) -> Invoked {
+        let slot = &mut self.procs[pid.index()];
+        if slot.automaton.is_none() {
+            self.trace.invokes_dropped += 1;
+            return Invoked::Down;
+        }
+        let reg = operation.register();
+        if slot.pending.contains_key(&reg) {
+            // §III-A sequentiality, per register emulation (as in the
+            // real runner): a register serves one operation at a time,
+            // so its restriction of the history stays well-formed;
+            // distinct registers overlap freely.
+            self.trace.invokes_dropped += 1;
+            return Invoked::Busy;
+        }
+        slot.pending.insert(reg, op);
+        if ported {
+            self.ported.insert(op);
+        }
+        self.trace.record_invoke(self.now, op, operation.clone());
+        self.feed(pid, Input::Invoke { op, operation }, 0, Some(op));
+        Invoked::Accepted(op)
     }
 
     /// Completes the recovery-duration measurement when a recovering
@@ -398,24 +510,9 @@ impl Simulation {
                 self.note_if_recovered(pid);
             }
             EventKind::Invoke { pid, op, operation } => {
-                let slot = &mut self.procs[pid.index()];
-                if slot.automaton.is_none() {
-                    self.trace.invokes_dropped += 1;
+                if self.admit(pid, op, operation, false) == Invoked::Down {
                     self.loop_op_lost(pid);
-                    return;
                 }
-                let reg = operation.register();
-                if slot.pending.contains_key(&reg) {
-                    // §III-A sequentiality, per register emulation (as in
-                    // the real runner): a register serves one operation at
-                    // a time, so its restriction of the history stays
-                    // well-formed; distinct registers overlap freely.
-                    self.trace.invokes_dropped += 1;
-                    return;
-                }
-                slot.pending.insert(reg, op);
-                self.trace.record_invoke(self.now, op, operation.clone());
-                self.feed(pid, Input::Invoke { op, operation }, 0, Some(op));
             }
             EventKind::Crash { pid } => self.crash(pid),
             EventKind::Recover { pid } => {
@@ -438,6 +535,7 @@ impl Simulation {
             EventKind::SetLink { from, to, blocked } => {
                 self.net.set_link(from, to, blocked);
             }
+            EventKind::Wake => {}
         }
     }
 
@@ -450,8 +548,14 @@ impl Simulation {
         }
         slot.automaton = None;
         slot.incarnation += 1;
-        slot.pending.clear(); // the ops are lost; their records stay pending
+        // The ops are lost; their records stay pending.
+        let lost = std::mem::take(&mut slot.pending);
         slot.recovering_since = None;
+        for op in lost.into_values() {
+            if self.ported.remove(&op) {
+                self.completions.push((op, None));
+            }
+        }
         self.deferred_acks.retain(|(p, _), _| *p != pid);
         self.trace.record_crash(self.now, pid);
         self.loop_op_lost(pid);
@@ -616,10 +720,17 @@ impl Simulation {
                 );
             }
             Action::Complete {
-                op, result, rounds, ..
+                op,
+                result,
+                rounds,
+                lease,
             } => {
                 let slot = &mut self.procs[pid.index()];
                 slot.pending.retain(|_, &mut p| p != op);
+                if self.ported.remove(&op) {
+                    self.completions
+                        .push((op, Some((result.clone(), rounds, lease))));
+                }
                 self.trace.bump_chain(op, chain);
                 self.trace.record_rounds(op, rounds);
                 self.trace.record_complete(self.now, op, result);

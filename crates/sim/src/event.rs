@@ -84,6 +84,10 @@ pub enum EventKind {
         /// `true` = blocked.
         blocked: bool,
     },
+    /// Nothing happens but the clock reaching this instant: the deadline
+    /// of a host driving the run through
+    /// [`Simulation::step`](crate::Simulation::step).
+    Wake,
 }
 
 /// A scheduled event. Ordering is (time, sequence number): two events never

@@ -64,7 +64,7 @@ pub mod trace;
 pub mod workload;
 
 pub use config::{ClusterConfig, DiskConfig, NetConfig};
-pub use engine::{SimReport, Simulation};
+pub use engine::{Invoked, PortCompletion, SimReport, Simulation};
 pub use matrix::{ChaosPlan, ClientCrash, FaultWindow, MatrixSpec, WritePhase};
 pub use stats::LatencyStats;
 pub use time::VirtualTime;

@@ -614,3 +614,116 @@ fn recovery_durations_are_recorded() {
         "stale transient recovery ≈ 2δ + λ, got {d}"
     );
 }
+
+/// `run()` is exactly `start` + `step` to the end + `finish`: on a
+/// closed-loop workload with a crash, both give the same counters and the
+/// same trace, event for event.
+#[test]
+fn run_is_start_then_steps_then_finish() {
+    use rmem_core::{Persistent, SharedMemory};
+    use rmem_sim::workload::ClosedLoop;
+    use rmem_types::Value;
+    let build = || {
+        let schedule = Schedule::new()
+            .at(2_500, PlannedEvent::Crash(ProcessId(2)))
+            .at(6_000, PlannedEvent::Recover(ProcessId(2)));
+        let mut sim = Simulation::new(
+            ClusterConfig::new(3),
+            SharedMemory::factory(Persistent::flavor()),
+            23,
+        )
+        .with_schedule(schedule);
+        sim.add_closed_loop(ClosedLoop::writes(ProcessId(0), Value::from_u32(7), 12));
+        sim.add_closed_loop(ClosedLoop::reads(ProcessId(1), 12));
+        sim.add_closed_loop(ClosedLoop::reads(ProcessId(2), 12));
+        sim
+    };
+    let whole = build().run();
+    let mut sim = build();
+    sim.start();
+    let mut steps = 0;
+    while sim.step() {
+        steps += 1;
+    }
+    assert!(!sim.step(), "a finished run stays finished");
+    let stepped = sim.finish();
+    assert_eq!(steps, stepped.events_processed);
+    let counters = |r: &rmem_sim::SimReport| {
+        (
+            r.events_processed,
+            r.final_time,
+            r.quiescent,
+            r.messages_dropped,
+            r.trace.messages_sent,
+            r.trace.messages_delivered,
+            r.trace.stores_applied,
+            r.trace.invokes_dropped,
+            r.trace.crashes,
+        )
+    };
+    assert_eq!(counters(&whole), counters(&stepped));
+    assert!(whole.quiescent && whole.trace.crashes == 1);
+    assert_eq!(
+        format!("{:?}", whole.trace.to_history()),
+        format!("{:?}", stepped.trace.to_history()),
+    );
+    assert_eq!(
+        format!("{:?}", whole.trace.operations()),
+        format!("{:?}", stepped.trace.operations()),
+    );
+}
+
+/// The port between steps: an invocation is accepted, refused `Busy` on
+/// a register already serving one, refused `Down` at a crashed process;
+/// an accepted operation's end is handed back with its rounds, or as lost
+/// when its process crashes under it; a wake keeps an idle run alive
+/// until its instant.
+#[test]
+fn the_port_invokes_hands_back_completions_and_wakes() {
+    use rmem_core::{Persistent, SharedMemory};
+    use rmem_sim::Invoked;
+    use rmem_types::{Op, OpResult, RegisterId, Value};
+    let schedule = Schedule::new().at(50_000, PlannedEvent::Crash(ProcessId(1)));
+    let mut sim = Simulation::new(
+        ClusterConfig::new(3),
+        SharedMemory::factory(Persistent::flavor()),
+        4,
+    )
+    .with_schedule(schedule);
+    sim.start();
+    let reg = RegisterId(3);
+    let write = Op::WriteAt(reg, Value::from_u32(9));
+    let Invoked::Accepted(first) = sim.invoke(ProcessId(0), write.clone()) else {
+        panic!("an idle register accepts");
+    };
+    assert_eq!(sim.invoke(ProcessId(0), Op::ReadAt(reg)), Invoked::Busy);
+    assert!(matches!(
+        sim.invoke(ProcessId(0), Op::ReadAt(RegisterId(4))),
+        Invoked::Accepted(_)
+    ));
+    let mut done = Vec::new();
+    while done.len() < 2 {
+        assert!(sim.step(), "operations in flight keep the run alive");
+        done.extend(sim.take_completions());
+    }
+    let (_, end) = done.iter().find(|(op, _)| *op == first).expect("the write");
+    let (result, rounds, _) = end.clone().expect("nothing crashed");
+    assert_eq!(result, OpResult::Written);
+    assert!(rounds >= 1, "rounds ride the completion");
+
+    // Idle now; a wake carries the clock to the crash and past it.
+    sim.wake_at(VirtualTime(49_990));
+    while sim.now() < VirtualTime(49_990) {
+        assert!(sim.step());
+    }
+    let Invoked::Accepted(lost) = sim.invoke(ProcessId(1), write.clone()) else {
+        panic!("process 1 is still up");
+    };
+    sim.wake_at(VirtualTime(60_000));
+    while sim.step() {}
+    assert_eq!(sim.take_completions(), [(lost, None)], "lost to the crash");
+    assert_eq!(sim.invoke(ProcessId(1), write), Invoked::Down);
+    let report = sim.finish();
+    assert_eq!(report.final_time, VirtualTime(60_000));
+    assert_eq!(report.trace.invokes_dropped, 2, "one Busy, one Down");
+}

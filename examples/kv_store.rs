@@ -6,61 +6,11 @@
 //! cargo run --example kv_store
 //! ```
 
-use std::sync::{Arc, Mutex};
-
-use bytes::Bytes;
-use rmem_consistency::{Criterion, History};
+use rmem_consistency::Criterion;
 use rmem_core::{Persistent, SharedMemory};
-use rmem_kv::history::certify_per_key;
-use rmem_kv::{codec, KeyMap, KvClient, ShardRouter};
+use rmem_kv::{certify_per_key_epoch_path, KvClient, OpRecorder, ShardRouter};
 use rmem_net::LocalCluster;
-use rmem_types::{Op, OpResult, ProcessId};
-
-/// Records one client operation into the shared history around the
-/// blocking call: invocation on entry, reply on return. Coarse (lock
-/// order approximates real-time order) but sound — it can only make
-/// intervals look longer, never shorter, so a pass is a real pass.
-struct Recorder {
-    history: Arc<Mutex<History>>,
-    pid: ProcessId,
-}
-
-impl Recorder {
-    fn put(&self, kv: &KvClient, router: &ShardRouter, key: &str, value: &[u8]) {
-        let reg = router.register_for(key);
-        let op = {
-            let mut h = self.history.lock().unwrap();
-            h.invoke(
-                self.pid,
-                Op::WriteAt(
-                    reg,
-                    codec::encode_entry(key, &Bytes::copy_from_slice(value), 0),
-                ),
-            )
-        };
-        kv.put(key, value.to_vec()).expect("put");
-        self.history.lock().unwrap().reply(op, OpResult::Written);
-    }
-
-    fn get(&self, kv: &KvClient, router: &ShardRouter, key: &str) -> Option<Bytes> {
-        let reg = router.register_for(key);
-        let op = self
-            .history
-            .lock()
-            .unwrap()
-            .invoke(self.pid, Op::ReadAt(reg));
-        let value = kv.get(key).expect("get");
-        let payload = match &value {
-            Some(v) => codec::encode_entry(key, v, 0),
-            None => rmem_types::Value::bottom(),
-        };
-        self.history
-            .lock()
-            .unwrap()
-            .reply(op, OpResult::ReadValue(payload));
-        value
-    }
-}
+use rmem_types::ProcessId;
 
 fn main() {
     println!("kv_store: a sharded store surviving a crash, certified per key\n");
@@ -69,24 +19,28 @@ fn main() {
         LocalCluster::channel(3, SharedMemory::factory(Persistent::flavor())).expect("cluster");
     let router = ShardRouter::new(8);
     let keys = router.covering_keys("item:");
-    let key_map = KeyMap::new(&router, keys.iter().map(String::as_str));
-    let history = Arc::new(Mutex::new(History::new()));
+    // Every register operation of every client below is recorded, each
+    // client (and each thread's clone) as its own history process.
+    let recorder = OpRecorder::new();
+    // Handles to a dead runner stay dead, so every phase builds its client
+    // over the nodes that are up right now.
+    let client = |cluster: &LocalCluster| {
+        KvClient::new(cluster.clients(), router)
+            .expect("client")
+            .with_recorder(recorder.clone())
+    };
 
     // Phase 1: two "users" write and read concurrently through different
     // nodes.
     {
-        let kv = KvClient::new(cluster.clients(), router).expect("client");
+        let kv = client(&cluster);
         std::thread::scope(|scope| {
             for (user, chunk) in keys.chunks(4).enumerate() {
-                let kv = kv.clone();
-                let recorder = Recorder {
-                    history: history.clone(),
-                    pid: ProcessId(user as u16),
-                };
+                let kv = kv.recorded_clone();
                 scope.spawn(move || {
                     for (i, key) in chunk.iter().enumerate() {
-                        recorder.put(&kv, &router, key, format!("v{user}.{i}").as_bytes());
-                        let got = recorder.get(&kv, &router, key);
+                        kv.put(key, format!("v{user}.{i}")).expect("put");
+                        let got = kv.get(key).expect("get");
                         assert!(got.is_some(), "own write must be visible");
                     }
                 });
@@ -100,16 +54,11 @@ fn main() {
 
     // Phase 2: kill p2 mid-run; the store keeps serving on {p0, p1}.
     cluster.kill(ProcessId(2));
-    history.lock().unwrap().crash(ProcessId(2));
     println!("phase 2  p2 killed — volatile state gone, logs intact");
     {
-        let kv = KvClient::new(cluster.clients(), router).expect("client");
-        let recorder = Recorder {
-            history: history.clone(),
-            pid: ProcessId(0),
-        };
+        let kv = client(&cluster);
         for key in &keys[..4] {
-            recorder.put(&kv, &router, key, b"updated-while-degraded");
+            kv.put(key, "updated-while-degraded").expect("put");
         }
         println!("phase 3  4 keys overwritten with p2 down");
     }
@@ -117,21 +66,13 @@ fn main() {
     // Phase 3: recover p2 and read everything through it (its client
     // handle is last in the clients() list — route a fresh client).
     cluster.restart(ProcessId(2)).expect("restart");
-    history.lock().unwrap().recover(ProcessId(2));
     {
-        let kv = KvClient::new(cluster.clients(), router).expect("client");
-        let recorder = Recorder {
-            history: history.clone(),
-            pid: ProcessId(1),
-        };
-        let mut hits = 0;
-        for key in &keys {
-            if recorder.get(&kv, &router, key).is_some() {
-                hits += 1;
-            }
-        }
+        let kv = client(&cluster);
+        let hits = keys
+            .iter()
+            .filter(|key| kv.get(key).expect("get").is_some());
         assert_eq!(
-            hits,
+            hits.count(),
             keys.len(),
             "every key must still be present after recovery"
         );
@@ -142,11 +83,12 @@ fn main() {
     // Certification: the recorded history, sliced per key, must satisfy
     // persistent atomicity — reads never go back in time, even across the
     // crash.
-    let h = history.lock().unwrap().clone();
-    let cert = certify_per_key(&h, &key_map, Criterion::Persistent)
+    let h = recorder.history();
+    let names = keys.iter().map(String::as_str);
+    let cert = certify_per_key_epoch_path(&h, names, &[router.shards()], Criterion::Persistent)
         .expect("the run must be atomic per key");
     println!(
-        "\n✓ certified: {} keys persistent-atomic across {} events (incl. crash + recovery)",
+        "\n✓ certified: {} keys persistent-atomic across {} events (through p2's crash + recovery)",
         cert.per_key.len(),
         h.len(),
     );
