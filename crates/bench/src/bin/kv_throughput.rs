@@ -226,9 +226,9 @@ fn main() {
             );
         }
         // The PR 6 priced-overhead gate, re-asserted with leases armed on
-        // both sides: zero-round serving changes what fires per op
-        // (lease counters and flight events join; some quorum-path
-        // instruments drop out), and the budget must still hold.
+        // both sides: zero-round serving changes what fires per op (the
+        // zero-round counter joins; some quorum-path instruments drop
+        // out), and the budget must still hold.
         let o = rmem_bench::obs::obs_scenario_leased(smoke);
         assert!(
             o.within_budget(),

@@ -56,10 +56,6 @@ pub const BATCH_ROUND: usize = 8;
 /// Clients (and simulated nodes) of every cell.
 const CLIENTS: usize = 5;
 
-/// Leases a leased cell's clients keep resident (more than its
-/// [`LEASE_SHARDS`] registers: nothing is evicted).
-const LEASE_CACHE: usize = 16;
-
 /// Key-popularity shape of a cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum KeyDist {
@@ -101,10 +97,12 @@ pub const READ_HEAVY_WRITE_FRACTION: f64 = 0.1;
 
 /// Write fraction of the read-mostly lease section: hot keys are read
 /// over and over with only the occasional put, which is the regime tag
-/// leases exist for. Every put to a leased key freezes that register for
-/// the fence term (~1.25× the horizon) — the price of zero-round reads —
-/// so the section keeps puts rare enough that the reads' savings, not
-/// the puts' fences, decide the headline ratio.
+/// leases exist for. A put through its key's home node — the lease
+/// holder — passes that node's own fence; one that fails over to another
+/// node freezes the register for the fence term (~1.25× the horizon), and
+/// every put costs the key its lease and the next get a round. The
+/// section keeps puts rare enough that the reads' savings decide the
+/// headline ratio.
 pub const LEASE_WRITE_FRACTION: f64 = 0.007;
 
 /// Key universe of the lease section: fewer, hotter keys than the main
@@ -117,11 +115,11 @@ pub const LEASE_SHARDS: u16 = 4;
 pub const LEASE_FULL_OPS: usize = 48;
 
 /// Lease horizon of the leased cells (virtual µs). Long enough that
-/// every key's inter-touch gap fits inside one grant term (each client
-/// pays one quorum re-earn per key per horizon; the rest are zero-round
-/// hits), short enough that the replica-side write fence (horizon + ¼
-/// slack, during which the written register freezes) stays a bounded,
-/// not run-dominating, put cost.
+/// every key's inter-touch gap fits inside one grant term (a key's home
+/// node pays one quorum re-earn per horizon; the rest are zero-round
+/// hits for every client), short enough that the replica-side write
+/// fence (horizon + ¼ slack, during which a register written through a
+/// foreign node freezes) stays a bounded, not run-dominating, put cost.
 pub const LEASE_SECTION_MICROS: u64 = 1_200;
 
 /// Closed-loop think time of the lease section (both twins), in virtual
@@ -268,11 +266,7 @@ fn run_cell(cell: &Cell, smoke: bool, seed: u64) -> KvThroughputRow {
     let mut clients = Vec::new();
     let report = run_hosted(sim, 99 + seed, |world| {
         for _ in 0..CLIENTS {
-            let kv = KvClient::over(world.clone(), router).with_recorder(recorder.clone());
-            clients.push(match flavor.leases() {
-                true => kv.with_lease_cache(LEASE_CACHE),
-                false => kv,
-            });
+            clients.push(KvClient::over(world.clone(), router).with_recorder(recorder.clone()));
         }
         let script = |(kv, stream): (&KvClient, Vec<StoreOp>)| {
             let (kv, world, keys, name) = (kv.clone(), world.clone(), &keys, &name);
@@ -307,12 +301,11 @@ fn run_cell(cell: &Cell, smoke: bool, seed: u64) -> KvThroughputRow {
     let sum = |f: fn(&rmem_kv::KvOpStats) -> u64| stats.iter().map(f).sum::<u64>();
     let logical_ops = CLIENTS * ops_per_client;
     let trace = &report.trace;
-    // A lease hit never reaches the simulator: a read of zero rounds.
-    let hits = std::iter::repeat_n(0, sum(|s| s.lease_hits) as usize);
-    let rounds = trace.rounds(OpKind::Read).into_iter().map(u64::from);
-    // Round counts are just another sample; the shared stats helper
+    // Round counts are just another sample (a read under the home
+    // node's lease is one of zero rounds); the shared stats helper
     // supplies the same nearest-rank-p99 the latency columns use.
-    let rounds = LatencyStats::from_sample(rounds.chain(hits).collect());
+    let rounds = trace.rounds(OpKind::Read).into_iter().map(u64::from);
+    let rounds = LatencyStats::from_sample(rounds.collect());
     let virtual_secs = report.final_time.as_micros() as f64 / 1e6;
     KvThroughputRow {
         flavor: cell.flavor.name,
@@ -494,16 +487,16 @@ fn build_table(title: &str, rows: &[KvThroughputRow]) -> Table {
 /// batching amortises rounds by a different mechanism and would conflate
 /// the two). The leased twin's reads collapse toward **zero** rounds on
 /// the hot keys (the `rd rounds` column is the mechanism; the ops/s
-/// ratio is the headline), while its puts pay the replica-side lease
-/// fence. Every leased run is certified per key exactly like every other
-/// cell.
+/// ratio is the headline); its puts go through the lease holders and
+/// pass their own fences. Every leased run is certified per key exactly
+/// like every other cell.
 pub fn kv_lease_section(smoke: bool) -> (Vec<KvThroughputRow>, Table) {
     let cells = lease_cells();
     let rows: Vec<KvThroughputRow> = cells.iter().map(|c| run_cell(c, smoke, 0)).collect();
     let table = build_table(
         "kv_throughput --lease — read-mostly Zipf(0.99) with tag leases \
-         on vs off; leased reads answer from the client-held grant with \
-         zero quorum rounds (rd rounds < 1), puts pay the lease fence; \
+         on vs off; a key's home node answers leased reads with zero \
+         quorum rounds (rd rounds < 1), a put through it does not wait; \
          every run certified per key",
         &rows,
     );

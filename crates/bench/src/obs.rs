@@ -76,12 +76,11 @@ pub const OVERHEAD_BUDGET: f64 = 0.03;
 
 /// Wall-clock lease horizon of the leased gate re-run
 /// ([`obs_scenario_leased`]), in µs. Short: at this scenario's 50% put
-/// mix every put to a granted key freezes its register for the fence
-/// term, so the horizon is kept to a few round trips — enough for the
-/// lease instruments (`kv.lease_hits` / `kv.lease_misses` /
-/// `kv.lease_revocations`, plus the `LeaseHit` / `LeaseRevoke` flight
-/// events) to fire at real rates, without the fences dominating the
-/// window.
+/// mix a put that fails over past a granted key's home node freezes its
+/// register for the fence term, so the horizon is kept to a few round
+/// trips — enough for the lease path (zero-round `OpComplete`s on the
+/// nodes' rings, `kv.lease_hits` on the client) to fire at real rates,
+/// without the fences dominating the window.
 pub const OBS_LEASE_MICROS: u64 = 500;
 
 /// One trial's outcome.
@@ -342,11 +341,10 @@ pub fn obs_scenario_with(smoke: bool, pipeline_depth: Option<usize>) -> ObsRepor
 }
 
 /// [`obs_scenario`] with **tag leases armed on both sides**: replicas
-/// grant [`OBS_LEASE_MICROS`] leases, every client carries a lease
-/// cache, and the zero-round path serves hot-key gets in baseline and
-/// instrumented trials alike — so the priced ≤3% gate stays a fair A/B
-/// while the lease instruments fire and are priced with everything
-/// else.
+/// grant [`OBS_LEASE_MICROS`] leases and the zero-round path serves
+/// hot-key gets in baseline and instrumented trials alike — so the priced
+/// ≤3% gate stays a fair A/B while the lease path fires and is priced
+/// with everything else.
 ///
 /// # Panics
 ///
@@ -471,12 +469,9 @@ fn run_trial(
     } else {
         ObsHandle::disabled()
     };
-    let mut kv = KvClient::new(cluster.clients(), ShardRouter::new(OBS_SHARDS))
+    let kv = KvClient::new(cluster.clients(), ShardRouter::new(OBS_SHARDS))
         .expect("kv client")
         .with_obs(handle);
-    if lease_micros > 0 {
-        kv = kv.with_lease_cache(16);
-    }
     let keys = ShardRouter::new(OBS_SHARDS).covering_keys("obs-");
     for (i, key) in keys.iter().enumerate() {
         kv.put(key, vec![0, i as u8]).expect("seed put");

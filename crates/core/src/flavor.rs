@@ -85,12 +85,17 @@ pub struct Flavor {
     /// Tag-lease duration in microseconds (0 = leasing disabled, the
     /// default for every published flavor). When non-zero — and the
     /// [`read_fast_path`](Flavor::read_fast_path) is on — replicas
-    /// attach a lease grant of this length to durable read acks and
-    /// withhold acknowledgements of newer writes until their granted
-    /// horizons pass; a coordinator whose fast-path read collected a
+    /// attach a lease grant of this length to durable read acks,
+    /// addressed to the process that read, and withhold acknowledgements
+    /// of newer writes *from every other process* until the horizons
+    /// they granted pass; a coordinator whose fast-path read collected a
     /// unanimous granted quorum serves repeated reads of that register
-    /// locally (zero rounds) until the lease expires or a newer tag is
-    /// observed. See `with_lease`.
+    /// locally (zero rounds) until the lease expires, a newer tag is
+    /// observed, or it begins a write itself — it drops the lease before
+    /// the write's first message leaves, which is what entitles its
+    /// write to pass its own grants without waiting. The lease lives at
+    /// that coordinator and nowhere else: no grant rides a completion
+    /// out to a client. See `with_lease` and [`crate::replica`].
     pub lease_micros: u64,
     /// Recovery behaviour.
     pub recovery: RecoveryPolicy,
@@ -211,7 +216,8 @@ impl Flavor {
 
     /// This flavor with hot-key tag leasing enabled: durable read acks
     /// carry a grant of `micros` µs, and replicas fence newer writes
-    /// behind outstanding grants. `0` disables leasing (the default).
+    /// behind the grants outstanding to anyone but the writer. `0`
+    /// disables leasing (the default).
     ///
     /// Leasing piggybacks on the fast path's durability attestation, so
     /// it is inert unless [`read_fast_path`](Flavor::read_fast_path) is

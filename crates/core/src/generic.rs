@@ -29,9 +29,8 @@ use rmem_storage::records::{
     RecoveredRecord, WritingRecord, WrittenRecord, KEY_RECOVERED, KEY_WRITING, KEY_WRITTEN,
 };
 use rmem_types::{
-    Action, Automaton, AutomatonFactory, Input, LeaseGrant, Message, Micros, Op, OpId, OpResult,
-    ProcessId, RejectReason, RequestId, Seq, StableSnapshot, StoreToken, TimerToken, Timestamp,
-    Value,
+    Action, Automaton, AutomatonFactory, Input, Message, Micros, Op, OpId, OpResult, ProcessId,
+    RejectReason, RequestId, Seq, StableSnapshot, StoreToken, TimerToken, Timestamp, Value,
 };
 
 use crate::flavor::{Flavor, RecoveryPolicy};
@@ -152,8 +151,12 @@ enum StartMode {
 /// register are served locally in zero rounds. Minted from a fast-path
 /// quorum whose acks unanimously carried grants; died by its horizon
 /// timer (armed at read *broadcast* time, so it expires before any
-/// granting replica releases a fenced newer write) or by any locally
-/// observed newer tag.
+/// granting replica releases a fenced newer write), by any locally
+/// observed newer tag, or by this process beginning a write. It lives
+/// here and nowhere else — no grant rides a completion out to a client —
+/// which is what lets the replicas exempt this process from its own
+/// grants (see [`crate::replica`]): **this process sends a `Read`, or a
+/// `Write` newer than its leased tag, only while this is `None`**.
 #[derive(Debug)]
 struct Lease {
     ts: Timestamp,
@@ -505,7 +508,6 @@ impl RegisterAutomaton {
                 op,
                 result: OpResult::Rejected(RejectReason::Busy),
                 rounds: 0,
-                lease: None,
             });
             return;
         }
@@ -522,6 +524,10 @@ impl RegisterAutomaton {
         // they get here.
         match operation.normalized() {
             Op::Write(value) => {
+                // The lease dies before the write's first message leaves:
+                // the replicas let this process's write past its own
+                // grants on the strength of nobody serving under them.
+                self.lease = None;
                 if self.flavor.write_query_round {
                     // Fig. 4 lines 7–10: query a majority for sequence
                     // numbers.
@@ -556,7 +562,6 @@ impl RegisterAutomaton {
                         op,
                         result: OpResult::ReadValue(l.value.clone()),
                         rounds: 0,
-                        lease: None,
                     });
                     self.drain_queue(out);
                     return;
@@ -673,8 +678,13 @@ impl RegisterAutomaton {
             .on_message(from, &msg, &mut token_gen(&mut self.token_counter), out)
         {
             // Any locally adopted newer tag kills the lease on the
-            // spot: the leased value is provably no longer freshest.
-            self.invalidate_lease_if_older_than(self.replica.timestamp());
+            // spot: the leased value is provably no longer freshest (the
+            // grant fence only covers writes *newer* than the minimum
+            // granted tag, so equality keeps it).
+            let held = self.replica.timestamp();
+            if self.lease.as_ref().is_some_and(|l| held > l.ts) {
+                self.lease = None;
+            }
             return;
         }
 
@@ -690,15 +700,6 @@ impl RegisterAutomaton {
                 grant,
             } => self.on_read_ack(from, req, ts, value, durable, grant, out),
             _ => {}
-        }
-    }
-
-    /// Drops the lease if a tag strictly newer than the leased one has
-    /// been observed (the grant fence only covers writes *newer* than
-    /// the minimum granted tag, so equality keeps the lease).
-    fn invalidate_lease_if_older_than(&mut self, observed: Timestamp) {
-        if self.lease.as_ref().is_some_and(|l| observed > l.ts) {
-            self.lease = None;
         }
     }
 
@@ -768,37 +769,30 @@ impl RegisterAutomaton {
 
         enum Done {
             No,
-            Write(OpId, Timestamp),
-            Read(OpId, Timestamp, Value),
+            Write(OpId),
+            Read(OpId, Value),
         }
         let mut done = Done::No;
         // Nested `if` rather than `&&` in the guards: `record` mutates the
         // call, which pattern guards may not.
         #[allow(clippy::collapsible_match)]
         match &mut self.op {
-            Some((op, OpPhase::WritePropagate { ts, call, .. })) if call.matches(req) => {
+            Some((op, OpPhase::WritePropagate { call, .. })) if call.matches(req) => {
                 if call.record(from) {
-                    done = Done::Write(*op, *ts);
+                    done = Done::Write(*op);
                 }
             }
-            Some((
-                op,
-                OpPhase::ReadWriteBack {
-                    ts, value, call, ..
-                },
-            )) if call.matches(req) => {
+            Some((op, OpPhase::ReadWriteBack { value, call, .. })) if call.matches(req) => {
                 if call.record(from) {
-                    done = Done::Read(*op, *ts, value.clone());
+                    done = Done::Read(*op, value.clone());
                 }
             }
             _ => {}
         }
         match done {
             Done::No => {}
-            Done::Write(op, ts) => {
+            Done::Write(op) => {
                 self.op = None;
-                // Our own completed write supersedes any older lease.
-                self.invalidate_lease_if_older_than(ts);
                 // Fig. 4 line 16: the write returns (after its query and
                 // propagation rounds; the regular writer skips the query).
                 let rounds = if self.flavor.write_query_round { 2 } else { 1 };
@@ -806,19 +800,16 @@ impl RegisterAutomaton {
                     op,
                     result: OpResult::Written,
                     rounds,
-                    lease: None,
                 });
                 self.drain_queue(out);
             }
-            Done::Read(op, ts, value) => {
+            Done::Read(op, value) => {
                 self.op = None;
-                self.invalidate_lease_if_older_than(ts);
                 // Fig. 4 line 39: the read returns the written-back value.
                 out.push(Action::Complete {
                     op,
                     result: OpResult::ReadValue(value),
                     rounds: 2,
-                    lease: None,
                 });
                 self.drain_queue(out);
             }
@@ -952,26 +943,17 @@ impl RegisterAutomaton {
             // armed at broadcast has not fired yet — the whole quorum has
             // promised to fence any newer write past that horizon, so
             // until then this tag *is* the register.
-            let minted = if fast && all_granted && !self.replica_newer_than(ts) {
-                lease_armed.map(|horizon| {
-                    self.lease = Some(Lease {
-                        ts,
-                        value: value.clone(),
-                        horizon,
-                    });
-                    LeaseGrant {
-                        ts,
-                        micros: u32::try_from(self.flavor.lease_micros).unwrap_or(u32::MAX),
-                    }
-                })
-            } else {
-                None
-            };
+            if fast && all_granted && !self.replica_newer_than(ts) {
+                self.lease = lease_armed.map(|horizon| Lease {
+                    ts,
+                    value: value.clone(),
+                    horizon,
+                });
+            }
             out.push(Action::Complete {
                 op,
                 result: OpResult::ReadValue(value),
                 rounds: 1,
-                lease: minted,
             });
             self.drain_queue(out);
         }
@@ -997,7 +979,6 @@ impl RegisterAutomaton {
                 // so its replica adopts the pair as durable and will answer
                 // the self-addressed `Write` below without a `written` store.
                 self.replica.on_pre_log_done(token, &value, out);
-                self.invalidate_lease_if_older_than(ts);
                 // The second round may begin.
                 self.start_propagate(op, ts, value, out);
                 return;
@@ -2056,5 +2037,68 @@ mod tests {
         out.clear();
         a.on_input(Input::Timer(timer), &mut out);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn a_write_drops_the_lease_before_its_first_message_leaves() {
+        /// Invokes `operation`: the rounds of its completion if it
+        /// completed on the spot, and everything it emitted.
+        fn invoke(a: &mut RegisterAutomaton, n: u64, operation: Op) -> (Option<u32>, Vec<Action>) {
+            let mut out = Vec::new();
+            let op = OpId::new(ProcessId(0), n);
+            a.on_input(Input::Invoke { op, operation }, &mut out);
+            let rounds = out.iter().find_map(|x| match x {
+                Action::Complete { rounds, .. } => Some(*rounds),
+                _ => None,
+            });
+            (rounds, out)
+        }
+        fn deliver(a: &mut RegisterAutomaton, from: u16, msg: Message) -> Vec<Action> {
+            let mut out = Vec::new();
+            let from = ProcessId(from);
+            a.on_input(Input::Message { from, msg }, &mut out);
+            out
+        }
+        let mut a = fresh(Flavor::transient().with_lease(2_000));
+        // A unanimous, granted, durable quorum mints.
+        let (_, out) = invoke(&mut a, 0, Op::Read);
+        let req = read_req(&out);
+        for from in [1, 2] {
+            let mut ack = read_ack(0, from, 0, req);
+            if let Message::ReadAck { grant, .. } = &mut ack {
+                *grant = 2_000;
+            }
+            deliver(&mut a, from, ack);
+        }
+        assert!(a.lease.is_some(), "minted");
+        let (rounds, out) = invoke(&mut a, 1, Op::Read);
+        assert_eq!(rounds, Some(0), "served under the lease");
+        assert!(sends_of(&out).is_empty());
+        // The write's query round is its first message: by the time it
+        // exists the lease does not — the replicas exempt this process
+        // from its own grants on exactly that.
+        let (_, out) = invoke(&mut a, 2, Op::Write(Value::from_u32(7)));
+        let Message::SnReq { req } = *sends_of(&out)[0] else {
+            panic!("a write begins with its query round");
+        };
+        assert!(a.lease.is_none(), "dropped when the write begins");
+        let mut written = false;
+        for from in [1, 2] {
+            let out = deliver(&mut a, from, Message::SnAck { req, seq: 0 });
+            if let Some(Message::Write { req, .. }) = sends_of(&out).first() {
+                for from in [1, 2] {
+                    let out = deliver(&mut a, from, Message::WriteAck { req: *req });
+                    written |= out.iter().any(|x| matches!(x, Action::Complete { .. }));
+                }
+            }
+        }
+        assert!(written);
+        // Nothing re-mints on the way: the next read asks the quorum.
+        let (rounds, out) = invoke(&mut a, 3, Op::Read);
+        assert_eq!(rounds, None);
+        assert!(sends_of(&out)
+            .iter()
+            .all(|m| matches!(m, Message::Read { .. })));
+        assert_eq!(sends_of(&out).len(), 3);
     }
 }

@@ -33,25 +33,45 @@
 //!
 //! Under a leasing flavor ([`Flavor::with_lease`](crate::Flavor::with_lease))
 //! the replica extends the same parking idea to **tag leases**: every
-//! durable read ack carries a grant of `lease_micros` µs, and while any
-//! grant's horizon is still open the replica *withholds* the
-//! acknowledgement of any write whose tag is newer than the minimum
-//! granted tag — even if that write is already durable here. A write can
-//! therefore only assemble its quorum after every lease its new value
-//! could invalidate has provably expired (the write quorum intersects the
-//! lease's read quorum, and the intersection replica holds its ack for at
-//! least the full grant term measured from *after* it saw the read
-//! request, while the client's lease dies at its *pre-send* stamp plus
-//! the grant). The same fence gates the read side: a tag newer than the
-//! minimum granted tag is reported non-durable, so no fast-path read can
-//! return the new value while an older lease may still be serving — the
-//! write-back those reads fall back to parks behind the same barrier.
+//! durable read ack carries a grant of `lease_micros` µs to the process
+//! that sent the `Read` — the **grantee** — and while a grant's horizon
+//! is still open the replica *withholds* the acknowledgement of any
+//! write **from another process** whose tag is newer than the minimum
+//! tag granted to that grantee — even if that write is already durable
+//! here. A foreign write can therefore only assemble its quorum after
+//! every lease its new value could invalidate has provably expired (the
+//! write quorum intersects the lease's read quorum, and the intersection
+//! replica holds its ack for at least the full grant term measured from
+//! *after* it saw the read request, while the coordinator's lease dies
+//! at its *pre-send* stamp plus the grant). The same fence gates the
+//! read side: a tag newer than the minimum tag granted to someone else
+//! is reported non-durable, so no fast-path read can return the new
+//! value while an older lease may still be serving — the write-back
+//! those reads fall back to parks behind the same barrier.
 //!
-//! Grant bookkeeping is O(1): a monotone issue counter, an expiry
-//! counter advanced by at most one outstanding horizon timer, and the
-//! minimum granted tag (reset when every grant has expired). The fence
-//! is therefore conservative — it may hold a write up to ~2 lease terms
-//! — but it never blocks forever: expiry is timer-driven.
+//! **A process is exempt from its own grants, and only those.** A lease
+//! lives in exactly one place — the coordinator that minted it; nothing
+//! hands it on to a client — and a coordinator sends a `Read`, or a
+//! `Write` newer than its leased tag, only while it holds no lease (it
+//! reads only without one and drops it before a write's first message
+//! leaves; a crash takes the lease with it). So when such a message
+//! from X arrives, nobody is serving under X's grants any more and
+//! there is nothing left for them to protect *from X*: its write is
+//! acknowledged as soon as it is durable and its read is attested.
+//! Against everybody else X's grants stand until their horizon, because
+//! a straggler of X's (a duplicate from an abandoned write or a previous
+//! incarnation) may arrive after X minted afresh on an older tag — it is
+//! adopted and acknowledged to X, who ignores it, and stays fenced from
+//! every other reader. Grants to Y ≠ X fence X as they fence anyone.
+//!
+//! Grant bookkeeping is O(1) per grantee, at most *n* of them: a
+//! monotone issue counter, an expiry counter advanced by at most one
+//! outstanding horizon timer, and the minimum granted tag (reset when
+//! every grant to that grantee has expired — one grantee going quiet
+//! does not wait for another that never does). The fence is therefore
+//! conservative — it may hold a foreign write up to ~2 lease terms — but
+//! it never blocks forever: expiry is timer-driven, and a parked ack
+//! waits only for the grants issued before it parked.
 
 use std::collections::HashMap;
 
@@ -68,9 +88,31 @@ struct Waiter {
     /// Durability condition: ack only once a stable record covers this
     /// tag (`None` = already satisfied when parked).
     need: Option<Timestamp>,
-    /// Lease condition: ack only once this many grants have expired
-    /// (`0` = no lease fence).
-    barrier: u64,
+    /// Lease condition: per fencing grantee (an index into
+    /// [`Replica::grants`]), how many of its grants must have expired —
+    /// the ones issued before the ack parked. Empty = no lease fence.
+    fence: Vec<(usize, u64)>,
+}
+
+/// The outstanding grants to one grantee.
+#[derive(Debug)]
+struct Grants {
+    /// Whose `Read`s these grants answered, and so who is exempt from
+    /// them. `None` is the boot hold: a grant to nobody, exempting
+    /// nobody.
+    to: Option<ProcessId>,
+    /// Grants issued so far (monotone across the incarnation).
+    issued: u64,
+    /// Grants whose hold horizon has passed.
+    expired: u64,
+    /// The single outstanding horizon timer, with the issue count it
+    /// covers when it fires.
+    timer: Option<(TimerToken, u64)>,
+    /// Minimum tag among grants issued since this grantee's last full
+    /// quiescence (`None` once every grant expired). From anyone else,
+    /// writes strictly above it are fenced and reads strictly above it
+    /// are reported non-durable.
+    min_ts: Option<Timestamp>,
 }
 
 /// Replica state and behaviour.
@@ -94,17 +136,10 @@ pub struct Replica {
     /// Acks parked until a covering tag is durable and/or the lease
     /// fence opens.
     waiters: Vec<Waiter>,
-    /// Grants issued so far (monotone across the incarnation).
-    grants_issued: u64,
-    /// Grants whose hold horizon has passed.
-    grants_expired: u64,
-    /// The single outstanding horizon timer, with the issue count it
-    /// covers when it fires.
-    lease_timer: Option<(TimerToken, u64)>,
-    /// Minimum tag among grants issued since the last full quiescence
-    /// (`None` once every grant expired). Writes strictly above it are
-    /// fenced; reads strictly above it are reported non-durable.
-    min_granted_ts: Option<Timestamp>,
+    /// Grant bookkeeping, one entry per grantee ever granted to (at most
+    /// `n`, plus the boot hold); entries are never removed, so a parked
+    /// ack may name them by index.
+    grants: Vec<Grants>,
 }
 
 impl Replica {
@@ -119,10 +154,7 @@ impl Replica {
             durable_ts: Timestamp::new(0, me),
             pending_stores: HashMap::new(),
             waiters: Vec::new(),
-            grants_issued: 0,
-            grants_expired: 0,
-            lease_timer: None,
-            min_granted_ts: None,
+            grants: Vec::new(),
         }
     }
 
@@ -156,33 +188,53 @@ impl Replica {
     }
 
     /// How long the replica holds fenced write acks per grant: the full
-    /// advertised term plus 25% slack, so a client lease (clocked from
-    /// its pre-send stamp) dies comfortably before any fenced ack is
-    /// released, even across modest clock-rate or delivery jitter.
+    /// advertised term plus 25% slack, so the coordinator's lease
+    /// (clocked from its pre-send stamp) dies comfortably before any
+    /// fenced ack is released, even across modest clock-rate or delivery
+    /// jitter.
     fn hold_micros(&self) -> u64 {
         self.lease_micros + self.lease_micros / 4
     }
 
-    /// Whether `ts` is fenced behind outstanding lease grants.
-    fn lease_fenced(&self, ts: Timestamp) -> bool {
-        self.min_granted_ts.is_some_and(|min| ts > min)
+    /// The grantees whose outstanding grants fence `ts` from `from` —
+    /// everyone but `from` itself (see the module docs) granted an older
+    /// tag — each with the issue count that must expire first.
+    fn fences(&self, from: ProcessId, ts: Timestamp) -> impl Iterator<Item = (usize, u64)> + '_ {
+        self.grants
+            .iter()
+            .enumerate()
+            .filter(move |(_, g)| g.to != Some(from) && g.min_ts.is_some_and(|min| ts > min))
+            .map(|(i, g)| (i, g.issued))
     }
 
-    /// Issues one grant on the current tag, arming the horizon timer if
-    /// none is pending. Returns the grant to advertise, in µs.
-    fn issue_grant(&mut self, next_token: &mut impl FnMut() -> u64, out: &mut Vec<Action>) -> u32 {
-        self.grants_issued += 1;
-        self.min_granted_ts = Some(match self.min_granted_ts {
-            Some(min) if min <= self.ts => min,
-            _ => self.ts,
-        });
-        if self.lease_timer.is_none() {
-            let token = TimerToken(next_token());
-            self.lease_timer = Some((token, self.grants_issued));
-            out.push(Action::SetTimer {
-                token,
-                after: Micros(self.hold_micros()),
+    /// Issues one grant on `ts` to `to`, arming that grantee's horizon
+    /// timer if none is pending. Returns the grant to advertise, in µs.
+    fn issue_grant(
+        &mut self,
+        to: Option<ProcessId>,
+        ts: Timestamp,
+        next_token: &mut impl FnMut() -> u64,
+        out: &mut Vec<Action>,
+    ) -> u32 {
+        let hold = Micros(self.hold_micros());
+        let known = self.grants.iter().position(|g| g.to == to);
+        let idx = known.unwrap_or_else(|| {
+            self.grants.push(Grants {
+                to,
+                issued: 0,
+                expired: 0,
+                timer: None,
+                min_ts: None,
             });
+            self.grants.len() - 1
+        });
+        let g = &mut self.grants[idx];
+        g.issued += 1;
+        g.min_ts = Some(g.min_ts.map_or(ts, |min| min.min(ts)));
+        if g.timer.is_none() {
+            let token = TimerToken(next_token());
+            g.timer = Some((token, g.issued));
+            out.push(Action::SetTimer { token, after: hold });
         }
         u32::try_from(self.lease_micros).unwrap_or(u32::MAX)
     }
@@ -192,9 +244,10 @@ impl Replica {
     fn release_ready(&mut self, out: &mut Vec<Action>) {
         let durable = self.durable_ts;
         let logging = self.logging;
-        let expired = self.grants_expired;
+        let grants = &self.grants;
         let (ready, parked): (Vec<_>, Vec<_>) = self.waiters.drain(..).partition(|w| {
-            w.need.is_none_or(|need| !logging || need <= durable) && w.barrier <= expired
+            w.need.is_none_or(|need| !logging || need <= durable)
+                && w.fence.iter().all(|&(g, count)| count <= grants[g].expired)
         });
         self.waiters = parked;
         for w in ready {
@@ -234,13 +287,14 @@ impl Replica {
                 // `writing` pre-log) covers it. A
                 // non-logging replica's volatile state is as stable as its
                 // (crash-stop) model gets, so it always attests. A tag
-                // still fenced behind outstanding lease grants is reported
-                // non-durable even when stored: returning it through the
-                // fast path while an older lease may serve would invert
-                // the read order.
-                let durable = self.holds_durably(self.ts) && !self.lease_fenced(self.ts);
+                // still fenced behind someone else's lease grants is
+                // reported non-durable even when stored: returning it
+                // through the fast path while an older lease may serve
+                // would invert the read order.
+                let durable =
+                    self.holds_durably(self.ts) && self.fences(from, self.ts).next().is_none();
                 let grant = if durable && self.lease_micros > 0 {
-                    self.issue_grant(next_token, out)
+                    self.issue_grant(Some(from), self.ts, next_token, out)
                 } else {
                     0
                 };
@@ -259,17 +313,13 @@ impl Replica {
             Message::Write { req, ts, value } => {
                 // Fig. 4 lines 21–27.
                 let durability_ok = self.adopt(*ts, value, next_token, out);
-                // The lease fence: a write newer than the minimum granted
-                // tag may not be acknowledged until every grant issued so
-                // far has expired (writes at or below the minimum granted
-                // tag cannot invalidate any lease — the leased value is
-                // at least as new).
-                let barrier = if self.lease_fenced(*ts) {
-                    self.grants_issued
-                } else {
-                    0
-                };
-                if durability_ok && barrier <= self.grants_expired {
+                // The lease fence: a write newer than the minimum tag
+                // granted to someone else may not be acknowledged until
+                // every grant issued to them so far has expired (writes
+                // at or below the minimum granted tag cannot invalidate
+                // any lease — the leased value is at least as new).
+                let fence: Vec<_> = self.fences(from, *ts).collect();
+                if durability_ok && fence.is_empty() {
                     out.push(Action::Send {
                         to: from,
                         msg: Message::WriteAck { req: *req },
@@ -280,7 +330,7 @@ impl Replica {
                     to: from,
                     req: *req,
                     need: (!durability_ok).then_some(*ts),
-                    barrier,
+                    fence,
                 });
                 true
             }
@@ -371,8 +421,8 @@ impl Replica {
         true
     }
 
-    /// Handles a timer firing. Returns `true` if the token was the
-    /// replica's lease-horizon timer (grants expired, fenced acks may be
+    /// Handles a timer firing. Returns `true` if the token was a
+    /// grantee's lease-horizon timer (grants expired, fenced acks may be
     /// released).
     pub fn on_timer(
         &mut self,
@@ -380,48 +430,40 @@ impl Replica {
         next_token: &mut impl FnMut() -> u64,
         out: &mut Vec<Action>,
     ) -> bool {
-        let Some((pending, covers)) = self.lease_timer else {
+        let hold = Micros(self.hold_micros());
+        let Some((g, covers)) = self.grants.iter_mut().find_map(|g| match g.timer {
+            Some((pending, covers)) if pending == token => Some((g, covers)),
+            _ => None,
+        }) else {
             return false;
         };
-        if token != pending {
-            return false;
-        }
-        self.grants_expired = covers;
-        if self.grants_issued > self.grants_expired {
+        g.expired = covers;
+        if g.issued > g.expired {
             // Grants arrived while the horizon ran: cover them with one
             // more full hold (conservative — a grant never expires early).
             let fresh = TimerToken(next_token());
-            self.lease_timer = Some((fresh, self.grants_issued));
+            g.timer = Some((fresh, g.issued));
             out.push(Action::SetTimer {
                 token: fresh,
-                after: Micros(self.hold_micros()),
+                after: hold,
             });
         } else {
-            self.lease_timer = None;
-            self.min_granted_ts = None;
+            g.timer = None;
+            g.min_ts = None;
         }
         self.release_ready(out);
         true
     }
 
     /// Arms the post-recovery boot hold: a recovered replica cannot know
-    /// which grants its previous incarnation issued, so for one full
-    /// hold term it fences *every* write ack as if a grant on the lowest
+    /// which grants its previous incarnation issued, or to whom, so for
+    /// one full hold term it fences *every* write ack — its own
+    /// coordinator's included — as if a grant to nobody on the lowest
     /// possible tag were outstanding. Call once on recovery of a leasing
     /// flavor, before serving.
     pub fn boot_hold(&mut self, next_token: &mut impl FnMut() -> u64, out: &mut Vec<Action>) {
-        if self.lease_micros == 0 {
-            return;
-        }
-        self.grants_issued += 1;
-        self.min_granted_ts = Some(Timestamp::ZERO);
-        if self.lease_timer.is_none() {
-            let token = TimerToken(next_token());
-            self.lease_timer = Some((token, self.grants_issued));
-            out.push(Action::SetTimer {
-                token,
-                after: Micros(self.hold_micros()),
-            });
+        if self.lease_micros > 0 {
+            self.issue_grant(None, Timestamp::ZERO, next_token, out);
         }
     }
 
@@ -786,162 +828,261 @@ mod tests {
             .expect("a read ack")
     }
 
+    /// The `WriteAck`s in `out`, by destination.
+    fn write_acks_to(out: &[Action]) -> Vec<u16> {
+        out.iter()
+            .filter_map(|a| match a {
+                Action::Send {
+                    to,
+                    msg: Message::WriteAck { .. },
+                } => Some(to.0),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Delivers a `Read` from `from`: its attestation and grant, plus the
+    /// horizon timer it armed, if any.
+    fn read_from(
+        r: &mut Replica,
+        from: u16,
+        gen: &mut impl FnMut() -> u64,
+    ) -> (bool, u32, Option<TimerToken>) {
+        let mut out = Vec::new();
+        let req = RequestId::new(ProcessId(from), 5);
+        r.on_message(ProcessId(from), &Message::Read { req }, gen, &mut out);
+        let (durable, grant) = read_ack_of(&out);
+        let armed = out.iter().find_map(|a| match a {
+            Action::SetTimer { token, .. } => Some(*token),
+            _ => None,
+        });
+        (durable, grant, armed)
+    }
+
+    /// Delivers `from`'s `Write` of `[seq, from]` and completes the store
+    /// it issues, if any: who was acknowledged.
+    fn durable_write_from(
+        r: &mut Replica,
+        from: u16,
+        seq: u64,
+        gen: &mut impl FnMut() -> u64,
+    ) -> Vec<u16> {
+        let mut out = Vec::new();
+        r.on_message(
+            ProcessId(from),
+            &write_msg(seq, from, 9, seq),
+            gen,
+            &mut out,
+        );
+        let stores: Vec<_> = out
+            .iter()
+            .filter_map(|a| match a {
+                Action::Store { token, .. } => Some(*token),
+                _ => None,
+            })
+            .collect();
+        for token in stores {
+            r.on_store_done(token, &mut out);
+        }
+        write_acks_to(&out)
+    }
+
+    /// Fires `horizon`: who was acknowledged, and the timer re-armed.
+    fn fire(
+        r: &mut Replica,
+        horizon: TimerToken,
+        gen: &mut impl FnMut() -> u64,
+    ) -> (Vec<u16>, Option<TimerToken>) {
+        let mut out = Vec::new();
+        assert!(r.on_timer(horizon, gen, &mut out), "a lease horizon");
+        let rearmed = out.iter().find_map(|a| match a {
+            Action::SetTimer { token, .. } => Some(*token),
+            _ => None,
+        });
+        (write_acks_to(&out), rearmed)
+    }
+
     #[test]
-    fn durable_reads_grant_and_arm_one_horizon_timer() {
+    fn durable_reads_grant_and_arm_one_horizon_timer_per_grantee() {
         let (mut gen, _) = token_gen();
         let mut r = leased_replica(&mut gen);
-        let mut out = Vec::new();
-        let req = RequestId::new(ProcessId(0), 5);
-        r.on_message(ProcessId(0), &Message::Read { req }, &mut gen, &mut out);
-        let (durable, grant) = read_ack_of(&out);
+        let (durable, grant, armed) = read_from(&mut r, 0, &mut gen);
         assert!(durable);
         assert_eq!(grant, LEASE as u32);
-        let timers = out
-            .iter()
-            .filter(|a| matches!(a, Action::SetTimer { .. }))
-            .count();
-        assert_eq!(timers, 1, "first grant arms the horizon timer");
-        out.clear();
-        // A second grant rides the same pending timer.
-        r.on_message(ProcessId(2), &Message::Read { req }, &mut gen, &mut out);
-        let (_, grant) = read_ack_of(&out);
+        assert!(armed.is_some(), "first grant arms the horizon timer");
+        // A second grant to the same grantee rides the pending timer.
+        let (_, grant, armed) = read_from(&mut r, 0, &mut gen);
         assert_eq!(grant, LEASE as u32);
-        assert!(
-            !out.iter().any(|a| matches!(a, Action::SetTimer { .. })),
-            "one horizon timer at a time"
-        );
+        assert!(armed.is_none(), "one horizon timer at a time per grantee");
+        // Another grantee's grants expire on their own clock.
+        let (_, grant, armed) = read_from(&mut r, 2, &mut gen);
+        assert_eq!(grant, LEASE as u32);
+        assert!(armed.is_some());
     }
 
     #[test]
     fn lease_disabled_replica_never_grants_or_arms_timers() {
         let (mut gen, _) = token_gen();
         let mut r = Replica::new(ProcessId(1), true);
-        let mut out = Vec::new();
-        let req = RequestId::new(ProcessId(0), 5);
-        r.on_message(ProcessId(0), &Message::Read { req }, &mut gen, &mut out);
-        let (durable, grant) = read_ack_of(&out);
+        let (durable, grant, armed) = read_from(&mut r, 0, &mut gen);
         assert!(durable);
         assert_eq!(grant, 0);
-        assert!(!out.iter().any(|a| matches!(a, Action::SetTimer { .. })));
+        assert!(armed.is_none());
     }
 
     #[test]
-    fn newer_write_ack_is_fenced_until_grants_expire() {
+    fn the_grantee_passes_its_own_fence() {
         let (mut gen, _) = token_gen();
         let mut r = leased_replica(&mut gen);
+        read_from(&mut r, 0, &mut gen);
+        // The grantee's own newer write: nobody serves under its grants
+        // any more (it dropped its lease before sending), so the ack
+        // leaves as soon as the tag is durable.
+        assert_eq!(durable_write_from(&mut r, 0, 2, &mut gen), [0]);
+        // And its next read is attested and granted afresh — while a
+        // third reader still sees the tag fenced behind the old grant.
+        assert!(
+            !read_from(&mut r, 2, &mut gen).0,
+            "fenced for a third reader"
+        );
+        let (durable, grant, _) = read_from(&mut r, 0, &mut gen);
+        assert!(durable, "own grants do not fence the grantee's reads");
+        assert_eq!(grant, LEASE as u32);
+    }
+
+    #[test]
+    fn a_foreign_newer_write_is_fenced_until_the_grantees_horizon() {
+        let (mut gen, _) = token_gen();
+        let mut r = leased_replica(&mut gen);
+        let (_, _, horizon) = read_from(&mut r, 0, &mut gen);
+        // Another process's newer write: adopted and stored, but the ack
+        // must wait for the grant horizon even after the store completes.
+        assert!(
+            durable_write_from(&mut r, 2, 2, &mut gen).is_empty(),
+            "durable but fenced: the ack must stay parked"
+        );
+        assert_eq!(r.timestamp(), Timestamp::new(2, ProcessId(2)));
+        // Reads of the fenced tag must not attest durability to anyone
+        // but the grantee (the fast path would return the new value
+        // while the lease still serves) — the writer included.
+        for reader in [2, 3] {
+            let (durable, grant, _) = read_from(&mut r, reader, &mut gen);
+            assert!(!durable, "fenced tag reported non-durable to p{reader}");
+            assert_eq!(grant, 0);
+        }
+        // Horizon fires: grants expired, the fenced ack releases, and
+        // reads attest again.
+        let (acked, _) = fire(&mut r, horizon.expect("armed"), &mut gen);
+        assert_eq!(acked, [2]);
+        let (durable, grant, _) = read_from(&mut r, 3, &mut gen);
+        assert!(durable);
+        assert_eq!(grant, LEASE as u32);
+    }
+
+    #[test]
+    fn each_grantee_is_exempt_from_its_own_grants_only() {
+        let (mut gen, _) = token_gen();
+        let mut r = leased_replica(&mut gen);
+        let (_, _, horizon_0) = read_from(&mut r, 0, &mut gen);
+        let (_, _, horizon_2) = read_from(&mut r, 2, &mut gen);
+        // Each holder's newer write waits out the *other* holder's
+        // grants, not its own.
+        assert!(durable_write_from(&mut r, 0, 2, &mut gen).is_empty());
+        assert!(durable_write_from(&mut r, 2, 3, &mut gen).is_empty());
+        let (acked, _) = fire(&mut r, horizon_0.expect("armed"), &mut gen);
+        assert_eq!(acked, [2], "p0's grants were all that held p2's write");
+        let (acked, _) = fire(&mut r, horizon_2.expect("armed"), &mut gen);
+        assert_eq!(acked, [0]);
+    }
+
+    #[test]
+    fn a_foreign_grantee_going_quiet_frees_a_home_that_never_does() {
+        let (mut gen, _) = token_gen();
+        let mut r = leased_replica(&mut gen);
+        // The home coordinator p0 re-mints every term, so its grants
+        // never all expire; p2 probes the register once.
+        let (_, _, home) = read_from(&mut r, 0, &mut gen);
+        let (_, _, stray) = read_from(&mut r, 2, &mut gen);
+        assert_eq!(read_from(&mut r, 0, &mut gen).1, LEASE as u32);
+        assert!(
+            durable_write_from(&mut r, 0, 2, &mut gen).is_empty(),
+            "p2's grant fences the home's write"
+        );
+        let (acked, rearmed) = fire(&mut r, home.expect("armed"), &mut gen);
+        assert!(acked.is_empty());
+        assert!(rearmed.is_some(), "the home's grants are still live");
+        // p2's horizon passes with no new grant to it: p2's entry is
+        // quiescent although the register never was, and the home is
+        // exempt again.
+        let (acked, rearmed) = fire(&mut r, stray.expect("armed"), &mut gen);
+        assert_eq!(acked, [0]);
+        assert!(rearmed.is_none());
+        assert_eq!(durable_write_from(&mut r, 0, 3, &mut gen), [0]);
+    }
+
+    #[test]
+    fn an_exempt_write_still_waits_for_its_store() {
+        let (mut gen, _) = token_gen();
+        let mut r = leased_replica(&mut gen);
+        read_from(&mut r, 0, &mut gen);
         let mut out = Vec::new();
-        let req = RequestId::new(ProcessId(0), 5);
-        r.on_message(ProcessId(0), &Message::Read { req }, &mut gen, &mut out);
-        let Some(Action::SetTimer { token: horizon, .. }) = out
-            .iter()
-            .find(|a| matches!(a, Action::SetTimer { .. }))
-            .cloned()
-        else {
-            panic!("horizon timer armed");
-        };
-        out.clear();
-        // A newer write: adopted and stored, but the ack must wait for
-        // the grant horizon even after the store completes.
-        r.on_message(ProcessId(2), &write_msg(2, 2, 9, 9), &mut gen, &mut out);
+        r.on_message(ProcessId(0), &write_msg(2, 0, 9, 2), &mut gen, &mut out);
         let Action::Store { token, .. } = out[0].clone() else {
             panic!("adoption store expected, got {:?}", out[0]);
         };
+        // A duplicate before the store completes: no early ack, no second
+        // store — the exemption lifts the lease fence, never the
+        // durable-ack discipline.
+        r.on_message(ProcessId(0), &write_msg(2, 0, 9, 2), &mut gen, &mut out);
+        assert_eq!(out.len(), 1, "early ack or duplicate store: {out:?}");
         out.clear();
         r.on_store_done(token, &mut out);
-        assert!(
-            out.is_empty(),
-            "durable but fenced: ack must stay parked, got {out:?}"
-        );
-        // Reads of the fenced tag must not attest durability (the fast
-        // path would return the new value while the lease still serves).
-        r.on_message(ProcessId(0), &Message::Read { req }, &mut gen, &mut out);
-        let (durable, grant) = read_ack_of(&out);
-        assert!(!durable, "fenced tag reported non-durable");
-        assert_eq!(grant, 0);
-        out.clear();
-        // Horizon fires: grants expired, the fenced ack releases, and
-        // reads attest again.
-        assert!(r.on_timer(horizon, &mut gen, &mut out));
-        assert!(out.iter().any(|a| matches!(
-            a,
-            Action::Send {
-                msg: Message::WriteAck { .. },
-                ..
-            }
-        )));
-        out.clear();
-        r.on_message(ProcessId(0), &Message::Read { req }, &mut gen, &mut out);
-        let (durable, grant) = read_ack_of(&out);
-        assert!(durable);
-        assert_eq!(grant, LEASE as u32);
+        assert_eq!(write_acks_to(&out), [0, 0]);
     }
 
     #[test]
     fn write_at_or_below_min_granted_tag_is_not_fenced() {
         let (mut gen, _) = token_gen();
         let mut r = leased_replica(&mut gen);
-        let mut out = Vec::new();
-        let req = RequestId::new(ProcessId(0), 5);
-        r.on_message(ProcessId(0), &Message::Read { req }, &mut gen, &mut out);
-        out.clear();
+        read_from(&mut r, 0, &mut gen);
         // A write at the granted tag itself (a read write-back of the
         // leased value): already durable, no newer value — acks freely.
+        let mut out = Vec::new();
         r.on_message(ProcessId(2), &write_msg(1, 0, 7, 3), &mut gen, &mut out);
-        assert!(matches!(
-            out[0],
-            Action::Send {
-                msg: Message::WriteAck { .. },
-                ..
-            }
-        ));
+        assert_eq!(write_acks_to(&out), [2]);
     }
 
     #[test]
     fn grants_during_horizon_rearm_once_and_then_quiesce() {
         let (mut gen, _) = token_gen();
         let mut r = leased_replica(&mut gen);
-        let mut out = Vec::new();
-        let req = RequestId::new(ProcessId(0), 5);
-        r.on_message(ProcessId(0), &Message::Read { req }, &mut gen, &mut out);
-        let Some(Action::SetTimer { token: t1, .. }) = out
-            .iter()
-            .find(|a| matches!(a, Action::SetTimer { .. }))
-            .cloned()
-        else {
-            panic!()
-        };
-        out.clear();
-        // Another grant while the first horizon runs.
-        r.on_message(ProcessId(2), &Message::Read { req }, &mut gen, &mut out);
-        out.clear();
+        let (_, _, t1) = read_from(&mut r, 0, &mut gen);
+        // Another grant to the same grantee while the first horizon runs.
+        read_from(&mut r, 0, &mut gen);
         // First horizon fires: the straggler grant is still open, so a
         // second full hold is armed.
-        r.on_timer(t1, &mut gen, &mut out);
-        let Some(Action::SetTimer { token: t2, .. }) = out
-            .iter()
-            .find(|a| matches!(a, Action::SetTimer { .. }))
-            .cloned()
-        else {
-            panic!("re-arm expected");
-        };
-        out.clear();
+        let (_, t2) = fire(&mut r, t1.expect("armed"), &mut gen);
         // Second horizon fires with no new grants: fully quiescent.
-        r.on_timer(t2, &mut gen, &mut out);
-        assert!(!out.iter().any(|a| matches!(a, Action::SetTimer { .. })));
-        // Quiescent again: a newer write acks as soon as it is durable.
-        r.on_message(ProcessId(2), &write_msg(4, 2, 9, 9), &mut gen, &mut out);
-        let Action::Store { token, .. } = out.last().cloned().unwrap() else {
-            panic!()
-        };
-        out.clear();
-        r.on_store_done(token, &mut out);
-        assert!(matches!(
-            out[0],
-            Action::Send {
-                msg: Message::WriteAck { .. },
-                ..
-            }
-        ));
+        let (_, t3) = fire(&mut r, t2.expect("re-arm expected"), &mut gen);
+        assert!(t3.is_none());
+        // Quiescent again: a foreign newer write acks as soon as it is
+        // durable.
+        assert_eq!(durable_write_from(&mut r, 2, 4, &mut gen), [2]);
+    }
+
+    #[test]
+    fn a_parked_ack_waits_only_for_grants_issued_before_it() {
+        let (mut gen, _) = token_gen();
+        let mut r = leased_replica(&mut gen);
+        let (_, _, t1) = read_from(&mut r, 0, &mut gen);
+        assert!(durable_write_from(&mut r, 2, 2, &mut gen).is_empty());
+        // The grantee reads again (exempt, so granted on the new tag):
+        // that grant cannot be invalidated by the parked write and must
+        // not extend its wait.
+        assert_eq!(read_from(&mut r, 0, &mut gen).1, LEASE as u32);
+        let (acked, rearmed) = fire(&mut r, t1.expect("armed"), &mut gen);
+        assert_eq!(acked, [2]);
+        assert!(rearmed.is_some(), "the later grant keeps its own hold");
     }
 
     #[test]
@@ -959,19 +1100,19 @@ mod tests {
         let Some(Action::SetTimer { token: horizon, .. }) = out.first().cloned() else {
             panic!("boot hold arms the horizon timer");
         };
-        out.clear();
         // Any write — even one already covered by the restored durable
-        // tag — is fenced: the pre-crash incarnation may have granted
-        // leases this incarnation cannot see.
-        r.on_message(ProcessId(2), &write_msg(2, 2, 9, 9), &mut gen, &mut out);
-        assert!(out.is_empty(), "boot-held ack must park, got {out:?}");
-        r.on_timer(horizon, &mut gen, &mut out);
-        assert!(out.iter().any(|a| matches!(
-            a,
-            Action::Send {
-                msg: Message::WriteAck { .. },
-                ..
-            }
-        )));
+        // tag, even the recovered node's own coordinator's — is fenced:
+        // the pre-crash incarnation may have granted leases this
+        // incarnation cannot see, to anyone. The hold is a grant to
+        // nobody, so nobody is exempt from it.
+        assert!(durable_write_from(&mut r, 2, 2, &mut gen).is_empty());
+        assert!(durable_write_from(&mut r, 1, 4, &mut gen).is_empty());
+        assert!(
+            !read_from(&mut r, 1, &mut gen).0,
+            "nor are its reads attested"
+        );
+        let (acked, rearmed) = fire(&mut r, horizon, &mut gen);
+        assert_eq!(acked, [2, 1]);
+        assert!(rearmed.is_none());
     }
 }

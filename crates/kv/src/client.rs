@@ -91,7 +91,7 @@ use rmem_net::{Client, ClientError, Ticket, TraceCtx};
 use rmem_obs::{
     Counter, EventKind, FlightEvent, FlightRecorder, Histogram, MetricsSnapshot, ObsHandle,
 };
-use rmem_types::{LeaseGrant, Op, OpId, OpResult, ProcessId, RegisterId, RejectReason, Value};
+use rmem_types::{Op, OpId, OpResult, ProcessId, RegisterId, RejectReason, Value};
 
 use rmem_storage::StorageError;
 use rmem_types::OpTag;
@@ -100,7 +100,6 @@ use crate::codec;
 use crate::epoch::{data_register, ShardMap, CONFIG_REGISTER};
 use crate::exactly_once::ExactlyOnce;
 use crate::health::{HealthMemory, NodeGate};
-use crate::lease::{LeaseCache, Lookup};
 use crate::recorder::OpRecorder;
 use crate::router::ShardRouter;
 use crate::seam::{Wire, World};
@@ -138,9 +137,6 @@ struct ClientObs {
     retries: Arc<Counter>,
     backoff_micros: Arc<Counter>,
     lease_hits: Arc<Counter>,
-    lease_misses: Arc<Counter>,
-    lease_revocations: Arc<Counter>,
-    lease_evictions: Arc<Counter>,
     inflight: Arc<rmem_obs::Gauge>,
     pipeline_depth: Arc<Histogram>,
     bundle_size: Arc<Histogram>,
@@ -163,9 +159,6 @@ impl ClientObs {
             retries: m.counter("kv.retries"),
             backoff_micros: m.counter("kv.backoff_micros"),
             lease_hits: m.counter("kv.lease_hits"),
-            lease_misses: m.counter("kv.lease_misses"),
-            lease_revocations: m.counter("kv.lease_revocations"),
-            lease_evictions: m.counter("kv.lease_evictions"),
             inflight: m.gauge("kv.inflight"),
             pipeline_depth: m.histogram("kv.pipeline_depth"),
             bundle_size: m.histogram("kv.bundle_size"),
@@ -223,11 +216,6 @@ struct Active {
     forward: bool,
     /// Latency clock opened when the chunk started (when metrics are on).
     started: Option<Duration>,
-    /// Submission instant of the current attempt, for the lease-horizon
-    /// anchor (only stamped when the client's lease cache is armed): a
-    /// grant riding its completion expires `grant.micros` after *this*
-    /// moment, never after an earlier failed node's.
-    sent: Option<Duration>,
 }
 
 /// The answer to one `get`: the payload that answered it (the resolver's
@@ -341,20 +329,17 @@ pub struct KvOpStats {
     /// Total microseconds operations waited out in `Busy` backoff (see
     /// `kv.backoff_micros`).
     pub backoff_micros: u64,
-    /// Reads served from the client's tag-lease cache with **zero**
-    /// datagrams (counted into `reads` with 0 rounds). Always 0 unless
-    /// [`KvClient::with_lease_cache`] armed the cache.
+    /// Register reads answered in **zero rounds**: the node the read
+    /// went to (its register's home, unless that is down) held a live tag
+    /// lease and served its value without asking anyone — one hop from
+    /// the client, no quorum round (counted into `reads` with 0 rounds).
+    /// Always 0 unless the cluster's flavor leases
+    /// (`Flavor::with_lease`); the client holds no lease of its own.
     pub lease_hits: u64,
-    /// Lease-cache lookups that found no live lease and fell through to
-    /// the quorum read path.
-    pub lease_misses: u64,
-    /// Leases dropped before their horizon: the client's own write to
-    /// the register, a newer tag observed, or a shard-map epoch change
-    /// (which revokes the whole cache).
+    /// Always 0: there is no client-held lease left to revoke. The frozen
+    /// `benchmark/` package reads the field by name; it goes with that
+    /// package's next PR.
     pub lease_revocations: u64,
-    /// Leases dropped by the cache itself: LRU capacity pressure or a
-    /// lapsed horizon discovered at lookup.
-    pub lease_evictions: u64,
 }
 
 impl KvOpStats {
@@ -543,13 +528,6 @@ pub struct KvClient {
     /// [`with_exactly_once`](KvClient::with_exactly_once); clones share
     /// it. `None` = classic at-least-once client, untagged writes.
     pub(crate) intents: Option<Arc<ExactlyOnce>>,
-    /// The tag-lease cache, armed by
-    /// [`with_lease_cache`](KvClient::with_lease_cache) and shared by
-    /// clones. `None` = every read pays at least one quorum round.
-    /// Serving hits additionally requires the cluster's flavor to grant
-    /// leases ([`rmem_core::Flavor::leases`]) — against an unleased
-    /// cluster the cache simply never fills.
-    leases: Option<Arc<LeaseCache>>,
 }
 
 /// A health memory for `world`'s nodes, aging its marks on `world`'s clock.
@@ -598,7 +576,6 @@ impl KvClient {
             trace: None,
             recorder: None,
             intents: None,
-            leases: None,
         }
     }
 
@@ -644,31 +621,13 @@ impl KvClient {
             .map(|t| rmem_obs::trace::RingDump::client(t.client_id(), t.ring().dump()))
     }
 
-    /// Arms the client family's tag-lease cache: reads whose fast-path
-    /// quorum attached a lease grant are cached, and repeated reads of
-    /// the same register are served locally — zero datagrams, zero
-    /// quorum rounds — until the lease's horizon passes, the client
-    /// writes the register, a newer tag is observed, or the shard map
-    /// changes epoch. At most `capacity` leases stay resident
-    /// (least-recently-served eviction), so only the hot keys occupy
-    /// client memory.
-    ///
-    /// Opt-in, and inert against a cluster whose flavor does not grant
-    /// leases (`Flavor::with_lease`): the cache never fills, every read
-    /// pays its normal rounds.
-    ///
-    /// **Freshness invariant**: a leased read never returns a value
-    /// older than any value returned after a completed write — the
-    /// granting replicas fence newer writes behind the granted horizon
-    /// (quorum intersection does the rest), and the client's horizon
-    /// clock starts at read *submission*, strictly undershooting every
-    /// replica's fence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_lease_cache(mut self, capacity: usize) -> Self {
-        self.leases = Some(Arc::new(LeaseCache::new(capacity)));
+    /// Does nothing. It used to arm a client-side cache of tag-lease
+    /// grants; leases now live at the coordinator only (a zero-round read
+    /// is [`KvOpStats::lease_hits`]), because nothing could reach a
+    /// client to revoke its grant and every put paid a lease term for
+    /// that. Kept because the frozen `benchmark/` package calls it; it
+    /// goes with that package's next PR.
+    pub fn with_lease_cache(self, _capacity: usize) -> Self {
         self
     }
 
@@ -757,9 +716,7 @@ impl KvClient {
             retries: self.obs.retries.get(),
             backoff_micros: self.obs.backoff_micros.get(),
             lease_hits: self.obs.lease_hits.get(),
-            lease_misses: self.obs.lease_misses.get(),
-            lease_revocations: self.obs.lease_revocations.get(),
-            lease_evictions: self.obs.lease_evictions.get(),
+            lease_revocations: 0,
         }
     }
 
@@ -790,83 +747,14 @@ impl KvClient {
         if rounds <= 1 {
             self.obs.fast_reads.inc();
         }
+        if rounds == 0 {
+            self.obs.lease_hits.inc();
+        }
     }
 
     fn record_write(&self, rounds: u32) {
         self.obs.writes.inc();
         self.obs.write_rounds.add(u64::from(rounds));
-    }
-
-    /// Serves `reg` from the lease cache if a live lease covers it under
-    /// `map`. A hit is a complete zero-round, zero-datagram read and is
-    /// counted into the read stats; during a migration the cache is
-    /// bypassed entirely (the split read protocol owns routing).
-    fn lease_hit(&self, reg: RegisterId, map: &ShardMap) -> Option<Value> {
-        let cache = self.leases.as_deref()?;
-        if map.is_migrating() {
-            return None;
-        }
-        match cache.lookup(reg, map.stamp(), self.world.now()) {
-            Lookup::Hit(payload) => {
-                self.obs.lease_hits.inc();
-                self.record_read(0);
-                self.obs.handle.flight.record(
-                    FlightEvent::new(EventKind::LeaseHit)
-                        .with_register(reg.0)
-                        .with_epoch(map.epoch as u32),
-                );
-                Some(payload)
-            }
-            Lookup::Expired => {
-                self.obs.lease_evictions.inc();
-                self.obs.lease_misses.inc();
-                None
-            }
-            Lookup::Miss => {
-                self.obs.lease_misses.inc();
-                None
-            }
-        }
-    }
-
-    /// Installs a granted lease, with the horizon clock anchored at `t0`
-    /// — the instant the read was *submitted*, so the client-side expiry
-    /// strictly undershoots every granting replica's write fence. Fills
-    /// are skipped during migrations: a mid-split grant would be stamped
-    /// by a map that is about to change.
-    fn lease_fill(
-        &self,
-        reg: RegisterId,
-        grant: LeaseGrant,
-        payload: Value,
-        map: &ShardMap,
-        t0: Duration,
-    ) {
-        let Some(cache) = self.leases.as_deref() else {
-            return;
-        };
-        if map.is_migrating() {
-            return;
-        }
-        let horizon = t0 + Duration::from_micros(u64::from(grant.micros));
-        let evicted = cache.fill(reg, grant.ts, payload, map.stamp(), horizon);
-        self.obs.lease_evictions.add(evicted as u64);
-    }
-
-    /// Revokes `reg`'s lease, called **before** any write this client
-    /// issues to the register — the cached value is about to be stale.
-    fn lease_revoke(&self, reg: RegisterId) {
-        let Some(cache) = self.leases.as_deref() else {
-            return;
-        };
-        if cache.invalidate(reg) {
-            self.obs.lease_revocations.inc();
-            self.obs.handle.flight.record(
-                FlightEvent::new(EventKind::LeaseRevoke)
-                    .with_register(reg.0)
-                    .with_aux(1),
-            );
-        }
     }
 
     /// How long an operation waits before `Busy` retry `attempt`
@@ -909,33 +797,12 @@ impl KvClient {
 
     /// Adopts `new` into the shared cache if it advances the current map
     /// (newer epoch, or same epoch moving from migrating to committed).
-    /// An adoption revokes **every** lease: no lease survives a
-    /// shard-map change — the keys behind a register may differ under
-    /// the new routing, and migration copies rewrite registers outside
-    /// the leased read path.
     fn adopt(&self, new: &ShardMap) {
-        let changed = {
-            let mut cur = self.map.lock().expect("shard map lock");
-            if new.epoch > cur.epoch
-                || (new.epoch == cur.epoch && cur.is_migrating() && !new.is_migrating())
-            {
-                *cur = *new;
-                true
-            } else {
-                false
-            }
-        };
-        if changed {
-            if let Some(cache) = &self.leases {
-                let dropped = cache.clear() as u64;
-                if dropped > 0 {
-                    self.obs.lease_revocations.add(dropped);
-                    self.obs
-                        .handle
-                        .flight
-                        .record(FlightEvent::new(EventKind::LeaseRevoke).with_aux(dropped));
-                }
-            }
+        let mut cur = self.map.lock().expect("shard map lock");
+        if new.epoch > cur.epoch
+            || (new.epoch == cur.epoch && cur.is_migrating() && !new.is_migrating())
+        {
+            *cur = *new;
         }
     }
 
@@ -1343,8 +1210,7 @@ impl KvClient {
     /// submitted from this one thread, and settles as its completion
     /// arrives. Results align with the input order.
     ///
-    /// A key under a live lease is answered before anything is sent. A
-    /// key behind the migration barrier ([`ShardMap::is_barriered`]) is a
+    /// A key behind the migration barrier ([`ShardMap::is_barriered`]) is a
     /// read of its own, old home then new home. A read whose node fails
     /// (down, timeout, `Busy` past its retries) moves to the register's
     /// next node as the same operation; a key the round's payload cannot
@@ -1516,15 +1382,9 @@ impl<K: AsRef<str>> Batch<'_, K> {
             Batch::Raw {
                 write: Some(payload),
                 ..
-            } => {
-                kv.lease_revoke(reg);
-                return world.submit(node, Op::WriteAt(reg, payload.clone()));
-            }
+            } => return world.submit(node, Op::WriteAt(reg, payload.clone())),
             Batch::Puts(entries, tag) => (entries, tag),
         };
-        // The cached value for this register is about to go stale —
-        // revoke before the write leaves.
-        kv.lease_revoke(reg);
         let payload = match (inputs, tag) {
             ([(_, idx)], None) if kv.recorder.is_none() => {
                 let (key, value) = (entries[*idx].0.as_ref(), &entries[*idx].1);
@@ -1558,7 +1418,7 @@ impl<K: AsRef<str>> Batch<'_, K> {
         let kv = flight.kv;
         let (home, idx) = flight.inputs(op.chunk)[0];
         match (&mut *self, done) {
-            (Batch::Raw { done, .. }, (result, rounds, _)) => {
+            (Batch::Raw { done, .. }, (result, rounds)) => {
                 let payload = match result {
                     OpResult::ReadValue(payload) => payload,
                     _ => Value::bottom(),
@@ -1566,7 +1426,7 @@ impl<K: AsRef<str>> Batch<'_, K> {
                 kv.rec_reply(op.inv.take(), OpResult::ReadValue(payload.clone()));
                 **done = Some((payload, rounds));
             }
-            (Batch::Gets(keys, answers), (OpResult::ReadValue(payload), rounds, lease)) => {
+            (Batch::Gets(keys, answers), (OpResult::ReadValue(payload), rounds)) => {
                 kv.record_read(rounds);
                 if flight.barriered(home) {
                     // The unsealed old home is authoritative (writers are
@@ -1585,13 +1445,6 @@ impl<K: AsRef<str>> Batch<'_, K> {
                     }
                     answers[idx] = Some((payload.clone(), value));
                 } else {
-                    // With no grant, whatever lease the cache holds for
-                    // this register is not refreshable — the quorum
-                    // stopped attesting it. It expires on its own horizon
-                    // (still safe: the fence outlives it).
-                    if let (Some(grant), Some(t0)) = (lease, op.sent) {
-                        kv.lease_fill(home, grant, payload.clone(), &flight.map, t0);
-                    }
                     let mut stale = Vec::new();
                     for &(_, i) in flight.inputs(op.chunk) {
                         let key = keys[i].as_ref();
@@ -1610,7 +1463,7 @@ impl<K: AsRef<str>> Batch<'_, K> {
                 kv.rec_reply(op.inv.take(), OpResult::ReadValue(payload));
             }
             // A barriered put's seal poll.
-            (Batch::Puts(entries, _), (OpResult::ReadValue(payload), rounds, _)) => {
+            (Batch::Puts(entries, _), (OpResult::ReadValue(payload), rounds)) => {
                 kv.record_read(rounds);
                 kv.obs.barrier_polls.inc();
                 let flights = &kv.obs.handle.flight;
@@ -1655,7 +1508,7 @@ impl<K: AsRef<str>> Batch<'_, K> {
                 let wait = (100u64 << (op.polls - 1).min(5)).min(2_000);
                 return Next::Park(Duration::from_micros(wait));
             }
-            (Batch::Puts(..), (OpResult::Written, rounds, _)) => {
+            (Batch::Puts(..), (OpResult::Written, rounds)) => {
                 kv.record_write(rounds);
                 ClientObs::lap(op.started, &*kv.world, &kv.obs.put_micros);
                 kv.rec_reply(op.inv.take(), OpResult::Written);
@@ -1769,8 +1622,7 @@ impl<'a> Flight<'a> {
     }
 
     /// Starts a wave over the inputs `todo`: routes them under the
-    /// current map — a get under a live lease is answered on the spot,
-    /// zero datagrams — cuts them into chunks and starts every register's
+    /// current map, cuts them into chunks and starts every register's
     /// first; the later ones follow as their predecessors end.
     fn launch<K: AsRef<str>>(&mut self, batch: &mut Batch<'_, K>, todo: &[usize]) {
         let kv = self.kv;
@@ -1788,17 +1640,6 @@ impl<'a> Flight<'a> {
                     _ => self.map.register_for(batch.key(i)),
                 },
             };
-            if let Batch::Gets(keys, answers) = batch {
-                if let Some(payload) = kv.lease_hit(reg, &self.map) {
-                    // Still a recorded store operation — the lease fence
-                    // is exactly what makes it certifiable.
-                    let inv = kv.rec_invoke(Op::ReadAt(reg));
-                    kv.rec_reply(inv, OpResult::ReadValue(payload.clone()));
-                    let value = codec::value_for_key(&payload, keys[i].as_ref());
-                    answers[i] = Some((payload, value));
-                    continue;
-                }
-            }
             self.routed.push((reg, i));
         }
         let mut routed = std::mem::take(&mut self.routed);
@@ -1829,7 +1670,6 @@ impl<'a> Flight<'a> {
             polls: 0,
             forward: false,
             started: obs.op_clock(&*self.kv.world),
-            sent: None,
         };
         self.submit(batch, op);
     }
@@ -1858,7 +1698,6 @@ impl<'a> Flight<'a> {
                 let e = self.node_error(batch, op.chunk, source);
                 return self.end(batch, op, Err(e));
             };
-            op.sent = kv.leases.is_some().then(|| kv.world.now());
             match batch.submit(self, &mut op, node) {
                 Ok(ticket) => {
                     self.tickets.push(ticket);
@@ -2725,28 +2564,25 @@ mod tests {
         cluster.shutdown();
     }
 
-    /// A cluster whose flavor grants tag leases, paired with a
-    /// lease-caching client.
+    /// A client over a cluster whose flavor grants tag leases.
     fn leased_cluster_client(lease_micros: u64, shards: u16) -> (LocalCluster, KvClient) {
         let cluster = LocalCluster::channel(
             3,
             SharedMemory::factory(Persistent::flavor().with_lease(lease_micros)),
         )
         .unwrap();
-        let client = KvClient::new(cluster.clients(), ShardRouter::new(shards))
-            .unwrap()
-            .with_lease_cache(16);
+        let client = KvClient::new(cluster.clients(), ShardRouter::new(shards)).unwrap();
         (cluster, client)
     }
 
     #[test]
-    fn hot_key_reads_are_served_by_the_lease_cache() {
+    fn hot_key_reads_are_served_in_zero_rounds() {
         let (mut cluster, kv) = leased_cluster_client(2_000_000, 8);
         kv.put("hot", b"v1".to_vec()).unwrap();
         settle();
-        // The first read pays its quorum round and harvests the grant…
+        // The first read pays its quorum round and the home node mints…
         assert_eq!(kv.get("hot").unwrap().as_deref(), Some(b"v1".as_ref()));
-        // …the rest are zero-round, zero-datagram hits.
+        // …the rest are one hop to it and zero rounds.
         for _ in 0..8 {
             assert_eq!(kv.get("hot").unwrap().as_deref(), Some(b"v1".as_ref()));
         }
@@ -2760,33 +2596,43 @@ mod tests {
     }
 
     #[test]
-    fn own_write_revokes_the_lease_and_the_next_read_is_fresh() {
-        let (mut cluster, kv) = leased_cluster_client(500_000, 8);
+    fn a_put_through_the_holder_neither_waits_nor_leaves_a_stale_lease() {
+        const TERM: Duration = Duration::from_millis(500);
+        let (mut cluster, kv) = leased_cluster_client(TERM.as_micros() as u64, 8);
         kv.put("k", b"v1".to_vec()).unwrap();
         settle();
         assert_eq!(kv.get("k").unwrap().as_deref(), Some(b"v1".as_ref()));
         assert_eq!(kv.get("k").unwrap().as_deref(), Some(b"v1".as_ref()));
         assert!(kv.stats().lease_hits >= 1);
-        // The put revokes this client's lease before the write leaves
-        // (the replicas additionally fence it behind every *other*
-        // client's outstanding grant), so the next read returns v2.
+        // The put goes to the node holding the lease, which drops it
+        // before the write leaves and passes its own fence at every
+        // replica: no lease term is waited out, and the next read pays a
+        // round and returns v2.
+        let started = std::time::Instant::now();
         kv.put("k", b"v2".to_vec()).unwrap();
+        let took = started.elapsed();
+        assert!(
+            took < TERM / 2,
+            "the put sat behind its own lease: {took:?}"
+        );
+        let before = kv.stats();
         assert_eq!(kv.get("k").unwrap().as_deref(), Some(b"v2".as_ref()));
-        assert!(kv.stats().lease_revocations >= 1, "{:?}", kv.stats());
+        assert_eq!(kv.stats().lease_hits, before.lease_hits, "a dead lease");
         cluster.shutdown();
     }
 
     #[test]
-    fn multi_get_serves_hot_keys_from_leases() {
+    fn multi_get_serves_hot_registers_in_zero_rounds() {
         let (mut cluster, kv) = leased_cluster_client(2_000_000, 8);
         let keys = ["a", "b", "c", "d"];
         for key in keys {
             kv.put(key, key.as_bytes().to_vec()).unwrap();
         }
         settle();
-        // First batch fills the cache through the pipeline…
+        // First batch mints at every register's home through the
+        // pipeline…
         let first = kv.multi_get(&keys).unwrap();
-        // …second batch answers entirely from leases.
+        // …the second is answered entirely under those leases.
         let before = kv.stats();
         let second = kv.multi_get(&keys).unwrap();
         assert_eq!(first, second);
@@ -2794,46 +2640,25 @@ mod tests {
             assert_eq!(value.as_deref(), Some(key.as_bytes()));
         }
         let after = kv.stats();
-        assert!(
-            after.lease_hits >= before.lease_hits + keys.len() as u64,
+        assert!(after.reads > before.reads);
+        assert_eq!(
+            (after.lease_hits - before.lease_hits, after.read_rounds),
+            (after.reads - before.reads, before.read_rounds),
             "batch hits missing: {before:?} -> {after:?}"
         );
         cluster.shutdown();
     }
 
     #[test]
-    fn unleased_cluster_never_fills_the_cache() {
+    fn unleased_cluster_never_reads_in_zero_rounds() {
         let (mut cluster, kv) = cluster_client(8);
-        let kv = kv.with_lease_cache(16);
         kv.put("k", b"v".to_vec()).unwrap();
         for _ in 0..4 {
             assert_eq!(kv.get("k").unwrap().as_deref(), Some(b"v".as_ref()));
         }
         let stats = kv.stats();
         assert_eq!(stats.lease_hits, 0, "no grants, no hits: {stats:?}");
-        assert!(stats.lease_misses >= 4);
         assert!(stats.mean_read_rounds() >= 1.0);
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn a_grow_revokes_every_lease() {
-        let (mut cluster, kv) = leased_cluster_client(100_000, 4);
-        kv.put("x", b"1".to_vec()).unwrap();
-        kv.put("y", b"2".to_vec()).unwrap();
-        settle();
-        let _ = kv.get("x").unwrap();
-        let _ = kv.get("y").unwrap();
-        let before = kv.stats();
-        kv.grow(8).unwrap();
-        let after = kv.stats();
-        assert!(
-            after.lease_revocations > before.lease_revocations,
-            "the epoch change must drop cached leases: {before:?} -> {after:?}"
-        );
-        // Post-split reads are correct (and refill under the new stamp).
-        assert_eq!(kv.get("x").unwrap().as_deref(), Some(b"1".as_ref()));
-        assert_eq!(kv.get("y").unwrap().as_deref(), Some(b"2".as_ref()));
         cluster.shutdown();
     }
 }

@@ -161,9 +161,9 @@ impl State {
         for (op, end) in self.sim.take_completions() {
             let token = self.tokens.remove(&op).expect("a hosted operation");
             // Lost to its node's crash: what a halting runner answers.
-            let lost = (OpResult::Rejected(RejectReason::Shutdown), 0, None);
-            let (result, rounds, lease) = end.unwrap_or(lost);
-            if self.table.route(token, result, rounds, lease) == Routed::Delivered {
+            let lost = (OpResult::Rejected(RejectReason::Shutdown), 0);
+            let (result, rounds) = end.unwrap_or(lost);
+            if self.table.route(token, result, rounds, None) == Routed::Delivered {
                 for parked in self.parked.iter_mut().flatten() {
                     if parked.tokens.contains(&token) {
                         parked.until = VirtualTime::ZERO;
@@ -260,11 +260,11 @@ impl World for Host {
             let mut st = self.await_turn(me);
             st.route();
             for (i, &ticket) in tickets.iter().enumerate() {
-                if let Claimed::Ready(result, rounds, lease) = st.table.claim(ticket) {
+                if let Claimed::Ready(result, rounds) = st.table.claim(ticket) {
                     let settled = match result {
                         OpResult::Rejected(RejectReason::Shutdown) => Err(ClientError::ProcessDown),
                         OpResult::Rejected(_) => Err(ClientError::Busy),
-                        result => Ok((result, rounds, lease)),
+                        result => Ok((result, rounds)),
                     };
                     return Some((i, settled));
                 }

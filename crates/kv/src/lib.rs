@@ -88,7 +88,6 @@ pub mod exactly_once;
 pub mod health;
 pub mod history;
 pub mod host;
-mod lease;
 pub mod recorder;
 pub mod router;
 pub mod seam;

@@ -1,7 +1,7 @@
 //! The seam: everything [`KvClient`](crate::KvClient) asks of the world.
 //!
 //! The client's driver is blocking code — routing, cutting, failover,
-//! barriers, leases, `grow`, `resolve` — that never touches a socket, a
+//! barriers, `grow`, `resolve` — that never touches a socket, a
 //! thread or a clock itself. What it needs from outside is one trait,
 //! [`World`]: **submit** a register operation at a node (a write also
 //! encoded in place), **wait** for any of a list of tickets until a
@@ -9,9 +9,8 @@
 //! count, largest value), the **time** and one **jitter** draw.
 //!
 //! The clock and the jitter are effects like the rest, not conveniences:
-//! backoff deadlines, barrier polls, patience, lease horizons, health-mark
-//! decay and latency laps all read time, and `Busy` backoff draws
-//! randomness. A client reading `Instant::now()` or a thread-local
+//! backoff deadlines, barrier polls, patience, health-mark decay and
+//! latency laps all read time, and `Busy` backoff draws randomness. A client reading `Instant::now()` or a thread-local
 //! generator for any of them would differ from run to run with every
 //! message delivered in the same order, and could not run in virtual time
 //! at all. Behind the seam, a run of the client is a function of what its
@@ -73,8 +72,8 @@ pub trait World: Send + Sync + std::fmt::Debug {
 }
 
 /// The origin of every [`Wire`]'s clock: one per process, so a client
-/// rebuilt over new handles, and families sharing a lease cache, agree on
-/// what a stored deadline means.
+/// rebuilt over new handles, and families sharing a health memory, agree
+/// on what a stored deadline means.
 fn origin() -> Instant {
     static ORIGIN: OnceLock<Instant> = OnceLock::new();
     *ORIGIN.get_or_init(Instant::now)

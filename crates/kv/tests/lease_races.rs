@@ -1,22 +1,24 @@
 //! Real-runtime lease freshness: concurrent writers vs leased readers,
-//! plus the pinned epoch-change-mid-lease revocation case.
+//! plus the pinned epoch-change-mid-lease cases.
 //!
-//! The client-held lease cache answers hot-key gets with **zero**
-//! datagrams, so these are the reads most able to go stale. Each seeded
-//! run races a writer installing monotone versions against two leased
-//! reader families over Zipf-hot keys; every run is recorded and
-//! per-key certified, and every leased read (identified by the family's
-//! `lease_hits` delta around the get) is policed by the
-//! [`check_freshness`] oracle on one shared monotonic clock: **a leased
-//! read must never return a value older than any value returned after a
-//! completed write.**
+//! A register's home node answers hot-key gets under its tag lease in
+//! **zero** rounds, so these are the reads most able to go stale — and
+//! the writer's puts go through the very nodes that hold the leases,
+//! past their own fences. Each seeded run races a writer installing
+//! monotone versions against two reader families over Zipf-hot keys;
+//! every run is recorded and per-key certified, and every zero-round
+//! read (identified by the family's `lease_hits` delta around the get)
+//! is policed by the [`check_freshness`] oracle on one shared monotonic
+//! clock: **a leased read must never return a value older than any value
+//! returned after a completed write.**
 //!
-//! The pinned case drives a live 4 → 8 split while a reader family
-//! holds leases: the split's seal writes are fenced at the replicas
-//! behind the outstanding grants (the grow demonstrably stalls), the
-//! reader's next get discovers the new epoch, the map adoption revokes
-//! every resident lease, and the post-split read returns the new
-//! epoch's freshest write.
+//! The pinned cases drive a live 4 → 8 split over leased registers. Its
+//! seal writes routed through the home nodes — the lease holders — pass
+//! their own fences: the grow does not wait, and the stale-mapped
+//! reader's next get returns the new epoch's freshest write. The same
+//! split submitted through one foreign node still waits out the
+//! holders' grants, exactly as every write did while grants went out to
+//! clients.
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -28,6 +30,7 @@ use rmem_core::{Persistent, SharedMemory};
 use rmem_kv::{certify_per_key_epoch_path, KvClient, OpRecorder, ShardRouter};
 use rmem_net::LocalCluster;
 use rmem_sim::KeyDistribution;
+use rmem_types::ProcessId;
 
 const SHARDS: u16 = 4;
 /// Real-time lease horizon for the traffic sweep: long enough for a
@@ -111,10 +114,10 @@ fn run_seed(seed: u64) -> SeedOutcome {
                 }
             });
         }
-        // Two leased reader families. Each family is one thread owning
-        // its own client (and so its own lease cache and counters): the
-        // `lease_hits` delta around a get is exactly "this get was
-        // answered by the lease, zero datagrams".
+        // Two reader families. Each family is one thread owning its own
+        // client (and so its own counters): the `lease_hits` delta
+        // around a get is exactly "this get was answered under a lease,
+        // zero rounds".
         for family in 0..2u64 {
             let clients = cluster.clients();
             let recorder = recorder.clone();
@@ -124,7 +127,6 @@ fn run_seed(seed: u64) -> SeedOutcome {
             scope.spawn(move || {
                 let reader = KvClient::new(clients, ShardRouter::new(SHARDS))
                     .unwrap()
-                    .with_lease_cache(8)
                     .with_recorder(recorder);
                 let dist = KeyDistribution::zipf(keys.len(), 0.99);
                 for _ in 0..READS_PER_READER {
@@ -222,80 +224,123 @@ fn sweep_writers_vs_leased_readers() {
     println!("sweep: {leased} leased reads, {quorum} quorum reads, all fresh");
 }
 
-/// Pinned: an epoch change races live leases. A reader family holds
-/// leases on two keys; a concurrent 4 → 8 grow must (a) stall its seal
-/// writes behind the replica-side lease fence, (b) trigger a map
-/// adoption at the reader that revokes every resident lease, and
-/// (c) leave the reader returning the new epoch's freshest value — a
-/// lease never survives an epoch change.
-#[test]
-fn a_grow_mid_lease_fences_the_seal_and_revokes() {
-    const LEASE: u64 = 100_000; // 100ms: the grow demonstrably waits it out.
-    let cluster = leased_cluster(LEASE);
+/// A write returns on a majority; minting needs the whole read quorum to
+/// agree, so a check that a lease is earned first lets the last replica
+/// catch up.
+const SETTLE: Duration = Duration::from_millis(20);
+
+/// The pinned split's lease term: long enough that "waited it out" and
+/// "did not wait" cannot be confused on a loaded machine.
+const SPLIT_LEASE: Duration = Duration::from_millis(400);
+
+/// The pinned split's setting: a cluster leasing for [`SPLIT_LEASE`], an
+/// owner that preloaded two keys, and a reader family that earned the
+/// home nodes' leases on both and was served under them.
+struct SplitUnderLeases {
+    cluster: LocalCluster,
+    owner: KvClient,
+    reader: KvClient,
+    /// An instant before the first of the reader's grants was issued.
+    granted_after: Instant,
+    hot: String,
+}
+
+fn split_under_leases() -> SplitUnderLeases {
+    let cluster = leased_cluster(SPLIT_LEASE.as_micros() as u64);
     let owner = KvClient::new(cluster.clients(), ShardRouter::new(SHARDS)).unwrap();
-    let reader = KvClient::new(cluster.clients(), ShardRouter::new(SHARDS))
-        .unwrap()
-        .with_lease_cache(8);
+    let reader = KvClient::new(cluster.clients(), ShardRouter::new(SHARDS)).unwrap();
     let keys = ShardRouter::new(SHARDS).covering_keys("gk-");
-    let hot = &keys[0];
-    let warm = &keys[1];
-    owner.put(hot, version_bytes(1)).unwrap();
-    owner.put(warm, version_bytes(1)).unwrap();
-
-    // Earn grants, then hit them: both keys leased and resident.
-    for key in [hot, warm] {
-        assert_eq!(
-            reader.get(key).unwrap().as_deref(),
-            Some(version_bytes(1).as_slice())
-        );
-        assert_eq!(
-            reader.get(key).unwrap().as_deref(),
-            Some(version_bytes(1).as_slice())
-        );
+    for key in &keys[..2] {
+        owner.put(key, version_bytes(1)).unwrap();
     }
-    let hits_before = reader.stats().lease_hits;
-    assert!(hits_before >= 2, "both keys must be served from leases");
-
-    // The split: its seal writes carry tags newer than the granted ones,
-    // so the replicas park them until the reader's horizons pass — the
-    // fence is what keeps the resident leases fresh while the epoch
-    // turns under them.
-    let sealed_at = Instant::now();
-    let report = owner.grow(2 * SHARDS).unwrap();
-    assert_eq!(report.epoch, 1);
+    std::thread::sleep(SETTLE);
+    let granted_after = Instant::now();
+    for key in &keys[..2] {
+        for _ in 0..2 {
+            let got = reader.get(key).unwrap();
+            assert_eq!(got.as_deref(), Some(version_bytes(1).as_slice()));
+        }
+    }
     assert!(
-        sealed_at.elapsed() >= Duration::from_millis(50),
-        "the seal must have waited out the outstanding grants (took {:?})",
-        sealed_at.elapsed()
+        reader.stats().lease_hits >= 2,
+        "both keys must be served under leases: {:?}",
+        reader.stats()
     );
+    SplitUnderLeases {
+        hot: keys[0].clone(),
+        cluster,
+        owner,
+        reader,
+        granted_after,
+    }
+}
 
-    // A post-split write in the new epoch…
-    owner.put(hot, version_bytes(2)).unwrap();
-
-    // …and the stale-mapped reader must return it: its lease horizon
-    // expired strictly before the seal landed, the quorum read hits the
-    // sealed old home, the foreign stamp forces a map refresh, and the
-    // adoption revokes the still-resident leases.
+/// After a committed split and a post-split write through `writer`, the
+/// stale-mapped `reader` must return that write and adopt the epoch —
+/// and the new epoch re-earns leases as usual.
+fn the_stale_reader_sees_the_post_split_write(writer: &KvClient, reader: &KvClient, hot: &str) {
+    writer.put(hot, version_bytes(2)).unwrap();
+    // The reader's map is stale, its read goes to the sealed old home:
+    // the seal killed that node's lease, so the read asks the quorum,
+    // the foreign stamp forces a map refresh, and the new home answers.
     assert_eq!(
         reader.get(hot).unwrap().as_deref(),
         Some(version_bytes(2).as_slice()),
         "a leased reader must never see past a completed post-split write"
     );
     assert_eq!(reader.shard_map().epoch, 1, "the reader adopted the split");
-    let stats = reader.stats();
+    std::thread::sleep(SETTLE);
+    let hits_before = reader.stats().lease_hits;
+    for _ in 0..2 {
+        let got = reader.get(hot).unwrap();
+        assert_eq!(got.as_deref(), Some(version_bytes(2).as_slice()));
+    }
     assert!(
-        stats.lease_revocations >= 1,
-        "the adoption must have revoked the resident leases (got {})",
-        stats.lease_revocations
+        reader.stats().lease_hits > hits_before,
+        "{:?}",
+        reader.stats()
     );
-    // And the new epoch re-earns leases as usual.
-    assert_eq!(
-        reader.get(hot).unwrap().as_deref(),
-        Some(version_bytes(2).as_slice())
+}
+
+/// Pinned: an epoch change races live leases, through their holders. The
+/// grower's register operations go to each register's home node first —
+/// the node that minted the lease — which drops it before the seal
+/// leaves and is exempt from its own grants at every replica: the grow
+/// does not wait out the term, and no lease survives to serve the old
+/// epoch.
+#[test]
+fn a_grow_through_the_lease_holders_does_not_wait() {
+    let split = split_under_leases();
+    let started = Instant::now();
+    let report = split.owner.grow(2 * SHARDS).unwrap();
+    let took = started.elapsed();
+    assert_eq!(report.epoch, 1);
+    assert!(
+        took < SPLIT_LEASE / 2,
+        "the seals sat behind their own nodes' grants (took {took:?})"
     );
-    assert_eq!(
-        reader.get(hot).unwrap().as_deref(),
-        Some(version_bytes(2).as_slice())
+    the_stale_reader_sees_the_post_split_write(&split.owner, &split.reader, &split.hot);
+}
+
+/// Pinned: the same split submitted through one node that is **not** the
+/// hot register's home. Its seal is a foreign coordinator's write: the
+/// replicas park its acknowledgement until the holder's grants expire,
+/// exactly as before — the fence is what keeps the holder's lease fresh
+/// while the epoch turns under it.
+#[test]
+fn a_grow_through_a_foreign_node_waits_out_the_holders_grants() {
+    let split = split_under_leases();
+    let home = split.owner.shard_map().register_for(&split.hot).0 as usize % 3;
+    let foreign = split.cluster.client(ProcessId(((home + 1) % 3) as u16));
+    let grower = KvClient::new(vec![foreign], ShardRouter::new(SHARDS)).unwrap();
+    let report = grower.grow(2 * SHARDS).unwrap();
+    assert_eq!(report.epoch, 1);
+    // Every replica granted after `granted_after` and holds the seal's
+    // acknowledgement for the term (plus its slack) from then.
+    let done_after = split.granted_after.elapsed();
+    assert!(
+        done_after >= SPLIT_LEASE,
+        "the seal must have waited out the holder's grants (done {done_after:?} after them)"
     );
-    assert!(reader.stats().lease_hits > hits_before);
+    the_stale_reader_sees_the_post_split_write(&grower, &split.reader, &split.hot);
 }

@@ -545,13 +545,14 @@ fn without_the_fast_path_every_read_is_two_rounds() {
 }
 
 /// Tag leases, hosted: a writer installing monotone versions races two
-/// reader families serving hot keys from their lease caches — zero
-/// datagrams, so the reads most able to go stale. Every run certifies per
-/// key, and every leased read (the family's `lease_hits` moved across the
-/// `get`) is policed by the freshness oracle on the one virtual clock: **a
-/// leased read never returns a value older than any value returned after
-/// a completed write** — as `rmem-consistency`'s `lease_races` polices the
-/// register-level lease.
+/// reader families whose hot keys are answered under their home nodes'
+/// leases — zero rounds, so the reads most able to go stale, and the
+/// writer's puts go through the very nodes that hold them. Every run
+/// certifies per key, and every zero-round read (the family's
+/// `lease_hits` moved across the `get`) is policed by the freshness oracle
+/// on the one virtual clock: **a leased read never returns a value older
+/// than any value returned after a completed write** — as
+/// `rmem-consistency`'s `lease_races` polices the register-level lease.
 #[test]
 fn leased_reads_of_hosted_clients_are_never_stale() {
     const LEASE_MICROS: u64 = 1_500;
@@ -596,7 +597,7 @@ fn leased_reads_of_hosted_clients_are_never_stale() {
                 }) as Script
             };
             let reader = |family: u64| {
-                let (kv, world) = (client().with_lease_cache(8), world.clone());
+                let (kv, world) = (client(), world.clone());
                 let mut rng = StdRng::seed_from_u64(seed * 31 + family);
                 Box::new(move || {
                     let dist = KeyDistribution::zipf(keys.len(), 0.99);
@@ -644,7 +645,7 @@ fn leased_reads_of_hosted_clients_are_never_stale() {
     }
     assert!(
         leased > 0,
-        "the sweep must serve reads from leases ({quorum} quorum reads)"
+        "the sweep must serve reads in zero rounds ({quorum} quorum reads)"
     );
     assert!(
         quorum > 0,

@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use rmem_types::{LeaseGrant, Op, OpResult, ProcessId, RegisterId, RejectReason, TraceId, Value};
+use rmem_types::{Op, OpResult, ProcessId, RegisterId, RejectReason, TraceId, Value};
 
 use crate::error::ClientError;
 use crate::runner::{Client, Completion, EventTx, RunnerEvent, TraceCtx};
@@ -45,15 +45,12 @@ use crate::runner::{Client, Completion, EventTx, RunnerEvent, TraceCtx};
 const DRAIN_SLICE: Duration = Duration::from_millis(25);
 
 /// A completion settled by [`wait_any`](PipelinedClient::wait_any): the
-/// ticket's index in the caller's list plus its settled result (the op
-/// outcome, quorum round count, and — for leasing flavors — the minted
-/// tag-lease grant, `None` otherwise).
+/// ticket's index in the caller's list plus its settled result.
 pub type AnyCompletion = (usize, Result<Settled, ClientError>);
 
-/// A settled completion: the op outcome, how many quorum round-trips it
-/// took (0 = served from a live coordinator lease), and the tag-lease
-/// grant the emulation minted for it, if any.
-pub type Settled = (OpResult, u32, Option<LeaseGrant>);
+/// A settled completion: the op outcome and how many quorum round-trips
+/// it took (0 = served from a live coordinator lease).
+pub type Settled = (OpResult, u32);
 
 /// A claim check for one submitted operation: the slot index plus the
 /// slot's generation at submission time.
@@ -98,9 +95,8 @@ pub enum Routed {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Claimed {
     /// The operation completed with this result after this many quorum
-    /// round-trips (plus the minted tag-lease grant, if any); the slot
-    /// has been reclaimed.
-    Ready(OpResult, u32, Option<LeaseGrant>),
+    /// round-trips; the slot has been reclaimed.
+    Ready(OpResult, u32),
     /// Still awaiting its completion.
     Pending,
     /// The ticket was already claimed or cancelled.
@@ -110,11 +106,7 @@ pub enum Claimed {
 enum SlotState {
     Free,
     InFlight,
-    Done {
-        result: OpResult,
-        rounds: u32,
-        lease: Option<LeaseGrant>,
-    },
+    Done { result: OpResult, rounds: u32 },
 }
 
 struct Slot {
@@ -202,12 +194,17 @@ impl InFlightTable {
     /// Routes a tagged completion to its slot. Late and duplicated acks
     /// are counted and dropped — a completion is **never** delivered to
     /// a slot whose generation moved on.
+    ///
+    /// The fourth parameter is inert: it was the tag-lease grant a
+    /// completion carried out to the client, the frozen `benchmark/`
+    /// package still passes its `None`, and it goes with that package's
+    /// next PR (`Infallible` keeps anything else from being passed).
     pub fn route(
         &mut self,
         token: u64,
         result: OpResult,
         rounds: u32,
-        lease: Option<LeaseGrant>,
+        _no_grant: Option<std::convert::Infallible>,
     ) -> Routed {
         let idx = (token & u64::from(u32::MAX)) as usize;
         let generation = (token >> 32) as u32;
@@ -221,11 +218,7 @@ impl InFlightTable {
         }
         match slot.state {
             SlotState::InFlight => {
-                slot.state = SlotState::Done {
-                    result,
-                    rounds,
-                    lease,
-                };
+                slot.state = SlotState::Done { result, rounds };
                 Routed::Delivered
             }
             SlotState::Done { .. } => {
@@ -253,13 +246,9 @@ impl InFlightTable {
                     Claimed::Pending
                 }
                 SlotState::Free => Claimed::Gone,
-                SlotState::Done {
-                    result,
-                    rounds,
-                    lease,
-                } => {
+                SlotState::Done { result, rounds } => {
                     self.reclaim(ticket.slot);
-                    Claimed::Ready(result, rounds, lease)
+                    Claimed::Ready(result, rounds)
                 }
             },
         }
@@ -467,8 +456,8 @@ impl Pipeline {
             return;
         }
         let mut routed = false;
-        for (token, result, rounds, lease) in self.done_rx.try_iter() {
-            reactor.table.route(token, result, rounds, lease);
+        for (token, result, rounds) in self.done_rx.try_iter() {
+            reactor.table.route(token, result, rounds, None);
             routed = true;
         }
         if routed {
@@ -483,7 +472,6 @@ impl Pipeline {
         &self,
         result: OpResult,
         rounds: u32,
-        lease: Option<LeaseGrant>,
         meta: Option<(usize, RegisterId, Option<TraceId>)>,
         trace: Option<&TraceCtx>,
     ) -> Result<Settled, ClientError> {
@@ -494,7 +482,7 @@ impl Pipeline {
                 if let (Some(ctx), Some((target, reg, Some(id)))) = (trace, meta) {
                     ctx.finish(id, reg, self.targets[target].me);
                 }
-                Ok((result, rounds, lease))
+                Ok((result, rounds))
             }
         }
     }
@@ -513,9 +501,9 @@ impl Pipeline {
         match g.table.claim(ticket) {
             Claimed::Pending => None,
             Claimed::Gone => panic!("polling a ticket that was already claimed or cancelled"),
-            Claimed::Ready(result, rounds, lease) => {
+            Claimed::Ready(result, rounds) => {
                 drop(g);
-                Some(self.settle(result, rounds, lease, meta, trace))
+                Some(self.settle(result, rounds, meta, trace))
             }
         }
     }
@@ -536,11 +524,11 @@ impl Pipeline {
             self.drain_ready(&mut g);
             let meta = g.table.meta(ticket);
             match g.table.claim(ticket) {
-                Claimed::Ready(result, rounds, lease) => {
+                Claimed::Ready(result, rounds) => {
                     drop(g);
                     // A follower may be asleep with no drainer left.
                     self.wake.notify_all();
-                    return self.settle(result, rounds, lease, meta, trace);
+                    return self.settle(result, rounds, meta, trace);
                 }
                 Claimed::Gone => {
                     panic!("waiting on a ticket that was already claimed or cancelled")
@@ -577,10 +565,10 @@ impl Pipeline {
             self.drain_ready(&mut g);
             for (i, &ticket) in tickets.iter().enumerate() {
                 let meta = g.table.meta(ticket);
-                if let Claimed::Ready(result, rounds, lease) = g.table.claim(ticket) {
+                if let Claimed::Ready(result, rounds) = g.table.claim(ticket) {
                     drop(g);
                     self.wake.notify_all();
-                    return Some((i, self.settle(result, rounds, lease, meta, trace)));
+                    return Some((i, self.settle(result, rounds, meta, trace)));
                 }
             }
             let now = Instant::now();
@@ -605,8 +593,8 @@ impl Pipeline {
             let got = self.done_rx.recv_timeout(remaining.min(DRAIN_SLICE * 4));
             let mut g = self.inner.lock().expect("pipeline lock");
             g.draining = false;
-            if let Ok((token, result, rounds, lease)) = got {
-                g.table.route(token, result, rounds, lease);
+            if let Ok((token, result, rounds)) = got {
+                g.table.route(token, result, rounds, None);
             }
             // Hand the drain duty over (and wake anyone whose completion
             // just routed) before looping.
@@ -769,18 +757,7 @@ impl PipelinedClient {
     /// was in flight on the same register of that node),
     /// [`ClientError::ProcessDown`] if the node halted with the op
     /// pending, [`ClientError::TimedOut`] as its name says.
-    pub fn wait(&self, ticket: Ticket) -> Result<(OpResult, u32), ClientError> {
-        self.wait_leased(ticket)
-            .map(|(result, rounds, _)| (result, rounds))
-    }
-
-    /// As [`wait`](Self::wait), additionally surfacing the tag-lease
-    /// grant a leasing flavor's fast path may have minted for this op.
-    ///
-    /// # Errors
-    ///
-    /// As for [`wait`](Self::wait).
-    pub fn wait_leased(&self, ticket: Ticket) -> Result<Settled, ClientError> {
+    pub fn wait(&self, ticket: Ticket) -> Result<Settled, ClientError> {
         self.pipe.wait(ticket, self.timeout, self.trace.as_deref())
     }
 
@@ -798,7 +775,7 @@ impl PipelinedClient {
     /// Settles every listed ticket (in order), waiting where necessary:
     /// completions are claimed, timeouts cancelled. After `wait_all`
     /// returns, none of the listed tickets occupies a slot.
-    pub fn wait_all(&self, tickets: &[Ticket]) -> Vec<Result<(OpResult, u32), ClientError>> {
+    pub fn wait_all(&self, tickets: &[Ticket]) -> Vec<Result<Settled, ClientError>> {
         tickets.iter().map(|&t| self.wait(t)).collect()
     }
 
@@ -838,9 +815,9 @@ mod tests {
         assert_ne!(a.token(), b.token());
         assert_eq!(table.route(b.token(), done(2), 1, None), Routed::Delivered);
         assert_eq!(table.claim(a), Claimed::Pending);
-        assert_eq!(table.claim(b), Claimed::Ready(done(2), 1, None));
+        assert_eq!(table.claim(b), Claimed::Ready(done(2), 1));
         assert_eq!(table.route(a.token(), done(1), 2, None), Routed::Delivered);
-        assert_eq!(table.claim(a), Claimed::Ready(done(1), 2, None));
+        assert_eq!(table.claim(a), Claimed::Ready(done(1), 2));
         assert_eq!(table.in_flight(), 0);
         assert_eq!(table.late_acks(), 0);
     }
@@ -860,7 +837,7 @@ mod tests {
         assert_eq!(table.route(a.token(), done(9), 1, None), Routed::Late);
         assert_eq!(table.route(b.token(), done(3), 1, None), Routed::Delivered);
         assert_eq!(table.route(b.token(), done(4), 1, None), Routed::Duplicate);
-        assert_eq!(table.claim(b), Claimed::Ready(done(3), 1, None));
+        assert_eq!(table.claim(b), Claimed::Ready(done(3), 1));
         assert_eq!(table.late_acks(), 3);
         // An ack for a slot index that never existed is late too.
         assert_eq!(
@@ -904,9 +881,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2));
             let sent = Instant::now();
             for ticket in [for_leader, for_follower] {
-                pipe.done_tx
-                    .send((ticket.token(), done(round), 1, None))
-                    .unwrap();
+                pipe.done_tx.send((ticket.token(), done(round), 1)).unwrap();
             }
             assert!(pipe.poll(own, None).is_none(), "nothing completes `own`");
             leader_wakes.push(leader.join().unwrap().duration_since(sent));

@@ -51,7 +51,7 @@ pub const HALT_DUMP_EVENTS: usize = 64;
 /// took. Every operation of one client family shares one completion
 /// channel; the token routes the completion to its slot (see
 /// [`crate::pipeline::InFlightTable`]).
-pub(crate) type Completion = (u64, OpResult, u32, Option<rmem_types::LeaseGrant>);
+pub(crate) type Completion = (u64, OpResult, u32);
 
 /// How many queued events the loop handles before it looks at the timer
 /// heap again. A handled event costs a few microseconds, so a retransmit
@@ -321,7 +321,7 @@ impl OpTable {
     /// operation pending").
     fn drain_shutdown(&mut self) {
         for (_op, (_reg, reply, token, _started, _trace)) in self.in_flight.drain() {
-            let _ = reply.send((token, OpResult::Rejected(RejectReason::Shutdown), 0, None));
+            let _ = reply.send((token, OpResult::Rejected(RejectReason::Shutdown), 0));
         }
         self.by_register.clear();
     }
@@ -408,8 +408,7 @@ impl Client {
 
     fn invoke(&self, operation: Op) -> Result<(OpResult, u32), ClientError> {
         let ticket = self.pipe.submit(0, operation, self.trace.as_deref())?;
-        let settled = self.pipe.wait(ticket, self.timeout, self.trace.as_deref());
-        settled.map(|(result, rounds, _)| (result, rounds))
+        self.pipe.wait(ticket, self.timeout, self.trace.as_deref())
     }
 
     /// Writes `value` to the emulated register, blocking until the write
@@ -796,12 +795,7 @@ impl Node {
                     self.timers
                         .push(Reverse((Instant::now() + Duration::from(after), seq)));
                 }
-                Action::Complete {
-                    op,
-                    result,
-                    rounds,
-                    lease,
-                } => {
+                Action::Complete { op, result, rounds } => {
                     if let Some((reply, token, started, trace)) = self.pending.complete(op) {
                         self.mx.ops_completed.inc();
                         if self.obs.metrics.is_enabled() {
@@ -815,7 +809,7 @@ impl Node {
                             Some(t) => ev.with_op(t.client, t.op),
                             None => ev.with_op(op.pid.0, op.counter),
                         });
-                        let _ = reply.send((token, result, rounds, lease));
+                        let _ = reply.send((token, result, rounds));
                     }
                 }
             }
@@ -921,7 +915,7 @@ impl Node {
     ) {
         let reg = operation.register();
         if self.pending.is_busy(reg) {
-            let _ = reply.send((token, OpResult::Rejected(RejectReason::Busy), 0, None));
+            let _ = reply.send((token, OpResult::Rejected(RejectReason::Busy), 0));
             return;
         }
         let op = OpId::new(self.me, self.op_counter);
@@ -1035,7 +1029,7 @@ fn run_loop(
     // emulation is gone.
     for (_, event) in rx.try_iter() {
         if let RunnerEvent::Invoke { reply, token, .. } = event {
-            let _ = reply.send((token, OpResult::Rejected(RejectReason::Shutdown), 0, None));
+            let _ = reply.send((token, OpResult::Rejected(RejectReason::Shutdown), 0));
         }
     }
     node.pending.drain_shutdown();
@@ -1174,7 +1168,6 @@ mod tests {
                         op,
                         result: OpResult::Written,
                         rounds: 0,
-                        lease: None,
                     });
                     "invoke"
                 }

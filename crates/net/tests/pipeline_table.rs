@@ -69,7 +69,7 @@ fn check_any_schedule(copies: Vec<usize>, shuffle: Vec<usize>) -> Result<(), Tes
     // dropped ones are still pending and get cancelled.
     for (i, &ticket) in tickets.iter().enumerate() {
         match table.claim(ticket) {
-            Claimed::Ready(result, rounds, _) => {
+            Claimed::Ready(result, rounds) => {
                 prop_assert!(
                     first_ack_routed[i],
                     "op {} never acked yet claimed Ready",
@@ -152,7 +152,7 @@ fn check_reclaimed_slots(n: usize, cancel_mask: Vec<bool>) -> Result<(), TestCas
             Routed::Delivered
         );
         match table.claim(t) {
-            Claimed::Ready(result, 2, None) => prop_assert_eq!(result, ack(1000 + k)),
+            Claimed::Ready(result, 2) => prop_assert_eq!(result, ack(1000 + k)),
             other => prop_assert!(false, "new tenant claim failed: {:?}", other),
         }
     }
@@ -163,7 +163,7 @@ fn check_reclaimed_slots(n: usize, cancel_mask: Vec<bool>) -> Result<(), TestCas
             Routed::Delivered
         );
         match table.claim(first[i]) {
-            Claimed::Ready(result, 1, None) => prop_assert_eq!(result, ack(i)),
+            Claimed::Ready(result, 1) => prop_assert_eq!(result, ack(i)),
             other => prop_assert!(false, "survivor claim failed: {:?}", other),
         }
     }

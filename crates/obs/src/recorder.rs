@@ -73,13 +73,6 @@ pub enum EventKind {
     ClientSend = 14,
     /// A client received its operation's result (`aux` = contacted pid).
     ClientRecv = 15,
-    /// A leased read was served from the client's tag cache with zero
-    /// datagrams (the event's register field names the lease).
-    LeaseHit = 16,
-    /// A client lease was revoked before its horizon — own write, newer
-    /// tag observed, or epoch change (`aux` = leases dropped; 1 for a
-    /// single-register revoke, the whole cache on an epoch change).
-    LeaseRevoke = 17,
 }
 
 impl EventKind {
@@ -100,8 +93,6 @@ impl EventKind {
             13 => EventKind::AckSent,
             14 => EventKind::ClientSend,
             15 => EventKind::ClientRecv,
-            16 => EventKind::LeaseHit,
-            17 => EventKind::LeaseRevoke,
             _ => return None,
         })
     }
@@ -124,8 +115,6 @@ impl EventKind {
             EventKind::AckSent => "AckSent",
             EventKind::ClientSend => "ClientSend",
             EventKind::ClientRecv => "ClientRecv",
-            EventKind::LeaseHit => "LeaseHit",
-            EventKind::LeaseRevoke => "LeaseRevoke",
         }
     }
 }
@@ -273,7 +262,6 @@ impl std::fmt::Display for FlightEvent {
             EventKind::GroupCommit => write!(f, " size={}", self.aux),
             EventKind::EpochRefresh => write!(f, " shards={}", self.aux),
             EventKind::BarrierWait => write!(f, " polls={}", self.aux),
-            EventKind::LeaseRevoke => write!(f, " dropped={}", self.aux),
             _ if self.aux != 0 => write!(f, " aux={}", self.aux),
             _ => Ok(()),
         }

@@ -5,9 +5,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rmem_storage::{FaultPlan, FaultyStorage, MemStorage, SnapshotView, StableStorage};
-use rmem_types::{
-    Action, AutomatonFactory, Input, LeaseGrant, Micros, Op, OpId, OpResult, ProcessId,
-};
+use rmem_types::{Action, AutomatonFactory, Input, Micros, Op, OpId, OpResult, ProcessId};
 
 use crate::config::ClusterConfig;
 use crate::event::{EventKind, EventQueue};
@@ -76,9 +74,8 @@ pub enum Invoked {
 }
 
 /// How an operation invoked through [`Simulation::invoke`] ended: its
-/// result, quorum rounds and tag-lease grant — or `None`, lost to its
-/// process's crash.
-pub type PortCompletion = (OpId, Option<(OpResult, u32, Option<LeaseGrant>)>);
+/// result and quorum rounds — or `None`, lost to its process's crash.
+pub type PortCompletion = (OpId, Option<(OpResult, u32)>);
 
 /// Outcome summary of a run.
 #[derive(Debug)]
@@ -719,17 +716,11 @@ impl Simulation {
                     },
                 );
             }
-            Action::Complete {
-                op,
-                result,
-                rounds,
-                lease,
-            } => {
+            Action::Complete { op, result, rounds } => {
                 let slot = &mut self.procs[pid.index()];
                 slot.pending.retain(|_, &mut p| p != op);
                 if self.ported.remove(&op) {
-                    self.completions
-                        .push((op, Some((result.clone(), rounds, lease))));
+                    self.completions.push((op, Some((result.clone(), rounds))));
                 }
                 self.trace.bump_chain(op, chain);
                 self.trace.record_rounds(op, rounds);

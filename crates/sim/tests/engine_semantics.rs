@@ -707,7 +707,7 @@ fn the_port_invokes_hands_back_completions_and_wakes() {
         done.extend(sim.take_completions());
     }
     let (_, end) = done.iter().find(|(op, _)| *op == first).expect("the write");
-    let (result, rounds, _) = end.clone().expect("nothing crashed");
+    let (result, rounds) = end.clone().expect("nothing crashed");
     assert_eq!(result, OpResult::Written);
     assert!(rounds >= 1, "rounds ride the completion");
 

@@ -36,7 +36,6 @@ use bytes::Bytes;
 use crate::message::Message;
 use crate::op::{Op, OpId, OpResult};
 use crate::process::ProcessId;
-use crate::timestamp::Timestamp;
 use crate::Micros;
 
 /// Token correlating an [`Action::Store`] with its [`Input::StoreDone`].
@@ -46,27 +45,6 @@ pub struct StoreToken(pub u64);
 /// Token correlating an [`Action::SetTimer`] with its [`Input::Timer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimerToken(pub u64);
-
-/// A tag lease minted by a unanimous durable read quorum, riding on
-/// [`Action::Complete`] back to the invoking client.
-///
-/// Every replica of the read quorum attested the same durable `ts` *and*
-/// promised to withhold acknowledgements of any newer write until its
-/// grant horizon passes, so the holder may serve repeated reads of the
-/// leased value locally — with **zero quorum rounds** — for up to
-/// `micros` measured from the moment it handed the read to the wire.
-/// Expiry is always judged against the *pre-send* clock stamp: the
-/// replicas' horizons start later (when each processed the request), so
-/// the client-side lease dies strictly before any replica releases a
-/// newer write's acknowledgement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LeaseGrant {
-    /// The leased tag: the unanimous durable timestamp of the read.
-    pub ts: Timestamp,
-    /// Lease duration in microseconds (the minimum grant across the
-    /// quorum's acknowledgements).
-    pub micros: u32,
-}
 
 /// Read-only view of a process's stable storage, offered to
 /// [`AutomatonFactory::recover`].
@@ -184,14 +162,11 @@ pub enum Action {
         /// Quorum round-trips the operation performed (0 for rejected
         /// invocations). Lets runtimes surface per-operation costs — in
         /// particular whether a read completed through the one-round fast
-        /// path (1), paid the write-back round (2), or was served from a
-        /// held tag lease without touching the network at all (0).
+        /// path (1), paid the write-back round (2), or was served from the
+        /// coordinator's held tag lease without touching the network at
+        /// all (0). The lease itself never leaves the automaton: a
+        /// completion carries a value, not a right to serve it again.
         rounds: u32,
-        /// A tag lease minted by this operation (reads whose unanimous
-        /// durable quorum also granted one), for the client to cache.
-        /// `None` for writes, rejections, fallback reads and flavors
-        /// without leasing.
-        lease: Option<LeaseGrant>,
     },
 }
 

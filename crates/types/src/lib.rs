@@ -43,8 +43,8 @@ pub mod timestamp;
 pub mod value;
 
 pub use automaton::{
-    Action, Automaton, AutomatonFactory, EmptySnapshot, Input, LeaseGrant, StableSnapshot,
-    StoreToken, TimerToken,
+    Action, Automaton, AutomatonFactory, EmptySnapshot, Input, StableSnapshot, StoreToken,
+    TimerToken,
 };
 pub use error::DecodeError;
 pub use message::{Message, RequestId, TraceId};

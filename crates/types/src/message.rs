@@ -169,18 +169,19 @@ pub enum Message {
         /// new-old inversion the write-back exists to prevent.
         ///
         /// A replica holding outstanding tag-lease grants additionally
-        /// reports tags *newer than its minimum granted tag* as
-        /// non-durable: such a tag is still fenced behind live leases
-        /// (its write acknowledgements are parked), so a fast-path read
-        /// returning it early would let a leased read elsewhere invert
-        /// the order.
+        /// reports tags *newer than the minimum tag it granted to a
+        /// process other than the reader* as non-durable: such a tag is
+        /// still fenced behind live leases (its write acknowledgements
+        /// are parked), so a fast-path read returning it early would let
+        /// a leased read elsewhere invert the order.
         durable: bool,
         /// Tag-lease grant, in microseconds (0 = no grant). A replica
         /// reporting a durable, lease-clear tag under a leasing flavor
-        /// promises to withhold acknowledgements of any newer write for
-        /// at least this long after sending the ack; a unanimous durable
-        /// quorum whose acks all carry a grant mints a client-held lease
-        /// for the agreed tag.
+        /// promises the reader to withhold acknowledgements of any newer
+        /// write *from another process* for at least this long after
+        /// sending the ack; a unanimous durable quorum whose acks all
+        /// carry a grant mints a lease for the agreed tag, held by the
+        /// reading coordinator and nobody else.
         grant: u32,
     },
 }
