@@ -190,9 +190,11 @@ fn main() {
         let (lease_rows, lease_table) = rmem_bench::kv::kv_lease_section(smoke);
         println!("{}", lease_table.to_text());
         // The zero-round acceptance gates, pinned from eight seeds of the
-        // hosted twins (`probe_thresholds_across_seeds`: mean read rounds
-        // ≤ 0.080 full size, ≤ 0.085 smoke; speed-up ≥ 4.42× / ≥ 5.21×)
-        // at worst / 0.9 and 0.9 × worst.
+        // hosted twins (`probe_thresholds_across_seeds`) at worst / 0.9
+        // and 0.9 × worst while a write ended its holder's lease (mean
+        // read rounds ≤ 0.080 full size, ≤ 0.085 smoke; speed-up ≥ 5.15×
+        // / ≥ 5.32×), and kept: with leases handed on and renewed the
+        // same probe reads ≤ 0.059 / ≤ 0.076 and ≥ 7.29× / ≥ 5.21×.
         let (mean_cap, speedup_floor) = if smoke { (0.10, 4.5) } else { (0.09, 3.9) };
         for flavor in ["persistent", "transient"] {
             let pick = |lease_on: bool| {

@@ -98,10 +98,10 @@ pub const READ_HEAVY_WRITE_FRACTION: f64 = 0.1;
 /// Write fraction of the read-mostly lease section: hot keys are read
 /// over and over with only the occasional put, which is the regime tag
 /// leases exist for. A put through its key's home node — the lease
-/// holder — passes that node's own fence; one that fails over to another
-/// node freezes the register for the fence term (~1.25× the horizon), and
-/// every put costs the key its lease and the next get a round. The
-/// section keeps puts rare enough that the reads' savings decide the
+/// holder — passes that node's own fence and hands the lease on to what
+/// it wrote; one that fails over to another node freezes the register
+/// for the fence term (~1.25× the horizon) and costs the key its lease.
+/// The section keeps puts rare enough that the reads' savings decide the
 /// headline ratio.
 pub const LEASE_WRITE_FRACTION: f64 = 0.007;
 

@@ -7,11 +7,16 @@
 //! and a holder's own write is let past its own grants at every replica
 //! (see `rmem_core::replica`), which makes the holder's side of the fence
 //! the part to distrust. So these tests race writers against leased
-//! readers over seeded, jittered runs in four shapes — reader and writer
-//! through the **same** coordinator, through different ones, a straggler
-//! `Write` of the holder's previous incarnation landing under the new
-//! incarnation's lease, the holder crashing mid-write — and adjudicate
-//! each run twice: the full criterion checkers certify the history, and
+//! readers over seeded, jittered runs in nine shapes — reader and writer
+//! through the **same** coordinator (whose write *hands* its lease *on*
+//! to the tag it wrote), through different ones, a straggler `Write` of
+//! the holder's previous incarnation landing under the new incarnation's
+//! lease (and the holder then writing under it), the holder crashing
+//! mid-write, the lease's horizon firing mid-write, a foreign writer
+//! against a holder that renews every term, clients arriving during a
+//! renewal nobody waits for, a read adopting a renewal whose replies are
+//! older than itself — and adjudicate each run twice: the full
+//! criterion checkers certify the history, and
 //! the [`check_freshness`] oracle polices every zero-round read against
 //! the committed version frontier — **a leased read must never return a
 //! value older than any value returned after a completed write.**
@@ -28,8 +33,8 @@ use rmem_consistency::{
 };
 use rmem_core::{Flavor, SharedMemory};
 use rmem_sim::workload::{ClosedLoop, PlannedEvent, Schedule};
-use rmem_sim::{ClusterConfig, NetConfig, SimReport, Simulation, Trace};
-use rmem_types::{AutomatonFactory, Micros, Op, OpKind, ProcessId, Value};
+use rmem_sim::{ClusterConfig, NetConfig, SimReport, Simulation, Trace, VirtualTime};
+use rmem_types::{AutomatonFactory, Micros, Op, OpKind, OpResult, ProcessId, Value};
 
 /// Virtual-time lease horizon. Long enough that a reader's think time
 /// (30–200µs) fits many reads inside one grant; short enough that the
@@ -144,14 +149,29 @@ type Check = fn(History) -> Result<(), String>;
 /// Both crash-recovery flavors, leasing for `lease` µs, each with its
 /// criterion's checker.
 fn leased_flavors(lease: u64) -> [(Arc<dyn AutomatonFactory>, &'static str, Check); 2] {
+    patient_leased_flavors(lease, rmem_core::DEFAULT_RETRANSMIT)
+}
+
+/// [`leased_flavors`] retransmitting an unanswered round after
+/// `retransmit`.
+fn patient_leased_flavors(
+    lease: u64,
+    retransmit: Micros,
+) -> [(Arc<dyn AutomatonFactory>, &'static str, Check); 2] {
     [
         (
-            SharedMemory::factory(Flavor::persistent().with_lease(lease)),
+            SharedMemory::factory_with_retransmit(
+                Flavor::persistent().with_lease(lease),
+                retransmit,
+            ),
             "persistent",
             |h| check_persistent(&h).map(|_| ()).map_err(|e| e.to_string()),
         ),
         (
-            SharedMemory::factory(Flavor::transient().with_lease(lease)),
+            SharedMemory::factory_with_retransmit(
+                Flavor::transient().with_lease(lease),
+                retransmit,
+            ),
             "transient",
             |h| check_transient(&h).map(|_| ()).map_err(|e| e.to_string()),
         ),
@@ -200,6 +220,26 @@ fn adjudicate(
         "{what}: every zero-round read must have been policed"
     );
     ops
+}
+
+/// Panics, with the run's timeline, unless some operation is `wanted`.
+fn demand(
+    report: &SimReport,
+    ops: &[(ProcessId, FreshnessOp)],
+    what: &str,
+    wanted: &dyn Fn(ProcessId, FreshnessOp) -> bool,
+) {
+    if !ops.iter().any(|&(pid, op)| wanted(pid, op)) {
+        dump_trace_timeline(&report.trace);
+        panic!("{what}");
+    }
+}
+
+/// The operation `pid` invoked at `invoked` µs — planted there by the
+/// schedule.
+fn planted(ops: &[(ProcessId, FreshnessOp)], pid: ProcessId, invoked: u64) -> FreshnessOp {
+    let started = |&&(by, op): &&(ProcessId, FreshnessOp)| by == pid && op.invoked_at == invoked;
+    ops.iter().find(started).expect("planted").1
 }
 
 fn completed(report: &SimReport) -> usize {
@@ -253,18 +293,45 @@ fn leased_sweeps_certify_and_never_serve_stale_reads() {
     }
 }
 
-/// (a) Reader and writer through the **same** coordinator: every write
-/// begins under a live lease of its own process, which must be gone
-/// before the write's first message leaves — the replicas let the write
-/// past that process's grants on nothing else — while another process's
-/// reads fence it as ever. The holder never hears itself here, so its
-/// own replica adopting the new tag cannot kill the lease for it. On its
-/// own, the holder never waits for itself.
+/// How many of `holder`'s writes took one round, and how many of those
+/// its very next operation — a read — saw in zero rounds.
+fn handed_on(report: &SimReport, holder: ProcessId) -> [usize; 2] {
+    let ops = report.trace.operations().iter();
+    let own: Vec<_> = ops.filter(|o| o.op.pid == holder).collect();
+    let one_round = |o: &rmem_sim::OpRecord| o.kind == OpKind::Write && o.rounds == 1;
+    let then_zero = own.windows(2).filter(|pair| {
+        let (write, next) = (pair[0], pair[1]);
+        let Op::Write(value) = &write.operation else {
+            return false;
+        };
+        let saw = next.result.as_ref().and_then(|r| r.read_value());
+        one_round(write) && next.rounds == 0 && saw == Some(value)
+    });
+    [
+        own.iter().filter(|o| one_round(o)).count(),
+        then_zero.count(),
+    ]
+}
+
+/// (a′) Reader and writer through the **same** coordinator: every write
+/// begins under a live lease of its own process. It takes the lease
+/// before its first message leaves — the replicas let the write past
+/// that process's grants on nothing else — uses it as its query round,
+/// and completed hands it on to the tag it wrote: one round, and the
+/// holder's next read is zero rounds **of the new version**. Another
+/// process's reads fence the write as ever. The holder never hears
+/// itself here, so its own replica knows no tag at all: the new tag
+/// outranks the old one on the strength of the leased tag alone, and
+/// the replica adopting it cannot be what retires the old value. On
+/// its own, the holder never waits for itself, and pays one round per
+/// write. (Red without the hand-on at the write's completion in
+/// `generic.rs`: no read of a new version is zero rounds.)
 #[test]
-fn a_holder_that_also_writes_never_serves_its_own_stale_lease() {
+fn a_holder_that_also_writes_hands_its_lease_on_to_what_it_wrote() {
     let deaf_to_itself = || Schedule::new().at(0, PlannedEvent::Block(p(0), p(0)));
     for (factory, name, check) in leased_flavors(LEASE_MICROS) {
         let mut rounds = ReadRounds::default();
+        let mut tally = [0, 0];
         for seed in 0..SEEDS {
             let mut sim =
                 Simulation::new(jittery(), factory.clone(), seed).with_schedule(deaf_to_itself());
@@ -281,11 +348,21 @@ fn a_holder_that_also_writes_never_serves_its_own_stale_lease() {
                 ops.iter().filter(by_holder).count() >= 12,
                 "{what}: the holder's reads between its writes are served under its lease"
             );
+            let [one_round, then_zero] = handed_on(&report, p(0));
+            tally = [tally[0] + one_round, tally[1] + then_zero];
         }
         assert!(rounds.fallback > 0, "{name}: the other reader is fenced");
+        // The other reader's grants hold most of these writes past the
+        // horizon of the lease they took; the rest hand it on.
+        let [one_round, then_zero] = tally;
+        assert!(
+            one_round == 12 * SEEDS as usize && then_zero >= SEEDS as usize,
+            "{name}: {one_round} one-round writes, {then_zero} handed on"
+        );
 
         // The holder alone: nobody else's grant is out, so no write of
-        // its ever sits out a lease term.
+        // its ever sits out a lease term, every one of them is one round,
+        // and only a horizon that fires mid-write costs the next read one.
         let mut sim =
             Simulation::new(jittery(), factory.clone(), 0).with_schedule(deaf_to_itself());
         sim.add_closed_loop(holder_that_also_writes(p(0), 12));
@@ -296,6 +373,12 @@ fn a_holder_that_also_writes_never_serves_its_own_stale_lease() {
             slowest.is_some_and(|l| l < LEASE_MICROS),
             "{name}: a write waited out its own process's grants ({slowest:?} µs)"
         );
+        let [one_round, then_zero] = handed_on(&report, p(0));
+        assert_eq!(
+            one_round, 12,
+            "{name}: a write under a live lease is one round"
+        );
+        assert!(then_zero >= 5, "{name}: only {then_zero} of 11 handed on");
     }
 }
 
@@ -367,11 +450,8 @@ fn a_straggler_of_the_holders_last_life_lands_under_its_new_lease() {
             let report = sim.run();
             let what = format!("{name}/seed {seed}");
             let ops = adjudicate(&report, &what, check, &mut rounds);
-            let fired = |what: &str, wanted: &dyn Fn(ProcessId, FreshnessOp) -> bool| {
-                if !ops.iter().any(|&(pid, op)| wanted(pid, op)) {
-                    dump_trace_timeline(&report.trace);
-                    panic!("{name}/seed {seed}: {what}");
-                }
+            let fired = |that: &str, wanted: &dyn Fn(ProcessId, FreshnessOp) -> bool| {
+                demand(&report, &ops, &format!("{what}: {that}"), wanted)
             };
             fired(
                 "the straggler must land and be read",
@@ -397,6 +477,111 @@ fn a_straggler_of_the_holders_last_life_lands_under_its_new_lease() {
                     },
                 );
             }
+        }
+        assert!(rounds.leased > 0, "{name}: the oracle policed nothing");
+    }
+}
+
+/// (c′) The same straggler, and then **the holder writes under the lease
+/// it landed under**. The new incarnation's lease is on tag 1; the
+/// straggler carries tag 2 and sits at p1 and p2 when p0 — which has not
+/// seen it: it never hears itself, and nobody else is awake to write it
+/// back — begins a write under that lease. The leased tag stands in for
+/// the query round, so the new tag is Fig. 5 line 11 over it, `rec`
+/// included: 1 + 1 + 1 outranks the straggler, and the transient
+/// criterion's "an interrupted write takes effect before its process's
+/// next write returns, or never" holds. (Red when the leased write's tag
+/// leaves the `rec` component out: it *is* the straggler's tag, p1 and p2
+/// acknowledge it without adopting, and the completed write is never
+/// read. The persistent flavor pre-logs and re-finishes; its lease is
+/// minted on the straggler's tag to begin with.)
+#[test]
+fn a_holder_writing_under_its_new_lease_outranks_its_last_lifes_straggler() {
+    const LEASE: u64 = 10_000;
+    const SENT: u64 = 1_200;
+    const LANDED: u64 = SENT + 200 + 2_700;
+    let big = Value::new(vec![7u8; 32 * 1024]);
+    // Versions must order as the writes do: 1, the straggler, this.
+    let last = version_of(&big) + 1;
+    for (factory, name, check) in leased_flavors(LEASE) {
+        let transient = name == "transient";
+        let mut rounds = ReadRounds::default();
+        for seed in 0..SEEDS {
+            let crash = if transient { 1_700 } else { 3_100 } + 10 * seed;
+            // Recovered, caught up and — the persistent flavor —
+            // re-finished; the first read then mints.
+            let recovered = crash + if transient { 1_100 } else { 7_000 };
+            // The straggler is durable at p1 and p2 well before this, and
+            // the minting read — 32 KiB on the wire for the persistent
+            // flavor — is back.
+            let writes = if transient { LANDED } else { recovered } + 4_000;
+            let schedule = Schedule::new()
+                .at(0, PlannedEvent::Block(p(0), p(0)))
+                .at(10, PlannedEvent::Invoke(p(0), Op::Write(v(1))))
+                .at(SENT, PlannedEvent::Invoke(p(0), Op::Write(big.clone())))
+                .at(crash, PlannedEvent::Crash(p(0)))
+                .at(crash + 200, PlannedEvent::Recover(p(0)))
+                .at(
+                    writes,
+                    PlannedEvent::Invoke(p(0), Op::Write(v(last as u32))),
+                );
+            let read_at =
+                |schedule: Schedule, at| schedule.at(at, PlannedEvent::Invoke(p(0), Op::Read));
+            let schedule = (0..36).fold(schedule, |schedule, k| {
+                let before = read_at(schedule, recovered + 100 * k);
+                read_at(before, writes + 1_000 + 100 * k)
+            });
+            let mut sim = Simulation::new(jittery(), factory.clone(), seed).with_schedule(schedule);
+            // The others wake only once p0's lease has run out.
+            for pid in [p(1), p(2)] {
+                let late = ClosedLoop::reads(pid, 6).with_think(Micros(150));
+                sim.add_closed_loop(late.with_start_after(Micros(recovered + LEASE + 2_000)));
+            }
+            let report = sim.run();
+            let what = format!("{name}/seed {seed}");
+            let ops = adjudicate(&report, &what, check, &mut rounds);
+            let fired = |that: &str, wanted: &dyn Fn(ProcessId, FreshnessOp) -> bool| {
+                demand(&report, &ops, &format!("{what}: {that}"), wanted)
+            };
+            if transient {
+                let old_leased = FreshnessKind::Read {
+                    version: 1,
+                    leased: true,
+                };
+                fired(
+                    "the straggler lands under a lease on the old tag",
+                    &|pid, op| {
+                        pid == p(0) && op.kind == old_leased && op.invoked_at > LANDED + 1_500
+                    },
+                );
+            }
+            let the_write = report
+                .trace
+                .operations()
+                .iter()
+                .find(|o| o.operation == Op::Write(v(last as u32)) && o.is_completed());
+            assert_eq!(
+                the_write.map(|o| o.rounds),
+                Some(1),
+                "{what}: the write begins under the lease"
+            );
+            let new_leased = FreshnessKind::Read {
+                version: last,
+                leased: true,
+            };
+            fired("the lease is handed on to the new tag", &|pid, op| {
+                pid == p(0) && op.kind == new_leased
+            });
+            fired(
+                "the others read the new value, not the straggler's",
+                &|pid, op| {
+                    let new = FreshnessKind::Read {
+                        version: last,
+                        leased: false,
+                    };
+                    pid != p(0) && op.kind == new
+                },
+            );
         }
         assert!(rounds.leased > 0, "{name}: the oracle policed nothing");
     }
@@ -430,6 +615,234 @@ fn a_holder_crashing_mid_write_leaves_no_stale_lease_behind() {
         }
         assert!(rounds.leased > 0, "{name}: the oracle policed nothing");
         assert!(rounds.fallback > 0, "{name}: nothing was ever fenced");
+    }
+}
+
+/// (e) The lease's horizon fires **mid-write**, while a foreign reader
+/// waits. p0 mints at 10 µs, so its horizon is 1 510 µs on every seed,
+/// and begins a write under that lease at 1 300 µs that cannot finish
+/// before it: there is nothing left to hand on, p0's next read asks the
+/// quorum, and p1 — whose read met the new tag behind p0's grants — is
+/// served it only after they expired. Then p2 writes, unheard by p0 (so
+/// p0's own replica cannot retire a lease for it), and p0 must see that
+/// too. (Red without the line in `on_timer` that marks a taken lease's
+/// horizon as fired: the write hands on a lease whose timer is spent,
+/// which never ends, and p0 serves version 1 for ever after p2's
+/// version 2 completed.)
+#[test]
+fn a_horizon_that_fires_mid_write_leaves_nothing_to_hand_on() {
+    const MINT: u64 = 10;
+    const WRITE: u64 = 1_300;
+    const HOLD: u64 = LEASE_MICROS + LEASE_MICROS / 4;
+    for (factory, name, check) in leased_flavors(LEASE_MICROS) {
+        let mut rounds = ReadRounds::default();
+        for seed in 0..SEEDS {
+            let p0_reads = [MINT, 500, 900, 3_800, 4_200, 9_000, 10_000];
+            let schedule = Schedule::new()
+                .at(WRITE, PlannedEvent::Invoke(p(0), Op::Write(v(1))))
+                .at(WRITE + 400, PlannedEvent::Invoke(p(1), Op::Read))
+                // Nothing p2 sends reaches p0: no replica of p0's own can
+                // retire a lease for it.
+                .at(5_000, PlannedEvent::Block(p(2), p(0)))
+                .at(6_000, PlannedEvent::Invoke(p(2), Op::Write(v(2))));
+            let schedule = p0_reads.iter().fold(schedule, |schedule, &at| {
+                schedule.at(at, PlannedEvent::Invoke(p(0), Op::Read))
+            });
+            let mut sim = Simulation::new(jittery(), factory.clone(), seed).with_schedule(schedule);
+            let report = sim.run();
+            let what = format!("{name}/seed {seed}");
+            assert_eq!(completed(&report), 10, "{what}: all ops complete");
+            let ops = adjudicate(&report, &what, check, &mut rounds);
+            let at = |pid, invoked| planted(&ops, pid, invoked);
+            let write = at(p(0), WRITE);
+            assert!(
+                write.completed_at > MINT + LEASE_MICROS,
+                "{what}: the write must straddle the horizon"
+            );
+            assert_eq!(
+                at(p(0), 3_800).kind,
+                FreshnessKind::Read {
+                    version: 1,
+                    leased: false
+                },
+                "{what}: no lease after a write whose lease ran out under it"
+            );
+            let foreign = at(p(1), WRITE + 400);
+            assert_eq!(
+                foreign.kind,
+                FreshnessKind::Read {
+                    version: 1,
+                    leased: false
+                },
+                "{what}"
+            );
+            assert!(
+                foreign.completed_at > MINT + HOLD,
+                "{what}: p1 was shown the new tag at {} µs, under p0's grants",
+                foreign.completed_at
+            );
+            let last = at(p(0), 10_000).kind;
+            assert!(
+                matches!(last, FreshnessKind::Read { version: 2, .. }),
+                "{what}: {last:?}"
+            );
+        }
+        assert!(rounds.leased > 0, "{name}: the oracle policed nothing");
+    }
+}
+
+/// (f) A foreign writer against a holder that **renews every term**: p0
+/// reads without pause, so its lease is in use at every horizon and the
+/// replicas are never without an open grant to it. A write through p1
+/// must still finish within two holds — a parked acknowledgement waits
+/// for the grants issued before it parked, not for the holder to go
+/// quiet. (Red when `Replica::release_ready` compares a waiter's fence
+/// against the grants issued *so far* instead of the count it parked
+/// with: the writer starves for as long as p0 keeps reading.)
+#[test]
+fn a_holder_that_renews_every_term_does_not_starve_a_foreign_writer() {
+    const HOLD: u64 = LEASE_MICROS + LEASE_MICROS / 4;
+    for (factory, name, check) in leased_flavors(LEASE_MICROS) {
+        let mut rounds = ReadRounds::default();
+        for seed in 0..SEEDS {
+            let mut sim = Simulation::new(jittery(), factory.clone(), seed);
+            sim.add_closed_loop(ClosedLoop::reads(p(0), 100).with_think(Micros(150)));
+            sim.add_closed_loop(versioned_writer(p(1), 5, Micros(300)));
+            let report = sim.run();
+            let what = format!("{name}/seed {seed}");
+            assert_eq!(completed(&report), 105, "{what}: all ops complete");
+            adjudicate(&report, &what, check, &mut rounds);
+            let slowest = report.trace.latencies(OpKind::Write).into_iter().max();
+            assert!(
+                slowest.is_some_and(|l| l < 2 * HOLD + 1_000),
+                "{what}: a foreign write waited {slowest:?} µs behind a renewing holder"
+            );
+        }
+        assert!(rounds.leased > 0, "{name}: the oracle policed nothing");
+    }
+}
+
+/// (g) Clients arriving **during a renewal**. p0's lease, in use, renews
+/// at its horizons (1 510 µs, 3 010 µs, …) with a read round nobody waits
+/// for. A read invoked while the first is out adopts it — it is back
+/// sooner than any round trip of its own could be — and a write invoked
+/// while the second is out is not refused: it waits for the mint and
+/// begins under it, one round. After the last invocation the lease is
+/// renewed once more (the write handed it on) and then lapses unused:
+/// within two terms the cluster has sent its last message. (Red when a
+/// renewal mints a lease that starts *used*: it renews for ever.)
+#[test]
+fn a_renewal_serves_who_arrives_meanwhile_and_an_idle_cluster_goes_quiet() {
+    const READ: u64 = LEASE_MICROS + 10 + 140;
+    const WRITE: u64 = 2 * LEASE_MICROS + 10 + 90;
+    for (factory, name, check) in leased_flavors(LEASE_MICROS) {
+        let mut rounds = ReadRounds::default();
+        for seed in 0..SEEDS {
+            let run_until = |quiet_terms: u64| {
+                let schedule = Schedule::new()
+                    .at(10, PlannedEvent::Invoke(p(0), Op::Read))
+                    .at(500, PlannedEvent::Invoke(p(0), Op::Read))
+                    .at(READ, PlannedEvent::Invoke(p(0), Op::Read))
+                    .at(2_200, PlannedEvent::Invoke(p(0), Op::Read))
+                    .at(WRITE, PlannedEvent::Invoke(p(0), Op::Write(v(1))));
+                let mut sim =
+                    Simulation::new(jittery(), factory.clone(), seed).with_schedule(schedule);
+                sim.wake_at(VirtualTime(WRITE + quiet_terms * LEASE_MICROS));
+                sim.run()
+            };
+            let report = run_until(2);
+            let what = format!("{name}/seed {seed}");
+            assert_eq!(completed(&report), 5, "{what}: all ops complete");
+            adjudicate(&report, &what, check, &mut rounds);
+            let at = |invoked: u64| {
+                let ops = report.trace.operations();
+                let started = |o: &&rmem_sim::OpRecord| o.invoked_at.as_micros() == invoked;
+                ops.iter().find(started).expect("planted").clone()
+            };
+            let adopter = at(READ);
+            let round_trip = 2 * NetConfig::default().base_delay.0;
+            assert!(
+                adopter.rounds == 1 && adopter.latency().is_some_and(|l| l.0 < round_trip),
+                "{what}: the read did not adopt the renewal: {adopter:?}"
+            );
+            let write = at(WRITE);
+            assert_eq!(write.result, Some(OpResult::Written), "{what}: refused");
+            assert_eq!(write.rounds, 1, "{what}: it begins under the renewed lease");
+            assert_eq!(
+                run_until(10).trace.messages_sent,
+                report.trace.messages_sent,
+                "{what}: something still renews two terms after the last invocation"
+            );
+        }
+        assert!(rounds.leased > 0, "{name}: the oracle policed nothing");
+    }
+}
+
+/// (h) A renewal's replies may be **older than the read that adopts it**.
+/// p0 and p1 cannot hear each other; p2 hears both. p0's lease on ⊥ is in
+/// use, so at its horizon (8 ms) a renewal goes out — and p2 answers it
+/// with p1's first write, 48 KiB that have just landed there and take
+/// 3.9 ms to come back. Meanwhile that write completes, p1's second
+/// write completes, and only then is a read invoked at p0, which adopts
+/// the round still waiting for p2. What p2 said is older than a write
+/// that completed before this read began; the quorum is not unanimous,
+/// so the round is good for nothing, and the read must ask again. (Red
+/// when an adopter is served whatever its renewal collects, write-back
+/// fallback included, "as if it had started it": it returns the first
+/// write's value after the second completed. A unanimous granted quorum
+/// is different — its grants fence every foreign tag from the moment
+/// each reply was sent — and (g) adopts one.)
+#[test]
+fn an_adopted_renewal_is_not_served_from_replies_older_than_the_read() {
+    const LEASE: u64 = 4_000;
+    const MINT: u64 = 4_000;
+    const HORIZON: u64 = MINT + LEASE;
+    const SECOND: u64 = 9_500;
+    const ADOPTS: u64 = 11_000;
+    let big = Value::new(vec![7u8; 48 * 1024]);
+    let last = version_of(&big) + 1;
+    // No retransmission within the run: p2's first reply, late, is the
+    // one that completes the round.
+    for (factory, name, check) in patient_leased_flavors(LEASE, Micros(50_000)) {
+        // The 48 KiB reach p2 in the 1.8 ms before the renewal does, so
+        // they are not on its disk yet: it answers without a grant.
+        let first = if name == "transient" { 2_800 } else { 1_000 };
+        for seed in 0..SEEDS {
+            let schedule = Schedule::new()
+                .at(0, PlannedEvent::Block(p(0), p(1)))
+                .at(0, PlannedEvent::Block(p(1), p(0)))
+                .at(MINT, PlannedEvent::Invoke(p(0), Op::Read))
+                .at(MINT + 400, PlannedEvent::Invoke(p(0), Op::Read))
+                .at(first, PlannedEvent::Invoke(p(1), Op::Write(big.clone())))
+                .at(
+                    SECOND,
+                    PlannedEvent::Invoke(p(1), Op::Write(v(last as u32))),
+                )
+                .at(ADOPTS, PlannedEvent::Invoke(p(0), Op::Read));
+            let mut sim = Simulation::new(jittery(), factory.clone(), seed).with_schedule(schedule);
+            let report = sim.run();
+            let what = format!("{name}/seed {seed}");
+            assert_eq!(completed(&report), 5, "{what}: all ops complete");
+            let ops = adjudicate(&report, &what, check, &mut ReadRounds::default());
+            let at = |pid, invoked| planted(&ops, pid, invoked);
+            assert!(
+                at(p(1), first).completed_at < SECOND && at(p(1), SECOND).completed_at < ADOPTS,
+                "{what}: both writes must be through before the read begins"
+            );
+            let adopter = at(p(0), ADOPTS);
+            assert!(
+                adopter.completed_at > HORIZON + 4_000,
+                "{what}: the read must have been waiting when p2's reply came"
+            );
+            assert_eq!(
+                adopter.kind,
+                FreshnessKind::Read {
+                    version: last,
+                    leased: false
+                },
+                "{what}"
+            );
+        }
     }
 }
 

@@ -90,12 +90,17 @@ pub struct Flavor {
     /// of newer writes *from every other process* until the horizons
     /// they granted pass; a coordinator whose fast-path read collected a
     /// unanimous granted quorum serves repeated reads of that register
-    /// locally (zero rounds) until the lease expires, a newer tag is
-    /// observed, or it begins a write itself — it drops the lease before
-    /// the write's first message leaves, which is what entitles its
-    /// write to pass its own grants without waiting. The lease lives at
-    /// that coordinator and nowhere else: no grant rides a completion
-    /// out to a client. See `with_lease` and [`crate::replica`].
+    /// locally (zero rounds) until the lease expires or a newer tag is
+    /// observed. A write it begins itself takes the lease out of service
+    /// before the write's first message leaves — which is what entitles
+    /// that write to pass its own grants without waiting — uses it in
+    /// place of the query round (one round, not two) and hands it on to
+    /// the tag it wrote, under the horizon it had; and a lease that was
+    /// in use renews itself at its horizon with a read round no client
+    /// waits for, so what renews is decided by observed use, not by a
+    /// knob. The lease lives at that coordinator and nowhere else: no
+    /// grant rides a completion out to a client. See `with_lease`,
+    /// [`crate::replica`] and [`crate::generic`].
     pub lease_micros: u64,
     /// Recovery behaviour.
     pub recovery: RecoveryPolicy,

@@ -37,11 +37,16 @@ use crate::flavor::{Flavor, RecoveryPolicy};
 use crate::quorum::QuorumCall;
 use crate::replica::Replica;
 
-/// The in-flight phase of a client operation.
+/// The in-flight phase of an operation: a client's, or — [`ReadQuery`]
+/// only — a used lease's renewal, which nobody waits for.
+///
+/// [`ReadQuery`]: OpPhase::ReadQuery
 #[derive(Debug)]
 enum OpPhase {
     /// Write, round 1: collecting sequence numbers (Fig. 4 lines 7–10).
+    /// A write that begins under a live lease skips it.
     WriteQuery {
+        op: OpId,
         value: Value,
         call: QuorumCall,
         max_seq: Seq,
@@ -50,19 +55,25 @@ enum OpPhase {
     /// Persistent write, between rounds: waiting for the `writing` pre-log
     /// (Fig. 4 line 12).
     WritePreLog {
+        op: OpId,
         ts: Timestamp,
         value: Value,
         token: StoreToken,
+        taken: Option<TakenLease>,
     },
     /// Write, round 2: propagating the tagged value (Fig. 4 lines 13–15).
     WritePropagate {
+        op: OpId,
         ts: Timestamp,
         value: Value,
         call: QuorumCall,
         timer: TimerToken,
+        /// The lease this write began under, to be handed on to `ts`.
+        taken: Option<TakenLease>,
     },
     /// Read, round 1: collecting tagged values (Fig. 4 lines 32–35).
     ReadQuery {
+        waiter: ReadFor,
         call: QuorumCall,
         best_ts: Timestamp,
         best_value: Value,
@@ -90,11 +101,38 @@ enum OpPhase {
     /// Read, round 2: writing back the freshest value (Fig. 4 lines
     /// 36–38).
     ReadWriteBack {
+        op: OpId,
         ts: Timestamp,
         value: Value,
         call: QuorumCall,
         timer: TimerToken,
     },
+}
+
+/// Who a read query round is run for.
+#[derive(Debug, Clone, Copy)]
+enum ReadFor {
+    /// The client read that started it.
+    Client(OpId),
+    /// Nobody: a used lease renewing itself at its horizon — unless a
+    /// client read invoked meanwhile adopted the round, and then it.
+    /// Such a round is good for one outcome only, the one that could
+    /// mint: a unanimous granted quorum fences every foreign tag above
+    /// the one it reports from each reply until past the round's own
+    /// horizon, and a renewal nobody adopted by then is dropped, so the
+    /// adopter — invoked after the replies may have been sent — is still
+    /// shown the register's newest completed value. Any other outcome
+    /// proves nothing about the time since the replies, and the adopter
+    /// starts a round of its own.
+    Renewal(Option<OpId>),
+}
+
+/// The lease a write began under and took (see `begin_op`): handed on to
+/// the written tag at completion iff its horizon has not fired meanwhile.
+#[derive(Debug, Clone, Copy)]
+struct TakenLease {
+    horizon: TimerToken,
+    fired: bool,
 }
 
 /// The phase of the paper's recovery procedure, as the flavor's
@@ -149,19 +187,37 @@ enum StartMode {
 
 /// A live coordinator-held tag lease: while it lives, reads of this
 /// register are served locally in zero rounds. Minted from a fast-path
-/// quorum whose acks unanimously carried grants; died by its horizon
+/// quorum whose acks unanimously carried grants; it ends at its horizon
 /// timer (armed at read *broadcast* time, so it expires before any
-/// granting replica releases a fenced newer write), by any locally
-/// observed newer tag, or by this process beginning a write. It lives
-/// here and nowhere else — no grant rides a completion out to a client —
-/// which is what lets the replicas exempt this process from its own
-/// grants (see [`crate::replica`]): **this process sends a `Read`, or a
-/// `Write` newer than its leased tag, only while this is `None`**.
+/// granting replica releases a fenced newer write), on any locally
+/// observed newer tag, or with the process. It lives here and nowhere
+/// else — no grant rides a completion out to a client — which is what
+/// lets the replicas exempt this process from its own grants (see
+/// [`crate::replica`]): **this process sends a `Read`, or a `Write`
+/// newer than its leased tag, only while this is `None`**.
+///
+/// A write of this process does not end the lease, it *hands it on*: the
+/// write takes it out of here before its first message leaves (so the
+/// sentence above holds while they are out) and, completed, puts it back
+/// on the tag it wrote under the **same** horizon. The grants behind the
+/// lease fence every foreign tag above the old one — the new tag and
+/// reads of it included — until past that horizon, a live lease at
+/// invocation proves no newer write or read has completed (all the
+/// write's query round would establish), and nothing is served between
+/// the take and the hand-on because the automaton runs one operation at
+/// a time. And use *renews* it: a lease that served a read, or was
+/// handed on, re-mints itself when its horizon fires with an ordinary
+/// read round nobody waits for ([`ReadFor::Renewal`]).
 #[derive(Debug)]
 struct Lease {
     ts: Timestamp,
     value: Value,
     horizon: TimerToken,
+    /// Whether it served a zero-round read, or was handed on by a write,
+    /// since it was minted: what earns it a renewal at its horizon. A
+    /// renewed lease starts unused, so an idle register goes quiet one
+    /// round later.
+    used: bool,
 }
 
 /// The lease term the replica role fences with: the flavor's term when
@@ -200,7 +256,9 @@ pub struct RegisterAutomaton {
     /// The `writing` record a recovered automaton re-finishes before
     /// serving (persistent flavor); `None` on a fresh boot.
     writing: Option<WritingRecord>,
-    op: Option<(OpId, OpPhase)>,
+    /// The operation in flight. A live lease implies `None`: whatever
+    /// begins under a lease is served by it or takes it.
+    op: Option<OpPhase>,
     recovery: Option<RecoveryPhase>,
     catch_up: Option<CatchUp>,
     /// Live tag lease (leasing flavors only).
@@ -501,15 +559,31 @@ impl RegisterAutomaton {
     // -- Client operations ------------------------------------------------
 
     fn on_invoke(&mut self, op: OpId, operation: Op, out: &mut Vec<Action>) {
-        if self.op.is_some() {
-            // The runtime normally prevents this (§III-A sequential
-            // processes); refuse rather than corrupt state.
-            out.push(Action::Complete {
-                op,
-                result: OpResult::Rejected(RejectReason::Busy),
-                rounds: 0,
-            });
-            return;
+        match &mut self.op {
+            None => {}
+            // A renewal in flight is nobody's operation yet: a read makes
+            // it its own, a write waits for it — drained right after the
+            // mint, it begins under the fresh lease.
+            Some(OpPhase::ReadQuery {
+                waiter: ReadFor::Renewal(adopter @ None),
+                ..
+            }) => {
+                match operation.normalized() {
+                    Op::Read => *adopter = Some(op),
+                    write => self.queued.push_back((op, write)),
+                }
+                return;
+            }
+            Some(_) => {
+                // The runtime normally prevents this (§III-A sequential
+                // processes); refuse rather than corrupt state.
+                out.push(Action::Complete {
+                    op,
+                    result: OpResult::Rejected(RejectReason::Busy),
+                    rounds: 0,
+                });
+                return;
+            }
         }
         if !self.ready {
             self.queued.push_back((op, operation));
@@ -524,32 +598,40 @@ impl RegisterAutomaton {
         // they get here.
         match operation.normalized() {
             Op::Write(value) => {
-                // The lease dies before the write's first message leaves:
-                // the replicas let this process's write past its own
-                // grants on the strength of nobody serving under them.
-                self.lease = None;
-                if self.flavor.write_query_round {
+                // The lease leaves `self.lease` before the write's first
+                // message does: the replicas let this process's write past
+                // its own grants on the strength of nobody serving under
+                // them.
+                let taken = self.lease.take();
+                if !self.flavor.write_query_round {
+                    // Regular register: the single writer numbers writes
+                    // locally.
+                    let ts = Timestamp::new(self.next_wsn, self.me);
+                    self.next_wsn += 1;
+                    self.start_propagate(op, ts, value, None, out);
+                } else if let Some(lease) = taken {
+                    // A live lease is the query round already run: nothing
+                    // newer than its tag has completed anywhere. Enter the
+                    // figure at line 11 with it.
+                    let taken = TakenLease {
+                        horizon: lease.horizon,
+                        fired: false,
+                    };
+                    self.query_majority_reached(op, value, lease.ts.seq, Some(taken), out);
+                } else {
                     // Fig. 4 lines 7–10: query a majority for sequence
                     // numbers.
                     let req = self.next_req();
                     let call = QuorumCall::new(req, self.majority);
                     self.broadcast(&Message::SnReq { req }, out);
                     let timer = self.arm_timer(out);
-                    self.op = Some((
+                    self.op = Some(OpPhase::WriteQuery {
                         op,
-                        OpPhase::WriteQuery {
-                            value,
-                            call,
-                            max_seq: 0,
-                            timer,
-                        },
-                    ));
-                } else {
-                    // Regular register: the single writer numbers writes
-                    // locally.
-                    let ts = Timestamp::new(self.next_wsn, self.me);
-                    self.next_wsn += 1;
-                    self.start_propagate(op, ts, value, out);
+                        value,
+                        call,
+                        max_seq: 0,
+                        timer,
+                    });
                 }
             }
             Op::Read => {
@@ -557,7 +639,8 @@ impl RegisterAutomaton {
                 // the leased tag can have completed yet (every granting
                 // replica still fences its ack), so serving the leased
                 // value locally linearizes before any such write.
-                if let Some(l) = &self.lease {
+                if let Some(l) = &mut self.lease {
+                    l.used = true;
                     out.push(Action::Complete {
                         op,
                         result: OpResult::ReadValue(l.value.clone()),
@@ -566,45 +649,54 @@ impl RegisterAutomaton {
                     self.drain_queue(out);
                     return;
                 }
-                // Fig. 4 lines 32–35.
-                let req = self.next_req();
-                let call = QuorumCall::new(req, self.majority);
-                self.broadcast(&Message::Read { req }, out);
-                // Leasing flavors stamp the lease horizon *before* any
-                // replica can have seen the query: the minted lease then
-                // provably dies before a granting replica releases a
-                // fenced newer write.
-                let lease_armed = if self.flavor.leases() {
-                    let horizon = self.next_timer();
-                    out.push(Action::SetTimer {
-                        token: horizon,
-                        after: Micros(self.flavor.lease_micros),
-                    });
-                    Some(horizon)
-                } else {
-                    None
-                };
-                let timer = self.arm_timer(out);
-                self.op = Some((
-                    op,
-                    OpPhase::ReadQuery {
-                        call,
-                        best_ts: Timestamp::new(0, self.me),
-                        best_value: Value::bottom(),
-                        agreed: None,
-                        all_agree: true,
-                        all_granted: true,
-                        lease_armed,
-                        timer,
-                    },
-                ));
+                self.start_read(ReadFor::Client(op), out);
             }
             // `normalized()` maps the addressed forms onto the two above.
             Op::ReadAt(_) | Op::WriteAt(..) => unreachable!("normalized() strips addresses"),
         }
     }
 
-    fn start_propagate(&mut self, op: OpId, ts: Timestamp, value: Value, out: &mut Vec<Action>) {
+    /// Broadcasts a read query round (Fig. 4 lines 32–35) for `waiter`.
+    fn start_read(&mut self, waiter: ReadFor, out: &mut Vec<Action>) {
+        debug_assert!(self.lease.is_none(), "a Read leaves only while leaseless");
+        let req = self.next_req();
+        let call = QuorumCall::new(req, self.majority);
+        self.broadcast(&Message::Read { req }, out);
+        // Leasing flavors stamp the lease horizon *before* any replica can
+        // have seen the query: the minted lease then provably dies before
+        // a granting replica releases a fenced newer write.
+        let lease_armed = if self.flavor.leases() {
+            let horizon = self.next_timer();
+            out.push(Action::SetTimer {
+                token: horizon,
+                after: Micros(self.flavor.lease_micros),
+            });
+            Some(horizon)
+        } else {
+            None
+        };
+        let timer = self.arm_timer(out);
+        self.op = Some(OpPhase::ReadQuery {
+            waiter,
+            call,
+            best_ts: Timestamp::new(0, self.me),
+            best_value: Value::bottom(),
+            agreed: None,
+            all_agree: true,
+            all_granted: true,
+            lease_armed,
+            timer,
+        });
+    }
+
+    fn start_propagate(
+        &mut self,
+        op: OpId,
+        ts: Timestamp,
+        value: Value,
+        taken: Option<TakenLease>,
+        out: &mut Vec<Action>,
+    ) {
         // Fig. 4 lines 13–15 (and Fig. 5 lines 12–14).
         let req = self.next_req();
         let call = QuorumCall::new(req, self.majority);
@@ -617,22 +709,25 @@ impl RegisterAutomaton {
             out,
         );
         let timer = self.arm_timer(out);
-        self.op = Some((
+        self.op = Some(OpPhase::WritePropagate {
             op,
-            OpPhase::WritePropagate {
-                ts,
-                value,
-                call,
-                timer,
-            },
-        ));
+            ts,
+            value,
+            call,
+            timer,
+            taken,
+        });
     }
 
+    /// Fig. 4 line 11 onwards, with `max_seq` the highest sequence number
+    /// the query round — or, for a write that `taken` a live lease
+    /// instead of running one, the leased tag — vouches for.
     fn query_majority_reached(
         &mut self,
         op: OpId,
         value: Value,
         max_seq: Seq,
+        taken: Option<TakenLease>,
         out: &mut Vec<Action>,
     ) {
         // Fig. 4 line 11: sn := sn + 1 — Fig. 5 line 11: sn := sn + rec + 1.
@@ -663,9 +758,15 @@ impl RegisterAutomaton {
                 key: KEY_WRITING.to_string(),
                 bytes: record.encode(),
             });
-            self.op = Some((op, OpPhase::WritePreLog { ts, value, token }));
+            self.op = Some(OpPhase::WritePreLog {
+                op,
+                ts,
+                value,
+                token,
+                taken,
+            });
         } else {
-            self.start_propagate(op, ts, value, out);
+            self.start_propagate(op, ts, value, taken, out);
         }
     }
 
@@ -726,27 +827,21 @@ impl RegisterAutomaton {
         }
 
         // Write query round.
-        let mut reached: Option<(OpId, Value, Seq)> = None;
-        if let Some((
-            op,
-            OpPhase::WriteQuery {
-                value,
-                call,
-                max_seq,
-                ..
-            },
-        )) = &mut self.op
-        {
-            if call.matches(req) {
-                *max_seq = (*max_seq).max(seq);
-                if call.record(from) {
-                    reached = Some((*op, value.clone(), *max_seq));
-                }
-            }
+        let Some(OpPhase::WriteQuery { call, max_seq, .. }) = &mut self.op else {
+            return;
+        };
+        if !call.matches(req) {
+            return;
         }
-        if let Some((op, value, max_seq)) = reached {
-            self.op = None;
-            self.query_majority_reached(op, value, max_seq, out);
+        *max_seq = (*max_seq).max(seq);
+        if call.record(from) {
+            let Some(OpPhase::WriteQuery {
+                op, value, max_seq, ..
+            }) = self.op.take()
+            else {
+                unreachable!("matched just above")
+            };
+            self.query_majority_reached(op, value, max_seq, None, out);
         }
     }
 
@@ -767,53 +862,68 @@ impl RegisterAutomaton {
             return;
         }
 
-        enum Done {
-            No,
-            Write(OpId),
-            Read(OpId, Value),
-        }
-        let mut done = Done::No;
-        // Nested `if` rather than `&&` in the guards: `record` mutates the
-        // call, which pattern guards may not.
-        #[allow(clippy::collapsible_match)]
-        match &mut self.op {
-            Some((op, OpPhase::WritePropagate { call, .. })) if call.matches(req) => {
-                if call.record(from) {
-                    done = Done::Write(*op);
-                }
+        let reached = match &mut self.op {
+            Some(OpPhase::WritePropagate { call, .. } | OpPhase::ReadWriteBack { call, .. }) => {
+                call.matches(req) && call.record(from)
             }
-            Some((op, OpPhase::ReadWriteBack { value, call, .. })) if call.matches(req) => {
-                if call.record(from) {
-                    done = Done::Read(*op, value.clone());
-                }
-            }
-            _ => {}
+            _ => false,
+        };
+        if !reached {
+            return;
         }
-        match done {
-            Done::No => {}
-            Done::Write(op) => {
-                self.op = None;
-                // Fig. 4 line 16: the write returns (after its query and
-                // propagation rounds; the regular writer skips the query).
-                let rounds = if self.flavor.write_query_round { 2 } else { 1 };
+        match self.op.take() {
+            Some(OpPhase::WritePropagate {
+                op,
+                ts,
+                value,
+                taken,
+                ..
+            }) => {
+                // Fig. 4 line 16: the write returns — after its query and
+                // propagation rounds; the regular writer skips the query,
+                // and so did a write that took a lease for it.
+                let rounds = if self.flavor.write_query_round && taken.is_none() {
+                    2
+                } else {
+                    1
+                };
+                // The hand-on: the taken lease's grants are still open at
+                // every replica that issued them, and they fence the tag
+                // just written from everyone else — so it serves on, under
+                // the horizon it was minted with, unless that fired
+                // meanwhile or the own replica met something newer (the
+                // mint's own guard).
+                if let Some(TakenLease {
+                    horizon,
+                    fired: false,
+                }) = taken
+                {
+                    if !self.replica_newer_than(ts) {
+                        self.lease = Some(Lease {
+                            ts,
+                            value,
+                            horizon,
+                            used: true,
+                        });
+                    }
+                }
                 out.push(Action::Complete {
                     op,
                     result: OpResult::Written,
                     rounds,
                 });
-                self.drain_queue(out);
             }
-            Done::Read(op, value) => {
-                self.op = None;
+            Some(OpPhase::ReadWriteBack { op, value, .. }) => {
                 // Fig. 4 line 39: the read returns the written-back value.
                 out.push(Action::Complete {
                     op,
                     result: OpResult::ReadValue(value),
                     rounds: 2,
                 });
-                self.drain_queue(out);
             }
+            _ => unreachable!("matched just above"),
         }
+        self.drain_queue(out);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -850,69 +960,92 @@ impl RegisterAutomaton {
             }
         }
 
-        let mut reached: Option<(OpId, Timestamp, Value, bool, bool, Option<TimerToken>)> = None;
-        if let Some((
-            op,
-            OpPhase::ReadQuery {
-                call,
-                best_ts,
-                best_value,
-                agreed,
-                all_agree,
-                all_granted,
-                lease_armed,
-                ..
-            },
-        )) = &mut self.op
-        {
-            if call.matches(req) {
-                // Confirmed-timestamp bookkeeping: unanimity requires
-                // every ack to carry the agreed tag and attest it durable.
-                // Two never-written replicas "agree" even though their
-                // initial tags differ in the pid component — both report
-                // seq 0 and ⊥, and ⊥ cannot be new-old inverted.
-                match agreed {
-                    None => *agreed = Some(ts),
-                    Some(first) => {
-                        let both_initial = ts.seq == 0 && first.seq == 0;
-                        if ts != *first && !both_initial {
-                            *all_agree = false;
-                        }
-                    }
-                }
-                if !durable {
+        let Some(OpPhase::ReadQuery {
+            call,
+            best_ts,
+            best_value,
+            agreed,
+            all_agree,
+            all_granted,
+            ..
+        }) = &mut self.op
+        else {
+            return;
+        };
+        if !call.matches(req) {
+            return;
+        }
+        // Confirmed-timestamp bookkeeping: unanimity requires every ack to
+        // carry the agreed tag and attest it durable. Two never-written
+        // replicas "agree" even though their initial tags differ in the
+        // pid component — both report seq 0 and ⊥, and ⊥ cannot be
+        // new-old inverted.
+        match agreed {
+            None => *agreed = Some(ts),
+            Some(first) => {
+                let both_initial = ts.seq == 0 && first.seq == 0;
+                if ts != *first && !both_initial {
                     *all_agree = false;
-                }
-                // A lease needs every replier fencing for us.
-                if grant == 0 {
-                    *all_granted = false;
-                }
-                // Fig. 4 line 35: select the value with the highest tag.
-                if ts > *best_ts {
-                    *best_ts = ts;
-                    *best_value = value;
-                }
-                if call.record(from) {
-                    reached = Some((
-                        *op,
-                        *best_ts,
-                        best_value.clone(),
-                        *all_agree,
-                        *all_granted,
-                        *lease_armed,
-                    ));
                 }
             }
         }
-        let Some((op, ts, value, all_agree, all_granted, lease_armed)) = reached else {
+        if !durable {
+            *all_agree = false;
+        }
+        // A lease needs every replier fencing for us.
+        if grant == 0 {
+            *all_granted = false;
+        }
+        // Fig. 4 line 35: select the value with the highest tag.
+        if ts > *best_ts {
+            *best_ts = ts;
+            *best_value = value;
+        }
+        if !call.record(from) {
             return;
+        }
+        let Some(OpPhase::ReadQuery {
+            waiter,
+            best_ts: ts,
+            best_value: value,
+            all_agree,
+            all_granted,
+            lease_armed,
+            ..
+        }) = self.op.take()
+        else {
+            unreachable!("matched just above")
         };
-        self.op = None;
         // The fast path: a unanimous quorum of durable tags proves a
         // majority already stably holds `ts`, so the write-back (Fig. 4
         // lines 36–38) would be redundant — every later quorum intersects
         // this one in a replica that can never again report less than `ts`.
         let fast = self.flavor.read_fast_path && all_agree;
+        // Lease minting: every replier granted, and the horizon timer
+        // armed at broadcast has not fired yet — the whole quorum has
+        // promised to fence any newer write past that horizon, so until
+        // then this tag *is* the register.
+        let fenced = fast && all_granted;
+        if fenced && !self.replica_newer_than(ts) {
+            self.lease = lease_armed.map(|horizon| Lease {
+                ts,
+                value: value.clone(),
+                horizon,
+                used: false,
+            });
+        }
+        let op = match waiter {
+            ReadFor::Client(op) => op,
+            ReadFor::Renewal(Some(op)) if fenced => op,
+            // A renewal does nothing but mint (see [`ReadFor::Renewal`]).
+            ReadFor::Renewal(adopter) => {
+                match adopter {
+                    Some(op) => self.begin_op(op, Op::Read, out),
+                    None => self.drain_queue(out),
+                }
+                return;
+            }
+        };
         if self.flavor.read_write_back && !fast {
             // Fig. 4 lines 36–38: write back before returning.
             let req = self.next_req();
@@ -926,30 +1059,16 @@ impl RegisterAutomaton {
                 out,
             );
             let timer = self.arm_timer(out);
-            self.op = Some((
+            self.op = Some(OpPhase::ReadWriteBack {
                 op,
-                OpPhase::ReadWriteBack {
-                    ts,
-                    value,
-                    call,
-                    timer,
-                },
-            ));
+                ts,
+                value,
+                call,
+                timer,
+            });
         } else {
             // Single-round read: the regular register always, the atomic
             // flavors when the fast path fired.
-            //
-            // Lease minting: every replier granted, and the horizon timer
-            // armed at broadcast has not fired yet — the whole quorum has
-            // promised to fence any newer write past that horizon, so
-            // until then this tag *is* the register.
-            if fast && all_granted && !self.replica_newer_than(ts) {
-                self.lease = lease_armed.map(|horizon| Lease {
-                    ts,
-                    value: value.clone(),
-                    horizon,
-                });
-            }
             out.push(Action::Complete {
                 op,
                 result: OpResult::ReadValue(value),
@@ -967,20 +1086,19 @@ impl RegisterAutomaton {
 
     fn on_store_done(&mut self, token: StoreToken, out: &mut Vec<Action>) {
         match self.op.take() {
-            Some((
+            Some(OpPhase::WritePreLog {
                 op,
-                OpPhase::WritePreLog {
-                    ts,
-                    value,
-                    token: t,
-                },
-            )) if t == token => {
+                ts,
+                value,
+                token: t,
+                taken,
+            }) if t == token => {
                 // Pre-log durable: this node now stably holds `(ts, value)`,
                 // so its replica adopts the pair as durable and will answer
                 // the self-addressed `Write` below without a `written` store.
                 self.replica.on_pre_log_done(token, &value, out);
                 // The second round may begin.
-                self.start_propagate(op, ts, value, out);
+                self.start_propagate(op, ts, value, taken, out);
                 return;
             }
             other => self.op = other,
@@ -1002,20 +1120,48 @@ impl RegisterAutomaton {
     }
 
     fn on_timer(&mut self, token: TimerToken, out: &mut Vec<Action>) {
-        // A minted lease's horizon: the lease dies, reads go back to the
-        // quorum (and may mint afresh).
+        // A lease's horizon: the lease ends. One that was in use renews
+        // itself — leaseless at this instant, so the `Read` may leave —
+        // with nobody waiting for the round; one that was not leaves the
+        // next read to ask the quorum (and mint afresh).
         if self.lease.as_ref().is_some_and(|l| l.horizon == token) {
-            self.lease = None;
+            debug_assert!(self.op.is_none() && self.ready);
+            if self.lease.take().is_some_and(|l| l.used) {
+                self.start_read(ReadFor::Renewal(None), out);
+            }
             return;
         }
-        // A horizon that fires while its read is still collecting acks:
-        // too slow to mint — the replicas' fences may open before a
-        // lease clocked from this stamp would expire.
-        if let Some((_, OpPhase::ReadQuery { lease_armed, .. })) = &mut self.op {
-            if *lease_armed == Some(token) {
-                *lease_armed = None;
+        match &mut self.op {
+            // The horizon of a lease a write in flight took: nothing is
+            // left to hand on.
+            Some(
+                OpPhase::WritePreLog {
+                    taken: Some(taken), ..
+                }
+                | OpPhase::WritePropagate {
+                    taken: Some(taken), ..
+                },
+            ) if taken.horizon == token => {
+                taken.fired = true;
                 return;
             }
+            // A horizon that fires while its read is still collecting
+            // acks: too slow to mint — the replicas' fences may open
+            // before a lease clocked from this stamp would expire. A
+            // renewal nobody adopted has nothing else to do and ends.
+            Some(OpPhase::ReadQuery {
+                waiter,
+                lease_armed,
+                ..
+            }) if *lease_armed == Some(token) => {
+                *lease_armed = None;
+                if matches!(waiter, ReadFor::Renewal(None)) {
+                    self.op = None;
+                    self.drain_queue(out);
+                }
+                return;
+            }
+            _ => {}
         }
         // The replica role's grant-fence horizon.
         if self
@@ -1054,7 +1200,7 @@ impl RegisterAutomaton {
                 }
                 _ => None,
             };
-            let from_op = self.op.as_ref().and_then(|(_, phase)| match phase {
+            let from_op = self.op.as_ref().and_then(|phase| match phase {
                 OpPhase::WriteQuery { call, timer, .. } if *timer == token => {
                     Some(Message::SnReq {
                         req: call.request_id(),
@@ -1065,6 +1211,14 @@ impl RegisterAutomaton {
                     value,
                     call,
                     timer,
+                    ..
+                }
+                | OpPhase::ReadWriteBack {
+                    ts,
+                    value,
+                    call,
+                    timer,
+                    ..
                 } if *timer == token => Some(Message::Write {
                     req: call.request_id(),
                     ts: *ts,
@@ -1072,16 +1226,6 @@ impl RegisterAutomaton {
                 }),
                 OpPhase::ReadQuery { call, timer, .. } if *timer == token => Some(Message::Read {
                     req: call.request_id(),
-                }),
-                OpPhase::ReadWriteBack {
-                    ts,
-                    value,
-                    call,
-                    timer,
-                } if *timer == token => Some(Message::Write {
-                    req: call.request_id(),
-                    ts: *ts,
-                    value: value.clone(),
                 }),
                 _ => None,
             });
@@ -1109,7 +1253,7 @@ impl RegisterAutomaton {
                 return;
             }
         }
-        if let Some((_, phase)) = &mut self.op {
+        if let Some(phase) = &mut self.op {
             match phase {
                 OpPhase::WriteQuery { timer, .. }
                 | OpPhase::WritePropagate { timer, .. }
@@ -2039,66 +2183,308 @@ mod tests {
         assert!(out.is_empty());
     }
 
-    #[test]
-    fn a_write_drops_the_lease_before_its_first_message_leaves() {
-        /// Invokes `operation`: the rounds of its completion if it
-        /// completed on the spot, and everything it emitted.
-        fn invoke(a: &mut RegisterAutomaton, n: u64, operation: Op) -> (Option<u32>, Vec<Action>) {
-            let mut out = Vec::new();
-            let op = OpId::new(ProcessId(0), n);
-            a.on_input(Input::Invoke { op, operation }, &mut out);
-            let rounds = out.iter().find_map(|x| match x {
-                Action::Complete { rounds, .. } => Some(*rounds),
+    // ---------------------------------------------------------------
+    // Tag leases: handed on by a write, renewed by use
+    // ---------------------------------------------------------------
+
+    /// The lease term of these tests — not the retransmission period, so
+    /// a horizon timer is told from a round's by its delay.
+    const TERM: u64 = 2_500;
+
+    /// Invokes `operation` as op `n`; everything it emitted.
+    fn invoke(a: &mut RegisterAutomaton, n: u64, operation: Op) -> Vec<Action> {
+        let mut out = Vec::new();
+        let op = OpId::new(ProcessId(0), n);
+        a.on_input(Input::Invoke { op, operation }, &mut out);
+        out
+    }
+
+    fn deliver(a: &mut RegisterAutomaton, from: u16, msg: Message) -> Vec<Action> {
+        let mut out = Vec::new();
+        let from = ProcessId(from);
+        a.on_input(Input::Message { from, msg }, &mut out);
+        out
+    }
+
+    fn fire(a: &mut RegisterAutomaton, token: TimerToken) -> Vec<Action> {
+        let mut out = Vec::new();
+        a.on_input(Input::Timer(token), &mut out);
+        out
+    }
+
+    /// The one completion in `out`: its result and rounds.
+    fn completion(out: &[Action]) -> Option<(OpResult, u32)> {
+        out.iter().find_map(|x| match x {
+            Action::Complete { result, rounds, .. } => Some((result.clone(), *rounds)),
+            _ => None,
+        })
+    }
+
+    fn read_value(v: u32) -> OpResult {
+        OpResult::ReadValue(Value::from_u32(v))
+    }
+
+    /// The timer `out` armed for `after` µs.
+    fn timer_of(out: &[Action], after: u64) -> TimerToken {
+        out.iter()
+            .find_map(|x| match x {
+                Action::SetTimer { token, after: a } if a.0 == after => Some(*token),
                 _ => None,
-            });
-            (rounds, out)
-        }
-        fn deliver(a: &mut RegisterAutomaton, from: u16, msg: Message) -> Vec<Action> {
-            let mut out = Vec::new();
-            let from = ProcessId(from);
-            a.on_input(Input::Message { from, msg }, &mut out);
-            out
-        }
-        let mut a = fresh(Flavor::transient().with_lease(2_000));
-        // A unanimous, granted, durable quorum mints.
-        let (_, out) = invoke(&mut a, 0, Op::Read);
-        let req = read_req(&out);
+            })
+            .expect("the timer")
+    }
+
+    /// p1 and p2 answer the read round `req` unanimously — `[seq, p1]` /
+    /// `v`, durable, granted.
+    fn grant_acks(a: &mut RegisterAutomaton, req: RequestId, seq: Seq, v: u32) -> Vec<Action> {
+        let mut out = Vec::new();
         for from in [1, 2] {
-            let mut ack = read_ack(0, from, 0, req);
+            let mut ack = read_ack(seq, 1, v, req);
             if let Message::ReadAck { grant, .. } = &mut ack {
-                *grant = 2_000;
+                *grant = TERM as u32;
             }
-            deliver(&mut a, from, ack);
+            out.extend(deliver(a, from, ack));
         }
-        assert!(a.lease.is_some(), "minted");
-        let (rounds, out) = invoke(&mut a, 1, Op::Read);
-        assert_eq!(rounds, Some(0), "served under the lease");
-        assert!(sends_of(&out).is_empty());
-        // The write's query round is its first message: by the time it
-        // exists the lease does not — the replicas exempt this process
-        // from its own grants on exactly that.
-        let (_, out) = invoke(&mut a, 2, Op::Write(Value::from_u32(7)));
-        let Message::SnReq { req } = *sends_of(&out)[0] else {
-            panic!("a write begins with its query round");
-        };
-        assert!(a.lease.is_none(), "dropped when the write begins");
-        let mut written = false;
+        out
+    }
+
+    /// p1 and p2 acknowledge the `Write` round broadcast in `out`.
+    fn write_acks(a: &mut RegisterAutomaton, out: &[Action]) -> Vec<Action> {
+        let req = sends_of(out)[0].request_id();
+        let mut acks = Vec::new();
         for from in [1, 2] {
-            let out = deliver(&mut a, from, Message::SnAck { req, seq: 0 });
-            if let Some(Message::Write { req, .. }) = sends_of(&out).first() {
-                for from in [1, 2] {
-                    let out = deliver(&mut a, from, Message::WriteAck { req: *req });
-                    written |= out.iter().any(|x| matches!(x, Action::Complete { .. }));
+            acks.extend(deliver(a, from, Message::WriteAck { req }));
+        }
+        acks
+    }
+
+    /// A ready automaton of `flavor` — in its second incarnation (`rec`
+    /// = 1 where the flavor counts) if `recovered` — whose read (op 0)
+    /// just minted a lease on `[4, p1]` / 40; and that lease's horizon.
+    fn holding_a_lease(flavor: Flavor, recovered: bool) -> (RegisterAutomaton, TimerToken) {
+        let mut a = if recovered {
+            let mut a = RegisterAutomaton::recovered(
+                ProcessId(0),
+                3,
+                flavor,
+                Micros(1_000),
+                1,
+                &EmptySnapshot,
+            );
+            // The rec counter's store, then the catch-up's adoption.
+            let mut out = Vec::new();
+            a.on_input(Input::Start, &mut out);
+            read_acks(&mut a, read_req(&out), 4, 40, &mut out);
+            for action in out {
+                if let Action::Store { token, .. } = action {
+                    a.on_input(Input::StoreDone(token), &mut Vec::new());
                 }
             }
+            a
+        } else {
+            fresh(flavor)
+        };
+        assert!(a.is_ready());
+        let out = invoke(&mut a, 0, Op::Read);
+        let horizon = timer_of(&out, TERM);
+        let acks = grant_acks(&mut a, read_req(&out), 4, 40);
+        assert_eq!(completion(&acks), Some((read_value(40), 1)));
+        assert!(a.lease.is_some(), "minted");
+        (a, horizon)
+    }
+
+    #[test]
+    fn a_write_under_a_live_lease_is_one_round_and_hands_the_lease_on() {
+        for (flavor, recovered, rec) in [
+            (Flavor::transient(), false, 0),
+            (Flavor::transient(), true, 1),
+            (Flavor::persistent(), false, 0),
+        ] {
+            let (mut a, horizon) = holding_a_lease(flavor.with_lease(TERM), recovered);
+            let mut out = invoke(&mut a, 1, Op::Write(Value::from_u32(7)));
+            // The lease is out of `self.lease` before anything leaves …
+            assert!(a.lease.is_none(), "taken when the write begins");
+            if flavor.write_pre_log {
+                let [Action::Store { token, .. }] = out[..] else {
+                    panic!("the pre-log and nothing else: {out:?}")
+                };
+                out = Vec::new();
+                a.on_input(Input::StoreDone(token), &mut out);
+            }
+            // … and what leaves is the propagation round: the lease was
+            // the query round. The tag is the figure's line 11 over the
+            // leased one, `rec` included.
+            let sends = sends_of(&out);
+            assert_eq!(sends.len(), 3, "{out:?}");
+            let written = Timestamp::new(4 + rec + 1, ProcessId(0));
+            assert!(sends
+                .iter()
+                .all(|m| matches!(m, Message::Write { ts, .. } if *ts == written)));
+            let acks = write_acks(&mut a, &out);
+            assert_eq!(completion(&acks), Some((OpResult::Written, 1)));
+            // Handed on: the tag just written, the horizon it had.
+            let lease = a.lease.as_ref().expect("handed on");
+            assert_eq!((lease.ts, lease.horizon), (written, horizon));
+            let out = invoke(&mut a, 2, Op::Read);
+            assert_eq!(completion(&out), Some((read_value(7), 0)));
+            assert!(sends_of(&out).is_empty());
+            // It still ends when the old one would have.
+            fire(&mut a, horizon);
+            assert!(a.lease.is_none());
         }
-        assert!(written);
-        // Nothing re-mints on the way: the next read asks the quorum.
-        let (rounds, out) = invoke(&mut a, 3, Op::Read);
-        assert_eq!(rounds, None);
-        assert!(sends_of(&out)
-            .iter()
-            .all(|m| matches!(m, Message::Read { .. })));
-        assert_eq!(sends_of(&out).len(), 3);
+    }
+
+    #[test]
+    fn a_lease_is_not_handed_on_past_its_horizon_or_a_newer_local_tag() {
+        let newer = Message::Write {
+            req: RequestId::new(ProcessId(2), 8),
+            ts: Timestamp::new(9, ProcessId(2)),
+            value: Value::from_u32(90),
+        };
+        for spoil in ["horizon", "newer tag"] {
+            let (mut a, horizon) = holding_a_lease(Flavor::transient().with_lease(TERM), false);
+            let out = invoke(&mut a, 1, Op::Write(Value::from_u32(7)));
+            // Between the write's first message and its last ack.
+            match spoil {
+                "horizon" => assert!(fire(&mut a, horizon).is_empty(), "nothing renews"),
+                _ => drop(deliver(&mut a, 2, newer.clone())),
+            }
+            let acks = write_acks(&mut a, &out);
+            assert_eq!(completion(&acks), Some((OpResult::Written, 1)), "{spoil}");
+            assert!(a.lease.is_none(), "{spoil}: nothing left to hand on");
+            let out = invoke(&mut a, 2, Op::Read);
+            assert_eq!(completion(&out), None, "{spoil}");
+            assert_eq!(sends_of(&out).len(), 3, "{spoil}: the read asks the quorum");
+        }
+    }
+
+    #[test]
+    fn a_write_without_a_lease_is_the_figures_two_rounds() {
+        // No lease yet; leasing off; the fast path (and so leasing) off:
+        // granted acks or not, the write runs its query round.
+        for flavor in [
+            Flavor::transient().with_lease(TERM),
+            Flavor::transient(),
+            Flavor::transient()
+                .with_lease(TERM)
+                .with_read_fast_path(false),
+        ] {
+            let mut a = fresh(flavor);
+            if flavor.lease_micros == 0 || !flavor.read_fast_path {
+                let out = invoke(&mut a, 0, Op::Read);
+                let mut acks = grant_acks(&mut a, read_req(&out), 4, 40);
+                if !flavor.read_fast_path {
+                    acks = write_acks(&mut a, &acks);
+                }
+                assert!(completion(&acks).is_some());
+                assert!(a.lease.is_none());
+            }
+            let out = invoke(&mut a, 1, Op::Write(Value::from_u32(7)));
+            let Message::SnReq { req } = *sends_of(&out)[0] else {
+                panic!("a write begins with its query round");
+            };
+            let mut out = Vec::new();
+            for from in [1, 2] {
+                out.extend(deliver(&mut a, from, Message::SnAck { req, seq: 4 }));
+            }
+            let acks = write_acks(&mut a, &out);
+            assert_eq!(completion(&acks), Some((OpResult::Written, 2)));
+            assert!(a.lease.is_none());
+        }
+    }
+
+    #[test]
+    fn a_used_lease_renews_itself_at_its_horizon_and_an_unused_one_lapses() {
+        let (mut a, horizon) = holding_a_lease(Flavor::transient().with_lease(TERM), false);
+        // Minted and never served from: it lapses in silence.
+        assert!(fire(&mut a, horizon).is_empty());
+        assert!(a.lease.is_none());
+
+        let (mut a, horizon) = holding_a_lease(Flavor::transient().with_lease(TERM), false);
+        assert_eq!(completion(&invoke(&mut a, 1, Op::Read)).unwrap().1, 0);
+        // Served from: at its horizon it is gone, and an ordinary read
+        // round is out that nobody waits for.
+        let out = fire(&mut a, horizon);
+        assert!(a.lease.is_none(), "a Read leaves only while leaseless");
+        let sends = sends_of(&out);
+        assert_eq!(sends.len(), 3);
+        assert!(sends.iter().all(|m| matches!(m, Message::Read { .. })));
+        let renewed = timer_of(&out, TERM);
+        // The quorum's answer mints and does nothing else.
+        assert!(grant_acks(&mut a, read_req(&out), 4, 40).is_empty());
+        assert!(a.lease.as_ref().is_some_and(|l| l.horizon == renewed));
+        // A renewed lease starts unused: one extra round, then silence.
+        assert!(fire(&mut a, renewed).is_empty());
+        assert!(a.lease.is_none());
+    }
+
+    /// An automaton whose used lease just turned into a renewal round;
+    /// what the horizon's firing emitted.
+    fn renewing() -> (RegisterAutomaton, Vec<Action>) {
+        let (mut a, horizon) = holding_a_lease(Flavor::transient().with_lease(TERM), false);
+        invoke(&mut a, 1, Op::Read);
+        let out = fire(&mut a, horizon);
+        (a, out)
+    }
+
+    #[test]
+    fn a_read_adopts_a_renewal_only_for_the_outcome_that_could_mint() {
+        // Unanimous and granted: the adopter is served in one round.
+        let (mut a, out) = renewing();
+        assert!(invoke(&mut a, 2, Op::Read).is_empty(), "adopted");
+        let acks = grant_acks(&mut a, read_req(&out), 4, 40);
+        assert_eq!(completion(&acks), Some((read_value(40), 1)));
+        assert!(sends_of(&acks).is_empty());
+        assert!(a.lease.is_some(), "and the renewal minted");
+        // Adopted, it is an operation like any other.
+        let (mut a, _) = renewing();
+        invoke(&mut a, 2, Op::Read);
+        let busy = OpResult::Rejected(RejectReason::Busy);
+        assert_eq!(completion(&invoke(&mut a, 3, Op::Read)), Some((busy, 0)));
+
+        // Anything else says nothing about the time since the replies
+        // were sent — before the adopter was invoked, possibly: no
+        // write-back of what they carried, the read starts over.
+        let (mut a, out) = renewing();
+        let req = read_req(&out);
+        invoke(&mut a, 2, Op::Read);
+        let mut acks = deliver(&mut a, 1, read_ack(4, 1, 40, req));
+        acks.extend(deliver(&mut a, 2, read_ack(5, 2, 50, req)));
+        assert_eq!(completion(&acks), None);
+        let sends = sends_of(&acks);
+        assert_eq!(sends.len(), 3, "{acks:?}");
+        assert!(sends.iter().all(|m| matches!(m, Message::Read { .. })));
+        let again = read_req(&acks);
+        assert_ne!(again, req);
+        let acks = grant_acks(&mut a, again, 5, 50);
+        assert_eq!(completion(&acks), Some((read_value(50), 1)));
+    }
+
+    #[test]
+    fn a_write_waits_for_a_renewal_and_begins_under_what_it_minted() {
+        let (mut a, out) = renewing();
+        assert!(invoke(&mut a, 2, Op::Write(Value::from_u32(7))).is_empty());
+        let acks = grant_acks(&mut a, read_req(&out), 4, 40);
+        // Drained right after the mint: a leased write.
+        assert_eq!(completion(&acks), None);
+        let sends = sends_of(&acks);
+        assert_eq!(sends.len(), 3, "{acks:?}");
+        assert!(sends.iter().all(|m| matches!(m, Message::Write { .. })));
+        let acks = write_acks(&mut a, &acks);
+        assert_eq!(completion(&acks), Some((OpResult::Written, 1)));
+    }
+
+    #[test]
+    fn a_renewal_nobody_adopted_ends_at_its_own_horizon() {
+        let (mut a, out) = renewing();
+        let (req, renewed, round) = (read_req(&out), timer_of(&out, TERM), timer_of(&out, 1_000));
+        invoke(&mut a, 2, Op::Write(Value::from_u32(7)));
+        // Too slow to mint: the round is dropped, and what waited for it
+        // starts as it would have without it.
+        let out = fire(&mut a, renewed);
+        assert!(matches!(sends_of(&out)[0], Message::SnReq { .. }));
+        assert!(grant_acks(&mut a, req, 4, 40).is_empty(), "late acks");
+        assert!(a.lease.is_none());
+        assert!(fire(&mut a, round).is_empty(), "no retransmission");
     }
 }

@@ -53,11 +53,17 @@
 //! lives in exactly one place — the coordinator that minted it; nothing
 //! hands it on to a client — and a coordinator sends a `Read`, or a
 //! `Write` newer than its leased tag, only while it holds no lease (it
-//! reads only without one and drops it before a write's first message
-//! leaves; a crash takes the lease with it). So when such a message
-//! from X arrives, nobody is serving under X's grants any more and
-//! there is nothing left for them to protect *from X*: its write is
-//! acknowledged as soon as it is durable and its read is attested.
+//! reads only without one — a lease that renews itself does so at its
+//! horizon, when it is gone — and a write takes the lease out of
+//! service before its first message leaves, to put it back on the tag
+//! it wrote only once it completed; a crash takes the lease with it).
+//! So when such a message from X arrives, nobody is serving under X's
+//! grants at that moment and there is nothing for them to protect *from
+//! X*: its write is acknowledged as soon as it is durable and its read
+//! is attested. The lease X's completed write hands on to its new tag
+//! leans on the same grants: they fence every *foreign* tag above the
+//! minimum granted one — the new tag and reads of it included — until
+//! past the horizon the lease keeps.
 //! Against everybody else X's grants stand until their horizon, because
 //! a straggler of X's (a duplicate from an abandoned write or a previous
 //! incarnation) may arrive after X minted afresh on an older tag — it is

@@ -2596,7 +2596,7 @@ mod tests {
     }
 
     #[test]
-    fn a_put_through_the_holder_neither_waits_nor_leaves_a_stale_lease() {
+    fn a_put_through_the_holder_neither_waits_nor_ends_its_lease() {
         const TERM: Duration = Duration::from_millis(500);
         let (mut cluster, kv) = leased_cluster_client(TERM.as_micros() as u64, 8);
         kv.put("k", b"v1".to_vec()).unwrap();
@@ -2604,10 +2604,11 @@ mod tests {
         assert_eq!(kv.get("k").unwrap().as_deref(), Some(b"v1".as_ref()));
         assert_eq!(kv.get("k").unwrap().as_deref(), Some(b"v1".as_ref()));
         assert!(kv.stats().lease_hits >= 1);
-        // The put goes to the node holding the lease, which drops it
-        // before the write leaves and passes its own fence at every
-        // replica: no lease term is waited out, and the next read pays a
-        // round and returns v2.
+        // The put goes to the node holding the lease, which takes it as
+        // the write's query round and passes its own fence at every
+        // replica: no lease term is waited out, the put is one round, and
+        // the lease — handed on to what it wrote — serves v2 next.
+        let before = kv.stats();
         let started = std::time::Instant::now();
         kv.put("k", b"v2".to_vec()).unwrap();
         let took = started.elapsed();
@@ -2615,9 +2616,10 @@ mod tests {
             took < TERM / 2,
             "the put sat behind its own lease: {took:?}"
         );
-        let before = kv.stats();
         assert_eq!(kv.get("k").unwrap().as_deref(), Some(b"v2".as_ref()));
-        assert_eq!(kv.stats().lease_hits, before.lease_hits, "a dead lease");
+        let after = kv.stats();
+        assert_eq!(after.write_rounds, before.write_rounds + 1);
+        assert_eq!(after.lease_hits, before.lease_hits + 1, "handed on");
         cluster.shutdown();
     }
 

@@ -62,6 +62,9 @@ fn version_of(bytes: Option<&[u8]>) -> u64 {
 struct SeedOutcome {
     leased_reads: usize,
     quorum_reads: usize,
+    /// The writer's register writes, and the rounds they took.
+    writes: u64,
+    write_rounds: u64,
 }
 
 /// One seeded run: preload → one writer thread installing monotone
@@ -182,9 +185,12 @@ fn run_seed(seed: u64) -> SeedOutcome {
             .filter(|o| matches!(o.kind, FreshnessKind::Read { leased: false, .. }))
             .count();
     }
+    let stats = writer.stats();
     SeedOutcome {
         leased_reads,
         quorum_reads,
+        writes: stats.writes,
+        write_rounds: stats.write_rounds,
     }
 }
 
@@ -201,16 +207,25 @@ fn single_seed_smoke() {
 
 /// ≥ 12 seeds of writers vs leased readers: every history certified,
 /// zero stale leased reads, and the lease demonstrably fired (while
-/// cold starts and revocations kept some reads on the quorum path).
+/// cold starts and revocations kept some reads on the quorum path) —
+/// for the writer too: a put that meets a live lease at its key's home
+/// takes it for its query round.
 #[test]
 fn sweep_writers_vs_leased_readers() {
     let mut leased = 0usize;
     let mut quorum = 0usize;
+    let (mut writes, mut write_rounds) = (0, 0);
     for seed in 1..=12 {
         let outcome = run_seed(seed);
         leased += outcome.leased_reads;
         quorum += outcome.quorum_reads;
+        writes += outcome.writes;
+        write_rounds += outcome.write_rounds;
     }
+    assert!(
+        write_rounds < 2 * writes,
+        "no put began under a lease: {writes} writes, {write_rounds} rounds"
+    );
     assert!(
         leased > 0,
         "the sweep must serve some reads from leases — otherwise the \
@@ -221,7 +236,48 @@ fn sweep_writers_vs_leased_readers() {
         "cold starts and horizon expiries must keep some reads on the \
          quorum path"
     );
-    println!("sweep: {leased} leased reads, {quorum} quorum reads, all fresh");
+    println!(
+        "sweep: {leased} leased reads, {quorum} quorum reads, all fresh; \
+         {writes} writes in {write_rounds} rounds"
+    );
+}
+
+/// A lease in use renews itself with nobody waiting — and stops: the
+/// renewed lease starts unused, so once the calls end every node has
+/// sent its last message within two holds (one renewal round, one more
+/// horizon). No renewal loop keeps an idle cluster talking.
+#[test]
+fn an_idle_cluster_goes_quiet_within_two_holds() {
+    const TERM: Duration = Duration::from_millis(40);
+    let cluster = leased_cluster(TERM.as_micros() as u64);
+    let kv = KvClient::new(cluster.clients(), ShardRouter::new(SHARDS)).unwrap();
+    let keys = ShardRouter::new(SHARDS).covering_keys("ik-");
+    for key in &keys {
+        kv.put(key, version_bytes(1)).unwrap();
+    }
+    std::thread::sleep(SETTLE);
+    // Every home node mints, serves from the lease, writes under it
+    // (handing it on) and serves again: every lease is in use.
+    for key in &keys {
+        for _ in 0..2 {
+            assert_eq!(version_of(kv.get(key).unwrap().as_deref()), 1);
+        }
+        kv.put(key, version_bytes(2)).unwrap();
+        assert_eq!(version_of(kv.get(key).unwrap().as_deref()), 2);
+    }
+    let stats = kv.stats();
+    assert!(stats.lease_hits as usize >= 2 * keys.len(), "{stats:?}");
+    let sent = || -> Vec<u64> {
+        let of = |pid| cluster.metrics(pid).counter("runner.msgs_out");
+        ProcessId::all(3).map(of).collect()
+    };
+    let at_the_last_call = sent();
+    let hold = TERM + TERM / 4;
+    std::thread::sleep(2 * hold);
+    let two_holds_on = sent();
+    assert_ne!(two_holds_on, at_the_last_call, "the leases in use renewed");
+    std::thread::sleep(2 * hold);
+    assert_eq!(sent(), two_holds_on, "something still renews");
 }
 
 /// A write returns on a majority; minting needs the whole read quorum to
@@ -280,9 +336,10 @@ fn split_under_leases() -> SplitUnderLeases {
 /// and the new epoch re-earns leases as usual.
 fn the_stale_reader_sees_the_post_split_write(writer: &KvClient, reader: &KvClient, hot: &str) {
     writer.put(hot, version_bytes(2)).unwrap();
-    // The reader's map is stale, its read goes to the sealed old home:
-    // the seal killed that node's lease, so the read asks the quorum,
-    // the foreign stamp forces a map refresh, and the new home answers.
+    // The reader's map is stale, its read goes to the sealed old home —
+    // whose lease, if the seal went through it, was handed on to the
+    // seal: either way what comes back carries the foreign stamp, which
+    // forces a map refresh, and the new home answers.
     assert_eq!(
         reader.get(hot).unwrap().as_deref(),
         Some(version_bytes(2).as_slice()),
@@ -304,10 +361,10 @@ fn the_stale_reader_sees_the_post_split_write(writer: &KvClient, reader: &KvClie
 
 /// Pinned: an epoch change races live leases, through their holders. The
 /// grower's register operations go to each register's home node first —
-/// the node that minted the lease — which drops it before the seal
+/// the node that minted the lease — which takes it before the seal
 /// leaves and is exempt from its own grants at every replica: the grow
-/// does not wait out the term, and no lease survives to serve the old
-/// epoch.
+/// does not wait out the term, and the lease it hands on serves the
+/// seal, not the old epoch.
 #[test]
 fn a_grow_through_the_lease_holders_does_not_wait() {
     let split = split_under_leases();

@@ -559,13 +559,14 @@ fn leased_reads_of_hosted_clients_are_never_stale() {
     let version =
         |bytes: Option<&[u8]>| bytes.map_or(0, |b| u64::from_be_bytes(b.try_into().unwrap()));
     let (mut leased, mut quorum) = (0, 0);
+    let mut write_rounds = Vec::new();
     for seed in 1..=12u64 {
         let keys = ShardRouter::new(4).covering_keys("lk-");
         let recorder = OpRecorder::new();
         // (key index, op) from every client, on the run's one clock.
         let log = Mutex::new(Vec::<(usize, FreshnessOp)>::new());
         let flavor = Persistent::flavor().with_lease(LEASE_MICROS);
-        run_hosted(sim(flavor, seed, Schedule::new()), seed, |world| {
+        let report = run_hosted(sim(flavor, seed, Schedule::new()), seed, |world| {
             let client = || {
                 KvClient::over(world.clone(), ShardRouter::new(4)).with_recorder(recorder.clone())
             };
@@ -622,6 +623,7 @@ fn leased_reads_of_hosted_clients_are_never_stale() {
             };
             std::iter::once(writer).chain((0..2).map(reader)).collect()
         });
+        write_rounds.extend(report.trace.rounds(OpKind::Write));
         let what = format!("leases seed {seed}");
         certify(
             &recorder.history(),
@@ -650,6 +652,13 @@ fn leased_reads_of_hosted_clients_are_never_stale() {
     assert!(
         quorum > 0,
         "cold starts and expiries keep some reads on the quorum path"
+    );
+    // The writer too: a put that meets a live lease at its key's home
+    // takes it for its query round.
+    let (writes, rounds) = (write_rounds.len() as u32, write_rounds.iter().sum::<u32>());
+    assert!(
+        rounds < 2 * writes,
+        "no put began under a lease: {writes} writes, {rounds} rounds"
     );
 }
 

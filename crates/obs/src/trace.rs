@@ -35,7 +35,9 @@
 //! bracket, so the segment sum equals the client-observed wall clock
 //! exactly, up to clamping of negative sub-microsecond artifacts. A large
 //! attribution error therefore *means* a mis-stitched op, which is why
-//! the bench asserts the per-op sum stays within 5% of wall clock.
+//! the bench asserts the per-op sum stays within 5% of wall clock. An op
+//! its coordinator answered in **zero rounds** (a read under a tag lease:
+//! `OpComplete` carries the round count) is whole with the first two.
 
 use std::collections::HashMap;
 
@@ -366,7 +368,8 @@ struct OpAcc {
     recv: Option<(u64, u16)>,
     coord_ring: Option<usize>,
     start: Option<u64>,
-    complete: Option<u64>,
+    /// The coordinator's `OpComplete`: `(t, rounds the automaton ran)`.
+    complete: Option<(u64, u64)>,
     register: u16,
     /// Coordinator `RoundSent`s: `(t, peer, nonce)`.
     sends: Vec<(u64, u16, u64)>,
@@ -456,7 +459,7 @@ pub fn stitch(rings: &[RingDump]) -> TraceReport {
                     acc.register = ev.register;
                 }
                 EventKind::OpComplete => {
-                    acc.complete = Some(ev.at_micros);
+                    acc.complete = Some((ev.at_micros, ev.aux));
                 }
                 EventKind::RoundSent => {
                     let (peer, nonce, _) = unpack_wire_aux(ev.aux);
@@ -514,7 +517,7 @@ pub fn stitch(rings: &[RingDump]) -> TraceReport {
             acc.recv,
             acc.coord_ring,
             acc.start,
-            acc.complete,
+            acc.complete.map(|(t, _)| t),
         ) else {
             continue;
         };
@@ -628,7 +631,7 @@ fn stitch_op(
     let (t_send, node) = acc.send?;
     let (t_recv, _) = acc.recv?;
     let t_start = acc.start?;
-    let t_complete = acc.complete?;
+    let (t_complete, rounds_run) = acc.complete?;
     if !reachable[client_ring] || !reachable[coord_ring] {
         return None;
     }
@@ -654,7 +657,10 @@ fn stitch_op(
         *slot = (*slot).min(t);
     }
     rounds.sort_unstable();
-    if rounds.is_empty() {
+    // An operation answered under the coordinator's tag lease ran no
+    // round, and its client and coordinator segments are all of it; one
+    // that ran some and shows none has holes.
+    if rounds.is_empty() && rounds_run != 0 {
         return None;
     }
 
@@ -877,6 +883,42 @@ mod tests {
         assert_eq!(report.stitched.len(), 0);
         assert_eq!(report.incomplete, 1);
         assert!(report.coverage() < 1.0);
+    }
+
+    #[test]
+    fn an_operation_of_zero_rounds_is_stitched_from_its_two_segments() {
+        // A lease hit: the coordinator answers on the spot.
+        let op = (CLIENT_OP_BIT, 7u64);
+        let ev = |kind, t: i64, aux: u64| {
+            FlightEvent {
+                at_micros: (BASE + t) as u64,
+                aux,
+                ..FlightEvent::new(kind)
+            }
+            .with_op(op.0, op.1)
+        };
+        let rings = |rounds_run| {
+            let client = vec![
+                ev(EventKind::ClientSend, 100, 0),
+                ev(EventKind::ClientRecv, 160, 0),
+            ];
+            let coord = vec![
+                ev(EventKind::OpStart, 120, 0),
+                ev(EventKind::OpComplete, 130, rounds_run),
+            ];
+            vec![RingDump::client(0, client), RingDump::node(0, coord)]
+        };
+        let report = stitch(&rings(0));
+        assert_eq!((report.completed, report.incomplete), (1, 0));
+        assert_eq!(report.coverage(), 1.0);
+        let op = &report.stitched[0];
+        assert_eq!((op.rounds, op.wall_us, op.violations), (0, 60.0, 0));
+        assert_eq!(op.segments, [50.0, 10.0, 0.0, 0.0, 0.0, 0.0]);
+        assert!(op.attribution_error() < 1e-9);
+        // The same events from an operation that did run a round are a
+        // timeline with holes, as ever.
+        let report = stitch(&rings(1));
+        assert_eq!((report.stitched.len(), report.incomplete), (0, 1));
     }
 
     #[test]

@@ -164,8 +164,12 @@ pub enum Action {
         /// particular whether a read completed through the one-round fast
         /// path (1), paid the write-back round (2), or was served from the
         /// coordinator's held tag lease without touching the network at
-        /// all (0). The lease itself never leaves the automaton: a
-        /// completion carries a value, not a right to serve it again.
+        /// all (0); and whether a write ran the figure's query and
+        /// propagation rounds (2) or began under the coordinator's live
+        /// lease, which stands in for the query (1). A read that adopted
+        /// a lease renewal already in flight counts that round (1). The
+        /// lease itself never leaves the automaton: a completion carries
+        /// a value, not a right to serve it again.
         rounds: u32,
     },
 }
