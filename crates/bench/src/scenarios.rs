@@ -7,7 +7,12 @@
 //! crashes to steer which replicas see which values — the simulator's
 //! deterministic delays (δ = 100 µs one-way, ≈5 µs send serialization,
 //! λ = 200 µs logs, 2 ms retransmit) make the interleavings reproducible.
-//! Run the matching algorithm and feed the trace history to the checkers:
+//! The schedules steer the figures' message pattern — every round to all
+//! `n` — so [`fig1`] and [`rho4`] are run with the read fast path off
+//! (`Flavor::with_read_fast_path(false)`): with it on, rounds are thrifty
+//! and go to the majority that answered last, which these blocks do not
+//! steer. Run the matching algorithm and feed the trace history to the
+//! checkers:
 //!
 //! | schedule | algorithm | persistent? | transient? |
 //! |---|---|---|---|

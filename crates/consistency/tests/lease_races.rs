@@ -353,10 +353,14 @@ fn a_holder_that_also_writes_hands_its_lease_on_to_what_it_wrote() {
         }
         assert!(rounds.fallback > 0, "{name}: the other reader is fenced");
         // The other reader's grants hold most of these writes past the
-        // horizon of the lease they took; the rest hand it on.
+        // horizon of the lease they took; the rest — those after its last
+        // read — hand it on. (Its thrifty reads send one message less, so
+        // it reads a little more often and its last read falls later: at
+        // these seeds 8 transient and 24 persistent writes hand on, where
+        // reads to all three gave 18 and 25.)
         let [one_round, then_zero] = tally;
         assert!(
-            one_round == 12 * SEEDS as usize && then_zero >= SEEDS as usize,
+            one_round == 12 * SEEDS as usize && then_zero >= SEEDS as usize / 2,
             "{name}: {one_round} one-round writes, {then_zero} handed on"
         );
 
@@ -414,11 +418,9 @@ fn a_straggler_of_the_holders_last_life_lands_under_its_new_lease() {
             // query round for the transient flavor, behind the pre-log
             // of 32 KiB for the persistent one.
             let crash = if transient { 1_700 } else { 3_100 } + 10 * seed;
-            // p0 invokes again once it has recovered (the persistent
-            // flavor's re-finish sits out its peers' grants first; an
-            // invocation queued meanwhile would be recorded as made while
-            // the write it must follow was still landing). Planted reads,
-            // not a loop: a loop yet to start is started by the recovery.
+            // p0 reads again once it has recovered (the persistent
+            // flavor's re-finish sits out its peers' grants first), and
+            // the cuts below are timed from there.
             let recovered = if transient { crash + 1_100 } else { 30_000 };
             // The first of them mints; for the rest of its term p0 is cut
             // off from p1 and p2, and p2 from p0.
@@ -436,17 +438,15 @@ fn a_straggler_of_the_holders_last_life_lands_under_its_new_lease() {
                     .at(minted, PlannedEvent::Block(from, to))
                     .at(expired, PlannedEvent::Unblock(from, to))
             });
-            let schedule = (0..90).fold(schedule, |schedule, k| {
-                schedule.at(recovered + 100 * k, PlannedEvent::Invoke(p(0), Op::Read))
-            });
             let mut sim = Simulation::new(jittery(), factory.clone(), seed).with_schedule(schedule);
-            let reads = |pid, start| {
-                ClosedLoop::reads(pid, 12)
-                    .with_think(Micros(150))
+            let reads = |pid, n, think, start| {
+                ClosedLoop::reads(pid, n)
+                    .with_think(Micros(think))
                     .with_start_after(Micros(start))
             };
-            sim.add_closed_loop(reads(p(1), 2_000));
-            sim.add_closed_loop(reads(p(2), LANDED + 1_700));
+            sim.add_closed_loop(reads(p(0), 90, 100, recovered));
+            sim.add_closed_loop(reads(p(1), 12, 150, 2_000));
+            sim.add_closed_loop(reads(p(2), 12, 150, LANDED + 1_700));
             let report = sim.run();
             let what = format!("{name}/seed {seed}");
             let ops = adjudicate(&report, &what, check, &mut rounds);
@@ -637,7 +637,9 @@ fn a_horizon_that_fires_mid_write_leaves_nothing_to_hand_on() {
     for (factory, name, check) in leased_flavors(LEASE_MICROS) {
         let mut rounds = ReadRounds::default();
         for seed in 0..SEEDS {
-            let p0_reads = [MINT, 500, 900, 3_800, 4_200, 9_000, 10_000];
+            // The last two reads lie a retransmission period apart: p0's
+            // thrifty read at 9 ms may ask p2, whom it no longer hears.
+            let p0_reads = [MINT, 500, 900, 3_800, 4_200, 9_000, 12_000];
             let schedule = Schedule::new()
                 .at(WRITE, PlannedEvent::Invoke(p(0), Op::Write(v(1))))
                 .at(WRITE + 400, PlannedEvent::Invoke(p(1), Op::Read))
@@ -681,10 +683,68 @@ fn a_horizon_that_fires_mid_write_leaves_nothing_to_hand_on() {
                 "{what}: p1 was shown the new tag at {} µs, under p0's grants",
                 foreign.completed_at
             );
-            let last = at(p(0), 10_000).kind;
+            let last = at(p(0), 12_000).kind;
             assert!(
                 matches!(last, FreshnessKind::Read { version: 2, .. }),
                 "{what}: {last:?}"
+            );
+        }
+        assert!(rounds.leased > 0, "{name}: the oracle policed nothing");
+    }
+}
+
+/// (e′) **Thrifty rounds on both sides.** p0 and p2 each learn a quorum
+/// with p1 in it while p2 cannot reach p0; then every link is open. p0's
+/// read at 3 ms goes to p0 and p1 only — its lease is minted from that
+/// thrifty quorum, and p2's replica holds no grant — and p2's write at
+/// 3.3 ms goes to p2 and p1 only: it never reaches the holder, so p0's own
+/// replica cannot retire the lease, and p2's replica acknowledges at once.
+/// What keeps p0's zero-round reads fresh is p1 alone, the one replica
+/// both majorities share, parking its acknowledgement until its grant to
+/// p0 expires. (Red when the replica fence in `Replica::on_message` is
+/// removed: the write completes inside the lease, and p0 goes on serving
+/// the old value.)
+#[test]
+fn a_foreign_writers_thrifty_round_that_misses_the_holder_is_still_fenced() {
+    const MINT: u64 = 3_000;
+    const WRITE: u64 = 3_300;
+    const HOLD: u64 = LEASE_MICROS + LEASE_MICROS / 4;
+    for (factory, name, check) in leased_flavors(LEASE_MICROS) {
+        let mut rounds = ReadRounds::default();
+        for seed in 0..SEEDS {
+            let p0_reads = [10, MINT, 3_600, 3_900, 4_200, 4_400, 8_000];
+            let schedule = Schedule::new()
+                // While p2 cannot reach p0, both learn a quorum with p1.
+                .at(0, PlannedEvent::Block(p(2), p(0)))
+                .at(10, PlannedEvent::Invoke(p(2), Op::Read))
+                .at(2_500, PlannedEvent::Unblock(p(2), p(0)))
+                .at(WRITE, PlannedEvent::Invoke(p(2), Op::Write(v(1))));
+            let schedule = p0_reads.iter().fold(schedule, |schedule, &at| {
+                schedule.at(at, PlannedEvent::Invoke(p(0), Op::Read))
+            });
+            let mut sim = Simulation::new(jittery(), factory.clone(), seed).with_schedule(schedule);
+            let report = sim.run();
+            let what = format!("{name}/seed {seed}");
+            assert_eq!(completed(&report), 9, "{what}: all ops complete");
+            let ops = adjudicate(&report, &what, check, &mut rounds);
+            let at = |pid, invoked| planted(&ops, pid, invoked);
+            let write = at(p(2), WRITE);
+            assert!(
+                write.completed_at > MINT + HOLD,
+                "{what}: the write completed at {} µs, under p0's grant at p1",
+                write.completed_at
+            );
+            let leased_during_write = p0_reads.iter().filter(|&&invoked| {
+                let read = at(p(0), invoked);
+                invoked > WRITE && matches!(read.kind, FreshnessKind::Read { leased: true, .. })
+            });
+            assert!(
+                leased_during_write.count() >= 3,
+                "{what}: p0 must serve under its lease while the write is out"
+            );
+            assert!(
+                matches!(at(p(0), 8_000).kind, FreshnessKind::Read { version: 1, .. }),
+                "{what}: the write is read once through"
             );
         }
         assert!(rounds.leased > 0, "{name}: the oracle policed nothing");

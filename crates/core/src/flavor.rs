@@ -81,6 +81,14 @@ pub struct Flavor {
     /// and recovery is exactly the figures'. (A register first created
     /// while the process was down catches up when something first names
     /// it, not when the restart ends: the process cannot know it exists.)
+    ///
+    /// The fast path also makes every operation round **thrifty**: its
+    /// first send goes to this process and the `majority − 1` peers that
+    /// completed the node's last quorum, and only a retransmission widens
+    /// it to all `n` — so a write is logged on a majority, not on every
+    /// replica, and a read through the coordinator that wrote asks the
+    /// replicas the write reached (see [`crate::generic`]). With this
+    /// field `false` every round goes to all `n`, as in the figures.
     pub read_fast_path: bool,
     /// Tag-lease duration in microseconds (0 = leasing disabled, the
     /// default for every published flavor). When non-zero — and the
@@ -108,10 +116,12 @@ pub struct Flavor {
 
 impl Flavor {
     /// Paper Fig. 4: persistent atomicity, 2 causal logs per write, 1 per
-    /// read. A write spends `n` durable records — the coordinator's
-    /// `writing` pre-log plus one `written` record at each *other*
-    /// replica; the pre-log doubles as the coordinator's own replica
-    /// record.
+    /// read. A write spends a majority of durable records — the
+    /// coordinator's `writing` pre-log plus one `written` record at each
+    /// *other* replica its thrifty propagation round reaches (see
+    /// [`read_fast_path`](Flavor::read_fast_path); `n` with the fast path
+    /// off, when every round goes to all); the pre-log doubles as the
+    /// coordinator's own replica record.
     pub const fn persistent() -> Flavor {
         Flavor {
             name: "persistent",

@@ -22,6 +22,20 @@
 //! recovered process serves its first operation only after durably
 //! holding all of them. With the fast path off the step does not exist
 //! and recovery is the figures', verbatim.
+//!
+//! # Thrifty rounds
+//!
+//! The figures send every round to all `n` processes and wait for a
+//! majority. With the fast path on, an operation's round is **thrifty**:
+//! its first send goes to this process and the `majority − 1` peers that
+//! completed the node's most recent quorum ([`Preferred`]), and only its
+//! retransmission widens to all `n`. A write is then logged on a majority,
+//! not on every replica — the causal logs Theorem 1 counts are the same.
+//! The store's home node coordinates both the reads and the writes of its
+//! registers, so a read asks the replicas the last write reached and
+//! finds them unanimous. Recovery rounds (the figure's re-finish and
+//! frontier query, the catch-up) have no history to go on and still ask
+//! everyone; with the fast path off every round does, first send included.
 
 use std::collections::VecDeque;
 
@@ -34,7 +48,7 @@ use rmem_types::{
 };
 
 use crate::flavor::{Flavor, RecoveryPolicy};
-use crate::quorum::QuorumCall;
+use crate::quorum::{Preferred, QuorumCall};
 use crate::replica::Replica;
 
 /// The in-flight phase of an operation: a client's, or — [`ReadQuery`]
@@ -263,6 +277,9 @@ pub struct RegisterAutomaton {
     catch_up: Option<CatchUp>,
     /// Live tag lease (leasing flavors only).
     lease: Option<Lease>,
+    /// Where a thrifty round goes first. A shared memory keeps one per
+    /// node and hands it to the register it feeds.
+    preferred: Preferred,
     ready: bool,
     queued: VecDeque<(OpId, Op)>,
     token_counter: u64,
@@ -298,6 +315,7 @@ impl RegisterAutomaton {
             recovery: None,
             catch_up: None,
             lease: None,
+            preferred: Preferred::new(me),
             ready: false,
             queued: VecDeque::new(),
             token_counter: 0,
@@ -359,6 +377,7 @@ impl RegisterAutomaton {
             recovery: None,
             catch_up: None,
             lease: None,
+            preferred: Preferred::new(me),
             ready: false,
             queued: VecDeque::new(),
             token_counter: 0,
@@ -396,8 +415,27 @@ impl RegisterAutomaton {
         r
     }
 
+    /// The node-wide preference a shared memory lends this register while
+    /// feeding it (see [`Preferred`]).
+    pub(crate) fn preferred_mut(&mut self) -> &mut Preferred {
+        &mut self.preferred
+    }
+
+    /// Sends to all `n`: a recovery round, and every retransmission.
     fn broadcast(&self, msg: &Message, out: &mut Vec<Action>) {
         out.extend(Action::broadcast(self.n, msg));
+    }
+
+    /// An operation round's first send: thrifty when the fast path is on
+    /// (module docs), else to all `n` as in the figures.
+    fn send_round(&self, msg: &Message, out: &mut Vec<Action>) {
+        if !self.flavor.read_fast_path {
+            return self.broadcast(msg, out);
+        }
+        out.extend(self.preferred.first_send(self.n).map(|to| Action::Send {
+            to,
+            msg: msg.clone(),
+        }));
     }
 
     fn arm_timer(&mut self, out: &mut Vec<Action>) -> TimerToken {
@@ -623,7 +661,7 @@ impl RegisterAutomaton {
                     // numbers.
                     let req = self.next_req();
                     let call = QuorumCall::new(req, self.majority);
-                    self.broadcast(&Message::SnReq { req }, out);
+                    self.send_round(&Message::SnReq { req }, out);
                     let timer = self.arm_timer(out);
                     self.op = Some(OpPhase::WriteQuery {
                         op,
@@ -656,12 +694,12 @@ impl RegisterAutomaton {
         }
     }
 
-    /// Broadcasts a read query round (Fig. 4 lines 32–35) for `waiter`.
+    /// Sends a read query round (Fig. 4 lines 32–35) for `waiter`.
     fn start_read(&mut self, waiter: ReadFor, out: &mut Vec<Action>) {
         debug_assert!(self.lease.is_none(), "a Read leaves only while leaseless");
         let req = self.next_req();
         let call = QuorumCall::new(req, self.majority);
-        self.broadcast(&Message::Read { req }, out);
+        self.send_round(&Message::Read { req }, out);
         // Leasing flavors stamp the lease horizon *before* any replica can
         // have seen the query: the minted lease then provably dies before
         // a granting replica releases a fenced newer write.
@@ -700,7 +738,7 @@ impl RegisterAutomaton {
         // Fig. 4 lines 13–15 (and Fig. 5 lines 12–14).
         let req = self.next_req();
         let call = QuorumCall::new(req, self.majority);
-        self.broadcast(
+        self.send_round(
             &Message::Write {
                 req,
                 ts,
@@ -810,7 +848,7 @@ impl RegisterAutomaton {
         if let Some(RecoveryPhase::QuerySeq { call, max_seq, .. }) = &mut self.recovery {
             if call.matches(req) {
                 *max_seq = (*max_seq).max(seq);
-                if call.record(from) {
+                if self.preferred.record(call, from) {
                     recovery_done = Some(*max_seq);
                 } else {
                     return;
@@ -834,7 +872,7 @@ impl RegisterAutomaton {
             return;
         }
         *max_seq = (*max_seq).max(seq);
-        if call.record(from) {
+        if self.preferred.record(call, from) {
             let Some(OpPhase::WriteQuery {
                 op, value, max_seq, ..
             }) = self.op.take()
@@ -850,7 +888,7 @@ impl RegisterAutomaton {
         let mut recovery_done = false;
         if let Some(RecoveryPhase::FinishWrite { call, .. }) = &mut self.recovery {
             if call.matches(req) {
-                if call.record(from) {
+                if self.preferred.record(call, from) {
                     recovery_done = true;
                 } else {
                     return;
@@ -864,7 +902,7 @@ impl RegisterAutomaton {
 
         let reached = match &mut self.op {
             Some(OpPhase::WritePropagate { call, .. } | OpPhase::ReadWriteBack { call, .. }) => {
-                call.matches(req) && call.record(from)
+                call.matches(req) && self.preferred.record(call, from)
             }
             _ => false,
         };
@@ -952,7 +990,7 @@ impl RegisterAutomaton {
                     *best_ts = ts;
                     *best_value = value;
                 }
-                if call.record(from) {
+                if self.preferred.record(call, from) {
                     let (ts, value) = (*best_ts, std::mem::take(best_value));
                     self.catch_up_to(ts, &value, out);
                 }
@@ -1001,7 +1039,7 @@ impl RegisterAutomaton {
             *best_ts = ts;
             *best_value = value;
         }
-        if !call.record(from) {
+        if !self.preferred.record(call, from) {
             return;
         }
         let Some(OpPhase::ReadQuery {
@@ -1050,7 +1088,7 @@ impl RegisterAutomaton {
             // Fig. 4 lines 36–38: write back before returning.
             let req = self.next_req();
             let call = QuorumCall::new(req, self.majority);
-            self.broadcast(
+            self.send_round(
                 &Message::Write {
                     req,
                     ts,
@@ -1357,6 +1395,16 @@ mod tests {
         out.iter()
             .filter_map(|a| match a {
                 Action::Send { msg, .. } => Some(msg),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Where the sends in `out` go, in order.
+    fn targets(out: &[Action]) -> Vec<u16> {
+        out.iter()
+            .filter_map(|a| match a {
+                Action::Send { to, .. } => Some(to.0),
                 _ => None,
             })
             .collect()
@@ -1691,7 +1739,9 @@ mod tests {
         assert_eq!(a.replica_timestamp(), record.ts);
         assert_eq!(a.replica_value().as_u32(), Some(9));
         let writes: Vec<&Message> = sends_of(&out);
-        assert_eq!(writes.len(), 3, "propagation round broadcast: {out:?}");
+        // p1 and p2 completed the query: thrifty, the round goes to them
+        // and this process — everyone.
+        assert_eq!(targets(&out), [0, 1, 2], "propagation round: {out:?}");
         let own = (*writes[0]).clone();
         assert!(matches!(own, Message::Write { ts, .. } if ts == record.ts));
         assert_eq!(stores_in(&out), 0);
@@ -1731,7 +1781,9 @@ mod tests {
         // propagation round.
         a.on_input(Input::StoreDone(token), &mut out);
         assert_eq!(write_acks_of(&out), 1);
-        assert_eq!(sends_of(&out).len(), 1 + 3);
+        // The released ack, then the round to the query's quorum (p1 and
+        // p2) and this process.
+        assert_eq!(targets(&out), [0, 0, 1, 2]);
         assert_eq!(stores_in(&out), 0);
     }
 
@@ -2184,6 +2236,90 @@ mod tests {
     }
 
     // ---------------------------------------------------------------
+    // Thrifty rounds
+    // ---------------------------------------------------------------
+
+    /// Invokes `operation` at `a` and acknowledges its first round from
+    /// `quorum`, in that order; what the acks emitted.
+    fn complete_first_round(a: &mut RegisterAutomaton, quorum: &[u16]) -> Vec<Action> {
+        let out = invoke(a, 0, Op::Write(Value::from_u32(1)));
+        let req = sends_of(&out)[0].request_id();
+        let mut acks = Vec::new();
+        for &from in quorum {
+            acks.extend(deliver(a, from, Message::SnAck { req, seq: 0 }));
+        }
+        acks
+    }
+
+    #[test]
+    fn after_a_completed_round_the_next_first_asks_that_majority_and_a_retransmit_all() {
+        let mut a = fresh(Flavor::transient());
+        // No history yet: everyone, as in the figures.
+        assert_eq!(targets(&invoke(&mut a, 9, Op::Read)), [0, 1, 2]);
+        let mut a = fresh(Flavor::transient());
+        // p2 and this process complete the query round: the propagation
+        // round asks exactly them — a majority, self included.
+        let out = complete_first_round(&mut a, &[2, 0]);
+        assert_eq!(targets(&out), [0, 2]);
+        // Its retransmission widens to all three, and so does every later
+        // one.
+        let timer = timer_of(&out, 1_000);
+        let resent = fire(&mut a, timer);
+        assert_eq!(targets(&resent), [0, 1, 2]);
+        assert_eq!(targets(&fire(&mut a, timer_of(&resent, 1_000))), [0, 1, 2]);
+        // p1 answers the widened round before p2 does: the next round
+        // goes to p1 instead.
+        let req = sends_of(&out)[0].request_id();
+        for from in [1, 0] {
+            deliver(&mut a, from, Message::WriteAck { req });
+        }
+        assert_eq!(targets(&invoke(&mut a, 1, Op::Read)), [0, 1]);
+
+        // Five processes, a quorum of three with this one in it: those
+        // three.
+        let mut a = RegisterAutomaton::fresh(ProcessId(0), 5, Flavor::persistent(), Micros(1_000));
+        a.on_input(Input::Start, &mut Vec::new());
+        let out = complete_first_round(&mut a, &[3, 0, 1]);
+        let [Action::Store { token, .. }] = out[..] else {
+            panic!("the pre-log: {out:?}")
+        };
+        let mut out = Vec::new();
+        a.on_input(Input::StoreDone(token), &mut out);
+        assert_eq!(targets(&out), [0, 1, 3]);
+    }
+
+    #[test]
+    fn without_the_fast_path_every_round_asks_everyone() {
+        for flavor in [
+            Flavor::persistent().with_read_fast_path(false),
+            Flavor::transient().with_read_fast_path(false),
+            Flavor::crash_stop(),
+            Flavor::regular(),
+        ] {
+            let name = flavor.name;
+            let mut a = fresh(flavor);
+            let out = invoke(&mut a, 0, Op::Read);
+            let req = sends_of(&out)[0].request_id();
+            let mut acks = Vec::new();
+            for from in [2, 0] {
+                acks.extend(deliver(&mut a, from, read_ack(0, 0, 0, req)));
+            }
+            // After p2 and this process answered, the write-back (where
+            // the flavor has one) still asks all three …
+            if flavor.read_write_back {
+                assert_eq!(targets(&acks), [0, 1, 2], "{name}");
+                let req = sends_of(&acks)[0].request_id();
+                acks = deliver(&mut a, 2, Message::WriteAck { req });
+                acks.extend(deliver(&mut a, 0, Message::WriteAck { req }));
+            }
+            assert!(completion(&acks).is_some(), "{name}");
+            // … and so does the next operation's first send.
+            let next = invoke(&mut a, 1, Op::Write(Value::from_u32(1)));
+            assert_eq!(targets(&next), [0, 1, 2], "{name}");
+        }
+    }
+
+    // ---------------------------------------------------------------
     // Tag leases: handed on by a write, renewed by use
     // ---------------------------------------------------------------
 
@@ -2315,7 +2451,9 @@ mod tests {
             // the query round. The tag is the figure's line 11 over the
             // leased one, `rec` included.
             let sends = sends_of(&out);
-            assert_eq!(sends.len(), 3, "{out:?}");
+            // To the quorum that answered the minting read (p1 and p2)
+            // and this process.
+            assert_eq!(targets(&out), [0, 1, 2], "{out:?}");
             let written = Timestamp::new(4 + rec + 1, ProcessId(0));
             assert!(sends
                 .iter()
@@ -2354,7 +2492,13 @@ mod tests {
             assert!(a.lease.is_none(), "{spoil}: nothing left to hand on");
             let out = invoke(&mut a, 2, Op::Read);
             assert_eq!(completion(&out), None, "{spoil}");
-            assert_eq!(sends_of(&out).len(), 3, "{spoil}: the read asks the quorum");
+            // The quorum that answered the write (p1 and p2), and this
+            // process.
+            assert_eq!(
+                targets(&out),
+                [0, 1, 2],
+                "{spoil}: the read asks the quorum"
+            );
         }
     }
 
@@ -2407,7 +2551,9 @@ mod tests {
         let out = fire(&mut a, horizon);
         assert!(a.lease.is_none(), "a Read leaves only while leaseless");
         let sends = sends_of(&out);
-        assert_eq!(sends.len(), 3);
+        // The quorum that answered the minting read (p1 and p2), and this
+        // process.
+        assert_eq!(targets(&out), [0, 1, 2]);
         assert!(sends.iter().all(|m| matches!(m, Message::Read { .. })));
         let renewed = timer_of(&out, TERM);
         // The quorum's answer mints and does nothing else.
@@ -2452,7 +2598,9 @@ mod tests {
         acks.extend(deliver(&mut a, 2, read_ack(5, 2, 50, req)));
         assert_eq!(completion(&acks), None);
         let sends = sends_of(&acks);
-        assert_eq!(sends.len(), 3, "{acks:?}");
+        // The quorum that answered the renewal (p1 and p2), and this
+        // process.
+        assert_eq!(targets(&acks), [0, 1, 2], "{acks:?}");
         assert!(sends.iter().all(|m| matches!(m, Message::Read { .. })));
         let again = read_req(&acks);
         assert_ne!(again, req);
@@ -2468,7 +2616,9 @@ mod tests {
         // Drained right after the mint: a leased write.
         assert_eq!(completion(&acks), None);
         let sends = sends_of(&acks);
-        assert_eq!(sends.len(), 3, "{acks:?}");
+        // The quorum that answered the renewal (p1 and p2), and this
+        // process.
+        assert_eq!(targets(&acks), [0, 1, 2], "{acks:?}");
         assert!(sends.iter().all(|m| matches!(m, Message::Write { .. })));
         let acks = write_acks(&mut a, &acks);
         assert_eq!(completion(&acks), Some((OpResult::Written, 1)));

@@ -18,7 +18,10 @@
 //!
 //! The inner automatons are entirely unaware of each other — the wrapper
 //! rewrites these four coordinates at the boundary, so the single-register
-//! implementation stays exactly the paper's algorithm.
+//! implementation stays exactly the paper's algorithm. The one thing they
+//! share is where a thrifty round goes first ([`crate::generic`] module
+//! docs): the node keeps one [`Preferred`] and lends it to each register
+//! it feeds, so every register learns from the node's latest quorum.
 
 use std::collections::BTreeMap;
 
@@ -30,6 +33,7 @@ use rmem_types::{
 
 use crate::flavor::Flavor;
 use crate::generic::RegisterAutomaton;
+use crate::quorum::Preferred;
 
 /// Bits reserved for the per-register token counter; the register id
 /// lives above them.
@@ -88,6 +92,10 @@ pub struct SharedMemoryAutomaton {
     /// construction (disjoint nonces, recovery bookkeeping).
     incarnation: Option<u64>,
     registers: BTreeMap<RegisterId, RegisterAutomaton>,
+    /// The node's one thrifty-round preference, lent to whichever register
+    /// is being fed: a peer that stops answering costs this node one
+    /// retransmission period, not one per register.
+    preferred: Preferred,
     started: bool,
 }
 
@@ -112,6 +120,7 @@ impl SharedMemoryAutomaton {
             retransmit,
             incarnation: None,
             registers: BTreeMap::new(),
+            preferred: Preferred::new(me),
             started: false,
         }
     }
@@ -149,6 +158,7 @@ impl SharedMemoryAutomaton {
             retransmit,
             incarnation: Some(incarnation),
             registers,
+            preferred: Preferred::new(me),
             started: false,
         }
     }
@@ -183,7 +193,7 @@ impl SharedMemoryAutomaton {
     /// resulting actions.
     fn feed(&mut self, reg: RegisterId, input: Input, out: &mut Vec<Action>) {
         if !self.registers.contains_key(&reg) {
-            let mut inner = match self.incarnation {
+            let inner = match self.incarnation {
                 None => RegisterAutomaton::fresh(self.me, self.n, self.flavor, self.retransmit),
                 // A register first seen after a crash may have had
                 // volatile-only state before it; crash-safe construction
@@ -202,16 +212,22 @@ impl SharedMemoryAutomaton {
                     &rmem_types::EmptySnapshot,
                 ),
             };
-            if self.started {
-                let mut boot = Vec::new();
-                inner.on_input(Input::Start, &mut boot);
-                out.extend(boot.into_iter().map(|a| Self::translate_out(reg, a)));
-            }
             self.registers.insert(reg, inner);
+            if self.started {
+                self.feed_known(reg, Input::Start, out);
+            }
         }
-        let inner = self.registers.get_mut(&reg).expect("just ensured");
+        self.feed_known(reg, input, out);
+    }
+
+    /// Feeds `input` to the existing register `reg`, lending it the
+    /// node's preference for the duration.
+    fn feed_known(&mut self, reg: RegisterId, input: Input, out: &mut Vec<Action>) {
+        let inner = self.registers.get_mut(&reg).expect("an existing register");
+        std::mem::swap(inner.preferred_mut(), &mut self.preferred);
         let mut actions = Vec::new();
         inner.on_input(input, &mut actions);
+        std::mem::swap(inner.preferred_mut(), &mut self.preferred);
         out.extend(actions.into_iter().map(|a| Self::translate_out(reg, a)));
     }
 }

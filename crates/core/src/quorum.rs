@@ -1,6 +1,5 @@
-//! Majority-acknowledgement tracking for one broadcast round.
-
-use std::collections::HashSet;
+//! Majority-acknowledgement tracking for one broadcast round, and the
+//! preference that makes the next round thrifty.
 
 use rmem_types::{ProcessId, RequestId};
 
@@ -10,11 +9,13 @@ use rmem_types::{ProcessId, RequestId};
 /// Acks are deduplicated by sender (the fair-lossy network may duplicate
 /// messages, and retransmitted rounds re-solicit every replica), so the
 /// count is of *distinct* responders — the paper's
-/// "until receive … from ⌈(n+1)/2⌉ processes".
+/// "until receive … from ⌈(n+1)/2⌉ processes". Counted through
+/// [`Preferred::record`], a round that completes tells the node's
+/// preference who they were.
 #[derive(Debug, Clone)]
 pub struct QuorumCall {
     req: RequestId,
-    acked: HashSet<ProcessId>,
+    acked: Vec<ProcessId>,
     threshold: usize,
     reached: bool,
 }
@@ -30,7 +31,7 @@ impl QuorumCall {
         assert!(threshold > 0, "a quorum threshold must be positive");
         QuorumCall {
             req,
-            acked: HashSet::new(),
+            acked: Vec::with_capacity(threshold),
             threshold,
             reached: false,
         }
@@ -52,7 +53,9 @@ impl QuorumCall {
         if self.reached {
             return false;
         }
-        self.acked.insert(from);
+        if !self.acked.contains(&from) {
+            self.acked.push(from);
+        }
         if self.acked.len() >= self.threshold {
             self.reached = true;
             return true;
@@ -68,6 +71,57 @@ impl QuorumCall {
     /// Whether the threshold has been reached.
     pub fn is_reached(&self) -> bool {
         self.reached
+    }
+}
+
+/// Where a **thrifty** round goes first: this process and the peers that
+/// completed its most recent quorum — `majority − 1` of them when this
+/// process was in that quorum, as it is whenever it answers itself
+/// first.
+///
+/// The paper's rounds (Figs. 4–5) go to all `n` processes and wait for a
+/// majority, so every write is logged on every replica although only a
+/// majority's logs are causal. A thrifty round asks just a majority — the
+/// one that answered last time — and widens to all `n` only when its
+/// retransmission timer fires. Until a quorum has completed there is no
+/// preference and the first send goes to everyone. (A quorum this process
+/// was not in is kept whole: the first send then still holds a full
+/// quorum that answered, one process more than a majority.)
+#[derive(Debug, Clone)]
+pub struct Preferred {
+    me: ProcessId,
+    /// The peers of the last completed quorum; empty until one completed.
+    peers: Vec<ProcessId>,
+}
+
+impl Preferred {
+    /// No preference yet, for process `me`.
+    pub fn new(me: ProcessId) -> Self {
+        Preferred {
+            me,
+            peers: Vec::new(),
+        }
+    }
+
+    /// Records an ack from `from` in `call` ([`QuorumCall::record`]); on
+    /// the ack that completes it, remembers who did — its quorum, but this
+    /// process.
+    pub fn record(&mut self, call: &mut QuorumCall, from: ProcessId) -> bool {
+        if !call.record(from) {
+            return false;
+        }
+        let me = self.me;
+        self.peers.clear();
+        self.peers.extend(call.acked.iter().filter(|&&p| p != me));
+        true
+    }
+
+    /// The destinations of a thrifty round's first send among `n`
+    /// processes, in process order: this one and the preferred peers, or
+    /// everyone while there is no preference.
+    pub fn first_send(&self, n: usize) -> impl Iterator<Item = ProcessId> + '_ {
+        let everyone = self.peers.is_empty();
+        ProcessId::all(n).filter(move |p| everyone || *p == self.me || self.peers.contains(p))
     }
 }
 
@@ -114,5 +168,28 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_threshold_panics() {
         let _ = QuorumCall::new(req(), 0);
+    }
+
+    fn first_send(pref: &Preferred, n: usize) -> Vec<u16> {
+        pref.first_send(n).map(|p| p.0).collect()
+    }
+
+    #[test]
+    fn a_preference_is_the_last_quorum_minus_this_process() {
+        let me = ProcessId(2);
+        let mut pref = Preferred::new(me);
+        assert_eq!(first_send(&pref, 5), [0, 1, 2, 3, 4], "no history: all");
+        // A quorum of three out of five, this process among them.
+        let mut q = QuorumCall::new(req(), 3);
+        let completed: Vec<bool> = [4, 2, 0].map(|p| pref.record(&mut q, ProcessId(p))).into();
+        assert_eq!(completed, [false, false, true]);
+        assert_eq!(first_send(&pref, 5), [0, 2, 4]);
+        // One that completed without this process: all of it, and this
+        // process.
+        let mut q = QuorumCall::new(req(), 3);
+        for p in [3, 1, 3, 4, 0] {
+            pref.record(&mut q, ProcessId(p));
+        }
+        assert_eq!(first_send(&pref, 5), [1, 2, 3, 4]);
     }
 }

@@ -26,8 +26,9 @@
 //! any adoption store ([`Replica::pre_log_issued`] /
 //! [`Replica::on_pre_log_done`]), and the coordinator's self-addressed
 //! `Write` finds its tag durable and is acknowledged without a store. A
-//! persistent write therefore costs `n` durable records, not `n + 1`,
-//! while its causal-log depth stays 2.
+//! persistent write therefore costs one durable record per process its
+//! propagation reaches — a majority, when the round is thrifty — not one
+//! more, while its causal-log depth stays 2.
 //!
 //! # The lease-fence discipline
 //!

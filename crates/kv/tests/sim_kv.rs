@@ -519,6 +519,57 @@ fn a_node_crash_mid_multi_put_fails_over_under_the_same_invocation() {
     certify(&history, &keys, &[4], Criterion::Persistent, "failover");
 }
 
+/// Thrifty rounds when a peer dies. Node 0 — home of registers 3 and 6 —
+/// learns a quorum with p1 while p2 cannot reach it, and then p1 crashes
+/// with every link open. The next operation through node 0 asks p0 and p1
+/// first, and its retransmission reaches p2 one period later: it takes
+/// exactly one retransmission period longer than the same operation did
+/// before (and the send slot p2 holds behind p1 in a broadcast). The
+/// node's one preference now holds p2, so the operations after it — on
+/// the other register too — pay nothing: each takes, to the microsecond,
+/// what it took before the crash.
+#[test]
+fn a_dead_preferred_peer_costs_its_coordinator_one_retransmission_period() {
+    let retransmit = rmem_core::DEFAULT_RETRANSMIT.0;
+    let router = ShardRouter::new(8);
+    let keys = router.covering_keys("key-");
+    let homed = |register: u16| {
+        let shard = register - 1;
+        keys.iter().find(|k| router.shard_of(k) == shard).unwrap()
+    };
+    let (a, b) = (homed(3).as_str(), homed(6).as_str());
+    let schedule = Schedule::new()
+        .at(0, PlannedEvent::Block(ProcessId(2), ProcessId(0)))
+        .at(10_000, PlannedEvent::Unblock(ProcessId(2), ProcessId(0)))
+        .at(10_000, PlannedEvent::Crash(ProcessId(1)));
+    let report = run_hosted(sim(Persistent::flavor(), 4, schedule), 4, |world| {
+        let kv = KvClient::over(world.clone(), router);
+        vec![Box::new(move || {
+            let timed = |call: &dyn Fn()| {
+                let start = world.now();
+                call();
+                (world.now() - start).as_micros() as u64
+            };
+            let kv = &kv;
+            let put = |key, v| move || kv.put(key, unique(0, v)).unwrap();
+            let get = |key| move || drop(kv.get(key).unwrap());
+            // The map sync and a first put of each: node 0 asks everyone
+            // once, and hears p1 first.
+            put(a, 1)();
+            put(b, 2)();
+            let before = [timed(&put(a, 3)), timed(&put(b, 4)), timed(&get(b))];
+            assert!(world.now() < Duration::from_micros(10_000));
+            pause(&*world, 12_000 - world.now().as_micros() as u64);
+            let first = timed(&put(a, 5));
+            let after = [timed(&put(a, 6)), timed(&put(b, 7)), timed(&get(b))];
+            assert_eq!(first, before[0] + retransmit + 5, "{before:?} → {first}");
+            assert_eq!(after, before, "no period is paid twice");
+            assert_eq!(kv.stats().retries, 0, "node 0 served them all");
+        }) as Script]
+    });
+    assert_eq!(report.trace.crashes, 1);
+}
+
 /// With the read fast path off the figures run verbatim: every read the
 /// clients make pays its write-back round — two rounds, every time — and
 /// the run certifies all the same.

@@ -133,8 +133,12 @@ proptest! {
 }
 
 /// Quiescent keys read in one round: after the writes settle, a pure read
-/// phase must observe a mean round count well below the legacy 2.0 — this
-/// is the ISSUE's end-to-end acceptance probe on the real runtime.
+/// phase must observe a mean round count well below the legacy 2.0 — the
+/// end-to-end probe of the fast path on the real runtime. Reads through
+/// the coordinator that wrote are all one round: its thrifty rounds ask
+/// the majority its writes reached. Reads through the other two nodes may
+/// meet the replica those writes left out, and then write back — to it,
+/// so each register pays that round once at most.
 #[test]
 fn quiescent_read_rounds_drop_below_two() {
     let mut cluster =
@@ -145,9 +149,6 @@ fn quiescent_read_rounds_drop_below_two() {
             .write_at(RegisterId(reg), Value::from_u32(reg as u32 + 1))
             .expect("seed write");
     }
-    // Let the third replica's adoption settle so the registers are truly
-    // quiescent (a write returns at 2 of 3 acks).
-    std::thread::sleep(std::time::Duration::from_millis(50));
     let mut total = 0u32;
     let mut count = 0u32;
     for pass in 0..3 {
@@ -157,6 +158,12 @@ fn quiescent_read_rounds_drop_below_two() {
                 .read_at_counted(RegisterId(reg))
                 .expect("read");
             assert_eq!(v.as_u32(), Some(reg as u32 + 1));
+            if pass == 0 {
+                assert_eq!(
+                    rounds, 1,
+                    "a read through the writer's node, register {reg}"
+                );
+            }
             total += rounds;
             count += 1;
         }
@@ -166,10 +173,9 @@ fn quiescent_read_rounds_drop_below_two() {
         mean < 2.0,
         "quiescent reads must beat the legacy 2 rounds, observed mean {mean:.2}"
     );
-    // On a settled channel cluster the overwhelming majority is 1 round.
     assert!(
-        mean < 1.3,
-        "quiescent reads should be almost all fast-path, observed mean {mean:.2}"
+        total <= count + 8,
+        "a register wrote back twice: {total} rounds for {count} reads"
     );
     cluster.shutdown();
 }

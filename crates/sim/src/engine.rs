@@ -30,6 +30,11 @@ struct ProcSlot {
     /// sequentiality applied per register emulation — while operations on
     /// distinct registers overlap freely.
     pending: std::collections::BTreeMap<rmem_types::RegisterId, OpId>,
+    /// Invocations submitted while the automaton was not ready, in order:
+    /// the paper's recovering process invokes nothing until it is, so
+    /// they are handed over — and recorded as invoked — only once it
+    /// reports ready ([`rmem_types::Automaton::is_ready`]).
+    held: std::collections::VecDeque<(OpId, Op)>,
     next_op_counter: u64,
     /// Set while the process runs its recovery procedure (between the
     /// Recover event and the automaton reporting ready); drives the
@@ -50,14 +55,31 @@ impl ProcSlot {
     fn is_pending(&self, op: OpId) -> bool {
         self.pending.values().any(|&p| p == op)
     }
+
+    /// Whether an operation on `reg` is in flight or held here.
+    fn is_busy(&self, reg: rmem_types::RegisterId) -> bool {
+        self.pending.contains_key(&reg) || self.held.iter().any(|(_, o)| o.register() == reg)
+    }
 }
 
 struct LoopState {
     pid: ProcessId,
     remaining: std::collections::VecDeque<Op>,
     think: Micros,
-    /// An invocation of this loop is in flight (scheduled or pending).
-    in_flight: bool,
+    op: LoopOp,
+}
+
+/// Where a closed loop's one invocation is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LoopOp {
+    /// None: the loop is done, or waits for its process to recover.
+    Idle,
+    /// Planted as an `Invoke` event that has not fired yet. A crash before
+    /// it fires does not lose it: it fires anyway, and finds the process
+    /// down or recovered.
+    Planted(OpId),
+    /// Handed to its process: a crash loses it.
+    Submitted,
 }
 
 /// What [`Simulation::invoke`] answered.
@@ -154,6 +176,7 @@ impl Simulation {
                 storage: FaultyStorage::new(MemStorage::new(), FaultPlan::None),
                 incarnation: 0,
                 pending: std::collections::BTreeMap::new(),
+                held: std::collections::VecDeque::new(),
                 next_op_counter: 0,
                 recovering_since: None,
                 disk_busy_until: VirtualTime::ZERO,
@@ -211,25 +234,13 @@ impl Simulation {
             pid: cl.pid,
             remaining: cl.ops.clone().into(),
             think: cl.think,
-            in_flight: false,
+            op: LoopOp::Idle,
         });
-        // The first invocation is scheduled when the run starts, honouring
-        // start_after; encode it via the schedule with a sentinel: we
-        // simply plant the first op here.
-        let idx = self.loops.len() - 1;
-        let first_at = VirtualTime::ZERO.after(cl.start_after);
-        if let Some(op) = self.loops[idx].remaining.pop_front() {
-            self.loops[idx].in_flight = true;
-            let op_id = self.fresh_op_id(cl.pid);
-            self.queue.push(
-                first_at,
-                EventKind::Invoke {
-                    pid: cl.pid,
-                    op: op_id,
-                    operation: op,
-                },
-            );
-        }
+        // The first invocation is planted here, honouring start_after.
+        self.loop_plant(
+            self.loops.len() - 1,
+            VirtualTime::ZERO.after(cl.start_after),
+        );
     }
 
     fn fresh_op_id(&mut self, pid: ProcessId) -> OpId {
@@ -375,16 +386,16 @@ impl Simulation {
         self.queue.push(at.max(self.now), EventKind::Wake);
     }
 
-    /// Hands invocation `op` to `pid`'s automaton unless the process is
-    /// down or its register busy.
+    /// Hands invocation `op` to `pid`'s automaton — or holds it until the
+    /// automaton is ready — unless the process is down or its register
+    /// busy.
     fn admit(&mut self, pid: ProcessId, op: OpId, operation: Op, ported: bool) -> Invoked {
         let slot = &mut self.procs[pid.index()];
-        if slot.automaton.is_none() {
+        let Some(automaton) = &slot.automaton else {
             self.trace.invokes_dropped += 1;
             return Invoked::Down;
-        }
-        let reg = operation.register();
-        if slot.pending.contains_key(&reg) {
+        };
+        if slot.is_busy(operation.register()) {
             // §III-A sequentiality, per register emulation (as in the
             // real runner): a register serves one operation at a time,
             // so its restriction of the history stays well-formed;
@@ -392,36 +403,57 @@ impl Simulation {
             self.trace.invokes_dropped += 1;
             return Invoked::Busy;
         }
-        slot.pending.insert(reg, op);
         if ported {
             self.ported.insert(op);
         }
-        self.trace.record_invoke(self.now, op, operation.clone());
-        self.feed(pid, Input::Invoke { op, operation }, 0, Some(op));
+        if automaton.is_ready() {
+            self.begin(pid, op, operation);
+        } else {
+            slot.held.push_back((op, operation));
+        }
         Invoked::Accepted(op)
     }
 
-    /// Completes the recovery-duration measurement when a recovering
-    /// process first reports ready.
-    fn note_if_recovered(&mut self, pid: ProcessId) {
-        let slot = &mut self.procs[pid.index()];
-        if let Some(since) = slot.recovering_since {
-            if slot.automaton.as_ref().is_some_and(|a| a.is_ready()) {
-                slot.recovering_since = None;
+    /// Invokes `op` at `pid`'s ready automaton: from here on it is in the
+    /// history.
+    fn begin(&mut self, pid: ProcessId, op: OpId, operation: Op) {
+        self.procs[pid.index()]
+            .pending
+            .insert(operation.register(), op);
+        self.trace.record_invoke(self.now, op, operation.clone());
+        self.feed(pid, Input::Invoke { op, operation }, 0, Some(op));
+    }
+
+    /// Once `pid` reports ready: completes the recovery-duration
+    /// measurement if it was recovering, and begins what it held meanwhile.
+    fn note_if_ready(&mut self, pid: ProcessId) {
+        // Beginning a held invocation may name a register this incarnation
+        // has yet to re-learn, and so make the process not ready again.
+        loop {
+            let slot = &mut self.procs[pid.index()];
+            let waiting = slot.recovering_since.is_some() || !slot.held.is_empty();
+            if !waiting || !slot.automaton.as_ref().is_some_and(|a| a.is_ready()) {
+                return;
+            }
+            if let Some(since) = slot.recovering_since.take() {
                 self.trace.record_recovery_duration(self.now.since(since));
+            }
+            if let Some((op, operation)) = slot.held.pop_front() {
+                self.begin(pid, op, operation);
             }
         }
     }
 
     fn is_idle(&self) -> bool {
-        let procs_idle = self
-            .procs
-            .iter()
-            .all(|s| s.pending.is_empty() && s.automaton.as_ref().is_none_or(|a| a.is_ready()));
+        let procs_idle = self.procs.iter().all(|s| {
+            s.pending.is_empty()
+                && s.held.is_empty()
+                && s.automaton.as_ref().is_none_or(|a| a.is_ready())
+        });
         let loops_done = self
             .loops
             .iter()
-            .all(|l| l.remaining.is_empty() && !l.in_flight);
+            .all(|l| l.remaining.is_empty() && l.op == LoopOp::Idle);
         procs_idle && loops_done
     }
 
@@ -462,7 +494,7 @@ impl Simulation {
                     None
                 };
                 self.feed(to, Input::Message { from, msg }, chain, attributed);
-                self.note_if_recovered(to);
+                self.note_if_ready(to);
             }
             EventKind::StoreDone {
                 pid,
@@ -491,7 +523,7 @@ impl Simulation {
                     return;
                 }
                 self.feed(pid, Input::StoreDone(token), chain, attributed);
-                self.note_if_recovered(pid);
+                self.note_if_ready(pid);
             }
             EventKind::TimerFire {
                 pid,
@@ -504,9 +536,12 @@ impl Simulation {
                     return;
                 }
                 self.feed(pid, Input::Timer(token), chain, None);
-                self.note_if_recovered(pid);
+                self.note_if_ready(pid);
             }
             EventKind::Invoke { pid, op, operation } => {
+                if let Some(l) = self.loops.iter_mut().find(|l| l.op == LoopOp::Planted(op)) {
+                    l.op = LoopOp::Submitted;
+                }
                 if self.admit(pid, op, operation, false) == Invoked::Down {
                     self.loop_op_lost(pid);
                 }
@@ -526,7 +561,7 @@ impl Simulation {
                 self.procs[pid.index()].recovering_since = Some(self.now);
                 self.trace.record_recover(self.now, pid);
                 self.feed(pid, Input::Start, 0, None);
-                self.note_if_recovered(pid);
+                self.note_if_ready(pid);
                 self.loop_resume(pid);
             }
             EventKind::SetLink { from, to, blocked } => {
@@ -545,10 +580,12 @@ impl Simulation {
         }
         slot.automaton = None;
         slot.incarnation += 1;
-        // The ops are lost; their records stay pending.
+        // The ops are lost; their records stay pending. Held ones were
+        // never invoked.
         let lost = std::mem::take(&mut slot.pending);
+        let held = std::mem::take(&mut slot.held);
         slot.recovering_since = None;
-        for op in lost.into_values() {
+        for op in lost.into_values().chain(held.into_iter().map(|(op, _)| op)) {
             if self.ported.remove(&op) {
                 self.completions.push((op, None));
             }
@@ -732,48 +769,39 @@ impl Simulation {
 
     // -- Closed-loop bookkeeping ----------------------------------------
 
-    fn loop_advance(&mut self, pid: ProcessId) {
-        let Some(idx) = self.loops.iter().position(|l| l.pid == pid && l.in_flight) else {
+    /// The loop at `pid` whose invocation is in state `op`.
+    fn loop_at(&self, pid: ProcessId, op: LoopOp) -> Option<usize> {
+        self.loops.iter().position(|l| l.pid == pid && l.op == op)
+    }
+
+    /// Plants loop `idx`'s next invocation at `at`, if it has one.
+    fn loop_plant(&mut self, idx: usize, at: VirtualTime) {
+        let pid = self.loops[idx].pid;
+        let Some(operation) = self.loops[idx].remaining.pop_front() else {
+            self.loops[idx].op = LoopOp::Idle;
             return;
         };
-        self.loops[idx].in_flight = false;
-        let think = self.loops[idx].think;
-        if let Some(op) = self.loops[idx].remaining.pop_front() {
-            self.loops[idx].in_flight = true;
-            let op_id = self.fresh_op_id(pid);
-            self.queue.push(
-                self.now.after(think),
-                EventKind::Invoke {
-                    pid,
-                    op: op_id,
-                    operation: op,
-                },
-            );
+        let op = self.fresh_op_id(pid);
+        self.loops[idx].op = LoopOp::Planted(op);
+        self.queue
+            .push(at, EventKind::Invoke { pid, op, operation });
+    }
+
+    fn loop_advance(&mut self, pid: ProcessId) {
+        if let Some(idx) = self.loop_at(pid, LoopOp::Submitted) {
+            self.loop_plant(idx, self.now.after(self.loops[idx].think));
         }
     }
 
     fn loop_op_lost(&mut self, pid: ProcessId) {
-        if let Some(l) = self.loops.iter_mut().find(|l| l.pid == pid && l.in_flight) {
-            l.in_flight = false;
+        if let Some(idx) = self.loop_at(pid, LoopOp::Submitted) {
+            self.loops[idx].op = LoopOp::Idle;
         }
     }
 
     fn loop_resume(&mut self, pid: ProcessId) {
-        let Some(idx) = self.loops.iter().position(|l| l.pid == pid && !l.in_flight) else {
-            return;
-        };
-        let think = self.loops[idx].think;
-        if let Some(op) = self.loops[idx].remaining.pop_front() {
-            self.loops[idx].in_flight = true;
-            let op_id = self.fresh_op_id(pid);
-            self.queue.push(
-                self.now.after(think),
-                EventKind::Invoke {
-                    pid,
-                    op: op_id,
-                    operation: op,
-                },
-            );
+        if let Some(idx) = self.loop_at(pid, LoopOp::Idle) {
+            self.loop_plant(idx, self.now.after(self.loops[idx].think));
         }
     }
 }

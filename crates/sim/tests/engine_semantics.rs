@@ -673,6 +673,56 @@ fn run_is_start_then_steps_then_finish() {
     );
 }
 
+/// A closed loop whose first invocation is still planted when its process
+/// crashes and recovers starts **once**: the planted invocation fires into
+/// the recovered process, and the recovery does not start the loop a
+/// second time.
+#[test]
+fn a_loop_planted_across_a_crash_and_recovery_starts_once() {
+    use rmem_core::Persistent;
+    use rmem_sim::workload::ClosedLoop;
+    let schedule = Schedule::new()
+        .at(1_000, PlannedEvent::Crash(ProcessId(0)))
+        .at(2_000, PlannedEvent::Recover(ProcessId(0)));
+    let mut sim =
+        Simulation::new(ClusterConfig::new(3), Persistent::factory(), 3).with_schedule(schedule);
+    sim.add_closed_loop(ClosedLoop::reads(ProcessId(0), 4).with_start_after(Micros(5_000)));
+    let report = sim.run();
+    let ops = report.trace.operations();
+    assert_eq!(ops.len(), 4, "{ops:#?}");
+    assert_eq!(report.trace.invokes_dropped, 0);
+    // At its planted instant, then one at a time.
+    assert_eq!(ops[0].invoked_at, VirtualTime(5_000));
+    for pair in ops.windows(2) {
+        assert!(
+            pair[0].completed_at.unwrap() < pair[1].invoked_at,
+            "{ops:#?}"
+        );
+    }
+}
+
+/// An invocation submitted to a process that is still recovering is held
+/// by the engine and enters the history when the process reports ready —
+/// the paper's recovering process invokes nothing before then — not when
+/// it was submitted.
+#[test]
+fn an_invocation_during_recovery_is_recorded_when_the_process_turns_ready() {
+    use rmem_core::Persistent;
+    use rmem_types::Op;
+    let schedule = Schedule::new()
+        .at(1_000, PlannedEvent::Crash(ProcessId(0)))
+        .at(2_000, PlannedEvent::Recover(ProcessId(0)))
+        .at(2_010, PlannedEvent::Invoke(ProcessId(0), Op::Read));
+    let mut sim =
+        Simulation::new(ClusterConfig::new(3), Persistent::factory(), 3).with_schedule(schedule);
+    let report = sim.run();
+    let recovered_at = 2_000 + report.trace.recovery_durations[0];
+    assert!(recovered_at > 2_010, "the read arrived mid-recovery");
+    let read = &report.trace.operations()[0];
+    assert_eq!(read.invoked_at, VirtualTime(recovered_at));
+    assert!(read.is_completed());
+}
+
 /// The port between steps: an invocation is accepted, refused `Busy` on
 /// a register already serving one, refused `Down` at a crashed process;
 /// an accepted operation's end is handed back with its rounds, or as lost

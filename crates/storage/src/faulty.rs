@@ -36,6 +36,15 @@ pub enum FaultPlan {
         /// The slot name to fail.
         String,
     ),
+    /// Fail the `nth` store to `key`, 1-indexed.
+    NthOnKey {
+        /// The slot name.
+        key: String,
+        /// Which of its stores fails.
+        nth: u64,
+        /// Stores to the slot seen so far.
+        seen: u64,
+    },
 }
 
 impl FaultPlan {
@@ -60,6 +69,15 @@ impl FaultPlan {
         FaultPlan::OnKey(key.into())
     }
 
+    /// Plan failing the `nth` store to `key` (1-indexed) and no other.
+    pub fn fail_nth_on_key(key: impl Into<String>, nth: u64) -> Self {
+        FaultPlan::NthOnKey {
+            key: key.into(),
+            nth,
+            seen: 0,
+        }
+    }
+
     fn should_fail(&mut self, key: &str) -> bool {
         match self {
             FaultPlan::None => false,
@@ -72,6 +90,10 @@ impl FaultPlan {
                 positions.binary_search(seen).is_ok()
             }
             FaultPlan::OnKey(k) => k == key,
+            FaultPlan::NthOnKey { key: k, nth, seen } => {
+                *seen += u64::from(k == key);
+                k == key && *seen == *nth
+            }
         }
     }
 }
@@ -227,6 +249,17 @@ mod tests {
         assert!(s.store("written", Bytes::new()).is_ok());
         assert!(s.store("writing", Bytes::new()).is_err());
         assert_eq!(s.injected(), 2);
+    }
+
+    #[test]
+    fn nth_on_key_counts_only_that_slot() {
+        let mut s = FaultyStorage::new(MemStorage::new(), FaultPlan::fail_nth_on_key("writing", 2));
+        let results: Vec<bool> = ["writing", "written", "written", "writing", "writing"]
+            .iter()
+            .map(|key| s.store(key, Bytes::new()).is_ok())
+            .collect();
+        assert_eq!(results, [true, true, true, false, true]);
+        assert_eq!(s.injected(), 1);
     }
 
     #[test]

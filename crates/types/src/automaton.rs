@@ -167,7 +167,11 @@ pub enum Action {
         /// all (0); and whether a write ran the figure's query and
         /// propagation rounds (2) or began under the coordinator's live
         /// lease, which stands in for the query (1). A read that adopted
-        /// a lease renewal already in flight counts that round (1). The
+        /// a lease renewal already in flight counts that round (1). An
+        /// adopter whose renewal was discarded — its quorum could not
+        /// mint, so the read ran a round of its own — counts only its own
+        /// rounds: the discarded one, which it waited for, is not added,
+        /// so a per-read round count under-reports by one there. The
         /// lease itself never leaves the automaton: a completion carries
         /// a value, not a right to serve it again.
         rounds: u32,

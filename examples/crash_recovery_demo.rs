@@ -23,17 +23,19 @@
 use bytes::Bytes;
 use rmem_bench::scenarios;
 use rmem_consistency::{check_persistent, check_transient};
-use rmem_core::{Persistent, Transient};
+use rmem_core::{Flavor, FlavorFactory, DEFAULT_RETRANSMIT};
 use rmem_sim::{ClusterConfig, Simulation};
 use rmem_storage::{StableStorage, WalStorage};
 use rmem_types::AutomatonFactory;
 use std::sync::Arc;
 
 fn main() {
-    for factory in [
-        Transient::factory() as Arc<dyn AutomatonFactory>,
-        Persistent::factory() as Arc<dyn AutomatonFactory>,
-    ] {
+    // The figure's message pattern is the figures' broadcasts: the fast
+    // path, and with it thrifty rounds, off.
+    for flavor in [Flavor::transient(), Flavor::persistent()] {
+        let flavor = flavor.with_read_fast_path(false);
+        let factory: Arc<dyn AutomatonFactory> =
+            Arc::new(FlavorFactory::new(flavor, DEFAULT_RETRANSMIT));
         let name = factory.algorithm();
         println!("=== {} register on the Fig. 1 schedule ===", name);
         let mut sim =

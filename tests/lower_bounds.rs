@@ -102,12 +102,20 @@ fn rho4_without_read_write_back_violates_both_criteria() {
 /// read cannot miss it.
 #[test]
 fn rho4_with_persistent_algorithm_is_atomic() {
-    let report = run_scheduled(3, Persistent::factory(), scenarios::rho4(), 2);
+    // ρ4's message pattern is the figures' broadcasts: pinned to them.
+    let verbatim = ablated(Persistent::flavor().with_read_fast_path(false));
+    let report = run_scheduled(3, verbatim, scenarios::rho4(), 2);
     let h = report.trace.to_history();
     check_persistent(&h).expect("the read write-back protects the intact algorithm on ρ4");
     let reads = read_values(&report);
     // Both reads return v2 — the write-back made it stick.
     assert_eq!(reads, vec![Some(2), Some(2)]);
+    // The shipped flavor's thrifty reads ask another majority than ρ4's
+    // reader does: they miss the partial write of v2, and stay atomic.
+    let report = run_scheduled(3, Persistent::factory(), scenarios::rho4(), 2);
+    let h = report.trace.to_history();
+    check_persistent(&h).expect("thrifty rounds keep ρ4 atomic");
+    assert_eq!(read_values(&report), vec![Some(1), Some(1)]);
 }
 
 /// Sanity check on the flavor arithmetic backing the bounds table.

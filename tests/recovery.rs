@@ -20,9 +20,12 @@ fn v(x: u32) -> Value {
     Value::from_u32(x)
 }
 
-/// After a persistent write completes, every node durably holds the
-/// value exactly once: the replicas under `written`, the writer under its
-/// `writing` pre-log alone (its `written` record is never rewritten).
+/// After a persistent write completes, every node of its quorum durably
+/// holds the value exactly once: the replica under `written`, the writer
+/// under its `writing` pre-log alone (its `written` record is never
+/// rewritten). The propagation round is thrifty: it goes to the writer
+/// and the one peer that completed the query round with it, so the third
+/// node keeps its initial record.
 #[test]
 fn stable_records_after_a_persistent_write() {
     let mut sim = Simulation::new(ClusterConfig::new(3), Persistent::factory(), 1)
@@ -34,8 +37,9 @@ fn stable_records_after_a_persistent_write() {
         let bytes = sim.storage(pid).retrieve("written").unwrap()?;
         WrittenRecord::decode(&bytes).unwrap().value.as_u32()
     };
-    assert_eq!(written_value(p(1)), Some(7));
-    assert_eq!(written_value(p(2)), Some(7));
+    let mut peers = [written_value(p(1)), written_value(p(2))];
+    peers.sort();
+    assert_eq!(peers, [None, Some(7)], "one peer holds 7, the other ⊥");
     assert_eq!(
         written_value(p(0)),
         None,
@@ -50,8 +54,9 @@ fn stable_records_after_a_persistent_write() {
     let rec = WritingRecord::decode(&writing).unwrap();
     assert_eq!(rec.value.as_u32(), Some(7));
     assert_eq!(rec.ts.pid, p(0));
-    // n stores for the write, on top of the n initial `written` records.
-    assert_eq!(report.trace.stores_applied, 3 + 3);
+    // A majority of stores for the write, on top of the n initial
+    // `written` records.
+    assert_eq!(report.trace.stores_applied, 3 + 2);
 }
 
 /// The transient recovery bumps and stores the `recovered` counter once

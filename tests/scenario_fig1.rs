@@ -3,13 +3,24 @@
 //! reproduces the two depicted behaviours, and the checkers assign
 //! exactly the verdicts the figure illustrates.
 
+use std::sync::Arc;
+
 use rmem_bench::scenarios;
 use rmem_consistency::{check_persistent, check_transient};
-use rmem_core::{Persistent, Transient};
+use rmem_core::{Flavor, FlavorFactory, DEFAULT_RETRANSMIT};
 use rmem_types::OpKind;
 
 mod common;
 use common::{read_values, run_scheduled};
+
+/// The figure's message pattern is the figures' broadcasts: `flavor` with
+/// the fast path — and so thrifty rounds — off.
+fn verbatim(flavor: Flavor) -> Arc<FlavorFactory> {
+    Arc::new(FlavorFactory::new(
+        flavor.with_read_fast_path(false),
+        DEFAULT_RETRANSMIT,
+    ))
+}
 
 /// Fig. 1 (left): under the transient algorithm the two reads during
 /// W(v3) return v1 then v2 — the overlapping-write anomaly. Transient
@@ -17,7 +28,7 @@ use common::{read_values, run_scheduled};
 /// W(v3)'s window); persistent atomicity rejects it.
 #[test]
 fn fig1_transient_run_shows_the_overlapping_write() {
-    let report = run_scheduled(3, Transient::factory(), scenarios::fig1(), 7);
+    let report = run_scheduled(3, verbatim(Flavor::transient()), scenarios::fig1(), 7);
     assert_eq!(
         read_values(&report),
         vec![Some(1), Some(2)],
@@ -37,7 +48,7 @@ fn fig1_transient_run_shows_the_overlapping_write() {
 /// persistent-atomic.
 #[test]
 fn fig1_persistent_run_is_clean() {
-    let report = run_scheduled(3, Persistent::factory(), scenarios::fig1(), 7);
+    let report = run_scheduled(3, verbatim(Flavor::persistent()), scenarios::fig1(), 7);
     let h = report.trace.to_history();
     check_persistent(&h).expect("the persistent algorithm satisfies its criterion on Fig. 1");
     let reads = read_values(&report);
@@ -53,7 +64,7 @@ fn fig1_persistent_run_is_clean() {
 /// history.
 #[test]
 fn fig1_run_shape_matches_the_figure() {
-    let report = run_scheduled(3, Transient::factory(), scenarios::fig1(), 7);
+    let report = run_scheduled(3, verbatim(Flavor::transient()), scenarios::fig1(), 7);
     let ops = report.trace.operations();
     let writes: Vec<_> = ops.iter().filter(|o| o.kind == OpKind::Write).collect();
     assert_eq!(writes.len(), 3);
