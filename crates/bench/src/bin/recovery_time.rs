@@ -15,9 +15,12 @@ fn main() {
     println!("  transient  ≈ one local log (λ) for the rec counter (Fig. 5 lines 19–21);");
     println!("  catch-up   = a read query round (2δ) beside either, so an up-to-date process");
     println!("               recovers in 2δ / max(λ, 2δ) — the second broadcast's serialization");
-    println!("               is all it adds — and one that missed a write pays one adoption log");
-    println!("               on top (2δ + λ); with the fast path off there is no catch-up and");
-    println!("               the rows read the figures' 2δ and λ whatever the process missed;");
+    println!("               is all it adds — and so does one that missed a write a majority of");
+    println!("               the others attests durable: it adopts the write on their word, no");
+    println!("               log (+5 µs: the last voucher's ack); without such a majority it");
+    println!("               waits one retransmit period for one and logs (2δ + R + λ); with the");
+    println!("               fast path off there is no catch-up and the rows read the figures'");
+    println!("               2δ and λ whatever the process missed;");
     println!("  regular    ≈ λ + a majority query round (2δ);");
     println!("  crash-stop = 0 — it restores nothing, which is exactly why it forgets.");
     if std::env::args().any(|a| a == "--csv") {

@@ -70,14 +70,20 @@ pub struct Flavor {
     /// register. The fast path therefore comes with a **recovery
     /// catch-up**: beside its [`RecoveryPolicy`] phase, a recovering
     /// process runs one read query round (the ordinary `Read` message)
-    /// and, if the quorum's best tag is not durable on its disk yet, its
-    /// replica adopts the pair as it would a delayed `Write`; the process
-    /// turns ready — and starts what was invoked meanwhile — only once
-    /// that is durable. So a recovered replica serves its first operation
-    /// on a register only after durably holding every write to it that
-    /// completed before its recovery began. One round per register; one
-    /// log only when it was behind; no extra message type, no separate
-    /// switch. With this field `false` there is no unanimity to restore
+    /// and, if the quorum's best tag is not durable here yet, its replica
+    /// adopts the pair. When a majority of the *other* processes attested
+    /// that very tag durable, it is on a majority of logs already and the
+    /// replica takes their word for it — durable here, no store;
+    /// otherwise, once that can no longer happen or one retransmit period
+    /// after the majority answered, the replica adopts it as it would a
+    /// delayed `Write`, logging it. The process turns ready — and starts
+    /// what was invoked meanwhile — only once that is done. So a recovered
+    /// replica serves its first operation on a register only after
+    /// holding, durably or on a majority's attestation, every write to it
+    /// that completed before its recovery began. One round per register;
+    /// one log only when it was behind and no majority vouched; no extra
+    /// message type, no separate switch. With this field `false` there is
+    /// no unanimity to restore
     /// and recovery is exactly the figures'. (A register first created
     /// while the process was down catches up when something first names
     /// it, not when the restart ends: the process cannot know it exists.)

@@ -16,12 +16,27 @@
 //! step, overlapped with the paper's own (`RecoveryPhase`) and
 //! finished before the process serves: a read query round (Fig. 4 lines
 //! 32–35, the ordinary `Read` message) and, if the quorum's best tag is
-//! not durable here yet, its adoption by the own replica exactly as a
-//! delayed `Write` would have been adopted (`CatchUp`). A majority
-//! read sees every write that completed before recovery began, so a
-//! recovered process serves its first operation only after durably
-//! holding all of them. With the fast path off the step does not exist
-//! and recovery is the figures', verbatim.
+//! not **durable here** yet, its adoption by the own replica (`CatchUp`).
+//! Durable here means what it means to the replica role
+//! ([`crate::replica`]): covered by `written`, by `writing`, **or vouched
+//! by a majority at recovery**. The round goes to all `n`, and besides
+//! its majority it counts *vouchers* — other processes whose ack carried
+//! exactly the best tag, attested durable (a newer best starts the count
+//! over). A majority of vouchers puts the tag on a majority of logs
+//! already, so the replica adopts it as durable with no store of its own
+//! ([`Replica::vouch`]). Once a majority has answered and vouching can no
+//! longer succeed — everyone answered, too few are left to answer, or
+//! the replica holds the tag already or it is the initial one — the
+//! replica adopts the pair exactly as a delayed `Write` would have been
+//! adopted, logging it; otherwise the catch-up waits for more vouchers
+//! one retransmit period from the majority's arrival (the round's timer,
+//! re-armed then) and adopts and logs when it fires, without re-sending.
+//! A behind replica whose vouchers do not all answer thus pays one
+//! period and one log. A majority read sees every write that completed
+//! before recovery began, so a recovered process serves its first
+//! operation only after holding all of them, durably or on a majority's
+//! attestation. With the fast path off the step does not exist and
+//! recovery is the figures', verbatim.
 //!
 //! # Thrifty rounds
 //!
@@ -180,11 +195,14 @@ enum RecoveryPhase {
 #[derive(Debug)]
 enum CatchUp {
     /// Collecting a majority's tagged values, as a read's first round
-    /// does (Fig. 4 lines 32–35).
+    /// does (Fig. 4 lines 32–35) — and past the majority, vouchers.
     Query {
         call: QuorumCall,
         best_ts: Timestamp,
         best_value: Value,
+        /// The other processes whose ack carried exactly `best_ts`,
+        /// attested durable.
+        vouchers: Vec<ProcessId>,
         timer: TimerToken,
     },
     /// The own replica adopted the quorum's best tag; waiting for the
@@ -535,6 +553,7 @@ impl RegisterAutomaton {
                 call,
                 best_ts: Timestamp::new(0, self.me),
                 best_value: Value::bottom(),
+                vouchers: Vec::new(),
                 timer,
             });
         }
@@ -563,9 +582,53 @@ impl RegisterAutomaton {
         self.serve_if_recovered(out);
     }
 
-    /// The catch-up quorum answered with `(ts, value)` as its best pair:
-    /// the own replica adopts it as it would a delayed `Write`, and the
-    /// catch-up is through once the tag is durable here.
+    /// Ends the catch-up query if it can end (module docs): not before a
+    /// majority answered; then vouched by a majority of others — no
+    /// store —, or adopted and logged once vouching can no longer succeed
+    /// or, `timer_fired`, has been waited for long enough. Returns whether
+    /// the query ended.
+    fn settle_catch_up(&mut self, timer_fired: bool, out: &mut Vec<Action>) -> bool {
+        let (me, majority) = (self.me, self.majority);
+        let Some(CatchUp::Query {
+            call,
+            best_ts,
+            best_value,
+            vouchers,
+            ..
+        }) = &mut self.catch_up
+        else {
+            return false;
+        };
+        if !call.is_reached() {
+            return false;
+        }
+        let ts = *best_ts;
+        let vouched = ts.seq > 0 && vouchers.len() >= majority;
+        let silent_peers = ProcessId::all(self.n)
+            .filter(|&p| p != me && !call.has_acked(p))
+            .count();
+        let stop_waiting = timer_fired
+            || ts.seq == 0
+            || self.replica.holds_durably(ts)
+            || vouchers.len() + silent_peers < majority;
+        if !vouched && !stop_waiting {
+            return false;
+        }
+        let value = std::mem::take(best_value);
+        if vouched {
+            self.replica.vouch(ts, &value, out);
+            self.catch_up = None;
+            self.serve_if_recovered(out);
+        } else {
+            self.catch_up_to(ts, &value, out);
+        }
+        true
+    }
+
+    /// The catch-up quorum answered with `(ts, value)` as its best pair
+    /// and nobody vouched for it: the own replica adopts it as it would a
+    /// delayed `Write`, and the catch-up is through once the tag is
+    /// durable here.
     fn catch_up_to(&mut self, ts: Timestamp, value: &Value, out: &mut Vec<Action>) {
         // A quorum that has seen no write has nothing to teach: initial
         // tags differ in their pid half only, and ⊥ is ⊥.
@@ -975,13 +1038,14 @@ impl RegisterAutomaton {
         grant: u32,
         out: &mut Vec<Action>,
     ) {
-        // Recovery catch-up round: Fig. 4 line 35, nothing else — no
-        // fast-path or lease bookkeeping, the quorum is only asked what
-        // it holds.
+        // Recovery catch-up round: Fig. 4 line 35 and the vouchers for
+        // its best tag, nothing else — no fast-path or lease bookkeeping,
+        // the quorum is only asked what it holds.
         if let Some(CatchUp::Query {
             call,
             best_ts,
             best_value,
+            vouchers,
             ..
         }) = &mut self.catch_up
         {
@@ -989,10 +1053,18 @@ impl RegisterAutomaton {
                 if ts > *best_ts {
                     *best_ts = ts;
                     *best_value = value;
+                    vouchers.clear();
                 }
-                if self.preferred.record(call, from) {
-                    let (ts, value) = (*best_ts, std::mem::take(best_value));
-                    self.catch_up_to(ts, &value, out);
+                if ts == *best_ts && durable && from != self.me && !vouchers.contains(&from) {
+                    vouchers.push(from);
+                }
+                let reached_now = self.preferred.record(call, from);
+                if !self.settle_catch_up(false, out) && reached_now {
+                    // Vouchers get one retransmit period from here.
+                    let fresh = self.arm_timer(out);
+                    if let Some(CatchUp::Query { timer, .. }) = &mut self.catch_up {
+                        *timer = fresh;
+                    }
                 }
                 return;
             }
@@ -1055,9 +1127,11 @@ impl RegisterAutomaton {
             unreachable!("matched just above")
         };
         // The fast path: a unanimous quorum of durable tags proves a
-        // majority already stably holds `ts`, so the write-back (Fig. 4
-        // lines 36–38) would be redundant — every later quorum intersects
-        // this one in a replica that can never again report less than `ts`.
+        // majority already stably holds `ts` — this quorum, or the one that
+        // vouched for a replica in it at its recovery — so the write-back
+        // (Fig. 4 lines 36–38) would be redundant: every later quorum
+        // intersects that majority in a replica that can never again
+        // report less than `ts`.
         let fast = self.flavor.read_fast_path && all_agree;
         // Lease minting: every replier granted, and the horizon timer
         // armed at broadcast has not fired yet — the whole quorum has
@@ -1207,6 +1281,14 @@ impl RegisterAutomaton {
             .on_timer(token, &mut token_gen(&mut self.token_counter), out)
         {
             return;
+        }
+        // A catch-up whose majority answered waits on its timer for
+        // vouchers only: it stops waiting, and re-sends nothing.
+        if let Some(CatchUp::Query { call, timer, .. }) = &self.catch_up {
+            if *timer == token && call.is_reached() {
+                self.settle_catch_up(true, out);
+                return;
+            }
         }
         // Retransmit whatever round is still waiting for acks, then
         // re-arm. Stale timers (from completed rounds) match nothing and
@@ -1436,6 +1518,15 @@ mod tests {
             durable: true,
             grant: 0,
         }
+    }
+
+    /// `ack` attesting its tag non-durable — still in flight at its
+    /// replica, or fenced there behind someone's lease.
+    fn volatile(mut ack: Message) -> Message {
+        if let Message::ReadAck { durable, .. } = &mut ack {
+            *durable = false;
+        }
+        ack
     }
 
     /// Answers the read round `req` with `(from, seq, pid, v)` acks.
@@ -1944,7 +2035,8 @@ mod tests {
                 }
             }
             out.clear();
-            // Its own ack counts toward the majority; p2's carries news.
+            // Its own ack counts toward the majority; p2's carries news
+            // and vouches for it — one voucher, not a majority of them.
             for (from, msg) in [(0, read_ack(3, 1, 30, req)), (2, read_ack(9, 2, 90, req))] {
                 assert!(out.is_empty());
                 a.on_input(
@@ -1955,6 +2047,15 @@ mod tests {
                     &mut out,
                 );
             }
+            // p1 may vouch yet: it gets one retransmit period, and
+            // nothing is stored meanwhile.
+            let [Action::SetTimer { token: wait, after }] = out[..] else {
+                panic!("expected the wait for vouchers, got {out:?}")
+            };
+            assert_eq!(after, Micros(1_000));
+            // It stays silent: the timer adopts — exactly one store, no
+            // re-send.
+            let mut out = fire(&mut a, wait);
             let [Action::Store { token, key, bytes }] = out.as_slice() else {
                 panic!("expected exactly the adoption store, got {out:?}")
             };
@@ -2048,14 +2149,136 @@ mod tests {
         };
         let token = *token;
         out.clear();
-        // The quorum reports the tag the replica already holds, volatile:
-        // no second store, but no readiness either until the first lands.
-        read_acks_from(&mut a, req, [(1, 9, 2, 90), (2, 9, 2, 90)], &mut out);
+        // The quorum reports the tag the replica already holds, volatile
+        // here, and p1 vouches for it; p2 could vouch too but stays
+        // silent for the period it is given.
+        out.extend(deliver(&mut a, 0, volatile(read_ack(9, 2, 90, req))));
+        out.extend(deliver(&mut a, 1, read_ack(9, 2, 90, req)));
+        let wait = timer_of(&out, 1_000);
+        assert_eq!(out.len(), 1, "{out:?}");
+        // No second store, but no readiness either until the first lands.
+        let mut out = fire(&mut a, wait);
         assert!(out.is_empty(), "{out:?}");
         assert!(!a.is_ready());
         a.on_input(Input::StoreDone(token), &mut out);
         assert!(a.is_ready());
         assert_eq!(write_acks_of(&out), 1, "the peer's parked ack releases");
+    }
+
+    /// An automaton of `flavor` among `n`, recovered at `[3, p1]` / 30
+    /// with the flavor's own recovery phase through; its catch-up round.
+    fn recovered_behind(flavor: Flavor, n: usize) -> (RegisterAutomaton, RequestId) {
+        let stable = snapshot(Some((3, 1, 30)), None);
+        let mut a =
+            RegisterAutomaton::recovered(ProcessId(0), n, flavor, Micros(1_000), 1, &stable);
+        let mut out = Vec::new();
+        a.on_input(Input::Start, &mut out);
+        for action in &out {
+            if let Action::Store { token, key, .. } = action {
+                assert_eq!(key, KEY_RECOVERED, "the flavor's own store only");
+                a.on_input(Input::StoreDone(*token), &mut Vec::new());
+            }
+        }
+        (a, read_req(&out))
+    }
+
+    /// The one `written` record `out` stores.
+    fn adoption_in(out: &[Action]) -> WrittenRecord {
+        let [Action::Store { key, bytes, .. }] = out else {
+            panic!("expected exactly the adoption store, got {out:?}")
+        };
+        assert_eq!(key, KEY_WRITTEN);
+        WrittenRecord::decode(bytes).unwrap()
+    }
+
+    #[test]
+    fn a_majority_of_vouchers_adopts_the_tag_without_a_store() {
+        for flavor in [Flavor::persistent(), Flavor::transient()] {
+            let name = flavor.name;
+            let (mut a, req) = recovered_behind(flavor, 3);
+            // Its own ack and p1's make the majority; p1 vouches for
+            // [9,2]. One voucher: wait, store nothing.
+            let mut out = deliver(&mut a, 0, read_ack(3, 1, 30, req));
+            out.extend(deliver(&mut a, 1, read_ack(9, 2, 90, req)));
+            let wait = timer_of(&out, 1_000);
+            assert_eq!(stores_in(&out), 0, "{name}: {out:?}");
+            // A duplicate of p1's ack is not a second voucher.
+            assert!(deliver(&mut a, 1, read_ack(9, 2, 90, req)).is_empty());
+            assert!(!a.is_ready());
+            // p2 vouches too: a majority of others holds [9,2] on disk.
+            // Ready, and not one store.
+            let out = deliver(&mut a, 2, read_ack(9, 2, 90, req));
+            assert!(out.is_empty(), "{name}: {out:?}");
+            assert!(a.is_ready(), "{name}");
+            assert_eq!(a.replica_timestamp(), Timestamp::new(9, ProcessId(2)));
+            assert_eq!(a.replica_value().as_u32(), Some(90));
+            // The vouched tag is durable here: attested to readers, and
+            // an older Write is acknowledged without a store.
+            let read = Message::Read {
+                req: RequestId::new(ProcessId(1), 5),
+            };
+            let out = deliver(&mut a, 1, read);
+            assert!(matches!(
+                sends_of(&out)[0],
+                Message::ReadAck { ts, durable: true, .. } if ts.seq == 9
+            ));
+            let older = Message::Write {
+                req: RequestId::new(ProcessId(1), 6),
+                ts: Timestamp::new(7, ProcessId(1)),
+                value: Value::from_u32(70),
+            };
+            let out = deliver(&mut a, 1, older);
+            assert_eq!((write_acks_of(&out), stores_in(&out)), (1, 0), "{name}");
+            // The wait's timer died with the query.
+            assert!(fire(&mut a, wait).is_empty(), "{name}");
+        }
+    }
+
+    #[test]
+    fn without_enough_vouchers_the_timer_adopts_with_one_store_and_no_resend() {
+        let (mut a, req) = recovered_behind(Flavor::persistent(), 3);
+        let mut out = deliver(&mut a, 0, read_ack(3, 1, 30, req));
+        out.extend(deliver(&mut a, 1, read_ack(9, 2, 90, req)));
+        let wait = timer_of(&out, 1_000);
+        let out = fire(&mut a, wait);
+        // Exactly the adoption store: no Read re-sent, no timer re-armed.
+        assert_eq!(adoption_in(&out).ts, Timestamp::new(9, ProcessId(2)));
+        let [Action::Store { token, .. }] = out[..] else {
+            unreachable!()
+        };
+        assert!(!a.is_ready());
+        // p2's voucher, late: the query is over.
+        assert!(deliver(&mut a, 2, read_ack(9, 2, 90, req)).is_empty());
+        a.on_input(Input::StoreDone(token), &mut Vec::new());
+        assert!(a.is_ready());
+    }
+
+    #[test]
+    fn a_best_tag_attested_non_durable_never_vouches() {
+        // Both peers report [9,2]; p2 attests it non-durable (fenced
+        // behind a lease, say). Everyone but this process has answered and
+        // one voucher is all there is: the adoption store goes out at
+        // once, without waiting.
+        let (mut a, req) = recovered_behind(Flavor::persistent(), 3);
+        let mut out = deliver(&mut a, 1, read_ack(9, 2, 90, req));
+        out.extend(deliver(&mut a, 2, volatile(read_ack(9, 2, 90, req))));
+        assert_eq!(adoption_in(&out).ts, Timestamp::new(9, ProcessId(2)));
+    }
+
+    #[test]
+    fn a_newer_best_tag_starts_the_vouchers_over() {
+        // Five processes: three vouchers needed. p1 and p2 vouch for
+        // [9,2]; p3 reports [11,3], and only p3 vouches for that. With p4
+        // the one peer left to answer, two vouchers are out of reach: the
+        // newer pair is adopted and logged at once.
+        let (mut a, req) = recovered_behind(Flavor::persistent(), 5);
+        let mut out = deliver(&mut a, 1, read_ack(9, 2, 90, req));
+        out.extend(deliver(&mut a, 2, read_ack(9, 2, 90, req)));
+        assert!(out.is_empty(), "no majority yet: {out:?}");
+        let out = deliver(&mut a, 3, read_ack(11, 3, 110, req));
+        let record = adoption_in(&out);
+        assert_eq!(record.ts, Timestamp::new(11, ProcessId(3)));
+        assert_eq!(record.value.as_u32(), Some(110));
     }
 
     #[test]

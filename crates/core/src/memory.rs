@@ -575,7 +575,7 @@ mod tests {
         mem.on_input(Input::StoreDone(token), &mut out);
         // … and re-learns the register from a majority.
         assert!(!mem.is_ready());
-        read_acks(&mut mem, catch_up, record.ts, &mut out);
+        read_acks(&mut mem, catch_up, record.ts, [true; 2], &mut out);
         assert!(mem.is_ready());
     }
 
@@ -592,14 +592,16 @@ mod tests {
             .expect("a catch-up Read broadcast")
     }
 
-    /// Answers the read round `req` from p1 and p2 with `ts` durable.
+    /// Answers the read round `req` from p1 and p2 with `ts`, attested
+    /// durable as `durable` says.
     fn read_acks(
         mem: &mut SharedMemoryAutomaton,
         req: rmem_types::RequestId,
         ts: rmem_types::Timestamp,
+        durable: [bool; 2],
         out: &mut Vec<Action>,
     ) {
-        for pid in [1, 2] {
+        for (pid, durable) in [1, 2].into_iter().zip(durable) {
             mem.on_input(
                 Input::Message {
                     from: p(pid),
@@ -607,7 +609,7 @@ mod tests {
                         req,
                         ts,
                         value: Value::from_u32(44),
-                        durable: true,
+                        durable,
                         grant: 0,
                     },
                 },
@@ -624,51 +626,63 @@ mod tests {
     /// whichever read happens to write back.
     #[test]
     fn a_register_first_seen_after_recovery_catches_up_too() {
-        let mut mem = SharedMemoryAutomaton::recovered(
-            p(0),
-            3,
-            Flavor::persistent(),
-            Micros(1_000),
-            1,
-            &rmem_types::EmptySnapshot,
-        );
-        let mut out = Vec::new();
-        mem.on_input(Input::Start, &mut out);
-        assert!(mem.is_ready() && out.is_empty(), "no registers yet");
-        // A peer's read query names register 7 for the first time.
         let peer_req = rmem_types::RequestId::for_register(p(1), 5, r(7));
-        mem.on_input(
-            Input::Message {
-                from: p(1),
-                msg: Message::Read { req: peer_req },
-            },
-            &mut out,
-        );
-        assert_eq!(mem.register_count(), 1);
-        assert!(!mem.is_ready());
-        // The replica role answers the peer at once, with what it has …
-        assert!(out.iter().any(|a| matches!(
-            a,
-            Action::Send { to, msg: Message::ReadAck { req, ts, .. } }
-                if *to == p(1) && *req == peer_req && ts.seq == 0
-        )));
-        // … and the register asks a majority what it missed.
-        let catch_up = catch_up_req(&out);
-        assert_eq!(catch_up.reg, r(7));
-        out.clear();
-        read_acks(
-            &mut mem,
-            catch_up,
-            rmem_types::Timestamp::new(4, p(2)),
-            &mut out,
-        );
-        let [Action::Store { token, key, .. }] = out.as_slice() else {
-            panic!("expected exactly the adoption store, got {out:?}")
-        };
-        assert_eq!(key, "written@r7");
-        assert!(!mem.is_ready());
-        mem.on_input(Input::StoreDone(*token), &mut Vec::new());
-        assert!(mem.is_ready());
+        // p2 attests the tag it reports volatile, then durable.
+        for p2_durable in [false, true] {
+            let mut mem = SharedMemoryAutomaton::recovered(
+                p(0),
+                3,
+                Flavor::persistent(),
+                Micros(1_000),
+                1,
+                &rmem_types::EmptySnapshot,
+            );
+            let mut out = Vec::new();
+            mem.on_input(Input::Start, &mut out);
+            assert!(mem.is_ready() && out.is_empty(), "no registers yet");
+            // A peer's read query names register 7 for the first time.
+            mem.on_input(
+                Input::Message {
+                    from: p(1),
+                    msg: Message::Read { req: peer_req },
+                },
+                &mut out,
+            );
+            assert_eq!(mem.register_count(), 1);
+            assert!(!mem.is_ready());
+            // The replica role answers the peer at once, with what it has …
+            assert!(out.iter().any(|a| matches!(
+                a,
+                Action::Send { to, msg: Message::ReadAck { req, ts, .. } }
+                    if *to == p(1) && *req == peer_req && ts.seq == 0
+            )));
+            // … and the register asks a majority what it missed.
+            let catch_up = catch_up_req(&out);
+            assert_eq!(catch_up.reg, r(7));
+            out.clear();
+            read_acks(
+                &mut mem,
+                catch_up,
+                rmem_types::Timestamp::new(4, p(2)),
+                [true, p2_durable],
+                &mut out,
+            );
+            if p2_durable {
+                // Two vouchers, a majority of others: adopted as durable,
+                // no store.
+                assert!(out.is_empty(), "{out:?}");
+                assert!(mem.is_ready());
+                continue;
+            }
+            // One voucher, and nobody else left to ask: logged at once.
+            let [Action::Store { token, key, .. }] = out.as_slice() else {
+                panic!("expected exactly the adoption store, got {out:?}")
+            };
+            assert_eq!(key, "written@r7");
+            assert!(!mem.is_ready());
+            mem.on_input(Input::StoreDone(*token), &mut Vec::new());
+            assert!(mem.is_ready());
+        }
 
         // A fresh boot has nothing to catch up on, lazily or otherwise.
         let mut mem = SharedMemoryAutomaton::fresh(p(0), 3, Flavor::persistent(), Micros(1_000));

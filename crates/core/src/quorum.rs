@@ -48,15 +48,12 @@ impl QuorumCall {
     }
 
     /// Records an ack from `from`. Returns `true` exactly once: when the
-    /// threshold is first reached.
+    /// threshold is first reached. Acks past it are still counted.
     pub fn record(&mut self, from: ProcessId) -> bool {
-        if self.reached {
-            return false;
-        }
         if !self.acked.contains(&from) {
             self.acked.push(from);
         }
-        if self.acked.len() >= self.threshold {
+        if !self.reached && self.acked.len() >= self.threshold {
             self.reached = true;
             return true;
         }
@@ -66,6 +63,11 @@ impl QuorumCall {
     /// Distinct responders so far.
     pub fn ack_count(&self) -> usize {
         self.acked.len()
+    }
+
+    /// Whether `from` has answered.
+    pub fn has_acked(&self, from: ProcessId) -> bool {
+        self.acked.contains(&from)
     }
 
     /// Whether the threshold has been reached.
@@ -144,6 +146,9 @@ mod tests {
         );
         assert!(!q.record(ProcessId(3)), "later acks do not re-trigger");
         assert!(q.is_reached());
+        // … but they are counted.
+        assert_eq!(q.ack_count(), 4);
+        assert!(q.has_acked(ProcessId(3)) && !q.has_acked(ProcessId(4)));
     }
 
     #[test]

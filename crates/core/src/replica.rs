@@ -17,8 +17,9 @@
 //! none of which is actually durable — exactly the forgotten-value anomaly
 //! the log exists to prevent.
 //!
-//! "Durably stored" means covered by the node's `written` record **or**
-//! by its `writing` record. A persistent coordinator's pre-log (Fig. 4
+//! "Durably stored" — **durable here** — means covered by the node's
+//! `written` record, **or** by its `writing` record, **or vouched by a
+//! majority at recovery**. A persistent coordinator's pre-log (Fig. 4
 //! line 12) already puts `(ts, v)` on this node's disk before the
 //! propagation round starts, and recovery restores the replica from
 //! `max(written, writing)`, so logging the same pair again under `written`
@@ -29,6 +30,18 @@
 //! persistent write therefore costs one durable record per process its
 //! propagation reaches — a majority, when the round is thrifty — not one
 //! more, while its causal-log depth stays 2.
+//!
+//! A recovering process's catch-up (see [`crate::generic`]) may instead
+//! hear a majority of *other* processes attest one tag durable: that tag
+//! is then on a majority of logs, and logs never regress, so a record of
+//! it here would add nothing either ([`Replica::vouch`]). The replica
+//! attests it durable and acknowledges older `Write`s without a store
+//! exactly as if it had logged it — all either promise is that a
+//! majority's logs hold the tag, and every later quorum meets one of
+//! them. A crash forgets the vouch, not the majority. What a vouched
+//! replica attests may in turn vouch for the next recovering process: by
+//! induction on the vouches, an attestation of a tag always means the
+//! attester logged it or a majority did.
 //!
 //! # The lease-fence discipline
 //!
@@ -134,8 +147,9 @@ pub struct Replica {
     logging: bool,
     /// Tag-lease term granted on durable read acks (0 = no leasing).
     lease_micros: u64,
-    /// Highest tag known durable on this node: covered by the `written`
-    /// slot or, for a tag this node coordinated, by the `writing` slot.
+    /// Highest tag known durable here: covered by the `written` slot, by
+    /// the `writing` slot for a tag this node coordinated, or vouched for
+    /// by a majority at recovery.
     durable_ts: Timestamp,
     /// Stores in flight (adoption stores and the coordinator's pre-log):
     /// token → the tag that becomes durable when it completes.
@@ -290,14 +304,13 @@ impl Replica {
             Message::Read { req } => {
                 // Fig. 4 lines 28–30, plus the durability attestation the
                 // reader's fast path gates on: the reported tag is durable
-                // when a stable record (`written`, or this node's own
-                // `writing` pre-log) covers it. A
-                // non-logging replica's volatile state is as stable as its
-                // (crash-stop) model gets, so it always attests. A tag
-                // still fenced behind someone else's lease grants is
-                // reported non-durable even when stored: returning it
-                // through the fast path while an older lease may serve
-                // would invert the read order.
+                // here (`written`, this node's own `writing` pre-log, or a
+                // majority's vouch — module docs). A non-logging replica's
+                // volatile state is as stable as its (crash-stop) model
+                // gets, so it always attests. A tag still fenced behind
+                // someone else's lease grants is reported non-durable even
+                // when stored: returning it through the fast path while an
+                // older lease may serve would invert the read order.
                 let durable =
                     self.holds_durably(self.ts) && self.fences(from, self.ts).next().is_none();
                 let grant = if durable && self.lease_micros > 0 {
@@ -345,8 +358,9 @@ impl Replica {
         }
     }
 
-    /// Whether a stable record on this node covers `ts` (always, for a
-    /// non-logging replica: volatile is as stable as its model gets).
+    /// Whether `ts` is durable here — a stable record on this node covers
+    /// it, or a majority vouched for it (module docs); always, for a
+    /// non-logging replica: volatile is as stable as its model gets.
     pub fn holds_durably(&self, ts: Timestamp) -> bool {
         !self.logging || ts <= self.durable_ts
     }
@@ -391,6 +405,20 @@ impl Replica {
             });
         }
         false
+    }
+
+    /// Adopts `(ts, value)` as durable without a store of its own: a
+    /// majority of other processes attested `ts` durable to the recovery
+    /// catch-up, so a majority of logs holds it (see the module docs).
+    /// Raises the volatile state if `ts` is newer and releases the acks
+    /// that waited for a tag at or below it.
+    pub fn vouch(&mut self, ts: Timestamp, value: &Value, out: &mut Vec<Action>) {
+        if ts > self.ts {
+            self.ts = ts;
+            self.value = value.clone();
+        }
+        self.durable_ts = self.durable_ts.max(ts);
+        self.release_ready(out);
     }
 
     /// Tracks the coordinator's `writing` pre-log of `ts` as a store in
@@ -773,6 +801,47 @@ mod tests {
         r.on_pre_log_done(StoreToken(1), &Value::from_u32(7), &mut out);
         assert_eq!(r.timestamp(), Timestamp::new(6, ProcessId(2)));
         assert_eq!(r.value().as_u32(), Some(9));
+    }
+
+    #[test]
+    fn a_vouched_tag_is_durable_here_without_a_store() {
+        let (mut gen, _) = token_gen();
+        let mut r = Replica::restored(
+            ProcessId(0),
+            true,
+            Timestamp::new(3, ProcessId(1)),
+            Value::from_u32(30),
+        );
+        // A peer's Write of [5,2] parks, its store in flight.
+        let mut out = Vec::new();
+        r.on_message(ProcessId(2), &write_msg(5, 2, 50, 1), &mut gen, &mut out);
+        assert!(matches!(out.as_slice(), [Action::Store { .. }]));
+        out.clear();
+        // The catch-up hears a majority vouch for [9,2]: adopted, durable,
+        // and the parked ack it covers leaves — all without a store.
+        let vouched = Timestamp::new(9, ProcessId(2));
+        r.vouch(vouched, &Value::from_u32(90), &mut out);
+        assert_eq!(write_acks_to(&out), [2]);
+        assert_eq!((r.timestamp(), r.value().as_u32()), (vouched, Some(90)));
+        // Readers are told it is durable …
+        out.clear();
+        let req = RequestId::new(ProcessId(1), 5);
+        r.on_message(ProcessId(1), &Message::Read { req }, &mut gen, &mut out);
+        assert!(read_ack_of(&out).0);
+        // … an older Write is acknowledged at once, with no store …
+        out.clear();
+        r.on_message(ProcessId(1), &write_msg(7, 1, 70, 2), &mut gen, &mut out);
+        assert_eq!(write_acks_to(&out), [1]);
+        assert_eq!(out.len(), 1, "no store: {out:?}");
+        // … and a newer one is still logged before it is acknowledged.
+        out.clear();
+        r.on_message(ProcessId(1), &write_msg(11, 1, 110, 3), &mut gen, &mut out);
+        let [Action::Store { token, .. }] = out[..] else {
+            panic!("a newer tag needs its own store: {out:?}")
+        };
+        out.clear();
+        r.on_store_done(token, &mut out);
+        assert_eq!(write_acks_to(&out), [1]);
     }
 
     #[test]

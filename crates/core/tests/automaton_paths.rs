@@ -710,11 +710,15 @@ fn catch_up_req(out: &[Action]) -> RequestId {
 }
 
 fn read_ack(req: RequestId, seq: u64, v: u32) -> Message {
+    attested_ack(req, seq, v, true)
+}
+
+fn attested_ack(req: RequestId, seq: u64, v: u32, durable: bool) -> Message {
     Message::ReadAck {
         req,
         ts: Timestamp::new(seq, p(1)),
         value: Value::from_u32(v),
-        durable: true,
+        durable,
         grant: 0,
     }
 }
@@ -730,6 +734,25 @@ fn deliver(a: &mut RegisterAutomaton, from: &[u16], msg: &Message, out: &mut Vec
             out,
         );
     }
+}
+
+/// Lets `a`'s own replica answer `a`'s read round `req`, as the
+/// runtime's self-delivery would.
+fn answer_self(a: &mut RegisterAutomaton, req: RequestId, out: &mut Vec<Action>) {
+    let mut answer = Vec::new();
+    deliver(a, &[0], &Message::Read { req }, &mut answer);
+    let [Action::Send { msg: ack, .. }] = answer.as_slice() else {
+        panic!("expected the own replica's ack, got {answer:?}")
+    };
+    deliver(a, &[0], ack, out);
+}
+
+/// The one timer `out` armed.
+fn timer_in(out: &[Action]) -> TimerToken {
+    let [Action::SetTimer { token, .. }] = out[..] else {
+        panic!("expected one timer, got {out:?}")
+    };
+    token
 }
 
 /// Completes every store `out` asked for and returns how many that was.
@@ -751,7 +774,8 @@ fn complete_stores(a: &mut RegisterAutomaton, out: &mut Vec<Action>) -> usize {
 /// A process whose stable records are absent (it crashed before logging
 /// anything) or torn (every slot undecodable) restores the initial state
 /// — and still re-learns the register from the majority that has moved
-/// on, before it serves the read that was waiting.
+/// on, before it serves the read that was waiting: on both peers' word
+/// when both vouch, else by logging it.
 #[test]
 fn torn_or_absent_records_still_recover_and_catch_up() {
     struct Torn;
@@ -762,11 +786,12 @@ fn torn_or_absent_records_still_recover_and_catch_up() {
     }
     let snapshots: [&dyn rmem_types::StableSnapshot; 2] = [&EmptySnapshot, &Torn];
     for flavor in [Flavor::persistent(), Flavor::transient()] {
-        for stable in snapshots {
+        for (stable, vouched) in snapshots.into_iter().flat_map(|s| [(s, true), (s, false)]) {
+            let ctx = format!("{} vouched={vouched}", flavor.name);
             let mut a = RegisterAutomaton::recovered(p(0), 3, flavor, Micros(1_000), 1, stable);
             let mut out = Vec::new();
             a.on_input(Input::Start, &mut out);
-            assert_eq!(a.replica_timestamp().seq, 0, "{}", flavor.name);
+            assert_eq!(a.replica_timestamp().seq, 0, "{ctx}");
             let req = catch_up_req(&out);
             // The flavor's own phase (the rec counter, if any) completes.
             complete_stores(&mut a, &mut out);
@@ -780,11 +805,29 @@ fn torn_or_absent_records_still_recover_and_catch_up() {
             );
             assert!(out.is_empty(), "queued: {out:?}");
             // The majority is at [6,1] / 60.
-            deliver(&mut a, &[1, 2], &read_ack(req, 6, 60), &mut out);
+            if vouched {
+                // Both peers attest it durable: it is on a majority of
+                // logs already, and the replica adopts it without a store.
+                deliver(&mut a, &[1, 2], &read_ack(req, 6, 60), &mut out);
+                assert!(a.is_ready(), "{ctx}");
+                assert!(
+                    !out.iter().any(|x| matches!(x, Action::Store { .. })),
+                    "{ctx}: {out:?}"
+                );
+            } else {
+                // Its own replica and p1 answer; p2, the second voucher it
+                // needs, stays silent for the retransmit period it gets.
+                answer_self(&mut a, req, &mut out);
+                deliver(&mut a, &[1], &read_ack(req, 6, 60), &mut out);
+                let wait = timer_in(&out);
+                out.clear();
+                a.on_input(Input::Timer(wait), &mut out);
+                assert!(sends(&out).is_empty(), "{ctx}: re-sent {out:?}");
+                assert!(!a.is_ready(), "{ctx}: adopted, not yet durable");
+                assert_eq!(complete_stores(&mut a, &mut out), 1, "{ctx}");
+                assert!(a.is_ready());
+            }
             assert_eq!(a.replica_value().as_u32(), Some(60));
-            assert!(!a.is_ready(), "adopted, not yet durable");
-            assert_eq!(complete_stores(&mut a, &mut out), 1, "{}", flavor.name);
-            assert!(a.is_ready());
             // The queued read runs now and — the whole point — finds its
             // quorum unanimous: one round, no write-back.
             let read = catch_up_req(&out);
@@ -833,8 +876,9 @@ fn catch_up_from_a_never_written_quorum_stores_nothing() {
 /// Under a leasing flavor a recovered replica boot-holds: for one hold
 /// term it withholds every write ack and attests nothing durable. The
 /// catch-up asks for no ack, so it does not wait the hold out — an idle
-/// restart is ready after the round, a stale one after its one store —
-/// while the fence keeps doing its job for everyone else's writes.
+/// restart is ready after the round, a stale one too when both peers
+/// vouch for what it missed, and after its one store when only one does
+/// — while the fence keeps doing its job for everyone else's writes.
 #[test]
 fn catch_up_does_not_wait_out_the_lease_boot_hold() {
     let leased = Flavor::persistent().with_lease(2_000);
@@ -844,7 +888,8 @@ fn catch_up_does_not_wait_out_the_lease_boot_hold() {
         value: Value::from_u32(40),
     };
     stable.insert("written".to_string(), held.encode());
-    for (quorum_seq, stores) in [(4, 0), (6, 1)] {
+    for (quorum_seq, p2_durable, stores) in [(4, true, 0), (6, true, 0), (6, false, 1)] {
+        let ctx = format!("quorum at {quorum_seq}, p2 durable: {p2_durable}");
         let mut a = RegisterAutomaton::recovered(p(0), 3, leased, Micros(1_000), 1, &stable);
         let mut out = Vec::new();
         a.on_input(Input::Start, &mut out);
@@ -855,14 +900,12 @@ fn catch_up_does_not_wait_out_the_lease_boot_hold() {
         assert_eq!(after, Micros(2_500));
         let req = catch_up_req(&out);
         out.clear();
-        deliver(
-            &mut a,
-            &[1, 2],
-            &read_ack(req, quorum_seq, 10 * quorum_seq as u32),
-            &mut out,
-        );
-        assert_eq!(complete_stores(&mut a, &mut out), stores);
-        assert!(a.is_ready(), "quorum at {quorum_seq}: held up by the fence");
+        let v = 10 * quorum_seq as u32;
+        deliver(&mut a, &[1], &read_ack(req, quorum_seq, v), &mut out);
+        let p2_ack = attested_ack(req, quorum_seq, v, p2_durable);
+        deliver(&mut a, &[2], &p2_ack, &mut out);
+        assert_eq!(complete_stores(&mut a, &mut out), stores, "{ctx}");
+        assert!(a.is_ready(), "{ctx}: held up by the fence");
         // The hold is still on: a peer's newer write is adopted, logged —
         // and acknowledged only once the hold timer fires.
         out.clear();

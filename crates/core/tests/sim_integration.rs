@@ -16,7 +16,7 @@ use rmem_types::{
     Action, Automaton, AutomatonFactory, Input, Message, Micros, Op, OpKind, ProcessId,
     StableSnapshot, Timestamp, Value,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 fn p(i: u16) -> ProcessId {
@@ -573,9 +573,9 @@ struct WatchLog {
     /// `(process, incarnation)` → its replica's tag at the moment that
     /// recovered incarnation turned ready.
     ready: HashMap<(ProcessId, u64), Timestamp>,
-    /// Recovered incarnations that issued a `written` store (an adoption)
-    /// before turning ready.
-    adopting: HashSet<(ProcessId, u64)>,
+    /// Recovered incarnations → the `written` stores (adoptions) each
+    /// issued before turning ready.
+    adoptions: HashMap<(ProcessId, u64), u32>,
 }
 
 /// A register automaton reporting into a shared [`WatchLog`].
@@ -600,7 +600,9 @@ impl Automaton for Watched {
                     log.tags.insert(value.as_u32().unwrap(), *ts);
                 }
                 Action::Store { key, .. } if key == "written" => {
-                    log.adopting.extend(self.recovering);
+                    if let Some(who) = self.recovering {
+                        *log.adoptions.entry(who).or_default() += 1;
+                    }
                 }
                 _ => {}
             }
@@ -667,6 +669,12 @@ impl AutomatonFactory for WatchedFactory {
 enum CatchUpFault {
     /// p0 itself, again, this long into its recovery.
     Recovering(u64),
+    /// As `Recovering`, with as many peers as the cluster can lose (p1 on
+    /// 3 nodes, p1 and p2 on 5) down from before the recovery until p0
+    /// recovers again: fewer others are up than make a majority, so p0
+    /// cannot be vouched for and logs what it missed — one retransmit
+    /// period after its majority answered.
+    RecoveringPeersDown(u64),
     /// Its peer p1, this long into p0's recovery.
     Peer(u64),
 }
@@ -677,6 +685,52 @@ struct CatchUpRun {
     adoption_issued: bool,
 }
 
+/// How far p0's first recovery got, tallied over a sweep.
+#[derive(Debug, Default)]
+struct Stages {
+    /// Crashed before it issued an adoption store.
+    cut_short: u32,
+    /// Crashed between issuing the adoption store and turning ready.
+    cut_mid_adoption: u32,
+    /// Ready on a majority's word, no store.
+    vouched: u32,
+    /// Ready after its adoption store.
+    stored: u32,
+}
+
+impl Stages {
+    fn add(&mut self, run: CatchUpRun) {
+        *match (run.turned_ready, run.adoption_issued) {
+            (false, false) => &mut self.cut_short,
+            (false, true) => &mut self.cut_mid_adoption,
+            (true, false) => &mut self.vouched,
+            (true, true) => &mut self.stored,
+        } += 1;
+    }
+}
+
+/// The jittered network and disks the catch-up runs use: the same offset
+/// lands on different steps of a recovery under different seeds.
+fn jittered(n: usize) -> ClusterConfig {
+    ClusterConfig::new(n)
+        .with_net(NetConfig {
+            jitter: Micros(40),
+            ..NetConfig::default()
+        })
+        .with_disk(DiskConfig {
+            jitter: Micros(60),
+            ..DiskConfig::default()
+        })
+}
+
+fn criterion_of(flavor: Flavor) -> Criterion {
+    if flavor == Flavor::persistent() {
+        Criterion::Persistent
+    } else {
+        Criterion::Transient
+    }
+}
+
 /// One run of the catch-up sweep (see the test below). p1 writes 1; p0
 /// crashes idle; p1 writes 2 and p2 writes 3 without it; p0 recovers and
 /// `fault` strikes; whoever died recovers again; p1, p2 and p0 read, p0
@@ -685,51 +739,47 @@ fn catch_up_run(n: usize, seed: u64, flavor: Flavor, fault: CatchUpFault) -> Cat
     let ctx = format!("{} n={n} seed={seed} {fault:?}", flavor.name);
     const RECOVER_AT: u64 = 12_000;
     const AGAIN_AT: u64 = 16_000;
-    // Who dies, when, and which incarnation of it recovers at `AGAIN_AT`
-    // (p0 has crashed twice by then, a peer once).
-    let (casualty, offset, again) = match fault {
-        CatchUpFault::Recovering(offset) => (p(0), offset, 2),
-        CatchUpFault::Peer(offset) => (p(1), offset, 1),
+    // Who dies when; each recovers at `AGAIN_AT` (p0, if among them, in
+    // its second recovered incarnation).
+    let crashes: Vec<(ProcessId, u64)> = match fault {
+        CatchUpFault::Recovering(offset) => vec![(p(0), RECOVER_AT + offset)],
+        CatchUpFault::RecoveringPeersDown(offset) => {
+            let lost = n - rmem_types::process::majority(n);
+            let peers = (1..=lost as u16).map(|i| (p(i), RECOVER_AT - 1_000));
+            peers.chain([(p(0), RECOVER_AT + offset)]).collect()
+        }
+        CatchUpFault::Peer(offset) => vec![(p(1), RECOVER_AT + offset)],
     };
-    let schedule = Schedule::new()
+    let mut schedule = Schedule::new()
         .at(1_000, PlannedEvent::Invoke(p(1), Op::Write(v(1))))
         .at(3_000, PlannedEvent::Crash(p(0)))
         .at(5_000, PlannedEvent::Invoke(p(1), Op::Write(v(2))))
         .at(8_000, PlannedEvent::Invoke(p(2), Op::Write(v(3))))
         .at(RECOVER_AT, PlannedEvent::Recover(p(0)))
-        .at(RECOVER_AT + offset, PlannedEvent::Crash(casualty))
-        .at(AGAIN_AT, PlannedEvent::Recover(casualty))
         .at(20_000, PlannedEvent::Invoke(p(1), Op::Read))
         .at(22_000, PlannedEvent::Invoke(p(2), Op::Read))
         .at(24_000, PlannedEvent::Invoke(p(0), Op::Read))
         .at(26_000, PlannedEvent::Invoke(p(0), Op::Write(v(4))))
         .at(30_000, PlannedEvent::Invoke(p(2), Op::Read));
-    // Seeded jitter on every hop and every store: the same offset lands
-    // on different steps of the recovery under different seeds.
-    let config = ClusterConfig::new(n)
-        .with_net(NetConfig {
-            jitter: Micros(40),
-            ..NetConfig::default()
-        })
-        .with_disk(DiskConfig {
-            jitter: Micros(60),
-            ..DiskConfig::default()
-        });
+    let mut recoveries = vec![(p(0), 1, RECOVER_AT)];
+    for &(pid, at) in &crashes {
+        schedule = schedule
+            .at(at, PlannedEvent::Crash(pid))
+            .at(AGAIN_AT, PlannedEvent::Recover(pid));
+        let incarnation = if pid == p(0) { 2 } else { 1 };
+        recoveries.push((pid, incarnation, AGAIN_AT));
+    }
     let log = Arc::new(Mutex::new(WatchLog::default()));
     let factory = Arc::new(WatchedFactory {
         flavor,
         log: log.clone(),
     });
-    let report = Simulation::new(config, factory, seed)
+    let report = Simulation::new(jittered(n), factory, seed)
         .with_schedule(schedule)
         .run();
     assert!(report.quiescent, "{ctx}: a recovery never finished");
 
-    let criterion = if flavor == Flavor::persistent() {
-        Criterion::Persistent
-    } else {
-        Criterion::Transient
-    };
+    let criterion = criterion_of(flavor);
     let history = report.trace.to_history();
     for (reg, verdict) in check_per_register(&history, criterion) {
         verdict.unwrap_or_else(|e| panic!("{ctx}: {reg:?} not {criterion:?} atomic: {e}"));
@@ -763,12 +813,12 @@ fn catch_up_run(n: usize, seed: u64, flavor: Flavor, fault: CatchUpFault) -> Cat
     // holding at least the tag of every write that had completed before
     // its Recover event.
     let log = log.lock().unwrap();
-    let recoveries = [(p(0), 1, RECOVER_AT), (casualty, again, AGAIN_AT)];
     for (pid, incarnation, recovered_at) in recoveries {
         let Some(held) = log.ready.get(&(pid, incarnation)) else {
-            // Only p0's first recovery may be cut short.
+            // Only p0's first recovery may be cut short, and only by p0
+            // crashing again.
             assert!(
-                matches!(fault, CatchUpFault::Recovering(_)) && incarnation == 1,
+                !matches!(fault, CatchUpFault::Peer(_)) && pid == p(0) && incarnation == 1,
                 "{ctx}: {pid} incarnation {incarnation} never turned ready"
             );
             continue;
@@ -792,44 +842,200 @@ fn catch_up_run(n: usize, seed: u64, flavor: Flavor, fault: CatchUpFault) -> Cat
     }
     CatchUpRun {
         turned_ready: log.ready.contains_key(&(p(0), 1)),
-        adoption_issued: log.adopting.contains(&(p(0), 1)),
+        adoption_issued: log.adoptions.contains_key(&(p(0), 1)),
     }
 }
 
 /// Crashes the **recovering** node at every 25 µs offset across its
-/// catch-up — before the round, mid-round, between the adoption store
-/// being issued and durable, just after ready — and, separately, a
-/// **peer** at the same offsets, on 3 and 5 nodes, under both
-/// crash-recovery flavors. Every run certifies its criterion, serves
+/// catch-up — before the round, mid-round, just after ready — and again
+/// with as many peers down as the cluster can lose, so that it cannot be
+/// vouched for and its adoption store is reached too (issued one
+/// retransmit period after the majority, and durable λ later); and,
+/// separately, a **peer** at the same offsets; on 3 and 5 nodes, under
+/// both crash-recovery flavors. Every run certifies its criterion, serves
 /// every read before the next write in one round on three nodes, and
-/// satisfies the catch-up's invariant
-/// (see [`catch_up_run`]). Deterministic: a failure names its
-/// `(flavor, n, seed, fault)`.
+/// satisfies the catch-up's invariant (see [`catch_up_run`]).
+/// Deterministic: a failure names its `(flavor, n, seed, fault)`.
 #[test]
 fn catch_up_crash_sweep_across_the_recovery() {
     for flavor in [Flavor::persistent(), Flavor::transient()] {
         for n in [3, 5] {
-            let (mut cut_short, mut cut_mid_adoption, mut completed) = (0, 0, 0);
+            let ctx = format!("{} n={n}", flavor.name);
+            let mut own = Stages::default();
+            let mut own_peers_down = Stages::default();
+            let mut peer = Stages::default();
             for seed in 0..4 {
-                // Read round ≈ 200–280 µs, adoption store ≈ +200–260 µs:
-                // 0..700 µs in 25 µs steps brackets the recovery on
-                // either side.
+                // Read round ≈ 200–280 µs: 0..700 µs in 25 µs steps
+                // brackets the recovery on either side.
                 for offset in (0..=700).step_by(25) {
-                    let run = catch_up_run(n, seed, flavor, CatchUpFault::Recovering(offset));
-                    match (run.turned_ready, run.adoption_issued) {
-                        (true, _) => completed += 1,
-                        (false, true) => cut_mid_adoption += 1,
-                        (false, false) => cut_short += 1,
-                    }
-                    let run = catch_up_run(n, seed, flavor, CatchUpFault::Peer(offset));
-                    assert!(run.turned_ready && run.adoption_issued);
+                    own.add(catch_up_run(
+                        n,
+                        seed,
+                        flavor,
+                        CatchUpFault::Recovering(offset),
+                    ));
+                    peer.add(catch_up_run(n, seed, flavor, CatchUpFault::Peer(offset)));
+                }
+                // Plus the retransmit period and the adoption store.
+                for offset in (0..=2_700).step_by(25) {
+                    let fault = CatchUpFault::RecoveringPeersDown(offset);
+                    own_peers_down.add(catch_up_run(n, seed, flavor, fault));
                 }
             }
-            // The sweep reached every stage it claims to.
+            // The sweep reached every stage it claims to — and with every
+            // peer up, a behind p0 never logged what it missed: the
+            // majority of others that holds it vouched.
+            assert!(own.cut_short > 0 && own.vouched > 0, "{ctx}: {own:?}");
+            assert_eq!((own.cut_mid_adoption, own.stored), (0, 0), "{ctx}: {own:?}");
+            let Stages {
+                cut_short,
+                cut_mid_adoption,
+                vouched,
+                stored,
+            } = own_peers_down;
             assert!(
-                cut_short > 0 && cut_mid_adoption > 0 && completed > 0,
-                "{} n={n}: {cut_short} / {cut_mid_adoption} / {completed}",
-                flavor.name
+                cut_short > 0 && cut_mid_adoption > 0 && stored > 0 && vouched == 0,
+                "{ctx}, peers down: {own_peers_down:?}"
+            );
+            // A peer's crash never cuts p0's recovery short. One that
+            // holds 3 and dies before answering leaves too few vouchers
+            // (thrifty, 3 went to a bare majority), and p0 logs.
+            assert_eq!((peer.cut_short, peer.cut_mid_adoption), (0, 0), "{ctx}");
+            assert!(peer.vouched > 0 && peer.stored > 0, "{ctx}: {peer:?}");
+        }
+    }
+}
+
+/// The fallback, priced exactly. p0 restarts one write behind while p2 is
+/// down: its own replica and p1 make the majority, and p1's is the only
+/// vouch there is. The register turns ready exactly one retransmit period
+/// plus one store after a level restart under the same conditions — which
+/// turns ready the moment its majority answered — having logged one
+/// adoption.
+#[test]
+fn a_restart_with_one_voucher_pays_one_retransmit_period_and_one_store() {
+    const LAMBDA: u64 = 200;
+    for flavor in [Flavor::persistent(), Flavor::transient()] {
+        let run = |behind: bool| {
+            let mut schedule = Schedule::new()
+                .at(1_000, PlannedEvent::Invoke(p(1), Op::Write(v(1))))
+                .at(3_000, PlannedEvent::Crash(p(0)))
+                .at(9_000, PlannedEvent::Crash(p(2)))
+                .at(12_000, PlannedEvent::Recover(p(0)));
+            if behind {
+                schedule = schedule.at(5_000, PlannedEvent::Invoke(p(1), Op::Write(v(2))));
+            }
+            // No jitter, and sizes cost nothing: every delay is its base.
+            let config = ClusterConfig::new(3)
+                .with_net(NetConfig {
+                    ns_per_byte: 0,
+                    ..NetConfig::default()
+                })
+                .with_disk(DiskConfig {
+                    base_latency: Micros(LAMBDA),
+                    ns_per_byte: 0,
+                    ..DiskConfig::default()
+                });
+            let log = Arc::new(Mutex::new(WatchLog::default()));
+            let factory = Arc::new(WatchedFactory {
+                flavor,
+                log: log.clone(),
+            });
+            let report = Simulation::new(config, factory, 1)
+                .with_schedule(schedule)
+                .run();
+            let [took] = report.trace.recovery_durations[..] else {
+                panic!("one recovery: {:?}", report.trace.recovery_durations)
+            };
+            let log = log.lock().unwrap();
+            let adoptions = log.adoptions.get(&(p(0), 1)).copied().unwrap_or(0);
+            (took, adoptions, log.ready[&(p(0), 1)])
+        };
+        let (level, no_store, _) = run(false);
+        let (behind, one_store, held) = run(true);
+        let ctx = flavor.name;
+        assert_eq!(no_store, 0, "{ctx}");
+        assert_eq!(one_store, 1, "{ctx}");
+        assert_eq!(held.seq, 2, "{ctx}: ready at {held}");
+        assert_eq!(
+            behind - level,
+            rmem_core::DEFAULT_RETRANSMIT.0 + LAMBDA,
+            "{ctx}: level {level} µs, behind {behind} µs"
+        );
+    }
+}
+
+/// Vouches build on vouches. Five processes; p3 and p4 are down while p0
+/// writes 2, which lands on p0, p1 and p2 only. p3 recovers and is
+/// vouched for by those three; p2 goes down, and p4 recovers vouched for
+/// by p0, p1 — and p3, which never logged 2. Neither logs an adoption.
+/// Then every process crashes and recovers, each restoring only what its
+/// own log holds — p3 and p4 back to 1 — and the reads that follow still
+/// return 2 and certify: 2 was on a majority of logs all along, which is
+/// what p3's attestation said.
+#[test]
+fn a_vouch_may_count_a_vouched_attestation_and_a_total_crash_still_finds_the_write() {
+    for flavor in [Flavor::persistent(), Flavor::transient()] {
+        let mut schedule = Schedule::new()
+            .at(1_000, PlannedEvent::Invoke(p(0), Op::Write(v(1))))
+            .at(3_000, PlannedEvent::Crash(p(3)))
+            .at(3_000, PlannedEvent::Crash(p(4)))
+            .at(5_000, PlannedEvent::Invoke(p(0), Op::Write(v(2))))
+            .at(9_000, PlannedEvent::Recover(p(3)))
+            .at(11_000, PlannedEvent::Crash(p(2)))
+            .at(12_000, PlannedEvent::Recover(p(4)))
+            .at(14_000, PlannedEvent::Recover(p(2)));
+        for pid in ProcessId::all(5) {
+            schedule = schedule
+                .at(16_000, PlannedEvent::Crash(pid))
+                .at(18_000, PlannedEvent::Recover(pid));
+        }
+        schedule = schedule
+            .at(22_000, PlannedEvent::Invoke(p(3), Op::Read))
+            .at(24_000, PlannedEvent::Invoke(p(4), Op::Read))
+            .at(26_000, PlannedEvent::Invoke(p(1), Op::Read));
+        let log = Arc::new(Mutex::new(WatchLog::default()));
+        let factory = Arc::new(WatchedFactory {
+            flavor,
+            log: log.clone(),
+        });
+        let report = Simulation::new(jittered(5), factory, 3)
+            .with_schedule(schedule)
+            .run();
+        let ctx = flavor.name;
+        assert!(report.quiescent, "{ctx}: a recovery never finished");
+        let criterion = criterion_of(flavor);
+        let history = report.trace.to_history();
+        for (reg, verdict) in check_per_register(&history, criterion) {
+            verdict.unwrap_or_else(|e| panic!("{ctx}: {reg:?} not {criterion:?} atomic: {e}"));
+        }
+        let reads: Vec<u32> = report
+            .trace
+            .operations()
+            .iter()
+            .filter(|o| o.kind == OpKind::Read)
+            .map(|o| {
+                o.result
+                    .as_ref()
+                    .unwrap()
+                    .read_value()
+                    .unwrap()
+                    .as_u32()
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(reads, [2, 2, 2], "{ctx}");
+        let log = log.lock().unwrap();
+        let written_2 = log.tags[&2];
+        for voucher in [p(3), p(4)] {
+            assert!(
+                log.ready[&(voucher, 1)] >= written_2,
+                "{ctx}: {voucher} turned ready behind {written_2}"
+            );
+            assert_eq!(
+                log.adoptions.get(&(voucher, 1)),
+                None,
+                "{ctx}: {voucher} logged"
             );
         }
     }

@@ -597,22 +597,30 @@ fn recovery_durations_are_recorded() {
         let d = report.trace.recovery_durations[0];
         assert!(expected.contains(&d), "{name}: recovery took {d} µs");
     }
-    // One write behind, the catch-up logs its adoption after the round:
-    // 2δ + λ.
-    let schedule = Schedule::new()
-        .at(1_000, PlannedEvent::Crash(ProcessId(0)))
-        .at(
-            2_000,
-            PlannedEvent::Invoke(ProcessId(1), Op::Write(Value::from_u32(1))),
-        )
-        .at(5_000, PlannedEvent::Recover(ProcessId(0)));
-    let mut sim =
-        Simulation::new(ClusterConfig::new(3), Transient::factory(), 11).with_schedule(schedule);
-    let d = sim.run().trace.recovery_durations[0];
-    assert!(
-        (400..430).contains(&d),
-        "stale transient recovery ≈ 2δ + λ, got {d}"
-    );
+    // One write behind: both peers logged it and vouch for it, so the
+    // catch-up adopts it after the round without a log — 2δ. With p2 down
+    // p1's word is not enough: the catch-up waits one retransmit period R
+    // for a second voucher, then logs its adoption — 2δ + R + λ.
+    let r = DEFAULT_RETRANSMIT.0;
+    for (p2_down, expected) in [(false, 200..230), (true, r + 400..r + 430)] {
+        let mut schedule = Schedule::new()
+            .at(1_000, PlannedEvent::Crash(ProcessId(0)))
+            .at(
+                2_000,
+                PlannedEvent::Invoke(ProcessId(1), Op::Write(Value::from_u32(1))),
+            )
+            .at(5_000, PlannedEvent::Recover(ProcessId(0)));
+        if p2_down {
+            schedule = schedule.at(4_000, PlannedEvent::Crash(ProcessId(2)));
+        }
+        let mut sim = Simulation::new(ClusterConfig::new(3), Transient::factory(), 11)
+            .with_schedule(schedule);
+        let d = sim.run().trace.recovery_durations[0];
+        assert!(
+            expected.contains(&d),
+            "stale transient recovery, p2 down: {p2_down}: got {d} µs"
+        );
+    }
 }
 
 /// `run()` is exactly `start` + `step` to the end + `finish`: on a
