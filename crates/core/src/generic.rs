@@ -51,6 +51,22 @@
 //! finds them unanimous. Recovery rounds (the figure's re-finish and
 //! frontier query, the catch-up) have no history to go on and still ask
 //! everyone; with the fast path off every round does, first send included.
+//!
+//! # Rounds
+//!
+//! Every step of the figures has one shape: send a request, wait until
+//! ⌈(n+1)/2⌉ processes answer, retransmit over the fair-lossy link until
+//! they do. A `Round` ([`crate::quorum`]) is that shape — the request to (re)send, the
+//! distinct responders, the retransmission timer — and whichever phase is
+//! live owns it: the figure's recovery step (`RecoveryPhase`), the
+//! catch-up (`CatchUp`) or the operation (`OpPhase`). One method opens
+//! every round (`open`: request id, first send, timer), and every ack
+//! takes one step (`ack`: is it this round's? recorded through
+//! [`Preferred`], did it reach the majority just now?). A timer is, in
+//! this order: a lease's horizon; a lease horizon a write took or a read
+//! armed; the replica's fence; a catch-up past its majority, settled
+//! without a resend; or else the live round it belongs to, rebroadcast
+//! and re-armed.
 
 use std::collections::VecDeque;
 
@@ -63,7 +79,7 @@ use rmem_types::{
 };
 
 use crate::flavor::{Flavor, RecoveryPolicy};
-use crate::quorum::{Preferred, QuorumCall};
+use crate::quorum::{Preferred, Round};
 use crate::replica::Replica;
 
 /// The in-flight phase of an operation: a client's, or — [`ReadQuery`]
@@ -77,9 +93,8 @@ enum OpPhase {
     WriteQuery {
         op: OpId,
         value: Value,
-        call: QuorumCall,
+        round: Round,
         max_seq: Seq,
-        timer: TimerToken,
     },
     /// Persistent write, between rounds: waiting for the `writing` pre-log
     /// (Fig. 4 line 12).
@@ -95,15 +110,14 @@ enum OpPhase {
         op: OpId,
         ts: Timestamp,
         value: Value,
-        call: QuorumCall,
-        timer: TimerToken,
+        round: Round,
         /// The lease this write began under, to be handed on to `ts`.
         taken: Option<TakenLease>,
     },
     /// Read, round 1: collecting tagged values (Fig. 4 lines 32–35).
     ReadQuery {
         waiter: ReadFor,
-        call: QuorumCall,
+        round: Round,
         best_ts: Timestamp,
         best_value: Value,
         /// Tag reported by the first ack, for the confirmed-timestamp
@@ -125,16 +139,13 @@ enum OpPhase {
         /// expires against. `None` once the horizon fired mid-round
         /// (too slow to mint) or when the flavor does not lease.
         lease_armed: Option<TimerToken>,
-        timer: TimerToken,
     },
     /// Read, round 2: writing back the freshest value (Fig. 4 lines
     /// 36–38).
     ReadWriteBack {
         op: OpId,
-        ts: Timestamp,
         value: Value,
-        call: QuorumCall,
-        timer: TimerToken,
+        round: Round,
     },
 }
 
@@ -173,19 +184,10 @@ enum RecoveryPhase {
     /// Waiting for the `recovered` counter store (Fig. 5 lines 19–21).
     StoreRec { token: StoreToken },
     /// Re-propagating the logged `writing` record (Fig. 4 lines 43–46).
-    FinishWrite {
-        ts: Timestamp,
-        value: Value,
-        call: QuorumCall,
-        timer: TimerToken,
-    },
+    FinishWrite { round: Round },
     /// Regular register only: re-learning the write frontier from a
     /// majority.
-    QuerySeq {
-        call: QuorumCall,
-        max_seq: Seq,
-        timer: TimerToken,
-    },
+    QuerySeq { round: Round, max_seq: Seq },
 }
 
 /// The recovery catch-up (see the module docs): started with the
@@ -197,13 +199,12 @@ enum CatchUp {
     /// Collecting a majority's tagged values, as a read's first round
     /// does (Fig. 4 lines 32–35) — and past the majority, vouchers.
     Query {
-        call: QuorumCall,
+        round: Round,
         best_ts: Timestamp,
         best_value: Value,
         /// The other processes whose ack carried exactly `best_ts`,
         /// attested durable.
         vouchers: Vec<ProcessId>,
-        timer: TimerToken,
     },
     /// The own replica adopted the quorum's best tag; waiting for the
     /// store that makes it durable here (Fig. 4 line 24).
@@ -270,6 +271,13 @@ fn token_gen(counter: &mut u64) -> impl FnMut() -> u64 + '_ {
         *counter += 1;
         t
     }
+}
+
+/// The step every ack takes: `None` if `req` is not `round`'s; else
+/// whether the ack from `from`, recorded through the node's preference,
+/// reached the round's majority just now.
+fn ack(pref: &mut Preferred, round: &mut Round, req: RequestId, from: ProcessId) -> Option<bool> {
+    round.matches(req).then(|| pref.record(round, from))
 }
 
 /// The register automaton (see [`crate`] docs for the family table).
@@ -421,16 +429,11 @@ impl RegisterAutomaton {
         t
     }
 
-    fn next_timer(&mut self) -> TimerToken {
-        let t = TimerToken(self.token_counter);
+    fn arm(&mut self, after: Micros, out: &mut Vec<Action>) -> TimerToken {
+        let token = TimerToken(self.token_counter);
         self.token_counter += 1;
-        t
-    }
-
-    fn next_req(&mut self) -> RequestId {
-        let r = RequestId::new(self.me, self.nonce_counter);
-        self.nonce_counter += 1;
-        r
+        out.push(Action::SetTimer { token, after });
+        token
     }
 
     /// The node-wide preference a shared memory lends this register while
@@ -439,30 +442,69 @@ impl RegisterAutomaton {
         &mut self.preferred
     }
 
-    /// Sends to all `n`: a recovery round, and every retransmission.
-    fn broadcast(&self, msg: &Message, out: &mut Vec<Action>) {
-        out.extend(Action::broadcast(self.n, msg));
-    }
-
-    /// An operation round's first send: thrifty when the fast path is on
-    /// (module docs), else to all `n` as in the figures.
-    fn send_round(&self, msg: &Message, out: &mut Vec<Action>) {
-        if !self.flavor.read_fast_path {
-            return self.broadcast(msg, out);
+    /// Opens a quorum round for `msg(req)` under a fresh request id — the
+    /// one way every round starts. An operation round's first send is
+    /// thrifty when the fast path is on (module docs); a round opened
+    /// before the process is ready is a recovery round, with no history to
+    /// go on, and like every round with the fast path off asks all `n`.
+    /// A leasing flavor's operation `Read` then stamps its lease horizon,
+    /// returned beside the round, *before* any replica can have seen the
+    /// query: the minted lease then provably dies before a granting
+    /// replica releases a fenced newer write. Last, the round's timer.
+    fn open(
+        &mut self,
+        msg: impl FnOnce(RequestId) -> Message,
+        out: &mut Vec<Action>,
+    ) -> (Round, Option<TimerToken>) {
+        let msg = msg(RequestId::new(self.me, self.nonce_counter));
+        self.nonce_counter += 1;
+        if self.ready && self.flavor.read_fast_path {
+            let first = self.preferred.first_send(self.n);
+            out.extend(first.map(|to| Action::Send {
+                to,
+                msg: msg.clone(),
+            }));
+        } else {
+            out.extend(Action::broadcast(self.n, &msg));
         }
-        out.extend(self.preferred.first_send(self.n).map(|to| Action::Send {
-            to,
-            msg: msg.clone(),
-        }));
+        let leased = self.ready && self.flavor.leases() && matches!(msg, Message::Read { .. });
+        let horizon = leased.then(|| self.arm(Micros(self.flavor.lease_micros), out));
+        let timer = self.arm(self.retransmit, out);
+        (Round::new(msg, self.majority, timer), horizon)
     }
 
-    fn arm_timer(&mut self, out: &mut Vec<Action>) -> TimerToken {
-        let timer = self.next_timer();
-        out.push(Action::SetTimer {
-            token: timer,
-            after: self.retransmit,
-        });
-        timer
+    /// The live round whose retransmission timer is `timer`: the figure's
+    /// recovery step's, the catch-up's or the operation's.
+    fn round_on(&mut self, timer: TimerToken) -> Option<&mut Round> {
+        let recovery = match &mut self.recovery {
+            Some(RecoveryPhase::FinishWrite { round } | RecoveryPhase::QuerySeq { round, .. }) => {
+                Some(round)
+            }
+            _ => None,
+        };
+        let catch_up = match &mut self.catch_up {
+            Some(CatchUp::Query { round, .. }) => Some(round),
+            _ => None,
+        };
+        let op = match &mut self.op {
+            Some(
+                OpPhase::WriteQuery { round, .. }
+                | OpPhase::WritePropagate { round, .. }
+                | OpPhase::ReadQuery { round, .. }
+                | OpPhase::ReadWriteBack { round, .. },
+            ) => Some(round),
+            _ => None,
+        };
+        let live = [recovery, catch_up, op];
+        live.into_iter()
+            .flatten()
+            .find(|round| round.timer == timer)
+    }
+
+    /// Moves the live round on `timer` to a fresh retransmission timer.
+    fn rearm(&mut self, timer: TimerToken, out: &mut Vec<Action>) {
+        let fresh = self.arm(self.retransmit, out);
+        self.round_on(timer).expect("a live round").timer = fresh;
     }
 
     // -- Start / recovery -------------------------------------------------
@@ -507,24 +549,9 @@ impl RegisterAutomaton {
                 // completed — older tags are rejected everywhere). No
                 // record: crashed before Initialize finished, nothing to
                 // re-finish.
-                if let Some(rec) = self.writing.clone() {
-                    let req = self.next_req();
-                    let call = QuorumCall::new(req, self.majority);
-                    self.broadcast(
-                        &Message::Write {
-                            req,
-                            ts: rec.ts,
-                            value: rec.value.clone(),
-                        },
-                        out,
-                    );
-                    let timer = self.arm_timer(out);
-                    self.recovery = Some(RecoveryPhase::FinishWrite {
-                        ts: rec.ts,
-                        value: rec.value,
-                        call,
-                        timer,
-                    });
+                if let Some(WritingRecord { ts, value }) = self.writing.take() {
+                    let round = self.open(|req| Message::Write { req, ts, value }, out).0;
+                    self.recovery = Some(RecoveryPhase::FinishWrite { round });
                 }
             }
             RecoveryPolicy::RecCounter | RecoveryPolicy::RecCounterAndQuery => {
@@ -545,16 +572,12 @@ impl RegisterAutomaton {
         // it exists to keep read quorums unanimous, so it exists exactly
         // when the fast path does.
         if self.flavor.read_fast_path {
-            let req = self.next_req();
-            let call = QuorumCall::new(req, self.majority);
-            self.broadcast(&Message::Read { req }, out);
-            let timer = self.arm_timer(out);
+            let round = self.open(|req| Message::Read { req }, out).0;
             self.catch_up = Some(CatchUp::Query {
-                call,
+                round,
                 best_ts: Timestamp::new(0, self.me),
                 best_value: Value::bottom(),
                 vouchers: Vec::new(),
-                timer,
             });
         }
         self.serve_if_recovered(out);
@@ -562,15 +585,8 @@ impl RegisterAutomaton {
 
     fn recovery_store_done(&mut self, out: &mut Vec<Action>) {
         if self.flavor.recovery == RecoveryPolicy::RecCounterAndQuery {
-            let req = self.next_req();
-            let call = QuorumCall::new(req, self.majority);
-            self.broadcast(&Message::SnReq { req }, out);
-            let timer = self.arm_timer(out);
-            self.recovery = Some(RecoveryPhase::QuerySeq {
-                call,
-                max_seq: 0,
-                timer,
-            });
+            let round = self.open(|req| Message::SnReq { req }, out).0;
+            self.recovery = Some(RecoveryPhase::QuerySeq { round, max_seq: 0 });
         } else {
             self.finish_recovery(out);
         }
@@ -590,22 +606,21 @@ impl RegisterAutomaton {
     fn settle_catch_up(&mut self, timer_fired: bool, out: &mut Vec<Action>) -> bool {
         let (me, majority) = (self.me, self.majority);
         let Some(CatchUp::Query {
-            call,
+            round,
             best_ts,
             best_value,
             vouchers,
-            ..
         }) = &mut self.catch_up
         else {
             return false;
         };
-        if !call.is_reached() {
+        if !round.is_reached() {
             return false;
         }
         let ts = *best_ts;
         let vouched = ts.seq > 0 && vouchers.len() >= majority;
         let silent_peers = ProcessId::all(self.n)
-            .filter(|&p| p != me && !call.has_acked(p))
+            .filter(|&p| p != me && !round.has_acked(p))
             .count();
         let stop_waiting = timer_fired
             || ts.seq == 0
@@ -722,16 +737,12 @@ impl RegisterAutomaton {
                 } else {
                     // Fig. 4 lines 7–10: query a majority for sequence
                     // numbers.
-                    let req = self.next_req();
-                    let call = QuorumCall::new(req, self.majority);
-                    self.send_round(&Message::SnReq { req }, out);
-                    let timer = self.arm_timer(out);
+                    let round = self.open(|req| Message::SnReq { req }, out).0;
                     self.op = Some(OpPhase::WriteQuery {
                         op,
                         value,
-                        call,
+                        round,
                         max_seq: 0,
-                        timer,
                     });
                 }
             }
@@ -760,33 +771,16 @@ impl RegisterAutomaton {
     /// Sends a read query round (Fig. 4 lines 32–35) for `waiter`.
     fn start_read(&mut self, waiter: ReadFor, out: &mut Vec<Action>) {
         debug_assert!(self.lease.is_none(), "a Read leaves only while leaseless");
-        let req = self.next_req();
-        let call = QuorumCall::new(req, self.majority);
-        self.send_round(&Message::Read { req }, out);
-        // Leasing flavors stamp the lease horizon *before* any replica can
-        // have seen the query: the minted lease then provably dies before
-        // a granting replica releases a fenced newer write.
-        let lease_armed = if self.flavor.leases() {
-            let horizon = self.next_timer();
-            out.push(Action::SetTimer {
-                token: horizon,
-                after: Micros(self.flavor.lease_micros),
-            });
-            Some(horizon)
-        } else {
-            None
-        };
-        let timer = self.arm_timer(out);
+        let (round, lease_armed) = self.open(|req| Message::Read { req }, out);
         self.op = Some(OpPhase::ReadQuery {
             waiter,
-            call,
+            round,
             best_ts: Timestamp::new(0, self.me),
             best_value: Value::bottom(),
             agreed: None,
             all_agree: true,
             all_granted: true,
             lease_armed,
-            timer,
         });
     }
 
@@ -799,23 +793,15 @@ impl RegisterAutomaton {
         out: &mut Vec<Action>,
     ) {
         // Fig. 4 lines 13–15 (and Fig. 5 lines 12–14).
-        let req = self.next_req();
-        let call = QuorumCall::new(req, self.majority);
-        self.send_round(
-            &Message::Write {
-                req,
-                ts,
-                value: value.clone(),
-            },
-            out,
-        );
-        let timer = self.arm_timer(out);
+        let round = {
+            let value = value.clone();
+            self.open(|req| Message::Write { req, ts, value }, out).0
+        };
         self.op = Some(OpPhase::WritePropagate {
             op,
             ts,
             value,
-            call,
-            timer,
+            round,
             taken,
         });
     }
@@ -894,48 +880,36 @@ impl RegisterAutomaton {
         match msg {
             Message::SnAck { req, seq } => self.on_sn_ack(from, req, seq, out),
             Message::WriteAck { req } => self.on_write_ack(from, req, out),
-            Message::ReadAck {
-                req,
-                ts,
-                value,
-                durable,
-                grant,
-            } => self.on_read_ack(from, req, ts, value, durable, grant, out),
+            ack @ Message::ReadAck { .. } => self.on_read_ack(from, ack, out),
             _ => {}
         }
     }
 
     fn on_sn_ack(&mut self, from: ProcessId, req: RequestId, seq: Seq, out: &mut Vec<Action>) {
         // Recovery-time frontier query (regular flavor).
-        let mut recovery_done: Option<Seq> = None;
-        if let Some(RecoveryPhase::QuerySeq { call, max_seq, .. }) = &mut self.recovery {
-            if call.matches(req) {
+        if let Some(RecoveryPhase::QuerySeq { round, max_seq }) = &mut self.recovery {
+            if let Some(reached) = ack(&mut self.preferred, round, req, from) {
                 *max_seq = (*max_seq).max(seq);
-                if self.preferred.record(call, from) {
-                    recovery_done = Some(*max_seq);
-                } else {
-                    return;
+                if reached {
+                    // Re-seed the writer-local counter beyond anything a
+                    // majority has seen, plus one slot per past crash for
+                    // in-flight writes nobody logged.
+                    self.next_wsn = self.next_wsn.max(*max_seq + self.rec + 1);
+                    self.finish_recovery(out);
                 }
+                return;
             }
-        }
-        if let Some(max_seq) = recovery_done {
-            // Re-seed the writer-local counter beyond anything a majority
-            // has seen, plus one slot per past crash for in-flight writes
-            // nobody logged.
-            self.next_wsn = self.next_wsn.max(max_seq + self.rec + 1);
-            self.finish_recovery(out);
-            return;
         }
 
         // Write query round.
-        let Some(OpPhase::WriteQuery { call, max_seq, .. }) = &mut self.op else {
+        let Some(OpPhase::WriteQuery { round, max_seq, .. }) = &mut self.op else {
             return;
         };
-        if !call.matches(req) {
+        let Some(reached) = ack(&mut self.preferred, round, req, from) else {
             return;
-        }
+        };
         *max_seq = (*max_seq).max(seq);
-        if self.preferred.record(call, from) {
+        if reached {
             let Some(OpPhase::WriteQuery {
                 op, value, max_seq, ..
             }) = self.op.take()
@@ -948,28 +922,21 @@ impl RegisterAutomaton {
 
     fn on_write_ack(&mut self, from: ProcessId, req: RequestId, out: &mut Vec<Action>) {
         // Recovery-time write completion (persistent flavor).
-        let mut recovery_done = false;
-        if let Some(RecoveryPhase::FinishWrite { call, .. }) = &mut self.recovery {
-            if call.matches(req) {
-                if self.preferred.record(call, from) {
-                    recovery_done = true;
-                } else {
-                    return;
+        if let Some(RecoveryPhase::FinishWrite { round }) = &mut self.recovery {
+            if let Some(reached) = ack(&mut self.preferred, round, req, from) {
+                if reached {
+                    self.finish_recovery(out);
                 }
+                return;
             }
-        }
-        if recovery_done {
-            self.finish_recovery(out);
-            return;
         }
 
-        let reached = match &mut self.op {
-            Some(OpPhase::WritePropagate { call, .. } | OpPhase::ReadWriteBack { call, .. }) => {
-                call.matches(req) && self.preferred.record(call, from)
-            }
-            _ => false,
+        let Some(OpPhase::WritePropagate { round, .. } | OpPhase::ReadWriteBack { round, .. }) =
+            &mut self.op
+        else {
+            return;
         };
-        if !reached {
+        if ack(&mut self.preferred, round, req, from) != Some(true) {
             return;
         }
         match self.op.take() {
@@ -1027,29 +994,29 @@ impl RegisterAutomaton {
         self.drain_queue(out);
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn on_read_ack(
-        &mut self,
-        from: ProcessId,
-        req: RequestId,
-        ts: Timestamp,
-        value: Value,
-        durable: bool,
-        grant: u32,
-        out: &mut Vec<Action>,
-    ) {
+    fn on_read_ack(&mut self, from: ProcessId, msg: Message, out: &mut Vec<Action>) {
+        let Message::ReadAck {
+            req,
+            ts,
+            value,
+            durable,
+            grant,
+        } = msg
+        else {
+            return;
+        };
         // Recovery catch-up round: Fig. 4 line 35 and the vouchers for
         // its best tag, nothing else — no fast-path or lease bookkeeping,
         // the quorum is only asked what it holds.
         if let Some(CatchUp::Query {
-            call,
+            round,
             best_ts,
             best_value,
             vouchers,
-            ..
         }) = &mut self.catch_up
         {
-            if call.matches(req) {
+            if let Some(reached) = ack(&mut self.preferred, round, req, from) {
+                let timer = round.timer;
                 if ts > *best_ts {
                     *best_ts = ts;
                     *best_value = value;
@@ -1058,20 +1025,16 @@ impl RegisterAutomaton {
                 if ts == *best_ts && durable && from != self.me && !vouchers.contains(&from) {
                     vouchers.push(from);
                 }
-                let reached_now = self.preferred.record(call, from);
-                if !self.settle_catch_up(false, out) && reached_now {
+                if !self.settle_catch_up(false, out) && reached {
                     // Vouchers get one retransmit period from here.
-                    let fresh = self.arm_timer(out);
-                    if let Some(CatchUp::Query { timer, .. }) = &mut self.catch_up {
-                        *timer = fresh;
-                    }
+                    self.rearm(timer, out);
                 }
                 return;
             }
         }
 
         let Some(OpPhase::ReadQuery {
-            call,
+            round,
             best_ts,
             best_value,
             agreed,
@@ -1082,9 +1045,9 @@ impl RegisterAutomaton {
         else {
             return;
         };
-        if !call.matches(req) {
+        let Some(reached) = ack(&mut self.preferred, round, req, from) else {
             return;
-        }
+        };
         // Confirmed-timestamp bookkeeping: unanimity requires every ack to
         // carry the agreed tag and attest it durable. Two never-written
         // replicas "agree" even though their initial tags differ in the
@@ -1111,7 +1074,7 @@ impl RegisterAutomaton {
             *best_ts = ts;
             *best_value = value;
         }
-        if !self.preferred.record(call, from) {
+        if !reached {
             return;
         }
         let Some(OpPhase::ReadQuery {
@@ -1160,24 +1123,11 @@ impl RegisterAutomaton {
         };
         if self.flavor.read_write_back && !fast {
             // Fig. 4 lines 36–38: write back before returning.
-            let req = self.next_req();
-            let call = QuorumCall::new(req, self.majority);
-            self.send_round(
-                &Message::Write {
-                    req,
-                    ts,
-                    value: value.clone(),
-                },
-                out,
-            );
-            let timer = self.arm_timer(out);
-            self.op = Some(OpPhase::ReadWriteBack {
-                op,
-                ts,
-                value,
-                call,
-                timer,
-            });
+            let round = {
+                let value = value.clone();
+                self.open(|req| Message::Write { req, ts, value }, out).0
+            };
+            self.op = Some(OpPhase::ReadWriteBack { op, value, round });
         } else {
             // Single-round read: the regular register always, the atomic
             // flavors when the fast path fired.
@@ -1284,108 +1234,21 @@ impl RegisterAutomaton {
         }
         // A catch-up whose majority answered waits on its timer for
         // vouchers only: it stops waiting, and re-sends nothing.
-        if let Some(CatchUp::Query { call, timer, .. }) = &self.catch_up {
-            if *timer == token && call.is_reached() {
+        if let Some(CatchUp::Query { round, .. }) = &self.catch_up {
+            if round.timer == token && round.is_reached() {
                 self.settle_catch_up(true, out);
                 return;
             }
         }
-        // Retransmit whatever round is still waiting for acks, then
-        // re-arm. Stale timers (from completed rounds) match nothing and
-        // die silently.
-        let resend: Option<Message> = {
-            let from_recovery = self.recovery.as_ref().and_then(|phase| match phase {
-                RecoveryPhase::FinishWrite {
-                    ts,
-                    value,
-                    call,
-                    timer,
-                } if *timer == token => Some(Message::Write {
-                    req: call.request_id(),
-                    ts: *ts,
-                    value: value.clone(),
-                }),
-                RecoveryPhase::QuerySeq { call, timer, .. } if *timer == token => {
-                    Some(Message::SnReq {
-                        req: call.request_id(),
-                    })
-                }
-                _ => None,
-            });
-            let from_catch_up = match &self.catch_up {
-                Some(CatchUp::Query { call, timer, .. }) if *timer == token => {
-                    Some(Message::Read {
-                        req: call.request_id(),
-                    })
-                }
-                _ => None,
-            };
-            let from_op = self.op.as_ref().and_then(|phase| match phase {
-                OpPhase::WriteQuery { call, timer, .. } if *timer == token => {
-                    Some(Message::SnReq {
-                        req: call.request_id(),
-                    })
-                }
-                OpPhase::WritePropagate {
-                    ts,
-                    value,
-                    call,
-                    timer,
-                    ..
-                }
-                | OpPhase::ReadWriteBack {
-                    ts,
-                    value,
-                    call,
-                    timer,
-                    ..
-                } if *timer == token => Some(Message::Write {
-                    req: call.request_id(),
-                    ts: *ts,
-                    value: value.clone(),
-                }),
-                OpPhase::ReadQuery { call, timer, .. } if *timer == token => Some(Message::Read {
-                    req: call.request_id(),
-                }),
-                _ => None,
-            });
-            from_recovery.or(from_catch_up).or(from_op)
+        // Otherwise the live round on this timer is still waiting for
+        // acks: its request goes to all `n` again, and it re-arms. Stale
+        // timers (from completed rounds) match nothing and die silently.
+        let n = self.n;
+        let Some(round) = self.round_on(token) else {
+            return;
         };
-
-        let Some(msg) = resend else { return };
-        self.broadcast(&msg, out);
-        let new_timer = self.arm_timer(out);
-        if let Some(phase) = &mut self.recovery {
-            match phase {
-                RecoveryPhase::FinishWrite { timer, .. }
-                | RecoveryPhase::QuerySeq { timer, .. }
-                    if *timer == token =>
-                {
-                    *timer = new_timer;
-                    return;
-                }
-                _ => {}
-            }
-        }
-        if let Some(CatchUp::Query { timer, .. }) = &mut self.catch_up {
-            if *timer == token {
-                *timer = new_timer;
-                return;
-            }
-        }
-        if let Some(phase) = &mut self.op {
-            match phase {
-                OpPhase::WriteQuery { timer, .. }
-                | OpPhase::WritePropagate { timer, .. }
-                | OpPhase::ReadQuery { timer, .. }
-                | OpPhase::ReadWriteBack { timer, .. }
-                    if *timer == token =>
-                {
-                    *timer = new_timer;
-                }
-                _ => {}
-            }
-        }
+        out.extend(Action::broadcast(n, &round.msg));
+        self.rearm(token, out);
     }
 }
 

@@ -233,40 +233,9 @@ impl SharedMemoryAutomaton {
 }
 
 /// Rewrites the request id's register component of a message.
-fn readdress(msg: Message, reg: RegisterId) -> Message {
-    match msg {
-        Message::SnReq { req } => Message::SnReq {
-            req: req.with_register(reg),
-        },
-        Message::SnAck { req, seq } => Message::SnAck {
-            req: req.with_register(reg),
-            seq,
-        },
-        Message::Write { req, ts, value } => Message::Write {
-            req: req.with_register(reg),
-            ts,
-            value,
-        },
-        Message::WriteAck { req } => Message::WriteAck {
-            req: req.with_register(reg),
-        },
-        Message::Read { req } => Message::Read {
-            req: req.with_register(reg),
-        },
-        Message::ReadAck {
-            req,
-            ts,
-            value,
-            durable,
-            grant,
-        } => Message::ReadAck {
-            req: req.with_register(reg),
-            ts,
-            value,
-            durable,
-            grant,
-        },
-    }
+fn readdress(mut msg: Message, reg: RegisterId) -> Message {
+    msg.request_id_mut().reg = reg;
+    msg
 }
 
 impl Automaton for SharedMemoryAutomaton {

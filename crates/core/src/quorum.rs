@@ -1,55 +1,54 @@
-//! Majority-acknowledgement tracking for one broadcast round, and the
-//! preference that makes the next round thrifty.
+//! One quorum round — its request, its responders and its retransmission
+//! timer — and the preference that makes the next round thrifty.
 
-use rmem_types::{ProcessId, RequestId};
+use rmem_types::{Message, ProcessId, RequestId, TimerToken};
 
-/// Tracks which processes have acknowledged one request round and whether
-/// the majority threshold has been reached.
+/// One quorum round: the request it sends, the distinct processes that
+/// answered it, and the timer that retransmits it.
 ///
 /// Acks are deduplicated by sender (the fair-lossy network may duplicate
 /// messages, and retransmitted rounds re-solicit every replica), so the
 /// count is of *distinct* responders — the paper's
-/// "until receive … from ⌈(n+1)/2⌉ processes". Counted through
-/// [`Preferred::record`], a round that completes tells the node's
+/// "until receive … from ⌈(n+1)/2⌉ processes". They are counted through
+/// [`Preferred::record`], so a round that completes tells the node's
 /// preference who they were.
 #[derive(Debug, Clone)]
-pub struct QuorumCall {
-    req: RequestId,
+pub(crate) struct Round {
+    /// The request, sent whole again by every retransmission.
+    pub msg: Message,
     acked: Vec<ProcessId>,
     threshold: usize,
     reached: bool,
+    /// The retransmission timer armed last for this round.
+    pub timer: TimerToken,
 }
 
-impl QuorumCall {
-    /// Starts tracking a round identified by `req`, needing `threshold`
-    /// distinct acks.
+impl Round {
+    /// Starts tracking the round of `msg`, needing `threshold` distinct
+    /// acks and retransmitted on `timer`.
     ///
     /// # Panics
     ///
     /// Panics if `threshold` is zero.
-    pub fn new(req: RequestId, threshold: usize) -> Self {
+    pub fn new(msg: Message, threshold: usize, timer: TimerToken) -> Self {
         assert!(threshold > 0, "a quorum threshold must be positive");
-        QuorumCall {
-            req,
+        Round {
+            msg,
             acked: Vec::with_capacity(threshold),
             threshold,
             reached: false,
+            timer,
         }
-    }
-
-    /// The round this call tracks.
-    pub fn request_id(&self) -> RequestId {
-        self.req
     }
 
     /// Whether `req` belongs to this round.
     pub fn matches(&self, req: RequestId) -> bool {
-        self.req == req
+        self.msg.request_id() == req
     }
 
     /// Records an ack from `from`. Returns `true` exactly once: when the
     /// threshold is first reached. Acks past it are still counted.
-    pub fn record(&mut self, from: ProcessId) -> bool {
+    fn record(&mut self, from: ProcessId) -> bool {
         if !self.acked.contains(&from) {
             self.acked.push(from);
         }
@@ -58,11 +57,6 @@ impl QuorumCall {
             return true;
         }
         false
-    }
-
-    /// Distinct responders so far.
-    pub fn ack_count(&self) -> usize {
-        self.acked.len()
     }
 
     /// Whether `from` has answered.
@@ -105,16 +99,16 @@ impl Preferred {
         }
     }
 
-    /// Records an ack from `from` in `call` ([`QuorumCall::record`]); on
-    /// the ack that completes it, remembers who did — its quorum, but this
-    /// process.
-    pub fn record(&mut self, call: &mut QuorumCall, from: ProcessId) -> bool {
-        if !call.record(from) {
+    /// Records an ack from `from` in `round`; returns `true` exactly once,
+    /// on the ack that reaches its threshold, and then remembers who
+    /// completed it — its quorum, but this process.
+    pub(crate) fn record(&mut self, round: &mut Round, from: ProcessId) -> bool {
+        if !round.record(from) {
             return false;
         }
         let me = self.me;
         self.peers.clear();
-        self.peers.extend(call.acked.iter().filter(|&&p| p != me));
+        self.peers.extend(round.acked.iter().filter(|&&p| p != me));
         true
     }
 
@@ -135,9 +129,13 @@ mod tests {
         RequestId::new(ProcessId(0), 1)
     }
 
+    fn round(threshold: usize) -> Round {
+        Round::new(Message::Read { req: req() }, threshold, TimerToken(0))
+    }
+
     #[test]
     fn reaches_threshold_exactly_once() {
-        let mut q = QuorumCall::new(req(), 3);
+        let mut q = round(3);
         assert!(!q.record(ProcessId(0)));
         assert!(!q.record(ProcessId(1)));
         assert!(
@@ -147,23 +145,22 @@ mod tests {
         assert!(!q.record(ProcessId(3)), "later acks do not re-trigger");
         assert!(q.is_reached());
         // … but they are counted.
-        assert_eq!(q.ack_count(), 4);
         assert!(q.has_acked(ProcessId(3)) && !q.has_acked(ProcessId(4)));
     }
 
     #[test]
     fn duplicate_acks_do_not_count() {
-        let mut q = QuorumCall::new(req(), 2);
+        let mut q = round(2);
         assert!(!q.record(ProcessId(1)));
         assert!(!q.record(ProcessId(1)));
         assert!(!q.record(ProcessId(1)));
-        assert_eq!(q.ack_count(), 1);
+        assert!(!q.is_reached());
         assert!(q.record(ProcessId(2)));
     }
 
     #[test]
     fn matches_filters_stale_rounds() {
-        let q = QuorumCall::new(req(), 1);
+        let q = round(1);
         assert!(q.matches(req()));
         assert!(!q.matches(RequestId::new(ProcessId(0), 2)));
         assert!(!q.matches(RequestId::new(ProcessId(1), 1)));
@@ -172,7 +169,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_threshold_panics() {
-        let _ = QuorumCall::new(req(), 0);
+        let _ = round(0);
     }
 
     fn first_send(pref: &Preferred, n: usize) -> Vec<u16> {
@@ -185,13 +182,13 @@ mod tests {
         let mut pref = Preferred::new(me);
         assert_eq!(first_send(&pref, 5), [0, 1, 2, 3, 4], "no history: all");
         // A quorum of three out of five, this process among them.
-        let mut q = QuorumCall::new(req(), 3);
+        let mut q = round(3);
         let completed: Vec<bool> = [4, 2, 0].map(|p| pref.record(&mut q, ProcessId(p))).into();
         assert_eq!(completed, [false, false, true]);
         assert_eq!(first_send(&pref, 5), [0, 2, 4]);
         // One that completed without this process: all of it, and this
         // process.
-        let mut q = QuorumCall::new(req(), 3);
+        let mut q = round(3);
         for p in [3, 1, 3, 4, 0] {
             pref.record(&mut q, ProcessId(p));
         }

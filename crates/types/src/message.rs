@@ -199,6 +199,18 @@ impl Message {
         }
     }
 
+    /// The correlation id carried by this message, to rewrite in place.
+    pub fn request_id_mut(&mut self) -> &mut RequestId {
+        match self {
+            Message::SnReq { req }
+            | Message::SnAck { req, .. }
+            | Message::Write { req, .. }
+            | Message::WriteAck { req }
+            | Message::Read { req }
+            | Message::ReadAck { req, .. } => req,
+        }
+    }
+
     /// Whether this message is a request (solicits an ack) as opposed to an
     /// acknowledgement.
     pub fn is_request(&self) -> bool {

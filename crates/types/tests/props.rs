@@ -112,3 +112,15 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    /// `request_id_mut` reaches the very id `request_id` reads, on every
+    /// variant.
+    #[test]
+    fn request_id_mut_and_request_id_agree(msg in arb_message(), to in arb_request_id()) {
+        let (read, mut msg) = (msg.request_id(), msg);
+        prop_assert_eq!(*msg.request_id_mut(), read);
+        *msg.request_id_mut() = to;
+        prop_assert_eq!(msg.request_id(), to);
+    }
+}
