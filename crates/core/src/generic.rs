@@ -56,10 +56,11 @@
 //!
 //! Every step of the figures has one shape: send a request, wait until
 //! ⌈(n+1)/2⌉ processes answer, retransmit over the fair-lossy link until
-//! they do. A `Round` ([`crate::quorum`]) is that shape — the request to (re)send, the
-//! distinct responders, the retransmission timer — and whichever phase is
-//! live owns it: the figure's recovery step (`RecoveryPhase`), the
-//! catch-up (`CatchUp`) or the operation (`OpPhase`). One method opens
+//! they do. A `Round` ([`crate::quorum`]) is that shape — the request to
+//! (re)send, the distinct responders, the retransmission timer — and
+//! whichever phase is live owns it: the figure's recovery step
+//! (`RecoveryPhase`), the catch-up (`CatchUp`) or the operation
+//! (`OpPhase`). One method opens
 //! every round (`open`: request id, first send, timer), and every ack
 //! takes one step (`ack`: is it this round's? recorded through
 //! [`Preferred`], did it reach the majority just now?). A timer is, in

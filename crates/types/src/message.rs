@@ -48,12 +48,6 @@ impl RequestId {
     pub fn for_register(origin: ProcessId, nonce: u64, reg: crate::RegisterId) -> Self {
         RequestId { origin, nonce, reg }
     }
-
-    /// This id re-addressed to `reg` (used by the shared-memory routing
-    /// layer when crossing between outer and per-register views).
-    pub fn with_register(self, reg: crate::RegisterId) -> Self {
-        RequestId { reg, ..self }
-    }
 }
 
 impl std::fmt::Display for RequestId {
