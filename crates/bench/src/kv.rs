@@ -20,8 +20,9 @@
 //! once). Both modes report **logical** (store-level) throughput over the
 //! same workload, so the batched gain is real amortization, not
 //! bookkeeping — and, since the client is the real one, it includes what
-//! contention costs it: `retries/op` counts the `Busy` rejections and
-//! failover hops each store operation paid.
+//! contention costs it: an operation that finds its register busy at a
+//! node waits there in order, and `retries/op` counts the failover hops
+//! each store operation paid (none in these crash-free cells).
 //!
 //! The **fast** column is the read fast path (confirmed timestamps): the
 //! read-heavy Zipf section runs every cell twice — fast path on vs the
@@ -171,8 +172,7 @@ pub struct KvThroughputRow {
     pub read_rounds_mean: f64,
     /// 99th-percentile quorum rounds per register read.
     pub read_rounds_p99: u32,
-    /// `Busy` re-tries and failover hops per store operation
-    /// (`kv.retries`): what contention cost the clients.
+    /// Failover hops per store operation (`kv.retries`).
     pub retries_per_op: f64,
     /// Get-latency statistics (µs, per register round).
     pub get_latency: Option<LatencyStats>,
@@ -264,7 +264,7 @@ fn run_cell(cell: &Cell, smoke: bool, seed: u64) -> KvThroughputRow {
         99 + seed,
     );
     let mut clients = Vec::new();
-    let report = run_hosted(sim, 99 + seed, |world| {
+    let report = run_hosted(sim, |world| {
         for _ in 0..CLIENTS {
             clients.push(KvClient::over(world.clone(), router).with_recorder(recorder.clone()));
         }

@@ -617,15 +617,9 @@ fn run_trial(
             // as two extra increments per depth sample — the gate's usual
             // deliberate overestimate.
             let gauge_sets = 2 * m.histogram("kv.pipeline_depth").count;
-            // `kv.backoff_micros` is a sum of waits, not a count of
-            // increments: it moves at most once per `kv.retries`, so it
-            // is priced as that many (its value is time the op spent
-            // parked, which the wall clock already charges).
-            let backoff_adds = m.counter("kv.retries");
-            let backoff_sum = m.counter("kv.backoff_micros");
             (
                 m.histograms.values().map(|h| h.count).sum(),
-                m.counters.values().sum::<u64>() - backoff_sum + backoff_adds + gauge_sets,
+                m.counters.values().sum::<u64>() + gauge_sets,
             )
         })
         .unwrap_or((0, 0));

@@ -35,10 +35,9 @@
 //! chunks of a `multi_get`/`multi_put`, a shard-map read, a migration
 //! copy — is driven by **one event loop on the calling thread**
 //! ([`KvClient::get`] is `multi_get` of one key). The loop's world is the
-//! seam ([`World`]): it submits, waits, reads the time and draws its
-//! jitter there and nowhere else, so the same loop runs on the real
-//! runtime and inside a seeded simulation ([`crate::host`]). Its rules,
-//! stated once:
+//! seam ([`World`]): it submits, waits and reads the time there and
+//! nowhere else, so the same loop runs on the real runtime and inside a
+//! seeded simulation ([`crate::host`]). Its rules, stated once:
 //!
 //! * **One operation per (register, chunk), one in flight per register.**
 //!   A call's gets on one register are answered from one read round; its
@@ -55,11 +54,11 @@
 //!   a probe first for the one operation that wins it — and a retry at
 //!   the next node is the *same* operation: same payload, same recorded
 //!   invocation, still the register's one chunk in flight.
-//! * **Deadlines, not sleeps.** A `Busy` rejection (another client racing
-//!   the register through that node) re-arms the chunk on the same node
-//!   after a jittered backoff; a barriered put polls for its seal on an
-//!   escalating one. Both are deadlines of the one loop, so the call's
-//!   other registers keep completing meanwhile.
+//! * **Deadlines, not sleeps.** A barriered put polls for its seal on an
+//!   escalating deadline of the one loop, so the call's other registers
+//!   keep completing meanwhile. (Another client racing the register
+//!   through the same node costs nothing here: the node queues the
+//!   operation behind that client's.)
 //! * **A moved map starts the next wave.** A write is checked against the
 //!   shared shard map right before every send (so it cannot land long
 //!   after a split moved its key); a read notices a foreign epoch stamp
@@ -108,11 +107,6 @@ use crate::seam::{Wire, World};
 /// before it stops chasing epochs.
 const MAP_RETRIES: usize = 6;
 
-/// How many `Busy` rejections (another client racing the register
-/// through the same node) an operation retries on one node before it
-/// fails over to the next.
-const BUSY_RETRIES: u32 = 32;
-
 /// The recorded answer to an invocation nothing of which took effect (the
 /// checkers ignore refused operations).
 const REFUSED: OpResult = OpResult::Rejected(RejectReason::Busy);
@@ -135,7 +129,6 @@ struct ClientObs {
     barrier_polls: Arc<Counter>,
     map_refreshes: Arc<Counter>,
     retries: Arc<Counter>,
-    backoff_micros: Arc<Counter>,
     lease_hits: Arc<Counter>,
     inflight: Arc<rmem_obs::Gauge>,
     pipeline_depth: Arc<Histogram>,
@@ -157,7 +150,6 @@ impl ClientObs {
             barrier_polls: m.counter("kv.barrier_polls"),
             map_refreshes: m.counter("kv.map_refreshes"),
             retries: m.counter("kv.retries"),
-            backoff_micros: m.counter("kv.backoff_micros"),
             lease_hits: m.counter("kv.lease_hits"),
             inflight: m.gauge("kv.inflight"),
             pipeline_depth: m.histogram("kv.pipeline_depth"),
@@ -198,8 +190,6 @@ struct Active {
     /// Whether `order[0]` is that node's owed health probe, won by this
     /// operation: an inconclusive attempt hands the debt back.
     probe: bool,
-    /// `Busy` rejections at the current node so far.
-    busy: u32,
     /// The recorded invocation. It stays with the operation from node to
     /// node: a retry never opens a second recorded operation.
     inv: Option<OpId>,
@@ -274,18 +264,17 @@ struct Flight<'a> {
     routed: Vec<(RegisterId, usize)>,
     /// Chunk `c` — one register operation, or behind the barrier one
     /// key's few — carries the inputs `routed[cuts[c]..cuts[c + 1]]`, all
-    /// of one register. The runner admits ONE op per register at a time
-    /// (§III-A per-register sequentiality), so a register's chunks run
-    /// one after the other: chunk `c + 1` starts when `c` ends, if it is
-    /// on the same register — queueing client-side instead of eating
-    /// self-inflicted `Busy` rejections.
+    /// of one register. A register's chunks run one after the other, in
+    /// input order (§III-A per-register sequentiality): chunk `c + 1`
+    /// starts when `c` ends, if it is on the same register — whichever
+    /// node either of them ends up on.
     cuts: Vec<usize>,
     /// The chunks with an operation in flight: tickets, with their
     /// bookkeeping in a twin vector (so the ticket slice feeds `wait_any`
     /// directly).
     tickets: Vec<Ticket>,
     pending: Vec<Active>,
-    /// The chunks waiting out a deadline (`Busy` backoff, seal poll).
+    /// The chunks waiting out a seal poll's deadline.
     parked: Vec<(Duration, Active)>,
     /// Inputs for the next wave: the map moved under them.
     next: Vec<usize>,
@@ -323,12 +312,9 @@ pub struct KvOpStats {
     pub barrier_polls: u64,
     /// Shard-map refreshes from the config register.
     pub map_refreshes: u64,
-    /// Failed node attempts that made an operation retry — `Busy`
-    /// re-tries on one node plus failover hops to the next.
+    /// Failed node attempts that made an operation retry: failover hops
+    /// to the next node.
     pub retries: u64,
-    /// Total microseconds operations waited out in `Busy` backoff (see
-    /// `kv.backoff_micros`).
-    pub backoff_micros: u64,
     /// Register reads answered in **zero rounds**: the node the read
     /// went to (its register's home, unless that is down) held a live tag
     /// lease and served its value without asking anyone — one hop from
@@ -714,7 +700,6 @@ impl KvClient {
             barrier_polls: self.obs.barrier_polls.get(),
             map_refreshes: self.obs.map_refreshes.get(),
             retries: self.obs.retries.get(),
-            backoff_micros: self.obs.backoff_micros.get(),
             lease_hits: self.obs.lease_hits.get(),
             lease_revocations: 0,
         }
@@ -755,20 +740,6 @@ impl KvClient {
     fn record_write(&self, rounds: u32) {
         self.obs.writes.inc();
         self.obs.write_rounds.add(u64::from(rounds));
-    }
-
-    /// How long an operation waits before `Busy` retry `attempt`
-    /// (1-based): bounded exponential backoff with jitter — base 50 µs
-    /// doubling to a 2 ms ceiling, the actual wait drawn uniformly from
-    /// `[cap/2, cap]`. The jitter is what prevents livelock under
-    /// contention — two clients Busy-bouncing on one register with
-    /// deterministic waits would stay phase-locked and collide on every
-    /// retry.
-    fn busy_delay(&self, attempt: u32) -> Duration {
-        let cap = (50u64 << attempt.min(6).saturating_sub(1)).min(2_000);
-        let wait = self.world.jitter(cap / 2, cap);
-        self.obs.backoff_micros.add(wait);
-        Duration::from_micros(wait)
     }
 
     /// The current cached shard map (shared with clones).
@@ -1212,10 +1183,10 @@ impl KvClient {
     ///
     /// A key behind the migration barrier ([`ShardMap::is_barriered`]) is a
     /// read of its own, old home then new home. A read whose node fails
-    /// (down, timeout, `Busy` past its retries) moves to the register's
-    /// next node as the same operation; a key the round's payload cannot
-    /// answer (absent under a foreign epoch stamp) is read again under
-    /// the refreshed map.
+    /// (down, timeout, a refusal) moves to the register's next node as
+    /// the same operation; a key the round's payload cannot answer
+    /// (absent under a foreign epoch stamp) is read again under the
+    /// refreshed map.
     ///
     /// Failover state is shared through the [`HealthMemory`]: the first
     /// read to time out on a wedged node marks it, and the other reads
@@ -1663,7 +1634,6 @@ impl<'a> Flight<'a> {
             order: Vec::new(),
             at: 0,
             probe: false,
-            busy: 0,
             inv: None,
             ambiguous: false,
             last_err: None,
@@ -1680,7 +1650,7 @@ impl<'a> Flight<'a> {
     fn submit<K: AsRef<str>>(&mut self, batch: &mut Batch<'_, K>, mut op: Active) {
         let kv = self.kv;
         loop {
-            // Checked before *every* send, `Busy` retries and seal polls
+            // Checked before *every* send, failovers and seal polls
             // included: a send's effect lands within moments of it, so
             // the check bounds how stale a landed write can be — without
             // it, a write stalled behind a dead node's patience window
@@ -1737,35 +1707,25 @@ impl<'a> Flight<'a> {
         self.kv.obs.retries.inc();
         op.last_err = Some(e);
         op.at += 1;
-        op.busy = 0;
         op.probe = false;
     }
 
-    /// The attempt of `op` at its current node failed with `e`: a `Busy`
-    /// node is retried after a backoff deadline; any other failure — and
-    /// a node that stays `Busy` — moves the same operation to the next
-    /// node of its rotation.
+    /// The attempt of `op` at its current node failed with `e`: the same
+    /// operation moves to the next node of its rotation.
     fn node_failed<K: AsRef<str>>(
         &mut self,
         batch: &mut Batch<'_, K>,
         mut op: Active,
         e: ClientError,
     ) {
-        let kv = self.kv;
-        let node = op.order[op.at];
         match e {
-            ClientError::Busy if op.busy < BUSY_RETRIES => {
-                op.busy += 1;
-                kv.obs.retries.inc();
-                let due = kv.world.now() + kv.busy_delay(op.busy);
-                return self.parked.push((due, op));
-            }
             ClientError::TimedOut | ClientError::ProcessDown => {
-                kv.health.mark(node);
+                self.kv.health.mark(op.order[op.at]);
                 op.ambiguous = true;
             }
-            // Inconclusive probe (`Busy` exhaustion): the node still owes
-            // one.
+            // A refusal (the register automaton's own `Busy`, which a node
+            // that queues per register never provokes): an inconclusive
+            // probe, so the node still owes one.
             _ => self.release_probe(&mut op),
         }
         self.next_node(&mut op, e);
@@ -1838,7 +1798,7 @@ impl<'a> Flight<'a> {
         }
         // The chunk's next register operation is a new one: a fresh
         // rotation, and nothing of it has been attempted yet.
-        (op.at, op.busy, op.probe, op.ambiguous) = (0, 0, false, false);
+        (op.at, op.probe, op.ambiguous) = (0, false, false);
         op.order.clear();
         match next {
             Next::Park(wait) => self.parked.push((self.kv.world.now() + wait, op)),
@@ -2152,12 +2112,11 @@ mod tests {
     }
 
     #[test]
-    fn contended_register_makes_progress_without_livelock() {
+    fn contended_register_makes_progress_without_retries() {
         // Eight writers hammering ONE key through one node family: the
-        // jittered exponential backoff must decorrelate their Busy
-        // retries so every writer completes a burst well inside the
-        // test budget (phase-locked retries would starve some writer
-        // past its busy_retries cap and fail the put).
+        // node queues each put behind the one its register is serving, so
+        // every writer completes its burst, none is ever refused and no
+        // operation moves off its node.
         let (mut cluster, kv) = cluster_client(1);
         let done: Vec<Result<(), KvError>> = std::thread::scope(|scope| {
             (0..8u8)
@@ -2179,15 +2138,9 @@ mod tests {
             outcome.expect("every contended writer must finish its burst");
         }
         let stats = kv.stats();
-        assert_eq!(stats.writes, 80);
-        // The backoff accounting is exported: every Busy retry slept and
-        // was counted (a contention-free run legitimately reports 0/0).
-        assert_eq!(
-            stats.backoff_micros > 0,
-            stats.retries > 0,
-            "retries and backoff accounting must move together: {stats:?}"
-        );
-        assert!(kv.get("hot").unwrap().is_some());
+        assert_eq!((stats.writes, stats.retries), (80, 0), "{stats:?}");
+        let last = kv.get("hot").unwrap().expect("written");
+        assert_eq!(last[1], 9, "some writer's last put owns the cell");
         cluster.shutdown();
     }
 
@@ -2244,78 +2197,6 @@ mod tests {
         let mut tiny = routed;
         assert_eq!(puts.cut(&mut tiny, Some(1), open), [0, 1, 2, 3, 4, 5]);
         assert_eq!(puts.cut(&mut Vec::new(), None, open), [0]);
-    }
-
-    /// Every reply recorded on `reg`, in order.
-    fn replies_on(recorder: &OpRecorder, reg: RegisterId) -> Vec<OpResult> {
-        let history = recorder.history().restrict_to_register(reg);
-        let replies = history.events().iter().filter_map(|e| match e {
-            rmem_consistency::Event::Reply { result, .. } => Some(result.clone()),
-            _ => None,
-        });
-        replies.collect()
-    }
-
-    /// `Busy` is a deadline, not a second engine — scripted over two
-    /// chunks of one register: the first comes back `Busy` (another
-    /// client held the register). The **same** chunk is re-armed on the
-    /// same node behind a backoff deadline, and the second is NOT
-    /// submitted meanwhile — it would land first and the call would
-    /// finish with an earlier chunk owning the cell.
-    #[test]
-    fn a_busy_chunk_is_rearmed_on_its_node_and_keeps_its_register() {
-        let dir = std::env::temp_dir().join(format!("rmem-kv-chunks-{}", std::process::id()));
-        let mut cluster =
-            LocalCluster::udp(3, SharedMemory::factory(Transient::flavor()), &dir).unwrap();
-        let recorder = OpRecorder::new();
-        let kv = KvClient::new(cluster.clients(), ShardRouter::new(1))
-            .unwrap()
-            .with_recorder(recorder.clone());
-        kv.sync_map().unwrap();
-        // Any two 30 KB entries fit a 64 KB datagram, three do not.
-        let entries: Vec<(String, Bytes)> = (0..3u8)
-            .map(|i| (format!("big{i}"), Bytes::from(vec![i; 30_000])))
-            .collect();
-        let mut batch = Batch::Puts(&entries, None);
-        let mut flight = Flight::new(&kv);
-        flight.launch(&mut batch, &[0, 1, 2]);
-        assert_eq!(flight.cuts, [0, 2, 3]);
-        assert_eq!(flight.pending.len(), 1, "one op in flight per register");
-        let node = flight.pending[0].order[0];
-        // Let the real completion arrive, then script `Busy` in its place.
-        let soon = kv.world.now() + Duration::from_secs(10);
-        let (pos, _) = kv
-            .world
-            .wait_any(&flight.tickets, soon)
-            .expect("the write completes");
-        let scripted = kv.world.now();
-        flight.settle(&mut batch, pos, Err(ClientError::Busy));
-        assert!(
-            flight.pending.is_empty(),
-            "neither the chunk nor its register's next is submitted before the deadline"
-        );
-        let [(due, op)] = &flight.parked[..] else {
-            panic!("the refused chunk must be parked");
-        };
-        assert!(*due > scripted, "behind a backoff deadline");
-        assert_eq!((op.chunk, op.order[op.at], op.busy), (0, node, 1));
-        assert!(op.inv.is_some(), "under the invocation it already carries");
-        flight.drain(&mut batch);
-        assert!(flight.first_err.is_none() && flight.next.is_empty());
-        // One recorded operation per chunk: the retry was the same one.
-        let reg = kv.shard_map().register_for("big0");
-        let written = OpResult::Written;
-        assert_eq!(replies_on(&recorder, reg), [written.clone(), written]);
-        assert_eq!(
-            kv.get("big2").unwrap().as_deref(),
-            Some([2u8; 30_000].as_ref()),
-            "the last input owns the cell"
-        );
-        let stats = kv.stats();
-        assert_eq!(stats.retries, 1, "the scripted Busy is counted");
-        assert!(stats.backoff_micros > 0);
-        cluster.shutdown();
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Failover keeps the invocation: a coalesced read (and a lone one)

@@ -158,9 +158,8 @@ impl HealthMemory {
     }
 
     /// Hands a won probe back (the probe operation never conclusively
-    /// exercised the node — e.g. a client-side refusal or Busy
-    /// exhaustion): the node owes a probe again and another caller may
-    /// win it.
+    /// exercised the node — e.g. a client-side or automaton refusal): the
+    /// node owes a probe again and another caller may win it.
     pub fn reopen_probe(&self, node: usize) {
         let _ = self.probe[node].compare_exchange(
             PROBE_IN_FLIGHT,

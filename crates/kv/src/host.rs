@@ -7,9 +7,10 @@
 //! [`Simulation`]: nodes are simulated processes, time is virtual, and
 //! every effect of every client ([`crate::seam`]) is served from the
 //! simulator's port. A submission is an invocation at the node's process
-//! *now*; a `Busy` register comes back as a completion, as the real runner
-//! delivers it; a node crashing under an operation settles it `ProcessDown`;
-//! `with_op_timeout` is virtual patience; tickets are [`InFlightTable`]'s.
+//! *now* — behind the one its register is serving, it waits its turn, as
+//! at the real runner; a node crashing under an operation, or with it
+//! still waiting, settles it `ProcessDown`; `with_op_timeout` is virtual
+//! patience; tickets are [`InFlightTable`]'s.
 //!
 //! # One runs at a time
 //!
@@ -24,9 +25,9 @@
 //!
 //! So a hosted run is **a function of its seed**: no two threads ever
 //! race, the choice of the next script depends on nothing but the
-//! simulator's state and the scripts' own past calls, and all randomness —
-//! network and disk in the simulator, `Busy` jitter here — is seeded. Same
-//! seed, same scripts: the same history, event for event.
+//! simulator's state and the scripts' own past calls, and the only
+//! randomness — network and disk, in the simulator — is seeded. Same seed,
+//! same scripts: the same history, event for event.
 //!
 //! # Why threads, not a rewritten driver
 //!
@@ -46,8 +47,6 @@ use std::thread::Thread;
 use std::time::Duration;
 
 use bytes::BytesMut;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use rmem_net::pipeline::{AnyCompletion, Claimed, InFlightTable, Routed};
 use rmem_net::{ClientError, Ticket};
 use rmem_sim::{Invoked, SimReport, Simulation, VirtualTime};
@@ -71,7 +70,6 @@ struct State {
     table: InFlightTable,
     /// The ticket tokens of the operations the simulator holds for us.
     tokens: HashMap<OpId, u64>,
-    jitter: StdRng,
     /// The script holding the baton: every seam call is its.
     running: usize,
     /// Per script: what it sleeps on (`None` while it runs, and once it
@@ -96,12 +94,11 @@ impl std::fmt::Debug for Host {
 /// Runs scripts to their ends over `sim` (not yet started; attach its
 /// schedule and faults first) and returns the simulator's report. `setup`
 /// is handed the world and returns the scripts, so it can build clients —
-/// independent families, or clones of one — and move them in; `seed`
-/// feeds the clients' jitter. Panics if a script does, or if the simulator
-/// hits its time or event limit with a script still waiting.
+/// independent families, or clones of one — and move them in. Panics if a
+/// script does, or if the simulator hits its time or event limit with a
+/// script still waiting.
 pub fn run_hosted<'s>(
     mut sim: Simulation,
-    seed: u64,
     setup: impl FnOnce(Arc<dyn World>) -> Vec<Script<'s>>,
 ) -> SimReport {
     sim.start();
@@ -110,7 +107,6 @@ pub fn run_hosted<'s>(
             sim,
             table: InFlightTable::new(),
             tokens: HashMap::new(),
-            jitter: StdRng::seed_from_u64(seed),
             running: usize::MAX,
             parked: Vec::new(),
             threads: Vec::new(),
@@ -227,19 +223,14 @@ impl World for Host {
         match st.sim.invoke(ProcessId(node as u16), op) {
             Invoked::Accepted(id) => {
                 st.tokens.insert(id, ticket.token());
-            }
-            // Refused the way the runner refuses: with a completion.
-            Invoked::Busy => {
-                let refused = OpResult::Rejected(RejectReason::Busy);
-                st.table.route(ticket.token(), refused, 0, None);
+                Ok(ticket)
             }
             // The node's event loop is gone: nothing was sent.
             Invoked::Down => {
                 st.table.cancel(ticket);
-                return Err(ClientError::ProcessDown);
+                Err(ClientError::ProcessDown)
             }
         }
-        Ok(ticket)
     }
 
     fn submit_write_with(
@@ -287,9 +278,5 @@ impl World for Host {
 
     fn now(&self) -> Duration {
         Duration::from_micros(self.lock().sim.now().as_micros())
-    }
-
-    fn jitter(&self, lo: u64, hi: u64) -> u64 {
-        self.lock().jitter.gen_range(lo..=hi)
     }
 }

@@ -20,7 +20,7 @@
 //!   one driver keeping every shard's operation in flight at once from
 //!   the calling thread ([`client`]).
 //! * [`seam`] — everything that driver asks of the outside (submit, wait,
-//!   cancel, the time, a jitter draw), as the one trait [`World`]. The
+//!   cancel, the time), as the one trait [`World`]. The
 //!   real runtime (`rmem-net`) is one implementation,
 //!   [`KvClient::new`]; [`host`] is the other: [`run_hosted`] runs the
 //!   same clients, unmodified, inside a seeded `rmem-sim` run — virtual
@@ -57,7 +57,7 @@
 //!     .at(4_000, PlannedEvent::Recover(ProcessId(1)));
 //! let memory = SharedMemory::factory(Persistent::flavor());
 //! let sim = Simulation::new(ClusterConfig::new(3), memory, 7).with_schedule(schedule);
-//! let report = run_hosted(sim, 7, |world| {
+//! let report = run_hosted(sim, |world| {
 //!     let client = |c: u8| {
 //!         let kv = KvClient::over(world.clone(), router).with_recorder(recorder.clone());
 //!         let keys = &keys;

@@ -6,19 +6,20 @@
 //! [`World`]: **submit** a register operation at a node (a write also
 //! encoded in place), **wait** for any of a list of tickets until a
 //! deadline, **cancel** one, the two facts it asks its transport (node
-//! count, largest value), the **time** and one **jitter** draw.
+//! count, largest value) and the **time**.
 //!
-//! The clock and the jitter are effects like the rest, not conveniences:
-//! backoff deadlines, barrier polls, patience, health-mark decay and
-//! latency laps all read time, and `Busy` backoff draws randomness. A client reading `Instant::now()` or a thread-local
-//! generator for any of them would differ from run to run with every
-//! message delivered in the same order, and could not run in virtual time
-//! at all. Behind the seam, a run of the client is a function of what its
-//! world answers.
+//! The clock is an effect like the rest, not a convenience: barrier
+//! polls, patience, health-mark decay and latency laps all read time. A
+//! client reading `Instant::now()` for any of them would differ from run
+//! to run with every message delivered in the same order, and could not
+//! run in virtual time at all. The world has no randomness effect: the
+//! client draws none (a busy register queues its next operation at the
+//! node, so nothing backs off). Behind the seam, a run of the client is a
+//! function of what its world answers.
 //!
 //! Two implementations exist: `Wire`, the real runtime (`rmem-net`'s
-//! pipelined reactor, the monotonic clock, a generator per thread), and
-//! [`crate::host`]: the same client, unmodified, in a seeded simulation.
+//! pipelined reactor and the monotonic clock), and [`crate::host`]: the
+//! same client, unmodified, in a seeded simulation.
 
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -55,8 +56,8 @@ pub trait World: Send + Sync + std::fmt::Debug {
 
     /// Blocks until one of `tickets` completes — its index in the list and
     /// its settled result; the others stay in flight — or the clock
-    /// reaches `until` (`None`; nothing is cancelled). A node that refuses
-    /// an operation (`Busy`) or dies under it settles the ticket with that
+    /// reaches `until` (`None`; nothing is cancelled). A node that dies
+    /// under an operation — or refuses it — settles the ticket with that
     /// error.
     fn wait_any(&self, tickets: &[Ticket], until: Duration) -> Option<AnyCompletion>;
 
@@ -66,9 +67,6 @@ pub trait World: Send + Sync + std::fmt::Debug {
 
     /// The time.
     fn now(&self) -> Duration;
-
-    /// One uniform draw from `lo..=hi`.
-    fn jitter(&self, lo: u64, hi: u64) -> u64;
 }
 
 /// The origin of every [`Wire`]'s clock: one per process, so a client
@@ -132,23 +130,5 @@ impl World for Wire {
 
     fn now(&self) -> Duration {
         origin().elapsed()
-    }
-
-    fn jitter(&self, lo: u64, hi: u64) -> u64 {
-        use rand::{Rng, SeedableRng};
-        use std::sync::atomic::{AtomicU64, Ordering};
-        // Each thread draws from its own stream (seeded off a global
-        // counter): contending threads decorrelate instead of sharing a
-        // sequence.
-        static NEXT_SEED: AtomicU64 = AtomicU64::new(1);
-        thread_local! {
-            static JITTER: std::cell::RefCell<rand::rngs::StdRng> =
-                std::cell::RefCell::new(rand::rngs::StdRng::seed_from_u64(
-                    NEXT_SEED
-                        .fetch_add(1, Ordering::Relaxed)
-                        .wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                ));
-        }
-        JITTER.with(|rng| rng.borrow_mut().gen_range(lo..=hi))
     }
 }

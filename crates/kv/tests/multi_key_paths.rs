@@ -430,9 +430,9 @@ fn a_call_every_node_fails_records_one_crash() {
     let puts = [(k[0], value(1)), (k[1], value(2)), (k[1], value(3))];
     failed(kv.multi_put(&puts), 1, 2);
     failed(kv.multi_get(&[k[2], k[3], k[3]]).map(drop), 2, 4);
-    // Behind the writes the surviving node still holds, the reads are
-    // refused (`Busy`), not lost: nothing pending, no crash.
-    failed(kv.multi_get(&[k[0], k[1], k[1]]).map(drop), 2, 4);
+    // Behind the writes the surviving node still holds, the reads wait
+    // their turn there — and time out like them: pending, one more crash.
+    failed(kv.multi_get(&[k[0], k[1], k[1]]).map(drop), 3, 6);
     certify_per_key_epoch_path(
         &recorder.history(),
         k.iter().copied(),
@@ -447,6 +447,6 @@ fn a_call_every_node_fails_records_one_crash() {
         .find(|key| router.shard_of(key) == router.shard_of(k[5]))
         .unwrap();
     let puts = [(k[4], value(4)), (k[5], value(5)), (&twin, value(6))];
-    failed(kv.multi_put(&puts), 3, 6);
+    failed(kv.multi_put(&puts), 4, 8);
     cluster.shutdown();
 }

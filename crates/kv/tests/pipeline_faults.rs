@@ -23,7 +23,7 @@ use rand::{Rng, SeedableRng};
 use rmem_consistency::Criterion;
 use rmem_core::{SharedMemory, Transient};
 use rmem_kv::{certify_per_key_epoch_path, KvClient, KvError, OpRecorder, ShardRouter};
-use rmem_net::{ClientError, FaultSchedule, LocalCluster, PipelinedClient};
+use rmem_net::{FaultSchedule, LocalCluster, PipelinedClient};
 use rmem_types::{OpResult, ProcessId, RegisterId, Value};
 
 const SHARDS: u16 = 8;
@@ -61,22 +61,12 @@ fn cancelled_op_reclaims_slot_and_drops_late_ack() {
 
     // The abandoned write still executed server-side: the cancel
     // abandoned the *claim*, not the quorum op. This read targets the
-    // same node and register; the runner does not queue behind an
-    // in-flight op, it rejects with `Busy`, so retry until the write has
-    // left the op table. The read accepted then follows the write's
-    // completion — by the time it settles, the zombie ack has been
-    // drained and must have been counted late, not delivered anywhere.
-    let mut attempts = 0;
-    let (result, _) = loop {
-        let check = fan.submit_read(0, RegisterId(0)).unwrap();
-        match fan.wait(check) {
-            Err(ClientError::Busy) if attempts < 1_000 => {
-                attempts += 1;
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            settled => break settled.expect("the check read must complete"),
-        }
-    };
+    // same node and register, so the runner queues it behind the write
+    // and it follows the write's completion — by the time it settles, the
+    // zombie ack has been drained and must have been counted late, not
+    // delivered anywhere.
+    let check = fan.submit_read(0, RegisterId(0)).unwrap();
+    let (result, _) = fan.wait(check).expect("the check read must complete");
     assert_eq!(result, OpResult::ReadValue(Value::from_u32(7)));
     assert_eq!(
         fan.late_acks(),

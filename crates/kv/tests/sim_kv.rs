@@ -16,9 +16,10 @@ use rmem_kv::{
     certify_per_key_epoch_path, check_store_exactly_once, run_hosted, KvClient, KvError, KvOpStats,
     OpRecorder, Resolution, Script, ShardRouter, World,
 };
+use rmem_net::ClientError;
 use rmem_sim::{ClusterConfig, KeyDistribution, PlannedEvent, Schedule, SimReport, Simulation};
 use rmem_storage::{IntentJournal, MemStorage};
-use rmem_types::{Op, OpKind, OpResult, ProcessId};
+use rmem_types::{Op, OpKind, OpResult, ProcessId, RegisterId, Value};
 
 const NODES: usize = 3;
 
@@ -98,7 +99,7 @@ impl Load {
         let recorder = OpRecorder::new();
         let mut families = Vec::new();
         let sim = sim(self.flavor, self.seed, self.schedule.clone());
-        let report = run_hosted(sim, self.seed, |world| {
+        let report = run_hosted(sim, |world| {
             for _ in 0..self.clients {
                 let kv = KvClient::over(world.clone(), router);
                 families.push(kv.with_recorder(recorder.clone()));
@@ -165,7 +166,7 @@ fn store_runs_certify_per_key_with_and_without_a_crash() {
             (11, Some((8_000, 1, 4_000))),
             (1, Some((5_000, 1, 3_000))),
             (2, Some((9_000, 2, 3_000))),
-            (3, Some((14_000, 0, 3_000))),
+            (3, Some((10_000, 0, 2_000))),
         ] {
             for (batch, calls) in [(1, 24), (8, 4)] {
                 let what = format!("{} seed {seed} crash {crash:?} batch {batch}", flavor.name);
@@ -196,9 +197,9 @@ fn store_runs_certify_per_key_with_and_without_a_crash() {
     }
 }
 
-/// Uniform and Zipf traffic both complete every call of a crash-free run
-/// (the `Busy` rejections of clients racing a register are retried, never
-/// surfaced), and the retries are counted.
+/// Uniform and Zipf traffic both complete every call of a crash-free run,
+/// and not one operation is retried: clients racing a register through
+/// one node wait their turn there.
 #[test]
 fn every_call_of_a_crash_free_run_completes() {
     for zipf in [0.0, 0.99] {
@@ -215,9 +216,11 @@ fn every_call_of_a_crash_free_run_completes() {
         let served = run.report.trace.operations();
         assert_eq!(served.iter().filter(|o| o.is_completed()).count(), 64);
         let retries: u64 = run.stats.iter().map(|s| s.retries).sum();
-        assert_eq!(
-            retries, run.report.trace.invokes_dropped,
-            "all of them `Busy`"
+        assert_eq!(retries, 0, "zipf {zipf}");
+        assert_eq!(run.report.trace.invokes_dropped, 0, "zipf {zipf}");
+        assert!(
+            run.report.trace.invokes_queued > 0,
+            "zipf {zipf}: contended"
         );
     }
 }
@@ -238,7 +241,7 @@ fn a_multi_key_call_is_one_register_operation_per_register() {
         .zip(&keys)
         .map(|(i, k)| (&**k, unique(0, i)))
         .collect();
-    let report = run_hosted(sim(Transient::flavor(), 9, Schedule::new()), 9, |world| {
+    let report = run_hosted(sim(Transient::flavor(), 9, Schedule::new()), |world| {
         let kv = KvClient::over(world, router);
         let (keys, entries) = (&keys, &entries);
         vec![Box::new(move || {
@@ -296,16 +299,18 @@ fn a_hosted_run_is_a_function_of_its_seed() {
             run.report.events_processed,
             run.report.final_time,
             run.stats,
+            run.report.trace.invokes_queued,
         )
     };
     let (first, again, other) = (run(42), run(42), run(43));
     assert_eq!(first.1, again.1, "events processed");
     assert_eq!(first.2, again.2, "final time");
     assert_eq!(first.3, again.3, "client statistics");
-    assert!(
-        first.3.iter().any(|s| s.retries > 0),
-        "contention is part of it"
+    assert_eq!(
+        first.4, again.4,
+        "invocations that waited on their register"
     );
+    assert!(first.4 > 0, "contention is part of it");
     assert!(first.0 == again.0, "the recorded histories differ");
     assert!(
         first.0 != other.0 && first.1 != other.1,
@@ -329,7 +334,7 @@ fn grow_under_traffic(seed: u64) -> KvOpStats {
     let recorder = OpRecorder::new();
     let mut family = None;
     let sim = sim(Transient::flavor(), seed, outage(kill_at, victim, down_for));
-    run_hosted(sim, seed, |world| {
+    run_hosted(sim, |world| {
         let kv = KvClient::over(world.clone(), ShardRouter::new(4))
             .with_barrier_polls(4_096)
             .with_recorder(recorder.clone());
@@ -423,39 +428,34 @@ fn independent_families_certify_across_another_familys_split() {
 fn independent_families(seed: u64) {
     let keys = ShardRouter::new(4).covering_keys("key-");
     let recorder = OpRecorder::new();
-    run_hosted(
-        sim(Transient::flavor(), seed, Schedule::new()),
-        seed,
-        |world| {
-            let family = || {
-                KvClient::over(world.clone(), ShardRouter::new(4)).with_recorder(recorder.clone())
-            };
-            let keys = &keys;
-            let grower = {
-                let (kv, world) = (family(), world.clone());
-                Box::new(move || {
-                    pause(&*world, 4_000);
-                    kv.grow(8).unwrap();
-                }) as Script
-            };
-            let traffic = |t: u64| {
-                let (kv, world) = (family(), world.clone());
-                let mut rng = StdRng::seed_from_u64(seed * 31 + t);
-                Box::new(move || {
-                    let dist = KeyDistribution::zipf(keys.len(), 0.99);
-                    for counter in 0..30 {
-                        let key = &keys[dist.sample(&mut rng)];
-                        match rng.gen_bool(0.5) {
-                            true => kv.put(key, unique(t, counter)).unwrap(),
-                            false => drop(kv.get(key).unwrap()),
-                        }
-                        pause(&*world, rng.gen_range(0..300));
+    run_hosted(sim(Transient::flavor(), seed, Schedule::new()), |world| {
+        let family =
+            || KvClient::over(world.clone(), ShardRouter::new(4)).with_recorder(recorder.clone());
+        let keys = &keys;
+        let grower = {
+            let (kv, world) = (family(), world.clone());
+            Box::new(move || {
+                pause(&*world, 4_000);
+                kv.grow(8).unwrap();
+            }) as Script
+        };
+        let traffic = |t: u64| {
+            let (kv, world) = (family(), world.clone());
+            let mut rng = StdRng::seed_from_u64(seed * 31 + t);
+            Box::new(move || {
+                let dist = KeyDistribution::zipf(keys.len(), 0.99);
+                for counter in 0..30 {
+                    let key = &keys[dist.sample(&mut rng)];
+                    match rng.gen_bool(0.5) {
+                        true => kv.put(key, unique(t, counter)).unwrap(),
+                        false => drop(kv.get(key).unwrap()),
                     }
-                }) as Script
-            };
-            std::iter::once(grower).chain((0..3).map(traffic)).collect()
-        },
-    );
+                    pause(&*world, rng.gen_range(0..300));
+                }
+            }) as Script
+        };
+        std::iter::once(grower).chain((0..3).map(traffic)).collect()
+    });
     let what = format!("independent families, seed {seed}");
     certify(
         &recorder.history(),
@@ -479,7 +479,7 @@ fn a_node_crash_mid_multi_put_fails_over_under_the_same_invocation() {
     // The call goes out at 5 000 µs; a persistent write takes ≈ 800.
     let schedule = outage(5_100, 1, 4_000);
     let mut family = None;
-    let report = run_hosted(sim(Persistent::flavor(), 6, schedule), 6, |world| {
+    let report = run_hosted(sim(Persistent::flavor(), 6, schedule), |world| {
         let kv = KvClient::over(world.clone(), router).with_recorder(recorder.clone());
         let (kv, keys) = (family.insert(kv).clone(), &keys);
         vec![Box::new(move || {
@@ -519,6 +519,36 @@ fn a_node_crash_mid_multi_put_fails_over_under_the_same_invocation() {
     certify(&history, &keys, &[4], Criterion::Persistent, "failover");
 }
 
+/// An invocation queued behind another on its register is lost with its
+/// node's crash: both tickets settle `ProcessDown` at the crash, and the
+/// queued one never begins — not before the crash, not after the node
+/// recovers.
+#[test]
+fn a_queued_invocation_is_lost_with_its_node() {
+    let reg = RegisterId(5);
+    // Both go out at 0 µs; a persistent write takes ≈ 800.
+    let schedule = outage(300, 0, 2_000);
+    let report = run_hosted(sim(Persistent::flavor(), 8, schedule), |world| {
+        vec![Box::new(move || {
+            let write = world.submit(0, Op::WriteAt(reg, Value::from_u32(1)));
+            let read = world.submit(0, Op::ReadAt(reg));
+            let patience = world.now() + Duration::from_secs(1);
+            for ticket in [write.unwrap(), read.unwrap()] {
+                let (_, settled) = world.wait_any(&[ticket], patience).unwrap();
+                assert!(matches!(settled, Err(ClientError::ProcessDown)));
+                assert_eq!(world.now(), Duration::from_micros(300), "at the crash");
+            }
+            pause(&*world, 5_000);
+        }) as Script]
+    });
+    assert_eq!((report.trace.crashes, report.trace.recoveries), (1, 1));
+    let ops = report.trace.operations();
+    assert_eq!(ops.len(), 1, "only the write began: {ops:#?}");
+    assert_eq!(ops[0].operation, Op::WriteAt(reg, Value::from_u32(1)));
+    assert!(!ops[0].is_completed());
+    assert_eq!(report.trace.invokes_queued, 1);
+}
+
 /// Thrifty rounds when a peer dies. Node 0 — home of registers 3 and 6 —
 /// learns a quorum with p1 while p2 cannot reach it, and then p1 crashes
 /// with every link open. The next operation through node 0 asks p0 and p1
@@ -542,7 +572,7 @@ fn a_dead_preferred_peer_costs_its_coordinator_one_retransmission_period() {
         .at(0, PlannedEvent::Block(ProcessId(2), ProcessId(0)))
         .at(10_000, PlannedEvent::Unblock(ProcessId(2), ProcessId(0)))
         .at(10_000, PlannedEvent::Crash(ProcessId(1)));
-    let report = run_hosted(sim(Persistent::flavor(), 4, schedule), 4, |world| {
+    let report = run_hosted(sim(Persistent::flavor(), 4, schedule), |world| {
         let kv = KvClient::over(world.clone(), router);
         vec![Box::new(move || {
             let timed = |call: &dyn Fn()| {
@@ -617,7 +647,7 @@ fn leased_reads_of_hosted_clients_are_never_stale() {
         // (key index, op) from every client, on the run's one clock.
         let log = Mutex::new(Vec::<(usize, FreshnessOp)>::new());
         let flavor = Persistent::flavor().with_lease(LEASE_MICROS);
-        let report = run_hosted(sim(flavor, seed, Schedule::new()), seed, |world| {
+        let report = run_hosted(sim(flavor, seed, Schedule::new()), |world| {
             let client = || {
                 KvClient::over(world.clone(), ShardRouter::new(4)).with_recorder(recorder.clone())
             };
@@ -733,7 +763,7 @@ fn an_exactly_once_put_whose_nodes_die_mid_round_resolves() {
             .at(crash_at, PlannedEvent::Crash(ProcessId(2)))
             .at(crash_at + 6_000, PlannedEvent::Recover(ProcessId(1)))
             .at(crash_at + 6_000, PlannedEvent::Recover(ProcessId(2)));
-        run_hosted(sim(Persistent::flavor(), seed, schedule), seed, |world| {
+        run_hosted(sim(Persistent::flavor(), seed, schedule), |world| {
             let journal = IntentJournal::with_storage(Box::new(MemStorage::new())).unwrap();
             let kv = KvClient::over(world.clone(), router)
                 .with_op_timeout(Duration::from_millis(2))

@@ -66,9 +66,11 @@ impl std::error::Error for NetError {
 /// A client-visible operation failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClientError {
-    /// The register this operation addresses already has an operation in
-    /// flight at this process (per-register sequentiality; operations on
-    /// *distinct* registers proceed concurrently through one runner).
+    /// The register automaton refused the operation because one is already
+    /// in flight on its register — a defensive refusal the runner never
+    /// provokes: it queues a second operation on a register behind the
+    /// first (per-register sequentiality; operations on *distinct*
+    /// registers proceed concurrently through one runner).
     Busy,
     /// The runner was shut down (or killed to simulate a crash) before the
     /// operation completed.

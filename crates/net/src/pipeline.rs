@@ -633,11 +633,12 @@ impl Pipeline {
 /// [`PipelinedClient::fan`] (one reactor spanning several nodes' control
 /// channels, each addressed by its index).
 ///
-/// Per-register sequentiality still holds at the *runner*: two in-flight
-/// operations on the same register of the same node get one `Busy`
-/// rejection (exactly as two blocking clients racing would). Pipelining
-/// buys concurrency across registers and nodes, which is how the kv
-/// layer uses it — one submission per shard queue at a time.
+/// Per-register sequentiality still holds at the *runner*: of two
+/// in-flight operations on the same register of the same node, the later
+/// waits there until the earlier completes, in submission order (exactly
+/// as two blocking clients racing would). Pipelining buys concurrency
+/// across registers and nodes, which is how the kv layer uses it — one
+/// submission per shard queue at a time.
 pub struct PipelinedClient {
     pipe: Arc<Pipeline>,
     timeout: Duration,
@@ -753,10 +754,10 @@ impl PipelinedClient {
     ///
     /// # Errors
     ///
-    /// [`ClientError::Busy`] if the runner rejected the op (another op
-    /// was in flight on the same register of that node),
     /// [`ClientError::ProcessDown`] if the node halted with the op
-    /// pending, [`ClientError::TimedOut`] as its name says.
+    /// pending (in flight, or waiting its turn on its register),
+    /// [`ClientError::TimedOut`] as its name says, [`ClientError::Busy`]
+    /// if the register automaton refused it.
     pub fn wait(&self, ticket: Ticket) -> Result<Settled, ClientError> {
         self.pipe.wait(ticket, self.timeout, self.trace.as_deref())
     }

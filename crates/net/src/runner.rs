@@ -17,7 +17,7 @@
 //! [`ProcessRunner::store_failures`] / [`ProcessRunner::is_halted`].
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -237,23 +237,14 @@ impl ReqTraces {
     }
 }
 
-/// The runner's **operation table**: every client operation currently in
-/// flight at this process, keyed by operation id with a per-register busy
-/// index.
-///
-/// The paper's model (§III-A) makes *each process of the emulation*
-/// sequential — and each register of a shared memory is its own
-/// independent emulation (`rmem_core::SharedMemoryAutomaton` hosts one
-/// register automaton per id, unaware of the others). The table enforces
-/// sequentiality exactly at that granularity: a second operation on a
-/// register with one already in flight is rejected `Busy`, while
-/// operations on distinct registers — independent shards hosted by this
-/// node — proceed concurrently through the one event loop.
-/// What the table remembers per in-flight operation: its register, the
-/// client family's completion channel and the submission's slot token,
-/// when it was admitted (feeds `runner.op_micros`), and the trace
-/// context it arrived under (stamps every flight event the operation
-/// triggers).
+/// A client operation as it arrives: the operation, the client family's
+/// completion channel and the submission's slot token, and the trace
+/// context it arrived under (stamps every flight event it triggers).
+type Invocation = (Op, Sender<Completion>, u64, Option<TraceId>);
+
+/// What the table remembers per in-flight operation: its register, its
+/// caller's channel and token, when it was admitted (feeds
+/// `runner.op_micros`), and its trace context.
 type InFlight = (
     RegisterId,
     Sender<Completion>,
@@ -262,37 +253,43 @@ type InFlight = (
     Option<TraceId>,
 );
 
-/// What [`OpTable::complete`] hands back: the completion channel, the
-/// slot token, the admission time and the trace context.
-type Completed = (Sender<Completion>, u64, Instant, Option<TraceId>);
-
+/// The runner's **operation table**: every client operation currently in
+/// flight at this process, keyed by operation id, and per busy register
+/// the invocations waiting their turn.
+///
+/// The paper's model (§III-A) makes *each process of the emulation*
+/// sequential — and each register of a shared memory is its own
+/// independent emulation (`rmem_core::SharedMemoryAutomaton` hosts one
+/// register automaton per id, unaware of the others). The table enforces
+/// sequentiality exactly at that granularity: an operation on a register
+/// with one in flight waits behind it, in arrival order — unbounded, as
+/// every waiter is a caller blocked on it whose own patience fails it
+/// over — while operations on distinct registers (independent shards
+/// hosted by this node) proceed concurrently through the one event loop.
 #[derive(Default)]
 struct OpTable {
     in_flight: HashMap<OpId, InFlight>,
-    by_register: HashMap<RegisterId, OpId>,
+    /// Per busy register: its operation in flight and who waits behind it.
+    by_register: HashMap<RegisterId, (OpId, VecDeque<Invocation>)>,
 }
 
 impl OpTable {
-    /// Whether `reg` already has an operation in flight.
-    fn is_busy(&self, reg: RegisterId) -> bool {
-        self.by_register.contains_key(&reg)
+    /// Queues `invocation` behind the operation on its register, or hands
+    /// it back to be admitted if the register is free.
+    fn wait(&mut self, invocation: Invocation) -> Option<Invocation> {
+        match self.by_register.get_mut(&invocation.0.register()) {
+            Some((_, waiting)) => waiting.push_back(invocation),
+            None => return Some(invocation),
+        }
+        None
     }
 
-    /// Admits `op` on `reg`. Callers must have checked [`is_busy`] first.
-    ///
-    /// [`is_busy`]: OpTable::is_busy
-    fn admit(
-        &mut self,
-        op: OpId,
-        reg: RegisterId,
-        reply: Sender<Completion>,
-        token: u64,
-        trace: Option<TraceId>,
-    ) {
-        debug_assert!(!self.is_busy(reg), "admitting onto a busy register");
-        self.by_register.insert(reg, op);
-        self.in_flight
-            .insert(op, (reg, reply, token, Instant::now(), trace));
+    /// Admits `op` on its register, which is free or was handed on to it
+    /// by [`complete`](Self::complete).
+    fn admit(&mut self, op: OpId, entry: InFlight) {
+        let slot = self.by_register.entry(entry.0);
+        slot.or_insert_with(|| (op, VecDeque::new())).0 = op;
+        self.in_flight.insert(op, entry);
     }
 
     /// The trace context of the operation in flight on `reg`, if any.
@@ -301,29 +298,44 @@ impl OpTable {
     fn trace_of(&self, reg: RegisterId) -> Option<TraceId> {
         self.by_register
             .get(&reg)
-            .and_then(|op| self.in_flight.get(op))
+            .and_then(|(op, _)| self.in_flight.get(op))
             .and_then(|(_, _, _, _, trace)| *trace)
     }
 
-    /// Completes `op` if it is in flight, returning its completion
-    /// channel, slot token, admission time and trace context.
-    fn complete(&mut self, op: OpId) -> Option<Completed> {
-        let (reg, reply, token, started, trace) = self.in_flight.remove(&op)?;
-        self.by_register.remove(&reg);
-        Some((reply, token, started, trace))
+    /// Completes `op` if it is in flight: what the table remembered of it,
+    /// and the invocation next in line on its register — which keeps the
+    /// register until the caller admits it.
+    fn complete(&mut self, op: OpId) -> Option<(InFlight, Option<Invocation>)> {
+        let done = self.in_flight.remove(&op)?;
+        let next = self
+            .by_register
+            .get_mut(&done.0)
+            .and_then(|(_, w)| w.pop_front());
+        if next.is_none() {
+            self.by_register.remove(&done.0);
+        }
+        Some((done, next))
     }
 
-    /// Fails every in-flight operation with `Rejected(Shutdown)`. Called
-    /// on every event-loop exit path — orderly shutdown and both halt
-    /// flavors — so pipelined waiters learn promptly that their
-    /// emulation will never complete, instead of burning their full
-    /// patience window (the crash-recovery model's "crashed with the
-    /// operation pending").
+    /// How many invocations wait, over every register.
+    fn waiting(&self) -> u64 {
+        self.by_register.values().map(|(_, w)| w.len() as u64).sum()
+    }
+
+    /// Fails every in-flight operation, and every invocation waiting
+    /// behind one, with `Rejected(Shutdown)`. Called on every event-loop
+    /// exit path — orderly shutdown and both halt flavors — so pipelined
+    /// waiters learn promptly that their emulation will never complete,
+    /// instead of burning their full patience window (the crash-recovery
+    /// model's "crashed with the operation pending").
     fn drain_shutdown(&mut self) {
-        for (_op, (_reg, reply, token, _started, _trace)) in self.in_flight.drain() {
-            let _ = reply.send((token, OpResult::Rejected(RejectReason::Shutdown), 0));
+        let shutdown = || OpResult::Rejected(RejectReason::Shutdown);
+        for (_, (_, reply, token, ..)) in self.in_flight.drain() {
+            let _ = reply.send((token, shutdown(), 0));
         }
-        self.by_register.clear();
+        for (_, reply, token, _) in self.by_register.drain().flat_map(|(_, (_, w))| w) {
+            let _ = reply.send((token, shutdown(), 0));
+        }
     }
 }
 
@@ -414,10 +426,10 @@ impl Client {
     /// Writes `value` to the emulated register, blocking until the write
     /// terminates.
     ///
+    /// It waits behind an operation in flight on the same register.
+    ///
     /// # Errors
     ///
-    /// [`ClientError::Busy`] if an operation is already in flight *on the
-    /// same register* (operations on distinct registers run concurrently),
     /// [`ClientError::TooLarge`] if the value cannot fit the transport
     /// frame, [`ClientError::ProcessDown`] / [`ClientError::TimedOut`] as
     /// their names say.
@@ -696,6 +708,7 @@ struct LoopMetrics {
     stores_durable: Arc<rmem_obs::Counter>,
     timer_fires: Arc<rmem_obs::Counter>,
     trace_evictions: Arc<rmem_obs::Counter>,
+    queued: Arc<rmem_obs::Gauge>,
     op_micros: Arc<rmem_obs::Histogram>,
     wake_micros: Arc<rmem_obs::Histogram>,
     recovery_micros: Arc<rmem_obs::Histogram>,
@@ -712,6 +725,7 @@ impl LoopMetrics {
             stores_durable: obs.metrics.counter("runner.stores_durable"),
             timer_fires: obs.metrics.counter("runner.timer_fires"),
             trace_evictions: obs.metrics.counter("runner.trace_evictions"),
+            queued: obs.metrics.gauge("runner.queued"),
             op_micros: obs.metrics.histogram("runner.op_micros"),
             wake_micros: obs.metrics.histogram("runner.wake_micros"),
             recovery_micros: obs.metrics.histogram("runner.recovery_micros"),
@@ -745,6 +759,8 @@ struct Node {
     timer_tokens: HashMap<u64, TimerToken>,
     timer_seq: u64,
     pending: OpTable,
+    /// Invocations a completion handed their register to (see `step`).
+    handed_on: VecDeque<Invocation>,
     op_counter: u64,
     /// When this recovered incarnation was handed `Start`, until its
     /// automaton first reports ready (feeds `runner.recovery_micros`,
@@ -764,55 +780,68 @@ impl Node {
     /// asynchronous (paper's automaton contract): they are queued for the
     /// syncer and the loop moves on.
     fn step(&mut self, ctx_trace: Option<TraceId>, input: Input) {
-        let mut actions = Vec::new();
-        self.automaton.on_input(input, &mut actions);
-        for action in actions {
-            match action {
-                Action::Send { to, msg } => self.send(to, msg),
-                Action::Store { token, key, bytes } => {
-                    self.mx.stores_queued.inc();
-                    self.obs.flight.record(stamp(
-                        FlightEvent::new(EventKind::StoreQueued).with_aux(token.0),
-                        ctx_trace,
-                    ));
-                    if let Some(trace) = ctx_trace {
-                        self.token_traces.insert(token.0, trace);
-                    }
-                    if !self.syncer.submit(StoreRequest { token, key, bytes }) {
-                        // The syncer is gone. If it failed, its verdict is
-                        // ahead of this one on the queue; if it died
-                        // without one, this halts the node all the same.
-                        self.own.post(RunnerEvent::StoreFailed(StorageError::io(
-                            "syncer",
-                            std::io::Error::other("syncer exited without a verdict"),
-                        )));
-                    }
-                }
-                Action::SetTimer { token, after } => {
-                    let seq = self.timer_seq;
-                    self.timer_seq += 1;
-                    self.timer_tokens.insert(seq, token);
-                    self.timers
-                        .push(Reverse((Instant::now() + Duration::from(after), seq)));
-                }
-                Action::Complete { op, result, rounds } => {
-                    if let Some((reply, token, started, trace)) = self.pending.complete(op) {
-                        self.mx.ops_completed.inc();
-                        if self.obs.metrics.is_enabled() {
-                            self.mx
-                                .op_micros
-                                .record(started.elapsed().as_micros() as u64);
+        // A completion that hands its register on queues the next
+        // invocation; it is admitted and fed here, once the actions of
+        // the input that completed its predecessor are out.
+        let mut next = Some((ctx_trace, input));
+        while let Some((ctx_trace, input)) = next.take() {
+            let mut actions = Vec::new();
+            self.automaton.on_input(input, &mut actions);
+            for action in actions {
+                match action {
+                    Action::Send { to, msg } => self.send(to, msg),
+                    Action::Store { token, key, bytes } => {
+                        self.mx.stores_queued.inc();
+                        self.obs.flight.record(stamp(
+                            FlightEvent::new(EventKind::StoreQueued).with_aux(token.0),
+                            ctx_trace,
+                        ));
+                        if let Some(trace) = ctx_trace {
+                            self.token_traces.insert(token.0, trace);
                         }
-                        let ev =
-                            FlightEvent::new(EventKind::OpComplete).with_aux(u64::from(rounds));
-                        self.obs.flight.record(match trace {
-                            Some(t) => ev.with_op(t.client, t.op),
-                            None => ev.with_op(op.pid.0, op.counter),
-                        });
-                        let _ = reply.send((token, result, rounds));
+                        if !self.syncer.submit(StoreRequest { token, key, bytes }) {
+                            // The syncer is gone. If it failed, its verdict is
+                            // ahead of this one on the queue; if it died
+                            // without one, this halts the node all the same.
+                            self.own.post(RunnerEvent::StoreFailed(StorageError::io(
+                                "syncer",
+                                std::io::Error::other("syncer exited without a verdict"),
+                            )));
+                        }
+                    }
+                    Action::SetTimer { token, after } => {
+                        let seq = self.timer_seq;
+                        self.timer_seq += 1;
+                        self.timer_tokens.insert(seq, token);
+                        self.timers
+                            .push(Reverse((Instant::now() + Duration::from(after), seq)));
+                    }
+                    Action::Complete { op, result, rounds } => {
+                        if let Some(((_, reply, token, started, trace), waiter)) =
+                            self.pending.complete(op)
+                        {
+                            self.mx.ops_completed.inc();
+                            if self.obs.metrics.is_enabled() {
+                                self.mx
+                                    .op_micros
+                                    .record(started.elapsed().as_micros() as u64);
+                            }
+                            let ev =
+                                FlightEvent::new(EventKind::OpComplete).with_aux(u64::from(rounds));
+                            self.obs.flight.record(match trace {
+                                Some(t) => ev.with_op(t.client, t.op),
+                                None => ev.with_op(op.pid.0, op.counter),
+                            });
+                            let _ = reply.send((token, result, rounds));
+                            if let Some(waiter) = waiter {
+                                self.handed_on.push_back(waiter);
+                                self.mx.queued.set(self.pending.waiting());
+                            }
+                        }
                     }
                 }
             }
+            next = self.handed_on.pop_front().map(|i| self.admit(i));
         }
         if let Some(since) = self.recovering_since {
             if self.automaton.is_ready() {
@@ -906,18 +935,22 @@ impl Node {
         self.step(trace, Input::StoreDone(token));
     }
 
-    fn on_invoke(
-        &mut self,
-        operation: Op,
-        reply: Sender<Completion>,
-        token: u64,
-        trace: Option<TraceId>,
-    ) {
-        let reg = operation.register();
-        if self.pending.is_busy(reg) {
-            let _ = reply.send((token, OpResult::Rejected(RejectReason::Busy), 0));
-            return;
+    /// A client operation arrived: it begins now, or waits its turn
+    /// behind the one its register is serving.
+    fn on_invoke(&mut self, invocation: Invocation) {
+        match self.pending.wait(invocation) {
+            Some(invocation) => {
+                let (trace, input) = self.admit(invocation);
+                self.step(trace, input);
+            }
+            None => self.mx.queued.set(self.pending.waiting()),
         }
+    }
+
+    /// Admits `invocation` under a fresh id and records its start; the
+    /// input that begins it.
+    fn admit(&mut self, (operation, reply, token, trace): Invocation) -> (Option<TraceId>, Input) {
+        let reg = operation.register();
         let op = OpId::new(self.me, self.op_counter);
         self.op_counter += 1;
         self.mx.ops_started.inc();
@@ -926,8 +959,8 @@ impl Node {
             Some(t) => ev.with_op(t.client, t.op),
             None => ev.with_op(op.pid.0, op.counter),
         });
-        self.pending.admit(op, reg, reply, token, trace);
-        self.step(trace, Input::Invoke { op, operation });
+        (self.pending).admit(op, (reg, reply, token, Instant::now(), trace));
+        (trace, Input::Invoke { op, operation })
     }
 }
 
@@ -954,6 +987,7 @@ fn run_loop(
         timer_tokens: HashMap::new(),
         timer_seq: 0,
         pending: OpTable::default(),
+        handed_on: VecDeque::new(),
         op_counter: boot_count << 32,
         recovering_since: recovered.then(Instant::now),
         req_traces: ReqTraces::new(4096),
@@ -1017,22 +1051,23 @@ fn run_loop(
                     reply,
                     token,
                     trace,
-                } => node.on_invoke(operation, reply, token, trace),
+                } => node.on_invoke((operation, reply, token, trace)),
                 RunnerEvent::Shutdown => break 'run,
             }
         }
     }
     // Every exit path lands here. Fail what will never complete: first
     // the invocations still queued (or racing in as the loop exits), then
-    // the admitted in-flight operations — without this, a pipelined
-    // waiter would burn its full patience window on an operation whose
-    // emulation is gone.
+    // the admitted in-flight operations and those waiting behind them —
+    // without this, a pipelined waiter would burn its full patience window
+    // on an operation whose emulation is gone.
     for (_, event) in rx.try_iter() {
         if let RunnerEvent::Invoke { reply, token, .. } = event {
             let _ = reply.send((token, OpResult::Rejected(RejectReason::Shutdown), 0));
         }
     }
     node.pending.drain_shutdown();
+    node.mx.queued.set(0);
     node.syncer.stop()
 }
 
@@ -1093,37 +1128,77 @@ mod tests {
     }
 
     #[test]
-    fn second_invocation_while_busy_is_rejected() {
+    fn a_second_invocation_waits_for_the_first() {
         let runners = spin_cluster(3, Transient::factory());
-        let client = runners[0].client();
-        // Saturate: issue a write from another thread and race a read.
-        // (Raciness is fine: either the read waits its turn via the
-        // channel and succeeds after, or it lands mid-write and is Busy.)
-        let c2 = client.clone();
-        let t = std::thread::spawn(move || c2.write(Value::from_u32(1)));
-        let read_result = client.read().map(|_| ()); // Ok or Busy — must not hang
-        let write_result = t.join().unwrap();
-        for r in [&read_result, &write_result] {
-            assert!(
-                matches!(r, Ok(()) | Err(ClientError::Busy)),
-                "unexpected outcome: {r:?}"
-            );
-        }
-        assert!(
-            read_result.is_ok() || write_result.is_ok(),
-            "at most one of the racing operations may be refused"
-        );
+        let client = runners[0].client().pipelined();
+        // One queue, in order: the read arrives while the write is in
+        // flight or after it, and either way begins after it completes.
+        let write = client.submit(0, Op::Write(Value::from_u32(1))).unwrap();
+        let read = client.submit(0, Op::Read).unwrap();
+        let (read, _) = client.wait(read).expect("the read waits, then completes");
+        assert_eq!(read, OpResult::ReadValue(Value::from_u32(1)));
+        assert_eq!(client.wait(write).unwrap().0, OpResult::Written);
+        let metrics = runners[0].metrics();
+        assert_eq!(metrics.counter("runner.ops_started"), 2);
+        assert_eq!(metrics.gauge("runner.queued"), 0, "nothing left waiting");
         for r in runners {
             r.stop();
         }
     }
 
     #[test]
+    fn waiters_queue_per_register_and_fail_with_the_node() {
+        let (inbox, queue) = ProcessRunner::queue();
+        let (reply, done) = unbounded();
+        // Reads that can never finish (the two peers do not exist): the
+        // first on register 0 is admitted, the other two wait behind it;
+        // register 1's is admitted beside them.
+        for (token, reg) in [(0, 0), (1, 0), (2, 1), (3, 0)] {
+            queue.tx.post(RunnerEvent::Invoke {
+                operation: Op::ReadAt(RegisterId(reg)),
+                reply: reply.clone(),
+                token,
+                trace: None,
+            });
+        }
+        let transport = Arc::new(ChannelTransport::new(
+            ProcessId(0),
+            3,
+            Switchboard::new(3),
+            inbox,
+        ));
+        let runner = ProcessRunner::start(
+            rmem_core::SharedMemory::factory(Transient::flavor()).as_ref(),
+            Box::new(MemStorage::new()),
+            transport,
+            queue,
+        );
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while runner.metrics().counter("runner.ops_started") < 2 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let metrics = runner.metrics();
+        assert_eq!(metrics.counter("runner.ops_started"), 2, "one per register");
+        assert_eq!(metrics.gauge("runner.queued"), 2);
+        runner.stop();
+        let mut tokens: Vec<u64> = (0..4)
+            .map(|_| {
+                let (token, result, _) = done.recv_timeout(Duration::from_secs(5)).unwrap();
+                assert_eq!(result, OpResult::Rejected(RejectReason::Shutdown));
+                token
+            })
+            .collect();
+        tokens.sort_unstable();
+        assert_eq!(tokens, [0, 1, 2, 3], "waiters fail with the node");
+    }
+
+    #[test]
     fn distinct_registers_run_concurrently_through_one_runner() {
         let runners = spin_cluster(3, rmem_core::SharedMemory::factory(Transient::flavor()));
         let client = runners[0].client();
-        // Many threads, one register each: every operation must succeed —
-        // Busy would mean the runner still serializes across registers.
+        // Many threads, one register each: every operation must succeed.
+        // (That none waits on another register's is pinned by
+        // `waiters_queue_per_register_and_fail_with_the_node`.)
         let handles: Vec<_> = (0..8u16)
             .map(|r| {
                 let c = client.clone();

@@ -3,15 +3,19 @@
 //! Two properties, over randomized shapes of concurrency through **one**
 //! runner's client:
 //!
-//! 1. operations on *distinct* registers all complete — no spurious
-//!    `Busy`, no hang — and the recorded history certifies atomic per
+//! 1. operations on *distinct* registers all complete — none waits on
+//!    another, none hangs — and the recorded history certifies atomic per
 //!    register (each concurrent thread is one logical client process, so
 //!    every register's restriction is a well-formed sequential history);
-//! 2. operations racing on the *same* register either complete or are
-//!    refused `Busy` — never an error, never a hang — and at least one in
-//!    every race wins.
+//! 2. operations racing on the *same* register all complete — the runner
+//!    queues each behind the one in flight, never refuses it — in arrival
+//!    order, and certify.
+//!
+//! And one fault: a node killed with operations waiting on a register
+//! fails them all at once.
 
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use rmem_consistency::{check_per_register, Criterion, History};
@@ -88,40 +92,88 @@ proptest! {
         cluster.shutdown();
     }
 
-    /// Races on one register: every outcome is Ok or Busy (never a hang,
-    /// never a transport error) and someone always wins.
+    /// Racers on one register all complete — none refused, none hung —
+    /// and certify (each thread its own client process); submitted from
+    /// one pipelined handle they run in arrival order, so each read
+    /// returns the write submitted just before it.
     #[test]
-    fn same_register_races_yield_busy_never_hangs(
+    fn same_register_racers_complete_in_arrival_order(
         threads in 2usize..=5,
         reg in 0u16..4,
     ) {
         let mut cluster = cluster();
         let client = cluster.client(ProcessId(0));
         let reg = RegisterId(reg);
-        let outcomes: Vec<Result<(), ClientError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|i| {
-                    let client = client.clone();
-                    scope.spawn(move || {
-                        client.write_at(reg, Value::from_u32(i as u32))
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        let history = Mutex::new(History::new());
+        std::thread::scope(|scope| {
+            for i in 0..threads {
+                let (client, history) = (client.clone(), &history);
+                scope.spawn(move || {
+                    let pid = ProcessId(i as u16);
+                    let value = Value::from_u32(i as u32);
+                    let write = Op::WriteAt(reg, value.clone());
+                    let op = history.lock().unwrap().invoke(pid, write);
+                    client.write_at(reg, value).expect("a racer waits, then completes");
+                    history.lock().unwrap().reply(op, OpResult::Written);
+                    let op = history.lock().unwrap().invoke(pid, Op::ReadAt(reg));
+                    let v = client.read_at(reg).expect("so does its read");
+                    history.lock().unwrap().reply(op, OpResult::ReadValue(v));
+                });
+            }
         });
-        for outcome in &outcomes {
-            prop_assert!(
-                matches!(outcome, Ok(()) | Err(ClientError::Busy)),
-                "a same-register race may only succeed or be Busy, got {:?}",
-                outcome
-            );
+        let history = history.into_inner().unwrap();
+        prop_assert_eq!(history.pending_ops().len(), 0);
+        for (reg, outcome) in check_per_register(&history, Criterion::Transient) {
+            prop_assert!(outcome.is_ok(), "register {} not atomic: {:?}", reg, outcome.err());
         }
-        prop_assert!(
-            outcomes.iter().any(Result::is_ok),
-            "at least one racer must win"
-        );
-        // The register is idle again afterwards: a fresh op completes.
-        prop_assert!(client.read_at(reg).is_ok(), "the register must not wedge");
+
+        let pipe = client.pipelined();
+        let value = |i: usize| Value::from_u32(100 + i as u32);
+        let tickets: Vec<_> = (0..threads)
+            .flat_map(|i| {
+                let write = pipe.submit_write(0, reg, value(i)).unwrap();
+                [write, pipe.submit_read(0, reg).unwrap()]
+            })
+            .collect();
+        for (i, pair) in tickets.chunks(2).enumerate() {
+            prop_assert_eq!(pipe.wait(pair[0]).unwrap().0, OpResult::Written);
+            prop_assert_eq!(pipe.wait(pair[1]).unwrap().0, OpResult::ReadValue(value(i)));
+        }
+        prop_assert_eq!(cluster.metrics(ProcessId(0)).gauge("runner.queued"), 0);
         cluster.shutdown();
     }
+}
+
+/// A node killed with invocations waiting on one of its registers fails
+/// every one of them at once — `ProcessDown` — not when the callers'
+/// 10 s patience runs out.
+#[test]
+fn killing_a_node_fails_its_waiters_promptly() {
+    let mut cluster = cluster();
+    // Without a majority nothing completes: the first write holds
+    // register 2 at node 0 and the other four wait behind it.
+    cluster.kill(ProcessId(1));
+    cluster.kill(ProcessId(2));
+    let pipe = cluster.client(ProcessId(0)).pipelined();
+    let tickets: Vec<_> = (0..5)
+        .map(|i| {
+            pipe.submit_write(0, RegisterId(2), Value::from_u32(i))
+                .unwrap()
+        })
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while cluster.metrics(ProcessId(0)).gauge("runner.queued") < 4 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(cluster.metrics(ProcessId(0)).gauge("runner.queued"), 4);
+    let killed = Instant::now();
+    cluster.kill(ProcessId(0));
+    for ticket in tickets {
+        assert!(matches!(pipe.wait(ticket), Err(ClientError::ProcessDown)));
+    }
+    let took = killed.elapsed();
+    assert!(
+        took < Duration::from_secs(2),
+        "the waiters hung on for {took:?}"
+    );
 }

@@ -188,28 +188,16 @@ fn wal_backed_cluster_survives_kill_recover_certified() {
                         let reg = RegisterId((i % 4) as u16);
                         if i % 3 == 0 {
                             let op = history.lock().unwrap().invoke(hpid, Op::ReadAt(reg));
-                            match client.read_at(reg) {
-                                Ok(v) => history.lock().unwrap().reply(op, OpResult::ReadValue(v)),
-                                Err(ClientError::Busy) => history
-                                    .lock()
-                                    .unwrap()
-                                    .reply(op, OpResult::Rejected(rmem_types::RejectReason::Busy)),
-                                Err(e) => panic!("read failed: {e}"),
-                            }
+                            let v = client.read_at(reg).expect("read");
+                            history.lock().unwrap().reply(op, OpResult::ReadValue(v));
                         } else {
                             let val = Value::from_u32((t as u32 + 1) << 16 | i);
                             let op = history
                                 .lock()
                                 .unwrap()
                                 .invoke(hpid, Op::WriteAt(reg, val.clone()));
-                            match client.write_at(reg, val) {
-                                Ok(()) => history.lock().unwrap().reply(op, OpResult::Written),
-                                Err(ClientError::Busy) => history
-                                    .lock()
-                                    .unwrap()
-                                    .reply(op, OpResult::Rejected(rmem_types::RejectReason::Busy)),
-                                Err(e) => panic!("write failed: {e}"),
-                            }
+                            client.write_at(reg, val).expect("write");
+                            history.lock().unwrap().reply(op, OpResult::Written);
                         }
                     }
                 })

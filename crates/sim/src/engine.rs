@@ -30,10 +30,11 @@ struct ProcSlot {
     /// sequentiality applied per register emulation — while operations on
     /// distinct registers overlap freely.
     pending: std::collections::BTreeMap<rmem_types::RegisterId, OpId>,
-    /// Invocations submitted while the automaton was not ready, in order:
-    /// the paper's recovering process invokes nothing until it is, so
-    /// they are handed over — and recorded as invoked — only once it
-    /// reports ready ([`rmem_types::Automaton::is_ready`]).
+    /// Invocations submitted but not begun, in order: each waits until
+    /// the automaton is ready — the paper's recovering process invokes
+    /// nothing until it is ([`rmem_types::Automaton::is_ready`]) — and
+    /// its register is free. Only then is it handed over, and recorded
+    /// as invoked.
     held: std::collections::VecDeque<(OpId, Op)>,
     next_op_counter: u64,
     /// Set while the process runs its recovery procedure (between the
@@ -85,12 +86,11 @@ enum LoopOp {
 /// What [`Simulation::invoke`] answered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Invoked {
-    /// The operation is in flight under this id; its end arrives through
+    /// The operation is in flight under this id — or waits behind the one
+    /// its process serves on that register (§III-A sequentiality, per
+    /// register); its end arrives through
     /// [`Simulation::take_completions`].
     Accepted(OpId),
-    /// The process already serves an operation on that register (§III-A
-    /// sequentiality, per register).
-    Busy,
     /// The process is crashed.
     Down,
 }
@@ -387,30 +387,24 @@ impl Simulation {
     }
 
     /// Hands invocation `op` to `pid`'s automaton — or holds it until the
-    /// automaton is ready — unless the process is down or its register
-    /// busy.
+    /// automaton is ready and the register free — unless the process is
+    /// down.
     fn admit(&mut self, pid: ProcessId, op: OpId, operation: Op, ported: bool) -> Invoked {
         let slot = &mut self.procs[pid.index()];
-        let Some(automaton) = &slot.automaton else {
+        if slot.automaton.is_none() {
             self.trace.invokes_dropped += 1;
             return Invoked::Down;
-        };
-        if slot.is_busy(operation.register()) {
-            // §III-A sequentiality, per register emulation (as in the
-            // real runner): a register serves one operation at a time,
-            // so its restriction of the history stays well-formed;
-            // distinct registers overlap freely.
-            self.trace.invokes_dropped += 1;
-            return Invoked::Busy;
         }
+        // §III-A sequentiality, per register emulation (as in the real
+        // runner): a register serves one operation at a time, so its
+        // restriction of the history stays well-formed — the next waits
+        // its turn; distinct registers overlap freely.
+        self.trace.invokes_queued += u64::from(slot.is_busy(operation.register()));
+        slot.held.push_back((op, operation));
         if ported {
             self.ported.insert(op);
         }
-        if automaton.is_ready() {
-            self.begin(pid, op, operation);
-        } else {
-            slot.held.push_back((op, operation));
-        }
+        self.note_if_ready(pid);
         Invoked::Accepted(op)
     }
 
@@ -425,10 +419,13 @@ impl Simulation {
     }
 
     /// Once `pid` reports ready: completes the recovery-duration
-    /// measurement if it was recovering, and begins what it held meanwhile.
+    /// measurement if it was recovering, and begins what it holds whose
+    /// register is free, oldest first. Called after every input the
+    /// automaton is fed, so a completion hands its register on at once.
     fn note_if_ready(&mut self, pid: ProcessId) {
         // Beginning a held invocation may name a register this incarnation
-        // has yet to re-learn, and so make the process not ready again.
+        // has yet to re-learn, and so make the process not ready again —
+        // or complete at once, and free its register for the next.
         loop {
             let slot = &mut self.procs[pid.index()];
             let waiting = slot.recovering_since.is_some() || !slot.held.is_empty();
@@ -438,9 +435,14 @@ impl Simulation {
             if let Some(since) = slot.recovering_since.take() {
                 self.trace.record_recovery_duration(self.now.since(since));
             }
-            if let Some((op, operation)) = slot.held.pop_front() {
-                self.begin(pid, op, operation);
-            }
+            let pending = &slot.pending;
+            let Some(at) =
+                (slot.held.iter()).position(|(_, o)| !pending.contains_key(&o.register()))
+            else {
+                return;
+            };
+            let (op, operation) = slot.held.remove(at).expect("a held invocation");
+            self.begin(pid, op, operation);
         }
     }
 

@@ -98,6 +98,9 @@ pub struct Trace {
     pub background_stores: u64,
     /// Invocations that arrived at a crashed process and were discarded.
     pub invokes_dropped: u64,
+    /// Invocations that found an earlier one on their register at their
+    /// process and waited for it to end before they began.
+    pub invokes_queued: u64,
     /// Crash events delivered.
     pub crashes: u64,
     /// Recovery events delivered.

@@ -286,12 +286,13 @@ fn timers_die_with_their_incarnation() {
     );
 }
 
-/// The engine rejects overlapping invocations per process, keeping
-/// histories well-formed without involving the automaton.
+/// The engine queues an overlapping invocation per process: it begins —
+/// and enters the history — the instant the operation ahead of it ends,
+/// keeping histories well-formed without involving the automaton.
 #[test]
-fn overlapping_invocations_are_refused_by_the_engine() {
+fn an_overlapping_invocation_waits_for_the_one_ahead() {
     use rmem_core::Persistent;
-    use rmem_types::{Op, Value};
+    use rmem_types::{Op, OpResult, Value};
     let schedule = Schedule::new()
         .at(
             1_000,
@@ -302,12 +303,15 @@ fn overlapping_invocations_are_refused_by_the_engine() {
     let mut sim =
         Simulation::new(ClusterConfig::new(3), Persistent::factory(), 3).with_schedule(schedule);
     let report = sim.run();
-    assert_eq!(
-        report.trace.operations().len(),
-        1,
-        "the overlapping read never started"
-    );
-    assert_eq!(report.trace.invokes_dropped, 1);
+    let [write, read] = report.trace.operations() else {
+        panic!("both operations ran: {:#?}", report.trace.operations());
+    };
+    let written = write.completed_at.expect("the write completes");
+    assert!(written > VirtualTime(1_100), "the read arrived mid-write");
+    assert_eq!(read.invoked_at, written, "begun as the write ended");
+    assert_eq!(read.result, Some(OpResult::ReadValue(Value::from_u32(1))));
+    assert_eq!(report.trace.invokes_queued, 1);
+    assert_eq!(report.trace.invokes_dropped, 0);
     assert!(report.trace.to_history().well_formed().is_ok());
 }
 
@@ -354,19 +358,27 @@ fn overlapping_invocations_on_distinct_registers_all_complete() {
     }
 }
 
-/// Same-register overlap is still refused (per-register sequentiality).
+/// Same-register overlap waits (per-register sequentiality): three
+/// invocations on one register begin in arrival order, each the instant
+/// the one ahead ends, while one on another register begins on arrival.
 #[test]
-fn overlapping_invocations_on_the_same_register_are_refused() {
+fn overlapping_invocations_on_the_same_register_queue_in_order() {
     use rmem_core::{Persistent, SharedMemory};
     use rmem_types::{Op, RegisterId, Value};
+    let (hot, other) = (RegisterId(3), RegisterId(4));
     let schedule = Schedule::new()
         .at(
             1_000,
-            PlannedEvent::Invoke(ProcessId(0), Op::WriteAt(RegisterId(3), Value::from_u32(1))),
+            PlannedEvent::Invoke(ProcessId(0), Op::WriteAt(hot, Value::from_u32(1))),
+        )
+        .at(1_100, PlannedEvent::Invoke(ProcessId(0), Op::ReadAt(hot)))
+        .at(
+            1_150,
+            PlannedEvent::Invoke(ProcessId(0), Op::WriteAt(other, Value::from_u32(5))),
         )
         .at(
-            1_100,
-            PlannedEvent::Invoke(ProcessId(0), Op::ReadAt(RegisterId(3))),
+            1_200,
+            PlannedEvent::Invoke(ProcessId(0), Op::WriteAt(hot, Value::from_u32(2))),
         );
     let mut sim = Simulation::new(
         ClusterConfig::new(3),
@@ -375,8 +387,41 @@ fn overlapping_invocations_on_the_same_register_are_refused() {
     )
     .with_schedule(schedule);
     let report = sim.run();
-    assert_eq!(report.trace.operations().len(), 1);
-    assert_eq!(report.trace.invokes_dropped, 1);
+    let ops = report.trace.operations();
+    assert!(ops.iter().all(|o| o.is_completed()), "{ops:#?}");
+    let on_hot: Vec<_> = ops
+        .iter()
+        .filter(|o| o.operation.register() == hot)
+        .collect();
+    let kinds: Vec<_> = on_hot.iter().map(|o| o.operation.clone()).collect();
+    assert_eq!(
+        kinds,
+        [
+            Op::WriteAt(hot, Value::from_u32(1)),
+            Op::ReadAt(hot),
+            Op::WriteAt(hot, Value::from_u32(2)),
+        ],
+        "arrival order"
+    );
+    for pair in on_hot.windows(2) {
+        assert_eq!(
+            pair[1].invoked_at,
+            pair[0].completed_at.unwrap(),
+            "{ops:#?}"
+        );
+    }
+    let beside = ops.iter().find(|o| o.operation.register() == other);
+    assert_eq!(beside.unwrap().invoked_at, VirtualTime(1_150));
+    assert_eq!(
+        (report.trace.invokes_queued, report.trace.invokes_dropped),
+        (2, 0)
+    );
+    let history = report.trace.to_history();
+    for (reg, outcome) in
+        rmem_consistency::check_per_register(&history, rmem_consistency::Criterion::Persistent)
+    {
+        outcome.unwrap_or_else(|e| panic!("register {reg} not atomic: {e}"));
+    }
 }
 
 /// An automaton probing the group-commit disk model: stores one record
@@ -731,11 +776,11 @@ fn an_invocation_during_recovery_is_recorded_when_the_process_turns_ready() {
     assert!(read.is_completed());
 }
 
-/// The port between steps: an invocation is accepted, refused `Busy` on
-/// a register already serving one, refused `Down` at a crashed process;
-/// an accepted operation's end is handed back with its rounds, or as lost
-/// when its process crashes under it; a wake keeps an idle run alive
-/// until its instant.
+/// The port between steps: an invocation is accepted — behind the one a
+/// register is already serving, it waits its turn — and refused `Down`
+/// at a crashed process; an accepted operation's end is handed back with
+/// its rounds, or as lost when its process crashes under it; a wake keeps
+/// an idle run alive until its instant.
 #[test]
 fn the_port_invokes_hands_back_completions_and_wakes() {
     use rmem_core::{Persistent, SharedMemory};
@@ -754,13 +799,15 @@ fn the_port_invokes_hands_back_completions_and_wakes() {
     let Invoked::Accepted(first) = sim.invoke(ProcessId(0), write.clone()) else {
         panic!("an idle register accepts");
     };
-    assert_eq!(sim.invoke(ProcessId(0), Op::ReadAt(reg)), Invoked::Busy);
+    let Invoked::Accepted(behind) = sim.invoke(ProcessId(0), Op::ReadAt(reg)) else {
+        panic!("a busy register accepts too");
+    };
     assert!(matches!(
         sim.invoke(ProcessId(0), Op::ReadAt(RegisterId(4))),
         Invoked::Accepted(_)
     ));
     let mut done = Vec::new();
-    while done.len() < 2 {
+    while done.len() < 3 {
         assert!(sim.step(), "operations in flight keep the run alive");
         done.extend(sim.take_completions());
     }
@@ -768,6 +815,16 @@ fn the_port_invokes_hands_back_completions_and_wakes() {
     let (result, rounds) = end.clone().expect("nothing crashed");
     assert_eq!(result, OpResult::Written);
     assert!(rounds >= 1, "rounds ride the completion");
+    let order: Vec<_> = done.iter().map(|(op, _)| *op).collect();
+    let at = |op| order.iter().position(|&o| o == op).unwrap();
+    assert!(
+        at(first) < at(behind),
+        "the queued read ends after the write"
+    );
+    let (_, end) = done.iter().find(|(op, _)| *op == behind).unwrap();
+    let read = end.as_ref().map(|(result, _)| result);
+    let nine = OpResult::ReadValue(Value::from_u32(9));
+    assert_eq!(read, Some(&nine), "and reads what it waited for");
 
     // Idle now; a wake carries the clock to the crash and past it.
     sim.wake_at(VirtualTime(49_990));
@@ -783,5 +840,6 @@ fn the_port_invokes_hands_back_completions_and_wakes() {
     assert_eq!(sim.invoke(ProcessId(1), write), Invoked::Down);
     let report = sim.finish();
     assert_eq!(report.final_time, VirtualTime(60_000));
-    assert_eq!(report.trace.invokes_dropped, 2, "one Busy, one Down");
+    assert_eq!(report.trace.invokes_queued, 1);
+    assert_eq!(report.trace.invokes_dropped, 1, "the one Down");
 }
