@@ -48,9 +48,9 @@ fn cancelled_op_reclaims_slot_and_drops_late_ack() {
     assert_eq!(fan.in_flight(), 0, "cancel must reclaim the slot now");
     assert!(!fan.cancel(abandoned), "double cancel must be a no-op");
 
-    // A new tenant takes the reclaimed slot. Waiting on it drains the
-    // completion channel — including the abandoned op's ack, which must
-    // be counted late, not delivered to the tenant.
+    // A new tenant takes the reclaimed slot. The abandoned op's ack, when
+    // the runner routes it, must be counted late, not delivered to the
+    // tenant.
     let tenant = fan.submit_read(1, RegisterId(1)).unwrap();
     let (result, _) = fan.wait(tenant).expect("the new tenant must complete");
     assert!(
@@ -61,10 +61,9 @@ fn cancelled_op_reclaims_slot_and_drops_late_ack() {
 
     // The abandoned write still executed server-side: the cancel
     // abandoned the *claim*, not the quorum op. This read targets the
-    // same node and register, so the runner queues it behind the write
-    // and it follows the write's completion — by the time it settles, the
-    // zombie ack has been drained and must have been counted late, not
-    // delivered anywhere.
+    // same node and register, so the runner queues it behind the write:
+    // it routes the write's ack — counted late, delivered nowhere —
+    // before it admits the check read.
     let check = fan.submit_read(0, RegisterId(0)).unwrap();
     let (result, _) = fan.wait(check).expect("the check read must complete");
     assert_eq!(result, OpResult::ReadValue(Value::from_u32(7)));

@@ -19,6 +19,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -29,7 +30,6 @@ use rmem_types::{
     Action, Automaton, AutomatonFactory, Input, Message, Op, OpId, OpResult, ProcessId, RegisterId,
     RejectReason, RequestId, StoreToken, TimerToken, TraceId,
 };
-use std::sync::Arc;
 
 use crate::error::ClientError;
 use crate::pipeline::{Pipeline, PipelinedClient, Target};
@@ -45,13 +45,6 @@ pub const KEY_BOOT_COUNT: &str = "_boot_count";
 /// How many trailing flight-recorder events a halting node dumps to
 /// stderr alongside its halt reason.
 pub const HALT_DUMP_EVENTS: usize = 64;
-
-/// What the runner posts back for one submitted operation: the
-/// submission's slot token, the result, and the quorum round-trips it
-/// took. Every operation of one client family shares one completion
-/// channel; the token routes the completion to its slot (see
-/// [`crate::pipeline::InFlightTable`]).
-pub(crate) type Completion = (u64, OpResult, u32);
 
 /// How many queued events the loop handles before it looks at the timer
 /// heap again. A handled event costs a few microseconds, so a retransmit
@@ -69,10 +62,10 @@ pub(crate) enum RunnerEvent {
     StoresDurable(Vec<StoreToken>),
     /// The log failed; the node must halt (crash-recovery semantics).
     StoreFailed(StorageError),
-    /// A client operation.
+    /// A client operation, and the client family it completes into.
     Invoke {
         operation: Op,
-        reply: Sender<Completion>,
+        reply: Weak<Pipeline>,
         token: u64,
         trace: Option<TraceId>,
     },
@@ -237,21 +230,25 @@ impl ReqTraces {
     }
 }
 
-/// A client operation as it arrives: the operation, the client family's
-/// completion channel and the submission's slot token, and the trace
-/// context it arrived under (stamps every flight event it triggers).
-type Invocation = (Op, Sender<Completion>, u64, Option<TraceId>);
+/// A client operation as it arrives: the operation, the client family
+/// whose in-flight table it completes into and the submission's slot
+/// token there, and the trace context it arrived under (stamps every
+/// flight event it triggers). The family is held weakly: a family whose
+/// every handle is gone is not kept alive by its queued operations.
+type Invocation = (Op, Weak<Pipeline>, u64, Option<TraceId>);
 
 /// What the table remembers per in-flight operation: its register, its
-/// caller's channel and token, when it was admitted (feeds
+/// caller's family and slot token, when it was admitted (feeds
 /// `runner.op_micros`), and its trace context.
-type InFlight = (
-    RegisterId,
-    Sender<Completion>,
-    u64,
-    Instant,
-    Option<TraceId>,
-);
+type InFlight = (RegisterId, Weak<Pipeline>, u64, Instant, Option<TraceId>);
+
+/// Settles `token` in its family's in-flight table and wakes the family.
+/// A family that is gone is not answered: nobody is left to wait.
+fn complete(reply: &Weak<Pipeline>, token: u64, result: OpResult, rounds: u32) {
+    if let Some(pipe) = reply.upgrade() {
+        pipe.complete(token, result, rounds);
+    }
+}
 
 /// The runner's **operation table**: every client operation currently in
 /// flight at this process, keyed by operation id, and per busy register
@@ -331,10 +328,10 @@ impl OpTable {
     fn drain_shutdown(&mut self) {
         let shutdown = || OpResult::Rejected(RejectReason::Shutdown);
         for (_, (_, reply, token, ..)) in self.in_flight.drain() {
-            let _ = reply.send((token, shutdown(), 0));
+            complete(&reply, token, shutdown(), 0);
         }
         for (_, reply, token, _) in self.by_register.drain().flat_map(|(_, (_, w))| w) {
-            let _ = reply.send((token, shutdown(), 0));
+            complete(&reply, token, shutdown(), 0);
         }
     }
 }
@@ -661,9 +658,9 @@ impl ProcessRunner {
     }
 
     /// A client handle for this process. Each call builds a fresh
-    /// reactor (in-flight table + completion channel); clones of the
-    /// returned client — and pipelined handles derived from it — share
-    /// it.
+    /// reactor (the in-flight table this node completes into); clones of
+    /// the returned client — and pipelined handles derived from it —
+    /// share it.
     pub fn client(&self) -> Client {
         Client {
             pipe: Arc::new(Pipeline::new(vec![Target {
@@ -832,7 +829,7 @@ impl Node {
                                 Some(t) => ev.with_op(t.client, t.op),
                                 None => ev.with_op(op.pid.0, op.counter),
                             });
-                            let _ = reply.send((token, result, rounds));
+                            complete(&reply, token, result, rounds);
                             if let Some(waiter) = waiter {
                                 self.handed_on.push_back(waiter);
                                 self.mx.queued.set(self.pending.waiting());
@@ -1063,7 +1060,7 @@ fn run_loop(
     // on an operation whose emulation is gone.
     for (_, event) in rx.try_iter() {
         if let RunnerEvent::Invoke { reply, token, .. } = event {
-            let _ = reply.send((token, OpResult::Rejected(RejectReason::Shutdown), 0));
+            complete(&reply, token, OpResult::Rejected(RejectReason::Shutdown), 0);
         }
     }
     node.pending.drain_shutdown();
@@ -1075,6 +1072,7 @@ fn run_loop(
 mod tests {
     use super::*;
     use crate::channel::{ChannelTransport, Switchboard};
+    use crate::pipeline::Ticket;
     use rmem_core::Transient;
     use rmem_storage::MemStorage;
     use rmem_types::Value;
@@ -1146,21 +1144,32 @@ mod tests {
         }
     }
 
+    /// A client family submitting to `queue`'s node, usable before the
+    /// node starts (so what it submits is queued in a known order).
+    fn family(queue: &RunnerQueue) -> Arc<Pipeline> {
+        Arc::new(Pipeline::new(vec![Target {
+            tx: queue.tx.clone(),
+            me: ProcessId(0),
+            max_payload: None,
+        }]))
+    }
+
+    /// Waits out `ticket` and asserts it failed with its node.
+    fn settles_down(pipe: &Pipeline, ticket: Ticket) {
+        let settled = pipe.wait(ticket, Duration::from_secs(5), None);
+        assert_eq!(settled, Err(ClientError::ProcessDown));
+    }
+
     #[test]
     fn waiters_queue_per_register_and_fail_with_the_node() {
         let (inbox, queue) = ProcessRunner::queue();
-        let (reply, done) = unbounded();
+        let pipe = family(&queue);
         // Reads that can never finish (the two peers do not exist): the
         // first on register 0 is admitted, the other two wait behind it;
         // register 1's is admitted beside them.
-        for (token, reg) in [(0, 0), (1, 0), (2, 1), (3, 0)] {
-            queue.tx.post(RunnerEvent::Invoke {
-                operation: Op::ReadAt(RegisterId(reg)),
-                reply: reply.clone(),
-                token,
-                trace: None,
-            });
-        }
+        let tickets: Vec<Ticket> = [0, 0, 1, 0]
+            .map(|reg| pipe.submit(0, Op::ReadAt(RegisterId(reg)), None).unwrap())
+            .into();
         let transport = Arc::new(ChannelTransport::new(
             ProcessId(0),
             3,
@@ -1181,15 +1190,51 @@ mod tests {
         assert_eq!(metrics.counter("runner.ops_started"), 2, "one per register");
         assert_eq!(metrics.gauge("runner.queued"), 2);
         runner.stop();
-        let mut tokens: Vec<u64> = (0..4)
-            .map(|_| {
-                let (token, result, _) = done.recv_timeout(Duration::from_secs(5)).unwrap();
-                assert_eq!(result, OpResult::Rejected(RejectReason::Shutdown));
-                token
-            })
-            .collect();
-        tokens.sort_unstable();
-        assert_eq!(tokens, [0, 1, 2, 3], "waiters fail with the node");
+        for ticket in tickets {
+            settles_down(&pipe, ticket);
+        }
+        assert_eq!(pipe.in_flight(), 0, "waiters fail with the node");
+    }
+
+    /// A family dropped while its operations are queued is not answered —
+    /// the queue holds it weakly — and the register it left busy serves
+    /// the next family in arrival order.
+    #[test]
+    fn a_dropped_familys_queue_hands_the_register_on() {
+        // One node is its own majority: every round is a loop through
+        // its own queue, so A's first write is in flight while the rest
+        // wait behind it.
+        let (inbox, queue) = ProcessRunner::queue();
+        let a = family(&queue);
+        let reg = RegisterId(3);
+        a.submit(0, Op::WriteAt(reg, Value::from_u32(1)), None)
+            .unwrap();
+        a.submit(0, Op::WriteAt(reg, Value::from_u32(2)), None)
+            .unwrap();
+        let gone = Arc::downgrade(&a);
+        drop(a);
+        assert!(gone.upgrade().is_none(), "queued ops keep no family alive");
+        let b = family(&queue);
+        let read = b.submit(0, Op::ReadAt(reg), None).unwrap();
+        let transport = Arc::new(ChannelTransport::new(
+            ProcessId(0),
+            1,
+            Switchboard::new(1),
+            inbox,
+        ));
+        let runner = ProcessRunner::start(
+            rmem_core::SharedMemory::factory(Transient::flavor()).as_ref(),
+            Box::new(MemStorage::new()),
+            transport,
+            queue,
+        );
+        let (result, _) = b.wait(read, Duration::from_secs(5), None).unwrap();
+        assert_eq!(result, OpResult::ReadValue(Value::from_u32(2)), "FIFO");
+        let metrics = runner.metrics();
+        assert_eq!(metrics.counter("runner.ops_completed"), 3);
+        assert_eq!(metrics.gauge("runner.queued"), 0);
+        assert_eq!((b.in_flight(), b.late_acks()), (0, 0));
+        runner.stop();
     }
 
     #[test]
@@ -1276,13 +1321,8 @@ mod tests {
         }
     }
 
-    fn invoke(reply: &Sender<Completion>, token: u64) -> RunnerEvent {
-        RunnerEvent::Invoke {
-            operation: Op::ReadAt(RegisterId(token as u16)),
-            reply: reply.clone(),
-            token,
-            trace: None,
-        }
+    fn read_at(pipe: &Arc<Pipeline>, reg: u16) -> Ticket {
+        pipe.submit(0, Op::ReadAt(RegisterId(reg)), None).unwrap()
     }
 
     #[test]
@@ -1300,8 +1340,8 @@ mod tests {
                 trace: None,
             });
         }
-        let (reply, done) = unbounded();
-        queue.tx.post(invoke(&reply, 7));
+        let pipe = family(&queue);
+        let ticket = read_at(&pipe, 7);
         let transport = Arc::new(ChannelTransport::new(
             ProcessId(0),
             1,
@@ -1314,8 +1354,8 @@ mod tests {
             transport,
             queue,
         );
-        let (token, result, ..) = done.recv_timeout(Duration::from_secs(10)).expect("reply");
-        assert_eq!((token, result), (7, OpResult::Written));
+        let settled = pipe.wait(ticket, Duration::from_secs(10), None);
+        assert_eq!(settled, Ok((OpResult::Written, 0)));
         runner.stop();
 
         let log = log.lock();
@@ -1352,16 +1392,12 @@ mod tests {
     #[test]
     fn shutdown_behind_a_backlog_answers_every_queued_invoke() {
         let (inbox, queue) = ProcessRunner::queue();
-        let (reply, done) = unbounded();
+        let pipe = family(&queue);
         // 100 reads that can never finish (the two peers do not exist),
         // the shutdown behind them, and 50 more invocations behind that.
-        for token in 0..100 {
-            queue.tx.post(invoke(&reply, token));
-        }
+        let mut tickets: Vec<Ticket> = (0..100).map(|reg| read_at(&pipe, reg)).collect();
         queue.tx.post(RunnerEvent::Shutdown);
-        for token in 100..150 {
-            queue.tx.post(invoke(&reply, token));
-        }
+        tickets.extend((100..150).map(|reg| read_at(&pipe, reg)));
         let transport = Arc::new(ChannelTransport::new(
             ProcessId(0),
             3,
@@ -1374,17 +1410,11 @@ mod tests {
             transport,
             queue,
         );
-        let mut tokens: Vec<u64> = (0..150)
-            .map(|_| {
-                let (token, result, ..) = done
-                    .recv_timeout(Duration::from_secs(5))
-                    .expect("every queued invocation is answered");
-                assert_eq!(result, OpResult::Rejected(RejectReason::Shutdown));
-                token
-            })
-            .collect();
-        tokens.sort_unstable();
-        assert_eq!(tokens, (0..150).collect::<Vec<_>>());
+        // Every queued invocation is answered.
+        for ticket in tickets {
+            settles_down(&pipe, ticket);
+        }
+        assert_eq!(pipe.in_flight(), 0);
         runner.stop();
     }
 
