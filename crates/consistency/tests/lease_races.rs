@@ -788,9 +788,10 @@ fn a_holder_that_renews_every_term_does_not_starve_a_foreign_writer() {
 /// sooner than any round trip of its own could be — and a write invoked
 /// while the second is out is not refused: it waits for the mint and
 /// begins under it, one round. After the last invocation the lease is
-/// renewed once more (the write handed it on) and then lapses unused:
-/// within two terms the cluster has sent its last message. (Red when a
-/// renewal mints a lease that starts *used*: it renews for ever.)
+/// renewed once for the write that handed it on, once more for that
+/// used term, and then lapses after two unused terms: within three terms
+/// the cluster has sent its last message. (Red when a renewal mints a
+/// lease that starts *used*: it renews for ever.)
 #[test]
 fn a_renewal_serves_who_arrives_meanwhile_and_an_idle_cluster_goes_quiet() {
     const READ: u64 = LEASE_MICROS + 10 + 140;
@@ -810,7 +811,7 @@ fn a_renewal_serves_who_arrives_meanwhile_and_an_idle_cluster_goes_quiet() {
                 sim.wake_at(VirtualTime(WRITE + quiet_terms * LEASE_MICROS));
                 sim.run()
             };
-            let report = run_until(2);
+            let report = run_until(3);
             let what = format!("{name}/seed {seed}");
             assert_eq!(completed(&report), 5, "{what}: all ops complete");
             adjudicate(&report, &what, check, &mut rounds);
@@ -831,7 +832,7 @@ fn a_renewal_serves_who_arrives_meanwhile_and_an_idle_cluster_goes_quiet() {
             assert_eq!(
                 run_until(10).trace.messages_sent,
                 report.trace.messages_sent,
-                "{what}: something still renews two terms after the last invocation"
+                "{what}: something still renews three terms after the last invocation"
             );
         }
         assert!(rounds.leased > 0, "{name}: the oracle policed nothing");

@@ -84,7 +84,7 @@ use crate::quorum::{Preferred, Round};
 use crate::replica::Replica;
 
 /// The in-flight phase of an operation: a client's, or — [`ReadQuery`]
-/// only — a used lease's renewal, which nobody waits for.
+/// only — a lease's renewal, which nobody waits for.
 ///
 /// [`ReadQuery`]: OpPhase::ReadQuery
 #[derive(Debug)]
@@ -155,7 +155,7 @@ enum OpPhase {
 enum ReadFor {
     /// The client read that started it.
     Client(OpId),
-    /// Nobody: a used lease renewing itself at its horizon — unless a
+    /// Nobody: a lease renewing itself at its horizon — unless a
     /// client read invoked meanwhile adopted the round, and then it.
     /// Such a round is good for one outcome only, the one that could
     /// mint: a unanimous granted quorum fences every foreign tag above
@@ -241,16 +241,21 @@ enum StartMode {
 /// the take and the hand-on because the automaton runs one operation at
 /// a time. And use *renews* it: a lease that served a read, or was
 /// handed on, re-mints itself when its horizon fires with an ordinary
-/// read round nobody waits for ([`ReadFor::Renewal`]).
+/// read round nobody waits for ([`ReadFor::Renewal`]) — and so does an
+/// unused lease whose term followed such a term, once: a lease lapses
+/// only after two consecutive terms that served nothing (the read a
+/// minting round serves counts for the term before), so a register read
+/// at least once every two terms keeps its lease.
 #[derive(Debug)]
 struct Lease {
     ts: Timestamp,
     value: Value,
     horizon: TimerToken,
     /// Whether it served a zero-round read, or was handed on by a write,
-    /// since it was minted: what earns it a renewal at its horizon. A
-    /// renewed lease starts unused, so an idle register goes quiet one
-    /// round later.
+    /// since it was minted: with the term before it
+    /// ([`RegisterAutomaton::served_last_term`]), what earns it a renewal
+    /// at its horizon. A renewed lease starts unused, so an idle register
+    /// goes quiet within two renewal rounds after its last read.
     used: bool,
 }
 
@@ -304,6 +309,10 @@ pub struct RegisterAutomaton {
     catch_up: Option<CatchUp>,
     /// Live tag lease (leasing flavors only).
     lease: Option<Lease>,
+    /// Whether a read was served in the term before the live lease's: the
+    /// lease that ended at the last horizon served one or was handed on,
+    /// or the round that minted the live lease served one itself.
+    served_last_term: bool,
     /// Where a thrifty round goes first. A shared memory keeps one per
     /// node and hands it to the register it feeds.
     preferred: Preferred,
@@ -342,6 +351,7 @@ impl RegisterAutomaton {
             recovery: None,
             catch_up: None,
             lease: None,
+            served_last_term: false,
             preferred: Preferred::new(me),
             ready: false,
             queued: VecDeque::new(),
@@ -404,6 +414,7 @@ impl RegisterAutomaton {
             recovery: None,
             catch_up: None,
             lease: None,
+            served_last_term: false,
             preferred: Preferred::new(me),
             ready: false,
             queued: VecDeque::new(),
@@ -1109,6 +1120,11 @@ impl RegisterAutomaton {
                 horizon,
                 used: false,
             });
+            // The read this round serves counts as one in the term before
+            // the lease's, like a renewed lease's used term.
+            if !matches!(waiter, ReadFor::Renewal(None)) {
+                self.served_last_term = true;
+            }
         }
         let op = match waiter {
             ReadFor::Client(op) => op,
@@ -1183,13 +1199,17 @@ impl RegisterAutomaton {
     }
 
     fn on_timer(&mut self, token: TimerToken, out: &mut Vec<Action>) {
-        // A lease's horizon: the lease ends. One that was in use renews
-        // itself — leaseless at this instant, so the `Read` may leave —
-        // with nobody waiting for the round; one that was not leaves the
-        // next read to ask the quorum (and mint afresh).
+        // A lease's horizon: the lease ends. One that was in use, or that
+        // followed a term in use, renews itself — leaseless at this
+        // instant, so the `Read` may leave — with nobody waiting for the
+        // round; one that closes a second idle term leaves the next read
+        // to ask the quorum (and mint afresh).
         if self.lease.as_ref().is_some_and(|l| l.horizon == token) {
             debug_assert!(self.op.is_none() && self.ready);
-            if self.lease.take().is_some_and(|l| l.used) {
+            let used = self.lease.take().is_some_and(|l| l.used);
+            let renew = used || self.served_last_term;
+            self.served_last_term = used;
+            if renew {
                 self.start_read(ReadFor::Renewal(None), out);
             }
             return;
@@ -2624,30 +2644,106 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_used_lease_renews_itself_at_its_horizon_and_an_unused_one_lapses() {
-        let (mut a, horizon) = holding_a_lease(Flavor::transient().with_lease(TERM), false);
-        // Minted and never served from: it lapses in silence.
-        assert!(fire(&mut a, horizon).is_empty());
-        assert!(a.lease.is_none());
+    /// What a lease term saw before its horizon fired.
+    #[derive(Debug, Clone, Copy)]
+    enum Term {
+        /// Nothing.
+        Idle,
+        /// A zero-round read.
+        Read,
+        /// A write that took the lease and handed it on.
+        Write,
+    }
 
+    #[test]
+    fn a_lease_lapses_only_after_two_terms_that_served_nothing() {
+        use Term::{Idle, Read, Write};
+        // The terms of one lease chain, from a client read's mint; and for
+        // each, whether its horizon sent a renewal. Every renewal mints.
+        let table: &[(&str, &[Term], &[bool])] = &[
+            ("a used lease renews", &[Read], &[true]),
+            (
+                "the minting read counts for the term before",
+                &[Idle, Idle],
+                &[true, false],
+            ),
+            (
+                "an unused lease after a used term renews once",
+                &[Read, Idle, Idle],
+                &[true, true, false],
+            ),
+            (
+                "use in the second term restarts the count",
+                &[Read, Idle, Read, Idle, Idle],
+                &[true, true, true, true, false],
+            ),
+            (
+                "a write's hand-on is use",
+                &[Write, Idle, Idle],
+                &[true, true, false],
+            ),
+        ];
+        for &(name, terms, renews) in table {
+            let (mut a, mut horizon) = holding_a_lease(Flavor::transient().with_lease(TERM), false);
+            for (n, (&term, &renew)) in (1..).zip(terms.iter().zip(renews)) {
+                match term {
+                    Idle => {}
+                    Read => assert_eq!(completion(&invoke(&mut a, n, Op::Read)).unwrap().1, 0),
+                    Write => {
+                        let out = invoke(&mut a, n, Op::Write(Value::from_u32(7)));
+                        let acks = write_acks(&mut a, &out);
+                        assert_eq!(completion(&acks), Some((OpResult::Written, 1)), "{name}");
+                    }
+                }
+                let out = fire(&mut a, horizon);
+                assert!(
+                    a.lease.is_none(),
+                    "{name}: a Read leaves only while leaseless"
+                );
+                if !renew {
+                    assert!(
+                        out.is_empty(),
+                        "{name}: term {n} lapses in silence: {out:?}"
+                    );
+                    continue;
+                }
+                // An ordinary read round that nobody waits for, to the
+                // quorum that answered the last one (p1 and p2) and this
+                // process.
+                assert_eq!(targets(&out), [0, 1, 2], "{name}: term {n}");
+                assert!(sends_of(&out)
+                    .iter()
+                    .all(|m| matches!(m, Message::Read { .. })));
+                horizon = timer_of(&out, TERM);
+                // The quorum's answer mints and does nothing else.
+                assert!(grant_acks(&mut a, read_req(&out), 4, 40).is_empty());
+                assert!(a
+                    .lease
+                    .as_ref()
+                    .is_some_and(|l| l.horizon == horizon && !l.used));
+            }
+        }
+
+        // A renewal that fails to mint ends the chain, whatever the term
+        // before it served: nothing is left to fire, and the next lease is
+        // a client's like any other — one renewal for its minting read,
+        // then silence.
         let (mut a, horizon) = holding_a_lease(Flavor::transient().with_lease(TERM), false);
-        assert_eq!(completion(&invoke(&mut a, 1, Op::Read)).unwrap().1, 0);
-        // Served from: at its horizon it is gone, and an ordinary read
-        // round is out that nobody waits for.
+        invoke(&mut a, 1, Op::Read);
         let out = fire(&mut a, horizon);
-        assert!(a.lease.is_none(), "a Read leaves only while leaseless");
-        let sends = sends_of(&out);
-        // The quorum that answered the minting read (p1 and p2), and this
-        // process.
-        assert_eq!(targets(&out), [0, 1, 2]);
-        assert!(sends.iter().all(|m| matches!(m, Message::Read { .. })));
+        let (renewed, round) = (timer_of(&out, TERM), timer_of(&out, 1_000));
+        let mut acks = Vec::new();
+        read_acks(&mut a, read_req(&out), 4, 40, &mut acks);
+        assert!(acks.is_empty() && a.lease.is_none(), "grant-less: no mint");
+        assert!(fire(&mut a, renewed).is_empty() && fire(&mut a, round).is_empty());
+        let out = invoke(&mut a, 2, Op::Read);
+        let horizon = timer_of(&out, TERM);
+        let acks = grant_acks(&mut a, read_req(&out), 4, 40);
+        assert_eq!(completion(&acks), Some((read_value(40), 1)));
+        let out = fire(&mut a, horizon);
         let renewed = timer_of(&out, TERM);
-        // The quorum's answer mints and does nothing else.
         assert!(grant_acks(&mut a, read_req(&out), 4, 40).is_empty());
-        assert!(a.lease.as_ref().is_some_and(|l| l.horizon == renewed));
-        // A renewed lease starts unused: one extra round, then silence.
-        assert!(fire(&mut a, renewed).is_empty());
+        assert!(fire(&mut a, renewed).is_empty(), "no renewal chain");
         assert!(a.lease.is_none());
     }
 

@@ -43,10 +43,10 @@ const PINNED: &[(&str, usize, u64)] = &[
     ("crash-stop/fast", 5, 0x79f758f087c11495),
     ("crash-stop", 3, 0xb9a5d885e0f8d3eb),
     ("crash-stop", 5, 0x41059e17aea7fbb9),
-    ("persistent/lease", 3, 0x0fe6f52e571a1d44),
-    ("persistent/lease", 5, 0x9771b58d0edfdefd),
-    ("transient/lease", 3, 0x372137f9e80a264a),
-    ("transient/lease", 5, 0x48797639af242072),
+    ("persistent/lease", 3, 0xc9791968d853ba09),
+    ("persistent/lease", 5, 0xf11775d4da210e2c),
+    ("transient/lease", 3, 0x15962d552420062e),
+    ("transient/lease", 5, 0xbfca98c3b9ebb7e3),
 ];
 
 /// FNV-1a, 64 bit: no dependency, and stable across toolchains.

@@ -242,12 +242,14 @@ fn sweep_writers_vs_leased_readers() {
     );
 }
 
-/// A lease in use renews itself with nobody waiting — and stops: the
-/// renewed lease starts unused, so once the calls end every node has
-/// sent its last message within two holds (one renewal round, one more
-/// horizon). No renewal loop keeps an idle cluster talking.
+/// A lease in use renews itself with nobody waiting — and stops: a
+/// renewed lease starts unused, and a lease lapses after two unused
+/// terms, so once the calls end each lease in use renews twice (its last
+/// used term ends within one term of the last call, each renewal's term
+/// is one more) and then lapses: quiet within three holds. No renewal
+/// loop keeps an idle cluster talking.
 #[test]
-fn an_idle_cluster_goes_quiet_within_two_holds() {
+fn an_idle_cluster_goes_quiet_two_renewals_after_its_last_call() {
     const TERM: Duration = Duration::from_millis(40);
     let cluster = leased_cluster(TERM.as_micros() as u64);
     let kv = KvClient::new(cluster.clients(), ShardRouter::new(SHARDS)).unwrap();
@@ -273,11 +275,14 @@ fn an_idle_cluster_goes_quiet_within_two_holds() {
     };
     let at_the_last_call = sent();
     let hold = TERM + TERM / 4;
+    std::thread::sleep(3 * hold);
+    let three_holds_on = sent();
+    assert_ne!(
+        three_holds_on, at_the_last_call,
+        "the leases in use renewed"
+    );
     std::thread::sleep(2 * hold);
-    let two_holds_on = sent();
-    assert_ne!(two_holds_on, at_the_last_call, "the leases in use renewed");
-    std::thread::sleep(2 * hold);
-    assert_eq!(sent(), two_holds_on, "something still renews");
+    assert_eq!(sent(), three_holds_on, "something still renews");
 }
 
 /// A write returns on a majority; minting needs the whole read quorum to

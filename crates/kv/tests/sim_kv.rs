@@ -743,6 +743,90 @@ fn leased_reads_of_hosted_clients_are_never_stale() {
     );
 }
 
+/// A Zipf tail keeps its leases, hosted and seed-exact: two real clients,
+/// Zipf(0.99) over `lease-zipf-r95`'s sixty-four keys, 95 % gets, on a
+/// leased transient cluster with a 5 ms term. The hot keys are read many
+/// times a term, the tail keys about once in one to a few terms: while one
+/// idle term ended a lease, their next get often paid a round to re-mint
+/// it. A lease now lapses only after two idle terms, and read rounds per
+/// get fall from the pinned `ONE_IDLE_TERM` to the pinned count below.
+/// Every zero-round get is policed by the freshness oracle (the hot keys
+/// see more operations than the atomicity checkers take). Puts of one key
+/// go to its home node, which admits them in call order, so a per-key
+/// counter drawn at the call is their order.
+#[test]
+fn a_zipf_tail_keeps_its_leases_across_one_idle_term() {
+    /// `(read rounds, reads)` of this run while one idle term ended a
+    /// lease.
+    const ONE_IDLE_TERM: (u64, u64) = (800, 5_714);
+    let keys = ShardRouter::new(64).covering_keys("zt-");
+    let log = Mutex::new(Vec::<(usize, FreshnessOp)>::new());
+    let versions = Mutex::new(vec![0u64; keys.len()]);
+    let flavor = Transient::flavor().with_lease(5_000);
+    let mut families = Vec::new();
+    run_hosted(sim(flavor, 3, Schedule::new()), |world| {
+        let (keys, log, versions) = (&keys, &log, &versions);
+        let now = |world: &Arc<dyn World>| world.now().as_micros() as u64;
+        for _ in 0..2 {
+            families.push(KvClient::over(world.clone(), ShardRouter::new(64)));
+        }
+        let client = |(client, kv): (u64, &KvClient)| {
+            let (kv, world) = (kv.clone(), world.clone());
+            let mut rng = StdRng::seed_from_u64(0x5eed + client);
+            Box::new(move || {
+                let dist = KeyDistribution::zipf(keys.len(), 0.99);
+                for _ in 0..3_000 {
+                    let k = dist.sample(&mut rng);
+                    let (invoked_at, hits) = (now(&world), kv.stats().lease_hits);
+                    let kind = if rng.gen_bool(0.05) {
+                        let version = {
+                            let mut versions = versions.lock().unwrap();
+                            versions[k] += 1;
+                            versions[k]
+                        };
+                        kv.put(&keys[k], version.to_be_bytes().to_vec()).unwrap();
+                        FreshnessKind::Write { version }
+                    } else {
+                        let got = kv.get(&keys[k]).unwrap();
+                        let version =
+                            got.map_or(0, |b| u64::from_be_bytes(b[..].try_into().unwrap()));
+                        let leased = kv.stats().lease_hits > hits;
+                        FreshnessKind::Read { version, leased }
+                    };
+                    let completed_at = now(&world);
+                    let op = FreshnessOp {
+                        invoked_at,
+                        completed_at,
+                        kind,
+                    };
+                    log.lock().unwrap().push((k, op));
+                    pause(&*world, rng.gen_range(0..50));
+                }
+            }) as Script
+        };
+        (0..).zip(&families).map(client).collect()
+    });
+    let log = log.into_inner().unwrap();
+    let mut leased = 0;
+    for (k, key) in keys.iter().enumerate() {
+        let ops: Vec<FreshnessOp> = log
+            .iter()
+            .filter(|(of, _)| *of == k)
+            .map(|&(_, op)| op)
+            .collect();
+        let report =
+            check_freshness(&ops).unwrap_or_else(|violation| panic!("key {key}: {violation}"));
+        leased += report.leased_reads;
+    }
+    let stats = families.iter().map(KvClient::stats);
+    let (rounds, reads) = stats.fold((0, 0), |(r, n), s| (r + s.read_rounds, n + s.reads));
+    println!("zipf tail: {rounds} read rounds in {reads} reads, {leased} leased");
+    assert!(leased > 0, "the oracle policed nothing");
+    assert_eq!((rounds, reads), (370, 5_714), "read rounds, reads");
+    let per_get = |(rounds, reads): (u64, u64)| rounds as f64 / reads as f64;
+    assert!(per_get((rounds, reads)) < per_get(ONE_IDLE_TERM));
+}
+
 /// Detectable recovery, hosted: an exactly-once client's `put` loses its
 /// home node — and for a while the majority — somewhere in its rounds
 /// (the crash instant sweeps the whole write). Whatever the call returned,
