@@ -434,7 +434,7 @@ mod tests {
         let mut h = History::new();
         h.complete_write(p(0), v(1));
         let r = h.invoke(p(0), Op::Read);
-        h.reply(r, OpResult::Rejected(rmem_types::RejectReason::Busy));
+        h.reply(r, OpResult::Rejected(rmem_types::RejectReason::Shutdown));
         h.complete_read(p(1), v(1));
         assert!(check_persistent(&h).is_ok());
     }

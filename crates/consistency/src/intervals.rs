@@ -295,7 +295,7 @@ mod tests {
     fn rejected_operations_are_excluded() {
         let mut h = History::new();
         let r = h.invoke(p(0), Op::Read);
-        h.reply(r, OpResult::Rejected(rmem_types::RejectReason::Busy));
+        h.reply(r, OpResult::Rejected(rmem_types::RejectReason::Shutdown));
         let iv = extract(&h, CompletionRule::Persistent);
         assert!(iv.fixed.is_empty());
     }

@@ -13,8 +13,9 @@
 //! recovered replica the odd one out in every read quorum it joins, and
 //! the confirmed-timestamp fast path ([`Flavor::read_fast_path`]) wants
 //! quorums unanimous. So a flavor with the fast path on runs one more
-//! step, overlapped with the paper's own (`RecoveryPhase`) and
-//! finished before the process serves: a read query round (Fig. 4 lines
+//! step, overlapped with the paper's own (the recovered counter's store,
+//! then the figure's round in the operation slot) and finished before
+//! the process serves: a read query round (Fig. 4 lines
 //! 32–35, the ordinary `Read` message) and, if the quorum's best tag is
 //! not **durable here** yet, its adoption by the own replica (`CatchUp`).
 //! Durable here means what it means to the replica role
@@ -57,10 +58,18 @@
 //! Every step of the figures has one shape: send a request, wait until
 //! ⌈(n+1)/2⌉ processes answer, retransmit over the fair-lossy link until
 //! they do. A `Round` ([`crate::quorum`]) is that shape — the request to
-//! (re)send, the distinct responders, the retransmission timer — and
-//! whichever phase is live owns it: the figure's recovery step
-//! (`RecoveryPhase`), the catch-up (`CatchUp`) or the operation
-//! (`OpPhase`). One method opens
+//! (re)send, the distinct responders, the retransmission timer — and one
+//! of two owners holds it: the catch-up (`CatchUp`) or the operation slot
+//! (`OpPhase`), whose `Waiter` says whom the round is for — a client's
+//! operation, a lease's renewal, or, before the process is ready, the
+//! figure's recovery step (Fig. 4 lines 43–46 re-finish the logged write
+//! as the write round it is; the regular flavor re-learns its write
+//! frontier as a write's query round). The slot holds one round at a
+//! time, so an invocation begins at once only if the process is ready and
+//! the slot free; otherwise it waits in FIFO order (`queued`) and begins
+//! as the slot frees up — save a read that meets a renewal nobody has
+//! adopted yet, which takes that round over. Nothing is refused. One
+//! method opens
 //! every round (`open`: request id, first send, timer), and every ack
 //! takes one step (`ack`: is it this round's? recorded through
 //! [`Preferred`], did it reach the majority just now?). A timer is, in
@@ -76,23 +85,27 @@ use rmem_storage::records::{
 };
 use rmem_types::{
     Action, Automaton, AutomatonFactory, Input, Message, Micros, Op, OpId, OpResult, ProcessId,
-    RejectReason, RequestId, Seq, StableSnapshot, StoreToken, TimerToken, Timestamp, Value,
+    RequestId, Seq, StableSnapshot, StoreToken, TimerToken, Timestamp, Value,
 };
 
 use crate::flavor::{Flavor, RecoveryPolicy};
 use crate::quorum::{Preferred, Round};
 use crate::replica::Replica;
 
-/// The in-flight phase of an operation: a client's, or — [`ReadQuery`]
-/// only — a lease's renewal, which nobody waits for.
+/// The phase in the operation slot, and in `waiter` whom it is for: a
+/// client's operation, a lease's renewal ([`ReadQuery`] only), or the
+/// figure's recovery step ([`WritePropagate`] re-finishing the logged
+/// write; the regular flavor's [`WriteQuery`], re-learning the frontier).
 ///
 /// [`ReadQuery`]: OpPhase::ReadQuery
+/// [`WritePropagate`]: OpPhase::WritePropagate
+/// [`WriteQuery`]: OpPhase::WriteQuery
 #[derive(Debug)]
 enum OpPhase {
     /// Write, round 1: collecting sequence numbers (Fig. 4 lines 7–10).
     /// A write that begins under a live lease skips it.
     WriteQuery {
-        op: OpId,
+        waiter: Waiter,
         value: Value,
         round: Round,
         max_seq: Seq,
@@ -100,7 +113,7 @@ enum OpPhase {
     /// Persistent write, between rounds: waiting for the `writing` pre-log
     /// (Fig. 4 line 12).
     WritePreLog {
-        op: OpId,
+        waiter: Waiter,
         ts: Timestamp,
         value: Value,
         token: StoreToken,
@@ -108,7 +121,7 @@ enum OpPhase {
     },
     /// Write, round 2: propagating the tagged value (Fig. 4 lines 13–15).
     WritePropagate {
-        op: OpId,
+        waiter: Waiter,
         ts: Timestamp,
         value: Value,
         round: Round,
@@ -117,10 +130,9 @@ enum OpPhase {
     },
     /// Read, round 1: collecting tagged values (Fig. 4 lines 32–35).
     ReadQuery {
-        waiter: ReadFor,
+        waiter: Waiter,
         round: Round,
-        best_ts: Timestamp,
-        best_value: Value,
+        best: Best,
         /// Tag reported by the first ack, for the confirmed-timestamp
         /// fast path: the write-back may be skipped only if every later
         /// ack matches it (`None` until the first ack arrives).
@@ -144,16 +156,16 @@ enum OpPhase {
     /// Read, round 2: writing back the freshest value (Fig. 4 lines
     /// 36–38).
     ReadWriteBack {
-        op: OpId,
+        waiter: Waiter,
         value: Value,
         round: Round,
     },
 }
 
-/// Who a read query round is run for.
+/// Whom the round in the operation slot is run for.
 #[derive(Debug, Clone, Copy)]
-enum ReadFor {
-    /// The client read that started it.
+enum Waiter {
+    /// The client operation that started it.
     Client(OpId),
     /// Nobody: a lease renewing itself at its horizon — unless a
     /// client read invoked meanwhile adopted the round, and then it.
@@ -166,6 +178,35 @@ enum ReadFor {
     /// proves nothing about the time since the replies, and the adopter
     /// starts a round of its own.
     Renewal(Option<OpId>),
+    /// The process itself, not ready yet: the figure's recovery step,
+    /// which completes nobody's operation.
+    Recovery,
+}
+
+/// The highest-tagged pair a query round has collected (Fig. 4 line 35).
+#[derive(Debug)]
+struct Best {
+    ts: Timestamp,
+    value: Value,
+}
+
+impl Best {
+    /// Nothing collected yet.
+    fn initial(me: ProcessId) -> Self {
+        Best {
+            ts: Timestamp::new(0, me),
+            value: Value::bottom(),
+        }
+    }
+
+    /// Keeps `(ts, value)` if its tag is the highest yet; whether it did.
+    fn offer(&mut self, ts: Timestamp, value: Value) -> bool {
+        let higher = ts > self.ts;
+        if higher {
+            *self = Best { ts, value };
+        }
+        higher
+    }
 }
 
 /// The lease a write began under and took (see `begin_op`): handed on to
@@ -176,23 +217,8 @@ struct TakenLease {
     fired: bool,
 }
 
-/// The phase of the paper's recovery procedure, as the flavor's
-/// [`RecoveryPolicy`] selects it (Fig. 4 lines 40–47, Fig. 5 lines
-/// 16–22). `None` once it is through — which is not readiness yet if the
-/// [`CatchUp`] running beside it is still out.
-#[derive(Debug)]
-enum RecoveryPhase {
-    /// Waiting for the `recovered` counter store (Fig. 5 lines 19–21).
-    StoreRec { token: StoreToken },
-    /// Re-propagating the logged `writing` record (Fig. 4 lines 43–46).
-    FinishWrite { round: Round },
-    /// Regular register only: re-learning the write frontier from a
-    /// majority.
-    QuerySeq { round: Round, max_seq: Seq },
-}
-
 /// The recovery catch-up (see the module docs): started with the
-/// flavor's [`RecoveryPhase`] — right after the replica is restored,
+/// flavor's own recovery procedure — right after the replica is restored,
 /// Fig. 4 line 42 / Fig. 5 line 18 — and run beside it; readiness waits
 /// for both.
 #[derive(Debug)]
@@ -201,9 +227,8 @@ enum CatchUp {
     /// does (Fig. 4 lines 32–35) — and past the majority, vouchers.
     Query {
         round: Round,
-        best_ts: Timestamp,
-        best_value: Value,
-        /// The other processes whose ack carried exactly `best_ts`,
+        best: Best,
+        /// The other processes whose ack carried exactly `best.ts`,
         /// attested durable.
         vouchers: Vec<ProcessId>,
     },
@@ -241,7 +266,7 @@ enum StartMode {
 /// the take and the hand-on because the automaton runs one operation at
 /// a time. And use *renews* it: a lease that served a read, or was
 /// handed on, re-mints itself when its horizon fires with an ordinary
-/// read round nobody waits for ([`ReadFor::Renewal`]) — and so does an
+/// read round nobody waits for ([`Waiter::Renewal`]) — and so does an
 /// unused lease whose term followed such a term, once: a lease lapses
 /// only after two consecutive terms that served nothing (the read a
 /// minting round serves counts for the term before), so a register read
@@ -302,10 +327,13 @@ pub struct RegisterAutomaton {
     /// The `writing` record a recovered automaton re-finishes before
     /// serving (persistent flavor); `None` on a fresh boot.
     writing: Option<WritingRecord>,
-    /// The operation in flight. A live lease implies `None`: whatever
-    /// begins under a lease is served by it or takes it.
+    /// The operation slot: the round in flight and whom it is for. A live
+    /// lease implies `None`: whatever begins under a lease is served by it
+    /// or takes it.
     op: Option<OpPhase>,
-    recovery: Option<RecoveryPhase>,
+    /// The `recovered` counter's store a recovering automaton waits for
+    /// before anything else of the figure's recovery (Fig. 5 lines 19–21).
+    rec_store: Option<StoreToken>,
     catch_up: Option<CatchUp>,
     /// Live tag lease (leasing flavors only).
     lease: Option<Lease>,
@@ -317,6 +345,8 @@ pub struct RegisterAutomaton {
     /// node and hands it to the register it feeds.
     preferred: Preferred,
     ready: bool,
+    /// Invocations waiting for the process to be ready or the operation
+    /// slot to free up, in arrival order.
     queued: VecDeque<(OpId, Op)>,
     token_counter: u64,
     nonce_counter: u64,
@@ -348,7 +378,7 @@ impl RegisterAutomaton {
             next_wsn: 1,
             writing: None,
             op: None,
-            recovery: None,
+            rec_store: None,
             catch_up: None,
             lease: None,
             served_last_term: false,
@@ -398,30 +428,16 @@ impl RegisterAutomaton {
             .and_then(|b| RecoveredRecord::decode(&b).ok())
             .map(|r| r.count)
             .unwrap_or(0);
-        let next_wsn = replica.timestamp().seq + 1;
         RegisterAutomaton {
-            me,
-            n,
-            majority: rmem_types::process::majority(n),
-            flavor,
-            retransmit,
             start_mode: StartMode::Recovered,
+            next_wsn: replica.timestamp().seq + 1,
             replica,
             rec,
-            next_wsn,
             writing,
-            op: None,
-            recovery: None,
-            catch_up: None,
-            lease: None,
-            served_last_term: false,
-            preferred: Preferred::new(me),
-            ready: false,
-            queued: VecDeque::new(),
-            token_counter: 0,
             // Nonces from different incarnations must never collide; acks
             // can straddle a crash/recovery.
             nonce_counter: (incarnation + 1) << 32,
+            ..Self::fresh(me, n, flavor, retransmit)
         }
     }
 
@@ -485,15 +501,9 @@ impl RegisterAutomaton {
         (Round::new(msg, self.majority, timer), horizon)
     }
 
-    /// The live round whose retransmission timer is `timer`: the figure's
-    /// recovery step's, the catch-up's or the operation's.
+    /// The live round whose retransmission timer is `timer`: the
+    /// catch-up's or the operation slot's.
     fn round_on(&mut self, timer: TimerToken) -> Option<&mut Round> {
-        let recovery = match &mut self.recovery {
-            Some(RecoveryPhase::FinishWrite { round } | RecoveryPhase::QuerySeq { round, .. }) => {
-                Some(round)
-            }
-            _ => None,
-        };
         let catch_up = match &mut self.catch_up {
             Some(CatchUp::Query { round, .. }) => Some(round),
             _ => None,
@@ -507,9 +517,9 @@ impl RegisterAutomaton {
             ) => Some(round),
             _ => None,
         };
-        let live = [recovery, catch_up, op];
-        live.into_iter()
-            .flatten()
+        catch_up
+            .into_iter()
+            .chain(op)
             .find(|round| round.timer == timer)
     }
 
@@ -531,13 +541,7 @@ impl RegisterAutomaton {
                 // No initial `writing` record: recovery reads an absent
                 // slot as "no write to finish", which is all `(0, ⊥)` said.
                 if self.flavor.rec_in_timestamp {
-                    let token = self.next_token();
-                    let record = RecoveredRecord { count: 0 };
-                    out.push(Action::Store {
-                        token,
-                        key: KEY_RECOVERED.to_string(),
-                        bytes: record.encode(),
-                    });
+                    self.store_rec(out);
                 }
                 self.ready = true;
             }
@@ -562,22 +566,14 @@ impl RegisterAutomaton {
                 // record: crashed before Initialize finished, nothing to
                 // re-finish.
                 if let Some(WritingRecord { ts, value }) = self.writing.take() {
-                    let round = self.open(|req| Message::Write { req, ts, value }, out).0;
-                    self.recovery = Some(RecoveryPhase::FinishWrite { round });
+                    self.start_propagate(Waiter::Recovery, ts, value, None, out);
                 }
             }
             RecoveryPolicy::RecCounter | RecoveryPolicy::RecCounterAndQuery => {
                 // Fig. 5 lines 19–21: bump and store the recovery counter
                 // before serving anything.
                 self.rec += 1;
-                let token = self.next_token();
-                let record = RecoveredRecord { count: self.rec };
-                out.push(Action::Store {
-                    token,
-                    key: KEY_RECOVERED.to_string(),
-                    bytes: record.encode(),
-                });
-                self.recovery = Some(RecoveryPhase::StoreRec { token });
+                self.rec_store = Some(self.store_rec(out));
             }
         }
         // Beside what the figure prescribes, the catch-up (module docs):
@@ -587,27 +583,23 @@ impl RegisterAutomaton {
             let round = self.open(|req| Message::Read { req }, out).0;
             self.catch_up = Some(CatchUp::Query {
                 round,
-                best_ts: Timestamp::new(0, self.me),
-                best_value: Value::bottom(),
+                best: Best::initial(self.me),
                 vouchers: Vec::new(),
             });
         }
-        self.serve_if_recovered(out);
+        self.drain_queue(out);
     }
 
-    fn recovery_store_done(&mut self, out: &mut Vec<Action>) {
-        if self.flavor.recovery == RecoveryPolicy::RecCounterAndQuery {
-            let round = self.open(|req| Message::SnReq { req }, out).0;
-            self.recovery = Some(RecoveryPhase::QuerySeq { round, max_seq: 0 });
-        } else {
-            self.finish_recovery(out);
-        }
-    }
-
-    /// The flavor's own recovery procedure is through.
-    fn finish_recovery(&mut self, out: &mut Vec<Action>) {
-        self.recovery = None;
-        self.serve_if_recovered(out);
+    /// Logs the recovery counter `rec` (Fig. 5 lines 1–5 and 19–21).
+    fn store_rec(&mut self, out: &mut Vec<Action>) -> StoreToken {
+        let token = self.next_token();
+        let record = RecoveredRecord { count: self.rec };
+        out.push(Action::Store {
+            token,
+            key: KEY_RECOVERED.to_string(),
+            bytes: record.encode(),
+        });
+        token
     }
 
     /// Ends the catch-up query if it can end (module docs): not before a
@@ -619,8 +611,7 @@ impl RegisterAutomaton {
         let (me, majority) = (self.me, self.majority);
         let Some(CatchUp::Query {
             round,
-            best_ts,
-            best_value,
+            best,
             vouchers,
         }) = &mut self.catch_up
         else {
@@ -629,7 +620,7 @@ impl RegisterAutomaton {
         if !round.is_reached() {
             return false;
         }
-        let ts = *best_ts;
+        let ts = best.ts;
         let vouched = ts.seq > 0 && vouchers.len() >= majority;
         let silent_peers = ProcessId::all(self.n)
             .filter(|&p| p != me && !round.has_acked(p))
@@ -641,11 +632,11 @@ impl RegisterAutomaton {
         if !vouched && !stop_waiting {
             return false;
         }
-        let value = std::mem::take(best_value);
+        let value = std::mem::take(&mut best.value);
         if vouched {
             self.replica.vouch(ts, &value, out);
             self.catch_up = None;
-            self.serve_if_recovered(out);
+            self.drain_queue(out);
         } else {
             self.catch_up_to(ts, &value, out);
         }
@@ -664,20 +655,27 @@ impl RegisterAutomaton {
                 .replica
                 .adopt(ts, value, &mut token_gen(&mut self.token_counter), out);
         self.catch_up = (!durable).then_some(CatchUp::Store { ts });
-        self.serve_if_recovered(out);
+        self.drain_queue(out);
     }
 
-    /// Turns ready once both the flavor's procedure and the catch-up are
-    /// through, and starts what was invoked meanwhile.
-    fn serve_if_recovered(&mut self, out: &mut Vec<Action>) {
-        if self.recovery.is_none() && self.catch_up.is_none() {
-            self.ready = true;
-            self.drain_queue(out);
+    /// The round in the operation slot is through: a client waiting for it
+    /// learns `result`, and what waits begins.
+    fn complete(&mut self, waiter: Waiter, result: OpResult, rounds: u32, out: &mut Vec<Action>) {
+        if let Waiter::Client(op) | Waiter::Renewal(Some(op)) = waiter {
+            out.push(Action::Complete { op, result, rounds });
         }
+        self.drain_queue(out);
     }
 
+    /// Once the operation slot is free: turns ready if recovery is through
+    /// — the counter's store, the figure's round and the catch-up — and
+    /// begins the invocation that has waited longest.
     fn drain_queue(&mut self, out: &mut Vec<Action>) {
-        if self.op.is_none() && self.ready {
+        if self.op.is_some() {
+            return;
+        }
+        self.ready |= self.rec_store.is_none() && self.catch_up.is_none();
+        if self.ready {
             if let Some((op, operation)) = self.queued.pop_front() {
                 self.begin_op(op, operation, out);
             }
@@ -686,41 +684,26 @@ impl RegisterAutomaton {
 
     // -- Client operations ------------------------------------------------
 
+    /// One operation at a time (§III-A's sequential processes): an
+    /// invocation begins now if the process is ready and the operation
+    /// slot free, and waits its turn otherwise — except a read meeting a
+    /// renewal nobody has adopted, which makes that round its own (see
+    /// [`Waiter::Renewal`]). A write waits for the renewal and so begins
+    /// under the lease it mints.
     fn on_invoke(&mut self, op: OpId, operation: Op, out: &mut Vec<Action>) {
+        let operation = operation.normalized();
         match &mut self.op {
-            None => {}
-            // A renewal in flight is nobody's operation yet: a read makes
-            // it its own, a write waits for it — drained right after the
-            // mint, it begins under the fresh lease.
             Some(OpPhase::ReadQuery {
-                waiter: ReadFor::Renewal(adopter @ None),
+                waiter: Waiter::Renewal(adopter @ None),
                 ..
-            }) => {
-                match operation.normalized() {
-                    Op::Read => *adopter = Some(op),
-                    write => self.queued.push_back((op, write)),
-                }
-                return;
-            }
-            Some(_) => {
-                // The runtime normally prevents this (§III-A sequential
-                // processes); refuse rather than corrupt state.
-                out.push(Action::Complete {
-                    op,
-                    result: OpResult::Rejected(RejectReason::Busy),
-                    rounds: 0,
-                });
-                return;
-            }
+            }) if operation == Op::Read => *adopter = Some(op),
+            None if self.ready => self.begin_op(op, operation, out),
+            _ => self.queued.push_back((op, operation)),
         }
-        if !self.ready {
-            self.queued.push_back((op, operation));
-            return;
-        }
-        self.begin_op(op, operation, out);
     }
 
     fn begin_op(&mut self, op: OpId, operation: Op, out: &mut Vec<Action>) {
+        let waiter = Waiter::Client(op);
         // A bare register automaton serves the default register only; the
         // shared-memory layer (`crate::memory`) strips addresses before
         // they get here.
@@ -736,7 +719,7 @@ impl RegisterAutomaton {
                     // locally.
                     let ts = Timestamp::new(self.next_wsn, self.me);
                     self.next_wsn += 1;
-                    self.start_propagate(op, ts, value, None, out);
+                    self.start_propagate(waiter, ts, value, None, out);
                 } else if let Some(lease) = taken {
                     // A live lease is the query round already run: nothing
                     // newer than its tag has completed anywhere. Enter the
@@ -745,17 +728,9 @@ impl RegisterAutomaton {
                         horizon: lease.horizon,
                         fired: false,
                     };
-                    self.query_majority_reached(op, value, lease.ts.seq, Some(taken), out);
+                    self.query_majority_reached(waiter, value, lease.ts.seq, Some(taken), out);
                 } else {
-                    // Fig. 4 lines 7–10: query a majority for sequence
-                    // numbers.
-                    let round = self.open(|req| Message::SnReq { req }, out).0;
-                    self.op = Some(OpPhase::WriteQuery {
-                        op,
-                        value,
-                        round,
-                        max_seq: 0,
-                    });
+                    self.start_query(waiter, value, out);
                 }
             }
             Op::Read => {
@@ -765,15 +740,11 @@ impl RegisterAutomaton {
                 // value locally linearizes before any such write.
                 if let Some(l) = &mut self.lease {
                     l.used = true;
-                    out.push(Action::Complete {
-                        op,
-                        result: OpResult::ReadValue(l.value.clone()),
-                        rounds: 0,
-                    });
-                    self.drain_queue(out);
-                    return;
+                    let result = OpResult::ReadValue(l.value.clone());
+                    self.complete(waiter, result, 0, out);
+                } else {
+                    self.start_read(waiter, out);
                 }
-                self.start_read(ReadFor::Client(op), out);
             }
             // `normalized()` maps the addressed forms onto the two above.
             Op::ReadAt(_) | Op::WriteAt(..) => unreachable!("normalized() strips addresses"),
@@ -781,14 +752,13 @@ impl RegisterAutomaton {
     }
 
     /// Sends a read query round (Fig. 4 lines 32–35) for `waiter`.
-    fn start_read(&mut self, waiter: ReadFor, out: &mut Vec<Action>) {
+    fn start_read(&mut self, waiter: Waiter, out: &mut Vec<Action>) {
         debug_assert!(self.lease.is_none(), "a Read leaves only while leaseless");
         let (round, lease_armed) = self.open(|req| Message::Read { req }, out);
         self.op = Some(OpPhase::ReadQuery {
             waiter,
             round,
-            best_ts: Timestamp::new(0, self.me),
-            best_value: Value::bottom(),
+            best: Best::initial(self.me),
             agreed: None,
             all_agree: true,
             all_granted: true,
@@ -796,9 +766,21 @@ impl RegisterAutomaton {
         });
     }
 
+    /// Sends a write's query round for `waiter` (Fig. 4 lines 7–10):
+    /// sequence numbers from a majority.
+    fn start_query(&mut self, waiter: Waiter, value: Value, out: &mut Vec<Action>) {
+        let round = self.open(|req| Message::SnReq { req }, out).0;
+        self.op = Some(OpPhase::WriteQuery {
+            waiter,
+            value,
+            round,
+            max_seq: 0,
+        });
+    }
+
     fn start_propagate(
         &mut self,
-        op: OpId,
+        waiter: Waiter,
         ts: Timestamp,
         value: Value,
         taken: Option<TakenLease>,
@@ -810,7 +792,7 @@ impl RegisterAutomaton {
             self.open(|req| Message::Write { req, ts, value }, out).0
         };
         self.op = Some(OpPhase::WritePropagate {
-            op,
+            waiter,
             ts,
             value,
             round,
@@ -823,7 +805,7 @@ impl RegisterAutomaton {
     /// instead of running one, the leased tag — vouches for.
     fn query_majority_reached(
         &mut self,
-        op: OpId,
+        waiter: Waiter,
         value: Value,
         max_seq: Seq,
         taken: Option<TakenLease>,
@@ -858,14 +840,14 @@ impl RegisterAutomaton {
                 bytes: record.encode(),
             });
             self.op = Some(OpPhase::WritePreLog {
-                op,
+                waiter,
                 ts,
                 value,
                 token,
                 taken,
             });
         } else {
-            self.start_propagate(op, ts, value, taken, out);
+            self.start_propagate(waiter, ts, value, taken, out);
         }
     }
 
@@ -888,7 +870,7 @@ impl RegisterAutomaton {
             return;
         }
 
-        // Acks: route to the recovery phase or the running operation.
+        // Acks: route to the catch-up or the operation slot.
         match msg {
             Message::SnAck { req, seq } => self.on_sn_ack(from, req, seq, out),
             Message::WriteAck { req } => self.on_write_ack(from, req, out),
@@ -898,22 +880,6 @@ impl RegisterAutomaton {
     }
 
     fn on_sn_ack(&mut self, from: ProcessId, req: RequestId, seq: Seq, out: &mut Vec<Action>) {
-        // Recovery-time frontier query (regular flavor).
-        if let Some(RecoveryPhase::QuerySeq { round, max_seq }) = &mut self.recovery {
-            if let Some(reached) = ack(&mut self.preferred, round, req, from) {
-                *max_seq = (*max_seq).max(seq);
-                if reached {
-                    // Re-seed the writer-local counter beyond anything a
-                    // majority has seen, plus one slot per past crash for
-                    // in-flight writes nobody logged.
-                    self.next_wsn = self.next_wsn.max(*max_seq + self.rec + 1);
-                    self.finish_recovery(out);
-                }
-                return;
-            }
-        }
-
-        // Write query round.
         let Some(OpPhase::WriteQuery { round, max_seq, .. }) = &mut self.op else {
             return;
         };
@@ -921,28 +887,30 @@ impl RegisterAutomaton {
             return;
         };
         *max_seq = (*max_seq).max(seq);
-        if reached {
-            let Some(OpPhase::WriteQuery {
-                op, value, max_seq, ..
-            }) = self.op.take()
-            else {
-                unreachable!("matched just above")
-            };
-            self.query_majority_reached(op, value, max_seq, None, out);
+        if !reached {
+            return;
+        }
+        let Some(OpPhase::WriteQuery {
+            waiter,
+            value,
+            max_seq,
+            ..
+        }) = self.op.take()
+        else {
+            unreachable!("matched just above")
+        };
+        if let Waiter::Recovery = waiter {
+            // The regular flavor's recovery: re-seed the writer-local
+            // counter beyond anything a majority has seen, plus one slot
+            // per past crash for in-flight writes nobody logged.
+            self.next_wsn = self.next_wsn.max(max_seq + self.rec + 1);
+            self.drain_queue(out);
+        } else {
+            self.query_majority_reached(waiter, value, max_seq, None, out);
         }
     }
 
     fn on_write_ack(&mut self, from: ProcessId, req: RequestId, out: &mut Vec<Action>) {
-        // Recovery-time write completion (persistent flavor).
-        if let Some(RecoveryPhase::FinishWrite { round }) = &mut self.recovery {
-            if let Some(reached) = ack(&mut self.preferred, round, req, from) {
-                if reached {
-                    self.finish_recovery(out);
-                }
-                return;
-            }
-        }
-
         let Some(OpPhase::WritePropagate { round, .. } | OpPhase::ReadWriteBack { round, .. }) =
             &mut self.op
         else {
@@ -953,7 +921,7 @@ impl RegisterAutomaton {
         }
         match self.op.take() {
             Some(OpPhase::WritePropagate {
-                op,
+                waiter,
                 ts,
                 value,
                 taken,
@@ -987,23 +955,14 @@ impl RegisterAutomaton {
                         });
                     }
                 }
-                out.push(Action::Complete {
-                    op,
-                    result: OpResult::Written,
-                    rounds,
-                });
+                self.complete(waiter, OpResult::Written, rounds, out);
             }
-            Some(OpPhase::ReadWriteBack { op, value, .. }) => {
+            Some(OpPhase::ReadWriteBack { waiter, value, .. }) => {
                 // Fig. 4 line 39: the read returns the written-back value.
-                out.push(Action::Complete {
-                    op,
-                    result: OpResult::ReadValue(value),
-                    rounds: 2,
-                });
+                self.complete(waiter, OpResult::ReadValue(value), 2, out);
             }
             _ => unreachable!("matched just above"),
         }
-        self.drain_queue(out);
     }
 
     fn on_read_ack(&mut self, from: ProcessId, msg: Message, out: &mut Vec<Action>) {
@@ -1022,19 +981,16 @@ impl RegisterAutomaton {
         // the quorum is only asked what it holds.
         if let Some(CatchUp::Query {
             round,
-            best_ts,
-            best_value,
+            best,
             vouchers,
         }) = &mut self.catch_up
         {
             if let Some(reached) = ack(&mut self.preferred, round, req, from) {
                 let timer = round.timer;
-                if ts > *best_ts {
-                    *best_ts = ts;
-                    *best_value = value;
+                if best.offer(ts, value) {
                     vouchers.clear();
                 }
-                if ts == *best_ts && durable && from != self.me && !vouchers.contains(&from) {
+                if ts == best.ts && durable && from != self.me && !vouchers.contains(&from) {
                     vouchers.push(from);
                 }
                 if !self.settle_catch_up(false, out) && reached {
@@ -1047,8 +1003,7 @@ impl RegisterAutomaton {
 
         let Some(OpPhase::ReadQuery {
             round,
-            best_ts,
-            best_value,
+            best,
             agreed,
             all_agree,
             all_granted,
@@ -1082,17 +1037,13 @@ impl RegisterAutomaton {
             *all_granted = false;
         }
         // Fig. 4 line 35: select the value with the highest tag.
-        if ts > *best_ts {
-            *best_ts = ts;
-            *best_value = value;
-        }
+        best.offer(ts, value);
         if !reached {
             return;
         }
         let Some(OpPhase::ReadQuery {
             waiter,
-            best_ts: ts,
-            best_value: value,
+            best: Best { ts, value },
             all_agree,
             all_granted,
             lease_armed,
@@ -1122,38 +1073,30 @@ impl RegisterAutomaton {
             });
             // The read this round serves counts as one in the term before
             // the lease's, like a renewed lease's used term.
-            if !matches!(waiter, ReadFor::Renewal(None)) {
+            if !matches!(waiter, Waiter::Renewal(None)) {
                 self.served_last_term = true;
             }
         }
-        let op = match waiter {
-            ReadFor::Client(op) => op,
-            ReadFor::Renewal(Some(op)) if fenced => op,
-            // A renewal does nothing but mint (see [`ReadFor::Renewal`]).
-            ReadFor::Renewal(adopter) => {
-                match adopter {
-                    Some(op) => self.begin_op(op, Op::Read, out),
-                    None => self.drain_queue(out),
-                }
-                return;
+        match waiter {
+            // A renewal does nothing but mint (see [`Waiter::Renewal`]): an
+            // adopter it did not serve starts over.
+            Waiter::Renewal(Some(op)) if !fenced => self.begin_op(op, Op::Read, out),
+            Waiter::Client(_) if self.flavor.read_write_back && !fast => {
+                // Fig. 4 lines 36–38: write back before returning.
+                let round = {
+                    let value = value.clone();
+                    self.open(|req| Message::Write { req, ts, value }, out).0
+                };
+                self.op = Some(OpPhase::ReadWriteBack {
+                    waiter,
+                    value,
+                    round,
+                });
             }
-        };
-        if self.flavor.read_write_back && !fast {
-            // Fig. 4 lines 36–38: write back before returning.
-            let round = {
-                let value = value.clone();
-                self.open(|req| Message::Write { req, ts, value }, out).0
-            };
-            self.op = Some(OpPhase::ReadWriteBack { op, value, round });
-        } else {
             // Single-round read: the regular register always, the atomic
-            // flavors when the fast path fired.
-            out.push(Action::Complete {
-                op,
-                result: OpResult::ReadValue(value),
-                rounds: 1,
-            });
-            self.drain_queue(out);
+            // flavors when the fast path fired. A renewal nobody adopted
+            // completes nobody's.
+            _ => self.complete(waiter, OpResult::ReadValue(value), 1, out),
         }
     }
 
@@ -1166,7 +1109,7 @@ impl RegisterAutomaton {
     fn on_store_done(&mut self, token: StoreToken, out: &mut Vec<Action>) {
         match self.op.take() {
             Some(OpPhase::WritePreLog {
-                op,
+                waiter,
                 ts,
                 value,
                 token: t,
@@ -1177,7 +1120,7 @@ impl RegisterAutomaton {
                 // the self-addressed `Write` below without a `written` store.
                 self.replica.on_pre_log_done(token, &value, out);
                 // The second round may begin.
-                self.start_propagate(op, ts, value, taken, out);
+                self.start_propagate(waiter, ts, value, taken, out);
                 return;
             }
             other => self.op = other,
@@ -1186,15 +1129,19 @@ impl RegisterAutomaton {
             if let Some(CatchUp::Store { ts }) = self.catch_up {
                 if self.replica.holds_durably(ts) {
                     self.catch_up = None;
-                    self.serve_if_recovered(out);
+                    self.drain_queue(out);
                 }
             }
             return;
         }
-        if let Some(RecoveryPhase::StoreRec { token: t }) = &self.recovery {
-            if *t == token {
-                self.recovery_store_done(out);
+        if self.rec_store == Some(token) {
+            self.rec_store = None;
+            // The regular register then re-learns its write frontier from
+            // a majority (see `on_sn_ack`).
+            if self.flavor.recovery == RecoveryPolicy::RecCounterAndQuery {
+                self.start_query(Waiter::Recovery, Value::bottom(), out);
             }
+            self.drain_queue(out);
         }
     }
 
@@ -1210,7 +1157,7 @@ impl RegisterAutomaton {
             let renew = used || self.served_last_term;
             self.served_last_term = used;
             if renew {
-                self.start_read(ReadFor::Renewal(None), out);
+                self.start_read(Waiter::Renewal(None), out);
             }
             return;
         }
@@ -1238,7 +1185,7 @@ impl RegisterAutomaton {
                 ..
             }) if *lease_armed == Some(token) => {
                 *lease_armed = None;
-                if matches!(waiter, ReadFor::Renewal(None)) {
+                if matches!(waiter, Waiter::Renewal(None)) {
                     self.op = None;
                     self.drain_queue(out);
                 }
@@ -1507,32 +1454,53 @@ mod tests {
         }
     }
 
+    /// Every completion in `out`, in order: its op's number, result and
+    /// rounds.
+    fn completions(out: &[Action]) -> Vec<(u64, OpResult, u32)> {
+        out.iter()
+            .filter_map(|x| match x {
+                Action::Complete { op, result, rounds } => {
+                    Some((op.counter, result.clone(), *rounds))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
-    fn busy_invocation_is_rejected() {
-        let mut a = fresh(Flavor::persistent());
+    fn a_busy_register_queues_invocations_in_fifo_order() {
+        let mut a = fresh(Flavor::transient());
+        let first = invoke(&mut a, 0, Op::Read);
+        // Two more wait their turn, emitting nothing.
+        assert!(invoke(&mut a, 1, Op::Read).is_empty());
+        assert!(invoke(&mut a, 2, Op::Write(Value::from_u32(7))).is_empty());
+        // The first read's quorum completes it, and the second read begins
+        // right then, with a round of its own.
         let mut out = Vec::new();
-        a.on_input(
-            Input::Invoke {
-                op: OpId::new(ProcessId(0), 0),
-                operation: Op::Read,
-            },
-            &mut out,
+        read_acks(&mut a, read_req(&first), 4, 40, &mut out);
+        let mut done = completions(&out);
+        let second = read_req(&out);
+        assert_ne!(second, read_req(&first));
+        let mut out = Vec::new();
+        read_acks(&mut a, second, 4, 40, &mut out);
+        done.extend(completions(&out));
+        // Then the write, with its query round.
+        let Message::SnReq { req } = *sends_of(&out)[0] else {
+            panic!("the queued write begins: {out:?}")
+        };
+        let mut out = Vec::new();
+        for from in [1, 2] {
+            out.extend(deliver(&mut a, from, Message::SnAck { req, seq: 4 }));
+        }
+        done.extend(completions(&write_acks(&mut a, &out)));
+        assert_eq!(
+            done,
+            [
+                (0, read_value(40), 1),
+                (1, read_value(40), 1),
+                (2, OpResult::Written, 2)
+            ]
         );
-        out.clear();
-        a.on_input(
-            Input::Invoke {
-                op: OpId::new(ProcessId(0), 1),
-                operation: Op::Read,
-            },
-            &mut out,
-        );
-        assert!(matches!(
-            out[0],
-            Action::Complete {
-                result: OpResult::Rejected(RejectReason::Busy),
-                ..
-            }
-        ));
     }
 
     #[test]
@@ -1650,6 +1618,34 @@ mod tests {
         read_acks(&mut a, catch_up, 6, 36, &mut out2);
         assert!(a.is_ready());
         assert_eq!(stores_in(&out2), 0);
+    }
+
+    #[test]
+    fn an_invocation_during_the_refinish_round_waits_until_ready() {
+        let (mut a, out) = recover_persistent(&snapshot(None, Some((7, 0, 42))));
+        let refinish = sends_of(&out)[0].request_id();
+        let catch_up = read_req(&out);
+        // The re-finish round holds the operation slot: a read invoked now
+        // waits.
+        assert!(invoke(&mut a, 0, Op::Read).is_empty());
+        // The catch-up's quorum holds the tag the own pre-log does: it is
+        // through, but the re-finish round is still out.
+        let mut out = Vec::new();
+        read_acks_from(&mut a, catch_up, [(1, 7, 0, 42), (2, 7, 0, 42)], &mut out);
+        assert!(!a.is_ready());
+        assert!(out.is_empty(), "{out:?}");
+        // Its majority of acks makes the process ready, and the read
+        // begins: a round of its own, to the quorum that answered.
+        let mut out = deliver(&mut a, 1, Message::WriteAck { req: refinish });
+        assert!(out.is_empty() && !a.is_ready());
+        out = deliver(&mut a, 2, Message::WriteAck { req: refinish });
+        assert!(a.is_ready());
+        assert_eq!(targets(&out), [0, 1, 2], "{out:?}");
+        let read = read_req(&out);
+        assert_ne!(read, catch_up);
+        let mut out = Vec::new();
+        read_acks_from(&mut a, read, [(1, 7, 0, 42), (2, 7, 0, 42)], &mut out);
+        assert_eq!(completions(&out), [(0, read_value(42), 1)]);
     }
 
     // ---------------------------------------------------------------
@@ -2765,11 +2761,18 @@ mod tests {
         assert_eq!(completion(&acks), Some((read_value(40), 1)));
         assert!(sends_of(&acks).is_empty());
         assert!(a.lease.is_some(), "and the renewal minted");
-        // Adopted, it is an operation like any other.
-        let (mut a, _) = renewing();
+        // Adopted, it is an operation like any other: a read invoked after
+        // the adopter waits its turn, and the lease the renewal minted
+        // serves it in zero rounds.
+        let (mut a, out) = renewing();
         invoke(&mut a, 2, Op::Read);
-        let busy = OpResult::Rejected(RejectReason::Busy);
-        assert_eq!(completion(&invoke(&mut a, 3, Op::Read)), Some((busy, 0)));
+        assert!(invoke(&mut a, 3, Op::Read).is_empty(), "queued");
+        let acks = grant_acks(&mut a, read_req(&out), 4, 40);
+        assert_eq!(
+            completions(&acks),
+            [(2, read_value(40), 1), (3, read_value(40), 0)]
+        );
+        assert!(sends_of(&acks).is_empty());
 
         // Anything else says nothing about the time since the replies
         // were sent — before the adopter was invoked, possibly: no

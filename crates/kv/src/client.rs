@@ -109,7 +109,7 @@ const MAP_RETRIES: usize = 6;
 
 /// The recorded answer to an invocation nothing of which took effect (the
 /// checkers ignore refused operations).
-const REFUSED: OpResult = OpResult::Rejected(RejectReason::Busy);
+const REFUSED: OpResult = OpResult::Rejected(RejectReason::NotAccepted);
 
 /// Shared per-client observability (all clones update one set): the
 /// `rmem-obs` registry with every hot-path handle pre-resolved, plus the
@@ -1723,9 +1723,9 @@ impl<'a> Flight<'a> {
                 self.kv.health.mark(op.order[op.at]);
                 op.ambiguous = true;
             }
-            // A refusal (the register automaton's own `Busy`, which a node
-            // that queues per register never provokes): an inconclusive
-            // probe, so the node still owes one.
+            // No node's fault (a frame too large ends its operation at
+            // submission, before it gets here): an inconclusive probe, so
+            // the node still owes one.
             _ => self.release_probe(&mut op),
         }
         self.next_node(&mut op, e);

@@ -253,8 +253,7 @@ impl World for Host {
             for (i, &ticket) in tickets.iter().enumerate() {
                 if let Claimed::Ready(result, rounds) = st.table.claim(ticket) {
                     let settled = match result {
-                        OpResult::Rejected(RejectReason::Shutdown) => Err(ClientError::ProcessDown),
-                        OpResult::Rejected(_) => Err(ClientError::Busy),
+                        OpResult::Rejected(_) => Err(ClientError::ProcessDown),
                         result => Ok((result, rounds)),
                     };
                     return Some((i, settled));

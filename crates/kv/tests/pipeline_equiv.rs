@@ -1,21 +1,21 @@
-//! Depth-1 equivalence: the pipelined multi-key driver, run one op at a
-//! time, is observationally the blocking client.
+//! Depth-1 equivalence: `multi_get`/`multi_put` of one input and
+//! `get`/`put` are one client.
 //!
-//! The pipelined `multi_get`/`multi_put` share their register machinery
-//! with `get`/`put` but drive it through a completely different engine
-//! (event-driven reactor, completion routing, blocking fallback). This
-//! sweep pins the equivalence at depth 1, where the two paths must be
-//! indistinguishable:
+//! Since the client became one event loop, `get(k)` *is* `multi_get([k])`
+//! (and `put` `multi_put` of one entry): both drive the same `Flight`.
+//! This suite pins that nothing between the call and that `Flight` tells
+//! them apart:
 //!
 //! * 12 seeds of mixed reader/writer threads, each seed run twice — once
-//!   through depth-1 pipelined batches, once through the blocking calls —
-//!   and **both** recorded histories must certify per key;
-//! * a quiescent twin (single thread, settled ops) must produce
-//!   **identical** `KvOpStats` round counts on both paths — same reads,
-//!   same writes, same quorum rounds, same fast-read count;
+//!   through one-input `multi_*` calls, once through `get`/`put` — and
+//!   **both** recorded histories must certify per key;
+//! * a quiescent twin (single client, settled ops), hosted in virtual time
+//!   by `rmem_kv::run_hosted`, must produce **identical** `KvOpStats`
+//!   round counts on both paths — same reads, same writes, same quorum
+//!   rounds, every read on the fast path. Virtual time is exact: no
+//!   retransmission fires because a loaded host was slow to answer;
 //! * the fast-read fraction of the concurrent sweep must be preserved
-//!   across the two engines (the pipeline must not perturb the one-round
-//!   fast path).
+//!   across the two drives.
 
 use std::time::Duration;
 
@@ -23,21 +23,23 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rmem_consistency::Criterion;
 use rmem_core::{SharedMemory, Transient};
-use rmem_kv::{certify_per_key_epoch_path, KvClient, KvOpStats, OpRecorder, ShardRouter};
+use rmem_kv::{
+    certify_per_key_epoch_path, run_hosted, KvClient, KvOpStats, OpRecorder, Script, ShardRouter,
+};
 use rmem_net::LocalCluster;
-use rmem_sim::KeyDistribution;
+use rmem_sim::{ClusterConfig, KeyDistribution, Simulation};
 
 const SHARDS: u16 = 16;
 const TRAFFIC_THREADS: u64 = 3;
 const OPS_PER_THREAD: usize = 40;
 
-/// Which engine drives the workload's ops.
+/// Which calls drive the workload's ops.
 #[derive(Clone, Copy, PartialEq, Debug)]
 enum Drive {
-    /// `multi_get(&[key])` / `multi_put(&[(key, value)])`: the pipelined
-    /// reactor at depth 1.
+    /// `multi_get(&[key])` / `multi_put(&[(key, value)])`: one-input
+    /// batches.
     PipelinedDepth1,
-    /// `get(key)` / `put(key, value)`: the blocking path.
+    /// `get(key)` / `put(key, value)`.
     Blocking,
 }
 
@@ -158,29 +160,40 @@ fn sweep_depth1_matches_blocking_and_certifies() {
     );
 }
 
-/// The quiescent twin: a single-threaded, settled op sequence must yield
-/// **identical** round counts through both engines — same number of
+/// The quiescent twin: one hosted client's settled op sequence must yield
+/// **identical** round counts through both drives — same number of
 /// recorded reads/writes, same quorum rounds, and every read on the
-/// fast path.
+/// fast path (32 of 32).
 #[test]
 fn quiescent_twin_has_identical_round_counts() {
     let mut outcomes = Vec::new();
     for drive in [Drive::PipelinedDepth1, Drive::Blocking] {
         let recorder = OpRecorder::new();
-        let (mut cluster, kv) = cluster_kv(&recorder);
-        let keys = kv.router().covering_keys("tw-");
-        for (i, key) in keys.iter().enumerate() {
-            do_put(&kv, drive, key, vec![i as u8; 8]);
-            // Settle: the propagate round finishes everywhere, so the
-            // following reads deterministically fast-path.
-            std::thread::sleep(Duration::from_millis(5));
-            assert_eq!(
-                do_get(&kv, drive, key).as_deref(),
-                Some(vec![i as u8; 8].as_slice()),
-                "{drive:?}: the settled read must observe the write"
-            );
-            assert!(do_get(&kv, drive, key).is_some());
-        }
+        let router = ShardRouter::new(SHARDS);
+        let keys = router.covering_keys("tw-");
+        let flavor = SharedMemory::factory(Transient::flavor());
+        let sim = Simulation::new(ClusterConfig::new(3), flavor, 7);
+        let mut family = None;
+        run_hosted(sim, |world| {
+            let kv = family
+                .insert(KvClient::over(world.clone(), router).with_recorder(recorder.clone()));
+            let (kv, keys) = (kv.recorded_clone(), &keys);
+            vec![Box::new(move || {
+                for (i, key) in keys.iter().enumerate() {
+                    do_put(&kv, drive, key, vec![i as u8; 8]);
+                    // Settle: the propagate round finishes everywhere, so
+                    // the following reads deterministically fast-path.
+                    world.wait_any(&[], world.now() + Duration::from_millis(5));
+                    assert_eq!(
+                        do_get(&kv, drive, key).as_deref(),
+                        Some(vec![i as u8; 8].as_slice()),
+                        "{drive:?}: the settled read must observe the write"
+                    );
+                    assert!(do_get(&kv, drive, key).is_some());
+                }
+            }) as Script]
+        });
+        let kv = family.expect("built by the setup");
         certify_per_key_epoch_path(
             &recorder.history(),
             keys.iter().map(String::as_str),
@@ -190,16 +203,16 @@ fn quiescent_twin_has_identical_round_counts() {
         .unwrap_or_else(|e| panic!("{drive:?}: quiescent twin failed certification: {e}"));
         let stats = kv.stats();
         assert_eq!(
-            stats.fast_reads, stats.reads,
+            (stats.fast_reads, stats.reads),
+            (32, 32),
             "{drive:?}: every quiescent read must take the fast path"
         );
         outcomes.push(stats);
-        cluster.shutdown();
     }
     assert_eq!(
         outcomes[0], outcomes[1],
-        "the quiescent twin must produce identical op stats through the \
-         pipelined and blocking engines"
+        "the quiescent twin must produce identical op stats through both \
+         drives"
     );
 }
 

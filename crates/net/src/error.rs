@@ -66,14 +66,9 @@ impl std::error::Error for NetError {
 /// A client-visible operation failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClientError {
-    /// The register automaton refused the operation because one is already
-    /// in flight on its register — a defensive refusal the runner never
-    /// provokes: it queues a second operation on a register behind the
-    /// first (per-register sequentiality; operations on *distinct*
-    /// registers proceed concurrently through one runner).
-    Busy,
     /// The runner was shut down (or killed to simulate a crash) before the
-    /// operation completed.
+    /// operation completed. A busy register is no failure: the runner
+    /// queues a second operation on a register behind the first.
     ProcessDown,
     /// The operation did not complete within the client's patience window.
     TimedOut,
@@ -96,7 +91,6 @@ pub enum ClientError {
 impl std::fmt::Display for ClientError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ClientError::Busy => write!(f, "an operation is already in flight"),
             ClientError::ProcessDown => write!(f, "the process is down"),
             ClientError::TimedOut => write!(f, "the operation timed out"),
             ClientError::TooLarge { size, limit } => {
@@ -126,10 +120,7 @@ mod tests {
             limit: 65_000,
         };
         assert!(e.to_string().contains("70000"));
-        assert_eq!(
-            ClientError::Busy.to_string(),
-            "an operation is already in flight"
-        );
+        assert_eq!(ClientError::ProcessDown.to_string(), "the process is down");
     }
 
     #[test]

@@ -28,7 +28,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
-use rmem_types::{Op, OpResult, ProcessId, RegisterId, RejectReason, TraceId, Value};
+use rmem_types::{Op, OpResult, ProcessId, RegisterId, TraceId, Value};
 
 use crate::error::ClientError;
 use crate::runner::{Client, EventTx, RunnerEvent, TraceCtx};
@@ -442,8 +442,7 @@ impl Pipeline {
         trace: Option<&TraceCtx>,
     ) -> Result<Settled, ClientError> {
         match result {
-            OpResult::Rejected(RejectReason::Shutdown) => Err(ClientError::ProcessDown),
-            OpResult::Rejected(_) => Err(ClientError::Busy),
+            OpResult::Rejected(_) => Err(ClientError::ProcessDown),
             result => {
                 if let (Some(ctx), Some((target, reg, Some(id)))) = (trace, meta) {
                     ctx.finish(id, reg, self.targets[target].me);
@@ -656,8 +655,7 @@ impl PipelinedClient {
     ///
     /// [`ClientError::ProcessDown`] if the node halted with the op
     /// pending (in flight, or waiting its turn on its register),
-    /// [`ClientError::TimedOut`] as its name says, [`ClientError::Busy`]
-    /// if the register automaton refused it.
+    /// and [`ClientError::TimedOut`] as its name says.
     pub fn wait(&self, ticket: Ticket) -> Result<Settled, ClientError> {
         self.pipe.wait(ticket, self.timeout, self.trace.as_deref())
     }

@@ -344,7 +344,7 @@ mod tests {
         t.record_complete(
             VirtualTime(1),
             r,
-            OpResult::Rejected(rmem_types::RejectReason::Busy),
+            OpResult::Rejected(rmem_types::RejectReason::Shutdown),
         );
         assert!(!t.operation(r).unwrap().is_completed());
         assert!(t.latencies(OpKind::Read).is_empty());

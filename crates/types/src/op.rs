@@ -160,14 +160,14 @@ impl std::fmt::Display for OpTag {
     }
 }
 
-/// Why a process refused to start an operation.
+/// Why an operation was rejected: its process stopped under it, or its
+/// client gave it up before any process accepted it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectReason {
-    /// The process already has an operation in flight. The paper's model
-    /// (§III-A) requires processes to be sequential: a new invocation is
-    /// only legal after the previous reply (or after a crash wiped the
-    /// pending one).
-    Busy,
+    /// No process accepted the invocation: the answer a client records
+    /// for an operation it gave up on before anything of it took effect
+    /// (a process never produces it — a busy register queues instead).
+    NotAccepted,
     /// The process is shutting down (or has halted): the operation was
     /// admitted but its emulation will never complete. From the caller's
     /// side this is indistinguishable from the process crashing with the
@@ -178,7 +178,7 @@ pub enum RejectReason {
 impl std::fmt::Display for RejectReason {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RejectReason::Busy => write!(f, "an operation is already in flight"),
+            RejectReason::NotAccepted => write!(f, "no process accepted the operation"),
             RejectReason::Shutdown => write!(f, "the process is shutting down"),
         }
     }
@@ -273,7 +273,7 @@ mod tests {
         assert_eq!(r.read_value().and_then(Value::as_u32), Some(9));
         assert!(r.is_completed());
         assert!(OpResult::Written.is_completed());
-        assert!(!OpResult::Rejected(RejectReason::Busy).is_completed());
+        assert!(!OpResult::Rejected(RejectReason::NotAccepted).is_completed());
         assert_eq!(OpResult::Written.read_value(), None);
     }
 }
