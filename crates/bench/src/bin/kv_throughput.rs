@@ -62,7 +62,8 @@
 //! pipelined workload driving the trials (its rows ride into `--json`
 //! labeled by depth);
 //! `--json PATH` writes the rows as machine-readable JSON for perf
-//! diffing (`BENCH_kv.json` is the committed baseline). The sim grid's
+//! diffing (`BENCH_kv.json` is the committed baseline, and `--lease
+//! --json BENCH_kv.json` regenerates it). The sim grid's
 //! rows are virtual-time (labeled so); every reported run is certified
 //! per key before its row prints.
 
@@ -212,7 +213,8 @@ fn main() {
             );
             assert!(
                 speedup >= speedup_floor,
-                "{flavor}: leases must clear {speedup_floor}× the lease-off twin,                  got {speedup:.2}×"
+                "{flavor}: leases must clear {speedup_floor}× the lease-off twin, \
+                 got {speedup:.2}×"
             );
             assert!(
                 off.read_rounds_mean >= 1.0,
@@ -220,33 +222,18 @@ fn main() {
                 off.read_rounds_mean
             );
             println!(
-                "{flavor}/zipf read-mostly: leased {:.0} ops/s vs off {:.0} ops/s                  ({speedup:.2}×; mean read rounds {:.2} vs {:.2})",
-                on.ops_per_sec,
-                off.ops_per_sec,
-                on.read_rounds_mean,
-                off.read_rounds_mean,
+                "{flavor}/zipf read-mostly: leased {:.0} ops/s vs off {:.0} ops/s \
+                 ({speedup:.2}×; mean read rounds {:.2} vs {:.2})",
+                on.ops_per_sec, off.ops_per_sec, on.read_rounds_mean, off.read_rounds_mean,
             );
         }
-        // The PR 6 priced-overhead gate, re-asserted with leases armed on
+        // The priced-overhead gate, re-asserted with leases armed on
         // both sides: zero-round serving changes what fires per op (the
         // zero-round counter joins; some quorum-path instruments drop
         // out), and the budget must still hold.
-        let o = rmem_bench::obs::obs_scenario_leased(smoke);
-        assert!(
-            o.within_budget(),
-            "instrumentation overhead gate with leases on: priced cost {:.2} µs/op              exceeds {:.0}% of baseline ({:.2}% on the {} basis)",
-            o.priced_overhead_ns_per_op() / 1_000.0,
-            rmem_bench::obs::OVERHEAD_BUDGET * 100.0,
-            (1.0 - o.overhead_ratio()) * 100.0,
-            o.gate_basis(),
-        );
-        println!(
-            "obs gate with leases on ({} µs horizon): {:.2}% priced overhead              ({} basis, budget {:.0}%)",
-            rmem_bench::obs::OBS_LEASE_MICROS,
-            (1.0 - o.overhead_ratio()) * 100.0,
-            o.gate_basis(),
-            rmem_bench::obs::OVERHEAD_BUDGET * 100.0,
-        );
+        let micros = rmem_bench::obs::OBS_LEASE_MICROS;
+        let o = rmem_bench::obs::obs_scenario(smoke, None, micros);
+        obs_gate(&format!(" with leases on ({micros} µs horizon)"), &o);
         rows.extend(lease_rows);
     }
     let reshard_report = if reshard {
@@ -328,16 +315,11 @@ fn main() {
     // scenario (a KvClient with an enabled handle traces every op), so
     // running the obs scenario under --trace is exactly that re-check.
     let obs_report = if obs || trace || obs_json_path.is_some() {
-        let r = rmem_bench::obs::obs_scenario(smoke);
-        let cpu_per_op = |v: Option<f64>| match v {
-            Some(ns) => format!("{:.1} µs", ns / 1_000.0),
-            None => "n/a".to_string(),
-        };
+        let r = rmem_bench::obs::obs_scenario(smoke, None, 0);
         println!(
             "obs (udp+wal, wall clock, wf {:.1}): instrumented {:.0} ops/s vs baseline {:.0} ops/s \
              (cpu/op {} vs {}); priced instrument cost {:.2} µs/op \
-             ({:.1} flight events, {:.1} histogram samples, {:.1} counter incs per op) \
-             = {:.2}% overhead ({} basis); \
+             ({:.1} flight events, {:.1} histogram samples, {:.1} counter incs per op); \
              get p50/p90/p99/p999 = {}/{}/{}/{} µs, \
              put p50/p90/p99/p999 = {}/{}/{}/{} µs",
             rmem_bench::obs::OBS_WRITE_FRACTION,
@@ -349,8 +331,6 @@ fn main() {
             r.flight_events_per_op,
             r.hist_samples_per_op,
             r.counter_incs_per_op,
-            (1.0 - r.overhead_ratio()) * 100.0,
-            r.gate_basis(),
             r.get_percentiles_us[0],
             r.get_percentiles_us[1],
             r.get_percentiles_us[2],
@@ -360,24 +340,7 @@ fn main() {
             r.put_percentiles_us[2],
             r.put_percentiles_us[3],
         );
-        // The acceptance gate: the metrics registry and flight recorder
-        // must ride along for ≤3% of the per-op budget — their measured
-        // firing rates priced at measured unit costs, against the
-        // baseline's measured CPU per completed op (wall-clock throughput
-        // where /proc isn't readable).
-        assert!(
-            r.within_budget(),
-            "instrumentation overhead gate: priced instrument cost {:.2} µs/op must stay within \
-             {:.0}% of baseline cpu/op {} (instrumented {:.0} vs baseline {:.0} ops/s); got \
-             {:.2}% overhead on the {} basis",
-            r.priced_overhead_ns_per_op() / 1_000.0,
-            rmem_bench::obs::OVERHEAD_BUDGET * 100.0,
-            cpu_per_op(r.baseline_cpu_ns_per_op),
-            r.instrumented_ops_per_sec,
-            r.baseline_ops_per_sec,
-            (1.0 - r.overhead_ratio()) * 100.0,
-            r.gate_basis(),
-        );
+        obs_gate("", &r);
         if let Some(path) = &obs_json_path {
             std::fs::write(path, format!("[\n{}\n]\n", r.to_json()))
                 .expect("writing obs metrics snapshot");
@@ -530,28 +493,13 @@ fn main() {
             r.rows.last().expect("rows").depth,
             speedup,
         );
-        // The PR 6 priced-overhead gate, re-asserted with pipelining on:
-        // the same interleaved trials, but every worker drives pipelined
+        // The priced-overhead gate, re-asserted with pipelining on: the
+        // same interleaved trials, but every worker drives pipelined
         // batches, so `kv.inflight` / `kv.pipeline_depth` fire and are
         // priced with everything else.
         let depth = max_depth.min(rmem_bench::obs::OBS_SHARDS as usize);
-        let o = rmem_bench::obs::obs_scenario_with(smoke, Some(depth));
-        assert!(
-            o.within_budget(),
-            "instrumentation overhead gate with pipelining on (depth {depth}): priced cost \
-             {:.2} µs/op exceeds {:.0}% of baseline ({:.2}% on the {} basis)",
-            o.priced_overhead_ns_per_op() / 1_000.0,
-            rmem_bench::obs::OVERHEAD_BUDGET * 100.0,
-            (1.0 - o.overhead_ratio()) * 100.0,
-            o.gate_basis(),
-        );
-        println!(
-            "obs gate with pipelining on (depth {depth}): {:.2}% priced overhead \
-             ({} basis, budget {:.0}%)",
-            (1.0 - o.overhead_ratio()) * 100.0,
-            o.gate_basis(),
-            rmem_bench::obs::OVERHEAD_BUDGET * 100.0,
-        );
+        let o = rmem_bench::obs::obs_scenario(smoke, Some(depth), 0);
+        obs_gate(&format!(" with pipelining on (depth {depth})"), &o);
         r
     });
     if let Some(path) = json_path {
@@ -578,4 +526,36 @@ fn main() {
         let path = table.write_csv("kv_throughput").expect("writing CSV");
         println!("wrote {}", path.display());
     }
+}
+
+fn cpu_per_op(ns: Option<f64>) -> String {
+    match ns {
+        Some(ns) => format!("{:.1} µs", ns / 1_000.0),
+        None => "n/a".to_string(),
+    }
+}
+
+/// The ≤3% priced instrumentation-overhead gate: the metrics registry
+/// and flight recorder must ride along for ≤3% of the per-op budget —
+/// their measured firing rates priced at measured unit costs, against
+/// the baseline's measured CPU per completed op (wall-clock throughput
+/// where /proc isn't readable). `with` names what the run had on.
+fn obs_gate(with: &str, o: &rmem_bench::obs::ObsReport) {
+    let overhead = (1.0 - o.overhead_ratio()) * 100.0;
+    let budget = rmem_bench::obs::OVERHEAD_BUDGET * 100.0;
+    assert!(
+        o.within_budget(),
+        "instrumentation overhead gate{with}: priced cost {:.2} µs/op exceeds {budget:.0}% of \
+         baseline cpu/op {} (instrumented {:.0} vs baseline {:.0} ops/s); got {overhead:.2}% \
+         overhead on the {} basis",
+        o.priced_overhead_ns_per_op() / 1_000.0,
+        cpu_per_op(o.baseline_cpu_ns_per_op),
+        o.instrumented_ops_per_sec,
+        o.baseline_ops_per_sec,
+        o.gate_basis(),
+    );
+    println!(
+        "obs gate{with}: {overhead:.2}% priced overhead ({} basis, budget {budget:.0}%)",
+        o.gate_basis(),
+    );
 }

@@ -2,7 +2,7 @@
 //! on the real UDP runtime, `FileStorage` (the paper's fsync-per-store
 //! slot files) vs `WalStorage` (the segmented group-commit write-ahead
 //! log), with fsync-level accounting from the cluster's
-//! [`StoreCounters`].
+//! [`StoreCounters`](rmem_storage::StoreCounters).
 //!
 //! Unlike the virtual-time grid of [`crate::kv`], the durability
 //! pipeline's value only shows against a *real* disk: the same workload
@@ -13,24 +13,18 @@
 //! store the syncer batched) where the slot files pay two per *store*,
 //! so write-heavy throughput moves by multiples, not percents.
 //!
-//! Every backend's row is gated on a **certified witness run**: a
-//! bounded, recorded run of the same shape on the same backend must pass
-//! [`rmem_kv::certify_per_key_epoch_path`] (a one-epoch path — no
-//! migration here, the oracle is per-key atomicity) before any number is
-//! reported. The split between the witness and the measured run is the
-//! same volume-bounding the reshard scenario uses: the decision-procedure
-//! checker caps per-register history size, a full-speed run does not.
+//! Every backend's row is gated on a **certified witness run**
+//! ([`crate::load::Load::witness`]): a bounded, recorded run of the same
+//! shape on the same backend must pass per-key certification before any
+//! number is reported.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use rmem_consistency::Criterion;
 use rmem_core::{SharedMemory, Transient};
-use rmem_kv::{certify_per_key_epoch_path, KvClient, OpRecorder, ShardRouter};
+use rmem_kv::{KvClient, ShardRouter};
 use rmem_net::{DiskMode, LocalCluster};
-use rmem_sim::KeyDistribution;
+
+use crate::load::{scratch_dir, Load, ScratchDir};
 
 /// Shard count (and key universe) of the scenario.
 pub const DISK_SHARDS: u16 = 16;
@@ -97,18 +91,6 @@ impl DiskReport {
     }
 }
 
-fn mode_of(backend: &'static str) -> DiskMode {
-    match backend {
-        "file" => DiskMode::File,
-        "wal" => DiskMode::Wal,
-        other => panic!("unknown backend {other}"),
-    }
-}
-
-fn scratch_dir(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("rmem-diskbench-{tag}-{}", std::process::id()))
-}
-
 /// Runs the scenario: for each backend, a certified witness run then a
 /// measured window of write-heavy Zipf traffic. `smoke` shortens the
 /// window for CI.
@@ -123,73 +105,53 @@ pub fn disk_scenario(smoke: bool) -> DiskReport {
     } else {
         Duration::from_millis(1_000)
     };
-    let rows = ["file", "wal"]
+    let keys = ShardRouter::new(DISK_SHARDS).covering_keys("disk-");
+    let load = Load::new(&keys, DISK_WORKERS, 31, DISK_WRITE_FRACTION);
+    let rows = [("file", DiskMode::File), ("wal", DiskMode::Wal)]
         .into_iter()
-        .map(|backend| {
-            let certified = certified_witness(backend);
-            measure(backend, window, certified)
+        .map(|(backend, mode)| {
+            // The bounded recorded witness: three Zipf clients of 30 ops
+            // each on the same backend and cluster shape, certified per
+            // key (a one-epoch path — the cross-epoch certifier doubles
+            // as the plain per-key oracle when nothing moves).
+            {
+                let dir = scratch_dir(&format!("diskbench-witness-{backend}"));
+                let cluster = cluster(&dir, mode);
+                Load {
+                    workers: 3,
+                    seed: 300,
+                    ..load
+                }
+                .witness(cluster.clients(), &[DISK_SHARDS], 30, |_| {})
+                .unwrap_or_else(|e| {
+                    panic!("{backend}: the disk witness run must certify per key: {e}")
+                });
+            }
+            measure(backend, mode, load, window)
         })
         .collect();
     DiskReport { rows }
 }
 
-fn measure(backend: &'static str, window: Duration, certified: bool) -> DiskRow {
-    let dir = scratch_dir(&format!("measure-{backend}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    let cluster = LocalCluster::udp_with_disk(
-        3,
-        SharedMemory::factory(Transient::flavor()),
-        &dir,
-        mode_of(backend),
-    )
-    .expect("cluster");
+fn cluster(dir: &ScratchDir, mode: DiskMode) -> LocalCluster {
+    let factory = SharedMemory::factory(Transient::flavor());
+    LocalCluster::udp_with_disk(3, factory, dir.path(), mode).expect("cluster")
+}
+
+fn measure(backend: &'static str, mode: DiskMode, load: Load, window: Duration) -> DiskRow {
+    let dir = scratch_dir(&format!("diskbench-measure-{backend}"));
+    let cluster = cluster(&dir, mode);
     let kv = KvClient::new(cluster.clients(), ShardRouter::new(DISK_SHARDS)).expect("kv client");
-    let keys = ShardRouter::new(DISK_SHARDS).covering_keys("disk-");
-    for (i, key) in keys.iter().enumerate() {
-        kv.put(key, vec![0, i as u8]).expect("seed put");
-    }
+    load.preload(&kv);
     // Count only steady-state traffic: reset what seeding logged.
     for pid in rmem_types::ProcessId::all(3) {
         cluster.storage_counters(pid).reset();
     }
-
-    let stop = AtomicBool::new(false);
-    let completed = AtomicU64::new(0);
-    // Measure from first spawn to last join: workers finish their
-    // in-flight operation after the stop flag flips, and those
-    // completions count, so the divisor must be the real elapsed time —
-    // dividing by the nominal window would credit the slower backend's
-    // longer post-window tail as throughput.
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        let stop = &stop;
-        let completed = &completed;
-        let keys = &keys;
-        for t in 0..DISK_WORKERS {
-            let client = kv.clone();
-            scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(31 + t);
-                let dist = KeyDistribution::zipf(keys.len(), 0.99);
-                let mut counter = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    let key = &keys[dist.sample(&mut rng)];
-                    if rng.gen_bool(DISK_WRITE_FRACTION) {
-                        counter += 1;
-                        let value = ((t + 1) << 32 | counter).to_be_bytes().to_vec();
-                        client.put(key, value).expect("put");
-                    } else {
-                        client.get(key).expect("get");
-                    }
-                    completed.fetch_add(1, Ordering::Relaxed);
-                }
-            });
-        }
+    let run = load.run(&kv, None, |progress| {
         std::thread::sleep(window);
-        stop.store(true, Ordering::Relaxed);
+        progress.stop();
     });
-    let elapsed = start.elapsed();
 
-    let completed_ops = completed.load(Ordering::Relaxed);
     let (mut stores, mut bytes, mut commits, mut fsyncs, mut failures) =
         (0u64, 0u64, 0u64, 0u64, 0u64);
     for pid in rmem_types::ProcessId::all(3) {
@@ -202,81 +164,18 @@ fn measure(backend: &'static str, window: Duration, certified: bool) -> DiskRow 
     }
     assert_eq!(failures, 0, "{backend}: the log must not fail mid-bench");
     assert!(stores > 0, "{backend}: a write-heavy run must log");
-    drop(kv);
-    drop(cluster);
-    let _ = std::fs::remove_dir_all(&dir);
 
     DiskRow {
         backend,
-        completed_ops,
-        ops_per_sec: completed_ops as f64 / elapsed.as_secs_f64(),
+        completed_ops: run.completed,
+        ops_per_sec: run.completed as f64 / run.elapsed.as_secs_f64(),
         write_fraction: DISK_WRITE_FRACTION,
-        fsyncs_per_op: fsyncs as f64 / completed_ops.max(1) as f64,
+        fsyncs_per_op: fsyncs as f64 / run.completed.max(1) as f64,
         mean_group_size: stores as f64 / commits.max(1) as f64,
         bytes_per_commit: bytes as f64 / commits.max(1) as f64,
         store_failures: failures,
-        certified,
+        certified: true,
     }
-}
-
-/// The bounded recorded witness: three Zipf clients with small op
-/// budgets on the same backend and cluster shape, certified per key
-/// (identity epoch transition — the cross-epoch certifier doubles as the
-/// plain per-key oracle when nothing moves).
-///
-/// # Panics
-///
-/// Panics if the run fails certification.
-fn certified_witness(backend: &'static str) -> bool {
-    let dir = scratch_dir(&format!("witness-{backend}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    let cluster = LocalCluster::udp_with_disk(
-        3,
-        SharedMemory::factory(Transient::flavor()),
-        &dir,
-        mode_of(backend),
-    )
-    .expect("cluster");
-    let recorder = OpRecorder::new();
-    let kv = KvClient::new(cluster.clients(), ShardRouter::new(DISK_SHARDS))
-        .expect("kv client")
-        .with_recorder(recorder.clone());
-    let keys = ShardRouter::new(DISK_SHARDS).covering_keys("disk-");
-    for (i, key) in keys.iter().enumerate() {
-        kv.put(key, vec![0, i as u8]).expect("seed put");
-    }
-    std::thread::scope(|scope| {
-        for t in 0..3u64 {
-            let client = kv.recorded_clone();
-            let keys = &keys;
-            scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(300 + t);
-                let dist = KeyDistribution::zipf(keys.len(), 0.99);
-                let mut counter = 0u64;
-                for _ in 0..30 {
-                    let key = &keys[dist.sample(&mut rng)];
-                    if rng.gen_bool(DISK_WRITE_FRACTION) {
-                        counter += 1;
-                        let value = ((t + 1) << 32 | counter).to_be_bytes().to_vec();
-                        client.put(key, value).expect("put");
-                    } else {
-                        client.get(key).expect("get");
-                    }
-                }
-            });
-        }
-    });
-    certify_per_key_epoch_path(
-        &recorder.history(),
-        keys.iter().map(String::as_str),
-        &[DISK_SHARDS],
-        Criterion::Transient,
-    )
-    .unwrap_or_else(|e| panic!("{backend}: the disk witness run must certify per key: {e}"));
-    drop(kv);
-    drop(cluster);
-    let _ = std::fs::remove_dir_all(&dir);
-    true
 }
 
 /// Serializes the rows as JSON objects (appended to the `BENCH_kv.json`

@@ -803,7 +803,8 @@ mod tests {
                         let on = run_cell(&mk(true), smoke, 0);
                         let off = run_cell(&mk(false), smoke, 0);
                         println!(
-                            "{} L={lease_micros} wf={wf} smoke={smoke}: mean {:.3} (off {:.3}),                              ops/s {:.0} vs {:.0} = {:.2}x",
+                            "{} L={lease_micros} wf={wf} smoke={smoke}: mean {:.3} (off {:.3}), \
+                             ops/s {:.0} vs {:.0} = {:.2}x",
                             flavor.name,
                             on.read_rounds_mean,
                             off.read_rounds_mean,

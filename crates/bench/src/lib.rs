@@ -13,6 +13,12 @@
 //! delay δ ≈ 100 µs, synchronous log λ ≈ 200 µs (§I-B) — so the *shape*
 //! of every result is comparable: who wins, by roughly what factor, and
 //! where the curves grow.
+//!
+//! `kv_throughput`'s wall-clock sections — [`disk`], [`obs`], [`trace`],
+//! [`pipeline`] and [`reshard`] — run on real clusters and share one load
+//! driver, [`load`]: closed-loop worker threads whose step is a Zipf
+//! `get`/`put` or a rotating `multi_*` batch, and a per-key-certified
+//! recorded twin of the same traffic that gates every reported row.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,6 +28,7 @@ pub mod disk;
 pub mod experiments;
 pub mod explore;
 pub mod kv;
+pub mod load;
 pub mod obs;
 pub mod pipeline;
 pub mod reshard;

@@ -45,16 +45,14 @@
 //! (`runner.*`, `syncer.*`, bridged `storage.*` gauges) — which CI
 //! uploads as a build artifact.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use rmem_core::{SharedMemory, Transient};
 use rmem_kv::{KvClient, ShardRouter};
 use rmem_net::{DiskMode, LocalCluster};
 use rmem_obs::{MetricsSnapshot, ObsHandle};
-use rmem_sim::KeyDistribution;
+
+use crate::load::{my_cpu_ns, scratch_dir, Load};
 
 /// Shard count (and key universe) of the scenario.
 pub const OBS_SHARDS: u16 = 16;
@@ -74,11 +72,10 @@ pub const OBS_TRIALS: usize = 4;
 /// fraction of the baseline (≤3% overhead, CPU per completed op).
 pub const OVERHEAD_BUDGET: f64 = 0.03;
 
-/// Wall-clock lease horizon of the leased gate re-run
-/// ([`obs_scenario_leased`]), in µs. Short: at this scenario's 50% put
-/// mix a put that fails over past a granted key's home node freezes its
-/// register for the fence term, so the horizon is kept to a few round
-/// trips — enough for the lease path (zero-round `OpComplete`s on the
+/// Wall-clock lease horizon of the leased gate re-run (`--lease`), in
+/// µs. Short: at this scenario's 50% put mix a put that fails over past
+/// a granted key's home node freezes its register for the fence term, so
+/// the horizon is kept to a few round trips — enough for the lease path (zero-round `OpComplete`s on the
 /// nodes' rings, `kv.lease_hits` on the client) to fire at real rates,
 /// without the fences dominating the window.
 pub const OBS_LEASE_MICROS: u64 = 500;
@@ -161,33 +158,20 @@ pub fn measure_unit_costs() -> UnitCosts {
     }
 }
 
-/// CPU nanoseconds consumed so far by one thread, from its `schedstat`
-/// (`running_ns wait_ns timeslices` — nanosecond resolution, unlike the
-/// 10 ms clock ticks of `/proc/self/stat`).
-fn thread_cpu_ns(path: &std::path::Path) -> Option<u64> {
-    let s = std::fs::read_to_string(path).ok()?;
-    s.split_whitespace().next()?.parse().ok()
-}
-
 /// Sum of CPU nanoseconds over every *live* thread of this process.
 /// Threads that exit between the two samples of a window are not seen by
-/// the second sample — callers have such threads report themselves (see
-/// the worker loop in [`run_trial`]).
+/// the second sample — callers have such threads report themselves (as
+/// [`Load::run`]'s workers do).
 fn live_threads_cpu_ns() -> Option<u64> {
     let mut total = 0u64;
     // A thread may exit between readdir and read: skip it, its CPU is
     // accounted by its own exit-time self-report or not at all.
     for entry in std::fs::read_dir("/proc/self/task").ok()?.flatten() {
-        if let Some(ns) = thread_cpu_ns(&entry.path().join("schedstat")) {
+        if let Some(ns) = crate::load::thread_cpu_ns(&entry.path().join("schedstat")) {
             total += ns;
         }
     }
     Some(total)
-}
-
-/// CPU nanoseconds consumed so far by the calling thread.
-fn my_cpu_ns() -> Option<u64> {
-    thread_cpu_ns(std::path::Path::new("/proc/thread-self/schedstat"))
 }
 
 /// The full `--obs` report.
@@ -311,53 +295,33 @@ impl ObsReport {
     }
 }
 
-fn scratch_dir(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("rmem-obsbench-{tag}-{}", std::process::id()))
-}
-
 /// Runs the scenario: `OBS_TRIALS` interleaved baseline/instrumented
-/// pairs of the closed-loop Zipf workload on a WAL-backed UDP cluster;
-/// each side keeps its best trial. `smoke` shortens the window for CI.
+/// pairs of the closed-loop workload on a WAL-backed UDP cluster; each
+/// side keeps its best trial. `smoke` shortens the window for CI.
+///
+/// The workers issue single blocking `get`/`put`s of Zipf keys, or, with
+/// `depth = Some(d)`, batches of `d` distinct-shard keys through the
+/// pipelined `multi_get`/`multi_put` path, so the reactor's own
+/// instruments (`kv.inflight` gauge, `kv.pipeline_depth` histogram) fire
+/// and are priced by the same ≤3% gate. With `lease_micros > 0`, tag
+/// leases of that horizon are armed on both sides, so the zero-round
+/// path serves hot-key gets in baseline and instrumented trials alike
+/// and the gate stays a fair A/B while the lease path is priced with
+/// everything else.
 ///
 /// # Panics
 ///
 /// Panics if an operation errors terminally or a node's log fails.
-pub fn obs_scenario(smoke: bool) -> ObsReport {
-    obs_scenario_with(smoke, None)
-}
-
-/// [`obs_scenario`] with an optional **pipelined** workload: with
-/// `pipeline_depth = Some(d)`, every worker drives batches of `d`
-/// distinct-shard keys through the pipelined `multi_get`/`multi_put`
-/// path instead of single blocking ops, so the reactor's own instruments
-/// (`kv.inflight` gauge, `kv.pipeline_depth` histogram) fire and are
-/// priced by the same ≤3% gate.
-///
-/// # Panics
-///
-/// As for [`obs_scenario`].
-pub fn obs_scenario_with(smoke: bool, pipeline_depth: Option<usize>) -> ObsReport {
-    obs_scenario_impl(smoke, pipeline_depth, 0)
-}
-
-/// [`obs_scenario`] with **tag leases armed on both sides**: replicas
-/// grant [`OBS_LEASE_MICROS`] leases and the zero-round path serves
-/// hot-key gets in baseline and instrumented trials alike — so the priced
-/// ≤3% gate stays a fair A/B while the lease path fires and is priced
-/// with everything else.
-///
-/// # Panics
-///
-/// As for [`obs_scenario`].
-pub fn obs_scenario_leased(smoke: bool) -> ObsReport {
-    obs_scenario_impl(smoke, None, OBS_LEASE_MICROS)
-}
-
-fn obs_scenario_impl(smoke: bool, pipeline_depth: Option<usize>, lease_micros: u64) -> ObsReport {
+pub fn obs_scenario(smoke: bool, depth: Option<usize>, lease_micros: u64) -> ObsReport {
     let window = if smoke {
         Duration::from_millis(250)
     } else {
         Duration::from_millis(1_000)
+    };
+    let keys = ShardRouter::new(OBS_SHARDS).covering_keys("obs-");
+    let load = Load {
+        depth: depth.map(|d| d.min(keys.len())),
+        ..Load::new(&keys, OBS_WORKERS, 71, OBS_WRITE_FRACTION)
     };
     let mut baseline: Option<Trial> = None;
     let mut instrumented: Option<Trial> = None;
@@ -381,7 +345,7 @@ fn obs_scenario_impl(smoke: bool, pipeline_depth: Option<usize>, lease_micros: u
             [true, false]
         };
         for enabled in order {
-            let t = run_trial(trial, enabled, window, pipeline_depth, lease_micros);
+            let t = run_trial(trial, enabled, window, load, lease_micros);
             let totals = &mut cpu_totals[enabled as usize];
             *totals = match (*totals, t.cpu_ns) {
                 (Some((ns, ops)), Some(cpu)) => Some((ns + cpu, ops + t.completed_ops)),
@@ -439,27 +403,24 @@ fn obs_scenario_impl(smoke: bool, pipeline_depth: Option<usize>, lease_micros: u
 }
 
 /// One trial: fresh WAL-backed UDP cluster and client family, both with
-/// observability `enabled` or disabled, driven closed-loop for `window` —
-/// by single blocking ops, or by pipelined batches of `pipeline_depth`
-/// distinct-shard keys.
+/// observability `enabled` or disabled, driven by `load` for `window`.
 fn run_trial(
     trial: usize,
     enabled: bool,
     window: Duration,
-    pipeline_depth: Option<usize>,
+    load: Load,
     lease_micros: u64,
 ) -> Trial {
     // Let the previous trial's teardown drain before the clock starts:
     // its node threads, syncers and sockets release the CPU they still
     // hold, so their shutdown cost is not charged to this trial's window.
     std::thread::sleep(Duration::from_millis(100));
-    let tag = format!("{trial}-{}", if enabled { "obs" } else { "base" });
-    let dir = scratch_dir(&tag);
-    let _ = std::fs::remove_dir_all(&dir);
+    let side = if enabled { "obs" } else { "base" };
+    let dir = scratch_dir(&format!("obsbench-{trial}-{side}"));
     let cluster = LocalCluster::udp_with_disk_obs(
         3,
         SharedMemory::factory(Transient::flavor().with_lease(lease_micros)),
-        &dir,
+        dir.path(),
         DiskMode::Wal,
         enabled,
     )
@@ -472,118 +433,20 @@ fn run_trial(
     let kv = KvClient::new(cluster.clients(), ShardRouter::new(OBS_SHARDS))
         .expect("kv client")
         .with_obs(handle);
-    let keys = ShardRouter::new(OBS_SHARDS).covering_keys("obs-");
-    for (i, key) in keys.iter().enumerate() {
-        kv.put(key, vec![0, i as u8]).expect("seed put");
-    }
+    load.preload(&kv);
 
-    let stop = AtomicBool::new(false);
-    let completed = AtomicU64::new(0);
-    // Workers add their own lifetime CPU here on exit: they are born and
-    // die inside the window, so the live-thread sums below never see
-    // them.
-    let worker_cpu_ns = AtomicU64::new(0);
-    let worker_cpu_failed = AtomicBool::new(false);
     // The long-lived threads (main + the cluster's event loops and
     // syncers) are sampled before and after the window; the delta plus
     // the workers' self-reports is the trial's total CPU.
     let cpu_before = live_threads_cpu_ns();
-    // First spawn to last join (as in the disk scenario): in-flight
-    // operations completing after the stop flag count, so the divisor
-    // must be the real elapsed time.
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        let stop = &stop;
-        let completed = &completed;
-        let worker_cpu_ns = &worker_cpu_ns;
-        let worker_cpu_failed = &worker_cpu_failed;
-        let keys = &keys;
-        for t in 0..OBS_WORKERS {
-            let client = kv.clone();
-            scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(71 + t);
-                let dist = KeyDistribution::zipf(keys.len(), 0.99);
-                let mut counter = 0u64;
-                let mut round = 0usize;
-                while !stop.load(Ordering::Relaxed) {
-                    match pipeline_depth {
-                        // Pipelined batches: a rotating window of
-                        // distinct-shard keys (staggered per worker), so
-                        // each batch occupies `depth` distinct registers
-                        // and the reactor sustains real depth.
-                        Some(depth) => {
-                            let depth = depth.min(keys.len());
-                            let start = (t as usize + round * depth) % keys.len();
-                            let picked: Vec<&str> = (0..depth)
-                                .map(|j| keys[(start + j) % keys.len()].as_str())
-                                .collect();
-                            if rng.gen_bool(OBS_WRITE_FRACTION) {
-                                let puts: Vec<(&str, bytes::Bytes)> = picked
-                                    .iter()
-                                    .map(|k| {
-                                        counter += 1;
-                                        let value =
-                                            ((t + 1) << 32 | counter).to_be_bytes().to_vec();
-                                        (*k, bytes::Bytes::from(value))
-                                    })
-                                    .collect();
-                                client.multi_put(&puts).expect("pipelined put batch");
-                            } else {
-                                client.multi_get(&picked).expect("pipelined get batch");
-                            }
-                            completed.fetch_add(depth as u64, Ordering::Relaxed);
-                            round += 1;
-                        }
-                        None => {
-                            let key = &keys[dist.sample(&mut rng)];
-                            if rng.gen_bool(OBS_WRITE_FRACTION) {
-                                counter += 1;
-                                let value = ((t + 1) << 32 | counter).to_be_bytes().to_vec();
-                                client.put(key, value).expect("put");
-                            } else {
-                                client.get(key).expect("get");
-                            }
-                            completed.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-                match my_cpu_ns() {
-                    Some(ns) => {
-                        worker_cpu_ns.fetch_add(ns, Ordering::Relaxed);
-                    }
-                    None => worker_cpu_failed.store(true, Ordering::Relaxed),
-                }
-            });
-        }
+    let run = load.run(&kv, None, |progress| {
         std::thread::sleep(window);
-        stop.store(true, Ordering::Relaxed);
+        progress.stop();
     });
-    let elapsed = start.elapsed();
-    let cpu_after = live_threads_cpu_ns();
-    let cpu_ns = match (
-        cpu_before,
-        cpu_after,
-        worker_cpu_failed.load(Ordering::Relaxed),
-    ) {
-        (Some(before), Some(after), false) => {
-            Some(after.saturating_sub(before) + worker_cpu_ns.load(Ordering::Relaxed))
-        }
+    let cpu_ns = match (cpu_before, live_threads_cpu_ns(), run.worker_cpu_ns) {
+        (Some(before), Some(after), Some(workers)) => Some(after.saturating_sub(before) + workers),
         _ => None,
     };
-    let completed_ops = completed.load(Ordering::Relaxed);
-    if std::env::var_os("RMEM_OBS_TRACE").is_some() {
-        eprintln!(
-            "trial {trial} enabled={enabled}: {completed_ops} ops in {:?} = {:.0} ops/s, \
-             cpu/op = {}",
-            elapsed,
-            completed_ops as f64 / elapsed.as_secs_f64(),
-            match cpu_ns {
-                Some(ns) if completed_ops > 0 =>
-                    format!("{:.0} ns", ns as f64 / completed_ops as f64),
-                _ => "n/a".to_string(),
-            }
-        );
-    }
 
     let metrics = enabled.then(|| {
         // One snapshot covering the stack: the client family's registry
@@ -623,12 +486,9 @@ fn run_trial(
             )
         })
         .unwrap_or((0, 0));
-    drop(kv);
-    drop(cluster);
-    let _ = std::fs::remove_dir_all(&dir);
     Trial {
-        ops_per_sec: completed_ops as f64 / elapsed.as_secs_f64(),
-        completed_ops,
+        ops_per_sec: run.completed as f64 / run.elapsed.as_secs_f64(),
+        completed_ops: run.completed,
         cpu_ns,
         flight_events,
         hist_samples,
@@ -643,7 +503,7 @@ mod tests {
 
     #[test]
     fn smoke_scenario_reports_wall_clock_percentiles_and_a_snapshot() {
-        let report = obs_scenario(true);
+        let report = obs_scenario(true, None, 0);
         assert!(report.baseline_ops_per_sec > 0.0);
         assert!(report.instrumented_ops_per_sec > 0.0);
         assert!(report.completed_ops > 0);

@@ -11,13 +11,11 @@
 //! Throughput divides completed logical ops by the loop's **real elapsed
 //! time** (first submit to last completion), never a nominal window.
 //!
-//! Like [`crate::reshard`], the scenario splits measurement from
-//! certification: a full-speed unrecorded run produces the numbers (and,
-//! with no recorder attached, exercises the zero-copy submission path),
-//! while a bounded recorded twin of the same shape must pass per-key
-//! certification before the row is reported — the decision-procedure
-//! checker caps a register's history, so the certified witness is
-//! volume-bounded while the measured run is not.
+//! Like every [`crate::load`] section, the scenario splits measurement
+//! from certification: a full-speed unrecorded run produces the numbers
+//! (and, with no recorder attached, exercises the zero-copy submission
+//! path), while a bounded recorded twin of the same shape must pass
+//! per-key certification before the row is reported.
 //!
 //! Every measured run asserts its own hygiene: the `kv.inflight` gauge
 //! must read zero after the loop (a leaked or wedged slot would hold it
@@ -25,14 +23,13 @@
 //! reported so the row shows the depth the reactor actually sustained,
 //! not just the one requested.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use rmem_consistency::Criterion;
 use rmem_core::{SharedMemory, Transient};
-use rmem_kv::{certify_per_key_epoch_path, KvClient, OpRecorder, ShardRouter};
+use rmem_kv::{KvClient, ShardRouter};
 use rmem_net::LocalCluster;
+
+use crate::load::Load;
 
 /// Shard (and register) universe of the sweep: large enough that a
 /// depth-64 batch occupies 64 distinct registers, so per-register
@@ -138,116 +135,42 @@ impl PipelineReport {
     }
 }
 
-/// One batch of `depth` distinct-shard keys: a rotating window over the
-/// covering set, so the load is uniform across shards and every batch
-/// occupies `depth` distinct registers.
-fn batch_at(keys: &[String], round: usize, depth: usize) -> Vec<&str> {
-    let start = (round * depth) % keys.len();
-    (0..depth)
-        .map(|j| keys[(start + j) % keys.len()].as_str())
-        .collect()
-}
-
-/// Drives `batches` rounds of the workload through `kv` at `depth`,
-/// returning completed logical ops. `None` batches means "run until
-/// `deadline`".
-fn drive(
-    kv: &KvClient,
-    keys: &[String],
-    depth: usize,
-    batches: Option<usize>,
-    deadline: Option<Instant>,
-    rng: &mut StdRng,
-) -> u64 {
-    let mut completed = 0u64;
-    let mut counter = 0u64;
-    let mut round = 0usize;
-    loop {
-        match (batches, deadline) {
-            (Some(n), _) if round >= n => break,
-            (_, Some(t)) if Instant::now() >= t => break,
-            _ => {}
-        }
-        let picked = batch_at(keys, round, depth);
-        if rng.gen_bool(PIPELINE_WRITE_FRACTION) {
-            let puts: Vec<(&str, bytes::Bytes)> = picked
-                .iter()
-                .map(|k| {
-                    counter += 1;
-                    (*k, bytes::Bytes::from(counter.to_be_bytes().to_vec()))
-                })
-                .collect();
-            kv.multi_put(&puts).expect("pipelined put batch");
-        } else {
-            kv.multi_get(&picked).expect("pipelined get batch");
-        }
-        completed += picked.len() as u64;
-        round += 1;
-    }
-    completed
-}
-
-/// The bounded recorded twin: same cluster shape, same batching, small
-/// op budget, full per-key certification.
+/// One measured row: a certified recorded twin, then a fresh cluster and
+/// an instrumented unrecorded client (zero-copy submissions), one thread
+/// driving batches of `depth` for `window` of real time.
 ///
 /// # Panics
 ///
-/// Panics if the recorded history fails certification.
-fn certified_witness(depth: usize) -> bool {
-    let mut cluster = LocalCluster::channel(3, SharedMemory::factory(Transient::flavor())).unwrap();
-    let recorder = OpRecorder::new();
-    let kv = KvClient::new(cluster.clients(), ShardRouter::new(PIPELINE_SHARDS))
-        .unwrap()
-        .with_recorder(recorder.clone());
-    let keys = kv.router().covering_keys("pl-");
-    let seed: Vec<(&str, bytes::Bytes)> = keys
-        .iter()
-        .enumerate()
-        .map(|(i, k)| (k.as_str(), bytes::Bytes::from(vec![0, i as u8])))
-        .collect();
-    kv.multi_put(&seed).expect("witness preload");
-    let mut rng = StdRng::seed_from_u64(depth as u64);
-    drive(&kv, &keys, depth, Some(6), None, &mut rng);
-    certify_per_key_epoch_path(
-        &recorder.history(),
-        keys.iter().map(String::as_str),
-        &[PIPELINE_SHARDS],
-        Criterion::Transient,
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("{}", cluster.dump_flight_recorders(120));
-        panic!("pipeline witness at depth {depth} failed certification: {e}")
-    });
-    cluster.shutdown();
-    true
-}
-
-/// One measured row: a fresh cluster, an instrumented unrecorded client
-/// (zero-copy submissions), one thread driving batches of `depth` for
-/// `window` of real time.
+/// Panics if the twin fails certification or the in-flight gauge does
+/// not settle to zero.
 fn measure(depth: usize, window: Duration) -> PipelineRow {
-    let certified = certified_witness(depth);
+    let keys = ShardRouter::new(PIPELINE_SHARDS).covering_keys("pl-");
+    // One worker whose values are its bare write counter.
+    let load = |seed| Load {
+        writer_base: 0,
+        depth: Some(depth),
+        ..Load::new(&keys, 1, seed, PIPELINE_WRITE_FRACTION)
+    };
     let mut cluster = LocalCluster::channel(3, SharedMemory::factory(Transient::flavor())).unwrap();
-    // Preload through a separate client family so the depth-64 seeding
-    // batch doesn't pollute the measured client's `kv.pipeline_depth`
-    // histogram (each family has its own registry).
-    let loader = KvClient::new(cluster.clients(), ShardRouter::new(PIPELINE_SHARDS)).unwrap();
-    let keys = loader.router().covering_keys("pl-");
-    let seed: Vec<(&str, bytes::Bytes)> = keys
-        .iter()
-        .enumerate()
-        .map(|(i, k)| (k.as_str(), bytes::Bytes::from(vec![0, i as u8])))
-        .collect();
-    loader.multi_put(&seed).expect("measured preload");
-    let kv = KvClient::new(cluster.clients(), ShardRouter::new(PIPELINE_SHARDS)).unwrap();
+    load(depth as u64)
+        .witness(cluster.clients(), &[PIPELINE_SHARDS], 6, |_| {})
+        .unwrap_or_else(|e| {
+            eprintln!("{}", cluster.dump_flight_recorders(120));
+            panic!("pipeline witness at depth {depth} failed certification: {e}")
+        });
+    cluster.shutdown();
 
-    let mut rng = StdRng::seed_from_u64(42 + depth as u64);
-    let start = Instant::now();
-    let completed = drive(&kv, &keys, depth, None, Some(start + window), &mut rng);
-    // Real elapsed time, not the nominal window: the last batch runs to
-    // completion past the deadline and its ops are counted, so the
-    // divisor must cover them too.
-    let elapsed = start.elapsed();
+    let mut cluster = LocalCluster::channel(3, SharedMemory::factory(Transient::flavor())).unwrap();
+    let load = load(42 + depth as u64);
+    // Preload through a separate client family so the seeding puts don't
+    // pollute the measured client's `kv.pipeline_depth` histogram (each
+    // family has its own registry).
+    load.preload(&KvClient::new(cluster.clients(), ShardRouter::new(PIPELINE_SHARDS)).unwrap());
+    let kv = KvClient::new(cluster.clients(), ShardRouter::new(PIPELINE_SHARDS)).unwrap();
+    let run = load.run(&kv, None, |progress| {
+        std::thread::sleep(window);
+        progress.stop();
+    });
 
     let metrics = kv.metrics();
     assert_eq!(
@@ -258,18 +181,18 @@ fn measure(depth: usize, window: Duration) -> PipelineRow {
     );
     let depth_hist = metrics.histogram("kv.pipeline_depth");
     cluster.shutdown();
-    let elapsed_secs = elapsed.as_secs_f64();
+    let elapsed_secs = run.elapsed.as_secs_f64();
     PipelineRow {
         depth,
-        completed_ops: completed,
+        completed_ops: run.completed,
         elapsed_secs,
-        ops_per_sec: completed as f64 / elapsed_secs,
+        ops_per_sec: run.completed as f64 / elapsed_secs,
         observed_mean_depth: if depth_hist.count > 0 {
             depth_hist.mean()
         } else {
             0.0
         },
-        certified,
+        certified: true,
     }
 }
 

@@ -10,8 +10,8 @@
 //! against real concurrency. Three phases share one continuous workload:
 //!
 //! 1. **pre** — steady state at 4 shards;
-//! 2. **during** — `KvClient::grow(8)` runs on a driver thread while the
-//!    workload keeps going (barriered writers, old-home-then-new-home
+//! 2. **during** — `KvClient::grow(8)` runs on the conductor thread while
+//!    the workload keeps going (barriered writers, old-home-then-new-home
 //!    readers);
 //! 3. **post** — steady state at 8 shards, epoch 1.
 //!
@@ -20,23 +20,19 @@
 //! shape, same traffic mix — that must pass
 //! [`rmem_kv::certify_per_key_epoch_path`] before anything is reported (a
 //! throughput number for a migration protocol that breaks atomicity would
-//! be meaningless). The split is because the decision-procedure checker
-//! caps a register's history at 128 operations: a full-speed Zipf run
-//! piles thousands of operations onto the hot key, so the certified
-//! witness is volume-bounded while the measured run is not. The
+//! be meaningless). Both are [`crate::load`] runs: a full-speed Zipf run
+//! piles thousands of operations onto the hot key, past the checker's
+//! 128 per register, so the certified witness is volume-bounded. The
 //! exhaustive certification sweep (crash schedules included) lives in
 //! `crates/kv/tests/reshard_races.rs`.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use rmem_consistency::Criterion;
 use rmem_core::{SharedMemory, Transient};
-use rmem_kv::{certify_per_key_epoch_path, KvClient, OpRecorder, ShardRouter};
+use rmem_kv::{KvClient, ShardRouter};
 use rmem_net::LocalCluster;
-use rmem_sim::KeyDistribution;
+
+use crate::load::Load;
 
 /// Shard count before the split.
 pub const FROM_SHARDS: u16 = 4;
@@ -95,24 +91,36 @@ impl ReshardReport {
     }
 }
 
-const PHASE_PRE: u8 = 0;
-const PHASE_DURING: u8 = 1;
-const PHASE_POST: u8 = 2;
-const PHASE_DONE: u8 = 3;
-
 /// Runs the scenario: 3-node channel cluster, transient flavor, 4
 /// workers of 50%-put Zipf(0.99) traffic, a live 4 → 8 split mid-run.
 /// `smoke` shortens the steady-state windows for CI.
+///
+/// Each phase is credited with the operations that *completed* in it:
+/// the conductor reads the one completed-ops counter at each phase
+/// switch.
 ///
 /// # Panics
 ///
 /// Panics if the split fails, an operation errors terminally, or the run
 /// fails cross-epoch certification.
 pub fn reshard_scenario(smoke: bool) -> ReshardReport {
+    let keys = ShardRouter::new(FROM_SHARDS).covering_keys("bench-");
     // Certified witness first: a bounded recorded split of the same
-    // shape must pass the cross-epoch oracle before any measurement is
-    // taken, let alone reported.
-    let certified = certified_witness_split();
+    // shape — three clients of 40 ops each, paced by a random think
+    // time, a live grow mid-run — must pass the cross-epoch oracle
+    // before any measurement is taken, let alone reported.
+    let cluster = LocalCluster::channel(3, SharedMemory::factory(Transient::flavor())).unwrap();
+    Load {
+        think_micros: 200,
+        ..Load::new(&keys, 3, 100, 0.5)
+    }
+    .witness(cluster.clients(), &[FROM_SHARDS, TO_SHARDS], 40, |grower| {
+        std::thread::sleep(Duration::from_millis(4));
+        let report = grower.grow(TO_SHARDS).expect("witness split must commit");
+        assert_eq!(report.epoch, 1);
+    })
+    .expect("the resharding witness run must certify per key across epochs");
+    drop(cluster);
 
     let window = if smoke {
         Duration::from_millis(120)
@@ -121,153 +129,60 @@ pub fn reshard_scenario(smoke: bool) -> ReshardReport {
     };
     let cluster = LocalCluster::channel(3, SharedMemory::factory(Transient::flavor())).unwrap();
     let kv = KvClient::new(cluster.clients(), ShardRouter::new(FROM_SHARDS)).unwrap();
-    let keys = ShardRouter::new(FROM_SHARDS).covering_keys("bench-");
-    for (i, key) in keys.iter().enumerate() {
-        kv.put(key, vec![0, i as u8]).unwrap();
-    }
+    let load = Load::new(&keys, 4, 7, 0.5);
+    load.preload(&kv);
 
-    let phase = AtomicU8::new(PHASE_PRE);
-    // Completed-op counters per phase.
-    let counts = [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
-    let phase_ref = &phase;
-    let counts_ref = &counts;
-    let moved = AtomicUsize::new(0);
-    let sealed = AtomicUsize::new(0);
-    let epoch = AtomicU64::new(0);
-    let migration_ns = AtomicU64::new(0);
+    // The conductor: pre window → grow (timed) → post window → stop.
+    let mut ends = [0u64; 2];
     let mut durations = [Duration::ZERO; 3];
-    let mut post_start = None;
-
-    std::thread::scope(|scope| {
-        for t in 0..4u64 {
-            let client = kv.clone();
-            let keys = &keys;
-            scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(7 + t);
-                let dist = KeyDistribution::zipf(keys.len(), 0.99);
-                let mut counter = 0u64;
-                loop {
-                    let p = phase_ref.load(Ordering::Relaxed);
-                    if p == PHASE_DONE {
-                        break;
-                    }
-                    let key = &keys[dist.sample(&mut rng)];
-                    if rng.gen_bool(0.5) {
-                        counter += 1;
-                        let value = ((t + 1) << 32 | counter).to_be_bytes().to_vec();
-                        client.put(key, value).unwrap();
-                    } else {
-                        client.get(key).unwrap();
-                    }
-                    counts_ref[p.min(2) as usize].fetch_add(1, Ordering::Relaxed);
-                }
-            });
-        }
-
-        // The conductor: pre window → grow (timed) → post window → stop.
-        let grower = kv.clone();
+    let mut migration = Duration::ZERO;
+    let mut post_start = Instant::now();
+    let mut grown = None;
+    let run = load.run(&kv, None, |progress| {
         let pre_start = Instant::now();
         std::thread::sleep(window);
         durations[0] = pre_start.elapsed();
+        ends[0] = progress.completed();
 
-        phase.store(PHASE_DURING, Ordering::Relaxed);
         let grow_start = Instant::now();
-        let report = grower.grow(TO_SHARDS).expect("the live split must commit");
-        let grow_elapsed = grow_start.elapsed();
+        grown = Some(kv.grow(TO_SHARDS).expect("the live split must commit"));
+        migration = grow_start.elapsed();
         // Keep the "during" label on the window the migration actually
         // occupied; a sub-millisecond migration still gets a measurable
         // window by padding with post-commit settle time.
-        let settle = Duration::from_millis(if smoke { 10 } else { 40 });
-        std::thread::sleep(settle);
+        std::thread::sleep(Duration::from_millis(if smoke { 10 } else { 40 }));
         durations[1] = grow_start.elapsed();
-        moved.store(report.entries_moved, Ordering::Relaxed);
-        sealed.store(report.sources_sealed, Ordering::Relaxed);
-        epoch.store(report.epoch, Ordering::Relaxed);
-        migration_ns.store(grow_elapsed.as_nanos() as u64, Ordering::Relaxed);
+        ends[1] = progress.completed();
 
-        phase.store(PHASE_POST, Ordering::Relaxed);
-        post_start = Some(Instant::now());
+        post_start = Instant::now();
         std::thread::sleep(window);
-        phase.store(PHASE_DONE, Ordering::Relaxed);
+        progress.stop();
     });
     // The post window's divisor is measured *after* the workers join:
     // operations in flight when the stop flag went up still complete and
     // count, so clocking the phase at the flag (the nominal window) would
     // inflate its ops/s.
-    durations[2] = post_start.expect("conductor ran").elapsed();
+    durations[2] = post_start.elapsed();
+    let counts = [ends[0], ends[1] - ends[0], run.completed - ends[1]];
+    let grown = grown.expect("the conductor grew the store");
 
     let stats = kv.stats();
-    let per_sec = |i: usize| counts[i].load(Ordering::Relaxed) as f64 / durations[i].as_secs_f64();
+    let per_sec = |i: usize| counts[i] as f64 / durations[i].as_secs_f64();
     ReshardReport {
         from_shards: FROM_SHARDS,
         to_shards: TO_SHARDS,
-        epoch: epoch.load(Ordering::Relaxed),
+        epoch: grown.epoch,
         pre_ops_per_sec: per_sec(0),
         during_ops_per_sec: per_sec(1),
         post_ops_per_sec: per_sec(2),
-        migration_ms: migration_ns.load(Ordering::Relaxed) as f64 / 1e6,
-        entries_moved: moved.load(Ordering::Relaxed),
-        sources_sealed: sealed.load(Ordering::Relaxed),
+        migration_ms: migration.as_secs_f64() * 1e3,
+        entries_moved: grown.entries_moved,
+        sources_sealed: grown.sources_sealed,
         barrier_waits: stats.barrier_waits,
         barrier_polls: stats.barrier_polls,
-        completed_ops: counts.iter().map(|c| c.load(Ordering::Relaxed)).sum(),
-        certified,
+        completed_ops: run.completed,
+        certified: true,
     }
-}
-
-/// The bounded, recorded witness split: three concurrent Zipf clients
-/// (small op budgets, so every per-key history fits the checker), a live
-/// 4 → 8 grow mid-run, full cross-epoch per-key certification.
-///
-/// # Panics
-///
-/// Panics if the split or the certification fails.
-fn certified_witness_split() -> bool {
-    let cluster = LocalCluster::channel(3, SharedMemory::factory(Transient::flavor())).unwrap();
-    let recorder = OpRecorder::new();
-    let kv = KvClient::new(cluster.clients(), ShardRouter::new(FROM_SHARDS))
-        .unwrap()
-        .with_recorder(recorder.clone());
-    let keys = ShardRouter::new(FROM_SHARDS).covering_keys("bench-");
-    for (i, key) in keys.iter().enumerate() {
-        kv.put(key, vec![0, i as u8]).unwrap();
-    }
-    std::thread::scope(|scope| {
-        for t in 0..3u64 {
-            let client = kv.recorded_clone();
-            let keys = &keys;
-            scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(100 + t);
-                let dist = KeyDistribution::zipf(keys.len(), 0.99);
-                let mut counter = 0u64;
-                for _ in 0..40 {
-                    let key = &keys[dist.sample(&mut rng)];
-                    if rng.gen_bool(0.5) {
-                        counter += 1;
-                        let value = ((t + 1) << 32 | counter).to_be_bytes().to_vec();
-                        client.put(key, value).unwrap();
-                    } else {
-                        client.get(key).unwrap();
-                    }
-                    std::thread::sleep(Duration::from_micros(rng.gen_range(0..200)));
-                }
-            });
-        }
-        let grower = kv.recorded_clone();
-        scope.spawn(move || {
-            std::thread::sleep(Duration::from_millis(4));
-            let report = grower.grow(TO_SHARDS).expect("witness split must commit");
-            assert_eq!(report.epoch, 1);
-        });
-    });
-    certify_per_key_epoch_path(
-        &recorder.history(),
-        keys.iter().map(String::as_str),
-        &[FROM_SHARDS, TO_SHARDS],
-        Criterion::Transient,
-    )
-    .expect("the resharding witness run must certify per key across epochs");
-    true
 }
 
 /// Serializes the report as one JSON object (appended to the

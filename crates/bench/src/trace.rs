@@ -22,18 +22,14 @@
 //!   with tracing on (tracing is part of the instrumented side of
 //!   [`crate::obs`] now, so `--trace` simply re-asserts that scenario).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
-
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use rmem_core::{SharedMemory, Transient};
 use rmem_kv::{KvClient, ShardRouter};
 use rmem_net::{DiskMode, LocalCluster};
 use rmem_obs::trace::{TraceReport, SEGMENTS};
 use rmem_obs::ObsHandle;
-use rmem_sim::KeyDistribution;
 use rmem_types::ProcessId;
+
+use crate::load::{scratch_dir, Load};
 
 /// Nodes in the traced cluster.
 pub const TRACE_NODES: u16 = 3;
@@ -136,7 +132,10 @@ impl TraceBenchReport {
 
     /// The human-readable attribution table the bin prints.
     pub fn render_table(&self) -> String {
-        let mut out = String::from("segment            p50 (µs)   p99 (µs)   share\n");
+        let mut out = format!(
+            "{:<16} {:>10} {:>10} {:>7}\n",
+            "segment", "p50 (µs)", "p99 (µs)", "share"
+        );
         for s in &self.segments {
             out.push_str(&format!(
                 "{:<16} {:>10} {:>10} {:>6.1}%\n",
@@ -148,10 +147,6 @@ impl TraceBenchReport {
         }
         out
     }
-}
-
-fn scratch_dir() -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("rmem-tracebench-{}", std::process::id()))
 }
 
 /// Runs the scenario: a traced closed-loop workload on a WAL-backed UDP
@@ -167,12 +162,11 @@ pub fn trace_scenario(smoke: bool) -> TraceBenchReport {
     } else {
         TRACE_OPS_PER_WORKER
     };
-    let dir = scratch_dir();
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch_dir("tracebench");
     let cluster = LocalCluster::udp_with_disk_obs_sized(
         usize::from(TRACE_NODES),
         SharedMemory::factory(Transient::flavor()),
-        &dir,
+        dir.path(),
         DiskMode::Wal,
         true,
         TRACE_RING_CAPACITY,
@@ -182,37 +176,9 @@ pub fn trace_scenario(smoke: bool) -> TraceBenchReport {
         .expect("kv client")
         .with_obs(ObsHandle::with_capacity(TRACE_RING_CAPACITY));
     let keys = ShardRouter::new(TRACE_SHARDS).covering_keys("trace-");
-    for (i, key) in keys.iter().enumerate() {
-        kv.put(key, vec![0, i as u8]).expect("seed put");
-    }
-
-    let completed = AtomicU64::new(0);
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        let completed = &completed;
-        let keys = &keys;
-        for t in 0..TRACE_WORKERS {
-            let client = kv.clone();
-            scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(1009 + t);
-                let dist = KeyDistribution::zipf(keys.len(), 0.99);
-                let mut counter = 0u64;
-                for _ in 0..per_worker {
-                    let key = &keys[dist.sample(&mut rng)];
-                    if rng.gen_bool(TRACE_WRITE_FRACTION) {
-                        counter += 1;
-                        let value = ((t + 1) << 32 | counter).to_be_bytes().to_vec();
-                        client.put(key, value).expect("put");
-                    } else {
-                        client.get(key).expect("get");
-                    }
-                    completed.fetch_add(1, Ordering::Relaxed);
-                }
-            });
-        }
-    });
-    let elapsed = start.elapsed();
-    let completed_ops = completed.load(Ordering::Relaxed);
+    let load = Load::new(&keys, TRACE_WORKERS, 1009, TRACE_WRITE_FRACTION);
+    load.preload(&kv);
+    let run = load.run(&kv, Some(per_worker), |_| {});
 
     // Dump every ring — the nodes' and the client family's — and stitch.
     let mut rings = cluster.ring_dumps();
@@ -257,12 +223,9 @@ pub fn trace_scenario(smoke: bool) -> TraceBenchReport {
         })
         .sum();
 
-    drop(kv);
-    drop(cluster);
-    let _ = std::fs::remove_dir_all(&dir);
     TraceBenchReport {
-        completed_ops,
-        ops_per_sec: completed_ops as f64 / elapsed.as_secs_f64(),
+        completed_ops: run.completed,
+        ops_per_sec: run.completed as f64 / run.elapsed.as_secs_f64(),
         report,
         segments,
         trace_evictions,
