@@ -826,9 +826,17 @@ fn a_renewal_serves_who_arrives_meanwhile_and_an_idle_cluster_goes_quiet() {
                 adopter.rounds == 1 && adopter.latency().is_some_and(|l| l.0 < round_trip),
                 "{what}: the read did not adopt the renewal: {adopter:?}"
             );
-            let write = at(WRITE);
+            let ops = report.trace.operations();
+            let write = ops
+                .iter()
+                .find(|o| o.kind == OpKind::Write)
+                .expect("planted");
             assert_eq!(write.result, Some(OpResult::Written), "{what}: refused");
             assert_eq!(write.rounds, 1, "{what}: it begins under the renewed lease");
+            assert!(
+                write.invoked_at.as_micros() > WRITE,
+                "{what}: it began on arrival, not when the renewal minted"
+            );
             assert_eq!(
                 run_until(10).trace.messages_sent,
                 report.trace.messages_sent,

@@ -85,7 +85,7 @@ use rmem_storage::records::{
 };
 use rmem_types::{
     Action, Automaton, AutomatonFactory, Input, Message, Micros, Op, OpId, OpResult, ProcessId,
-    RequestId, Seq, StableSnapshot, StoreToken, TimerToken, Timestamp, Value,
+    RegisterId, RequestId, Seq, StableSnapshot, StoreToken, TimerToken, Timestamp, Value,
 };
 
 use crate::flavor::{Flavor, RecoveryPolicy};
@@ -687,16 +687,18 @@ impl RegisterAutomaton {
     /// One operation at a time (§III-A's sequential processes): an
     /// invocation begins now if the process is ready and the operation
     /// slot free, and waits its turn otherwise — except a read meeting a
-    /// renewal nobody has adopted, which makes that round its own (see
-    /// [`Waiter::Renewal`]). A write waits for the renewal and so begins
-    /// under the lease it mints.
+    /// renewal nobody has adopted and nothing queued ahead of it, which
+    /// makes that round its own (see [`Waiter::Renewal`]). A write waits
+    /// for the renewal and so begins under the lease it mints; a read
+    /// behind it waits for the write, so operations on a register end in
+    /// the order they arrived.
     fn on_invoke(&mut self, op: OpId, operation: Op, out: &mut Vec<Action>) {
         let operation = operation.normalized();
         match &mut self.op {
             Some(OpPhase::ReadQuery {
                 waiter: Waiter::Renewal(adopter @ None),
                 ..
-            }) if operation == Op::Read => *adopter = Some(op),
+            }) if operation == Op::Read && self.queued.is_empty() => *adopter = Some(op),
             None if self.ready => self.begin_op(op, operation, out),
             _ => self.queued.push_back((op, operation)),
         }
@@ -1233,6 +1235,20 @@ impl Automaton for RegisterAutomaton {
 
     fn is_ready(&self) -> bool {
         self.ready
+    }
+
+    /// The client operation in the slot — a renewal's adopter included.
+    /// A bare register is one register, whatever `reg` says.
+    fn active(&self, _reg: RegisterId) -> Option<OpId> {
+        let (OpPhase::WriteQuery { waiter, .. }
+        | OpPhase::WritePreLog { waiter, .. }
+        | OpPhase::WritePropagate { waiter, .. }
+        | OpPhase::ReadQuery { waiter, .. }
+        | OpPhase::ReadWriteBack { waiter, .. }) = self.op.as_ref()?;
+        match waiter {
+            Waiter::Client(op) | Waiter::Renewal(Some(op)) => Some(*op),
+            Waiter::Renewal(None) | Waiter::Recovery => None,
+        }
     }
 
     fn algorithm(&self) -> &'static str {

@@ -27,7 +27,7 @@ use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use rmem_types::{
-    Action, Automaton, AutomatonFactory, Input, Message, Micros, ProcessId, RegisterId,
+    Action, Automaton, AutomatonFactory, Input, Message, Micros, OpId, ProcessId, RegisterId,
     StableSnapshot, StoreToken, TimerToken,
 };
 
@@ -289,6 +289,10 @@ impl Automaton for SharedMemoryAutomaton {
 
     fn is_ready(&self) -> bool {
         self.registers.values().all(|r| r.is_ready())
+    }
+
+    fn active(&self, reg: RegisterId) -> Option<OpId> {
+        self.registers.get(&reg)?.active(RegisterId::ZERO)
     }
 
     fn algorithm(&self) -> &'static str {

@@ -21,31 +21,31 @@ use rmem_sim::workload::ClosedLoop;
 use rmem_sim::{ClusterConfig, NetConfig, PlannedEvent, Schedule, Simulation};
 use rmem_storage::FaultPlan;
 use rmem_types::{
-    Action, Automaton, AutomatonFactory, Input, Micros, Op, ProcessId, RegisterId, StableSnapshot,
-    Value,
+    Action, Automaton, AutomatonFactory, Input, Micros, Op, OpId, ProcessId, RegisterId,
+    StableSnapshot, Value,
 };
 
 /// The digest of every scenario: `(flavor label, n, digest)`.
 const PINNED: &[(&str, usize, u64)] = &[
-    ("persistent", 3, 0xa0e39fffac2187c6),
-    ("persistent", 5, 0x6911202c22fdbf95),
-    ("persistent/verbatim", 3, 0xdf4a200d86af8fcc),
-    ("persistent/verbatim", 5, 0x40d51299029a3b0f),
-    ("transient", 3, 0x976eee854c986a75),
-    ("transient", 5, 0x805b1ca67243d87e),
+    ("persistent", 3, 0xba8629f5ed6e077c),
+    ("persistent", 5, 0xc1c62f66eb1911eb),
+    ("persistent/verbatim", 3, 0xcba8b696b17d2f45),
+    ("persistent/verbatim", 5, 0xef8633d1ac827a67),
+    ("transient", 3, 0xf35dc1be41163caf),
+    ("transient", 5, 0xcc1445b3d64a13e4),
     ("transient/verbatim", 3, 0x422e79dd46561f05),
     ("transient/verbatim", 5, 0xf7c36b4747b79324),
-    ("regular/fast", 3, 0xccb886e830bd04be),
-    ("regular/fast", 5, 0x0e2bf34934c21a8b),
-    ("regular", 3, 0x5ec79179e4435f4d),
-    ("regular", 5, 0x7ef7cc8c0031c9be),
-    ("crash-stop/fast", 3, 0x93165ec45643f4a6),
+    ("regular/fast", 3, 0x3288a627d8d026b6),
+    ("regular/fast", 5, 0x400c9175e0b11a54),
+    ("regular", 3, 0xa8760309332703ae),
+    ("regular", 5, 0x512000b1151865f2),
+    ("crash-stop/fast", 3, 0xcbbde70a93557099),
     ("crash-stop/fast", 5, 0x79f758f087c11495),
     ("crash-stop", 3, 0xb9a5d885e0f8d3eb),
     ("crash-stop", 5, 0x41059e17aea7fbb9),
-    ("persistent/lease", 3, 0xc9791968d853ba09),
-    ("persistent/lease", 5, 0xf11775d4da210e2c),
-    ("transient/lease", 3, 0x15962d552420062e),
+    ("persistent/lease", 3, 0xb5f8b0288f11d953),
+    ("persistent/lease", 5, 0x3777029809cc0f3e),
+    ("transient/lease", 3, 0x1db3dad8f8ed22d0),
     ("transient/lease", 5, 0xbfca98c3b9ebb7e3),
 ];
 
@@ -84,6 +84,10 @@ impl Automaton for Recorded {
 
     fn is_ready(&self) -> bool {
         self.inner.is_ready()
+    }
+
+    fn active(&self, reg: RegisterId) -> Option<OpId> {
+        self.inner.active(reg)
     }
 
     fn algorithm(&self) -> &'static str {

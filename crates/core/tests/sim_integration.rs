@@ -13,8 +13,8 @@ use rmem_sim::{ClusterConfig, DiskConfig, NetConfig, PlannedEvent, Schedule, Sim
 use rmem_storage::records::KEY_WRITING;
 use rmem_storage::FaultPlan;
 use rmem_types::{
-    Action, Automaton, AutomatonFactory, Input, Message, Micros, Op, OpKind, ProcessId,
-    StableSnapshot, Timestamp, Value,
+    Action, Automaton, AutomatonFactory, Input, Message, Micros, Op, OpId, OpKind, ProcessId,
+    RegisterId, StableSnapshot, Timestamp, Value,
 };
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -616,6 +616,10 @@ impl Automaton for Watched {
 
     fn is_ready(&self) -> bool {
         self.inner.is_ready()
+    }
+
+    fn active(&self, reg: RegisterId) -> Option<OpId> {
+        self.inner.active(reg)
     }
 
     fn algorithm(&self) -> &'static str {

@@ -549,6 +549,46 @@ fn a_queued_invocation_is_lost_with_its_node() {
     assert_eq!(report.trace.invokes_queued, 1);
 }
 
+/// Defect (k), hosted: the virtual-time twin of `rmem-net`'s
+/// `fastpath_kv::quiescent_read_rounds_drop_below_two`. Eight registers
+/// written through node 0, one blocking call at a time, then three passes
+/// of reads, each pass through the next node. Reads through the writer
+/// take one round; a read through another node may meet the replica the
+/// thrifty write left out and write back to it, at most once per
+/// register. In virtual time the total is exact for the seed, so a
+/// retransmission that widens a round cannot hide in it.
+#[test]
+fn quiescent_read_rounds_are_exact_in_virtual_time() {
+    let report = run_hosted(sim(Transient::flavor(), 7, Schedule::new()), |world| {
+        vec![Box::new(move || {
+            let call = |node, op| {
+                let ticket = world.submit(node, op).unwrap();
+                let until = world.now() + Duration::from_secs(1);
+                world.wait_any(&[ticket], until).unwrap().1.unwrap()
+            };
+            for reg in 0..8u16 {
+                let value = Value::from_u32(u32::from(reg) + 1);
+                call(0, Op::WriteAt(RegisterId(reg), value));
+            }
+            for pass in 0..3 {
+                for reg in 0..8u16 {
+                    let (read, rounds) = call(pass, Op::ReadAt(RegisterId(reg)));
+                    let value = Value::from_u32(u32::from(reg) + 1);
+                    assert_eq!(read, OpResult::ReadValue(value));
+                    if pass == 0 {
+                        assert_eq!(rounds, 1, "through the writer, register {reg}");
+                    }
+                }
+            }
+        }) as Script]
+    });
+    // Node 2 is the replica the writes left out: its pass writes back
+    // every register, 24 + 8 — the real test's bound, with no slack.
+    let rounds = report.trace.rounds(OpKind::Read);
+    assert_eq!(rounds.len(), 24);
+    assert_eq!(rounds.iter().sum::<u32>(), 32, "read rounds: {rounds:?}");
+}
+
 /// Thrifty rounds when a peer dies. Node 0 — home of registers 3 and 6 —
 /// learns a quorum with p1 while p2 cannot reach it, and then p1 crashes
 /// with every link open. The next operation through node 0 asks p0 and p1

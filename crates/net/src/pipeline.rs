@@ -31,7 +31,7 @@ use bytes::{Bytes, BytesMut};
 use rmem_types::{Op, OpResult, ProcessId, RegisterId, TraceId, Value};
 
 use crate::error::ClientError;
-use crate::runner::{Client, EventTx, RunnerEvent, TraceCtx};
+use crate::runner::{Call, Client, EventTx, RunnerEvent, TraceCtx};
 
 /// A completion settled by [`wait_any`](PipelinedClient::wait_any): the
 /// ticket's index in the caller's list plus its settled result.
@@ -110,12 +110,11 @@ struct Slot {
 /// The reactor's completion-slot table: every operation submitted and
 /// not yet claimed, keyed by generation-tagged slot token.
 ///
-/// This is the client-side mirror of the runner's `OpTable`: slots are
-/// recycled through a free list, reclaiming a slot bumps its generation
-/// (so tokens are never ambiguous), and acks that miss — late arrivals
-/// for reclaimed slots, duplicates for already-completed ones — are
-/// counted in [`late_acks`](InFlightTable::late_acks) in the style of
-/// `runner.trace_evictions` rather than dropped silently.
+/// Slots are recycled through a free list, reclaiming a slot bumps its
+/// generation (so tokens are never ambiguous), and acks that miss — late
+/// arrivals for reclaimed slots, duplicates for already-completed ones —
+/// are counted in [`late_acks`](InFlightTable::late_acks) in the style
+/// of `runner.trace_evictions` rather than dropped silently.
 #[derive(Default)]
 pub struct InFlightTable {
     slots: Vec<Slot>,
@@ -406,12 +405,15 @@ impl Pipeline {
         ticket: Ticket,
         trace: Option<TraceId>,
     ) -> Result<Ticket, ClientError> {
-        let sent = self.targets[target].tx.post(RunnerEvent::Invoke {
-            operation,
+        let call = Call {
             reply: Arc::downgrade(self),
             token: ticket.token(),
             trace,
-        });
+            began: None,
+        };
+        let sent = self.targets[target]
+            .tx
+            .post(RunnerEvent::Invoke(operation, call));
         if !sent {
             // The runner is gone; nothing will ever complete this slot.
             self.cancel(ticket);

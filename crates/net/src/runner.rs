@@ -1,23 +1,33 @@
 //! Hosting one automaton on real threads, sockets, timers and disk.
 //!
+//! The automaton and the operations invoked at it live in a
+//! [`NodeCore`], the node core the simulator hosts too; the event loop
+//! is its [`Host`], with a transport, a syncer, the wall clock, flight
+//! events and `runner.*` metrics. A client operation goes to the
+//! automaton the moment it arrives, busy register or not: the automaton
+//! serializes each register's operations, and an operation starts —
+//! `OpStart`, `runner.op_micros`, the trace its rounds carry — when the
+//! automaton begins it.
+//!
 //! Every node has **one event queue**: its transport, its syncer and its
 //! clients all push [`RunnerEvent`]s onto it, and the event loop blocks
 //! on that queue alone (until the next timer is due), so whoever has
 //! work for the node wakes it by sending — nothing is polled.
 //!
 //! Durability runs on its own pipeline: the event loop forwards
-//! [`Action::Store`] to the node's [`syncer`](crate::syncer) thread and
-//! keeps serving network messages, timers and other registers'
-//! operations while the fsync is in flight; the syncer group-commits
-//! whatever queued and posts the group's tokens back onto the queue only
-//! after the covering fsync returned (*ack-after-durable*, the real form
-//! of the paper's §V-A invariant). A log failure halts the node — the
-//! crash-recovery model's prescription for a process that can no longer
-//! trust its stable storage — observable via
-//! [`ProcessRunner::store_failures`] / [`ProcessRunner::is_halted`].
+//! [`Action::Store`](rmem_types::Action::Store) to the node's
+//! [`syncer`](crate::syncer) thread and keeps serving network messages,
+//! timers and other registers' operations while the fsync is in flight;
+//! the syncer group-commits whatever queued and posts the group's tokens
+//! back onto the queue only after the covering fsync returned
+//! (*ack-after-durable*, the real form of the paper's §V-A invariant). A
+//! log failure halts the node — the crash-recovery model's prescription
+//! for a process that can no longer trust its stable storage —
+//! observable via [`ProcessRunner::store_failures`] /
+//! [`ProcessRunner::is_halted`].
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -27,8 +37,8 @@ use rmem_obs::{pack_wire_aux, EventKind, FlightEvent, FlightRecorder, ObsHandle}
 use rmem_storage::records::KEY_WRITTEN;
 use rmem_storage::{SnapshotView, StableStorage, StorageError};
 use rmem_types::{
-    Action, Automaton, AutomatonFactory, Input, Message, Op, OpId, OpResult, ProcessId, RegisterId,
-    RejectReason, RequestId, StoreToken, TimerToken, TraceId,
+    Automaton, AutomatonFactory, Host, Input, Message, NodeCore, Op, OpId, OpResult, ProcessId,
+    RegisterId, RejectReason, RequestId, StoreToken, TimerToken, TraceId,
 };
 
 use crate::error::ClientError;
@@ -62,13 +72,8 @@ pub(crate) enum RunnerEvent {
     StoresDurable(Vec<StoreToken>),
     /// The log failed; the node must halt (crash-recovery semantics).
     StoreFailed(StorageError),
-    /// A client operation, and the client family it completes into.
-    Invoke {
-        operation: Op,
-        reply: Weak<Pipeline>,
-        token: u64,
-        trace: Option<TraceId>,
-    },
+    /// A client operation, and the call it completes.
+    Invoke(Op, Call),
     Shutdown,
 }
 
@@ -230,108 +235,25 @@ impl ReqTraces {
     }
 }
 
-/// A client operation as it arrives: the operation, the client family
-/// whose in-flight table it completes into and the submission's slot
-/// token there, and the trace context it arrived under (stamps every
-/// flight event it triggers). The family is held weakly: a family whose
-/// every handle is gone is not kept alive by its queued operations.
-type Invocation = (Op, Weak<Pipeline>, u64, Option<TraceId>);
-
-/// What the table remembers per in-flight operation: its register, its
-/// caller's family and slot token, when it was admitted (feeds
-/// `runner.op_micros`), and its trace context.
-type InFlight = (RegisterId, Weak<Pipeline>, u64, Instant, Option<TraceId>);
-
-/// Settles `token` in its family's in-flight table and wakes the family.
-/// A family that is gone is not answered: nobody is left to wait.
-fn complete(reply: &Weak<Pipeline>, token: u64, result: OpResult, rounds: u32) {
-    if let Some(pipe) = reply.upgrade() {
-        pipe.complete(token, result, rounds);
-    }
+/// What the runner keeps per invoked operation: its caller's family
+/// (held weakly — a family whose every handle is gone is not kept alive
+/// by its queued operations) and slot token there, the trace context it
+/// arrived under (stamps every flight event it triggers), and when it
+/// began (feeds `runner.op_micros`).
+pub(crate) struct Call {
+    pub(crate) reply: Weak<Pipeline>,
+    pub(crate) token: u64,
+    pub(crate) trace: Option<TraceId>,
+    pub(crate) began: Option<Instant>,
 }
 
-/// The runner's **operation table**: every client operation currently in
-/// flight at this process, keyed by operation id, and per busy register
-/// the invocations waiting their turn.
-///
-/// The paper's model (§III-A) makes *each process of the emulation*
-/// sequential — and each register of a shared memory is its own
-/// independent emulation (`rmem_core::SharedMemoryAutomaton` hosts one
-/// register automaton per id, unaware of the others). The table enforces
-/// sequentiality exactly at that granularity: an operation on a register
-/// with one in flight waits behind it, in arrival order — unbounded, as
-/// every waiter is a caller blocked on it whose own patience fails it
-/// over — while operations on distinct registers (independent shards
-/// hosted by this node) proceed concurrently through the one event loop.
-#[derive(Default)]
-struct OpTable {
-    in_flight: HashMap<OpId, InFlight>,
-    /// Per busy register: its operation in flight and who waits behind it.
-    by_register: HashMap<RegisterId, (OpId, VecDeque<Invocation>)>,
-}
-
-impl OpTable {
-    /// Queues `invocation` behind the operation on its register, or hands
-    /// it back to be admitted if the register is free.
-    fn wait(&mut self, invocation: Invocation) -> Option<Invocation> {
-        match self.by_register.get_mut(&invocation.0.register()) {
-            Some((_, waiting)) => waiting.push_back(invocation),
-            None => return Some(invocation),
-        }
-        None
-    }
-
-    /// Admits `op` on its register, which is free or was handed on to it
-    /// by [`complete`](Self::complete).
-    fn admit(&mut self, op: OpId, entry: InFlight) {
-        let slot = self.by_register.entry(entry.0);
-        slot.or_insert_with(|| (op, VecDeque::new())).0 = op;
-        self.in_flight.insert(op, entry);
-    }
-
-    /// The trace context of the operation in flight on `reg`, if any.
-    /// Because the table admits at most one operation per register, the
-    /// register names the operation a coordinator round belongs to.
-    fn trace_of(&self, reg: RegisterId) -> Option<TraceId> {
-        self.by_register
-            .get(&reg)
-            .and_then(|(op, _)| self.in_flight.get(op))
-            .and_then(|(_, _, _, _, trace)| *trace)
-    }
-
-    /// Completes `op` if it is in flight: what the table remembered of it,
-    /// and the invocation next in line on its register — which keeps the
-    /// register until the caller admits it.
-    fn complete(&mut self, op: OpId) -> Option<(InFlight, Option<Invocation>)> {
-        let done = self.in_flight.remove(&op)?;
-        let next = self
-            .by_register
-            .get_mut(&done.0)
-            .and_then(|(_, w)| w.pop_front());
-        if next.is_none() {
-            self.by_register.remove(&done.0);
-        }
-        Some((done, next))
-    }
-
-    /// How many invocations wait, over every register.
-    fn waiting(&self) -> u64 {
-        self.by_register.values().map(|(_, w)| w.len() as u64).sum()
-    }
-
-    /// Fails every in-flight operation, and every invocation waiting
-    /// behind one, with `Rejected(Shutdown)`. Called on every event-loop
-    /// exit path — orderly shutdown and both halt flavors — so pipelined
-    /// waiters learn promptly that their emulation will never complete,
-    /// instead of burning their full patience window (the crash-recovery
-    /// model's "crashed with the operation pending").
-    fn drain_shutdown(&mut self) {
-        let shutdown = || OpResult::Rejected(RejectReason::Shutdown);
-        for (_, (_, reply, token, ..)) in self.in_flight.drain() {
-            complete(&reply, token, shutdown(), 0);
-        }
-        for (_, reply, token, _) in self.by_register.drain().flat_map(|(_, (_, w))| w) {
-            complete(&reply, token, shutdown(), 0);
+impl Call {
+    /// Settles the call in its family's in-flight table and wakes the
+    /// family. A family that is gone is not answered: nobody is left to
+    /// wait.
+    fn complete(&self, result: OpResult, rounds: u32) {
+        if let Some(pipe) = self.reply.upgrade() {
+            pipe.complete(self.token, result, rounds);
         }
     }
 }
@@ -739,11 +661,10 @@ fn ack_durable(msg: &Message) -> bool {
     }
 }
 
-/// The event loop's state: the automaton and everything the runtime
-/// keeps on its behalf.
+/// The event loop's state beside its [`NodeCore`]: everything the
+/// runtime keeps on the automaton's behalf — the core's [`Host`].
 struct Node {
     me: ProcessId,
-    automaton: Box<dyn Automaton>,
     transport: Arc<dyn Transport>,
     /// The durability pipeline: stores leave the loop through the
     /// syncer's queue and come back as `StoresDurable` only after their
@@ -755,14 +676,13 @@ struct Node {
     timers: BinaryHeap<Reverse<(Instant, u64)>>,
     timer_tokens: HashMap<u64, TimerToken>,
     timer_seq: u64,
-    pending: OpTable,
-    /// Invocations a completion handed their register to (see `step`).
-    handed_on: VecDeque<Invocation>,
-    op_counter: u64,
     /// When this recovered incarnation was handed `Start`, until its
     /// automaton first reports ready (feeds `runner.recovery_micros`,
     /// one sample per incarnation; `None` on a fresh boot).
     recovering_since: Option<Instant>,
+    /// The trace context of what the step at hand does: the input's,
+    /// until an operation begins in it (stamps its stores).
+    ctx: Option<TraceId>,
     // Trace plumbing: which client op each in-flight replica request and
     // each queued store belongs to (both maps are drained as requests are
     // acked and stores commit; ReqTraces additionally evicts by age).
@@ -772,92 +692,15 @@ struct Node {
     obs: ObsHandle,
 }
 
-impl Node {
-    /// Processes one input and the actions it triggers. Stores are
-    /// asynchronous (paper's automaton contract): they are queued for the
-    /// syncer and the loop moves on.
-    fn step(&mut self, ctx_trace: Option<TraceId>, input: Input) {
-        // A completion that hands its register on queues the next
-        // invocation; it is admitted and fed here, once the actions of
-        // the input that completed its predecessor are out.
-        let mut next = Some((ctx_trace, input));
-        while let Some((ctx_trace, input)) = next.take() {
-            let mut actions = Vec::new();
-            self.automaton.on_input(input, &mut actions);
-            for action in actions {
-                match action {
-                    Action::Send { to, msg } => self.send(to, msg),
-                    Action::Store { token, key, bytes } => {
-                        self.mx.stores_queued.inc();
-                        self.obs.flight.record(stamp(
-                            FlightEvent::new(EventKind::StoreQueued).with_aux(token.0),
-                            ctx_trace,
-                        ));
-                        if let Some(trace) = ctx_trace {
-                            self.token_traces.insert(token.0, trace);
-                        }
-                        if !self.syncer.submit(StoreRequest { token, key, bytes }) {
-                            // The syncer is gone. If it failed, its verdict is
-                            // ahead of this one on the queue; if it died
-                            // without one, this halts the node all the same.
-                            self.own.post(RunnerEvent::StoreFailed(StorageError::io(
-                                "syncer",
-                                std::io::Error::other("syncer exited without a verdict"),
-                            )));
-                        }
-                    }
-                    Action::SetTimer { token, after } => {
-                        let seq = self.timer_seq;
-                        self.timer_seq += 1;
-                        self.timer_tokens.insert(seq, token);
-                        self.timers
-                            .push(Reverse((Instant::now() + Duration::from(after), seq)));
-                    }
-                    Action::Complete { op, result, rounds } => {
-                        if let Some(((_, reply, token, started, trace), waiter)) =
-                            self.pending.complete(op)
-                        {
-                            self.mx.ops_completed.inc();
-                            if self.obs.metrics.is_enabled() {
-                                self.mx
-                                    .op_micros
-                                    .record(started.elapsed().as_micros() as u64);
-                            }
-                            let ev =
-                                FlightEvent::new(EventKind::OpComplete).with_aux(u64::from(rounds));
-                            self.obs.flight.record(match trace {
-                                Some(t) => ev.with_op(t.client, t.op),
-                                None => ev.with_op(op.pid.0, op.counter),
-                            });
-                            complete(&reply, token, result, rounds);
-                            if let Some(waiter) = waiter {
-                                self.handed_on.push_back(waiter);
-                                self.mx.queued.set(self.pending.waiting());
-                            }
-                        }
-                    }
-                }
-            }
-            next = self.handed_on.pop_front().map(|i| self.admit(i));
-        }
-        if let Some(since) = self.recovering_since {
-            if self.automaton.is_ready() {
-                self.mx
-                    .recovery_micros
-                    .record(since.elapsed().as_micros() as u64);
-                self.recovering_since = None;
-            }
-        }
-    }
-
-    fn send(&mut self, to: ProcessId, msg: Message) {
+impl Host<Call> for Node {
+    /// Requests belong to the operation begun on their register (robust
+    /// across retransmits from timers; a lease renewal nobody adopted is
+    /// nobody's); acks to the request that asked for them.
+    fn send(&mut self, to: ProcessId, msg: Message, op: Option<&Call>) {
         self.mx.msgs_out.inc();
         let req = msg.request_id();
-        // Requests belong to the operation in flight on the register
-        // (robust across retransmits from timers); acks to the request
-        // that asked for them.
         let (kind, trace, durable) = if msg.is_request() {
-            (EventKind::RoundSent, self.pending.trace_of(req.reg), false)
+            (EventKind::RoundSent, op.and_then(|c| c.trace), false)
         } else {
             (
                 EventKind::AckSent,
@@ -883,7 +726,74 @@ impl Node {
         }
     }
 
-    fn fire_due_timers(&mut self) {
+    /// Stores are asynchronous (the automaton contract): queued for the
+    /// syncer, and the loop moves on.
+    fn store(&mut self, token: StoreToken, key: String, bytes: bytes::Bytes) {
+        self.mx.stores_queued.inc();
+        self.obs.flight.record(stamp(
+            FlightEvent::new(EventKind::StoreQueued).with_aux(token.0),
+            self.ctx,
+        ));
+        if let Some(trace) = self.ctx {
+            self.token_traces.insert(token.0, trace);
+        }
+        if !self.syncer.submit(StoreRequest { token, key, bytes }) {
+            // The syncer is gone. If it failed, its verdict is ahead of
+            // this one on the queue; if it died without one, this halts
+            // the node all the same.
+            self.own.post(RunnerEvent::StoreFailed(StorageError::io(
+                "syncer",
+                std::io::Error::other("syncer exited without a verdict"),
+            )));
+        }
+    }
+
+    fn arm_timer(&mut self, token: TimerToken, after: rmem_types::Micros) {
+        let seq = self.timer_seq;
+        self.timer_seq += 1;
+        self.timer_tokens.insert(seq, token);
+        self.timers
+            .push(Reverse((Instant::now() + Duration::from(after), seq)));
+    }
+
+    fn began(&mut self, op: OpId, reg: RegisterId, call: &mut Call) {
+        self.mx.ops_started.inc();
+        let ev = FlightEvent::new(EventKind::OpStart).with_register(reg.0);
+        let ev = ev.with_op(op.pid.0, op.counter);
+        self.obs.flight.record(stamp(ev, call.trace));
+        call.began = Some(Instant::now());
+        self.ctx = call.trace;
+    }
+
+    fn completed(&mut self, op: OpId, call: Call, result: OpResult, rounds: u32) {
+        self.mx.ops_completed.inc();
+        if let (true, Some(began)) = (self.obs.metrics.is_enabled(), call.began) {
+            self.mx.op_micros.record(began.elapsed().as_micros() as u64);
+        }
+        let ev = FlightEvent::new(EventKind::OpComplete).with_aux(u64::from(rounds));
+        let ev = ev.with_op(op.pid.0, op.counter);
+        self.obs.flight.record(stamp(ev, call.trace));
+        call.complete(result, rounds);
+    }
+
+    fn ready(&mut self) {
+        if let Some(since) = self.recovering_since.take() {
+            self.mx
+                .recovery_micros
+                .record(since.elapsed().as_micros() as u64);
+        }
+    }
+}
+
+impl Node {
+    /// Feeds one input to `core` under trace context `ctx`.
+    fn step(&mut self, core: &mut NodeCore<Call>, ctx: Option<TraceId>, input: Input) {
+        self.ctx = ctx;
+        core.feed(self, input);
+        self.mx.queued.set(core.queued() as u64);
+    }
+
+    fn fire_due_timers(&mut self, core: &mut NodeCore<Call>) {
         let now = Instant::now();
         while let Some(Reverse((deadline, seq))) = self.timers.peek().copied() {
             if deadline > now {
@@ -892,12 +802,12 @@ impl Node {
             self.timers.pop();
             if let Some(token) = self.timer_tokens.remove(&seq) {
                 self.mx.timer_fires.inc();
-                self.step(None, Input::Timer(token));
+                self.step(core, None, Input::Timer(token));
             }
         }
     }
 
-    fn on_net(&mut self, Inbound { from, msg, trace }: Inbound) {
+    fn on_net(&mut self, core: &mut NodeCore<Call>, Inbound { from, msg, trace }: Inbound) {
         self.mx.msgs_in.inc();
         let req = msg.request_id();
         let (kind, durable) = if msg.is_request() {
@@ -919,45 +829,17 @@ impl Node {
                 .with_aux(pack_wire_aux(from.0, req.nonce, durable)),
             trace,
         ));
-        self.step(trace, Input::Message { from, msg });
+        self.step(core, trace, Input::Message { from, msg });
     }
 
-    fn on_store_durable(&mut self, token: StoreToken) {
+    fn on_store_durable(&mut self, core: &mut NodeCore<Call>, token: StoreToken) {
         self.mx.stores_durable.inc();
         let trace = self.token_traces.remove(&token.0);
         self.obs.flight.record(stamp(
             FlightEvent::new(EventKind::StoreDurable).with_aux(token.0),
             trace,
         ));
-        self.step(trace, Input::StoreDone(token));
-    }
-
-    /// A client operation arrived: it begins now, or waits its turn
-    /// behind the one its register is serving.
-    fn on_invoke(&mut self, invocation: Invocation) {
-        match self.pending.wait(invocation) {
-            Some(invocation) => {
-                let (trace, input) = self.admit(invocation);
-                self.step(trace, input);
-            }
-            None => self.mx.queued.set(self.pending.waiting()),
-        }
-    }
-
-    /// Admits `invocation` under a fresh id and records its start; the
-    /// input that begins it.
-    fn admit(&mut self, (operation, reply, token, trace): Invocation) -> (Option<TraceId>, Input) {
-        let reg = operation.register();
-        let op = OpId::new(self.me, self.op_counter);
-        self.op_counter += 1;
-        self.mx.ops_started.inc();
-        let ev = FlightEvent::new(EventKind::OpStart).with_register(reg.0);
-        self.obs.flight.record(match trace {
-            Some(t) => ev.with_op(t.client, t.op),
-            None => ev.with_op(op.pid.0, op.counter),
-        });
-        (self.pending).admit(op, (reg, reply, token, Instant::now(), trace));
-        (trace, Input::Invoke { op, operation })
+        self.step(core, trace, Input::StoreDone(token));
     }
 }
 
@@ -974,28 +856,27 @@ fn run_loop(
     obs: ObsHandle,
 ) -> Box<dyn StableStorage> {
     let RunnerQueue { tx: own, rx } = queue;
+    let mut core = NodeCore::new(automaton);
     let mut node = Node {
         me,
-        automaton,
         transport,
         syncer: Syncer::spawn_with_obs(me, storage, own.clone(), store_failures, obs.clone()),
         own,
         timers: BinaryHeap::new(),
         timer_tokens: HashMap::new(),
         timer_seq: 0,
-        pending: OpTable::default(),
-        handed_on: VecDeque::new(),
-        op_counter: boot_count << 32,
         recovering_since: recovered.then(Instant::now),
+        ctx: None,
         req_traces: ReqTraces::new(4096),
         token_traces: HashMap::new(),
         mx: LoopMetrics::resolve(&obs),
         obs,
     };
-    node.step(None, Input::Start);
+    let mut op_counter = boot_count << 32;
+    node.step(&mut core, None, Input::Start);
 
     'run: loop {
-        node.fire_due_timers();
+        node.fire_due_timers(&mut core);
         let patience = node
             .timers
             .peek()
@@ -1021,10 +902,10 @@ fn run_loop(
                 node.mx.wake_micros.record(at.elapsed().as_micros() as u64);
             }
             match event {
-                RunnerEvent::Net(inbound) => node.on_net(inbound),
+                RunnerEvent::Net(inbound) => node.on_net(&mut core, inbound),
                 RunnerEvent::StoresDurable(tokens) => {
                     for token in tokens {
-                        node.on_store_durable(token);
+                        node.on_store_durable(&mut core, token);
                     }
                 }
                 RunnerEvent::StoreFailed(e) => {
@@ -1043,27 +924,34 @@ fn run_loop(
                     );
                     break 'run;
                 }
-                RunnerEvent::Invoke {
-                    operation,
-                    reply,
-                    token,
-                    trace,
-                } => node.on_invoke((operation, reply, token, trace)),
+                // A client operation arrived: the automaton has it at
+                // once, and begins it now or once its register is free.
+                RunnerEvent::Invoke(operation, call) => {
+                    let op = OpId::new(me, op_counter);
+                    op_counter += 1;
+                    node.ctx = None;
+                    core.invoke(&mut node, op, operation, call);
+                    node.mx.queued.set(core.queued() as u64);
+                }
                 RunnerEvent::Shutdown => break 'run,
             }
         }
     }
     // Every exit path lands here. Fail what will never complete: first
     // the invocations still queued (or racing in as the loop exits), then
-    // the admitted in-flight operations and those waiting behind them —
-    // without this, a pipelined waiter would burn its full patience window
-    // on an operation whose emulation is gone.
+    // every operation invoked at the automaton, begun or waiting — without
+    // this, a pipelined waiter would burn its full patience window on an
+    // operation whose emulation is gone (the crash-recovery model's
+    // "crashed with the operation pending").
+    let shutdown = || OpResult::Rejected(RejectReason::Shutdown);
     for (_, event) in rx.try_iter() {
-        if let RunnerEvent::Invoke { reply, token, .. } = event {
-            complete(&reply, token, OpResult::Rejected(RejectReason::Shutdown), 0);
+        if let RunnerEvent::Invoke(_, call) = event {
+            call.complete(shutdown(), 0);
         }
     }
-    node.pending.drain_shutdown();
+    for (_, call) in core.lose() {
+        call.complete(shutdown(), 0);
+    }
     node.mx.queued.set(0);
     node.syncer.stop()
 }
@@ -1075,7 +963,7 @@ mod tests {
     use crate::pipeline::Ticket;
     use rmem_core::Transient;
     use rmem_storage::MemStorage;
-    use rmem_types::Value;
+    use rmem_types::{Action, Value};
 
     fn spin_cluster(n: usize, factory: Arc<dyn AutomatonFactory>) -> Vec<ProcessRunner> {
         let board = Switchboard::new(n);
@@ -1296,6 +1184,12 @@ mod tests {
             self.0.lock().push((at, what));
         }
 
+        /// Completes every invocation in its own step: none is ever
+        /// active after it.
+        fn active(&self, _reg: RegisterId) -> Option<OpId> {
+            None
+        }
+
         fn algorithm(&self) -> &'static str {
             "scripted"
         }
@@ -1415,6 +1309,118 @@ mod tests {
             settles_down(&pipe, ticket);
         }
         assert_eq!(pipe.in_flight(), 0);
+        runner.stop();
+    }
+
+    /// An automaton that takes its one invocation over only at a later
+    /// input. The invocation sends a request on its register and arms a
+    /// 20 ms timer; that timer names the operation active, sends again
+    /// and arms a 5 ms one, which completes it.
+    #[derive(Default)]
+    struct Later {
+        invoked: Option<OpId>,
+        active: Option<OpId>,
+    }
+
+    impl Automaton for Later {
+        fn on_input(&mut self, input: Input, out: &mut Vec<Action>) {
+            let probe = |nonce| Action::Send {
+                to: ProcessId(0),
+                msg: Message::SnReq {
+                    req: RequestId::new(ProcessId(0), nonce),
+                },
+            };
+            let timer = |token, micros| Action::SetTimer {
+                token: TimerToken(token),
+                after: rmem_types::Micros(micros),
+            };
+            match input {
+                Input::Invoke { op, .. } => {
+                    self.invoked = Some(op);
+                    out.extend([probe(0), timer(1, 20_000)]);
+                }
+                Input::Timer(TimerToken(1)) => {
+                    self.active = self.invoked;
+                    out.extend([probe(1), timer(2, 5_000)]);
+                }
+                Input::Timer(TimerToken(2)) => {
+                    out.extend(self.active.take().map(|op| Action::Complete {
+                        op,
+                        result: OpResult::Written,
+                        rounds: 1,
+                    }))
+                }
+                _ => {}
+            }
+        }
+
+        fn active(&self, _reg: RegisterId) -> Option<OpId> {
+            self.active
+        }
+
+        fn algorithm(&self) -> &'static str {
+            "later"
+        }
+    }
+
+    impl AutomatonFactory for Later {
+        fn fresh(&self, _me: ProcessId, _n: usize) -> Box<dyn Automaton> {
+            Box::new(Later::default())
+        }
+
+        fn recover(
+            &self,
+            me: ProcessId,
+            n: usize,
+            _incarnation: u64,
+            _stable: &dyn rmem_types::StableSnapshot,
+        ) -> Box<dyn Automaton> {
+            self.fresh(me, n)
+        }
+
+        fn algorithm(&self) -> &'static str {
+            "later"
+        }
+    }
+
+    /// An operation starts when the automaton names it active, not when
+    /// it arrives: its `OpStart` and `runner.op_micros` count from there,
+    /// and a request sent on its register before then is nobody's — it
+    /// carries no trace id.
+    #[test]
+    fn an_operation_starts_when_the_automaton_names_it() {
+        let (inbox, queue) = ProcessRunner::queue();
+        let transport = Arc::new(ChannelTransport::new(
+            ProcessId(0),
+            1,
+            Switchboard::new(1),
+            inbox,
+        ));
+        let runner = ProcessRunner::start(
+            &Later::default(),
+            Box::new(MemStorage::new()),
+            transport,
+            queue,
+        );
+        let ctx = Arc::new(TraceCtx::new(Arc::new(FlightRecorder::new(64))));
+        let traced = Some((ctx.client_id(), 0));
+        let client = runner.client().with_trace(Some(ctx));
+        client.write(Value::from_u32(1)).unwrap();
+        let events = runner.flight_recorder().dump();
+        let of = |kind| events.iter().filter(move |e| e.kind == kind);
+        let sent: Vec<_> = of(EventKind::RoundSent).collect();
+        let [nobodys, its] = sent[..] else {
+            panic!("two requests: {sent:?}")
+        };
+        assert_eq!((nobodys.op, its.op), (None, traced));
+        let start = of(EventKind::OpStart).next().expect("started");
+        assert_eq!(start.op, traced);
+        assert!(start.at_micros >= nobodys.at_micros + 20_000, "{start:?}");
+        // Counted from its arrival it would be ≥ 25 ms: timers never fire
+        // early.
+        let took = runner.metrics().histogram("runner.op_micros");
+        assert_eq!(took.count, 1);
+        assert!((5_000..25_000).contains(&took.sum), "{} µs", took.sum);
         runner.stop();
     }
 

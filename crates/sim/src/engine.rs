@@ -1,11 +1,22 @@
 //! The discrete-event simulation engine.
+//!
+//! Each simulated process is a [`NodeCore`] — the same node core the
+//! socket runtime hosts — and the engine is its [`Host`]: the network
+//! model decides each message's fate, the disk model each store's
+//! latency, virtual time each timer's instant, and the causal-chain
+//! accounting ([`crate::trace`]) follows every effect. Invocations go to
+//! the automaton the moment they arrive; it serializes each register's
+//! operations, and an operation enters the history when it begins.
 
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rmem_storage::{FaultPlan, FaultyStorage, MemStorage, SnapshotView, StableStorage};
-use rmem_types::{Action, AutomatonFactory, Input, Micros, Op, OpId, OpResult, ProcessId};
+use rmem_types::{
+    AutomatonFactory, Host, Input, Message, Micros, NodeCore, Op, OpId, OpResult, ProcessId,
+    RegisterId, RequestId, StoreToken, TimerToken,
+};
 
 use crate::config::ClusterConfig;
 use crate::event::{EventKind, EventQueue};
@@ -14,28 +25,22 @@ use crate::time::VirtualTime;
 use crate::trace::Trace;
 use crate::workload::{ClosedLoop, PlannedEvent, Schedule};
 
-/// One simulated process: its automaton (volatile — destroyed by crashes)
-/// and its stable storage (owned by the engine — survives crashes).
+/// What the engine keeps per invoked operation: the operation as
+/// invoked (recorded in the history when it begins) and whether it came
+/// through the port ([`Simulation::invoke`]).
+type Call = (Op, bool);
+
+/// One simulated process: its node core (volatile — destroyed by
+/// crashes) and its stable storage (owned by the engine — survives
+/// crashes).
 struct ProcSlot {
-    automaton: Option<Box<dyn rmem_types::Automaton>>,
+    core: Option<NodeCore<Call>>,
     /// Pass-through unless the run planted store faults at this process
     /// ([`Simulation::with_store_faults`]).
     storage: FaultyStorage<MemStorage>,
     /// Bumped at every crash; store completions and timers from older
     /// incarnations are discarded.
     incarnation: u32,
-    /// The process's **operation table**: in-flight client operations
-    /// keyed by the register they address. Mirrors the real runner's
-    /// table (`rmem-net`): at most one operation per register — §III-A
-    /// sequentiality applied per register emulation — while operations on
-    /// distinct registers overlap freely.
-    pending: std::collections::BTreeMap<rmem_types::RegisterId, OpId>,
-    /// Invocations submitted but not begun, in order: each waits until
-    /// the automaton is ready — the paper's recovering process invokes
-    /// nothing until it is ([`rmem_types::Automaton::is_ready`]) — and
-    /// its register is free. Only then is it handed over, and recorded
-    /// as invoked.
-    held: std::collections::VecDeque<(OpId, Op)>,
     next_op_counter: u64,
     /// Set while the process runs its recovery procedure (between the
     /// Recover event and the automaton reporting ready); drives the
@@ -49,18 +54,6 @@ struct ProcSlot {
     disk_busy_until: VirtualTime,
     disk_group_start: VirtualTime,
     disk_group_done: VirtualTime,
-}
-
-impl ProcSlot {
-    /// Whether `op` is still in flight at this process.
-    fn is_pending(&self, op: OpId) -> bool {
-        self.pending.values().any(|&p| p == op)
-    }
-
-    /// Whether an operation on `reg` is in flight or held here.
-    fn is_busy(&self, reg: rmem_types::RegisterId) -> bool {
-        self.pending.contains_key(&reg) || self.held.iter().any(|(_, o)| o.register() == reg)
-    }
 }
 
 struct LoopState {
@@ -86,9 +79,10 @@ enum LoopOp {
 /// What [`Simulation::invoke`] answered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Invoked {
-    /// The operation is in flight under this id — or waits behind the one
-    /// its process serves on that register (§III-A sequentiality, per
-    /// register); its end arrives through
+    /// The operation is in flight under this id — or waits until its
+    /// process serves it: behind the one ahead on its register (§III-A
+    /// sequentiality, per register), or until that register has
+    /// recovered; its end arrives through
     /// [`Simulation::take_completions`].
     Accepted(OpId),
     /// The process is crashed.
@@ -159,9 +153,8 @@ pub struct Simulation {
     /// The last event left every process idle with only timers queued.
     quiescent: bool,
     hit_limit: bool,
-    /// In-flight operations invoked through the port, and the ends of
-    /// those not yet handed back.
-    ported: std::collections::BTreeSet<OpId>,
+    /// The ends of operations invoked through the port, not yet handed
+    /// back.
     completions: Vec<PortCompletion>,
 }
 
@@ -172,11 +165,9 @@ impl Simulation {
         let n = config.n;
         let procs = (0..n)
             .map(|_| ProcSlot {
-                automaton: None,
+                core: None,
                 storage: FaultyStorage::new(MemStorage::new(), FaultPlan::None),
                 incarnation: 0,
-                pending: std::collections::BTreeMap::new(),
-                held: std::collections::VecDeque::new(),
                 next_op_counter: 0,
                 recovering_since: None,
                 disk_busy_until: VirtualTime::ZERO,
@@ -201,7 +192,6 @@ impl Simulation {
             ran: false,
             quiescent: false,
             hit_limit: false,
-            ported: std::collections::BTreeSet::new(),
             completions: Vec::new(),
         }
     }
@@ -252,7 +242,7 @@ impl Simulation {
 
     /// Whether `pid` is currently crashed.
     pub fn is_crashed(&self, pid: ProcessId) -> bool {
-        self.procs[pid.index()].automaton.is_none()
+        self.procs[pid.index()].core.is_none()
     }
 
     /// Read-only view of a process's stable storage (inspect after `run`).
@@ -310,7 +300,7 @@ impl Simulation {
 
         for pid in ProcessId::all(self.config.n) {
             let automaton = self.factory.fresh(pid, self.config.n);
-            self.procs[pid.index()].automaton = Some(automaton);
+            self.procs[pid.index()].core = Some(NodeCore::new(automaton));
         }
         for pid in ProcessId::all(self.config.n) {
             self.feed(pid, Input::Start, 0, None);
@@ -336,7 +326,7 @@ impl Simulation {
         self.events_processed += 1;
         self.sends_this_event = 0;
         self.dispatch(ev.kind);
-        self.quiescent = self.queue.len() < 256 && self.is_idle() && self.queue_only_timers();
+        self.quiescent = self.queue.len() < 256 && self.is_idle() && self.queue_iter_all_timers();
         true
     }
 
@@ -369,7 +359,7 @@ impl Simulation {
         let op = self.fresh_op_id(pid);
         self.quiescent = false;
         self.sends_this_event = 0;
-        self.admit(pid, op, operation, true)
+        self.hand_over(pid, op, operation, true)
     }
 
     /// The ends of operations invoked through [`invoke`](Self::invoke)
@@ -386,72 +376,23 @@ impl Simulation {
         self.queue.push(at.max(self.now), EventKind::Wake);
     }
 
-    /// Hands invocation `op` to `pid`'s automaton — or holds it until the
-    /// automaton is ready and the register free — unless the process is
-    /// down.
-    fn admit(&mut self, pid: ProcessId, op: OpId, operation: Op, ported: bool) -> Invoked {
-        let slot = &mut self.procs[pid.index()];
-        if slot.automaton.is_none() {
+    /// Hands invocation `op` to `pid`'s automaton at once, unless the
+    /// process is down.
+    fn hand_over(&mut self, pid: ProcessId, op: OpId, operation: Op, ported: bool) -> Invoked {
+        let Some(core) = &self.procs[pid.index()].core else {
             self.trace.invokes_dropped += 1;
             return Invoked::Down;
-        }
-        // §III-A sequentiality, per register emulation (as in the real
-        // runner): a register serves one operation at a time, so its
-        // restriction of the history stays well-formed — the next waits
-        // its turn; distinct registers overlap freely.
-        self.trace.invokes_queued += u64::from(slot.is_busy(operation.register()));
-        slot.held.push_back((op, operation));
-        if ported {
-            self.ported.insert(op);
-        }
-        self.note_if_ready(pid);
+        };
+        self.trace.invokes_queued += u64::from(core.busy(operation.register()));
+        let call = (operation.clone(), ported);
+        self.drive(pid, 0, None, None, |core, host| {
+            core.invoke(host, op, operation, call)
+        });
         Invoked::Accepted(op)
     }
 
-    /// Invokes `op` at `pid`'s ready automaton: from here on it is in the
-    /// history.
-    fn begin(&mut self, pid: ProcessId, op: OpId, operation: Op) {
-        self.procs[pid.index()]
-            .pending
-            .insert(operation.register(), op);
-        self.trace.record_invoke(self.now, op, operation.clone());
-        self.feed(pid, Input::Invoke { op, operation }, 0, Some(op));
-    }
-
-    /// Once `pid` reports ready: completes the recovery-duration
-    /// measurement if it was recovering, and begins what it holds whose
-    /// register is free, oldest first. Called after every input the
-    /// automaton is fed, so a completion hands its register on at once.
-    fn note_if_ready(&mut self, pid: ProcessId) {
-        // Beginning a held invocation may name a register this incarnation
-        // has yet to re-learn, and so make the process not ready again —
-        // or complete at once, and free its register for the next.
-        loop {
-            let slot = &mut self.procs[pid.index()];
-            let waiting = slot.recovering_since.is_some() || !slot.held.is_empty();
-            if !waiting || !slot.automaton.as_ref().is_some_and(|a| a.is_ready()) {
-                return;
-            }
-            if let Some(since) = slot.recovering_since.take() {
-                self.trace.record_recovery_duration(self.now.since(since));
-            }
-            let pending = &slot.pending;
-            let Some(at) =
-                (slot.held.iter()).position(|(_, o)| !pending.contains_key(&o.register()))
-            else {
-                return;
-            };
-            let (op, operation) = slot.held.remove(at).expect("a held invocation");
-            self.begin(pid, op, operation);
-        }
-    }
-
     fn is_idle(&self) -> bool {
-        let procs_idle = self.procs.iter().all(|s| {
-            s.pending.is_empty()
-                && s.held.is_empty()
-                && s.automaton.as_ref().is_none_or(|a| a.is_ready())
-        });
+        let procs_idle = (self.procs.iter()).all(|s| s.core.as_ref().is_none_or(|c| c.is_idle()));
         let loops_done = self
             .loops
             .iter()
@@ -459,12 +400,8 @@ impl Simulation {
         procs_idle && loops_done
     }
 
-    fn queue_only_timers(&self) -> bool {
-        // Private helper on the queue would expose internals; a linear
-        // scan over the (small, by the len() guard) heap is fine.
-        self.queue_iter_all_timers()
-    }
-
+    /// Whether only timers are queued: a linear scan over the heap, which
+    /// the caller's `len()` guard keeps small.
     fn queue_iter_all_timers(&self) -> bool {
         self.queue
             .iter()
@@ -479,24 +416,17 @@ impl Simulation {
                 msg,
                 chain,
             } => {
-                if self.procs[to.index()].automaton.is_none() {
+                let Some(core) = &self.procs[to.index()].core else {
                     return; // crashed receivers hear nothing
-                }
+                };
                 self.trace.messages_delivered += 1;
                 // A message belongs to the receiver's own operation on the
                 // register its request id names (request ids carry the
                 // register, so concurrent operations on distinct registers
                 // attribute independently).
-                let attributed = if msg.request_id().origin == to {
-                    self.procs[to.index()]
-                        .pending
-                        .get(&msg.request_id().reg)
-                        .copied()
-                } else {
-                    None
-                };
+                let req = msg.request_id();
+                let attributed = (req.origin == to).then(|| core.active(req.reg)).flatten();
                 self.feed(to, Input::Message { from, msg }, chain, attributed);
-                self.note_if_ready(to);
             }
             EventKind::StoreDone {
                 pid,
@@ -517,15 +447,9 @@ impl Simulation {
                     return;
                 }
                 self.trace.stores_applied += 1;
-                if slot.pending.is_empty() {
-                    self.trace.background_stores += 1;
-                }
-                let attributed = attributed_op.filter(|&op| slot.is_pending(op));
-                if slot.automaton.is_none() {
-                    return;
-                }
-                self.feed(pid, Input::StoreDone(token), chain, attributed);
-                self.note_if_ready(pid);
+                let idle = slot.core.as_ref().is_some_and(|c| c.in_flight() == 0);
+                self.trace.background_stores += u64::from(idle);
+                self.feed(pid, Input::StoreDone(token), chain, attributed_op);
             }
             EventKind::TimerFire {
                 pid,
@@ -533,37 +457,31 @@ impl Simulation {
                 incarnation,
                 chain,
             } => {
-                let slot = &self.procs[pid.index()];
-                if slot.incarnation != incarnation || slot.automaton.is_none() {
-                    return;
+                if self.procs[pid.index()].incarnation == incarnation {
+                    self.feed(pid, Input::Timer(token), chain, None);
                 }
-                self.feed(pid, Input::Timer(token), chain, None);
-                self.note_if_ready(pid);
             }
             EventKind::Invoke { pid, op, operation } => {
                 if let Some(l) = self.loops.iter_mut().find(|l| l.op == LoopOp::Planted(op)) {
                     l.op = LoopOp::Submitted;
                 }
-                if self.admit(pid, op, operation, false) == Invoked::Down {
+                if self.hand_over(pid, op, operation, false) == Invoked::Down {
                     self.loop_op_lost(pid);
                 }
             }
             EventKind::Crash { pid } => self.crash(pid),
             EventKind::Recover { pid } => {
-                if self.procs[pid.index()].automaton.is_some() {
+                let slot = &mut self.procs[pid.index()];
+                if slot.core.is_some() {
                     return;
                 }
-                let automaton = {
-                    let slot = &self.procs[pid.index()];
-                    let snapshot = SnapshotView::new(&slot.storage);
-                    self.factory
-                        .recover(pid, self.config.n, slot.incarnation as u64, &snapshot)
-                };
-                self.procs[pid.index()].automaton = Some(automaton);
-                self.procs[pid.index()].recovering_since = Some(self.now);
+                let snapshot = SnapshotView::new(&slot.storage);
+                let automaton =
+                    (self.factory).recover(pid, self.config.n, slot.incarnation as u64, &snapshot);
+                slot.core = Some(NodeCore::new(automaton));
+                slot.recovering_since = Some(self.now);
                 self.trace.record_recover(self.now, pid);
                 self.feed(pid, Input::Start, 0, None);
-                self.note_if_ready(pid);
                 self.loop_resume(pid);
             }
             EventKind::SetLink { from, to, blocked } => {
@@ -573,22 +491,18 @@ impl Simulation {
         }
     }
 
-    /// Crashes `pid`: its automaton and in-flight operations are lost,
-    /// its stable storage stays. A no-op if it is already down.
+    /// Crashes `pid`: its automaton and invoked operations are lost, its
+    /// stable storage stays. A no-op if it is already down.
     fn crash(&mut self, pid: ProcessId) {
         let slot = &mut self.procs[pid.index()];
-        if slot.automaton.is_none() {
+        let Some(core) = slot.core.take() else {
             return;
-        }
-        slot.automaton = None;
+        };
         slot.incarnation += 1;
-        // The ops are lost; their records stay pending. Held ones were
-        // never invoked.
-        let lost = std::mem::take(&mut slot.pending);
-        let held = std::mem::take(&mut slot.held);
         slot.recovering_since = None;
-        for op in lost.into_values().chain(held.into_iter().map(|(op, _)| op)) {
-            if self.ported.remove(&op) {
+        // The ops are lost; the records of those begun stay pending.
+        for (op, (_, ported)) in core.lose() {
+            if ported {
                 self.completions.push((op, None));
             }
         }
@@ -600,173 +514,48 @@ impl Simulation {
     /// Delivers `input` to `pid`'s automaton and executes the resulting
     /// actions. `chain` is the causal-log count carried by the input;
     /// `attributed` names the in-flight operation the input belongs to,
-    /// if any (with the per-register operation table, several operations
-    /// can be in flight — attribution is per register, not per process).
+    /// if any (several operations can be in flight, one per register —
+    /// attribution is per register, not per process).
     fn feed(&mut self, pid: ProcessId, input: Input, chain: u32, attributed: Option<OpId>) {
-        if let Some(op) = attributed {
-            self.trace.bump_chain(op, chain);
-        }
         // If the input is a protocol request, note it so a deferred ack
         // can be assigned its requester-relative chain (see field docs).
-        let request_id = match &input {
+        let request = match &input {
             Input::Message { msg, .. } if msg.is_request() => Some(msg.request_id()),
             _ => None,
         };
-        let mut out = Vec::new();
-        {
-            let slot = &mut self.procs[pid.index()];
-            let Some(automaton) = slot.automaton.as_mut() else {
-                return;
-            };
-            automaton.on_input(input, &mut out);
-        }
-        if let Some(req) = request_id {
-            let acked_now = out.iter().any(|a| {
-                matches!(a, Action::Send { msg, .. } if !msg.is_request() && msg.request_id() == req)
-            });
-            if !acked_now {
-                self.deferred_acks.insert((pid, req), chain + 1);
-            }
-        }
-        for action in out {
-            self.apply_action(pid, action, chain, attributed);
-        }
+        self.drive(pid, chain, attributed, request, |core, host| {
+            core.feed(host, input)
+        });
     }
 
-    fn apply_action(
+    /// Runs one step of `pid`'s node core, the engine its host.
+    fn drive(
         &mut self,
         pid: ProcessId,
-        action: Action,
         chain: u32,
         attributed: Option<OpId>,
+        request: Option<RequestId>,
+        step: impl FnOnce(&mut NodeCore<Call>, &mut Step<'_>),
     ) {
-        match action {
-            Action::Send { to, msg } => {
-                assert!(to.index() < self.config.n, "send to unknown process {to}");
-                self.trace.messages_sent += 1;
-                // Duplicated requests can make one round send several
-                // acks, so the recorded chain must outlive the first ack:
-                // look up without consuming (entries die with a crash of
-                // the process, and request ids are never reused).
-                let chain = if msg.is_request() {
-                    chain
-                } else {
-                    self.deferred_acks
-                        .get(&(pid, msg.request_id()))
-                        .copied()
-                        .unwrap_or(chain)
-                };
-                let serialization =
-                    Micros(self.sends_this_event as u64 * self.config.net.serialize_per_msg.0);
-                self.sends_this_event += 1;
-                let fate = self.net.fate(pid, to, msg.payload_len(), &mut self.rng);
-                match fate {
-                    Fate::Drop => {}
-                    Fate::Deliver(d) => {
-                        self.queue.push(
-                            self.now.after(serialization + d),
-                            EventKind::Deliver {
-                                to,
-                                from: pid,
-                                msg,
-                                chain,
-                            },
-                        );
-                    }
-                    Fate::Duplicate(d1, d2) => {
-                        self.queue.push(
-                            self.now.after(serialization + d1),
-                            EventKind::Deliver {
-                                to,
-                                from: pid,
-                                msg: msg.clone(),
-                                chain,
-                            },
-                        );
-                        self.queue.push(
-                            self.now.after(serialization + d2),
-                            EventKind::Deliver {
-                                to,
-                                from: pid,
-                                msg,
-                                chain,
-                            },
-                        );
-                    }
-                }
-            }
-            Action::Store { token, key, bytes } => {
-                let disk = self.config.disk_of(pid.index()).clone();
-                let jitter = if disk.jitter.0 > 0 {
-                    Micros(self.rng.gen_range(0..=disk.jitter.0))
-                } else {
-                    Micros(0)
-                };
-                let latency = disk.base_latency
-                    + jitter
-                    + Micros((bytes.len() as u64 * disk.ns_per_byte) / 1_000);
-                let slot = &mut self.procs[pid.index()];
-                let done_at = if !disk.coalesce {
-                    // Unlimited parallel stores: each pays its own latency.
-                    self.now.after(latency)
-                } else if self.now >= slot.disk_busy_until {
-                    // Idle disk: this store's commit starts immediately.
-                    slot.disk_group_start = self.now;
-                    slot.disk_group_done = self.now.after(latency);
-                    slot.disk_busy_until = slot.disk_group_done;
-                    slot.disk_group_done
-                } else if self.now <= slot.disk_group_start {
-                    // A commit is queued but its fsync has not started:
-                    // join the group — same fsync, same completion.
-                    self.trace.stores_coalesced += 1;
-                    slot.disk_group_done
-                } else {
-                    // The accepting commit's fsync is already running:
-                    // open the next group, starting when the disk frees.
-                    slot.disk_group_start = slot.disk_busy_until;
-                    slot.disk_group_done = slot.disk_busy_until.after(latency);
-                    slot.disk_busy_until = slot.disk_group_done;
-                    slot.disk_group_done
-                };
-                let attributed_op = attributed;
-                let incarnation = slot.incarnation;
-                self.queue.push(
-                    done_at,
-                    EventKind::StoreDone {
-                        pid,
-                        token,
-                        key,
-                        bytes,
-                        incarnation,
-                        chain: chain + 1,
-                        attributed_op,
-                    },
-                );
-            }
-            Action::SetTimer { token, after } => {
-                let slot = &self.procs[pid.index()];
-                self.queue.push(
-                    self.now.after(after),
-                    EventKind::TimerFire {
-                        pid,
-                        token,
-                        incarnation: slot.incarnation,
-                        chain,
-                    },
-                );
-            }
-            Action::Complete { op, result, rounds } => {
-                let slot = &mut self.procs[pid.index()];
-                slot.pending.retain(|_, &mut p| p != op);
-                if self.ported.remove(&op) {
-                    self.completions.push((op, Some((result.clone(), rounds))));
-                }
-                self.trace.bump_chain(op, chain);
-                self.trace.record_rounds(op, rounds);
-                self.trace.record_complete(self.now, op, result);
-                self.loop_advance(pid);
-            }
+        if let Some(op) = attributed {
+            self.trace.bump_chain(op, chain);
         }
+        let Some(mut core) = self.procs[pid.index()].core.take() else {
+            return;
+        };
+        let mut host = Step {
+            sim: self,
+            pid,
+            chain,
+            attributed,
+            request,
+            acked: false,
+        };
+        step(&mut core, &mut host);
+        if let (Some(req), false) = (request, host.acked) {
+            self.deferred_acks.insert((pid, req), chain + 1);
+        }
+        self.procs[pid.index()].core = Some(core);
     }
 
     // -- Closed-loop bookkeeping ----------------------------------------
@@ -804,6 +593,146 @@ impl Simulation {
     fn loop_resume(&mut self, pid: ProcessId) {
         if let Some(idx) = self.loop_at(pid, LoopOp::Idle) {
             self.loop_plant(idx, self.now.after(self.loops[idx].think));
+        }
+    }
+}
+
+/// One step of one process: the engine as its node core's [`Host`].
+///
+/// Every effect inherits the step's causal chain and attribution —
+/// those of the input, until an operation begins in the step: what
+/// follows is that operation's, at chain 0, as if its invocation had been
+/// the input.
+struct Step<'a> {
+    sim: &'a mut Simulation,
+    pid: ProcessId,
+    chain: u32,
+    attributed: Option<OpId>,
+    /// The request the step's input is, if it is one, and whether the step
+    /// acknowledged it.
+    request: Option<RequestId>,
+    acked: bool,
+}
+
+impl Host<Call> for Step<'_> {
+    fn send(&mut self, to: ProcessId, msg: Message, _op: Option<&Call>) {
+        let (sim, pid) = (&mut *self.sim, self.pid);
+        assert!(to.index() < sim.config.n, "send to unknown process {to}");
+        sim.trace.messages_sent += 1;
+        // Duplicated requests can make one round send several acks, so
+        // the recorded chain must outlive the first ack: look up without
+        // consuming (entries die with a crash of the process, and request
+        // ids are never reused).
+        let chain = if msg.is_request() {
+            self.chain
+        } else {
+            self.acked |= self.request == Some(msg.request_id());
+            (sim.deferred_acks.get(&(pid, msg.request_id())))
+                .copied()
+                .unwrap_or(self.chain)
+        };
+        let serialization =
+            Micros(sim.sends_this_event as u64 * sim.config.net.serialize_per_msg.0);
+        sim.sends_this_event += 1;
+        let deliver = |sim: &mut Simulation, d: Micros, msg: Message| {
+            let kind = EventKind::Deliver {
+                to,
+                from: pid,
+                msg,
+                chain,
+            };
+            sim.queue.push(sim.now.after(serialization + d), kind);
+        };
+        match sim.net.fate(pid, to, msg.payload_len(), &mut sim.rng) {
+            Fate::Drop => {}
+            Fate::Deliver(d) => deliver(sim, d, msg),
+            Fate::Duplicate(d1, d2) => {
+                deliver(sim, d1, msg.clone());
+                deliver(sim, d2, msg);
+            }
+        }
+    }
+
+    fn store(&mut self, token: StoreToken, key: String, bytes: bytes::Bytes) {
+        let (sim, pid) = (&mut *self.sim, self.pid);
+        let disk = sim.config.disk_of(pid.index()).clone();
+        let jitter = if disk.jitter.0 > 0 {
+            Micros(sim.rng.gen_range(0..=disk.jitter.0))
+        } else {
+            Micros(0)
+        };
+        let latency =
+            disk.base_latency + jitter + Micros((bytes.len() as u64 * disk.ns_per_byte) / 1_000);
+        let now = sim.now;
+        let slot = &mut sim.procs[pid.index()];
+        let done_at = if !disk.coalesce {
+            // Unlimited parallel stores: each pays its own latency.
+            now.after(latency)
+        } else if now >= slot.disk_busy_until {
+            // Idle disk: this store's commit starts immediately.
+            slot.disk_group_start = now;
+            slot.disk_group_done = now.after(latency);
+            slot.disk_busy_until = slot.disk_group_done;
+            slot.disk_group_done
+        } else if now <= slot.disk_group_start {
+            // A commit is queued but its fsync has not started: join the
+            // group — same fsync, same completion.
+            sim.trace.stores_coalesced += 1;
+            slot.disk_group_done
+        } else {
+            // The accepting commit's fsync is already running: open the
+            // next group, starting when the disk frees.
+            slot.disk_group_start = slot.disk_busy_until;
+            slot.disk_group_done = slot.disk_busy_until.after(latency);
+            slot.disk_busy_until = slot.disk_group_done;
+            slot.disk_group_done
+        };
+        let kind = EventKind::StoreDone {
+            pid,
+            token,
+            key,
+            bytes,
+            incarnation: slot.incarnation,
+            chain: self.chain + 1,
+            attributed_op: self.attributed,
+        };
+        sim.queue.push(done_at, kind);
+    }
+
+    fn arm_timer(&mut self, token: TimerToken, after: Micros) {
+        let sim = &mut *self.sim;
+        let kind = EventKind::TimerFire {
+            pid: self.pid,
+            token,
+            incarnation: sim.procs[self.pid.index()].incarnation,
+            chain: self.chain,
+        };
+        sim.queue.push(sim.now.after(after), kind);
+    }
+
+    fn began(&mut self, op: OpId, _reg: RegisterId, (operation, _): &mut Call) {
+        self.sim
+            .trace
+            .record_invoke(self.sim.now, op, operation.clone());
+        self.chain = 0;
+        self.attributed = Some(op);
+    }
+
+    fn completed(&mut self, op: OpId, (_, ported): Call, result: OpResult, rounds: u32) {
+        let sim = &mut *self.sim;
+        if ported {
+            sim.completions.push((op, Some((result.clone(), rounds))));
+        }
+        sim.trace.bump_chain(op, self.chain);
+        sim.trace.record_rounds(op, rounds);
+        sim.trace.record_complete(sim.now, op, result);
+        sim.loop_advance(self.pid);
+    }
+
+    fn ready(&mut self) {
+        let sim = &mut *self.sim;
+        if let Some(since) = sim.procs[self.pid.index()].recovering_since.take() {
+            sim.trace.record_recovery_duration(sim.now.since(since));
         }
     }
 }

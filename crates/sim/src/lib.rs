@@ -27,12 +27,15 @@
 //!
 //! ```
 //! use rmem_sim::{ClusterConfig, Simulation};
-//! use rmem_types::{Action, Automaton, AutomatonFactory, Input, ProcessId, StableSnapshot};
+//! use rmem_types::{
+//!     Action, Automaton, AutomatonFactory, Input, OpId, ProcessId, RegisterId, StableSnapshot,
+//! };
 //!
 //! // A do-nothing automaton, just to drive the engine.
 //! struct Idle;
 //! impl Automaton for Idle {
 //!     fn on_input(&mut self, _input: Input, _out: &mut Vec<Action>) {}
+//!     fn active(&self, _reg: RegisterId) -> Option<OpId> { None }
 //!     fn algorithm(&self) -> &'static str { "idle" }
 //! }
 //! struct IdleFactory;

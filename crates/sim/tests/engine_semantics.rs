@@ -9,8 +9,8 @@ use bytes::Bytes;
 use rmem_sim::{ClusterConfig, PlannedEvent, Schedule, Simulation, VirtualTime};
 use rmem_storage::StableStorage;
 use rmem_types::{
-    Action, Automaton, AutomatonFactory, Input, Message, Micros, ProcessId, RequestId,
-    StableSnapshot, StoreToken, TimerToken,
+    Action, Automaton, AutomatonFactory, Input, Message, Micros, OpId, ProcessId, RegisterId,
+    RequestId, StableSnapshot, StoreToken, TimerToken,
 };
 
 /// An automaton that stores a record on `Start`, and after the store
@@ -44,6 +44,10 @@ impl Automaton for StoreThenSend {
 
     fn algorithm(&self) -> &'static str {
         "store-then-send"
+    }
+
+    fn active(&self, _reg: RegisterId) -> Option<OpId> {
+        None
     }
 }
 
@@ -175,6 +179,10 @@ impl Automaton for TimerLoop {
     fn algorithm(&self) -> &'static str {
         "timer-loop"
     }
+
+    fn active(&self, _reg: RegisterId) -> Option<OpId> {
+        None
+    }
 }
 
 struct TimerLoopFactory;
@@ -232,6 +240,10 @@ fn ready_idle_timers_are_quiescent() {
         fn algorithm(&self) -> &'static str {
             "ready-timer"
         }
+
+        fn active(&self, _reg: RegisterId) -> Option<OpId> {
+            None
+        }
     }
     struct F;
     impl AutomatonFactory for F {
@@ -286,9 +298,9 @@ fn timers_die_with_their_incarnation() {
     );
 }
 
-/// The engine queues an overlapping invocation per process: it begins —
-/// and enters the history — the instant the operation ahead of it ends,
-/// keeping histories well-formed without involving the automaton.
+/// An overlapping invocation on a busy register waits in the automaton:
+/// it begins — and enters the history — the instant the operation ahead
+/// of it ends, keeping histories well-formed.
 #[test]
 fn an_overlapping_invocation_waits_for_the_one_ahead() {
     use rmem_core::Persistent;
@@ -458,6 +470,10 @@ impl Automaton for BurstStores {
 
     fn algorithm(&self) -> &'static str {
         "burst-stores"
+    }
+
+    fn active(&self, _reg: RegisterId) -> Option<OpId> {
+        None
     }
 }
 
@@ -754,10 +770,10 @@ fn a_loop_planted_across_a_crash_and_recovery_starts_once() {
     }
 }
 
-/// An invocation submitted to a process that is still recovering is held
-/// by the engine and enters the history when the process reports ready —
-/// the paper's recovering process invokes nothing before then — not when
-/// it was submitted.
+/// An invocation submitted to a process that is still recovering waits in
+/// its register automaton and enters the history when that register is
+/// ready — the paper's recovering process invokes nothing before then —
+/// not when it was submitted.
 #[test]
 fn an_invocation_during_recovery_is_recorded_when_the_process_turns_ready() {
     use rmem_core::Persistent;
@@ -842,4 +858,124 @@ fn the_port_invokes_hands_back_completions_and_wakes() {
     assert_eq!(report.final_time, VirtualTime(60_000));
     assert_eq!(report.trace.invokes_queued, 1);
     assert_eq!(report.trace.invokes_dropped, 1, "the one Down");
+}
+
+/// `(operation, causal logs, rounds)` of every operation of a persistent
+/// run on 3 nodes, in invocation order, and how many invocations waited
+/// on their register.
+fn costs(schedule: Schedule) -> (Vec<(rmem_types::Op, u32, u32)>, u64) {
+    let mut sim = Simulation::new(
+        ClusterConfig::new(3),
+        rmem_core::SharedMemory::factory(rmem_core::Persistent::flavor()),
+        7,
+    )
+    .with_schedule(schedule);
+    let report = sim.run();
+    let ops = report.trace.operations();
+    assert!(ops.iter().all(|o| o.is_completed()), "{ops:#?}");
+    let costs = ops
+        .iter()
+        .map(|o| (o.operation.clone(), o.causal_logs, o.rounds))
+        .collect();
+    (costs, report.trace.invokes_queued)
+}
+
+/// Waiting costs no log: a write and a read queued behind writes on
+/// their register pay the causal logs and rounds each pays alone — a
+/// persistent write 2 logs (its pre-log, then the replicas') and 2
+/// rounds, a read after it 0 logs and the fast path's 1 round — even
+/// though a queued operation's first messages leave in the step that
+/// completes the one ahead of it.
+#[test]
+fn a_queued_operation_costs_what_it_costs_alone() {
+    use rmem_types::{Op, RegisterId, Value};
+    let reg = RegisterId(2);
+    let ops = [
+        Op::WriteAt(reg, Value::from_u32(1)),
+        Op::WriteAt(reg, Value::from_u32(2)),
+        Op::ReadAt(reg),
+    ];
+    let plant = |gap: u64| {
+        let planted = ops.iter().enumerate().map(|(i, op)| {
+            let at = 1_000 + gap * i as u64;
+            (at, PlannedEvent::Invoke(ProcessId(0), op.clone()))
+        });
+        planted.fold(Schedule::new(), |s, (at, ev)| s.at(at, ev))
+    };
+    let (alone, waited) = costs(plant(10_000));
+    assert_eq!(waited, 0);
+    let [w1, w2, read] = ops.clone();
+    assert_eq!(alone, [(w1, 2, 2), (w2, 2, 2), (read, 0, 1)]);
+    let (queued, waited) = costs(plant(0));
+    assert_eq!(waited, 2, "both followers waited on the first write");
+    assert_eq!(queued, alone);
+}
+
+/// Waiting for recovery costs no log either: a write and a read invoked
+/// at a recovering process, while its recovery round runs, pay what the
+/// same two pay invoked one at a time after it is through.
+#[test]
+fn an_invocation_during_recovery_costs_what_it_costs_after_it() {
+    use rmem_types::{Op, RegisterId, Value};
+    let reg = RegisterId(2);
+    let run = |write_at: u64, read_at: u64| {
+        costs(
+            Schedule::new()
+                .at(
+                    500,
+                    PlannedEvent::Invoke(ProcessId(1), Op::WriteAt(reg, Value::from_u32(1))),
+                )
+                .at(3_000, PlannedEvent::Crash(ProcessId(0)))
+                .at(4_000, PlannedEvent::Recover(ProcessId(0)))
+                .at(
+                    write_at,
+                    PlannedEvent::Invoke(ProcessId(0), Op::WriteAt(reg, Value::from_u32(2))),
+                )
+                .at(read_at, PlannedEvent::Invoke(ProcessId(0), Op::ReadAt(reg))),
+        )
+        .0
+    };
+    let after = run(20_000, 30_000);
+    assert_eq!(
+        after[1..],
+        [
+            (Op::WriteAt(reg, Value::from_u32(2)), 2, 2),
+            (Op::ReadAt(reg), 0, 1),
+        ]
+    );
+    // 10 and 20 µs into a recovery that takes longer than that.
+    assert_eq!(run(4_010, 4_020), after);
+}
+
+/// A write that arrives while its register's lease renews itself — a
+/// read round nobody waits for — waits for the round to mint and begins
+/// under the new lease, one round. It enters the history then, not when
+/// it was submitted: nothing of it ran before.
+#[test]
+fn a_write_behind_a_lease_renewal_begins_when_the_renewal_mints() {
+    use rmem_core::{Flavor, FlavorFactory, DEFAULT_RETRANSMIT};
+    use rmem_types::{Op, OpKind, Value};
+    const TERM: u64 = 1_000;
+    // The read at 10 µs mints a lease whose horizon, one term after its
+    // broadcast, starts the renewal; the write arrives 50 µs into it.
+    let submitted = 10 + TERM + 50;
+    let schedule = Schedule::new()
+        .at(10, PlannedEvent::Invoke(ProcessId(0), Op::Read))
+        .at(
+            submitted,
+            PlannedEvent::Invoke(ProcessId(0), Op::Write(Value::from_u32(1))),
+        );
+    let flavor = Flavor::transient().with_lease(TERM);
+    let factory = Arc::new(FlavorFactory::new(flavor, DEFAULT_RETRANSMIT));
+    let mut sim = Simulation::new(ClusterConfig::new(3), factory, 5).with_schedule(schedule);
+    let report = sim.run();
+    let ops = report.trace.operations();
+    let write = ops.iter().find(|o| o.kind == OpKind::Write).unwrap();
+    assert_eq!(write.rounds, 1, "begun under the minted lease: {ops:#?}");
+    let round_trip = 2 * rmem_sim::NetConfig::default().base_delay.0;
+    assert!(
+        write.invoked_at.as_micros() >= submitted + round_trip - 50,
+        "recorded before the renewal's quorum answered: {ops:#?}"
+    );
+    assert!(report.trace.to_history().well_formed().is_ok());
 }

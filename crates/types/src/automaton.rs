@@ -34,7 +34,7 @@
 use bytes::Bytes;
 
 use crate::message::Message;
-use crate::op::{Op, OpId, OpResult};
+use crate::op::{Op, OpId, OpResult, RegisterId};
 use crate::process::ProcessId;
 use crate::Micros;
 
@@ -97,7 +97,8 @@ pub enum Input {
     Start,
     /// A client invokes an operation. The runtime guarantees ids are unique
     /// per process; the automaton replies eventually with
-    /// [`Action::Complete`] unless a crash intervenes.
+    /// [`Action::Complete`] unless a crash intervenes, and names it
+    /// [`Automaton::active`] while it serves it.
     Invoke {
         /// Unique id for this invocation.
         op: OpId,
@@ -201,12 +202,22 @@ pub trait Automaton: Send {
     /// order.
     fn on_input(&mut self, input: Input, out: &mut Vec<Action>);
 
-    /// Whether the automaton is past its boot/recovery phase and willing to
-    /// accept invocations immediately (used by harnesses to pace
-    /// workloads; invoking earlier is allowed and will be queued).
+    /// Whether the automaton is past its boot/recovery phase (hosts
+    /// measure recovery by it). It does not gate invocations: see
+    /// [`active`](Self::active).
     fn is_ready(&self) -> bool {
         true
     }
+
+    /// The operation the automaton serves on register `reg` right now, if
+    /// any. Hosts feed every invocation the moment it arrives, ready or
+    /// not and busy or not; the automaton serializes the operations of
+    /// each register — one at a time, the rest waiting in arrival order —
+    /// and a host learns that an operation **began** when this first
+    /// names it ([`crate::node::NodeCore`]). A wrapper must forward it:
+    /// an automaton that names nothing has every operation begin at its
+    /// completion.
+    fn active(&self, reg: RegisterId) -> Option<OpId>;
 
     /// A short algorithm name for traces and experiment labels.
     fn algorithm(&self) -> &'static str;

@@ -13,9 +13,9 @@
 //!   and the storage records both use it — nothing external touches the
 //!   wire or the disk format);
 //! * the event-driven automaton model ([`Automaton`], [`Input`],
-//!   [`Action`]) through which the deterministic simulator (`rmem-sim`)
-//!   and the real socket runtime (`rmem-net`) drive the same algorithm
-//!   implementations.
+//!   [`Action`]) and the one [`NodeCore`] through which the deterministic
+//!   simulator (`rmem-sim`) and the real socket runtime (`rmem-net`)
+//!   drive the same algorithm implementations.
 //!
 //! # Example
 //!
@@ -37,6 +37,7 @@ pub mod automaton;
 pub mod codec;
 pub mod error;
 pub mod message;
+pub mod node;
 pub mod op;
 pub mod process;
 pub mod timestamp;
@@ -48,6 +49,7 @@ pub use automaton::{
 };
 pub use error::DecodeError;
 pub use message::{Message, RequestId, TraceId};
+pub use node::{Host, NodeCore};
 pub use op::{Op, OpId, OpKind, OpResult, OpTag, RegisterId, RejectReason};
 pub use process::ProcessId;
 pub use timestamp::{Seq, Timestamp};
