@@ -39,12 +39,13 @@
 //! as JSON for the CI artifact);
 //! `--chaos` runs the combined chaos matrix (`rmem_kv::run_chaos`) over
 //! a seed sweep: seeded node kill/recover windows with torn-WAL-tail
-//! recoveries, a live shard-split chain and client crashes at every
-//! write phase, every surviving history certified (exactly-once
-//! duplicate check included) and every crashed client's ops resolved to
-//! a definite verdict — `--smoke` shrinks the cluster for CI, and on a
-//! failed oracle the flight-recorder dumps + stitched causal trace are
-//! written to the `--chaos-dump PATH` artifact before exiting nonzero;
+//! recoveries, a live shard-split chain and client crashes after a
+//! planned number of outputs, every surviving history certified
+//! (exactly-once duplicate check included) and every crashed client's
+//! ops resolved to a definite verdict — `--smoke` shrinks the cluster
+//! for CI, and on a failed oracle the flight-recorder dumps + stitched
+//! causal trace are written to the `--chaos-dump PATH` artifact before
+//! exiting nonzero;
 //! `--lease` runs the tag-lease section — the read-mostly Zipf(0.99)
 //! workload with leases on vs off at otherwise identical settings, every
 //! run certified per key — asserts the zero-round gates (full size: the

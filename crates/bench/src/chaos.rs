@@ -3,11 +3,12 @@
 //!
 //! Each seed runs the full experiment — seeded node kill/recover windows
 //! with torn-WAL-tail recoveries, a live shard-split chain, client
-//! crashes at every write phase — on a real-threaded cluster, then
-//! certifies every surviving history (including the exactly-once
-//! duplicate-application check) and resolves every crashed client's ops
-//! to a definite verdict. The smoke variant shrinks the cluster and the
-//! horizon for CI; the full variant runs the 50-node default config.
+//! crashes after a planned number of outputs — on a real-threaded
+//! cluster, then certifies every surviving history (including the
+//! exactly-once duplicate-application check) and resolves every crashed
+//! client's ops to a definite verdict. The smoke variant shrinks the
+//! cluster and the horizon for CI; the full variant runs the 50-node
+//! default config.
 //!
 //! On a failed oracle the scenario surfaces the seed plus the
 //! flight-recorder dumps and stitched causal trace carried by

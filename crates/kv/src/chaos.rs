@@ -1,28 +1,30 @@
 //! The **combined chaos matrix** over a real-threaded cluster: seeded
 //! schedules mixing node kill/recover windows, torn-WAL-tail recoveries,
-//! live shard-split chains and client crashes at every write phase — with
-//! every surviving history certified and every crashed client's ops
-//! resolved to a definite verdict.
+//! live shard-split chains and client crashes after a planned number of
+//! outputs — with every surviving history certified and every crashed
+//! client's ops resolved to a definite verdict.
 //!
 //! The plan comes from [`rmem_sim::matrix`] (pure data, majority-safe by
 //! construction); this module lowers it onto a
 //! [`LocalCluster`] — node windows become
 //! [`FaultEvent::Kill`]/[`FaultEvent::Restart`] pairs with a
 //! [`FaultEvent::TearTail`] in the middle of torn windows, client crashes
-//! become [`FaultEvent::ClientCrash`] signals that flip per-client flags
-//! the crasher threads watch. Meanwhile a grower drives the shard-split
-//! chain (e.g. 4 → 8 → 16) live under the traffic.
+//! become [`FaultEvent::ClientCrash`] signals on which the crasher arms
+//! its [`Crash`] budget between two puts: its host takes that many more
+//! outputs and none after, so the next put is cut short. Meanwhile a
+//! grower drives the shard-split chain (e.g. 4 → 8 → 16) live under the
+//! traffic.
 //!
 //! [`run_chaos`] is the whole experiment: preload → traffic + faults +
 //! splits → client recovery ([`KvClient::resolve_all`] over each reopened
-//! intent journal) → certification
+//! intent journal, each verdict checked against the state the journal
+//! left its op in) → certification
 //! ([`certify_per_key_epoch_path`], which includes the
 //! duplicate-application check). On a certification failure it returns
 //! the flight-recorder dumps and the stitched causal trace as evidence.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use rand::rngs::StdRng;
@@ -31,12 +33,13 @@ use rmem_consistency::linearize::MAX_OPS;
 use rmem_consistency::Criterion;
 use rmem_core::{Persistent, SharedMemory};
 use rmem_net::{FaultEvent, FaultSchedule, LocalCluster};
-use rmem_sim::{ChaosPlan, MatrixSpec, WritePhase};
-use rmem_storage::IntentJournal;
+use rmem_sim::{ChaosPlan, MatrixSpec};
+use rmem_storage::{IntentJournal, IntentState, WalStorage};
 use rmem_types::{Micros, OpTag};
 
 use crate::client::{KvClient, KvError};
-use crate::exactly_once::{CrashPoint, Resolution};
+use crate::crash::Crash;
+use crate::exactly_once::Resolution;
 use crate::history::certify_per_key_epoch_path;
 use crate::recorder::OpRecorder;
 use crate::router::ShardRouter;
@@ -60,8 +63,10 @@ pub struct ChaosConfig {
     /// the fault schedule has drained) — capped by the pacer: a writer
     /// stops once its share of the checker's per-key op limit is spent.
     pub ops_per_writer: usize,
-    /// Crash-injected exactly-once clients; crasher `i` dies at write
-    /// phase `i mod 3` (pre-send / mid-round / post-quorum).
+    /// Crash-injected exactly-once clients, staging and sending their
+    /// puts; on its crash signal each dies inside its next put, after
+    /// the number of outputs its first planned crash names (one the plan
+    /// never signals dies when the schedule drains).
     pub crashers: u16,
     /// Node kill/recover windows in the plan.
     pub windows: usize,
@@ -155,7 +160,7 @@ struct Pacer {
 impl Pacer {
     /// The allowance of each of `cfg`'s traffic clients over `keys` keys.
     /// Outside the traffic a key's history also holds its preload, per
-    /// crasher the orphaned put plus its resolution (one read, one
+    /// crasher the put it dies in plus its resolution (one read, one
     /// re-issue), and per split the migrator's read and verify (twice, if
     /// a straggler forces a redo); a third of the remainder is kept back
     /// for resolving puts that failed ambiguously (a read and a re-issue
@@ -184,14 +189,6 @@ impl Pacer {
         let key = open[rng.gen_range(0..open.len())];
         self.left[key] -= 1;
         Some(key)
-    }
-}
-
-fn lower_phase(phase: WritePhase) -> CrashPoint {
-    match phase {
-        WritePhase::PreSend => CrashPoint::PreSend,
-        WritePhase::MidRound => CrashPoint::MidRound,
-        WritePhase::PostQuorum => CrashPoint::PostQuorum,
     }
 }
 
@@ -274,93 +271,72 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, Box<ChaosFailure>> {
     let completed = AtomicU64::new(0);
     let ambiguous = AtomicU64::new(0);
     let faults_done = AtomicBool::new(false);
-    let crash_flags: Vec<Arc<AtomicBool>> = (0..cfg.crashers)
-        .map(|_| Arc::new(AtomicBool::new(false)))
-        .collect();
-    // (crasher id, injected crash point, the orphaned op's tag if the
-    // injection reached that point).
-    let crashed_ops: Mutex<Vec<(u16, CrashPoint, Option<OpTag>)>> = Mutex::new(Vec::new());
+    let signals: Vec<AtomicBool> = (0..cfg.crashers).map(|_| AtomicBool::default()).collect();
     let mut applied = Vec::new();
 
     std::thread::scope(|scope| {
-        // Steady exactly-once writers: keep traffic flowing for the whole
-        // fault horizon, `ops_per_writer` puts each or their allowance.
-        for w in 0..cfg.writers {
-            let id = w + 1;
-            let client = base
-                .recorded_clone()
-                .with_exactly_once(id, open_journal(&scratch, id));
-            let keys = &keys;
-            let completed = &completed;
-            let ambiguous = &ambiguous;
-            let faults_done = &faults_done;
+        // Exactly-once traffic: steady writers `put` for the whole fault
+        // horizon (`ops_per_writer` puts at least); crashers stage and
+        // send theirs until their crash signal comes. Either stops early
+        // once its allowance is spent.
+        let writers = (1..=cfg.writers).map(|id| (id, None));
+        let crashers = (CRASHER_BASE..).zip(signals.iter().map(Some));
+        for (id, signal) in writers.chain(crashers) {
+            // A writer's journal spends a budget that is never armed:
+            // every write is forwarded.
+            let crash = Crash::default();
+            let wal = WalStorage::open(journal_dir(&scratch, id)).expect("a journal log");
+            let journal = IntentJournal::with_storage(crash.storage(wal)).expect("a journal");
+            let client = match signal {
+                None => base.recorded_clone(),
+                Some(_) => base.recorded_clone().with_crash(&crash),
+            };
+            let client = client.with_exactly_once(id, journal);
+            let (keys, completed, ambiguous) = (&keys, &completed, &ambiguous);
+            let drained = || faults_done.load(Ordering::Relaxed);
+            let plan = &plan;
             let mut rng = StdRng::seed_from_u64(cfg.seed * 131 + u64::from(id));
             let mut pacer = Pacer::new(cfg, keys.len());
             scope.spawn(move || {
-                let mut counter = 0u64;
-                while counter < cfg.ops_per_writer as u64 || !faults_done.load(Ordering::Relaxed) {
-                    let Some(key) = pacer.next_key(&mut rng).map(|k| &keys[k]) else {
-                        break;
+                let put = |key: &str, n: u64| {
+                    let value = (u64::from(id) << 32 | n).to_be_bytes().to_vec();
+                    let outcome = match signal {
+                        None => client.put(key, value),
+                        Some(_) => client
+                            .begin_put(key, value)
+                            .and_then(|t| client.send_put(t)),
                     };
-                    counter += 1;
-                    let value = (u64::from(id) << 32 | counter).to_be_bytes().to_vec();
-                    match client.put(key, value) {
-                        Ok(()) => {
-                            completed.fetch_add(1, Ordering::Relaxed);
-                        }
+                    match outcome {
+                        Ok(()) => completed.fetch_add(1, Ordering::Relaxed),
                         Err(KvError::Barrier { key, shard }) => {
                             panic!("write barrier deadlocked on {key:?} (shard {shard})")
                         }
-                        Err(_) => {
-                            ambiguous.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            });
-        }
-        // Crash-injected clients: normal exactly-once traffic until their
-        // planned crash signal (or the schedule drains), then die at
-        // their write phase, leaving the journal and an orphaned op
-        // behind. The injection always happens, so every phase is covered
-        // regardless of signal timing.
-        for c in 0..cfg.crashers {
-            let id = CRASHER_BASE + c;
-            let client = base
-                .recorded_clone()
-                .with_exactly_once(id, open_journal(&scratch, id));
-            let point = lower_phase(WritePhase::ALL[c as usize % WritePhase::ALL.len()]);
-            let flag = crash_flags[c as usize].clone();
-            let keys = &keys;
-            let completed = &completed;
-            let ambiguous = &ambiguous;
-            let faults_done = &faults_done;
-            let crashed_ops = &crashed_ops;
-            let mut rng = StdRng::seed_from_u64(cfg.seed * 733 + u64::from(id));
-            let mut pacer = Pacer::new(cfg, keys.len());
-            scope.spawn(move || {
-                let mut counter = 0u64;
-                while !flag.load(Ordering::Relaxed) && !faults_done.load(Ordering::Relaxed) {
-                    let Some(key) = pacer.next_key(&mut rng).map(|k| &keys[k]) else {
+                        Err(_) if crash.crashed() => 0,
+                        Err(_) => ambiguous.fetch_add(1, Ordering::Relaxed),
+                    };
+                };
+                let signaled = || signal.is_some_and(|s| s.load(Ordering::Relaxed));
+                let mut counter = 0;
+                while (counter < cfg.ops_per_writer || !drained()) && !signaled() {
+                    let Some(key) = pacer.next_key(&mut rng) else {
                         break;
                     };
                     counter += 1;
-                    let value = (u64::from(id) << 32 | counter).to_be_bytes().to_vec();
-                    match client.put(key, value) {
-                        Ok(()) => {
-                            completed.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(_) => {
-                            ambiguous.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
+                    put(&keys[key], counter as u64);
                 }
-                let key = &keys[rng.gen_range(0..keys.len())];
-                let value = (u64::from(id) << 32 | 0xDEAD).to_be_bytes().to_vec();
-                // An Err here (a node died under the post-quorum issue)
-                // still leaves the journaled intent for recovery; only
-                // the tag-specific assertion is skipped.
-                let tag = client.crashed_put(key, value, point).ok();
-                crashed_ops.lock().unwrap().push((id, point, tag));
+                let Some(_) = signal else { return };
+                while !signaled() {
+                    std::thread::sleep(pacer.pause);
+                }
+                // Then its host takes as many more outputs as its first
+                // planned crash names (or a crash of its index would),
+                // armed between two puts: the budget (at most 3) runs out
+                // inside the next, which stays `Prepared`, or `Sent` with
+                // nothing or one submission out.
+                let c = id - CRASHER_BASE;
+                let first = plan.client_crashes.iter().find(|x| x.client == c);
+                crash.arm(first.map_or(1 + u64::from(c) % 3, |x| x.after_outputs));
+                put(&keys[rng.gen_range(0..keys.len())], counter as u64 + 1);
             });
         }
         // The grower: drive the split chain live, spread over the
@@ -379,16 +355,17 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, Box<ChaosFailure>> {
         // The adversary: node windows, torn tails and client-crash
         // signals on the clock.
         let cluster = &mut cluster;
-        let flags = &crash_flags;
+        let signals = &signals;
         let faults_done = &faults_done;
         let applied = &mut applied;
         scope.spawn(move || {
+            let signal = |c: usize| signals[c].store(true, Ordering::Relaxed);
             *applied = schedule
-                .run_with(cluster, |c| {
-                    flags[usize::try_from(c).expect("client ids are small")]
-                        .store(true, Ordering::Relaxed);
-                })
+                .run_with(cluster, |c| signal(usize::try_from(c).expect("a small id")))
                 .expect("the fault schedule must apply cleanly");
+            // A crasher the plan never signals dies now (a second signal
+            // changes nothing).
+            (0..signals.len()).for_each(signal);
             faults_done.store(true, Ordering::Relaxed);
         });
     });
@@ -412,57 +389,40 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, Box<ChaosFailure>> {
 
     // Client recovery: reopen every journal — crashed clients and steady
     // writers alike — with a fresh client under the same tag namespace,
-    // and sweep every pending intent to a definite verdict.
-    let crashed_ops = crashed_ops.into_inner().unwrap();
+    // and sweep every pending intent to a definite verdict. The verdict
+    // follows from the state the journal left the op in: one that never
+    // left its client (`Prepared`) resolves NotLanded and stays fenced,
+    // one that may have (`Sent`) resolves Landed.
     let mut verdicts = Vec::new();
-    let all_ids = (1..=cfg.writers).chain(crashed_ops.iter().map(|(id, _, _)| *id));
-    for id in all_ids {
-        let recovered = base
-            .recorded_clone()
-            .with_exactly_once(id, open_journal(&scratch, id));
-        match recovered.resolve_all() {
-            Ok(resolved) => {
-                verdicts.extend(resolved.into_iter().map(|(tag, r)| (id, tag, r)));
-            }
-            Err(e) => return Err(fail(format!("client {id} recovery failed: {e}"))),
+    let crashers = (0..cfg.crashers).map(|c| CRASHER_BASE + c);
+    for id in (1..=cfg.writers).chain(crashers) {
+        let journal = IntentJournal::open(journal_dir(&scratch, id));
+        let recovered = (base.recorded_clone())
+            .with_exactly_once(id, journal.expect("reopening a client's intent journal"));
+        let left = recovered.pending_intents();
+        let resolved = (recovered.resolve_all())
+            .map_err(|e| fail(format!("client {id} recovery failed: {e}")))?;
+        // Every crasher's crash cut an op short, and recovery settles all.
+        let unresolved = recovered.pending_intents().len();
+        if unresolved > 0 || (id >= CRASHER_BASE && left.is_empty()) {
+            let n = left.len();
+            return Err(fail(format!("client {id}: {n} ops, {unresolved} open")));
         }
-        if !recovered.pending_intents().is_empty() {
-            return Err(fail(format!("client {id} still has unresolved intents")));
-        }
-    }
-    // The phase-specific guarantees: an op that never left its client
-    // resolves NotLanded and stays fenced; an op acked at a quorum
-    // resolves Landed.
-    for (id, point, tag) in &crashed_ops {
-        let Some(tag) = tag else { continue };
-        let verdict = verdicts
-            .iter()
-            .find(|(vid, vtag, _)| vid == id && vtag == tag)
-            .map(|(_, _, r)| *r);
-        match point {
-            CrashPoint::PreSend => {
-                if verdict != Some(Resolution::NotLanded) {
-                    return Err(fail(format!(
-                        "pre-send crash of client {id} resolved {verdict:?}, not NotLanded"
-                    )));
-                }
-                let owner = base
-                    .recorded_clone()
-                    .with_exactly_once(*id, open_journal(&scratch, *id));
-                if !matches!(owner.send_put(*tag), Err(KvError::Fenced { .. })) {
-                    return Err(fail(format!(
-                        "client {id}'s resolved-NotLanded op {tag} was not fenced"
-                    )));
-                }
-            }
-            CrashPoint::MidRound | CrashPoint::PostQuorum => {
-                if verdict != Some(Resolution::Landed { tag: *tag }) {
-                    return Err(fail(format!(
-                        "{point:?} crash of client {id} resolved {verdict:?}, not Landed"
-                    )));
-                }
+        for (intent, &(tag, verdict)) in left.iter().zip(&resolved) {
+            let expected = match intent.state {
+                IntentState::Prepared => Resolution::NotLanded,
+                _ => Resolution::Landed { tag },
+            };
+            // A NotLanded op stays fenced against its owner.
+            let fenced = || matches!(recovered.send_put(tag), Err(KvError::Fenced { .. }));
+            if verdict != expected || (verdict == Resolution::NotLanded && !fenced()) {
+                let state = intent.state;
+                return Err(fail(format!(
+                    "client {id}'s {state:?} op {tag} resolved {verdict:?}, not a fenced {expected:?}"
+                )));
             }
         }
+        verdicts.extend(resolved.into_iter().map(|(tag, r)| (id, tag, r)));
     }
 
     // The correctness oracle: cross-epoch per-key certification over the
@@ -505,7 +465,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, Box<ChaosFailure>> {
     })
 }
 
-fn open_journal(scratch: &std::path::Path, id: u16) -> IntentJournal {
-    IntentJournal::open(scratch.join(format!("journal/c{id}")))
-        .expect("opening a client's intent journal")
+fn journal_dir(scratch: &Path, id: u16) -> PathBuf {
+    scratch.join(format!("journal/c{id}"))
 }

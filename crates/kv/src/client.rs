@@ -96,6 +96,7 @@ use rmem_storage::StorageError;
 use rmem_types::OpTag;
 
 use crate::codec;
+use crate::crash::Crash;
 use crate::epoch::{data_register, ShardMap, CONFIG_REGISTER};
 use crate::exactly_once::ExactlyOnce;
 use crate::health::{HealthMemory, NodeGate};
@@ -514,6 +515,10 @@ pub struct KvClient {
     /// [`with_exactly_once`](KvClient::with_exactly_once); clones share
     /// it. `None` = classic at-least-once client, untagged writes.
     pub(crate) intents: Option<Arc<ExactlyOnce>>,
+    /// The output budget its world spends, attached by
+    /// [`with_crash`](KvClient::with_crash) and kept over every rebuild
+    /// of the world.
+    crash: Option<Crash>,
 }
 
 /// A health memory for `world`'s nodes, aging its marks on `world`'s clock.
@@ -562,6 +567,7 @@ impl KvClient {
             trace: None,
             recorder: None,
             intents: None,
+            crash: None,
         }
     }
 
@@ -581,7 +587,7 @@ impl KvClient {
     /// over them: enabled handle → traced family recording into the
     /// handle's flight ring; disabled → untraced (zero wire or ring
     /// overhead). Tracing is the wire's: a client with no node handles
-    /// keeps its world.
+    /// keeps its world. An attached [`Crash`] wraps the rebuilt world.
     fn rewire_trace(mut self) -> Self {
         if self.nodes.is_empty() {
             return self;
@@ -595,6 +601,9 @@ impl KvClient {
             .map(|n| n.with_trace(trace.clone()))
             .collect();
         self.world = Arc::new(Wire::new(&self.nodes));
+        if let Some(crash) = &self.crash {
+            self.world = crash.world(self.world.clone());
+        }
         self
     }
 
@@ -669,6 +678,24 @@ impl KvClient {
         let mut clone = self.clone();
         clone.recorder = Some((recorder.clone(), recorder.assign_pid()));
         clone
+    }
+
+    /// This client with every submission spending `crash`'s output budget
+    /// (see [`crate::crash`]; its journal spends it through
+    /// [`Crash::storage`]). It gets a health memory of its own, so what a
+    /// dead client's refused submissions mark dies with it. The budget
+    /// stays attached when [`with_obs`](KvClient::with_obs) rebuilds the
+    /// world.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a budget is already attached.
+    pub fn with_crash(mut self, crash: &Crash) -> Self {
+        assert!(self.crash.is_none(), "one crash budget per client");
+        self.crash = Some(crash.clone());
+        self.world = crash.world(self.world);
+        self.health = health_over(&self.world, self.health.cooldown());
+        self
     }
 
     /// The shared cluster-health memory (clones of this client observe and

@@ -39,6 +39,17 @@
 //! overwritten value between two reads of the overwriter, which no
 //! atomic register may do). Verdicts are stored durably, so repeated
 //! resolves — even across a resolver crash — always agree.
+//!
+//! **The crash model.** A client can crash after any of its outputs: its
+//! host takes the first k submissions and journal writes and none after
+//! ([`crate::crash`]). So a crash leaves each op it interrupted in one of
+//! the journal's two pending states, whatever step it fell on: `Prepared`
+//! (staged by [`begin_put`](KvClient::begin_put), nothing sent), or `Sent`
+//! — with nothing submitted yet, with submissions landed, in flight or
+//! refused, or acknowledged at a quorum with only the tombstone lost.
+//! Recovery is a new incarnation over the same journal storage running
+//! [`resolve_all`](KvClient::resolve_all): every `Prepared` op resolves
+//! `NotLanded` and is fenced, every `Sent` op resolves `Landed`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -62,22 +73,6 @@ pub enum Resolution {
     /// The write provably never left the client — and never will: the op
     /// is fenced, so this verdict can never be invalidated later.
     NotLanded,
-}
-
-/// Where an emulated client crash interrupts a write
-/// ([`KvClient::crashed_put`] — the chaos matrix's fault injector).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CrashPoint {
-    /// After the intent is journaled, before anything is sent.
-    PreSend,
-    /// While the write's quorum rounds are in flight: the register layer
-    /// keeps driving the write (a coordinator node does not die with its
-    /// client), so it may land arbitrarily late — concurrently with the
-    /// recovery's resolve.
-    MidRound,
-    /// After the write is acknowledged at a quorum, before the journal
-    /// tombstone: fully visible, still listed as pending.
-    PostQuorum,
 }
 
 /// Shared exactly-once state of a client family: the durable intent
@@ -123,20 +118,6 @@ impl KvClient {
             next_seq,
         }));
         self
-    }
-
-    /// The op-tag namespace of this exactly-once client family, if one is
-    /// attached.
-    pub fn op_client_id(&self) -> Option<u16> {
-        self.intents.as_ref().map(|c| c.client_id)
-    }
-
-    /// Drops the shared exactly-once state from this handle (clones keep
-    /// theirs): its writes are untagged and unjournaled again. The chaos
-    /// injector uses this so an orphaned in-flight write cannot touch the
-    /// journal its crashed owner left behind.
-    pub(crate) fn detach_journal(&mut self) {
-        self.intents = None;
     }
 
     fn ctx(&self) -> &ExactlyOnce {
@@ -328,76 +309,15 @@ impl KvClient {
             .map(|intent| self.resolve(intent.tag).map(|r| (intent.tag, r)))
             .collect()
     }
-
-    /// Fault injection for the chaos matrix: a `put` that "crashes" at
-    /// `point`, leaving exactly the journal/register state a real client
-    /// crash would. Returns the orphaned op's tag; the test then emulates
-    /// recovery by resolving it (through this client or a fresh one over
-    /// the reopened journal).
-    ///
-    /// [`CrashPoint::MidRound`] hands the in-flight write to a detached
-    /// thread over a journal-less clone — like a coordinator node still
-    /// driving a dead client's write, it races the resolver and never
-    /// touches the journal.
-    ///
-    /// # Errors
-    ///
-    /// As [`put`](KvClient::put) / [`KvError::Journal`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no exactly-once state is attached.
-    pub fn crashed_put(
-        &self,
-        key: &str,
-        value: impl Into<Bytes>,
-        point: CrashPoint,
-    ) -> Result<OpTag, KvError> {
-        let ctx = self.ctx();
-        let value = value.into();
-        let tag = ctx.alloc();
-        let state = if point == CrashPoint::PreSend {
-            IntentState::Prepared
-        } else {
-            IntentState::Sent
-        };
-        ctx.lock()
-            .begin(Intent {
-                tag,
-                key: key.to_string(),
-                value: value.clone(),
-                state,
-            })
-            .map_err(journal_err)?;
-        let mut orphan = if self.recorder_attached() {
-            self.recorded_clone()
-        } else {
-            self.clone()
-        };
-        orphan.detach_journal();
-        match point {
-            CrashPoint::PreSend => {}
-            CrashPoint::MidRound => {
-                let key = key.to_string();
-                std::thread::spawn(move || {
-                    let _ = orphan.put_inner(&key, value, Some(tag));
-                });
-            }
-            CrashPoint::PostQuorum => orphan.put_inner(key, value, Some(tag))?,
-        }
-        Ok(tag)
-    }
-
-    fn recorder_attached(&self) -> bool {
-        self.recorder.is_some()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crash::Crash;
     use crate::router::ShardRouter;
     use rmem_core::{SharedMemory, Transient};
+    use rmem_net::cluster::SharedStorage;
     use rmem_net::LocalCluster;
     use rmem_storage::MemStorage;
 
@@ -409,6 +329,40 @@ mod tests {
         KvClient::new(cluster.clients(), ShardRouter::new(4))
             .unwrap()
             .with_exactly_once(id, mem_journal())
+    }
+
+    /// Client `id` over the journal on `disk`, its outputs spending
+    /// `crash` — or, with `None`, its recovered incarnation.
+    fn incarnation(
+        cluster: &LocalCluster,
+        id: u16,
+        disk: &SharedStorage,
+        crash: Option<&Crash>,
+    ) -> KvClient {
+        let kv = KvClient::new(cluster.clients(), ShardRouter::new(4)).unwrap();
+        let (kv, storage) = match crash {
+            Some(crash) => (kv.with_crash(crash), crash.storage(disk.clone())),
+            None => (
+                kv,
+                Box::new(disk.clone()) as Box<dyn rmem_storage::StableStorage>,
+            ),
+        };
+        kv.with_exactly_once(id, IntentJournal::with_storage(storage).unwrap())
+    }
+
+    /// Client `id` puts `key → value` after one warm-up put (which syncs
+    /// its map) and crashes after the put's journal entry and its write:
+    /// the tombstone is refused. Returns the recovered incarnation.
+    fn crash_before_the_tombstone(cluster: &LocalCluster, id: u16, key: &str) -> KvClient {
+        let (disk, crash) = (SharedStorage::new(), Crash::default());
+        let kv = incarnation(cluster, id, &disk, Some(&crash));
+        kv.put("warm-up", b"w".to_vec()).unwrap();
+        crash.arm(2);
+        assert!(matches!(
+            kv.put(key, b"v".to_vec()),
+            Err(KvError::Journal { .. })
+        ));
+        incarnation(cluster, id, &disk, None)
     }
 
     fn cluster() -> LocalCluster {
@@ -468,10 +422,8 @@ mod tests {
     #[test]
     fn post_quorum_crash_resolves_landed() {
         let mut cluster = cluster();
-        let kv = eo_client(&cluster, 5);
-        let tag = kv
-            .crashed_put("acked", b"v".to_vec(), CrashPoint::PostQuorum)
-            .unwrap();
+        let kv = crash_before_the_tombstone(&cluster, 5, "acked");
+        let tag = kv.pending_intents()[0].tag;
         // Crashed after the quorum ack: still pending in the journal, but
         // fully visible — resolve must say Landed, repeatedly.
         assert_eq!(kv.pending_intents().len(), 1);
@@ -484,15 +436,26 @@ mod tests {
     #[test]
     fn mid_round_crash_resolves_landed_and_value_lands() {
         let mut cluster = cluster();
-        let kv = eo_client(&cluster, 6);
-        let tag = kv
-            .crashed_put("inflight", b"v".to_vec(), CrashPoint::MidRound)
-            .unwrap();
-        // The orphaned write races this resolve; either way the verdict
-        // is definite and the value must end up visible.
-        let verdict = kv.resolve(tag).unwrap();
-        assert_eq!(verdict, Resolution::Landed { tag });
-        assert_eq!(kv.get("inflight").unwrap().as_deref(), Some(b"v".as_ref()));
+        let (disk, crash) = (SharedStorage::new(), Crash::default());
+        let crashed = incarnation(&cluster, 6, &disk, Some(&crash));
+        crashed.put("warm-up", b"w".to_vec()).unwrap();
+        let sent = crash.outputs() + 2;
+        crash.arm(2);
+        std::thread::scope(|scope| {
+            // The crashed client journals and sends the write; its
+            // tombstone will be refused.
+            scope.spawn(|| crashed.put("inflight", b"v".to_vec()));
+            while crash.outputs() < sent {
+                std::thread::yield_now();
+            }
+            // The write in flight races this resolve; either way the
+            // verdict is definite and the value must end up visible.
+            let kv = incarnation(&cluster, 6, &disk, None);
+            let tag = kv.pending_intents()[0].tag;
+            let verdict = kv.resolve(tag).unwrap();
+            assert_eq!(verdict, Resolution::Landed { tag });
+            assert_eq!(kv.get("inflight").unwrap().as_deref(), Some(b"v".as_ref()));
+        });
         cluster.shutdown();
     }
 
@@ -530,10 +493,8 @@ mod tests {
         // must NOT re-issue (resurrection), and conservatively says
         // Landed.
         let mut cluster = cluster();
-        let kv = eo_client(&cluster, 8);
-        let tag = kv
-            .crashed_put("shared", b"ours".to_vec(), CrashPoint::PostQuorum)
-            .unwrap();
+        let kv = crash_before_the_tombstone(&cluster, 8, "shared");
+        let tag = kv.pending_intents()[0].tag;
         let other = eo_client(&cluster, 99);
         other.put("shared", b"theirs".to_vec()).unwrap();
         assert_eq!(kv.resolve(tag).unwrap(), Resolution::Landed { tag });

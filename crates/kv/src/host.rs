@@ -38,8 +38,10 @@
 //! hand-written twin kept in step with it forever. Threads that take turns
 //! host the **whole** client with no line of it rewritten: what virtual
 //! time certifies is what ships. Fault exploration reads the same way: a
-//! client crash after its k-th output is *the host declines to answer
-//! effect k*; a paused or skewed clock is its answer to [`World::now`].
+//! client crash after its k-th output is its host taking no output after
+//! the k-th — [`Crash`](crate::Crash), which a hosted run can place at
+//! every k of a script; a paused or skewed clock would be its answer to
+//! [`World::now`].
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};

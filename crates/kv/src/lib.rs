@@ -26,6 +26,10 @@
 //!   same clients, unmodified, inside a seeded `rmem-sim` run — virtual
 //!   time, scripted crashes, and a history that is a function of the
 //!   seed.
+//! * [`crash`] — the one way a client crashes: [`Crash`], a budget of
+//!   outputs (submissions, journal writes) shared by its world and its
+//!   intent journal, after which its host takes none — so a crash can
+//!   fall on any step, hosted or real.
 //! * [`history`] — per-**key** atomicity certification: decode a recorded
 //!   register-level history ([`OpRecorder`]), stitch each key's homes
 //!   across live splits, check each register's restriction
@@ -83,6 +87,7 @@
 pub mod chaos;
 pub mod client;
 pub mod codec;
+pub mod crash;
 pub mod epoch;
 pub mod exactly_once;
 pub mod health;
@@ -94,8 +99,9 @@ pub mod seam;
 
 pub use chaos::{run_chaos, ChaosConfig, ChaosFailure, ChaosReport};
 pub use client::{GrowReport, HealthStats, KvClient, KvError, KvOpStats};
+pub use crash::Crash;
 pub use epoch::{data_register, ShardMap, CONFIG_REGISTER};
-pub use exactly_once::{CrashPoint, Resolution};
+pub use exactly_once::Resolution;
 pub use health::{HealthMemory, NodeGate};
 pub use history::{
     certify_per_key_epoch_path, check_store_exactly_once, CertifyError, KeyViolation, KvCertificate,

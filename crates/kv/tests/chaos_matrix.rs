@@ -1,9 +1,10 @@
 //! The combined chaos matrix (see `rmem_kv::chaos`): seeded schedules
 //! mixing node kill/recover windows, torn-WAL-tail recoveries, a live
-//! 4 → 8 → 16 split chain and client crashes at every write phase, on a
-//! 50-node cluster. Every surviving history must pass cross-epoch
-//! certification (including the exactly-once duplicate check), and every
-//! crashed client's ops must resolve to a definite verdict.
+//! 4 → 8 → 16 split chain and client crashes after a planned number of
+//! outputs, on a 50-node cluster. Every surviving history must pass
+//! cross-epoch certification (including the exactly-once duplicate
+//! check), and every crashed client's ops must resolve to a definite
+//! verdict.
 //!
 //! CI runs `single_seed_smoke` (and the dedicated chaos-smoke job runs a
 //! few seeds via `rmem-bench --chaos`); the full ≥ 12-seed sweep is the
@@ -71,6 +72,9 @@ fn sweep_chaos_matrix() {
     let mut total_faults = 0;
     let mut total_torn = 0;
     let mut total_verdicts = 0;
+    // A crasher's `Prepared` op resolves NotLanded and its `Sent` ops
+    // resolve Landed (`run_chaos` checks each against its journal state).
+    let (mut prepared, mut sent) = (false, false);
     for seed in 1..=12 {
         let report = run_seed(seed);
         check_report(&report);
@@ -78,8 +82,17 @@ fn sweep_chaos_matrix() {
         total_faults += report.faults_applied;
         total_torn += report.torn_tails;
         total_verdicts += report.verdicts.len();
+        for (client, _, resolution) in &report.verdicts {
+            let crasher = *client >= 1_000; // `run_chaos`'s crasher ids
+            prepared |= crasher && *resolution == Resolution::NotLanded;
+            sent |= crasher && *resolution != Resolution::NotLanded;
+        }
     }
     assert!(total_completed > 0);
+    assert!(
+        prepared && sent,
+        "the crashes must leave both Prepared and Sent ops across the sweep"
+    );
     assert!(
         total_torn > 0,
         "across 12 seeds some torn-tail recoveries must have happened"

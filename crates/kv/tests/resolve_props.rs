@@ -12,17 +12,22 @@
 //!   its owner sends fences the owner forever;
 //! * **resolve-after-crash-mid-round** — a recovery sweep over a
 //!   reopened on-disk journal settles every op definitively while the
-//!   orphaned write is still racing it;
-//! * **double-resolve** — repeated resolves, from the crashed handle and
-//!   from clones, always agree (with the verdict memoized durably).
+//!   crashed client's write is still racing it;
+//! * **double-resolve** — after a crash at any output of a staged put,
+//!   repeated resolves, from a recovered handle and from its clones,
+//!   always agree (with the verdict memoized durably).
+//!
+//! A crash is [`Crash`]: the client's host takes its first k outputs
+//! (submissions, journal writes) and none after.
 
 use proptest::prelude::*;
 use proptest::TestCaseError;
 use rmem_core::{SharedMemory, Transient};
 use rmem_kv::history::check_store_exactly_once;
-use rmem_kv::{codec, CrashPoint, KvClient, KvError, OpRecorder, Resolution, ShardRouter};
+use rmem_kv::{codec, Crash, KvClient, KvError, OpRecorder, Resolution, ShardRouter};
+use rmem_net::cluster::SharedStorage;
 use rmem_net::LocalCluster;
-use rmem_storage::{Intent, IntentJournal, IntentState, MemStorage};
+use rmem_storage::{Intent, IntentJournal, IntentState, MemStorage, StableStorage, WalStorage};
 use rmem_types::OpTag;
 
 fn cluster() -> LocalCluster {
@@ -47,12 +52,26 @@ fn arb_value() -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(any::<u8>(), 1..32)
 }
 
-fn arb_crash_point() -> impl Strategy<Value = CrashPoint> {
-    prop_oneof![
-        Just(CrashPoint::PreSend),
-        Just(CrashPoint::MidRound),
-        Just(CrashPoint::PostQuorum),
-    ]
+/// Client `id` over `journal`'s storage, its outputs spending `crash`.
+fn crashing(
+    cluster: &LocalCluster,
+    id: u16,
+    crash: &Crash,
+    journal: impl StableStorage + 'static,
+) -> KvClient {
+    let journal = IntentJournal::with_storage(crash.storage(journal)).unwrap();
+    KvClient::new(cluster.clients(), ShardRouter::new(4))
+        .unwrap()
+        .with_crash(crash)
+        .with_exactly_once(id, journal)
+}
+
+/// How many outputs a fresh client's staged put makes before it crashes:
+/// it journals the op `Prepared` (1), marks it `Sent` (2), reads the
+/// shard map (3) and sends the write (4); its tombstone would be the
+/// fifth.
+fn arb_crash_point() -> impl Strategy<Value = u64> {
+    1u64..5
 }
 
 proptest! {
@@ -149,17 +168,22 @@ proptest! {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let mut cluster = cluster();
-        let crashed = KvClient::new(cluster.clients(), ShardRouter::new(4))
-            .unwrap()
-            .with_exactly_once(5, IntentJournal::open(&dir).unwrap());
-        let tag = crashed
-            .crashed_put(&key, value.clone(), CrashPoint::MidRound)
-            .unwrap();
-        drop(crashed);
-        let recovered = KvClient::new(cluster.clients(), ShardRouter::new(4))
-            .unwrap()
-            .with_exactly_once(5, IntentJournal::open(&dir).unwrap());
-        let verdicts = recovered.resolve_all().unwrap();
+        // Journal the op, read the shard map, send the write: the
+        // tombstone is refused.
+        let crash = Crash::after(3);
+        let crashed = crashing(&cluster, 5, &crash, WalStorage::open(&dir).unwrap());
+        let (recovered, tag, verdicts) = std::thread::scope(|scope| {
+            scope.spawn(|| crashed.put(&key, value.clone()));
+            while crash.outputs() < 3 {
+                std::thread::yield_now();
+            }
+            let recovered = KvClient::new(cluster.clients(), ShardRouter::new(4))
+                .unwrap()
+                .with_exactly_once(5, IntentJournal::open(&dir).unwrap());
+            let tag = recovered.pending_intents()[0].tag;
+            let verdicts = recovered.resolve_all().unwrap();
+            (recovered, tag, verdicts)
+        });
         prop_assert_eq!(verdicts, vec![(tag, Resolution::Landed { tag })]);
         prop_assert!(recovered.pending_intents().is_empty());
         let got = recovered.get(&key).unwrap();
@@ -182,11 +206,16 @@ proptest! {
         resolves in 2usize..5,
     ) {
         let mut cluster = cluster();
-        let kv = eo_client(&cluster, 6);
-        let tag = kv.crashed_put(&key, value.clone(), point).unwrap();
+        let disk = SharedStorage::new();
+        let crashed = crashing(&cluster, 6, &Crash::after(point), disk.clone());
+        let tag = crashed.begin_put(&key, value.clone()).unwrap();
+        prop_assert!(crashed.send_put(tag).is_err(), "the crash comes before the tombstone");
+        let kv = KvClient::new(cluster.clients(), ShardRouter::new(4))
+            .unwrap()
+            .with_exactly_once(6, IntentJournal::with_storage(Box::new(disk)).unwrap());
         let first = kv.resolve(tag).unwrap();
         for i in 0..resolves {
-            // Alternate the crashed handle and a clone of the family.
+            // Alternate the recovered handle and a clone of the family.
             let verdict = if i % 2 == 0 {
                 kv.resolve(tag).unwrap()
             } else {
@@ -196,7 +225,7 @@ proptest! {
         }
         match first {
             Resolution::NotLanded => {
-                prop_assert_eq!(point, CrashPoint::PreSend);
+                prop_assert_eq!(point, 1, "only a crash before `Sent` is NotLanded");
                 prop_assert_eq!(kv.get(&key).unwrap(), None);
             }
             Resolution::Landed { tag: t } => {

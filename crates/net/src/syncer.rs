@@ -117,7 +117,7 @@ fn run(
         let mut error = None;
         for req in batch {
             match storage.begin_store(&req.key, req.bytes.clone()) {
-                Ok(_) => staged.push(req.token),
+                Ok(()) => staged.push(req.token),
                 Err(e) => {
                     error = Some(e);
                     break;
@@ -158,7 +158,7 @@ mod tests {
     use crate::runner::ProcessRunner;
     use bytes::Bytes;
     use parking_lot::Mutex;
-    use rmem_storage::{FaultPlan, FaultyStorage, MemStorage, StorageError, StoreTicket};
+    use rmem_storage::{FaultPlan, FaultyStorage, MemStorage, StorageError};
     use rmem_types::ProcessId;
     use std::time::Duration;
 
@@ -208,10 +208,10 @@ mod tests {
             Vec::new()
         }
 
-        fn begin_store(&mut self, key: &str, _bytes: Bytes) -> Result<StoreTicket, StorageError> {
+        fn begin_store(&mut self, key: &str, _bytes: Bytes) -> Result<(), StorageError> {
             self.log.lock().push(format!("begin:{key}"));
             self.staged.lock().push(key.to_string());
-            Ok(StoreTicket(self.staged.lock().len() as u64))
+            Ok(())
         }
 
         fn flush(&mut self) -> Result<(), StorageError> {
@@ -222,10 +222,6 @@ mod tests {
             self.log.lock().push(format!("flush:{}", staged.len()));
             self.committed.lock().extend(staged);
             Ok(())
-        }
-
-        fn poll_durable(&self, _t: StoreTicket) -> bool {
-            self.staged.lock().is_empty()
         }
     }
 

@@ -240,11 +240,6 @@ impl Simulation {
         id
     }
 
-    /// Whether `pid` is currently crashed.
-    pub fn is_crashed(&self, pid: ProcessId) -> bool {
-        self.procs[pid.index()].core.is_none()
-    }
-
     /// Read-only view of a process's stable storage (inspect after `run`).
     pub fn storage(&self, pid: ProcessId) -> &MemStorage {
         self.procs[pid.index()].storage.get_ref()

@@ -68,7 +68,7 @@ pub mod workload;
 
 pub use config::{ClusterConfig, DiskConfig, NetConfig};
 pub use engine::{Invoked, PortCompletion, SimReport, Simulation};
-pub use matrix::{ChaosPlan, ClientCrash, FaultWindow, MatrixSpec, WritePhase};
+pub use matrix::{ChaosPlan, ClientCrash, FaultWindow, MatrixSpec};
 pub use stats::LatencyStats;
 pub use time::VirtualTime;
 pub use trace::{OpRecord, Trace};

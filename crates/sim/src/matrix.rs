@@ -1,6 +1,6 @@
 //! The **chaos matrix**: a seeded generator of combined fault plans —
 //! node kill/recover windows, torn-WAL-tail recoveries, and client
-//! crashes pinned to a write phase.
+//! crashes after a planned number of outputs.
 //!
 //! The robustness suites all need the same adversary: "everything at
 //! once, reproducibly". This module generates that adversary as *pure
@@ -10,8 +10,8 @@
 //! * the discrete-event simulator, via [`ChaosPlan::schedule`] (windows
 //!   lower to [`PlannedEvent::Crash`]/[`PlannedEvent::Recover`]);
 //! * the real-threaded cluster (`rmem-net`'s `FaultSchedule`, lowered by
-//!   `rmem-kv`'s chaos harness), where torn tails and client write-phase
-//!   crashes have physical meaning.
+//!   `rmem-kv`'s chaos harness), where torn tails and client crashes
+//!   have physical meaning.
 //!
 //! Plans are majority-safe by construction: windows live in disjoint
 //! time slots and each slot downs at most
@@ -25,30 +25,6 @@ use rand::{Rng, SeedableRng};
 use rmem_types::{Micros, ProcessId};
 
 use crate::workload::{PlannedEvent, Schedule};
-
-/// The write phase a planned client crash interrupts (mirrors the store
-/// layer's crash points: nothing sent yet / rounds in flight / acked but
-/// not yet tombstoned).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WritePhase {
-    /// After the intent is journaled, before the first datagram.
-    PreSend,
-    /// While the write's quorum rounds are in flight.
-    MidRound,
-    /// After the quorum ack, before the client-side acknowledgment.
-    PostQuorum,
-}
-
-impl WritePhase {
-    /// All phases, in lifecycle order — plans cycle through these so
-    /// every phase is covered whenever at least three client crashes are
-    /// requested.
-    pub const ALL: [WritePhase; 3] = [
-        WritePhase::PreSend,
-        WritePhase::MidRound,
-        WritePhase::PostQuorum,
-    ];
-}
 
 /// One node kill/recover window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,10 +47,13 @@ pub struct FaultWindow {
 pub struct ClientCrash {
     /// Which client (an opaque id the harness maps onto its clients).
     pub client: u16,
-    /// When to crash it (virtual µs from the run's start).
+    /// When its crash signal comes (virtual µs from the run's start).
     pub at: Micros,
-    /// The write phase the crash interrupts.
-    pub phase: WritePhase,
+    /// How many more outputs (submissions, journal writes) the client's
+    /// host takes after the signal before it takes none: 1, 2, 3, 1, …
+    /// by the crash's index, so three crashes of an idle exactly-once
+    /// client leave an op journaled, marked sent, and sent.
+    pub after_outputs: u64,
 }
 
 /// Specification of a seeded chaos plan.
@@ -172,16 +151,15 @@ impl ChaosPlan {
             }
         }
         windows.sort_by_key(|w| w.start);
-        let mut client_crashes = Vec::new();
-        for i in 0..spec.client_crashes {
-            client_crashes.push(ClientCrash {
+        let mut client_crashes: Vec<ClientCrash> = (0..spec.client_crashes)
+            .map(|i| ClientCrash {
                 client: rng.gen_range(0..spec.clients.max(1)),
                 at: Micros(rng.gen_range(0..spec.horizon.0)),
-                // Cycle the phases so all three are exercised whenever
-                // three or more crashes are planned.
-                phase: WritePhase::ALL[i % WritePhase::ALL.len()],
-            });
-        }
+                // From the index, not the generator: the plan's draws
+                // stay what they are.
+                after_outputs: 1 + i as u64 % 3,
+            })
+            .collect();
         client_crashes.sort_by_key(|c| c.at);
         ChaosPlan {
             seed: spec.seed,
@@ -209,10 +187,10 @@ impl ChaosPlan {
     }
 
     /// Lowers the node windows to a discrete-event [`Schedule`]
-    /// (`Crash`/`Recover` pairs). Torn tails and write-phase client
-    /// crashes have no simulator analogue — the simulator's stable
-    /// storage never tears, and its clients are processes — so they are
-    /// the real-runtime harness's to apply.
+    /// (`Crash`/`Recover` pairs). Torn tails and client crashes have no
+    /// simulator analogue — the simulator's stable storage never tears,
+    /// and a client's crash is its host's to apply — so they are the
+    /// harness's.
     pub fn schedule(&self) -> Schedule {
         let mut schedule = Schedule::new();
         for w in &self.windows {
@@ -267,16 +245,18 @@ mod tests {
     }
 
     #[test]
-    fn phases_all_covered_and_events_inside_horizon() {
+    fn output_budgets_all_covered_and_events_inside_horizon() {
         let spec = MatrixSpec {
             client_crashes: 7,
             ..MatrixSpec::default()
         };
         let plan = ChaosPlan::generate(&spec);
-        for phase in WritePhase::ALL {
+        for outputs in 1..=3 {
             assert!(
-                plan.client_crashes.iter().any(|c| c.phase == phase),
-                "{phase:?} must be exercised"
+                plan.client_crashes
+                    .iter()
+                    .any(|c| c.after_outputs == outputs),
+                "a crash after {outputs} outputs must be planned"
             );
         }
         for w in &plan.windows {

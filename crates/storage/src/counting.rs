@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use crate::{StableStorage, StorageError, StoreTicket};
+use crate::{StableStorage, StorageError};
 
 /// Shared counters collected by a [`CountingStorage`].
 ///
@@ -147,22 +147,22 @@ impl<S: StableStorage> StableStorage for CountingStorage<S> {
         self.inner.keys()
     }
 
-    fn begin_store(&mut self, key: &str, bytes: Bytes) -> Result<StoreTicket, StorageError> {
+    fn begin_store(&mut self, key: &str, bytes: Bytes) -> Result<(), StorageError> {
         let len = bytes.len() as u64;
-        let ticket = self.inner.begin_store(key, bytes)?;
+        self.inner.begin_store(key, bytes)?;
         self.counters.stores.fetch_add(1, Ordering::Relaxed);
         self.counters.bytes.fetch_add(len, Ordering::Relaxed);
-        self.staged += 1;
         // A synchronous inner (default begin_store = store) is already
         // durable: that staging *was* a commit of group size 1.
-        if self.inner.poll_durable(ticket) {
-            self.staged -= 1;
+        if self.inner.group_commits() {
+            self.staged += 1;
+        } else {
             self.counters.commits.fetch_add(1, Ordering::Relaxed);
             self.counters
                 .fsyncs
                 .fetch_add(self.inner.fsyncs_per_commit(), Ordering::Relaxed);
         }
-        Ok(ticket)
+        Ok(())
     }
 
     fn flush(&mut self) -> Result<(), StorageError> {
@@ -177,8 +177,8 @@ impl<S: StableStorage> StableStorage for CountingStorage<S> {
         Ok(())
     }
 
-    fn poll_durable(&self, ticket: StoreTicket) -> bool {
-        self.inner.poll_durable(ticket)
+    fn group_commits(&self) -> bool {
+        self.inner.group_commits()
     }
 
     fn fsyncs_per_commit(&self) -> u64 {
@@ -237,13 +237,11 @@ mod tests {
         let counters = StoreCounters::new();
         let mut s = CountingStorage::new(crate::WalStorage::open(&dir).unwrap(), counters.clone());
         // Group of 3 → one commit, one fsync.
-        let t1 = s.begin_store("a", Bytes::from_static(b"11")).unwrap();
+        s.begin_store("a", Bytes::from_static(b"11")).unwrap();
         s.begin_store("b", Bytes::from_static(b"22")).unwrap();
         s.begin_store("c", Bytes::from_static(b"33")).unwrap();
         assert_eq!(counters.commits(), 0, "nothing durable before the flush");
-        assert!(!s.poll_durable(t1));
         s.flush().unwrap();
-        assert!(s.poll_durable(t1));
         assert_eq!(counters.stores(), 3);
         assert_eq!(counters.commits(), 1);
         assert_eq!(counters.fsyncs(), 1);

@@ -4,7 +4,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 
-use crate::{StableStorage, StorageError, StoreTicket};
+use crate::{StableStorage, StorageError};
 
 /// Deterministic schedule of injected store failures.
 ///
@@ -178,23 +178,23 @@ impl<S: StableStorage> StableStorage for FaultyStorage<S> {
         self.inner.keys()
     }
 
-    fn begin_store(&mut self, key: &str, bytes: Bytes) -> Result<StoreTicket, StorageError> {
+    fn begin_store(&mut self, key: &str, bytes: Bytes) -> Result<(), StorageError> {
         if self.plan.should_fail(key) {
             self.injected += 1;
             return Err(StorageError::Injected {
                 key: key.to_string(),
             });
         }
-        let ticket = self.inner.begin_store(key, bytes)?;
+        self.inner.begin_store(key, bytes)?;
         // The commit delay belongs to the durability point: a synchronous
-        // inner (ticket durable on return) commits here, an async inner
-        // stages now and commits at the covering flush.
-        if self.inner.poll_durable(ticket) {
-            self.stall();
-        } else {
+        // inner commits here, a group-committing inner stages now and
+        // commits at the covering flush.
+        if self.inner.group_commits() {
             self.staged += 1;
+        } else {
+            self.stall();
         }
-        Ok(ticket)
+        Ok(())
     }
 
     fn flush(&mut self) -> Result<(), StorageError> {
@@ -207,8 +207,8 @@ impl<S: StableStorage> StableStorage for FaultyStorage<S> {
         self.inner.flush()
     }
 
-    fn poll_durable(&self, ticket: StoreTicket) -> bool {
-        self.inner.poll_durable(ticket)
+    fn group_commits(&self) -> bool {
+        self.inner.group_commits()
     }
 
     fn fsyncs_per_commit(&self) -> u64 {
@@ -286,7 +286,7 @@ mod tests {
         s.store("k", Bytes::from_static(b"v")).unwrap();
         assert!(t0.elapsed() >= delay, "blocking store must stall");
         let t1 = std::time::Instant::now();
-        let _ = s.begin_store("k", Bytes::from_static(b"w")).unwrap();
+        s.begin_store("k", Bytes::from_static(b"w")).unwrap();
         assert!(
             t1.elapsed() >= delay,
             "a synchronous inner commits at begin_store"
@@ -314,8 +314,8 @@ mod tests {
         let mut s = FaultyStorage::new(crate::WalStorage::open(&dir).unwrap(), FaultPlan::None)
             .with_commit_delay(delay);
         let t0 = std::time::Instant::now();
-        let _ = s.begin_store("a", Bytes::from_static(b"1")).unwrap();
-        let _ = s.begin_store("b", Bytes::from_static(b"2")).unwrap();
+        s.begin_store("a", Bytes::from_static(b"1")).unwrap();
+        s.begin_store("b", Bytes::from_static(b"2")).unwrap();
         assert!(
             t0.elapsed() < delay / 2,
             "staging on an async inner must not stall"

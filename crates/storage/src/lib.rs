@@ -72,17 +72,6 @@ pub use wal::{RecoverySummary, WalOptions, WalStorage};
 
 use bytes::Bytes;
 
-/// A handle correlating one [`StableStorage::begin_store`] with the flush
-/// that makes it durable.
-///
-/// Tickets are ordered: a [`flush`](StableStorage::flush) covers every
-/// ticket issued before it, so durability is a monotone frontier and
-/// [`poll_durable`](StableStorage::poll_durable) is a simple comparison.
-/// Synchronous backends (everything but [`WalStorage`]) are durable the
-/// moment `begin_store` returns, so their tickets are born durable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct StoreTicket(pub u64);
-
 /// The stable-storage primitives of the crash-recovery model (§II):
 /// `store` persists a record durably under a named slot, `retrieve` reads
 /// the most recent record in a slot.
@@ -116,23 +105,22 @@ pub trait StableStorage: Send {
 
     /// Begins a store without waiting for durability: the record is
     /// staged (appended, buffered) and becomes durable at the next
-    /// [`flush`](StableStorage::flush). Returns a ticket the caller can
-    /// poll.
+    /// [`flush`](StableStorage::flush).
     ///
     /// The default implementation delegates to the blocking
-    /// [`store`](StableStorage::store) — synchronous backends are durable
-    /// on return, so the ticket is immediately
-    /// [`poll_durable`](StableStorage::poll_durable). [`WalStorage`]
-    /// overrides this with a real append-now/fsync-later split, which is
-    /// what makes group commit possible: many `begin_store`s, one flush.
+    /// [`store`](StableStorage::store): synchronous backends are durable
+    /// on return. [`WalStorage`] overrides this with a real
+    /// append-now/fsync-later split ([`group_commits`]), which is what
+    /// makes group commit possible: many `begin_store`s, one flush.
+    ///
+    /// [`group_commits`]: StableStorage::group_commits
     ///
     /// # Errors
     ///
     /// Returns [`StorageError`] if the record could not be staged; the
     /// previous record in the slot must still be intact.
-    fn begin_store(&mut self, key: &str, bytes: Bytes) -> Result<StoreTicket, StorageError> {
-        self.store(key, bytes)?;
-        Ok(StoreTicket(0))
+    fn begin_store(&mut self, key: &str, bytes: Bytes) -> Result<(), StorageError> {
+        self.store(key, bytes)
     }
 
     /// Makes every record staged by
@@ -149,10 +137,12 @@ pub trait StableStorage: Send {
         Ok(())
     }
 
-    /// Whether the store behind `ticket` has been covered by a flush.
-    /// Synchronous backends always answer `true`.
-    fn poll_durable(&self, _ticket: StoreTicket) -> bool {
-        true
+    /// Whether [`begin_store`](StableStorage::begin_store) only stages
+    /// its record until the next [`flush`](StableStorage::flush) (the
+    /// group commit of [`WalStorage`]). `false` for synchronous backends,
+    /// whose every `begin_store` is a commit of its own.
+    fn group_commits(&self) -> bool {
+        false
     }
 
     /// How many physical fsyncs one commit (a blocking `store`, or a
@@ -178,7 +168,7 @@ impl StableStorage for Box<dyn StableStorage> {
         (**self).keys()
     }
 
-    fn begin_store(&mut self, key: &str, bytes: Bytes) -> Result<StoreTicket, StorageError> {
+    fn begin_store(&mut self, key: &str, bytes: Bytes) -> Result<(), StorageError> {
         (**self).begin_store(key, bytes)
     }
 
@@ -186,8 +176,8 @@ impl StableStorage for Box<dyn StableStorage> {
         (**self).flush()
     }
 
-    fn poll_durable(&self, ticket: StoreTicket) -> bool {
-        (**self).poll_durable(ticket)
+    fn group_commits(&self) -> bool {
+        (**self).group_commits()
     }
 
     fn fsyncs_per_commit(&self) -> u64 {

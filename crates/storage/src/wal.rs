@@ -54,7 +54,7 @@ use std::path::{Path, PathBuf};
 
 use bytes::Bytes;
 
-use crate::{StableStorage, StorageError, StoreTicket};
+use crate::{StableStorage, StorageError};
 
 /// Fixed bytes per record before the key: crc32 + key_len + val_len.
 const RECORD_HEADER: usize = 4 + 2 + 4;
@@ -120,10 +120,8 @@ pub struct WalStorage {
     segments: Vec<u64>,
     active: fs::File,
     active_len: u64,
-    /// Ticket of the most recent `begin_store`.
-    last_lsn: u64,
-    /// Highest ticket covered by a returned fsync.
-    durable_lsn: u64,
+    /// Whether records were appended since the last returned fsync.
+    staged: bool,
     recovery: RecoverySummary,
 }
 
@@ -202,8 +200,7 @@ impl WalStorage {
             segments,
             active,
             active_len,
-            last_lsn: 0,
-            durable_lsn: 0,
+            staged: false,
             recovery,
         })
     }
@@ -284,7 +281,7 @@ impl StableStorage for WalStorage {
         self.index.keys().cloned().collect()
     }
 
-    fn begin_store(&mut self, key: &str, bytes: Bytes) -> Result<StoreTicket, StorageError> {
+    fn begin_store(&mut self, key: &str, bytes: Bytes) -> Result<(), StorageError> {
         let rec = encode_record(key, &bytes);
         self.active
             .write_all(&rec)
@@ -295,16 +292,16 @@ impl StableStorage for WalStorage {
             self.live_bytes -= encoded_len(key, &old);
         }
         self.live_bytes += rec.len() as u64;
-        self.last_lsn += 1;
-        Ok(StoreTicket(self.last_lsn))
+        self.staged = true;
+        Ok(())
     }
 
     fn flush(&mut self) -> Result<(), StorageError> {
-        if self.durable_lsn == self.last_lsn {
+        if !self.staged {
             return Ok(());
         }
         self.active.sync_data().map_err(|e| self.io_err(e))?;
-        self.durable_lsn = self.last_lsn;
+        self.staged = false;
         // Maintenance after the commit point, so the group's latency is
         // one fsync and the occasional roll/compact rides behind it.
         if self.total_bytes > self.opts.compact_min_bytes
@@ -317,8 +314,8 @@ impl StableStorage for WalStorage {
         Ok(())
     }
 
-    fn poll_durable(&self, ticket: StoreTicket) -> bool {
-        ticket.0 <= self.durable_lsn
+    fn group_commits(&self) -> bool {
+        true
     }
 
     fn fsyncs_per_commit(&self) -> u64 {
@@ -512,20 +509,21 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_tickets_become_durable_at_flush() {
+    fn group_commit_stages_until_flush() {
         let dir = tmpdir("group");
         let mut w = WalStorage::open(&dir).unwrap();
-        let t1 = w.begin_store("a", Bytes::from_static(b"1")).unwrap();
-        let t2 = w.begin_store("b", Bytes::from_static(b"2")).unwrap();
-        assert!(!w.poll_durable(t1), "no fsync has covered t1 yet");
-        assert!(!w.poll_durable(t2));
+        assert!(!w.staged, "a fresh log has nothing to commit");
+        w.begin_store("a", Bytes::from_static(b"1")).unwrap();
+        w.begin_store("b", Bytes::from_static(b"2")).unwrap();
+        assert!(w.staged, "both records wait for a flush");
         w.flush().unwrap();
-        assert!(w.poll_durable(t1), "one flush covers the whole group");
-        assert!(w.poll_durable(t2));
-        // A ticket issued after the flush is not durable until the next.
-        let t3 = w.begin_store("c", Bytes::from_static(b"3")).unwrap();
-        assert!(!w.poll_durable(t3));
-        assert!(w.poll_durable(t2));
+        assert!(!w.staged, "one flush covers the whole group");
+        // Nothing staged: the flush is an Ok no-op that skips the fsync.
+        w.flush().unwrap();
+        assert!(!w.staged);
+        // A store after a flush waits for the next one.
+        w.begin_store("c", Bytes::from_static(b"3")).unwrap();
+        assert!(w.staged);
         fs::remove_dir_all(dir).unwrap();
     }
 
@@ -679,16 +677,6 @@ mod tests {
             w.retrieve("y").unwrap(),
             Some(Bytes::from(200u32.to_be_bytes().to_vec()))
         );
-        fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn blocking_store_is_durable_on_return() {
-        let dir = tmpdir("blocking");
-        let mut w = WalStorage::open(&dir).unwrap();
-        w.store("slot", Bytes::from_static(b"v")).unwrap();
-        // `store` = begin + flush: the implicit ticket is covered.
-        assert!(w.poll_durable(StoreTicket(1)));
         fs::remove_dir_all(dir).unwrap();
     }
 
