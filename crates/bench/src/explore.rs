@@ -60,7 +60,7 @@ pub struct RunOutcome {
     /// The checker verdict.
     pub verdict: Result<(), Violation>,
     /// The recorded history (replayable evidence; feed to
-    /// [`rmem_consistency::shrink`] on violation).
+    /// [`rmem_consistency::shrink()`] on violation).
     pub history: rmem_consistency::History,
 }
 

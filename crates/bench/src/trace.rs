@@ -4,9 +4,8 @@
 //! A WAL-backed UDP cluster runs the closed-loop workload with tracing
 //! on (deep flight-recorder rings on every node and on the client
 //! family, trace context propagated in every datagram), then every ring
-//! is dumped and stitched into one causal timeline per completed op:
-//! per-ring clock offsets are estimated from matched send/receive pairs
-//! (NTP-style midpoint, error bound `rtt/2`), and each op's latency is
+//! is dumped and stitched into one causal timeline per completed op —
+//! every ring of the process reads one clock — and each op's latency is
 //! decomposed into named segments — client queue, coordinator compute,
 //! wire out, replica compute, store wait, wire back.
 //!
@@ -14,8 +13,8 @@
 //!
 //! * **coverage** — ≥99% of completed ops stitch into complete causal
 //!   timelines;
-//! * **causality** — zero effect-before-cause violations after skew
-//!   correction (beyond the accumulated error bounds);
+//! * **causality** — zero effect-before-cause violations, with no
+//!   slack;
 //! * **attribution** — each op's segments sum to its client-observed
 //!   wall clock within 5%;
 //! * **overhead** — the PR 6 priced ≤3% instrumentation gate re-runs
@@ -85,7 +84,7 @@ pub struct TraceBenchReport {
     pub completed_ops: u64,
     /// Wall-clock throughput of the traced run.
     pub ops_per_sec: f64,
-    /// The stitch itself: clock model, stitched ops, violation count.
+    /// The stitch itself: stitched ops, violation count.
     pub report: TraceReport,
     /// Per-segment p50/p99 attribution across every stitched op.
     pub segments: Vec<SegmentRow>,
@@ -115,7 +114,7 @@ impl TraceBenchReport {
              \"completed_ops\": {}, \"ops_per_sec\": {:.1}, \
              \"stitched\": {}, \"incomplete\": {}, \"coverage\": {:.4}, \
              \"violations\": {}, \"max_attribution_error\": {:.4}, \
-             \"max_clock_err_us\": {:.1}, \"trace_evictions\": {}, \"segments\": {{{}}}}}",
+             \"trace_evictions\": {}, \"segments\": {{{}}}}}",
             TRACE_WRITE_FRACTION,
             self.completed_ops,
             self.ops_per_sec,
@@ -124,7 +123,6 @@ impl TraceBenchReport {
             self.report.coverage(),
             self.report.violations,
             self.report.max_attribution_error(),
-            self.report.max_clock_err_us(),
             self.trace_evictions,
             segs.join(", "),
         )
@@ -260,7 +258,7 @@ mod tests {
         assert_eq!(
             r.report.violations,
             0,
-            "effect-before-cause after skew correction:\n{}",
+            "effect-before-cause:\n{}",
             r.report.render_exemplars(3)
         );
         assert!(
@@ -268,8 +266,6 @@ mod tests {
             "attribution must telescope to wall clock (worst {:.4})",
             r.report.max_attribution_error()
         );
-        // Every ring participated in the clock model.
-        assert!(r.report.offsets.iter().all(|o| o.reachable));
         // Steady state never overflows the bounded request-trace maps —
         // an eviction would mean a silently unstitchable op.
         assert_eq!(

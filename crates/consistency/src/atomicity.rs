@@ -165,7 +165,7 @@ pub fn check_per_register(
 ///
 /// This is the caller-facing *name* of a criterion; each maps onto the
 /// checker-internal completion rule
-/// ([`CompletionRule`](crate::intervals::CompletionRule)) implementing it.
+/// (`CompletionRule`) implementing it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Criterion {
     /// Persistent atomicity (§III-B).

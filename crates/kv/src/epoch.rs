@@ -14,7 +14,7 @@
 //! A [`ShardMap`] is `{ epoch, shards, prev_shards }`:
 //!
 //! * **committed** (`prev_shards == shards`) — epoch `e` routes every key
-//!   with [`shard_at`](crate::router::shard_at) over `shards`;
+//!   with [`shard_at`] over `shards`;
 //! * **migrating** (`prev_shards < shards`) — the split to epoch `e` has
 //!   been *published* but not *committed*: keys still route by
 //!   `prev_shards` until their source shard is sealed (see the protocol

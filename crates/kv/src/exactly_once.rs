@@ -295,8 +295,7 @@ impl KvClient {
         Ok(Resolution::Landed { tag })
     }
 
-    /// Resolves every pending intent ([`pending_intents`]
-    /// (KvClient::pending_intents)) in tag order — the whole-journal
+    /// Resolves every pending intent ([`pending_intents`](KvClient::pending_intents)) in tag order — the whole-journal
     /// recovery sweep. Returns each op's verdict.
     ///
     /// # Errors

@@ -197,7 +197,7 @@ fn run_seed(seed: u64) -> RunOutcome {
         eprintln!("--- client flight recorder ---");
         eprintln!("{}", kv.flight_recorder().dump_timeline(120));
         // The stitched causal view: node rings + client ring merged into
-        // per-op timelines with clock skew corrected — shows *which hop*
+        // per-op timelines on one clock — shows *which hop*
         // of which op went wrong, not just what each node saw locally.
         eprintln!(
             "{}",

@@ -240,9 +240,10 @@ impl LocalCluster {
     /// explicit flight-recorder ring capacity per node (rounded up to a
     /// power of two; each slot costs
     /// [`FlightRecorder::SLOT_BYTES`] = 48 bytes plus a sixteenth for the
-    /// spill ring, so a 2^18-slot tracing ring is 12.75 MiB per node). The default 4096-slot ring keeps only a
-    /// postmortem tail; stitched tracing over a long benchmark run needs
-    /// rings deep enough to hold every event of the window being stitched.
+    /// spill ring, so the trace bench's 2^17-slot ring is 6.4 MiB per
+    /// node). The default 4096-slot ring keeps only a postmortem tail;
+    /// stitched tracing over a long benchmark run needs rings deep enough
+    /// to hold every event of the window being stitched.
     ///
     /// # Errors
     ///

@@ -1,6 +1,6 @@
 //! The client-side reactor: many operations in flight per process.
 //!
-//! A plain [`Client`](crate::Client) op occupies its calling thread for
+//! A plain [`Client`] op occupies its calling thread for
 //! the full quorum round-trip, so closed-loop throughput scales with
 //! thread count, not with what the wire can carry. This module mirrors
 //! the runner's per-register op-table design (PR 2) on the client side:
@@ -11,7 +11,7 @@
 //!   next tenant;
 //! * the runner routes into the slot and wakes the family: it settles a
 //!   completion under its submission's token straight into the
-//!   [`Pipeline`]'s table and notifies the family's condvar, and every
+//!   `Pipeline`'s table and notifies the family's condvar, and every
 //!   waiter claims from its own slot — no completion channel, no
 //!   dedicated reactor thread, no waiter relaying for another;
 //! * reusable encode scratch per slot: payloads are built in the slot's

@@ -10,13 +10,13 @@
 //! automaton begins it.
 //!
 //! Every node has **one event queue**: its transport, its syncer and its
-//! clients all push [`RunnerEvent`]s onto it, and the event loop blocks
+//! clients all push `RunnerEvent`s onto it, and the event loop blocks
 //! on that queue alone (until the next timer is due), so whoever has
 //! work for the node wakes it by sending — nothing is polled.
 //!
 //! Durability runs on its own pipeline: the event loop forwards
 //! [`Action::Store`](rmem_types::Action::Store) to the node's
-//! [`syncer`](crate::syncer) thread and keeps serving network messages,
+//! `syncer` thread and keeps serving network messages,
 //! timers and other registers' operations while the fsync is in flight;
 //! the syncer group-commits whatever queued and posts the group's tokens
 //! back onto the queue only after the covering fsync returned

@@ -227,9 +227,9 @@ fn wal_backed_cluster_survives_kill_recover_certified() {
             // timelines (rounds, queued stores, group commits) around the
             // violation are the evidence a rerun cannot reproduce.
             eprintln!("{}", cluster.dump_flight_recorders(120));
-            // Plus the stitched view: the per-node rings aligned onto one
-            // clock (offsets from matched send/recv pairs), so the
-            // interleaving around the violation reads in causal order.
+            // Plus the stitched view: the per-node rings on the process's
+            // one clock, so the interleaving around the violation reads
+            // in causal order.
             eprintln!("{}", cluster.dump_stitched(Vec::new(), 5));
             panic!("register {reg} not atomic: {e}\n{h:?}")
         });

@@ -10,9 +10,10 @@
 //!   to JSON;
 //! * the **flight recorder** ([`FlightRecorder`]) — a bounded lock-free
 //!   ring of structured [`FlightEvent`]s (`OpStart`, `RoundSent`,
-//!   `AckRecv`, `GroupCommit`, `Halt`, …) with monotonic timestamps,
-//!   dumpable as human-readable timelines or JSON when something goes
-//!   wrong.
+//!   `AckRecv`, `GroupCommit`, `Halt`, …) with monotonic timestamps on
+//!   one clock per process, dumpable as human-readable timelines or JSON
+//!   when something goes wrong, and stitched across the rings of one
+//!   process into per-operation causal timelines ([`trace`]).
 //!
 //! An [`ObsHandle`] bundles one of each — the unit of instrumentation a
 //! node or client carries. [`ObsHandle::disabled`] is the uninstrumented

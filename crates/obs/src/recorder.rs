@@ -27,12 +27,15 @@
 //! The ring never blocks a writer — old events are overwritten, and
 //! [`dropped`](FlightRecorder::dropped) reports how many fell off.
 //!
-//! Timestamps are monotonic (`Instant`-based) microseconds since the
-//! recorder's creation, so one node's dump is internally ordered even
-//! across its threads (event loop + syncer).
+//! Timestamps are monotonic (`Instant`-based) microseconds since one
+//! origin per process, set when the process's first event is recorded:
+//! every recorder in the process reads the same clock, so one node's dump
+//! is internally ordered even across its threads (event loop + syncer),
+//! and the rings of all nodes and clients of one process stitch into one
+//! timeline by plain differences (see [`crate::trace`]).
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// What happened. The variants mirror the life of an operation through
@@ -148,7 +151,7 @@ fn fmt_op(pid: u16, counter: u64) -> String {
 /// stamps the timestamp at [`FlightRecorder::record`] time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlightEvent {
-    /// Microseconds since the recorder's creation.
+    /// Microseconds since the process's clock origin (module docs).
     pub at_micros: u64,
     /// What happened.
     pub kind: EventKind,
@@ -291,7 +294,6 @@ impl Slot {
 /// The bounded lock-free event ring (see the module docs).
 pub struct FlightRecorder {
     enabled: bool,
-    origin: Instant,
     head: AtomicU64,
     slots: Box<[Slot]>,
     /// Where an event goes whose ring slot a stalled writer holds: one
@@ -324,7 +326,7 @@ impl FlightRecorder {
     /// word + five payload words). A capacity-`c` ring costs
     /// `c × 48` bytes (capacity rounds up to a power of two) plus a
     /// sixteenth of that for its spill ring, e.g. the default 4096-slot
-    /// ring is 204 KiB and a trace-bench 2^18 ring is 12.75 MiB.
+    /// ring is 204 KiB and a trace-bench 2^17 ring is 6.4 MiB.
     pub const SLOT_BYTES: usize = (SLOT_WORDS + 1) * 8;
 
     /// A recorder holding the last `capacity` events (rounded up to a
@@ -334,7 +336,6 @@ impl FlightRecorder {
         let cap = capacity.next_power_of_two().max(8);
         FlightRecorder {
             enabled: true,
-            origin: Instant::now(),
             head: AtomicU64::new(0),
             slots: (0..cap).map(|_| Slot::empty()).collect(),
             spill: (0..(cap / 16).max(1)).map(|_| Slot::empty()).collect(),
@@ -374,7 +375,7 @@ impl FlightRecorder {
             .saturating_sub(self.slots.len() as u64)
     }
 
-    /// Records `ev`, stamping it with the current monotonic offset.
+    /// Records `ev`, stamping it with the process clock's current reading.
     /// Lock-free: one ticket `fetch_add`, the slot's claim and its
     /// seqlock stores.
     #[inline]
@@ -382,7 +383,7 @@ impl FlightRecorder {
         if !self.enabled {
             return;
         }
-        let at = self.origin.elapsed().as_micros() as u64;
+        let at = origin().elapsed().as_micros() as u64;
         let packed = ev.kind as u64 | (ev.register as u64) << 16 | (ev.epoch as u64) << 32;
         let (op_pid, op_ctr) = match ev.op {
             Some((pid, c)) => (pid as u64, c),
@@ -516,6 +517,12 @@ impl FlightRecorder {
     }
 }
 
+/// The one instant every recorder in the process counts from.
+fn origin() -> Instant {
+    static ORIGIN: OnceLock<Instant> = OnceLock::new();
+    *ORIGIN.get_or_init(Instant::now)
+}
+
 /// Sorts events into the canonical dump order: timestamp first, then —
 /// for equal-microsecond timestamps — operation id (node ops before
 /// client-family ops of the same numeric pid, `None` last), then the ring
@@ -560,6 +567,20 @@ mod tests {
         assert!(text.contains("size=5"));
         let json = rec.dump_json(10);
         assert!(json.contains("\"GroupCommit\"") && json.contains("\"p3#41\""));
+    }
+
+    #[test]
+    fn recorders_of_one_process_read_one_clock() {
+        let older = FlightRecorder::new(8);
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let newer = FlightRecorder::new(8);
+        older.record(FlightEvent::new(EventKind::RoundSent));
+        newer.record(FlightEvent::new(EventKind::ReqRecv));
+        let (sent, recv) = (older.dump()[0].at_micros, newer.dump()[0].at_micros);
+        assert!(
+            sent <= recv,
+            "recorded first at {sent}us, second at {recv}us"
+        );
     }
 
     #[test]

@@ -297,7 +297,7 @@ fn stitcher_rejects_torn_windows_under_wraparound() {
             // Timelines stay sorted even when the window was torn.
             for w in op.timeline.windows(2) {
                 assert!(
-                    w[0].corrected_us <= w[1].corrected_us,
+                    w[0].event.at_micros <= w[1].event.at_micros,
                     "timeline out of order"
                 );
             }
