@@ -319,8 +319,7 @@ fn main() {
         let r = rmem_bench::obs::obs_scenario(smoke, None, 0);
         println!(
             "obs (udp+wal, wall clock, wf {:.1}): instrumented {:.0} ops/s vs baseline {:.0} ops/s \
-             (cpu/op {} vs {}); priced instrument cost {:.2} µs/op \
-             ({:.1} flight events, {:.1} histogram samples, {:.1} counter incs per op); \
+             (cpu/op {} vs {}); \
              get p50/p90/p99/p999 = {}/{}/{}/{} µs, \
              put p50/p90/p99/p999 = {}/{}/{}/{} µs",
             rmem_bench::obs::OBS_WRITE_FRACTION,
@@ -328,10 +327,6 @@ fn main() {
             r.baseline_ops_per_sec,
             cpu_per_op(r.instrumented_cpu_ns_per_op),
             cpu_per_op(r.baseline_cpu_ns_per_op),
-            r.priced_overhead_ns_per_op() / 1_000.0,
-            r.flight_events_per_op,
-            r.hist_samples_per_op,
-            r.counter_incs_per_op,
             r.get_percentiles_us[0],
             r.get_percentiles_us[1],
             r.get_percentiles_us[2],
@@ -539,23 +534,34 @@ fn cpu_per_op(ns: Option<f64>) -> String {
 /// and flight recorder must ride along for ≤3% of the per-op budget —
 /// their measured firing rates priced at measured unit costs, against
 /// the baseline's measured CPU per completed op (wall-clock throughput
-/// where /proc isn't readable). `with` names what the run had on.
+/// where /proc isn't readable). `with` names what the run had on. What
+/// was priced — each instrument's per-op rate and unit cost — is printed
+/// before the verdict, pass or fail, so a red run names what grew.
 fn obs_gate(with: &str, o: &rmem_bench::obs::ObsReport) {
     let overhead = (1.0 - o.overhead_ratio()) * 100.0;
     let budget = rmem_bench::obs::OVERHEAD_BUDGET * 100.0;
-    assert!(
-        o.within_budget(),
-        "instrumentation overhead gate{with}: priced cost {:.2} µs/op exceeds {budget:.0}% of \
-         baseline cpu/op {} (instrumented {:.0} vs baseline {:.0} ops/s); got {overhead:.2}% \
-         overhead on the {} basis",
+    let unit = &o.unit_costs;
+    println!(
+        "obs gate{with}: {overhead:.2}% priced overhead ({} basis, budget {budget:.0}%): \
+         {:.2} µs/op against baseline cpu/op {} (instrumented {:.0} vs baseline {:.0} ops/s); \
+         per op {:.1} flight events × {:.0} ns, {:.1} histogram samples × ({:.0} + 2 × {:.0}) ns, \
+         {:.1} counter incs × {:.1} ns",
+        o.gate_basis(),
         o.priced_overhead_ns_per_op() / 1_000.0,
         cpu_per_op(o.baseline_cpu_ns_per_op),
         o.instrumented_ops_per_sec,
         o.baseline_ops_per_sec,
-        o.gate_basis(),
+        o.flight_events_per_op,
+        unit.flight_record_ns,
+        o.hist_samples_per_op,
+        unit.histogram_record_ns,
+        unit.clock_sample_ns,
+        o.counter_incs_per_op,
+        unit.counter_inc_ns,
     );
-    println!(
-        "obs gate{with}: {overhead:.2}% priced overhead ({} basis, budget {budget:.0}%)",
-        o.gate_basis(),
+    assert!(
+        o.within_budget(),
+        "instrumentation overhead gate{with}: {overhead:.2}% priced overhead exceeds the \
+         {budget:.0}% budget (priced rates above)",
     );
 }

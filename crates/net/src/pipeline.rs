@@ -28,10 +28,11 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
+use crossbeam::channel::Sender;
 use rmem_types::{Op, OpResult, ProcessId, RegisterId, TraceId, Value};
 
 use crate::error::ClientError;
-use crate::runner::{Call, Client, EventTx, RunnerEvent, TraceCtx};
+use crate::runner::{Call, Client, RunnerEvent, TraceCtx};
 
 /// A completion settled by [`wait_any`](PipelinedClient::wait_any): the
 /// ticket's index in the caller's list plus its settled result.
@@ -311,7 +312,7 @@ impl InFlightTable {
 /// frame ceiling the old blocking `Client` carried.
 #[derive(Clone)]
 pub(crate) struct Target {
-    pub(crate) tx: EventTx,
+    pub(crate) tx: Sender<RunnerEvent>,
     pub(crate) me: ProcessId,
     pub(crate) max_payload: Option<usize>,
 }
@@ -409,12 +410,11 @@ impl Pipeline {
             reply: Arc::downgrade(self),
             token: ticket.token(),
             trace,
-            began: None,
         };
         let sent = self.targets[target]
             .tx
-            .post(RunnerEvent::Invoke(operation, call));
-        if !sent {
+            .send(RunnerEvent::Invoke(operation, call));
+        if sent.is_err() {
             // The runner is gone; nothing will ever complete this slot.
             self.cancel(ticket);
             return Err(ClientError::ProcessDown);

@@ -6,8 +6,7 @@
 //! events and `runner.*` metrics. A client operation goes to the
 //! automaton the moment it arrives, busy register or not: the automaton
 //! serializes each register's operations, and an operation starts —
-//! `OpStart`, `runner.op_micros`, the trace its rounds carry — when the
-//! automaton begins it.
+//! `OpStart`, the trace its rounds carry — when the automaton begins it.
 //!
 //! Every node has **one event queue**: its transport, its syncer and its
 //! clients all push `RunnerEvent`s onto it, and the event loop blocks
@@ -28,7 +27,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -77,34 +76,14 @@ pub(crate) enum RunnerEvent {
     Shutdown,
 }
 
-/// A queued event with its enqueue time — taken only while the node's
-/// metrics are enabled (it feeds `runner.wake_micros`).
-type Queued = (Option<Instant>, RunnerEvent);
-
-/// The producing side of a node's event queue; cheap to clone.
-#[derive(Debug, Clone)]
-pub(crate) struct EventTx {
-    tx: Sender<Queued>,
-    stamp: Arc<AtomicBool>,
-}
-
-impl EventTx {
-    /// Enqueues `event` — which is also what wakes the loop. `false`
-    /// means the loop is gone.
-    pub(crate) fn post(&self, event: RunnerEvent) -> bool {
-        let at = self.stamp.load(Ordering::Relaxed).then(Instant::now);
-        self.tx.send((at, event)).is_ok()
-    }
-}
-
 /// The [`InboxSink`] a node's transport is built with: what arrives goes
 /// straight onto the node's event queue. From [`ProcessRunner::queue`].
 #[derive(Debug)]
-pub struct RunnerInbox(EventTx);
+pub struct RunnerInbox(Sender<RunnerEvent>);
 
 impl InboxSink for RunnerInbox {
     fn deliver(&self, inbound: Inbound) -> bool {
-        self.0.post(RunnerEvent::Net(inbound))
+        self.0.send(RunnerEvent::Net(inbound)).is_ok()
     }
 }
 
@@ -113,8 +92,8 @@ impl InboxSink for RunnerInbox {
 /// by [`ProcessRunner::start`].
 #[derive(Debug)]
 pub struct RunnerQueue {
-    pub(crate) tx: EventTx,
-    pub(crate) rx: Receiver<Queued>,
+    pub(crate) tx: Sender<RunnerEvent>,
+    pub(crate) rx: Receiver<RunnerEvent>,
 }
 
 /// Stamps a flight event with a trace op id when one is known.
@@ -238,13 +217,11 @@ impl ReqTraces {
 /// What the runner keeps per invoked operation: its caller's family
 /// (held weakly — a family whose every handle is gone is not kept alive
 /// by its queued operations) and slot token there, the trace context it
-/// arrived under (stamps every flight event it triggers), and when it
-/// began (feeds `runner.op_micros`).
+/// arrived under (stamps every flight event it triggers).
 pub(crate) struct Call {
     pub(crate) reply: Weak<Pipeline>,
     pub(crate) token: u64,
     pub(crate) trace: Option<TraceId>,
-    pub(crate) began: Option<Instant>,
 }
 
 impl Call {
@@ -433,7 +410,7 @@ impl Client {
 /// event-loop thread and a syncer thread owning the stable storage.
 pub struct ProcessRunner {
     me: ProcessId,
-    tx: EventTx,
+    tx: Sender<RunnerEvent>,
     handle: Option<std::thread::JoinHandle<Box<dyn StableStorage>>>,
     transport: Arc<dyn Transport>,
     store_failures: Arc<AtomicU64>,
@@ -454,10 +431,6 @@ impl ProcessRunner {
     /// [`start`](Self::start).
     pub fn queue() -> (RunnerInbox, RunnerQueue) {
         let (tx, rx) = unbounded();
-        let tx = EventTx {
-            tx,
-            stamp: Arc::new(AtomicBool::new(false)),
-        };
         (RunnerInbox(tx.clone()), RunnerQueue { tx, rx })
     }
 
@@ -512,7 +485,6 @@ impl ProcessRunner {
         );
 
         let tx = queue.tx.clone();
-        tx.stamp.store(obs.metrics.is_enabled(), Ordering::Relaxed);
         let loop_transport = transport.clone();
         let store_failures = Arc::new(AtomicU64::new(0));
         let loop_failures = store_failures.clone();
@@ -600,7 +572,7 @@ impl ProcessRunner {
     /// what was already stored). Returns the storage so a later incarnation
     /// can recover from it.
     pub fn stop(mut self) -> Box<dyn StableStorage> {
-        self.tx.post(RunnerEvent::Shutdown);
+        let _ = self.tx.send(RunnerEvent::Shutdown);
         self.transport.shutdown();
         let handle = self.handle.take().expect("stop called once");
         handle.join().expect("process loop panicked")
@@ -610,7 +582,7 @@ impl ProcessRunner {
 impl Drop for ProcessRunner {
     fn drop(&mut self) {
         if let Some(handle) = self.handle.take() {
-            self.tx.post(RunnerEvent::Shutdown);
+            let _ = self.tx.send(RunnerEvent::Shutdown);
             self.transport.shutdown();
             let _ = handle.join();
         }
@@ -628,8 +600,6 @@ struct LoopMetrics {
     timer_fires: Arc<rmem_obs::Counter>,
     trace_evictions: Arc<rmem_obs::Counter>,
     queued: Arc<rmem_obs::Gauge>,
-    op_micros: Arc<rmem_obs::Histogram>,
-    wake_micros: Arc<rmem_obs::Histogram>,
     recovery_micros: Arc<rmem_obs::Histogram>,
 }
 
@@ -645,8 +615,6 @@ impl LoopMetrics {
             timer_fires: obs.metrics.counter("runner.timer_fires"),
             trace_evictions: obs.metrics.counter("runner.trace_evictions"),
             queued: obs.metrics.gauge("runner.queued"),
-            op_micros: obs.metrics.histogram("runner.op_micros"),
-            wake_micros: obs.metrics.histogram("runner.wake_micros"),
             recovery_micros: obs.metrics.histogram("runner.recovery_micros"),
         }
     }
@@ -672,7 +640,7 @@ struct Node {
     /// another register's round.
     syncer: Syncer,
     /// This node's own queue: where messages it addresses to itself go.
-    own: EventTx,
+    own: Sender<RunnerEvent>,
     timers: BinaryHeap<Reverse<(Instant, u64)>>,
     timer_tokens: HashMap<u64, TimerToken>,
     timer_seq: u64,
@@ -718,8 +686,8 @@ impl Host<Call> for Node {
             // To our own replica: straight onto our queue, behind what is
             // already there — no codec, no socket, no receiver thread.
             let from = self.me;
-            self.own
-                .post(RunnerEvent::Net(Inbound { from, msg, trace }));
+            let looped = RunnerEvent::Net(Inbound { from, msg, trace });
+            let _ = self.own.send(looped);
         } else {
             // Fair-lossy: a failed send is a lost message.
             let _ = self.transport.send_traced(to, &msg, trace);
@@ -741,7 +709,7 @@ impl Host<Call> for Node {
             // The syncer is gone. If it failed, its verdict is ahead of
             // this one on the queue; if it died without one, this halts
             // the node all the same.
-            self.own.post(RunnerEvent::StoreFailed(StorageError::io(
+            let _ = self.own.send(RunnerEvent::StoreFailed(StorageError::io(
                 "syncer",
                 std::io::Error::other("syncer exited without a verdict"),
             )));
@@ -761,15 +729,11 @@ impl Host<Call> for Node {
         let ev = FlightEvent::new(EventKind::OpStart).with_register(reg.0);
         let ev = ev.with_op(op.pid.0, op.counter);
         self.obs.flight.record(stamp(ev, call.trace));
-        call.began = Some(Instant::now());
         self.ctx = call.trace;
     }
 
     fn completed(&mut self, op: OpId, call: Call, result: OpResult, rounds: u32) {
         self.mx.ops_completed.inc();
-        if let (true, Some(began)) = (self.obs.metrics.is_enabled(), call.began) {
-            self.mx.op_micros.record(began.elapsed().as_micros() as u64);
-        }
         let ev = FlightEvent::new(EventKind::OpComplete).with_aux(u64::from(rounds));
         let ev = ev.with_op(op.pid.0, op.counter);
         self.obs.flight.record(stamp(ev, call.trace));
@@ -889,18 +853,15 @@ fn run_loop(
         // Then handle what is queued, in arrival order, and go back to
         // the timers after a bounded batch.
         let first = match rx.recv_timeout(patience) {
-            Ok(queued) => queued,
+            Ok(event) => event,
             Err(RecvTimeoutError::Timeout) => continue,
             // Unreachable while `node.own` lives; never spin on it.
             Err(RecvTimeoutError::Disconnected) => break,
         };
-        for (queued_at, event) in std::iter::once(first)
+        for event in std::iter::once(first)
             .chain(rx.try_iter())
             .take(DRAIN_BATCH)
         {
-            if let Some(at) = queued_at {
-                node.mx.wake_micros.record(at.elapsed().as_micros() as u64);
-            }
             match event {
                 RunnerEvent::Net(inbound) => node.on_net(&mut core, inbound),
                 RunnerEvent::StoresDurable(tokens) => {
@@ -944,7 +905,7 @@ fn run_loop(
     // operation whose emulation is gone (the crash-recovery model's
     // "crashed with the operation pending").
     let shutdown = || OpResult::Rejected(RejectReason::Shutdown);
-    for (_, event) in rx.try_iter() {
+    for event in rx.try_iter() {
         if let RunnerEvent::Invoke(_, call) = event {
             call.complete(shutdown(), 0);
         }
@@ -1290,7 +1251,7 @@ mod tests {
         // 100 reads that can never finish (the two peers do not exist),
         // the shutdown behind them, and 50 more invocations behind that.
         let mut tickets: Vec<Ticket> = (0..100).map(|reg| read_at(&pipe, reg)).collect();
-        queue.tx.post(RunnerEvent::Shutdown);
+        assert!(queue.tx.send(RunnerEvent::Shutdown).is_ok());
         tickets.extend((100..150).map(|reg| read_at(&pipe, reg)));
         let transport = Arc::new(ChannelTransport::new(
             ProcessId(0),
@@ -1384,9 +1345,8 @@ mod tests {
     }
 
     /// An operation starts when the automaton names it active, not when
-    /// it arrives: its `OpStart` and `runner.op_micros` count from there,
-    /// and a request sent on its register before then is nobody's — it
-    /// carries no trace id.
+    /// it arrives: its `OpStart` is stamped there, and a request sent on
+    /// its register before then is nobody's — it carries no trace id.
     #[test]
     fn an_operation_starts_when_the_automaton_names_it() {
         let (inbox, queue) = ProcessRunner::queue();
@@ -1418,9 +1378,9 @@ mod tests {
         assert!(start.at_micros >= nobodys.at_micros + 20_000, "{start:?}");
         // Counted from its arrival it would be ≥ 25 ms: timers never fire
         // early.
-        let took = runner.metrics().histogram("runner.op_micros");
-        assert_eq!(took.count, 1);
-        assert!((5_000..25_000).contains(&took.sum), "{} µs", took.sum);
+        let done = of(EventKind::OpComplete).next().expect("completed");
+        let took = done.at_micros - start.at_micros;
+        assert!((5_000..25_000).contains(&took), "{took} µs");
         runner.stop();
     }
 

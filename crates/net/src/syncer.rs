@@ -33,7 +33,7 @@ use rmem_obs::{EventKind, FlightEvent, ObsHandle};
 use rmem_storage::StableStorage;
 use rmem_types::StoreToken;
 
-use crate::runner::{EventTx, RunnerEvent};
+use crate::runner::RunnerEvent;
 
 /// One store the event loop wants made durable.
 #[derive(Debug)]
@@ -53,14 +53,14 @@ pub(crate) struct Syncer {
 impl Syncer {
     /// Spawns the syncer thread for one node. `outcomes` is the node's
     /// event queue, where commit results re-enter the loop; `failures` is
-    /// the shared
-    /// `store_failures` counter; `obs` is the node's observability
-    /// handle (group commits show up in the flight recorder and the
-    /// `syncer.*` metrics).
+    /// the counter behind
+    /// [`ProcessRunner::store_failures`](crate::ProcessRunner::store_failures);
+    /// `obs` is the node's observability handle (group commits show up in
+    /// the flight recorder and the `syncer.*` metrics).
     pub(crate) fn spawn_with_obs(
         me: rmem_types::ProcessId,
         storage: Box<dyn StableStorage>,
-        outcomes: EventTx,
+        outcomes: Sender<RunnerEvent>,
         failures: Arc<AtomicU64>,
         obs: ObsHandle,
     ) -> Self {
@@ -97,14 +97,13 @@ impl Syncer {
 fn run(
     mut storage: Box<dyn StableStorage>,
     rx: Receiver<StoreRequest>,
-    outcomes: EventTx,
+    outcomes: Sender<RunnerEvent>,
     failures: Arc<AtomicU64>,
     obs: ObsHandle,
 ) -> Box<dyn StableStorage> {
     let commits = obs.metrics.counter("syncer.commits");
     let commit_micros = obs.metrics.histogram("syncer.commit_micros");
     let group_size = obs.metrics.histogram("syncer.group_size");
-    let store_failures = obs.metrics.counter("syncer.store_failures");
     // Blocks until work arrives; Err means the runner dropped the queue.
     while let Ok(first) = rx.recv() {
         // The group: everything queued while the previous commit ran.
@@ -134,7 +133,7 @@ fn run(
                 }
                 obs.flight
                     .record(FlightEvent::new(EventKind::GroupCommit).with_aux(staged.len() as u64));
-                outcomes.post(RunnerEvent::StoresDurable(staged));
+                let _ = outcomes.send(RunnerEvent::StoresDurable(staged));
             }
             Some(e) => {
                 // A store the log could not make durable: per the model
@@ -143,8 +142,7 @@ fn run(
                 // stores are exactly what recovery is specified to
                 // tolerate), but no ack can have raced ahead.
                 failures.fetch_add(1, Ordering::Relaxed);
-                store_failures.inc();
-                outcomes.post(RunnerEvent::StoreFailed(e));
+                let _ = outcomes.send(RunnerEvent::StoreFailed(e));
                 break;
             }
         }
@@ -177,8 +175,8 @@ mod tests {
             ObsHandle::new(),
         );
         let next = move || match queue.rx.recv_timeout(Duration::from_secs(5)) {
-            Ok((_, RunnerEvent::StoresDurable(tokens))) => Ok(tokens),
-            Ok((_, RunnerEvent::StoreFailed(e))) => Err(e),
+            Ok(RunnerEvent::StoresDurable(tokens)) => Ok(tokens),
+            Ok(RunnerEvent::StoreFailed(e)) => Err(e),
             _ => panic!("the syncer posts only commit outcomes"),
         };
         (syncer, next)

@@ -30,8 +30,7 @@ fn timed<T>(op: impl FnOnce() -> T) -> Duration {
 
 /// 200 blocking reads then 200 writes on an idle 3-node channel cluster.
 /// With the polled loop every op sat out at least one 500 µs nap; now
-/// the medians — of the op latency and of the enqueue-to-dequeue wait —
-/// must sit well under that.
+/// the median op latency must sit well under that.
 #[test]
 fn an_idle_cluster_has_no_polling_floor() {
     // Wall-clock medians on a shared box: a noisy neighbour can spoil one
@@ -53,17 +52,11 @@ fn an_idle_cluster_has_no_polling_floor() {
             }));
         }
         let op_median = median(ops);
-        let wakes = cluster
-            .metrics(ProcessId(0))
-            .histogram("runner.wake_micros");
         cluster.shutdown();
-        assert!(wakes.count >= 400, "every dequeued event is a sample");
-        // (A bucket's upper bound: at most 2× the true median.)
-        let wake_median = wakes.percentile(0.5);
-        if op_median < Duration::from_micros(300) && wake_median < 250 {
+        if op_median < Duration::from_micros(300) {
             return;
         }
-        last = format!("median op {op_median:?}, median wake {wake_median} µs");
+        last = format!("median op {op_median:?}");
     }
     panic!("an idle cluster still pays a polling floor: {last}");
 }

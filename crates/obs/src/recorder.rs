@@ -44,13 +44,17 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum EventKind {
-    /// An operation was admitted by a node's event loop.
+    /// An operation began at its coordinator: the automaton named it
+    /// active (a queued operation begins when its register frees up).
     OpStart = 1,
     /// The operation replied to its client (`aux` = quorum round-trips).
     OpComplete = 2,
-    /// A protocol request left for a peer (`aux` = destination pid).
+    /// A protocol request left for a peer (`aux` = wire-packed
+    /// destination pid + round nonce, see [`pack_wire_aux`]; durable bit
+    /// clear).
     RoundSent = 3,
-    /// An acknowledgement arrived (`aux` = sender pid ≪ 1 | durable bit).
+    /// An acknowledgement arrived (`aux` = wire-packed sender pid + round
+    /// nonce + the ack's durable bit).
     AckRecv = 4,
     /// A store left the event loop for the syncer (`aux` = store token).
     StoreQueued = 5,
@@ -67,10 +71,10 @@ pub enum EventKind {
     /// The node halted (see [`FlightRecorder::halt_reason`]).
     Halt = 11,
     /// A protocol request arrived at a replica (`aux` = wire-packed
-    /// sender pid + round nonce, see [`pack_wire_aux`]).
+    /// sender pid + round nonce; durable bit clear).
     ReqRecv = 12,
     /// A replica sent an acknowledgement (`aux` = wire-packed destination
-    /// pid + round nonce).
+    /// pid + round nonce + the ack's durable bit).
     AckSent = 13,
     /// A client handed an operation to a node (`aux` = contacted pid).
     ClientSend = 14,
