@@ -6,16 +6,20 @@
 //! mechanism most likely to smuggle a stale value past a completed write —
 //! and a holder's own write is let past its own grants at every replica
 //! (see `rmem_core::replica`), which makes the holder's side of the fence
-//! the part to distrust. So these tests race writers against leased
-//! readers over seeded, jittered runs in nine shapes — reader and writer
-//! through the **same** coordinator (whose write *hands* its lease *on*
-//! to the tag it wrote), through different ones, a straggler `Write` of
-//! the holder's previous incarnation landing under the new incarnation's
-//! lease (and the holder then writing under it), the holder crashing
-//! mid-write, the lease's horizon firing mid-write, a foreign writer
-//! against a holder that renews every term, clients arriving during a
-//! renewal nobody waits for, a read adopting a renewal whose replies are
-//! older than itself — and adjudicate each run twice: the full
+//! the part to distrust, its renewal — a `Read` sent while the lease
+//! still serves — included. So these tests race writers against leased
+//! readers over seeded, jittered runs in thirteen shapes — reader and
+//! writer through the **same** coordinator (whose write *hands* its lease
+//! *on* to the tag it wrote), through different ones, thrifty rounds on
+//! both sides, a straggler `Write` of the holder's previous incarnation
+//! landing under the new incarnation's lease (and the holder then writing
+//! under it), the holder crashing mid-write, the lease's horizon firing
+//! mid-write, a foreign writer against a holder that renews every term,
+//! clients arriving during a renewal nobody waits for, a read waiting
+//! behind a renewal whose replies are older than itself, a foreign write
+//! landing between a mint and its renew point at one granting replica or
+//! at the whole renewal quorum, and a renewal whose replies come back
+//! late — and adjudicate each run twice: the full
 //! criterion checkers certify the history, and
 //! the [`check_freshness`] oracle polices every zero-round read against
 //! the committed version frontier — **a leased read must never return a
@@ -695,15 +699,17 @@ fn a_horizon_that_fires_mid_write_leaves_nothing_to_hand_on() {
 
 /// (e′) **Thrifty rounds on both sides.** p0 and p2 each learn a quorum
 /// with p1 in it while p2 cannot reach p0; then every link is open. p0's
-/// read at 3 ms goes to p0 and p1 only — its lease is minted from that
-/// thrifty quorum, and p2's replica holds no grant — and p2's write at
-/// 3.3 ms goes to p2 and p1 only: it never reaches the holder, so p0's own
+/// lease, minted at 10 µs, renews from rounds that go to p0 and p1 only —
+/// p2's replica holds no grant after the first — and p2's write at 3.3 ms
+/// goes to p2 and p1 only: it never reaches the holder, so p0's own
 /// replica cannot retire the lease, and p2's replica acknowledges at once.
 /// What keeps p0's zero-round reads fresh is p1 alone, the one replica
 /// both majorities share, parking its acknowledgement until its grant to
-/// p0 expires. (Red when the replica fence in `Replica::on_message` is
-/// removed: the write completes inside the lease, and p0 goes on serving
-/// the old value.)
+/// p0 expires. (The renewal p0 sends at its renew point, ≈ 3.9 ms, meets
+/// the new tag at p1 and cannot mint: the lease serves on to its horizon,
+/// ≈ 4.1 ms, and the read at 4.4 ms asks the quorum.) (Red when the
+/// replica fence in `Replica::on_message` is removed: the write completes
+/// inside the lease, and p0 goes on serving the old value.)
 #[test]
 fn a_foreign_writers_thrifty_round_that_misses_the_holder_is_still_fenced() {
     const MINT: u64 = 3_000;
@@ -712,7 +718,7 @@ fn a_foreign_writers_thrifty_round_that_misses_the_holder_is_still_fenced() {
     for (factory, name, check) in leased_flavors(LEASE_MICROS) {
         let mut rounds = ReadRounds::default();
         for seed in 0..SEEDS {
-            let p0_reads = [10, MINT, 3_600, 3_900, 4_200, 4_400, 8_000];
+            let p0_reads = [10, MINT, 3_450, 3_600, 3_900, 4_400, 8_000];
             let schedule = Schedule::new()
                 // While p2 cannot reach p0, both learn a quorum with p1.
                 .at(0, PlannedEvent::Block(p(2), p(0)))
@@ -783,19 +789,21 @@ fn a_holder_that_renews_every_term_does_not_starve_a_foreign_writer() {
 }
 
 /// (g) Clients arriving **during a renewal**. p0's lease, in use, renews
-/// at its horizons (1 510 µs, 3 010 µs, …) with a read round nobody waits
-/// for. A read invoked while the first is out adopts it — it is back
-/// sooner than any round trip of its own could be — and a write invoked
-/// while the second is out is not refused: it waits for the mint and
-/// begins under it, one round. After the last invocation the lease is
-/// renewed once for the write that handed it on, once more for that
-/// used term, and then lapses after two unused terms: within three terms
-/// the cluster has sent its last message. (Red when a renewal mints a
-/// lease that starts *used*: it renews for ever.)
+/// at its renew points (1 322 µs, 2 634 µs, …, 7/8 into each term) with a
+/// read round nobody waits for, and serves on while it is out. A read
+/// invoked while the first is out is served by the lease, in zero rounds,
+/// and a write invoked while the second is out is not refused: it waits
+/// for the mint and begins under it, one round. After the last invocation
+/// the lease is renewed once for the write that handed it on, twice more
+/// for the unused periods that follow, and then lapses after three unused
+/// periods: within three terms the cluster has sent its last message.
+/// (Red when a renewal mints a lease that starts *used*: it renews for
+/// ever.)
 #[test]
 fn a_renewal_serves_who_arrives_meanwhile_and_an_idle_cluster_goes_quiet() {
-    const READ: u64 = LEASE_MICROS + 10 + 140;
-    const WRITE: u64 = 2 * LEASE_MICROS + 10 + 90;
+    const RENEW: u64 = LEASE_MICROS - LEASE_MICROS / 8;
+    const READ: u64 = RENEW + 10 + 140;
+    const WRITE: u64 = 2 * RENEW + 10 + 90;
     for (factory, name, check) in leased_flavors(LEASE_MICROS) {
         let mut rounds = ReadRounds::default();
         for seed in 0..SEEDS {
@@ -820,11 +828,10 @@ fn a_renewal_serves_who_arrives_meanwhile_and_an_idle_cluster_goes_quiet() {
                 let started = |o: &&rmem_sim::OpRecord| o.invoked_at.as_micros() == invoked;
                 ops.iter().find(started).expect("planted").clone()
             };
-            let adopter = at(READ);
-            let round_trip = 2 * NetConfig::default().base_delay.0;
+            let meanwhile = at(READ);
             assert!(
-                adopter.rounds == 1 && adopter.latency().is_some_and(|l| l.0 < round_trip),
-                "{what}: the read did not adopt the renewal: {adopter:?}"
+                meanwhile.rounds == 0 && meanwhile.latency() == Some(Micros(0)),
+                "{what}: the lease did not serve the read while it renewed: {meanwhile:?}"
             );
             let ops = report.trace.operations();
             let write = ops
@@ -847,27 +854,29 @@ fn a_renewal_serves_who_arrives_meanwhile_and_an_idle_cluster_goes_quiet() {
     }
 }
 
-/// (h) A renewal's replies may be **older than the read that adopts it**.
-/// p0 and p1 cannot hear each other; p2 hears both. p0's lease on ⊥ is in
-/// use, so at its horizon (8 ms) a renewal goes out — and p2 answers it
-/// with p1's first write, 48 KiB that have just landed there and take
-/// 3.9 ms to come back. Meanwhile that write completes, p1's second
-/// write completes, and only then is a read invoked at p0, which adopts
-/// the round still waiting for p2. What p2 said is older than a write
-/// that completed before this read began; the quorum is not unanimous,
-/// so the round is good for nothing, and the read must ask again. (Red
-/// when an adopter is served whatever its renewal collects, write-back
-/// fallback included, "as if it had started it": it returns the first
-/// write's value after the second completed. A unanimous granted quorum
-/// is different — its grants fence every foreign tag from the moment
-/// each reply was sent — and (g) adopts one.)
+/// (h) A renewal's replies may be **older than a read that waits for
+/// it**. p0 and p1 cannot hear each other; p2 hears both. p0's lease on ⊥
+/// is in use, so at its renew point (8 ms) a renewal goes out — and p2
+/// answers it with p1's first write, 48 KiB that have just landed there
+/// and take 3.9 ms to come back. Meanwhile the lease reaches its horizon
+/// (8.5 ms), that write completes, p1's second write completes, and only
+/// then is a read invoked at p0: leaseless, it waits behind the round
+/// still waiting for p2, and the history has it begin when that round is
+/// through. What p2 said is older than a write that completed before
+/// this read was invoked; the quorum is not unanimous, so the round mints
+/// nothing and leaves nothing, and the read must ask again. (Red when a
+/// lease whose renewal is out outlives its horizon until the round
+/// returns: the read is served ⊥ after both writes completed. A
+/// unanimous granted quorum is different — its grants fence every foreign
+/// tag from the moment each reply was sent — and a read queued behind
+/// one is served by the lease it mints.)
 #[test]
-fn an_adopted_renewal_is_not_served_from_replies_older_than_the_read() {
+fn a_read_behind_a_renewal_is_not_served_from_replies_older_than_itself() {
     const LEASE: u64 = 4_000;
-    const MINT: u64 = 4_000;
-    const HORIZON: u64 = MINT + LEASE;
-    const SECOND: u64 = 9_500;
-    const ADOPTS: u64 = 11_000;
+    const MINT: u64 = 4_500;
+    const RENEWAL: u64 = MINT + LEASE - LEASE / 8;
+    const SECOND: u64 = 10_000;
+    const WAITS: u64 = 11_000;
     let big = Value::new(vec![7u8; 48 * 1024]);
     let last = version_of(&big) + 1;
     // No retransmission within the run: p2's first reply, late, is the
@@ -887,7 +896,7 @@ fn an_adopted_renewal_is_not_served_from_replies_older_than_the_read() {
                     SECOND,
                     PlannedEvent::Invoke(p(1), Op::Write(v(last as u32))),
                 )
-                .at(ADOPTS, PlannedEvent::Invoke(p(0), Op::Read));
+                .at(WAITS, PlannedEvent::Invoke(p(0), Op::Read));
             let mut sim = Simulation::new(jittery(), factory.clone(), seed).with_schedule(schedule);
             let report = sim.run();
             let what = format!("{name}/seed {seed}");
@@ -895,16 +904,19 @@ fn an_adopted_renewal_is_not_served_from_replies_older_than_the_read() {
             let ops = adjudicate(&report, &what, check, &mut ReadRounds::default());
             let at = |pid, invoked| planted(&ops, pid, invoked);
             assert!(
-                at(p(1), first).completed_at < SECOND && at(p(1), SECOND).completed_at < ADOPTS,
-                "{what}: both writes must be through before the read begins"
+                at(p(1), first).completed_at < SECOND && at(p(1), SECOND).completed_at < WAITS,
+                "{what}: both writes must be through before the read is invoked"
             );
-            let adopter = at(p(0), ADOPTS);
+            let waited = ops
+                .iter()
+                .find(|&&(pid, op)| pid == p(0) && op.invoked_at >= WAITS);
+            let (_, waited) = waited.expect("planted");
             assert!(
-                adopter.completed_at > HORIZON + 4_000,
+                waited.completed_at > RENEWAL + 4_000,
                 "{what}: the read must have been waiting when p2's reply came"
             );
             assert_eq!(
-                adopter.kind,
+                waited.kind,
                 FreshnessKind::Read {
                     version: last,
                     leased: false
@@ -912,6 +924,227 @@ fn an_adopted_renewal_is_not_served_from_replies_older_than_the_read() {
                 "{what}"
             );
         }
+    }
+}
+
+/// The lease term of shapes (i), (j) and (j′): long enough that a
+/// renewal's round trip fits between its renew point and the horizon it
+/// renews, so the old lease visibly serves while the renewal is out.
+const OVERLAP_LEASE: u64 = 4_000;
+
+/// [`OVERLAP_LEASE`]'s renew point, 7/8 into its term.
+const OVERLAP_RENEW: u64 = OVERLAP_LEASE - OVERLAP_LEASE / 8;
+
+/// p0's reads in a run: `(invoked, version, leased)`, in invocation order.
+fn reads_of(ops: &[(ProcessId, FreshnessOp)], pid: ProcessId) -> Vec<(u64, u64, bool)> {
+    let mut reads: Vec<_> = ops
+        .iter()
+        .filter(|(by, _)| *by == pid)
+        .filter_map(|(_, op)| match op.kind {
+            FreshnessKind::Read { version, leased } => Some((op.invoked_at, version, leased)),
+            FreshnessKind::Write { .. } => None,
+        })
+        .collect();
+    reads.sort_unstable();
+    reads
+}
+
+/// (i) A foreign write lands at **one granting replica between the mint
+/// and the renew point**. p0 mints at 10 µs from itself and p1 — nothing
+/// p2 sends reaches p0 — and reads on; p2's write at 1 ms goes to p2 and
+/// p1 and parks at both behind p0's grants. At the renew point, 7/8 into
+/// the term, p0's renewal hears ⊥ from its own replica and the new tag
+/// from p1 — both granted, and they disagree — so it cannot mint. The
+/// old lease serves on to its own horizon, while the write still waits
+/// for its grants, and not past it: the next read asks the quorum and
+/// writes the new tag back. (Red when a renewal whose repliers all
+/// granted extends the lease it renews though they disagree: p0 serves ⊥
+/// after the write completed.)
+#[test]
+fn a_foreign_write_at_one_granting_replica_leaves_the_old_lease_to_its_horizon() {
+    const MINT: u64 = 10;
+    const WRITE: u64 = 1_000;
+    const HORIZON: u64 = MINT + OVERLAP_LEASE;
+    const HOLD: u64 = OVERLAP_LEASE + OVERLAP_LEASE / 4;
+    for (factory, name, check) in leased_flavors(OVERLAP_LEASE) {
+        let mut rounds = ReadRounds::default();
+        for seed in 0..SEEDS {
+            let schedule = Schedule::new()
+                .at(0, PlannedEvent::Block(p(2), p(0)))
+                .at(WRITE, PlannedEvent::Invoke(p(2), Op::Write(v(1))));
+            let mut sim = Simulation::new(jittery(), factory.clone(), seed).with_schedule(schedule);
+            let reader = ClosedLoop::reads(p(0), 80).with_think(Micros(90));
+            sim.add_closed_loop(reader.with_start_after(Micros(MINT)));
+            let report = sim.run();
+            let what = format!("{name}/seed {seed}");
+            assert_eq!(completed(&report), 81, "{what}: all ops complete");
+            let ops = adjudicate(&report, &what, check, &mut rounds);
+            let write = planted(&ops, p(2), WRITE);
+            assert!(
+                write.completed_at > MINT + HOLD,
+                "{what}: the write completed at {} µs, under p0's grants",
+                write.completed_at
+            );
+            let reads = reads_of(&ops, p(0));
+            let renewal_back = MINT + OVERLAP_RENEW + 400;
+            assert!(
+                (reads.iter()).any(|&(at, version, leased)| {
+                    (renewal_back..HORIZON).contains(&at) && version == 0 && leased
+                }),
+                "{what}: the old lease must serve after its renewal failed: {reads:?}"
+            );
+            let past = reads
+                .iter()
+                .find(|&&(at, ..)| at >= HORIZON)
+                .expect("read on");
+            assert!(
+                !past.2,
+                "{what}: the first read past the horizon asks the quorum: {past:?}"
+            );
+            assert!(
+                (reads.iter()).all(|&(at, version, _)| at < HORIZON || version == 1),
+                "{what}: ⊥ served past the horizon: {reads:?}"
+            );
+        }
+        assert!(rounds.leased > 0, "{name}: the oracle policed nothing");
+    }
+}
+
+/// The setting of shapes (j) and (j′): p0 never hears itself, and p1
+/// does not hear p0 while its first round — a write of `first` at 10 µs
+/// — collects its quorum. So p1's rounds go to p1 and p2 only, and p0's
+/// to p1 and p2 (p0's own replica never answers it). With no
+/// retransmission within the run, nothing p1 writes after that first
+/// round reaches p0's replica, which never retires p0's lease: only a
+/// renewal can move it. (A read would teach p1 its quorum too, but leave
+/// p1's own grants fencing its next write from p0 for a hold.)
+fn deaf_holder_and_thrifty_writer(first: Value) -> Schedule {
+    Schedule::new()
+        .at(0, PlannedEvent::Block(p(0), p(0)))
+        .at(0, PlannedEvent::Block(p(0), p(1)))
+        .at(10, PlannedEvent::Invoke(p(1), Op::Write(first)))
+        .at(900, PlannedEvent::Unblock(p(0), p(1)))
+}
+
+/// (j) The foreign write reaches **the whole renewal quorum**. p0 mints
+/// version 1 at 1 ms from p1 and p2 and reads on; p1's write of version 2
+/// at 2 ms lands at p1 and p2 and parks at both behind p0's grants. At the
+/// renew point the renewal hears the new tag from both, granted: it mints
+/// on the new tag, before the old lease's horizon, and the lease moves —
+/// the old value is served while the renewal is out and never after. The
+/// write completes once the grants it parked behind expire, under the
+/// moved lease. (Red when a renewal's mint on a newer tag keeps the old
+/// lease's value: p0 serves version 1 under the new tag after the write
+/// of version 2 completed.)
+#[test]
+fn a_foreign_write_at_the_whole_renewal_quorum_moves_the_lease() {
+    const MINT: u64 = 1_000;
+    const WRITE: u64 = 2_000;
+    const HORIZON: u64 = MINT + OVERLAP_LEASE;
+    // p1's write parks for over a term: it must not retransmit to p0.
+    for (factory, name, check) in patient_leased_flavors(OVERLAP_LEASE, Micros(50_000)) {
+        let mut rounds = ReadRounds::default();
+        for seed in 0..SEEDS {
+            let schedule = deaf_holder_and_thrifty_writer(v(1))
+                .at(WRITE, PlannedEvent::Invoke(p(1), Op::Write(v(2))));
+            let mut sim = Simulation::new(jittery(), factory.clone(), seed).with_schedule(schedule);
+            let reader = ClosedLoop::reads(p(0), 120).with_think(Micros(60));
+            sim.add_closed_loop(reader.with_start_after(Micros(MINT)));
+            let report = sim.run();
+            let what = format!("{name}/seed {seed}");
+            assert_eq!(completed(&report), 122, "{what}: all ops complete");
+            let ops = adjudicate(&report, &what, check, &mut rounds);
+            let reads = reads_of(&ops, p(0));
+            let renew = MINT + OVERLAP_RENEW;
+            assert!(
+                (reads.iter()).any(|&(at, version, leased)| at > renew && version == 1 && leased),
+                "{what}: the old lease must serve while its renewal is out: {reads:?}"
+            );
+            let moved = (reads.iter()).position(|&(_, version, leased)| version == 2 && leased);
+            let moved = moved.unwrap_or_else(|| panic!("{what}: the lease never moved: {reads:?}"));
+            assert!(
+                reads[moved].0 < HORIZON,
+                "{what}: the lease moved only after the old horizon: {reads:?}"
+            );
+            assert!(
+                reads[moved..].iter().all(|&(_, version, _)| version == 2),
+                "{what}: the old value served after the lease moved: {reads:?}"
+            );
+            let write = planted(&ops, p(1), WRITE);
+            assert!(
+                write.completed_at > reads[moved].0,
+                "{what}: the write must still be parked when the lease moves"
+            );
+        }
+        assert!(rounds.leased > 0, "{name}: the oracle policed nothing");
+    }
+}
+
+/// (j′) **A renewed lease dies one term after its renewal left**, however
+/// late the replies come back. In the setting of (j) the register holds
+/// 36 KiB, which take 3 ms to come back in every reply. p0 mints at 6.5 ms
+/// and reads in the first two renewal periods only: its lease renews at
+/// 10 ms and 13.5 ms for that use and at 17 ms and 20.5 ms for the idle
+/// allowance, and the renew point at 24 ms finds three idle periods. The
+/// last lease serves on to its horizon, 24.5 ms, one term after its
+/// renewal left — though that renewal's replies came back only at
+/// ≈ 23.7 ms. p1's small write at 21 ms parks behind that renewal's
+/// grants and completes when they expire, ≈ 26.7 ms; p0, reading again
+/// from 24.05 ms, is served the 36 KiB from the lease and then must be
+/// shown the small write. (Red when a renewal's lease is clocked from its
+/// last ack instead: it serves the 36 KiB until ≈ 27.7 ms, past the small
+/// write's completion.)
+#[test]
+fn a_renewed_lease_dies_one_term_after_its_renewal_left() {
+    const MINT: u64 = 6_500;
+    const SMALL: u64 = MINT + 4 * OVERLAP_RENEW + 500;
+    const LAPSED: u64 = MINT + 5 * OVERLAP_RENEW;
+    const HORIZON: u64 = MINT + 4 * OVERLAP_RENEW + OVERLAP_LEASE;
+    let big = Value::new(vec![7u8; 36 * 1024]);
+    let last = version_of(&big) + 1;
+    for (factory, name, check) in patient_leased_flavors(OVERLAP_LEASE, Micros(50_000)) {
+        let mut rounds = ReadRounds::default();
+        for seed in 0..SEEDS {
+            // p0 mints once the 36 KiB are through.
+            let setting = deaf_holder_and_thrifty_writer(big.clone())
+                .at(SMALL, PlannedEvent::Invoke(p(1), Op::Write(v(last as u32))));
+            // One read in each of the first two renewal periods: the
+            // minted lease's, and its first renewal's, while the lease it
+            // renews still serves.
+            let schedule = [MINT, MINT + 3_350, MINT + 3_700]
+                .iter()
+                .fold(setting, |schedule, &at| {
+                    schedule.at(at, PlannedEvent::Invoke(p(0), Op::Read))
+                });
+            let mut sim = Simulation::new(jittery(), factory.clone(), seed).with_schedule(schedule);
+            let reader = ClosedLoop::reads(p(0), 80).with_think(Micros(60));
+            sim.add_closed_loop(reader.with_start_after(Micros(LAPSED + 50)));
+            let report = sim.run();
+            let what = format!("{name}/seed {seed}");
+            assert_eq!(completed(&report), 85, "{what}: all ops complete");
+            let ops = adjudicate(&report, &what, check, &mut rounds);
+            let reads = reads_of(&ops, p(0));
+            let after = reads
+                .iter()
+                .find(|&&(at, ..)| at > LAPSED)
+                .expect("read on");
+            assert_eq!(
+                (after.1, after.2),
+                (last - 1, true),
+                "{what}: the lease must outlive its last renew point: {reads:?}"
+            );
+            let small = planted(&ops, p(1), SMALL);
+            assert!(
+                small.completed_at > HORIZON,
+                "{what}: the small write must complete after the lease's horizon, at {}",
+                small.completed_at
+            );
+            assert!(
+                (reads.iter()).any(|&(_, version, _)| version == last),
+                "{what}: p0 never read the small write: {reads:?}"
+            );
+        }
+        assert!(rounds.leased > 0, "{name}: the oracle policed nothing");
     }
 }
 

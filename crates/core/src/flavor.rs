@@ -110,9 +110,9 @@ pub struct Flavor {
     /// that write to pass its own grants without waiting — uses it in
     /// place of the query round (one round, not two) and hands it on to
     /// the tag it wrote, under the horizon it had; and a lease that was
-    /// in use renews itself at its horizon with a read round no client
-    /// waits for, so what renews is decided by observed use, not by a
-    /// knob. The lease lives at that coordinator and nowhere else: no
+    /// in use renews itself 7/8 into its term, while it still serves,
+    /// with a read round no client waits for, so what renews is decided
+    /// by observed use, not by a knob. The lease lives at that coordinator and nowhere else: no
     /// grant rides a completion out to a client. See `with_lease`,
     /// [`crate::replica`] and [`crate::generic`].
     pub lease_micros: u64,

@@ -67,16 +67,15 @@
 //! frontier as a write's query round). The slot holds one round at a
 //! time, so an invocation begins at once only if the process is ready and
 //! the slot free; otherwise it waits in FIFO order (`queued`) and begins
-//! as the slot frees up — save a read that meets a renewal nobody has
-//! adopted yet, which takes that round over. Nothing is refused. One
-//! method opens
+//! as the slot frees up — save a read that a live lease serves while its
+//! renewal holds the slot. Nothing is refused. One method opens
 //! every round (`open`: request id, first send, timer), and every ack
 //! takes one step (`ack`: is it this round's? recorded through
 //! [`Preferred`], did it reach the majority just now?). A timer is, in
-//! this order: a lease's horizon; a lease horizon a write took or a read
-//! armed; the replica's fence; a catch-up past its majority, settled
-//! without a resend; or else the live round it belongs to, rebroadcast
-//! and re-armed.
+//! this order: a lease's horizon or renew point; the same two of a lease
+//! a write took or a read armed; the replica's fence; a catch-up past its
+//! majority, settled without a resend; or else the live round it belongs
+//! to, rebroadcast and re-armed.
 
 use std::collections::VecDeque;
 
@@ -147,11 +146,11 @@ enum OpPhase {
         /// a grant-less ack means that replica will not fence newer
         /// writes for us.
         all_granted: bool,
-        /// The lease-horizon timer armed when the read was broadcast —
-        /// the conservative pre-send clock stamp the minted lease
-        /// expires against. `None` once the horizon fired mid-round
-        /// (too slow to mint) or when the flavor does not lease.
-        lease_armed: Option<TimerToken>,
+        /// The lease timers armed when the read was broadcast — the
+        /// conservative pre-send clock stamp the minted lease expires
+        /// against. `None` once the horizon fired mid-round (too slow to
+        /// mint) or when the flavor does not lease.
+        lease_armed: Option<LeaseTimers>,
     },
     /// Read, round 2: writing back the freshest value (Fig. 4 lines
     /// 36–38).
@@ -167,17 +166,11 @@ enum OpPhase {
 enum Waiter {
     /// The client operation that started it.
     Client(OpId),
-    /// Nobody: a lease renewing itself at its horizon — unless a
-    /// client read invoked meanwhile adopted the round, and then it.
-    /// Such a round is good for one outcome only, the one that could
-    /// mint: a unanimous granted quorum fences every foreign tag above
-    /// the one it reports from each reply until past the round's own
-    /// horizon, and a renewal nobody adopted by then is dropped, so the
-    /// adopter — invoked after the replies may have been sent — is still
-    /// shown the register's newest completed value. Any other outcome
-    /// proves nothing about the time since the replies, and the adopter
-    /// starts a round of its own.
-    Renewal(Option<OpId>),
+    /// Nobody: a lease renewing itself at its renew point, while it
+    /// still serves. The round does nothing but mint; an invocation that
+    /// finds it in the slot is served by the live lease (a read at the
+    /// head of the queue) or by whatever the round leaves behind.
+    Renewal,
     /// The process itself, not ready yet: the figure's recovery step,
     /// which completes nobody's operation.
     Recovery,
@@ -210,12 +203,35 @@ impl Best {
 }
 
 /// The lease a write began under and took (see `begin_op`): handed on to
-/// the written tag at completion iff its horizon has not fired meanwhile.
+/// the written tag at completion iff its horizon has not fired meanwhile,
+/// and renewed right after the hand-on if its renew point did.
 #[derive(Debug, Clone, Copy)]
 struct TakenLease {
-    horizon: TimerToken,
+    timers: LeaseTimers,
     fired: bool,
+    due: bool,
 }
+
+/// The two timers a leasing read arms at its pre-send stamp: the horizon
+/// the lease it mints dies at, one term on, and its renew point,
+/// [`renew_after`] on. A round slower than that mints a lease whose renew
+/// point is spent: it serves to its horizon and lapses.
+#[derive(Debug, Clone, Copy)]
+struct LeaseTimers {
+    horizon: TimerToken,
+    renew: TimerToken,
+}
+
+/// How far into its term a lease renews: 7/8 of it, so the renewal's
+/// round trip fits before the horizon and the lease serves on meanwhile.
+fn renew_after(term: u64) -> u64 {
+    term - term / 8
+}
+
+/// Renewal periods in a row that may serve nothing before a lease lapses:
+/// three periods of 7/8 term, so a register read at least once every two
+/// terms keeps its lease.
+const IDLE_PERIODS: u8 = 3;
 
 /// The recovery catch-up (see the module docs): started with the
 /// flavor's own recovery procedure — right after the replica is restored,
@@ -249,39 +265,48 @@ enum StartMode {
 /// quorum whose acks unanimously carried grants; it ends at its horizon
 /// timer (armed at read *broadcast* time, so it expires before any
 /// granting replica releases a fenced newer write), on any locally
-/// observed newer tag, or with the process. It lives here and nowhere
-/// else — no grant rides a completion out to a client — which is what
-/// lets the replicas exempt this process from its own grants (see
-/// [`crate::replica`]): **this process sends a `Read`, or a `Write`
-/// newer than its leased tag, only while this is `None`**.
+/// observed newer tag, when a renewal's mint replaces it, or with the
+/// process. It lives here and nowhere else — no grant rides a completion
+/// out to a client — which is what lets the replicas exempt this process
+/// from its own grants (see [`crate::replica`]): **this process sends a
+/// `Write` newer than its leased tag only while this is `None`, and a
+/// `Read` only while it is `None` or as this lease's own renewal**.
 ///
 /// A write of this process does not end the lease, it *hands it on*: the
 /// write takes it out of here before its first message leaves (so the
 /// sentence above holds while they are out) and, completed, puts it back
-/// on the tag it wrote under the **same** horizon. The grants behind the
+/// on the tag it wrote under the **same** timers. The grants behind the
 /// lease fence every foreign tag above the old one — the new tag and
 /// reads of it included — until past that horizon, a live lease at
 /// invocation proves no newer write or read has completed (all the
 /// write's query round would establish), and nothing is served between
 /// the take and the hand-on because the automaton runs one operation at
-/// a time. And use *renews* it: a lease that served a read, or was
-/// handed on, re-mints itself when its horizon fires with an ordinary
-/// read round nobody waits for ([`Waiter::Renewal`]) — and so does an
-/// unused lease whose term followed such a term, once: a lease lapses
-/// only after two consecutive terms that served nothing (the read a
-/// minting round serves counts for the term before), so a register read
-/// at least once every two terms keeps its lease.
+/// a time.
+///
+/// And use *renews* it, make-before-break: at its renew point, 7/8 into
+/// the term ([`renew_after`]), a lease that earned it sends an ordinary
+/// read round nobody waits for ([`Waiter::Renewal`]) and **serves on**
+/// meanwhile — reads at zero rounds, writes queue behind the round. The
+/// replicas let the renewal's `Read` past this process's grants, and the
+/// old grants still fence every foreign tag above the leased one: a tag
+/// the renewal's quorum unanimously reports, durable and granted, is one
+/// no foreign write above has completed past and no later majority can
+/// miss. So the mint replaces the lease, newer tag or not, and a renewal
+/// that cannot mint leaves it serving to its own horizon (where the chain
+/// ends). A write holding the taken lease across the renew point
+/// renews right after its hand-on. What earns a renewal is use
+/// ([`RegisterAutomaton::served`]): a lease lapses only after
+/// [`IDLE_PERIODS`] renewal periods in a row served nothing (the read a
+/// client's minting round serves counts for the period before), so a
+/// register read at least once every two terms keeps its lease.
 #[derive(Debug)]
 struct Lease {
     ts: Timestamp,
     value: Value,
-    horizon: TimerToken,
-    /// Whether it served a zero-round read, or was handed on by a write,
-    /// since it was minted: with the term before it
-    /// ([`RegisterAutomaton::served_last_term`]), what earns it a renewal
-    /// at its horizon. A renewed lease starts unused, so an idle register
-    /// goes quiet within two renewal rounds after its last read.
-    used: bool,
+    timers: LeaseTimers,
+    /// The renew point has passed and the renewal waits for the slot:
+    /// `drain_queue` sends it before anything queued begins.
+    due: bool,
 }
 
 /// The lease term the replica role fences with: the flavor's term when
@@ -337,10 +362,16 @@ pub struct RegisterAutomaton {
     catch_up: Option<CatchUp>,
     /// Live tag lease (leasing flavors only).
     lease: Option<Lease>,
-    /// Whether a read was served in the term before the live lease's: the
-    /// lease that ended at the last horizon served one or was handed on,
-    /// or the round that minted the live lease served one itself.
-    served_last_term: bool,
+    /// Renewal periods in a row that served nothing, as of the last renew
+    /// point; a client's minting read sets it to 0. A lease renews at its
+    /// renew point while this stays below [`IDLE_PERIODS`].
+    idle_periods: u8,
+    /// Whether the current renewal period — since the last renew point,
+    /// or the client's mint that started the chain — served a zero-round
+    /// read or a write's hand-on: what the next renew point decides on.
+    /// A read served while a renewal is out counts for the period that
+    /// renewal starts.
+    served: bool,
     /// Where a thrifty round goes first. A shared memory keeps one per
     /// node and hands it to the register it feeds.
     preferred: Preferred,
@@ -381,7 +412,8 @@ impl RegisterAutomaton {
             rec_store: None,
             catch_up: None,
             lease: None,
-            served_last_term: false,
+            idle_periods: 0,
+            served: false,
             preferred: Preferred::new(me),
             ready: false,
             queued: VecDeque::new(),
@@ -475,15 +507,16 @@ impl RegisterAutomaton {
     /// thrifty when the fast path is on (module docs); a round opened
     /// before the process is ready is a recovery round, with no history to
     /// go on, and like every round with the fast path off asks all `n`.
-    /// A leasing flavor's operation `Read` then stamps its lease horizon,
-    /// returned beside the round, *before* any replica can have seen the
-    /// query: the minted lease then provably dies before a granting
-    /// replica releases a fenced newer write. Last, the round's timer.
+    /// A leasing flavor's operation `Read` then stamps its lease horizon
+    /// and renew point, returned beside the round, *before* any replica
+    /// can have seen the query: the minted lease then provably dies before
+    /// a granting replica releases a fenced newer write. Last, the round's
+    /// timer.
     fn open(
         &mut self,
         msg: impl FnOnce(RequestId) -> Message,
         out: &mut Vec<Action>,
-    ) -> (Round, Option<TimerToken>) {
+    ) -> (Round, Option<LeaseTimers>) {
         let msg = msg(RequestId::new(self.me, self.nonce_counter));
         self.nonce_counter += 1;
         if self.ready && self.flavor.read_fast_path {
@@ -496,9 +529,13 @@ impl RegisterAutomaton {
             out.extend(Action::broadcast(self.n, &msg));
         }
         let leased = self.ready && self.flavor.leases() && matches!(msg, Message::Read { .. });
-        let horizon = leased.then(|| self.arm(Micros(self.flavor.lease_micros), out));
+        let term = self.flavor.lease_micros;
+        let timers = leased.then(|| LeaseTimers {
+            horizon: self.arm(Micros(term), out),
+            renew: self.arm(Micros(renew_after(term)), out),
+        });
         let timer = self.arm(self.retransmit, out);
-        (Round::new(msg, self.majority, timer), horizon)
+        (Round::new(msg, self.majority, timer), timers)
     }
 
     /// The live round whose retransmission timer is `timer`: the
@@ -661,46 +698,58 @@ impl RegisterAutomaton {
     /// The round in the operation slot is through: a client waiting for it
     /// learns `result`, and what waits begins.
     fn complete(&mut self, waiter: Waiter, result: OpResult, rounds: u32, out: &mut Vec<Action>) {
-        if let Waiter::Client(op) | Waiter::Renewal(Some(op)) = waiter {
+        if let Waiter::Client(op) = waiter {
             out.push(Action::Complete { op, result, rounds });
         }
         self.drain_queue(out);
     }
 
     /// Once the operation slot is free: turns ready if recovery is through
-    /// — the counter's store, the figure's round and the catch-up — and
-    /// begins the invocation that has waited longest.
+    /// — the counter's store, the figure's round and the catch-up —, sends
+    /// a renewal that is due, and begins the invocation that has waited
+    /// longest. While a renewal holds the slot, a live lease still serves
+    /// the reads at the head of the queue.
     fn drain_queue(&mut self, out: &mut Vec<Action>) {
-        if self.op.is_some() {
-            return;
+        if self.op.is_none() {
+            self.ready |= self.rec_store.is_none() && self.catch_up.is_none();
+            if let Some(lease) = self.lease.as_mut().filter(|l| l.due) {
+                lease.due = false;
+                self.renew(out);
+            }
         }
-        self.ready |= self.rec_store.is_none() && self.catch_up.is_none();
-        if self.ready {
+        let leased_read =
+            self.lease.is_some() && matches!(self.queued.front(), Some((_, Op::Read)));
+        if self.ready && (self.op.is_none() || leased_read) {
             if let Some((op, operation)) = self.queued.pop_front() {
                 self.begin_op(op, operation, out);
             }
         }
     }
 
+    /// The live lease's renew point has passed and the slot is free: the
+    /// period it closes counts as idle unless it served, and the lease
+    /// renews unless that makes [`IDLE_PERIODS`] idle in a row.
+    fn renew(&mut self, out: &mut Vec<Action>) {
+        let served = std::mem::take(&mut self.served);
+        self.idle_periods = if served { 0 } else { self.idle_periods + 1 };
+        if self.idle_periods < IDLE_PERIODS {
+            self.start_read(Waiter::Renewal, out);
+        }
+    }
+
     // -- Client operations ------------------------------------------------
 
     /// One operation at a time (§III-A's sequential processes): an
-    /// invocation begins now if the process is ready and the operation
-    /// slot free, and waits its turn otherwise — except a read meeting a
-    /// renewal nobody has adopted and nothing queued ahead of it, which
-    /// makes that round its own (see [`Waiter::Renewal`]). A write waits
-    /// for the renewal and so begins under the lease it mints; a read
-    /// behind it waits for the write, so operations on a register end in
-    /// the order they arrived.
+    /// invocation joins the queue and begins now if the process is ready
+    /// and the operation slot free, or it is a read with nothing ahead of
+    /// it that a live lease serves while its renewal is out; otherwise it
+    /// waits its turn. A write waits for a renewal and so begins under
+    /// the lease it leaves; a read behind the write waits for it, so
+    /// operations on a register end in the order they arrived.
     fn on_invoke(&mut self, op: OpId, operation: Op, out: &mut Vec<Action>) {
-        let operation = operation.normalized();
-        match &mut self.op {
-            Some(OpPhase::ReadQuery {
-                waiter: Waiter::Renewal(adopter @ None),
-                ..
-            }) if operation == Op::Read && self.queued.is_empty() => *adopter = Some(op),
-            None if self.ready => self.begin_op(op, operation, out),
-            _ => self.queued.push_back((op, operation)),
+        self.queued.push_back((op, operation.normalized()));
+        if self.ready {
+            self.drain_queue(out);
         }
     }
 
@@ -727,8 +776,9 @@ impl RegisterAutomaton {
                     // newer than its tag has completed anywhere. Enter the
                     // figure at line 11 with it.
                     let taken = TakenLease {
-                        horizon: lease.horizon,
+                        timers: lease.timers,
                         fired: false,
+                        due: lease.due,
                     };
                     self.query_majority_reached(waiter, value, lease.ts.seq, Some(taken), out);
                 } else {
@@ -740,8 +790,8 @@ impl RegisterAutomaton {
                 // the leased tag can have completed yet (every granting
                 // replica still fences its ack), so serving the leased
                 // value locally linearizes before any such write.
-                if let Some(l) = &mut self.lease {
-                    l.used = true;
+                if let Some(l) = &self.lease {
+                    self.served = true;
                     let result = OpResult::ReadValue(l.value.clone());
                     self.complete(waiter, result, 0, out);
                 } else {
@@ -755,7 +805,10 @@ impl RegisterAutomaton {
 
     /// Sends a read query round (Fig. 4 lines 32–35) for `waiter`.
     fn start_read(&mut self, waiter: Waiter, out: &mut Vec<Action>) {
-        debug_assert!(self.lease.is_none(), "a Read leaves only while leaseless");
+        debug_assert!(
+            self.lease.is_none() || matches!(waiter, Waiter::Renewal),
+            "a Read leaves while leased only as the lease's renewal"
+        );
         let (round, lease_armed) = self.open(|req| Message::Read { req }, out);
         self.op = Some(OpPhase::ReadQuery {
             waiter,
@@ -940,21 +993,24 @@ impl RegisterAutomaton {
                 // The hand-on: the taken lease's grants are still open at
                 // every replica that issued them, and they fence the tag
                 // just written from everyone else — so it serves on, under
-                // the horizon it was minted with, unless that fired
+                // the timers it was minted with, unless its horizon fired
                 // meanwhile or the own replica met something newer (the
-                // mint's own guard).
+                // mint's own guard). A renew point that passed under the
+                // write is due: `complete` renews before anything queued.
                 if let Some(TakenLease {
-                    horizon,
+                    timers,
                     fired: false,
+                    due,
                 }) = taken
                 {
                     if !self.replica_newer_than(ts) {
                         self.lease = Some(Lease {
                             ts,
                             value,
-                            horizon,
-                            used: true,
+                            timers,
+                            due,
                         });
+                        self.served = true;
                     }
                 }
                 self.complete(waiter, OpResult::Written, rounds, out);
@@ -1067,22 +1123,23 @@ impl RegisterAutomaton {
         // then this tag *is* the register.
         let fenced = fast && all_granted;
         if fenced && !self.replica_newer_than(ts) {
-            self.lease = lease_armed.map(|horizon| Lease {
+            // A renewal's mint replaces the lease it renews, on a newer
+            // tag too: the old grants kept every foreign tag above the old
+            // one from completing, and this quorum holds the new one.
+            self.lease = lease_armed.map(|timers| Lease {
                 ts,
                 value: value.clone(),
-                horizon,
-                used: false,
+                timers,
+                due: false,
             });
-            // The read this round serves counts as one in the term before
-            // the lease's, like a renewed lease's used term.
-            if !matches!(waiter, Waiter::Renewal(None)) {
-                self.served_last_term = true;
+            // The read a client's round serves counts for the period
+            // before the lease's, like a renewal's used period.
+            if let Waiter::Client(_) = waiter {
+                self.idle_periods = 0;
+                self.served = false;
             }
         }
         match waiter {
-            // A renewal does nothing but mint (see [`Waiter::Renewal`]): an
-            // adopter it did not serve starts over.
-            Waiter::Renewal(Some(op)) if !fenced => self.begin_op(op, Op::Read, out),
             Waiter::Client(_) if self.flavor.read_write_back && !fast => {
                 // Fig. 4 lines 36–38: write back before returning.
                 let round = {
@@ -1096,8 +1153,9 @@ impl RegisterAutomaton {
                 });
             }
             // Single-round read: the regular register always, the atomic
-            // flavors when the fast path fired. A renewal nobody adopted
-            // completes nobody's.
+            // flavors when the fast path fired. A renewal, minted or not,
+            // completes nobody's: a lease it could not replace serves on
+            // to its own horizon.
             _ => self.complete(waiter, OpResult::ReadValue(value), 1, out),
         }
     }
@@ -1148,24 +1206,26 @@ impl RegisterAutomaton {
     }
 
     fn on_timer(&mut self, token: TimerToken, out: &mut Vec<Action>) {
-        // A lease's horizon: the lease ends. One that was in use, or that
-        // followed a term in use, renews itself — leaseless at this
-        // instant, so the `Read` may leave — with nobody waiting for the
-        // round; one that closes a second idle term leaves the next read
-        // to ask the quorum (and mint afresh).
-        if self.lease.as_ref().is_some_and(|l| l.horizon == token) {
-            debug_assert!(self.op.is_none() && self.ready);
-            let used = self.lease.take().is_some_and(|l| l.used);
-            let renew = used || self.served_last_term;
-            self.served_last_term = used;
-            if renew {
-                self.start_read(Waiter::Renewal(None), out);
+        // A lease's horizon: the lease ends, and the next read asks the
+        // quorum — or waits for the renewal still out, and is served by
+        // what it mints. Its renew point: the renewal is due, and leaves
+        // now (the slot is free while a lease lives, save for that lease's
+        // own renewal) if the lease earned it.
+        if let Some(lease) = &mut self.lease {
+            if lease.timers.horizon == token {
+                self.lease = None;
+                return;
             }
-            return;
+            if lease.timers.renew == token {
+                lease.due = true;
+                self.drain_queue(out);
+                return;
+            }
         }
         match &mut self.op {
-            // The horizon of a lease a write in flight took: nothing is
-            // left to hand on.
+            // The timers of a lease a write in flight took: at its horizon
+            // nothing is left to hand on; at its renew point the hand-on
+            // renews.
             Some(
                 OpPhase::WritePreLog {
                     taken: Some(taken), ..
@@ -1173,21 +1233,25 @@ impl RegisterAutomaton {
                 | OpPhase::WritePropagate {
                     taken: Some(taken), ..
                 },
-            ) if taken.horizon == token => {
-                taken.fired = true;
+            ) if taken.timers.horizon == token || taken.timers.renew == token => {
+                if taken.timers.horizon == token {
+                    taken.fired = true;
+                } else {
+                    taken.due = true;
+                }
                 return;
             }
             // A horizon that fires while its read is still collecting
             // acks: too slow to mint — the replicas' fences may open
             // before a lease clocked from this stamp would expire. A
-            // renewal nobody adopted has nothing else to do and ends.
+            // renewal has nothing else to do and ends.
             Some(OpPhase::ReadQuery {
                 waiter,
                 lease_armed,
                 ..
-            }) if *lease_armed == Some(token) => {
+            }) if lease_armed.is_some_and(|t| t.horizon == token) => {
                 *lease_armed = None;
-                if matches!(waiter, Waiter::Renewal(None)) {
+                if matches!(waiter, Waiter::Renewal) {
                     self.op = None;
                     self.drain_queue(out);
                 }
@@ -1237,8 +1301,8 @@ impl Automaton for RegisterAutomaton {
         self.ready
     }
 
-    /// The client operation in the slot — a renewal's adopter included.
-    /// A bare register is one register, whatever `reg` says.
+    /// The client operation in the slot. A bare register is one register,
+    /// whatever `reg` says.
     fn active(&self, _reg: RegisterId) -> Option<OpId> {
         let (OpPhase::WriteQuery { waiter, .. }
         | OpPhase::WritePreLog { waiter, .. }
@@ -1246,8 +1310,8 @@ impl Automaton for RegisterAutomaton {
         | OpPhase::ReadQuery { waiter, .. }
         | OpPhase::ReadWriteBack { waiter, .. }) = self.op.as_ref()?;
         match waiter {
-            Waiter::Client(op) | Waiter::Renewal(Some(op)) => Some(*op),
-            Waiter::Renewal(None) | Waiter::Recovery => None,
+            Waiter::Client(op) => Some(*op),
+            Waiter::Renewal | Waiter::Recovery => None,
         }
     }
 
@@ -2446,6 +2510,9 @@ mod tests {
     /// a horizon timer is told from a round's by its delay.
     const TERM: u64 = 2_500;
 
+    /// The renew point of a [`TERM`] lease: 7/8 of it.
+    const RENEW: u64 = TERM - TERM / 8;
+
     /// Invokes `operation` as op `n`; everything it emitted.
     fn invoke(a: &mut RegisterAutomaton, n: u64, operation: Op) -> Vec<Action> {
         let mut out = Vec::new();
@@ -2489,18 +2556,30 @@ mod tests {
             .expect("the timer")
     }
 
+    /// `ack` carrying a [`TERM`] grant.
+    fn granted(mut ack: Message) -> Message {
+        if let Message::ReadAck { grant, .. } = &mut ack {
+            *grant = TERM as u32;
+        }
+        ack
+    }
+
     /// p1 and p2 answer the read round `req` unanimously — `[seq, p1]` /
     /// `v`, durable, granted.
     fn grant_acks(a: &mut RegisterAutomaton, req: RequestId, seq: Seq, v: u32) -> Vec<Action> {
         let mut out = Vec::new();
         for from in [1, 2] {
-            let mut ack = read_ack(seq, 1, v, req);
-            if let Message::ReadAck { grant, .. } = &mut ack {
-                *grant = TERM as u32;
-            }
-            out.extend(deliver(a, from, ack));
+            out.extend(deliver(a, from, granted(read_ack(seq, 1, v, req))));
         }
         out
+    }
+
+    /// The lease timers a leasing read round armed in `out`.
+    fn lease_timers(out: &[Action]) -> LeaseTimers {
+        LeaseTimers {
+            horizon: timer_of(out, TERM),
+            renew: timer_of(out, RENEW),
+        }
     }
 
     /// p1 and p2 acknowledge the `Write` round broadcast in `out`.
@@ -2515,8 +2594,8 @@ mod tests {
 
     /// A ready automaton of `flavor` — in its second incarnation (`rec`
     /// = 1 where the flavor counts) if `recovered` — whose read (op 0)
-    /// just minted a lease on `[4, p1]` / 40; and that lease's horizon.
-    fn holding_a_lease(flavor: Flavor, recovered: bool) -> (RegisterAutomaton, TimerToken) {
+    /// just minted a lease on `[4, p1]` / 40; and that lease's timers.
+    fn holding_a_lease(flavor: Flavor, recovered: bool) -> (RegisterAutomaton, LeaseTimers) {
         let mut a = if recovered {
             let mut a = RegisterAutomaton::recovered(
                 ProcessId(0),
@@ -2541,11 +2620,11 @@ mod tests {
         };
         assert!(a.is_ready());
         let out = invoke(&mut a, 0, Op::Read);
-        let horizon = timer_of(&out, TERM);
+        let timers = lease_timers(&out);
         let acks = grant_acks(&mut a, read_req(&out), 4, 40);
         assert_eq!(completion(&acks), Some((read_value(40), 1)));
         assert!(a.lease.is_some(), "minted");
-        (a, horizon)
+        (a, timers)
     }
 
     #[test]
@@ -2555,7 +2634,7 @@ mod tests {
             (Flavor::transient(), true, 1),
             (Flavor::persistent(), false, 0),
         ] {
-            let (mut a, horizon) = holding_a_lease(flavor.with_lease(TERM), recovered);
+            let (mut a, timers) = holding_a_lease(flavor.with_lease(TERM), recovered);
             let mut out = invoke(&mut a, 1, Op::Write(Value::from_u32(7)));
             // The lease is out of `self.lease` before anything leaves …
             assert!(a.lease.is_none(), "taken when the write begins");
@@ -2581,12 +2660,12 @@ mod tests {
             assert_eq!(completion(&acks), Some((OpResult::Written, 1)));
             // Handed on: the tag just written, the horizon it had.
             let lease = a.lease.as_ref().expect("handed on");
-            assert_eq!((lease.ts, lease.horizon), (written, horizon));
+            assert_eq!((lease.ts, lease.timers.horizon), (written, timers.horizon));
             let out = invoke(&mut a, 2, Op::Read);
             assert_eq!(completion(&out), Some((read_value(7), 0)));
             assert!(sends_of(&out).is_empty());
             // It still ends when the old one would have.
-            fire(&mut a, horizon);
+            fire(&mut a, timers.horizon);
             assert!(a.lease.is_none());
         }
     }
@@ -2599,11 +2678,14 @@ mod tests {
             value: Value::from_u32(90),
         };
         for spoil in ["horizon", "newer tag"] {
-            let (mut a, horizon) = holding_a_lease(Flavor::transient().with_lease(TERM), false);
+            let (mut a, timers) = holding_a_lease(Flavor::transient().with_lease(TERM), false);
             let out = invoke(&mut a, 1, Op::Write(Value::from_u32(7)));
             // Between the write's first message and its last ack.
             match spoil {
-                "horizon" => assert!(fire(&mut a, horizon).is_empty(), "nothing renews"),
+                "horizon" => {
+                    assert!(fire(&mut a, timers.renew).is_empty(), "the write holds it");
+                    assert!(fire(&mut a, timers.horizon).is_empty(), "nothing renews");
+                }
                 _ => drop(deliver(&mut a, 2, newer.clone())),
             }
             let acks = write_acks(&mut a, &out);
@@ -2656,9 +2738,9 @@ mod tests {
         }
     }
 
-    /// What a lease term saw before its horizon fired.
+    /// What a renewal period saw before its renew point fired.
     #[derive(Debug, Clone, Copy)]
-    enum Term {
+    enum Period {
         /// Nothing.
         Idle,
         /// A zero-round read.
@@ -2668,37 +2750,38 @@ mod tests {
     }
 
     #[test]
-    fn a_lease_lapses_only_after_two_terms_that_served_nothing() {
-        use Term::{Idle, Read, Write};
-        // The terms of one lease chain, from a client read's mint; and for
-        // each, whether its horizon sent a renewal. Every renewal mints.
-        let table: &[(&str, &[Term], &[bool])] = &[
+    fn a_lease_lapses_only_after_three_periods_that_served_nothing() {
+        use Period::{Idle, Read, Write};
+        // The renewal periods of one lease chain, from a client read's
+        // mint; and for each, whether its renew point sent a renewal.
+        // Every renewal mints.
+        let table: &[(&str, &[Period], &[bool])] = &[
             ("a used lease renews", &[Read], &[true]),
             (
-                "the minting read counts for the term before",
-                &[Idle, Idle],
-                &[true, false],
-            ),
-            (
-                "an unused lease after a used term renews once",
-                &[Read, Idle, Idle],
+                "the minting read counts for the period before",
+                &[Idle, Idle, Idle],
                 &[true, true, false],
             ),
             (
-                "use in the second term restarts the count",
-                &[Read, Idle, Read, Idle, Idle],
-                &[true, true, true, true, false],
+                "an unused lease after a used period renews twice",
+                &[Read, Idle, Idle, Idle],
+                &[true, true, true, false],
+            ),
+            (
+                "use in the third period restarts the count",
+                &[Read, Idle, Idle, Read, Idle, Idle, Idle],
+                &[true, true, true, true, true, true, false],
             ),
             (
                 "a write's hand-on is use",
-                &[Write, Idle, Idle],
-                &[true, true, false],
+                &[Write, Idle, Idle, Idle],
+                &[true, true, true, false],
             ),
         ];
-        for &(name, terms, renews) in table {
-            let (mut a, mut horizon) = holding_a_lease(Flavor::transient().with_lease(TERM), false);
-            for (n, (&term, &renew)) in (1..).zip(terms.iter().zip(renews)) {
-                match term {
+        for &(name, periods, renews) in table {
+            let (mut a, mut timers) = holding_a_lease(Flavor::transient().with_lease(TERM), false);
+            for (n, (&period, &renew)) in (1..).zip(periods.iter().zip(renews)) {
+                match period {
                     Idle => {}
                     Read => assert_eq!(completion(&invoke(&mut a, n, Op::Read)).unwrap().1, 0),
                     Write => {
@@ -2707,103 +2790,116 @@ mod tests {
                         assert_eq!(completion(&acks), Some((OpResult::Written, 1)), "{name}");
                     }
                 }
-                let out = fire(&mut a, horizon);
+                let out = fire(&mut a, timers.renew);
                 assert!(
-                    a.lease.is_none(),
-                    "{name}: a Read leaves only while leaseless"
+                    a.lease.is_some(),
+                    "{name}: period {n}: it serves on past its renew point"
                 );
                 if !renew {
-                    assert!(
-                        out.is_empty(),
-                        "{name}: term {n} lapses in silence: {out:?}"
-                    );
+                    assert!(out.is_empty(), "{name}: period {n} sends nothing: {out:?}");
+                    // Lapsed: it serves to its horizon, and ends there in
+                    // silence.
+                    assert_eq!(completion(&invoke(&mut a, 99, Op::Read)).unwrap().1, 0);
+                    assert!(fire(&mut a, timers.horizon).is_empty());
+                    assert!(a.lease.is_none(), "{name}");
                     continue;
                 }
                 // An ordinary read round that nobody waits for, to the
                 // quorum that answered the last one (p1 and p2) and this
                 // process.
-                assert_eq!(targets(&out), [0, 1, 2], "{name}: term {n}");
+                assert_eq!(targets(&out), [0, 1, 2], "{name}: period {n}");
                 assert!(sends_of(&out)
                     .iter()
                     .all(|m| matches!(m, Message::Read { .. })));
-                horizon = timer_of(&out, TERM);
-                // The quorum's answer mints and does nothing else.
+                let renewed = lease_timers(&out);
+                // The quorum's answer mints and does nothing else, in a
+                // period that has served nothing yet; the old horizon is
+                // spent.
                 assert!(grant_acks(&mut a, read_req(&out), 4, 40).is_empty());
                 assert!(a
                     .lease
                     .as_ref()
-                    .is_some_and(|l| l.horizon == horizon && !l.used));
+                    .is_some_and(|l| l.timers.horizon == renewed.horizon));
+                assert!(!a.served, "{name}: period {n}");
+                assert!(fire(&mut a, timers.horizon).is_empty() && a.lease.is_some());
+                timers = renewed;
             }
         }
-
-        // A renewal that fails to mint ends the chain, whatever the term
-        // before it served: nothing is left to fire, and the next lease is
-        // a client's like any other — one renewal for its minting read,
-        // then silence.
-        let (mut a, horizon) = holding_a_lease(Flavor::transient().with_lease(TERM), false);
-        invoke(&mut a, 1, Op::Read);
-        let out = fire(&mut a, horizon);
-        let (renewed, round) = (timer_of(&out, TERM), timer_of(&out, 1_000));
-        let mut acks = Vec::new();
-        read_acks(&mut a, read_req(&out), 4, 40, &mut acks);
-        assert!(acks.is_empty() && a.lease.is_none(), "grant-less: no mint");
-        assert!(fire(&mut a, renewed).is_empty() && fire(&mut a, round).is_empty());
-        let out = invoke(&mut a, 2, Op::Read);
-        let horizon = timer_of(&out, TERM);
-        let acks = grant_acks(&mut a, read_req(&out), 4, 40);
-        assert_eq!(completion(&acks), Some((read_value(40), 1)));
-        let out = fire(&mut a, horizon);
-        let renewed = timer_of(&out, TERM);
-        assert!(grant_acks(&mut a, read_req(&out), 4, 40).is_empty());
-        assert!(fire(&mut a, renewed).is_empty(), "no renewal chain");
-        assert!(a.lease.is_none());
-    }
-
-    /// An automaton whose used lease just turned into a renewal round;
-    /// what the horizon's firing emitted.
-    fn renewing() -> (RegisterAutomaton, Vec<Action>) {
-        let (mut a, horizon) = holding_a_lease(Flavor::transient().with_lease(TERM), false);
-        invoke(&mut a, 1, Op::Read);
-        let out = fire(&mut a, horizon);
-        (a, out)
     }
 
     #[test]
-    fn a_read_adopts_a_renewal_only_for_the_outcome_that_could_mint() {
-        // Unanimous and granted: the adopter is served in one round.
-        let (mut a, out) = renewing();
-        assert!(invoke(&mut a, 2, Op::Read).is_empty(), "adopted");
-        let acks = grant_acks(&mut a, read_req(&out), 4, 40);
-        assert_eq!(completion(&acks), Some((read_value(40), 1)));
-        assert!(sends_of(&acks).is_empty());
-        assert!(a.lease.is_some(), "and the renewal minted");
-        // Adopted, it is an operation like any other: a read invoked after
-        // the adopter waits its turn, and the lease the renewal minted
-        // serves it in zero rounds.
-        let (mut a, out) = renewing();
-        invoke(&mut a, 2, Op::Read);
-        assert!(invoke(&mut a, 3, Op::Read).is_empty(), "queued");
-        let acks = grant_acks(&mut a, read_req(&out), 4, 40);
+    fn a_renewal_leaves_before_the_horizon_and_reads_meanwhile_are_zero_round() {
+        let used = || {
+            let (mut a, timers) = holding_a_lease(Flavor::transient().with_lease(TERM), false);
+            invoke(&mut a, 1, Op::Read);
+            let out = fire(&mut a, timers.renew);
+            (a, timers, out)
+        };
+        // The renewal leaves at the renew point, while the lease serves:
+        // the reads invoked meanwhile are served from it, nothing sent.
+        let (mut a, timers, out) = used();
+        assert_eq!(targets(&out), [0, 1, 2], "{out:?}");
+        for n in 2..4 {
+            let served = invoke(&mut a, n, Op::Read);
+            assert_eq!(completion(&served), Some((read_value(40), 0)));
+            assert!(sends_of(&served).is_empty());
+        }
+        // The mint replaces the lease — on the newer tag the quorum
+        // reports — and the reads served meanwhile count for its period.
+        assert!(grant_acks(&mut a, read_req(&out), 5, 50).is_empty());
+        let lease = a.lease.as_ref().expect("minted");
+        assert_eq!(lease.timers.horizon, lease_timers(&out).horizon);
+        assert!(a.served);
         assert_eq!(
-            completions(&acks),
-            [(2, read_value(40), 1), (3, read_value(40), 0)]
+            completion(&invoke(&mut a, 4, Op::Read)),
+            Some((read_value(50), 0))
         );
-        assert!(sends_of(&acks).is_empty());
+        assert!(fire(&mut a, timers.horizon).is_empty() && a.lease.is_some());
 
-        // Anything else says nothing about the time since the replies
-        // were sent — before the adopter was invoked, possibly: no
-        // write-back of what they carried, the read starts over.
-        let (mut a, out) = renewing();
-        let req = read_req(&out);
-        invoke(&mut a, 2, Op::Read);
-        let mut acks = deliver(&mut a, 1, read_ack(4, 1, 40, req));
-        acks.extend(deliver(&mut a, 2, read_ack(5, 2, 50, req)));
-        assert_eq!(completion(&acks), None);
-        let sends = sends_of(&acks);
-        // The quorum that answered the renewal (p1 and p2), and this
+        // A renewal that cannot mint leaves the lease serving to its own
+        // horizon, and the next read after it asks the quorum.
+        let (mut a, timers, out) = used();
+        let mut acks = Vec::new();
+        let split = [(1, 4, 1, 40), (2, 5, 2, 50)];
+        read_acks_from(&mut a, read_req(&out), split, &mut acks);
+        assert!(acks.is_empty(), "no write-back: {acks:?}");
+        assert_eq!(
+            completion(&invoke(&mut a, 2, Op::Read)),
+            Some((read_value(40), 0))
+        );
+        assert!(fire(&mut a, timers.horizon).is_empty() && a.lease.is_none());
+        let out = invoke(&mut a, 3, Op::Read);
+        assert_eq!(completion(&out), None);
+        assert!(sends_of(&out)
+            .iter()
+            .all(|m| matches!(m, Message::Read { .. })));
+    }
+
+    #[test]
+    fn a_read_that_meets_a_leaseless_renewal_is_served_by_what_it_leaves() {
+        // The lease's horizon passes while its renewal is out: a read
+        // invoked then queues like any invocation …
+        let leaseless = || {
+            let (mut a, timers) = holding_a_lease(Flavor::transient().with_lease(TERM), false);
+            invoke(&mut a, 1, Op::Read);
+            let out = fire(&mut a, timers.renew);
+            assert!(fire(&mut a, timers.horizon).is_empty() && a.lease.is_none());
+            assert!(invoke(&mut a, 2, Op::Read).is_empty(), "queued");
+            (a, read_req(&out))
+        };
+        // … and is served by the lease the round mints, in zero rounds.
+        let (mut a, req) = leaseless();
+        let acks = grant_acks(&mut a, req, 4, 40);
+        assert_eq!(completions(&acks), [(2, read_value(40), 0)]);
+        assert!(sends_of(&acks).is_empty());
+        // A round that cannot mint leaves nothing: the read runs its own,
+        // to the quorum that answered the renewal (p1 and p2) and this
         // process.
+        let (mut a, req) = leaseless();
+        let mut acks = Vec::new();
+        read_acks_from(&mut a, req, [(1, 4, 1, 40), (2, 5, 2, 50)], &mut acks);
+        assert_eq!(completion(&acks), None);
         assert_eq!(targets(&acks), [0, 1, 2], "{acks:?}");
-        assert!(sends.iter().all(|m| matches!(m, Message::Read { .. })));
         let again = read_req(&acks);
         assert_ne!(again, req);
         let acks = grant_acks(&mut a, again, 5, 50);
@@ -2811,8 +2907,59 @@ mod tests {
     }
 
     #[test]
+    fn a_write_across_the_renew_point_renews_after_its_hand_on() {
+        let (mut a, timers) = holding_a_lease(Flavor::transient().with_lease(TERM), false);
+        let out = invoke(&mut a, 1, Op::Write(Value::from_u32(7)));
+        // The write holds the lease: nothing leaves at the renew point, and
+        // a read invoked meanwhile waits behind the write.
+        assert!(fire(&mut a, timers.renew).is_empty());
+        assert!(invoke(&mut a, 2, Op::Read).is_empty(), "queued");
+        // The write completes and hands the lease on; the renewal leaves
+        // right after, and the queued read is served from the handed-on
+        // lease while it is out.
+        let acks = write_acks(&mut a, &out);
+        assert_eq!(
+            completions(&acks),
+            [(1, OpResult::Written, 1), (2, read_value(7), 0)]
+        );
+        // The renewal's `Read`s, to the write's quorum (p1 and p2) and this
+        // process, leave between the two completions.
+        assert_eq!(targets(&acks), [0, 1, 2], "{acks:?}");
+        let order: Vec<&str> = (acks.iter())
+            .filter_map(|x| match x {
+                Action::Complete { .. } => Some("complete"),
+                Action::Send {
+                    msg: Message::Read { .. },
+                    ..
+                } => Some("read"),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(order, ["complete", "read", "read", "read", "complete"]);
+        // The quorum holds what the write wrote: the renewal mints on it.
+        let written = Timestamp::new(5, ProcessId(0));
+        let req = read_req(&acks);
+        for from in [1, 2] {
+            deliver(&mut a, from, granted(read_ack(5, 0, 7, req)));
+        }
+        let lease = a.lease.as_ref().expect("renewed");
+        assert_eq!(lease.ts, written);
+        assert_eq!(lease.timers.horizon, lease_timers(&acks).horizon);
+        assert!(fire(&mut a, timers.horizon).is_empty() && a.lease.is_some());
+    }
+
+    /// An automaton whose used lease just sent its renewal; the lease's
+    /// timers and what the renew point emitted.
+    fn renewing() -> (RegisterAutomaton, LeaseTimers, Vec<Action>) {
+        let (mut a, timers) = holding_a_lease(Flavor::transient().with_lease(TERM), false);
+        invoke(&mut a, 1, Op::Read);
+        let out = fire(&mut a, timers.renew);
+        (a, timers, out)
+    }
+
+    #[test]
     fn a_write_waits_for_a_renewal_and_begins_under_what_it_minted() {
-        let (mut a, out) = renewing();
+        let (mut a, _, out) = renewing();
         assert!(invoke(&mut a, 2, Op::Write(Value::from_u32(7))).is_empty());
         let acks = grant_acks(&mut a, read_req(&out), 4, 40);
         // Drained right after the mint: a leased write.
@@ -2827,9 +2974,10 @@ mod tests {
     }
 
     #[test]
-    fn a_renewal_nobody_adopted_ends_at_its_own_horizon() {
-        let (mut a, out) = renewing();
+    fn a_renewal_ends_at_its_own_horizon() {
+        let (mut a, timers, out) = renewing();
         let (req, renewed, round) = (read_req(&out), timer_of(&out, TERM), timer_of(&out, 1_000));
+        assert!(fire(&mut a, timers.horizon).is_empty() && a.lease.is_none());
         invoke(&mut a, 2, Op::Write(Value::from_u32(7)));
         // Too slow to mint: the round is dropped, and what waited for it
         // starts as it would have without it.

@@ -65,19 +65,25 @@
 //!
 //! **A process is exempt from its own grants, and only those.** A lease
 //! lives in exactly one place — the coordinator that minted it; nothing
-//! hands it on to a client — and a coordinator sends a `Read`, or a
-//! `Write` newer than its leased tag, only while it holds no lease (it
-//! reads only without one — a lease that renews itself does so at its
-//! horizon, when it is gone — and a write takes the lease out of
-//! service before its first message leaves, to put it back on the tag
-//! it wrote only once it completed; a crash takes the lease with it).
-//! So when such a message from X arrives, nobody is serving under X's
-//! grants at that moment and there is nothing for them to protect *from
-//! X*: its write is acknowledged as soon as it is durable and its read
-//! is attested. The lease X's completed write hands on to its new tag
-//! leans on the same grants: they fence every *foreign* tag above the
-//! minimum granted one — the new tag and reads of it included — until
-//! past the horizon the lease keeps.
+//! hands it on to a client — and a coordinator sends a `Write` newer than
+//! its leased tag only while it holds no lease (a write takes the lease
+//! out of service before its first message leaves, to put it back on the
+//! tag it wrote only once it completed; a crash takes the lease with
+//! it). So when such a `Write` from X arrives, nobody is serving under
+//! X's grants and there is nothing for them to protect *from X*: it is
+//! acknowledged as soon as it is durable. X sends a `Read` while leaseless
+//! or as its live lease's own renewal, 7/8 into the term, and a `Read` is
+//! attested past X's grants too: all X does with the answer is mint, and
+//! a mint needs every replier to report one tag, durable and granted. A
+//! foreign tag above the leased one that such a quorum reports cannot
+//! have completed — the old grants still fence it at every replica that
+//! issued them — and the quorum holds it, so the lease may move to it
+//! (replacing the old one) while no later majority can miss it; a quorum
+//! that disagrees mints nothing and leaves the old lease serving under
+//! the grants it was minted from. The lease X's completed write hands on
+//! to its new tag leans on the same grants: they fence every *foreign*
+//! tag above the minimum granted one — the new tag and reads of it
+//! included — until past the horizon the lease keeps.
 //! Against everybody else X's grants stand until their horizon, because
 //! a straggler of X's (a duplicate from an abandoned write or a previous
 //! incarnation) may arrive after X minted afresh on an older tag — it is

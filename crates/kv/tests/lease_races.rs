@@ -243,13 +243,15 @@ fn sweep_writers_vs_leased_readers() {
 }
 
 /// A lease in use renews itself with nobody waiting — and stops: a
-/// renewed lease starts unused, and a lease lapses after two unused
-/// terms, so once the calls end each lease in use renews twice (its last
-/// used term ends within one term of the last call, each renewal's term
-/// is one more) and then lapses: quiet within three holds. No renewal
-/// loop keeps an idle cluster talking.
+/// renewal period starts unused, and a lease lapses after three unused
+/// renewal periods (7/8 of a term each), so once the calls end each lease
+/// in use renews three times (its last used period ends within one
+/// period of the last call, each renewal's period is one more) and then
+/// lapses: the last renewal leaves within 2.625 terms of the last call,
+/// quiet within three holds. No renewal loop keeps an idle cluster
+/// talking.
 #[test]
-fn an_idle_cluster_goes_quiet_two_renewals_after_its_last_call() {
+fn an_idle_cluster_goes_quiet_three_renewals_after_its_last_call() {
     const TERM: Duration = Duration::from_millis(40);
     let cluster = leased_cluster(TERM.as_micros() as u64);
     let kv = KvClient::new(cluster.clients(), ShardRouter::new(SHARDS)).unwrap();

@@ -662,8 +662,8 @@ struct Node {
 
 impl Host<Call> for Node {
     /// Requests belong to the operation begun on their register (robust
-    /// across retransmits from timers; a lease renewal nobody adopted is
-    /// nobody's); acks to the request that asked for them.
+    /// across retransmits from timers; a lease renewal is nobody's); acks
+    /// to the request that asked for them.
     fn send(&mut self, to: ProcessId, msg: Message, op: Option<&Call>) {
         self.mx.msgs_out.inc();
         let req = msg.request_id();

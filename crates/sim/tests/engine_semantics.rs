@@ -956,9 +956,10 @@ fn a_write_behind_a_lease_renewal_begins_when_the_renewal_mints() {
     use rmem_core::{Flavor, FlavorFactory, DEFAULT_RETRANSMIT};
     use rmem_types::{Op, OpKind, Value};
     const TERM: u64 = 1_000;
-    // The read at 10 µs mints a lease whose horizon, one term after its
-    // broadcast, starts the renewal; the write arrives 50 µs into it.
-    let submitted = 10 + TERM + 50;
+    // The read at 10 µs mints a lease whose renew point, 7/8 of a term
+    // after its broadcast, starts the renewal; the write arrives 50 µs
+    // into it.
+    let submitted = 10 + TERM - TERM / 8 + 50;
     let schedule = Schedule::new()
         .at(10, PlannedEvent::Invoke(ProcessId(0), Op::Read))
         .at(

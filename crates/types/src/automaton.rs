@@ -167,12 +167,11 @@ pub enum Action {
         /// coordinator's held tag lease without touching the network at
         /// all (0); and whether a write ran the figure's query and
         /// propagation rounds (2) or began under the coordinator's live
-        /// lease, which stands in for the query (1). A read that adopted
-        /// a lease renewal already in flight counts that round (1). An
-        /// adopter whose renewal was discarded — its quorum could not
-        /// mint, so the read ran a round of its own — counts only its own
-        /// rounds: the discarded one, which it waited for, is not added,
-        /// so a per-read round count under-reports by one there. The
+        /// lease, which stands in for the query (1). An operation that
+        /// waited for a lease renewal counts only its own rounds, like
+        /// one that waited behind another operation: a read the renewal's
+        /// lease then served counts 0, and one that ran a round of its
+        /// own because the renewal could not mint counts that round. The
         /// lease itself never leaves the automaton: a completion carries
         /// a value, not a right to serve it again.
         rounds: u32,
