@@ -8,7 +8,7 @@
 //! (see `rmem_core::replica`), which makes the holder's side of the fence
 //! the part to distrust, its renewal — a `Read` sent while the lease
 //! still serves — included. So these tests race writers against leased
-//! readers over seeded, jittered runs in thirteen shapes — reader and
+//! readers over seeded, jittered runs in sixteen shapes — reader and
 //! writer through the **same** coordinator (whose write *hands* its lease
 //! *on* to the tag it wrote), through different ones, thrifty rounds on
 //! both sides, a straggler `Write` of the holder's previous incarnation
@@ -18,8 +18,11 @@
 //! clients arriving during a renewal nobody waits for, a read waiting
 //! behind a renewal whose replies are older than itself, a foreign write
 //! landing between a mint and its renew point at one granting replica or
-//! at the whole renewal quorum, and a renewal whose replies come back
-//! late — and adjudicate each run twice: the full
+//! at the whole renewal quorum, a renewal whose replies come back late,
+//! a renewal that must write back what the replica a thrifty put skipped
+//! holds before it mints, one that skips a replier that cannot grant, and
+//! a write whose lease ran out under it renewing for the read queued
+//! behind it — and adjudicate each run twice: the full
 //! criterion checkers certify the history, and
 //! the [`check_freshness`] oracle polices every zero-round read against
 //! the committed version frontier — **a leased read must never return a
@@ -625,14 +628,16 @@ fn a_holder_crashing_mid_write_leaves_no_stale_lease_behind() {
 /// (e) The lease's horizon fires **mid-write**, while a foreign reader
 /// waits. p0 mints at 10 µs, so its horizon is 1 510 µs on every seed,
 /// and begins a write under that lease at 1 300 µs that cannot finish
-/// before it: there is nothing left to hand on, p0's next read asks the
-/// quorum, and p1 — whose read met the new tag behind p0's grants — is
+/// before it: there is nothing left to hand on, so the write renews right
+/// after it completes and p0's next read is served by what that renewal
+/// minted, and p1 — whose read met the new tag behind p0's grants — is
 /// served it only after they expired. Then p2 writes, unheard by p0 (so
 /// p0's own replica cannot retire a lease for it), and p0 must see that
-/// too. (Red without the line in `on_timer` that marks a taken lease's
-/// horizon as fired: the write hands on a lease whose timer is spent,
-/// which never ends, and p0 serves version 1 for ever after p2's
-/// version 2 completed.)
+/// too. (Red when a write whose lease ran out under it does not renew:
+/// p0's next read asks the quorum. Without the line in `on_timer` that
+/// marks an armed lease's horizon as fired, the write would hand on a
+/// lease whose horizon is spent; here the renewal that follows replaces
+/// it before it serves anything — shape (m) is where that turns red.)
 #[test]
 fn a_horizon_that_fires_mid_write_leaves_nothing_to_hand_on() {
     const MINT: u64 = 10;
@@ -669,9 +674,9 @@ fn a_horizon_that_fires_mid_write_leaves_nothing_to_hand_on() {
                 at(p(0), 3_800).kind,
                 FreshnessKind::Read {
                     version: 1,
-                    leased: false
+                    leased: true
                 },
-                "{what}: no lease after a write whose lease ran out under it"
+                "{what}: the write whose lease ran out under it renews"
             );
             let foreign = at(p(1), WRITE + 400);
             assert_eq!(
@@ -706,10 +711,14 @@ fn a_horizon_that_fires_mid_write_leaves_nothing_to_hand_on() {
 /// What keeps p0's zero-round reads fresh is p1 alone, the one replica
 /// both majorities share, parking its acknowledgement until its grant to
 /// p0 expires. (The renewal p0 sends at its renew point, ≈ 3.9 ms, meets
-/// the new tag at p1 and cannot mint: the lease serves on to its horizon,
-/// ≈ 4.1 ms, and the read at 4.4 ms asks the quorum.) (Red when the
-/// replica fence in `Replica::on_message` is removed: the write completes
-/// inside the lease, and p0 goes on serving the old value.)
+/// the new tag at p1 fenced behind p2's own grants there, so p1 does not
+/// grant and the renewal waits for a replier that does: the lease serves
+/// on to its horizon, ≈ 4.1 ms, and the read invoked at 4.4 ms queues
+/// behind the renewal. Once p2's grants at p1 expired, a retransmission
+/// hears the new tag granted, the renewal writes it back — no lease
+/// serves by then — and the read is served by the lease it mints.) (Red
+/// when the replica fence in `Replica::on_message` is removed: the write
+/// completes inside the lease, and p0 goes on serving the old value.)
 #[test]
 fn a_foreign_writers_thrifty_round_that_misses_the_holder_is_still_fenced() {
     const MINT: u64 = 3_000;
@@ -740,13 +749,20 @@ fn a_foreign_writers_thrifty_round_that_misses_the_holder_is_still_fenced() {
                 "{what}: the write completed at {} µs, under p0's grant at p1",
                 write.completed_at
             );
-            let leased_during_write = p0_reads.iter().filter(|&&invoked| {
-                let read = at(p(0), invoked);
-                invoked > WRITE && matches!(read.kind, FreshnessKind::Read { leased: true, .. })
+            let reads = reads_of(&ops, p(0));
+            let leased_during_write = reads.iter().filter(|&&(invoked, _, leased)| {
+                (WRITE..write.completed_at).contains(&invoked) && leased
             });
             assert!(
                 leased_during_write.count() >= 3,
-                "{what}: p0 must serve under its lease while the write is out"
+                "{what}: p0 must serve under its lease while the write is out: {reads:?}"
+            );
+            // The read invoked at 4.4 ms begins when the renewal mints.
+            let queued = reads.iter().find(|&&(invoked, ..)| invoked > 3_900);
+            assert_eq!(
+                queued.map(|&(_, version, leased)| (version, leased)),
+                Some((1, true)),
+                "{what}: the renewal's mint serves the read behind it: {reads:?}"
             );
             assert!(
                 matches!(at(p(0), 8_000).kind, FreshnessKind::Read { version: 1, .. }),
@@ -793,12 +809,14 @@ fn a_holder_that_renews_every_term_does_not_starve_a_foreign_writer() {
 /// read round nobody waits for, and serves on while it is out. A read
 /// invoked while the first is out is served by the lease, in zero rounds,
 /// and a write invoked while the second is out is not refused: it waits
-/// for the mint and begins under it, one round. After the last invocation
-/// the lease is renewed once for the write that handed it on, twice more
-/// for the unused periods that follow, and then lapses after three unused
-/// periods: within three terms the cluster has sent its last message.
-/// (Red when a renewal mints a lease that starts *used*: it renews for
-/// ever.)
+/// for the mint and begins under it, one round. Use earns idle periods:
+/// the minting read leaves three, and each of the three reads served and
+/// the write's hand-on adds one. So after the last invocation the lease
+/// is renewed once for the write that handed it on and six times more
+/// for the unused periods its allowance of seven covers, and lapses at
+/// the seventh: six terms on it still renews, within seven the cluster
+/// has sent its last message. (Red when a renewal mints a lease that
+/// starts *used*: it renews for ever.)
 #[test]
 fn a_renewal_serves_who_arrives_meanwhile_and_an_idle_cluster_goes_quiet() {
     const RENEW: u64 = LEASE_MICROS - LEASE_MICROS / 8;
@@ -819,7 +837,7 @@ fn a_renewal_serves_who_arrives_meanwhile_and_an_idle_cluster_goes_quiet() {
                 sim.wake_at(VirtualTime(WRITE + quiet_terms * LEASE_MICROS));
                 sim.run()
             };
-            let report = run_until(3);
+            let report = run_until(7);
             let what = format!("{name}/seed {seed}");
             assert_eq!(completed(&report), 5, "{what}: all ops complete");
             adjudicate(&report, &what, check, &mut rounds);
@@ -844,10 +862,15 @@ fn a_renewal_serves_who_arrives_meanwhile_and_an_idle_cluster_goes_quiet() {
                 write.invoked_at.as_micros() > WRITE,
                 "{what}: it began on arrival, not when the renewal minted"
             );
-            assert_eq!(
-                run_until(10).trace.messages_sent,
+            assert_ne!(
+                run_until(6).trace.messages_sent,
                 report.trace.messages_sent,
-                "{what}: something still renews three terms after the last invocation"
+                "{what}: the lease lapsed before its allowance was spent"
+            );
+            assert_eq!(
+                run_until(20).trace.messages_sent,
+                report.trace.messages_sent,
+                "{what}: something still renews seven terms after the last invocation"
             );
         }
         assert!(rounds.leased > 0, "{name}: the oracle policed nothing");
@@ -861,15 +884,19 @@ fn a_renewal_serves_who_arrives_meanwhile_and_an_idle_cluster_goes_quiet() {
 /// and take 3.9 ms to come back. Meanwhile the lease reaches its horizon
 /// (8.5 ms), that write completes, p1's second write completes, and only
 /// then is a read invoked at p0: leaseless, it waits behind the round
-/// still waiting for p2, and the history has it begin when that round is
+/// still waiting, and the history has it begin when that round is
 /// through. What p2 said is older than a write that completed before
-/// this read was invoked; the quorum is not unanimous, so the round mints
-/// nothing and leaves nothing, and the read must ask again. (Red when a
-/// lease whose renewal is out outlives its horizon until the round
-/// returns: the read is served ⊥ after both writes completed. A
-/// unanimous granted quorum is different — its grants fence every foreign
-/// tag from the moment each reply was sent — and a read queued behind
-/// one is served by the lease it mints.)
+/// this read was invoked, and it came without a grant: the renewal
+/// counts it as not heard from. At its own horizon (12 ms) the renewal
+/// goes again from a fresh stamp, to everyone; p0's replica (⊥) and p2
+/// (the second write, granted) disagree, no lease serves any more, so it
+/// writes the second write back and mints on it — and the read is served
+/// that, in zero rounds. (Red when a lease whose renewal is out outlives
+/// its horizon until the round returns: the read is served ⊥ after both
+/// writes completed. A granted quorum is different — its grants fence
+/// every foreign tag above what each replier reported from the moment it
+/// was sent — and a read queued behind one is served by the lease it
+/// mints.)
 #[test]
 fn a_read_behind_a_renewal_is_not_served_from_replies_older_than_itself() {
     const LEASE: u64 = 4_000;
@@ -879,8 +906,8 @@ fn a_read_behind_a_renewal_is_not_served_from_replies_older_than_itself() {
     const WAITS: u64 = 11_000;
     let big = Value::new(vec![7u8; 48 * 1024]);
     let last = version_of(&big) + 1;
-    // No retransmission within the run: p2's first reply, late, is the
-    // one that completes the round.
+    // No retransmission within the run: the renewal waiting past p2's
+    // late, grant-less first reply goes again only at its own horizon.
     for (factory, name, check) in patient_leased_flavors(LEASE, Micros(50_000)) {
         // The 48 KiB reach p2 in the 1.8 ms before the renewal does, so
         // they are not on its disk yet: it answers without a grant.
@@ -912,16 +939,16 @@ fn a_read_behind_a_renewal_is_not_served_from_replies_older_than_itself() {
                 .find(|&&(pid, op)| pid == p(0) && op.invoked_at >= WAITS);
             let (_, waited) = waited.expect("planted");
             assert!(
-                waited.completed_at > RENEWAL + 4_000,
-                "{what}: the read must have been waiting when p2's reply came"
+                waited.completed_at > RENEWAL + LEASE,
+                "{what}: the read must have waited for the renewal to go again"
             );
             assert_eq!(
                 waited.kind,
                 FreshnessKind::Read {
                     version: last,
-                    leased: false
+                    leased: true
                 },
-                "{what}"
+                "{what}: served by what the second renewal minted"
             );
         }
     }
@@ -1145,6 +1172,213 @@ fn a_renewed_lease_dies_one_term_after_its_renewal_left() {
             );
         }
         assert!(rounds.leased > 0, "{name}: the oracle policed nothing");
+    }
+}
+
+/// (k) A renewal whose quorum holds **the replica a thrifty put skipped**
+/// writes back before it mints. p0 mints on ⊥ from itself and p2, so its
+/// write of version 1 goes to p0 and p2 only: p1 never sees it. p1 then
+/// writes version 2, and every message it sends after its query round is
+/// lost, so version 2 sits at p1 alone (and stays there: no round
+/// retransmits within the run). p0's lease renews from p0 and p2 until p2
+/// goes silent; the renewal that meets the silence waits out its own
+/// horizon — its lease ends meanwhile and p0's reads queue — and goes
+/// again to everyone: p0 answers version 1 and p1 version 2, both
+/// granted. The best tag is on no majority, so the renewal writes it back
+/// and mints on it once that is through, and the queued reads are served
+/// version 2. Then p2, hearing only itself and p0, reads: p0's replica
+/// holds version 2 and the read must return it. (Red when a renewal whose
+/// granting repliers disagree mints at once instead of writing back: p0
+/// serves version 2 from a replica set that never held it, and p2's
+/// quorum of p2 and p0 agrees on version 1 afterwards.)
+#[test]
+fn a_renewal_that_hears_the_replica_a_thrifty_put_skipped_writes_back_before_it_mints() {
+    const PUT: u64 = 1_000;
+    const FOREIGN: u64 = 5_000;
+    const SILENT: u64 = 6_500;
+    const RETRY: u64 = 3_510 + OVERLAP_RENEW + OVERLAP_LEASE;
+    const READ: u64 = 12_000;
+    let p1_out = [(p(1), p(0)), (p(1), p(2))];
+    for (factory, name, check) in patient_leased_flavors(OVERLAP_LEASE, Micros(50_000)) {
+        let mut rounds = ReadRounds::default();
+        for seed in 0..SEEDS {
+            let schedule = Schedule::new()
+                // p0's first quorum is p0 and p2; its put goes there.
+                .at(0, PlannedEvent::Block(p(1), p(0)))
+                .at(10, PlannedEvent::Invoke(p(0), Op::Read))
+                .at(500, PlannedEvent::Unblock(p(1), p(0)))
+                .at(PUT, PlannedEvent::Invoke(p(0), Op::Write(v(1))))
+                // p1's query round gets through, its `Write` does not.
+                .at(FOREIGN, PlannedEvent::Invoke(p(1), Op::Write(v(2))))
+                .at(SILENT, PlannedEvent::Block(p(2), p(0)))
+                .at(READ - 500, PlannedEvent::Unblock(p(2), p(0)))
+                .at(READ, PlannedEvent::Invoke(p(2), Op::Read));
+            let schedule = p1_out.iter().fold(schedule, |schedule, &(from, to)| {
+                schedule.at(FOREIGN + 50, PlannedEvent::Block(from, to))
+            });
+            // p1 is heard again by p0 before the retry, never by p2.
+            let schedule = schedule.at(SILENT, PlannedEvent::Unblock(p(1), p(0)));
+            let mut sim = Simulation::new(jittery(), factory.clone(), seed).with_schedule(schedule);
+            let reader = ClosedLoop::reads(p(0), 60).with_think(Micros(200));
+            sim.add_closed_loop(reader.with_start_after(Micros(PUT + 500)));
+            let report = sim.run();
+            let what = format!("{name}/seed {seed}");
+            assert_eq!(completed(&report), 64, "{what}: all ops complete");
+            let ops = adjudicate(&report, &what, check, &mut rounds);
+            let reads = reads_of(&ops, p(0));
+            let queued = reads.iter().find(|&&(invoked, ..)| invoked > RETRY);
+            assert_eq!(
+                queued.map(|&(_, version, leased)| (version, leased)),
+                Some((2, true)),
+                "{what}: the retried renewal's mint serves version 2: {reads:?}"
+            );
+            assert!(
+                (reads.iter()).all(|&(invoked, version, _)| invoked < RETRY || version == 2),
+                "{what}: {reads:?}"
+            );
+            let theirs = planted(&ops, p(2), READ);
+            assert!(
+                matches!(theirs.kind, FreshnessKind::Read { version: 2, .. }),
+                "{what}: p2 read {:?}",
+                theirs.kind
+            );
+        }
+        assert!(rounds.leased > 0, "{name}: the oracle policed nothing");
+    }
+}
+
+/// (l) A renewal **skips a replier that cannot grant**, and the newer
+/// foreign tag that replier holds stays fenced past the horizon of the
+/// lease the renewal mints. p0 mints on ⊥ from itself and p1 at 10 µs
+/// and reads on; p1 reads at 2 ms (so every replica holds a grant to p1)
+/// and then writes version 1 under its own lease, its `Write` reaching
+/// only its own replica. At p0's renew point (3.5 ms) the renewal asks p0
+/// and p1: p1 reports version 1, fenced there behind its own grants, so
+/// it does not grant — and the renewal counts it as not heard from. p1
+/// goes silent towards p0, the old lease ends at its horizon (4 ms) with
+/// reads queued behind the renewal, and the renewal's retransmission
+/// (5.5 ms) hears p2, still on ⊥ and granting: it mints on ⊥ under its
+/// 3.5 ms stamp and serves what waited. p1's `Write` reaches p2 only
+/// after that, parks behind p2's new grant to p0 and completes after the
+/// renewed lease's horizon (7.5 ms). (Red when a renewal counts a reply
+/// without a grant towards its majority: it mints at once from p0's own
+/// grant, no replica but p0 fences for it, and p1's write completes at
+/// p1 and p2 while p0 still serves ⊥.)
+#[test]
+fn a_renewal_skips_a_replier_that_cannot_grant_and_its_newer_tag_stays_fenced() {
+    const RENEW: u64 = 10 + OVERLAP_RENEW;
+    const HORIZON: u64 = RENEW + OVERLAP_LEASE;
+    const THEIRS: u64 = 2_600;
+    for (factory, name, check) in leased_flavors(OVERLAP_LEASE) {
+        let mut rounds = ReadRounds::default();
+        for seed in 0..SEEDS {
+            let schedule = Schedule::new()
+                // p0's first quorum is p0 and p1.
+                .at(0, PlannedEvent::Block(p(2), p(0)))
+                .at(10, PlannedEvent::Invoke(p(0), Op::Read))
+                .at(500, PlannedEvent::Unblock(p(2), p(0)))
+                .at(2_000, PlannedEvent::Invoke(p(1), Op::Read))
+                // p1's `Write` stays at p1; p0 hears p1 only around its
+                // renew point, p2 only once the renewal minted.
+                .at(THEIRS - 100, PlannedEvent::Block(p(1), p(0)))
+                .at(THEIRS - 100, PlannedEvent::Block(p(1), p(2)))
+                .at(THEIRS, PlannedEvent::Invoke(p(1), Op::Write(v(1))))
+                .at(RENEW - 500, PlannedEvent::Unblock(p(1), p(0)))
+                .at(RENEW + 500, PlannedEvent::Block(p(1), p(0)))
+                .at(6_000, PlannedEvent::Unblock(p(1), p(2)))
+                .at(20_000, PlannedEvent::Unblock(p(1), p(0)));
+            let mut sim = Simulation::new(jittery(), factory.clone(), seed).with_schedule(schedule);
+            let reader = ClosedLoop::reads(p(0), 80).with_think(Micros(200));
+            sim.add_closed_loop(reader.with_start_after(Micros(600)));
+            let report = sim.run();
+            let what = format!("{name}/seed {seed}");
+            assert_eq!(completed(&report), 83, "{what}: all ops complete");
+            let ops = adjudicate(&report, &what, check, &mut rounds);
+            let reads = reads_of(&ops, p(0));
+            assert!(
+                (reads.iter()).any(|&(invoked, version, leased)| {
+                    (RENEW + OVERLAP_LEASE / 8..HORIZON).contains(&invoked)
+                        && version == 0
+                        && leased
+                }),
+                "{what}: the renewal must mint on ⊥ and serve past the old horizon: {reads:?}"
+            );
+            let theirs = planted(&ops, p(1), THEIRS);
+            assert!(
+                theirs.completed_at > HORIZON,
+                "{what}: p1's write completed at {} µs, under the renewed lease",
+                theirs.completed_at
+            );
+            assert!(
+                (reads.iter()).any(|&(_, version, _)| version == 1),
+                "{what}: p0 never read p1's write: {reads:?}"
+            );
+        }
+        assert!(rounds.leased > 0, "{name}: the oracle policed nothing");
+    }
+}
+
+/// (m) **A write whose lease ran out under it renews**, and the read
+/// queued behind it is served by that renewal — never something older
+/// than a write that completed first. p0 mints at 10 µs (horizon
+/// 1 510 µs) and at 1 ms writes under that lease, but the first send of
+/// its `Write` to p1 and p2 is lost: it completes only on the
+/// retransmission, 2 ms on, with the horizon past. Meanwhile p2, which p0
+/// does not hear, writes a newer tag through p1 and completes once p0's
+/// grants expire, and then a read is invoked at p0: it queues behind p0's
+/// write. That write completes with nothing to hand on and renews at
+/// once; the renewal's quorum — p0 with its own tag and p1 with p2's
+/// newer one — disagrees, no lease serves, so it writes p2's tag back and
+/// mints on it, and the queued read is served that, in zero rounds. (Red
+/// without the line in `on_timer` that marks an armed lease's horizon as
+/// fired: the write hands on a lease whose horizon is spent, and the
+/// queued read is served p0's version after p2's newer one completed.)
+#[test]
+fn a_write_whose_lease_ran_out_under_it_renews_and_serves_what_waited() {
+    const WRITE: u64 = 1_000;
+    const FOREIGN: u64 = 1_600;
+    const WAITS: u64 = 2_900;
+    for (factory, name, check) in leased_flavors(LEASE_MICROS) {
+        for seed in 0..SEEDS {
+            let lost = [(p(0), p(1)), (p(0), p(2))];
+            let schedule = Schedule::new()
+                .at(0, PlannedEvent::Block(p(2), p(0)))
+                .at(10, PlannedEvent::Invoke(p(0), Op::Read))
+                .at(500, PlannedEvent::Invoke(p(0), Op::Read))
+                .at(WRITE, PlannedEvent::Invoke(p(0), Op::Write(v(1))))
+                .at(FOREIGN, PlannedEvent::Invoke(p(2), Op::Write(v(2))))
+                .at(WAITS, PlannedEvent::Invoke(p(0), Op::Read))
+                .at(12_000, PlannedEvent::Invoke(p(0), Op::Read));
+            let schedule = lost.iter().fold(schedule, |schedule, &(from, to)| {
+                schedule
+                    .at(WRITE - 50, PlannedEvent::Block(from, to))
+                    .at(FOREIGN - 100, PlannedEvent::Unblock(from, to))
+            });
+            let mut sim = Simulation::new(jittery(), factory.clone(), seed).with_schedule(schedule);
+            let report = sim.run();
+            let what = format!("{name}/seed {seed}");
+            assert_eq!(completed(&report), 6, "{what}: all ops complete");
+            let ops = adjudicate(&report, &what, check, &mut ReadRounds::default());
+            let at = |pid, invoked| planted(&ops, pid, invoked);
+            let (mine, theirs) = (at(p(0), WRITE), at(p(2), FOREIGN));
+            assert!(
+                mine.completed_at > 10 + LEASE_MICROS && theirs.completed_at < WAITS,
+                "{what}: p0's write must straddle its horizon, p2's be through first"
+            );
+            let waited = ops
+                .iter()
+                .find(|&&(pid, op)| pid == p(0) && (WAITS..12_000).contains(&op.invoked_at));
+            let (_, waited) = waited.expect("planted");
+            assert!(waited.invoked_at >= mine.completed_at, "{what}: it queued");
+            assert_eq!(
+                waited.kind,
+                FreshnessKind::Read {
+                    version: 2,
+                    leased: true
+                },
+                "{what}: served by the renewal the write sent"
+            );
+        }
     }
 }
 

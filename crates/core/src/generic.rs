@@ -71,11 +71,13 @@
 //! renewal holds the slot. Nothing is refused. One method opens
 //! every round (`open`: request id, first send, timer), and every ack
 //! takes one step (`ack`: is it this round's? recorded through
-//! [`Preferred`], did it reach the majority just now?). A timer is, in
-//! this order: a lease's horizon or renew point; the same two of a lease
-//! a write took or a read armed; the replica's fence; a catch-up past its
-//! majority, settled without a resend; or else the live round it belongs
-//! to, rebroadcast and re-armed.
+//! [`Preferred`], did it reach the majority just now? — a renewal skips
+//! an ack that carries no grant). A timer is, in this order: a lease's
+//! horizon or renew point; the same two of a lease a write took or a read
+//! armed (a renewal caught by its own horizon goes again from a fresh
+//! stamp); the replica's fence; a catch-up past its majority, settled
+//! without a resend; or else the live round it belongs to, rebroadcast
+//! and re-armed.
 
 use std::collections::VecDeque;
 
@@ -116,7 +118,7 @@ enum OpPhase {
         ts: Timestamp,
         value: Value,
         token: StoreToken,
-        taken: Option<TakenLease>,
+        taken: Option<Armed>,
     },
     /// Write, round 2: propagating the tagged value (Fig. 4 lines 13–15).
     WritePropagate {
@@ -125,7 +127,7 @@ enum OpPhase {
         value: Value,
         round: Round,
         /// The lease this write began under, to be handed on to `ts`.
-        taken: Option<TakenLease>,
+        taken: Option<Armed>,
     },
     /// Read, round 1: collecting tagged values (Fig. 4 lines 32–35).
     ReadQuery {
@@ -144,20 +146,23 @@ enum OpPhase {
         /// Whether every ack so far carried a tag-lease grant. A lease
         /// may only be minted from a quorum that *unanimously* granted:
         /// a grant-less ack means that replica will not fence newer
-        /// writes for us.
+        /// writes for us. (A renewal counts granting acks only.)
         all_granted: bool,
         /// The lease timers armed when the read was broadcast — the
         /// conservative pre-send clock stamp the minted lease expires
-        /// against. `None` once the horizon fired mid-round (too slow to
-        /// mint) or when the flavor does not lease.
-        lease_armed: Option<LeaseTimers>,
+        /// against. `None` when the flavor does not lease.
+        armed: Option<Armed>,
     },
     /// Read, round 2: writing back the freshest value (Fig. 4 lines
-    /// 36–38).
+    /// 36–38) — and, when the query round's repliers all granted, minting
+    /// the lease on it under the query's pre-send timers once through.
     ReadWriteBack {
         waiter: Waiter,
+        ts: Timestamp,
         value: Value,
         round: Round,
+        /// The query round's timers; `None` if not every replier granted.
+        armed: Option<Armed>,
     },
 }
 
@@ -167,9 +172,13 @@ enum Waiter {
     /// The client operation that started it.
     Client(OpId),
     /// Nobody: a lease renewing itself at its renew point, while it
-    /// still serves. The round does nothing but mint; an invocation that
-    /// finds it in the slot is served by the live lease (a read at the
-    /// head of the queue) or by whatever the round leaves behind.
+    /// still serves — or a chain going on without one: after a write
+    /// whose taken lease ran out under it, or a renewal caught by its own
+    /// horizon. The round is a full read that completes nobody's: it
+    /// mints, writing back first where its repliers disagree; an
+    /// invocation that finds it in the slot is served by the live lease
+    /// (a read at the head of the queue) or by whatever the round leaves
+    /// behind.
     Renewal,
     /// The process itself, not ready yet: the figure's recovery step,
     /// which completes nobody's operation.
@@ -202,21 +211,33 @@ impl Best {
     }
 }
 
-/// The lease a write began under and took (see `begin_op`): handed on to
-/// the written tag at completion iff its horizon has not fired meanwhile,
-/// and renewed right after the hand-on if its renew point did.
+/// A lease's two timers as a round in flight sees them: armed at a
+/// leasing read's pre-send stamp for the lease it may mint, or taken by a
+/// write from the lease it began under, to hand on. Which of them fired
+/// while the round was out decides what its completion does: a renew
+/// point that passed makes the lease it leaves renew at once, a horizon
+/// that passed leaves no lease (a write then renews instead).
 #[derive(Debug, Clone, Copy)]
-struct TakenLease {
+struct Armed {
     timers: LeaseTimers,
-    fired: bool,
     due: bool,
+    fired: bool,
+}
+
+impl Armed {
+    fn new(timers: LeaseTimers) -> Self {
+        Armed {
+            timers,
+            due: false,
+            fired: false,
+        }
+    }
 }
 
 /// The two timers a leasing read arms at its pre-send stamp: the horizon
 /// the lease it mints dies at, one term on, and its renew point,
-/// [`renew_after`] on. A round slower than that mints a lease whose renew
-/// point is spent: it serves to its horizon and lapses.
-#[derive(Debug, Clone, Copy)]
+/// [`renew_after`] on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct LeaseTimers {
     horizon: TimerToken,
     renew: TimerToken,
@@ -228,10 +249,15 @@ fn renew_after(term: u64) -> u64 {
     term - term / 8
 }
 
-/// Renewal periods in a row that may serve nothing before a lease lapses:
-/// three periods of 7/8 term, so a register read at least once every two
-/// terms keeps its lease.
-const IDLE_PERIODS: u8 = 3;
+/// The idle allowance a client's minting read gives a chain: three
+/// renewal periods of 7/8 term that serve nothing, so a register read at
+/// least once every two terms keeps its lease.
+const MINT_ALLOWANCE: u8 = 3;
+
+/// The most idle renewal periods a chain may have earned: each read the
+/// lease serves adds one, up to this, so an idle register costs at most
+/// this many renewals after its last read.
+const ALLOWANCE_CAP: u8 = 12;
 
 /// The recovery catch-up (see the module docs): started with the
 /// flavor's own recovery procedure — right after the replica is restored,
@@ -261,16 +287,18 @@ enum StartMode {
 }
 
 /// A live coordinator-held tag lease: while it lives, reads of this
-/// register are served locally in zero rounds. Minted from a fast-path
-/// quorum whose acks unanimously carried grants; it ends at its horizon
-/// timer (armed at read *broadcast* time, so it expires before any
-/// granting replica releases a fenced newer write), on any locally
-/// observed newer tag, when a renewal's mint replaces it, or with the
-/// process. It lives here and nowhere else — no grant rides a completion
-/// out to a client — which is what lets the replicas exempt this process
-/// from its own grants (see [`crate::replica`]): **this process sends a
-/// `Write` newer than its leased tag only while this is `None`, and a
-/// `Read` only while it is `None` or as this lease's own renewal**.
+/// register are served locally in zero rounds. Minted from a read quorum
+/// whose acks unanimously carried grants — at once when they agree, on
+/// the fast path, or once the round's write-back is through when they do
+/// not; it ends at its horizon timer (armed at read *broadcast* time, so
+/// it expires before any granting replica releases a fenced newer write),
+/// on any locally observed newer tag, when a renewal's mint replaces it,
+/// or with the process. It lives here and nowhere else — no grant rides a
+/// completion out to a client — which is what lets the replicas exempt
+/// this process from its own grants (see [`crate::replica`]): **this
+/// process sends a `Write` newer than its leased tag only while this is
+/// `None`, and a `Read` only while it is `None` or as this lease's own
+/// renewal**.
 ///
 /// A write of this process does not end the lease, it *hands it on*: the
 /// write takes it out of here before its first message leaves (so the
@@ -284,29 +312,29 @@ enum StartMode {
 /// a time.
 ///
 /// And use *renews* it, make-before-break: at its renew point, 7/8 into
-/// the term ([`renew_after`]), a lease that earned it sends an ordinary
-/// read round nobody waits for ([`Waiter::Renewal`]) and **serves on**
-/// meanwhile — reads at zero rounds, writes queue behind the round. The
-/// replicas let the renewal's `Read` past this process's grants, and the
-/// old grants still fence every foreign tag above the leased one: a tag
-/// the renewal's quorum unanimously reports, durable and granted, is one
-/// no foreign write above has completed past and no later majority can
-/// miss. So the mint replaces the lease, newer tag or not, and a renewal
-/// that cannot mint leaves it serving to its own horizon (where the chain
-/// ends). A write holding the taken lease across the renew point
-/// renews right after its hand-on. What earns a renewal is use
-/// ([`RegisterAutomaton::served`]): a lease lapses only after
-/// [`IDLE_PERIODS`] renewal periods in a row served nothing (the read a
-/// client's minting round serves counts for the period before), so a
-/// register read at least once every two terms keeps its lease.
+/// the term ([`renew_after`]), a lease that earned it sends a read round
+/// nobody waits for ([`Waiter::Renewal`]) and **serves on** meanwhile —
+/// reads at zero rounds, writes queue behind the round. The replicas let
+/// the renewal's `Read` past this process's grants, and the old grants
+/// still fence every foreign tag above the leased one: a tag the
+/// renewal's quorum unanimously reports, durable and granted, is one no
+/// foreign write above has completed past and no later majority can
+/// miss. So the mint replaces the lease, newer tag or not. A renewal is a
+/// full read: one whose granting repliers disagree writes the leased tag
+/// back — never a newer one while the lease serves, so the sentence above
+/// holds — and mints from the write-back; it counts granting acks only,
+/// so a replier that cannot grant yet is one not heard from, asked again
+/// by the round's retransmission. A renewal caught by its own horizon goes
+/// again at once from a fresh stamp, and a write whose taken lease ran out
+/// under it renews right after it completes, as does a mint whose renew
+/// point passed while its round was out. So a chain ends only when its
+/// register goes unread — it lapses once its idle allowance
+/// ([`RegisterAutomaton::allowance`]) is spent — or a newer tag appears.
 #[derive(Debug)]
 struct Lease {
     ts: Timestamp,
     value: Value,
     timers: LeaseTimers,
-    /// The renew point has passed and the renewal waits for the slot:
-    /// `drain_queue` sends it before anything queued begins.
-    due: bool,
 }
 
 /// The lease term the replica role fences with: the flavor's term when
@@ -362,16 +390,21 @@ pub struct RegisterAutomaton {
     catch_up: Option<CatchUp>,
     /// Live tag lease (leasing flavors only).
     lease: Option<Lease>,
-    /// Renewal periods in a row that served nothing, as of the last renew
-    /// point; a client's minting read sets it to 0. A lease renews at its
-    /// renew point while this stays below [`IDLE_PERIODS`].
-    idle_periods: u8,
+    /// Renewal periods that may still serve nothing before the chain
+    /// lapses: a client's minting read sets it to [`MINT_ALLOWANCE`], each
+    /// read the lease serves and each hand-on adds one, up to
+    /// [`ALLOWANCE_CAP`], and each renew point of a period that served
+    /// nothing spends one. A renewal leaves while some is left.
+    allowance: u8,
     /// Whether the current renewal period — since the last renew point,
     /// or the client's mint that started the chain — served a zero-round
-    /// read or a write's hand-on: what the next renew point decides on.
-    /// A read served while a renewal is out counts for the period that
-    /// renewal starts.
+    /// read or a write's hand-on: whether its renew point spends. A read
+    /// served while a renewal is out counts for the period that renewal
+    /// starts.
     served: bool,
+    /// A renewal waits for the slot: `drain_queue` sends it before
+    /// anything queued begins.
+    renewal_due: bool,
     /// Where a thrifty round goes first. A shared memory keeps one per
     /// node and hands it to the register it feeds.
     preferred: Preferred,
@@ -412,8 +445,9 @@ impl RegisterAutomaton {
             rec_store: None,
             catch_up: None,
             lease: None,
-            idle_periods: 0,
+            allowance: 0,
             served: false,
+            renewal_due: false,
             preferred: Preferred::new(me),
             ready: false,
             queued: VecDeque::new(),
@@ -504,7 +538,8 @@ impl RegisterAutomaton {
 
     /// Opens a quorum round for `msg(req)` under a fresh request id — the
     /// one way every round starts. An operation round's first send is
-    /// thrifty when the fast path is on (module docs); a round opened
+    /// thrifty when the fast path is on (module docs), unless `widen` asks
+    /// for all `n` at once, as a retransmission would; a round opened
     /// before the process is ready is a recovery round, with no history to
     /// go on, and like every round with the fast path off asks all `n`.
     /// A leasing flavor's operation `Read` then stamps its lease horizon
@@ -515,11 +550,12 @@ impl RegisterAutomaton {
     fn open(
         &mut self,
         msg: impl FnOnce(RequestId) -> Message,
+        widen: bool,
         out: &mut Vec<Action>,
     ) -> (Round, Option<LeaseTimers>) {
         let msg = msg(RequestId::new(self.me, self.nonce_counter));
         self.nonce_counter += 1;
-        if self.ready && self.flavor.read_fast_path {
+        if self.ready && self.flavor.read_fast_path && !widen {
             let first = self.preferred.first_send(self.n);
             out.extend(first.map(|to| Action::Send {
                 to,
@@ -617,7 +653,7 @@ impl RegisterAutomaton {
         // it exists to keep read quorums unanimous, so it exists exactly
         // when the fast path does.
         if self.flavor.read_fast_path {
-            let round = self.open(|req| Message::Read { req }, out).0;
+            let round = self.open(|req| Message::Read { req }, false, out).0;
             self.catch_up = Some(CatchUp::Query {
                 round,
                 best: Best::initial(self.me),
@@ -712,9 +748,8 @@ impl RegisterAutomaton {
     fn drain_queue(&mut self, out: &mut Vec<Action>) {
         if self.op.is_none() {
             self.ready |= self.rec_store.is_none() && self.catch_up.is_none();
-            if let Some(lease) = self.lease.as_mut().filter(|l| l.due) {
-                lease.due = false;
-                self.renew(out);
+            if std::mem::take(&mut self.renewal_due) {
+                self.renew(false, out);
             }
         }
         let leased_read =
@@ -726,15 +761,23 @@ impl RegisterAutomaton {
         }
     }
 
-    /// The live lease's renew point has passed and the slot is free: the
-    /// period it closes counts as idle unless it served, and the lease
-    /// renews unless that makes [`IDLE_PERIODS`] idle in a row.
-    fn renew(&mut self, out: &mut Vec<Action>) {
-        let served = std::mem::take(&mut self.served);
-        self.idle_periods = if served { 0 } else { self.idle_periods + 1 };
-        if self.idle_periods < IDLE_PERIODS {
-            self.start_read(Waiter::Renewal, out);
+    /// A renewal is due and the slot is free: the period it closes spends
+    /// one of the allowance unless it served, and the chain renews while
+    /// some is left — to all `n` at once if `widen`.
+    fn renew(&mut self, widen: bool, out: &mut Vec<Action>) {
+        if !std::mem::take(&mut self.served) {
+            self.allowance = self.allowance.saturating_sub(1);
         }
+        if self.allowance > 0 {
+            self.start_read(Waiter::Renewal, widen, out);
+        }
+    }
+
+    /// The lease served a read or was handed on: the period counts as
+    /// used, and the chain earns one more idle period.
+    fn note_use(&mut self) {
+        self.served = true;
+        self.allowance = (self.allowance + 1).min(ALLOWANCE_CAP);
     }
 
     // -- Client operations ------------------------------------------------
@@ -775,12 +818,8 @@ impl RegisterAutomaton {
                     // A live lease is the query round already run: nothing
                     // newer than its tag has completed anywhere. Enter the
                     // figure at line 11 with it.
-                    let taken = TakenLease {
-                        timers: lease.timers,
-                        fired: false,
-                        due: lease.due,
-                    };
-                    self.query_majority_reached(waiter, value, lease.ts.seq, Some(taken), out);
+                    let taken = Some(Armed::new(lease.timers));
+                    self.query_majority_reached(waiter, value, lease.ts.seq, taken, out);
                 } else {
                     self.start_query(waiter, value, out);
                 }
@@ -791,11 +830,11 @@ impl RegisterAutomaton {
                 // replica still fences its ack), so serving the leased
                 // value locally linearizes before any such write.
                 if let Some(l) = &self.lease {
-                    self.served = true;
                     let result = OpResult::ReadValue(l.value.clone());
+                    self.note_use();
                     self.complete(waiter, result, 0, out);
                 } else {
-                    self.start_read(waiter, out);
+                    self.start_read(waiter, false, out);
                 }
             }
             // `normalized()` maps the addressed forms onto the two above.
@@ -804,12 +843,12 @@ impl RegisterAutomaton {
     }
 
     /// Sends a read query round (Fig. 4 lines 32–35) for `waiter`.
-    fn start_read(&mut self, waiter: Waiter, out: &mut Vec<Action>) {
+    fn start_read(&mut self, waiter: Waiter, widen: bool, out: &mut Vec<Action>) {
         debug_assert!(
             self.lease.is_none() || matches!(waiter, Waiter::Renewal),
             "a Read leaves while leased only as the lease's renewal"
         );
-        let (round, lease_armed) = self.open(|req| Message::Read { req }, out);
+        let (round, timers) = self.open(|req| Message::Read { req }, widen, out);
         self.op = Some(OpPhase::ReadQuery {
             waiter,
             round,
@@ -817,14 +856,14 @@ impl RegisterAutomaton {
             agreed: None,
             all_agree: true,
             all_granted: true,
-            lease_armed,
+            armed: timers.map(Armed::new),
         });
     }
 
     /// Sends a write's query round for `waiter` (Fig. 4 lines 7–10):
     /// sequence numbers from a majority.
     fn start_query(&mut self, waiter: Waiter, value: Value, out: &mut Vec<Action>) {
-        let round = self.open(|req| Message::SnReq { req }, out).0;
+        let round = self.open(|req| Message::SnReq { req }, false, out).0;
         self.op = Some(OpPhase::WriteQuery {
             waiter,
             value,
@@ -838,13 +877,14 @@ impl RegisterAutomaton {
         waiter: Waiter,
         ts: Timestamp,
         value: Value,
-        taken: Option<TakenLease>,
+        taken: Option<Armed>,
         out: &mut Vec<Action>,
     ) {
         // Fig. 4 lines 13–15 (and Fig. 5 lines 12–14).
         let round = {
             let value = value.clone();
-            self.open(|req| Message::Write { req, ts, value }, out).0
+            self.open(|req| Message::Write { req, ts, value }, false, out)
+                .0
         };
         self.op = Some(OpPhase::WritePropagate {
             waiter,
@@ -863,7 +903,7 @@ impl RegisterAutomaton {
         waiter: Waiter,
         value: Value,
         max_seq: Seq,
-        taken: Option<TakenLease>,
+        taken: Option<Armed>,
         out: &mut Vec<Action>,
     ) {
         // Fig. 4 line 11: sn := sn + 1 — Fig. 5 line 11: sn := sn + rec + 1.
@@ -996,27 +1036,30 @@ impl RegisterAutomaton {
                 // the timers it was minted with, unless its horizon fired
                 // meanwhile or the own replica met something newer (the
                 // mint's own guard). A renew point that passed under the
-                // write is due: `complete` renews before anything queued.
-                if let Some(TakenLease {
-                    timers,
-                    fired: false,
-                    due,
-                }) = taken
-                {
-                    if !self.replica_newer_than(ts) {
-                        self.lease = Some(Lease {
-                            ts,
-                            value,
-                            timers,
-                            due,
-                        });
-                        self.served = true;
+                // write is due, and so is a horizon: the chain goes on
+                // from a renewal, which a read queued behind it waits for.
+                // `complete` renews before anything queued begins.
+                if let Some(taken) = taken.filter(|_| !self.replica_newer_than(ts)) {
+                    self.note_use();
+                    self.renewal_due = taken.due || taken.fired;
+                    if !taken.fired {
+                        let timers = taken.timers;
+                        self.lease = Some(Lease { ts, value, timers });
                     }
                 }
                 self.complete(waiter, OpResult::Written, rounds, out);
             }
-            Some(OpPhase::ReadWriteBack { waiter, value, .. }) => {
-                // Fig. 4 line 39: the read returns the written-back value.
+            Some(OpPhase::ReadWriteBack {
+                waiter,
+                ts,
+                value,
+                armed,
+                ..
+            }) => {
+                // Fig. 4 line 39: the read returns the written-back value,
+                // now on a majority — and leaves the lease its granting
+                // quorum earned on it.
+                self.mint(waiter, ts, &value, armed);
                 self.complete(waiter, OpResult::ReadValue(value), 2, out);
             }
             _ => unreachable!("matched just above"),
@@ -1060,6 +1103,7 @@ impl RegisterAutomaton {
         }
 
         let Some(OpPhase::ReadQuery {
+            waiter,
             round,
             best,
             agreed,
@@ -1070,6 +1114,13 @@ impl RegisterAutomaton {
         else {
             return;
         };
+        // A renewal counts only the repliers that fence for it: one that
+        // cannot grant yet is treated as one not heard from, and the
+        // round's retransmission asks it again. Any majority of granting
+        // repliers will do, as for a thrifty round's first send.
+        if matches!(waiter, Waiter::Renewal) && grant == 0 {
+            return;
+        }
         let Some(reached) = ack(&mut self.preferred, round, req, from) else {
             return;
         };
@@ -1104,7 +1155,7 @@ impl RegisterAutomaton {
             best: Best { ts, value },
             all_agree,
             all_granted,
-            lease_armed,
+            armed,
             ..
         }) = self.op.take()
         else {
@@ -1117,47 +1168,75 @@ impl RegisterAutomaton {
         // intersects that majority in a replica that can never again
         // report less than `ts`.
         let fast = self.flavor.read_fast_path && all_agree;
-        // Lease minting: every replier granted, and the horizon timer
-        // armed at broadcast has not fired yet — the whole quorum has
-        // promised to fence any newer write past that horizon, so until
-        // then this tag *is* the register.
-        let fenced = fast && all_granted;
-        if fenced && !self.replica_newer_than(ts) {
-            // A renewal's mint replaces the lease it renews, on a newer
-            // tag too: the old grants kept every foreign tag above the old
-            // one from completing, and this quorum holds the new one.
-            self.lease = lease_armed.map(|timers| Lease {
+        // Every replier granted: the whole quorum has promised to fence
+        // any foreign write above the tag it reported — at most `ts` —
+        // until past a horizon armed before any of them saw the query. So
+        // once a majority holds `ts`, until then it *is* the register.
+        let armed = armed.filter(|_| all_granted);
+        let write_back = !fast
+            && self.flavor.read_write_back
+            && match waiter {
+                Waiter::Client(_) => true,
+                // A renewal writes back only what it could have minted,
+                // and never a tag newer than the lease that serves.
+                Waiter::Renewal => {
+                    armed.is_some() && self.lease.as_ref().is_none_or(|l| ts <= l.ts)
+                }
+                Waiter::Recovery => false,
+            };
+        if write_back {
+            // Fig. 4 lines 36–38: write back before returning.
+            let round = {
+                let value = value.clone();
+                self.open(|req| Message::Write { req, ts, value }, false, out)
+                    .0
+            };
+            self.op = Some(OpPhase::ReadWriteBack {
+                waiter,
                 ts,
-                value: value.clone(),
-                timers,
-                due: false,
+                value,
+                round,
+                armed,
             });
-            // The read a client's round serves counts for the period
-            // before the lease's, like a renewal's used period.
-            if let Waiter::Client(_) = waiter {
-                self.idle_periods = 0;
-                self.served = false;
-            }
+            return;
         }
-        match waiter {
-            Waiter::Client(_) if self.flavor.read_write_back && !fast => {
-                // Fig. 4 lines 36–38: write back before returning.
-                let round = {
-                    let value = value.clone();
-                    self.open(|req| Message::Write { req, ts, value }, out).0
-                };
-                self.op = Some(OpPhase::ReadWriteBack {
-                    waiter,
-                    value,
-                    round,
-                });
-            }
-            // Single-round read: the regular register always, the atomic
-            // flavors when the fast path fired. A renewal, minted or not,
-            // completes nobody's: a lease it could not replace serves on
-            // to its own horizon.
-            _ => self.complete(waiter, OpResult::ReadValue(value), 1, out),
+        // Single-round read: the regular register always, the atomic
+        // flavors when the fast path fired. A renewal, minted or not,
+        // completes nobody's: a lease it could not replace serves on to
+        // its own horizon.
+        if fast {
+            self.mint(waiter, ts, &value, armed);
         }
+        self.complete(waiter, OpResult::ReadValue(value), 1, out);
+    }
+
+    /// A leasing read round through — on the fast path, or its write-back
+    /// — on `(ts, value)`, with `armed` its timers if every replier
+    /// granted: mints the lease unless the horizon fired while the round
+    /// was out or the own replica holds something newer. A renewal's mint
+    /// replaces the lease it renews, on a newer tag too: the old grants
+    /// kept every foreign tag above the old one from completing, and this
+    /// quorum holds the new one. A client's mint starts a chain with
+    /// [`MINT_ALLOWANCE`]; the read it serves counts for the period before
+    /// the lease's, like a renewal's used period. A renew point that passed
+    /// while the round was out is due at once.
+    fn mint(&mut self, waiter: Waiter, ts: Timestamp, value: &Value, armed: Option<Armed>) {
+        let Some(armed) = armed.filter(|a| !a.fired) else {
+            return;
+        };
+        if self.replica_newer_than(ts) {
+            return;
+        }
+        self.lease = Some(Lease {
+            ts,
+            value: value.clone(),
+            timers: armed.timers,
+        });
+        if let Waiter::Client(_) = waiter {
+            self.allowance = MINT_ALLOWANCE;
+            self.served = false;
+        }
+        self.renewal_due = armed.due;
     }
 
     /// Whether the local replica already holds a tag strictly newer than
@@ -1210,54 +1289,62 @@ impl RegisterAutomaton {
         // quorum — or waits for the renewal still out, and is served by
         // what it mints. Its renew point: the renewal is due, and leaves
         // now (the slot is free while a lease lives, save for that lease's
-        // own renewal) if the lease earned it.
-        if let Some(lease) = &mut self.lease {
+        // own renewal) if the allowance lasts.
+        if let Some(lease) = &self.lease {
             if lease.timers.horizon == token {
                 self.lease = None;
                 return;
             }
             if lease.timers.renew == token {
-                lease.due = true;
+                self.renewal_due = true;
                 self.drain_queue(out);
                 return;
             }
         }
-        match &mut self.op {
-            // The timers of a lease a write in flight took: at its horizon
-            // nothing is left to hand on; at its renew point the hand-on
-            // renews.
-            Some(
-                OpPhase::WritePreLog {
-                    taken: Some(taken), ..
-                }
-                | OpPhase::WritePropagate {
-                    taken: Some(taken), ..
-                },
-            ) if taken.timers.horizon == token || taken.timers.renew == token => {
-                if taken.timers.horizon == token {
-                    taken.fired = true;
-                } else {
-                    taken.due = true;
-                }
+        // The timers a round in flight armed or a write took: a renew point
+        // is noted for the round's completion to renew at once; a horizon
+        // leaves the round nothing to mint or hand on — the replicas'
+        // fences may open before a lease clocked from that stamp would
+        // expire. A renewal caught by its own horizon has nothing else to
+        // do: it goes again at once from a fresh stamp, one round a term
+        // at most, while the allowance lasts — and to everyone, as a
+        // retransmission would go: its first send went unanswered.
+        if let Some(
+            OpPhase::WritePreLog {
+                waiter,
+                taken: Some(armed),
+                ..
+            }
+            | OpPhase::WritePropagate {
+                waiter,
+                taken: Some(armed),
+                ..
+            }
+            | OpPhase::ReadQuery {
+                waiter,
+                armed: Some(armed),
+                ..
+            }
+            | OpPhase::ReadWriteBack {
+                waiter,
+                armed: Some(armed),
+                ..
+            },
+        ) = &mut self.op
+        {
+            if armed.timers.renew == token {
+                armed.due = true;
                 return;
             }
-            // A horizon that fires while its read is still collecting
-            // acks: too slow to mint — the replicas' fences may open
-            // before a lease clocked from this stamp would expire. A
-            // renewal has nothing else to do and ends.
-            Some(OpPhase::ReadQuery {
-                waiter,
-                lease_armed,
-                ..
-            }) if lease_armed.is_some_and(|t| t.horizon == token) => {
-                *lease_armed = None;
+            if armed.timers.horizon == token {
+                armed.fired = true;
                 if matches!(waiter, Waiter::Renewal) {
                     self.op = None;
+                    self.renew(true, out);
                     self.drain_queue(out);
                 }
                 return;
             }
-            _ => {}
         }
         // The replica role's grant-fence horizon.
         if self
@@ -2671,36 +2758,48 @@ mod tests {
     }
 
     #[test]
-    fn a_lease_is_not_handed_on_past_its_horizon_or_a_newer_local_tag() {
+    fn a_write_whose_lease_ran_out_under_it_renews_and_a_newer_local_tag_ends_the_chain() {
+        // The horizon fires between the write's first message and its last
+        // ack: nothing is left to hand on, but the chain goes on — a
+        // renewal leaves right after the write completes, to its quorum
+        // (p1 and p2) and this process, and a read invoked meanwhile
+        // waits for it and is served by what it mints.
+        let (mut a, timers) = holding_a_lease(Flavor::transient().with_lease(TERM), false);
+        let out = invoke(&mut a, 1, Op::Write(Value::from_u32(7)));
+        assert!(fire(&mut a, timers.renew).is_empty(), "the write holds it");
+        assert!(fire(&mut a, timers.horizon).is_empty());
+        let acks = write_acks(&mut a, &out);
+        assert_eq!(completions(&acks), [(1, OpResult::Written, 1)]);
+        assert!(a.lease.is_none(), "nothing left to hand on");
+        assert_eq!(targets(&acks), [0, 1, 2], "{acks:?}");
+        assert!(invoke(&mut a, 2, Op::Read).is_empty(), "queued");
+        let req = read_req(&acks);
+        let mut minted = Vec::new();
+        for from in [1, 2] {
+            minted.extend(deliver(&mut a, from, granted(read_ack(5, 0, 7, req))));
+        }
+        assert_eq!(completions(&minted), [(2, read_value(7), 0)]);
+        assert!(sends_of(&minted).is_empty());
+        let written = Timestamp::new(5, ProcessId(0));
+        assert_eq!(a.lease.as_ref().map(|l| l.ts), Some(written));
+
+        // The own replica meets a newer tag meanwhile: the chain ends
+        // there, and the next read asks the quorum (p1 and p2) and this
+        // process.
         let newer = Message::Write {
             req: RequestId::new(ProcessId(2), 8),
             ts: Timestamp::new(9, ProcessId(2)),
             value: Value::from_u32(90),
         };
-        for spoil in ["horizon", "newer tag"] {
-            let (mut a, timers) = holding_a_lease(Flavor::transient().with_lease(TERM), false);
-            let out = invoke(&mut a, 1, Op::Write(Value::from_u32(7)));
-            // Between the write's first message and its last ack.
-            match spoil {
-                "horizon" => {
-                    assert!(fire(&mut a, timers.renew).is_empty(), "the write holds it");
-                    assert!(fire(&mut a, timers.horizon).is_empty(), "nothing renews");
-                }
-                _ => drop(deliver(&mut a, 2, newer.clone())),
-            }
-            let acks = write_acks(&mut a, &out);
-            assert_eq!(completion(&acks), Some((OpResult::Written, 1)), "{spoil}");
-            assert!(a.lease.is_none(), "{spoil}: nothing left to hand on");
-            let out = invoke(&mut a, 2, Op::Read);
-            assert_eq!(completion(&out), None, "{spoil}");
-            // The quorum that answered the write (p1 and p2), and this
-            // process.
-            assert_eq!(
-                targets(&out),
-                [0, 1, 2],
-                "{spoil}: the read asks the quorum"
-            );
-        }
+        let (mut a, _) = holding_a_lease(Flavor::transient().with_lease(TERM), false);
+        let out = invoke(&mut a, 1, Op::Write(Value::from_u32(7)));
+        deliver(&mut a, 2, newer);
+        let acks = write_acks(&mut a, &out);
+        assert_eq!(completions(&acks), [(1, OpResult::Written, 1)]);
+        assert!(a.lease.is_none() && sends_of(&acks).is_empty(), "{acks:?}");
+        let out = invoke(&mut a, 2, Op::Read);
+        assert_eq!(completion(&out), None);
+        assert_eq!(targets(&out), [0, 1, 2], "the read asks the quorum");
     }
 
     #[test]
@@ -2743,49 +2842,56 @@ mod tests {
     enum Period {
         /// Nothing.
         Idle,
-        /// A zero-round read.
-        Read,
+        /// This many zero-round reads.
+        Reads(u64),
         /// A write that took the lease and handed it on.
         Write,
     }
 
     #[test]
-    fn a_lease_lapses_only_after_three_periods_that_served_nothing() {
-        use Period::{Idle, Read, Write};
+    fn a_lease_lapses_once_its_idle_allowance_is_spent() {
+        use Period::{Idle, Reads, Write};
+        let then_idle = |used: &[Period], idle: usize| {
+            let mut periods = used.to_vec();
+            periods.extend(std::iter::repeat_n(Idle, idle));
+            periods
+        };
         // The renewal periods of one lease chain, from a client read's
-        // mint; and for each, whether its renew point sent a renewal.
-        // Every renewal mints.
-        let table: &[(&str, &[Period], &[bool])] = &[
-            ("a used lease renews", &[Read], &[true]),
+        // mint: every renew point but the last sends a renewal, and every
+        // renewal mints; the last finds the allowance spent.
+        let table = [
             (
-                "the minting read counts for the period before",
-                &[Idle, Idle, Idle],
-                &[true, true, false],
+                "the minting read leaves three idle periods",
+                then_idle(&[], 3),
+            ),
+            ("a read earns one more", then_idle(&[Reads(1)], 4)),
+            ("two reads earn two", then_idle(&[Reads(2)], 5)),
+            ("a write's hand-on earns one", then_idle(&[Write], 4)),
+            (
+                "a used period spends nothing",
+                then_idle(&[Reads(1), Idle, Idle, Reads(1)], 3),
             ),
             (
-                "an unused lease after a used period renews twice",
-                &[Read, Idle, Idle, Idle],
-                &[true, true, true, false],
-            ),
-            (
-                "use in the third period restarts the count",
-                &[Read, Idle, Idle, Read, Idle, Idle, Idle],
-                &[true, true, true, true, true, true, false],
-            ),
-            (
-                "a write's hand-on is use",
-                &[Write, Idle, Idle, Idle],
-                &[true, true, true, false],
+                "the allowance stops at the cap",
+                then_idle(&[Reads(50)], usize::from(ALLOWANCE_CAP)),
             ),
         ];
-        for &(name, periods, renews) in table {
+        for (name, periods) in table {
             let (mut a, mut timers) = holding_a_lease(Flavor::transient().with_lease(TERM), false);
-            for (n, (&period, &renew)) in (1..).zip(periods.iter().zip(renews)) {
+            let mut op = 0;
+            for (n, &period) in (1..).zip(&periods) {
                 match period {
                     Idle => {}
-                    Read => assert_eq!(completion(&invoke(&mut a, n, Op::Read)).unwrap().1, 0),
+                    Reads(reads) => {
+                        for _ in 0..reads {
+                            op += 1;
+                            let served = completion(&invoke(&mut a, op, Op::Read));
+                            assert_eq!(served.unwrap().1, 0, "{name}");
+                        }
+                    }
                     Write => {
-                        let out = invoke(&mut a, n, Op::Write(Value::from_u32(7)));
+                        op += 1;
+                        let out = invoke(&mut a, op, Op::Write(Value::from_u32(7)));
                         let acks = write_acks(&mut a, &out);
                         assert_eq!(completion(&acks), Some((OpResult::Written, 1)), "{name}");
                     }
@@ -2795,19 +2901,19 @@ mod tests {
                     a.lease.is_some(),
                     "{name}: period {n}: it serves on past its renew point"
                 );
-                if !renew {
+                if n == periods.len() {
                     assert!(out.is_empty(), "{name}: period {n} sends nothing: {out:?}");
+                    assert_eq!(a.allowance, 0, "{name}");
                     // Lapsed: it serves to its horizon, and ends there in
                     // silence.
                     assert_eq!(completion(&invoke(&mut a, 99, Op::Read)).unwrap().1, 0);
                     assert!(fire(&mut a, timers.horizon).is_empty());
                     assert!(a.lease.is_none(), "{name}");
-                    continue;
+                    break;
                 }
-                // An ordinary read round that nobody waits for, to the
-                // quorum that answered the last one (p1 and p2) and this
-                // process.
-                assert_eq!(targets(&out), [0, 1, 2], "{name}: period {n}");
+                // A read round that nobody waits for, to the quorum that
+                // answered the last one (p1 and p2) and this process.
+                assert_eq!(targets(&out), [0, 1, 2], "{name}: period {n}: {out:?}");
                 assert!(sends_of(&out)
                     .iter()
                     .all(|m| matches!(m, Message::Read { .. })));
@@ -2815,7 +2921,8 @@ mod tests {
                 // The quorum's answer mints and does nothing else, in a
                 // period that has served nothing yet; the old horizon is
                 // spent.
-                assert!(grant_acks(&mut a, read_req(&out), 4, 40).is_empty());
+                let acks = leased_acks(&mut a, read_req(&out));
+                assert!(acks.is_empty(), "{name}: period {n}: {acks:?}");
                 assert!(a
                     .lease
                     .as_ref()
@@ -2827,17 +2934,43 @@ mod tests {
         }
     }
 
+    /// p1 and p2 answer the read round `req` with the live lease's own
+    /// tag and value, durable and granted.
+    fn leased_acks(a: &mut RegisterAutomaton, req: RequestId) -> Vec<Action> {
+        let lease = a.lease.as_ref().expect("a live lease");
+        let ack = granted(Message::ReadAck {
+            req,
+            ts: lease.ts,
+            value: lease.value.clone(),
+            durable: true,
+            grant: 0,
+        });
+        let mut out = Vec::new();
+        for from in [1, 2] {
+            out.extend(deliver(a, from, ack.clone()));
+        }
+        out
+    }
+
+    /// Answers the read round `req` with granted `(from, seq, pid, v)`
+    /// acks.
+    fn granted_from(
+        a: &mut RegisterAutomaton,
+        req: RequestId,
+        acks: [(u16, Seq, u16, u32); 2],
+    ) -> Vec<Action> {
+        let mut out = Vec::new();
+        for (from, seq, pid, v) in acks {
+            out.extend(deliver(a, from, granted(read_ack(seq, pid, v, req))));
+        }
+        out
+    }
+
     #[test]
     fn a_renewal_leaves_before_the_horizon_and_reads_meanwhile_are_zero_round() {
-        let used = || {
-            let (mut a, timers) = holding_a_lease(Flavor::transient().with_lease(TERM), false);
-            invoke(&mut a, 1, Op::Read);
-            let out = fire(&mut a, timers.renew);
-            (a, timers, out)
-        };
         // The renewal leaves at the renew point, while the lease serves:
         // the reads invoked meanwhile are served from it, nothing sent.
-        let (mut a, timers, out) = used();
+        let (mut a, timers, out) = renewing();
         assert_eq!(targets(&out), [0, 1, 2], "{out:?}");
         for n in 2..4 {
             let served = invoke(&mut a, n, Op::Read);
@@ -2856,12 +2989,12 @@ mod tests {
         );
         assert!(fire(&mut a, timers.horizon).is_empty() && a.lease.is_some());
 
-        // A renewal that cannot mint leaves the lease serving to its own
+        // A renewal whose granting repliers disagree, one of them on a tag
+        // newer than the lease's, cannot write that back while the lease
+        // serves: it mints nothing and leaves the lease serving to its own
         // horizon, and the next read after it asks the quorum.
-        let (mut a, timers, out) = used();
-        let mut acks = Vec::new();
-        let split = [(1, 4, 1, 40), (2, 5, 2, 50)];
-        read_acks_from(&mut a, read_req(&out), split, &mut acks);
+        let (mut a, timers, out) = renewing();
+        let acks = granted_from(&mut a, read_req(&out), [(1, 4, 1, 40), (2, 5, 2, 50)]);
         assert!(acks.is_empty(), "no write-back: {acks:?}");
         assert_eq!(
             completion(&invoke(&mut a, 2, Op::Read)),
@@ -2870,6 +3003,7 @@ mod tests {
         assert!(fire(&mut a, timers.horizon).is_empty() && a.lease.is_none());
         let out = invoke(&mut a, 3, Op::Read);
         assert_eq!(completion(&out), None);
+        assert_eq!(targets(&out), [0, 1, 2], "{out:?}");
         assert!(sends_of(&out)
             .iter()
             .all(|m| matches!(m, Message::Read { .. })));
@@ -2880,9 +3014,7 @@ mod tests {
         // The lease's horizon passes while its renewal is out: a read
         // invoked then queues like any invocation …
         let leaseless = || {
-            let (mut a, timers) = holding_a_lease(Flavor::transient().with_lease(TERM), false);
-            invoke(&mut a, 1, Op::Read);
-            let out = fire(&mut a, timers.renew);
+            let (mut a, timers, out) = renewing();
             assert!(fire(&mut a, timers.horizon).is_empty() && a.lease.is_none());
             assert!(invoke(&mut a, 2, Op::Read).is_empty(), "queued");
             (a, read_req(&out))
@@ -2892,18 +3024,21 @@ mod tests {
         let acks = grant_acks(&mut a, req, 4, 40);
         assert_eq!(completions(&acks), [(2, read_value(40), 0)]);
         assert!(sends_of(&acks).is_empty());
-        // A round that cannot mint leaves nothing: the read runs its own,
-        // to the quorum that answered the renewal (p1 and p2) and this
-        // process.
+        // Repliers that disagree: with no lease serving, the round writes
+        // the newest tag back, to the quorum that answered it (p1 and p2)
+        // and this process, and mints from the write-back — the read is
+        // served by that.
         let (mut a, req) = leaseless();
-        let mut acks = Vec::new();
-        read_acks_from(&mut a, req, [(1, 4, 1, 40), (2, 5, 2, 50)], &mut acks);
+        let acks = granted_from(&mut a, req, [(1, 4, 1, 40), (2, 5, 2, 50)]);
         assert_eq!(completion(&acks), None);
         assert_eq!(targets(&acks), [0, 1, 2], "{acks:?}");
-        let again = read_req(&acks);
-        assert_ne!(again, req);
-        let acks = grant_acks(&mut a, again, 5, 50);
-        assert_eq!(completion(&acks), Some((read_value(50), 1)));
+        let newest = Timestamp::new(5, ProcessId(2));
+        assert!(sends_of(&acks)
+            .iter()
+            .all(|m| matches!(m, Message::Write { ts, .. } if *ts == newest)));
+        let back = write_acks(&mut a, &acks);
+        assert_eq!(completions(&back), [(2, read_value(50), 0)]);
+        assert_eq!(a.lease.as_ref().map(|l| l.ts), Some(newest));
     }
 
     #[test]
@@ -2974,17 +3109,143 @@ mod tests {
     }
 
     #[test]
-    fn a_renewal_ends_at_its_own_horizon() {
+    fn a_renewal_counts_only_granting_acks_and_asks_again() {
         let (mut a, timers, out) = renewing();
-        let (req, renewed, round) = (read_req(&out), timer_of(&out, TERM), timer_of(&out, 1_000));
+        let (req, retransmit) = (read_req(&out), timer_of(&out, 1_000));
+        // p1 cannot grant yet (its tag still in flight to its disk, or
+        // fenced behind someone's lease): it is not heard from, and p2's
+        // grant alone is no majority.
+        let p1 = volatile(read_ack(5, 2, 50, req));
+        assert!(deliver(&mut a, 1, p1).is_empty());
+        assert!(deliver(&mut a, 2, granted(read_ack(4, 1, 40, req))).is_empty());
+        assert!(a.lease.as_ref().is_some_and(|l| l.timers == timers));
+        // The round's retransmission asks everyone again, and p1's grant
+        // completes it: the mint, on the lease's tag.
+        assert_eq!(targets(&fire(&mut a, retransmit)), [0, 1, 2]);
+        assert!(deliver(&mut a, 1, granted(read_ack(4, 1, 40, req))).is_empty());
+        let lease = a.lease.as_ref().expect("renewed");
+        assert_eq!(lease.timers, lease_timers(&out));
+        assert_eq!(lease.ts, Timestamp::new(4, ProcessId(1)));
+    }
+
+    #[test]
+    fn a_renewal_whose_repliers_disagree_writes_the_leased_tag_back_and_mints() {
+        // p2 missed the write the lease is on — a thrifty write left it
+        // out — and answers with the tag before it, granted.
+        let (mut a, timers, out) = renewing();
+        let acks = granted_from(&mut a, read_req(&out), [(1, 4, 1, 40), (2, 3, 2, 30)]);
+        assert_eq!(completion(&acks), None);
+        // The leased tag goes back to the quorum that answered (p1 and p2)
+        // and this process; the lease serves on meanwhile.
+        assert_eq!(targets(&acks), [0, 1, 2], "{acks:?}");
+        let leased = Timestamp::new(4, ProcessId(1));
+        assert!(sends_of(&acks)
+            .iter()
+            .all(|m| matches!(m, Message::Write { ts, .. } if *ts == leased)));
+        assert_eq!(
+            completion(&invoke(&mut a, 2, Op::Read)),
+            Some((read_value(40), 0))
+        );
+        // Through, it mints under the renewal's own timers, and the lease
+        // outlives the old horizon.
+        assert!(write_acks(&mut a, &acks).is_empty());
+        let lease = a.lease.as_ref().expect("renewed");
+        assert_eq!((lease.ts, lease.timers), (leased, lease_timers(&out)));
+        assert!(fire(&mut a, timers.horizon).is_empty() && a.lease.is_some());
+    }
+
+    #[test]
+    fn a_client_read_that_writes_back_leaves_a_lease() {
+        for spoil in [None, Some("horizon"), Some("grant")] {
+            let mut a = fresh(Flavor::transient().with_lease(TERM));
+            let out = invoke(&mut a, 0, Op::Read);
+            let req = read_req(&out);
+            let mut acks = deliver(&mut a, 1, granted(read_ack(4, 1, 40, req)));
+            let behind = read_ack(3, 2, 30, req);
+            let behind = if spoil == Some("grant") {
+                behind
+            } else {
+                granted(behind)
+            };
+            acks.extend(deliver(&mut a, 2, behind));
+            // Not unanimous: the figure's write-back.
+            assert!(sends_of(&acks)
+                .iter()
+                .all(|m| matches!(m, Message::Write { .. })));
+            if spoil == Some("horizon") {
+                fire(&mut a, lease_timers(&out).horizon);
+            }
+            let back = write_acks(&mut a, &acks);
+            assert_eq!(completion(&back), Some((read_value(40), 2)), "{spoil:?}");
+            // Every replier granted and the horizon has not passed: the
+            // write-back leaves a lease, and the next read is a hit.
+            let minted = spoil.is_none();
+            assert_eq!(a.lease.is_some(), minted, "{spoil:?}");
+            let next = completion(&invoke(&mut a, 1, Op::Read));
+            assert_eq!(next.is_some(), minted, "{spoil:?}");
+            if minted {
+                assert_eq!(a.allowance, MINT_ALLOWANCE + 1);
+            }
+        }
+    }
+
+    #[test]
+    fn a_mint_whose_renew_point_passed_mid_round_renews_at_once() {
+        let mut a = fresh(Flavor::transient().with_lease(TERM));
+        let out = invoke(&mut a, 0, Op::Read);
+        assert!(fire(&mut a, lease_timers(&out).renew).is_empty());
+        let acks = grant_acks(&mut a, read_req(&out), 4, 40);
+        assert_eq!(completion(&acks), Some((read_value(40), 1)));
+        assert!(a.lease.is_some(), "minted");
+        // The renewal leaves right after the completion, to the quorum
+        // that answered (p1 and p2) and this process, and spends one of
+        // the mint's allowance: its period served nothing.
+        assert_eq!(targets(&acks), [0, 1, 2], "{acks:?}");
+        assert!(matches!(acks[0], Action::Complete { .. }));
+        assert_eq!(a.allowance, MINT_ALLOWANCE - 1);
+    }
+
+    #[test]
+    fn a_renewal_caught_by_its_own_horizon_goes_again_while_the_allowance_lasts() {
+        // The renewing lease served one read: an allowance of four.
+        let (mut a, timers, out) = renewing();
+        assert_eq!(a.allowance, MINT_ALLOWANCE + 1);
+        let (mut req, mut renewed) = (read_req(&out), lease_timers(&out));
+        let first_timer = timer_of(&out, 1_000);
         assert!(fire(&mut a, timers.horizon).is_empty() && a.lease.is_none());
         invoke(&mut a, 2, Op::Write(Value::from_u32(7)));
-        // Too slow to mint: the round is dropped, and what waited for it
-        // starts as it would have without it.
-        let out = fire(&mut a, renewed);
-        assert!(matches!(sends_of(&out)[0], Message::SnReq { .. }));
-        assert!(grant_acks(&mut a, req, 4, 40).is_empty(), "late acks");
+        // Too slow to mint: the round is dropped and goes again from a
+        // fresh stamp, spending one of the allowance a time — the write
+        // waits on — until none is left; then what waited begins as it
+        // would have without it.
+        for left in (0..MINT_ALLOWANCE + 1).rev() {
+            let out = fire(&mut a, renewed.horizon);
+            assert_eq!(a.allowance, left);
+            if left == 0 {
+                assert!(matches!(sends_of(&out)[0], Message::SnReq { .. }));
+                break;
+            }
+            assert_eq!(targets(&out), [0, 1, 2], "{out:?}");
+            assert_ne!(read_req(&out), req, "a fresh round");
+            assert!(grant_acks(&mut a, req, 4, 40).is_empty(), "late acks");
+            (req, renewed) = (read_req(&out), lease_timers(&out));
+        }
         assert!(a.lease.is_none());
-        assert!(fire(&mut a, round).is_empty(), "no retransmission");
+        assert!(fire(&mut a, first_timer).is_empty(), "no retransmission");
+
+        // A retry that mints serves the write that waited: it begins under
+        // the lease, one round.
+        let (mut a, timers, out) = renewing();
+        fire(&mut a, timers.horizon);
+        invoke(&mut a, 2, Op::Write(Value::from_u32(7)));
+        let again = fire(&mut a, lease_timers(&out).horizon);
+        let acks = grant_acks(&mut a, read_req(&again), 4, 40);
+        assert!(sends_of(&acks)
+            .iter()
+            .all(|m| matches!(m, Message::Write { .. })));
+        assert_eq!(
+            completion(&write_acks(&mut a, &acks)),
+            Some((OpResult::Written, 1))
+        );
     }
 }

@@ -74,13 +74,20 @@
 //! acknowledged as soon as it is durable. X sends a `Read` while leaseless
 //! or as its live lease's own renewal, 7/8 into the term, and a `Read` is
 //! attested past X's grants too: all X does with the answer is mint, and
-//! a mint needs every replier to report one tag, durable and granted. A
-//! foreign tag above the leased one that such a quorum reports cannot
-//! have completed — the old grants still fence it at every replica that
+//! a mint needs every replier to have granted. A foreign tag above the
+//! leased one that such a quorum unanimously reports cannot have
+//! completed — the old grants still fence it at every replica that
 //! issued them — and the quorum holds it, so the lease may move to it
-//! (replacing the old one) while no later majority can miss it; a quorum
-//! that disagrees mints nothing and leaves the old lease serving under
-//! the grants it was minted from. The lease X's completed write hands on
+//! (replacing the old one) while no later majority can miss it. A
+//! renewal whose repliers disagree is a full read: while the lease
+//! serves it writes back the leased tag — a `Write` that is not newer
+//! than the leased tag, so the sentence above holds — and mints once that
+//! is through; a quorum that reports a newer tag and disagrees mints
+//! nothing and leaves the old lease serving under the grants it was
+//! minted from. A renewal counts only the acks that carry a grant: a
+//! replica that reports a tag non-durable — in flight to its disk, or
+//! fenced behind someone else's grants — is one X has not heard from,
+//! as in a thrifty round. The lease X's completed write hands on
 //! to its new tag leans on the same grants: they fence every *foreign*
 //! tag above the minimum granted one — the new tag and reads of it
 //! included — until past the horizon the lease keeps.

@@ -43,10 +43,10 @@ const PINNED: &[(&str, usize, u64)] = &[
     ("crash-stop/fast", 5, 0x79f758f087c11495),
     ("crash-stop", 3, 0xb9a5d885e0f8d3eb),
     ("crash-stop", 5, 0x41059e17aea7fbb9),
-    ("persistent/lease", 3, 0x58d74488ce6c97e9),
-    ("persistent/lease", 5, 0x6aecbcc467cbed7f),
-    ("transient/lease", 3, 0x5573263cebf2b099),
-    ("transient/lease", 5, 0xfd3da5adf1a9d026),
+    ("persistent/lease", 3, 0xb71546f549069c08),
+    ("persistent/lease", 5, 0xd38bf9583728b513),
+    ("transient/lease", 3, 0x4090a3b53b1a23e2),
+    ("transient/lease", 5, 0x1bfdb237370b6484),
 ];
 
 /// FNV-1a, 64 bit: no dependency, and stable across toolchains.

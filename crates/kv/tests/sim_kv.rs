@@ -783,6 +783,64 @@ fn leased_reads_of_hosted_clients_are_never_stale() {
     );
 }
 
+/// The hosted, seed-exact twin of `client::tests::
+/// multi_get_serves_hot_registers_in_zero_rounds`, with the write-back
+/// that test once met forced. Four registers are put — register 3
+/// through its home, node 0, and p1 only (node 0 cannot reach p2
+/// meanwhile), so p2 misses its write; the other three are homed on p2.
+/// During the first `multi_get` p1's replies to node 0 are lost: register
+/// 3's read widens on its retransmission, hears p2, and pays the
+/// write-back — five read rounds for four reads.
+/// A leasing read is a full read: the write-back leaves a lease like the
+/// fast path does, so the second batch is four hits in zero rounds.
+#[test]
+fn multi_get_serves_hot_registers_in_zero_rounds_after_a_write_back() {
+    let router = ShardRouter::new(8);
+    let keys = router.covering_keys("hot-");
+    // Registers 2, 3, 5 and 8 (a key's register is its shard + 1), homed
+    // on node `register mod 3`.
+    let of_shard = |shard| keys.iter().find(|k| router.shard_of(k) == shard).unwrap();
+    let keys: Vec<&str> = [1, 2, 4, 7].map(|shard| of_shard(shard).as_str()).to_vec();
+    let flavor = Persistent::flavor().with_lease(1_000_000);
+    let (p0, p1, p2) = (ProcessId(0), ProcessId(1), ProcessId(2));
+    let schedule = Schedule::new()
+        .at(0, PlannedEvent::Block(p0, p2))
+        .at(5_000, PlannedEvent::Unblock(p0, p2))
+        .at(5_000, PlannedEvent::Block(p1, p0))
+        .at(10_000, PlannedEvent::Unblock(p1, p0));
+    let stats = Mutex::new(Vec::new());
+    run_hosted(sim(flavor, 11, schedule), |world| {
+        let kv = KvClient::over(world.clone(), router);
+        let stats = &stats;
+        vec![Box::new(move || {
+            for (n, key) in (0..).zip(&keys) {
+                kv.put(key, unique(0, n)).unwrap();
+            }
+            assert!(world.now() < Duration::from_micros(5_000));
+            pause(&*world, 6_000 - world.now().as_micros() as u64);
+            let first = kv.multi_get(&keys).unwrap();
+            let before = kv.stats();
+            pause(&*world, 12_000 - world.now().as_micros() as u64);
+            let second = kv.multi_get(&keys).unwrap();
+            assert_eq!(first, second);
+            stats.lock().unwrap().extend([before, kv.stats()]);
+        }) as Script]
+    });
+    let [before, after] = stats.into_inner().unwrap()[..] else {
+        panic!("the script ran")
+    };
+    assert_eq!(
+        (before.reads, before.read_rounds),
+        (4, 5),
+        "forced: {before:?}"
+    );
+    assert_eq!(
+        (after.lease_hits - before.lease_hits, after.read_rounds),
+        (4, before.read_rounds),
+        "batch hits missing: {before:?} -> {after:?}"
+    );
+}
+
 /// A Zipf tail keeps its leases, hosted and seed-exact: two real clients,
 /// Zipf(0.99) over `lease-zipf-r95`'s sixty-four keys, 95 % gets, on a
 /// leased transient cluster with a 5 ms term. The hot keys are read many
@@ -791,9 +849,14 @@ fn leased_reads_of_hosted_clients_are_never_stale() {
 /// it (`ONE_IDLE_TERM`). A lease lapsing only after two idle terms, renewed
 /// at its horizon, cut that to `AT_HORIZON`; its gets still paid for the
 /// renewal gap — one round for a get that met a renewal in flight, one
-/// for a put's hand-on the horizon beat. A lease now renews 7/8 into its
-/// term while it still serves, keeping two idle terms' allowance (three
-/// renewal periods), and read rounds fall to the pinned count below.
+/// for a put's hand-on the horizon beat. A lease renewing 7/8 into its
+/// term while it still serves, with a fixed allowance of three idle
+/// renewal periods, cut them to `MAKE_BEFORE_BREAK`; its tail keys still
+/// lapsed, and a renewal whose quorum disagreed minted nothing. Now each
+/// read a lease serves earns one more idle period (up to twelve), and a
+/// renewal is a full read that writes back and mints, goes again when
+/// its own horizon catches it and follows a write that outlived its
+/// lease: read rounds fall to the pinned count below.
 /// Every zero-round get is policed by the freshness oracle (the hot keys
 /// see more operations than the atomicity checkers take). Puts of one key
 /// go to its home node, which admits them in call order, so a per-key
@@ -806,6 +869,9 @@ fn a_zipf_tail_keeps_its_leases_across_one_idle_term() {
     /// `(read rounds, reads)` of this run while a lease renewed at its
     /// horizon, leaseless until the renewal minted.
     const AT_HORIZON: (u64, u64) = (370, 5_714);
+    /// `(read rounds, reads)` of this run while a lease renewed before its
+    /// horizon but lapsed after three idle periods, whatever its use.
+    const MAKE_BEFORE_BREAK: (u64, u64) = (114, 5_714);
     let keys = ShardRouter::new(64).covering_keys("zt-");
     let log = Mutex::new(Vec::<(usize, FreshnessOp)>::new());
     let versions = Mutex::new(vec![0u64; keys.len()]);
@@ -869,9 +935,10 @@ fn a_zipf_tail_keeps_its_leases_across_one_idle_term() {
     let (rounds, reads) = stats.fold((0, 0), |(r, n), s| (r + s.read_rounds, n + s.reads));
     println!("zipf tail: {rounds} read rounds in {reads} reads, {leased} leased");
     assert!(leased > 0, "the oracle policed nothing");
-    assert_eq!((rounds, reads), (114, 5_714), "read rounds, reads");
+    assert_eq!((rounds, reads), (77, 5_714), "read rounds, reads");
     let per_get = |(rounds, reads): (u64, u64)| rounds as f64 / reads as f64;
-    assert!(per_get((rounds, reads)) < per_get(AT_HORIZON));
+    assert!(per_get((rounds, reads)) < per_get(MAKE_BEFORE_BREAK));
+    assert!(per_get(MAKE_BEFORE_BREAK) < per_get(AT_HORIZON));
     assert!(per_get(AT_HORIZON) < per_get(ONE_IDLE_TERM));
 }
 
