@@ -7,17 +7,14 @@
 //! ```text
 //! cargo run --release -p rmem-bench --bin kv_throughput \
 //!     [-- --csv] [-- --smoke] [-- --json PATH] [-- --no-fastpath] \
-//!     [-- --lease] [-- --reshard] [-- --disk] [-- --obs] [-- --obs-json PATH] \
+//!     [-- --lease] [-- --disk] [-- --obs] [-- --obs-json PATH] \
 //!     [-- --trace] [-- --trace-json PATH] \
 //!     [-- --chaos] [-- --chaos-dump PATH] [-- --pipeline-depth N]
 //! ```
 //!
 //! `--smoke` runs the same grid on a reduced workload (CI-sized);
 //! `--no-fastpath` forces every cell onto the legacy always-write-back
-//! read path (CI runs both modes so the fallback cannot rot); `--reshard`
-//! additionally runs the live 4→8 shard-split scenario on the real
-//! runtime (ops/s dip during migration, recovery after, cross-epoch
-//! certified) and appends its row to the JSON output; `--disk` runs the
+//! read path (CI runs both modes so the fallback cannot rot); `--disk` runs the
 //! write-heavy Zipf rows over real disks on the UDP runtime —
 //! `FileStorage` vs the group-commit `WalStorage` — reporting fsyncs/op
 //! and group sizes, certified per key, and asserts the WAL clears 3× the
@@ -39,8 +36,7 @@
 //! as JSON for the CI artifact);
 //! `--chaos` runs the combined chaos matrix (`rmem_kv::run_chaos`) over
 //! a seed sweep: seeded node kill/recover windows with torn-WAL-tail
-//! recoveries, a live shard-split chain and client crashes after a
-//! planned number of outputs, every surviving history certified
+//! recoveries and client crashes after a planned number of outputs, every surviving history certified
 //! (exactly-once duplicate check included) and every crashed client's
 //! ops resolved to a definite verdict — `--smoke` shrinks the cluster
 //! for CI, and on a failed oracle the flight-recorder dumps + stitched
@@ -72,7 +68,6 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let csv = args.iter().any(|a| a == "--csv");
     let smoke = args.iter().any(|a| a == "--smoke");
-    let reshard = args.iter().any(|a| a == "--reshard");
     let disk = args.iter().any(|a| a == "--disk");
     let obs = args.iter().any(|a| a == "--obs");
     let trace = args.iter().any(|a| a == "--trace");
@@ -237,33 +232,6 @@ fn main() {
         obs_gate(&format!(" with leases on ({micros} µs horizon)"), &o);
         rows.extend(lease_rows);
     }
-    let reshard_report = if reshard {
-        let r = rmem_bench::reshard::reshard_scenario(smoke);
-        println!(
-            "reshard 4→8 (live, certified across epochs): pre {:.0} ops/s, during {:.0} ops/s \
-             ({:.0}% retained), post {:.0} ops/s ({:.0}% of pre); migration {:.2} ms, \
-             {} entries moved, {} sources sealed, {} barrier waits ({} polls)",
-            r.pre_ops_per_sec,
-            r.during_ops_per_sec,
-            r.dip_ratio() * 100.0,
-            r.post_ops_per_sec,
-            r.recovery_ratio() * 100.0,
-            r.migration_ms,
-            r.entries_moved,
-            r.sources_sealed,
-            r.barrier_waits,
-            r.barrier_polls,
-        );
-        assert_eq!(r.epoch, 1, "the split must commit at epoch 1");
-        assert!(
-            r.recovery_ratio() > 0.5,
-            "post-split throughput must recover (got {:.0}% of pre)",
-            r.recovery_ratio() * 100.0
-        );
-        Some(r)
-    } else {
-        None
-    };
     let disk_report = if disk {
         let r = rmem_bench::disk::disk_scenario(smoke);
         for row in &r.rows {
@@ -417,12 +385,12 @@ fn main() {
                 for row in &rows {
                     let r = &row.report;
                     println!(
-                        "chaos seed {} ({} nodes, splits {:?}): {} completed, {} ambiguous \
+                        "chaos seed {} ({} nodes, {} shards): {} completed, {} ambiguous \
                          (all resolved), {} faults ({} torn tails), {} recovery verdicts, \
                          {} keys certified, {} retries",
                         r.seed,
                         row.nodes,
-                        row.shard_path,
+                        row.shards,
                         r.completed,
                         r.ambiguous,
                         r.faults_applied,
@@ -502,7 +470,6 @@ fn main() {
             &path,
             rmem_bench::kv::rows_to_json_with(
                 &rows,
-                reshard_report.as_ref(),
                 disk_report.as_ref(),
                 // The obs row rides into the JSON only when asked for
                 // explicitly (--trace borrows the scenario for its gate

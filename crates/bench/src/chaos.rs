@@ -2,8 +2,8 @@
 //! ([`rmem_kv::run_chaos`]) as a benchmark/CI gate.
 //!
 //! Each seed runs the full experiment — seeded node kill/recover windows
-//! with torn-WAL-tail recoveries, a live shard-split chain, client
-//! crashes after a planned number of outputs — on a real-threaded
+//! with torn-WAL-tail recoveries, client crashes after a planned number
+//! of outputs — on a real-threaded
 //! cluster, then certifies every surviving history (including the
 //! exactly-once duplicate-application check) and resolves every crashed
 //! client's ops to a definite verdict. The smoke variant shrinks the
@@ -24,9 +24,9 @@ pub const CHAOS_SEEDS: std::ops::Range<u64> = 0..3;
 
 /// The per-variant chaos configuration for `seed`.
 ///
-/// The smoke variant: a 12-node cluster, one live split, a 350 ms fault
-/// horizon — sized for a CI runner. The full variant is the matrix's
-/// 50-node default (split chain 4 → 8 → 16).
+/// The smoke variant: a 12-node cluster and a 350 ms fault horizon —
+/// sized for a CI runner. The full variant is the matrix's 50-node
+/// default.
 pub fn chaos_config(seed: u64, smoke: bool) -> ChaosConfig {
     let scratch = std::env::temp_dir().join(format!("rmem-chaosbench-{}", std::process::id()));
     if smoke {
@@ -34,7 +34,6 @@ pub fn chaos_config(seed: u64, smoke: bool) -> ChaosConfig {
             seed,
             nodes: 12,
             wal_every: 3,
-            shard_path: vec![4, 8],
             writers: 2,
             ops_per_writer: 8,
             crashers: 3,
@@ -60,21 +59,20 @@ pub struct ChaosRow {
     pub report: ChaosReport,
     /// Nodes in the run's cluster (from the config, for the row).
     pub nodes: usize,
-    /// The run's split chain.
-    pub shard_path: Vec<u16>,
+    /// The store's shard count.
+    pub shards: u16,
 }
 
 impl ChaosRow {
     /// The row's JSON object for the benchmark output.
     pub fn to_json(&self) -> String {
-        let path: Vec<String> = self.shard_path.iter().map(u16::to_string).collect();
         format!(
             "  {{\"scenario\": \"chaos\", \"time\": \"wall\", \"seed\": {}, \"nodes\": {}, \
-             \"shard_path\": [{}], \"completed\": {}, \"ambiguous\": {}, \"faults\": {}, \
+             \"shards\": {}, \"completed\": {}, \"ambiguous\": {}, \"faults\": {}, \
              \"torn_tails\": {}, \"verdicts\": {}, \"certified_keys\": {}, \"retries\": {}}}",
             self.report.seed,
             self.nodes,
-            path.join(", "),
+            self.shards,
             self.report.completed,
             self.report.ambiguous,
             self.report.faults_applied,
@@ -100,7 +98,7 @@ pub fn chaos_scenario(smoke: bool) -> Result<Vec<ChaosRow>, Box<ChaosFailure>> {
             run_chaos(&cfg).map(|report| ChaosRow {
                 report,
                 nodes: cfg.nodes,
-                shard_path: cfg.shard_path,
+                shards: cfg.shards,
             })
         })
         .collect()
@@ -119,10 +117,10 @@ mod tests {
         let row = ChaosRow {
             report,
             nodes: cfg.nodes,
-            shard_path: cfg.shard_path,
+            shards: cfg.shards,
         };
         let json = row.to_json();
         assert!(json.contains("\"scenario\": \"chaos\""));
-        assert!(json.contains("\"shard_path\": [4, 8]"));
+        assert!(json.contains("\"shards\": 4"));
     }
 }

@@ -112,8 +112,7 @@ pub fn disk_scenario(smoke: bool) -> DiskReport {
         .map(|(backend, mode)| {
             // The bounded recorded witness: three Zipf clients of 30 ops
             // each on the same backend and cluster shape, certified per
-            // key (a one-epoch path — the cross-epoch certifier doubles
-            // as the plain per-key oracle when nothing moves).
+            // key.
             {
                 let dir = scratch_dir(&format!("diskbench-witness-{backend}"));
                 let cluster = cluster(&dir, mode);
@@ -122,7 +121,7 @@ pub fn disk_scenario(smoke: bool) -> DiskReport {
                     seed: 300,
                     ..load
                 }
-                .witness(cluster.clients(), &[DISK_SHARDS], 30, |_| {})
+                .witness(cluster.clients(), DISK_SHARDS, 30)
                 .unwrap_or_else(|e| {
                     panic!("{backend}: the disk witness run must certify per key: {e}")
                 });

@@ -542,16 +542,14 @@ pub fn kv_throughput() -> (Vec<KvThroughputRow>, Table) {
 /// Serializes rows as a JSON array (one object per cell) for the perf
 /// trajectory file (`BENCH_kv.json`): machine-readable so future changes
 /// can diff ops/s and read-round numbers against the committed baseline.
-/// When a [`reshard`](crate::reshard) report rides along (`--reshard`),
-/// a [`disk`](crate::disk) report (`--disk`), an [`obs`](crate::obs)
-/// report (`--obs`) and/or a [`pipeline`](crate::pipeline) depth sweep
-/// (`--pipeline-depth`), their objects are appended to the same array so
-/// the trajectory also tracks migration cost, real-disk durability
-/// throughput, wall-clock latency percentiles with the
+/// When a [`disk`](crate::disk) report rides along (`--disk`), an
+/// [`obs`](crate::obs) report (`--obs`) and/or a
+/// [`pipeline`](crate::pipeline) depth sweep (`--pipeline-depth`), their
+/// objects are appended to the same array so the trajectory also tracks
+/// real-disk durability throughput, wall-clock latency percentiles with the
 /// instrumentation-overhead ratio, and depth-labeled pipeline scaling.
 pub fn rows_to_json_with(
     rows: &[KvThroughputRow],
-    reshard: Option<&crate::reshard::ReshardReport>,
     disk: Option<&crate::disk::DiskReport>,
     obs: Option<&crate::obs::ObsReport>,
     trace: Option<&crate::trace::TraceBenchReport>,
@@ -559,9 +557,6 @@ pub fn rows_to_json_with(
 ) -> String {
     let mut out = rows_to_json(rows);
     let mut extras = Vec::new();
-    if let Some(report) = reshard {
-        extras.push(crate::reshard::reshard_to_json(report));
-    }
     if let Some(report) = disk {
         extras.push(crate::disk::disk_to_json(report));
     }

@@ -15,7 +15,7 @@
 //! where the curves grow.
 //!
 //! `kv_throughput`'s wall-clock sections — [`disk`], [`obs`], [`trace`],
-//! [`pipeline`] and [`reshard`] — run on real clusters and share one load
+//! and [`pipeline`] — run on real clusters and share one load
 //! driver, [`load`]: closed-loop worker threads whose step is a Zipf
 //! `get`/`put` or a rotating `multi_*` batch, and a per-key-certified
 //! recorded twin of the same traffic that gates every reported row.
@@ -31,7 +31,6 @@ pub mod kv;
 pub mod load;
 pub mod obs;
 pub mod pipeline;
-pub mod reshard;
 pub mod scenarios;
 pub mod table;
 pub mod trace;

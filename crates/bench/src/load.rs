@@ -1,6 +1,6 @@
 //! The one closed-loop load driver behind the wall-clock sections
-//! ([`crate::disk`], [`crate::obs`], [`crate::trace`], [`crate::pipeline`]
-//! and [`crate::reshard`]): the paper's §V measurement loop — worker
+//! ([`crate::disk`], [`crate::obs`], [`crate::trace`] and
+//! [`crate::pipeline`]): the paper's §V measurement loop — worker
 //! threads issuing operations back to back against a real cluster — and
 //! its certified twin.
 //!
@@ -123,11 +123,9 @@ impl<'k> Load<'k> {
         self.drive(clients, budget, conduct)
     }
 
-    /// The certified twin: preloads a client recording on `nodes`, runs
-    /// every worker for `budget` steps on a recorded clone while `during`
-    /// runs on one more (reshard grows the store there), and certifies
-    /// the history per key along `shard_path`, whose first entry is the
-    /// store's starting shard count.
+    /// The certified twin: preloads a client recording on `nodes` over
+    /// `shards` shards, runs every worker for `budget` steps on a
+    /// recorded clone, and certifies the history per key.
     ///
     /// # Errors
     ///
@@ -139,22 +137,20 @@ impl<'k> Load<'k> {
     pub fn witness(
         &self,
         nodes: Vec<Client>,
-        shard_path: &[u16],
+        shards: u16,
         budget: u64,
-        during: impl FnOnce(&KvClient),
     ) -> Result<KvCertificate, CertifyError> {
         let recorder = OpRecorder::new();
-        let kv = KvClient::new(nodes, ShardRouter::new(shard_path[0]))
+        let kv = KvClient::new(nodes, ShardRouter::new(shards))
             .expect("kv client")
             .with_recorder(recorder.clone());
         self.preload(&kv);
         let clients = (0..self.workers).map(|_| kv.recorded_clone()).collect();
-        let actor = kv.recorded_clone();
-        self.drive(clients, Some(budget), |_| during(&actor));
+        self.drive(clients, Some(budget), |_| {});
         certify_per_key_epoch_path(
             &recorder.history(),
             self.keys.iter().map(String::as_str),
-            shard_path,
+            &[shards],
             Criterion::Transient,
         )
     }

@@ -153,7 +153,7 @@ fn measure(depth: usize, window: Duration) -> PipelineRow {
     };
     let mut cluster = LocalCluster::channel(3, SharedMemory::factory(Transient::flavor())).unwrap();
     load(depth as u64)
-        .witness(cluster.clients(), &[PIPELINE_SHARDS], 6, |_| {})
+        .witness(cluster.clients(), PIPELINE_SHARDS, 6)
         .unwrap_or_else(|e| {
             eprintln!("{}", cluster.dump_flight_recorders(120));
             panic!("pipeline witness at depth {depth} failed certification: {e}")

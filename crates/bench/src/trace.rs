@@ -238,8 +238,8 @@ mod tests {
     fn smoke_scenario_stitches_with_coverage_and_exact_attribution() {
         let r = trace_scenario(true);
         assert!(r.completed_ops > 0);
-        // The trace-level count also covers the seed puts and the
-        // one-time shard-map sync, so it strictly dominates.
+        // The trace-level count also covers the seed puts, so it
+        // dominates.
         assert!(
             r.report.completed as u64 >= r.completed_ops,
             "every worker op must appear as a completed trace ({} < {})",

@@ -43,7 +43,6 @@
 #![warn(missing_docs)]
 
 pub mod atomicity;
-pub mod epochs;
 pub mod exactly_once;
 pub mod freshness;
 pub mod history;
@@ -57,7 +56,6 @@ pub use atomicity::{
     check_linearizable, check_per_register, check_persistent, check_transient, Criterion, Verdict,
     Violation,
 };
-pub use epochs::{check_per_register_epochs, stitch_moves};
 pub use exactly_once::{check_exactly_once, DuplicateApplication, ExactlyOnceReport};
 pub use freshness::{
     check_freshness, FreshnessKind, FreshnessOp, FreshnessReport, FreshnessViolation,

@@ -1,8 +1,8 @@
 //! The **combined chaos matrix** over a real-threaded cluster: seeded
-//! schedules mixing node kill/recover windows, torn-WAL-tail recoveries,
-//! live shard-split chains and client crashes after a planned number of
-//! outputs — with every surviving history certified and every crashed
-//! client's ops resolved to a definite verdict.
+//! schedules mixing node kill/recover windows, torn-WAL-tail recoveries
+//! and client crashes after a planned number of outputs — with every
+//! surviving history certified and every crashed client's ops resolved to
+//! a definite verdict.
 //!
 //! The plan comes from [`rmem_sim::matrix`] (pure data, majority-safe by
 //! construction); this module lowers it onto a
@@ -11,12 +11,10 @@
 //! [`FaultEvent::TearTail`] in the middle of torn windows, client crashes
 //! become [`FaultEvent::ClientCrash`] signals on which the crasher arms
 //! its [`Crash`] budget between two puts: its host takes that many more
-//! outputs and none after, so the next put is cut short. Meanwhile a
-//! grower drives the shard-split chain (e.g. 4 → 8 → 16) live under the
-//! traffic.
+//! outputs and none after, so the next put is cut short.
 //!
-//! [`run_chaos`] is the whole experiment: preload → traffic + faults +
-//! splits → client recovery ([`KvClient::resolve_all`] over each reopened
+//! [`run_chaos`] is the whole experiment: preload → traffic + faults →
+//! client recovery ([`KvClient::resolve_all`] over each reopened
 //! intent journal, each verdict checked against the state the journal
 //! left its op in) → certification
 //! ([`certify_per_key_epoch_path`], which includes the
@@ -54,9 +52,8 @@ pub struct ChaosConfig {
     /// Every `wal_every`-th node persists to a real write-ahead log (the
     /// torn-tail targets); the rest use in-memory crash-surviving disks.
     pub wal_every: usize,
-    /// The live split chain, e.g. `[4, 8, 16]`: the run starts at the
-    /// first count and grows through the rest under traffic.
-    pub shard_path: Vec<u16>,
+    /// The store's shard count; the run writes one key per shard.
+    pub shards: u16,
     /// Steady exactly-once writer threads.
     pub writers: u16,
     /// Puts per steady writer before it may stop (it keeps writing until
@@ -87,7 +84,7 @@ impl Default for ChaosConfig {
             seed: 0,
             nodes: 50,
             wal_every: 5,
-            shard_path: vec![4, 8, 16],
+            shards: 4,
             writers: 3,
             ops_per_writer: 15,
             crashers: 3,
@@ -118,7 +115,7 @@ pub struct ChaosReport {
     /// resolution)`, covering both the crash-injected clients and any
     /// steady writer that finished with ambiguous ops in its journal.
     pub verdicts: Vec<(u16, OpTag, Resolution)>,
-    /// Keys certified by the cross-epoch checker.
+    /// Keys certified by the per-key checker.
     pub certified_keys: usize,
     /// Failed node attempts that made operations retry (see
     /// `kv.retries`).
@@ -159,15 +156,13 @@ struct Pacer {
 
 impl Pacer {
     /// The allowance of each of `cfg`'s traffic clients over `keys` keys.
-    /// Outside the traffic a key's history also holds its preload, per
-    /// crasher the put it dies in plus its resolution (one read, one
-    /// re-issue), and per split the migrator's read and verify (twice, if
-    /// a straggler forces a redo); a third of the remainder is kept back
-    /// for resolving puts that failed ambiguously (a read and a re-issue
-    /// each).
+    /// Outside the traffic a key's history also holds its preload and,
+    /// per crasher, the put it dies in plus its resolution (one read, one
+    /// re-issue); a third of the remainder is kept back for resolving
+    /// puts that failed ambiguously (a read and a re-issue each).
     fn new(cfg: &ChaosConfig, keys: usize) -> Self {
         let crashers = usize::from(cfg.crashers);
-        let reserved = 1 + 3 * crashers + 4 * (cfg.shard_path.len() - 1);
+        let reserved = 1 + 3 * crashers;
         let clients = usize::from(cfg.writers) + crashers;
         let per_key = MAX_OPS.saturating_sub(reserved) * 2 / 3 / clients.max(1);
         assert!(per_key > 0, "no room under the checker's op limit: {cfg:?}");
@@ -198,18 +193,16 @@ impl Pacer {
 /// # Errors
 ///
 /// Returns [`ChaosFailure`] — with flight-recorder and stitched-trace
-/// dumps attached — if the surviving history fails cross-epoch
+/// dumps attached — if the surviving history fails per-key
 /// certification (including the exactly-once duplicate check) or a
 /// crashed client's op cannot be resolved to a definite verdict.
 ///
 /// # Panics
 ///
 /// Panics on harness-level failures that are bugs in the experiment
-/// itself (cluster setup, preload, a split that cannot commit, a write
-/// barrier deadlock).
+/// itself (cluster setup, preload).
 #[allow(clippy::too_many_lines)]
 pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, Box<ChaosFailure>> {
-    assert!(cfg.shard_path.len() >= 2, "the matrix grows at least once");
     let scratch = cfg.scratch.join(format!("s{}", cfg.seed));
     let _ = std::fs::remove_dir_all(&scratch);
     std::fs::create_dir_all(&scratch).expect("creating the chaos scratch directory");
@@ -222,18 +215,16 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, Box<ChaosFailure>> {
     )
     .expect("assembling the chaos cluster");
     let recorder = OpRecorder::new();
-    let first_shards = cfg.shard_path[0];
-    let base = KvClient::new(cluster.clients(), ShardRouter::new(first_shards))
+    let router = ShardRouter::new(cfg.shards);
+    let base = KvClient::new(cluster.clients(), router)
         .expect("building the base client")
         .with_op_timeout(Duration::from_millis(300))
         .with_health_cooldown(Duration::from_secs(2))
-        .with_barrier_polls(4_096)
         .with_recorder(recorder.clone());
 
-    // One key per first-epoch shard: linear hashing keeps them injective
-    // under every count on the path, so per-register certificates read as
-    // per-key ones across the whole chain.
-    let keys = ShardRouter::new(first_shards).covering_keys("chaos-");
+    // One key per shard, so per-register certificates read as per-key
+    // ones.
+    let keys = router.covering_keys("chaos-");
     for (i, key) in keys.iter().enumerate() {
         base.put(key, vec![0, i as u8]).expect("preload");
     }
@@ -308,9 +299,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, Box<ChaosFailure>> {
                     };
                     match outcome {
                         Ok(()) => completed.fetch_add(1, Ordering::Relaxed),
-                        Err(KvError::Barrier { key, shard }) => {
-                            panic!("write barrier deadlocked on {key:?} (shard {shard})")
-                        }
                         Err(_) if crash.crashed() => 0,
                         Err(_) => ambiguous.fetch_add(1, Ordering::Relaxed),
                     };
@@ -339,19 +327,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, Box<ChaosFailure>> {
                 put(&keys[rng.gen_range(0..keys.len())], counter as u64 + 1);
             });
         }
-        // The grower: drive the split chain live, spread over the
-        // horizon.
-        let grower = base.recorded_clone();
-        let path = &cfg.shard_path;
-        let horizon = cfg.horizon;
-        scope.spawn(move || {
-            let steps = path.len() - 1;
-            for (i, &target) in path[1..].iter().enumerate() {
-                std::thread::sleep(horizon * (i as u32 + 1) / (steps as u32 + 1));
-                let report = grower.grow(target).expect("the live split must commit");
-                assert_eq!(report.to_shards, target);
-            }
-        });
         // The adversary: node windows, torn tails and client-crash
         // signals on the clock.
         let cluster = &mut cluster;
@@ -369,11 +344,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, Box<ChaosFailure>> {
             faults_done.store(true, Ordering::Relaxed);
         });
     });
-
-    // The split chain committed despite everything.
-    let map = base.shard_map();
-    assert!(!map.is_migrating(), "the last split must have committed");
-    assert_eq!(map.shards, *cfg.shard_path.last().unwrap());
 
     let fail = |message: String| {
         Box::new(ChaosFailure {
@@ -425,13 +395,13 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, Box<ChaosFailure>> {
         verdicts.extend(resolved.into_iter().map(|(tag, r)| (id, tag, r)));
     }
 
-    // The correctness oracle: cross-epoch per-key certification over the
-    // whole split chain, including the exactly-once duplicate check.
+    // The correctness oracle: per-key certification, including the
+    // exactly-once duplicate check.
     let history = recorder.history();
     let cert = match certify_per_key_epoch_path(
         &history,
         keys.iter().map(String::as_str),
-        &cfg.shard_path,
+        &[cfg.shards],
         Criterion::Persistent,
     ) {
         Ok(cert) => cert,

@@ -15,10 +15,9 @@
 //!    definite verdict by re-reading the key's quorum state.
 //!
 //! The write itself is an ordinary call of one tagged entry through the
-//! client's one driver (see [`crate::client`]): every node retry and
-//! every re-route under a moved shard map re-encodes under the *same*
-//! tag, and a write that ends ambiguously (every node failed, or the map
-//! moved after an attempt was lost) simply stays `Sent` in the journal —
+//! client's one driver (see [`crate::client`]): every node retry
+//! re-encodes under the *same* tag, and a write that ends ambiguously
+//! (every node failed) simply stays `Sent` in the journal —
 //! step 3 is its recovery, whether or not the client crashed.
 //!
 //! **The resolve invariant: a resolved-`NotLanded` op may never later
@@ -274,8 +273,8 @@ impl KvClient {
         // `Sent`: the write is anywhere between "never reached a node"
         // and "landed long ago" — and the register layer may *still* be
         // driving it, so NotLanded is out of reach. Make Landed true.
-        // One recorded read of the key's quorum state (epoch-aware,
-        // split-aware): the payload that answered is the evidence.
+        // One recorded read of the key's quorum state: the payload that
+        // answered is the evidence.
         let (payload, _) = self.get_inner(&intent.key)?;
         if codec::payload_op_tag(&payload) != Some(tag) && payload.is_bottom() {
             // Nothing landed yet (at read time). Completing the op

@@ -2,7 +2,7 @@
 //! `rmem-sim` run.
 //!
 //! [`run_hosted`] runs **scripts** — ordinary blocking closures calling
-//! `get`/`put`/`multi_*`/`grow`/`resolve_all` on clients built
+//! `get`/`put`/`multi_*`/`resolve_all` on clients built
 //! [`over`](crate::KvClient::over) the [`World`] it hands out — against a
 //! [`Simulation`]: nodes are simulated processes, time is virtual, and
 //! every effect of every client ([`crate::seam`]) is served from the
@@ -32,9 +32,9 @@
 //! # Why threads, not a rewritten driver
 //!
 //! The client's driver as a resumable state machine fed by the simulator
-//! would host the data path only. Everything above it — `grow`,
-//! `finish_split`, `refresh_map`, `resolve_all`, exactly-once `put` — is
-//! blocking code calling the driver in loops, and each would need a
+//! would host the data path only. Everything above it — `resolve_all`,
+//! exactly-once `put`, `multi_put` over an intent journal — is blocking
+//! code calling the driver in loops, and each would need a
 //! hand-written twin kept in step with it forever. Threads that take turns
 //! host the **whole** client with no line of it rewritten: what virtual
 //! time certifies is what ships. Fault exploration reads the same way: a

@@ -6,16 +6,12 @@
 //! atomic through crashes and recoveries. This crate turns that memory
 //! into a *store*:
 //!
-//! * [`ShardRouter`] — a pure, stable hash mapping string keys onto
-//!   shards with linear-hashing addressing (= `hash % shards` for
-//!   power-of-two counts), whose splits provably move only the
-//!   split-source shards' keys ([`router`]).
-//! * [`epoch`] — the epoch-stamped shard map, stored **in the store
-//!   itself** (register 0 as a config register); [`KvClient::grow`]
-//!   runs live shard splits under a write barrier.
-//! * [`codec`] — register payloads tag values with their key and a
-//!   one-byte epoch stamp, so shard collisions degrade to explicit
-//!   misses and stale clients learn when to re-read the shard map.
+//! * [`ShardRouter`] — a pure, stable hash mapping string keys onto a
+//!   store's fixed number of shards with linear-hashing addressing
+//!   (= `hash % shards` for power-of-two counts); shard `i` is register
+//!   `i + 1` ([`router`]).
+//! * [`codec`] — register payloads tag values with their key, so shard
+//!   collisions degrade to explicit misses.
 //! * [`KvClient`] — `get`/`put`/`multi_get`/`multi_put` over a cluster,
 //!   one driver keeping every shard's operation in flight at once from
 //!   the calling thread ([`client`]).
@@ -31,9 +27,9 @@
 //!   intent journal, after which its host takes none — so a crash can
 //!   fall on any step, hosted or real.
 //! * [`history`] — per-**key** atomicity certification: decode a recorded
-//!   register-level history ([`OpRecorder`]), stitch each key's homes
-//!   across live splits, check each register's restriction
-//!   (linearizability locality), and name every verdict with its key.
+//!   register-level history ([`OpRecorder`]), check each register's
+//!   restriction (linearizability locality), and name every verdict with
+//!   its key.
 //!
 //! Every store guarantee is inherited, not re-proved: a key's operations
 //! are exactly its registers' operations, so the paper's per-register
@@ -88,7 +84,6 @@ pub mod chaos;
 pub mod client;
 pub mod codec;
 pub mod crash;
-pub mod epoch;
 pub mod exactly_once;
 pub mod health;
 pub mod history;
@@ -98,9 +93,8 @@ pub mod router;
 pub mod seam;
 
 pub use chaos::{run_chaos, ChaosConfig, ChaosFailure, ChaosReport};
-pub use client::{GrowReport, HealthStats, KvClient, KvError, KvOpStats};
+pub use client::{HealthStats, KvClient, KvError, KvOpStats};
 pub use crash::Crash;
-pub use epoch::{data_register, ShardMap, CONFIG_REGISTER};
 pub use exactly_once::Resolution;
 pub use health::{HealthMemory, NodeGate};
 pub use history::{
@@ -108,5 +102,5 @@ pub use history::{
 };
 pub use host::{run_hosted, Script};
 pub use recorder::OpRecorder;
-pub use router::ShardRouter;
+pub use router::{data_register, ShardMap, ShardRouter};
 pub use seam::World;

@@ -5,11 +5,9 @@
 //! is. An [`OpRecorder`] records at the client, on either runtime (real,
 //! or hosted in the simulator — [`crate::host`]): attach one to a
 //! [`KvClient`](crate::KvClient) and every register
-//! operation the client performs — data traffic, shard-map reads, barrier
-//! polls, migration copies and seals — is recorded as an
-//! invocation/reply pair, ready for the per-key certifier
-//! ([`certify_per_key_epoch_path`](crate::certify_per_key_epoch_path), for
-//! which the migrator's own operations are part of the story).
+//! operation the client performs is recorded as an invocation/reply
+//! pair, ready for the per-key certifier
+//! ([`certify_per_key_epoch_path`](crate::certify_per_key_epoch_path)).
 //!
 //! Each recording client must be its own history *process* (the model
 //! keeps processes sequential per register): [`OpRecorder::assign_pid`]

@@ -3,22 +3,16 @@
 //!
 //! Determinism is the load-bearing property: every client, every process,
 //! every incarnation after a crash, and every future run must route a key
-//! to the same shard — within one epoch, no shard map is ever
-//! exchanged over the network, the function *is* the map. The router
-//! therefore hashes with a fixed, platform-independent FNV-1a (not
-//! `std`'s `DefaultHasher`, whose output is unspecified across releases
-//! and randomized per process).
+//! to the same shard — no shard map is ever exchanged over the network,
+//! the function *is* the map, and a store's shard count is fixed when it
+//! is built. The router therefore hashes with a fixed,
+//! platform-independent FNV-1a (not `std`'s `DefaultHasher`, whose output
+//! is unspecified across releases and randomized per process).
 //!
-//! # Addressing and minimal movement
-//!
-//! The shard of a key is computed with **linear-hashing addressing**
-//! ([`shard_at`]), not a bare `hash % shards`: for power-of-two shard
-//! counts the two coincide exactly, but linear hashing additionally gives
-//! live resharding its crucial property — growing from `s` to `s + k`
-//! shards only moves keys out of the [*split source*](split_sources)
-//! shards, everything else stays put. That is what lets the epoch layer
-//! ([`crate::epoch`]) migrate a handful of registers under a write
-//! barrier instead of reshuffling the whole store.
+//! Data shard `i` lives at register `i + 1` ([`data_register`]); register
+//! 0 is reserved and holds no key.
+
+use rmem_types::RegisterId;
 
 /// Stable 64-bit FNV-1a over the key bytes.
 ///
@@ -39,10 +33,8 @@ pub fn stable_hash(key: &str) -> u64 {
 /// (Litwin's addressing): take the hash modulo the next power of two
 /// `2^(ℓ+1) ≥ shards`; addresses beyond the table fold back by `2^ℓ`.
 ///
-/// For a power-of-two `shards` this is exactly `hash % shards`. Its
-/// defining property: growing the table from `s` to `s + 1` splits
-/// exactly one bucket (`s - 2^ℓ`) between its old position and the new
-/// bucket `s` — no other key moves.
+/// For a power-of-two `shards` this is exactly `hash % shards`; for
+/// other counts it is the placement every store of that count has used.
 ///
 /// # Panics
 ///
@@ -58,44 +50,24 @@ pub fn shard_at(hash: u64, shards: u16) -> u16 {
     }
 }
 
-/// The bucket a freshly created bucket `j` splits from: `j` with its top
-/// bit cleared (the bucket whose keys fold onto `j` one level up).
+/// The register hosting data shard `shard` (offset past the reserved
+/// register 0).
 ///
 /// # Panics
 ///
-/// Panics if `j == 0` (the first bucket splits from nothing).
-pub fn parent_of(j: u16) -> u16 {
-    assert!(j > 0, "bucket 0 has no parent");
-    let top = 1u16 << (15 - j.leading_zeros() as u16);
-    j - top
+/// Panics if `shard` is `u16::MAX` (the register id space is `u16`).
+pub fn data_register(shard: u16) -> RegisterId {
+    assert!(shard < u16::MAX, "shard index exhausts the register space");
+    RegisterId(shard + 1)
 }
 
-/// The shards of an `old`-shard table whose keys may move when the table
-/// grows to `new` shards — every other shard's keys provably stay put
-/// (the minimal-movement property of linear hashing).
-///
-/// Each new bucket `j ∈ old..new` drains from its parent chain's first
-/// member below `old`.
-///
-/// # Panics
-///
-/// Panics if `old == 0` or `new < old`.
-pub fn split_sources(old: u16, new: u16) -> std::collections::BTreeSet<u16> {
-    assert!(old > 0, "a shard table needs at least one bucket");
-    assert!(new >= old, "shard tables only grow");
-    let mut sources = std::collections::BTreeSet::new();
-    for j in old..new {
-        let mut b = j;
-        while b >= old {
-            b = parent_of(b);
-        }
-        sources.insert(b);
-    }
-    sources
-}
+/// The store's shard map: its router, under the name the frozen
+/// `benchmark/` package uses ([`ShardRouter::genesis`],
+/// [`ShardRouter::register_for`], [`ShardRouter::stamp`]).
+pub type ShardMap = ShardRouter;
 
 /// Routes keys to shards (shard `i` lives at register `i + 1`, see
-/// [`crate::epoch::ShardMap::register_for`]).
+/// [`register_for`](ShardRouter::register_for)).
 ///
 /// # Example
 ///
@@ -124,9 +96,27 @@ impl ShardRouter {
         ShardRouter { shards }
     }
 
+    /// [`new`](Self::new), under the name the frozen `benchmark/`
+    /// package calls.
+    pub fn genesis(shards: u16) -> Self {
+        ShardRouter::new(shards)
+    }
+
     /// Number of shards.
     pub fn shards(&self) -> u16 {
         self.shards
+    }
+
+    /// The byte [`crate::codec::encode_entry`] writes beside the key:
+    /// always 0. It carries no meaning; the frozen `benchmark/` package
+    /// passes it through.
+    pub fn stamp(&self) -> u8 {
+        0
+    }
+
+    /// The data register of `key`.
+    pub fn register_for(&self, key: &str) -> RegisterId {
+        data_register(self.shard_of(key))
     }
 
     /// The shard index of `key` (in `0..shards`; linear-hashing
@@ -187,7 +177,7 @@ mod tests {
 
     #[test]
     fn power_of_two_addressing_is_plain_modulo() {
-        // The pre-epoch router was `hash % shards` for the power-of-two
+        // The first router was `hash % shards` for the power-of-two
         // counts every deployment uses; linear hashing must not move a
         // single one of those placements.
         for shards in [1u16, 2, 4, 8, 16, 64, 256] {
@@ -206,48 +196,6 @@ mod tests {
                 assert!(router.shard_of(&format!("k{i}")) < shards);
             }
         }
-    }
-
-    #[test]
-    fn growing_one_shard_splits_exactly_one_bucket() {
-        for s in 1u16..40 {
-            let sources = split_sources(s, s + 1);
-            assert_eq!(sources.len(), 1, "{s} -> {} split {sources:?}", s + 1);
-            // And keys only ever leave that bucket.
-            for i in 0..2000u64 {
-                let h = stable_hash(&format!("g{i}"));
-                let (old, new) = (shard_at(h, s), shard_at(h, s + 1));
-                if old != new {
-                    assert!(sources.contains(&old));
-                    assert_eq!(new, s, "a moved key lands in the new bucket");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn doubling_splits_every_bucket_to_its_image() {
-        // 4 → 8: each bucket i splits into {i, i+4}.
-        assert_eq!(
-            split_sources(4, 8).into_iter().collect::<Vec<_>>(),
-            vec![0, 1, 2, 3]
-        );
-        for i in 0..4000u64 {
-            let h = stable_hash(&format!("d{i}"));
-            let (old, new) = (shard_at(h, 4), shard_at(h, 8));
-            assert!(new == old || new == old + 4);
-        }
-    }
-
-    #[test]
-    fn parent_chain_reaches_below() {
-        assert_eq!(parent_of(4), 0);
-        assert_eq!(parent_of(5), 1);
-        assert_eq!(parent_of(9), 1);
-        assert_eq!(parent_of(13), 5);
-        // 5 → 16 drains buckets created mid-grow through their chain.
-        let sources = split_sources(5, 16);
-        assert!(sources.iter().all(|&b| b < 5));
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! The seam: everything [`KvClient`](crate::KvClient) asks of the world.
 //!
 //! The client's driver is blocking code — routing, cutting, failover,
-//! barriers, `grow`, `resolve` — that never touches a socket, a
+//! `resolve` — that never touches a socket, a
 //! thread or a clock itself. What it needs from outside is one trait,
 //! [`World`]: **submit** a register operation at a node (a write also
 //! encoded in place), **wait** for any of a list of tickets until a
 //! deadline, **cancel** one, the two facts it asks its transport (node
 //! count, largest value) and the **time**.
 //!
-//! The clock is an effect like the rest, not a convenience: barrier
-//! polls, patience, health-mark decay and latency laps all read time. A
+//! The clock is an effect like the rest, not a convenience: patience,
+//! health-mark decay and latency laps all read time. A
 //! client reading `Instant::now()` for any of them would differ from run
 //! to run with every message delivered in the same order, and could not
 //! run in virtual time at all. The world has no randomness effect: the

@@ -1,10 +1,9 @@
 //! The combined chaos matrix (see `rmem_kv::chaos`): seeded schedules
-//! mixing node kill/recover windows, torn-WAL-tail recoveries, a live
-//! 4 → 8 → 16 split chain and client crashes after a planned number of
-//! outputs, on a 50-node cluster. Every surviving history must pass
-//! cross-epoch certification (including the exactly-once duplicate
-//! check), and every crashed client's ops must resolve to a definite
-//! verdict.
+//! mixing node kill/recover windows, torn-WAL-tail recoveries and client
+//! crashes after a planned number of outputs, on a 50-node cluster. Every
+//! surviving history must pass per-key certification (including the
+//! exactly-once duplicate check), and every crashed client's ops must
+//! resolve to a definite verdict.
 //!
 //! CI runs `single_seed_smoke` (and the dedicated chaos-smoke job runs a
 //! few seeds via `rmem-bench --chaos`); the full ≥ 12-seed sweep is the
@@ -62,7 +61,7 @@ fn single_seed_smoke() {
 }
 
 /// The acceptance sweep: ≥ 12 seeds of combined faults — node windows,
-/// torn tails, split chains, client crashes — all certified, all
+/// torn tails, client crashes — all certified, all
 /// resolved. Release-mode runs finish in well under a minute; debug
 /// builds should prefer `single_seed_smoke`.
 #[test]
@@ -106,12 +105,9 @@ fn sweep_chaos_matrix() {
 /// The sim-scale arm of the matrix: the same seeded plan generator
 /// drives the discrete-event simulator at 100 processes — far past what
 /// real threads afford — under 100 **real clients**, hosted
-/// (`rmem_kv::host`): routing, map sync and failover are the shipped code,
-/// in virtual time, from a seed. Every call completes and the runs stay
-/// certified per key. All 100 clients' first map syncs meet at register
-/// 0's home and wait their turn there, so the whole run costs at most one
-/// retry per client (seed 17 crashes that home under its waiters: each
-/// fails over once, 99 in all).
+/// (`rmem_kv::host`): routing and failover are the shipped code, in
+/// virtual time, from a seed. Every call completes and the runs stay
+/// certified per key, at no more than one failover retry per client.
 #[test]
 fn des_scale_hundred_processes_certified() {
     const SHARDS: u16 = 16;

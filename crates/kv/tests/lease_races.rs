@@ -1,5 +1,5 @@
 //! Real-runtime lease freshness: concurrent writers vs leased readers,
-//! plus the pinned epoch-change-mid-lease cases.
+//! plus the pinned foreign-write fence.
 //!
 //! A register's home node answers hot-key gets under its tag lease in
 //! **zero** rounds, so these are the reads most able to go stale — and
@@ -12,13 +12,9 @@
 //! clock: **a leased read must never return a value older than any value
 //! returned after a completed write.**
 //!
-//! The pinned cases drive a live 4 → 8 split over leased registers. Its
-//! seal writes routed through the home nodes — the lease holders — pass
-//! their own fences: the grow does not wait, and the stale-mapped
-//! reader's next get returns the new epoch's freshest write. The same
-//! split submitted through one foreign node still waits out the
-//! holders' grants, exactly as every write did while grants went out to
-//! clients.
+//! The pinned case writes a leased register through a node that does
+//! not hold the lease: the put waits out the holder's grants, exactly as
+//! every write did while grants went out to clients.
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -298,119 +294,50 @@ const ALLOWANCE_CAP: u32 = 12;
 /// catch up.
 const SETTLE: Duration = Duration::from_millis(20);
 
-/// The pinned split's lease term: long enough that "waited it out" and
+/// The pinned fence's lease term: long enough that "waited it out" and
 /// "did not wait" cannot be confused on a loaded machine.
-const SPLIT_LEASE: Duration = Duration::from_millis(400);
+const FENCE_LEASE: Duration = Duration::from_millis(400);
 
-/// The pinned split's setting: a cluster leasing for [`SPLIT_LEASE`], an
-/// owner that preloaded two keys, and a reader family that earned the
-/// home nodes' leases on both and was served under them.
-struct SplitUnderLeases {
-    cluster: LocalCluster,
-    owner: KvClient,
-    reader: KvClient,
-    /// An instant before the first of the reader's grants was issued.
-    granted_after: Instant,
-    hot: String,
-}
-
-fn split_under_leases() -> SplitUnderLeases {
-    let cluster = leased_cluster(SPLIT_LEASE.as_micros() as u64);
+/// Pinned: a put submitted through one node that is **not** the hot
+/// register's home is a foreign coordinator's write: the replicas park
+/// its acknowledgement until the holder's grants expire — the fence is
+/// what keeps the holder's lease fresh — and the leased reader's next get
+/// returns it. (A put through the holder itself passes its own fence:
+/// `client::tests::a_put_through_the_holder_neither_waits_nor_ends_its_lease`.)
+#[test]
+fn a_put_through_a_foreign_node_waits_out_the_holders_grants() {
+    let cluster = leased_cluster(FENCE_LEASE.as_micros() as u64);
     let owner = KvClient::new(cluster.clients(), ShardRouter::new(SHARDS)).unwrap();
     let reader = KvClient::new(cluster.clients(), ShardRouter::new(SHARDS)).unwrap();
     let keys = ShardRouter::new(SHARDS).covering_keys("gk-");
-    for key in &keys[..2] {
-        owner.put(key, version_bytes(1)).unwrap();
-    }
+    let hot = &keys[0];
+    owner.put(hot, version_bytes(1)).unwrap();
     std::thread::sleep(SETTLE);
     let granted_after = Instant::now();
-    for key in &keys[..2] {
-        for _ in 0..2 {
-            let got = reader.get(key).unwrap();
-            assert_eq!(got.as_deref(), Some(version_bytes(1).as_slice()));
-        }
+    for _ in 0..2 {
+        let got = reader.get(hot).unwrap();
+        assert_eq!(got.as_deref(), Some(version_bytes(1).as_slice()));
     }
     assert!(
-        reader.stats().lease_hits >= 2,
-        "both keys must be served under leases: {:?}",
+        reader.stats().lease_hits >= 1,
+        "the key must be served under a lease: {:?}",
         reader.stats()
     );
-    SplitUnderLeases {
-        hot: keys[0].clone(),
-        cluster,
-        owner,
-        reader,
-        granted_after,
-    }
-}
 
-/// After a committed split and a post-split write through `writer`, the
-/// stale-mapped `reader` must return that write and adopt the epoch —
-/// and the new epoch re-earns leases as usual.
-fn the_stale_reader_sees_the_post_split_write(writer: &KvClient, reader: &KvClient, hot: &str) {
+    let home = owner.shard_map().register_for(hot).0 as usize % 3;
+    let foreign = cluster.client(ProcessId(((home + 1) % 3) as u16));
+    let writer = KvClient::new(vec![foreign], ShardRouter::new(SHARDS)).unwrap();
     writer.put(hot, version_bytes(2)).unwrap();
-    // The reader's map is stale, its read goes to the sealed old home —
-    // whose lease, if the seal went through it, was handed on to the
-    // seal: either way what comes back carries the foreign stamp, which
-    // forces a map refresh, and the new home answers.
+    // Every replica granted after `granted_after` and holds the put's
+    // acknowledgement for the term (plus its slack) from then.
+    let done_after = granted_after.elapsed();
+    assert!(
+        done_after >= FENCE_LEASE,
+        "the put must have waited out the holder's grants (done {done_after:?} after them)"
+    );
     assert_eq!(
         reader.get(hot).unwrap().as_deref(),
         Some(version_bytes(2).as_slice()),
-        "a leased reader must never see past a completed post-split write"
+        "a leased reader must never see past a completed write"
     );
-    assert_eq!(reader.shard_map().epoch, 1, "the reader adopted the split");
-    std::thread::sleep(SETTLE);
-    let hits_before = reader.stats().lease_hits;
-    for _ in 0..2 {
-        let got = reader.get(hot).unwrap();
-        assert_eq!(got.as_deref(), Some(version_bytes(2).as_slice()));
-    }
-    assert!(
-        reader.stats().lease_hits > hits_before,
-        "{:?}",
-        reader.stats()
-    );
-}
-
-/// Pinned: an epoch change races live leases, through their holders. The
-/// grower's register operations go to each register's home node first —
-/// the node that minted the lease — which takes it before the seal
-/// leaves and is exempt from its own grants at every replica: the grow
-/// does not wait out the term, and the lease it hands on serves the
-/// seal, not the old epoch.
-#[test]
-fn a_grow_through_the_lease_holders_does_not_wait() {
-    let split = split_under_leases();
-    let started = Instant::now();
-    let report = split.owner.grow(2 * SHARDS).unwrap();
-    let took = started.elapsed();
-    assert_eq!(report.epoch, 1);
-    assert!(
-        took < SPLIT_LEASE / 2,
-        "the seals sat behind their own nodes' grants (took {took:?})"
-    );
-    the_stale_reader_sees_the_post_split_write(&split.owner, &split.reader, &split.hot);
-}
-
-/// Pinned: the same split submitted through one node that is **not** the
-/// hot register's home. Its seal is a foreign coordinator's write: the
-/// replicas park its acknowledgement until the holder's grants expire,
-/// exactly as before — the fence is what keeps the holder's lease fresh
-/// while the epoch turns under it.
-#[test]
-fn a_grow_through_a_foreign_node_waits_out_the_holders_grants() {
-    let split = split_under_leases();
-    let home = split.owner.shard_map().register_for(&split.hot).0 as usize % 3;
-    let foreign = split.cluster.client(ProcessId(((home + 1) % 3) as u16));
-    let grower = KvClient::new(vec![foreign], ShardRouter::new(SHARDS)).unwrap();
-    let report = grower.grow(2 * SHARDS).unwrap();
-    assert_eq!(report.epoch, 1);
-    // Every replica granted after `granted_after` and holds the seal's
-    // acknowledgement for the term (plus its slack) from then.
-    let done_after = split.granted_after.elapsed();
-    assert!(
-        done_after >= SPLIT_LEASE,
-        "the seal must have waited out the holder's grants (done {done_after:?} after them)"
-    );
-    the_stale_reader_sees_the_post_split_write(&grower, &split.reader, &split.hot);
 }

@@ -5,36 +5,31 @@
 //! one composite write carries all its puts (last write per key wins),
 //! cut only by the transport frame.
 //!
-//! **The two irregular routes**, which never coalesce: a batch issued
-//! while a split is migrating (a barriered key is a chunk of its own in
-//! the same loop, polling for its seal on deadlines while every other key
-//! completes) and a batch on an exactly-once client (every entry is a
-//! journaled `put`, in input order).
+//! **The irregular route**, which never coalesces: a batch on an
+//! exactly-once client (every entry is a journaled `put`, in input
+//! order).
 //!
 //! **The ambiguous end**: a call every node fails records one crash,
 //! after nothing of it is in flight.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::Bytes;
 use rmem_consistency::Criterion;
 use rmem_core::{SharedMemory, Transient};
 use rmem_kv::{
     certify_per_key_epoch_path, check_store_exactly_once, codec, KvClient, KvError, OpRecorder,
-    ShardMap, ShardRouter, CONFIG_REGISTER,
+    ShardRouter,
 };
 use rmem_net::LocalCluster;
 use rmem_storage::{IntentJournal, MemStorage};
 use rmem_types::{OpTag, ProcessId};
 
-const OLD_SHARDS: u16 = 4;
-/// 4 → 6 splits shards 0 and 1 only: shards 2 and 3 keep their keys, so
-/// a covering key set is half barriered, half not.
-const NEW_SHARDS: u16 = 6;
+const SHARDS: u16 = 4;
 
 fn cluster_kv(recorder: &OpRecorder) -> (LocalCluster, KvClient) {
     let cluster = LocalCluster::channel(3, SharedMemory::factory(Transient::flavor())).unwrap();
-    let kv = KvClient::new(cluster.clients(), ShardRouter::new(OLD_SHARDS))
+    let kv = KvClient::new(cluster.clients(), ShardRouter::new(SHARDS))
         .unwrap()
         .with_recorder(recorder.clone());
     (cluster, kv)
@@ -45,10 +40,6 @@ fn entries(keys: &[String], version: u8) -> Vec<(String, Bytes)> {
         .enumerate()
         .map(|(i, k)| (k.clone(), Bytes::from(vec![version, i as u8])))
         .collect()
-}
-
-fn depth_samples(kv: &KvClient) -> u64 {
-    kv.metrics().histogram("kv.pipeline_depth").count
 }
 
 /// An unrecorded client over a fresh in-memory cluster.
@@ -213,153 +204,13 @@ fn an_entry_over_any_frame_fails_with_too_large() {
 }
 
 #[test]
-fn coalesced_batches_survive_a_live_split_and_certify_across_epochs() {
-    // Every key twice per call: an injective universe (certification
-    // needs one) that still gives every register two inputs to coalesce.
-    let recorder = OpRecorder::new();
-    let (mut cluster, kv) = cluster_kv(&recorder);
-    let keys = ShardRouter::new(OLD_SHARDS).covering_keys("e-");
-    let twice = |version: u8| -> Vec<(String, Bytes)> {
-        let mut batch = entries(&keys, version);
-        batch.extend(entries(&keys, version + 1));
-        batch
-    };
-    let mut reads: Vec<String> = keys.clone();
-    reads.extend(keys.iter().cloned());
-
-    kv.multi_put(&twice(0)).unwrap();
-    assert_eq!(kv.stats().writes, u64::from(OLD_SHARDS));
-    let report = kv.grow(8).unwrap();
-    assert_eq!((report.epoch, kv.shard_map().shards), (1, 8));
-    // Every key still serves through the coalesced read path…
-    let before = kv.stats().reads;
-    let got = kv.multi_get(&reads).unwrap();
-    assert_eq!(kv.stats().reads - before, u64::from(OLD_SHARDS));
-    for (i, value) in got.iter().enumerate() {
-        let k = i % keys.len();
-        assert_eq!(value.as_deref(), Some([1, k as u8].as_ref()), "{}", keys[k]);
-    }
-    // …and new writes land under the new epoch and read back.
-    kv.multi_put(&twice(2)).unwrap();
-    let got = kv.multi_get(&keys).unwrap();
-    for (i, value) in got.iter().enumerate() {
-        assert_eq!(value.as_deref(), Some([3, i as u8].as_ref()), "{}", keys[i]);
-    }
-    certify_per_key_epoch_path(
-        &recorder.history(),
-        keys.iter().map(String::as_str),
-        &[OLD_SHARDS, 8],
-        Criterion::Transient,
-    )
-    .unwrap_or_else(|e| panic!("coalesced run across a split failed certification: {e}"));
-    cluster.shutdown();
-
-    // Unrecorded, 32 keys over the 4 shards: real 8-entry bundles go
-    // through the migrator's decode/re-encode, and every key of every
-    // bundle must come out the other side.
-    let (mut cluster, kv) = plain_kv(OLD_SHARDS);
-    let batch = numbered("e", 32, 0);
-    kv.multi_put(&batch).unwrap();
-    let bundles = kv.metrics().histogram("kv.bundle_size");
-    assert_eq!((bundles.count, bundles.sum), (u64::from(OLD_SHARDS), 32));
-    let report = kv.grow(8).unwrap();
-    assert_eq!((report.epoch, kv.shard_map().shards), (1, 8));
-    let got = kv.multi_get(&keys_of(&batch)).unwrap();
-    for (i, value) in got.iter().enumerate() {
-        assert_eq!(value.as_deref(), Some([i as u8].as_ref()), "e{i} moved");
-    }
-    // New bundles land under the new epoch and read back.
-    kv.multi_put(&numbered("e", 32, 100)).unwrap();
-    let got = kv.multi_get(&keys_of(&batch)).unwrap();
-    for (i, value) in got.iter().enumerate() {
-        assert_eq!(value.as_deref(), Some([i as u8 + 100].as_ref()), "e{i}");
-    }
-    cluster.shutdown();
-}
-
-#[test]
-fn a_mid_split_batch_completes_its_open_keys_while_the_barriered_ones_wait() {
-    let recorder = OpRecorder::new();
-    let (mut cluster, kv) = cluster_kv(&recorder);
-    let keys = ShardRouter::new(OLD_SHARDS).covering_keys("m-");
-    kv.multi_put(&entries(&keys, 0)).unwrap();
-
-    // A driver publishes the split and dies before migrating anything.
-    let migrating = ShardMap::genesis(OLD_SHARDS).split_to(NEW_SHARDS);
-    cluster.clients()[0]
-        .write_at(CONFIG_REGISTER, migrating.encode())
-        .unwrap();
-    assert!(kv.refresh_map().unwrap());
-    assert_eq!(kv.shard_map(), migrating);
-    let open = keys.iter().filter(|k| !migrating.is_barriered(k)).count() as u64;
-    assert_eq!(
-        open, 2,
-        "4 → 6 leaves two covering keys outside the barrier"
-    );
-
-    // Reads: every key rides the one loop — the barriered ones read
-    // their unsealed old home, which answers — one depth sample per op.
-    let before = depth_samples(&kv);
-    let got = kv.multi_get(&keys).unwrap();
-    for (i, value) in got.iter().enumerate() {
-        assert_eq!(value.as_deref(), Some([0, i as u8].as_ref()), "{}", keys[i]);
-    }
-    assert_eq!(depth_samples(&kv) - before, keys.len() as u64);
-
-    // Writes: the barriered entries poll for their seal on deadlines of
-    // the same loop until a rescuer seals their shards; the other two
-    // complete meanwhile.
-    let (before, written) = (depth_samples(&kv), kv.stats().writes);
-    let rescuer = kv.recorded_clone();
-    let batch = entries(&keys, 1);
-    std::thread::scope(|scope| {
-        let writer = scope.spawn(|| kv.multi_put(&batch));
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while kv.stats().barrier_waits == 0 || kv.stats().writes - written < open {
-            assert!(Instant::now() < deadline, "no write reached the barrier");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert!(!writer.is_finished(), "the barriered entries are waiting");
-        for (i, key) in keys.iter().enumerate() {
-            if !migrating.is_barriered(key) {
-                let value = rescuer.get(key).unwrap();
-                assert_eq!(value.as_deref(), Some([1, i as u8].as_ref()), "{key}");
-            }
-        }
-        assert!(
-            depth_samples(&kv) - before > open,
-            "the seal polls are operations of the same loop"
-        );
-        assert!(rescuer.finish_split().unwrap());
-        writer
-            .join()
-            .unwrap()
-            .expect("barriered writes finish once sealed");
-    });
-    assert_eq!(kv.shard_map(), migrating.committed());
-
-    let got = kv.multi_get(&keys).unwrap();
-    for (i, value) in got.iter().enumerate() {
-        assert_eq!(value.as_deref(), Some([1, i as u8].as_ref()), "{}", keys[i]);
-    }
-    certify_per_key_epoch_path(
-        &recorder.history(),
-        keys.iter().map(String::as_str),
-        &[OLD_SHARDS, NEW_SHARDS],
-        Criterion::Transient,
-    )
-    .unwrap_or_else(|e| panic!("mid-split multi-key run failed certification: {e}"));
-    cluster.shutdown();
-}
-
-#[test]
 fn an_exactly_once_batch_settles_through_the_journal_in_input_order() {
     const CLIENT: u16 = 11;
     let recorder = OpRecorder::new();
     let (mut cluster, kv) = cluster_kv(&recorder);
     let journal = IntentJournal::with_storage(Box::new(MemStorage::new())).unwrap();
     let kv = kv.with_exactly_once(CLIENT, journal);
-    let keys = ShardRouter::new(OLD_SHARDS).covering_keys("x-");
+    let keys = ShardRouter::new(SHARDS).covering_keys("x-");
     // A same-key duplicate up front: the later input must win.
     let mut batch = vec![(keys[0].clone(), Bytes::from_static(b"superseded"))];
     batch.extend(entries(&keys, 7));

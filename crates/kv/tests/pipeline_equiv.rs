@@ -77,7 +77,7 @@ fn do_get(kv: &KvClient, drive: Drive, key: &str) -> Option<bytes::Bytes> {
 fn run_concurrent_seed(seed: u64, drive: Drive) -> KvOpStats {
     let recorder = OpRecorder::new();
     let (mut cluster, kv) = cluster_kv(&recorder);
-    let keys = kv.router().covering_keys("eq-");
+    let keys = kv.shard_map().covering_keys("eq-");
     for (i, key) in keys.iter().enumerate() {
         do_put(&kv, drive, key, vec![0, i as u8]);
     }
@@ -227,7 +227,7 @@ fn duplicate_keys_in_a_batch_coalesce_to_the_last_input_per_key() {
     for drive in [Drive::PipelinedDepth1, Drive::Blocking] {
         let recorder = OpRecorder::new();
         let (mut cluster, kv) = cluster_kv(&recorder);
-        let keys = kv.router().covering_keys("dup-");
+        let keys = kv.shard_map().covering_keys("dup-");
         // Eight entries over three keys, duplicates interleaved.
         let batch: Vec<(&str, bytes::Bytes)> = [0, 1, 0, 2, 1, 0, 2, 0]
             .iter()

@@ -122,12 +122,12 @@ fn stale_restart_reads_back_fast(
 /// With both peers up, the two that hold every put vouch for it: the
 /// catch-up logs nothing across the victim's restart — all a transient
 /// node logs is its own `recovered` counter per register (Fig. 5 line 20;
-/// the sixteen shards' and the shard map's). With one of them down the
+/// one per shard). With one of them down the
 /// other's word is not enough, and the victim also logs one adoption per
 /// register it missed — and its reads are as fast.
 #[test]
 fn channel_cluster_reads_stay_fast_after_a_stale_restart() {
-    let registers = u64::from(SHARDS) + 1;
+    let registers = u64::from(SHARDS);
     for peer_down in [false, true] {
         let cluster = LocalCluster::channel(3, SharedMemory::factory(Transient::flavor())).unwrap();
         let stored = stale_restart_reads_back_fast(cluster, Criterion::Transient, false, peer_down);

@@ -67,11 +67,10 @@ fn crashing(
 }
 
 /// How many outputs a fresh client's staged put makes before it crashes:
-/// it journals the op `Prepared` (1), marks it `Sent` (2), reads the
-/// shard map (3) and sends the write (4); its tombstone would be the
-/// fifth.
+/// it journals the op `Prepared` (1), marks it `Sent` (2) and sends the
+/// write (3); its tombstone would be the fourth.
 fn arb_crash_point() -> impl Strategy<Value = u64> {
-    1u64..5
+    1u64..4
 }
 
 proptest! {
@@ -168,13 +167,12 @@ proptest! {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let mut cluster = cluster();
-        // Journal the op, read the shard map, send the write: the
-        // tombstone is refused.
-        let crash = Crash::after(3);
+        // Journal the op and send the write: the tombstone is refused.
+        let crash = Crash::after(2);
         let crashed = crashing(&cluster, 5, &crash, WalStorage::open(&dir).unwrap());
         let (recovered, tag, verdicts) = std::thread::scope(|scope| {
             scope.spawn(|| crashed.put(&key, value.clone()));
-            while crash.outputs() < 3 {
+            while crash.outputs() < 2 {
                 std::thread::yield_now();
             }
             let recovered = KvClient::new(cluster.clients(), ShardRouter::new(4))

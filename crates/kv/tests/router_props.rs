@@ -1,11 +1,8 @@
 //! Property tests for the shard router and the per-key certification
-//! pipeline (the locality story, end to end), plus the epoch layer's
-//! routing properties: same-epoch determinism across clients and the
-//! minimal-movement guarantee of linear-hash splits.
+//! pipeline (the locality story, end to end).
 
 use proptest::prelude::*;
 use rmem_consistency::Criterion;
-use rmem_kv::router::split_sources;
 use rmem_kv::{certify_per_key_epoch_path, codec, ShardMap, ShardRouter};
 use rmem_types::{Op, OpResult, ProcessId};
 
@@ -61,90 +58,18 @@ proptest! {
         prop_assert!(hit.iter().all(|&h| h));
     }
 
-    /// Entry payloads roundtrip for arbitrary keys, values and epoch
-    /// stamps.
+    /// Entry payloads roundtrip for arbitrary keys, values and reserved
+    /// bytes.
     #[test]
     fn codec_roundtrips(
         key in arb_key(),
         value in proptest::collection::vec(any::<u8>(), 0..256),
-        epoch in any::<u8>(),
+        stamp in any::<u8>(),
     ) {
-        let payload = codec::encode_entry(&key, &bytes::Bytes::from(value.clone()), epoch);
+        let payload = codec::encode_entry(&key, &bytes::Bytes::from(value.clone()), stamp);
         let (k, v) = codec::decode_entry(&payload).expect("decodes");
         prop_assert_eq!(k, key);
         prop_assert_eq!(v.as_ref(), value.as_slice());
-        prop_assert_eq!(codec::payload_epoch(&payload), Some(epoch));
-    }
-
-    /// Same-epoch routing is deterministic across clients: two shard maps
-    /// built independently from the same epoch record agree on every key,
-    /// on both the current and the previous routing.
-    #[test]
-    fn same_epoch_routing_is_deterministic_across_clients(
-        keys in proptest::collection::vec(arb_key(), 1..32),
-        old_shards in 1u16..48,
-        grow_by in 0u16..16,
-        epoch in 0u64..1000,
-    ) {
-        let map_a = ShardMap { epoch, shards: old_shards + grow_by, prev_shards: old_shards };
-        // A second client decodes the same published record.
-        let map_b = ShardMap::decode(&map_a.encode()).expect("decodes");
-        prop_assert_eq!(map_a, map_b);
-        for key in &keys {
-            prop_assert_eq!(map_a.register_for(key), map_b.register_for(key));
-            prop_assert_eq!(map_a.old_register_for(key), map_b.old_register_for(key));
-            prop_assert_eq!(map_a.shard_of(key), map_b.shard_of(key));
-        }
-    }
-
-    /// Minimal movement: a split from `s` to `s + k` shards moves only
-    /// keys owned by the split-source shards — every key either keeps its
-    /// shard or leaves a split source for one of the new shards; keys of
-    /// non-source shards never move.
-    #[test]
-    fn split_moves_only_split_source_keys(
-        keys in proptest::collection::vec(arb_key(), 1..64),
-        s in 1u16..48,
-        k in 1u16..16,
-    ) {
-        let before = ShardRouter::new(s);
-        let after = ShardRouter::new(s + k);
-        let sources = split_sources(s, s + k);
-        for key in &keys {
-            let (old, new) = (before.shard_of(key), after.shard_of(key));
-            if old != new {
-                prop_assert!(
-                    sources.contains(&old),
-                    "key {:?} moved out of non-source shard {} ({} -> {} shards)",
-                    key, old, s, s + k
-                );
-                prop_assert!(
-                    new >= s,
-                    "a moved key must land in a newly created shard, got {}",
-                    new
-                );
-            }
-        }
-        // The source set never names a shard that does not exist yet.
-        prop_assert!(sources.iter().all(|&b| b < s));
-    }
-
-    /// Injectivity survives a split: a universe with at most one key per
-    /// shard before the split keeps at most one key per shard after it
-    /// (what lets covering keys of the old router certify across epochs).
-    #[test]
-    fn injectivity_survives_splits(s in 1u16..24, k in 1u16..16) {
-        let before = ShardRouter::new(s);
-        let after = ShardRouter::new(s + k);
-        let keys = before.covering_keys("inj-");
-        let mut seen = std::collections::BTreeSet::new();
-        for key in &keys {
-            prop_assert!(
-                seen.insert(after.shard_of(key)),
-                "two old-injective keys collided after {} -> {}",
-                s, s + k
-            );
-        }
     }
 
     /// Locality end to end: a random multi-key sequential store history

@@ -1,6 +1,6 @@
 //! End to end in virtual time: **real** store clients hosted in the
 //! simulator (`rmem_kv::host`) — skewed traffic, `multi_*` calls, node
-//! crashes and recoveries, a live split — certified atomic per key from
+//! crashes and recoveries — certified atomic per key from
 //! the history the clients' own recorder kept. Everything here is a
 //! function of its seed: a failure names the seed and replays.
 
@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 use rmem_consistency::{check_freshness, Criterion, Event, FreshnessKind, FreshnessOp, History};
 use rmem_core::{Flavor, Persistent, SharedMemory, Transient};
 use rmem_kv::{
-    certify_per_key_epoch_path, check_store_exactly_once, run_hosted, KvClient, KvError, KvOpStats,
+    certify_per_key_epoch_path, check_store_exactly_once, run_hosted, KvClient, KvOpStats,
     OpRecorder, Resolution, Script, ShardRouter, World,
 };
 use rmem_net::ClientError;
@@ -212,9 +212,9 @@ fn every_call_of_a_crash_free_run_completes() {
         }
         .run();
         assert_eq!(answered(&run.history), 4 * 15, "zipf {zipf}");
-        // Four map syncs beside the sixty operations — and nothing else.
+        // The sixty operations — and nothing else.
         let served = run.report.trace.operations();
-        assert_eq!(served.iter().filter(|o| o.is_completed()).count(), 64);
+        assert_eq!(served.iter().filter(|o| o.is_completed()).count(), 60);
         let retries: u64 = run.stats.iter().map(|s| s.retries).sum();
         assert_eq!(retries, 0, "zipf {zipf}");
         assert_eq!(run.report.trace.invokes_dropped, 0, "zipf {zipf}");
@@ -229,7 +229,7 @@ fn every_call_of_a_crash_free_run_completes() {
 /// register operation per register it touches — its keys on one register
 /// share one read round, its entries one composite write — however many
 /// inputs it has. Sixteen inputs over four registers, written and read
-/// back: 4 + 4 register operations, and the map sync.
+/// back: 4 + 4 register operations.
 #[test]
 fn a_multi_key_call_is_one_register_operation_per_register() {
     let router = ShardRouter::new(4);
@@ -263,11 +263,10 @@ fn a_multi_key_call_is_one_register_operation_per_register() {
     };
     let data: Vec<u16> = registers.into_iter().collect();
     assert_eq!(on(OpKind::Write), data, "one composite write per register");
-    assert_eq!(on(OpKind::Read)[0], 0, "the map sync");
-    assert_eq!(on(OpKind::Read)[1..], data, "one read round per register");
-    assert_eq!(served.len(), 9);
+    assert_eq!(on(OpKind::Read), data, "one read round per register");
+    assert_eq!(served.len(), 8);
     let rounds = report.trace.rounds(OpKind::Read);
-    assert_eq!(rounds, [1; 5], "each a single round on the fast path");
+    assert_eq!(rounds, [1; 4], "each a single round on the fast path");
 }
 
 /// Seed-reproducible: the same seed twice gives the same recorded history
@@ -318,154 +317,6 @@ fn a_hosted_run_is_a_function_of_its_seed() {
     );
 }
 
-/// A live 4 → 8 `grow` under traffic and a minority crash, hosted: three
-/// clones of one client family (they share the grower's map cache — see
-/// ROADMAP defect (f) for why not independent families) run Zipf `get`/
-/// `put` traffic while the operator's clone preloads, then splits;
-/// one node is down for a window overlapping the split. Certified across
-/// epochs, the split committed, every barrier wait bounded.
-fn grow_under_traffic(seed: u64) -> KvOpStats {
-    let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9));
-    let victim = rng.gen_range(0..NODES as u16);
-    let kill_at = rng.gen_range(5_000..35_000);
-    let down_for = rng.gen_range(5_000..20_000);
-    let grow_at = rng.gen_range(10_000..25_000);
-    let keys = ShardRouter::new(4).covering_keys("rk-");
-    let recorder = OpRecorder::new();
-    let mut family = None;
-    let sim = sim(Transient::flavor(), seed, outage(kill_at, victim, down_for));
-    run_hosted(sim, |world| {
-        let kv = KvClient::over(world.clone(), ShardRouter::new(4))
-            .with_barrier_polls(4_096)
-            .with_recorder(recorder.clone());
-        let family = family.insert(kv);
-        let keys = &keys;
-        let operator = {
-            let (kv, world) = (family.recorded_clone(), world.clone());
-            Box::new(move || {
-                for (i, key) in keys.iter().enumerate() {
-                    kv.put(key, vec![0, i as u8]).unwrap();
-                }
-                pause(&*world, grow_at);
-                let report = kv.grow(8).unwrap();
-                assert_eq!((report.epoch, report.to_shards), (1, 8), "seed {seed}");
-            }) as Script
-        };
-        let traffic = |t: u64| {
-            let (kv, world) = (family.recorded_clone(), world.clone());
-            let mut rng = StdRng::seed_from_u64(seed * 31 + t);
-            Box::new(move || {
-                let dist = KeyDistribution::zipf(keys.len(), 0.99);
-                pause(&*world, 3_000);
-                for counter in 0..50 {
-                    let key = &keys[dist.sample(&mut rng)];
-                    let outcome = match rng.gen_bool(0.5) {
-                        true => kv.put(key, unique(t, counter)),
-                        false => kv.get(key).map(|_| ()),
-                    };
-                    // The bounded-wait assertion: a barrier that never
-                    // cleared would surface here — as would anything else;
-                    // a minority outage fails no call.
-                    if let Err(e) = outcome {
-                        let stuck = matches!(e, KvError::Barrier { .. });
-                        panic!("seed {seed}: {e} (barrier deadlock: {stuck})");
-                    }
-                    pause(&*world, rng.gen_range(0..300));
-                }
-            }) as Script
-        };
-        std::iter::once(operator)
-            .chain((0..3).map(traffic))
-            .collect()
-    });
-    let family = family.expect("set up");
-    let map = family.shard_map();
-    assert!(!map.is_migrating(), "seed {seed}: the split must commit");
-    assert_eq!((map.shards, map.epoch), (8, 1), "seed {seed}");
-    let what = format!("grow seed {seed}");
-    certify(
-        &recorder.history(),
-        &keys,
-        &[4, 8],
-        Criterion::Transient,
-        &what,
-    );
-    family.stats()
-}
-
-#[test]
-fn a_live_split_under_hosted_traffic_and_a_crash_certifies_across_epochs() {
-    let (mut waits, mut polls) = (0, 0);
-    for seed in 1..=16 {
-        let stats = grow_under_traffic(seed);
-        waits += stats.barrier_waits;
-        polls += stats.barrier_polls;
-    }
-    // Bounded wait, quantified: barriered writers clear in a handful of
-    // polls, nowhere near the failure cap (which no run above hit).
-    assert!(waits > 0, "some writer must have met the barrier");
-    let mean = polls as f64 / waits as f64;
-    assert!(
-        mean < 64.0,
-        "barriered writers poll a few times, got {mean:.1}"
-    );
-}
-
-/// ROADMAP defect (f), as the host's first sweep over **independently
-/// constructed** families found it: three traffic families and a grower
-/// that share no map cache. A family that only ever *wrote* a moved key
-/// since the split committed never reads a foreign stamp, keeps writing
-/// the key's old home over the seal, and its acknowledged puts are lost to
-/// everyone else. Asserts the correct behaviour; un-ignore with the fix
-/// (and see `reshard_races` for the four-call real-runtime case).
-#[test]
-#[ignore = "ROADMAP defect (f)"]
-fn independent_families_certify_across_another_familys_split() {
-    // Of the first eight seeds, 2 and 7 lose an update on `key-1`.
-    (1..=8).for_each(independent_families);
-}
-
-fn independent_families(seed: u64) {
-    let keys = ShardRouter::new(4).covering_keys("key-");
-    let recorder = OpRecorder::new();
-    run_hosted(sim(Transient::flavor(), seed, Schedule::new()), |world| {
-        let family =
-            || KvClient::over(world.clone(), ShardRouter::new(4)).with_recorder(recorder.clone());
-        let keys = &keys;
-        let grower = {
-            let (kv, world) = (family(), world.clone());
-            Box::new(move || {
-                pause(&*world, 4_000);
-                kv.grow(8).unwrap();
-            }) as Script
-        };
-        let traffic = |t: u64| {
-            let (kv, world) = (family(), world.clone());
-            let mut rng = StdRng::seed_from_u64(seed * 31 + t);
-            Box::new(move || {
-                let dist = KeyDistribution::zipf(keys.len(), 0.99);
-                for counter in 0..30 {
-                    let key = &keys[dist.sample(&mut rng)];
-                    match rng.gen_bool(0.5) {
-                        true => kv.put(key, unique(t, counter)).unwrap(),
-                        false => drop(kv.get(key).unwrap()),
-                    }
-                    pause(&*world, rng.gen_range(0..300));
-                }
-            }) as Script
-        };
-        std::iter::once(grower).chain((0..3).map(traffic)).collect()
-    });
-    let what = format!("independent families, seed {seed}");
-    certify(
-        &recorder.history(),
-        &keys,
-        &[4, 8],
-        Criterion::Transient,
-        &what,
-    );
-}
-
 /// A node crash in the middle of a `multi_put` fails the operations it
 /// held over to the next node **under the invocations they already
 /// carry**: the recorded history shows one invocation and one reply per
@@ -483,7 +334,6 @@ fn a_node_crash_mid_multi_put_fails_over_under_the_same_invocation() {
         let kv = KvClient::over(world.clone(), router).with_recorder(recorder.clone());
         let (kv, keys) = (family.insert(kv).clone(), &keys);
         vec![Box::new(move || {
-            kv.sync_map().unwrap();
             pause(&*world, 5_000 - world.now().as_micros() as u64);
             let entries: Vec<(&str, Bytes)> = (0..)
                 .zip(keys)

@@ -40,7 +40,7 @@ use std::time::Instant;
 
 /// What happened. The variants mirror the life of an operation through
 /// the stack: client admission, quorum rounds, the durability pipeline,
-/// the kv layer's epoch machinery, and the terminal halt.
+/// and the terminal halt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum EventKind {
@@ -62,12 +62,6 @@ pub enum EventKind {
     StoreDurable = 6,
     /// The syncer committed a batch (`aux` = group size).
     GroupCommit = 7,
-    /// A client observed a shard seal during a split (`aux` = shard).
-    SealObserved = 8,
-    /// A client adopted a newer shard map (`aux` = shard count).
-    EpochRefresh = 9,
-    /// A client entered the split write barrier (`aux` = polls so far).
-    BarrierWait = 10,
     /// The node halted (see [`FlightRecorder::halt_reason`]).
     Halt = 11,
     /// A protocol request arrived at a replica (`aux` = wire-packed
@@ -92,9 +86,6 @@ impl EventKind {
             5 => EventKind::StoreQueued,
             6 => EventKind::StoreDurable,
             7 => EventKind::GroupCommit,
-            8 => EventKind::SealObserved,
-            9 => EventKind::EpochRefresh,
-            10 => EventKind::BarrierWait,
             11 => EventKind::Halt,
             12 => EventKind::ReqRecv,
             13 => EventKind::AckSent,
@@ -114,9 +105,6 @@ impl EventKind {
             EventKind::StoreQueued => "StoreQueued",
             EventKind::StoreDurable => "StoreDurable",
             EventKind::GroupCommit => "GroupCommit",
-            EventKind::SealObserved => "SealObserved",
-            EventKind::EpochRefresh => "EpochRefresh",
-            EventKind::BarrierWait => "BarrierWait",
             EventKind::Halt => "Halt",
             EventKind::ReqRecv => "ReqRecv",
             EventKind::AckSent => "AckSent",
@@ -161,8 +149,6 @@ pub struct FlightEvent {
     pub kind: EventKind,
     /// The register (= shard slot) involved, 0 when not applicable.
     pub register: u16,
-    /// The shard-map epoch in force, 0 when not applicable.
-    pub epoch: u32,
     /// The operation involved: `(origin pid, per-process counter)` for
     /// node-local ops, or `(client-family id | CLIENT_OP_BIT, trace op)`
     /// for traced operations.
@@ -182,7 +168,6 @@ impl FlightEvent {
             at_micros: 0,
             kind,
             register: 0,
-            epoch: 0,
             op: None,
             aux: 0,
             seq: 0,
@@ -192,12 +177,6 @@ impl FlightEvent {
     /// Sets the register.
     pub fn with_register(mut self, reg: u16) -> Self {
         self.register = reg;
-        self
-    }
-
-    /// Sets the epoch.
-    pub fn with_epoch(mut self, epoch: u32) -> Self {
-        self.epoch = epoch;
         self
     }
 
@@ -220,12 +199,11 @@ impl FlightEvent {
             None => "null".to_string(),
         };
         format!(
-            "{{\"t_us\":{},\"kind\":\"{}\",\"op\":{},\"reg\":{},\"epoch\":{},\"aux\":{}}}",
+            "{{\"t_us\":{},\"kind\":\"{}\",\"op\":{},\"reg\":{},\"aux\":{}}}",
             self.at_micros,
             self.kind.label(),
             op,
             self.register,
-            self.epoch,
             self.aux
         )
     }
@@ -243,9 +221,6 @@ impl std::fmt::Display for FlightEvent {
             write!(f, " op={}", fmt_op(pid, c))?;
         }
         write!(f, " r{}", self.register)?;
-        if self.epoch != 0 {
-            write!(f, " e{}", self.epoch)?;
-        }
         match self.kind {
             EventKind::RoundSent | EventKind::AckSent => {
                 let (peer, nonce, _) = unpack_wire_aux(self.aux);
@@ -267,15 +242,13 @@ impl std::fmt::Display for FlightEvent {
             EventKind::OpComplete => write!(f, " rounds={}", self.aux),
             EventKind::StoreQueued | EventKind::StoreDurable => write!(f, " token={}", self.aux),
             EventKind::GroupCommit => write!(f, " size={}", self.aux),
-            EventKind::EpochRefresh => write!(f, " shards={}", self.aux),
-            EventKind::BarrierWait => write!(f, " polls={}", self.aux),
             _ if self.aux != 0 => write!(f, " aux={}", self.aux),
             _ => Ok(()),
         }
     }
 }
 
-/// Payload words per slot (timestamp, packed kind/register/epoch, op
+/// Payload words per slot (timestamp, packed kind/register, op
 /// pid, op counter, aux).
 const SLOT_WORDS: usize = 5;
 /// Sentinel for "no operation id".
@@ -388,7 +361,7 @@ impl FlightRecorder {
             return;
         }
         let at = origin().elapsed().as_micros() as u64;
-        let packed = ev.kind as u64 | (ev.register as u64) << 16 | (ev.epoch as u64) << 32;
+        let packed = ev.kind as u64 | (ev.register as u64) << 16;
         let (op_pid, op_ctr) = match ev.op {
             Some((pid, c)) => (pid as u64, c),
             None => (NO_OP, 0),
@@ -477,7 +450,6 @@ impl FlightRecorder {
                 at_micros: words[0],
                 kind,
                 register: (words[1] >> 16) as u16,
-                epoch: (words[1] >> 32) as u32,
                 op: if words[2] == NO_OP {
                     None
                 } else {
@@ -553,8 +525,7 @@ mod tests {
         rec.record(
             FlightEvent::new(EventKind::OpStart)
                 .with_op(3, 41)
-                .with_register(7)
-                .with_epoch(2),
+                .with_register(7),
         );
         rec.record(FlightEvent::new(EventKind::GroupCommit).with_aux(5));
         let dump = rec.dump();
@@ -562,7 +533,6 @@ mod tests {
         assert_eq!(dump[0].kind, EventKind::OpStart);
         assert_eq!(dump[0].op, Some((3, 41)));
         assert_eq!(dump[0].register, 7);
-        assert_eq!(dump[0].epoch, 2);
         assert_eq!(dump[1].kind, EventKind::GroupCommit);
         assert_eq!(dump[1].aux, 5);
         assert!(dump[1].at_micros >= dump[0].at_micros);
